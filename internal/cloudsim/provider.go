@@ -92,9 +92,10 @@ type Options struct {
 	Name string
 	// Latency is the network model. Zero value means no simulated latency.
 	Latency LatencyProfile
-	// LatencyScale multiplies every simulated delay; 0 means 1.0. Tests use
-	// 0 latency or tiny scales; `scfs-bench -scale 1` reproduces the paper's
-	// absolute magnitudes.
+	// LatencyScale multiplies every simulated delay; 0 means 1.0, the
+	// paper's absolute magnitudes. Tests use 0 latency or tiny scales;
+	// scfs-bench (scfsbench/) fixes a scale per workload: 0.1 on its WAN
+	// rows, 0.02 on the others.
 	LatencyScale float64
 	// ConsistencyWindow is how long a freshly written object version may
 	// remain invisible to readers (eventual consistency). Zero gives

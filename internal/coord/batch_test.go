@@ -1,0 +1,131 @@
+package coord
+
+import (
+	"errors"
+	"reflect"
+	"testing"
+	"time"
+
+	"scfs/internal/clock"
+	"scfs/internal/depspace"
+	"scfs/internal/telemetry"
+)
+
+// batchScript exercises every batchable command, with failures and with
+// commands whose outcome depends on the ones before them, as two batches.
+func batchScript() [][]Op {
+	acl := ACL{Owner: "alice"}
+	return [][]Op{{
+		TryLock("/d/f", "agent-1", time.Minute),
+		Get("/d/f"), // not there yet
+		Put("/d/f", []byte("v1"), acl),
+		Put("/d/g", []byte("g"), acl),
+		Put("/other", []byte("o"), acl),
+		Get("/d/f"),
+		TryLock("/d/f", "agent-2", time.Minute), // held by agent-1
+		Put("/d/f", []byte("v2"), acl),
+		List("/d/"),
+		Unlock("/d/f", "agent-2"), // not the holder: the lock stays
+		Unlock("/d/f", "agent-1"),
+	}, {
+		Unlock("/d/f", "agent-1"), // already released
+		TryLock("/d/f", "agent-2", time.Minute),
+		Get("/d/f"),
+	}}
+}
+
+// TestBatchEqualsSingleCallsAllBackends: a Batch returns, command for
+// command, what the same calls return issued one after another.
+func TestBatchEqualsSingleCallsAllBackends(t *testing.T) {
+	singles, batched := backends(t), backends(t)
+	for name, svc := range singles {
+		t.Run(name, func(t *testing.T) {
+			var got, want []Result
+			for _, ops := range batchScript() {
+				for _, op := range ops {
+					res, err := Do(bg, svc, op)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want = append(want, res[0])
+				}
+				res, err := batched[name].Batch(bg, ops)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, res...)
+			}
+			for i := range want {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Errorf("command %d: batch %+v, single %+v", i, got[i], want[i])
+				}
+			}
+			if !errors.Is(got[1].Err, ErrNotFound) || !errors.Is(got[6].Err, ErrLockHeld) || got[11].Err != nil || got[12].Err != nil {
+				t.Errorf("outcomes: get-before-put %v, foreign lock %v, second unlock %v, lock after release %v", got[1].Err, got[6].Err, got[11].Err, got[12].Err)
+			}
+			if string(got[13].Record.Value) != "v2" || len(got[8].Records) != 2 {
+				t.Errorf("final get %q, listing of /d/ has %d records", got[13].Record.Value, len(got[8].Records))
+			}
+		})
+	}
+}
+
+// TestBatchedTryLockRenewsOwnLease: re-acquiring a lock its owner already
+// holds renews the lease, in a batch as in a single call.
+func TestBatchedTryLockRenewsOwnLease(t *testing.T) {
+	for name, svc := range backends(t) {
+		t.Run(name, func(t *testing.T) {
+			if err := svc.TryLock(bg, "/f", "agent-1", time.Minute); err != nil {
+				t.Fatal(err)
+			}
+			res, err := svc.Batch(bg, []Op{TryLock("/f", "agent-1", time.Minute), Get("/missing")})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res[0].Err != nil || !errors.Is(res[1].Err, ErrNotFound) {
+				t.Fatalf("renewal %v, get %v", res[0].Err, res[1].Err)
+			}
+			if err := svc.TryLock(bg, "/f", "agent-2", time.Minute); !errors.Is(err, ErrLockHeld) {
+				t.Fatalf("foreign lock after a renewal: %v, want ErrLockHeld", err)
+			}
+		})
+	}
+}
+
+// TestBatchIsOneAccess: whatever it carries, a batch is one round trip to
+// the access counters and to the latency model; the registry counts its
+// commands by class and the batch itself once more.
+func TestBatchIsOneAccess(t *testing.T) {
+	clk := clock.NewSim(time.Unix(0, 0))
+	inner := NewDepSpaceService(depspace.NewClient(&depspace.LocalInvoker{Space: depspace.NewSpace()}, "alice", clk))
+	reg := telemetry.NewRegistry()
+	svc := Instrument(WithLatency(inner, LatencyOptions{MinRTT: 80 * time.Millisecond, MaxRTT: 80 * time.Millisecond, Clock: clk}), reg)
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := svc.Batch(bg, []Op{TryLock("/f", "a", time.Minute), Get("/f"), Put("/f", []byte("v"), ACL{}), Unlock("/f", "a")})
+		done <- err
+	}()
+	// One sleeper for the whole batch, released by one round trip's worth
+	// of simulated time.
+	deadline := time.Now().Add(5 * time.Second)
+	for clk.Pending() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("latency wrapper did not sleep")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	clk.Advance(80 * time.Millisecond)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if s := svc.Stats(); s.Batches != 1 || s.Total() != 1 {
+		t.Errorf("stats after one batch = %+v, want one access", s)
+	}
+	counters := reg.Snapshot().Counters
+	for op, want := range map[string]int64{"batch": 1, "trylock": 1, "get": 1, "put": 1, "unlock": 1, "list": 0} {
+		if got := counters[telemetry.Name("coord_ops_total", "backend", "depspace", "op", op)]; got != want {
+			t.Errorf("coord_ops_total op=%s is %d, want %d", op, got, want)
+		}
+	}
+}

@@ -48,18 +48,91 @@ var (
 	ErrLockHeld = errors.New("coord: lock held by another client")
 )
 
-// Stats counts coordination-service accesses, the quantity that dominates the
-// latency of metadata-intensive SCFS workloads.
+// Stats counts coordination-service accesses — round trips, the quantity
+// that dominates the latency of metadata-intensive SCFS workloads. The four
+// class counters count calls issued singly; a Batch is one access whatever
+// it carries and counts in Batches only.
 type Stats struct {
 	MetadataReads  int64
 	MetadataWrites int64
 	MetadataLists  int64
 	LockOps        int64
+	Batches        int64
 }
 
 // Total returns the total number of accesses.
 func (s Stats) Total() int64 {
-	return s.MetadataReads + s.MetadataWrites + s.MetadataLists + s.LockOps
+	return s.MetadataReads + s.MetadataWrites + s.MetadataLists + s.LockOps + s.Batches
+}
+
+// OpKind names the command an Op carries.
+type OpKind uint8
+
+// The commands a Batch can carry.
+const (
+	OpGet OpKind = iota + 1
+	OpPut
+	OpList
+	OpTryLock
+	OpUnlock
+)
+
+// String returns the kind's coord_ops_total op label.
+func (k OpKind) String() string {
+	switch k {
+	case OpGet:
+		return "get"
+	case OpPut:
+		return "put"
+	case OpList:
+		return "list"
+	case OpTryLock:
+		return "trylock"
+	case OpUnlock:
+		return "unlock"
+	default:
+		return "unknown"
+	}
+}
+
+// Op is one command of a Batch; build it with Get, Put, List, TryLock or
+// Unlock, whose parameters are those of the Service method of the same
+// name (GetMetadata, PutMetadata, ListMetadata, TryLock, Unlock).
+type Op struct {
+	Kind  OpKind
+	Key   string // record key, list prefix or lock name
+	Value []byte
+	ACL   ACL
+	Owner string
+	TTL   time.Duration
+}
+
+// Get is GetMetadata as a batch command.
+func Get(key string) Op { return Op{Kind: OpGet, Key: key} }
+
+// Put is PutMetadata as a batch command.
+func Put(key string, value []byte, acl ACL) Op {
+	return Op{Kind: OpPut, Key: key, Value: value, ACL: acl}
+}
+
+// List is ListMetadata as a batch command.
+func List(prefix string) Op { return Op{Kind: OpList, Key: prefix} }
+
+// TryLock is TryLock as a batch command.
+func TryLock(name, owner string, ttl time.Duration) Op {
+	return Op{Kind: OpTryLock, Key: name, Owner: owner, TTL: ttl}
+}
+
+// Unlock is Unlock as a batch command.
+func Unlock(name, owner string) Op { return Op{Kind: OpUnlock, Key: name, Owner: owner} }
+
+// Result is the outcome of one batched command: what the Service method of
+// the same name would have returned.
+type Result struct {
+	Record  Record   // OpGet
+	Records []Record // OpList
+	Version uint64   // OpPut
+	Err     error
 }
 
 // Service is the coordination-service interface consumed by the SCFS agent.
@@ -93,8 +166,46 @@ type Service interface {
 	// Unlock releases the named lock if held by owner.
 	Unlock(ctx context.Context, name, owner string) error
 
+	// Batch executes ops at the service in one access — one round trip —
+	// in order and back to back, and returns one Result per op. It is not
+	// a transaction: each command succeeds or fails on its own (Result.Err)
+	// and later commands run regardless, exactly as if the same calls had
+	// been issued one after another with nothing in between. The returned
+	// error means the access itself failed and no Result is valid; as with
+	// any lost reply, the commands may still have executed. Where a backend
+	// has no single command for an outcome, that command completes in a
+	// follow-up access after the rest of the batch; each backend's Batch
+	// names the cases.
+	Batch(ctx context.Context, ops []Op) ([]Result, error)
+
 	// Stats returns a snapshot of the access counters.
 	Stats() Stats
+}
+
+// Do executes ops at s in one access. Two or more commands travel as one
+// Batch; a lone command is issued as the Service call it stands for — the
+// same round trip, counted under its own class rather than as a batch — and
+// whatever that call returns, a failed access included, is its Result.Err.
+func Do(ctx context.Context, s Service, ops ...Op) ([]Result, error) {
+	if len(ops) != 1 {
+		return s.Batch(ctx, ops)
+	}
+	var r Result
+	switch op := ops[0]; op.Kind {
+	case OpGet:
+		r.Record, r.Err = s.GetMetadata(ctx, op.Key)
+	case OpPut:
+		r.Version, r.Err = s.PutMetadata(ctx, op.Key, op.Value, op.ACL)
+	case OpList:
+		r.Records, r.Err = s.ListMetadata(ctx, op.Key)
+	case OpTryLock:
+		r.Err = s.TryLock(ctx, op.Key, op.Owner, op.TTL)
+	case OpUnlock:
+		r.Err = s.Unlock(ctx, op.Key, op.Owner)
+	default:
+		return s.Batch(ctx, ops)
+	}
+	return []Result{r}, nil
 }
 
 // statsCounter provides the shared Stats implementation for backends.
@@ -107,6 +218,7 @@ func (c *statsCounter) addRead()  { c.mu.Lock(); c.s.MetadataReads++; c.mu.Unloc
 func (c *statsCounter) addWrite() { c.mu.Lock(); c.s.MetadataWrites++; c.mu.Unlock() }
 func (c *statsCounter) addList()  { c.mu.Lock(); c.s.MetadataLists++; c.mu.Unlock() }
 func (c *statsCounter) addLock()  { c.mu.Lock(); c.s.LockOps++; c.mu.Unlock() }
+func (c *statsCounter) addBatch() { c.mu.Lock(); c.s.Batches++; c.mu.Unlock() }
 
 func (c *statsCounter) Stats() Stats {
 	c.mu.Lock()

@@ -60,28 +60,147 @@ func mapDepSpaceError(err error) error {
 	}
 }
 
-// GetMetadata implements Service.
-func (d *DepSpaceService) GetMetadata(ctx context.Context, key string) (Record, error) {
-	d.addRead()
-	e, err := d.cli.Rdp(ctx, depspace.Tuple{tagMeta, key, depspace.Wildcard})
-	if err != nil {
-		return Record{}, mapDepSpaceError(err)
+// dsCommand translates a batchable command into its tuple-space command.
+func dsCommand(op Op) (depspace.Command, error) {
+	switch op.Kind {
+	case OpGet:
+		return depspace.CmdRdp(depspace.Tuple{tagMeta, op.Key, depspace.Wildcard}), nil
+	case OpPut:
+		return depspace.CmdReplace(
+			depspace.Tuple{tagMeta, op.Key, depspace.Wildcard},
+			depspace.Tuple{tagMeta, op.Key, encodePayload(op.Value)},
+			dsACL(op.ACL)), nil
+	case OpList:
+		return depspace.CmdRdAll(depspace.Tuple{tagMeta, depspace.Wildcard, depspace.Wildcard}), nil
+	case OpTryLock:
+		// A conditional insertion of an ephemeral tuple.
+		return depspace.CmdCas(
+			depspace.Tuple{tagLock, op.Key, depspace.Wildcard},
+			depspace.Tuple{tagLock, op.Key, op.Owner},
+			0, depspace.ACL{}, op.TTL), nil
+	case OpUnlock:
+		return depspace.CmdInp(depspace.Tuple{tagLock, op.Key, op.Owner}), nil
+	default:
+		return depspace.Command{}, fmt.Errorf("coord: command %d cannot be batched", op.Kind)
+	}
+}
+
+// recordOf decodes a metadata tuple.
+func recordOf(e depspace.Entry) (Record, error) {
+	if len(e.Tuple) != 3 {
+		return Record{}, fmt.Errorf("coord: malformed metadata tuple %v", e.Tuple)
 	}
 	val, err := decodePayload(e.Tuple[2])
 	if err != nil {
-		return Record{}, fmt.Errorf("coord: corrupt metadata payload for %q: %w", key, err)
+		return Record{}, fmt.Errorf("coord: corrupt metadata payload for %q: %w", e.Tuple[1], err)
 	}
-	return Record{Key: key, Value: val, Version: e.Version, ACL: fromDSACL(e.ACL)}, nil
+	return Record{Key: e.Tuple[1], Value: val, Version: e.Version, ACL: fromDSACL(e.ACL)}, nil
+}
+
+// dsResult translates the tuple space's reply to op's command into what the
+// Service method would return. A TryLock refused because the lock tuple
+// exists comes back as ErrLockHeld; run renews it when the holder is the
+// caller.
+func dsResult(op Op, res depspace.Result) Result {
+	err := res.Failed()
+	switch op.Kind {
+	case OpGet:
+		if err != nil {
+			return Result{Err: mapDepSpaceError(err)}
+		}
+		if res.Entry == nil {
+			return Result{Err: fmt.Errorf("coord: empty reply reading %q", op.Key)}
+		}
+		rec, err := recordOf(*res.Entry)
+		return Result{Record: rec, Err: err}
+	case OpList:
+		if err != nil {
+			return Result{Err: mapDepSpaceError(err)}
+		}
+		var out []Record
+		for _, e := range res.Entries {
+			if len(e.Tuple) != 3 || !strings.HasPrefix(e.Tuple[1], op.Key) {
+				continue
+			}
+			if rec, err := recordOf(e); err == nil {
+				out = append(out, rec)
+			}
+		}
+		return Result{Records: out}
+	case OpPut:
+		return Result{Version: res.Version, Err: mapDepSpaceError(err)}
+	case OpTryLock:
+		if errors.Is(err, depspace.ErrExists) {
+			return Result{Err: ErrLockHeld}
+		}
+	case OpUnlock:
+		if errors.Is(err, depspace.ErrNotFound) {
+			return Result{} // already released or expired
+		}
+	}
+	return Result{Err: mapDepSpaceError(err)}
+}
+
+// run executes ops as one tuple-space invocation.
+func (d *DepSpaceService) run(ctx context.Context, ops []Op) ([]Result, error) {
+	cmds := make([]depspace.Command, len(ops))
+	for i, op := range ops {
+		var err error
+		if cmds[i], err = dsCommand(op); err != nil {
+			return nil, err
+		}
+	}
+	replies, err := d.cli.Batch(ctx, cmds)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Result, len(ops))
+	for i, op := range ops {
+		out[i] = dsResult(op, replies[i])
+		if e := replies[i].Entry; op.Kind == OpTryLock && errors.Is(out[i].Err, ErrLockHeld) &&
+			e != nil && len(e.Tuple) == 3 && e.Tuple[2] == op.Owner {
+			// Re-entrant acquisition by the same owner: renew the lease.
+			// The tuple space has no renew-if-mine command, so this rare
+			// case costs a second access.
+			d.addLock()
+			if _, _, casErr := d.cli.Cas(ctx, e.Tuple, e.Tuple, e.Version, depspace.ACL{}, op.TTL); casErr == nil {
+				out[i].Err = nil
+			}
+		}
+	}
+	return out, nil
+}
+
+// one issues a single command.
+func (d *DepSpaceService) one(ctx context.Context, op Op) (Result, error) {
+	out, err := d.run(ctx, []Op{op})
+	if err != nil {
+		return Result{}, err
+	}
+	return out[0], out[0].Err
+}
+
+// Batch implements Service: the commands travel in one envelope and the
+// tuple space executes them back to back. Only a TryLock that finds the
+// lock already held by its own owner needs more: the lease is renewed in a
+// second access, after the rest of the batch.
+func (d *DepSpaceService) Batch(ctx context.Context, ops []Op) ([]Result, error) {
+	d.addBatch()
+	return d.run(ctx, ops)
+}
+
+// GetMetadata implements Service.
+func (d *DepSpaceService) GetMetadata(ctx context.Context, key string) (Record, error) {
+	d.addRead()
+	r, err := d.one(ctx, Get(key))
+	return r.Record, err
 }
 
 // PutMetadata implements Service.
 func (d *DepSpaceService) PutMetadata(ctx context.Context, key string, value []byte, acl ACL) (uint64, error) {
 	d.addWrite()
-	v, err := d.cli.Replace(ctx,
-		depspace.Tuple{tagMeta, key, depspace.Wildcard},
-		depspace.Tuple{tagMeta, key, encodePayload(value)},
-		dsACL(acl))
-	return v, mapDepSpaceError(err)
+	r, err := d.one(ctx, Put(key, value, acl))
+	return r.Version, err
 }
 
 // CasMetadata implements Service.
@@ -107,23 +226,8 @@ func (d *DepSpaceService) DeleteMetadata(ctx context.Context, key string) error 
 // ListMetadata implements Service.
 func (d *DepSpaceService) ListMetadata(ctx context.Context, prefix string) ([]Record, error) {
 	d.addList()
-	entries, err := d.cli.RdAll(ctx, depspace.Tuple{tagMeta, depspace.Wildcard, depspace.Wildcard})
-	if err != nil {
-		return nil, mapDepSpaceError(err)
-	}
-	var out []Record
-	for _, e := range entries {
-		key := e.Tuple[1]
-		if !strings.HasPrefix(key, prefix) {
-			continue
-		}
-		val, err := decodePayload(e.Tuple[2])
-		if err != nil {
-			continue
-		}
-		out = append(out, Record{Key: key, Value: val, Version: e.Version, ACL: fromDSACL(e.ACL)})
-	}
-	return out, nil
+	r, err := d.one(ctx, List(prefix))
+	return r.Records, err
 }
 
 // RenamePrefix implements Service using the DepSpace trigger extension.
@@ -133,38 +237,16 @@ func (d *DepSpaceService) RenamePrefix(ctx context.Context, oldPrefix, newPrefix
 	return n, mapDepSpaceError(err)
 }
 
-// TryLock implements Service: a conditional insertion of an ephemeral tuple.
+// TryLock implements Service.
 func (d *DepSpaceService) TryLock(ctx context.Context, name, owner string, ttl time.Duration) error {
 	d.addLock()
-	_, existing, err := d.cli.Cas(ctx,
-		depspace.Tuple{tagLock, name, depspace.Wildcard},
-		depspace.Tuple{tagLock, name, owner},
-		0, depspace.ACL{}, ttl)
-	if err == nil {
-		return nil
-	}
-	if errors.Is(err, depspace.ErrExists) {
-		if existing != nil && len(existing.Tuple) == 3 && existing.Tuple[2] == owner {
-			// Re-entrant acquisition by the same owner: renew the lease.
-			d.addLock()
-			if _, _, casErr := d.cli.Cas(ctx,
-				depspace.Tuple{tagLock, name, owner},
-				depspace.Tuple{tagLock, name, owner},
-				existing.Version, depspace.ACL{}, ttl); casErr == nil {
-				return nil
-			}
-		}
-		return ErrLockHeld
-	}
-	return mapDepSpaceError(err)
+	_, err := d.one(ctx, TryLock(name, owner, ttl))
+	return err
 }
 
 // Unlock implements Service.
 func (d *DepSpaceService) Unlock(ctx context.Context, name, owner string) error {
 	d.addLock()
-	_, err := d.cli.Inp(ctx, depspace.Tuple{tagLock, name, owner})
-	if errors.Is(err, depspace.ErrNotFound) {
-		return nil // already released or expired
-	}
-	return mapDepSpaceError(err)
+	_, err := d.one(ctx, Unlock(name, owner))
+	return err
 }

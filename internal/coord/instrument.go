@@ -28,17 +28,19 @@ func BackendName(s Service) string {
 	return "custom"
 }
 
-// instrumented counts every coordination access into a telemetry registry as
-// coord_ops_total{backend,op} counters, one per operation class. The
-// instruments are resolved once at construction; the per-call cost is one
-// atomic add.
+// instrumented counts every coordination command into a telemetry registry
+// as coord_ops_total{backend,op} counters, one per operation class; a Batch
+// counts once as op="batch" and once per command it carries under that
+// command's class. The instruments are resolved once at construction; the
+// per-command cost is one atomic add.
 type instrumented struct {
 	inner   Service
 	backend string
 
-	get, put, cas, del *telemetry.Counter
-	list, rename       *telemetry.Counter
-	trylock, unlock    *telemetry.Counter
+	// byKind holds the counters of the batchable commands, indexed by
+	// OpKind, for the plain call and the batched command alike.
+	byKind                  [OpUnlock + 1]*telemetry.Counter
+	cas, del, rename, batch *telemetry.Counter
 }
 
 var _ Service = (*instrumented)(nil)
@@ -56,12 +58,14 @@ func Instrument(s Service, reg *telemetry.Registry) Service {
 	c := func(op string) *telemetry.Counter {
 		return reg.Counter(telemetry.Name("coord_ops_total", "backend", b, "op", op))
 	}
-	return &instrumented{
+	i := &instrumented{
 		inner: s, backend: b,
-		get: c("get"), put: c("put"), cas: c("cas"), del: c("delete"),
-		list: c("list"), rename: c("rename"),
-		trylock: c("trylock"), unlock: c("unlock"),
+		cas: c("cas"), del: c("delete"), rename: c("rename"), batch: c("batch"),
 	}
+	for k := OpGet; k <= OpUnlock; k++ {
+		i.byKind[k] = c(k.String())
+	}
+	return i
 }
 
 // Backend implements backendNamer, preserving the label across wrapping.
@@ -69,13 +73,13 @@ func (i *instrumented) Backend() string { return i.backend }
 
 // GetMetadata implements Service.
 func (i *instrumented) GetMetadata(ctx context.Context, key string) (Record, error) {
-	i.get.Inc()
+	i.byKind[OpGet].Inc()
 	return i.inner.GetMetadata(ctx, key)
 }
 
 // PutMetadata implements Service.
 func (i *instrumented) PutMetadata(ctx context.Context, key string, value []byte, acl ACL) (uint64, error) {
-	i.put.Inc()
+	i.byKind[OpPut].Inc()
 	return i.inner.PutMetadata(ctx, key, value, acl)
 }
 
@@ -93,7 +97,7 @@ func (i *instrumented) DeleteMetadata(ctx context.Context, key string) error {
 
 // ListMetadata implements Service.
 func (i *instrumented) ListMetadata(ctx context.Context, prefix string) ([]Record, error) {
-	i.list.Inc()
+	i.byKind[OpList].Inc()
 	return i.inner.ListMetadata(ctx, prefix)
 }
 
@@ -105,14 +109,25 @@ func (i *instrumented) RenamePrefix(ctx context.Context, oldPrefix, newPrefix st
 
 // TryLock implements Service.
 func (i *instrumented) TryLock(ctx context.Context, name, owner string, ttl time.Duration) error {
-	i.trylock.Inc()
+	i.byKind[OpTryLock].Inc()
 	return i.inner.TryLock(ctx, name, owner, ttl)
 }
 
 // Unlock implements Service.
 func (i *instrumented) Unlock(ctx context.Context, name, owner string) error {
-	i.unlock.Inc()
+	i.byKind[OpUnlock].Inc()
 	return i.inner.Unlock(ctx, name, owner)
+}
+
+// Batch implements Service.
+func (i *instrumented) Batch(ctx context.Context, ops []Op) ([]Result, error) {
+	i.batch.Inc()
+	for _, op := range ops {
+		if int(op.Kind) < len(i.byKind) {
+			i.byKind[op.Kind].Inc()
+		}
+	}
+	return i.inner.Batch(ctx, ops)
 }
 
 // Stats implements Service.

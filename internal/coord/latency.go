@@ -39,7 +39,7 @@ func DefaultCoCLatency() LatencyOptions {
 }
 
 // latencyService wraps a Service and sleeps for a sampled network round trip
-// before every call.
+// before every call; a Batch is one call.
 type latencyService struct {
 	inner Service
 	opts  LatencyOptions
@@ -139,6 +139,13 @@ func (l *latencyService) Unlock(ctx context.Context, name, owner string) error {
 		return err
 	}
 	return l.inner.Unlock(ctx, name, owner)
+}
+
+func (l *latencyService) Batch(ctx context.Context, ops []Op) ([]Result, error) {
+	if err := l.sleep(ctx); err != nil {
+		return nil, err
+	}
+	return l.inner.Batch(ctx, ops)
 }
 
 func (l *latencyService) Stats() Stats { return l.inner.Stats() }

@@ -3,6 +3,7 @@ package coord
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/url"
 	"strings"
 	"time"
@@ -63,30 +64,182 @@ func mapZKError(err error) error {
 	}
 }
 
+func metaPath(key string) string  { return zkMetaRoot + "/" + encodeKey(key) }
+func lockPath(name string) string { return zkLockRoot + "/" + encodeKey(name) }
+
+// zkStep is the part of one batched command that travels in one round trip:
+// its znode commands, and what to make of their replies — the command's
+// Result, or a further step when the outcome needs another access (the
+// record reads of a listing, the delete of an unlock, a same-owner lock
+// renewal: the tree has no single command for those).
+type zkStep struct {
+	cmds   []zkcoord.Command
+	finish func(replies []zkcoord.Result) (Result, *zkStep)
+}
+
+// zkLast is a step whose finish never needs a further one.
+func zkLast(cmds []zkcoord.Command, finish func(replies []zkcoord.Result) Result) *zkStep {
+	return &zkStep{cmds: cmds, finish: func(r []zkcoord.Result) (Result, *zkStep) { return finish(r), nil }}
+}
+
+// zkFirstStep translates a batchable command into its first step.
+func zkFirstStep(op Op) (*zkStep, error) {
+	switch op.Kind {
+	case OpGet:
+		return zkLast([]zkcoord.Command{zkcoord.CmdGet(metaPath(op.Key))}, func(r []zkcoord.Result) Result {
+			return Result{Record: Record{Key: op.Key, Value: r[0].Data, Version: r[0].Stat.Version}, Err: mapZKError(r[0].Failed())}
+		}), nil
+	case OpPut:
+		// Overwrite, else create: whether the znode exists or not, exactly
+		// one of the pair succeeds.
+		p := metaPath(op.Key)
+		cmds := []zkcoord.Command{zkcoord.CmdSet(p, op.Value, zkcoord.AnyVersion, 0), zkcoord.CmdCreate(p, op.Value)}
+		return zkLast(cmds, func(r []zkcoord.Result) Result {
+			if r[0].OK {
+				return Result{Version: r[0].Stat.Version}
+			}
+			if err := r[0].Failed(); !errors.Is(err, zkcoord.ErrNotFound) {
+				return Result{Err: mapZKError(err)}
+			}
+			return Result{Version: r[1].Stat.Version, Err: mapZKError(r[1].Failed())}
+		}), nil
+	case OpList:
+		return &zkStep{cmds: []zkcoord.Command{zkcoord.CmdChildren(zkMetaRoot)}, finish: func(r []zkcoord.Result) (Result, *zkStep) {
+			if err := r[0].Failed(); err != nil {
+				return Result{Err: mapZKError(err)}, nil
+			}
+			var keys []string
+			var gets []zkcoord.Command
+			for _, name := range r[0].Children {
+				if key := decodeKey(name); strings.HasPrefix(key, op.Key) {
+					keys = append(keys, key)
+					gets = append(gets, zkcoord.CmdGet(zkMetaRoot+"/"+name))
+				}
+			}
+			if len(gets) == 0 {
+				return Result{}, nil
+			}
+			return Result{}, zkLast(gets, func(r []zkcoord.Result) Result {
+				var out []Record
+				for i, key := range keys {
+					if r[i].OK {
+						out = append(out, Record{Key: key, Value: r[i].Data, Version: r[i].Stat.Version})
+					}
+				}
+				return Result{Records: out}
+			})
+		}}, nil
+	case OpTryLock:
+		// An ephemeral znode per lock, holding the owner's name.
+		p := lockPath(op.Key)
+		cmds := []zkcoord.Command{zkcoord.CmdCreateEphemeral(p, []byte(op.Owner), op.TTL), zkcoord.CmdGet(p)}
+		return &zkStep{cmds: cmds, finish: func(r []zkcoord.Result) (Result, *zkStep) {
+			if err := r[0].Failed(); !errors.Is(err, zkcoord.ErrExists) {
+				return Result{Err: mapZKError(err)}, nil
+			}
+			if !r[1].OK || string(r[1].Data) != op.Owner {
+				return Result{Err: ErrLockHeld}, nil
+			}
+			// Same owner: renew by touching the node.
+			renew := []zkcoord.Command{zkcoord.CmdSet(p, r[1].Data, zkcoord.AnyVersion, op.TTL)}
+			return Result{}, zkLast(renew, func(r []zkcoord.Result) Result {
+				if !r[0].OK {
+					return Result{Err: ErrLockHeld}
+				}
+				return Result{}
+			})
+		}}, nil
+	case OpUnlock:
+		p := lockPath(op.Key)
+		return &zkStep{cmds: []zkcoord.Command{zkcoord.CmdGet(p)}, finish: func(r []zkcoord.Result) (Result, *zkStep) {
+			switch err := r[0].Failed(); {
+			case errors.Is(err, zkcoord.ErrNotFound):
+				return Result{}, nil
+			case err != nil:
+				return Result{Err: mapZKError(err)}, nil
+			case string(r[0].Data) != op.Owner:
+				return Result{Err: ErrLockHeld}, nil
+			}
+			del := []zkcoord.Command{zkcoord.CmdDelete(p, zkcoord.AnyVersion)}
+			return Result{}, zkLast(del, func(r []zkcoord.Result) Result {
+				if err := r[0].Failed(); err != nil && !errors.Is(err, zkcoord.ErrNotFound) {
+					return Result{Err: mapZKError(err)}
+				}
+				return Result{}
+			})
+		}}, nil
+	default:
+		return nil, fmt.Errorf("coord: command %d cannot be batched", op.Kind)
+	}
+}
+
+// run executes ops: every command's first step travels in one invocation,
+// in order; the steps that need a further access (see zkStep) follow
+// together in a second one.
+func (z *ZKService) run(ctx context.Context, ops []Op) ([]Result, error) {
+	steps := make([]*zkStep, len(ops))
+	for i, op := range ops {
+		var err error
+		if steps[i], err = zkFirstStep(op); err != nil {
+			return nil, err
+		}
+	}
+	out := make([]Result, len(ops))
+	for pending := len(ops); pending > 0; {
+		var cmds []zkcoord.Command
+		for _, st := range steps {
+			if st != nil {
+				cmds = append(cmds, st.cmds...)
+			}
+		}
+		replies, err := z.cli.Batch(ctx, cmds)
+		if err != nil {
+			return nil, err
+		}
+		for i, st := range steps {
+			if st == nil {
+				continue
+			}
+			n := len(st.cmds)
+			out[i], steps[i] = st.finish(replies[:n])
+			replies = replies[n:]
+			if steps[i] == nil {
+				pending--
+			}
+		}
+	}
+	return out, nil
+}
+
+// one issues a single command.
+func (z *ZKService) one(ctx context.Context, op Op) (Result, error) {
+	out, err := z.run(ctx, []Op{op})
+	if err != nil {
+		return Result{}, err
+	}
+	return out[0], out[0].Err
+}
+
+// Batch implements Service. Commands whose outcome takes two znode
+// accesses — a listing, an unlock, a same-owner lock renewal — complete in a
+// second round trip, after every other command of the batch.
+func (z *ZKService) Batch(ctx context.Context, ops []Op) ([]Result, error) {
+	z.addBatch()
+	return z.run(ctx, ops)
+}
+
 // GetMetadata implements Service.
 func (z *ZKService) GetMetadata(ctx context.Context, key string) (Record, error) {
 	z.addRead()
-	data, st, err := z.cli.Get(ctx, zkMetaRoot+"/"+encodeKey(key))
-	if err != nil {
-		return Record{}, mapZKError(err)
-	}
-	return Record{Key: key, Value: data, Version: st.Version}, nil
+	r, err := z.one(ctx, Get(key))
+	return r.Record, err
 }
 
 // PutMetadata implements Service.
 func (z *ZKService) PutMetadata(ctx context.Context, key string, value []byte, acl ACL) (uint64, error) {
 	z.addWrite()
-	p := zkMetaRoot + "/" + encodeKey(key)
-	if _, err := z.cli.Create(ctx, p, value); err == nil {
-		return 1, nil
-	} else if !errors.Is(err, zkcoord.ErrExists) {
-		return 0, mapZKError(err)
-	}
-	st, err := z.cli.Set(ctx, p, value, zkcoord.AnyVersion)
-	if err != nil {
-		return 0, mapZKError(err)
-	}
-	return st.Version, nil
+	r, err := z.one(ctx, Put(key, value, acl))
+	return r.Version, err
 }
 
 // CasMetadata implements Service.
@@ -119,23 +272,8 @@ func (z *ZKService) DeleteMetadata(ctx context.Context, key string) error {
 // ListMetadata implements Service.
 func (z *ZKService) ListMetadata(ctx context.Context, prefix string) ([]Record, error) {
 	z.addList()
-	names, err := z.cli.Children(ctx, zkMetaRoot)
-	if err != nil {
-		return nil, mapZKError(err)
-	}
-	var out []Record
-	for _, name := range names {
-		key := decodeKey(name)
-		if !strings.HasPrefix(key, prefix) {
-			continue
-		}
-		data, st, err := z.cli.Get(ctx, zkMetaRoot+"/"+name)
-		if err != nil {
-			continue
-		}
-		out = append(out, Record{Key: key, Value: data, Version: st.Version})
-	}
-	return out, nil
+	r, err := z.one(ctx, List(prefix))
+	return r.Records, err
 }
 
 // RenamePrefix implements Service. The znode backend has no server-side
@@ -163,44 +301,16 @@ func (z *ZKService) RenamePrefix(ctx context.Context, oldPrefix, newPrefix strin
 	return count, nil
 }
 
-// TryLock implements Service with an ephemeral znode per lock.
+// TryLock implements Service.
 func (z *ZKService) TryLock(ctx context.Context, name, owner string, ttl time.Duration) error {
 	z.addLock()
-	prevTTL := z.cli.SessionTTL
-	z.cli.SessionTTL = ttl
-	defer func() { z.cli.SessionTTL = prevTTL }()
-	p := zkLockRoot + "/" + encodeKey(name)
-	if _, err := z.cli.CreateEphemeral(ctx, p, []byte(owner)); err == nil {
-		return nil
-	} else if !errors.Is(err, zkcoord.ErrExists) {
-		return mapZKError(err)
-	}
-	data, _, err := z.cli.Get(ctx, p)
-	if err == nil && string(data) == owner {
-		// Same owner: renew by touching the node.
-		if _, err := z.cli.Set(ctx, p, data, zkcoord.AnyVersion); err == nil {
-			return nil
-		}
-	}
-	return ErrLockHeld
+	_, err := z.one(ctx, TryLock(name, owner, ttl))
+	return err
 }
 
 // Unlock implements Service.
 func (z *ZKService) Unlock(ctx context.Context, name, owner string) error {
 	z.addLock()
-	p := zkLockRoot + "/" + encodeKey(name)
-	data, _, err := z.cli.Get(ctx, p)
-	if errors.Is(err, zkcoord.ErrNotFound) {
-		return nil
-	}
-	if err != nil {
-		return mapZKError(err)
-	}
-	if string(data) != owner {
-		return ErrLockHeld
-	}
-	if err := z.cli.Delete(ctx, p, zkcoord.AnyVersion); err != nil && !errors.Is(err, zkcoord.ErrNotFound) {
-		return mapZKError(err)
-	}
-	return nil
+	_, err := z.one(ctx, Unlock(name, owner))
+	return err
 }

@@ -2,8 +2,12 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"sync"
 
+	"scfs/internal/coord"
+	"scfs/internal/fsapi"
 	"scfs/internal/fsmeta"
 	"scfs/internal/storage"
 )
@@ -85,8 +89,24 @@ type GCReport struct {
 // the backend supports batched sweeps (the CoC backend resolves every
 // file's versions with one bounded-concurrency metadata sweep instead of
 // one quorum read per deleted version), all deletions go out as one batch.
+//
+// A user's files have one collector at a time: the pass holds the user's
+// collection lock in the coordination service, so a second agent of the
+// same user neither deletes the versions this pass is deleting nor writes
+// back metadata trimmed from an older listing. An agent that finds the lock
+// taken returns fsapi.ErrLocked and collects nothing.
 func (a *Agent) Collect(ctx context.Context) (GCReport, error) {
 	var report GCReport
+	if a.opts.Coordination != nil && a.opts.Mode != NonSharing {
+		gcLock := "gc:" + a.opts.User
+		if err := a.opts.Coordination.TryLock(ctx, gcLock, a.opts.AgentID, a.opts.LockTTL); err != nil {
+			if errors.Is(err, coord.ErrLockHeld) {
+				return report, fmt.Errorf("core: another agent is collecting the files of %q: %w", a.opts.User, fsapi.ErrLocked)
+			}
+			return report, fmt.Errorf("core: locking the collection of %q: %w", a.opts.User, err)
+		}
+		defer func() { _ = a.unlock(ctx, gcLock) }() // a lost release expires with the lease
+	}
 	entries, err := a.listSubtree(ctx, "/")
 	if err != nil {
 		return report, err

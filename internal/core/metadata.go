@@ -28,38 +28,52 @@ func coordACL(md *fsmeta.Metadata) coord.ACL {
 // live metadata (missing or marked deleted).
 func (a *Agent) getMetadata(ctx context.Context, path string, useCache bool) (*fsmeta.Metadata, error) {
 	path = fsmeta.Clean(path)
-	if path == "/" {
-		return a.rootMetadata(), nil
+	if md, found, err := a.localMetadata(path, useCache); found {
+		return md, err
 	}
-	// 1. Short-lived metadata cache.
+	rec, err := a.opts.Coordination.GetMetadata(ctx, path)
+	return a.recordMetadata(path, rec, err)
+}
+
+// localMetadata resolves path (already clean) without touching the network:
+// the mount root, the short-lived metadata cache when useCache is set, then
+// the private name space. found is false when only the coordination service
+// can answer; without one, a path unknown locally does not exist.
+func (a *Agent) localMetadata(path string, useCache bool) (md *fsmeta.Metadata, found bool, err error) {
+	if path == "/" {
+		return a.rootMetadata(), true, nil
+	}
 	if useCache {
-		if raw, ok := a.metaCache.Get(path); ok {
-			md, err := fsmeta.Decode(raw)
-			if err == nil {
-				if md.Deleted {
-					return nil, fsapi.ErrNotExist
-				}
-				return md, nil
+		if raw, hit := a.metaCache.Get(path); hit {
+			if md, err := fsmeta.Decode(raw); err == nil {
+				return liveOrNotExist(md)
 			}
 		}
 	}
-	// 2. Private name space (local, no network access).
 	a.mu.Lock()
 	pns := a.pns
 	a.mu.Unlock()
 	if pns != nil {
 		if md := pns.Get(path); md != nil {
-			if md.Deleted {
-				return nil, fsapi.ErrNotExist
-			}
-			return md, nil
+			return liveOrNotExist(md)
 		}
 	}
-	// 3. Coordination service.
 	if a.opts.Coordination == nil {
-		return nil, fsapi.ErrNotExist
+		return nil, true, fsapi.ErrNotExist
 	}
-	rec, err := a.opts.Coordination.GetMetadata(ctx, path)
+	return nil, false, nil
+}
+
+func liveOrNotExist(md *fsmeta.Metadata) (*fsmeta.Metadata, bool, error) {
+	if md.Deleted {
+		return nil, true, fsapi.ErrNotExist
+	}
+	return md, true, nil
+}
+
+// recordMetadata turns the coordination service's answer to a read of path
+// into metadata, refreshing the metadata cache.
+func (a *Agent) recordMetadata(path string, rec coord.Record, err error) (*fsmeta.Metadata, error) {
 	if errors.Is(err, coord.ErrNotFound) {
 		return nil, fsapi.ErrNotExist
 	}
@@ -88,32 +102,54 @@ func (a *Agent) rootMetadata() *fsmeta.Metadata {
 // putMetadata stores (or replaces) the metadata of a path in the right place
 // and refreshes the metadata cache.
 func (a *Agent) putMetadata(ctx context.Context, md *fsmeta.Metadata) error {
+	return a.putMetadataUnlock(ctx, md, "")
+}
+
+// putMetadataUnlock is putMetadata followed, when unlockPath is set, by the
+// release of that path's write lock. For a shared file the two travel to the
+// coordination service as one batch — the anchor and the release of a close
+// are one access — and the lock is released whether or not the put
+// succeeded: a failed close must not leave the file locked until the lease
+// expires.
+func (a *Agent) putMetadataUnlock(ctx context.Context, md *fsmeta.Metadata, unlockPath string) error {
 	path := fsmeta.Clean(md.Path)
 	raw, err := md.Encode()
 	if err != nil {
-		return err
+		return a.failUnlocking(ctx, unlockPath, err)
 	}
-	if a.isShared(md) {
-		if _, err := a.opts.Coordination.PutMetadata(ctx, path, raw, coordACL(md)); err != nil {
-			if errors.Is(err, coord.ErrDenied) {
-				return fsapi.ErrPermission
-			}
-			return fmt.Errorf("core: writing metadata of %q: %w", path, err)
-		}
-		// If the entry used to be private, drop it from the PNS.
-		a.mu.Lock()
-		if a.pns != nil && a.pns.Get(path) != nil {
-			a.pns.Remove(path)
-			a.pnsDirty = true
-		}
-		a.mu.Unlock()
-	} else {
+	if !a.isShared(md) {
 		a.mu.Lock()
 		a.pns.Put(md)
 		a.pnsDirty = true
 		a.mu.Unlock()
+		a.metaCache.Put(path, raw)
+		return a.unlock(ctx, unlockPath)
 	}
+	ops := []coord.Op{coord.Put(path, raw, coordACL(md))}
+	if unlockPath != "" {
+		ops = append(ops, coord.Unlock(unlockPath, a.opts.AgentID))
+	}
+	res, err := coord.Do(ctx, a.opts.Coordination, ops...)
+	if err != nil {
+		return fmt.Errorf("core: writing metadata of %q: %w", path, err)
+	}
+	if err := res[0].Err; err != nil {
+		if errors.Is(err, coord.ErrDenied) {
+			return fsapi.ErrPermission
+		}
+		return fmt.Errorf("core: writing metadata of %q: %w", path, err)
+	}
+	// If the entry used to be private, drop it from the PNS.
+	a.mu.Lock()
+	if a.pns != nil && a.pns.Get(path) != nil {
+		a.pns.Remove(path)
+		a.pnsDirty = true
+	}
+	a.mu.Unlock()
 	a.metaCache.Put(path, raw)
+	if unlockPath != "" && res[1].Err != nil {
+		return fmt.Errorf("core: unlocking %q: %w", unlockPath, res[1].Err)
+	}
 	return nil
 }
 
@@ -138,35 +174,46 @@ func (a *Agent) deleteMetadata(ctx context.Context, path string) error {
 	return nil
 }
 
+// listPrefix is the coordination-service key prefix of dir's entries.
+func listPrefix(dir string) string {
+	if dir == "/" {
+		return dir
+	}
+	return dir + "/"
+}
+
 // listMetadata returns the live metadata of the direct children of dir,
 // merging the coordination service and the PNS views.
 func (a *Agent) listMetadata(ctx context.Context, dir string) ([]*fsmeta.Metadata, error) {
 	dir = fsmeta.Clean(dir)
-	seen := make(map[string]*fsmeta.Metadata)
+	var recs []coord.Record
 	if a.opts.Coordination != nil {
-		prefix := dir
-		if prefix != "/" {
-			prefix += "/"
-		}
-		recs, err := a.opts.Coordination.ListMetadata(ctx, prefix)
-		if err != nil {
+		var err error
+		if recs, err = a.opts.Coordination.ListMetadata(ctx, listPrefix(dir)); err != nil {
 			return nil, fmt.Errorf("core: listing %q: %w", dir, err)
 		}
-		for _, r := range recs {
-			md, err := fsmeta.Decode(r.Value)
-			if err != nil {
-				continue
-			}
-			// Warm the metadata cache with every record the listing already
-			// paid for: the readdir-then-stat-each-entry burst (ls -l) then
-			// costs one coordination round trip instead of one per entry.
-			a.metaCache.Put(md.Path, r.Value)
-			if md.Deleted {
-				continue
-			}
-			if md.Parent() == dir {
-				seen[md.Path] = md
-			}
+	}
+	return a.mergeListing(dir, recs), nil
+}
+
+// mergeListing merges a coordination-service listing under dir (already
+// clean) with the PNS view into the live direct children of dir.
+func (a *Agent) mergeListing(dir string, recs []coord.Record) []*fsmeta.Metadata {
+	seen := make(map[string]*fsmeta.Metadata)
+	for _, r := range recs {
+		md, err := fsmeta.Decode(r.Value)
+		if err != nil {
+			continue
+		}
+		// Warm the metadata cache with every record the listing already
+		// paid for: the readdir-then-stat-each-entry burst (ls -l) then
+		// costs one coordination round trip instead of one per entry.
+		a.metaCache.Put(md.Path, r.Value)
+		if md.Deleted {
+			continue
+		}
+		if md.Parent() == dir {
+			seen[md.Path] = md
 		}
 	}
 	a.mu.Lock()
@@ -184,7 +231,7 @@ func (a *Agent) listMetadata(ctx context.Context, dir string) ([]*fsmeta.Metadat
 		out = append(out, md)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
-	return out, nil
+	return out
 }
 
 // listSubtree returns every live entry under prefix (excluding prefix itself),
@@ -193,11 +240,7 @@ func (a *Agent) listSubtree(ctx context.Context, prefix string) ([]*fsmeta.Metad
 	prefix = fsmeta.Clean(prefix)
 	seen := make(map[string]*fsmeta.Metadata)
 	if a.opts.Coordination != nil {
-		p := prefix
-		if p != "/" {
-			p += "/"
-		}
-		recs, err := a.opts.Coordination.ListMetadata(ctx, p)
+		recs, err := a.opts.Coordination.ListMetadata(ctx, listPrefix(prefix))
 		if err != nil {
 			return nil, err
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 
+	"scfs/internal/coord"
 	"scfs/internal/fsapi"
 	"scfs/internal/fsmeta"
 )
@@ -190,22 +191,45 @@ func (a *Agent) Stat(ctx context.Context, path string) (fsapi.FileInfo, error) {
 	return md.FileInfo(), nil
 }
 
-// ReadDir implements fsapi.FileSystem.
+// ReadDir implements fsapi.FileSystem. The directory's own metadata (when
+// not answered locally) and the listing of its entries reach the
+// coordination service as one batch, [Get(dir), List(dir/)].
 func (a *Agent) ReadDir(ctx context.Context, path string) ([]fsapi.FileInfo, error) {
 	if err := a.checkOpen(ctx); err != nil {
 		return nil, err
 	}
-	md, err := a.getMetadata(ctx, path, true)
+	path = fsmeta.Clean(path)
+	md, found, err := a.localMetadata(path, true)
+	if err != nil {
+		return nil, err
+	}
+	var recs []coord.Record
+	if a.opts.Coordination != nil {
+		var ops []coord.Op
+		if !found {
+			ops = append(ops, coord.Get(path))
+		}
+		ops = append(ops, coord.List(listPrefix(path)))
+		res, berr := coord.Do(ctx, a.opts.Coordination, ops...)
+		if berr != nil {
+			return nil, fmt.Errorf("core: listing %q: %w", path, berr)
+		}
+		if !found {
+			md, err = a.recordMetadata(path, res[0].Record, res[0].Err)
+		}
+		list := res[len(res)-1]
+		if err == nil && list.Err != nil {
+			err = fmt.Errorf("core: listing %q: %w", path, list.Err)
+		}
+		recs = list.Records
+	}
 	if err != nil {
 		return nil, err
 	}
 	if !md.IsDir() {
 		return nil, fsapi.ErrNotDir
 	}
-	children, err := a.listMetadata(ctx, path)
-	if err != nil {
-		return nil, err
-	}
+	children := a.mergeListing(path, recs)
 	out := make([]fsapi.FileInfo, 0, len(children))
 	for _, c := range children {
 		if !c.CanRead(a.opts.User) && c.Owner != a.opts.User {

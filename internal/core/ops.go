@@ -47,10 +47,98 @@ var _ fsapi.Handle = (*handle)(nil)
 // step of §2.5.1).
 func cacheKey(fileID, hash string) string { return fileID + "@" + hash }
 
+// openLookup is what Open learns before it touches file data.
+type openLookup struct {
+	md    *fsmeta.Metadata
+	mdErr error
+	// parent is looked up only when the open may create the file.
+	parent    *fsmeta.Metadata
+	parentErr error
+	// locked reports that this lookup acquired the path's write lock.
+	locked bool
+}
+
+// lookupForOpen resolves the metadata an Open of path needs and, for a
+// writable open, takes the write lock — in at most one coordination access:
+// whatever cannot be answered locally travels as one ordered batch,
+// [TryLock(path), Get(path), Get(parent)]. The read is ordered behind the
+// lock grant, so a writer always opens the version its predecessor's close
+// anchored (the predecessor's put precedes its unlock, the unlock precedes
+// this grant, the grant precedes this read). For the same reason a writable
+// open never trusts the metadata cache. held reports that another handle of
+// this agent already holds the lock.
+func (a *Agent) lookupForOpen(ctx context.Context, path string, flags fsapi.OpenFlag, held bool) (openLookup, error) {
+	var l openLookup
+	var ops []coord.Op
+	lockAt, mdAt, parentAt := -1, -1, -1
+
+	var mdLocal bool
+	l.md, mdLocal, l.mdErr = a.localMetadata(path, !flags.Writable())
+	if flags.Writable() && !held && a.mayNeedLock(path, l.md, mdLocal) {
+		lockAt = len(ops)
+		ops = append(ops, coord.TryLock(path, a.opts.AgentID, a.opts.LockTTL))
+	}
+	if !mdLocal {
+		mdAt = len(ops)
+		ops = append(ops, coord.Get(path))
+	}
+	parentPath := parentDir(path)
+	if flags&fsapi.Create != 0 {
+		var parentLocal bool
+		if l.parent, parentLocal, l.parentErr = a.localMetadata(parentPath, true); !parentLocal {
+			parentAt = len(ops)
+			ops = append(ops, coord.Get(parentPath))
+		}
+	}
+	if len(ops) == 0 {
+		return l, nil
+	}
+
+	res, err := coord.Do(ctx, a.opts.Coordination, ops...)
+	if err != nil {
+		return l, fmt.Errorf("core: opening %q: %w", path, err)
+	}
+	if lockAt >= 0 {
+		if err := res[lockAt].Err; errors.Is(err, coord.ErrLockHeld) {
+			return l, fsapi.ErrLocked
+		} else if err != nil {
+			return l, fmt.Errorf("core: locking %q: %w", path, err)
+		}
+		l.locked = true
+	}
+	if mdAt >= 0 {
+		l.md, l.mdErr = a.recordMetadata(path, res[mdAt].Record, res[mdAt].Err)
+	}
+	if parentAt >= 0 {
+		l.parent, l.parentErr = a.recordMetadata(parentPath, res[parentAt].Record, res[parentAt].Err)
+	}
+	return l, nil
+}
+
+// mayNeedLock reports whether a writable open of path must ask for the write
+// lock along with its lookup. The lock is requested before the coordination
+// service has said whether the file is shared; Open releases one that turns
+// out not to be needed. A path answered locally (md, nil for a tombstone) is
+// private and takes none — unless sharing is forced on it, or on the file
+// created over its tombstone.
+func (a *Agent) mayNeedLock(path string, md *fsmeta.Metadata, mdLocal bool) bool {
+	switch {
+	case a.opts.Coordination == nil || a.opts.Mode == NonSharing:
+		return false
+	case !mdLocal:
+		return true
+	case md != nil:
+		return a.isShared(md)
+	default:
+		return a.isShared(&fsmeta.Metadata{Path: path})
+	}
+}
+
 // Open implements fsapi.FileSystem, following the open flow of Figure 4:
-// read the metadata, optionally acquire the write lock, and bring the file
-// data into the local cache.
-func (a *Agent) Open(ctx context.Context, path string, flags fsapi.OpenFlag) (fsapi.Handle, error) {
+// acquire the write lock (writable opens of shared files), read the
+// metadata, and bring the file data into the local cache. Lock and metadata
+// cost one coordination access (lookupForOpen).
+func (a *Agent) Open(ctx context.Context, path string, flags fsapi.OpenFlag) (_ fsapi.Handle, err error) {
 	if err := a.checkOpen(ctx); err != nil {
 		return nil, err
 	}
@@ -61,26 +149,39 @@ func (a *Agent) Open(ctx context.Context, path string, flags fsapi.OpenFlag) (fs
 
 	a.mu.Lock()
 	existing, isOpen := a.openFiles[path]
+	held := isOpen && existing.locked
 	a.mu.Unlock()
 
-	md, err := a.getMetadata(ctx, path, true)
-	created := false
+	l, err := a.lookupForOpen(ctx, path, flags, held)
+	if err != nil {
+		return nil, err
+	}
+	// A lock this open acquired is released again if the open fails, or as
+	// soon as the file turns out to need none.
+	lockedHere := l.locked
+	defer func() {
+		if lockedHere && err != nil {
+			_ = a.unlock(ctx, path) // the open's own failure is what the caller needs; the lease bounds a lost release
+		}
+	}()
+
+	md, created := l.md, false
 	switch {
-	case err == nil:
+	case l.mdErr == nil:
 		if flags&fsapi.Create != 0 && flags&fsapi.Exclusive != 0 {
 			return nil, fsapi.ErrExist
 		}
-	case errors.Is(err, fsapi.ErrNotExist):
+	case errors.Is(l.mdErr, fsapi.ErrNotExist):
 		if flags&fsapi.Create == 0 {
 			return nil, fsapi.ErrNotExist
 		}
-		md, err = a.createFile(ctx, path)
+		md, err = a.createFile(ctx, path, l.parent, l.parentErr)
 		if err != nil {
 			return nil, err
 		}
 		created = true
 	default:
-		return nil, err
+		return nil, l.mdErr
 	}
 	if md.IsDir() {
 		return nil, fsapi.ErrIsDir
@@ -92,16 +193,14 @@ func (a *Agent) Open(ctx context.Context, path string, flags fsapi.OpenFlag) (fs
 		return nil, fsapi.ErrPermission
 	}
 
-	// Acquire the write lock for shared files opened for writing (step 2 of
+	// Only shared files opened for writing keep the write lock (step 2 of
 	// the open flow). Private (PNS) files are invisible to other users and
-	// need no lock.
+	// need none.
 	needLock := flags.Writable() && a.opts.Coordination != nil && a.isShared(md)
-	if needLock && !(isOpen && existing.locked) {
-		if err := a.opts.Coordination.TryLock(ctx, path, a.opts.AgentID, a.opts.LockTTL); err != nil {
-			if errors.Is(err, coord.ErrLockHeld) {
-				return nil, fsapi.ErrLocked
-			}
-			return nil, fmt.Errorf("core: locking %q: %w", path, err)
+	if lockedHere && !needLock {
+		lockedHere = false
+		if err := a.unlock(ctx, path); err != nil {
+			return nil, err
 		}
 	}
 
@@ -113,9 +212,6 @@ func (a *Agent) Open(ctx context.Context, path string, flags fsapi.OpenFlag) (fs
 		a.openFiles[path] = of
 	}
 	of.refs++
-	if needLock {
-		of.locked = true
-	}
 	if flags.Writable() {
 		of.writable = true
 	}
@@ -169,18 +265,18 @@ func (a *Agent) Open(ctx context.Context, path string, flags fsapi.OpenFlag) (fs
 		of.data = data
 	}
 	of.meta = md
+	if needLock {
+		of.locked = true
+	}
 	a.addStat(func(s *Stats) { s.FilesOpened++ })
 	return &handle{of: of, flags: flags}, nil
 }
 
-// createFile allocates metadata for a new empty file owned by the caller.
-func (a *Agent) createFile(ctx context.Context, path string) (*fsmeta.Metadata, error) {
-	parent, err := a.getMetadata(ctx, fsmeta.Clean(path[:max(1, lastSlash(path))]), true)
-	if err != nil {
-		if errors.Is(err, fsapi.ErrNotExist) {
-			return nil, fsapi.ErrNotExist
-		}
-		return nil, err
+// createFile allocates metadata for a new empty file owned by the caller,
+// under the parent directory Open looked up.
+func (a *Agent) createFile(ctx context.Context, path string, parent *fsmeta.Metadata, parentErr error) (*fsmeta.Metadata, error) {
+	if parentErr != nil {
+		return nil, parentErr
 	}
 	if !parent.IsDir() {
 		return nil, fsapi.ErrNotDir
@@ -193,15 +289,6 @@ func (a *Agent) createFile(ctx context.Context, path string) (*fsmeta.Metadata, 
 		return nil, err
 	}
 	return md, nil
-}
-
-func lastSlash(p string) int {
-	for i := len(p) - 1; i >= 0; i-- {
-		if p[i] == '/' {
-			return i
-		}
-	}
-	return -1
 }
 
 // cachedData returns the contents of the current version of md from the
@@ -496,8 +583,9 @@ func (h *handle) Close(ctx context.Context) error {
 	now := a.clk.Now()
 	md.AddVersion(hash, int64(len(data)), now)
 	key := cacheKey(md.FileID, hash)
+	task := uploadTask{md: md, hash: hash, size: int64(len(data)), unlockPath: ifThen(shouldUnlock, of.path)}
 	if err := a.diskCache.Put(key, data); err != nil {
-		return err
+		return a.failUnlocking(ctx, task.unlockPath, err)
 	}
 	a.memCache.Put(key, data)
 
@@ -507,13 +595,8 @@ func (h *handle) Close(ctx context.Context) error {
 	defer a.maybeStartGC()
 
 	if a.opts.Mode == Blocking {
-		if err := a.syncToCloud(ctx, md, hash, data); err != nil {
-			return err
-		}
-		if shouldUnlock {
-			return a.unlock(ctx, of.path)
-		}
-		return nil
+		task.payload = data
+		return a.syncToCloud(ctx, task)
 	}
 
 	// Non-blocking / non-sharing: enqueue the upload; the uploader updates
@@ -524,9 +607,9 @@ func (h *handle) Close(ctx context.Context) error {
 	// thereby bounded by its task structs, not by the dirty file sizes; the
 	// in-memory copy rides along only in the edge case where the disk cache
 	// could not retain the entry (a value larger than the whole cache).
-	task := uploadTask{md: md.Clone(), hash: hash, size: int64(len(data)), unlockPath: ifThen(shouldUnlock, of.path)}
+	task.md = md.Clone()
 	if !a.diskCache.Pin(key) {
-		task.fallback = data
+		task.payload = data
 	}
 	a.addStat(func(s *Stats) { s.UploadsQueued++ })
 	a.uploadCh <- task
@@ -540,23 +623,72 @@ func ifThen(cond bool, v string) string {
 	return ""
 }
 
-// syncToCloud performs the cloud side of a close: write the data version to
-// the storage backend (step w2) — streaming it chunk-by-chunk for large
-// files when the backend supports it, so the encoded form is never fully
-// resident — then anchor it by updating the metadata (step w3), flushing
-// the PNS when the file is private.
-func (a *Agent) syncToCloud(ctx context.Context, md *fsmeta.Metadata, hash string, data []byte) error {
-	if a.shouldStream(int64(len(data))) {
-		sw := a.opts.Storage.(storage.StreamWriter)
-		if err := sw.WriteVersionFrom(ctx, md.FileID, hash, bytes.NewReader(data)); err != nil {
-			return fmt.Errorf("core: uploading %q: %w", md.Path, err)
+// syncToCloud performs the cloud side of a close, for the blocking Close
+// and the background uploader alike: write the data version to the storage
+// backend (step w2), then anchor it by updating the metadata (step w3) and
+// release the write lock the close holds — for a shared file one
+// coordination access. A failed upload has nothing to anchor but still
+// releases the lock.
+func (a *Agent) syncToCloud(ctx context.Context, task uploadTask) error {
+	size, streamed, err := a.uploadVersion(ctx, task)
+	if err != nil {
+		return a.failUnlocking(ctx, task.unlockPath, fmt.Errorf("core: uploading %q: %w", task.md.Path, err))
+	}
+	a.addStat(func(s *Stats) { s.CloudWrites++; s.CloudBytesUp += size })
+	// Meter the request-fee pressure of the new version for the GC trigger:
+	// a streamed version creates one fee-bearing object per chunk per cloud.
+	if vc, ok := a.opts.Storage.(storage.VersionCoster); ok {
+		fp := vc.EstimateVersionFootprint(size, streamed)
+		a.mu.Lock()
+		a.objectsSinceGC += fp.Objects
+		a.mu.Unlock()
+	}
+	if err := a.putMetadataUnlock(ctx, task.md, task.unlockPath); err != nil {
+		return err
+	}
+	if !a.isShared(task.md) && a.pnsFor(task.md) {
+		if err := a.flushPNS(ctx); err != nil {
+			return err
 		}
-		return a.finishSync(ctx, md, int64(len(data)), true)
 	}
-	if err := a.opts.Storage.WriteVersion(ctx, md.FileID, hash, data); err != nil {
-		return fmt.Errorf("core: uploading %q: %w", md.Path, err)
+	return nil
+}
+
+// uploadVersion writes the task's version to the storage backend and
+// reports its size and whether it went through the backend's streaming
+// face. The payload comes from the task when it carries one, else from the
+// disk-cache entry Close pinned: large versions are streamed from the cache
+// file straight into the backend, chunk by chunk, so neither the queue nor
+// the upload ever holds the whole (let alone the encoded) value in memory;
+// small ones take the whole-object path. The pinned entry is released once
+// the attempt finishes.
+func (a *Agent) uploadVersion(ctx context.Context, task uploadTask) (size int64, streamed bool, err error) {
+	key := cacheKey(task.md.FileID, task.hash)
+	data := task.payload
+	if data == nil {
+		defer a.diskCache.Unpin(key)
+		if a.shouldStream(task.size) {
+			if f, size, ok := a.diskCache.Open(key); ok {
+				defer f.Close()
+				sw := a.opts.Storage.(storage.StreamWriter)
+				return size, true, sw.WriteVersionFrom(ctx, task.md.FileID, task.hash, f)
+			}
+		}
+		var ok bool
+		if data, ok = a.diskCache.Get(key); !ok {
+			// The pinned entry is gone (a crash-recovery edge or an explicit
+			// cache clear); the memory cache may still hold the version.
+			if data, ok = a.memCache.Get(key); !ok {
+				return 0, false, fmt.Errorf("queued version (hash %s) lost from the local caches", task.hash)
+			}
+		}
 	}
-	return a.finishSync(ctx, md, int64(len(data)), false)
+	size = int64(len(data))
+	if a.shouldStream(size) {
+		sw := a.opts.Storage.(storage.StreamWriter)
+		return size, true, sw.WriteVersionFrom(ctx, task.md.FileID, task.hash, bytes.NewReader(data))
+	}
+	return size, false, a.opts.Storage.WriteVersion(ctx, task.md.FileID, task.hash, data)
 }
 
 // shouldStream reports whether a payload of the given size goes through the
@@ -568,29 +700,6 @@ func (a *Agent) shouldStream(size int64) bool {
 	return a.opts.StreamThresholdBytes >= 0 && size > a.opts.StreamThresholdBytes
 }
 
-// finishSync records the stats and cost pressure of a completed version
-// upload and anchors it in the metadata service.
-func (a *Agent) finishSync(ctx context.Context, md *fsmeta.Metadata, size int64, streamed bool) error {
-	a.addStat(func(s *Stats) { s.CloudWrites++; s.CloudBytesUp += size })
-	// Meter the request-fee pressure of the new version for the GC trigger:
-	// a streamed version creates one fee-bearing object per chunk per cloud.
-	if vc, ok := a.opts.Storage.(storage.VersionCoster); ok {
-		fp := vc.EstimateVersionFootprint(size, streamed)
-		a.mu.Lock()
-		a.objectsSinceGC += fp.Objects
-		a.mu.Unlock()
-	}
-	if err := a.putMetadata(ctx, md); err != nil {
-		return err
-	}
-	if !a.isShared(md) && a.pnsFor(md) {
-		if err := a.flushPNS(ctx); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // pnsFor reports whether md's metadata is kept in the PNS.
 func (a *Agent) pnsFor(md *fsmeta.Metadata) bool {
 	a.mu.Lock()
@@ -598,8 +707,9 @@ func (a *Agent) pnsFor(md *fsmeta.Metadata) bool {
 	return a.pns != nil && a.pns.Get(md.Path) != nil
 }
 
+// unlock releases path's write lock; an empty path means no lock is held.
 func (a *Agent) unlock(ctx context.Context, path string) error {
-	if a.opts.Coordination == nil {
+	if path == "" || a.opts.Coordination == nil {
 		return nil
 	}
 	if err := a.opts.Coordination.Unlock(ctx, path, a.opts.AgentID); err != nil {
@@ -608,19 +718,30 @@ func (a *Agent) unlock(ctx context.Context, path string) error {
 	return nil
 }
 
+// failUnlocking returns err, the failure of a close, after releasing the
+// write lock the close holds: the caller is about to learn its data did not
+// make it, and the file must not also stay locked until the lease expires.
+// A release that fails too is not reported over err; the lease bounds it.
+func (a *Agent) failUnlocking(ctx context.Context, unlockPath string, err error) error {
+	_ = a.unlock(ctx, unlockPath)
+	return err
+}
+
 // --- background uploader ---
 
 // uploadTask is one queued background upload. It deliberately carries no
 // payload: the dirty version is already durable in the disk cache (Close
 // wrote and pinned it before enqueueing), and the worker streams it back
 // out of the cache. A queue of thousands of pending uploads therefore costs
-// metadata-sized memory, not the sum of the dirty file sizes. fallback
-// holds the payload only when the disk cache could not retain the entry.
+// metadata-sized memory, not the sum of the dirty file sizes. payload is
+// set only by a blocking close (which uploads at once) and when the disk
+// cache could not retain the entry. unlockPath, when set, is the write lock
+// to release once the upload attempt is over.
 type uploadTask struct {
 	md         *fsmeta.Metadata
 	hash       string
 	size       int64
-	fallback   []byte
+	payload    []byte
 	unlockPath string
 	// barrier, when non-nil, marks a synchronization point: the worker closes
 	// it without doing any work (used by WaitForUploads).
@@ -640,48 +761,11 @@ func (a *Agent) uploadWorker() {
 			close(task.barrier)
 			continue
 		}
-		err := a.uploadQueued(a.baseCtx, task)
-		if err != nil {
+		if err := a.syncToCloud(a.baseCtx, task); err != nil {
 			a.addStat(func(s *Stats) { s.UploadErrors++ })
-		}
-		if task.unlockPath != "" {
-			_ = a.unlock(a.baseCtx, task.unlockPath)
 		}
 		a.maybeStartGC()
 	}
-}
-
-// uploadQueued performs one queued background upload, sourcing the payload
-// from the disk cache it was spilled to. Large versions are streamed from
-// the cache file straight into the backend's streaming face, so neither the
-// queue nor the upload ever holds the whole (let alone the encoded) value
-// in memory; small ones take the whole-object path. The pinned cache entry
-// is released once the upload attempt finishes.
-func (a *Agent) uploadQueued(ctx context.Context, task uploadTask) error {
-	key := cacheKey(task.md.FileID, task.hash)
-	if task.fallback != nil {
-		return a.syncToCloud(ctx, task.md, task.hash, task.fallback)
-	}
-	defer a.diskCache.Unpin(key)
-	if a.shouldStream(task.size) {
-		if f, size, ok := a.diskCache.Open(key); ok {
-			defer f.Close()
-			sw := a.opts.Storage.(storage.StreamWriter)
-			if err := sw.WriteVersionFrom(ctx, task.md.FileID, task.hash, f); err != nil {
-				return fmt.Errorf("core: uploading %q: %w", task.md.Path, err)
-			}
-			return a.finishSync(ctx, task.md, size, true)
-		}
-	}
-	data, ok := a.diskCache.Get(key)
-	if !ok {
-		// The pinned entry is gone (a crash-recovery edge or an explicit
-		// cache clear); the memory cache may still hold the version.
-		if data, ok = a.memCache.Get(key); !ok {
-			return fmt.Errorf("core: queued version of %q (hash %s) lost from the local caches", task.md.Path, task.hash)
-		}
-	}
-	return a.syncToCloud(ctx, task.md, task.hash, data)
 }
 
 // WaitForUploads blocks until every queued upload at the time of the call

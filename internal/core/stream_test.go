@@ -176,9 +176,10 @@ func TestAgentWritableOpenMaterializesLazyFile(t *testing.T) {
 	}
 }
 
-// TestReadDirWarmsStatBurst pins the batched-metadata behaviour: after a
-// ReadDir, stating every listed entry is served from the metadata cache
-// with no extra coordination reads.
+// TestReadDirWarmsStatBurst pins the batched-metadata behaviour: a ReadDir
+// is one coordination access (directory metadata and listing in one batch),
+// and stating every listed entry afterwards is served from the metadata
+// cache with no extra coordination reads.
 func TestReadDirWarmsStatBurst(t *testing.T) {
 	a, _ := testAgent(t, 4096, 1<<20)
 	if err := a.Mkdir(bg, "/dir"); err != nil {
@@ -190,6 +191,8 @@ func TestReadDirWarmsStatBurst(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	a.metaCache.InvalidateAll()
+	start := a.Stats().CoordAccesses
 	entries, err := a.ReadDir(bg, "/dir")
 	if err != nil {
 		t.Fatal(err)
@@ -198,6 +201,9 @@ func TestReadDirWarmsStatBurst(t *testing.T) {
 		t.Fatalf("ReadDir returned %d entries", len(entries))
 	}
 	before := a.Stats().CoordAccesses
+	if before-start != 1 {
+		t.Fatalf("ReadDir with a cold metadata cache cost %d coordination accesses, want 1", before-start)
+	}
 	for _, e := range entries {
 		if _, err := a.Stat(bg, e.Path); err != nil {
 			t.Fatal(err)

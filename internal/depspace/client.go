@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"scfs/internal/clock"
+	"scfs/internal/smr"
 )
 
 // Invoker submits a serialized command for totally ordered execution and
@@ -19,7 +21,9 @@ type Invoker interface {
 	Invoke(ctx context.Context, cmd []byte) ([]byte, error)
 }
 
-// LocalInvoker executes commands directly on a Space.
+// LocalInvoker executes commands directly on a Space. Like a replica
+// wrapped in smr.BatchApplication, it executes a batch envelope as its
+// sub-commands in order.
 type LocalInvoker struct {
 	Space *Space
 }
@@ -29,7 +33,7 @@ func (l *LocalInvoker) Invoke(ctx context.Context, cmd []byte) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return l.Space.Execute(cmd), nil
+	return (&smr.BatchApplication{App: l.Space}).Execute(cmd), nil
 }
 
 // Client is the typed interface to a (possibly replicated) tuple space.
@@ -79,25 +83,61 @@ func mapError(msg string) error {
 	}
 }
 
+// Failed returns the command's error reply as one of the package's sentinel
+// errors, nil when the command succeeded.
+func (r Result) Failed() error {
+	if r.OK {
+		return nil
+	}
+	return mapError(r.Err)
+}
+
+// Batch submits cmds as one ordered invocation — one round trip — and
+// returns one Result per command, in order. The replicas execute the
+// commands back to back but not atomically: each succeeds or fails on its
+// own (Result.Failed), exactly as if issued singly at that point. The
+// returned error is a failure of the invocation as a whole. A batch of one
+// goes out as the plain command.
+func (c *Client) Batch(ctx context.Context, cmds []Command) ([]Result, error) {
+	now := c.clk.Now().UnixNano()
+	encoded := make([][]byte, len(cmds))
+	for i, cmd := range cmds {
+		cmd.Requester = c.requester
+		cmd.Now = now
+		b, err := json.Marshal(cmd)
+		if err != nil {
+			return nil, fmt.Errorf("depspace: encoding command: %w", err)
+		}
+		encoded[i] = b
+	}
+	replies, err := smr.InvokeBatch(ctx, c.inv, encoded)
+	if err != nil {
+		return nil, fmt.Errorf("depspace: invoking %s: %w", opNames(cmds), err)
+	}
+	results := make([]Result, len(replies))
+	for i, reply := range replies {
+		if err := json.Unmarshal(reply, &results[i]); err != nil {
+			return nil, fmt.Errorf("depspace: decoding reply: %w", err)
+		}
+	}
+	return results, nil
+}
+
+// opNames renders the opcodes of cmds for error messages.
+func opNames(cmds []Command) string {
+	names := make([]string, len(cmds))
+	for i, cmd := range cmds {
+		names[i] = cmd.Op
+	}
+	return strings.Join(names, "+")
+}
+
 func (c *Client) do(ctx context.Context, cmd Command) (Result, error) {
-	cmd.Requester = c.requester
-	cmd.Now = c.clk.Now().UnixNano()
-	b, err := json.Marshal(cmd)
+	results, err := c.Batch(ctx, []Command{cmd})
 	if err != nil {
-		return Result{}, fmt.Errorf("depspace: encoding command: %w", err)
+		return Result{}, err
 	}
-	reply, err := c.inv.Invoke(ctx, b)
-	if err != nil {
-		return Result{}, fmt.Errorf("depspace: invoking %s: %w", cmd.Op, err)
-	}
-	var res Result
-	if err := json.Unmarshal(reply, &res); err != nil {
-		return Result{}, fmt.Errorf("depspace: decoding reply: %w", err)
-	}
-	if !res.OK {
-		return res, mapError(res.Err)
-	}
-	return res, nil
+	return results[0], results[0].Failed()
 }
 
 // Out inserts a tuple with the given ACL.
@@ -112,9 +152,42 @@ func (c *Client) OutTimed(ctx context.Context, t Tuple, acl ACL, ttl time.Durati
 	return res.Version, err
 }
 
+// The commands a Batch can carry; the typed methods below issue the same
+// commands singly.
+
+// CmdRdp reads (without removing) one tuple matching the template.
+func CmdRdp(template Tuple) Command { return Command{Op: opRdp, Template: template} }
+
+// CmdRdAll reads every tuple matching the template that the requester may
+// read.
+func CmdRdAll(template Tuple) Command { return Command{Op: opRdAll, Template: template} }
+
+// CmdInp removes and returns one tuple matching the template.
+func CmdInp(template Tuple) Command { return Command{Op: opInp, Template: template} }
+
+// CmdReplace atomically substitutes the tuple matching template (if any)
+// with replacement.
+func CmdReplace(template, replacement Tuple, acl ACL) Command {
+	return Command{Op: opReplace, Template: template, Replacement: replacement, ACL: acl}
+}
+
+// CmdCas inserts replacement only if the tuple matching template has the
+// expected version (0 = must not exist); a positive ttl makes the inserted
+// tuple ephemeral.
+func CmdCas(template, replacement Tuple, expectedVersion uint64, acl ACL, ttl time.Duration) Command {
+	return Command{
+		Op:              opCas,
+		Template:        template,
+		Replacement:     replacement,
+		ExpectedVersion: expectedVersion,
+		ACL:             acl,
+		TTLNanos:        int64(ttl),
+	}
+}
+
 // Rdp reads (without removing) one tuple matching the template.
 func (c *Client) Rdp(ctx context.Context, template Tuple) (*Entry, error) {
-	res, err := c.do(ctx, Command{Op: opRdp, Template: template})
+	res, err := c.do(ctx, CmdRdp(template))
 	if err != nil {
 		return nil, err
 	}
@@ -123,7 +196,7 @@ func (c *Client) Rdp(ctx context.Context, template Tuple) (*Entry, error) {
 
 // RdAll reads every tuple matching the template that the requester may read.
 func (c *Client) RdAll(ctx context.Context, template Tuple) ([]Entry, error) {
-	res, err := c.do(ctx, Command{Op: opRdAll, Template: template})
+	res, err := c.do(ctx, CmdRdAll(template))
 	if err != nil {
 		return nil, err
 	}
@@ -132,7 +205,7 @@ func (c *Client) RdAll(ctx context.Context, template Tuple) ([]Entry, error) {
 
 // Inp removes and returns one tuple matching the template.
 func (c *Client) Inp(ctx context.Context, template Tuple) (*Entry, error) {
-	res, err := c.do(ctx, Command{Op: opInp, Template: template})
+	res, err := c.do(ctx, CmdInp(template))
 	if err != nil {
 		return nil, err
 	}
@@ -142,13 +215,15 @@ func (c *Client) Inp(ctx context.Context, template Tuple) (*Entry, error) {
 // Replace atomically substitutes the tuple matching template (if any) with
 // replacement.
 func (c *Client) Replace(ctx context.Context, template, replacement Tuple, acl ACL) (uint64, error) {
-	res, err := c.do(ctx, Command{Op: opReplace, Template: template, Replacement: replacement, ACL: acl})
+	res, err := c.do(ctx, CmdReplace(template, replacement, acl))
 	return res.Version, err
 }
 
 // ReplaceTimed is Replace for ephemeral tuples.
 func (c *Client) ReplaceTimed(ctx context.Context, template, replacement Tuple, acl ACL, ttl time.Duration) (uint64, error) {
-	res, err := c.do(ctx, Command{Op: opReplace, Template: template, Replacement: replacement, ACL: acl, TTLNanos: int64(ttl)})
+	cmd := CmdReplace(template, replacement, acl)
+	cmd.TTLNanos = int64(ttl)
+	res, err := c.do(ctx, cmd)
 	return res.Version, err
 }
 
@@ -157,14 +232,7 @@ func (c *Client) ReplaceTimed(ctx context.Context, template, replacement Tuple, 
 // version; on a conflict it returns ErrExists or ErrVersion together with the
 // conflicting entry (may be nil).
 func (c *Client) Cas(ctx context.Context, template, replacement Tuple, expectedVersion uint64, acl ACL, ttl time.Duration) (uint64, *Entry, error) {
-	res, err := c.do(ctx, Command{
-		Op:              opCas,
-		Template:        template,
-		Replacement:     replacement,
-		ExpectedVersion: expectedVersion,
-		ACL:             acl,
-		TTLNanos:        int64(ttl),
-	})
+	res, err := c.do(ctx, CmdCas(template, replacement, expectedVersion, acl, ttl))
 	return res.Version, res.Entry, err
 }
 

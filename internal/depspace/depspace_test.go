@@ -3,6 +3,9 @@ package depspace
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -328,4 +331,117 @@ func TestReplicatedTupleSpace(t *testing.T) {
 	if _, _, err := cli.Cas(bg, Tuple{"lock", "/f", "*"}, Tuple{"lock", "/f", "alice"}, 0, ACL{Owner: "alice"}, time.Minute); !errors.Is(err, ErrExists) {
 		t.Fatalf("second lock acquisition err = %v, want ErrExists", err)
 	}
+}
+
+// batchScript is a sequence with successes, failures and a conditional
+// command whose outcome depends on the ones before it.
+func batchScript() []Command {
+	lock, held := Tuple{"lock", "/f", "*"}, Tuple{"lock", "/f", "alice"}
+	meta := func(v string) Tuple { return Tuple{"meta", "/f", v} }
+	return []Command{
+		CmdCas(lock, held, 0, ACL{}, time.Minute),
+		CmdRdp(meta("*")), // no match yet
+		CmdReplace(meta("*"), meta("v1"), ACL{Owner: "alice"}),
+		CmdRdp(meta("*")),
+		CmdCas(lock, held, 0, ACL{}, time.Minute), // already held
+		CmdReplace(meta("*"), meta("v2"), ACL{Owner: "alice"}),
+		CmdInp(held),
+		CmdRdAll(Tuple{"*", "*", "*"}),
+		CmdInp(held), // already released
+	}
+}
+
+// TestBatchEqualsSingleCommands: a batch is the same commands, in order,
+// with nothing in between — result for result what issuing them one at a
+// time returns — in one invocation.
+func TestBatchEqualsSingleCommands(t *testing.T) {
+	single, _, _ := newLocalClient("alice")
+	var want []Result
+	for _, cmd := range batchScript() {
+		res, _ := single.do(bg, cmd)
+		want = append(want, res)
+	}
+
+	space := NewSpace()
+	invocations := 0
+	inv := invokerFunc(func(ctx context.Context, cmd []byte) ([]byte, error) {
+		invocations++
+		return (&LocalInvoker{Space: space}).Invoke(ctx, cmd)
+	})
+	batched := NewClient(inv, "alice", clock.NewSim(time.Unix(1_000_000, 0)))
+	got, err := batched.Batch(bg, batchScript())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if invocations != 1 {
+		t.Fatalf("batch used %d invocations, want 1", invocations)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("batch results differ from single commands\n got %+v\nwant %+v", got, want)
+	}
+	if err := got[4].Failed(); !errors.Is(err, ErrExists) {
+		t.Fatalf("second lock in the batch: %v, want ErrExists", err)
+	}
+	if err := got[8].Failed(); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("second unlock in the batch: %v, want ErrNotFound", err)
+	}
+}
+
+type invokerFunc func(ctx context.Context, cmd []byte) ([]byte, error)
+
+func (f invokerFunc) Invoke(ctx context.Context, cmd []byte) ([]byte, error) { return f(ctx, cmd) }
+
+// TestBatchThroughReplicatedCoalescer sends a client-built batch down the
+// deployed path: a coalescer over a pipelined client over four replicas
+// running BatchApplication, concurrently with single commands.
+func TestBatchThroughReplicatedCoalescer(t *testing.T) {
+	ids := []int{0, 1, 2, 3}
+	cfg := smr.Config{ReplicaIDs: ids, Model: smr.ByzantineFaults}
+	net := smr.NewNetwork()
+	defer net.Close()
+	for _, id := range ids {
+		r, err := smr.NewReplica(id, cfg, smr.NewBatchApplication(NewSpace()), net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Start()
+		defer r.Stop()
+	}
+	sc := smr.NewClient("agent-1", cfg, net)
+	defer sc.Close()
+	cli := NewClient(smr.NewCoalescer(sc), "alice", clock.Real())
+
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			key := fmt.Sprintf("/f%d", i)
+			if i%2 == 0 {
+				if _, err := cli.Out(bg, Tuple{"meta", key, "single"}, ACL{}); err != nil {
+					t.Errorf("single %d: %v", i, err)
+				}
+				return
+			}
+			res, err := cli.Batch(bg, []Command{
+				CmdCas(Tuple{"lock", key, "*"}, Tuple{"lock", key, "alice"}, 0, ACL{}, time.Minute),
+				CmdReplace(Tuple{"meta", key, "*"}, Tuple{"meta", key, "batched"}, ACL{}),
+				CmdRdp(Tuple{"meta", key, "*"}),
+				CmdInp(Tuple{"lock", key, "alice"}),
+			})
+			if err != nil {
+				t.Errorf("batch %d: %v", i, err)
+				return
+			}
+			for j, r := range res {
+				if err := r.Failed(); err != nil {
+					t.Errorf("batch %d command %d: %v", i, j, err)
+				}
+			}
+			if e := res[2].Entry; e == nil || e.Tuple[2] != "batched" {
+				t.Errorf("batch %d read %+v behind its own write", i, e)
+			}
+		}(i)
+	}
+	wg.Wait()
 }

@@ -41,7 +41,7 @@ import (
 // decision: every key multiplies the registry's worst-case cardinality.
 var AllowedKeys = map[string]bool{
 	"cloud":   true, // provider name (bounded by mount configuration)
-	"op":      true, // operation class: get / put / delete / list
+	"op":      true, // operation class: get / put / delete / list / trylock / unlock; batch = one round trip carrying several
 	"outcome": true, // ok / error / canceled
 	"backend": true, // coordination backend: depspace / zk / smr
 	"tenant":  true, // gateway tenant (bounded by gateway configuration)

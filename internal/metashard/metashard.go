@@ -147,25 +147,28 @@ func (s *Service) DeleteMetadata(ctx context.Context, key string) error {
 	return s.shards[i].DeleteMetadata(ctx, key)
 }
 
-// listTargets returns the shards a prefix listing must consult. In
-// SubtreeMode a prefix that pins its whole top segment (it extends past a
-// '/') can only match keys on that segment's shard, so directory listings
-// stay single-shard; every other case fans out to all shards.
-func (s *Service) listTargets(prefix string) []coord.Service {
+// listTargets returns the shards a prefix listing must consult, as the
+// index range [lo, hi). In SubtreeMode a prefix that pins its whole top
+// segment (it extends past a '/') can only match keys on that segment's
+// shard, so directory listings stay single-shard; every other case fans out
+// to all shards.
+func (s *Service) listTargets(prefix string) (lo, hi int) {
 	if s.mode == SubtreeMode {
 		trimmed := strings.TrimPrefix(prefix, "/")
 		if i := strings.IndexByte(trimmed, '/'); i > 0 {
-			return s.shards[s.ShardFor(prefix) : s.ShardFor(prefix)+1]
+			lo = s.ShardFor(prefix)
+			return lo, lo + 1
 		}
 	}
-	return s.shards
+	return 0, len(s.shards)
 }
 
 // ListMetadata implements coord.Service: it fans out to the relevant shards
 // concurrently and merges the results sorted by key, so the merge order is
 // deterministic regardless of shard count or reply arrival order.
 func (s *Service) ListMetadata(ctx context.Context, prefix string) ([]coord.Record, error) {
-	targets := s.listTargets(prefix)
+	lo, hi := s.listTargets(prefix)
+	targets := s.shards[lo:hi]
 	if len(targets) == 1 {
 		s.routeSpan(ctx, s.ShardFor(prefix))
 		out, err := targets[0].ListMetadata(ctx, prefix)
@@ -288,6 +291,75 @@ func (s *Service) Unlock(ctx context.Context, name, owner string) error {
 	return s.shards[i].Unlock(ctx, name, owner)
 }
 
+// Batch implements coord.Service: the batch is split into one sub-batch per
+// shard, each holding that shard's commands in request order, the
+// sub-batches travel concurrently, and the results come back in request
+// order. Commands on one key — a lock and the record it guards — share a
+// shard and so keep their order; commands on different shards have none. A
+// listing joins the sub-batch of every shard it must consult and its
+// records are merged as ListMetadata merges them. A shard whose access
+// fails fails its own commands only.
+func (s *Service) Batch(ctx context.Context, ops []coord.Op) ([]coord.Result, error) {
+	sub := make([][]coord.Op, len(s.shards))
+	from := make([][]int, len(s.shards)) // from[shard][j] = index in ops of sub[shard][j]
+	for i, op := range ops {
+		lo := s.ShardFor(op.Key)
+		hi := lo + 1
+		if op.Kind == coord.OpList {
+			lo, hi = s.listTargets(op.Key)
+		}
+		for sh := lo; sh < hi; sh++ {
+			sub[sh] = append(sub[sh], op)
+			from[sh] = append(from[sh], i)
+		}
+	}
+	results := make([][]coord.Result, len(s.shards))
+	errs := make([]error, len(s.shards))
+	var wg sync.WaitGroup
+	for sh := range s.shards {
+		if len(sub[sh]) == 0 {
+			continue
+		}
+		s.routeSpan(ctx, sh)
+		wg.Add(1)
+		go func(sh int) {
+			defer wg.Done()
+			results[sh], errs[sh] = s.shards[sh].Batch(ctx, sub[sh])
+		}(sh)
+	}
+	wg.Wait()
+
+	out := make([]coord.Result, len(ops))
+	for sh := range s.shards {
+		for j, i := range from[sh] {
+			var r coord.Result
+			if errs[sh] != nil {
+				r.Err = fmt.Errorf("metashard: batch on shard %d: %w", sh, errs[sh])
+			} else {
+				r = results[sh][j]
+			}
+			if out[i].Err == nil {
+				// The first failing shard decides a fanned-out listing.
+				out[i].Err = r.Err
+			}
+			out[i].Record, out[i].Version = r.Record, r.Version
+			out[i].Records = append(out[i].Records, r.Records...)
+		}
+	}
+	for i, op := range ops {
+		if op.Kind != coord.OpList {
+			continue
+		}
+		if out[i].Err != nil {
+			out[i].Records = nil
+			continue
+		}
+		recs := out[i].Records
+		sort.Slice(recs, func(a, b int) bool { return recs[a].Key < recs[b].Key })
+	}
+	return out, nil
+}
+
 // Stats implements coord.Service, summing the access counters of every shard.
 func (s *Service) Stats() coord.Stats {
 	var total coord.Stats
@@ -297,6 +369,7 @@ func (s *Service) Stats() coord.Stats {
 		total.MetadataWrites += st.MetadataWrites
 		total.MetadataLists += st.MetadataLists
 		total.LockOps += st.LockOps
+		total.Batches += st.Batches
 	}
 	return total
 }

@@ -410,3 +410,102 @@ func TestNewRejectsEmptyShardList(t *testing.T) {
 		t.Fatal("New(nil) succeeded")
 	}
 }
+
+// twoShardKeys returns one key routed to each shard of a two-shard plane.
+func twoShardKeys(t *testing.T, s *Service) (on0, on1 string) {
+	t.Helper()
+	for i := 0; on0 == "" || on1 == ""; i++ {
+		if i > 1000 {
+			t.Fatal("no key found for one of the shards")
+		}
+		key := fmt.Sprintf("dir/f%03d", i)
+		if s.ShardFor(key) == 0 && on0 == "" {
+			on0 = key
+		} else if s.ShardFor(key) == 1 && on1 == "" {
+			on1 = key
+		}
+	}
+	return on0, on1
+}
+
+// TestBatchSpanningShards: a batch whose commands route to two shards comes
+// back in request order, per-key order holds (a read behind a write of the
+// same key sees it), and a listing merges every shard's records sorted.
+func TestBatchSpanningShards(t *testing.T) {
+	s := newSharded(t, 2)
+	k0, k1 := twoShardKeys(t, s)
+	acl := coord.ACL{Owner: "agent"}
+	res, err := s.Batch(bg, []coord.Op{
+		coord.TryLock(k1, "me", time.Minute),
+		coord.Put(k0, []byte("zero"), acl),
+		coord.Get(k1), // not there yet
+		coord.Put(k1, []byte("one"), acl),
+		coord.Get(k0),
+		coord.Get(k1),
+		coord.List("dir/"),
+		coord.Unlock(k1, "me"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[0].Err != nil || res[1].Err != nil || res[3].Err != nil || res[7].Err != nil {
+		t.Fatalf("lock %v, puts %v %v, unlock %v", res[0].Err, res[1].Err, res[3].Err, res[7].Err)
+	}
+	if !errors.Is(res[2].Err, coord.ErrNotFound) {
+		t.Errorf("get ahead of the put of its key: %v, want ErrNotFound", res[2].Err)
+	}
+	if string(res[4].Record.Value) != "zero" || string(res[5].Record.Value) != "one" {
+		t.Errorf("gets returned %q and %q, want the shards' values in request order", res[4].Record.Value, res[5].Record.Value)
+	}
+	var listed []string
+	for _, r := range res[6].Records {
+		listed = append(listed, r.Key)
+	}
+	want := []string{k0, k1}
+	sort.Strings(want)
+	if res[6].Err != nil || fmt.Sprint(listed) != fmt.Sprint(want) {
+		t.Errorf("listing = %v (%v), want %v", listed, res[6].Err, want)
+	}
+	// Each shard was accessed once.
+	for i, st := range s.PerShardStats() {
+		if st.Total() != 1 || st.Batches != 1 {
+			t.Errorf("shard %d stats %+v, want one batch", i, st)
+		}
+	}
+}
+
+func (f *failingShard) Batch(ctx context.Context, ops []coord.Op) ([]coord.Result, error) {
+	if f.failing() {
+		return nil, errors.New("injected shard outage")
+	}
+	return f.Service.Batch(ctx, ops)
+}
+
+// TestBatchShardOutageFailsOwnCommandsOnly: the commands of a shard that
+// cannot be reached fail; the other shard's commands keep their results,
+// and a listing that needed the failed shard fails.
+func TestBatchShardOutageFailsOwnCommandsOnly(t *testing.T) {
+	inner := newShards(t, 2)
+	flaky := &failingShard{Service: inner[1]}
+	s, err := New([]coord.Service{inner[0], flaky})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k0, k1 := twoShardKeys(t, s)
+	flaky.setFail(true)
+	res, err := s.Batch(bg, []coord.Op{
+		coord.Put(k0, []byte("zero"), coord.ACL{}),
+		coord.Put(k1, []byte("one"), coord.ACL{}),
+		coord.List("dir/"),
+		coord.Get(k0),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[0].Err != nil || string(res[3].Record.Value) != "zero" {
+		t.Errorf("healthy shard: put %v, get %q", res[0].Err, res[3].Record.Value)
+	}
+	if res[1].Err == nil || res[2].Err == nil || res[2].Records != nil {
+		t.Errorf("failed shard: put %v, listing %v with %d records", res[1].Err, res[2].Err, len(res[2].Records))
+	}
+}

@@ -3,6 +3,7 @@ package smr
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -73,6 +74,18 @@ func DecodeBatch(b []byte) ([][]byte, bool) {
 	return ops, true
 }
 
+// DecodeBatchReply unpacks the reply to an envelope of n operations. Reply
+// bytes come from replicas and are untrusted: anything but a well-formed
+// envelope of exactly n replies is an error, so callers may index the result
+// by operation position.
+func DecodeBatchReply(reply []byte, n int) ([][]byte, error) {
+	replies, isBatch := DecodeBatch(reply)
+	if !isBatch || replies == nil || len(replies) != n {
+		return nil, fmt.Errorf("smr: malformed batch reply (%d ops, %d replies; replicas must wrap their application in BatchApplication)", n, len(replies))
+	}
+	return replies, nil
+}
+
 // BatchApplication wraps a deterministic Application so that a batch
 // envelope executes as its sub-operations in order, replying with an
 // envelope of the sub-replies. Plain commands pass through untouched, so
@@ -114,6 +127,28 @@ type Invoker interface {
 	Invoke(ctx context.Context, op []byte) ([]byte, error)
 }
 
+// InvokeBatch submits ops through inv as one ordered invocation — one round
+// trip — and returns one reply per operation, in order. The replicas execute
+// the operations back to back but not atomically. A single operation goes
+// out as the plain command; more need replicas wrapped in BatchApplication.
+func InvokeBatch(ctx context.Context, inv Invoker, ops [][]byte) ([][]byte, error) {
+	switch len(ops) {
+	case 0:
+		return nil, nil
+	case 1:
+		reply, err := inv.Invoke(ctx, ops[0])
+		if err != nil {
+			return nil, err
+		}
+		return [][]byte{reply}, nil
+	}
+	reply, err := inv.Invoke(ctx, EncodeBatch(ops))
+	if err != nil {
+		return nil, err
+	}
+	return DecodeBatchReply(reply, len(ops))
+}
+
 // Coalescer packs concurrently submitted operations into batch invocations
 // against replicas wrapped in BatchApplication. The first submitter of a
 // generation becomes its flusher: it waits up to MaxDelay for concurrent
@@ -121,6 +156,12 @@ type Invoker interface {
 // issues the whole batch as one ordered invocation and distributes the
 // replies. A lone operation is invoked directly with no envelope and no
 // delay beyond MaxDelay.
+//
+// A submitter may hand in an envelope it built itself (a client that wants
+// several commands executed back to back in one round trip). Its
+// sub-operations are flattened into the coalescer's own envelope — adjacent
+// and in order, never nested — and it gets an envelope of their replies
+// back.
 //
 // Combined with a pipelined Client, multiple batches are in flight at once:
 // the coalescer bounds round trips per operation, the pipeline overlaps the
@@ -138,18 +179,23 @@ type Coalescer struct {
 
 	mu       sync.Mutex
 	queue    []*batchItem
+	queued   int // operations in queue, counting an envelope's sub-operations
 	flushing bool
 	full     chan struct{} // signaled when the queue reaches MaxBatch
 }
 
-// batchItem is one queued operation and its reply slot. ctx is the
+// batchItem is one submitter's contribution and its reply slot: op as it
+// was handed in, ops what it adds to a flush (op itself, or the
+// sub-operations when op is a caller-built envelope). ctx is the
 // submitter's context; the flush aborts only when every item's context is
 // done (see flush), so it must be retained past the submitter's return.
 // trace/enq carry the submitter's telemetry trace and enqueue time: the
 // flush runs under a detached context the trace cannot ride, so batch and
 // consensus spans are recorded onto each participant's trace explicitly.
 type batchItem struct {
-	op []byte
+	op       []byte
+	ops      [][]byte
+	envelope bool
 	//scfslint:ignore ctxdiscipline request-carrier: flush aborts only when every participant's ctx is done
 	ctx    context.Context
 	done   chan struct{}
@@ -181,17 +227,24 @@ func (c *Coalescer) Invoke(ctx context.Context, op []byte) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	item := &batchItem{op: op, ctx: ctx, done: make(chan struct{})}
+	item := &batchItem{op: op, ops: [][]byte{op}, ctx: ctx, done: make(chan struct{})}
+	if ops, isBatch := DecodeBatch(op); isBatch {
+		if len(ops) == 0 {
+			return nil, errors.New("smr: malformed or empty batch envelope")
+		}
+		item.ops, item.envelope = ops, true
+	}
 	if tr := telemetry.FromContext(ctx); tr != nil {
 		item.trace, item.enq = tr, time.Now()
 	}
 	c.mu.Lock()
 	c.queue = append(c.queue, item)
+	c.queued += len(item.ops)
 	leader := !c.flushing
 	if leader {
 		c.flushing = true
 		c.full = make(chan struct{})
-	} else if len(c.queue) >= c.maxBatch() && c.full != nil {
+	} else if c.queued >= c.maxBatch() && c.full != nil {
 		// Wake the flusher early: the batch is full.
 		close(c.full)
 		c.full = nil
@@ -231,7 +284,7 @@ func (c *Coalescer) Invoke(ctx context.Context, op []byte) ([]byte, error) {
 
 	c.mu.Lock()
 	batch := c.queue
-	c.queue = nil
+	c.queue, c.queued = nil, 0
 	c.flushing = false
 	c.full = nil
 	c.mu.Unlock()
@@ -281,6 +334,11 @@ func (c *Coalescer) flush(batch []*batchItem, trigger string) {
 	}()
 	defer close(stop)
 
+	var ops [][]byte
+	for _, it := range batch {
+		ops = append(ops, it.ops...)
+	}
+
 	traced := false
 	for _, it := range batch {
 		if it.trace != nil {
@@ -321,7 +379,7 @@ func (c *Coalescer) flush(batch []*batchItem, trigger string) {
 				Dur:     rtt,
 				Outcome: out,
 				Err:     err,
-				Ops:     len(batch),
+				Ops:     len(ops),
 				Wait:    fstart.Sub(it.enq),
 			})
 			if st != nil {
@@ -341,23 +399,25 @@ func (c *Coalescer) flush(batch []*batchItem, trigger string) {
 	}
 
 	if len(batch) == 1 {
+		// A lone submitter's command — or its own envelope — goes out as
+		// it came in.
 		batch[0].result, batch[0].err = invoke(batch[0].op)
 		record(batch[0].err)
 		close(batch[0].done)
 		return
 	}
-	ops := make([][]byte, len(batch))
-	for i, it := range batch {
-		ops[i] = it.op
-	}
 	reply, err := invoke(EncodeBatch(ops))
 	if err == nil {
-		replies, isBatch := DecodeBatch(reply)
-		if !isBatch || len(replies) != len(batch) {
-			err = fmt.Errorf("smr: malformed batch reply (%d ops, %d replies; replicas must wrap their application in BatchApplication)", len(batch), len(replies))
-		} else {
-			for i, it := range batch {
-				it.result = cloneBytes(replies[i])
+		var replies [][]byte
+		if replies, err = DecodeBatchReply(reply, len(ops)); err == nil {
+			for _, it := range batch {
+				n := len(it.ops)
+				if it.envelope {
+					it.result = EncodeBatch(replies[:n])
+				} else {
+					it.result = cloneBytes(replies[0])
+				}
+				replies = replies[n:]
 			}
 		}
 	}

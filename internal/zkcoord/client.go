@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"scfs/internal/clock"
+	"scfs/internal/smr"
 )
 
 // AnyVersion disables the version check on Set and Delete.
@@ -19,7 +21,9 @@ type Invoker interface {
 	Invoke(ctx context.Context, cmd []byte) ([]byte, error)
 }
 
-// LocalInvoker executes commands directly on a Tree (no replication).
+// LocalInvoker executes commands directly on a Tree (no replication). Like a
+// replica wrapped in smr.BatchApplication, it executes a batch envelope as
+// its sub-commands in order.
 type LocalInvoker struct {
 	Tree *Tree
 }
@@ -29,7 +33,7 @@ func (l *LocalInvoker) Invoke(ctx context.Context, cmd []byte) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return l.Tree.Execute(cmd), nil
+	return (&smr.BatchApplication{App: l.Tree}).Execute(cmd), nil
 }
 
 // Typed errors mapped from Result.Err.
@@ -86,36 +90,103 @@ func NewClient(inv Invoker, session string, clk clock.Clock) *Client {
 	return &Client{inv: inv, session: session, clk: clk, SessionTTL: 30 * time.Second}
 }
 
-func (c *Client) do(ctx context.Context, cmd Command) (Result, error) {
-	cmd.Session = c.session
-	cmd.Now = c.clk.Now().UnixNano()
-	b, err := json.Marshal(cmd)
-	if err != nil {
-		return Result{}, fmt.Errorf("zkcoord: encoding command: %w", err)
+// Failed returns the command's error reply as one of the package's typed
+// errors, nil when the command succeeded.
+func (r Result) Failed() error {
+	if r.OK {
+		return nil
 	}
-	reply, err := c.inv.Invoke(ctx, b)
-	if err != nil {
-		return Result{}, fmt.Errorf("zkcoord: invoking %s: %w", cmd.Op, err)
-	}
-	var res Result
-	if err := json.Unmarshal(reply, &res); err != nil {
-		return Result{}, fmt.Errorf("zkcoord: decoding reply: %w", err)
-	}
-	if !res.OK {
-		return res, mapError(res.Err)
-	}
-	return res, nil
+	return mapError(r.Err)
 }
+
+// Batch submits cmds as one ordered invocation — one round trip — and
+// returns one Result per command, in order. The replicas execute the
+// commands back to back but not atomically: each succeeds or fails on its
+// own (Result.Failed), exactly as if issued singly at that point. The
+// returned error is a failure of the invocation as a whole. A batch of one
+// goes out as the plain command.
+func (c *Client) Batch(ctx context.Context, cmds []Command) ([]Result, error) {
+	now := c.clk.Now().UnixNano()
+	encoded := make([][]byte, len(cmds))
+	for i, cmd := range cmds {
+		cmd.Session = c.session
+		cmd.Now = now
+		b, err := json.Marshal(cmd)
+		if err != nil {
+			return nil, fmt.Errorf("zkcoord: encoding command: %w", err)
+		}
+		encoded[i] = b
+	}
+	replies, err := smr.InvokeBatch(ctx, c.inv, encoded)
+	if err != nil {
+		return nil, fmt.Errorf("zkcoord: invoking %s: %w", opNames(cmds), err)
+	}
+	results := make([]Result, len(replies))
+	for i, reply := range replies {
+		if err := json.Unmarshal(reply, &results[i]); err != nil {
+			return nil, fmt.Errorf("zkcoord: decoding reply: %w", err)
+		}
+	}
+	return results, nil
+}
+
+// opNames renders the opcodes of cmds for error messages.
+func opNames(cmds []Command) string {
+	names := make([]string, len(cmds))
+	for i, cmd := range cmds {
+		names[i] = cmd.Op
+	}
+	return strings.Join(names, "+")
+}
+
+func (c *Client) do(ctx context.Context, cmd Command) (Result, error) {
+	results, err := c.Batch(ctx, []Command{cmd})
+	if err != nil {
+		return Result{}, err
+	}
+	return results[0], results[0].Failed()
+}
+
+// The commands a Batch can carry; the typed methods below issue the same
+// commands singly.
+
+// CmdCreate creates a persistent znode.
+func CmdCreate(p string, data []byte) Command {
+	return Command{Op: opCreate, Path: p, Data: data, Version: AnyVersion}
+}
+
+// CmdCreateEphemeral creates an ephemeral znode, owned by the issuing
+// session, that expires ttl after its last renewal.
+func CmdCreateEphemeral(p string, data []byte, ttl time.Duration) Command {
+	return Command{Op: opCreate, Path: p, Data: data, Ephemeral: true, TTLNanos: int64(ttl), Version: AnyVersion}
+}
+
+// CmdGet returns the data and stat of a znode.
+func CmdGet(p string) Command { return Command{Op: opGet, Path: p, Version: AnyVersion} }
+
+// CmdSet overwrites a znode's data (version AnyVersion disables the check)
+// and renews an ephemeral znode's expiry to ttl.
+func CmdSet(p string, data []byte, version int64, ttl time.Duration) Command {
+	return Command{Op: opSet, Path: p, Data: data, Version: version, TTLNanos: int64(ttl)}
+}
+
+// CmdDelete removes a leaf znode; version AnyVersion disables the check.
+func CmdDelete(p string, version int64) Command {
+	return Command{Op: opDelete, Path: p, Version: version}
+}
+
+// CmdChildren lists the direct children names of a znode.
+func CmdChildren(p string) Command { return Command{Op: opChildren, Path: p, Version: AnyVersion} }
 
 // Create creates a persistent znode and returns its path.
 func (c *Client) Create(ctx context.Context, p string, data []byte) (string, error) {
-	res, err := c.do(ctx, Command{Op: opCreate, Path: p, Data: data, Version: AnyVersion})
+	res, err := c.do(ctx, CmdCreate(p, data))
 	return res.Path, err
 }
 
 // CreateEphemeral creates an ephemeral znode owned by this session.
 func (c *Client) CreateEphemeral(ctx context.Context, p string, data []byte) (string, error) {
-	res, err := c.do(ctx, Command{Op: opCreate, Path: p, Data: data, Ephemeral: true, TTLNanos: int64(c.SessionTTL), Version: AnyVersion})
+	res, err := c.do(ctx, CmdCreateEphemeral(p, data, c.SessionTTL))
 	return res.Path, err
 }
 
@@ -128,25 +199,25 @@ func (c *Client) CreateSequential(ctx context.Context, p string, data []byte) (s
 
 // Get returns the data and stat of a znode.
 func (c *Client) Get(ctx context.Context, p string) ([]byte, Stat, error) {
-	res, err := c.do(ctx, Command{Op: opGet, Path: p, Version: AnyVersion})
+	res, err := c.do(ctx, CmdGet(p))
 	return res.Data, res.Stat, err
 }
 
 // Set overwrites a znode's data; version AnyVersion disables the check.
 func (c *Client) Set(ctx context.Context, p string, data []byte, version int64) (Stat, error) {
-	res, err := c.do(ctx, Command{Op: opSet, Path: p, Data: data, Version: version, TTLNanos: int64(c.SessionTTL)})
+	res, err := c.do(ctx, CmdSet(p, data, version, c.SessionTTL))
 	return res.Stat, err
 }
 
 // Delete removes a leaf znode; version AnyVersion disables the check.
 func (c *Client) Delete(ctx context.Context, p string, version int64) error {
-	_, err := c.do(ctx, Command{Op: opDelete, Path: p, Version: version})
+	_, err := c.do(ctx, CmdDelete(p, version))
 	return err
 }
 
 // Children lists the direct children names of a znode.
 func (c *Client) Children(ctx context.Context, p string) ([]string, error) {
-	res, err := c.do(ctx, Command{Op: opChildren, Path: p, Version: AnyVersion})
+	res, err := c.do(ctx, CmdChildren(p))
 	return res.Children, err
 }
 

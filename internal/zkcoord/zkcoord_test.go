@@ -3,6 +3,7 @@ package zkcoord
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -260,3 +261,56 @@ func TestReplicatedZookeeperLikeService(t *testing.T) {
 		t.Fatalf("got %q", data)
 	}
 }
+
+// TestBatchEqualsSingleCommands: a batch is the same commands, in order,
+// with nothing in between — result for result what issuing them one at a
+// time returns — in one invocation.
+func TestBatchEqualsSingleCommands(t *testing.T) {
+	script := func() []Command {
+		return []Command{
+			CmdCreate("/meta", nil),
+			CmdSet("/meta/f", []byte("v1"), AnyVersion, 0), // no such node yet
+			CmdCreate("/meta/f", []byte("v1")),
+			CmdCreate("/meta/f", []byte("again")), // exists
+			CmdCreateEphemeral("/meta/lock", []byte("alice"), time.Minute),
+			CmdGet("/meta/f"),
+			CmdSet("/meta/f", []byte("v2"), 1, 0),
+			CmdSet("/meta/f", []byte("v3"), 1, 0), // stale version
+			CmdChildren("/meta"),
+			CmdDelete("/meta/lock", AnyVersion),
+			CmdDelete("/meta/lock", AnyVersion), // already gone
+		}
+	}
+	single, _, _ := newLocal("s1")
+	var want []Result
+	for _, cmd := range script() {
+		res, _ := single.do(bg, cmd)
+		want = append(want, res)
+	}
+
+	batched, tree, _ := newLocal("s1")
+	invocations := 0
+	batched.inv = invokerFunc(func(ctx context.Context, cmd []byte) ([]byte, error) {
+		invocations++
+		return (&LocalInvoker{Tree: tree}).Invoke(ctx, cmd)
+	})
+	got, err := batched.Batch(bg, script())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if invocations != 1 {
+		t.Fatalf("batch used %d invocations, want 1", invocations)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("batch results differ from single commands\n got %+v\nwant %+v", got, want)
+	}
+	for i, wantErr := range map[int]error{1: ErrNotFound, 3: ErrExists, 7: ErrVersion, 10: ErrNotFound} {
+		if err := got[i].Failed(); !errors.Is(err, wantErr) {
+			t.Errorf("command %d: %v, want %v", i, err, wantErr)
+		}
+	}
+}
+
+type invokerFunc func(ctx context.Context, cmd []byte) ([]byte, error)
+
+func (f invokerFunc) Invoke(ctx context.Context, cmd []byte) ([]byte, error) { return f(ctx, cmd) }

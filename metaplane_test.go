@@ -103,38 +103,40 @@ func TestPipelinedReplicatedMount(t *testing.T) {
 	}
 }
 
-// TestCoordTelemetryCounters: with metrics on, every coordination access is
-// exported as coord_ops_total{backend,op} and surfaces in Stats().Telemetry.
+// TestCoordTelemetryCounters: with metrics on, every coordination command is
+// exported as coord_ops_total{backend,op} — a batch once more as op="batch" —
+// and surfaces in Stats().Telemetry, while CoordAccesses counts round trips.
 func TestCoordTelemetryCounters(t *testing.T) {
 	m := mount(t, scfs.WithMetrics())
-	if err := m.Mkdir(bg, "/tele"); err != nil {
+	if err := m.Mkdir(bg, "/tele"); err != nil { // get, put
 		t.Fatal(err)
 	}
+	// [trylock, get, get /tele], put (create), [put, unlock] (close).
 	if err := scfs.WriteFile(bg, m, "/tele/x.txt", []byte("counted")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.ReadDir(bg, "/tele"); err != nil {
+	if _, err := m.ReadDir(bg, "/tele"); err != nil { // [get, list]
 		t.Fatal(err)
 	}
 	s := m.Stats()
-	var coordTotal int64
+	got := make(map[string]int64)
 	for name, v := range s.Telemetry.Counters {
-		if strings.HasPrefix(name, "coord_ops_total{") {
-			if !strings.Contains(name, `backend="depspace"`) {
-				t.Errorf("counter %q missing the backend label", name)
-			}
-			coordTotal += v
+		if op, ok := strings.CutPrefix(name, `coord_ops_total{backend="depspace",op="`); ok {
+			got[strings.TrimSuffix(op, `"}`)] = v
+		} else if strings.HasPrefix(name, "coord_ops_total{") {
+			t.Errorf("counter %q missing the backend label", name)
 		}
 	}
-	if coordTotal == 0 {
-		t.Fatalf("no coord_ops_total counters; counters: %v", s.Telemetry.Counters)
+	want := map[string]int64{"get": 4, "put": 3, "list": 1, "trylock": 1, "unlock": 1, "batch": 3}
+	for op, n := range want {
+		if got[op] != n {
+			t.Errorf("coord_ops_total op=%q is %d, want %d; counters: %v", op, got[op], n, got)
+		}
 	}
-	// The registry view and the paper's §4 access counter agree.
-	if coordTotal != s.CoordAccesses {
-		t.Fatalf("coord_ops_total sum %d != CoordAccesses %d", coordTotal, s.CoordAccesses)
-	}
-	if _, ok := s.Telemetry.Counters[`coord_ops_total{backend="depspace",op="list"}`]; !ok {
-		t.Errorf("list op counter missing; counters: %v", s.Telemetry.Counters)
+	// Ten commands, seven of them carried by the three batches: six round
+	// trips, the quantity the paper's §4 prices.
+	if s.CoordAccesses != 6 {
+		t.Fatalf("CoordAccesses %d, want 6", s.CoordAccesses)
 	}
 }
 
