@@ -24,10 +24,13 @@ package depsky
 
 import (
 	"context"
+	"crypto/rand"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -75,6 +78,11 @@ var (
 type VersionInfo struct {
 	// Number is the monotonically increasing version number.
 	Number uint64 `json:"number"`
+	// ID names the version's objects on the clouds (blockName, chunkName).
+	// The writer draws it at random before it knows Number, so the upload
+	// never waits for the metadata read that yields the number; it is part
+	// of the entry the f+1 certification vote compares.
+	ID string `json:"id"`
 	// DataHash is the SHA-256 of the original (plaintext) value; it is the
 	// hash SCFS stores in its consistency anchor.
 	DataHash string `json:"data_hash"`
@@ -122,6 +130,33 @@ func (v *VersionInfo) validChunking() bool {
 	}
 	wantChunks := (v.Size + v.ChunkSize - 1) / v.ChunkSize
 	return v.ChunkCount == wantChunks && len(v.ChunkHashes) == v.ChunkCount
+}
+
+// objectIDLen is the length of a VersionInfo.ID: 16 random bytes in
+// lowercase hex.
+const objectIDLen = 32
+
+// newObjectID draws the ID a write stores its objects under.
+func newObjectID() string {
+	var b [objectIDLen / 2]byte
+	_, _ = rand.Read(b[:]) // crypto/rand.Read never fails (go 1.24)
+	return hex.EncodeToString(b[:])
+}
+
+// validObjectID reports whether id has the exact form newObjectID produces.
+// An ID read from a cloud is attacker-chosen, and it is spliced into object
+// names: anything but fixed-length lowercase hex (a "/", a "..", another
+// unit's path) could aim a GET or a DELETE outside "dsky/<unit>/".
+func validObjectID(id string) bool {
+	if len(id) != objectIDLen {
+		return false
+	}
+	for i := 0; i < len(id); i++ {
+		if c := id[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }
 
 // chunkPlainLen returns the plaintext length of chunk idx.
@@ -339,8 +374,17 @@ func (m *Manager) metaName(unit string) string {
 	return m.opts.Prefix + "dsky/" + unit + "/metadata"
 }
 
-func (m *Manager) blockName(unit string, version uint64) string {
-	return fmt.Sprintf("%sdsky/%s/v%d/block", m.opts.Prefix, unit, version)
+// blockName is the per-cloud object name of a whole-object version, and
+// chunkName that of one chunk of a chunked version. Both are keyed by the
+// version's ID, never its number, and are the only places an object name is
+// built; id must have passed validObjectID (mergeMetadata drops entries
+// whose ID has not).
+func (m *Manager) blockName(unit, id string) string {
+	return m.opts.Prefix + "dsky/" + unit + "/" + id + "/block"
+}
+
+func (m *Manager) chunkName(unit, id string, idx int) string {
+	return m.opts.Prefix + "dsky/" + unit + "/" + id + "/c" + strconv.Itoa(idx)
 }
 
 // --- metadata quorum operations ---
@@ -403,12 +447,7 @@ func (m *Manager) readMetadataQuorum(ctx context.Context, unit string) []*unitMe
 				results <- fetched{idx: i}
 				return
 			}
-			var md unitMetadata
-			if json.Unmarshal(data, &md) == nil && md.Unit == unit {
-				results <- fetched{idx: i, md: &md}
-			} else {
-				results <- fetched{idx: i}
-			}
+			results <- fetched{idx: i, md: decodeUnitMetadata(data, unit)}
 		}(i, c)
 	}
 	out := make([]*unitMetadata, n)
@@ -430,6 +469,16 @@ func (m *Manager) readMetadataQuorum(ctx context.Context, unit string) []*unitMe
 	return out
 }
 
+// decodeUnitMetadata parses one cloud's copy of unit's metadata object; nil
+// when it is not that.
+func decodeUnitMetadata(data []byte, unit string) *unitMetadata {
+	var md unitMetadata
+	if json.Unmarshal(data, &md) != nil || md.Unit != unit {
+		return nil
+	}
+	return &md
+}
+
 // mergeMetadata combines per-cloud metadata copies, keeping the union of
 // versions (a version written to a quorum appears in at least one correct
 // copy, so the union preserves the paper's availability: reads succeed as
@@ -445,6 +494,9 @@ func (m *Manager) readMetadataQuorum(ctx context.Context, unit string) []*unitMe
 // otherwise (see openVersion). Among conflicting uncertified variants of
 // one number, the copy carrying more integrity hashes wins (corrupted or
 // truncated copies carry fewer).
+//
+// An entry whose ID is not well formed is dropped here, before anything can
+// build an object name from it (see validObjectID).
 func (m *Manager) mergeMetadata(unit string, copies []*unitMetadata) *unitMetadata {
 	merged := &unitMetadata{Unit: unit, certified: make(map[uint64]bool), variants: make(map[uint64][]VersionInfo)}
 	type candidate struct {
@@ -458,6 +510,9 @@ func (m *Manager) mergeMetadata(unit string, copies []*unitMetadata) *unitMetada
 			continue
 		}
 		for _, v := range c.Versions {
+			if !validObjectID(v.ID) {
+				continue
+			}
 			enc, err := json.Marshal(v)
 			if err != nil {
 				continue
@@ -659,33 +714,73 @@ func (m *Manager) writeQuorumHooked(ctx context.Context, name, kind string, payl
 func (m *Manager) Write(ctx context.Context, unit string, data []byte) (VersionInfo, error) {
 	ctx, tr := m.opts.Tracer.Start(ctx, "write", unit)
 	defer tr.Finish()
-	merged := m.mergeMetadata(unit, m.readMetadataQuorum(ctx, unit))
-	var next uint64 = 1
-	if newest := merged.newest(); newest != nil {
-		next = newest.Number + 1
-	}
+	return m.writeVersion(ctx, unit, func(id string) (VersionInfo, error) {
+		return m.uploadBlocks(ctx, unit, id, data)
+	})
+}
 
-	blocks, info, err := m.encode(data)
+// writeVersion is the write protocol shared by Write and WriteFrom, in two
+// sequential cloud rounds instead of three. Objects are named by an ID the
+// writer draws itself, so upload (which stores them under that ID) does not
+// need the unit's metadata: the metadata quorum read runs beside it, and the
+// two are joined only to number the version after the newest one listed and
+// to write the metadata. The order DepSky's safety rests on is kept: the
+// metadata that lists a version is written after its objects reached their
+// quorum.
+//
+// upload returns the version's info without a number; when it fails, the
+// info names what it may have stored (the zero value: no PUT was issued).
+// Those objects are deleted, best effort, if the write fails before the
+// metadata PUT is issued — upload itself, or a ctx cancelled by the join:
+// nothing lists them, and unlike a number an ID is never reused, so nothing
+// would overwrite them. Once the metadata PUT has been attempted they are
+// kept even if it fails: a failed quorum write can still have landed on up to
+// n-f-1 clouds, f+1 copies certify the entry, and Read has no older version
+// to fall back to when the newest listed one has no objects.
+func (m *Manager) writeVersion(ctx context.Context, unit string, upload func(id string) (VersionInfo, error)) (VersionInfo, error) {
+	readCtx, cancelRead := context.WithCancel(ctx)
+	defer cancelRead()
+	read := make(chan *unitMetadata, 1)
+	go func() { read <- m.mergeMetadata(unit, m.readMetadataQuorum(readCtx, unit)) }()
+
+	info, err := upload(newObjectID())
 	if err != nil {
+		cancelRead()
+	}
+	merged := <-read
+	if err == nil {
+		err = ctx.Err()
+	}
+	if err != nil {
+		m.discardObjects(ctx, unit, info)
 		return VersionInfo{}, err
 	}
-	info.Number = next
-
-	blockPayloads := make([][]byte, m.N())
-	for i := range blocks {
-		b := encodeBlock(info.Protocol, &blocks[i])
-		blockPayloads[i] = b
-		info.BlockHashes[i] = seccrypto.Hash(b)
-	}
-
-	if err := m.writeQuorum(ctx, m.blockName(unit, next), "block.put", func(i int) []byte { return blockPayloads[i] }); err != nil {
-		return VersionInfo{}, err
+	info.Number = 1
+	if newest := merged.newest(); newest != nil {
+		info.Number = newest.Number + 1
 	}
 	merged.Versions = append(merged.Versions, info)
 	if err := m.writeMetadataQuorum(ctx, merged); err != nil {
 		return VersionInfo{}, err
 	}
 	return info, nil
+}
+
+// uploadBlocks encodes data and stores its n blocks under id, returning once
+// n-f clouds hold theirs.
+func (m *Manager) uploadBlocks(ctx context.Context, unit, id string, data []byte) (VersionInfo, error) {
+	blocks, info, err := m.encode(data)
+	if err != nil {
+		return VersionInfo{}, err
+	}
+	info.ID = id
+	blockPayloads := make([][]byte, m.N())
+	for i := range blocks {
+		b := encodeBlock(info.Protocol, &blocks[i])
+		blockPayloads[i] = b
+		info.BlockHashes[i] = seccrypto.Hash(b)
+	}
+	return info, m.writeQuorum(ctx, m.blockName(unit, id), "block.put", func(i int) []byte { return blockPayloads[i] })
 }
 
 // encode builds the per-cloud blocks for data according to the protocol.
@@ -782,7 +877,11 @@ func (m *Manager) readVersionAny(ctx context.Context, unit string, variants []Ve
 		if err == nil {
 			return data, nil
 		}
-		lastErr = err
+		// "Not visible" is the weakest verdict: a variant that failed for a
+		// harder reason (outage, integrity) keeps it.
+		if lastErr == nil || errors.Is(lastErr, ErrVersionNotFound) {
+			lastErr = err
+		}
 		if ctx.Err() != nil {
 			break
 		}
@@ -802,39 +901,27 @@ func (m *Manager) ListVersions(ctx context.Context, unit string) ([]VersionInfo,
 	return merged.Versions, nil
 }
 
-// DeleteVersion removes the blocks of one version from all clouds and drops
-// it from the metadata (used by the SCFS garbage collector).
+// DeleteVersion removes one version (see DeleteVersions); it returns
+// ErrVersionNotFound when the unit lists no such number.
 func (m *Manager) DeleteVersion(ctx context.Context, unit string, number uint64) error {
-	ctx, tr := m.opts.Tracer.Start(ctx, "delete", unit)
-	defer tr.Finish()
-	merged := m.mergeMetadata(unit, m.readMetadataQuorum(ctx, unit))
-	idx := -1
-	for i, v := range merged.Versions {
-		if v.Number == number {
-			idx = i
-			break
-		}
+	n, err := m.DeleteVersions(ctx, unit, []uint64{number})
+	if err == nil && n == 0 {
+		err = ErrVersionNotFound
 	}
-	if idx < 0 {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		return ErrVersionNotFound
-	}
-	removed := merged.Versions[idx]
-	merged.Versions = append(merged.Versions[:idx], merged.Versions[idx+1:]...)
-	if err := m.writeMetadataQuorum(ctx, merged); err != nil {
-		return err
-	}
-	m.deleteVersionBlocks(ctx, unit, removed)
-	return nil
+	return err
 }
 
-// DeleteVersions removes several versions of a unit with a single metadata
-// round trip (DeleteVersion costs one quorum read and one quorum write per
-// call; garbage-collection sweeps delete many versions at once). It returns
-// how many of the requested versions existed and were removed; absent
-// numbers are skipped silently.
+// DeleteVersions drops several versions of a unit from its metadata with a
+// single metadata round trip and then removes their objects from all clouds
+// (the SCFS garbage collector deletes many versions at once). It returns how
+// many of the requested versions were listed and dropped; absent numbers are
+// skipped silently.
+//
+// Objects are removed only on the authority of an entry f+1 clouds agree on.
+// An entry's ID decides which objects a delete hits, and an uncertified
+// entry may be one faulty cloud's invention — the doomed number paired with
+// a live version's ID. Such an entry is dropped from the metadata and its
+// objects are left alone: the worst a forged copy can cost is space.
 func (m *Manager) DeleteVersions(ctx context.Context, unit string, numbers []uint64) (int, error) {
 	if len(numbers) == 0 {
 		return 0, nil
@@ -856,14 +943,16 @@ func (m *Manager) DeleteVersions(ctx context.Context, unit string, numbers []uin
 		}
 	}
 	if len(removed) == 0 {
-		return 0, nil
+		return 0, ctx.Err()
 	}
 	merged.Versions = kept
 	if err := m.writeMetadataQuorum(ctx, merged); err != nil {
 		return 0, err
 	}
 	for _, v := range removed {
-		m.deleteVersionBlocks(ctx, unit, v)
+		if merged.certified[v.Number] {
+			m.deleteVersionBlocks(ctx, unit, v)
+		}
 	}
 	return len(removed), nil
 }
@@ -914,10 +1003,11 @@ func (m *Manager) readVersion(ctx context.Context, unit string, info VersionInfo
 	tr := telemetry.FromContext(ctx)
 	opCtx, cancel := m.quorumCtx(ctx)
 	defer cancel()
-	name := m.blockName(unit, info.Number)
+	name := m.blockName(unit, info.ID)
 	type fetched struct {
-		idx int
-		blk *block
+		idx    int
+		blk    *block
+		absent bool // the cloud holds no such object (cloud.ErrNotFound)
 	}
 	results := make(chan fetched, m.N())
 	var wg sync.WaitGroup
@@ -939,7 +1029,7 @@ func (m *Manager) readVersion(ctx context.Context, unit string, info VersionInfo
 			})
 			m.recordSpan(tr, "block.get", i, start, gate.hedged(i), err)
 			if err != nil {
-				results <- fetched{idx: i}
+				results <- fetched{idx: i, absent: errors.Is(err, cloud.ErrNotFound)}
 				return
 			}
 			// Discard blocks whose hash does not match the metadata (this is
@@ -959,13 +1049,16 @@ func (m *Manager) readVersion(ctx context.Context, unit string, info VersionInfo
 	go func() { wg.Wait(); close(results) }()
 
 	blocks := make([]*block, m.N())
-	got := 0
+	got, absent := 0, 0
 	for f := range results {
 		if f.blk == nil {
 			// An unusable response (failure, hash mismatch, bad frame)
 			// releases one gated cloud so the decode can still assemble
 			// enough shards without waiting out the hedge delay.
 			gate.kick()
+			if f.absent {
+				absent++
+			}
 			continue
 		}
 		blocks[f.idx] = f.blk
@@ -985,8 +1078,8 @@ func (m *Manager) readVersion(ctx context.Context, unit string, info VersionInfo
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if got == 0 {
-		return nil, ErrQuorumRead
+	if err := m.shortRead(info.Protocol, got, absent); err != nil {
+		return nil, err
 	}
 	// All responses are in; one final attempt with everything we have.
 	data, err := m.tryDecode(blocks, info, scratch)
@@ -994,6 +1087,25 @@ func (m *Manager) readVersion(ctx context.Context, unit string, info VersionInfo
 		return nil, err
 	}
 	return data, nil
+}
+
+// shortRead classifies a fan-out that ended with got usable blocks of a
+// listed version, absent of the n clouds having answered cloud.ErrNotFound.
+// When too few blocks arrived and every cloud that gave none said "no such
+// object", the version is not visible yet (the metadata became visible at
+// some cloud before the blocks did at enough) or no longer exists (a deleted
+// version a lagging metadata copy still lists): ErrVersionNotFound, which
+// the consistency-anchor loop retries. An outage or a corrupt block among
+// the misses is ErrQuorumRead.
+func (m *Manager) shortRead(p Protocol, got, absent int) error {
+	switch {
+	case got >= m.readNeed(p):
+		return nil
+	case absent > 0 && got+absent == m.N():
+		return ErrVersionNotFound
+	default:
+		return ErrQuorumRead
+	}
 }
 
 // decodeScratch hands out pooled buffers that are reused across the decode

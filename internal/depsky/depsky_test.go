@@ -18,7 +18,7 @@ var bg = context.Background()
 
 // testClouds builds n zero-latency simulated providers and returns the
 // providers plus object-store clients for one user.
-func testClouds(t *testing.T, n int) ([]*cloudsim.Provider, []cloud.ObjectStore) {
+func testClouds(t testing.TB, n int) ([]*cloudsim.Provider, []cloud.ObjectStore) {
 	t.Helper()
 	providers := make([]*cloudsim.Provider, n)
 	clients := make([]cloud.ObjectStore, n)
@@ -371,6 +371,49 @@ func TestDeleteVersionReclaimsSpace(t *testing.T) {
 	}
 	if got[0] != 3 {
 		t.Fatal("wrong version after GC")
+	}
+}
+
+// TestListedButAbsentVersionIsNotFound: a version the metadata lists while
+// no cloud has its objects — not visible yet, or deleted and still listed by
+// a lagging copy — reads as ErrVersionNotFound, which the consistency-anchor
+// loop retries. An outage or a corrupt block among the misses stays
+// ErrQuorumRead.
+func TestListedButAbsentVersionIsNotFound(t *testing.T) {
+	for name, write := range map[string]func(*Manager) (VersionInfo, error){
+		"whole": func(m *Manager) (VersionInfo, error) { return m.Write(bg, "u", []byte("payload")) },
+		"chunked": func(m *Manager) (VersionInfo, error) {
+			return m.WriteFrom(bg, "u", bytes.NewReader(make([]byte, 5000)))
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			providers, m := newChunkedManager(t, ProtocolCA, 2048)
+			info, err := write(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.deleteVersionBlocks(bg, "u", info)
+			if _, _, err := m.ReadMatching(bg, "u", info.DataHash); !errors.Is(err, ErrVersionNotFound) {
+				t.Fatalf("objects absent everywhere: err = %v, want ErrVersionNotFound", err)
+			}
+			providers[0].SetFault(cloudsim.FaultUnavailable)
+			if _, _, err := m.ReadMatching(bg, "u", info.DataHash); !errors.Is(err, ErrQuorumRead) {
+				t.Fatalf("absent on three clouds, outage on one: err = %v, want ErrQuorumRead", err)
+			}
+		})
+	}
+
+	// One block short of a decode, the rest corrupted: not "not visible".
+	providers, m := newManager(t, ProtocolCA)
+	info, err := m.Write(bg, "u", []byte("payload"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range providers[1:] {
+		p.SetFault(cloudsim.FaultCorrupt)
+	}
+	if _, err := m.readVersion(bg, "u", info); err == nil || errors.Is(err, ErrVersionNotFound) {
+		t.Fatalf("corrupt blocks: err = %v, want a read failure other than ErrVersionNotFound", err)
 	}
 }
 

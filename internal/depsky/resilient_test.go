@@ -2,6 +2,7 @@ package depsky
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"time"
 
@@ -52,9 +53,13 @@ func TestRetryBudgetBoundsIssuedRPCs(t *testing.T) {
 		Breakers: resilience.BreakerPolicy{FailureThreshold: 1000},
 	})
 	data := bytes.Repeat([]byte{0x42}, 8<<10)
+	baseline := runtime.NumGoroutine()
 	if _, err := m.Write(bg, "u", data); err != nil {
 		t.Fatal(err)
 	}
+	// A straggler of the write (cancelled by its quorum verdict, not yet
+	// scheduled) must not land in the count below.
+	waitGoroutines(baseline, time.Second)
 
 	providers[0].SetFault(cloudsim.FaultThrottle)
 	before := providers[0].TotalRequests()

@@ -49,11 +49,6 @@ func (m *Manager) writeWindow() int {
 	return stream.DefaultWindow
 }
 
-// chunkName is the per-cloud object name of one chunk of one version.
-func (m *Manager) chunkName(unit string, version uint64, idx int) string {
-	return fmt.Sprintf("%sdsky/%s/v%d/c%d", m.opts.Prefix, unit, version, idx)
-}
-
 // encodedChunk is the output of the encode pipeline stage for one chunk:
 // one framed payload per cloud plus the frame hashes recorded in the
 // version metadata.
@@ -75,18 +70,25 @@ type encodedChunk struct {
 // Cancelling ctx aborts the in-flight chunk uploads and returns ctx.Err().
 // The version metadata is only written after every chunk reached its quorum,
 // so a cancelled WriteFrom never anchors a version whose shards were not
-// fully uploaded — the orphaned chunk objects of the aborted version are
-// invisible to readers and reclaimed when the version number is reused or
-// the unit is deleted.
+// fully uploaded. The chunk objects of a WriteFrom that is aborted or fails
+// before its metadata write are invisible to readers — no metadata lists
+// their ID — and are deleted, best effort, before it returns; one whose
+// metadata write fails keeps them, because some copies may already list the
+// version (see writeVersion).
 func (m *Manager) WriteFrom(ctx context.Context, unit string, r io.Reader) (VersionInfo, error) {
 	ctx, tr := m.opts.Tracer.Start(ctx, "write.stream", unit)
 	defer tr.Finish()
-	merged := m.mergeMetadata(unit, m.readMetadataQuorum(ctx, unit))
-	var next uint64 = 1
-	if newest := merged.newest(); newest != nil {
-		next = newest.Number + 1
-	}
+	return m.writeVersion(ctx, unit, func(id string) (VersionInfo, error) {
+		return m.uploadChunks(ctx, unit, id, r)
+	})
+}
 
+// uploadChunks runs r through the chunk pipeline, storing chunk idx under
+// chunkName(unit, id, idx), and returns once every chunk reached its quorum.
+// On failure the returned info still carries how many chunks were started,
+// which is what discardObjects needs.
+func (m *Manager) uploadChunks(ctx context.Context, unit, id string, r io.Reader) (VersionInfo, error) {
+	info := VersionInfo{ID: id, Protocol: m.opts.Protocol, ChunkSize: m.chunkSize()}
 	var key []byte
 	var shares []secretshare.Share
 	if m.opts.Protocol == ProtocolCA {
@@ -104,7 +106,7 @@ func (m *Manager) WriteFrom(ctx context.Context, unit string, r io.Reader) (Vers
 	var mu sync.Mutex
 	var chunkHashes [][]string
 	res, err := stream.Run(ctx, r,
-		stream.Config{ChunkSize: m.chunkSize(), Window: m.writeWindow(), Pool: stream.Buffers},
+		stream.Config{ChunkSize: info.ChunkSize, Window: m.writeWindow(), Pool: stream.Buffers},
 		func(idx int, plain []byte) (encodedChunk, error) {
 			return m.encodeChunk(idx, plain, key, shares)
 		},
@@ -113,7 +115,7 @@ func (m *Manager) WriteFrom(ctx context.Context, unit string, r io.Reader) (Vers
 			// attempt finishes — and since the quorum verdict cancels the
 			// straggling uploads, no cloud pins a frame for longer than the
 			// quorum round trip (plus the cancellation delivery).
-			err := m.writeQuorumHooked(ctx, m.chunkName(unit, next, idx), "chunk.put",
+			err := m.writeQuorumHooked(ctx, m.chunkName(unit, id, idx), "chunk.put",
 				func(i int) []byte { return ec.frames[i] },
 				func(i int) { stream.Buffers.Put(ec.frames[i]) })
 			if err != nil {
@@ -127,23 +129,13 @@ func (m *Manager) WriteFrom(ctx context.Context, unit string, r io.Reader) (Vers
 			mu.Unlock()
 			return nil
 		})
+	info.ChunkCount = res.Chunks
 	if err != nil {
-		return VersionInfo{}, err
+		return info, err
 	}
-
-	info := VersionInfo{
-		Number:     next,
-		DataHash:   hex.EncodeToString(res.Sum256[:]),
-		Size:       int(res.Size),
-		Protocol:   m.opts.Protocol,
-		ChunkSize:  m.chunkSize(),
-		ChunkCount: res.Chunks,
-	}
+	info.DataHash = hex.EncodeToString(res.Sum256[:])
+	info.Size = int(res.Size)
 	info.ChunkHashes = chunkHashes[:res.Chunks]
-	merged.Versions = append(merged.Versions, info)
-	if err := m.writeMetadataQuorum(ctx, merged); err != nil {
-		return VersionInfo{}, err
-	}
 	return info, nil
 }
 
@@ -421,8 +413,12 @@ func (f *chunkFetcher) Fetch(ctx context.Context, idx int, dst []byte) error {
 	tr := telemetry.FromContext(ctx)
 	opCtx, cancel := m.quorumCtx(ctx)
 	defer cancel()
-	name := m.chunkName(f.unit, info.Number, idx)
-	results := make(chan *block, m.N())
+	name := m.chunkName(f.unit, info.ID, idx)
+	type fetched struct {
+		blk    *block
+		absent bool // the cloud holds no such object (cloud.ErrNotFound)
+	}
+	results := make(chan fetched, m.N())
 	var wg sync.WaitGroup
 	for i, c := range m.opts.Clouds {
 		wg.Add(1)
@@ -430,7 +426,7 @@ func (f *chunkFetcher) Fetch(ctx context.Context, idx int, dst []byte) error {
 			defer wg.Done()
 			if !gate.enter(opCtx, i) {
 				m.recordGated(tr, "chunk.get", i, gate.hedged(i))
-				results <- nil
+				results <- fetched{}
 				return
 			}
 			start := time.Now()
@@ -442,25 +438,25 @@ func (f *chunkFetcher) Fetch(ctx context.Context, idx int, dst []byte) error {
 			})
 			m.recordSpan(tr, "chunk.get", i, start, gate.hedged(i), err)
 			if err != nil {
-				results <- nil
+				results <- fetched{absent: errors.Is(err, cloud.ErrNotFound)}
 				return
 			}
 			// Discard frames whose hash does not match the metadata (this
 			// is how silently corrupting clouds are tolerated).
 			if i < len(hashes) && hashes[i] != "" && !seccrypto.VerifyHash(data, hashes[i]) {
-				results <- nil
+				results <- fetched{}
 				return
 			}
 			b, err := decodeBlock(data)
 			if err != nil || b.ChunkIdx != idx || b.ChunkPlainLen != len(dst) {
-				results <- nil
+				results <- fetched{}
 				return
 			}
 			if b.ShardIdx != i {
-				results <- nil
+				results <- fetched{}
 				return
 			}
-			results <- b
+			results <- fetched{blk: b}
 		}(i, c)
 	}
 	go func() { wg.Wait(); close(results) }()
@@ -468,13 +464,16 @@ func (f *chunkFetcher) Fetch(ctx context.Context, idx int, dst []byte) error {
 	scratch := &decodeScratch{}
 	defer scratch.release()
 	blocks := make([]*block, 0, m.N())
-	got := 0
-	for b := range results {
-		if b == nil {
+	got, absent := 0, 0
+	for r := range results {
+		if r.blk == nil {
 			gate.kick() // unusable response: release one gated cloud
+			if r.absent {
+				absent++
+			}
 			continue
 		}
-		blocks = append(blocks, b)
+		blocks = append(blocks, r.blk)
 		got++
 		if err := f.decodeChunk(idx, blocks, dst, scratch); err == nil {
 			if tr != nil {
@@ -489,8 +488,8 @@ func (f *chunkFetcher) Fetch(ctx context.Context, idx int, dst []byte) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if got == 0 {
-		return ErrQuorumRead
+	if err := m.shortRead(info.Protocol, got, absent); err != nil {
+		return err
 	}
 	return f.decodeChunk(idx, blocks, dst, scratch)
 }
@@ -616,24 +615,58 @@ func (f *wholeFetcher) Fetch(ctx context.Context, idx int, dst []byte) error {
 	return nil
 }
 
-// DeleteVersionBlocks removes the per-cloud objects of one version,
-// handling both layouts; used by DeleteVersion.
-func (m *Manager) deleteVersionBlocks(ctx context.Context, unit string, info VersionInfo) {
-	names := make([]string, 0, 1+info.ChunkCount)
-	if info.Chunked() {
-		for idx := 0; idx < info.ChunkCount; idx++ {
-			names = append(names, m.chunkName(unit, info.Number, idx))
-		}
-	} else {
-		names = append(names, m.blockName(unit, info.Number))
+// objectNames lists the objects one version occupies on each cloud. For a
+// chunked version the caller vouches for info.ChunkCount.
+func (m *Manager) objectNames(unit string, info VersionInfo) []string {
+	if !info.Chunked() {
+		return []string{m.blockName(unit, info.ID)}
 	}
+	var names []string
+	for idx := 0; idx < info.ChunkCount; idx++ {
+		names = append(names, m.chunkName(unit, info.ID, idx))
+	}
+	return names
+}
+
+// deleteVersionBlocks removes the per-cloud objects of a version read from
+// the unit metadata. Callers pass only f+1-certified entries (see
+// DeleteVersions); the chunk geometry is still checked before it bounds a
+// loop.
+func (m *Manager) deleteVersionBlocks(ctx context.Context, unit string, info VersionInfo) {
+	if info.Chunked() && !info.validChunking() {
+		return
+	}
+	m.deleteObjects(ctx, m.objectNames(unit, info))
+}
+
+// orphanCleanupTimeout bounds discardObjects, which must outlive a
+// cancelled write but not hang its caller on an unresponsive cloud.
+const orphanCleanupTimeout = 2 * time.Second
+
+// discardObjects deletes, best effort, what a failed write stored under its
+// own ID: info is the writer's own, with ChunkCount the chunks it started,
+// or the zero value if it issued no PUT (then there is nothing to delete and
+// no request is made). It runs even when the write failed because ctx was
+// cancelled.
+func (m *Manager) discardObjects(ctx context.Context, unit string, info VersionInfo) {
+	if info.ID == "" || (info.Chunked() && info.ChunkCount == 0) {
+		return
+	}
+	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), orphanCleanupTimeout)
+	defer cancel()
+	m.deleteObjects(ctx, m.objectNames(unit, info))
+}
+
+// deleteObjects deletes names on every cloud, best effort: a failure only
+// wastes space.
+func (m *Manager) deleteObjects(ctx context.Context, names []string) {
 	var wg sync.WaitGroup
 	for _, c := range m.opts.Clouds {
 		wg.Add(1)
 		go func(c cloud.ObjectStore) {
 			defer wg.Done()
 			for _, name := range names {
-				_ = c.Delete(ctx, name) // best effort; failures only waste space
+				_ = c.Delete(ctx, name)
 			}
 		}(c)
 	}

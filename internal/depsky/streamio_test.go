@@ -230,6 +230,13 @@ func TestWriteFromMidStreamCloudFailure(t *testing.T) {
 	if _, err := m2.WriteFrom(bg, "u2", src2); !errors.Is(err, ErrQuorumWrite) {
 		t.Fatalf("err = %v, want ErrQuorumWrite", err)
 	}
+	// The chunks uploaded before the quorum was lost are deleted again
+	// wherever a cloud still answers.
+	for _, i := range []int{2, 3} {
+		if n := providers2[i].ObjectCount(); n != 0 {
+			t.Fatalf("cloud %d keeps %d chunk objects of the failed write", i, n)
+		}
+	}
 }
 
 // TestV1V2Compatibility: units written whole-object (v1) stay readable
@@ -423,12 +430,8 @@ func TestRangedReadIgnoresForgedMetadataCopy(t *testing.T) {
 	for i := range forged {
 		forged[i] = 0x66
 	}
-	raw, err := evil.Get(bg, m.metaName("u"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	var md unitMetadata
-	if err := json.Unmarshal(raw, &md); err != nil {
+	if err := json.Unmarshal(honestCopy(t, m, clients, "u"), &md); err != nil {
 		t.Fatal(err)
 	}
 	for vi := range md.Versions {
@@ -442,7 +445,7 @@ func TestRangedReadIgnoresForgedMetadataCopy(t *testing.T) {
 				frame := make([]byte, frameLenV2(0, len(chunk)))
 				encodeBlockV2(frame, ProtocolA, &block{Full: chunk, ShardIdx: cloudIdx, ChunkIdx: idx, ChunkPlainLen: len(chunk)})
 				if cloudIdx == 0 {
-					if err := evil.Put(bg, m.chunkName("u", v.Number, idx), frame); err != nil {
+					if err := evil.Put(bg, m.chunkName("u", v.ID, idx), frame); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -27,8 +27,14 @@ package depsky
 // the streaming pipeline (Manager.WriteFrom) is cut into fixed-size
 // plaintext chunks; each chunk is encrypted, erasure-coded and framed
 // independently, and each cloud stores one v2 frame per chunk under the
-// object name "<prefix>dsky/<unit>/v<version>/c<chunk>". The header extends
-// v1 with the chunk coordinates:
+// object name "<prefix>dsky/<unit>/<id>/c<chunk>" (a whole-object version's
+// one v1 frame is "<prefix>dsky/<unit>/<id>/block"). <id> is the version's
+// VersionInfo.ID — 32 lowercase hex digits the writer draws at random — not
+// its number: the number is only known once the unit's metadata has been
+// read, and names keyed by the ID let a write upload its frames while that
+// read is still in flight (Manager.writeVersion: two cloud rounds, metadata
+// GET beside the upload, then the metadata PUT). The header extends v1 with
+// the chunk coordinates:
 //
 //	offset size field
 //	0      4    magic "DSKB"

@@ -304,10 +304,17 @@ func (c *CloudOfClouds) WriteVersion(ctx context.Context, fileID, hash string, d
 	if err != nil {
 		return err
 	}
-	if info.DataHash != hash {
-		return fmt.Errorf("%w: wrote hash %s, expected %s", ErrIntegrity, info.DataHash, hash)
+	return c.dropUnlessHash(ctx, fileID, info, hash)
+}
+
+// dropUnlessHash deletes the version just written when its contents do not
+// hash to what the caller anchors: nothing would ever read it.
+func (c *CloudOfClouds) dropUnlessHash(ctx context.Context, fileID string, info depsky.VersionInfo, hash string) error {
+	if info.DataHash == hash {
+		return nil
 	}
-	return nil
+	_ = c.mgr.DeleteVersion(ctx, fileID, info.Number) // best effort; failure only wastes space
+	return fmt.Errorf("%w: wrote hash %s, expected %s", ErrIntegrity, info.DataHash, hash)
 }
 
 // ReadVersion implements VersionedStore.
@@ -362,11 +369,7 @@ func (c *CloudOfClouds) WriteVersionFrom(ctx context.Context, fileID, hash strin
 	if err != nil {
 		return err
 	}
-	if info.DataHash != hash {
-		_ = c.mgr.DeleteVersion(ctx, fileID, info.Number)
-		return fmt.Errorf("%w: wrote hash %s, expected %s", ErrIntegrity, info.DataHash, hash)
-	}
-	return nil
+	return c.dropUnlessHash(ctx, fileID, info, hash)
 }
 
 // OpenVersionAt implements RangeOpener: reads fetch (and under faults

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -154,6 +155,94 @@ func TestCoCMasksCorruption(t *testing.T) {
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("CoC returned corrupted data")
+	}
+}
+
+// TestCoCWriteDropsVersionOnHashMismatch: a version whose contents do not
+// hash to what the caller is about to anchor is deleted again, by the
+// whole-object write exactly as by the streamed one.
+func TestCoCWriteDropsVersionOnHashMismatch(t *testing.T) {
+	data := bytes.Repeat([]byte("not what was promised "), 100)
+	wrong := seccrypto.Hash([]byte("something else"))
+	for name, write := range map[string]func(*CloudOfClouds) error{
+		"WriteVersion":     func(c *CloudOfClouds) error { return c.WriteVersion(bg, "f", wrong, data) },
+		"WriteVersionFrom": func(c *CloudOfClouds) error { return c.WriteVersionFrom(bg, "f", wrong, bytes.NewReader(data)) },
+	} {
+		providers, coc := newCoCStore(t)
+		if err := write(coc); !errors.Is(err, ErrIntegrity) {
+			t.Fatalf("%s err = %v, want ErrIntegrity", name, err)
+		}
+		// (A lagging metadata copy may still list it: ROADMAP item 3.)
+		if _, err := coc.ReadVersion(bg, "f", seccrypto.Hash(data)); !errors.Is(err, ErrVersionNotFound) {
+			t.Fatalf("%s left the version readable: %v", name, err)
+		}
+		for i, p := range providers {
+			if n := p.ObjectCount(); n > 1 { // the unit's metadata object
+				t.Fatalf("%s left %d objects on cloud %d", name, n, i)
+			}
+		}
+	}
+}
+
+// TestCoCSweepIgnoresForgedObjectID: one Byzantine cloud rewrites its copy of
+// a doomed version's entry so that it names a live version's objects. The
+// garbage collector's sweep of the doomed version must leave the live one
+// readable and its objects where they were.
+func TestCoCSweepIgnoresForgedObjectID(t *testing.T) {
+	providers, coc := newCoCStore(t)
+	doomed, live := []byte("doomed"), []byte("live")
+	for _, data := range [][]byte{doomed, live} {
+		if err := coc.WriteVersion(bg, "f", seccrypto.Hash(data), data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	versions, err := coc.Manager().ListVersions(bg, "f")
+	if err != nil || len(versions) != 2 {
+		t.Fatalf("versions = %+v, %v", versions, err)
+	}
+	liveObjects := func() (n int) {
+		for _, p := range providers {
+			objs, _ := p.MustClient(p.CreateAccount("alice")).List(bg, "dsky/f/"+versions[1].ID+"/")
+			n += len(objs)
+		}
+		return n
+	}
+	before := liveObjects()
+
+	// Cloud 0 forges its copy from an honest one (a write's straggler is
+	// cancelled, so cloud 0 itself may hold none).
+	var raw []byte
+	for _, p := range providers {
+		if raw, err = p.MustClient(p.CreateAccount("alice")).Get(bg, "dsky/f/metadata"); err == nil {
+			break
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	evil := providers[0].MustClient(providers[0].CreateAccount("alice"))
+	var md struct {
+		Unit     string               `json:"unit"`
+		Versions []depsky.VersionInfo `json:"versions"`
+	}
+	if err := json.Unmarshal(raw, &md); err != nil {
+		t.Fatal(err)
+	}
+	md.Versions[0].ID = versions[1].ID
+	forged, _ := json.Marshal(md)
+	if err := evil.Put(bg, "dsky/f/metadata", forged); err != nil {
+		t.Fatal(err)
+	}
+
+	stats := coc.DeleteVersionsBatch(bg, map[string][]string{"f": {seccrypto.Hash(doomed)}})
+	if stats.Deleted != 1 {
+		t.Fatalf("sweep deleted %d versions, want 1", stats.Deleted)
+	}
+	if got, err := coc.ReadVersion(bg, "f", seccrypto.Hash(live)); err != nil || !bytes.Equal(got, live) {
+		t.Fatalf("live version after the sweep: %q, %v", got, err)
+	}
+	if after := liveObjects(); after != before || before == 0 {
+		t.Fatalf("live version's objects: %d before the sweep, %d after", before, after)
 	}
 }
 
