@@ -9,8 +9,8 @@
 //  1. Allocation metrics (B/op, allocs/op) of benchmarks present in both
 //     files — these are deterministic properties of the code.
 //  2. Ratios between benchmark pairs measured within one run (the fast
-//     path vs its reference implementation, the streamed write vs the
-//     whole-object write). A pair's ratio in the new run is checked
+//     path vs its reference implementation, the hedged fan-out vs the
+//     immediate one). A pair's ratio in the new run is checked
 //     against the same ratio in the baseline when the baseline has both
 //     legs, and always against a hard floor that encodes the acceptance
 //     criterion of the PR that introduced it.
@@ -77,17 +77,6 @@ var pairRules = []pairRule{
 		num: "BenchmarkErasureEncode/1MiB", den: "BenchmarkErasureEncodeRef/1MiB",
 		metric: func(b bench) float64 { return b.NsOp }, what: "ns/op",
 		maxRatio: 0.2,
-	},
-	// PR 2 acceptance: a streamed 64 MiB write allocates a fraction of the
-	// whole-object path. Against the cloud simulator (which itself copies
-	// every uploaded payload, charged to both paths) the measured ratio is
-	// ~0.37; the data-plane-only <0.25 bound is enforced by
-	// TestStreamedWriteMemoryFootprint. The guard holds the end-to-end
-	// ratio under 0.5 and watches it for drift against the baseline.
-	{
-		num: "BenchmarkDepSkyStreamWriteCA/64MiB", den: "BenchmarkDepSkyWholeWriteCA/64MiB",
-		metric: func(b bench) float64 { return b.BOp }, what: "B/op",
-		maxRatio: 0.5,
 	},
 	// PR 3 acceptance: first-quorum-wins cancellation. Against a skewed
 	// deployment (one straggler cloud), a read must return at the quorum

@@ -35,22 +35,6 @@ func BenchmarkDepSkyStreamWriteCA(b *testing.B) {
 	})
 }
 
-// BenchmarkDepSkyWholeWriteCA is the whole-object baseline for the same
-// payload: the benchguard tracks the streamed/whole B/op ratio.
-func BenchmarkDepSkyWholeWriteCA(b *testing.B) {
-	b.Run("64MiB", func(b *testing.B) {
-		m, _ := benchManager(b, 1, depsky.ProtocolCA)
-		data := bytes.Repeat([]byte{0xAB}, streamSize)
-		b.SetBytes(streamSize)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := m.Write(bg, fmt.Sprintf("u-%d", i), data); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkDepSkyRangedReadCA reads a 64 KiB range out of a 64 MiB chunked
 // unit: only the covering chunk is fetched and decoded.
 func BenchmarkDepSkyRangedReadCA(b *testing.B) {
@@ -150,45 +134,38 @@ func measureWrite(b testing.TB, fn func() error) (totalAlloc, peak uint64) {
 	return totalAlloc, peak
 }
 
-// TestStreamedWriteMemoryFootprint is the acceptance check of the streaming
-// data plane: a 64 MiB streamed write must allocate less than 25% of what
-// the whole-object path allocates for the same payload (the whole path
-// materializes ciphertext + shards + frames — ~4x the value — while the
-// pipeline keeps ~3 chunk-windows resident and recycles them through the
-// shared pool).
+// TestStreamedWriteMemoryFootprint is the acceptance check of the one write
+// pipeline, for both entry points: a 64 MiB write allocates less than the
+// value's own size (measured ~32 MiB with a cold buffer pool: a window of
+// chunks, their ciphertext, shards and frames, recycled through the shared
+// pool), where materializing ciphertext + shards + frames of the whole value
+// took ~4x of it.
 func TestStreamedWriteMemoryFootprint(t *testing.T) {
 	data := bytes.Repeat([]byte{0xEE}, streamSize)
-
-	mWhole := discardManager(t)
-	wholeAlloc, wholePeak := measureWrite(t, func() error {
-		_, err := mWhole.Write(bg, "u", data)
-		return err
-	})
-
-	mStream := discardManager(t)
-	streamAlloc, streamPeak := measureWrite(t, func() error {
-		_, err := mStream.WriteFrom(bg, "u", bytes.NewReader(data))
-		return err
-	})
-
-	t.Logf("whole-object: %.1f MiB allocated, ~%.1f MiB peak heap growth", mib(wholeAlloc), mib(wholePeak))
-	t.Logf("streamed:     %.1f MiB allocated, ~%.1f MiB peak heap growth", mib(streamAlloc), mib(streamPeak))
-
-	if raceEnabled {
-		// The race detector instruments every allocation with shadow
-		// state, inflating the streamed path (many small pooled buffers
-		// crossing goroutines) far more than the whole-object path (a few
-		// large slabs) — the 25% ratio measures the allocator, not the
-		// pipeline, under -race. Both paths still ran above, so the
-		// pipeline itself stays race-checked; only the ratio assertion is
-		// meaningless here.
-		t.Skipf("skipping allocation-ratio assertion under -race (ratio %.1f%% reflects detector shadow memory)",
-			100*float64(streamAlloc)/float64(wholeAlloc))
-	}
-
-	if ratio := float64(streamAlloc) / float64(wholeAlloc); ratio >= 0.25 {
-		t.Fatalf("streamed write allocated %.1f%% of the whole-object path (%.1f of %.1f MiB), want < 25%%",
-			100*ratio, mib(streamAlloc), mib(wholeAlloc))
+	for name, write := range map[string]func(*depsky.Manager) error{
+		"Write": func(m *depsky.Manager) error {
+			_, err := m.Write(bg, "u", data)
+			return err
+		},
+		"WriteFrom": func(m *depsky.Manager) error {
+			_, err := m.WriteFrom(bg, "u", bytes.NewReader(data))
+			return err
+		},
+	} {
+		m := discardManager(t)
+		alloc, peak := measureWrite(t, func() error { return write(m) })
+		t.Logf("%s: %.1f MiB allocated, ~%.1f MiB peak heap growth", name, mib(alloc), mib(peak))
+		if raceEnabled {
+			// The race detector instruments every allocation with shadow
+			// state, which the many small pooled buffers crossing
+			// goroutines inflate: the bound would measure the detector,
+			// not the pipeline. The write still ran, so the pipeline
+			// itself stays race-checked.
+			continue
+		}
+		if alloc >= streamSize {
+			t.Errorf("%s of %d MiB allocated %.1f MiB, want less than the value's size", name, streamSize>>20, mib(alloc))
+		}
 	}
 }
 

@@ -68,7 +68,7 @@ type GCPolicy struct {
 	TriggerBytes int64
 	// TriggerObjects starts a collection after this many cloud objects have
 	// been created by the agent's writes. It is the request-fee axis of the
-	// trigger: a chunked (streamed) version creates one object per chunk per
+	// trigger: on a chunked backend a version creates one object per chunk per
 	// charged cloud, each of which keeps costing per-request fees, so a
 	// chunk-heavy workload can warrant collection long before TriggerBytes
 	// fires. Zero disables it.
@@ -117,12 +117,15 @@ type Options struct {
 	// MetadataCacheTTL is the expiration of the short-lived metadata cache
 	// (500 ms in the paper's experiments; 0 disables it).
 	MetadataCacheTTL time.Duration
-	// StreamThresholdBytes is the size above which file data moves through
-	// the streaming data plane when the backend supports it: larger files
-	// opened read-only are served by ranged cloud reads instead of a
-	// whole-object fetch, and larger dirty files are streamed to the cloud
-	// on close with bounded memory. Default 1 MiB; negative disables
-	// streaming.
+	// StreamThresholdBytes is the size above which a file stops being
+	// resident in the agent's caches as a whole, when the backend supports
+	// it: larger files opened read-only are served by ranged cloud reads
+	// instead of a whole-file fetch, and larger queued uploads are streamed
+	// from the disk cache's file instead of being read back into memory. It
+	// chooses memory residency only — how a version is laid out in the
+	// cloud is the backend's business and does not depend on it, so agents
+	// with different thresholds share files freely. Default 1 MiB; negative
+	// disables both.
 	StreamThresholdBytes int64
 	// LockTTL is the lease attached to ephemeral write locks (default 60s).
 	LockTTL time.Duration

@@ -61,7 +61,7 @@ func (a *Agent) CostReport(ctx context.Context) (CostReport, error) {
 			if coster == nil {
 				continue
 			}
-			fp := coster.EstimateVersionFootprint(v.Size, a.shouldStream(v.Size))
+			fp := coster.EstimateVersionFootprint(v.Size)
 			report.CloudBytes += fp.Bytes
 			report.CloudObjects += fp.Objects
 			report.StorageDollarsPerMonth += fp.Dollars.StoragePerMonth
@@ -72,7 +72,7 @@ func (a *Agent) CostReport(ctx context.Context) (CostReport, error) {
 		// identical content twice appends two — so pricing inside the
 		// version loop would double-count the read).
 		if !md.Deleted && coster != nil {
-			fp := coster.EstimateVersionFootprint(md.Size, a.shouldStream(md.Size))
+			fp := coster.EstimateVersionFootprint(md.Size)
 			report.ReadOnceDollars += fp.Dollars.ReadOnce
 		}
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -630,15 +629,15 @@ func ifThen(cond bool, v string) string {
 // coordination access. A failed upload has nothing to anchor but still
 // releases the lock.
 func (a *Agent) syncToCloud(ctx context.Context, task uploadTask) error {
-	size, streamed, err := a.uploadVersion(ctx, task)
+	size, err := a.uploadVersion(ctx, task)
 	if err != nil {
 		return a.failUnlocking(ctx, task.unlockPath, fmt.Errorf("core: uploading %q: %w", task.md.Path, err))
 	}
 	a.addStat(func(s *Stats) { s.CloudWrites++; s.CloudBytesUp += size })
 	// Meter the request-fee pressure of the new version for the GC trigger:
-	// a streamed version creates one fee-bearing object per chunk per cloud.
+	// a chunked backend creates one fee-bearing object per chunk per cloud.
 	if vc, ok := a.opts.Storage.(storage.VersionCoster); ok {
-		fp := vc.EstimateVersionFootprint(size, streamed)
+		fp := vc.EstimateVersionFootprint(size)
 		a.mu.Lock()
 		a.objectsSinceGC += fp.Objects
 		a.mu.Unlock()
@@ -655,23 +654,21 @@ func (a *Agent) syncToCloud(ctx context.Context, task uploadTask) error {
 }
 
 // uploadVersion writes the task's version to the storage backend and
-// reports its size and whether it went through the backend's streaming
-// face. The payload comes from the task when it carries one, else from the
-// disk-cache entry Close pinned: large versions are streamed from the cache
-// file straight into the backend, chunk by chunk, so neither the queue nor
-// the upload ever holds the whole (let alone the encoded) value in memory;
-// small ones take the whole-object path. The pinned entry is released once
+// reports its size. The payload comes from the task when it carries one,
+// else from the disk-cache entry Close pinned: large versions are streamed
+// from the cache file straight into the backend, chunk by chunk, so neither
+// the queue nor the upload ever holds the whole value in memory; small ones
+// are read back and written from memory. The pinned entry is released once
 // the attempt finishes.
-func (a *Agent) uploadVersion(ctx context.Context, task uploadTask) (size int64, streamed bool, err error) {
+func (a *Agent) uploadVersion(ctx context.Context, task uploadTask) (int64, error) {
 	key := cacheKey(task.md.FileID, task.hash)
 	data := task.payload
 	if data == nil {
 		defer a.diskCache.Unpin(key)
-		if a.shouldStream(task.size) {
+		if sw, ok := a.shouldStream(task.size); ok {
 			if f, size, ok := a.diskCache.Open(key); ok {
 				defer f.Close()
-				sw := a.opts.Storage.(storage.StreamWriter)
-				return size, true, sw.WriteVersionFrom(ctx, task.md.FileID, task.hash, f)
+				return size, sw.WriteVersionFrom(ctx, task.md.FileID, task.hash, f)
 			}
 		}
 		var ok bool
@@ -679,25 +676,22 @@ func (a *Agent) uploadVersion(ctx context.Context, task uploadTask) (size int64,
 			// The pinned entry is gone (a crash-recovery edge or an explicit
 			// cache clear); the memory cache may still hold the version.
 			if data, ok = a.memCache.Get(key); !ok {
-				return 0, false, fmt.Errorf("queued version (hash %s) lost from the local caches", task.hash)
+				return 0, fmt.Errorf("queued version (hash %s) lost from the local caches", task.hash)
 			}
 		}
 	}
-	size = int64(len(data))
-	if a.shouldStream(size) {
-		sw := a.opts.Storage.(storage.StreamWriter)
-		return size, true, sw.WriteVersionFrom(ctx, task.md.FileID, task.hash, bytes.NewReader(data))
-	}
-	return size, false, a.opts.Storage.WriteVersion(ctx, task.md.FileID, task.hash, data)
+	return int64(len(data)), a.opts.Storage.WriteVersion(ctx, task.md.FileID, task.hash, data)
 }
 
-// shouldStream reports whether a payload of the given size goes through the
-// backend's streaming face.
-func (a *Agent) shouldStream(size int64) bool {
-	if _, ok := a.opts.Storage.(storage.StreamWriter); !ok {
-		return false
+// shouldStream reports whether a payload of the given size is to be streamed
+// into the backend from its disk-cache file instead of being read into
+// memory first, and returns the backend's streaming face if so.
+func (a *Agent) shouldStream(size int64) (storage.StreamWriter, bool) {
+	if a.opts.StreamThresholdBytes < 0 || size <= a.opts.StreamThresholdBytes {
+		return nil, false
 	}
-	return a.opts.StreamThresholdBytes >= 0 && size > a.opts.StreamThresholdBytes
+	sw, ok := a.opts.Storage.(storage.StreamWriter)
+	return sw, ok
 }
 
 // pnsFor reports whether md's metadata is kept in the PNS.

@@ -176,6 +176,40 @@ func TestAgentWritableOpenMaterializesLazyFile(t *testing.T) {
 	}
 }
 
+// TestRangedOpenDoesNotDependOnTheWritersThreshold: how a version is laid
+// out in the clouds is the backend's choice alone, so a file an agent with
+// the default threshold wrote from memory is served by ranged reads to an
+// agent whose lower threshold asks for them.
+func TestRangedOpenDoesNotDependOnTheWritersThreshold(t *testing.T) {
+	d := newDeployment(t)
+	a, _ := d.agent(t, "a", nil)
+	b, _ := d.agent(t, "b", func(o *Options) { o.StreamThresholdBytes = 8 << 10 })
+	data := randData(t, 256<<10)
+	if err := fsapi.WriteFile(bg, a, "/f", data); err != nil {
+		t.Fatal(err)
+	}
+
+	h, err := b.Open(bg, "/f", fsapi.ReadOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 100)
+	if _, err := h.ReadAt(bg, buf, 200<<10); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf, data[200<<10:200<<10+100]) {
+		t.Fatal("ranged ReadAt mismatch")
+	}
+	if err := h.Close(bg); err != nil {
+		t.Fatal(err)
+	}
+	// A ranged open counts as a cloud read that downloads nothing into the
+	// caches; the whole-file fallback would have counted the file's bytes.
+	if st := b.Stats(); st.CloudReads != 1 || st.CloudBytesDown != 0 {
+		t.Fatalf("reader made %d cloud reads fetching %d whole-file bytes, want one ranged open", st.CloudReads, st.CloudBytesDown)
+	}
+}
+
 // TestReadDirWarmsStatBurst pins the batched-metadata behaviour: a ReadDir
 // is one coordination access (directory metadata and listing in one batch),
 // and stating every listed entry afterwards is served from the metadata

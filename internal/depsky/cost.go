@@ -53,48 +53,22 @@ func meanRates(rates []pricing.Rates) pricing.Rates {
 // of VersionFootprint and what the garbage collector ranks reclamation
 // candidates by.
 func (m *Manager) VersionCost(info VersionInfo) pricing.Estimate {
-	chunks, fullLen, tailLen := versionChunkShape(info)
-	return m.cost(info.Protocol, chunks, fullLen, tailLen)
+	return m.cost(info.Protocol, int64(info.Size), info.ChunkSize)
 }
 
 // EstimateCost predicts the lifecycle dollars a value of the given size
-// would cost if written now; chunked selects the streamed v2 layout (one
-// object per chunk) versus the whole-object v1 layout.
-func (m *Manager) EstimateCost(size int64, chunked bool) pricing.Estimate {
-	chunks, fullLen, tailLen := m.estimateChunkShape(size, chunked)
-	return m.cost(m.opts.Protocol, chunks, fullLen, tailLen)
+// would cost if written now.
+func (m *Manager) EstimateCost(size int64) pricing.Estimate {
+	return m.cost(m.opts.Protocol, size, m.chunkSize())
 }
 
-// versionChunkShape reduces a version's chunking to (count, full-chunk
-// length, tail-chunk length) — every chunk but the last is full-size, so
-// the per-chunk cost loops collapse to constant-time arithmetic.
-func versionChunkShape(info VersionInfo) (chunks, fullLen, tailLen int) {
-	if info.Chunked() && info.validChunking() {
-		return info.ChunkCount, info.ChunkSize, info.chunkPlainLen(info.ChunkCount - 1)
-	}
-	return 1, info.Size, info.Size
-}
-
-// estimateChunkShape is versionChunkShape for a value not yet written.
-func (m *Manager) estimateChunkShape(size int64, chunked bool) (chunks, fullLen, tailLen int) {
-	if !chunked {
-		return 1, int(size), int(size)
-	}
-	cs := m.chunkSize()
-	n := int((size + int64(cs) - 1) / int64(cs))
-	if n < 1 {
-		n = 1
-	}
-	return n, cs, int(size - int64(n-1)*int64(cs))
-}
-
-// cost prices a version of `chunks` objects (chunks-1 of fullLen plaintext
-// bytes plus one of tailLen) under the protocol's dispersal, mirroring
-// footprint(): CA charges one erasure shard of the ciphertext on each of
-// the n-f quorum clouds and f+1 readers per chunk, A a full replica on all
-// n clouds and one reader. The metadata quorum write rides along as q
-// request fees. Constant-time regardless of the chunk count.
-func (m *Manager) cost(protocol Protocol, chunks, fullLen, tailLen int) pricing.Estimate {
+// cost prices a version of size bytes cut into chunkSize chunks under the
+// protocol's dispersal, mirroring footprint(): CA charges one erasure shard
+// of each chunk's ciphertext on each of the n-f quorum clouds and f+1
+// readers per chunk, A a full replica on all n clouds and one reader. The
+// metadata quorum write rides along as q request fees. Constant-time
+// regardless of the chunk count.
+func (m *Manager) cost(protocol Protocol, size int64, chunkSize int) pricing.Estimate {
 	mean := m.mean
 	n := int64(m.N())
 	q := int64(m.QuorumSize())
@@ -116,14 +90,17 @@ func (m *Manager) cost(protocol Protocol, chunks, fullLen, tailLen int) pricing.
 			DeleteOnce:      float64(n) * mean.DeleteRequest,
 		}
 	}
-	full := perChunk(fullLen)
+	full, tail := chunkShape(size, chunkSize)
+	one := perChunk(chunkSize)
 	est := pricing.Estimate{
-		StoragePerMonth: float64(chunks-1) * full.StoragePerMonth,
-		UploadOnce:      float64(chunks-1) * full.UploadOnce,
-		ReadOnce:        float64(chunks-1) * full.ReadOnce,
-		DeleteOnce:      float64(chunks-1) * full.DeleteOnce,
+		StoragePerMonth: float64(full) * one.StoragePerMonth,
+		UploadOnce:      float64(full) * one.UploadOnce,
+		ReadOnce:        float64(full) * one.ReadOnce,
+		DeleteOnce:      float64(full) * one.DeleteOnce,
 	}
-	est.Add(perChunk(tailLen))
+	if tail > 0 {
+		est.Add(perChunk(tail))
+	}
 	est.UploadOnce += float64(q) * mean.PutRequest // the metadata quorum write
 	return est
 }

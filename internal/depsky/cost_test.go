@@ -1,7 +1,6 @@
 package depsky
 
 import (
-	"bytes"
 	"testing"
 	"time"
 
@@ -20,27 +19,26 @@ func costManager(t *testing.T, chunkSize int) *Manager {
 }
 
 func TestEstimateCostAxes(t *testing.T) {
-	m := costManager(t, 4096)
 	const size = 16 * 4096
-	whole := m.EstimateCost(size, false)
-	chunked := m.EstimateCost(size, true)
+	whole := costManager(t, size).EstimateCost(size)
+	chunked := costManager(t, 4096).EstimateCost(size)
 	if whole.StoragePerMonth <= 0 || whole.UploadOnce <= 0 || whole.ReadOnce <= 0 {
-		t.Fatalf("whole-object estimate has zero axes: %+v", whole)
+		t.Fatalf("one-chunk estimate has zero axes: %+v", whole)
 	}
 	// Same bytes, same recurring storage (modulo per-chunk shard padding).
 	if chunked.StoragePerMonth < whole.StoragePerMonth {
-		t.Fatalf("chunked storage %.3e below whole-object %.3e", chunked.StoragePerMonth, whole.StoragePerMonth)
+		t.Fatalf("chunked storage %.3e below one-chunk %.3e", chunked.StoragePerMonth, whole.StoragePerMonth)
 	}
 	// The fee axes must discriminate: a 16-chunk version pays ~16x the
-	// request fees of one blob on upload and per read. This is what lets
+	// request fees of one chunk on upload and per read. This is what lets
 	// the GC rank fee-heavy versions above big cheap blobs of equal size.
 	if chunked.UploadOnce < 4*whole.UploadOnce {
-		t.Fatalf("chunked upload fees %.3e do not reflect per-object PUTs (whole %.3e)", chunked.UploadOnce, whole.UploadOnce)
+		t.Fatalf("chunked upload fees %.3e do not reflect per-object PUTs (one chunk %.3e)", chunked.UploadOnce, whole.UploadOnce)
 	}
 	// (Egress scales with bytes and is equal on both; the per-object GET
 	// fees on top still separate them clearly.)
 	if chunked.ReadOnce < 2*whole.ReadOnce {
-		t.Fatalf("chunked read fees %.3e do not reflect per-object GETs (whole %.3e)", chunked.ReadOnce, whole.ReadOnce)
+		t.Fatalf("chunked read fees %.3e do not reflect per-object GETs (one chunk %.3e)", chunked.ReadOnce, whole.ReadOnce)
 	}
 	// The GC's per-byte ranking value (storage + one read) must therefore
 	// be strictly higher for the chunk-heavy version.
@@ -50,22 +48,11 @@ func TestEstimateCostAxes(t *testing.T) {
 	}
 }
 
-func TestVersionCostMatchesEstimate(t *testing.T) {
-	m := costManager(t, 4096)
-	data := bytes.Repeat([]byte{0x7A}, 10*4096)
-	info, err := m.WriteFrom(bg, "u", bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := m.VersionCost(info)
-	want := m.EstimateCost(int64(len(data)), true)
-	if got != want {
-		t.Fatalf("VersionCost %+v != EstimateCost %+v for the version just written", got, want)
-	}
-	// A zero-value pricing table still yields sane (DefaultRates-priced)
-	// numbers rather than zeros.
-	m2, _, _ := hedgeManager(t, []time.Duration{0, 0, 0, 0}, Options{})
-	if est := m2.EstimateCost(1<<20, false); est.StoragePerMonth <= 0 {
+// A zero-value pricing table still yields sane (DefaultRates-priced)
+// numbers rather than zeros.
+func TestZeroPricingTableUsesDefaultRates(t *testing.T) {
+	m, _, _ := hedgeManager(t, []time.Duration{0, 0, 0, 0}, Options{})
+	if est := m.EstimateCost(1 << 20); est.StoragePerMonth <= 0 {
 		t.Fatalf("zero table must price with DefaultRates: %+v", est)
 	}
 }

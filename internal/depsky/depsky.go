@@ -17,18 +17,24 @@
 // with a given hash" rather than "the newest version", so the manager also
 // implements ReadMatching, the extension described in §3.2 of the paper.
 //
-// Per-cloud blocks are stored in the length-prefixed binary frame documented
-// in wire.go (magic/version/protocol/shard-index header followed by the key
-// share and the shard payload); only the small metadata objects use JSON.
+// A version has one layout on the clouds, whatever its size and whichever
+// entry point wrote it: the value is cut into chunks of Options.ChunkSize
+// plaintext bytes, each chunk is dispersed on its own, and cloud i stores
+// chunk j's frame as "<prefix>dsky/<unit>/<id>/c<j>" in the binary framing
+// documented in wire.go. A value of at most one chunk is a one-chunk
+// version, an empty one a version of no chunks. Only the small metadata
+// objects use JSON.
 package depsky
 
 import (
+	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"strconv"
 	"sync"
@@ -40,8 +46,6 @@ import (
 	"scfs/internal/placement"
 	"scfs/internal/pricing"
 	"scfs/internal/resilience"
-	"scfs/internal/seccrypto"
-	"scfs/internal/secretshare"
 	"scfs/internal/stream"
 	"scfs/internal/telemetry"
 )
@@ -78,7 +82,7 @@ var (
 type VersionInfo struct {
 	// Number is the monotonically increasing version number.
 	Number uint64 `json:"number"`
-	// ID names the version's objects on the clouds (blockName, chunkName).
+	// ID names the version's objects on the clouds (chunkName).
 	// The writer draws it at random before it knows Number, so the upload
 	// never waits for the metadata read that yields the number; it is part
 	// of the entry the f+1 certification vote compares.
@@ -88,27 +92,21 @@ type VersionInfo struct {
 	DataHash string `json:"data_hash"`
 	// Size is the length of the original value.
 	Size int `json:"size"`
-	// BlockHashes[i] is the SHA-256 of the block stored on cloud i, allowing
-	// the reader to discard corrupted blocks. Empty for chunked (v2)
-	// versions, which record ChunkHashes instead.
-	BlockHashes []string `json:"block_hashes"`
 	// Protocol records how the version was encoded.
 	Protocol Protocol `json:"protocol"`
 
-	// ChunkSize is the plaintext bytes per chunk for versions written
-	// through the streaming pipeline (the v2 chunked wire layout). Zero
-	// means the whole-object v1 layout.
+	// ChunkSize is the plaintext bytes per chunk the writer cut the value
+	// into; every chunk but the last holds exactly that many.
 	ChunkSize int `json:"chunk_size,omitempty"`
-	// ChunkCount is the number of chunks of a chunked version.
+	// ChunkCount is the number of chunks: ceil(Size/ChunkSize), so 0 for an
+	// empty value and 1 for one of at most ChunkSize bytes.
 	ChunkCount int `json:"chunk_count,omitempty"`
-	// ChunkHashes[j][i] is the SHA-256 of chunk j's frame on cloud i.
+	// ChunkHashes[j][i] is the SHA-256 of chunk j's frame on cloud i,
+	// allowing the reader to discard corrupted frames.
 	ChunkHashes [][]string `json:"chunk_hashes,omitempty"`
 }
 
-// Chunked reports whether the version uses the v2 chunked layout.
-func (v *VersionInfo) Chunked() bool { return v.ChunkSize > 0 }
-
-// MaxChunkSize is the largest chunk a v2 version may declare (256 MiB); a
+// MaxChunkSize is the largest chunk a version may declare (256 MiB); a
 // wire-protocol constant, not a tuning knob. Writers clamp their configured
 // chunk size to it; readers reject metadata beyond it. The cap is what
 // bounds a reader's allocations against forged metadata: VersionInfo is
@@ -121,9 +119,10 @@ func (v *VersionInfo) Chunked() bool { return v.ChunkSize > 0 }
 const MaxChunkSize = 256 << 20
 
 // validChunking reports whether the chunk geometry is internally
-// consistent. Readers check it before slicing buffers by chunk arithmetic,
-// so metadata from a corrupt cloud can fail a read but never panic it (nor
-// size an unbounded allocation — see MaxChunkSize).
+// consistent. mergeMetadata drops entries where it is not (one without a
+// chunk size, say), so nothing slices a buffer, bounds a loop or builds an
+// object name by the chunk arithmetic of a corrupt cloud's metadata (nor
+// sizes an unbounded allocation — see MaxChunkSize).
 func (v *VersionInfo) validChunking() bool {
 	if v.ChunkSize <= 0 || v.ChunkSize > MaxChunkSize || v.Size < 0 || v.ChunkCount < 0 {
 		return false
@@ -179,10 +178,10 @@ type unitMetadata struct {
 	certified map[uint64]bool
 	// variants holds, per version number, every distinct copy seen during
 	// the merge, best first (the certified or richest one — the same entry
-	// that lands in Versions). The whole-object read path tries them in
-	// order: its end-to-end hash check exposes a forged best variant, and
-	// the next variant restores availability. Populated by mergeMetadata,
-	// never serialized.
+	// that lands in Versions). The end-to-end-verified read tries them in
+	// order (readVersionAny): its hash check exposes a forged best variant,
+	// and the next variant restores availability. Populated by
+	// mergeMetadata, never serialized.
 	variants map[uint64][]VersionInfo
 }
 
@@ -232,19 +231,19 @@ func (m *unitMetadata) newest() *VersionInfo {
 	return best
 }
 
-// block is what gets stored on one cloud for one version (CA protocol): an
-// erasure-coded shard of the ciphertext plus this cloud's share of the key.
-// It is serialized with the compact binary framing in wire.go, not JSON.
+// block is what gets stored on one cloud for one chunk of a version (CA
+// protocol): an erasure-coded shard of the chunk's ciphertext plus this
+// cloud's share of the key. It is serialized with the compact binary framing
+// in wire.go, not JSON.
 type block struct {
 	Shard    []byte
 	ShardIdx int
 	KeyX     byte
 	KeyShare []byte
-	// Full holds the whole value for the replication protocol (DepSky-A).
+	// Full holds the whole chunk for the replication protocol (DepSky-A).
 	Full []byte
-	// ChunkIdx and ChunkPlainLen locate a v2 chunked frame within its
-	// version: the chunk's index and how many plaintext bytes it carries.
-	// ChunkIdx is -1 for whole-object v1 frames.
+	// ChunkIdx and ChunkPlainLen locate the frame within its version: the
+	// chunk's index and how many plaintext bytes it carries.
 	ChunkIdx      int
 	ChunkPlainLen int
 }
@@ -260,12 +259,12 @@ type Options struct {
 	Protocol Protocol
 	// Prefix namespaces every object written by this manager.
 	Prefix string
-	// ChunkSize is the plaintext bytes per chunk for streamed writes
-	// (WriteFrom). Defaults to stream.DefaultChunkSize (1 MiB); values
+	// ChunkSize is the plaintext bytes per chunk of the versions this
+	// manager writes. Defaults to stream.DefaultChunkSize (1 MiB); values
 	// above MaxChunkSize are clamped to it (wire-protocol cap).
 	ChunkSize int
 	// WriteWindow bounds the number of chunks simultaneously resident in
-	// the streaming write pipeline. Defaults to stream.DefaultWindow.
+	// the write pipeline. Defaults to stream.DefaultWindow.
 	WriteWindow int
 	// DisableQuorumCancel preserves the pre-context behaviour where the
 	// losers of every quorum race run to completion in the background
@@ -374,15 +373,10 @@ func (m *Manager) metaName(unit string) string {
 	return m.opts.Prefix + "dsky/" + unit + "/metadata"
 }
 
-// blockName is the per-cloud object name of a whole-object version, and
-// chunkName that of one chunk of a chunked version. Both are keyed by the
-// version's ID, never its number, and are the only places an object name is
-// built; id must have passed validObjectID (mergeMetadata drops entries
-// whose ID has not).
-func (m *Manager) blockName(unit, id string) string {
-	return m.opts.Prefix + "dsky/" + unit + "/" + id + "/block"
-}
-
+// chunkName is the per-cloud object name of chunk idx of a version. It is
+// keyed by the version's ID, never its number, and is the only place a
+// payload object name is built; id must have passed validObjectID
+// (mergeMetadata drops entries whose ID has not).
 func (m *Manager) chunkName(unit, id string, idx int) string {
 	return m.opts.Prefix + "dsky/" + unit + "/" + id + "/c" + strconv.Itoa(idx)
 }
@@ -487,16 +481,16 @@ func decodeUnitMetadata(data []byte, unit string) *unitMetadata {
 // Additionally, every version entry found byte-identical on at least f+1
 // clouds is marked certified: a forged entry can live on at most the f
 // faulty clouds, so f+1 identical copies imply at least one correct cloud
-// vouches for it. Whole-object reads verify the final plaintext hash and
+// vouches for it. Whole-value reads verify the final plaintext hash and
 // do not need certification, but the ranged read path trusts the per-chunk
 // frame hashes in the metadata with no end-to-end check — it only serves
-// certified entries and falls back to the verified whole-object path
+// certified entries and falls back to the verified whole-value read
 // otherwise (see openVersion). Among conflicting uncertified variants of
-// one number, the copy carrying more integrity hashes wins (corrupted or
-// truncated copies carry fewer).
+// one number, the copy carrying more integrity hashes wins.
 //
-// An entry whose ID is not well formed is dropped here, before anything can
-// build an object name from it (see validObjectID).
+// An entry whose ID is not well formed or whose chunk geometry is
+// inconsistent is dropped here, before anything can build an object name
+// from it or slice a buffer by it (see validObjectID, validChunking).
 func (m *Manager) mergeMetadata(unit string, copies []*unitMetadata) *unitMetadata {
 	merged := &unitMetadata{Unit: unit, certified: make(map[uint64]bool), variants: make(map[uint64][]VersionInfo)}
 	type candidate struct {
@@ -510,7 +504,7 @@ func (m *Manager) mergeMetadata(unit string, copies []*unitMetadata) *unitMetada
 			continue
 		}
 		for _, v := range c.Versions {
-			if !validObjectID(v.ID) {
+			if !validObjectID(v.ID) || !v.validChunking() {
 				continue
 			}
 			enc, err := json.Marshal(v)
@@ -569,7 +563,7 @@ func (m *Manager) mergeMetadata(unit string, copies []*unitMetadata) *unitMetada
 // versionRichness orders conflicting uncertified copies of one version
 // number: the copy carrying more integrity hashes is the more complete one.
 func versionRichness(v VersionInfo) int {
-	n := len(v.BlockHashes)
+	n := 0
 	for _, h := range v.ChunkHashes {
 		n += len(h)
 	}
@@ -709,41 +703,38 @@ func (m *Manager) writeQuorumHooked(ctx context.Context, name, kind string, payl
 // SCFS serializes writers per file (via locks), matching DepSky's
 // single-writer register semantics. Cancelling ctx aborts the quorum
 // uploads; because the metadata anchoring the version is only written after
-// the blocks reach a quorum, a cancelled write never leaves a partially
-// visible version.
+// every chunk reached a quorum, a cancelled write never leaves a partially
+// visible version. It is WriteFrom over bytes already in memory: the same
+// pipeline, the same layout on the clouds.
 func (m *Manager) Write(ctx context.Context, unit string, data []byte) (VersionInfo, error) {
 	ctx, tr := m.opts.Tracer.Start(ctx, "write", unit)
 	defer tr.Finish()
-	return m.writeVersion(ctx, unit, func(id string) (VersionInfo, error) {
-		return m.uploadBlocks(ctx, unit, id, data)
-	})
+	return m.writeVersion(ctx, unit, bytes.NewReader(data))
 }
 
-// writeVersion is the write protocol shared by Write and WriteFrom, in two
+// writeVersion is the write protocol of Write and WriteFrom, in two
 // sequential cloud rounds instead of three. Objects are named by an ID the
-// writer draws itself, so upload (which stores them under that ID) does not
-// need the unit's metadata: the metadata quorum read runs beside it, and the
-// two are joined only to number the version after the newest one listed and
-// to write the metadata. The order DepSky's safety rests on is kept: the
+// writer draws itself, so the upload (which stores them under that ID) does
+// not need the unit's metadata: the metadata quorum read runs beside it, and
+// the two are joined only to number the version after the newest one listed
+// and to write the metadata. The order DepSky's safety rests on is kept: the
 // metadata that lists a version is written after its objects reached their
 // quorum.
 //
-// upload returns the version's info without a number; when it fails, the
-// info names what it may have stored (the zero value: no PUT was issued).
-// Those objects are deleted, best effort, if the write fails before the
-// metadata PUT is issued — upload itself, or a ctx cancelled by the join:
+// The chunk objects are deleted, best effort, if the write fails before the
+// metadata PUT is issued — the upload itself, or a ctx cancelled by the join:
 // nothing lists them, and unlike a number an ID is never reused, so nothing
 // would overwrite them. Once the metadata PUT has been attempted they are
 // kept even if it fails: a failed quorum write can still have landed on up to
 // n-f-1 clouds, f+1 copies certify the entry, and Read has no older version
 // to fall back to when the newest listed one has no objects.
-func (m *Manager) writeVersion(ctx context.Context, unit string, upload func(id string) (VersionInfo, error)) (VersionInfo, error) {
+func (m *Manager) writeVersion(ctx context.Context, unit string, r io.Reader) (VersionInfo, error) {
 	readCtx, cancelRead := context.WithCancel(ctx)
 	defer cancelRead()
 	read := make(chan *unitMetadata, 1)
 	go func() { read <- m.mergeMetadata(unit, m.readMetadataQuorum(readCtx, unit)) }()
 
-	info, err := upload(newObjectID())
+	info, err := m.uploadChunks(ctx, unit, newObjectID(), r)
 	if err != nil {
 		cancelRead()
 	}
@@ -766,104 +757,64 @@ func (m *Manager) writeVersion(ctx context.Context, unit string, upload func(id 
 	return info, nil
 }
 
-// uploadBlocks encodes data and stores its n blocks under id, returning once
-// n-f clouds hold theirs.
-func (m *Manager) uploadBlocks(ctx context.Context, unit, id string, data []byte) (VersionInfo, error) {
-	blocks, info, err := m.encode(data)
-	if err != nil {
-		return VersionInfo{}, err
-	}
-	info.ID = id
-	blockPayloads := make([][]byte, m.N())
-	for i := range blocks {
-		b := encodeBlock(info.Protocol, &blocks[i])
-		blockPayloads[i] = b
-		info.BlockHashes[i] = seccrypto.Hash(b)
-	}
-	return info, m.writeQuorum(ctx, m.blockName(unit, id), "block.put", func(i int) []byte { return blockPayloads[i] })
+// resolved is one version picked out of a unit's merged metadata.
+type resolved struct {
+	info VersionInfo
+	// certified reports that f+1 clouds agree on the entry.
+	certified bool
+	// variants are the distinct copies of the entry's number to read by,
+	// best first (see readVersionAny); for a lookup by hash, only the copies
+	// carrying that hash.
+	variants []VersionInfo
 }
 
-// encode builds the per-cloud blocks for data according to the protocol.
-func (m *Manager) encode(data []byte) ([]block, VersionInfo, error) {
-	info := VersionInfo{
-		DataHash:    seccrypto.Hash(data),
-		Size:        len(data),
-		BlockHashes: make([]string, m.N()),
-		Protocol:    m.opts.Protocol,
+// resolve reads unit's metadata quorum and picks the version a read entry
+// point serves: the newest one listed when hash is empty (none:
+// ErrUnitNotFound; no version hashes to ""), else the one whose plaintext
+// hash equals hash (none: ErrVersionNotFound). It is the one place the
+// quorum read, the merge, the lookup and the choice of variants meet.
+func (m *Manager) resolve(ctx context.Context, unit, hash string) (resolved, error) {
+	merged := m.mergeMetadata(unit, m.readMetadataQuorum(ctx, unit))
+	info, notFound := merged.newest(), ErrUnitNotFound
+	if hash != "" {
+		info, notFound = merged.find(hash), ErrVersionNotFound
 	}
-	blocks := make([]block, m.N())
-	if m.opts.Protocol == ProtocolA {
-		for i := range blocks {
-			blocks[i] = block{Full: data, ShardIdx: i}
+	if info == nil {
+		if err := ctx.Err(); err != nil {
+			return resolved{}, err
 		}
-		return blocks, info, nil
+		return resolved{}, notFound
 	}
-	key, err := seccrypto.NewKey()
-	if err != nil {
-		return nil, info, err
-	}
-	ciphertext, err := seccrypto.Encrypt(key, data)
-	if err != nil {
-		return nil, info, err
-	}
-	shards, err := m.coder.Split(ciphertext)
-	if err != nil {
-		return nil, info, fmt.Errorf("depsky: erasure coding: %w", err)
-	}
-	shares, err := secretshare.Split(key, m.N(), m.opts.F+1, nil)
-	if err != nil {
-		return nil, info, fmt.Errorf("depsky: secret sharing: %w", err)
-	}
-	for i := range blocks {
-		blocks[i] = block{
-			Shard:    shards[i],
-			ShardIdx: i,
-			KeyX:     shares[i].X,
-			KeyShare: shares[i].Data,
+	v := resolved{info: *info, certified: merged.certified[info.Number], variants: merged.variantsOf(info.Number)}
+	if hash != "" {
+		var matching []VersionInfo
+		for _, c := range v.variants {
+			if c.DataHash == hash {
+				matching = append(matching, c)
+			}
 		}
+		v.variants = matching
 	}
-	// The ciphertext length is not stored explicitly: it is info.Size plus
-	// the fixed IV prefix, which tryDecode uses to strip the shard padding.
-	return blocks, info, nil
+	return v, nil
 }
 
 // Read returns the newest version of unit.
 func (m *Manager) Read(ctx context.Context, unit string) ([]byte, VersionInfo, error) {
-	ctx, tr := m.opts.Tracer.Start(ctx, "read", unit)
-	defer tr.Finish()
-	merged := m.mergeMetadata(unit, m.readMetadataQuorum(ctx, unit))
-	newest := merged.newest()
-	if newest == nil {
-		if err := ctx.Err(); err != nil {
-			return nil, VersionInfo{}, err
-		}
-		return nil, VersionInfo{}, ErrUnitNotFound
-	}
-	data, err := m.readVersionAny(ctx, unit, merged.variantsOf(newest.Number))
-	return data, *newest, err
+	return m.ReadMatching(ctx, unit, "")
 }
 
-// ReadMatching returns the version of unit whose plaintext hash equals hash.
-// This is the operation added to DepSky for SCFS's consistency anchor.
+// ReadMatching returns the version of unit whose plaintext hash equals hash
+// (the newest one when hash is empty: Read). This is the operation added to
+// DepSky for SCFS's consistency anchor.
 func (m *Manager) ReadMatching(ctx context.Context, unit, hash string) ([]byte, VersionInfo, error) {
 	ctx, tr := m.opts.Tracer.Start(ctx, "read", unit)
 	defer tr.Finish()
-	merged := m.mergeMetadata(unit, m.readMetadataQuorum(ctx, unit))
-	info := merged.find(hash)
-	if info == nil {
-		if err := ctx.Err(); err != nil {
-			return nil, VersionInfo{}, err
-		}
-		return nil, VersionInfo{}, ErrVersionNotFound
+	v, err := m.resolve(ctx, unit, hash)
+	if err != nil {
+		return nil, VersionInfo{}, err
 	}
-	var matching []VersionInfo
-	for _, v := range merged.variantsOf(info.Number) {
-		if v.DataHash == hash {
-			matching = append(matching, v)
-		}
-	}
-	data, err := m.readVersionAny(ctx, unit, matching)
-	return data, *info, err
+	data, err := m.readVersionAny(ctx, unit, v.variants)
+	return data, v.info, err
 }
 
 // readVersionAny tries each metadata variant of one version, best first,
@@ -951,7 +902,7 @@ func (m *Manager) DeleteVersions(ctx context.Context, unit string, numbers []uin
 	}
 	for _, v := range removed {
 		if merged.certified[v.Number] {
-			m.deleteVersionBlocks(ctx, unit, v)
+			m.deleteObjects(ctx, m.objectNames(unit, v))
 		}
 	}
 	return len(removed), nil
@@ -983,120 +934,14 @@ func (m *Manager) DeleteUnit(ctx context.Context, unit string) error {
 	return nil
 }
 
-// readVersion fetches blocks for the given version until it can reconstruct
-// and verify the value. The fan-out is first-quorum-wins: the moment enough
-// verified blocks have arrived to decode the value, the remaining per-cloud
-// fetches are cancelled instead of silently running on (each redundant fetch
-// costs a GET fee plus the block's worth of outbound traffic at that cloud).
-// Under a hedge policy only the f+1 preferred clouds are contacted up front;
-// the rest launch after the tracked delay percentile or on a preferred
-// cloud's failure (see dispatch.go).
-func (m *Manager) readVersion(ctx context.Context, unit string, info VersionInfo) ([]byte, error) {
-	if info.Chunked() {
-		return m.readChunkedVersion(ctx, unit, info)
-	}
-	scratch := &decodeScratch{}
-	defer scratch.release()
-	pol := m.policyFor(ctx)
-	op := m.blockOp(info.Protocol, info.Size)
-	gate := m.newHedgeGate(pol, pol.Hedge, m.readNeed(info.Protocol), op)
-	tr := telemetry.FromContext(ctx)
-	opCtx, cancel := m.quorumCtx(ctx)
-	defer cancel()
-	name := m.blockName(unit, info.ID)
-	type fetched struct {
-		idx    int
-		blk    *block
-		absent bool // the cloud holds no such object (cloud.ErrNotFound)
-	}
-	results := make(chan fetched, m.N())
-	var wg sync.WaitGroup
-	for i, c := range m.opts.Clouds {
-		wg.Add(1)
-		go func(i int, c cloud.ObjectStore) {
-			defer wg.Done()
-			if !gate.enter(opCtx, i) {
-				m.recordGated(tr, "block.get", i, gate.hedged(i))
-				results <- fetched{idx: i}
-				return
-			}
-			start := time.Now()
-			var data []byte
-			err := m.timedCloudCall(opCtx, pol, i, op, func(ctx context.Context) error {
-				var err error
-				data, err = c.Get(ctx, name)
-				return err
-			})
-			m.recordSpan(tr, "block.get", i, start, gate.hedged(i), err)
-			if err != nil {
-				results <- fetched{idx: i, absent: errors.Is(err, cloud.ErrNotFound)}
-				return
-			}
-			// Discard blocks whose hash does not match the metadata (this is
-			// how silently corrupting clouds are tolerated).
-			if i < len(info.BlockHashes) && info.BlockHashes[i] != "" && !seccrypto.VerifyHash(data, info.BlockHashes[i]) {
-				results <- fetched{idx: i}
-				return
-			}
-			b, err := decodeBlock(data)
-			if err != nil {
-				results <- fetched{idx: i}
-				return
-			}
-			results <- fetched{idx: i, blk: b}
-		}(i, c)
-	}
-	go func() { wg.Wait(); close(results) }()
-
-	blocks := make([]*block, m.N())
-	got, absent := 0, 0
-	for f := range results {
-		if f.blk == nil {
-			// An unusable response (failure, hash mismatch, bad frame)
-			// releases one gated cloud so the decode can still assemble
-			// enough shards without waiting out the hedge delay.
-			gate.kick()
-			if f.absent {
-				absent++
-			}
-			continue
-		}
-		blocks[f.idx] = f.blk
-		got++
-		if data, err := m.tryDecode(blocks, info, scratch); err == nil {
-			if tr != nil {
-				tr.SetVerdict(time.Since(tr.Start))
-			}
-			cancel() // first quorum wins: abort the redundant fetches
-			return data, nil
-		} else if got >= m.readNeed(info.Protocol) {
-			// Enough shards arrived but the decode still failed (a corrupt
-			// or withheld share): pull in another cloud immediately.
-			gate.kick()
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := m.shortRead(info.Protocol, got, absent); err != nil {
-		return nil, err
-	}
-	// All responses are in; one final attempt with everything we have.
-	data, err := m.tryDecode(blocks, info, scratch)
-	if err != nil {
-		return nil, err
-	}
-	return data, nil
-}
-
-// shortRead classifies a fan-out that ended with got usable blocks of a
-// listed version, absent of the n clouds having answered cloud.ErrNotFound.
-// When too few blocks arrived and every cloud that gave none said "no such
-// object", the version is not visible yet (the metadata became visible at
-// some cloud before the blocks did at enough) or no longer exists (a deleted
-// version a lagging metadata copy still lists): ErrVersionNotFound, which
-// the consistency-anchor loop retries. An outage or a corrupt block among
-// the misses is ErrQuorumRead.
+// shortRead classifies a chunk fan-out that ended with got usable frames of
+// a listed version, absent of the n clouds having answered
+// cloud.ErrNotFound. When too few frames arrived and every cloud that gave
+// none said "no such object", the version is not visible yet (the metadata
+// became visible at some cloud before the chunk did at enough) or no longer
+// exists (a deleted version a lagging metadata copy still lists):
+// ErrVersionNotFound, which the consistency-anchor loop retries. An outage
+// or a corrupt frame among the misses is ErrQuorumRead.
 func (m *Manager) shortRead(p Protocol, got, absent int) error {
 	switch {
 	case got >= m.readNeed(p):
@@ -1109,10 +954,10 @@ func (m *Manager) shortRead(p Protocol, got, absent int) error {
 }
 
 // decodeScratch hands out pooled buffers that are reused across the decode
-// attempts of one read (tryDecode runs once per arriving block, and a 1 MiB
-// degraded read used to allocate ~5 MB across those attempts). Buffers are
-// recycled by position: attempt k asks for the same sequence of sizes as
-// attempt k-1, so reset() lets the next attempt reuse them in place.
+// attempts of one chunk fetch (decodeChunk runs once per arriving frame, and
+// a 1 MiB degraded read used to allocate ~5 MB across those attempts).
+// Buffers are recycled by position: attempt k asks for the same sequence of
+// sizes as attempt k-1, so reset() lets the next attempt reuse them in place.
 type decodeScratch struct {
 	bufs []([]byte)
 	next int
@@ -1151,89 +996,11 @@ func (s *decodeScratch) release() {
 	s.next = 0
 }
 
-// tryDecode attempts to reconstruct and verify the value from the blocks
-// collected so far.
-func (m *Manager) tryDecode(blocks []*block, info VersionInfo, scratch *decodeScratch) ([]byte, error) {
-	scratch.reset()
-	if info.Protocol == ProtocolA {
-		for _, b := range blocks {
-			if b == nil || b.Full == nil {
-				continue
-			}
-			if seccrypto.Hash(b.Full) == info.DataHash {
-				return b.Full, nil
-			}
-		}
-		return nil, ErrIntegrity
-	}
-	// DepSky-CA: need f+1 shards and f+1 key shares.
-	needed := m.opts.F + 1
-	shards := make([][]byte, m.coder.TotalShards())
-	var shares []secretshare.Share
-	present := 0
-	for _, b := range blocks {
-		if b == nil || b.Shard == nil {
-			continue
-		}
-		if b.ShardIdx >= 0 && b.ShardIdx < len(shards) {
-			shards[b.ShardIdx] = b.Shard
-			present++
-		}
-		if b.KeyShare != nil {
-			shares = append(shares, secretshare.Share{X: b.KeyX, Data: b.KeyShare})
-		}
-	}
-	if present < needed || len(shares) < needed {
-		return nil, ErrQuorumRead
-	}
-	// Rebuild only the missing data shards (Join never reads parity), into
-	// scratch buffers reused across attempts.
-	missingData := 0
-	shardSize := 0
-	for i, s := range shards {
-		if s != nil {
-			shardSize = len(s)
-		} else if i < m.coder.DataShards {
-			missingData++
-		}
-	}
-	if err := m.coder.ReconstructDataInto(shards, scratch.get(missingData*shardSize)); err != nil {
-		return nil, fmt.Errorf("depsky: reconstructing: %w", err)
-	}
-	key, err := secretshare.Combine(shares, needed)
-	if err != nil {
-		return nil, fmt.Errorf("depsky: recovering key: %w", err)
-	}
-	// The ciphertext length is the plaintext length plus the IV prefix.
-	// info.Size is wire-decoded metadata that is only proven honest by the
-	// DataHash check at the end of this function — it must not size an
-	// allocation before then. The shards actually fetched bound it: a join
-	// can never yield more than DataShards full shards of ciphertext, so a
-	// forged Size is rejected here for bytes instead of panicking (or OOMing)
-	// make() below (the DecodeBatch bug class, metadata edition).
-	cipherLen := info.Size + seccrypto.CiphertextOverhead
-	if maxJoin := m.coder.DataShards * shardSize; info.Size < 0 || cipherLen < 0 || cipherLen > maxJoin {
-		return nil, fmt.Errorf("%w: metadata size %d inconsistent with %d fetched shard bytes", ErrIntegrity, info.Size, maxJoin)
-	}
-	ciphertext := scratch.get(cipherLen)
-	if err := m.coder.JoinInto(ciphertext, shards, cipherLen); err != nil {
-		return nil, fmt.Errorf("depsky: joining shards: %w", err)
-	}
-	plaintext, err := seccrypto.DecryptInto(make([]byte, info.Size), key, ciphertext)
-	if err != nil {
-		return nil, fmt.Errorf("depsky: decrypting: %w", err)
-	}
-	if seccrypto.Hash(plaintext) != info.DataHash {
-		return nil, ErrIntegrity
-	}
-	return plaintext, nil
-}
-
 // StorageFootprint returns how many bytes one version of the given size
 // occupies across all clouds under the configured protocol (used by the cost
 // model: ~1.5x for CA with f=1 versus 4x for replication). It is the byte
 // axis of EstimateFootprint; see footprint.go for the full cost model
 // including per-request fees.
 func (m *Manager) StorageFootprint(size int) int {
-	return int(m.EstimateFootprint(int64(size), false).Bytes)
+	return int(m.EstimateFootprint(int64(size)).Bytes)
 }

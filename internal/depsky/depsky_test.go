@@ -381,8 +381,8 @@ func TestDeleteVersionReclaimsSpace(t *testing.T) {
 // ErrQuorumRead.
 func TestListedButAbsentVersionIsNotFound(t *testing.T) {
 	for name, write := range map[string]func(*Manager) (VersionInfo, error){
-		"whole": func(m *Manager) (VersionInfo, error) { return m.Write(bg, "u", []byte("payload")) },
-		"chunked": func(m *Manager) (VersionInfo, error) {
+		"one chunk": func(m *Manager) (VersionInfo, error) { return m.Write(bg, "u", []byte("payload")) },
+		"three chunks": func(m *Manager) (VersionInfo, error) {
 			return m.WriteFrom(bg, "u", bytes.NewReader(make([]byte, 5000)))
 		},
 	} {
@@ -392,7 +392,7 @@ func TestListedButAbsentVersionIsNotFound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m.deleteVersionBlocks(bg, "u", info)
+			m.deleteObjects(bg, m.objectNames("u", info))
 			if _, _, err := m.ReadMatching(bg, "u", info.DataHash); !errors.Is(err, ErrVersionNotFound) {
 				t.Fatalf("objects absent everywhere: err = %v, want ErrVersionNotFound", err)
 			}

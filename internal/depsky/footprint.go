@@ -1,13 +1,13 @@
 package depsky
 
 // Cost accounting. The paper's cost analysis (§4.5) charges a version by
-// its storage footprint on the preferred quorum; the chunked v2 layout adds
-// a second axis the byte count misses entirely: each chunk is its own cloud
-// object, so a 64 MiB streamed version creates 64x as many objects — and
-// pays 64x the per-request fees on every write, read and delete — as one
-// big block. Footprint folds both axes together so the garbage collector
-// (and any capacity planner) can weigh "many small chunks" against "few big
-// blocks" instead of seeing only bytes.
+// its storage footprint on the preferred quorum; the chunked layout adds a
+// second axis the byte count misses entirely: each chunk is its own cloud
+// object, so a 64 MiB version creates 64x as many objects — and pays 64x
+// the per-request fees on every write, read and delete — as a value of one
+// chunk. Footprint folds both axes together so the garbage collector (and
+// any capacity planner) can weigh "many chunks" against "many bytes" instead
+// of seeing only bytes.
 
 import "scfs/internal/seccrypto"
 
@@ -44,28 +44,34 @@ func (f *Footprint) Add(other Footprint) {
 }
 
 // VersionFootprint computes the footprint of one stored version from its
-// metadata, handling both the whole-object v1 layout and the chunked v2
-// layout.
+// metadata.
 func (m *Manager) VersionFootprint(info VersionInfo) Footprint {
-	chunks, fullLen, tailLen := versionChunkShape(info)
-	return m.footprint(info.Protocol, chunks, fullLen, tailLen)
+	return m.footprint(info.Protocol, int64(info.Size), info.ChunkSize)
 }
 
 // EstimateFootprint predicts the footprint a value of the given size would
-// have if written now: chunked selects the streamed v2 layout (one object
-// per chunk) versus the whole-object v1 layout. The SCFS agent uses it to
-// meter request-fee pressure for the garbage-collection trigger.
-func (m *Manager) EstimateFootprint(size int64, chunked bool) Footprint {
-	chunks, fullLen, tailLen := m.estimateChunkShape(size, chunked)
-	return m.footprint(m.opts.Protocol, chunks, fullLen, tailLen)
+// have if written now. The SCFS agent uses it to meter request-fee pressure
+// for the garbage-collection trigger.
+func (m *Manager) EstimateFootprint(size int64) Footprint {
+	return m.footprint(m.opts.Protocol, size, m.chunkSize())
 }
 
-// footprint charges a version of `chunks` objects (chunks-1 of fullLen
-// plaintext bytes plus one of tailLen) under the protocol's dispersal: CA
-// stores one erasure shard of the ciphertext on each of the preferred n-f
-// clouds, A a full replica on all n. Constant-time regardless of the
-// chunk count.
-func (m *Manager) footprint(protocol Protocol, chunks, fullLen, tailLen int) Footprint {
+// chunkShape reduces the chunking of a value of size bytes to how many
+// chunks hold exactly chunkSize plaintext bytes and how many the shorter
+// last one holds (0: there is none) — what uploadChunks stores, so the
+// per-chunk cost loops collapse to constant-time arithmetic. An empty value
+// has no chunk at all.
+func chunkShape(size int64, chunkSize int) (full int64, tail int) {
+	if size <= 0 || chunkSize <= 0 {
+		return 0, 0
+	}
+	return size / int64(chunkSize), int(size % int64(chunkSize))
+}
+
+// footprint charges a version of size bytes cut into chunkSize chunks under
+// the protocol's dispersal: CA stores one erasure shard of each chunk's
+// ciphertext on each of the preferred n-f clouds, A a full replica on all n.
+func (m *Manager) footprint(protocol Protocol, size int64, chunkSize int) Footprint {
 	n := int64(m.N())
 	q := int64(m.QuorumSize())
 	bytesFor := func(plain int) int64 {
@@ -74,16 +80,22 @@ func (m *Manager) footprint(protocol Protocol, chunks, fullLen, tailLen int) Foo
 		}
 		return int64(m.coder.ShardSize(plain+seccrypto.CiphertextOverhead)) * q
 	}
-	fp := Footprint{Bytes: int64(chunks-1)*bytesFor(fullLen) + bytesFor(tailLen)}
+	full, tail := chunkShape(size, chunkSize)
+	fp := Footprint{Bytes: full * bytesFor(chunkSize)}
+	chunks := full
+	if tail > 0 {
+		fp.Bytes += bytesFor(tail)
+		chunks++
+	}
 	charged := q
 	readers := int64(m.opts.F + 1)
 	if protocol == ProtocolA {
 		charged = n
 		readers = 1
 	}
-	fp.Objects = int64(chunks) * charged
+	fp.Objects = chunks * charged
 	fp.PutRequests = fp.Objects + q // payload objects + the metadata quorum write
-	fp.GetRequestsPerRead = int64(chunks) * readers
-	fp.DeleteRequests = int64(chunks) * n
+	fp.GetRequestsPerRead = chunks * readers
+	fp.DeleteRequests = chunks * n
 	return fp
 }

@@ -1,25 +1,25 @@
 package depsky
 
 import (
-	"bytes"
 	"testing"
 	"time"
 )
 
-// TestFootprintWeighsChunksAgainstBlocks is the point of the cost model:
-// for the same payload, the chunked layout stores roughly the same bytes
-// but multiplies objects and request fees by the chunk count — exactly the
-// axis StorageFootprint alone cannot see.
-func TestFootprintWeighsChunksAgainstBlocks(t *testing.T) {
+// TestFootprintWeighsChunksAgainstBytes is the point of the cost model: for
+// the same payload, cutting it into more chunks stores roughly the same
+// bytes but multiplies objects and request fees by the chunk count —
+// exactly the axis StorageFootprint alone cannot see.
+func TestFootprintWeighsChunksAgainstBytes(t *testing.T) {
 	const chunk = 4096
-	m, _, _ := hedgeManager(t, make([]time.Duration, 4), Options{ChunkSize: chunk})
-
 	const size = 16 * chunk
-	whole := m.EstimateFootprint(size, false)
-	chunked := m.EstimateFootprint(size, true)
+	m, _, _ := hedgeManager(t, make([]time.Duration, 4), Options{ChunkSize: chunk})
+	one, _, _ := hedgeManager(t, make([]time.Duration, 4), Options{ChunkSize: size})
 
-	if whole.Objects != 3 { // one block on each of the n-f = 3 preferred clouds
-		t.Fatalf("whole-object Objects = %d, want 3", whole.Objects)
+	whole := one.EstimateFootprint(size)
+	chunked := m.EstimateFootprint(size)
+
+	if whole.Objects != 3 { // one chunk on each of the n-f = 3 preferred clouds
+		t.Fatalf("one-chunk Objects = %d, want 3", whole.Objects)
 	}
 	if chunked.Objects != 16*3 {
 		t.Fatalf("chunked Objects = %d, want 48", chunked.Objects)
@@ -28,43 +28,43 @@ func TestFootprintWeighsChunksAgainstBlocks(t *testing.T) {
 		t.Fatalf("chunked GetRequestsPerRead = %d, want 32", chunked.GetRequestsPerRead)
 	}
 	if whole.GetRequestsPerRead != 2 {
-		t.Fatalf("whole GetRequestsPerRead = %d, want 2", whole.GetRequestsPerRead)
+		t.Fatalf("one-chunk GetRequestsPerRead = %d, want 2", whole.GetRequestsPerRead)
 	}
 	if chunked.DeleteRequests != 16*4 { // deletes are best-effort on all n clouds
 		t.Fatalf("chunked DeleteRequests = %d, want 64", chunked.DeleteRequests)
 	}
 	// Bytes stay within ~2x of each other (per-chunk shard padding only).
 	if chunked.Bytes < whole.Bytes || chunked.Bytes > 2*whole.Bytes {
-		t.Fatalf("chunked Bytes = %d vs whole %d: expected same order", chunked.Bytes, whole.Bytes)
+		t.Fatalf("chunked Bytes = %d vs one-chunk %d: expected same order", chunked.Bytes, whole.Bytes)
 	}
 	// StorageFootprint remains the byte axis of the estimate.
-	if got := m.StorageFootprint(size); int64(got) != whole.Bytes {
-		t.Fatalf("StorageFootprint = %d, want %d", got, whole.Bytes)
+	if got := m.StorageFootprint(size); int64(got) != chunked.Bytes {
+		t.Fatalf("StorageFootprint = %d, want %d", got, chunked.Bytes)
 	}
 }
 
-// TestVersionFootprintMatchesStoredVersion: the footprint computed from
-// real version metadata agrees with the prediction for the same geometry.
-func TestVersionFootprintMatchesStoredVersion(t *testing.T) {
-	const chunk = 4096
-	m, _, _ := hedgeManager(t, make([]time.Duration, 4), Options{ChunkSize: chunk})
-	data := bytes.Repeat([]byte{0xEB}, 5*chunk+123)
-
-	info, err := m.WriteFrom(bg, "u", bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
+// TestEstimatesMatchWhatIsWritten: at every chunk boundary the footprint and
+// the dollars predicted for a size are those computed from the metadata of
+// the version a write of that size returned — an empty value occupies no
+// object, not one.
+func TestEstimatesMatchWhatIsWritten(t *testing.T) {
+	const cs = 4096
+	m := costManager(t, cs)
+	for _, size := range []int{0, 1, cs - 1, cs, cs + 1, 3*cs + 100} {
+		data := randBytes(t, size)
+		info, err := m.Write(bg, "u", data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantObjects := int64((size+cs-1)/cs) * 3
+		if got, want := m.VersionFootprint(info), m.EstimateFootprint(int64(size)); got != want || got.Objects != wantObjects {
+			t.Errorf("size %d: VersionFootprint %+v, EstimateFootprint %+v, want %d objects", size, got, want, wantObjects)
+		}
+		if got, want := m.VersionCost(info), m.EstimateCost(int64(size)); got != want {
+			t.Errorf("size %d: VersionCost %+v != EstimateCost %+v", size, got, want)
+		}
 	}
-	got := m.VersionFootprint(info)
-	want := m.EstimateFootprint(int64(len(data)), true)
-	if got != want {
-		t.Fatalf("VersionFootprint %+v != EstimateFootprint %+v", got, want)
-	}
-
-	whole, err2 := m.Write(bg, "w", data)
-	if err2 != nil {
-		t.Fatal(err2)
-	}
-	if got := m.VersionFootprint(whole); got != m.EstimateFootprint(int64(len(data)), false) {
-		t.Fatalf("whole-object VersionFootprint mismatch: %+v", got)
+	if empty := m.EstimateFootprint(0); empty.Bytes != 0 || empty.PutRequests != 3 {
+		t.Errorf("empty value: %+v, want no bytes and the metadata write's 3 PUTs", empty)
 	}
 }

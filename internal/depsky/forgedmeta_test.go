@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"scfs/internal/cloud"
+	"scfs/internal/seccrypto"
 )
 
 // TestForgedMetadataSizeBounded pins the metadata edition of the
@@ -48,7 +50,7 @@ func TestForgedMetadataSizeBounded(t *testing.T) {
 }
 
 // TestChunkSizeWireCap: the v2 chunk geometry is attacker-chosen until
-// certification, and readChunkedVersion preallocates the reassembly buffer
+// certification, and readVersion preallocates the reassembly buffer
 // from it. MaxChunkSize is the wire cap that keeps that allocation linear
 // in the metadata the attacker must actually store: a single-chunk variant
 // declaring a huge ChunkSize must fail validation, and the writer clamps
@@ -60,7 +62,7 @@ func TestChunkSizeWireCap(t *testing.T) {
 		t.Fatal("ChunkSize beyond the wire cap accepted")
 	}
 	_, m := newChunkedManager(t, ProtocolCA, 2048)
-	if _, err := m.readChunkedVersion(bg, "u", huge); !errors.Is(err, ErrIntegrity) {
+	if _, err := m.readVersion(bg, "u", huge); !errors.Is(err, ErrIntegrity) {
 		t.Fatalf("err = %v, want ErrIntegrity", err)
 	}
 
@@ -92,13 +94,13 @@ func TestForgedObjectIDDiscardedAtMerge(t *testing.T) {
 		good[:31] + "g",                 // not hex
 		"metadata" + good[:24],          // right length, not hex
 	} {
-		md := &unitMetadata{Unit: "u", Versions: []VersionInfo{{Number: 1, ID: id, DataHash: "h"}}}
+		md := &unitMetadata{Unit: "u", Versions: []VersionInfo{{Number: 1, ID: id, DataHash: "h", ChunkSize: 1}}}
 		merged := m.mergeMetadata("u", []*unitMetadata{md, md, md, md})
 		if len(merged.Versions) != 0 || len(merged.variants) != 0 {
 			t.Fatalf("ID %q survived the merge: %+v", id, merged.Versions)
 		}
 	}
-	md := &unitMetadata{Unit: "u", Versions: []VersionInfo{{Number: 1, ID: good, DataHash: "h"}}}
+	md := &unitMetadata{Unit: "u", Versions: []VersionInfo{{Number: 1, ID: good, DataHash: "h", ChunkSize: 1}}}
 	if merged := m.mergeMetadata("u", []*unitMetadata{md, md}); len(merged.Versions) != 1 || !merged.certified[1] {
 		t.Fatalf("well-formed ID dropped or uncertified: %+v", merged)
 	}
@@ -171,7 +173,7 @@ func TestForgedIDCannotAimDelete(t *testing.T) {
 			forgeCopy(t, m, clients, "u", func(md *unitMetadata) { forge(md, doomed, live) })
 			holders := 0 // a write's straggler is cancelled: n-f clouds or all n
 			for _, c := range clients {
-				if _, err := c.Get(bg, m.blockName("u", live.ID)); err == nil {
+				if _, err := c.Get(bg, m.chunkName("u", live.ID, 0)); err == nil {
 					holders++
 				}
 			}
@@ -180,7 +182,7 @@ func TestForgedIDCannotAimDelete(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, c := range clients {
-				if _, err := c.Get(bg, m.blockName("u", live.ID)); err == nil {
+				if _, err := c.Get(bg, m.chunkName("u", live.ID, 0)); err == nil {
 					holders--
 				}
 			}
@@ -195,17 +197,91 @@ func TestForgedIDCannotAimDelete(t *testing.T) {
 	}
 }
 
+// v1Entry is what a metadata entry of this package's whole-object layout
+// looks like to today's decoder — per-cloud block hashes it no longer knows,
+// no chunk size — whether a cloud kept it from then or invents it now.
+func v1Entry(number uint64, id, hash string, size int) string {
+	return fmt.Sprintf(`{"number":%d,"id":%q,"data_hash":%q,"size":%d,"block_hashes":["a","b","c","d"],"protocol":0}`, number, id, hash, size)
+}
+
+// TestV1ShapedInputFailsAsData: nothing writes the whole-object layout any
+// more and nothing reads it, so its two shapes are plain bad input. A
+// metadata entry without a chunk size is dropped at the merge — however many
+// clouds agree on it — before any object name is built from it; a version-1
+// frame where a chunk should be is a bad frame, and with too few good ones
+// the read fails, it does not panic.
+func TestV1ShapedInputFailsAsData(t *testing.T) {
+	s, m, _, inner := stagedManager(t, Options{})
+	s.setOpen(true)
+	live, err := m.Write(bg, "u", []byte("live"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Every cloud lists, beside the live version, a newer whole-object one.
+	old := newObjectID()
+	liveEntry, err := json.Marshal(live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	md := `{"unit":"u","versions":[` + string(liveEntry) + `,` + v1Entry(2, old, seccrypto.Hash([]byte("old")), 3) + `]}`
+	for _, c := range inner {
+		if err := c.Put(bg, m.metaName("u"), []byte(md)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, info, err := m.Read(bg, "u"); err != nil || string(got) != "live" || info.Number != 1 {
+		t.Fatalf("Read = %q, version %d, %v; want the live version, the v1 entry dropped", got, info.Number, err)
+	}
+	if _, _, err := m.ReadMatching(bg, "u", seccrypto.Hash([]byte("old"))); !errors.Is(err, ErrVersionNotFound) {
+		t.Fatalf("ReadMatching the v1 entry's hash: err = %v, want ErrVersionNotFound", err)
+	}
+	if _, _, err := m.OpenRangedMatching(bg, "u", seccrypto.Hash([]byte("old"))); !errors.Is(err, ErrVersionNotFound) {
+		t.Fatalf("OpenRangedMatching the v1 entry's hash: err = %v, want ErrVersionNotFound", err)
+	}
+	if n, err := m.DeleteVersions(bg, "u", []uint64{2}); err != nil || n != 0 {
+		t.Fatalf("DeleteVersions of the v1 entry = %d, %v; want nothing listed to drop", n, err)
+	}
+	for _, r := range s.snapshot() {
+		if strings.Contains(r.name, old) {
+			t.Fatalf("%s %s: an object name built from the v1 entry", r.op, r.name)
+		}
+	}
+	if d := s.deletes(); len(d) != 0 {
+		t.Fatalf("deleted %v on the authority of a v1 entry", describe(d))
+	}
+
+	// Three clouds answer the live version's chunk GET with a version-1
+	// frame: one good frame is short of the f+1 a decode needs.
+	for _, c := range inner[1:] {
+		if err := c.Put(bg, m.chunkName("u", live.ID, 0), v1Frame()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The frames' hashes are not the metadata's either; forge a copy of the
+	// entry that vouches for them, so only the frame decoder stands between
+	// them and the decode.
+	forged := live
+	forged.ChunkHashes = [][]string{{live.ChunkHashes[0][0], seccrypto.Hash(v1Frame()), seccrypto.Hash(v1Frame()), seccrypto.Hash(v1Frame())}}
+	if _, err := m.readVersion(bg, "u", forged); !errors.Is(err, ErrQuorumRead) {
+		t.Fatalf("read over version-1 frames: err = %v, want ErrQuorumRead", err)
+	}
+}
+
 // FuzzUnitMetadata feeds arbitrary bytes through the unit-metadata decoder
 // and the merge, as three clouds' copies with two of them agreeing: whatever
-// comes out must be safe to build object names from.
+// comes out must be safe to build object names from and to slice buffers by.
 func FuzzUnitMetadata(f *testing.F) {
 	id := strings.Repeat("0123456789abcdef", 2)
-	honest := `{"unit":"u","versions":[{"number":1,"id":"` + id + `","data_hash":"h","size":3,"block_hashes":["a","b","c","d"],"protocol":0}]}`
+	honest := `{"unit":"u","versions":[{"number":1,"id":"` + id + `","data_hash":"h","size":3,"protocol":0,"chunk_size":2,"chunk_count":2,"chunk_hashes":[["a","b","c","d"],["e","f","g","h"]]}]}`
 	f.Add([]byte(honest), []byte(honest))
 	f.Add([]byte(honest), []byte(`{"unit":"u","versions":[{"number":1,"id":"../../v/metadata/0123456789abcdef","data_hash":"h"}]}`))
 	f.Add([]byte(honest), []byte(`{"unit":"u","versions":[{"number":2,"id":"`+strings.ToUpper(id)+`","size":-1,"chunk_size":1,"chunk_count":1099511627776}]}`))
 	f.Add([]byte(`{"unit":"u","versions":[{"number":18446744073709551615,"id":"`+id+`","size":5,"chunk_size":2,"chunk_count":3,"chunk_hashes":[[],[],[]]}]}`), []byte(`{"unit":"other"}`))
 	f.Add([]byte(`{"unit":"u","versions":null}`), []byte(`[`))
+	// The whole-object layout's entry, with and without an explicit zero.
+	f.Add([]byte(`{"unit":"u","versions":[`+v1Entry(1, id, "h", 3)+`]}`), []byte(honest))
+	f.Add([]byte(`{"unit":"u","versions":[{"number":1,"id":"`+id+`","data_hash":"h","size":3,"chunk_size":0,"chunk_count":1,"chunk_hashes":[["a"]]}]}`), []byte(honest))
 
 	_, clients := testClouds(f, 4)
 	m, err := New(Options{Clouds: clients, F: 1})
@@ -219,8 +295,8 @@ func FuzzUnitMetadata(f *testing.F) {
 			if !validObjectID(v.ID) {
 				t.Fatalf("merge kept ID %q", v.ID)
 			}
-			if v.Chunked() && !v.validChunking() {
-				continue // deleteVersionBlocks and the readers stop here
+			if !v.validChunking() {
+				t.Fatalf("merge kept chunk geometry size %d, chunk %d x %d, %d hash rows", v.Size, v.ChunkSize, v.ChunkCount, len(v.ChunkHashes))
 			}
 			for _, name := range m.objectNames("u", v) {
 				rest, ok := strings.CutPrefix(name, "dsky/u/"+v.ID+"/")

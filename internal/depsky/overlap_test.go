@@ -255,13 +255,13 @@ func goWrite(m *Manager, unit string, data []byte) chan writeResult {
 // block upload are one cloud round, the metadata write the second — 3n
 // requests, critical-path depth 2 — and the metadata write waits for both.
 func TestWriteOverlapsMetadataReadWithUpload(t *testing.T) {
-	for _, first := range []string{"/block", "/metadata"} {
+	for _, first := range []string{"/c0", "/metadata"} {
 		s, m, _, _ := stagedManager(t, Options{})
 		res := goWrite(m, "u", []byte("two rounds"))
 
 		// With every metadata GET parked, all n block PUTs are in flight.
 		round1 := s.await(t, 8)
-		gets, puts := pick(round1, "get", "/metadata"), pick(round1, "put", "/block")
+		gets, puts := pick(round1, "get", "/metadata"), pick(round1, "put", "/c0")
 		if len(gets) != 4 || len(puts) != 4 {
 			t.Fatalf("first round is %v, want 4 metadata GETs beside 4 block PUTs", describe(round1))
 		}
@@ -312,7 +312,7 @@ func TestWriteNumbersAfterTheMetadataItReads(t *testing.T) {
 	s, m, _, inner := stagedManager(t, Options{})
 	res := goWrite(m, "u", []byte("mine"))
 	round1 := s.await(t, 8)
-	release(pick(round1, "put", "/block"))
+	release(pick(round1, "put", "/c0"))
 	s.done(t, 3)
 
 	// While the reads are parked, another writer stores two versions.
@@ -350,7 +350,7 @@ func TestFailedBlockQuorumWritesNoMetadata(t *testing.T) {
 	s, m, providers, _ := stagedManager(t, Options{})
 	res := goWrite(m, "u", []byte("doomed"))
 	round1 := s.await(t, 8)
-	puts := pick(round1, "put", "/block")
+	puts := pick(round1, "put", "/c0")
 	// Two clouds store their block before two others refuse theirs.
 	release(puts[:2])
 	s.done(t, 2)
@@ -424,7 +424,7 @@ func TestCancelledWriteIssuesNoMetadataPut(t *testing.T) {
 		res <- err
 	}()
 	round1 := s.await(t, 8)
-	release(pick(round1, "put", "/block"))
+	release(pick(round1, "put", "/c0"))
 	s.done(t, 4)
 	cancel() // the metadata GETs are still parked
 	if err := <-res; !errors.Is(err, context.Canceled) {

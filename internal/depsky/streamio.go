@@ -1,17 +1,17 @@
 package depsky
 
-// Streaming data plane: chunked writes and ranged reads.
+// The chunk data plane: the one write pipeline and the one chunk fetch.
 //
-// The slice-based API (Write/Read) materializes the ciphertext and every
-// erasure shard of a version in memory before the first byte reaches a
-// cloud — ~2.5x the value size resident for DepSky-CA. The entry points in
-// this file bound that: WriteFrom consumes an io.Reader in fixed-size
-// chunks and overlaps encrypt → erasure-encode → per-shard hash → quorum
-// upload across a small window of in-flight chunks (see internal/stream),
-// and Open/OpenRange fetch — and, under faults, reconstruct — only the
-// chunks covering the requested byte range, reusing the coder's cached
-// decode matrices. All chunk, shard and frame buffers come from the
-// process-wide stream.Buffers pool shared with the whole-object read path.
+// Every write consumes its value in fixed-size chunks and overlaps encrypt →
+// erasure-encode → per-shard hash → quorum upload across a small window of
+// in-flight chunks (see internal/stream), so neither the ciphertext nor the
+// erasure shards of a whole value are ever resident — Write differs from
+// WriteFrom only in that its caller already holds the plaintext. Every read
+// is chunkFetcher.Fetch: Read/ReadMatching fetch all chunks of a version
+// into one buffer and verify the value's hash, Open/OpenRange fetch — and,
+// under faults, reconstruct — only the chunks covering the requested byte
+// range, reusing the coder's cached decode matrices. All chunk, shard and
+// frame buffers come from the process-wide stream.Buffers pool.
 
 import (
 	"context"
@@ -30,7 +30,7 @@ import (
 	"scfs/internal/telemetry"
 )
 
-// chunkSize returns the configured streamed-write chunk size, clamped to
+// chunkSize returns the configured chunk size of writes, clamped to
 // the wire-protocol cap (readers reject metadata declaring more, so a
 // larger configured value would write unreadable versions).
 func (m *Manager) chunkSize() int {
@@ -57,12 +57,12 @@ type encodedChunk struct {
 	hashes []string
 }
 
-// WriteFrom streams r as the next version of unit using the chunked v2
-// layout. At most WriteWindow chunks are resident at any moment, so the
-// peak memory of a write is ~3 chunk windows regardless of the stream
-// length; per-shard hashing of one chunk runs concurrently with the quorum
-// uploads of earlier chunks. The returned VersionInfo carries the SHA-256
-// of the whole plaintext stream, computed incrementally.
+// WriteFrom streams r as the next version of unit. At most WriteWindow
+// chunks are resident at any moment, so the peak memory of a write is ~3
+// chunk windows regardless of the stream length; per-shard hashing of one
+// chunk runs concurrently with the quorum uploads of earlier chunks. The
+// returned VersionInfo carries the SHA-256 of the whole plaintext stream,
+// computed incrementally.
 //
 // Like Write, WriteFrom assumes a single writer per data unit (SCFS
 // serializes writers via its lock service).
@@ -78,9 +78,7 @@ type encodedChunk struct {
 func (m *Manager) WriteFrom(ctx context.Context, unit string, r io.Reader) (VersionInfo, error) {
 	ctx, tr := m.opts.Tracer.Start(ctx, "write.stream", unit)
 	defer tr.Finish()
-	return m.writeVersion(ctx, unit, func(id string) (VersionInfo, error) {
-		return m.uploadChunks(ctx, unit, id, r)
-	})
+	return m.writeVersion(ctx, unit, r)
 }
 
 // uploadChunks runs r through the chunk pipeline, storing chunk idx under
@@ -139,7 +137,7 @@ func (m *Manager) uploadChunks(ctx context.Context, unit, id string, r io.Reader
 	return info, nil
 }
 
-// encodeChunk builds the per-cloud v2 frames for one plaintext chunk:
+// encodeChunk builds the per-cloud frames for one plaintext chunk:
 // encrypt (CA), erasure-split, frame, hash. Every buffer it touches comes
 // from (and returns to) the shared pool; the returned frames are pooled by
 // the upload stage once all clouds are done with them.
@@ -149,8 +147,8 @@ func (m *Manager) encodeChunk(idx int, plain []byte, key []byte, shares []secret
 	if m.opts.Protocol == ProtocolA {
 		for i := 0; i < n; i++ {
 			b := block{Full: plain, ShardIdx: i, ChunkIdx: idx, ChunkPlainLen: len(plain)}
-			frame := stream.Buffers.Get(frameLenV2(0, len(plain)))
-			encodeBlockV2(frame, ProtocolA, &b)
+			frame := stream.Buffers.Get(frameLen(0, len(plain)))
+			encodeFrame(frame, ProtocolA, &b)
 			ec.frames[i] = frame
 			ec.hashes[i] = seccrypto.Hash(frame)
 		}
@@ -178,8 +176,8 @@ func (m *Manager) encodeChunk(idx int, plain []byte, key []byte, shares []secret
 			ChunkIdx:      idx,
 			ChunkPlainLen: len(plain),
 		}
-		frame := stream.Buffers.Get(frameLenV2(len(shares[i].Data), len(shards[i])))
-		encodeBlockV2(frame, ProtocolCA, &b)
+		frame := stream.Buffers.Get(frameLen(len(shares[i].Data), len(shards[i])))
+		encodeFrame(frame, ProtocolCA, &b)
 		ec.frames[i] = frame
 		ec.hashes[i] = seccrypto.Hash(frame)
 	}
@@ -188,52 +186,30 @@ func (m *Manager) encodeChunk(idx int, plain []byte, key []byte, shares []secret
 
 // --- ranged reads ---
 
-// Open returns a random-access reader over the newest version of unit.
-// Chunked versions fetch only the chunks a read touches; v1 whole-object
-// versions fall back to fetching the full value on first access. The ctx
-// bounds only the metadata lookup performed here; each read through the
-// returned reader carries its own context (ReadAtContext / Section).
+// Open returns a random-access reader over the newest version of unit,
+// fetching only the chunks a read touches. The ctx bounds only the metadata
+// lookup performed here; each read through the returned reader carries its
+// own context (ReadAtContext / Section).
 func (m *Manager) Open(ctx context.Context, unit string) (*stream.Reader, VersionInfo, error) {
-	ctx, tr := m.opts.Tracer.Start(ctx, "open", unit)
-	defer tr.Finish()
-	merged := m.mergeMetadata(unit, m.readMetadataQuorum(ctx, unit))
-	newest := merged.newest()
-	if newest == nil {
-		if err := ctx.Err(); err != nil {
-			return nil, VersionInfo{}, err
-		}
-		return nil, VersionInfo{}, ErrUnitNotFound
-	}
-	return m.openVersion(ctx, unit, *newest, merged.certified[newest.Number], merged.variantsOf(newest.Number)), *newest, nil
+	return m.OpenMatching(ctx, unit, "")
 }
 
 // OpenMatching is Open for the version whose plaintext hash equals hash
-// (the read-by-hash SCFS's consistency anchor needs).
+// (the read-by-hash SCFS's consistency anchor needs); an empty hash is Open.
 func (m *Manager) OpenMatching(ctx context.Context, unit, hash string) (*stream.Reader, VersionInfo, error) {
 	ctx, tr := m.opts.Tracer.Start(ctx, "open", unit)
 	defer tr.Finish()
-	merged := m.mergeMetadata(unit, m.readMetadataQuorum(ctx, unit))
-	info := merged.find(hash)
-	if info == nil {
-		if err := ctx.Err(); err != nil {
-			return nil, VersionInfo{}, err
-		}
-		return nil, VersionInfo{}, ErrVersionNotFound
+	v, err := m.resolve(ctx, unit, hash)
+	if err != nil {
+		return nil, VersionInfo{}, err
 	}
-	var matching []VersionInfo
-	for _, v := range merged.variantsOf(info.Number) {
-		if v.DataHash == hash {
-			matching = append(matching, v)
-		}
-	}
-	return m.openVersion(ctx, unit, *info, merged.certified[info.Number], matching), *info, nil
+	return m.openVersion(ctx, unit, v), v.info, nil
 }
 
 // ErrWholeObjectOnly is returned by OpenRangedMatching for versions the
-// manager cannot serve by per-chunk ranged fetches (v1 layouts, or chunked
-// entries that are uncertified or malformed): callers should fall back to
-// a whole-object read path, which verifies the full value hash and can
-// cache the result.
+// manager cannot serve by per-chunk ranged fetches (entries that are not
+// certified): callers should fall back to a whole-value read, which
+// verifies the full value hash and can cache the result.
 var ErrWholeObjectOnly = errors.New("depsky: version requires the whole-object read path")
 
 // OpenRangedMatching is OpenMatching restricted to genuinely ranged
@@ -242,18 +218,14 @@ var ErrWholeObjectOnly = errors.New("depsky: version requires the whole-object r
 func (m *Manager) OpenRangedMatching(ctx context.Context, unit, hash string) (*stream.Reader, VersionInfo, error) {
 	ctx, tr := m.opts.Tracer.Start(ctx, "open", unit)
 	defer tr.Finish()
-	merged := m.mergeMetadata(unit, m.readMetadataQuorum(ctx, unit))
-	info := merged.find(hash)
-	if info == nil {
-		if err := ctx.Err(); err != nil {
-			return nil, VersionInfo{}, err
-		}
-		return nil, VersionInfo{}, ErrVersionNotFound
+	v, err := m.resolve(ctx, unit, hash)
+	if err != nil {
+		return nil, VersionInfo{}, err
 	}
-	if !info.Chunked() || !merged.certified[info.Number] || !info.validChunking() {
-		return nil, *info, ErrWholeObjectOnly
+	if !v.certified {
+		return nil, v.info, ErrWholeObjectOnly
 	}
-	return m.newChunkReader(ctx, &chunkFetcher{m: m, unit: unit, info: *info}), *info, nil
+	return m.openVersion(ctx, unit, v), v.info, nil
 }
 
 // newChunkReader wraps a fetcher in a stream.Reader configured from the
@@ -291,30 +263,26 @@ func (m *Manager) OpenRange(ctx context.Context, unit string, off, length int64)
 }
 
 // openVersion builds the stream.Reader for one version. Chunks are served
-// individually only for certified chunked entries with consistent geometry:
-// the per-chunk path has no end-to-end plaintext hash check, so its trust
-// rests on the metadata's ChunkHashes, which certification pins to at
-// least one correct cloud. Anything else — v1 layouts, uncertified or
-// malformed entries — goes through the whole-object path, which verifies
-// the full value against DataHash before serving any byte (trying every
-// metadata variant, so a forged uncertified copy costs a retry, not the
-// read). The ctx supplies the open-time I/O policy (readahead window,
-// hedging defaults for the reader's own prefetches).
-func (m *Manager) openVersion(ctx context.Context, unit string, info VersionInfo, certified bool, variants []VersionInfo) *stream.Reader {
-	if info.Chunked() && certified && info.validChunking() {
-		return m.newChunkReader(ctx, &chunkFetcher{m: m, unit: unit, info: info})
+// individually only for certified entries: the per-chunk path has no
+// end-to-end plaintext hash check, so its trust rests on the metadata's
+// ChunkHashes, which certification pins to at least one correct cloud. An
+// uncertified entry goes through wholeFetcher, which verifies the full value
+// against DataHash before serving any byte (trying every metadata variant,
+// so a forged uncertified copy costs a retry, not the read). The ctx
+// supplies the open-time I/O policy (readahead window, hedging defaults for
+// the reader's own prefetches).
+func (m *Manager) openVersion(ctx context.Context, unit string, v resolved) *stream.Reader {
+	if v.certified {
+		return m.newChunkReader(ctx, &chunkFetcher{m: m, unit: unit, info: v.info})
 	}
-	if len(variants) == 0 {
-		variants = []VersionInfo{info}
-	}
-	return stream.NewReader(&wholeFetcher{m: m, unit: unit, info: info, variants: variants}, stream.Buffers)
+	return stream.NewReader(&wholeFetcher{m: m, unit: unit, info: v.info, variants: v.variants}, stream.Buffers)
 }
 
-// readChunkedVersion reassembles a full chunked version (the whole-object
-// Read path for v2 versions) and verifies the stream hash. Chunks are
+// readVersion reassembles one version whole — the read under Read,
+// ReadMatching and wholeFetcher — and verifies the value's hash. Chunks are
 // fetched with a bounded-parallel window so the read costs
 // ceil(chunks/window) round-trip times, not one per chunk.
-func (m *Manager) readChunkedVersion(ctx context.Context, unit string, info VersionInfo) ([]byte, error) {
+func (m *Manager) readVersion(ctx context.Context, unit string, info VersionInfo) ([]byte, error) {
 	if !info.validChunking() {
 		return nil, fmt.Errorf("%w: inconsistent chunk geometry (size %d, chunk %d x %d)", ErrIntegrity, info.Size, info.ChunkSize, info.ChunkCount)
 	}
@@ -351,7 +319,7 @@ func (m *Manager) readChunkedVersion(ctx context.Context, unit string, info Vers
 	return out, nil
 }
 
-// chunkFetcher decodes individual chunks of a v2 version. The secret-shared
+// chunkFetcher decodes individual chunks of a version. The secret-shared
 // key is combined once on the first chunk and cached for the rest of the
 // read.
 type chunkFetcher struct {
@@ -560,10 +528,9 @@ func (f *chunkFetcher) decodeChunk(idx int, blocks []*block, dst []byte, scratch
 	return nil
 }
 
-// wholeFetcher adapts a whole-object-read version to the chunk interface so
-// v1 (and uncertified chunked) units stay readable through Open/OpenRange:
-// the full value is fetched (and verified) once, on first access, and
-// served as one chunk.
+// wholeFetcher serves a version whose entry is not certified through
+// Open/OpenRange: the full value is fetched and verified end to end once, on
+// first access (readVersionAny), and served as one chunk.
 type wholeFetcher struct {
 	m    *Manager
 	unit string
@@ -591,13 +558,13 @@ func (f *wholeFetcher) ChunkSize() int {
 // Close implements stream.Fetcher.
 func (f *wholeFetcher) Close() error { return nil }
 
-// Fetch implements stream.Fetcher. The one whole-object fetch runs under
+// Fetch implements stream.Fetcher. The one whole-value fetch runs under
 // the context of whichever read triggers it first; a failed fetch (a
 // cancelled caller, a transient quorum shortfall) is not latched, so a
 // later read with a live context retries it.
 func (f *wholeFetcher) Fetch(ctx context.Context, idx int, dst []byte) error {
 	if idx != 0 {
-		return fmt.Errorf("depsky: whole-object version has one chunk, got request for %d", idx)
+		return fmt.Errorf("depsky: whole-value fetch has one chunk, got request for %d", idx)
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -615,28 +582,15 @@ func (f *wholeFetcher) Fetch(ctx context.Context, idx int, dst []byte) error {
 	return nil
 }
 
-// objectNames lists the objects one version occupies on each cloud. For a
-// chunked version the caller vouches for info.ChunkCount.
+// objectNames lists the objects one version occupies on each cloud. The
+// caller vouches for info.ChunkCount: a merged entry's passed validChunking,
+// a failed write's is its own count.
 func (m *Manager) objectNames(unit string, info VersionInfo) []string {
-	if !info.Chunked() {
-		return []string{m.blockName(unit, info.ID)}
-	}
 	var names []string
 	for idx := 0; idx < info.ChunkCount; idx++ {
 		names = append(names, m.chunkName(unit, info.ID, idx))
 	}
 	return names
-}
-
-// deleteVersionBlocks removes the per-cloud objects of a version read from
-// the unit metadata. Callers pass only f+1-certified entries (see
-// DeleteVersions); the chunk geometry is still checked before it bounds a
-// loop.
-func (m *Manager) deleteVersionBlocks(ctx context.Context, unit string, info VersionInfo) {
-	if info.Chunked() && !info.validChunking() {
-		return
-	}
-	m.deleteObjects(ctx, m.objectNames(unit, info))
 }
 
 // orphanCleanupTimeout bounds discardObjects, which must outlive a
@@ -649,7 +603,7 @@ const orphanCleanupTimeout = 2 * time.Second
 // no request is made). It runs even when the write failed because ctx was
 // cancelled.
 func (m *Manager) discardObjects(ctx context.Context, unit string, info VersionInfo) {
-	if info.ID == "" || (info.Chunked() && info.ChunkCount == 0) {
+	if info.ChunkCount == 0 {
 		return
 	}
 	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), orphanCleanupTimeout)

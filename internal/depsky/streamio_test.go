@@ -7,8 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
 	"testing"
 
+	"scfs/internal/cloud"
 	"scfs/internal/cloudsim"
 	"scfs/internal/seccrypto"
 )
@@ -35,51 +37,75 @@ func randBytes(t *testing.T, n int) []byte {
 }
 
 // TestWriteFromChunkBoundaries pins round-trip correctness at every chunk
-// boundary: 0, 1, chunkSize-1, chunkSize, chunkSize+1 and multi-chunk.
+// boundary: 0, 1, chunkSize-1, chunkSize, chunkSize+1 and multi-chunk — for
+// both entry points, whose versions no reader can tell apart.
 func TestWriteFromChunkBoundaries(t *testing.T) {
 	const cs = 4096
+	writers := map[string]func(m *Manager, unit string, data []byte) (VersionInfo, error){
+		"WriteFrom": func(m *Manager, unit string, data []byte) (VersionInfo, error) {
+			return m.WriteFrom(bg, unit, bytes.NewReader(data))
+		},
+		"Write": func(m *Manager, unit string, data []byte) (VersionInfo, error) {
+			return m.Write(bg, unit, data)
+		},
+	}
 	for _, protocol := range []Protocol{ProtocolCA, ProtocolA} {
 		_, m := newChunkedManager(t, protocol, cs)
 		for _, size := range []int{0, 1, cs - 1, cs, cs + 1, 3*cs + 100, 5 * cs} {
 			data := randBytes(t, size)
-			unit := fmt.Sprintf("%s-%d", protocol, size)
-			info, err := m.WriteFrom(bg, unit, bytes.NewReader(data))
-			if err != nil {
-				t.Fatalf("%s size %d: WriteFrom: %v", protocol, size, err)
-			}
-			wantChunks := (size + cs - 1) / cs
-			if info.Size != size || info.ChunkSize != cs || info.ChunkCount != wantChunks {
-				t.Fatalf("%s size %d: info = %+v", protocol, size, info)
-			}
-			if len(info.ChunkHashes) != wantChunks {
-				t.Fatalf("%s size %d: %d chunk hash rows, want %d", protocol, size, len(info.ChunkHashes), wantChunks)
-			}
+			var shapes []VersionInfo
+			for name, write := range writers {
+				unit := fmt.Sprintf("%s-%s-%d", name, protocol, size)
+				info, err := write(m, unit, data)
+				if err != nil {
+					t.Fatalf("%s: %v", unit, err)
+				}
+				wantChunks := (size + cs - 1) / cs
+				if info.Size != size || info.ChunkSize != cs || info.ChunkCount != wantChunks {
+					t.Fatalf("%s: info = %+v", unit, info)
+				}
+				if len(info.ChunkHashes) != wantChunks {
+					t.Fatalf("%s: %d chunk hash rows, want %d", unit, len(info.ChunkHashes), wantChunks)
+				}
+				// What differs between two writes of the same bytes is drawn
+				// at random per write (ID, key, IV), nothing else.
+				info.ID, info.ChunkHashes = "", nil
+				shapes = append(shapes, info)
 
-			// Whole-object read path (Read) understands chunked versions.
-			got, gotInfo, err := m.Read(bg, unit)
-			if err != nil {
-				t.Fatalf("%s size %d: Read: %v", protocol, size, err)
-			}
-			if !bytes.Equal(got, data) {
-				t.Fatalf("%s size %d: Read mismatch", protocol, size)
-			}
-			if gotInfo.DataHash != info.DataHash {
-				t.Fatalf("%s size %d: hash mismatch", protocol, size)
-			}
+				// Whole-value reads, newest and by hash.
+				got, gotInfo, err := m.Read(bg, unit)
+				if err != nil || !bytes.Equal(got, data) {
+					t.Fatalf("%s: Read: mismatch or %v", unit, err)
+				}
+				if gotInfo.DataHash != info.DataHash {
+					t.Fatalf("%s: hash mismatch", unit)
+				}
+				if got, _, err := m.ReadMatching(bg, unit, info.DataHash); err != nil || !bytes.Equal(got, data) {
+					t.Fatalf("%s: ReadMatching: mismatch or %v", unit, err)
+				}
 
-			// Streaming read path.
-			r, _, err := m.Open(bg, unit)
-			if err != nil {
-				t.Fatalf("%s size %d: Open: %v", protocol, size, err)
+				// Ranged reads, newest and by hash: certified on four honest
+				// clouds, so served chunk by chunk.
+				r, _, err := m.OpenRange(bg, unit, 0, int64(size))
+				if err != nil {
+					t.Fatalf("%s: OpenRange: %v", unit, err)
+				}
+				if ranged, err := io.ReadAll(r); err != nil || !bytes.Equal(ranged, data) {
+					t.Fatalf("%s: ranged read: mismatch or %v", unit, err)
+				}
+				r.Close()
+				rm, _, err := m.OpenRangedMatching(bg, unit, info.DataHash)
+				if err != nil {
+					t.Fatalf("%s: OpenRangedMatching: %v", unit, err)
+				}
+				if ranged, err := io.ReadAll(rm); err != nil || !bytes.Equal(ranged, data) {
+					t.Fatalf("%s: ranged read by hash: mismatch or %v", unit, err)
+				}
+				rm.Close()
 			}
-			streamed, err := io.ReadAll(r)
-			if err != nil {
-				t.Fatalf("%s size %d: streamed read: %v", protocol, size, err)
+			if !reflect.DeepEqual(shapes[0], shapes[1]) {
+				t.Fatalf("%s size %d: the two writers' versions differ: %+v vs %+v", protocol, size, shapes[0], shapes[1])
 			}
-			if !bytes.Equal(streamed, data) {
-				t.Fatalf("%s size %d: streamed read mismatch", protocol, size)
-			}
-			r.Close()
 		}
 	}
 }
@@ -239,100 +265,39 @@ func TestWriteFromMidStreamCloudFailure(t *testing.T) {
 	}
 }
 
-// TestV1V2Compatibility: units written whole-object (v1) stay readable
-// through every read path after the upgrade, and v1/v2 versions coexist in
-// one unit's history.
-func TestV1V2Compatibility(t *testing.T) {
-	const cs = 4096
-	_, m := newChunkedManager(t, ProtocolCA, cs)
-	v1Data := randBytes(t, 2*cs+11) // bigger than a chunk, written whole
-	infoV1, err := m.Write(bg, "u", v1Data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if infoV1.Chunked() {
-		t.Fatal("Write produced a chunked version")
-	}
-
-	// v1 versions serve ranged reads via the whole-object fallback.
-	r, info, err := m.OpenRange(bg, "u", 100, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Chunked() {
-		t.Fatal("newest version should be v1")
-	}
-	got, err := io.ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Close()
-	if !bytes.Equal(got, v1Data[100:150]) {
-		t.Fatal("v1 ranged read mismatch")
-	}
-
-	// A streamed write appends a v2 version on top of the v1 history.
-	v2Data := randBytes(t, 3*cs)
-	infoV2, err := m.WriteFrom(bg, "u", bytes.NewReader(v2Data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !infoV2.Chunked() || infoV2.Number != infoV1.Number+1 {
-		t.Fatalf("v2 info = %+v", infoV2)
-	}
-	if got, _, err := m.Read(bg, "u"); err != nil || !bytes.Equal(got, v2Data) {
-		t.Fatalf("Read newest after upgrade: %v", err)
-	}
-	// Both versions remain addressable by hash (the consistency-anchor
-	// read), regardless of layout.
-	if got, _, err := m.ReadMatching(bg, "u", infoV1.DataHash); err != nil || !bytes.Equal(got, v1Data) {
-		t.Fatalf("ReadMatching v1: %v", err)
-	}
-	if got, _, err := m.ReadMatching(bg, "u", infoV2.DataHash); err != nil || !bytes.Equal(got, v2Data) {
-		t.Fatalf("ReadMatching v2: %v", err)
-	}
-	rm, _, err := m.OpenMatching(bg, "u", infoV1.DataHash)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := io.ReadAll(rm); err != nil || !bytes.Equal(got, v1Data) {
-		t.Fatalf("OpenMatching v1: %v", err)
-	}
-	rm.Close()
-}
-
 // TestDeleteChunkedVersionReclaimsSpace verifies chunk objects are removed
-// from the clouds when a chunked version is deleted.
+// from the clouds when a version is deleted: a write quorum holds each of
+// them before, no cloud holds any after.
 func TestDeleteChunkedVersionReclaimsSpace(t *testing.T) {
 	const cs = 2048
-	// Counts provider 0's objects, so every chunk upload must land there:
-	// disable the quorum verdict's straggler cancellation.
-	providers, clients := testClouds(t, 4)
-	m, err := New(Options{Clouds: clients, F: 1, ChunkSize: cs, DisableQuorumCancel: true})
+	_, clients := testClouds(t, 4)
+	m, err := New(Options{Clouds: clients, F: 1, ChunkSize: cs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := randBytes(t, 4*cs)
-	info, err := m.WriteFrom(bg, "u", bytes.NewReader(data))
+	info, err := m.WriteFrom(bg, "u", bytes.NewReader(randBytes(t, 4*cs)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	countObjects := func() int {
-		objs, err := providers[0].MustClient(providers[0].CreateAccount("alice")).List(bg, "dsky/u/")
-		if err != nil {
-			t.Fatal(err)
+	chunkObjects := func() int {
+		total := 0
+		for _, c := range clients {
+			objs, err := c.List(bg, "dsky/u/"+info.ID+"/")
+			if err != nil {
+				t.Fatal(err)
+			}
+			total += len(objs)
 		}
-		return len(objs)
+		return total
 	}
-	before := countObjects()
-	if before < info.ChunkCount {
-		t.Fatalf("only %d objects before delete", before)
+	if n, want := chunkObjects(), info.ChunkCount*m.QuorumSize(); n < want {
+		t.Fatalf("%d chunk objects before the delete, want a quorum of each of %d chunks", n, info.ChunkCount)
 	}
 	if err := m.DeleteVersion(bg, "u", info.Number); err != nil {
 		t.Fatal(err)
 	}
-	if after := countObjects(); after != before-info.ChunkCount {
-		t.Fatalf("objects %d -> %d, want %d chunk objects gone", before, after, info.ChunkCount)
+	if n := chunkObjects(); n != 0 {
+		t.Fatalf("the clouds keep %d chunk objects of the deleted version", n)
 	}
 }
 
@@ -442,8 +407,7 @@ func TestRangedReadIgnoresForgedMetadataCopy(t *testing.T) {
 		for idx := 0; idx < v.ChunkCount; idx++ {
 			chunk := forged[idx*cs : idx*cs+v.chunkPlainLen(idx)]
 			for cloudIdx := 0; cloudIdx < 4; cloudIdx++ {
-				frame := make([]byte, frameLenV2(0, len(chunk)))
-				encodeBlockV2(frame, ProtocolA, &block{Full: chunk, ShardIdx: cloudIdx, ChunkIdx: idx, ChunkPlainLen: len(chunk)})
+				frame := frameOf(ProtocolA, &block{Full: chunk, ShardIdx: cloudIdx, ChunkIdx: idx, ChunkPlainLen: len(chunk)})
 				if cloudIdx == 0 {
 					if err := evil.Put(bg, m.chunkName("u", v.ID, idx), frame); err != nil {
 						t.Fatal(err)
@@ -479,24 +443,42 @@ func TestRangedReadIgnoresForgedMetadataCopy(t *testing.T) {
 	}
 }
 
-// TestOpenRangedMatchingDeclinesWholeObjectVersions: v1 versions must send
-// callers to the caching whole-object path instead of a fake ranged reader.
-func TestOpenRangedMatchingDeclinesWholeObjectVersions(t *testing.T) {
-	_, m := newChunkedManager(t, ProtocolCA, 2048)
-	info, err := m.Write(bg, "u", randBytes(t, 5000))
+// TestOpenRangedMatchingDeclinesUncertifiedEntries: an entry fewer than f+1
+// clouds vouch for must send callers to the verified, caching whole-value
+// path instead of a ranged reader that trusts its chunk hashes.
+func TestOpenRangedMatchingDeclinesUncertifiedEntries(t *testing.T) {
+	// A write whose metadata PUT lands on one cloud and is refused by three
+	// leaves its chunks and exactly one copy of its entry.
+	s, m, _, inner := stagedManager(t, Options{ChunkSize: 2048})
+	data := randBytes(t, 2000)
+	res := goWrite(m, "u", data)
+	release(s.await(t, 8))
+	meta := s.await(t, 4)
+	release(meta[:1])
+	s.done(t, 9) // stored, before the refusals below cancel the write
+	for _, r := range meta[1:] {
+		r.fail = cloud.ErrUnavailable
+	}
+	release(meta[1:])
+	if r := <-res; !errors.Is(r.err, ErrQuorumWrite) {
+		t.Fatalf("Write err = %v, want ErrQuorumWrite", r.err)
+	}
+
+	// A reader that waits for all n metadata copies always hears that one.
+	reader, err := New(Options{Clouds: inner, F: 1, DisableQuorumCancel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := m.OpenRangedMatching(bg, "u", info.DataHash); !errors.Is(err, ErrWholeObjectOnly) {
+	hash := seccrypto.Hash(data)
+	if _, _, err := reader.OpenRangedMatching(bg, "u", hash); !errors.Is(err, ErrWholeObjectOnly) {
 		t.Fatalf("err = %v, want ErrWholeObjectOnly", err)
 	}
-	chunked, err := m.WriteFrom(bg, "u", bytes.NewReader(randBytes(t, 5000)))
+	r, _, err := reader.OpenMatching(bg, "u", hash)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, _, err := m.OpenRangedMatching(bg, "u", chunked.DataHash)
-	if err != nil {
-		t.Fatal(err)
+	if got, err := io.ReadAll(r); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("whole-value read of the uncertified entry: mismatch or %v", err)
 	}
 	r.Close()
 }
@@ -509,7 +491,7 @@ func TestMalformedChunkGeometryFailsCleanly(t *testing.T) {
 		t.Fatal("inconsistent geometry accepted")
 	}
 	_, m := newChunkedManager(t, ProtocolCA, 2048)
-	if _, err := m.readChunkedVersion(bg, "u", bad); !errors.Is(err, ErrIntegrity) {
+	if _, err := m.readVersion(bg, "u", bad); !errors.Is(err, ErrIntegrity) {
 		t.Fatalf("err = %v, want ErrIntegrity", err)
 	}
 	good := VersionInfo{Size: 25, ChunkSize: 10, ChunkCount: 3, ChunkHashes: [][]string{nil, nil, nil}}

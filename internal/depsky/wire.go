@@ -9,32 +9,16 @@ package depsky
 // binary envelope instead. The small metadata objects remain JSON: they are
 // human-inspectable and off the hot path.
 //
-// v1 frame layout — one frame per cloud holding the whole version (all
-// integers big-endian):
-//
-//	offset size field
-//	0      4    magic "DSKB"
-//	4      1    frame version (1)
-//	5      1    protocol (0 = DepSky-CA, 1 = DepSky-A)
-//	6      1    flags (bit 0: key share present)
-//	7      1    keyX (secret-share evaluation point; 0 when no key share)
-//	8      2    shard index
-//	10     4    key share length
-//	14     4    payload length
-//	18     …    key share bytes, then payload bytes
-//
-// v2 frame layout — the chunked streaming format. A version written through
-// the streaming pipeline (Manager.WriteFrom) is cut into fixed-size
-// plaintext chunks; each chunk is encrypted, erasure-coded and framed
-// independently, and each cloud stores one v2 frame per chunk under the
-// object name "<prefix>dsky/<unit>/<id>/c<chunk>" (a whole-object version's
-// one v1 frame is "<prefix>dsky/<unit>/<id>/block"). <id> is the version's
-// VersionInfo.ID — 32 lowercase hex digits the writer draws at random — not
-// its number: the number is only known once the unit's metadata has been
-// read, and names keyed by the ID let a write upload its frames while that
-// read is still in flight (Manager.writeVersion: two cloud rounds, metadata
-// GET beside the upload, then the metadata PUT). The header extends v1 with
-// the chunk coordinates:
+// There is one frame layout. A version is cut into fixed-size plaintext
+// chunks (one for a value of at most a chunk, none for an empty one); each
+// chunk is encrypted, erasure-coded and framed independently, and each cloud
+// stores one frame per chunk under the object name
+// "<prefix>dsky/<unit>/<id>/c<chunk>". <id> is the version's VersionInfo.ID —
+// 32 lowercase hex digits the writer draws at random — not its number: the
+// number is only known once the unit's metadata has been read, and names
+// keyed by the ID let a write upload its frames while that read is still in
+// flight (Manager.writeVersion: two cloud rounds, metadata GET beside the
+// upload, then the metadata PUT). All integers are big-endian:
 //
 //	offset size field
 //	0      4    magic "DSKB"
@@ -49,6 +33,10 @@ package depsky
 //	22     4    chunk plaintext length (bytes of original data in this chunk)
 //	26     …    key share bytes, then payload bytes
 //
+// The version byte is 2 because 1 is taken: a whole-value frame without the
+// chunk coordinates, which nothing writes and which a reader rejects like
+// any other unknown version.
+//
 // The chunk count, the chunk size and the per-chunk per-cloud frame hashes
 // live in the version metadata (VersionInfo.ChunkSize, ChunkCount and
 // ChunkHashes), not in the frames: the writer does not know the total chunk
@@ -60,10 +48,8 @@ package depsky
 // The payload is the erasure-coded shard of the chunk ciphertext for
 // DepSky-CA and the full (replicated) chunk for DepSky-A. Integrity is not
 // the frame's job: the SHA-256 of the whole frame is recorded in the version
-// metadata (VersionInfo.BlockHashes for v1, VersionInfo.ChunkHashes for v2)
-// and checked before decoding, exactly as it was for the JSON envelope.
-// Readers still accept v1 frames, so units written before the upgrade stay
-// readable.
+// metadata (VersionInfo.ChunkHashes) and checked before decoding, exactly as
+// it was for the JSON envelope.
 
 import (
 	"encoding/binary"
@@ -73,11 +59,8 @@ import (
 
 const (
 	wireMagic     = "DSKB"
-	wireVersion   = 1
-	wireVersion2  = 2
-	wireHeaderLen = 18
-	// wireHeaderLenV2 adds chunk index and chunk plaintext length.
-	wireHeaderLenV2 = 26
+	wireVersion   = 2
+	wireHeaderLen = 26
 
 	wireFlagKeyShare = 1 << 0
 )
@@ -86,48 +69,25 @@ const (
 // (bad magic, unknown version, or inconsistent lengths).
 var ErrBadFrame = errors.New("depsky: malformed block frame")
 
-// encodeBlock serializes a block into the v1 binary frame, sized exactly in
-// one allocation.
-func encodeBlock(p Protocol, b *block) []byte {
+// frameLen returns the exact frame size for a block, so callers can draw
+// the destination from a pool.
+func frameLen(keyShareLen, payloadLen int) int {
+	return wireHeaderLen + keyShareLen + payloadLen
+}
+
+// encodeFrame serializes a block into dst, which must have exactly
+// frameLen(len(b.KeyShare), len(payload)) bytes. The payload is b.Shard for
+// DepSky-CA and b.Full for DepSky-A.
+func encodeFrame(dst []byte, p Protocol, b *block) {
 	payload := b.Shard
 	if p == ProtocolA {
 		payload = b.Full
 	}
-	buf := make([]byte, wireHeaderLen+len(b.KeyShare)+len(payload))
-	copy(buf, wireMagic)
-	buf[4] = wireVersion
-	buf[5] = byte(p)
-	if len(b.KeyShare) > 0 {
-		buf[6] = wireFlagKeyShare
-		buf[7] = b.KeyX
-	}
-	binary.BigEndian.PutUint16(buf[8:], uint16(b.ShardIdx))
-	binary.BigEndian.PutUint32(buf[10:], uint32(len(b.KeyShare)))
-	binary.BigEndian.PutUint32(buf[14:], uint32(len(payload)))
-	n := copy(buf[wireHeaderLen:], b.KeyShare)
-	copy(buf[wireHeaderLen+n:], payload)
-	return buf
-}
-
-// frameLenV2 returns the exact frame size for a v2 block, so callers can
-// draw the destination from a pool.
-func frameLenV2(keyShareLen, payloadLen int) int {
-	return wireHeaderLenV2 + keyShareLen + payloadLen
-}
-
-// encodeBlockV2 serializes a chunked block into dst, which must have exactly
-// frameLenV2(len(b.KeyShare), len(payload)) bytes. The payload is b.Shard
-// for DepSky-CA and b.Full for DepSky-A.
-func encodeBlockV2(dst []byte, p Protocol, b *block) {
-	payload := b.Shard
-	if p == ProtocolA {
-		payload = b.Full
-	}
-	if len(dst) != frameLenV2(len(b.KeyShare), len(payload)) {
-		panic(fmt.Sprintf("depsky: v2 frame buffer is %d bytes, need %d", len(dst), frameLenV2(len(b.KeyShare), len(payload))))
+	if len(dst) != frameLen(len(b.KeyShare), len(payload)) {
+		panic(fmt.Sprintf("depsky: frame buffer is %d bytes, need %d", len(dst), frameLen(len(b.KeyShare), len(payload))))
 	}
 	copy(dst, wireMagic)
-	dst[4] = wireVersion2
+	dst[4] = wireVersion
 	dst[5] = byte(p)
 	dst[6] = 0
 	dst[7] = 0
@@ -140,12 +100,12 @@ func encodeBlockV2(dst []byte, p Protocol, b *block) {
 	binary.BigEndian.PutUint32(dst[14:], uint32(len(payload)))
 	binary.BigEndian.PutUint32(dst[18:], uint32(b.ChunkIdx))
 	binary.BigEndian.PutUint32(dst[22:], uint32(b.ChunkPlainLen))
-	n := copy(dst[wireHeaderLenV2:], b.KeyShare)
-	copy(dst[wireHeaderLenV2+n:], payload)
+	n := copy(dst[wireHeaderLen:], b.KeyShare)
+	copy(dst[wireHeaderLen+n:], payload)
 }
 
-// decodeBlock parses a v1 or v2 block frame. The returned block's byte
-// fields alias data.
+// decodeBlock parses a block frame. The returned block's byte fields alias
+// data.
 func decodeBlock(data []byte) (*block, error) {
 	if len(data) < wireHeaderLen {
 		return nil, fmt.Errorf("%w: %d bytes, need at least %d", ErrBadFrame, len(data), wireHeaderLen)
@@ -153,17 +113,8 @@ func decodeBlock(data []byte) (*block, error) {
 	if string(data[:4]) != wireMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadFrame)
 	}
-	version := data[4]
-	headerLen := wireHeaderLen
-	switch version {
-	case wireVersion:
-	case wireVersion2:
-		headerLen = wireHeaderLenV2
-		if len(data) < headerLen {
-			return nil, fmt.Errorf("%w: %d bytes, need at least %d for a v2 frame", ErrBadFrame, len(data), headerLen)
-		}
-	default:
-		return nil, fmt.Errorf("%w: unknown frame version %d", ErrBadFrame, version)
+	if data[4] != wireVersion {
+		return nil, fmt.Errorf("%w: unknown frame version %d", ErrBadFrame, data[4])
 	}
 	proto := Protocol(data[5])
 	if proto != ProtocolCA && proto != ProtocolA {
@@ -172,19 +123,19 @@ func decodeBlock(data []byte) (*block, error) {
 	flags := data[6]
 	keyLen := int(binary.BigEndian.Uint32(data[10:]))
 	payloadLen := int(binary.BigEndian.Uint32(data[14:]))
-	if keyLen < 0 || payloadLen < 0 || headerLen+keyLen+payloadLen != len(data) {
+	if keyLen < 0 || payloadLen < 0 || wireHeaderLen+keyLen+payloadLen != len(data) {
 		return nil, fmt.Errorf("%w: lengths %d+%d inconsistent with frame size %d", ErrBadFrame, keyLen, payloadLen, len(data))
 	}
-	b := &block{ShardIdx: int(binary.BigEndian.Uint16(data[8:])), ChunkIdx: -1}
-	if version == wireVersion2 {
-		b.ChunkIdx = int(binary.BigEndian.Uint32(data[18:]))
-		b.ChunkPlainLen = int(binary.BigEndian.Uint32(data[22:]))
+	b := &block{
+		ShardIdx:      int(binary.BigEndian.Uint16(data[8:])),
+		ChunkIdx:      int(binary.BigEndian.Uint32(data[18:])),
+		ChunkPlainLen: int(binary.BigEndian.Uint32(data[22:])),
 	}
 	if flags&wireFlagKeyShare != 0 {
 		b.KeyX = data[7]
-		b.KeyShare = data[headerLen : headerLen+keyLen]
+		b.KeyShare = data[wireHeaderLen : wireHeaderLen+keyLen]
 	}
-	payload := data[headerLen+keyLen:]
+	payload := data[wireHeaderLen+keyLen:]
 	if proto == ProtocolA {
 		b.Full = payload
 	} else {

@@ -130,13 +130,13 @@ type VersionFootprint struct {
 }
 
 // VersionCoster is the optional cost-estimation face of a VersionedStore:
-// it predicts the footprint a version of the given size would have,
-// streamed selecting the chunked layout (one cloud object per chunk) versus
-// the whole-object one. The agent feeds the estimate into its
-// garbage-collection trigger so request-fee pressure (many small chunks)
-// can start a collection even when byte pressure alone would not.
+// it predicts the footprint a version of the given size would have; how the
+// backend lays a version out (one object, or one per chunk) is the backend's
+// to know. The agent feeds the estimate into its garbage-collection trigger
+// so request-fee pressure (many small chunks) can start a collection even
+// when byte pressure alone would not.
 type VersionCoster interface {
-	EstimateVersionFootprint(size int64, streamed bool) VersionFootprint
+	EstimateVersionFootprint(size int64) VersionFootprint
 }
 
 // --- single-cloud backend ---
@@ -262,7 +262,7 @@ func (s *SingleCloud) DeleteVersionsBatch(ctx context.Context, batch map[string]
 
 // EstimateVersionFootprint implements VersionCoster: a single-cloud version
 // is always one object, whatever its size.
-func (s *SingleCloud) EstimateVersionFootprint(size int64, streamed bool) VersionFootprint {
+func (s *SingleCloud) EstimateVersionFootprint(size int64) VersionFootprint {
 	return VersionFootprint{
 		Bytes: size, Objects: 1, PutRequests: 1, GetRequestsPerRead: 1, DeleteRequests: 1,
 		Dollars: pricing.Estimate{
@@ -359,11 +359,11 @@ func (c *CloudOfClouds) ListVersions(ctx context.Context, fileID string) ([]stri
 	return hashes, nil
 }
 
-// WriteVersionFrom implements StreamWriter: the contents are chunked,
-// encoded and uploaded through the DepSky streaming pipeline, so only a
-// bounded window of chunks is resident regardless of the version size. The
-// stream hash is computed on the fly; a mismatch with the caller's hash
-// deletes the half-anchored version before failing.
+// WriteVersionFrom implements StreamWriter: WriteVersion for contents the
+// caller does not hold in memory. Only a bounded window of chunks is
+// resident regardless of the version size. The stream hash is computed on
+// the fly; a mismatch with the caller's hash deletes the half-anchored
+// version before failing.
 func (c *CloudOfClouds) WriteVersionFrom(ctx context.Context, fileID, hash string, r io.Reader) error {
 	info, err := c.mgr.WriteFrom(ctx, fileID, r)
 	if err != nil {
@@ -373,11 +373,10 @@ func (c *CloudOfClouds) WriteVersionFrom(ctx context.Context, fileID, hash strin
 }
 
 // OpenVersionAt implements RangeOpener: reads fetch (and under faults
-// reconstruct) only the chunks covering the requested range. Versions that
-// cannot be served by genuinely ranged fetches — the v1 whole-object
-// layout, or chunked metadata that is not quorum-certified — return an
-// error so the agent falls back to the whole-object path, which verifies
-// the full value hash and populates its caches.
+// reconstruct) only the chunks covering the requested range. A version
+// whose metadata entry is not quorum-certified cannot be served by
+// genuinely ranged fetches and returns an error, so the agent falls back to
+// ReadVersion, which verifies the full value hash and populates its caches.
 func (c *CloudOfClouds) OpenVersionAt(ctx context.Context, fileID, hash string) (ReaderAtCloser, error) {
 	r, _, err := c.mgr.OpenRangedMatching(ctx, fileID, hash)
 	if errors.Is(err, depsky.ErrVersionNotFound) || errors.Is(err, depsky.ErrUnitNotFound) {
@@ -493,15 +492,15 @@ func (c *CloudOfClouds) DeleteVersionsBatch(ctx context.Context, batch map[strin
 // EstimateVersionFootprint implements VersionCoster by delegating to the
 // DepSky cost model (see depsky.Footprint and the dollar view in
 // depsky/cost.go).
-func (c *CloudOfClouds) EstimateVersionFootprint(size int64, streamed bool) VersionFootprint {
-	fp := c.mgr.EstimateFootprint(size, streamed)
+func (c *CloudOfClouds) EstimateVersionFootprint(size int64) VersionFootprint {
+	fp := c.mgr.EstimateFootprint(size)
 	return VersionFootprint{
 		Bytes:              fp.Bytes,
 		Objects:            fp.Objects,
 		PutRequests:        fp.PutRequests,
 		GetRequestsPerRead: fp.GetRequestsPerRead,
 		DeleteRequests:     fp.DeleteRequests,
-		Dollars:            c.mgr.EstimateCost(size, streamed),
+		Dollars:            c.mgr.EstimateCost(size),
 	}
 }
 

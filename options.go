@@ -152,9 +152,12 @@ func WithDiskCache(dir string, bytes int64) Option {
 // (0 disables it; the paper's experiments use 500ms).
 func WithMetadataCacheTTL(ttl time.Duration) Option { return func(c *config) { c.metadataTTL = ttl } }
 
-// WithStreamThreshold sets the size above which file data moves through the
-// streaming data plane (ranged reads, chunked uploads). Negative disables
-// streaming; 0 keeps the default (1 MiB).
+// WithStreamThreshold sets the size above which a file is no longer held
+// whole in the mount's caches: read-only opens of larger files are served by
+// ranged cloud reads, and larger queued uploads stream from the disk cache.
+// It chooses memory residency, not the cloud layout — mounts with different
+// thresholds read each other's files the same way. Negative disables both;
+// 0 keeps the default (1 MiB).
 func WithStreamThreshold(bytes int64) Option { return func(c *config) { c.streamThreshold = bytes } }
 
 // WithLockTTL sets the lease attached to ephemeral write locks.
