@@ -132,6 +132,36 @@ var pairRules = []pairRule{
 		metric: func(b bench) float64 { return b.NsOp }, what: "ns/op",
 		maxRatio: 0.67,
 	},
+	// PR 17 acceptance, span reads. One ReadAt over the 16 MiB value fetches
+	// its 16 chunks together, stream.Window = 8 at a time: 2 payload rounds
+	// against the on-demand scan's 16. Measured ~0.28x alone and ~0.34x
+	// inside a full run.sh on two cores, ~0.39x on one: beyond the round
+	// trips the read is hashing and copying (~2.5 ms of processor time a
+	// chunk), which two payload rounds cannot hide behind waiting the way
+	// sixteen do, so the ratio falls with every core added...
+	{
+		num: "BenchmarkStreamSequentialScan/WholeRead", den: "BenchmarkStreamSequentialScan/NoReadahead",
+		metric: func(b bench) float64 { return b.NsOp }, what: "ns/op",
+		maxRatio: 0.35,
+	},
+	// ...for exactly the requests the scan issues: the width comes from the
+	// request, so nothing is fetched on a guess (measured 1.000x — 4 metadata
+	// GETs + 16 x 4 chunk GETs on both legs).
+	{
+		num: "BenchmarkStreamSequentialScan/WholeRead", den: "BenchmarkStreamSequentialScan/NoReadahead",
+		metric: func(b bench) float64 { return b.CloudReqOp }, what: "cloudReq/op",
+		maxRatio: 1.0,
+	},
+	// PR 17, the upload half: with every encoded chunk in flight a four-chunk
+	// write is as many cloud rounds deep as a one-chunk write — the payload
+	// round beside the metadata read, then the metadata write — so over
+	// 20 ms-RTT clouds it costs little more (measured ~1.12x; a window of
+	// three chunks made it a third round, ~1.54x).
+	{
+		num: "BenchmarkStreamWrite/FourChunks", den: "BenchmarkStreamWrite/OneChunk",
+		metric: func(b bench) float64 { return b.NsOp }, what: "ns/op",
+		maxRatio: 1.3,
+	},
 	// PR 5 acceptance, hedged writes. At equal (n, f) durability a hedged
 	// write ships only the preferred quorum's shards: >= 25% fewer ingress
 	// bytes than the immediate full fan-out. The benchmark writes a fresh

@@ -15,7 +15,9 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"scfs/internal/cloud"
 	"scfs/internal/cloudsim"
@@ -38,6 +40,29 @@ func benchManager(b testing.TB, f int, protocol depsky.Protocol) (*depsky.Manage
 		b.Fatal(err)
 	}
 	return m, providers
+}
+
+// rttManager builds a DepSky manager (f=1) over four clouds that all answer
+// after the same round-trip time, for the benchmarks that count round trips.
+// With issued non-nil every client counts the requests it issues into it.
+func rttManager(b testing.TB, rtt time.Duration, issued *atomic.Int64) *depsky.Manager {
+	b.Helper()
+	clients := make([]cloud.ObjectStore, 4)
+	for i := range clients {
+		p := cloudsim.NewProvider(cloudsim.Options{
+			Name:    fmt.Sprintf("c%d", i),
+			Latency: cloudsim.LatencyProfile{RTT: rtt},
+		})
+		clients[i] = p.MustClient(p.CreateAccount("bench"))
+		if issued != nil {
+			clients[i] = countingStore{ObjectStore: clients[i], n: issued}
+		}
+	}
+	m, err := depsky.New(depsky.Options{Clouds: clients, F: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return m
 }
 
 var rtSizes = []struct {

@@ -163,13 +163,18 @@ func BenchmarkDepSkyHedgedRead(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamSequentialScan measures a cold sequential scan of a 16 MiB
-// chunked value over clouds with a real (small) RTT, with and without the
-// readahead prefetch pipeline. With readahead N the fetch+decode of up to N
-// upcoming chunks overlaps consumption of the current one, so the scan
-// costs ~chunks/(N+1) round trips instead of one per chunk. Tracked by
-// benchguard: Readahead4 must stay well below NoReadahead (the >= 1.5x
-// throughput acceptance floor).
+// BenchmarkStreamSequentialScan measures a cold read of a 16 MiB chunked
+// value over clouds with a real (small) RTT, three ways. NoReadahead scans it
+// in sub-chunk reads: one round trip per chunk. Readahead4 is the same scan
+// with the prefetch pipeline: the fetch+decode of up to 4 upcoming chunks
+// overlaps consumption of the current one, so the scan costs ~chunks/(N+1)
+// round trips. WholeRead asks for the value in one ReadAt: the reader fetches
+// the covering chunks together, stream.Window at a time, so 16 chunks cost 2
+// payload rounds — and, unlike readahead, exactly the requests of the
+// on-demand scan (cloudReq/op), since nothing is fetched on a guess. Tracked
+// by benchguard: Readahead4 must stay well below NoReadahead (the >= 1.5x
+// throughput acceptance floor), WholeRead at most 0.35x of it in ns/op and
+// 1.0x in cloudReq/op.
 func BenchmarkStreamSequentialScan(b *testing.B) {
 	const (
 		chunkRTT = 5 * time.Millisecond
@@ -178,24 +183,15 @@ func BenchmarkStreamSequentialScan(b *testing.B) {
 	for _, mode := range []struct {
 		name      string
 		readahead int
+		whole     bool
 	}{
-		{"NoReadahead", 0},
-		{"Readahead4", 4},
+		{"NoReadahead", 0, false},
+		{"Readahead4", 4, false},
+		{"WholeRead", 0, true},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			providers := make([]*cloudsim.Provider, 4)
-			clients := make([]cloud.ObjectStore, 4)
-			for i := range providers {
-				providers[i] = cloudsim.NewProvider(cloudsim.Options{
-					Name:    fmt.Sprintf("c%d", i),
-					Latency: cloudsim.LatencyProfile{RTT: chunkRTT},
-				})
-				clients[i] = providers[i].MustClient(providers[i].CreateAccount("bench"))
-			}
-			m, err := depsky.New(depsky.Options{Clouds: clients, F: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
+			issued := &atomic.Int64{}
+			m := rttManager(b, chunkRTT, issued)
 			data := bytes.Repeat([]byte{0x6B}, scanSize)
 			if _, err := m.WriteFrom(bg, "u", bytes.NewReader(data)); err != nil {
 				b.Fatal(err)
@@ -205,6 +201,10 @@ func BenchmarkStreamSequentialScan(b *testing.B) {
 				ctx = iopolicy.With(bg, iopolicy.Policy{Readahead: mode.readahead})
 			}
 			buf := make([]byte, 256<<10)
+			if mode.whole {
+				buf = make([]byte, scanSize)
+			}
+			before := issued.Load()
 			b.SetBytes(scanSize)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -212,15 +212,24 @@ func BenchmarkStreamSequentialScan(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				n, err := io.CopyBuffer(io.Discard, r, buf)
+				var n int64
+				if mode.whole {
+					var got int
+					got, err = r.ReadAtContext(ctx, buf, 0)
+					n = int64(got)
+				} else {
+					n, err = io.CopyBuffer(io.Discard, r, buf)
+				}
 				if err != nil {
 					b.Fatal(err)
 				}
 				if n != scanSize {
-					b.Fatalf("scanned %d bytes, want %d", n, scanSize)
+					b.Fatalf("read %d bytes, want %d", n, scanSize)
 				}
 				r.Close()
 			}
+			b.StopTimer()
+			b.ReportMetric(float64(issued.Load()-before)/float64(b.N), "cloudReq/op")
 		})
 	}
 }

@@ -35,6 +35,35 @@ func BenchmarkDepSkyStreamWriteCA(b *testing.B) {
 	})
 }
 
+// BenchmarkStreamWrite writes a one-chunk and a four-chunk value over clouds
+// with a 20 ms RTT. Every encoded chunk is kept in flight (stream.Window), so
+// the four-chunk upload is one payload round like the one-chunk upload, and
+// both writes are two rounds deep: what the larger one adds is encode time,
+// not round trips (at a window of three chunks it was a third round). Tracked
+// by benchguard: FourChunks stays within 1.3x of OneChunk in ns/op.
+func BenchmarkStreamWrite(b *testing.B) {
+	const rtt = 20 * time.Millisecond
+	for _, mode := range []struct {
+		name string
+		size int
+	}{
+		{"OneChunk", 1 << 20},
+		{"FourChunks", 4 << 20},
+	} {
+		b.Run(mode.name, func(b *testing.B) {
+			m := rttManager(b, rtt, nil)
+			data := bytes.Repeat([]byte{0xC4}, mode.size)
+			b.SetBytes(int64(mode.size))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := m.WriteFrom(bg, fmt.Sprintf("u-%d", i), bytes.NewReader(data)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkDepSkyRangedReadCA reads a 64 KiB range out of a 64 MiB chunked
 // unit: only the covering chunk is fetched and decoded.
 func BenchmarkDepSkyRangedReadCA(b *testing.B) {

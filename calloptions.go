@@ -169,8 +169,14 @@ func PlaceBalanced(costWeight float64) PlacementObjective {
 // decode latency with consumption. The window ramps up only while the
 // access pattern stays sequential and collapses on the first seek, so the
 // option is safe to set on handles that may also read randomly. It takes
-// effect at open time (Open, ReadFile, ReadFileTo, or a WithPolicy context
-// passed to IOFS).
+// effect at open time (Open, ReadFileTo, or a WithPolicy context passed to
+// IOFS).
+//
+// Readahead is speculation — it fetches chunks nobody has asked for yet —
+// and is for consumers that read a large file in pieces. A single read that
+// spans several chunks (ReadFile, or a ReadAt with a large buffer) needs
+// none: the chunks it covers are fetched together, up to 8 at a time, and
+// only those.
 func WithReadahead(chunks int) CallOption {
 	return func(p *IOPolicy) { p.Readahead = chunks }
 }
@@ -196,7 +202,9 @@ func PreferClouds(order ...int) ReadPreference { return ReadPreference{Order: or
 
 // WithLimits bounds the extra work the operation's policy may spend: the
 // number of concurrently in-flight prefetch chunks, and how many extra
-// clouds a hedge firing may contact at once.
+// clouds a hedge firing may contact at once. MaxParallelChunks also narrows
+// how many chunks one multi-chunk read fetches together; it can only lower
+// that width below the built-in bound of 8 chunks, never raise it.
 func WithLimits(limits IOLimits) CallOption {
 	return func(p *IOPolicy) { p.Limits = limits }
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -447,17 +448,33 @@ func (h *handle) WriteAt(ctx context.Context, p []byte, off int64) (int, error) 
 		return 0, fsapi.ErrInvalid
 	}
 	end := off + int64(len(p))
-	if end > int64(len(h.of.data)) {
-		grown := make([]byte, end)
-		copy(grown, h.of.data)
-		h.of.data = grown
-	}
+	h.of.data = grow(h.of.data, end)
 	copy(h.of.data[off:end], p)
 	h.of.dirty = true
 	h.of.meta.Size = int64(len(h.of.data))
 	h.of.meta.Mtime = a.clk.Now()
 	a.addStat(func(s *Stats) { s.BytesWritten += int64(len(p)) })
 	return len(p), nil
+}
+
+// grow extends data to size bytes, zero-filling what it adds (the gap a
+// sparse write leaves, and what a shrink left behind in the capacity). The
+// capacity at least doubles when it has to grow, so a file written by appends
+// is copied at most twice over, not once per append.
+func grow(data []byte, size int64) []byte {
+	cur := int64(len(data))
+	switch {
+	case size <= cur:
+		return data
+	case size > int64(cap(data)):
+		grown := make([]byte, size, max(size, 2*int64(cap(data))))
+		copy(grown, data)
+		return grown
+	default:
+		data = data[:size]
+		clear(data[cur:])
+		return data
+	}
 }
 
 // Truncate implements fsapi.Handle.
@@ -477,14 +494,10 @@ func (h *handle) Truncate(ctx context.Context, size int64) error {
 	if size < 0 {
 		return fsapi.ErrInvalid
 	}
-	cur := int64(len(h.of.data))
-	switch {
-	case size < cur:
+	if size < int64(len(h.of.data)) {
 		h.of.data = h.of.data[:size]
-	case size > cur:
-		grown := make([]byte, size)
-		copy(grown, h.of.data)
-		h.of.data = grown
+	} else {
+		h.of.data = grow(h.of.data, size)
 	}
 	h.of.dirty = true
 	h.of.meta.Size = size
@@ -553,7 +566,13 @@ func (h *handle) Close(ctx context.Context) error {
 	var data []byte
 	var md *fsmeta.Metadata
 	if wasDirty {
-		data = append([]byte(nil), of.data...)
+		// The last handle hands the contents over: nothing can write to them
+		// once the file is closed. A close with other handles still open
+		// uploads a copy, since their writes go on.
+		data = of.data
+		if !lastRef {
+			data = bytes.Clone(data)
+		}
 		md = of.meta
 		of.dirty = false
 	}

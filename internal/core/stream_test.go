@@ -25,11 +25,20 @@ var bg = context.Background()
 
 func testAgent(t *testing.T, chunkSize int, threshold int64) (*Agent, []*cloudsim.Provider) {
 	t.Helper()
+	return testAgentWith(t, chunkSize, threshold,
+		func(c cloud.ObjectStore) cloud.ObjectStore { return c },
+		func(s *storage.CloudOfClouds) storage.VersionedStore { return s })
+}
+
+// testAgentWith is testAgent with every cloud client and the backend passed
+// through the test's wrappers before the mount sees them.
+func testAgentWith(t *testing.T, chunkSize int, threshold int64, wrapCloud func(cloud.ObjectStore) cloud.ObjectStore, wrapStore func(*storage.CloudOfClouds) storage.VersionedStore) (*Agent, []*cloudsim.Provider) {
+	t.Helper()
 	providers := make([]*cloudsim.Provider, 4)
 	clients := make([]cloud.ObjectStore, 4)
 	for i := range clients {
 		providers[i] = cloudsim.NewProvider(cloudsim.Options{Name: fmt.Sprintf("c%d", i)})
-		clients[i] = providers[i].MustClient(providers[i].CreateAccount("alice"))
+		clients[i] = wrapCloud(providers[i].MustClient(providers[i].CreateAccount("alice")))
 	}
 	mgr, err := depsky.New(depsky.Options{Clouds: clients, F: 1, ChunkSize: chunkSize})
 	if err != nil {
@@ -40,7 +49,7 @@ func testAgent(t *testing.T, chunkSize int, threshold int64) (*Agent, []*cloudsi
 		User:                 "alice",
 		Mode:                 Blocking,
 		Coordination:         svc,
-		Storage:              storage.NewCloudOfClouds(mgr),
+		Storage:              wrapStore(storage.NewCloudOfClouds(mgr)),
 		StreamThresholdBytes: threshold,
 		MetadataCacheTTL:     500 * time.Millisecond,
 		DiskCacheDir:         t.TempDir(),

@@ -263,9 +263,6 @@ type Options struct {
 	// manager writes. Defaults to stream.DefaultChunkSize (1 MiB); values
 	// above MaxChunkSize are clamped to it (wire-protocol cap).
 	ChunkSize int
-	// WriteWindow bounds the number of chunks simultaneously resident in
-	// the write pipeline. Defaults to stream.DefaultWindow.
-	WriteWindow int
 	// DisableQuorumCancel preserves the pre-context behaviour where the
 	// losers of every quorum race run to completion in the background
 	// (wasting bandwidth and per-request fees, and leaving per-cloud

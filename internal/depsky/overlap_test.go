@@ -13,6 +13,7 @@ import (
 
 	"scfs/internal/cloud"
 	"scfs/internal/cloudsim"
+	"scfs/internal/stream"
 )
 
 // rpc is one Get, Put or Delete a stagedClouds double saw, as an interval on
@@ -457,46 +458,265 @@ func TestUploadThatStoredNothingDeletesNothing(t *testing.T) {
 	}
 }
 
-// TestWriteFromOverlapsMetadataRead: a streamed write of four chunks at the
-// default window of three is chunks 0-2 beside the metadata read, chunk 3,
-// the metadata write: depth 3, one less than reading the metadata first.
+func goWriteFrom(m *Manager, unit string, data []byte) chan writeResult {
+	res := make(chan writeResult, 1)
+	go func() {
+		info, err := m.WriteFrom(bg, unit, bytes.NewReader(data))
+		res <- writeResult{info, err}
+	}()
+	return res
+}
+
+// byName groups requests by object name.
+func byName(rs []*rpc) map[string][]*rpc {
+	out := make(map[string][]*rpc)
+	for _, r := range rs {
+		out[r.name] = append(out[r.name], r)
+	}
+	return out
+}
+
+// TestWriteFromOverlapsMetadataRead: a streamed write of four chunks keeps
+// every encoded chunk in flight, so all of them upload beside the metadata
+// read and the metadata write is the second round: 6n requests, depth 2.
 func TestWriteFromOverlapsMetadataRead(t *testing.T) {
 	const cs = 1024
 	s, m, _, _ := stagedManager(t, Options{ChunkSize: cs})
 	data := randBytes(t, 4*cs)
-	res := make(chan writeResult, 1)
-	go func() {
-		info, err := m.WriteFrom(bg, "u", bytes.NewReader(data))
-		res <- writeResult{info, err}
-	}()
+	res := goWriteFrom(m, "u", data)
 
-	round1 := s.await(t, 16)
-	if g := pick(round1, "get", "/metadata"); len(g) != 4 {
-		t.Fatalf("first round is %v, want the 4 metadata GETs beside 12 chunk PUTs", describe(round1))
+	round1 := s.await(t, 20)
+	gets, puts := pick(round1, "get", "/metadata"), pick(round1, "put", "")
+	if chunks := byName(puts); len(gets) != 4 || len(puts) != 16 || len(chunks) != 4 {
+		t.Fatalf("first round is %v, want the 4 metadata GETs beside the 16 PUTs of 4 chunks", describe(round1))
 	}
 	release(round1)
 	round2 := s.await(t, 4)
-	if c := pick(round2, "put", "/c3"); len(c) != 4 {
-		t.Fatalf("second round is %v, want chunk 3", describe(round2))
+	if p := pick(round2, "put", "/metadata"); len(p) != 4 {
+		t.Fatalf("second round is %v, want the metadata PUTs", describe(round2))
 	}
 	release(round2)
-	round3 := s.await(t, 4)
-	if p := pick(round3, "put", "/metadata"); len(p) != 4 {
-		t.Fatalf("third round is %v, want the metadata PUTs", describe(round3))
-	}
-	release(round3)
 	r := <-res
 	if r.err != nil {
 		t.Fatal(r.err)
 	}
 	s.done(t, 24)
-	if d := depth(s.snapshot()); d != 3 {
-		t.Fatalf("critical-path depth = %d, want 3", d)
+	if d := depth(s.snapshot()); d != 2 {
+		t.Fatalf("critical-path depth = %d, want 2", d)
+	}
+	for name, chunk := range byName(puts) {
+		for _, meta := range round2 {
+			if q := kthEnd(chunk, 3); meta.start < q {
+				t.Fatalf("metadata PUT at %d, %s at its quorum at %d", meta.start, name, q)
+			}
+		}
 	}
 
 	s.setOpen(true)
 	got, _, err := m.Read(bg, "u")
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("read back: %v", err)
+	}
+}
+
+// TestWriteFromKeepsAWindowOfChunksInFlight: a streamed write of twice
+// stream.Window chunks never has more than stream.Window chunks' PUTs
+// outstanding — a chunk starts uploading only when an earlier one reached its
+// quorum — and every chunk is at n-f before the metadata PUT is issued.
+func TestWriteFromKeepsAWindowOfChunksInFlight(t *testing.T) {
+	const cs, chunks = 1024, 2 * stream.Window
+	s, m, _, _ := stagedManager(t, Options{ChunkSize: cs})
+	data := randBytes(t, chunks*cs)
+	res := goWriteFrom(m, "u", data)
+
+	round1 := s.await(t, 4+4*stream.Window)
+	parked := byName(pick(round1, "put", ""))
+	if len(parked) != stream.Window {
+		t.Fatalf("%d chunks' PUTs parked beside the metadata read, want %d: %v", len(parked), stream.Window, describe(round1))
+	}
+	release(pick(round1, "get", "/metadata"))
+	s.done(t, 4)
+	// Every chunk that reaches its quorum admits exactly one more.
+	for uploaded := 0; uploaded < chunks; uploaded++ {
+		var name string
+		for name = range parked {
+			break
+		}
+		release(parked[name])
+		s.done(t, 4)
+		delete(parked, name)
+		if uploaded+stream.Window >= chunks {
+			continue
+		}
+		next := byName(s.await(t, 4))
+		if len(next) != 1 {
+			t.Fatalf("one chunk at its quorum admitted %d: %v", len(next), next)
+		}
+		for name, puts := range next {
+			if parked[name] != nil || !puts[0].is("put", "") || strings.HasSuffix(name, "/metadata") {
+				t.Fatalf("admitted %v, want the PUTs of a new chunk", describe(puts))
+			}
+			parked[name] = puts
+		}
+	}
+	meta := s.await(t, 4)
+	if p := pick(meta, "put", "/metadata"); len(p) != 4 {
+		t.Fatalf("last round is %v, want the metadata PUTs", describe(meta))
+	}
+	release(meta)
+	if r := <-res; r.err != nil || r.info.ChunkCount != chunks {
+		t.Fatalf("WriteFrom = %+v, %v", r.info, r.err)
+	}
+	s.done(t, 4)
+
+	// On the logical clock: when any chunk PUT started, at most stream.Window
+	// chunks had started uploading and were still short of their quorum, and
+	// the metadata PUTs started after the last quorum.
+	all := byName(pick(s.snapshot(), "put", ""))
+	delete(all, meta[0].name)
+	if len(all) != chunks {
+		t.Fatalf("PUTs of %d chunks, want %d", len(all), chunks)
+	}
+	for _, puts := range all {
+		for _, p := range puts {
+			uploading := 0
+			for _, other := range all {
+				began := other[0].start
+				for _, o := range other {
+					began = min(began, o.start)
+				}
+				if began <= p.start && p.start < kthEnd(other, 3) {
+					uploading++
+				}
+			}
+			if uploading > stream.Window {
+				t.Fatalf("%d chunks uploading at %d, want <= %d", uploading, p.start, stream.Window)
+			}
+		}
+		for _, mp := range meta {
+			if q := kthEnd(puts, 3); mp.start < q {
+				t.Fatalf("metadata PUT at %d, %s at its quorum at %d", mp.start, puts[0].name, q)
+			}
+		}
+	}
+
+	s.setOpen(true)
+	got, _, err := m.Read(bg, "u")
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read back: %v", err)
+	}
+}
+
+// stagedReader writes data past the double, as four chunks, and opens it for
+// ranged reads through the double, releasing the open's metadata GETs.
+func stagedReader(t *testing.T, data []byte) (*stagedClouds, *stream.Reader) {
+	t.Helper()
+	s, m, _, inner := stagedManager(t, Options{})
+	direct, err := New(Options{Clouds: inner, F: 1, ChunkSize: len(data) / 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := direct.Write(bg, "u", data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opened := make(chan *stream.Reader, 1)
+	go func() {
+		r, _, err := m.OpenRangedMatching(bg, "u", info.DataHash)
+		if err != nil {
+			t.Error(err)
+		}
+		opened <- r
+	}()
+	gets := s.await(t, 4)
+	if g := pick(gets, "get", "/metadata"); len(g) != 4 {
+		t.Fatalf("the open issued %v, want the 4 metadata GETs", describe(gets))
+	}
+	release(gets)
+	s.done(t, 4)
+	r := <-opened
+	if r == nil {
+		t.FailNow()
+	}
+	t.Cleanup(func() { r.Close() })
+	return s, r
+}
+
+type readResult struct {
+	n   int
+	err error
+}
+
+func goReadAt(r *stream.Reader, p []byte) chan readResult {
+	res := make(chan readResult, 1)
+	go func() {
+		n, err := r.ReadAtContext(bg, p, 0)
+		res <- readResult{n, err}
+	}()
+	return res
+}
+
+// TestRangedReadFetchesItsChunksTogether: a read of a whole four-chunk
+// version through a ranged open is the metadata round and one payload round —
+// all 16 chunk GETs in flight together, 5n requests, depth 2.
+func TestRangedReadFetchesItsChunksTogether(t *testing.T) {
+	data := randBytes(t, 4*1024)
+	s, r := stagedReader(t, data)
+	got := make([]byte, len(data))
+	res := goReadAt(r, got)
+
+	gets := s.await(t, 16)
+	if chunks := byName(pick(gets, "get", "")); len(chunks) != 4 || len(chunks[gets[0].name]) != 4 {
+		t.Fatalf("payload round is %v, want the 16 GETs of 4 chunks", describe(gets))
+	}
+	release(gets)
+	if rr := <-res; rr.err != nil || rr.n != len(data) || !bytes.Equal(got, data) {
+		t.Fatalf("ReadAt = %d, %v", rr.n, rr.err)
+	}
+	s.done(t, 16)
+	all := s.snapshot()
+	if len(all) != 20 {
+		t.Fatalf("open and read issued %d requests, want 5n = 20: %v", len(all), describe(all))
+	}
+	if d := depth(all); d != 2 {
+		t.Fatalf("critical-path depth = %d, want 2", d)
+	}
+}
+
+// TestRangedReadSurfacesTheFailingChunk: when one chunk of a multi-chunk read
+// cannot be had, the read returns that chunk's verdict — quorum lost, or
+// absent on every cloud — and the fetches of the other chunks are cancelled.
+func TestRangedReadSurfacesTheFailingChunk(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		answers []error // of the four clouds asked for the failing chunk
+		want    error
+	}{
+		{"quorum lost", []error{nil, cloud.ErrUnavailable, cloud.ErrUnavailable, cloud.ErrUnavailable}, ErrQuorumRead},
+		{"absent everywhere", []error{cloud.ErrNotFound, cloud.ErrNotFound, cloud.ErrNotFound, cloud.ErrNotFound}, ErrVersionNotFound},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data := randBytes(t, 4*1024)
+			s, r := stagedReader(t, data)
+			res := goReadAt(r, make([]byte, len(data)))
+			gets := s.await(t, 16)
+			var failing []*rpc
+			for name, g := range byName(gets) {
+				if strings.HasSuffix(name, "/c2") {
+					failing = g
+				}
+			}
+			for i, g := range failing {
+				g.fail = tc.answers[i]
+			}
+			release(failing)
+			// The other twelve GETs are still parked: only the cancellation
+			// of the read can end them.
+			rr := <-res
+			if !errors.Is(rr.err, tc.want) || !strings.Contains(rr.err.Error(), "chunk 2") {
+				t.Fatalf("ReadAt = %d, %v; want chunk 2's %v", rr.n, rr.err, tc.want)
+			}
+			s.done(t, 16)
+		})
 	}
 }

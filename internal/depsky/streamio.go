@@ -7,10 +7,10 @@ package depsky
 // in-flight chunks (see internal/stream), so neither the ciphertext nor the
 // erasure shards of a whole value are ever resident — Write differs from
 // WriteFrom only in that its caller already holds the plaintext. Every read
-// is chunkFetcher.Fetch: Read/ReadMatching fetch all chunks of a version
-// into one buffer and verify the value's hash, Open/OpenRange fetch — and,
-// under faults, reconstruct — only the chunks covering the requested byte
-// range, reusing the coder's cached decode matrices. All chunk, shard and
+// is a stream.Reader over chunkFetcher.Fetch: Read/ReadMatching read all of a
+// version into one buffer and verify the value's hash, Open/OpenRange fetch
+// — and, under faults, reconstruct — only the chunks covering the requested
+// byte range, reusing the coder's cached decode matrices. All chunk, shard and
 // frame buffers come from the process-wide stream.Buffers pool.
 
 import (
@@ -41,14 +41,6 @@ func (m *Manager) chunkSize() int {
 	return min(cs, MaxChunkSize)
 }
 
-// writeWindow returns the configured bound on in-flight chunks.
-func (m *Manager) writeWindow() int {
-	if m.opts.WriteWindow > 0 {
-		return m.opts.WriteWindow
-	}
-	return stream.DefaultWindow
-}
-
 // encodedChunk is the output of the encode pipeline stage for one chunk:
 // one framed payload per cloud plus the frame hashes recorded in the
 // version metadata.
@@ -57,12 +49,14 @@ type encodedChunk struct {
 	hashes []string
 }
 
-// WriteFrom streams r as the next version of unit. At most WriteWindow
-// chunks are resident at any moment, so the peak memory of a write is ~3
-// chunk windows regardless of the stream length; per-shard hashing of one
-// chunk runs concurrently with the quorum uploads of earlier chunks. The
-// returned VersionInfo carries the SHA-256 of the whole plaintext stream,
-// computed incrementally.
+// WriteFrom streams r as the next version of unit. At most GOMAXPROCS chunks
+// are being encoded and stream.Window encoded chunks are waiting on their
+// quorum upload at any moment, so the peak memory of a write is bounded
+// regardless of the stream length (see stream.Window), and a value of up to
+// stream.Window chunks uploads in one round; per-shard hashing of one chunk
+// runs concurrently with the quorum uploads of earlier chunks. The returned
+// VersionInfo carries the SHA-256 of the whole plaintext stream, computed
+// incrementally.
 //
 // Like Write, WriteFrom assumes a single writer per data unit (SCFS
 // serializes writers via its lock service).
@@ -104,7 +98,7 @@ func (m *Manager) uploadChunks(ctx context.Context, unit, id string, r io.Reader
 	var mu sync.Mutex
 	var chunkHashes [][]string
 	res, err := stream.Run(ctx, r,
-		stream.Config{ChunkSize: info.ChunkSize, Window: m.writeWindow(), Pool: stream.Buffers},
+		stream.Config{ChunkSize: info.ChunkSize, Pool: stream.Buffers},
 		func(idx int, plain []byte) (encodedChunk, error) {
 			return m.encodeChunk(idx, plain, key, shares)
 		},
@@ -229,24 +223,21 @@ func (m *Manager) OpenRangedMatching(ctx context.Context, unit, hash string) (*s
 }
 
 // newChunkReader wraps a fetcher in a stream.Reader configured from the
-// open-time I/O policy: a readahead request becomes the reader's prefetch
-// window (sized by its governor as the access pattern allows). The policy
-// is also stamped on the reader's base context, so prefetches issued on the
-// reader's own behalf hedge their chunk fan-outs the same way foreground
-// reads do.
+// open-time I/O policy: its chunk limit may narrow the reader's fetches, and
+// a readahead request becomes the reader's prefetch window (sized by its
+// governor as the access pattern allows). The policy is also stamped on the
+// reader's base context, so prefetches issued on the reader's own behalf
+// hedge their chunk fan-outs the same way foreground reads do.
 func (m *Manager) newChunkReader(ctx context.Context, f stream.Fetcher) *stream.Reader {
 	pol := m.policyFor(ctx)
-	if pol.Readahead <= 0 {
-		return stream.NewReader(f, stream.Buffers)
-	}
-	opts := stream.ReaderOptions{
-		Readahead:   pol.Readahead,
-		MaxParallel: pol.Limits.MaxParallelChunks,
+	opts := stream.ReaderOptions{MaxParallel: pol.Limits.MaxParallelChunks}
+	if pol.Readahead > 0 {
+		opts.Readahead = pol.Readahead
 		//scfslint:ignore ctxdiscipline value-only base for prefetches; cancellation comes from the reader lifetime and trigger ctx
-		BaseContext: iopolicy.With(context.Background(), pol),
-	}
-	if m.ins != nil {
-		opts.Metrics = m.ins.stream
+		opts.BaseContext = iopolicy.With(context.Background(), pol)
+		if m.ins != nil {
+			opts.Metrics = m.ins.stream
+		}
 	}
 	return stream.NewReaderOpts(f, stream.Buffers, opts)
 }
@@ -279,39 +270,21 @@ func (m *Manager) openVersion(ctx context.Context, unit string, v resolved) *str
 }
 
 // readVersion reassembles one version whole — the read under Read,
-// ReadMatching and wholeFetcher — and verifies the value's hash. Chunks are
-// fetched with a bounded-parallel window so the read costs
-// ceil(chunks/window) round-trip times, not one per chunk.
+// ReadMatching and wholeFetcher — and verifies the value's hash. It is one
+// read over the version's chunk reader, so whole and ranged reads share one
+// chunk fan-out: the chunks are fetched together (stream.Window at a time)
+// and decoded straight into the result.
 func (m *Manager) readVersion(ctx context.Context, unit string, info VersionInfo) ([]byte, error) {
 	if !info.validChunking() {
 		return nil, fmt.Errorf("%w: inconsistent chunk geometry (size %d, chunk %d x %d)", ErrIntegrity, info.Size, info.ChunkSize, info.ChunkCount)
 	}
-	f := &chunkFetcher{m: m, unit: unit, info: info}
 	out := make([]byte, info.Size)
-	window := m.writeWindow()
-	sem := make(chan struct{}, window)
-	errs := make(chan error, info.ChunkCount)
-	var wg sync.WaitGroup
-	for idx := 0; idx < info.ChunkCount; idx++ {
-		wg.Add(1)
-		go func(idx int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if err := ctx.Err(); err != nil {
-				errs <- err
-				return
-			}
-			start := idx * info.ChunkSize
-			if err := f.Fetch(ctx, idx, out[start:start+info.chunkPlainLen(idx)]); err != nil {
-				errs <- err
-			}
-		}(idx)
-	}
-	wg.Wait()
-	close(errs)
-	if err := <-errs; err != nil {
-		return nil, err
+	if len(out) > 0 {
+		r := m.newChunkReader(ctx, &chunkFetcher{m: m, unit: unit, info: info})
+		defer r.Close()
+		if _, err := r.ReadAtContext(ctx, out, 0); err != nil {
+			return nil, err
+		}
 	}
 	if seccrypto.Hash(out) != info.DataHash {
 		return nil, ErrIntegrity

@@ -194,16 +194,19 @@ type FileSystem interface {
 	Unmount(ctx context.Context) error
 }
 
-// StreamChunkSize is the granularity at which the convenience helpers move
-// data through a handle. Matching the streaming data plane's chunk size
-// (1 MiB) means a helper read of a lazily-opened large file touches one
-// cloud chunk per ReadAt instead of forcing a whole-object fetch.
+// StreamChunkSize is the granularity at which the streaming helpers move
+// data through a handle: WriteFile, WriteFileFrom and ReadFileTo issue
+// operations of at most this size. Matching the streaming data plane's chunk
+// size (1 MiB) means each ReadAt of ReadFileTo over a lazily-opened large
+// file is one cloud chunk, decoded straight into the helper's buffer.
 const StreamChunkSize = 1 << 20
 
-// ReadFile is a convenience helper that opens, reads fully and closes.
-// Files larger than one chunk are read in StreamChunkSize pieces, so
-// implementations serving ReadAt from ranged cloud reads never materialize
-// the whole object on their side.
+// ReadFile is a convenience helper that opens, reads fully and closes. It
+// already holds a buffer for the whole file, so it asks for all of it in one
+// ReadAt: an implementation serving ReadAt from ranged cloud reads then
+// fetches the covering chunks together, at the width of the request, and
+// decodes each straight into this buffer — the object is never materialized
+// a second time on the implementation's side.
 func ReadFile(ctx context.Context, fsys FileSystem, path string) ([]byte, error) {
 	h, err := fsys.Open(ctx, path, ReadOnly)
 	if err != nil {
@@ -215,25 +218,11 @@ func ReadFile(ctx context.Context, fsys FileSystem, path string) ([]byte, error)
 		return nil, err
 	}
 	buf := make([]byte, info.Size)
-	var off int64
-	for off < info.Size {
-		end := off + StreamChunkSize
-		if end > info.Size {
-			end = info.Size
-		}
-		n, err := h.ReadAt(ctx, buf[off:end], off)
-		off += int64(n)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if n == 0 {
-			break
-		}
+	n, err := h.ReadAt(ctx, buf, 0)
+	if err != nil && err != io.EOF {
+		return nil, err
 	}
-	return buf[:off], nil
+	return buf[:n], nil
 }
 
 // WriteFile is a convenience helper that creates/truncates, writes and

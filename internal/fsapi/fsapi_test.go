@@ -120,9 +120,11 @@ func TestSentinelErrorsAreDistinct(t *testing.T) {
 
 type fakeFS struct {
 	files map[string][]byte
-	// maxReadAt records the largest single ReadAt/WriteAt request observed,
-	// so tests can assert the helpers chunk their IO.
+	// maxOp records the largest single ReadAt/WriteAt request observed, so
+	// tests can assert the streaming helpers chunk their IO, and reads the
+	// size of every ReadAt.
 	maxOp int
+	reads []int
 }
 
 type fakeHandle struct {
@@ -155,6 +157,7 @@ func (f *fakeFS) GetFacl(context.Context, string) ([]ACLEntry, error)       { re
 func (f *fakeFS) Unmount(context.Context) error                             { return nil }
 
 func (h *fakeHandle) ReadAt(_ context.Context, p []byte, off int64) (int, error) {
+	h.fs.reads = append(h.fs.reads, len(p))
 	if len(p) > h.fs.maxOp {
 		h.fs.maxOp = len(p)
 	}
@@ -210,8 +213,10 @@ func TestHelpersChunkLargeFiles(t *testing.T) {
 	if !bytes.Equal(got, big) {
 		t.Fatal("chunked round trip mismatch")
 	}
-	if fs.maxOp > StreamChunkSize {
-		t.Fatalf("ReadFile issued a %d-byte op, want <= %d", fs.maxOp, StreamChunkSize)
+	// ReadFile holds the whole buffer anyway: it asks for all of it at once,
+	// which is what lets a ranged implementation fetch every chunk together.
+	if len(fs.reads) != 1 || fs.reads[0] != len(big) {
+		t.Fatalf("ReadFile issued ReadAts of %v bytes, want one of %d", fs.reads, len(big))
 	}
 	// Small files still round-trip.
 	if err := WriteFile(bg, fs, "/small", []byte("tiny")); err != nil {

@@ -150,8 +150,9 @@ const (
 // Limits bounds the extra work a policy may spend on one call.
 type Limits struct {
 	// MaxParallelChunks bounds the number of chunk fetches a readahead
-	// pipeline keeps in flight concurrently. 0 means the readahead window
-	// itself is the bound.
+	// pipeline keeps in flight concurrently (0 means the readahead window
+	// itself is the bound), and narrows how many chunks one multi-chunk
+	// read fetches together when set below that width's fixed bound.
 	MaxParallelChunks int
 	// MaxHedges bounds how many extra clouds launch at the first hedge
 	// firing; clouds beyond the bound wait a further multiple of the hedge

@@ -3,7 +3,7 @@
 // fixed-size chunks and overlaps encrypt → erasure-encode → per-shard hash →
 // quorum upload across a bounded window of in-flight chunks, and a random
 // access reader that fetches (and, when clouds are faulty, reconstructs) only
-// the chunks covering the requested byte range.
+// the chunks covering the requested byte range, all of them together.
 //
 // The package is deliberately mechanism-only: it knows nothing about clouds,
 // erasure codes or cryptography. Producers plug an encode and a store
@@ -18,8 +18,16 @@ import "sync"
 const (
 	// DefaultChunkSize is the plaintext bytes per pipeline chunk (1 MiB).
 	DefaultChunkSize = 1 << 20
-	// DefaultWindow is the default bound on simultaneously resident chunks.
-	DefaultWindow = 3
+	// Window is the one bound on the chunks a transfer keeps in flight, in
+	// both directions; how wide a transfer actually runs comes from the
+	// request (the chunks a read covers, the chunks a write has encoded),
+	// never from a guess. What it costs in memory: a read holds, per chunk
+	// in flight, the k to n frames its fetch has received so far and no
+	// plaintext beyond the caller's own buffer; a write holds GOMAXPROCS
+	// chunks being encoded (plaintext, ciphertext, shards and frames, about
+	// six chunks' worth each at n=4) plus the n frames of each of Window
+	// chunks waiting on their quorum upload.
+	Window = 8
 )
 
 // Pool size classes are powers of two from 1<<minClassBits to

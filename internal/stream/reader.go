@@ -83,8 +83,9 @@ type ReaderOptions struct {
 	// up from 1 only while the access pattern stays sequential and collapses
 	// on the first seek, so random readers never pay for speculation.
 	Readahead int
-	// MaxParallel bounds how many prefetches run concurrently
-	// (default: Readahead).
+	// MaxParallel bounds how many prefetches run concurrently (default:
+	// Readahead) and, when set below Window, how many chunk fetches one
+	// multi-chunk read keeps in flight.
 	MaxParallel int
 	// BaseContext is the context prefetches derive their values (e.g. the
 	// I/O policy) from; their cancellation is governed by the reader's
@@ -96,17 +97,23 @@ type ReaderOptions struct {
 	Metrics ReaderMetrics
 }
 
-// Reader provides io.Reader, io.ReaderAt and io.Closer over a Fetcher,
-// caching the most recently used chunks so sequential reads and clustered
-// random reads fetch each chunk once. Distinct chunks are fetched
-// concurrently (callers touching the same chunk share one fetch), and with
-// ReaderOptions.Readahead set a sequential scan prefetches upcoming chunks
-// while the current one is being consumed, overlapping fetch+decode with
-// consumption. It is safe for concurrent use.
+// Reader provides io.Reader, io.ReaderAt and io.Closer over a Fetcher. A
+// read fetches the chunks covering its range together, up to Window at a
+// time: the width of a transfer comes from the request, so a read of a whole
+// file costs one payload round, not one per chunk. A chunk the read covers
+// entirely is decoded straight into the caller's slice; a partially covered
+// one goes through a small cache of the most recently used chunks, so
+// sequential sub-chunk reads and clustered random reads fetch each chunk
+// once, and callers touching the same chunk share one fetch. With
+// ReaderOptions.Readahead set a sequential scan also prefetches upcoming
+// chunks while the current one is being consumed. It is safe for concurrent
+// use.
 type Reader struct {
 	f     Fetcher
 	pool  *Pool
 	slotN int
+	// width is how many chunk fetches one read keeps in flight.
+	width int
 
 	// Readahead pipeline (nil/zero when disabled).
 	govern      *iopolicy.Governor
@@ -141,7 +148,10 @@ func NewReaderOpts(f Fetcher, pool *Pool, opts ReaderOptions) *Reader {
 	if pool == nil {
 		pool = Buffers
 	}
-	r := &Reader{f: f, pool: pool, slotN: readerCacheSlots, inflight: make(map[int]*inflightChunk), metrics: opts.Metrics}
+	r := &Reader{f: f, pool: pool, slotN: readerCacheSlots, width: Window, inflight: make(map[int]*inflightChunk), metrics: opts.Metrics}
+	if opts.MaxParallel > 0 && opts.MaxParallel < r.width {
+		r.width = opts.MaxParallel
+	}
 	if opts.Readahead > 0 {
 		r.govern = iopolicy.NewGovernor(opts.Readahead)
 		r.maxParallel = opts.MaxParallel
@@ -285,6 +295,26 @@ func (r *Reader) withChunk(ctx context.Context, idx int, use func([]byte)) error
 	}
 }
 
+// copyChunk fills dst with the bytes of chunk idx from offset within on. A
+// chunk wanted whole that nobody else has fetched or is fetching is decoded
+// straight into dst: the caller holds the bytes, so they take no pooled
+// buffer, no second copy and no cache slot. Anything else shares the cache
+// and the single-flight map.
+func (r *Reader) copyChunk(ctx context.Context, idx, within int, dst []byte) error {
+	if within == 0 && len(dst) == r.chunkLen(idx) {
+		r.mu.Lock()
+		shared := r.closed || r.touchLocked(idx) || r.inflight[idx] != nil
+		r.mu.Unlock()
+		if !shared {
+			if err := r.f.Fetch(ctx, idx, dst); err != nil {
+				return fmt.Errorf("stream: fetching chunk %d: %w", idx, err)
+			}
+			return nil
+		}
+	}
+	return r.withChunk(ctx, idx, func(chunk []byte) { copy(dst, chunk[within:]) })
+}
+
 // ReadAt implements io.ReaderAt: it fetches only the chunks covering
 // [off, off+len(p)). It is ReadAtContext with a background context; callers
 // that can be cancelled should prefer ReadAtContext.
@@ -293,10 +323,11 @@ func (r *Reader) ReadAt(p []byte, off int64) (int, error) {
 	return r.ReadAtContext(context.Background(), p, off)
 }
 
-// ReadAtContext is ReadAt bounded by ctx: chunk fetches triggered by the
-// read observe the context and abort promptly when it is cancelled. When
-// the reader was built with readahead, a sequential run of reads also
-// prefetches upcoming chunks in the background.
+// ReadAtContext is ReadAt bounded by ctx. The chunks covering the range are
+// fetched together (see fetchSpan) and joined before it returns. Cancelling
+// ctx aborts the fetches promptly. When the reader was built with readahead,
+// a sequential run of reads also prefetches upcoming chunks in the
+// background.
 func (r *Reader) ReadAtContext(ctx context.Context, p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, errors.New("stream: negative offset")
@@ -312,35 +343,96 @@ func (r *Reader) ReadAtContext(ctx context.Context, p []byte, off int64) (int, e
 		return 0, io.EOF
 	}
 	cs := int64(r.f.ChunkSize())
-	want := int64(len(p))
-	if max := size - off; want > max {
-		want = max
+	want := int(min(int64(len(p)), size-off))
+	if want == 0 {
+		return 0, nil
 	}
 	// Feed the governor and launch prefetches before fetching the covering
 	// chunks: on a sequential scan the upcoming chunks' fetches then overlap
-	// the foreground chunk's own fetch, not just its consumption.
-	if r.govern != nil && want > 0 {
-		r.triggerPrefetch(ctx, off, want, size, cs)
+	// the foreground chunks' own fetch, not just their consumption.
+	if r.govern != nil {
+		r.triggerPrefetch(ctx, off, int64(want), size, cs)
 	}
-	n := 0
-	pos := off
-	for n < len(p) && pos < size {
-		idx := int(pos / cs)
-		within := int(pos - int64(idx)*cs)
-		var copied int
-		err := r.withChunk(ctx, idx, func(chunk []byte) {
-			copied = copy(p[n:], chunk[within:])
-		})
-		if err != nil {
-			return n, err
+	first, last := int(off/cs), int((off+int64(want)-1)/cs)
+	if first == last {
+		// A span of one has no sibling to run beside or to cancel.
+		if err := r.copyChunk(ctx, first, int(off-int64(first)*cs), p[:want]); err != nil {
+			return 0, err
 		}
-		n += copied
-		pos += int64(copied)
+	} else if n, err := r.fetchSpan(ctx, p[:want], off, first, last); err != nil {
+		return n, err
 	}
-	if n < len(p) {
-		return n, io.EOF
+	if want < len(p) {
+		return want, io.EOF
 	}
-	return n, nil
+	return want, nil
+}
+
+// fetchSpan fills p, the bytes from off to somewhere in chunk last, by
+// fetching chunks first..last together, at most r.width of them in flight.
+// The first fetch to fail cancels the others, and its error is returned with
+// the count of bytes that precede the earliest chunk that did not arrive.
+// Every fetch has returned when fetchSpan does.
+func (r *Reader) fetchSpan(ctx context.Context, p []byte, off int64, first, last int) (int, error) {
+	// The span's context ends with the caller's or at the first failure, not
+	// when the read returns: what a fetch leaves running behind a successful
+	// return (a fetcher told to let the losers of its quorum race finish) is
+	// the fetcher's business.
+	sctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
+	defer context.AfterFunc(ctx, cancel)()
+	var (
+		cs      = int64(r.f.ChunkSize())
+		wg      sync.WaitGroup
+		mu      sync.Mutex
+		failure error
+		failed  = last + 1 // lowest chunk that did not arrive
+	)
+	fetch := func(idx int) {
+		// The chunk's share of p is [lo, hi), from byte within of the chunk.
+		lo, within := int64(idx)*cs-off, 0
+		if lo < 0 {
+			lo, within = 0, int(-lo)
+		}
+		hi := min(int64(idx+1)*cs-off, int64(len(p)))
+		err := sctx.Err()
+		if err == nil {
+			err = r.copyChunk(sctx, idx, within, p[lo:hi])
+		}
+		if err == nil {
+			return
+		}
+		mu.Lock()
+		if failure == nil {
+			failure = err
+		}
+		failed = min(failed, idx)
+		mu.Unlock()
+		cancel()
+	}
+	slots := make(chan struct{}, r.width)
+	for idx := first; idx <= last; idx++ {
+		slots <- struct{}{}
+		if idx == last || sctx.Err() != nil {
+			// On the caller's goroutine: the last chunk, or the one at which
+			// a cancelled span stops launching.
+			fetch(idx)
+			break
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { <-slots }()
+			fetch(idx)
+		}()
+	}
+	wg.Wait()
+	if failure == nil {
+		return len(p), nil
+	}
+	if err := ctx.Err(); err != nil {
+		failure = err
+	}
+	return int(max(int64(failed)*cs-off, 0)), failure
 }
 
 // triggerPrefetch feeds the governor with the read being served and starts

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -94,31 +95,67 @@ func TestRunRoundTripAndHash(t *testing.T) {
 	}
 }
 
-// TestRunWindowBound verifies at most Window chunks are in flight at once.
+// TestRunWindowBound verifies the two stage bounds: at most GOMAXPROCS chunks
+// are being encoded, at most Window encoded chunks are being stored, and a
+// chunk that finished encoding keeps its encode slot until it has a store
+// slot, so nothing piles up in between.
 func TestRunWindowBound(t *testing.T) {
-	const window = 3
-	var inFlight, peak atomic.Int64
-	data := make([]byte, 64*1024)
-	_, err := Run(bg, bytes.NewReader(data), Config{ChunkSize: 1024, Window: window},
-		func(idx int, plain []byte) (struct{}, error) {
-			cur := inFlight.Add(1)
-			for {
-				p := peak.Load()
-				if cur <= p || peak.CompareAndSwap(p, cur) {
-					break
-				}
-			}
-			return struct{}{}, nil
-		},
-		func(idx int, _ struct{}) error {
-			inFlight.Add(-1)
-			return nil
-		})
-	if err != nil {
+	const window, chunks = 3, 64
+	procs := runtime.GOMAXPROCS(0)
+	var encoding, encodingPeak, storing, storingPeak, encoded atomic.Int64
+	peak := func(cur int64, p *atomic.Int64) {
+		for old := p.Load(); cur > old && !p.CompareAndSwap(old, cur); old = p.Load() {
+		}
+	}
+	// Stores park until the test opens the gate; it does so once the pipeline
+	// is full: window chunks parked in store, GOMAXPROCS more encoded behind
+	// them, holding their encode slots while they wait for a store slot.
+	gate := make(chan struct{})
+	parkedStores := make(chan struct{}, chunks)
+	encodes := make(chan struct{}, chunks)
+	done := make(chan error, 1)
+	go func() {
+		_, err := Run(bg, bytes.NewReader(make([]byte, chunks*1024)), Config{ChunkSize: 1024, Window: window},
+			func(idx int, plain []byte) (struct{}, error) {
+				peak(encoding.Add(1), &encodingPeak)
+				encoding.Add(-1)
+				encoded.Add(1)
+				encodes <- struct{}{}
+				return struct{}{}, nil
+			},
+			func(idx int, _ struct{}) error {
+				peak(storing.Add(1), &storingPeak)
+				parkedStores <- struct{}{}
+				<-gate
+				storing.Add(-1)
+				return nil
+			})
+		done <- err
+	}()
+	for range window {
+		<-parkedStores
+	}
+	for range window + procs {
+		<-encodes
+	}
+	if n := encoded.Load(); n != int64(window+procs) {
+		t.Fatalf("%d chunks encoded with the store stage full, want window + GOMAXPROCS = %d", n, window+procs)
+	}
+	if n := storing.Load(); n != window {
+		t.Fatalf("%d chunks being stored, want %d", n, window)
+	}
+	close(gate)
+	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if p := peak.Load(); p > window {
-		t.Fatalf("peak in-flight chunks = %d, want <= %d", p, window)
+	if p := encodingPeak.Load(); p > int64(procs) {
+		t.Fatalf("peak chunks being encoded = %d, want <= GOMAXPROCS = %d", p, procs)
+	}
+	if p := storingPeak.Load(); p > window {
+		t.Fatalf("peak chunks being stored = %d, want <= %d", p, window)
+	}
+	if n := encoded.Load(); n != chunks {
+		t.Fatalf("%d chunks encoded, want %d", n, chunks)
 	}
 }
 

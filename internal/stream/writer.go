@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 )
 
@@ -12,8 +13,9 @@ import (
 type Config struct {
 	// ChunkSize is the plaintext bytes per chunk (default DefaultChunkSize).
 	ChunkSize int
-	// Window bounds the number of chunks simultaneously resident in the
-	// pipeline — being read, encoded or uploaded (default DefaultWindow).
+	// Window bounds the number of encoded chunks whose store is in flight
+	// (default Window). It is the mechanism parameter this package's tests
+	// drive; producers leave it zero.
 	Window int
 	// Pool supplies the chunk buffers (default Buffers).
 	Pool *Pool
@@ -24,7 +26,7 @@ func (c Config) withDefaults() Config {
 		c.ChunkSize = DefaultChunkSize
 	}
 	if c.Window <= 0 {
-		c.Window = DefaultWindow
+		c.Window = Window
 	}
 	if c.Pool == nil {
 		c.Pool = Buffers
@@ -44,10 +46,15 @@ type Result struct {
 }
 
 // Run consumes r in cfg.ChunkSize chunks and pipes every chunk through
-// encode and then store, with at most cfg.Window chunks resident at any
-// moment. Chunks overlap: while chunk j is being stored, chunk j+1 is being
-// encoded (this is what lets per-shard hashing run concurrently with uploads
-// of earlier chunks) and chunk j+2 is being read.
+// encode and then store. Each stage is bounded by what is resident in it:
+// reading and encoding a chunk is processor work on several chunks' worth of
+// buffers, so at most GOMAXPROCS chunks are in that stage; an encoded chunk
+// only waits, so up to cfg.Window of them are being stored at once. A chunk
+// leaves the first stage when it has a place in the second, which is what
+// keeps encoded chunks from piling up in between. A stream of at most
+// cfg.Window chunks is therefore stored in one round, and a longer one
+// streams: while chunk j is being stored, chunk j+1 is being encoded and
+// chunk j+2 is being read.
 //
 // encode transforms the plaintext chunk into an opaque encoded value; it runs
 // on a pipeline goroutine and must not retain plain after returning (the
@@ -82,18 +89,19 @@ func Run[E any](ctx context.Context, r io.Reader, cfg Config, encode func(idx in
 	}
 
 	h := sha256.New()
-	window := make(chan struct{}, cfg.Window)
+	encoding := make(chan struct{}, runtime.GOMAXPROCS(0))
+	storing := make(chan struct{}, cfg.Window)
 	for idx := 0; !failed(); idx++ {
 		if err := ctx.Err(); err != nil {
 			setErr(err)
 			break
 		}
-		window <- struct{}{} // count the chunk being read against the window
+		encoding <- struct{}{} // the chunk being read counts as being encoded
 		buf := cfg.Pool.Get(cfg.ChunkSize)
 		n, err := io.ReadFull(r, buf)
 		if n == 0 {
 			cfg.Pool.Put(buf)
-			<-window
+			<-encoding
 			if err != io.EOF && err != io.ErrUnexpectedEOF && err != nil {
 				setErr(fmt.Errorf("stream: reading chunk %d: %w", idx, err))
 			}
@@ -106,11 +114,15 @@ func Run[E any](ctx context.Context, r io.Reader, cfg Config, encode func(idx in
 		wg.Add(1)
 		go func(idx int, plain []byte) {
 			defer wg.Done()
-			defer func() { <-window }()
 			enc, eerr := encode(idx, plain)
 			cfg.Pool.Put(plain[:cap(plain)])
-			if eerr == nil {
+			if eerr != nil {
+				<-encoding
+			} else {
+				storing <- struct{}{} // taken before the encode slot is given up
+				<-encoding
 				eerr = store(idx, enc)
+				<-storing
 			}
 			if eerr != nil {
 				setErr(fmt.Errorf("stream: chunk %d: %w", idx, eerr))

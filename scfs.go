@@ -367,8 +367,11 @@ func (m *FS) Collect(ctx context.Context) (core.GCReport, error) { return m.agen
 // moves no payload bytes.
 func (m *FS) CostReport(ctx context.Context) (CostReport, error) { return m.agent.CostReport(ctx) }
 
-// ReadFile opens path, reads it fully and closes it. CallOptions tune the
-// read's I/O policy (hedged quorum reads, readahead for large files).
+// ReadFile opens path, reads it fully and closes it. A large file served by
+// ranged cloud reads is asked for in one piece, so the chunks it spans are
+// fetched together (up to 8 at a time) and nothing is prefetched on a guess;
+// it needs no WithReadahead. CallOptions tune the read's I/O policy (hedged
+// quorum reads; WithLimits may narrow the chunk fetches).
 func ReadFile(ctx context.Context, m *FS, path string, opts ...CallOption) ([]byte, error) {
 	return fsapi.ReadFile(callCtx(ctx, opts), m.agent, path)
 }
@@ -385,10 +388,11 @@ func WriteFileFrom(ctx context.Context, m *FS, path string, r io.Reader, opts ..
 	return fsapi.WriteFileFrom(callCtx(ctx, opts), m.agent, path, r)
 }
 
-// ReadFileTo streams the contents of path into w and returns how many bytes
-// were copied. CallOptions tune the read's I/O policy — WithReadahead turns
-// a sequential copy of a cold large file into a pipelined scan that
-// prefetches upcoming chunks while the current one drains into w.
+// ReadFileTo streams the contents of path into w through a buffer of one
+// chunk and returns how many bytes were copied. CallOptions tune the read's
+// I/O policy — it can only ask for one chunk at a time, so WithReadahead is
+// what turns its sequential copy of a cold large file into a pipelined scan
+// that prefetches upcoming chunks while the current one drains into w.
 func ReadFileTo(ctx context.Context, m *FS, path string, w io.Writer, opts ...CallOption) (int64, error) {
 	return fsapi.ReadFileTo(callCtx(ctx, opts), m.agent, path, w)
 }
