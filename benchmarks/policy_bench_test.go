@@ -208,7 +208,7 @@ func BenchmarkStreamSequentialScan(b *testing.B) {
 			b.SetBytes(scanSize)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r, _, err := m.Open(ctx, "u")
+				r, _, err := m.OpenMatching(ctx, "u", "")
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -76,14 +76,15 @@ func BenchmarkDepSkyRangedReadCA(b *testing.B) {
 	b.SetBytes(int64(len(buf)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, _, err := m.OpenRange(bg, "u", int64(i%977)*(64<<10)%streamSize, int64(len(buf)))
+		r, _, err := m.OpenMatching(bg, "u", "")
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := io.ReadFull(r, buf); err != nil {
+		sec := r.Section(bg, int64(i%977)*(64<<10)%streamSize, int64(len(buf)))
+		if _, err := io.ReadFull(sec, buf); err != nil {
 			b.Fatal(err)
 		}
-		r.Close()
+		sec.Close()
 	}
 }
 

@@ -325,17 +325,21 @@ func (d *Disk) Put(key string, value []byte) error {
 	return nil
 }
 
-// Remove deletes a cached file.
+// Remove deletes a cached file. A key the cache does not hold costs a map
+// lookup and no system call, so callers need not track what they stored.
 func (d *Disk) Remove(key string) {
 	d.mu.Lock()
-	if sz, ok := d.sizes[key]; ok {
+	sz, ok := d.sizes[key]
+	if ok {
 		d.used -= sz
 		delete(d.sizes, key)
 		delete(d.lastUse, key)
 		delete(d.pins, key)
 	}
 	d.mu.Unlock()
-	_ = os.Remove(d.path(key))
+	if ok {
+		_ = os.Remove(d.path(key))
+	}
 }
 
 // Pin marks a cached entry as non-evictable and reports whether the entry

@@ -129,15 +129,10 @@ type Options struct {
 	StreamThresholdBytes int64
 	// LockTTL is the lease attached to ephemeral write locks (default 60s).
 	LockTTL time.Duration
-	// ReadRetryInterval is the pause of the consistency-anchor read loop.
-	ReadRetryInterval time.Duration
 
 	// UsePNS keeps the metadata of non-shared files in a private name space
 	// instead of the coordination service (§2.7).
 	UsePNS bool
-	// ForceSharedFn, if set, marks paths as shared regardless of their ACL;
-	// the PNS experiments of §4.4 use it to control the sharing percentage.
-	ForceSharedFn func(path string) bool
 
 	// GC configures garbage collection.
 	GC GCPolicy
@@ -197,9 +192,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.LockTTL <= 0 {
 		o.LockTTL = 60 * time.Second
-	}
-	if o.ReadRetryInterval <= 0 {
-		o.ReadRetryInterval = 50 * time.Millisecond
 	}
 	if o.GC.KeepVersions < 1 {
 		o.GC.KeepVersions = 1
@@ -270,12 +262,11 @@ type Agent struct {
 	metaCache *cache.Metadata
 
 	// mu protects the namespace maps and counters below.
-	mu         sync.Mutex
-	openFiles  map[string]*openFile
-	pns        *fsmeta.PNS
-	pnsDirty   bool
-	pnsVersion uint64
-	closed     bool
+	mu        sync.Mutex
+	openFiles map[string]*openFile
+	pns       *fsmeta.PNS
+	pnsDirty  bool
+	closed    bool
 
 	bytesSinceGC   int64
 	objectsSinceGC int64
@@ -359,12 +350,6 @@ func makeTempDir() (string, error) {
 	}
 	return d, nil
 }
-
-// User returns the mounting principal.
-func (a *Agent) User() string { return a.opts.User }
-
-// Mode returns the operating mode.
-func (a *Agent) Mode() Mode { return a.opts.Mode }
 
 // Stats returns a snapshot of the activity counters, merging in the
 // coordination-service access count and cache statistics.
@@ -479,9 +464,6 @@ func (a *Agent) isShared(md *fsmeta.Metadata) bool {
 	}
 	if !a.opts.UsePNS {
 		return true // without PNS every entry goes to the coordination service
-	}
-	if a.opts.ForceSharedFn != nil && a.opts.ForceSharedFn(md.Path) {
-		return true
 	}
 	return md.IsShared()
 }

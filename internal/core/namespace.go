@@ -135,7 +135,6 @@ func (a *Agent) Rename(ctx context.Context, oldPath, newPath string) error {
 	}
 
 	// Move the entry itself.
-	wasInPNS := a.pnsFor(md)
 	if err := a.deleteMetadata(ctx, oldPath); err != nil {
 		return err
 	}
@@ -143,7 +142,6 @@ func (a *Agent) Rename(ctx context.Context, oldPath, newPath string) error {
 	if err := a.putMetadata(ctx, md); err != nil {
 		return err
 	}
-	_ = wasInPNS
 
 	// Move the subtree for directories.
 	if md.IsDir() {

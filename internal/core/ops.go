@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"time"
 
 	"scfs/internal/clock"
 	"scfs/internal/coord"
@@ -47,6 +48,11 @@ var _ fsapi.Handle = (*handle)(nil)
 // step of §2.5.1).
 func cacheKey(fileID, hash string) string { return fileID + "@" + hash }
 
+// wipKey addresses what Fsync flushed of a file still open: contents that
+// are not a version yet, so no hash names them. The close that stores them
+// as a version (or the last close, if none does) removes the entry.
+func wipKey(fileID string) string { return fileID + "@wip" }
+
 // openLookup is what Open learns before it touches file data.
 type openLookup struct {
 	md    *fsmeta.Metadata
@@ -74,7 +80,7 @@ func (a *Agent) lookupForOpen(ctx context.Context, path string, flags fsapi.Open
 
 	var mdLocal bool
 	l.md, mdLocal, l.mdErr = a.localMetadata(path, !flags.Writable())
-	if flags.Writable() && !held && a.mayNeedLock(path, l.md, mdLocal) {
+	if flags.Writable() && !held && a.mayNeedLock(l.md, mdLocal) {
 		lockAt = len(ops)
 		ops = append(ops, coord.TryLock(path, a.opts.AgentID, a.opts.LockTTL))
 	}
@@ -118,19 +124,17 @@ func (a *Agent) lookupForOpen(ctx context.Context, path string, flags fsapi.Open
 // mayNeedLock reports whether a writable open of path must ask for the write
 // lock along with its lookup. The lock is requested before the coordination
 // service has said whether the file is shared; Open releases one that turns
-// out not to be needed. A path answered locally (md, nil for a tombstone) is
-// private and takes none — unless sharing is forced on it, or on the file
-// created over its tombstone.
-func (a *Agent) mayNeedLock(path string, md *fsmeta.Metadata, mdLocal bool) bool {
+// out not to be needed. A path answered locally is in the private name space
+// and takes none unless its ACL says it is shared; a tombstone there (md nil)
+// takes none, since the file created over it starts private.
+func (a *Agent) mayNeedLock(md *fsmeta.Metadata, mdLocal bool) bool {
 	switch {
 	case a.opts.Coordination == nil || a.opts.Mode == NonSharing:
 		return false
 	case !mdLocal:
 		return true
-	case md != nil:
-		return a.isShared(md)
 	default:
-		return a.isShared(&fsmeta.Metadata{Path: path})
+		return md != nil && a.isShared(md)
 	}
 }
 
@@ -308,35 +312,61 @@ func (a *Agent) cachedData(md *fsmeta.Metadata) ([]byte, bool) {
 	return nil, false
 }
 
+// The read side of the consistency anchor (Figure 3): the hash in the
+// metadata (r1) names a version the eventually consistent clouds may not
+// show yet, so the storage service is asked for it (r2) until it does; the
+// backend verifies what it returns against that hash (r3).
+const (
+	// visibilityAttempts bounds the loop: a version that has not appeared
+	// after this many requests is reported missing.
+	visibilityAttempts = 120
+	// visibilityPause separates two requests (six seconds over the whole
+	// bound).
+	visibilityPause = 50 * time.Millisecond
+)
+
+// awaitVisible is that loop, the one every cloud read of a mount runs: it
+// repeats attempt, one request to the storage service for the version the
+// metadata of path anchors, while the answer is storage.ErrVersionNotFound.
+// Any other answer ends it at once — the value, or an error no wait cures
+// (an outage, a failed integrity check), wrapped under doing, a format that
+// takes the path. Cancelling ctx during a pause returns ctx.Err().
+func awaitVisible[T any](ctx context.Context, clk clock.Clock, path, doing string, attempt func() (T, error)) (T, error) {
+	var none T
+	var err error
+	for n := 0; n < visibilityAttempts; n++ {
+		var v T
+		if v, err = attempt(); err == nil {
+			return v, nil
+		}
+		if !errors.Is(err, storage.ErrVersionNotFound) {
+			return none, fmt.Errorf("core: %s: %w", fmt.Sprintf(doing, path), err)
+		}
+		if cerr := clock.SleepCtx(ctx, clk, visibilityPause); cerr != nil {
+			return none, cerr
+		}
+	}
+	return none, fmt.Errorf("core: version of %q never became visible: %w", path, err)
+}
+
 // fetchData returns the contents of the current version of md, looking at the
-// memory cache, then the disk cache, then the cloud backend (with the
-// consistency-anchor retry loop of Figure 3).
+// memory cache, then the disk cache, then the cloud backend (awaitVisible),
+// whose answer populates both caches.
 func (a *Agent) fetchData(ctx context.Context, md *fsmeta.Metadata) ([]byte, error) {
 	if data, ok := a.cachedData(md); ok {
 		return data, nil
 	}
-	key := cacheKey(md.FileID, md.Hash)
-	// Cloud read: loop until the version anchored in the metadata becomes
-	// visible (the storage clouds are only eventually consistent).
-	const maxAttempts = 120
-	var lastErr error
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		data, err := a.opts.Storage.ReadVersion(ctx, md.FileID, md.Hash)
-		if err == nil {
-			a.addStat(func(s *Stats) { s.CloudReads++; s.CloudBytesDown += int64(len(data)) })
-			a.diskCache.Put(key, data)
-			a.memCache.Put(key, data)
-			return data, nil
-		}
-		lastErr = err
-		if !errors.Is(err, storage.ErrVersionNotFound) {
-			return nil, fmt.Errorf("core: reading %q from the cloud: %w", md.Path, err)
-		}
-		if err := clock.SleepCtx(ctx, a.clk, a.opts.ReadRetryInterval); err != nil {
-			return nil, err
-		}
+	data, err := awaitVisible(ctx, a.clk, md.Path, "reading %q from the cloud", func() ([]byte, error) {
+		return a.opts.Storage.ReadVersion(ctx, md.FileID, md.Hash)
+	})
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("core: version of %q never became visible: %w", md.Path, lastErr)
+	a.addStat(func(s *Stats) { s.CloudReads++; s.CloudBytesDown += int64(len(data)) })
+	key := cacheKey(md.FileID, md.Hash)
+	a.diskCache.Put(key, data)
+	a.memCache.Put(key, data)
+	return data, nil
 }
 
 // fetchForOpen brings a file's contents into reach for a new open: cached
@@ -350,41 +380,25 @@ func (a *Agent) fetchForOpen(ctx context.Context, md *fsmeta.Metadata, flags fsa
 	}
 	if !flags.Writable() && a.opts.StreamThresholdBytes >= 0 && md.Size > a.opts.StreamThresholdBytes {
 		if ro, ok := a.opts.Storage.(storage.RangeOpener); ok {
-			lazy, err := a.openRanged(ctx, ro, md)
-			if err == nil {
+			lazy, err := awaitVisible(ctx, a.clk, md.Path, "opening %q for ranged reads", func() (storage.ReaderAtCloser, error) {
+				return ro.OpenVersionAt(ctx, md.FileID, md.Hash)
+			})
+			switch {
+			case err == nil:
+				a.addStat(func(s *Stats) { s.CloudReads++ })
 				return nil, lazy, nil
-			}
-			if ctx.Err() != nil {
+			case errors.Is(err, storage.ErrVersionNotFound) || ctx.Err() != nil:
+				// The version never appeared, or the caller gave up: the
+				// whole fetch would only wait for the same version again.
 				return nil, nil, err
 			}
-			// Fall back to the whole-object path on any other ranged-open
-			// error.
+			// The backend declined to serve this version by ranges (an
+			// entry it cannot certify, say): the whole-object path verifies
+			// the value end to end.
 		}
 	}
 	data, err := a.fetchData(ctx, md)
 	return data, nil, err
-}
-
-// openRanged opens a ranged reader over the anchored version of md, waiting
-// out eventual consistency like the whole-object read loop does.
-func (a *Agent) openRanged(ctx context.Context, ro storage.RangeOpener, md *fsmeta.Metadata) (storage.ReaderAtCloser, error) {
-	const maxAttempts = 120
-	var lastErr error
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		ra, err := ro.OpenVersionAt(ctx, md.FileID, md.Hash)
-		if err == nil {
-			a.addStat(func(s *Stats) { s.CloudReads++ })
-			return ra, nil
-		}
-		lastErr = err
-		if !errors.Is(err, storage.ErrVersionNotFound) {
-			return nil, fmt.Errorf("core: opening %q for ranged reads: %w", md.Path, err)
-		}
-		if err := clock.SleepCtx(ctx, a.clk, a.opts.ReadRetryInterval); err != nil {
-			return nil, err
-		}
-	}
-	return nil, fmt.Errorf("core: version of %q never became visible: %w", md.Path, lastErr)
 }
 
 // --- handle operations ---
@@ -521,7 +535,7 @@ func (h *handle) Fsync(ctx context.Context) error {
 	data := append([]byte(nil), h.of.data...)
 	fileID := h.of.meta.FileID
 	a.mu.Unlock()
-	return a.diskCache.Put(fileID+"@wip", data)
+	return a.diskCache.Put(wipKey(fileID), data)
 }
 
 // Stat implements fsapi.Handle.
@@ -563,6 +577,7 @@ func (h *handle) Close(ctx context.Context) error {
 	of.refs--
 	lastRef := of.refs == 0
 	wasDirty := of.dirty && h.flags.Writable()
+	wip := wipKey(of.meta.FileID)
 	var data []byte
 	var md *fsmeta.Metadata
 	if wasDirty {
@@ -590,6 +605,9 @@ func (h *handle) Close(ctx context.Context) error {
 	a.addStat(func(s *Stats) { s.FilesClosed++ })
 
 	if !wasDirty {
+		if lastRef {
+			a.diskCache.Remove(wip) // nothing is left to become a version
+		}
 		if shouldUnlock {
 			return a.unlock(ctx, of.path)
 		}
@@ -605,6 +623,7 @@ func (h *handle) Close(ctx context.Context) error {
 	if err := a.diskCache.Put(key, data); err != nil {
 		return a.failUnlocking(ctx, task.unlockPath, err)
 	}
+	a.diskCache.Remove(wip) // superseded by the version's own entry
 	a.memCache.Put(key, data)
 
 	a.mu.Lock()

@@ -31,8 +31,9 @@ func testAgent(t *testing.T, chunkSize int, threshold int64) (*Agent, []*cloudsi
 }
 
 // testAgentWith is testAgent with every cloud client and the backend passed
-// through the test's wrappers before the mount sees them.
-func testAgentWith(t *testing.T, chunkSize int, threshold int64, wrapCloud func(cloud.ObjectStore) cloud.ObjectStore, wrapStore func(*storage.CloudOfClouds) storage.VersionedStore) (*Agent, []*cloudsim.Provider) {
+// through the test's wrappers before the mount sees them, and the mount's
+// options through tweak.
+func testAgentWith(t *testing.T, chunkSize int, threshold int64, wrapCloud func(cloud.ObjectStore) cloud.ObjectStore, wrapStore func(*storage.CloudOfClouds) storage.VersionedStore, tweak ...func(*Options)) (*Agent, []*cloudsim.Provider) {
 	t.Helper()
 	providers := make([]*cloudsim.Provider, 4)
 	clients := make([]cloud.ObjectStore, 4)
@@ -45,7 +46,7 @@ func testAgentWith(t *testing.T, chunkSize int, threshold int64, wrapCloud func(
 		t.Fatal(err)
 	}
 	svc := coord.NewDepSpaceService(depspace.NewClient(&depspace.LocalInvoker{Space: depspace.NewSpace()}, "alice", nil))
-	a, err := New(bg, Options{
+	opts := Options{
 		User:                 "alice",
 		Mode:                 Blocking,
 		Coordination:         svc,
@@ -53,7 +54,11 @@ func testAgentWith(t *testing.T, chunkSize int, threshold int64, wrapCloud func(
 		StreamThresholdBytes: threshold,
 		MetadataCacheTTL:     500 * time.Millisecond,
 		DiskCacheDir:         t.TempDir(),
-	})
+	}
+	for _, f := range tweak {
+		f(&opts)
+	}
+	a, err := New(bg, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,8 +54,7 @@ func (m *Manager) ReadMetadataBatch(ctx context.Context, units []string) map[str
 			if ctx.Err() != nil {
 				return
 			}
-			merged := m.mergeMetadata(unit, m.readMetadataQuorum(ctx, unit))
-			results <- result{unit: unit, versions: merged.Versions}
+			results <- result{unit: unit, versions: m.readMetadata(ctx, unit).Versions}
 		}(unit)
 	}
 	wg.Wait()

@@ -77,7 +77,7 @@ func TestQuorumOpsLeaveNoStragglerGoroutines(t *testing.T) {
 	}
 
 	start = time.Now()
-	r, _, err := m.Open(context.Background(), "u")
+	r, _, err := m.OpenMatching(context.Background(), "u", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,15 +235,15 @@ func TestDeadlineLongerThanQuorumSucceeds(t *testing.T) {
 }
 
 // TestOpenReadRetriesAfterCancelledFirstRead: a cancelled first read
-// through an Open'd whole-object reader must not poison the reader — a
-// later read with a live context retries the fetch and succeeds.
+// through an opened reader must not poison the reader — a later read of the
+// same chunk with a live context retries the fetch and succeeds.
 func TestOpenReadRetriesAfterCancelledFirstRead(t *testing.T) {
 	_, m := newManager(t, ProtocolCA)
 	data := bytes.Repeat([]byte("retry "), 500)
 	if _, err := m.Write(bg, "u", data); err != nil {
 		t.Fatal(err)
 	}
-	r, _, err := m.Open(bg, "u") // v1 version: whole-object fetch path
+	r, _, err := m.OpenMatching(bg, "u", "") // one chunk: both reads fetch it
 	if err != nil {
 		t.Fatal(err)
 	}

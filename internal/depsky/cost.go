@@ -15,9 +15,6 @@ import (
 	"scfs/internal/seccrypto"
 )
 
-// Rates returns the per-cloud-index rate cards the manager prices with.
-func (m *Manager) Rates() []pricing.Rates { return m.rates }
-
 // meanRates averages the rate cards across the clouds. The rates are fixed
 // at construction, so New computes this once into m.mean; a GC sweep
 // pricing thousands of versions reads the cached card.
@@ -72,9 +69,9 @@ func (m *Manager) cost(protocol Protocol, size int64, chunkSize int) pricing.Est
 	mean := m.mean
 	n := int64(m.N())
 	q := int64(m.QuorumSize())
-	charged, readers := q, int64(m.opts.F+1)
+	charged, readers := q, int64(m.readNeed(protocol))
 	if protocol == ProtocolA {
-		charged, readers = n, 1
+		charged = n
 	}
 	perChunk := func(plain int) pricing.Estimate {
 		var stored int64 // bytes per charged cloud

@@ -14,8 +14,14 @@
 //
 // Every version of a data unit is recorded in a metadata object replicated on
 // all clouds. SCFS's consistency-anchor algorithm needs to read "the version
-// with a given hash" rather than "the newest version", so the manager also
-// implements ReadMatching, the extension described in §3.2 of the paper.
+// with a given hash" rather than "the newest version" — the extension
+// described in §3.2 of the paper — so both read entries take a hash:
+// ReadMatching returns the whole value, verified end to end against that hash
+// (Read is its empty-hash form, the newest version), and OpenMatching returns
+// a random-access reader that fetches only the chunks a read covers, for
+// entries f+1 clouds agree on. Under both sits one lookup (resolve) and one
+// chunk fetch (chunkFetcher.Fetch); and every exchange with the clouds, read
+// or write, is one round launched by startRound (dispatch.go).
 //
 // A version has one layout on the clouds, whatever its size and whichever
 // entry point wrote it: the value is cut into chunks of Options.ChunkSize
@@ -326,16 +332,11 @@ func New(opts Options) (*Manager, error) {
 	if len(opts.Clouds) < need {
 		return nil, fmt.Errorf("%w: have %d, need %d for f=%d", ErrNotEnoughClouds, len(opts.Clouds), need, opts.F)
 	}
-	coder, err := erasure.New(opts.F+1, len(opts.Clouds)-(opts.F+1))
-	if err != nil {
-		return nil, fmt.Errorf("depsky: building erasure coder: %w", err)
-	}
 	tracker := iopolicy.NewTracker(len(opts.Clouds))
 	rates := opts.Pricing.Resolve(opts.Clouds)
 	names := cloudLabels(opts.Clouds)
 	m := &Manager{
 		opts:       opts,
-		coder:      coder,
 		tracker:    tracker,
 		board:      resilience.NewBoard(len(opts.Clouds), opts.Breakers),
 		rates:      rates,
@@ -343,6 +344,11 @@ func New(opts Options) (*Manager, error) {
 		selector:   placement.NewSelector(rates, tracker),
 		cloudNames: names,
 		ins:        newInstruments(opts.Metrics, names),
+	}
+	// Any witnessSize shards rebuild a chunk's ciphertext.
+	var err error
+	if m.coder, err = erasure.New(m.witnessSize(), m.N()-m.witnessSize()); err != nil {
+		return nil, fmt.Errorf("depsky: building erasure coder: %w", err)
 	}
 	if m.ins != nil {
 		if m.board != nil {
@@ -363,8 +369,22 @@ func (m *Manager) N() int { return len(m.opts.Clouds) }
 // F returns the number of tolerated faulty clouds.
 func (m *Manager) F() int { return m.opts.F }
 
-// QuorumSize returns the write quorum n-f.
+// The protocol's two thresholds, each stated here and nowhere else (Alpos &
+// Cachin, PAPERS.md: a quorum system is a predicate, not arithmetic repeated
+// at its call sites).
+
+// QuorumSize returns n-f, a quorum: all an asynchronous system may wait for
+// with f clouds silent, and enough that any two quorums share a correct
+// cloud. Metadata reads stop at a quorum of answers, writes at a quorum of
+// acknowledgements.
 func (m *Manager) QuorumSize() int { return m.N() - m.opts.F }
+
+// witnessSize returns f+1, the fewest clouds sure to include a correct one
+// (a kernel of the quorum system: it meets every quorum). That many
+// identical copies certify a metadata entry, that many shards and key shares
+// decode a DepSky-CA chunk, and that many failed uploads leave too few
+// clouds for a write quorum.
+func (m *Manager) witnessSize() int { return m.opts.F + 1 }
 
 func (m *Manager) metaName(unit string) string {
 	return m.opts.Prefix + "dsky/" + unit + "/metadata"
@@ -380,84 +400,43 @@ func (m *Manager) chunkName(unit, id string, idx int) string {
 
 // --- metadata quorum operations ---
 
-// quorumCtx derives the per-operation context under which one quorum
-// fan-out's per-cloud RPCs run. Cancelling it is how first-quorum-wins
-// semantics abort the losers of the race; when DisableQuorumCancel is set
-// the cancel is a no-op and stragglers run to completion as before.
-func (m *Manager) quorumCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	if m.opts.DisableQuorumCancel {
-		return ctx, func() {}
-	}
-	return context.WithCancel(ctx)
-}
-
-// readMetadataQuorum fetches the metadata object from the clouds and returns
-// the per-cloud results (nil for clouds that failed, were never contacted,
-// or have no metadata). Per the DepSky read protocol it waits for the first
+// readMetadata fetches unit's metadata object from the clouds and merges the
+// copies (mergeMetadata). Per the DepSky read protocol it waits for the first
 // n-f responses — a quorum is all an asynchronous system may wait for — then
 // cancels the remaining fetches: one straggling cloud no longer adds its
 // full round trip to every metadata operation. Any version anchored by a
 // write quorum overlaps any n-f responders in at least one correct cloud,
 // so the merged union still contains everything a reader is entitled to see.
+// A cloud that failed, was never contacted or holds no metadata contributes
+// no copy.
 //
-// Under a hedge policy the fan-out is preferred-set-first: only the n-f
-// fastest clouds (per the latency tracker, or the policy's explicit order)
-// are contacted immediately, and the rest only after the tracked delay
-// percentile elapses or a preferred cloud fails — in the common case the
-// straggler's RPC is never issued at all.
-func (m *Manager) readMetadataQuorum(ctx context.Context, unit string) []*unitMetadata {
+// Under a hedge policy only the n-f preferred clouds are contacted
+// immediately (startRound) — in the common case the straggler's RPC is never
+// issued at all.
+func (m *Manager) readMetadata(ctx context.Context, unit string) *unitMetadata {
 	name := m.metaName(unit)
-	n := m.N()
-	pol := m.policyFor(ctx)
-	op := metadataOp()
-	gate := m.newHedgeGate(pol, pol.Hedge, m.QuorumSize(), op)
-	tr := telemetry.FromContext(ctx)
-	opCtx, cancel := m.quorumCtx(ctx)
-	defer cancel()
-	type fetched struct {
-		idx int
-		md  *unitMetadata
-	}
-	results := make(chan fetched, n)
-	for i, c := range m.opts.Clouds {
-		go func(i int, c cloud.ObjectStore) {
-			if !gate.enter(opCtx, i) {
-				m.recordGated(tr, "meta.get", i, gate.hedged(i))
-				results <- fetched{idx: i}
-				return
-			}
-			start := time.Now()
-			var data []byte
-			err := m.timedCloudCall(opCtx, pol, i, op, func(ctx context.Context) error {
-				var err error
-				data, err = c.Get(ctx, name)
-				return err
-			})
-			m.recordSpan(tr, "meta.get", i, start, gate.hedged(i), err)
-			if err != nil {
-				results <- fetched{idx: i}
-				return
-			}
-			results <- fetched{idx: i, md: decodeUnitMetadata(data, unit)}
-		}(i, c)
-	}
-	out := make([]*unitMetadata, n)
-	for responded := 1; responded <= n; responded++ {
-		f := <-results
-		out[f.idx] = f.md
-		if f.md == nil {
+	op := iopolicy.GetOp(0) // a metadata object: a small, RTT-dominated download
+	rd := startRound(ctx, m, "meta.get", op, m.QuorumSize(),
+		func(ctx context.Context, _ int, c cloud.ObjectStore) ([]byte, error) { return c.Get(ctx, name) },
+		func(_ int, data []byte) (*unitMetadata, error) { return decodeUnitMetadata(data, unit), nil })
+	defer rd.cancel()
+	copies := make([]*unitMetadata, m.N())
+	for responded := 1; responded <= m.N(); responded++ {
+		o := <-rd.outcomes
+		copies[o.cloud] = o.val
+		if o.val == nil {
 			// A failed (or absent) copy releases one gated cloud so the
 			// quorum of responses can still be assembled promptly.
-			gate.kick()
+			rd.kick()
 		}
 		if responded >= m.QuorumSize() {
-			cancel() // quorum of responses in hand: abort the stragglers
+			rd.cancel() // quorum of responses in hand: abort the stragglers
 			if !m.opts.DisableQuorumCancel {
 				break
 			}
 		}
 	}
-	return out
+	return m.mergeMetadata(unit, copies)
 }
 
 // decodeUnitMetadata parses one cloud's copy of unit's metadata object; nil
@@ -481,8 +460,8 @@ func decodeUnitMetadata(data []byte, unit string) *unitMetadata {
 // vouches for it. Whole-value reads verify the final plaintext hash and
 // do not need certification, but the ranged read path trusts the per-chunk
 // frame hashes in the metadata with no end-to-end check — it only serves
-// certified entries and falls back to the verified whole-value read
-// otherwise (see openVersion). Among conflicting uncertified variants of
+// certified entries and sends its caller to the verified whole-value read
+// otherwise (see OpenMatching). Among conflicting uncertified variants of
 // one number, the copy carrying more integrity hashes wins.
 //
 // An entry whose ID is not well formed or whose chunk geometry is
@@ -520,7 +499,6 @@ func (m *Manager) mergeMetadata(unit string, copies []*unitMetadata) *unitMetada
 			}
 		}
 	}
-	needed := m.opts.F + 1
 	for number, byEnc := range votes {
 		var best *candidate
 		for _, cand := range byEnc {
@@ -528,7 +506,7 @@ func (m *Manager) mergeMetadata(unit string, copies []*unitMetadata) *unitMetada
 			// votes (two would require two correct clouds to disagree about
 			// a single-writer register). Otherwise prefer the richest copy.
 			switch {
-			case cand.votes >= needed:
+			case cand.votes >= m.witnessSize():
 				best = cand
 				merged.certified[number] = true
 			case merged.certified[number]:
@@ -574,7 +552,7 @@ func (m *Manager) writeMetadataQuorum(ctx context.Context, md *unitMetadata) err
 	if err != nil {
 		return fmt.Errorf("depsky: encoding metadata: %w", err)
 	}
-	return m.writeQuorum(ctx, m.metaName(md.Unit), "meta.put", func(int) []byte { return payload })
+	return m.writeQuorum(ctx, m.metaName(md.Unit), "meta.put", func(int) []byte { return payload }, nil)
 }
 
 // writeQuorum writes per-cloud payloads (payload(i) for cloud i) and waits
@@ -582,76 +560,45 @@ func (m *Manager) writeMetadataQuorum(ctx context.Context, md *unitMetadata) err
 // cancelled: the preferred quorum of n-f clouds (the one the paper's cost
 // analysis charges for) holds the version, and the stragglers neither bill
 // upload traffic nor keep goroutines alive.
-func (m *Manager) writeQuorum(ctx context.Context, name, kind string, payload func(i int) []byte) error {
-	return m.writeQuorumHooked(ctx, name, kind, payload, nil)
-}
-
-// errHedgeSkipped marks the outcome of a cloud whose upload was never
-// issued because the quorum verdict arrived while its hedge gate was still
-// holding it back. It only ever surfaces after the verdict is decided, so
-// callers never see it.
-var errHedgeSkipped = errors.New("depsky: upload gated out by the quorum verdict")
-
-// writeQuorumHooked is writeQuorum with a per-cloud completion hook:
-// onCloudDone(i) is called (from the collector goroutine) as soon as cloud
-// i's upload attempt has finished, whether it succeeded, failed, was
-// cancelled by the quorum verdict, or was never issued at all (hedged
-// writes). The streaming pipeline uses it to recycle each cloud's frame
-// buffer the moment that cloud is done with it.
+//
+// onCloudDone, when non-nil, is called (from the collector goroutine) as
+// soon as cloud i's upload attempt has finished, whether it succeeded,
+// failed, was cancelled by the quorum verdict, or was never issued at all
+// (hedged writes). The streaming pipeline uses it to recycle each cloud's
+// frame buffer the moment that cloud is done with it.
 //
 // Under a WriteHedge policy the fan-out is preferred-set-first (Basil-style
-// hedged writes): only the preferred n-f clouds — ranked by the placement
-// objective, explicit preference, or tracked upload latency — upload
-// immediately; the spares sit behind the hedge gate and launch only if the
-// tracked percentile of the preferred set's upload latency elapses without
-// a verdict, or a preferred upload fails. On a stable deployment the spare
-// uploads are never issued, so the write ships (n-f)/n of the full
-// fan-out's ingress bytes and PUT fees at equal durability: the paper's
-// quorum math only ever promises the preferred n-f copies (a reader
-// tolerating f faults among them still finds n-2f = f+1 intact shards),
-// and the metadata union certifies any entry that f+1 of the n-f metadata
-// responders agree on, which the preferred quorum guarantees.
+// hedged writes): only the preferred n-f clouds upload immediately; the
+// spares sit behind the hedge gate and launch only if the tracked percentile
+// of the preferred set's upload latency elapses without a verdict, or a
+// preferred upload fails. On a stable deployment the spare uploads are never
+// issued, so the write ships (n-f)/n of the full fan-out's ingress bytes and
+// PUT fees at equal durability: the paper's quorum math only ever promises
+// the preferred n-f copies (a reader tolerating f faults among them still
+// finds n-2f = f+1 intact shards), and the metadata union certifies any
+// entry that f+1 of the n-f metadata responders agree on, which the
+// preferred quorum guarantees.
 //
 // Cancelling ctx aborts every in-flight upload and returns ctx.Err(). The
 // collector goroutine always drains all n outcomes, but after the verdict
 // the losers are already cancelled (and the gated spares release without
 // touching the network), so it exits promptly rather than living as long
 // as the slowest cloud.
-func (m *Manager) writeQuorumHooked(ctx context.Context, name, kind string, payload func(i int) []byte, onCloudDone func(i int)) error {
+func (m *Manager) writeQuorum(ctx context.Context, name, kind string, payload func(i int) []byte, onCloudDone func(i int)) error {
 	n := m.N()
-	pol := m.policyFor(ctx)
-	op := iopolicy.PutOp(len(payload(0)))
-	gate := m.newHedgeGate(pol, pol.WriteHedge, m.QuorumSize(), op)
+	rd := startRound[struct{}](ctx, m, kind, iopolicy.PutOp(len(payload(0))), m.QuorumSize(),
+		func(ctx context.Context, i int, c cloud.ObjectStore) ([]byte, error) {
+			return nil, c.Put(ctx, name, payload(i))
+		}, nil)
 	tr := telemetry.FromContext(ctx)
-	opCtx, cancel := m.quorumCtx(ctx)
-	type outcome struct {
-		idx int
-		err error
-	}
-	results := make(chan outcome, n)
-	for i, c := range m.opts.Clouds {
-		go func(i int, c cloud.ObjectStore) {
-			if !gate.enter(opCtx, i) {
-				m.recordGated(tr, kind, i, gate.hedged(i))
-				results <- outcome{idx: i, err: errHedgeSkipped}
-				return
-			}
-			start := time.Now()
-			err := m.timedCloudCall(opCtx, pol, i, op, func(ctx context.Context) error {
-				return c.Put(ctx, name, payload(i))
-			})
-			m.recordSpan(tr, kind, i, start, gate.hedged(i), err)
-			results <- outcome{idx: i, err: err}
-		}(i, c)
-	}
 	verdict := make(chan error, 1)
 	go func() {
-		defer cancel()
+		defer rd.cancel()
 		successes, failures, decided := 0, 0, false
 		for i := 0; i < n; i++ {
-			o := <-results
+			o := <-rd.outcomes
 			if onCloudDone != nil {
-				onCloudDone(o.idx)
+				onCloudDone(o.cloud)
 			}
 			if o.err == nil {
 				successes++
@@ -660,7 +607,7 @@ func (m *Manager) writeQuorumHooked(ctx context.Context, name, kind string, payl
 				// A failed preferred upload releases one gated spare at
 				// once, so the quorum can still be assembled without
 				// waiting out the hedge delay.
-				gate.kick()
+				rd.kick()
 			}
 			if decided {
 				continue
@@ -672,15 +619,15 @@ func (m *Manager) writeQuorumHooked(ctx context.Context, name, kind string, payl
 				}
 				verdict <- nil
 				decided = true
-				cancel() // quorum reached: abort the redundant uploads
-			case failures > m.opts.F:
+				rd.cancel() // quorum reached: abort the redundant uploads
+			case failures >= m.witnessSize():
 				if cerr := ctx.Err(); cerr != nil {
 					verdict <- cerr
 				} else {
 					verdict <- fmt.Errorf("%w: %d failures out of %d clouds", ErrQuorumWrite, failures, n)
 				}
 				decided = true
-				cancel()
+				rd.cancel()
 			}
 		}
 		if !decided {
@@ -729,7 +676,7 @@ func (m *Manager) writeVersion(ctx context.Context, unit string, r io.Reader) (V
 	readCtx, cancelRead := context.WithCancel(ctx)
 	defer cancelRead()
 	read := make(chan *unitMetadata, 1)
-	go func() { read <- m.mergeMetadata(unit, m.readMetadataQuorum(readCtx, unit)) }()
+	go func() { read <- m.readMetadata(readCtx, unit) }()
 
 	info, err := m.uploadChunks(ctx, unit, newObjectID(), r)
 	if err != nil {
@@ -771,7 +718,7 @@ type resolved struct {
 // hash equals hash (none: ErrVersionNotFound). It is the one place the
 // quorum read, the merge, the lookup and the choice of variants meet.
 func (m *Manager) resolve(ctx context.Context, unit, hash string) (resolved, error) {
-	merged := m.mergeMetadata(unit, m.readMetadataQuorum(ctx, unit))
+	merged := m.readMetadata(ctx, unit)
 	info, notFound := merged.newest(), ErrUnitNotFound
 	if hash != "" {
 		info, notFound = merged.find(hash), ErrVersionNotFound
@@ -842,7 +789,7 @@ func (m *Manager) readVersionAny(ctx context.Context, unit string, variants []Ve
 
 // ListVersions returns all known versions of a unit, oldest first.
 func (m *Manager) ListVersions(ctx context.Context, unit string) ([]VersionInfo, error) {
-	merged := m.mergeMetadata(unit, m.readMetadataQuorum(ctx, unit))
+	merged := m.readMetadata(ctx, unit)
 	if len(merged.Versions) == 0 {
 		return nil, ctx.Err()
 	}
@@ -880,7 +827,7 @@ func (m *Manager) DeleteVersions(ctx context.Context, unit string, numbers []uin
 	for _, n := range numbers {
 		doomed[n] = true
 	}
-	merged := m.mergeMetadata(unit, m.readMetadataQuorum(ctx, unit))
+	merged := m.readMetadata(ctx, unit)
 	var removed []VersionInfo
 	kept := merged.Versions[:0]
 	for _, v := range merged.Versions {
@@ -991,13 +938,4 @@ func (s *decodeScratch) release() {
 	}
 	s.bufs = nil
 	s.next = 0
-}
-
-// StorageFootprint returns how many bytes one version of the given size
-// occupies across all clouds under the configured protocol (used by the cost
-// model: ~1.5x for CA with f=1 versus 4x for replication). It is the byte
-// axis of EstimateFootprint; see footprint.go for the full cost model
-// including per-request fees.
-func (m *Manager) StorageFootprint(size int) int {
-	return int(m.EstimateFootprint(int64(size)).Bytes)
 }

@@ -1,18 +1,28 @@
 package depsky
 
-// Hedged dispatch. Every quorum fan-out used to contact all n clouds the
-// moment it started; first-quorum-wins cancellation (PR 3) then aborted the
-// losers, which bounds the latency tail but still issues every RPC — the
-// straggler's request is started, billed a request fee, and only then
-// cancelled. The hedge gate below delays the redundant requests instead:
-// a fan-out dispatches to the preferred quorum only, and the remaining
-// clouds are contacted when (a) the tracked latency percentile of the
-// preferred set elapses without a verdict, or (b) a preferred cloud fails
-// or returns an unusable response, whichever comes first. In the common
-// case the preferred quorum answers in time and the extra RPCs are never
-// issued at all. Reads (Policy.Hedge) and writes (Policy.WriteHedge) run
-// the same gate; for writes the savings are ingress bytes and PUT fees at
-// the spare clouds.
+// Dispatch: the one cloud round, and the hedge gate it launches through.
+//
+// Every exchange with the clouds is a round — the same request put to all n
+// of them, each answer handed to a collector that stops at its verdict. There
+// are three (the metadata read, the quorum write, the chunk fetch) and
+// startRound owns what they share: the policy, the gate, the context whose
+// cancellation aborts the losers, a goroutine per cloud, the resilience layer
+// around each RPC (resilient.go) and its trace span. A caller supplies its
+// per-cloud request and keeps only its verdict: n-f answers; n-f acks or f+1
+// failures; the first successful decode.
+//
+// Hedged dispatch. A full fan-out contacts all n clouds the moment it starts;
+// first-quorum-wins cancellation then aborts the losers, which bounds the
+// latency tail but still issues every RPC — the straggler's request is
+// started, billed a request fee, and only then cancelled. The hedge gate below
+// delays the redundant requests instead: a round dispatches to the preferred
+// quorum only, and the remaining clouds are contacted when (a) the tracked
+// latency percentile of the preferred set elapses without a verdict, or (b) a
+// preferred cloud fails or returns an unusable response, whichever comes
+// first. In the common case the preferred quorum answers in time and the
+// extra RPCs are never issued at all. Reads (Policy.Hedge) and writes
+// (Policy.WriteHedge) run the same gate; for writes the savings are ingress
+// bytes and PUT fees at the spare clouds.
 //
 // The preferred set itself comes from the placement engine: an explicit
 // preference order wins, then the placement objective (cost-first ranks by
@@ -25,8 +35,10 @@ package depsky
 
 import (
 	"context"
+	"errors"
 	"time"
 
+	"scfs/internal/cloud"
 	"scfs/internal/iopolicy"
 	"scfs/internal/resilience"
 	"scfs/internal/seccrypto"
@@ -40,6 +52,96 @@ func (m *Manager) policyFor(ctx context.Context) iopolicy.Policy {
 		return m.opts.Policy.Merge(pol)
 	}
 	return m.opts.Policy
+}
+
+// quorumCtx derives the context under which one round's per-cloud RPCs run.
+// Cancelling it is how first-quorum-wins semantics abort the losers of the
+// race; when DisableQuorumCancel is set the cancel is a no-op and stragglers
+// run to completion as before.
+func (m *Manager) quorumCtx(ctx context.Context) (context.Context, context.CancelFunc) {
+	if m.opts.DisableQuorumCancel {
+		return ctx, func() {}
+	}
+	return context.WithCancel(ctx)
+}
+
+// errHedgeSkipped is the outcome of a cloud whose request was never issued
+// because the round was decided while its hedge gate was still holding it
+// back (or before its goroutine got to run). It counts as that cloud's
+// failure and only ever arrives after the verdict, so no caller returns it.
+var errHedgeSkipped = errors.New("depsky: request gated out by the quorum verdict")
+
+// outcome is what one cloud contributed to a round: the value made of its
+// answer, or why there is none.
+type outcome[T any] struct {
+	cloud int
+	val   T
+	err   error
+}
+
+// round is one cloud round in flight, as its collector sees it.
+type round[T any] struct {
+	// outcomes delivers one outcome per cloud, in arrival order. It is
+	// buffered for all n, so a collector that has its verdict may stop
+	// receiving and no per-cloud goroutine is left blocked.
+	outcomes <-chan outcome[T]
+	// kick releases one cloud the hedge gate still holds; collectors call it
+	// for every failed or unusable answer, so a faulty preferred cloud is
+	// replaced without waiting out the hedge delay.
+	kick func()
+	// cancel ends the round: in-flight requests are aborted, gated ones are
+	// never issued. The collector calls it at its verdict, and on every path
+	// out at the latest.
+	cancel context.CancelFunc
+}
+
+// startRound launches one cloud round: rpc, the round's request, is put to
+// every cloud, and parse (nil: the answer carries nothing) turns cloud i's
+// answer into the round's value on that cloud's goroutine, outside the
+// timed and recorded RPC — an unusable answer is the caller's finding, not
+// the cloud's failure to respond. kind names the round's trace spans, op is
+// the tracker and breaker class of one request, and need is how many clouds
+// a hedged round contacts at once: the fewest whose answers can decide it.
+//
+// Under a hedge policy (Policy.Hedge for a GET round, Policy.WriteHedge for
+// a PUT round) only the need preferred clouds — ranked by explicit
+// preference, the placement objective or tracked latency — are contacted
+// immediately, the rest after the tracked delay percentile or a kick; in the
+// common case the spare requests are never issued at all.
+func startRound[T any](ctx context.Context, m *Manager, kind string, op iopolicy.Op, need int,
+	rpc func(ctx context.Context, i int, c cloud.ObjectStore) ([]byte, error),
+	parse func(i int, data []byte) (T, error)) round[T] {
+	pol := m.policyFor(ctx)
+	hedge := pol.Hedge
+	if op.Class == iopolicy.OpPut {
+		hedge = pol.WriteHedge
+	}
+	gate := m.newHedgeGate(pol, hedge, need, op)
+	tr := telemetry.FromContext(ctx)
+	opCtx, cancel := m.quorumCtx(ctx)
+	outcomes := make(chan outcome[T], m.N())
+	for i, c := range m.opts.Clouds {
+		go func() {
+			o := outcome[T]{cloud: i, err: errHedgeSkipped}
+			if gate.enter(opCtx, i) {
+				start := time.Now()
+				var data []byte
+				o.err = m.timedCloudCall(opCtx, pol, i, op, func(ctx context.Context) error {
+					var err error
+					data, err = rpc(ctx, i, c)
+					return err
+				})
+				m.recordSpan(tr, kind, i, start, gate.hedged(i), o.err)
+				if o.err == nil && parse != nil {
+					o.val, o.err = parse(i, data)
+				}
+			} else {
+				m.recordGated(tr, kind, i, gate.hedged(i))
+			}
+			outcomes <- o
+		}()
+	}
+	return round[T]{outcomes: outcomes, kick: gate.kick, cancel: cancel}
 }
 
 // observeRPC feeds the per-cloud latency tracker and the metrics registry
@@ -230,7 +332,7 @@ func (m *Manager) readNeed(p Protocol) int {
 	if p == ProtocolA {
 		return 1
 	}
-	return m.opts.F + 1
+	return m.witnessSize()
 }
 
 // blockOp is the tracker Op of fetching one stored frame of a version: a
@@ -242,7 +344,3 @@ func (m *Manager) blockOp(protocol Protocol, plainLen int) iopolicy.Op {
 	}
 	return iopolicy.GetOp(m.coder.ShardSize(plainLen + seccrypto.CiphertextOverhead))
 }
-
-// metadataOp is the tracker Op of a metadata object fetch: a small,
-// RTT-dominated download.
-func metadataOp() iopolicy.Op { return iopolicy.GetOp(0) }

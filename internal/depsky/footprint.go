@@ -88,14 +88,12 @@ func (m *Manager) footprint(protocol Protocol, size int64, chunkSize int) Footpr
 		chunks++
 	}
 	charged := q
-	readers := int64(m.opts.F + 1)
 	if protocol == ProtocolA {
 		charged = n
-		readers = 1
 	}
 	fp.Objects = chunks * charged
 	fp.PutRequests = fp.Objects + q // payload objects + the metadata quorum write
-	fp.GetRequestsPerRead = chunks * readers
+	fp.GetRequestsPerRead = chunks * int64(m.readNeed(protocol))
 	fp.DeleteRequests = chunks * n
 	return fp
 }

@@ -8,7 +8,7 @@ import (
 // TestFootprintWeighsChunksAgainstBytes is the point of the cost model: for
 // the same payload, cutting it into more chunks stores roughly the same
 // bytes but multiplies objects and request fees by the chunk count —
-// exactly the axis StorageFootprint alone cannot see.
+// exactly the axis a byte count alone cannot see.
 func TestFootprintWeighsChunksAgainstBytes(t *testing.T) {
 	const chunk = 4096
 	const size = 16 * chunk
@@ -37,9 +37,21 @@ func TestFootprintWeighsChunksAgainstBytes(t *testing.T) {
 	if chunked.Bytes < whole.Bytes || chunked.Bytes > 2*whole.Bytes {
 		t.Fatalf("chunked Bytes = %d vs one-chunk %d: expected same order", chunked.Bytes, whole.Bytes)
 	}
-	// StorageFootprint remains the byte axis of the estimate.
-	if got := m.StorageFootprint(size); int64(got) != chunked.Bytes {
-		t.Fatalf("StorageFootprint = %d, want %d", got, chunked.Bytes)
+}
+
+// TestFootprintBytesByProtocol is the byte axis of the cost model (§4.5):
+// DepSky-CA with f=1 stores ~1.5x the data, replication 4x.
+func TestFootprintBytesByProtocol(t *testing.T) {
+	_, mCA := newManager(t, ProtocolCA)
+	_, mA := newManager(t, ProtocolA)
+	const size = 1 << 20
+	ca := mCA.EstimateFootprint(size).Bytes
+	a := mA.EstimateFootprint(size).Bytes
+	if ratioCA := float64(ca) / size; ratioCA < 1.4 || ratioCA > 1.7 {
+		t.Fatalf("CA footprint ratio = %.2f, want ~1.5", ratioCA)
+	}
+	if a != size*4 {
+		t.Fatalf("A footprint = %d, want %d", a, size*4)
 	}
 }
 

@@ -236,8 +236,8 @@ func TestV1ShapedInputFailsAsData(t *testing.T) {
 	if _, _, err := m.ReadMatching(bg, "u", seccrypto.Hash([]byte("old"))); !errors.Is(err, ErrVersionNotFound) {
 		t.Fatalf("ReadMatching the v1 entry's hash: err = %v, want ErrVersionNotFound", err)
 	}
-	if _, _, err := m.OpenRangedMatching(bg, "u", seccrypto.Hash([]byte("old"))); !errors.Is(err, ErrVersionNotFound) {
-		t.Fatalf("OpenRangedMatching the v1 entry's hash: err = %v, want ErrVersionNotFound", err)
+	if _, _, err := m.OpenMatching(bg, "u", seccrypto.Hash([]byte("old"))); !errors.Is(err, ErrVersionNotFound) {
+		t.Fatalf("OpenMatching the v1 entry's hash: err = %v, want ErrVersionNotFound", err)
 	}
 	if n, err := m.DeleteVersions(bg, "u", []uint64{2}); err != nil || n != 0 {
 		t.Fatalf("DeleteVersions of the v1 entry = %d, %v; want nothing listed to drop", n, err)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"runtime"
 	"testing"
 	"time"
@@ -194,12 +193,7 @@ func TestHedgedChunkedRangedRead(t *testing.T) {
 		Hedge:      iopolicy.Hedge{Percentile: 0.9, MinDelay: 5 * time.Millisecond},
 		Preference: iopolicy.Preference{Order: []int{1, 2}},
 	}
-	r, _, err := m.OpenRange(hedgeCtx(pol), "u", 4096+100, 2*4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	got, err := io.ReadAll(r)
+	got, err := readRange(hedgeCtx(pol), m, "u", 4096+100, 2*4096)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,10 +71,10 @@ func TestHedgedWriteQuorumVersionIsCertified(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// OpenRangedMatching returns ErrWholeObjectOnly for anything the merge
+	// OpenMatching returns ErrWholeObjectOnly for anything the merge
 	// did not certify; success means f+1 of the n-f metadata responders
 	// vouched for the entry.
-	r, _, err := m.OpenRangedMatching(bg, "u", info.DataHash)
+	r, _, err := m.OpenMatching(bg, "u", info.DataHash)
 	if err != nil {
 		t.Fatalf("quorum-only version is not certified-readable: %v", err)
 	}

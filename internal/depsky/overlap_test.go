@@ -622,7 +622,7 @@ func stagedReader(t *testing.T, data []byte) (*stagedClouds, *stream.Reader) {
 	}
 	opened := make(chan *stream.Reader, 1)
 	go func() {
-		r, _, err := m.OpenRangedMatching(bg, "u", info.DataHash)
+		r, _, err := m.OpenMatching(bg, "u", info.DataHash)
 		if err != nil {
 			t.Error(err)
 		}

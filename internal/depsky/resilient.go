@@ -1,7 +1,7 @@
 package depsky
 
-// Per-cloud resilience. Every quorum fan-out issues its per-cloud RPCs
-// through cloudCall, which layers three behaviours over the bare RPC:
+// Per-cloud resilience. Every cloud round issues its per-cloud RPCs through
+// timedCloudCall, which layers three behaviours over the bare RPC:
 //
 //   - Outcome recording: every attempt's verdict feeds the circuit-breaker
 //     scoreboard (internal/resilience.Board), one breaker per (cloud,
@@ -53,16 +53,13 @@ func retryFor(pol iopolicy.Policy) resilience.RetryPolicy {
 // a throttled ingress path says little about egress health.
 func breakerClass(op iopolicy.Op) int { return int(op.Class) }
 
-// Board exposes the circuit-breaker scoreboard (scenario assertions,
-// diagnostics).
-func (m *Manager) Board() *resilience.Board { return m.board }
-
-// cloudCall issues one logical per-cloud RPC under the resilience layer:
+// timedCloudCall issues one logical per-cloud RPC under the resilience layer:
 // fn performs a single attempt against cloud i. The returned error is the
 // last attempt's (or errBreakerSkipped when fail-fast refused the cloud).
-// Every attempt is recorded on the scoreboard and, on success, in the
-// latency tracker.
-func (m *Manager) cloudCall(ctx context.Context, pol iopolicy.Policy, i int, op iopolicy.Op, fn func(context.Context) error) error {
+// Every attempt is recorded on the scoreboard and, on success, its duration
+// feeds the latency tracker, so hedge delays and fastest-first rankings keep
+// learning through retries.
+func (m *Manager) timedCloudCall(ctx context.Context, pol iopolicy.Policy, i int, op iopolicy.Op, fn func(context.Context) error) error {
 	class := breakerClass(op)
 	if pol.Breaker == iopolicy.BreakerFailFast && !m.board.Admit(i, class) {
 		if m.ins != nil {
@@ -79,22 +76,15 @@ func (m *Manager) cloudCall(ctx context.Context, pol iopolicy.Policy, i int, op 
 	if m.ins != nil {
 		retries = m.ins.retries[i][class]
 	}
-	return retry.Do(ctx, fn, func(attempt int, err error) {
-		m.board.Record(i, class, err)
-		if attempt > 0 {
-			retries.Inc()
-		}
-	})
-}
-
-// timedCloudCall is cloudCall with per-attempt latency tracking: each
-// successful attempt's duration feeds the tracker so hedge delays and
-// fastest-first rankings keep learning through retries.
-func (m *Manager) timedCloudCall(ctx context.Context, pol iopolicy.Policy, i int, op iopolicy.Op, fn func(context.Context) error) error {
-	return m.cloudCall(ctx, pol, i, op, func(ctx context.Context) error {
+	return retry.Do(ctx, func(ctx context.Context) error {
 		start := time.Now()
 		err := fn(ctx)
 		m.observeRPC(ctx, i, op, start, err)
 		return err
+	}, func(attempt int, err error) {
+		m.board.Record(i, class, err)
+		if attempt > 0 {
+			retries.Inc()
+		}
 	})
 }

@@ -93,7 +93,7 @@ func TestRetryNeverRetriesPermanentErrors(t *testing.T) {
 // failures straight onto the scoreboard.
 func openBreaker(m *Manager, i int, class iopolicy.OpClass, n int) {
 	for k := 0; k < n; k++ {
-		m.Board().Record(i, int(class), cloudsimUnavailable)
+		m.board.Record(i, int(class), cloudsimUnavailable)
 	}
 }
 
@@ -127,7 +127,7 @@ func TestBreakerOpensAndDemotes(t *testing.T) {
 			t.Fatalf("read %d with one downed cloud: %v", k, err)
 		}
 	}
-	if !m.Board().Suspected(0, int(iopolicy.OpGet)) {
+	if !m.board.Suspected(0, int(iopolicy.OpGet)) {
 		t.Fatal("repeated failures did not open the GET breaker")
 	}
 	// The dispatch ranking now puts cloud 0 last regardless of latency.
@@ -185,7 +185,7 @@ func TestBreakerRecoveryReadmitsCloud(t *testing.T) {
 	if _, _, err := m.Read(bg, "u"); err != nil {
 		t.Fatal(err)
 	}
-	if m.Board().State(0, int(iopolicy.OpGet)) != resilience.BreakerOpen {
+	if m.board.State(0, int(iopolicy.OpGet)) != resilience.BreakerOpen {
 		t.Fatal("breaker did not open")
 	}
 
@@ -195,7 +195,7 @@ func TestBreakerRecoveryReadmitsCloud(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The healed cloud answered its probe; the breaker must be closed again.
-	if st := m.Board().State(0, int(iopolicy.OpGet)); st != resilience.BreakerClosed {
+	if st := m.board.State(0, int(iopolicy.OpGet)); st != resilience.BreakerClosed {
 		t.Fatalf("breaker state after successful probe = %v, want closed", st)
 	}
 }

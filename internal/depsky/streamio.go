@@ -7,11 +7,13 @@ package depsky
 // in-flight chunks (see internal/stream), so neither the ciphertext nor the
 // erasure shards of a whole value are ever resident — Write differs from
 // WriteFrom only in that its caller already holds the plaintext. Every read
-// is a stream.Reader over chunkFetcher.Fetch: Read/ReadMatching read all of a
-// version into one buffer and verify the value's hash, Open/OpenRange fetch
-// — and, under faults, reconstruct — only the chunks covering the requested
-// byte range, reusing the coder's cached decode matrices. All chunk, shard and
-// frame buffers come from the process-wide stream.Buffers pool.
+// is resolve plus a stream.Reader over chunkFetcher.Fetch, behind one of two
+// entries: ReadMatching reads all of a version into one buffer and verifies
+// the value's hash, trying every metadata variant; OpenMatching hands out the
+// reader itself, which fetches — and, under faults, reconstructs — only the
+// chunks covering a requested byte range, reusing the coder's cached decode
+// matrices, and for that reason serves certified entries only. All chunk,
+// shard and frame buffers come from the process-wide stream.Buffers pool.
 
 import (
 	"context"
@@ -89,7 +91,7 @@ func (m *Manager) uploadChunks(ctx context.Context, unit, id string, r io.Reader
 		if err != nil {
 			return VersionInfo{}, err
 		}
-		shares, err = secretshare.Split(key, m.N(), m.opts.F+1, nil)
+		shares, err = secretshare.Split(key, m.N(), m.witnessSize(), nil)
 		if err != nil {
 			return VersionInfo{}, fmt.Errorf("depsky: secret sharing: %w", err)
 		}
@@ -107,7 +109,7 @@ func (m *Manager) uploadChunks(ctx context.Context, unit, id string, r io.Reader
 			// attempt finishes — and since the quorum verdict cancels the
 			// straggling uploads, no cloud pins a frame for longer than the
 			// quorum round trip (plus the cancellation delivery).
-			err := m.writeQuorumHooked(ctx, m.chunkName(unit, id, idx), "chunk.put",
+			err := m.writeQuorum(ctx, m.chunkName(unit, id, idx), "chunk.put",
 				func(i int) []byte { return ec.frames[i] },
 				func(i int) { stream.Buffers.Put(ec.frames[i]) })
 			if err != nil {
@@ -180,36 +182,26 @@ func (m *Manager) encodeChunk(idx int, plain []byte, key []byte, shares []secret
 
 // --- ranged reads ---
 
-// Open returns a random-access reader over the newest version of unit,
-// fetching only the chunks a read touches. The ctx bounds only the metadata
-// lookup performed here; each read through the returned reader carries its
-// own context (ReadAtContext / Section).
-func (m *Manager) Open(ctx context.Context, unit string) (*stream.Reader, VersionInfo, error) {
-	return m.OpenMatching(ctx, unit, "")
-}
-
-// OpenMatching is Open for the version whose plaintext hash equals hash
-// (the read-by-hash SCFS's consistency anchor needs); an empty hash is Open.
-func (m *Manager) OpenMatching(ctx context.Context, unit, hash string) (*stream.Reader, VersionInfo, error) {
-	ctx, tr := m.opts.Tracer.Start(ctx, "open", unit)
-	defer tr.Finish()
-	v, err := m.resolve(ctx, unit, hash)
-	if err != nil {
-		return nil, VersionInfo{}, err
-	}
-	return m.openVersion(ctx, unit, v), v.info, nil
-}
-
-// ErrWholeObjectOnly is returned by OpenRangedMatching for versions the
-// manager cannot serve by per-chunk ranged fetches (entries that are not
-// certified): callers should fall back to a whole-value read, which
-// verifies the full value hash and can cache the result.
+// ErrWholeObjectOnly is returned by OpenMatching for versions the manager
+// cannot serve by per-chunk ranged fetches (entries that are not certified):
+// callers should fall back to ReadMatching, which verifies the full value
+// hash and whose result they can cache.
 var ErrWholeObjectOnly = errors.New("depsky: version requires the whole-object read path")
 
-// OpenRangedMatching is OpenMatching restricted to genuinely ranged
-// serving. The SCFS storage backend uses it so that only reads that
-// actually save memory bypass the agent's whole-object caches.
-func (m *Manager) OpenRangedMatching(ctx context.Context, unit, hash string) (*stream.Reader, VersionInfo, error) {
+// OpenMatching returns a random-access reader over the version of unit whose
+// plaintext hash equals hash (the read-by-hash SCFS's consistency anchor
+// needs; the newest version when hash is empty), fetching only the chunks a
+// read touches. Chunks are served individually only for certified entries:
+// the per-chunk path has no end-to-end plaintext hash check, so its trust
+// rests on the metadata's ChunkHashes, which certification pins to at least
+// one correct cloud. An uncertified entry is declined with
+// ErrWholeObjectOnly.
+//
+// The ctx bounds the metadata lookup performed here and supplies the
+// open-time I/O policy (readahead window, hedging defaults for the reader's
+// own prefetches); each read through the returned reader carries its own
+// context (ReadAtContext / Section).
+func (m *Manager) OpenMatching(ctx context.Context, unit, hash string) (*stream.Reader, VersionInfo, error) {
 	ctx, tr := m.opts.Tracer.Start(ctx, "open", unit)
 	defer tr.Finish()
 	v, err := m.resolve(ctx, unit, hash)
@@ -219,16 +211,17 @@ func (m *Manager) OpenRangedMatching(ctx context.Context, unit, hash string) (*s
 	if !v.certified {
 		return nil, v.info, ErrWholeObjectOnly
 	}
-	return m.openVersion(ctx, unit, v), v.info, nil
+	return m.newChunkReader(ctx, unit, v.info), v.info, nil
 }
 
-// newChunkReader wraps a fetcher in a stream.Reader configured from the
-// open-time I/O policy: its chunk limit may narrow the reader's fetches, and
-// a readahead request becomes the reader's prefetch window (sized by its
-// governor as the access pattern allows). The policy is also stamped on the
-// reader's base context, so prefetches issued on the reader's own behalf
-// hedge their chunk fan-outs the same way foreground reads do.
-func (m *Manager) newChunkReader(ctx context.Context, f stream.Fetcher) *stream.Reader {
+// newChunkReader returns the stream.Reader over one version's chunkFetcher,
+// configured from the open-time I/O policy: its chunk limit may narrow the
+// reader's fetches, and a readahead request becomes the reader's prefetch
+// window (sized by its governor as the access pattern allows). The policy is
+// also stamped on the reader's base context, so prefetches issued on the
+// reader's own behalf hedge their chunk fan-outs the same way foreground
+// reads do.
+func (m *Manager) newChunkReader(ctx context.Context, unit string, info VersionInfo) *stream.Reader {
 	pol := m.policyFor(ctx)
 	opts := stream.ReaderOptions{MaxParallel: pol.Limits.MaxParallelChunks}
 	if pol.Readahead > 0 {
@@ -239,48 +232,21 @@ func (m *Manager) newChunkReader(ctx context.Context, f stream.Fetcher) *stream.
 			opts.Metrics = m.ins.stream
 		}
 	}
-	return stream.NewReaderOpts(f, stream.Buffers, opts)
+	return stream.NewReaderOpts(&chunkFetcher{m: m, unit: unit, info: info}, stream.Buffers, opts)
 }
 
-// OpenRange returns a reader over [off, off+length) of the newest version
-// of unit, fetching only the chunks covering that range. Ranges beyond the
-// end are truncated. Reads through the returned reader are bounded by ctx.
-func (m *Manager) OpenRange(ctx context.Context, unit string, off, length int64) (io.ReadCloser, VersionInfo, error) {
-	r, info, err := m.Open(ctx, unit)
-	if err != nil {
-		return nil, VersionInfo{}, err
-	}
-	return r.Section(ctx, off, length), info, nil
-}
-
-// openVersion builds the stream.Reader for one version. Chunks are served
-// individually only for certified entries: the per-chunk path has no
-// end-to-end plaintext hash check, so its trust rests on the metadata's
-// ChunkHashes, which certification pins to at least one correct cloud. An
-// uncertified entry goes through wholeFetcher, which verifies the full value
-// against DataHash before serving any byte (trying every metadata variant,
-// so a forged uncertified copy costs a retry, not the read). The ctx
-// supplies the open-time I/O policy (readahead window, hedging defaults for
-// the reader's own prefetches).
-func (m *Manager) openVersion(ctx context.Context, unit string, v resolved) *stream.Reader {
-	if v.certified {
-		return m.newChunkReader(ctx, &chunkFetcher{m: m, unit: unit, info: v.info})
-	}
-	return stream.NewReader(&wholeFetcher{m: m, unit: unit, info: v.info, variants: v.variants}, stream.Buffers)
-}
-
-// readVersion reassembles one version whole — the read under Read,
-// ReadMatching and wholeFetcher — and verifies the value's hash. It is one
-// read over the version's chunk reader, so whole and ranged reads share one
-// chunk fan-out: the chunks are fetched together (stream.Window at a time)
-// and decoded straight into the result.
+// readVersion reassembles one version whole — the read under Read and
+// ReadMatching — and verifies the value's hash. It is one read over the
+// version's chunk reader, so whole and ranged reads share one chunk fan-out:
+// the chunks are fetched together (stream.Window at a time) and decoded
+// straight into the result.
 func (m *Manager) readVersion(ctx context.Context, unit string, info VersionInfo) ([]byte, error) {
 	if !info.validChunking() {
 		return nil, fmt.Errorf("%w: inconsistent chunk geometry (size %d, chunk %d x %d)", ErrIntegrity, info.Size, info.ChunkSize, info.ChunkCount)
 	}
 	out := make([]byte, info.Size)
 	if len(out) > 0 {
-		r := m.newChunkReader(ctx, &chunkFetcher{m: m, unit: unit, info: info})
+		r := m.newChunkReader(ctx, unit, info)
 		defer r.Close()
 		if _, err := r.ReadAtContext(ctx, out, 0); err != nil {
 			return nil, err
@@ -333,7 +299,7 @@ func (f *chunkFetcher) setKey(key []byte) {
 // degraded reads. The moment a decode succeeds the remaining per-cloud
 // fetches are cancelled (first quorum wins); cancelling ctx aborts the whole
 // fan-out and returns ctx.Err(). Under a hedge policy (carried by ctx) only
-// the f+1 preferred clouds are contacted up front, the rest after the
+// the readNeed preferred clouds are contacted up front, the rest after the
 // tracked delay percentile or on a preferred cloud's failure.
 func (f *chunkFetcher) Fetch(ctx context.Context, idx int, dst []byte) error {
 	m := f.m
@@ -348,88 +314,52 @@ func (f *chunkFetcher) Fetch(ctx context.Context, idx int, dst []byte) error {
 	if idx < len(info.ChunkHashes) {
 		hashes = info.ChunkHashes[idx]
 	}
-	pol := m.policyFor(ctx)
-	op := m.blockOp(info.Protocol, len(dst))
-	gate := m.newHedgeGate(pol, pol.Hedge, m.readNeed(info.Protocol), op)
-	tr := telemetry.FromContext(ctx)
-	opCtx, cancel := m.quorumCtx(ctx)
-	defer cancel()
 	name := m.chunkName(f.unit, info.ID, idx)
-	type fetched struct {
-		blk    *block
-		absent bool // the cloud holds no such object (cloud.ErrNotFound)
-	}
-	results := make(chan fetched, m.N())
-	var wg sync.WaitGroup
-	for i, c := range m.opts.Clouds {
-		wg.Add(1)
-		go func(i int, c cloud.ObjectStore) {
-			defer wg.Done()
-			if !gate.enter(opCtx, i) {
-				m.recordGated(tr, "chunk.get", i, gate.hedged(i))
-				results <- fetched{}
-				return
-			}
-			start := time.Now()
-			var data []byte
-			err := m.timedCloudCall(opCtx, pol, i, op, func(ctx context.Context) error {
-				var err error
-				data, err = c.Get(ctx, name)
-				return err
-			})
-			m.recordSpan(tr, "chunk.get", i, start, gate.hedged(i), err)
-			if err != nil {
-				results <- fetched{absent: errors.Is(err, cloud.ErrNotFound)}
-				return
-			}
+	need := m.readNeed(info.Protocol)
+	rd := startRound(ctx, m, "chunk.get", m.blockOp(info.Protocol, len(dst)), need,
+		func(ctx context.Context, _ int, c cloud.ObjectStore) ([]byte, error) { return c.Get(ctx, name) },
+		func(i int, data []byte) (*block, error) {
 			// Discard frames whose hash does not match the metadata (this
 			// is how silently corrupting clouds are tolerated).
 			if i < len(hashes) && hashes[i] != "" && !seccrypto.VerifyHash(data, hashes[i]) {
-				results <- fetched{}
-				return
+				return nil, ErrIntegrity
 			}
 			b, err := decodeBlock(data)
-			if err != nil || b.ChunkIdx != idx || b.ChunkPlainLen != len(dst) {
-				results <- fetched{}
-				return
+			if err != nil || b.ChunkIdx != idx || b.ChunkPlainLen != len(dst) || b.ShardIdx != i {
+				return nil, ErrIntegrity
 			}
-			if b.ShardIdx != i {
-				results <- fetched{}
-				return
-			}
-			results <- fetched{blk: b}
-		}(i, c)
-	}
-	go func() { wg.Wait(); close(results) }()
+			return b, nil
+		})
+	defer rd.cancel()
 
 	scratch := &decodeScratch{}
 	defer scratch.release()
 	blocks := make([]*block, 0, m.N())
-	got, absent := 0, 0
-	for r := range results {
-		if r.blk == nil {
-			gate.kick() // unusable response: release one gated cloud
-			if r.absent {
+	absent := 0 // clouds that hold no such object (cloud.ErrNotFound)
+	for range m.N() {
+		o := <-rd.outcomes
+		if o.err != nil {
+			rd.kick() // unusable response: release one gated cloud
+			if errors.Is(o.err, cloud.ErrNotFound) {
 				absent++
 			}
 			continue
 		}
-		blocks = append(blocks, r.blk)
-		got++
+		blocks = append(blocks, o.val)
 		if err := f.decodeChunk(idx, blocks, dst, scratch); err == nil {
-			if tr != nil {
+			if tr := telemetry.FromContext(ctx); tr != nil {
 				tr.SetVerdict(time.Since(tr.Start))
 			}
-			cancel() // first quorum wins: abort the redundant fetches
+			rd.cancel() // first quorum wins: abort the redundant fetches
 			return nil
-		} else if got >= m.readNeed(info.Protocol) {
-			gate.kick() // enough frames but no decode yet: pull in another
+		} else if len(blocks) >= need {
+			rd.kick() // enough frames but no decode yet: pull in another
 		}
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if err := m.shortRead(info.Protocol, got, absent); err != nil {
+	if err := m.shortRead(info.Protocol, len(blocks), absent); err != nil {
 		return err
 	}
 	return f.decodeChunk(idx, blocks, dst, scratch)
@@ -450,7 +380,7 @@ func (f *chunkFetcher) decodeChunk(idx int, blocks []*block, dst []byte, scratch
 		return ErrQuorumRead
 	}
 
-	needed := m.opts.F + 1
+	needed := m.witnessSize()
 	shards := make([][]byte, m.coder.TotalShards())
 	var shares []secretshare.Share
 	present := 0
@@ -498,60 +428,6 @@ func (f *chunkFetcher) decodeChunk(idx int, blocks []*block, dst []byte, scratch
 	if _, err := seccrypto.DecryptInto(dst, key, ciphertext); err != nil {
 		return fmt.Errorf("depsky: decrypting chunk %d: %w", idx, err)
 	}
-	return nil
-}
-
-// wholeFetcher serves a version whose entry is not certified through
-// Open/OpenRange: the full value is fetched and verified end to end once, on
-// first access (readVersionAny), and served as one chunk.
-type wholeFetcher struct {
-	m    *Manager
-	unit string
-	info VersionInfo
-	// variants are the metadata copies to try, best first (see
-	// readVersionAny).
-	variants []VersionInfo
-
-	mu      sync.Mutex
-	fetched bool
-	data    []byte
-}
-
-// Size implements stream.Fetcher.
-func (f *wholeFetcher) Size() int64 { return int64(f.info.Size) }
-
-// ChunkSize implements stream.Fetcher: the whole value is one chunk.
-func (f *wholeFetcher) ChunkSize() int {
-	if f.info.Size == 0 {
-		return 1
-	}
-	return f.info.Size
-}
-
-// Close implements stream.Fetcher.
-func (f *wholeFetcher) Close() error { return nil }
-
-// Fetch implements stream.Fetcher. The one whole-value fetch runs under
-// the context of whichever read triggers it first; a failed fetch (a
-// cancelled caller, a transient quorum shortfall) is not latched, so a
-// later read with a live context retries it.
-func (f *wholeFetcher) Fetch(ctx context.Context, idx int, dst []byte) error {
-	if idx != 0 {
-		return fmt.Errorf("depsky: whole-value fetch has one chunk, got request for %d", idx)
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.fetched {
-		data, err := f.m.readVersionAny(ctx, f.unit, f.variants)
-		if err != nil {
-			return err
-		}
-		f.data, f.fetched = data, true
-	}
-	if len(dst) != len(f.data) {
-		return fmt.Errorf("depsky: buffer is %d bytes, value is %d", len(dst), len(f.data))
-	}
-	copy(dst, f.data)
 	return nil
 }
 

@@ -2,6 +2,7 @@ package depsky
 
 import (
 	"bytes"
+	"context"
 	"crypto/rand"
 	"encoding/json"
 	"errors"
@@ -34,6 +35,28 @@ func randBytes(t *testing.T, n int) []byte {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// readRange reads [off, off+n) of the newest version of unit the way a mount
+// does: by ranged fetches when OpenMatching serves the entry, from the
+// verified whole value when it declines it (a faulty cloud can leave a
+// reader's quorum with fewer than f+1 copies of an entry). Ranges beyond the
+// end are truncated.
+func readRange(ctx context.Context, m *Manager, unit string, off, n int64) ([]byte, error) {
+	r, _, err := m.OpenMatching(ctx, unit, "")
+	if errors.Is(err, ErrWholeObjectOnly) {
+		data, _, err := m.Read(ctx, unit)
+		if err != nil {
+			return nil, err
+		}
+		return data[off:min(off+n, int64(len(data)))], nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	sec := r.Section(ctx, off, n)
+	defer sec.Close()
+	return io.ReadAll(sec)
 }
 
 // TestWriteFromChunkBoundaries pins round-trip correctness at every chunk
@@ -86,17 +109,12 @@ func TestWriteFromChunkBoundaries(t *testing.T) {
 
 				// Ranged reads, newest and by hash: certified on four honest
 				// clouds, so served chunk by chunk.
-				r, _, err := m.OpenRange(bg, unit, 0, int64(size))
-				if err != nil {
-					t.Fatalf("%s: OpenRange: %v", unit, err)
-				}
-				if ranged, err := io.ReadAll(r); err != nil || !bytes.Equal(ranged, data) {
+				if ranged, err := readRange(bg, m, unit, 0, int64(size)); err != nil || !bytes.Equal(ranged, data) {
 					t.Fatalf("%s: ranged read: mismatch or %v", unit, err)
 				}
-				r.Close()
-				rm, _, err := m.OpenRangedMatching(bg, unit, info.DataHash)
+				rm, _, err := m.OpenMatching(bg, unit, info.DataHash)
 				if err != nil {
-					t.Fatalf("%s: OpenRangedMatching: %v", unit, err)
+					t.Fatalf("%s: OpenMatching: %v", unit, err)
 				}
 				if ranged, err := io.ReadAll(rm); err != nil || !bytes.Equal(ranged, data) {
 					t.Fatalf("%s: ranged read by hash: mismatch or %v", unit, err)
@@ -131,15 +149,10 @@ func TestOpenRangeFetchesOnlyCoveringChunks(t *testing.T) {
 		{int64(len(data)) - 9, 9},
 		{int64(len(data)) - 9, 100}, // over-long range is truncated
 	} {
-		r, _, err := m.OpenRange(bg, "u", c.off, c.n)
-		if err != nil {
-			t.Fatalf("OpenRange(%d, %d): %v", c.off, c.n, err)
-		}
-		got, err := io.ReadAll(r)
+		got, err := readRange(bg, m, "u", c.off, c.n)
 		if err != nil {
 			t.Fatalf("range read (%d, %d): %v", c.off, c.n, err)
 		}
-		r.Close()
 		end := c.off + c.n
 		if end > int64(len(data)) {
 			end = int64(len(data))
@@ -189,15 +202,10 @@ func TestStreamedDegradedReadsAllFaultPatterns(t *testing.T) {
 				t.Fatalf("fault %v cloud %d: Read mismatch", fault, down)
 			}
 
-			r, _, err := m.OpenRange(bg, "u", cs-7, 2*cs)
-			if err != nil {
-				t.Fatalf("fault %v cloud %d: OpenRange: %v", fault, down, err)
-			}
-			ranged, err := io.ReadAll(r)
+			ranged, err := readRange(bg, m, "u", cs-7, 2*cs)
 			if err != nil {
 				t.Fatalf("fault %v cloud %d: ranged read: %v", fault, down, err)
 			}
-			r.Close()
 			if !bytes.Equal(ranged, data[cs-7:cs-7+2*cs]) {
 				t.Fatalf("fault %v cloud %d: ranged read mismatch", fault, down)
 			}
@@ -429,24 +437,20 @@ func TestRangedReadIgnoresForgedMetadataCopy(t *testing.T) {
 	}
 	_ = providers
 
-	r, _, err := m.OpenRange(bg, "u", 0, int64(len(data)))
+	got, err := readRange(bg, m, "u", 0, int64(len(data)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := io.ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Close()
 	if !bytes.Equal(got, data) {
 		t.Fatal("ranged read served forged bytes")
 	}
 }
 
-// TestOpenRangedMatchingDeclinesUncertifiedEntries: an entry fewer than f+1
-// clouds vouch for must send callers to the verified, caching whole-value
-// path instead of a ranged reader that trusts its chunk hashes.
-func TestOpenRangedMatchingDeclinesUncertifiedEntries(t *testing.T) {
+// TestOpenMatchingDeclinesUncertifiedEntries: an entry fewer than f+1 clouds
+// vouch for must send callers to the verified, caching whole-value path
+// instead of a ranged reader that trusts its chunk hashes — and that path,
+// the one a mount then takes, must read it.
+func TestOpenMatchingDeclinesUncertifiedEntries(t *testing.T) {
 	// A write whose metadata PUT lands on one cloud and is refused by three
 	// leaves its chunks and exactly one copy of its entry.
 	s, m, _, inner := stagedManager(t, Options{ChunkSize: 2048})
@@ -470,17 +474,12 @@ func TestOpenRangedMatchingDeclinesUncertifiedEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	hash := seccrypto.Hash(data)
-	if _, _, err := reader.OpenRangedMatching(bg, "u", hash); !errors.Is(err, ErrWholeObjectOnly) {
+	if _, _, err := reader.OpenMatching(bg, "u", hash); !errors.Is(err, ErrWholeObjectOnly) {
 		t.Fatalf("err = %v, want ErrWholeObjectOnly", err)
 	}
-	r, _, err := reader.OpenMatching(bg, "u", hash)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := io.ReadAll(r); err != nil || !bytes.Equal(got, data) {
+	if got, _, err := reader.ReadMatching(bg, "u", hash); err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("whole-value read of the uncertified entry: mismatch or %v", err)
 	}
-	r.Close()
 }
 
 // TestMalformedChunkGeometryFailsCleanly: metadata with inconsistent chunk

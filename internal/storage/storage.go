@@ -1,8 +1,10 @@
 // Package storage implements the SCFS storage service (§2.5.1): the layer
 // that saves and retrieves whole-file objects from the cloud backend, either
 // a single cloud provider (the AWS backend of the paper) or a DepSky
-// cloud-of-clouds, and the consistency-anchor composition of Figure 3 that
-// turns an eventually consistent object store into a strongly consistent one.
+// cloud-of-clouds. It is the eventually consistent SS of Figure 3 — steps w2
+// and r2; the consistency anchor around it, which makes the composition
+// strongly consistent, is the agent's (internal/core: w1–w3 in Close and
+// syncToCloud, r1–r3 in Open and awaitVisible).
 package storage
 
 import (
@@ -13,13 +15,10 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"time"
 
-	"scfs/internal/clock"
 	"scfs/internal/cloud"
 	"scfs/internal/depsky"
 	"scfs/internal/pricing"
-	"scfs/internal/resilience"
 	"scfs/internal/seccrypto"
 )
 
@@ -274,10 +273,6 @@ func (s *SingleCloud) EstimateVersionFootprint(size int64) VersionFootprint {
 	}
 }
 
-// Underlying exposes the wrapped object store (used by the ACL propagation
-// path of setfacl).
-func (s *SingleCloud) Underlying() cloud.ObjectStore { return s.store }
-
 // --- cloud-of-clouds backend ---
 
 // CloudOfClouds stores versions through a DepSky manager: each file is a
@@ -294,9 +289,6 @@ func NewCloudOfClouds(mgr *depsky.Manager) *CloudOfClouds {
 
 // Name implements VersionedStore.
 func (c *CloudOfClouds) Name() string { return "coc" }
-
-// Manager exposes the underlying DepSky manager.
-func (c *CloudOfClouds) Manager() *depsky.Manager { return c.mgr }
 
 // WriteVersion implements VersionedStore.
 func (c *CloudOfClouds) WriteVersion(ctx context.Context, fileID, hash string, data []byte) error {
@@ -317,14 +309,21 @@ func (c *CloudOfClouds) dropUnlessHash(ctx context.Context, fileID string, info 
 	return fmt.Errorf("%w: wrote hash %s, expected %s", ErrIntegrity, info.DataHash, hash)
 }
 
+// notVisible maps DepSky's two ways of saying "no such version here" — the
+// unit lists none with that hash, or the unit has no metadata yet — onto
+// ErrVersionNotFound, the one answer the consistency-anchor loop retries.
+func notVisible(err error) error {
+	if errors.Is(err, depsky.ErrVersionNotFound) || errors.Is(err, depsky.ErrUnitNotFound) {
+		return ErrVersionNotFound
+	}
+	return err
+}
+
 // ReadVersion implements VersionedStore.
 func (c *CloudOfClouds) ReadVersion(ctx context.Context, fileID, hash string) ([]byte, error) {
 	data, _, err := c.mgr.ReadMatching(ctx, fileID, hash)
-	if errors.Is(err, depsky.ErrVersionNotFound) || errors.Is(err, depsky.ErrUnitNotFound) {
-		return nil, ErrVersionNotFound
-	}
 	if err != nil {
-		return nil, err
+		return nil, notVisible(err)
 	}
 	if !seccrypto.VerifyHash(data, hash) {
 		return nil, ErrIntegrity
@@ -375,15 +374,13 @@ func (c *CloudOfClouds) WriteVersionFrom(ctx context.Context, fileID, hash strin
 // OpenVersionAt implements RangeOpener: reads fetch (and under faults
 // reconstruct) only the chunks covering the requested range. A version
 // whose metadata entry is not quorum-certified cannot be served by
-// genuinely ranged fetches and returns an error, so the agent falls back to
-// ReadVersion, which verifies the full value hash and populates its caches.
+// genuinely ranged fetches and returns depsky.ErrWholeObjectOnly, so the
+// agent falls back to ReadVersion, which verifies the full value hash and
+// populates its caches.
 func (c *CloudOfClouds) OpenVersionAt(ctx context.Context, fileID, hash string) (ReaderAtCloser, error) {
-	r, _, err := c.mgr.OpenRangedMatching(ctx, fileID, hash)
-	if errors.Is(err, depsky.ErrVersionNotFound) || errors.Is(err, depsky.ErrUnitNotFound) {
-		return nil, ErrVersionNotFound
-	}
+	r, _, err := c.mgr.OpenMatching(ctx, fileID, hash)
 	if err != nil {
-		return nil, err
+		return nil, notVisible(err)
 	}
 	return r, nil
 }
@@ -502,95 +499,4 @@ func (c *CloudOfClouds) EstimateVersionFootprint(size int64) VersionFootprint {
 		DeleteRequests:     fp.DeleteRequests,
 		Dollars:            c.mgr.EstimateCost(size),
 	}
-}
-
-// --- consistency anchor (Figure 3) ---
-
-// AnchorStore is the narrow interface the consistency-anchor algorithm needs
-// from the strongly consistent metadata store (the CA): a linearizable map
-// from object id to the hash of its current value.
-type AnchorStore interface {
-	// ReadHash returns the hash currently anchored for id.
-	ReadHash(ctx context.Context, id string) (string, error)
-	// WriteHash anchors hash as the current version of id.
-	WriteHash(ctx context.Context, id, hash string) error
-}
-
-// ErrAnchorNotFound is returned by AnchorStore implementations when the id
-// has never been written.
-var ErrAnchorNotFound = errors.New("storage: anchor not found")
-
-// Composite implements the algorithm of Figure 3: a strongly consistent
-// object store built from a consistency anchor (CA) and an
-// eventually-consistent storage service (SS).
-type Composite struct {
-	CA AnchorStore
-	SS VersionedStore
-	// RetryInterval seeds the backoff between SS read attempts while waiting
-	// for an eventually-consistent write to become visible: the pauses grow
-	// exponentially from this base with full jitter (resilience.Backoff), so
-	// a slow-to-converge SS is polled hard at first and gently later, and
-	// concurrent readers waiting on the same write don't poll in lockstep.
-	RetryInterval time.Duration
-	// MaxRetries bounds the read loop (0 = 100 attempts).
-	MaxRetries int
-	// Sleep allows tests to intercept the retry pause; defaults to a
-	// context-aware sleep that returns early (with ctx.Err()) on
-	// cancellation.
-	Sleep func(context.Context, time.Duration) error
-}
-
-// NewComposite builds a composite store with sensible defaults.
-func NewComposite(ca AnchorStore, ss VersionedStore) *Composite {
-	return &Composite{CA: ca, SS: ss, RetryInterval: 50 * time.Millisecond, MaxRetries: 100, Sleep: sleepCtx}
-}
-
-// sleepCtx is the default retry pause of the consistency-anchor read loop.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	return clock.SleepCtx(ctx, clock.Real(), d)
-}
-
-// Write implements the WRITE(id, v) algorithm: hash, push to SS, then anchor
-// the hash in the CA.
-func (c *Composite) Write(ctx context.Context, id string, value []byte) (string, error) {
-	h := seccrypto.Hash(value)                                   // w1
-	if err := c.SS.WriteVersion(ctx, id, h, value); err != nil { // w2
-		return "", fmt.Errorf("storage: composite write to SS: %w", err)
-	}
-	if err := c.CA.WriteHash(ctx, id, h); err != nil { // w3
-		return "", fmt.Errorf("storage: composite write to CA: %w", err)
-	}
-	return h, nil
-}
-
-// Read implements the READ(id) algorithm: get the anchored hash, then fetch
-// from the SS until the matching version is visible, verifying integrity.
-// Cancelling ctx stops the retry loop promptly with ctx.Err().
-func (c *Composite) Read(ctx context.Context, id string) ([]byte, error) {
-	h, err := c.CA.ReadHash(ctx, id) // r1
-	if err != nil {
-		return nil, err
-	}
-	maxRetries := c.MaxRetries
-	if maxRetries <= 0 {
-		maxRetries = 100
-	}
-	sleep := c.Sleep
-	if sleep == nil {
-		sleep = sleepCtx
-	}
-	backoff := resilience.Backoff{Base: c.RetryInterval}
-	for attempt := 0; attempt < maxRetries; attempt++ { // r2
-		value, err := c.SS.ReadVersion(ctx, id, h)
-		if err == nil {
-			return value, nil // r3 (hash verified by the SS implementations)
-		}
-		if !errors.Is(err, ErrVersionNotFound) {
-			return nil, err
-		}
-		if err := sleep(ctx, backoff.Delay(attempt)); err != nil {
-			return nil, err
-		}
-	}
-	return nil, fmt.Errorf("storage: composite read of %q: %w after %d attempts", id, ErrVersionNotFound, maxRetries)
 }

@@ -6,9 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
-	"time"
 
 	"scfs/internal/cloud"
 	"scfs/internal/cloudsim"
@@ -196,7 +194,7 @@ func TestCoCSweepIgnoresForgedObjectID(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	versions, err := coc.Manager().ListVersions(bg, "f")
+	versions, err := coc.mgr.ListVersions(bg, "f")
 	if err != nil || len(versions) != 2 {
 		t.Fatalf("versions = %+v, %v", versions, err)
 	}
@@ -243,175 +241,5 @@ func TestCoCSweepIgnoresForgedObjectID(t *testing.T) {
 	}
 	if after := liveObjects(); after != before || before == 0 {
 		t.Fatalf("live version's objects: %d before the sweep, %d after", before, after)
-	}
-}
-
-func TestCoCExposesManager(t *testing.T) {
-	_, coc := newCoCStore(t)
-	if coc.Manager() == nil {
-		t.Fatal("Manager() returned nil")
-	}
-	_, sc := newSingleCloudStore(t, false)
-	if sc.Underlying() == nil {
-		t.Fatal("Underlying() returned nil")
-	}
-}
-
-// memAnchor is an in-memory linearizable anchor used to test the composite.
-type memAnchor struct {
-	mu sync.Mutex
-	m  map[string]string
-}
-
-func newMemAnchor() *memAnchor { return &memAnchor{m: make(map[string]string)} }
-
-func (a *memAnchor) ReadHash(_ context.Context, id string) (string, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	h, ok := a.m[id]
-	if !ok {
-		return "", ErrAnchorNotFound
-	}
-	return h, nil
-}
-
-func (a *memAnchor) WriteHash(_ context.Context, id, hash string) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.m[id] = hash
-	return nil
-}
-
-// delayedStore wraps a VersionedStore and hides freshly written versions for
-// the first N reads, emulating eventual consistency at the API level so the
-// composite's retry loop is exercised deterministically.
-type delayedStore struct {
-	VersionedStore
-	mu      sync.Mutex
-	hidden  map[string]int // key -> remaining reads that miss
-	written map[string]bool
-}
-
-func newDelayedStore(inner VersionedStore, misses int) *delayedStore {
-	return &delayedStore{VersionedStore: inner, hidden: map[string]int{}, written: map[string]bool{}}
-}
-
-func (d *delayedStore) hide(fileID, hash string, misses int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.hidden[fileID+"/"+hash] = misses
-}
-
-func (d *delayedStore) ReadVersion(ctx context.Context, fileID, hash string) ([]byte, error) {
-	d.mu.Lock()
-	key := fileID + "/" + hash
-	if n, ok := d.hidden[key]; ok && n > 0 {
-		d.hidden[key] = n - 1
-		d.mu.Unlock()
-		return nil, ErrVersionNotFound
-	}
-	d.mu.Unlock()
-	return d.VersionedStore.ReadVersion(ctx, fileID, hash)
-}
-
-func TestCompositeWriteReadStrongConsistency(t *testing.T) {
-	_, sc := newSingleCloudStore(t, false)
-	anchor := newMemAnchor()
-	comp := NewComposite(anchor, sc)
-	comp.RetryInterval = time.Millisecond
-
-	data := []byte("strongly consistent value")
-	h, err := comp.Write(bg, "obj", data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h != seccrypto.Hash(data) {
-		t.Fatal("Write returned an unexpected hash")
-	}
-	got, err := comp.Read(bg, "obj")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("Read returned different data")
-	}
-}
-
-func TestCompositeReadRetriesUntilVisible(t *testing.T) {
-	// The hallmark of the Figure 3 algorithm: after a write completes, the
-	// anchored hash is immediately visible but the data may take a while to
-	// appear in the eventually consistent store; the reader loops until the
-	// matching version shows up.
-	_, sc := newSingleCloudStore(t, false)
-	delayed := newDelayedStore(sc, 0)
-	anchor := newMemAnchor()
-	comp := NewComposite(anchor, delayed)
-	comp.RetryInterval = 0
-	slept := 0
-	comp.Sleep = func(context.Context, time.Duration) error { slept++; return nil }
-
-	data := []byte("eventually visible")
-	h, err := comp.Write(bg, "obj", data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	delayed.hide("obj", h, 3)
-	got, err := comp.Read(bg, "obj")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("Read returned wrong data")
-	}
-	if slept != 3 {
-		t.Fatalf("expected 3 retries, observed %d", slept)
-	}
-}
-
-func TestCompositeReadGivesUpAfterMaxRetries(t *testing.T) {
-	_, sc := newSingleCloudStore(t, false)
-	delayed := newDelayedStore(sc, 0)
-	anchor := newMemAnchor()
-	comp := NewComposite(anchor, delayed)
-	comp.MaxRetries = 5
-	comp.Sleep = func(context.Context, time.Duration) error { return nil }
-
-	data := []byte("never visible")
-	h, err := comp.Write(bg, "obj", data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	delayed.hide("obj", h, 1000)
-	if _, err := comp.Read(bg, "obj"); !errors.Is(err, ErrVersionNotFound) {
-		t.Fatalf("err = %v, want ErrVersionNotFound", err)
-	}
-}
-
-func TestCompositeReadUnknownObject(t *testing.T) {
-	_, sc := newSingleCloudStore(t, false)
-	comp := NewComposite(newMemAnchor(), sc)
-	if _, err := comp.Read(bg, "ghost"); !errors.Is(err, ErrAnchorNotFound) {
-		t.Fatalf("err = %v, want ErrAnchorNotFound", err)
-	}
-}
-
-func TestCompositeReadsLatestAnchoredVersion(t *testing.T) {
-	// Overwrites anchor the newest hash; readers must never observe an older
-	// version once the write completed (consistency-on-close in SCFS).
-	_, sc := newSingleCloudStore(t, false)
-	comp := NewComposite(newMemAnchor(), sc)
-	comp.RetryInterval = time.Millisecond
-	for i := 0; i < 5; i++ {
-		payload := []byte(fmt.Sprintf("version-%d", i))
-		if _, err := comp.Write(bg, "obj", payload); err != nil {
-			t.Fatal(err)
-		}
-		got, err := comp.Read(bg, "obj")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, payload) {
-			t.Fatalf("read %q after writing %q", got, payload)
-		}
 	}
 }
