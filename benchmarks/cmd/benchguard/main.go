@@ -245,25 +245,47 @@ var pairRules = []pairRule{
 		metric: func(b bench) float64 { return b.NsOp }, what: "ns/op",
 		maxRatio: 0.2,
 	},
+	// PR 19, the coalescer sends when it is idle. One session, operation after
+	// operation, four replicas, no network delay: through a Coalescer an
+	// operation costs what it costs through the smr.Client alone plus two
+	// goroutine hand-offs (measured 1.03-1.24x over twelve interleaved runs
+	// on two shared cores, ~0.08 ms a leg). The 200 us linger this replaced
+	// was delivered about a millisecond late: more than 10x on this pair.
+	{
+		num: "BenchmarkCoalescerIdle/Coalesced", den: "BenchmarkCoalescerIdle/Direct",
+		metric: func(b bench) float64 { return b.NsOp }, what: "ns/op",
+		maxRatio: 1.3,
+	},
+	// PR 19, a listing returns the directory. Listing 12 records allocates the
+	// same whether the tuple space holds those 12 tuples or 400 (measured
+	// 1.000x): the prefix is tested at the replica before a tuple is cloned,
+	// encoded, shipped and decoded.
+	{
+		num: "BenchmarkDepSpaceList/Among400", den: "BenchmarkDepSpaceList/Alone",
+		metric: func(b bench) float64 { return b.BOp }, what: "B/op",
+		maxRatio: 1.5,
+	},
 	// PR 8 acceptance, namespace sharding. Under the 1024-session metadata
 	// storm, no instance of the 4-shard plane may serve more coordination
 	// round trips per file-system op than the unsharded single instance
 	// serves: the partition must actually divide the load rather than fan
-	// every op out to every shard (measured ~0.6x — below 1/4 of the
+	// every op out to every shard (measured ~0.4x — below 1/4 of the
 	// single-instance figure is impossible because coalescer batches get
 	// shallower as each shard's queue shortens).
+	//
+	// There is no ns/op rule on this pair any more. PR 8's "Sharded4 answers
+	// in <= 0.8x Single's time" (measured ~0.13x then) was measuring the
+	// listing: every ReadDir made each replica clone, sort and encode the
+	// whole namespace, and each of four shards held a quarter of it. Since PR
+	// 19 a listing costs its directory on both legs: at -benchtime 20000x
+	// Single went 988 420 -> 90 844 ns/op and 831 997 -> 29 029 B/op, Sharded4
+	// 109 757 -> 89 751 ns/op, and the ratio read 0.71-0.99 over six runs with
+	// nothing slower. What sharding is accountable for is the round-trip
+	// division above.
 	{
 		num: "BenchmarkMetadataStorm/Sharded4", den: "BenchmarkMetadataStorm/Single",
 		metric: func(b bench) float64 { return b.CoordRTShardMaxOp }, what: "coordRTshardMax/op",
 		maxRatio: 1.0,
-	},
-	// ...and spreading the namespace across shards must help wall-clock
-	// latency under contention, not just divide the counters (measured
-	// ~0.13x on one core; the ceiling leaves room for scheduler noise).
-	{
-		num: "BenchmarkMetadataStorm/Sharded4", den: "BenchmarkMetadataStorm/Single",
-		metric: func(b bench) float64 { return b.NsOp }, what: "ns/op",
-		maxRatio: 0.8,
 	},
 	// PR 10 acceptance, metadata-plane observability. The fully instrumented
 	// storm — metrics, end-to-end tracing (facade, smr, shard spans), and

@@ -32,6 +32,10 @@ go test -run '^$' -bench 'BenchmarkDepSkyHedgedRead/(Hedged|HedgedTelemetry)$' \
 # Sharded4Telemetry leg, whose 1.05x ns/op benchguard ceiling pins the cost
 # of full metadata-plane instrumentation (tracing + flight recorder).
 go test -run '^$' -bench 'BenchmarkSMRPipeline' -benchmem -benchtime 2000x ./benchmarks | tee -a "$raw"
+# One session's operation through an idle coalescer is ~0.1 ms on either
+# leg, and the guard's ceiling is 1.3x: a handful of iterations cannot tell
+# that from a scheduler hiccup.
+go test -run '^$' -bench 'BenchmarkCoalescerIdle' -benchmem -benchtime 10000x ./benchmarks | tee -a "$raw"
 go test -run '^$' -bench 'BenchmarkMetadataStorm' -benchmem -benchtime 20000x ./benchmarks | tee -a "$raw"
 
 awk -v go_version="$(go version | awk '{print $3}')" -v stamp="$stamp" '

@@ -122,6 +122,45 @@ func TestListMetadataAllBackends(t *testing.T) {
 	}
 }
 
+// replySizer records the size of the last reply the tuple space gave.
+type replySizer struct {
+	depspace.LocalInvoker
+	last int
+}
+
+func (r *replySizer) Invoke(ctx context.Context, cmd []byte) ([]byte, error) {
+	reply, err := r.LocalInvoker.Invoke(ctx, cmd)
+	r.last = len(reply)
+	return reply, err
+}
+
+// TestListReplyIsProportionalToDirectory: the tuple space tests the prefix,
+// so listing a directory of 12 costs the same reply whether the space holds
+// those 12 tuples or 1200.
+func TestListReplyIsProportionalToDirectory(t *testing.T) {
+	listing := func(dirs int) int {
+		inv := &replySizer{LocalInvoker: depspace.LocalInvoker{Space: depspace.NewSpace()}}
+		svc := NewDepSpaceService(depspace.NewClient(inv, "alice", nil))
+		for d := 0; d < dirs; d++ {
+			for f := 0; f < 12; f++ {
+				key := fmt.Sprintf("/d%02d/file%02d", d, f)
+				if _, err := svc.PutMetadata(bg, key, []byte(key), ACL{Owner: "alice"}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		recs, err := svc.ListMetadata(bg, "/d00/")
+		if err != nil || len(recs) != 12 {
+			t.Fatalf("ListMetadata(/d00/) among %d directories = %d records, %v; want 12", dirs, len(recs), err)
+		}
+		return inv.last
+	}
+	alone, among := listing(1), listing(100)
+	if diff := among - alone; diff*10 >= alone || -diff*10 >= alone {
+		t.Fatalf("listing 12 of 12 tuples replied %d bytes, 12 of 1200 replied %d: not within 10%%", alone, among)
+	}
+}
+
 func TestRenamePrefixAllBackends(t *testing.T) {
 	for name, svc := range backends(t) {
 		t.Run(name, func(t *testing.T) {

@@ -71,7 +71,10 @@ func dsCommand(op Op) (depspace.Command, error) {
 			depspace.Tuple{tagMeta, op.Key, encodePayload(op.Value)},
 			dsACL(op.ACL)), nil
 	case OpList:
-		return depspace.CmdRdAll(depspace.Tuple{tagMeta, depspace.Wildcard, depspace.Wildcard}), nil
+		// The replicas test the prefix, so the reply is the directory.
+		cmd := depspace.CmdRdAll(depspace.Tuple{tagMeta, depspace.Wildcard, depspace.Wildcard})
+		cmd.FieldIndex, cmd.Prefix = 1, op.Key
+		return cmd, nil
 	case OpTryLock:
 		// A conditional insertion of an ephemeral tuple.
 		return depspace.CmdCas(
@@ -119,6 +122,7 @@ func dsResult(op Op, res depspace.Result) Result {
 		}
 		var out []Record
 		for _, e := range res.Entries {
+			// Replies come from outside the program: test the prefix again.
 			if len(e.Tuple) != 3 || !strings.HasPrefix(e.Tuple[1], op.Key) {
 				continue
 			}

@@ -101,8 +101,8 @@ func (a ACL) canWrite(who string) bool {
 
 // Entry is a stored tuple with its metadata.
 type Entry struct {
-	Tuple   Tuple `json:"tuple"`
-	ACL     ACL   `json:"acl"`
+	Tuple   Tuple  `json:"tuple"`
+	ACL     ACL    `json:"acl"`
 	Version uint64 `json:"version"`
 	// ExpiresAt is a unix-nano deadline for ephemeral tuples; 0 means the
 	// tuple is permanent.
@@ -144,6 +144,10 @@ type Command struct {
 	FieldIndex int    `json:"field_index,omitempty"`
 	OldPrefix  string `json:"old_prefix,omitempty"`
 	NewPrefix  string `json:"new_prefix,omitempty"`
+	// Prefix narrows rdall to tuples whose field at index FieldIndex starts
+	// with it; empty (as in every command logged before it existed) matches
+	// by template alone.
+	Prefix string `json:"prefix,omitempty"`
 }
 
 // Result is the reply produced by the state machine.
@@ -184,7 +188,6 @@ func (s *Space) Execute(cmdBytes []byte) []byte {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.expireLocked(cmd.Now)
 	var res Result
 	switch cmd.Op {
 	case opOut:
@@ -218,10 +221,8 @@ func marshalResult(r Result) []byte {
 	return b
 }
 
-// expireLocked removes nothing but is kept cheap: expiry is evaluated lazily
-// during matching. Periodic cleanup happens through opClean.
-func (s *Space) expireLocked(now int64) {}
-
+// isExpired evaluates expiry lazily, during matching; expired tuples are
+// reclaimed by opClean.
 func (s *Space) isExpired(e *Entry, now int64) bool {
 	return e.ExpiresAt != 0 && now > e.ExpiresAt
 }
@@ -280,9 +281,19 @@ func (s *Space) rdp(cmd Command) Result {
 	return Result{OK: true, Entry: cloneEntry(e), Version: e.Version}
 }
 
+// rdAll reads every live tuple that matches Template, starts with Prefix in
+// field FieldIndex and is readable by the requester. The prefix is tested
+// before anything is copied, so a listing costs the replicas and the reply
+// what the directory holds, not what the space holds.
 func (s *Space) rdAll(cmd Command) Result {
+	if cmd.FieldIndex < 0 {
+		return Result{OK: false, Err: ErrBadCommand}
+	}
 	var out []Entry
 	for _, e := range s.entries {
+		if cmd.Prefix != "" && (cmd.FieldIndex >= len(e.Tuple) || !strings.HasPrefix(e.Tuple[cmd.FieldIndex], cmd.Prefix)) {
+			continue
+		}
 		if s.isExpired(e, cmd.Now) || !e.Tuple.Matches(cmd.Template) {
 			continue
 		}
@@ -369,13 +380,14 @@ func (s *Space) cas(cmd Command) Result {
 }
 
 // rename rewrites the prefix OldPrefix into NewPrefix in field FieldIndex of
-// every tuple the requester may write, mirroring the trigger extension added
-// to DepSpace for efficient directory renames.
+// every matching tuple, mirroring the trigger extension added to DepSpace
+// for efficient directory renames. All or nothing: one matching tuple the
+// requester may not write denies the command before any tuple is rewritten.
 func (s *Space) rename(cmd Command) Result {
-	if cmd.OldPrefix == "" {
+	if cmd.OldPrefix == "" || cmd.FieldIndex < 0 {
 		return Result{OK: false, Err: ErrBadCommand}
 	}
-	count := 0
+	var matches []*Entry
 	for _, e := range s.entries {
 		if s.isExpired(e, cmd.Now) || cmd.FieldIndex >= len(e.Tuple) {
 			continue
@@ -387,12 +399,14 @@ func (s *Space) rename(cmd Command) Result {
 		if !e.ACL.canWrite(cmd.Requester) {
 			return Result{OK: false, Err: ErrAccessDenied}
 		}
-		e.Tuple[cmd.FieldIndex] = cmd.NewPrefix + strings.TrimPrefix(field, cmd.OldPrefix)
+		matches = append(matches, e)
+	}
+	for _, e := range matches {
+		e.Tuple[cmd.FieldIndex] = cmd.NewPrefix + strings.TrimPrefix(e.Tuple[cmd.FieldIndex], cmd.OldPrefix)
 		e.Version = s.nextVer
 		s.nextVer++
-		count++
 	}
-	return Result{OK: true, Count: count}
+	return Result{OK: true, Count: len(matches)}
 }
 
 func cloneEntry(e *Entry) *Entry {

@@ -1,0 +1,154 @@
+package depspace
+
+import (
+	"encoding/json"
+	"errors"
+	"fmt"
+	"strings"
+	"testing"
+)
+
+// execute runs one command on the space as the replicas would.
+func execute(t testing.TB, s *Space, cmd Command) Result {
+	t.Helper()
+	b, err := json.Marshal(cmd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res Result
+	if err := json.Unmarshal(s.Execute(b), &res); err != nil {
+		t.Fatalf("reply to %s does not decode as a Result: %v", b, err)
+	}
+	return res
+}
+
+// TestNegativeFieldIndexIsMalformed: a field index below zero used to index
+// e.Tuple[-1] inside Execute — a panic on every replica, from one client
+// command. It is a malformed command.
+func TestNegativeFieldIndexIsMalformed(t *testing.T) {
+	s := NewSpace()
+	execute(t, s, Command{Op: opOut, Tuple: Tuple{"meta", "/dir/a", "h"}})
+	for _, cmd := range []Command{
+		{Op: opRename, FieldIndex: -1, OldPrefix: "/dir", NewPrefix: "/x"},
+		{Op: opRdAll, Template: Tuple{"meta", Wildcard, Wildcard}, FieldIndex: -1, Prefix: "/dir"},
+	} {
+		if res := execute(t, s, cmd); res.OK || res.Err != ErrBadCommand {
+			t.Errorf("%s with field index -1: ok=%v err=%q, want %q", cmd.Op, res.OK, res.Err, ErrBadCommand)
+		}
+	}
+	if res := execute(t, s, CmdRdp(Tuple{"meta", "/dir/a", Wildcard})); !res.OK {
+		t.Fatalf("tuple gone after the rejected commands: %q", res.Err)
+	}
+}
+
+// TestRenameDeniedRewritesNothing: rename used to stop at the first matching
+// tuple the requester may not write, having already rewritten the ones before
+// it. A denied rename leaves the space as it found it.
+func TestRenameDeniedRewritesNothing(t *testing.T) {
+	alice, space, _ := newLocalClient("alice")
+	bob := NewClient(&LocalInvoker{Space: space}, "bob", nil)
+	for _, p := range []string{"/dir/a", "/dir/b"} {
+		if _, err := alice.Out(bg, Tuple{"meta", p, "h"}, ACL{Owner: "alice"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := bob.Out(bg, Tuple{"meta", "/dir/c", "h"}, ACL{Owner: "bob"}); err != nil {
+		t.Fatal(err)
+	}
+	before := space.Snapshot()
+	if n, err := alice.Rename(bg, 1, "/dir", "/renamed"); !errors.Is(err, ErrDenied) {
+		t.Fatalf("rename over bob's tuple = %d, %v; want ErrDenied", n, err)
+	}
+	if after := space.Snapshot(); string(after) != string(before) {
+		t.Fatalf("a denied rename changed the space:\nbefore %s\nafter  %s", before, after)
+	}
+}
+
+// TestRdAllPrefix: the prefix is one more test on the matching tuples, made
+// at the replica; without one the command lists as it always did.
+func TestRdAllPrefix(t *testing.T) {
+	s := NewSpace()
+	for _, p := range []string{"/a/1", "/a/2", "/ab", "/b/1"} {
+		execute(t, s, Command{Op: opOut, Tuple: Tuple{"meta", p, "h"}})
+	}
+	execute(t, s, Command{Op: opOut, Tuple: Tuple{"lock", "/a/1", "owner"}})
+	execute(t, s, Command{Op: opOut, Tuple: Tuple{"meta", "/a/secret", "h"}, ACL: ACL{Owner: "bob"}})
+	execute(t, s, Command{Op: opOut, Tuple: Tuple{"meta", "/a/gone", "h"}, Now: 1, TTLNanos: 1})
+	template := Tuple{"meta", Wildcard, Wildcard}
+	for _, tc := range []struct {
+		index  int
+		prefix string
+		want   string
+	}{
+		{1, "/a/", "/a/1 /a/2"},
+		{1, "/a", "/a/1 /a/2 /ab"},
+		{1, "", "/a/1 /a/2 /ab /b/1"},
+		{0, "", "/a/1 /a/2 /ab /b/1"},
+		{1, "/a/1/and/then/some", ""},
+		{0, "me", "/a/1 /a/2 /ab /b/1"},
+		{3, "/a", ""}, // past the tuple: no field, no match
+	} {
+		res := execute(t, s, Command{Op: opRdAll, Requester: "alice", Now: 10, Template: template, FieldIndex: tc.index, Prefix: tc.prefix})
+		var got []string
+		for _, e := range res.Entries {
+			got = append(got, e.Tuple[1])
+		}
+		if !res.OK || strings.Join(got, " ") != tc.want || res.Count != len(got) {
+			t.Errorf("rdall field %d prefix %q = %v (ok=%v count=%d), want [%s]", tc.index, tc.prefix, got, res.OK, res.Count, tc.want)
+		}
+	}
+}
+
+// fuzzSpace is a dozen tuples: open ones, ACL'd ones, a lock, a short tuple,
+// and one that expired at time 2.
+func fuzzSpace(t testing.TB) *Space {
+	s := NewSpace()
+	for i := 0; i < 6; i++ {
+		execute(t, s, Command{Op: opOut, Tuple: Tuple{"meta", fmt.Sprintf("/d%d/f%d", i%2, i), "aA=="}})
+	}
+	execute(t, s, Command{Op: opOut, Tuple: Tuple{"meta", "/d0", "aA=="}, ACL: ACL{Owner: "alice"}})
+	execute(t, s, Command{Op: opOut, Tuple: Tuple{"meta", "/d0/mine", "aA=="}, ACL: ACL{Owner: "alice", Readers: []string{"bob"}}})
+	execute(t, s, Command{Op: opOut, Tuple: Tuple{"meta", "/d1/theirs", "aA=="}, ACL: ACL{Owner: "bob", Writers: []string{"alice"}}})
+	execute(t, s, Command{Op: opOut, Tuple: Tuple{"lock", "/d0/f0", "alice"}, Now: 1, TTLNanos: 1 << 40})
+	execute(t, s, Command{Op: opOut, Tuple: Tuple{"lock", "/d1/f1", "bob"}, Now: 1, TTLNanos: 1})
+	execute(t, s, Command{Op: opOut, Tuple: Tuple{"x"}})
+	return s
+}
+
+// FuzzSpaceExecute: command bytes reach Execute from any client, ordered and
+// identical on every replica, so a panic there stops the coordination
+// service. Whatever arrives, Execute returns a reply that decodes as a
+// Result and leaves a space that still answers.
+func FuzzSpaceExecute(f *testing.F) {
+	for _, cmd := range []Command{
+		CmdRdp(Tuple{"meta", "/d0/f0", Wildcard}),
+		CmdRdAll(Tuple{"meta", Wildcard, Wildcard}),
+		{Op: opRdAll, Requester: "alice", Now: 5, Template: Tuple{"meta", Wildcard, Wildcard}, FieldIndex: 1, Prefix: "/d0/"},
+		CmdInp(Tuple{"lock", "/d0/f0", "alice"}),
+		CmdReplace(Tuple{"meta", "/d0/f0", Wildcard}, Tuple{"meta", "/d0/f0", "bB=="}, ACL{Owner: "alice"}),
+		CmdCas(Tuple{"lock", "/n", Wildcard}, Tuple{"lock", "/n", "alice"}, 0, ACL{}, 1000),
+		{Op: opCas, Template: Tuple{"x"}, ExpectedVersion: 12},
+		{Op: opRename, Requester: "alice", FieldIndex: 1, OldPrefix: "/d0", NewPrefix: "/e"},
+		{Op: opClean, Now: 1 << 50},
+	} {
+		b, err := json.Marshal(cmd)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add([]byte("not json"))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		s := fuzzSpace(t)
+		var res Result
+		if err := json.Unmarshal(s.Execute(b), &res); err != nil {
+			t.Fatalf("reply does not decode as a Result: %v", err)
+		}
+		if res := execute(t, s, Command{Op: opRdAll, Template: Tuple{Wildcard, Wildcard, Wildcard}}); !res.OK {
+			t.Fatalf("the space stopped listing after %q: %s", b, res.Err)
+		}
+		if err := NewSpace().Restore(s.Snapshot()); err != nil {
+			t.Fatalf("the space no longer snapshots after %q: %v", b, err)
+		}
+	})
+}

@@ -149,40 +149,37 @@ func InvokeBatch(ctx context.Context, inv Invoker, ops [][]byte) ([][]byte, erro
 	return DecodeBatchReply(reply, len(ops))
 }
 
-// Coalescer packs concurrently submitted operations into batch invocations
-// against replicas wrapped in BatchApplication. The first submitter of a
-// generation becomes its flusher: it waits up to MaxDelay for concurrent
-// submitters to pile in (or until MaxBatch operations are queued), then
-// issues the whole batch as one ordered invocation and distributes the
-// replies. A lone operation is invoked directly with no envelope and no
-// delay beyond MaxDelay.
+// Coalescer packs operations into batch invocations against replicas
+// wrapped in BatchApplication, and batches only what load supplies: what
+// queued behind the invocation in flight. A submission that finds none of
+// this coalescer's invocations in flight leaves at once, as it came in (no
+// envelope around a lone command, a caller-built envelope as one).
+// Submissions that arrive while one is in flight queue, and the goroutine
+// that finishes an invocation takes the whole queue with it as the next
+// one. A queue that reaches maxBatch operations leaves at once even with
+// invocations in flight, so under a storm batches overlap in a pipelined
+// Client's window. Nothing waits on a timer: an idle coalescer adds no
+// latency to a consensus round, a busy one batches as deep as its round
+// trips are long.
 //
 // A submitter may hand in an envelope it built itself (a client that wants
 // several commands executed back to back in one round trip). Its
 // sub-operations are flattened into the coalescer's own envelope — adjacent
 // and in order, never nested — and it gets an envelope of their replies
-// back.
-//
-// Combined with a pipelined Client, multiple batches are in flight at once:
-// the coalescer bounds round trips per operation, the pipeline overlaps the
-// round trips that remain.
+// back. An envelope is never split, however many operations it carries.
 type Coalescer struct {
 	// Inv is the underlying invoker (typically a pipelined *Client).
 	Inv Invoker
-	// MaxBatch is the largest batch packed into one invocation (default 32).
-	MaxBatch int
-	// MaxDelay is how long the flusher waits for concurrent submitters
-	// (default 200µs). Zero after NewCoalescer means the default; negative
-	// disables the wait (batching then only captures ops submitted in the
-	// same instant).
-	MaxDelay time.Duration
 
 	mu       sync.Mutex
 	queue    []*batchItem
 	queued   int // operations in queue, counting an envelope's sub-operations
-	flushing bool
-	full     chan struct{} // signaled when the queue reaches MaxBatch
+	inflight int // invocations issued and not yet answered; 0 implies an empty queue
 }
+
+// maxBatch is the queue depth, in operations, that leaves without waiting
+// for an invocation in flight to finish.
+const maxBatch = 32
 
 // batchItem is one submitter's contribution and its reply slot: op as it
 // was handed in, ops what it adds to a flush (op itself, or the
@@ -206,23 +203,14 @@ type batchItem struct {
 }
 
 // NewCoalescer creates a coalescing layer over inv.
-func NewCoalescer(inv Invoker) *Coalescer {
-	return &Coalescer{Inv: inv, MaxBatch: 32, MaxDelay: 200 * time.Microsecond}
-}
-
-func (c *Coalescer) maxBatch() int {
-	if c.MaxBatch <= 0 {
-		return 32
-	}
-	return c.MaxBatch
-}
+func NewCoalescer(inv Invoker) *Coalescer { return &Coalescer{Inv: inv} }
 
 // Invoke implements the invoker shape shared by the coordination clients.
 // Cancelling ctx abandons the wait for the reply; as with a lost reply, the
 // operation may still execute. The batch itself is invoked under a context
-// detached from any single caller — one caller's cancellation (flusher or
-// follower) never fails the other queued operations; the invocation is
-// abandoned only once every participant's context is done.
+// detached from any single caller — one caller's cancellation never fails
+// the other queued operations; the invocation is abandoned only once every
+// participant's context is done.
 func (c *Coalescer) Invoke(ctx context.Context, op []byte) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -237,74 +225,67 @@ func (c *Coalescer) Invoke(ctx context.Context, op []byte) ([]byte, error) {
 	if tr := telemetry.FromContext(ctx); tr != nil {
 		item.trace, item.enq = tr, time.Now()
 	}
+	// What makes the queue leave is the batch's flush trigger, surfaced on
+	// its telemetry spans.
 	c.mu.Lock()
 	c.queue = append(c.queue, item)
 	c.queued += len(item.ops)
-	leader := !c.flushing
-	if leader {
-		c.flushing = true
-		c.full = make(chan struct{})
-	} else if c.queued >= c.maxBatch() && c.full != nil {
-		// Wake the flusher early: the batch is full.
-		close(c.full)
-		c.full = nil
-	}
-	full := c.full
-	c.mu.Unlock()
-
-	if !leader {
-		select {
-		case <-item.done:
-			return item.result, item.err
-		case <-ctx.Done():
-			// The batch will carry the op anyway; its reply is discarded.
-			return nil, ctx.Err()
-		}
-	}
-
-	// Flusher: linger briefly so concurrent submitters coalesce. The chosen
-	// wakeup is the batch's flush trigger, surfaced on its telemetry spans.
+	var batch []*batchItem
 	trigger := "immediate"
-	if d := c.MaxDelay; d >= 0 {
-		if d == 0 {
-			d = 200 * time.Microsecond
-		}
-		timer := time.NewTimer(d)
-		select {
-		case <-timer.C:
-			trigger = "timer"
-		case <-full:
-			timer.Stop()
-			trigger = "full"
-		case <-ctx.Done():
-			timer.Stop()
-			trigger = "abort"
-		}
+	switch {
+	case c.inflight == 0:
+		batch = c.takeLocked()
+	case c.queued >= maxBatch:
+		batch, trigger = c.takeLocked(), "full"
 	}
-
-	c.mu.Lock()
-	batch := c.queue
-	c.queue, c.queued = nil, 0
-	c.flushing = false
-	c.full = nil
 	c.mu.Unlock()
 
-	// The flush runs in its own goroutine so a flusher whose ctx is already
-	// cancelled (or cancels mid-invocation) abandons its wait like any
-	// follower, while the batch completes for the other submitters.
-	go c.flush(batch, trigger)
+	// The flush runs in its own goroutine so a submitter whose ctx cancels
+	// mid-invocation abandons its wait, while the batch completes for the
+	// other submitters and the goroutine goes on to drain the queue.
+	if batch != nil {
+		go func() {
+			for ; batch != nil; trigger = "drain" {
+				batch = c.flush(batch, trigger)
+			}
+		}()
+	}
 	select {
 	case <-item.done:
 		return item.result, item.err
 	case <-ctx.Done():
+		// The batch carries the op anyway; its reply is discarded.
 		return nil, ctx.Err()
 	}
 }
 
-// flush issues one generation of queued operations and distributes replies.
-// The invocation runs under a context detached from every individual caller,
-// cancelled only once all batch items' contexts are done — at that point
-// nobody is waiting for the replies and the invocation may be abandoned.
+// takeLocked empties the queue into a batch about to be invoked.
+func (c *Coalescer) takeLocked() []*batchItem {
+	batch := c.queue
+	c.queue, c.queued = nil, 0
+	c.inflight++
+	return batch
+}
+
+// answered retires one invocation and returns what queued behind it, now in
+// flight itself, or nil.
+func (c *Coalescer) answered() []*batchItem {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.inflight--
+	if len(c.queue) == 0 {
+		return nil
+	}
+	return c.takeLocked()
+}
+
+// flush issues one batch, distributes the replies and returns the batch that
+// queued behind it for the caller to flush next — taken before any reply is
+// published, so a submitter that has its reply finds the coalescer's state
+// already past its invocation. The invocation runs under a context detached
+// from every individual caller, cancelled only once all batch items'
+// contexts are done — at that point nobody is waiting for the replies and
+// the invocation may be abandoned.
 //
 // Because the flush context carries no trace, the flush records telemetry
 // for its participants directly: every traced participant gets an
@@ -313,10 +294,7 @@ func (c *Coalescer) Invoke(ctx context.Context, op []byte) ([]byte, error) {
 // a StatsInvoker — an "smr.invoke" span with the consensus round trip's
 // pipeline statistics. Spans are recorded before the reply is published,
 // so a participant still waiting sees them on its trace before it finishes.
-func (c *Coalescer) flush(batch []*batchItem, trigger string) {
-	if len(batch) == 0 {
-		return
-	}
+func (c *Coalescer) flush(batch []*batchItem, trigger string) []*batchItem {
 	// Detached on purpose (the PR 8 review fix): tying the flush to any one
 	// caller's ctx cancelled every participant's op when that caller quit.
 	//scfslint:ignore ctxdiscipline batch flush must outlive individual callers; cancelled when all participants are done
@@ -334,9 +312,15 @@ func (c *Coalescer) flush(batch []*batchItem, trigger string) {
 	}()
 	defer close(stop)
 
-	var ops [][]byte
-	for _, it := range batch {
-		ops = append(ops, it.ops...)
+	// A lone submitter's command — or its own envelope — goes out as it
+	// came in.
+	wire, nops := batch[0].op, len(batch[0].ops)
+	if len(batch) > 1 {
+		var ops [][]byte
+		for _, it := range batch {
+			ops = append(ops, it.ops...)
+		}
+		wire, nops = EncodeBatch(ops), len(ops)
 	}
 
 	traced := false
@@ -349,23 +333,39 @@ func (c *Coalescer) flush(batch []*batchItem, trigger string) {
 	var (
 		fstart time.Time
 		st     *InvokeStats
+		reply  []byte
+		err    error
 	)
 	if traced {
 		fstart = time.Now()
 	}
-	invoke := func(op []byte) ([]byte, error) {
-		if traced {
-			if si, ok := c.Inv.(StatsInvoker); ok {
-				st = &InvokeStats{}
-				return si.InvokeWithStats(fctx, op, st)
+	if si, ok := c.Inv.(StatsInvoker); ok && traced {
+		st = &InvokeStats{}
+		reply, err = si.InvokeWithStats(fctx, wire, st)
+	} else {
+		reply, err = c.Inv.Invoke(fctx, wire)
+	}
+	next := c.answered()
+
+	switch {
+	case err != nil: // every participant gets err, below
+	case len(batch) == 1:
+		batch[0].result = reply
+	default:
+		var replies [][]byte
+		if replies, err = DecodeBatchReply(reply, nops); err == nil {
+			for _, it := range batch {
+				n := len(it.ops)
+				if it.envelope {
+					it.result = EncodeBatch(replies[:n])
+				} else {
+					it.result = cloneBytes(replies[0])
+				}
+				replies = replies[n:]
 			}
 		}
-		return c.Inv.Invoke(fctx, op)
 	}
-	record := func(err error) {
-		if !traced {
-			return
-		}
+	if traced {
 		rtt := time.Since(fstart)
 		out := invokeOutcome(err)
 		for _, it := range batch {
@@ -379,7 +379,7 @@ func (c *Coalescer) flush(batch []*batchItem, trigger string) {
 				Dur:     rtt,
 				Outcome: out,
 				Err:     err,
-				Ops:     len(ops),
+				Ops:     nops,
 				Wait:    fstart.Sub(it.enq),
 			})
 			if st != nil {
@@ -397,37 +397,9 @@ func (c *Coalescer) flush(batch []*batchItem, trigger string) {
 			}
 		}
 	}
-
-	if len(batch) == 1 {
-		// A lone submitter's command — or its own envelope — goes out as
-		// it came in.
-		batch[0].result, batch[0].err = invoke(batch[0].op)
-		record(batch[0].err)
-		close(batch[0].done)
-		return
-	}
-	reply, err := invoke(EncodeBatch(ops))
-	if err == nil {
-		var replies [][]byte
-		if replies, err = DecodeBatchReply(reply, len(ops)); err == nil {
-			for _, it := range batch {
-				n := len(it.ops)
-				if it.envelope {
-					it.result = EncodeBatch(replies[:n])
-				} else {
-					it.result = cloneBytes(replies[0])
-				}
-				replies = replies[n:]
-			}
-		}
-	}
-	if err != nil {
-		for _, it := range batch {
-			it.err = err
-		}
-	}
-	record(err)
 	for _, it := range batch {
+		it.err = err
 		close(it.done)
 	}
+	return next
 }

@@ -249,85 +249,6 @@ func (ci *countingInvoker) Invoke(ctx context.Context, op []byte) ([]byte, error
 	return ci.inner(ctx, op)
 }
 
-func TestCoalescerPacksConcurrentOps(t *testing.T) {
-	app := NewBatchApplication(&logApp{})
-	inv := &countingInvoker{inner: func(ctx context.Context, op []byte) ([]byte, error) {
-		return app.Execute(op), nil
-	}}
-	co := NewCoalescer(inv)
-	co.MaxDelay = 20 * time.Millisecond
-
-	const ops = 24
-	var wg sync.WaitGroup
-	results := make([][]byte, ops)
-	for i := 0; i < ops; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, err := co.Invoke(bg, []byte(fmt.Sprintf("op%02d", i)))
-			if err != nil {
-				t.Errorf("coalesced invoke %d: %v", i, err)
-				return
-			}
-			results[i] = res
-		}(i)
-	}
-	wg.Wait()
-	// Every op got its own correct reply.
-	for i, res := range results {
-		if !bytes.HasSuffix(res, []byte(fmt.Sprintf("op%02d", i))) {
-			t.Fatalf("reply %d = %q, want suffix op%02d", i, res, i)
-		}
-	}
-	// ...and the 24 ops used far fewer round trips than 24.
-	if rt := inv.n.Load(); rt >= ops {
-		t.Fatalf("coalescer used %d round trips for %d ops", rt, ops)
-	}
-}
-
-func TestCoalescerAgainstReplicatedGroup(t *testing.T) {
-	ids := []int{0, 1, 2, 3}
-	cfg := Config{ReplicaIDs: ids, Model: ByzantineFaults}
-	net := NewNetwork()
-	apps := make([]*logApp, len(ids))
-	for i, id := range ids {
-		apps[i] = &logApp{}
-		r, err := NewReplica(id, cfg, NewBatchApplication(apps[i]), net)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.Start()
-		defer r.Stop()
-	}
-	cl := NewClient("co", cfg, net)
-	defer cl.Close()
-	co := NewCoalescer(cl)
-	co.MaxDelay = 5 * time.Millisecond
-
-	const ops = 40
-	var wg sync.WaitGroup
-	errs := make(chan error, ops)
-	for i := 0; i < ops; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, err := co.Invoke(bg, []byte(fmt.Sprintf("b-%02d", i)))
-			if err != nil {
-				errs <- err
-				return
-			}
-			if !bytes.HasSuffix(res, []byte(fmt.Sprintf("b-%02d", i))) {
-				errs <- fmt.Errorf("reply %q mismatched for b-%02d", res, i)
-			}
-		}(i)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-}
-
 func TestReplyWindowDedup(t *testing.T) {
 	rec := &clientRecord{}
 	rec.record(1, []byte("one"))

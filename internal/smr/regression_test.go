@@ -1,9 +1,7 @@
 package smr
 
 import (
-	"context"
 	"encoding/binary"
-	"errors"
 	"testing"
 	"time"
 
@@ -163,67 +161,6 @@ type echoApp struct{}
 func (echoApp) Execute(cmd []byte) []byte { return append([]byte("r:"), cmd...) }
 func (echoApp) Snapshot() []byte          { return nil }
 func (echoApp) Restore([]byte) error      { return nil }
-
-// delayedBatchInvoker emulates a replica group wrapped in BatchApplication,
-// with a fixed invocation latency and context sensitivity.
-type delayedBatchInvoker struct {
-	app   *BatchApplication
-	delay time.Duration
-}
-
-func (d *delayedBatchInvoker) Invoke(ctx context.Context, op []byte) ([]byte, error) {
-	select {
-	case <-time.After(d.delay):
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	return d.app.Execute(op), nil
-}
-
-// TestCoalescerFlusherCancellationDoesNotFailBatch pins the flush-context
-// fix: the flusher's own cancellation (mid-linger) must not fail the other
-// queued operations with the flusher's context error — the batch flushes
-// under a context detached from any single caller.
-func TestCoalescerFlusherCancellationDoesNotFailBatch(t *testing.T) {
-	inv := &delayedBatchInvoker{app: NewBatchApplication(echoApp{}), delay: 20 * time.Millisecond}
-	c := NewCoalescer(inv)
-	c.MaxDelay = 300 * time.Millisecond
-
-	flusherCtx, cancel := context.WithCancel(bg)
-	flusherErr := make(chan error, 1)
-	go func() {
-		_, err := c.Invoke(flusherCtx, []byte("op-flusher"))
-		flusherErr <- err
-	}()
-	time.Sleep(50 * time.Millisecond) // flusher is lingering
-
-	type res struct {
-		out []byte
-		err error
-	}
-	followerRes := make(chan res, 1)
-	go func() {
-		out, err := c.Invoke(bg, []byte("op-follower"))
-		followerRes <- res{out, err}
-	}()
-	time.Sleep(50 * time.Millisecond) // follower has joined the batch
-	cancel()
-
-	if err := <-flusherErr; !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled flusher returned %v, want context.Canceled", err)
-	}
-	select {
-	case r := <-followerRes:
-		if r.err != nil {
-			t.Fatalf("follower failed with %v — the flusher's cancellation must not abort the batch", r.err)
-		}
-		if string(r.out) != "r:op-follower" {
-			t.Fatalf("follower result = %q, want %q", r.out, "r:op-follower")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("follower never completed after the flusher was cancelled")
-	}
-}
 
 // TestDecodeBatchRejectsForgedCount pins the preallocation bound: a forged
 // envelope advertising more operations than the payload could possibly hold

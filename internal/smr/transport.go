@@ -6,9 +6,9 @@ import (
 )
 
 // Transport moves protocol messages between replicas and back to clients. The
-// implementation used in this repository is the in-memory Network below; a
-// TCP transport can implement the same interface for multi-process
-// deployments (cmd/coordserver).
+// only implementation is the in-memory Network below: there is no socket
+// transport and no server binary, and messages are unauthenticated, which is
+// sound only while every party shares one process.
 type Transport interface {
 	// SendToReplica delivers a message to one replica (best effort).
 	SendToReplica(id int, m message)
