@@ -265,6 +265,17 @@ var pairRules = []pairRule{
 		metric: func(b bench) float64 { return b.BOp }, what: "B/op",
 		maxRatio: 1.5,
 	},
+	// A collection is as deep with 64 changed files as with 8: three
+	// coordination accesses, and a sweep that takes sixteen files at a time in
+	// three cloud rounds each. By round-trip arithmetic 15 against 6 round
+	// trips, 2.5x; measured ~2.7x at 5 ms a round trip on two cores. One
+	// access per changed file and a four-wide sweep made it 131 against 19,
+	// measured 6.9x.
+	{
+		num: "BenchmarkCollect/Files64", den: "BenchmarkCollect/Files8",
+		metric: func(b bench) float64 { return b.NsOp }, what: "ns/op",
+		maxRatio: 3.5,
+	},
 	// PR 8 acceptance, namespace sharding. Under the 1024-session metadata
 	// storm, no instance of the 4-shard plane may serve more coordination
 	// round trips per file-system op than the unsharded single instance

@@ -37,6 +37,10 @@ go test -run '^$' -bench 'BenchmarkSMRPipeline' -benchmem -benchtime 2000x ./ben
 # that from a scheduler hiccup.
 go test -run '^$' -bench 'BenchmarkCoalescerIdle' -benchmem -benchtime 10000x ./benchmarks | tee -a "$raw"
 go test -run '^$' -bench 'BenchmarkMetadataStorm' -benchmem -benchtime 20000x ./benchmarks | tee -a "$raw"
+# A collection is a few round trips of simulated waiting, and each
+# iteration rebuilds its garbage untimed: twenty iterations pin the
+# Files64/Files8 ratio well inside its 3.5x ceiling.
+go test -run '^$' -bench 'BenchmarkCollect' -benchmem -benchtime 20x ./benchmarks | tee -a "$raw"
 
 awk -v go_version="$(go version | awk '{print $3}')" -v stamp="$stamp" '
 /^Benchmark/ {

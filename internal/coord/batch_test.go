@@ -31,6 +31,9 @@ func batchScript() [][]Op {
 		Unlock("/d/f", "agent-1"), // already released
 		TryLock("/d/f", "agent-2", time.Minute),
 		Get("/d/f"),
+		Delete("/d/g", 0),
+		Cas("/d/h", []byte("h"), 0, acl),
+		Cas("/d/h", []byte("h"), 0, acl), // exists now
 	}}
 }
 
@@ -66,6 +69,9 @@ func TestBatchEqualsSingleCallsAllBackends(t *testing.T) {
 			if string(got[13].Record.Value) != "v2" || len(got[8].Records) != 2 {
 				t.Errorf("final get %q, listing of /d/ has %d records", got[13].Record.Value, len(got[8].Records))
 			}
+			if got[14].Err != nil || got[15].Err != nil || !errors.Is(got[16].Err, ErrConflict) {
+				t.Errorf("outcomes: delete %v, create-if-absent %v, second create-if-absent %v", got[14].Err, got[15].Err, got[16].Err)
+			}
 		})
 	}
 }
@@ -92,6 +98,57 @@ func TestBatchedTryLockRenewsOwnLease(t *testing.T) {
 	}
 }
 
+// TestConditionalBatchCommands: a Delete or a Cas that names a version acts
+// only on the record at that version. A stale one fails alone with
+// ErrConflict and leaves the record as it was; on an absent record a Delete
+// is no error and a Cas is ErrNotFound.
+func TestConditionalBatchCommands(t *testing.T) {
+	acl := ACL{Owner: "alice"}
+	for name, svc := range backends(t) {
+		t.Run(name, func(t *testing.T) {
+			v1, err := svc.PutMetadata(bg, "/f", []byte("v1"), acl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := svc.Batch(bg, []Op{
+				Delete("/f", v1+1),
+				Cas("/f", []byte("stale"), v1+1, acl),
+				Get("/f"),
+				Cas("/f", []byte("v2"), v1, acl),
+				Delete("/f", v1), // the Cas moved the record on
+				Get("/f"),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !errors.Is(res[0].Err, ErrConflict) || !errors.Is(res[1].Err, ErrConflict) || string(res[2].Record.Value) != "v1" {
+				t.Fatalf("stale delete %v, stale cas %v, record after them %q", res[0].Err, res[1].Err, res[2].Record.Value)
+			}
+			if res[3].Err != nil || res[3].Version == v1 || !errors.Is(res[4].Err, ErrConflict) || string(res[5].Record.Value) != "v2" {
+				t.Fatalf("matching cas %v (version %d after %d), delete at the old version %v, record %q", res[3].Err, res[3].Version, v1, res[4].Err, res[5].Record.Value)
+			}
+			v2 := res[3].Version
+			res, err = svc.Batch(bg, []Op{
+				Delete("/f", v2),
+				Get("/f"),
+				Delete("/f", v2),
+				Cas("/f", []byte("v3"), v2, acl),
+				Cas("/f", []byte("v3"), 0, acl),
+				Cas("/f", []byte("v4"), 0, acl),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res[0].Err != nil || !errors.Is(res[1].Err, ErrNotFound) || res[2].Err != nil {
+				t.Fatalf("matching delete %v, get after it %v, delete of the absent record %v", res[0].Err, res[1].Err, res[2].Err)
+			}
+			if !errors.Is(res[3].Err, ErrNotFound) || res[4].Err != nil || !errors.Is(res[5].Err, ErrConflict) {
+				t.Fatalf("cas of the absent record %v, create %v, second create %v", res[3].Err, res[4].Err, res[5].Err)
+			}
+		})
+	}
+}
+
 // TestBatchIsOneAccess: whatever it carries, a batch is one round trip to
 // the access counters and to the latency model; the registry counts its
 // commands by class and the batch itself once more.
@@ -103,7 +160,8 @@ func TestBatchIsOneAccess(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := svc.Batch(bg, []Op{TryLock("/f", "a", time.Minute), Get("/f"), Put("/f", []byte("v"), ACL{}), Unlock("/f", "a")})
+		_, err := svc.Batch(bg, []Op{TryLock("/f", "a", time.Minute), Get("/f"), Put("/f", []byte("v"), ACL{}),
+			Cas("/f", []byte("w"), 1, ACL{}), Delete("/f", 0), Unlock("/f", "a")})
 		done <- err
 	}()
 	// One sleeper for the whole batch, released by one round trip's worth
@@ -123,7 +181,7 @@ func TestBatchIsOneAccess(t *testing.T) {
 		t.Errorf("stats after one batch = %+v, want one access", s)
 	}
 	counters := reg.Snapshot().Counters
-	for op, want := range map[string]int64{"batch": 1, "trylock": 1, "get": 1, "put": 1, "unlock": 1, "list": 0} {
+	for op, want := range map[string]int64{"batch": 1, "trylock": 1, "get": 1, "put": 1, "cas": 1, "delete": 1, "unlock": 1, "list": 0} {
 		if got := counters[telemetry.Name("coord_ops_total", "backend", "depspace", "op", op)]; got != want {
 			t.Errorf("coord_ops_total op=%s is %d, want %d", op, got, want)
 		}

@@ -75,6 +75,8 @@ const (
 	OpList
 	OpTryLock
 	OpUnlock
+	OpDelete
+	OpCas
 )
 
 // String returns the kind's coord_ops_total op label.
@@ -90,21 +92,29 @@ func (k OpKind) String() string {
 		return "trylock"
 	case OpUnlock:
 		return "unlock"
+	case OpDelete:
+		return "delete"
+	case OpCas:
+		return "cas"
 	default:
 		return "unknown"
 	}
 }
 
-// Op is one command of a Batch; build it with Get, Put, List, TryLock or
-// Unlock, whose parameters are those of the Service method of the same
-// name (GetMetadata, PutMetadata, ListMetadata, TryLock, Unlock).
+// Op is one command of a Batch; build it with Get, Put, List, TryLock,
+// Unlock, Delete or Cas, whose parameters are those of the Service method
+// of the same name (GetMetadata, PutMetadata, ListMetadata, TryLock,
+// Unlock, DeleteMetadata, CasMetadata). Delete and Cas are conditional on
+// the record's version, the garbage collector's guard against erasing a
+// write it never read.
 type Op struct {
-	Kind  OpKind
-	Key   string // record key, list prefix or lock name
-	Value []byte
-	ACL   ACL
-	Owner string
-	TTL   time.Duration
+	Kind    OpKind
+	Key     string // record key, list prefix or lock name
+	Value   []byte
+	ACL     ACL
+	Owner   string
+	TTL     time.Duration
+	Version uint64 // the version a Delete or a Cas expects
 }
 
 // Get is GetMetadata as a batch command.
@@ -126,12 +136,25 @@ func TryLock(name, owner string, ttl time.Duration) Op {
 // Unlock is Unlock as a batch command.
 func Unlock(name, owner string) Op { return Op{Kind: OpUnlock, Key: name, Owner: owner} }
 
+// Delete is DeleteMetadata as a batch command, conditional on the record
+// still being at version (0: unconditional). A record at another version is
+// left in place and the command fails with ErrConflict; an absent one is no
+// error, as for DeleteMetadata.
+func Delete(key string, version uint64) Op { return Op{Kind: OpDelete, Key: key, Version: version} }
+
+// Cas is CasMetadata as a batch command: the record is replaced only if it
+// is at version (0: only if it does not exist), else the command fails with
+// ErrConflict, or ErrNotFound when the record is absent.
+func Cas(key string, value []byte, version uint64, acl ACL) Op {
+	return Op{Kind: OpCas, Key: key, Value: value, Version: version, ACL: acl}
+}
+
 // Result is the outcome of one batched command: what the Service method of
 // the same name would have returned.
 type Result struct {
 	Record  Record   // OpGet
 	Records []Record // OpList
-	Version uint64   // OpPut
+	Version uint64   // OpPut, OpCas
 	Err     error
 }
 
@@ -170,7 +193,9 @@ type Service interface {
 	// in order and back to back, and returns one Result per op. It is not
 	// a transaction: each command succeeds or fails on its own (Result.Err)
 	// and later commands run regardless, exactly as if the same calls had
-	// been issued one after another with nothing in between. The returned
+	// been issued one after another with nothing in between. A command that
+	// must not act on a record changed by someone else carries the version
+	// it expects (Delete, Cas) and fails alone with ErrConflict. The returned
 	// error means the access itself failed and no Result is valid; as with
 	// any lost reply, the commands may still have executed. Where a backend
 	// has no single command for an outcome, that command completes in a
@@ -186,22 +211,27 @@ type Service interface {
 // Batch; a lone command is issued as the Service call it stands for — the
 // same round trip, counted under its own class rather than as a batch — and
 // whatever that call returns, a failed access included, is its Result.Err.
+// A lone conditional Delete has no such call and travels as a batch of one.
 func Do(ctx context.Context, s Service, ops ...Op) ([]Result, error) {
 	if len(ops) != 1 {
 		return s.Batch(ctx, ops)
 	}
 	var r Result
-	switch op := ops[0]; op.Kind {
-	case OpGet:
+	switch op := ops[0]; {
+	case op.Kind == OpGet:
 		r.Record, r.Err = s.GetMetadata(ctx, op.Key)
-	case OpPut:
+	case op.Kind == OpPut:
 		r.Version, r.Err = s.PutMetadata(ctx, op.Key, op.Value, op.ACL)
-	case OpList:
+	case op.Kind == OpList:
 		r.Records, r.Err = s.ListMetadata(ctx, op.Key)
-	case OpTryLock:
+	case op.Kind == OpTryLock:
 		r.Err = s.TryLock(ctx, op.Key, op.Owner, op.TTL)
-	case OpUnlock:
+	case op.Kind == OpUnlock:
 		r.Err = s.Unlock(ctx, op.Key, op.Owner)
+	case op.Kind == OpDelete && op.Version == 0:
+		r.Err = s.DeleteMetadata(ctx, op.Key)
+	case op.Kind == OpCas:
+		r.Version, r.Err = s.CasMetadata(ctx, op.Key, op.Value, op.Version, op.ACL)
 	default:
 		return s.Batch(ctx, ops)
 	}

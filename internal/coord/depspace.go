@@ -83,6 +83,15 @@ func dsCommand(op Op) (depspace.Command, error) {
 			0, depspace.ACL{}, op.TTL), nil
 	case OpUnlock:
 		return depspace.CmdInp(depspace.Tuple{tagLock, op.Key, op.Owner}), nil
+	case OpDelete:
+		cmd := depspace.CmdInp(depspace.Tuple{tagMeta, op.Key, depspace.Wildcard})
+		cmd.ExpectedVersion = op.Version
+		return cmd, nil
+	case OpCas:
+		return depspace.CmdCas(
+			depspace.Tuple{tagMeta, op.Key, depspace.Wildcard},
+			depspace.Tuple{tagMeta, op.Key, encodePayload(op.Value)},
+			op.Version, dsACL(op.ACL), 0), nil
 	default:
 		return depspace.Command{}, fmt.Errorf("coord: command %d cannot be batched", op.Kind)
 	}
@@ -131,15 +140,15 @@ func dsResult(op Op, res depspace.Result) Result {
 			}
 		}
 		return Result{Records: out}
-	case OpPut:
+	case OpPut, OpCas:
 		return Result{Version: res.Version, Err: mapDepSpaceError(err)}
 	case OpTryLock:
 		if errors.Is(err, depspace.ErrExists) {
 			return Result{Err: ErrLockHeld}
 		}
-	case OpUnlock:
+	case OpUnlock, OpDelete:
 		if errors.Is(err, depspace.ErrNotFound) {
-			return Result{} // already released or expired
+			return Result{} // already released, expired or deleted
 		}
 	}
 	return Result{Err: mapDepSpaceError(err)}
@@ -210,21 +219,15 @@ func (d *DepSpaceService) PutMetadata(ctx context.Context, key string, value []b
 // CasMetadata implements Service.
 func (d *DepSpaceService) CasMetadata(ctx context.Context, key string, value []byte, expectedVersion uint64, acl ACL) (uint64, error) {
 	d.addWrite()
-	v, _, err := d.cli.Cas(ctx,
-		depspace.Tuple{tagMeta, key, depspace.Wildcard},
-		depspace.Tuple{tagMeta, key, encodePayload(value)},
-		expectedVersion, dsACL(acl), 0)
-	return v, mapDepSpaceError(err)
+	r, err := d.one(ctx, Cas(key, value, expectedVersion, acl))
+	return r.Version, err
 }
 
 // DeleteMetadata implements Service.
 func (d *DepSpaceService) DeleteMetadata(ctx context.Context, key string) error {
 	d.addWrite()
-	_, err := d.cli.Inp(ctx, depspace.Tuple{tagMeta, key, depspace.Wildcard})
-	if errors.Is(err, depspace.ErrNotFound) {
-		return nil
-	}
-	return mapDepSpaceError(err)
+	_, err := d.one(ctx, Delete(key, 0))
+	return err
 }
 
 // ListMetadata implements Service.

@@ -39,8 +39,8 @@ type instrumented struct {
 
 	// byKind holds the counters of the batchable commands, indexed by
 	// OpKind, for the plain call and the batched command alike.
-	byKind                  [OpUnlock + 1]*telemetry.Counter
-	cas, del, rename, batch *telemetry.Counter
+	byKind        [OpCas + 1]*telemetry.Counter
+	rename, batch *telemetry.Counter
 }
 
 var _ Service = (*instrumented)(nil)
@@ -58,11 +58,8 @@ func Instrument(s Service, reg *telemetry.Registry) Service {
 	c := func(op string) *telemetry.Counter {
 		return reg.Counter(telemetry.Name("coord_ops_total", "backend", b, "op", op))
 	}
-	i := &instrumented{
-		inner: s, backend: b,
-		cas: c("cas"), del: c("delete"), rename: c("rename"), batch: c("batch"),
-	}
-	for k := OpGet; k <= OpUnlock; k++ {
+	i := &instrumented{inner: s, backend: b, rename: c("rename"), batch: c("batch")}
+	for k := OpGet; k <= OpCas; k++ {
 		i.byKind[k] = c(k.String())
 	}
 	return i
@@ -85,13 +82,13 @@ func (i *instrumented) PutMetadata(ctx context.Context, key string, value []byte
 
 // CasMetadata implements Service.
 func (i *instrumented) CasMetadata(ctx context.Context, key string, value []byte, expectedVersion uint64, acl ACL) (uint64, error) {
-	i.cas.Inc()
+	i.byKind[OpCas].Inc()
 	return i.inner.CasMetadata(ctx, key, value, expectedVersion, acl)
 }
 
 // DeleteMetadata implements Service.
 func (i *instrumented) DeleteMetadata(ctx context.Context, key string) error {
-	i.del.Inc()
+	i.byKind[OpDelete].Inc()
 	return i.inner.DeleteMetadata(ctx, key)
 }
 

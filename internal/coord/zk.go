@@ -161,16 +161,38 @@ func zkFirstStep(op Op) (*zkStep, error) {
 				return Result{Err: ErrLockHeld}, nil
 			}
 			del := []zkcoord.Command{zkcoord.CmdDelete(p, zkcoord.AnyVersion)}
-			return Result{}, zkLast(del, func(r []zkcoord.Result) Result {
-				if err := r[0].Failed(); err != nil && !errors.Is(err, zkcoord.ErrNotFound) {
-					return Result{Err: mapZKError(err)}
-				}
-				return Result{}
-			})
+			return Result{}, zkLast(del, zkDeleted)
 		}}, nil
+	case OpDelete:
+		version := zkcoord.AnyVersion
+		if op.Version != 0 {
+			version = int64(op.Version)
+		}
+		return zkLast([]zkcoord.Command{zkcoord.CmdDelete(metaPath(op.Key), version)}, zkDeleted), nil
+	case OpCas:
+		// Version 0 asks for a creation, any other an overwrite at that version.
+		cmd := zkcoord.CmdCreate(metaPath(op.Key), op.Value)
+		if op.Version != 0 {
+			cmd = zkcoord.CmdSet(metaPath(op.Key), op.Value, int64(op.Version), 0)
+		}
+		return zkLast([]zkcoord.Command{cmd}, func(r []zkcoord.Result) Result {
+			if err := r[0].Failed(); err != nil {
+				return Result{Err: mapZKError(err)}
+			}
+			return Result{Version: r[0].Stat.Version}
+		}), nil
 	default:
 		return nil, fmt.Errorf("coord: command %d cannot be batched", op.Kind)
 	}
+}
+
+// zkDeleted is the Result of a znode deletion: a node already gone is no
+// error.
+func zkDeleted(r []zkcoord.Result) Result {
+	if err := r[0].Failed(); err != nil && !errors.Is(err, zkcoord.ErrNotFound) {
+		return Result{Err: mapZKError(err)}
+	}
+	return Result{}
 }
 
 // run executes ops: every command's first step travels in one invocation,
@@ -245,28 +267,15 @@ func (z *ZKService) PutMetadata(ctx context.Context, key string, value []byte, a
 // CasMetadata implements Service.
 func (z *ZKService) CasMetadata(ctx context.Context, key string, value []byte, expectedVersion uint64, acl ACL) (uint64, error) {
 	z.addWrite()
-	p := zkMetaRoot + "/" + encodeKey(key)
-	if expectedVersion == 0 {
-		if _, err := z.cli.Create(ctx, p, value); err != nil {
-			return 0, mapZKError(err)
-		}
-		return 1, nil
-	}
-	st, err := z.cli.Set(ctx, p, value, int64(expectedVersion))
-	if err != nil {
-		return 0, mapZKError(err)
-	}
-	return st.Version, nil
+	r, err := z.one(ctx, Cas(key, value, expectedVersion, acl))
+	return r.Version, err
 }
 
 // DeleteMetadata implements Service.
 func (z *ZKService) DeleteMetadata(ctx context.Context, key string) error {
 	z.addWrite()
-	err := z.cli.Delete(ctx, zkMetaRoot+"/"+encodeKey(key), zkcoord.AnyVersion)
-	if errors.Is(err, zkcoord.ErrNotFound) {
-		return nil
-	}
-	return mapZKError(err)
+	_, err := z.one(ctx, Delete(key, 0))
+	return err
 }
 
 // ListMetadata implements Service.

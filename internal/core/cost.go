@@ -9,9 +9,9 @@ import (
 // CostReport is the mount's cloud-spend snapshot: what the files owned by
 // this principal currently occupy across the clouds and what that costs in
 // dollars under the backend's price table. Everything version-granular is
-// an estimate derived from the same cost model the garbage collector ranks
-// by (storage.VersionCoster); backends without a coster report the byte
-// axes only.
+// an estimate derived from the same cost model the garbage collector reports
+// its reclaim in (storage.VersionCoster); backends without a coster report
+// the byte axes only.
 type CostReport struct {
 	// Files is how many live file records were examined (directories and
 	// other users' files are skipped).

@@ -17,6 +17,16 @@ import (
 // collector runs at each agent, in the background, driven by two parameters
 // set at mount time: the number of written bytes W that triggers a run and
 // the number of versions V to keep per file.
+//
+// A run is as deep as a run with nothing to collect, however many files
+// changed: three coordination accesses — the collection lock, one listing,
+// one batch of every metadata update with the lock's release — and one cloud
+// sweep that deletes each file's doomed versions with one metadata read per
+// file, sweeping many files at once. Every update in the batch is conditional
+// on the record version the listing returned, so a file written, removed or
+// re-created since is left for the next run instead of being rolled back to
+// what this one read (Kleppmann & Howard: a removal must not erase a write it
+// never saw).
 
 // maybeStartGC launches a background collection when the bytes written — or
 // the cloud objects created, a proxy for per-request fee pressure — since
@@ -74,9 +84,7 @@ type GCReport struct {
 	ReclaimedObjects int64
 	// ReclaimedDollars is the recurring storage spend, in $/month, the run
 	// stopped accruing (priced by the backend's rate table; 0 when the
-	// backend cannot attribute dollars). The sweep issues deletions in
-	// descending dollars-per-byte order, so a run cut short still reclaims
-	// the most valuable candidates first.
+	// backend cannot attribute dollars).
 	ReclaimedDollars float64
 }
 
@@ -85,57 +93,64 @@ type GCReport struct {
 // deleted from the cloud storage, and files previously removed by the user
 // have their remaining versions and metadata erased.
 //
-// The pass first walks the metadata to decide what dies, then deletes. When
-// the backend supports batched sweeps (the CoC backend resolves every
-// file's versions with one bounded-concurrency metadata sweep instead of
-// one quorum read per deleted version), all deletions go out as one batch.
+// The pass lists the metadata and decides what dies (phase 1), deletes it
+// from the clouds (phase 2), then updates the metadata (phase 3). A file
+// whose record changed after the listing keeps the record it has now.
 //
 // A user's files have one collector at a time: the pass holds the user's
 // collection lock in the coordination service, so a second agent of the
 // same user neither deletes the versions this pass is deleting nor writes
 // back metadata trimmed from an older listing. An agent that finds the lock
-// taken returns fsapi.ErrLocked and collects nothing.
-func (a *Agent) Collect(ctx context.Context) (GCReport, error) {
-	var report GCReport
-	if a.opts.Coordination != nil && a.opts.Mode != NonSharing {
+// taken returns fsapi.ErrLocked and collects nothing. The lock is released
+// on every path: with the updates when the pass gets that far, on its own
+// otherwise.
+func (a *Agent) Collect(ctx context.Context) (report GCReport, err error) {
+	svc := a.opts.Coordination
+	var release []coord.Op // the lock's release, while the pass still owes it
+	if svc != nil && a.opts.Mode != NonSharing {
 		gcLock := "gc:" + a.opts.User
-		if err := a.opts.Coordination.TryLock(ctx, gcLock, a.opts.AgentID, a.opts.LockTTL); err != nil {
+		if err := svc.TryLock(ctx, gcLock, a.opts.AgentID, a.opts.LockTTL); err != nil {
 			if errors.Is(err, coord.ErrLockHeld) {
 				return report, fmt.Errorf("core: another agent is collecting the files of %q: %w", a.opts.User, fsapi.ErrLocked)
 			}
 			return report, fmt.Errorf("core: locking the collection of %q: %w", a.opts.User, err)
 		}
-		defer func() { _ = a.unlock(ctx, gcLock) }() // a lost release expires with the lease
+		release = []coord.Op{coord.Unlock(gcLock, a.opts.AgentID)}
+		defer func() {
+			if release != nil {
+				_, _ = coord.Do(ctx, svc, release...) // a lost release expires with the lease
+			}
+		}()
 	}
-	entries, err := a.listSubtree(ctx, "/")
-	if err != nil {
-		return report, err
+	var recs []coord.Record
+	if svc != nil {
+		if recs, err = svc.ListMetadata(ctx, "/"); err != nil {
+			return report, err
+		}
 	}
-	keep := a.opts.GC.KeepVersions
+	version := make(map[string]uint64, len(recs))
+	for _, r := range recs {
+		version[r.Key] = r.Version
+	}
 
-	// Phase 1: scan metadata, gathering doomed versions per file.
+	// Phase 1: decide which records change and which versions die.
 	doomed := make(map[string][]string)
-	var purged, trimmed []*fsmeta.Metadata
-	for _, md := range entries {
+	var changed []*fsmeta.Metadata
+	for _, md := range a.mergeSubtree("/", recs) {
 		if md.Owner != a.opts.User || md.IsDir() {
 			continue
 		}
 		report.FilesScanned++
-		if md.Deleted {
-			for _, v := range md.Versions {
-				doomed[md.FileID] = append(doomed[md.FileID], v.Hash)
+		gone := md.Versions
+		if !md.Deleted {
+			if gone = md.TrimVersions(a.opts.GC.KeepVersions); len(gone) == 0 {
+				continue
 			}
-			purged = append(purged, md)
-			continue
 		}
-		removed := md.TrimVersions(keep)
-		if len(removed) == 0 {
-			continue
+		if hashes := doomedHashes(md, gone); len(hashes) > 0 {
+			doomed[md.FileID] = hashes
 		}
-		for _, v := range removed {
-			doomed[md.FileID] = append(doomed[md.FileID], v.Hash)
-		}
-		trimmed = append(trimmed, md)
+		changed = append(changed, md)
 	}
 
 	// Phase 2: delete the doomed versions from the cloud.
@@ -145,22 +160,92 @@ func (a *Agent) Collect(ctx context.Context) (GCReport, error) {
 	report.ReclaimedObjects = sweep.ReclaimedObjects
 	report.ReclaimedDollars = sweep.ReclaimedDollars
 
-	// Phase 3: apply the metadata updates.
-	for _, md := range purged {
-		if err := a.deleteMetadata(ctx, md.Path); err != nil {
-			return report, err
+	// Phase 3: every purge and trim of a record in the coordination service,
+	// conditional on the version listed, and the lock's release: one access.
+	// Private name space entries change in place.
+	var ops []coord.Op
+	var batched []*fsmeta.Metadata
+	for _, md := range changed {
+		path := fsmeta.Clean(md.Path)
+		a.metaCache.Invalidate(path)
+		v, listed := version[path]
+		switch {
+		case a.collectLocally(md):
+			if md.Deleted {
+				report.FilesPurged++
+			}
+			continue
+		case !listed: // no version to condition the update on
+			continue
+		case md.Deleted:
+			ops = append(ops, coord.Delete(path, v))
+		default:
+			raw, err := md.Encode()
+			if err != nil {
+				return report, err
+			}
+			ops = append(ops, coord.Cas(path, raw, v, coordACL(md)))
 		}
-		report.FilesPurged++
+		batched = append(batched, md)
 	}
-	for _, md := range trimmed {
-		if err := a.putMetadata(ctx, md); err != nil {
-			return report, err
+	if ops = append(ops, release...); len(ops) > 0 {
+		res, err := coord.Do(ctx, svc, ops...)
+		if err != nil {
+			return report, fmt.Errorf("core: collecting the files of %q: %w", a.opts.User, err)
+		}
+		release = nil
+		for i, md := range batched {
+			switch r := res[i]; {
+			case r.Err == nil:
+				if md.Deleted {
+					report.FilesPurged++
+				}
+			case errors.Is(r.Err, coord.ErrConflict), errors.Is(r.Err, coord.ErrNotFound):
+				// Changed since the listing: the next run sees it again.
+			default:
+				return report, fmt.Errorf("core: collecting %q: %w", md.Path, r.Err)
+			}
 		}
 	}
-	if err := a.flushPNS(ctx); err != nil {
-		return report, err
+	return report, a.flushPNS(ctx)
+}
+
+// doomedHashes returns the distinct hashes of the versions gone that no
+// version md keeps names. The storage addresses a version by file and hash,
+// so the versions of one file with the same contents — written A, B, A —
+// share what a delete of that hash removes.
+func doomedHashes(md *fsmeta.Metadata, gone []fsmeta.VersionRecord) []string {
+	skip := make(map[string]bool)
+	if !md.Deleted {
+		for _, v := range md.Versions {
+			skip[v.Hash] = true
+		}
 	}
-	return report, nil
+	var out []string
+	for _, v := range gone {
+		if !skip[v.Hash] {
+			skip[v.Hash] = true
+			out = append(out, v.Hash)
+		}
+	}
+	return out
+}
+
+// collectLocally applies md's purge or trim to the private name space if md
+// lives there, and reports whether it did.
+func (a *Agent) collectLocally(md *fsmeta.Metadata) bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.pns == nil || a.pns.Get(md.Path) == nil {
+		return false
+	}
+	if md.Deleted {
+		a.pns.Remove(md.Path)
+	} else {
+		a.pns.Put(md)
+	}
+	a.pnsDirty = true
+	return true
 }
 
 // sweepVersions deletes the given fileID -> hashes and returns what was

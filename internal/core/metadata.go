@@ -234,20 +234,28 @@ func (a *Agent) mergeListing(dir string, recs []coord.Record) []*fsmeta.Metadata
 	return out
 }
 
-// listSubtree returns every live entry under prefix (excluding prefix itself),
-// used by rename and by the garbage collector.
+// listSubtree returns every entry under prefix (excluding prefix itself),
+// tombstones included, used by the cost report.
 func (a *Agent) listSubtree(ctx context.Context, prefix string) ([]*fsmeta.Metadata, error) {
 	prefix = fsmeta.Clean(prefix)
-	seen := make(map[string]*fsmeta.Metadata)
+	var recs []coord.Record
 	if a.opts.Coordination != nil {
-		recs, err := a.opts.Coordination.ListMetadata(ctx, listPrefix(prefix))
-		if err != nil {
+		var err error
+		if recs, err = a.opts.Coordination.ListMetadata(ctx, listPrefix(prefix)); err != nil {
 			return nil, err
 		}
-		for _, r := range recs {
-			if md, err := fsmeta.Decode(r.Value); err == nil {
-				seen[md.Path] = md
-			}
+	}
+	return a.mergeSubtree(prefix, recs), nil
+}
+
+// mergeSubtree merges a coordination-service listing under prefix (already
+// clean) with the PNS view into every entry under prefix, sorted by path;
+// where both hold a path, the PNS entry wins.
+func (a *Agent) mergeSubtree(prefix string, recs []coord.Record) []*fsmeta.Metadata {
+	seen := make(map[string]*fsmeta.Metadata)
+	for _, r := range recs {
+		if md, err := fsmeta.Decode(r.Value); err == nil {
+			seen[md.Path] = md
 		}
 	}
 	a.mu.Lock()
@@ -265,7 +273,7 @@ func (a *Agent) listSubtree(ctx context.Context, prefix string) ([]*fsmeta.Metad
 		out = append(out, md)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
-	return out, nil
+	return out
 }
 
 // --- private name space lifecycle ---

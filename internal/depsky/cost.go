@@ -7,8 +7,8 @@ package depsky
 // of a single cloud). Estimates charge the mean rate card across the n
 // clouds — which n-f subset actually holds a version depends on the
 // placement objective and the tracker state at write time, and an estimate
-// that stable is worth more to the garbage collector (which ranks
-// candidates by it) than one that drifts with provider weather.
+// that stable is worth more to the cost report and the garbage collector's
+// reclaim figures than one that drifts with provider weather.
 
 import (
 	"scfs/internal/pricing"
@@ -47,8 +47,7 @@ func meanRates(rates []pricing.Rates) pricing.Rates {
 // VersionCost prices one stored version's lifecycle from its metadata:
 // recurring storage per month, the upload it already paid, what one whole
 // read costs, and what reclaiming it will cost. It is the dollar companion
-// of VersionFootprint and what the garbage collector ranks reclamation
-// candidates by.
+// of VersionFootprint and what the garbage collector reports as reclaimed.
 func (m *Manager) VersionCost(info VersionInfo) pricing.Estimate {
 	return m.cost(info.Protocol, int64(info.Size), info.ChunkSize)
 }

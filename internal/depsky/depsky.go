@@ -806,50 +806,71 @@ func (m *Manager) DeleteVersion(ctx context.Context, unit string, number uint64)
 	return err
 }
 
-// DeleteVersions drops several versions of a unit from its metadata with a
-// single metadata round trip and then removes their objects from all clouds
-// (the SCFS garbage collector deletes many versions at once). It returns how
-// many of the requested versions were listed and dropped; absent numbers are
+// DeleteVersions drops the listed versions numbered numbers from unit's
+// metadata and removes their objects (see deleteWhere). It returns how many
+// of the requested versions were listed and dropped; absent numbers are
 // skipped silently.
+func (m *Manager) DeleteVersions(ctx context.Context, unit string, numbers []uint64) (int, error) {
+	doomed := make(map[uint64]bool, len(numbers))
+	for _, n := range numbers {
+		doomed[n] = true
+	}
+	n, _, err := m.deleteWhere(ctx, unit, func(v VersionInfo) bool { return doomed[v.Number] })
+	return n, err
+}
+
+// DeleteMatching drops every listed version of unit whose plaintext hash is
+// one of hashes — the SCFS garbage collector names versions by hash — and
+// removes their objects (see deleteWhere). It returns how many entries it
+// dropped and the ones among them whose objects it deleted: what the sweep
+// actually freed.
+func (m *Manager) DeleteMatching(ctx context.Context, unit string, hashes []string) (int, []VersionInfo, error) {
+	doomed := make(map[string]bool, len(hashes))
+	for _, h := range hashes {
+		doomed[h] = true
+	}
+	return m.deleteWhere(ctx, unit, func(v VersionInfo) bool { return doomed[v.DataHash] })
+}
+
+// deleteWhere drops the versions of unit that doomed selects from its
+// metadata in one metadata round trip — one quorum read, one quorum write —
+// then removes their objects from all clouds, and returns how many entries it
+// dropped and the ones whose objects it removed.
 //
 // Objects are removed only on the authority of an entry f+1 clouds agree on.
 // An entry's ID decides which objects a delete hits, and an uncertified
 // entry may be one faulty cloud's invention — the doomed number paired with
 // a live version's ID. Such an entry is dropped from the metadata and its
 // objects are left alone: the worst a forged copy can cost is space.
-func (m *Manager) DeleteVersions(ctx context.Context, unit string, numbers []uint64) (int, error) {
-	if len(numbers) == 0 {
-		return 0, nil
-	}
+func (m *Manager) deleteWhere(ctx context.Context, unit string, doomed func(VersionInfo) bool) (int, []VersionInfo, error) {
 	ctx, tr := m.opts.Tracer.Start(ctx, "delete", unit)
 	defer tr.Finish()
-	doomed := make(map[uint64]bool, len(numbers))
-	for _, n := range numbers {
-		doomed[n] = true
-	}
 	merged := m.readMetadata(ctx, unit)
-	var removed []VersionInfo
+	var removed, freed []VersionInfo
 	kept := merged.Versions[:0]
 	for _, v := range merged.Versions {
-		if doomed[v.Number] {
+		if doomed(v) {
 			removed = append(removed, v)
 		} else {
 			kept = append(kept, v)
 		}
 	}
 	if len(removed) == 0 {
-		return 0, ctx.Err()
+		return 0, nil, ctx.Err()
 	}
 	merged.Versions = kept
 	if err := m.writeMetadataQuorum(ctx, merged); err != nil {
-		return 0, err
+		return 0, nil, err
 	}
+	var names []string
 	for _, v := range removed {
 		if merged.certified[v.Number] {
-			m.deleteObjects(ctx, m.objectNames(unit, v))
+			freed = append(freed, v)
+			names = append(names, m.objectNames(unit, v)...)
 		}
 	}
-	return len(removed), nil
+	m.deleteObjects(ctx, names)
+	return len(removed), freed, nil
 }
 
 // DeleteUnit removes every version and the metadata of the unit.

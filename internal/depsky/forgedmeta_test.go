@@ -2,6 +2,7 @@ package depsky
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -194,6 +195,61 @@ func TestForgedIDCannotAimDelete(t *testing.T) {
 				t.Fatalf("live version after the delete: %q, %v", got, err)
 			}
 		})
+	}
+}
+
+// stalledGets is a cloud whose Gets never answer: a quorum read gets its n-f
+// answers from the other clouds, every time.
+type stalledGets struct{ cloud.ObjectStore }
+
+func (s stalledGets) Get(ctx context.Context, _ string) ([]byte, error) {
+	<-ctx.Done()
+	return nil, ctx.Err()
+}
+
+// TestDeleteMatchingFreesOnlyCertifiedEntries: what a sweep reports as freed
+// is what it deleted. Cloud 0 invents an entry — a number no honest cloud
+// lists, the doomed version's hash, the live version's ID — and with cloud 3
+// silent the sweep's metadata read is sure to include that copy. The forged
+// entry is dropped from the metadata like the honest doomed one, but only
+// the honest entry, which f+1 clouds vouch for, has its objects deleted and
+// comes back as freed.
+func TestDeleteMatchingFreesOnlyCertifiedEntries(t *testing.T) {
+	_, clients := testClouds(t, 4)
+	stalled := append([]cloud.ObjectStore(nil), clients...)
+	stalled[3] = stalledGets{clients[3]}
+	m, err := New(Options{Clouds: stalled, F: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doomed, err := m.Write(bg, "u", []byte("doomed"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := m.Write(bg, "u", []byte("live"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	forgeCopy(t, m, clients[:3], "u", func(md *unitMetadata) {
+		aimed := live
+		aimed.Number, aimed.DataHash = 7, doomed.DataHash
+		md.Versions = append(md.Versions, aimed)
+	})
+
+	n, freed, err := m.DeleteMatching(bg, "u", []string{doomed.DataHash})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 2 || len(freed) != 1 || freed[0].Number != doomed.Number || freed[0].ID != doomed.ID {
+		t.Fatalf("dropped %d entries and freed %+v; want 2 dropped and only version %d freed", n, freed, doomed.Number)
+	}
+	for i, c := range clients {
+		if _, err := c.Get(bg, m.chunkName("u", doomed.ID, 0)); err == nil {
+			t.Errorf("cloud %d keeps the doomed version's block", i)
+		}
+	}
+	if got, err := m.readVersion(bg, "u", live); err != nil || string(got) != "live" {
+		t.Fatalf("live version after the sweep: %q, %v", got, err)
 	}
 }
 

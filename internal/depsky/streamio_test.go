@@ -309,48 +309,6 @@ func TestDeleteChunkedVersionReclaimsSpace(t *testing.T) {
 	}
 }
 
-// TestReadMetadataBatch sweeps several units at once and matches the
-// per-unit ListVersions results.
-func TestReadMetadataBatch(t *testing.T) {
-	_, m := newChunkedManager(t, ProtocolCA, 2048)
-	want := make(map[string]int)
-	for i := 0; i < 9; i++ {
-		unit := fmt.Sprintf("u-%d", i)
-		for v := 0; v <= i%3; v++ {
-			if _, err := m.Write(bg, unit, randBytes(t, 128+i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		want[unit] = i%3 + 1
-	}
-	units := make([]string, 0, len(want))
-	for u := range want {
-		units = append(units, u, u) // duplicates must be tolerated
-	}
-	units = append(units, "missing-unit")
-	got := m.ReadMetadataBatch(bg, units)
-	if len(got) != len(want) {
-		t.Fatalf("batch returned %d units, want %d", len(got), len(want))
-	}
-	for unit, versions := range got {
-		if len(versions) != want[unit] {
-			t.Fatalf("unit %s: %d versions, want %d", unit, len(versions), want[unit])
-		}
-		individual, err := m.ListVersions(bg, unit)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range versions {
-			if versions[i].Number != individual[i].Number || versions[i].DataHash != individual[i].DataHash {
-				t.Fatalf("unit %s version %d differs from ListVersions", unit, i)
-			}
-		}
-	}
-	if _, ok := got["missing-unit"]; ok {
-		t.Fatal("missing unit present in batch result")
-	}
-}
-
 // TestStreamedConfidentiality: no single cloud stores the plaintext of a
 // streamed CA write.
 func TestStreamedConfidentiality(t *testing.T) {

@@ -162,7 +162,8 @@ func CmdRdp(template Tuple) Command { return Command{Op: opRdp, Template: templa
 // read.
 func CmdRdAll(template Tuple) Command { return Command{Op: opRdAll, Template: template} }
 
-// CmdInp removes and returns one tuple matching the template.
+// CmdInp removes and returns one tuple matching the template; setting the
+// command's ExpectedVersion removes it only at that version.
 func CmdInp(template Tuple) Command { return Command{Op: opInp, Template: template} }
 
 // CmdReplace atomically substitutes the tuple matching template (if any)

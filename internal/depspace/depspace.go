@@ -134,7 +134,8 @@ type Command struct {
 	Template Tuple `json:"template,omitempty"`
 	// Replacement is used by replace/cas.
 	Replacement Tuple `json:"replacement,omitempty"`
-	// ExpectedVersion is used by cas; 0 means "must not exist".
+	// ExpectedVersion is used by cas, where 0 means "must not exist", and
+	// by inp, where 0 means "any version".
 	ExpectedVersion uint64 `json:"expected_version,omitempty"`
 	// ACL to attach on out/replace/cas.
 	ACL ACL `json:"acl,omitempty"`
@@ -306,6 +307,12 @@ func (s *Space) rdAll(cmd Command) Result {
 	return Result{OK: true, Entries: out, Count: len(out)}
 }
 
+// inp removes and returns one tuple matching Template. A nonzero
+// ExpectedVersion makes the removal conditional: a matching tuple at another
+// version stays and the command fails with ErrVersionClash, so a client
+// removes only the tuple it read, never one written since. Zero — what every
+// command logged before the field was honoured here carries — removes
+// whatever matches.
 func (s *Space) inp(cmd Command) Result {
 	i, e := s.findMatch(cmd.Template, cmd.Now)
 	if e == nil {
@@ -313,6 +320,9 @@ func (s *Space) inp(cmd Command) Result {
 	}
 	if !e.ACL.canWrite(cmd.Requester) {
 		return Result{OK: false, Err: ErrAccessDenied}
+	}
+	if cmd.ExpectedVersion != 0 && e.Version != cmd.ExpectedVersion {
+		return Result{OK: false, Err: ErrVersionClash, Version: e.Version}
 	}
 	s.entries = append(s.entries[:i], s.entries[i+1:]...)
 	return Result{OK: true, Entry: cloneEntry(e), Version: e.Version}

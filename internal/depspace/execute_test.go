@@ -99,6 +99,27 @@ func TestRdAllPrefix(t *testing.T) {
 	}
 }
 
+// TestInpExpectedVersion: a removal that names a version removes the tuple
+// only at that version; one that names none removes whatever matches.
+func TestInpExpectedVersion(t *testing.T) {
+	s := NewSpace()
+	template := Tuple{"meta", "/f", Wildcard}
+	v := execute(t, s, Command{Op: opOut, Tuple: Tuple{"meta", "/f", "a"}}).Version
+	if res := execute(t, s, Command{Op: opInp, Template: template, ExpectedVersion: v + 1}); res.OK || res.Err != ErrVersionClash || res.Version != v {
+		t.Fatalf("inp at a stale version: ok=%v err=%q version %d, want %q and the tuple's version %d", res.OK, res.Err, res.Version, ErrVersionClash, v)
+	}
+	if res := execute(t, s, Command{Op: opInp, Template: template, ExpectedVersion: v}); !res.OK {
+		t.Fatalf("inp at the tuple's version: %q", res.Err)
+	}
+	execute(t, s, Command{Op: opOut, Tuple: Tuple{"meta", "/f", "b"}})
+	if res := execute(t, s, Command{Op: opInp, Template: template}); !res.OK || res.Entry.Tuple[2] != "b" {
+		t.Fatalf("inp at no version: ok=%v err=%q", res.OK, res.Err)
+	}
+	if s.Len() != 0 {
+		t.Fatalf("%d tuples left, want 0", s.Len())
+	}
+}
+
 // fuzzSpace is a dozen tuples: open ones, ACL'd ones, a lock, a short tuple,
 // and one that expired at time 2.
 func fuzzSpace(t testing.TB) *Space {

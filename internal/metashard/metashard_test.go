@@ -474,6 +474,42 @@ func TestBatchSpanningShards(t *testing.T) {
 	}
 }
 
+// TestBatchConditionalCommandsRouteByKey: a conditional Delete or Cas goes to
+// its key's shard and is checked against the version that shard holds, so
+// a batch spanning shards purges and rewrites each record only at the
+// version it was read at.
+func TestBatchConditionalCommandsRouteByKey(t *testing.T) {
+	s := newSharded(t, 2)
+	k0, k1 := twoShardKeys(t, s)
+	acl := coord.ACL{Owner: "agent"}
+	v0, err := s.PutMetadata(bg, k0, []byte("zero"), acl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1, err := s.PutMetadata(bg, k1, []byte("one"), acl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Batch(bg, []coord.Op{
+		coord.Delete(k0, v0+100), // stale
+		coord.Cas(k1, []byte("one'"), v1, acl),
+		coord.Delete(k0, v0),
+		coord.Cas(k1, []byte("one''"), v1, acl), // stale: the Cas above moved it
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(res[0].Err, coord.ErrConflict) || res[1].Err != nil || res[2].Err != nil || !errors.Is(res[3].Err, coord.ErrConflict) {
+		t.Fatalf("stale delete %v, cas %v, delete %v, stale cas %v", res[0].Err, res[1].Err, res[2].Err, res[3].Err)
+	}
+	if _, err := s.GetMetadata(bg, k0); !errors.Is(err, coord.ErrNotFound) {
+		t.Errorf("deleted record: %v, want ErrNotFound", err)
+	}
+	if rec, err := s.GetMetadata(bg, k1); err != nil || string(rec.Value) != "one'" {
+		t.Errorf("rewritten record %q, %v", rec.Value, err)
+	}
+}
+
 func (f *failingShard) Batch(ctx context.Context, ops []coord.Op) ([]coord.Result, error) {
 	if f.failing() {
 		return nil, errors.New("injected shard outage")

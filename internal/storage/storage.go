@@ -12,8 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
-	"sort"
 	"sync"
 
 	"scfs/internal/cloud"
@@ -231,31 +229,45 @@ func (s *SingleCloud) ListVersions(ctx context.Context, fileID string) ([]string
 	return hashes, nil
 }
 
+// sweepConcurrency bounds how many files a DeleteVersionsBatch sweeps at
+// once. On the cloud-of-clouds a file in flight is a request at each of the
+// n clouds per round; 16 makes a WAN collection's sweep a few rounds deep,
+// and 64 saves little more for four times the requests in flight.
+const sweepConcurrency = 16
+
+// sweep calls del for every file of batch, sweepConcurrency files at a time,
+// and returns when all are done.
+func sweep(batch map[string][]string, del func(fileID string, hashes []string)) {
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, sweepConcurrency)
+	for fileID, hashes := range batch {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(fileID string, hashes []string) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			del(fileID, hashes)
+		}(fileID, hashes)
+	}
+	wg.Wait()
+}
+
 // DeleteVersionsBatch implements VersionSweeper: single-cloud versions are
 // addressed directly by name, so the sweep is just bounded-parallel deletes
 // (one object per version; reclaimed bytes are not attributed).
 func (s *SingleCloud) DeleteVersionsBatch(ctx context.Context, batch map[string][]string) SweepStats {
 	var stats SweepStats
 	var mu sync.Mutex
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, sweepConcurrency)
-	for fileID, hashes := range batch {
+	sweep(batch, func(fileID string, hashes []string) {
 		for _, hash := range hashes {
-			wg.Add(1)
-			go func(fileID, hash string) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				if s.store.Delete(ctx, versionObject(fileID, hash)) == nil {
-					mu.Lock()
-					stats.Deleted++
-					stats.ReclaimedObjects++
-					mu.Unlock()
-				}
-			}(fileID, hash)
+			if s.store.Delete(ctx, versionObject(fileID, hash)) == nil {
+				mu.Lock()
+				stats.Deleted++
+				stats.ReclaimedObjects++
+				mu.Unlock()
+			}
 		}
-	}
-	wg.Wait()
+	})
 	return stats
 }
 
@@ -333,16 +345,8 @@ func (c *CloudOfClouds) ReadVersion(ctx context.Context, fileID, hash string) ([
 
 // DeleteVersion implements VersionedStore.
 func (c *CloudOfClouds) DeleteVersion(ctx context.Context, fileID, hash string) error {
-	versions, err := c.mgr.ListVersions(ctx, fileID)
-	if err != nil {
-		return err
-	}
-	for _, v := range versions {
-		if v.DataHash == hash {
-			return c.mgr.DeleteVersion(ctx, fileID, v.Number)
-		}
-	}
-	return nil
+	_, _, err := c.mgr.DeleteMatching(ctx, fileID, []string{hash})
+	return err
 }
 
 // ListVersions implements VersionedStore.
@@ -385,104 +389,30 @@ func (c *CloudOfClouds) OpenVersionAt(ctx context.Context, fileID, hash string) 
 	return r, nil
 }
 
-// sweepConcurrency bounds the per-file fan-out of DeleteVersionsBatch.
-const sweepConcurrency = 4
-
-// DeleteVersionsBatch implements VersionSweeper: one batched metadata sweep
-// resolves every hash to its version number, then each file's versions are
-// deleted with a single metadata round trip. The reclaimed footprint is
-// computed from the version metadata the sweep already fetched, so chunked
-// versions are credited with every chunk object they free.
-//
-// The per-file deletions are issued in descending dollars-per-byte order:
-// a version whose spend is dominated by per-object fees (many small chunks)
-// reclaims more money per byte than a big cheap blob, so when the sweep is
-// cut short — context cancelled, unmount, provider outage — the dollars
-// already reclaimed are maximal for the work done.
+// DeleteVersionsBatch implements VersionSweeper: each file's doomed versions
+// go out in one DeleteMatching — one metadata read and one metadata write on
+// the clouds — with sweepConcurrency files in flight. What is reclaimed is
+// priced from the entries whose objects were deleted, so a chunked version is
+// credited with every chunk object it frees and an entry fewer than f+1
+// clouds vouch for, dropped from the metadata only, with nothing.
 func (c *CloudOfClouds) DeleteVersionsBatch(ctx context.Context, batch map[string][]string) SweepStats {
-	fileIDs := make([]string, 0, len(batch))
-	for fileID := range batch {
-		fileIDs = append(fileIDs, fileID)
-	}
-	meta := c.mgr.ReadMetadataBatch(ctx, fileIDs)
-
-	type sweepJob struct {
-		fileID  string
-		numbers []uint64
-		doomed  depsky.Footprint
-		dollars float64 // $/month the job stops accruing (reported)
-		value   float64 // ranking value, see below
-	}
-	jobs := make([]sweepJob, 0, len(batch))
-	for fileID, hashes := range batch {
-		versions := meta[fileID]
-		if len(versions) == 0 {
-			continue
-		}
-		byHash := make(map[string]depsky.VersionInfo, len(versions))
-		for _, v := range versions {
-			byHash[v.DataHash] = v
-		}
-		job := sweepJob{fileID: fileID}
-		for _, h := range hashes {
-			if v, ok := byHash[h]; ok {
-				job.numbers = append(job.numbers, v.Number)
-				job.doomed.Add(c.mgr.VersionFootprint(v))
-				est := c.mgr.VersionCost(v)
-				job.dollars += est.StoragePerMonth
-				// The ranking value needs an axis that is NOT simply
-				// proportional to bytes (recurring storage alone is — every
-				// job would tie). ReadOnce's per-object GET fees scale with
-				// the chunk count, so a fee-heavy chunked version outranks
-				// a big cheap blob of equal byte footprint.
-				job.value += est.StoragePerMonth + est.ReadOnce
-			}
-		}
-		if len(job.numbers) > 0 {
-			jobs = append(jobs, job)
-		}
-	}
-	// Rank by estimated reclaim value per byte, fee-dominated reclamations
-	// first (zero bytes with nonzero value is pure request-fee relief).
-	perByte := func(j sweepJob) float64 {
-		if j.doomed.Bytes <= 0 {
-			if j.value > 0 {
-				return math.Inf(1)
-			}
-			return 0
-		}
-		return j.value / float64(j.doomed.Bytes)
-	}
-	sort.SliceStable(jobs, func(a, b int) bool { return perByte(jobs[a]) > perByte(jobs[b]) })
-
 	var stats SweepStats
 	var mu sync.Mutex
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, sweepConcurrency)
-	for _, job := range jobs {
-		if ctx.Err() != nil {
-			break
+	sweep(batch, func(fileID string, hashes []string) {
+		n, freed, err := c.mgr.DeleteMatching(ctx, fileID, hashes)
+		if err != nil {
+			return
 		}
-		// Acquire the slot before spawning so jobs are issued in rank order
-		// even under the bounded concurrency.
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(job sweepJob) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if n, err := c.mgr.DeleteVersions(ctx, job.fileID, job.numbers); err == nil {
-				mu.Lock()
-				stats.Deleted += n
-				if n == len(job.numbers) {
-					stats.ReclaimedBytes += job.doomed.Bytes
-					stats.ReclaimedObjects += job.doomed.Objects
-					stats.ReclaimedDollars += job.dollars
-				}
-				mu.Unlock()
-			}
-		}(job)
-	}
-	wg.Wait()
+		mu.Lock()
+		defer mu.Unlock()
+		stats.Deleted += n
+		for _, v := range freed {
+			fp := c.mgr.VersionFootprint(v)
+			stats.ReclaimedBytes += fp.Bytes
+			stats.ReclaimedObjects += fp.Objects
+			stats.ReclaimedDollars += c.mgr.VersionCost(v).StoragePerMonth
+		}
+	})
 	return stats
 }
 

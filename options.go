@@ -24,8 +24,8 @@ import (
 // Pricing types, re-exported so mounts can bring their own price tables.
 type (
 	// PriceTable maps provider names to their rate cards; it drives the
-	// cost-aware placement objective, the garbage collector's
-	// dollars-per-byte ranking and CostReport.
+	// cost-aware placement objective, the dollars the garbage collector
+	// reports reclaimed and CostReport.
 	PriceTable = pricing.Table
 	// CloudRates is the price card of one provider.
 	CloudRates = pricing.Rates
@@ -165,8 +165,8 @@ func WithLockTTL(ttl time.Duration) Option { return func(c *config) { c.lockTTL 
 
 // WithPriceTable replaces the bundled per-provider price table (matched by
 // ObjectStore.Provider() name). The table prices the cost-aware placement
-// objective (WithPlacement), the garbage collector's dollars-per-byte
-// ranking, and CostReport. Mounts without this option use
+// objective (WithPlacement), the dollars the garbage collector reports
+// reclaimed, and CostReport. Mounts without this option use
 // DefaultPriceTable.
 func WithPriceTable(t PriceTable) Option {
 	return func(c *config) { c.pricing, c.pricingSet = t, true }

@@ -356,8 +356,7 @@ func (m *FS) WaitForUploads(ctx context.Context) error { return m.agent.WaitForU
 
 // Collect runs one synchronous garbage-collection pass. The report carries
 // what was reclaimed along every axis of the cloud cost model, including
-// the $/month of storage spend the run stopped accruing; candidates are
-// swept in descending dollars-per-byte order.
+// the $/month of storage spend the run stopped accruing.
 func (m *FS) Collect(ctx context.Context) (core.GCReport, error) { return m.agent.Collect(ctx) }
 
 // CostReport prices the mount's current cloud footprint: files, versions
