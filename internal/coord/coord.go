@@ -1,10 +1,10 @@
 // Package coord defines the coordination-service facade used by the SCFS
 // agent ("modular coordination" in the paper): a small, strongly consistent
 // metadata table with conditional updates, plus an ephemeral lock service.
-// Two backends are provided — the DepSpace tuple space (internal/depspace)
-// and the Zookeeper-like znode tree (internal/zkcoord) — along with wrappers
-// that add the client-to-coordination-service network latency and count
-// accesses (the dominant cost of metadata-intensive workloads in §4).
+// The backend is the DepSpace tuple space (internal/depspace), the
+// configuration the paper evaluates, along with wrappers that add the
+// client-to-coordination-service network latency and count accesses (the
+// dominant cost of metadata-intensive workloads in §4).
 package coord
 
 import (
@@ -22,12 +22,11 @@ type ACL struct {
 	Writers []string
 }
 
-// Record is one stored metadata entry. ACL is the access policy stored with
-// the record, populated by backends that enforce ACLs (DepSpace); backends
-// without server-side ACLs (the znode backend) leave it zero. Carrying it in
-// reads lets record-by-record moves — the sharded router's cross-shard
-// RenamePrefix — re-store each record under its original policy instead of
-// silently widening access.
+// Record is one stored metadata entry. ACL is the access policy the service
+// stored and enforces with the record. Carrying it in reads lets
+// record-by-record moves — the sharded router's cross-shard RenamePrefix —
+// re-store each record under its original policy instead of silently
+// widening access.
 type Record struct {
 	Key     string
 	Value   []byte
@@ -197,10 +196,10 @@ type Service interface {
 	// must not act on a record changed by someone else carries the version
 	// it expects (Delete, Cas) and fails alone with ErrConflict. The returned
 	// error means the access itself failed and no Result is valid; as with
-	// any lost reply, the commands may still have executed. Where a backend
-	// has no single command for an outcome, that command completes in a
-	// follow-up access after the rest of the batch; each backend's Batch
-	// names the cases.
+	// any lost reply, the commands may still have executed. One command
+	// takes a follow-up access after the rest of the batch: a TryLock that
+	// finds the lock held by its own owner renews the lease in a second
+	// access.
 	Batch(ctx context.Context, ops []Op) ([]Result, error)
 
 	// Stats returns a snapshot of the access counters.

@@ -9,21 +9,16 @@ import (
 
 	"scfs/internal/clock"
 	"scfs/internal/depspace"
-	"scfs/internal/zkcoord"
 )
+
+var bg = context.Background()
 
 // backends returns one instance of every coordination backend under test,
 // each bound to the principal "alice".
-var bg = context.Background()
-
 func backends(t *testing.T) map[string]Service {
 	t.Helper()
 	ds := NewDepSpaceService(depspace.NewClient(&depspace.LocalInvoker{Space: depspace.NewSpace()}, "alice", nil))
-	zk, err := NewZKService(bg, zkcoord.NewClient(&zkcoord.LocalInvoker{Tree: zkcoord.NewTree()}, "alice", nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return map[string]Service{"depspace": ds, "zookeeper": zk}
+	return map[string]Service{"depspace": ds}
 }
 
 func TestMetadataCRUDAllBackends(t *testing.T) {

@@ -16,9 +16,6 @@ type backendNamer interface {
 // Backend implements backendNamer for the DepSpace adapter.
 func (d *DepSpaceService) Backend() string { return "depspace" }
 
-// Backend implements backendNamer for the znode adapter.
-func (z *ZKService) Backend() string { return "zk" }
-
 // BackendName returns a stable telemetry label for a coordination service:
 // the service's own Backend() when it has one, "custom" otherwise.
 func BackendName(s Service) string {

@@ -227,8 +227,12 @@ func TestPNSEncodeDecodeRoundTrip(t *testing.T) {
 	if got.Get("/private/file3") == nil {
 		t.Fatal("entry lost in round trip")
 	}
-	if _, err := DecodePNS([]byte("{")); err == nil {
-		t.Fatal("DecodePNS accepted garbage")
+	// The bytes come from the clouds: a null entry is refused, not
+	// dereferenced.
+	for _, bad := range []string{"{", `{"user":"u","entries":[null]}`, `{"user":"u","entries":[{"path":"/a"},null]}`} {
+		if _, err := DecodePNS([]byte(bad)); err == nil {
+			t.Errorf("DecodePNS(%s) accepted garbage", bad)
+		}
 	}
 }
 

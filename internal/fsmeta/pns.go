@@ -150,14 +150,18 @@ func (p *PNS) Encode() ([]byte, error) {
 	return b, nil
 }
 
-// DecodePNS parses a serialized private name space.
+// DecodePNS parses a serialized private name space. The bytes come from the
+// clouds, so an entry that is null is an error, not a crash.
 func DecodePNS(b []byte) (*PNS, error) {
 	var wire pnsWire
 	if err := json.Unmarshal(b, &wire); err != nil {
 		return nil, fmt.Errorf("fsmeta: decoding PNS: %w", err)
 	}
 	p := NewPNS(wire.User)
-	for _, m := range wire.Entries {
+	for i, m := range wire.Entries {
+		if m == nil {
+			return nil, fmt.Errorf("fsmeta: decoding PNS of %q: entry %d is null", wire.User, i)
+		}
 		p.entries[Clean(m.Path)] = m
 	}
 	return p, nil

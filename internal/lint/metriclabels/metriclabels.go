@@ -6,7 +6,7 @@
 // stays bounded only if (a) base names are fixed strings, never built with
 // fmt.Sprintf, and (b) label keys come from a small deliberate vocabulary
 // (values may be dynamic — they are bounded by configuration: cloud names,
-// tenants, op classes). The analyzer enforces:
+// op classes). The analyzer enforces:
 //
 //  1. the kv tail has an even number of arguments (key/value pairs);
 //  2. label keys are compile-time string constants drawn from AllowedKeys;
@@ -43,10 +43,8 @@ var AllowedKeys = map[string]bool{
 	"cloud":   true, // provider name (bounded by mount configuration)
 	"op":      true, // operation class: get / put / delete / list / trylock / unlock; batch = one round trip carrying several
 	"outcome": true, // ok / error / canceled
-	"backend": true, // coordination backend: depspace / zk / smr
-	"tenant":  true, // gateway tenant (bounded by gateway configuration)
+	"backend": true, // coordination backend: depspace / metashard / custom
 	"result":  true, // cache result: hit / miss
-	"cause":   true, // gateway error cause: canceled / backend
 }
 
 // Analyzer bounds metric-name cardinality at telemetry.Name call sites.

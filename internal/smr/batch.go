@@ -16,8 +16,8 @@ import (
 // and executed back to back at the replicas. The envelope below frames a
 // batch; BatchApplication unpacks it replica-side; Coalescer packs it
 // client-side. The three pieces are application-agnostic — any Application
-// whose commands never begin with a 0x00 byte (JSON commands, as both
-// depspace and zkcoord use, never do) can be wrapped.
+// whose commands never begin with a 0x00 byte (JSON commands, as depspace
+// uses, never do) can be wrapped.
 
 // batchMagic prefixes a batch envelope. The leading 0x00 byte cannot start a
 // JSON document, so plain commands and envelopes are unambiguous.
@@ -121,8 +121,8 @@ func (b *BatchApplication) Snapshot() []byte { return b.App.Snapshot() }
 func (b *BatchApplication) Restore(snapshot []byte) error { return b.App.Restore(snapshot) }
 
 // Invoker submits a serialized command for totally ordered execution and
-// returns the serialized result (the same shape depspace.Invoker and
-// zkcoord.Invoker declare). Client implements it.
+// returns the serialized result (the same shape depspace.Invoker declares).
+// Client implements it.
 type Invoker interface {
 	Invoke(ctx context.Context, op []byte) ([]byte, error)
 }

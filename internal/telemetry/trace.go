@@ -49,14 +49,13 @@ func (o SpanOutcome) String() string {
 
 // Span is one attempt or phase in an operation's fan-out tree. Name is the
 // span kind and must be a constant — data-plane RPCs ("meta.get",
-// "block.get", "block.put", "chunk.get"), metadata-plane phases
-// ("smr.invoke", "smr.batch", "shard.route", "shard.fanout") and gateway
-// requests ("http.get", "http.head"); variable detail belongs in Target
-// (the provider, shard or tenant the span worked against, or the batch
-// flush trigger), never Sprintf'd into the name. Hedged marks attempts
-// that launched from a hedge tier rather than the preferred set. Err (if
-// any) is kept as an error value — formatting is deferred to export time
-// so the hot path never builds strings.
+// "block.get", "block.put", "chunk.get") and metadata-plane phases
+// ("smr.invoke", "smr.batch", "shard.route", "shard.fanout"); variable
+// detail belongs in Target (the provider or shard the span worked against,
+// or the batch flush trigger), never Sprintf'd into the name. Hedged marks
+// attempts that launched from a hedge tier rather than the preferred set.
+// Err (if any) is kept as an error value — formatting is deferred to export
+// time so the hot path never builds strings.
 //
 // The metadata-plane fields are zero on data-plane spans: Wait is time
 // spent queued before work started (a pipelining-window wait, a batch
@@ -127,7 +126,7 @@ const inlineSpans = 12
 
 // maxTraceSpans caps the spans one trace retains. Without a cap a single
 // trace can grow without bound — a metadata storm funnelling a thousand
-// sessions' batches through one gateway request would retain every span —
+// sessions' batches through one traced operation would retain every span —
 // and the flight recorder's memory accounting would be meaningless. Spans
 // past the cap are counted (Dropped), not stored.
 const maxTraceSpans = 256
@@ -147,15 +146,14 @@ const (
 // the dispatch layers, and finished (and exported) when the operation
 // returns. A nil *Trace is a disabled trace: every method no-ops.
 type Trace struct {
-	// Op is the operation kind ("read", "write", "stat", "http.get", ...).
+	// Op is the operation kind ("read", "write", "stat", ...).
 	Op string
 	// Unit names the object the operation worked on.
 	Unit string
 	// Start is when the operation began.
 	Start time.Time
-	// ID is the trace's wire identity (W3C trace-id shaped). Set by
-	// Tracer.Start; a gateway joining a caller's distributed trace carries
-	// the caller's ID here.
+	// ID is the trace's identity (W3C trace-id shaped), minted by
+	// Tracer.Start.
 	ID TraceID
 
 	tracer *Tracer
@@ -420,23 +418,13 @@ func (tr *Tracer) SetRecorder(fr *FlightRecorder) {
 // land on the parent and the returned trace is nil (its Finish is a
 // no-op), so exactly one trace per client operation reaches the ring.
 func (tr *Tracer) Start(ctx context.Context, op, unit string) (context.Context, *Trace) {
-	return tr.StartID(ctx, op, unit, TraceID{})
-}
-
-// StartID is Start with a caller-supplied trace identity — how a gateway
-// continues the distributed trace a client's traceparent header named. A
-// zero id mints a fresh one.
-func (tr *Tracer) StartID(ctx context.Context, op, unit string, id TraceID) (context.Context, *Trace) {
 	if tr == nil {
 		return ctx, nil
 	}
 	if FromContext(ctx) != nil {
 		return ctx, nil
 	}
-	if id.IsZero() {
-		id = NewTraceID()
-	}
-	t := &Trace{Op: op, Unit: unit, Start: time.Now(), ID: id, tracer: tr}
+	t := &Trace{Op: op, Unit: unit, Start: time.Now(), ID: NewTraceID(), tracer: tr}
 	return context.WithValue(ctx, traceKey{}, t), t
 }
 

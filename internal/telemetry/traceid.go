@@ -4,15 +4,13 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
-	"strings"
 	"sync/atomic"
 )
 
-// TraceID identifies one trace across process boundaries: 16 bytes, hex
-// encoded on the wire — the shape W3C Trace Context gives trace-id, so a
-// gateway can join a caller's distributed trace and hand the ID back in a
-// response header. The zero value is "no ID" (W3C reserves the all-zero
-// trace-id as invalid).
+// TraceID identifies one trace: 16 bytes, hex encoded in the event log and
+// the debug server's trace listings, and kept in its compact form (Short)
+// as a histogram exemplar — the shape W3C Trace Context gives trace-id. The
+// zero value is "no ID" (W3C reserves the all-zero trace-id as invalid).
 type TraceID [16]byte
 
 // Process-unique ID generation: the high half is fixed at process start
@@ -65,29 +63,4 @@ func ParseTraceID(s string) (TraceID, bool) {
 		return TraceID{}, false
 	}
 	return id, true
-}
-
-// ParseTraceparent extracts the trace ID from a W3C traceparent header
-// value: "00-<32 hex trace-id>-<16 hex parent-id>-<2 hex flags>". Future
-// versions are accepted as long as the first two fields keep their shape
-// (the spec requires that); version 0xff is reserved-invalid.
-func ParseTraceparent(h string) (TraceID, bool) {
-	parts := strings.SplitN(strings.TrimSpace(h), "-", 4)
-	if len(parts) != 4 || len(parts[0]) != 2 || len(parts[2]) != 16 || len(parts[3]) < 2 {
-		return TraceID{}, false
-	}
-	if parts[0] == "ff" {
-		return TraceID{}, false
-	}
-	if _, err := hex.DecodeString(parts[0]); err != nil {
-		return TraceID{}, false
-	}
-	return ParseTraceID(parts[1])
-}
-
-// Traceparent renders the ID as an outgoing traceparent header value,
-// reusing the ID's low half as the parent span ID (this package tracks
-// span parentage implicitly, by recording order).
-func (id TraceID) Traceparent() string {
-	return "00-" + id.String() + "-" + hex.EncodeToString(id[8:]) + "-01"
 }

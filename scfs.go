@@ -88,12 +88,9 @@ type (
 	Trace = telemetry.Trace
 	// Span is one per-cloud RPC attempt inside a Trace.
 	Span = telemetry.Span
-	// TraceID is a trace's wire identity (W3C trace-id shaped); the
-	// gateway propagates it via traceparent/X-SCFS-Trace headers.
+	// TraceID is a trace's identity (W3C trace-id shaped), as the event log
+	// and the debug server's trace listings print it.
 	TraceID = telemetry.TraceID
-	// Tracer is the mount's request tracer (see WithTracing and
-	// FS.Tracer); the gateway package accepts one via gateway.WithTracer.
-	Tracer = telemetry.Tracer
 	// FlightRecorder retains exemplar traces — the slow tail and every
 	// faulted operation (see WithFlightRecorder and FS.FlightRecorder).
 	FlightRecorder = telemetry.FlightRecorder
@@ -214,11 +211,6 @@ func (m *FS) Stats() Stats { return m.agent.Stats() }
 // WithTracing (or WithDebugServer).
 func (m *FS) Traces(n int) []*Trace { return m.tracer.Recent(n) }
 
-// Tracer returns the mount's request tracer, or nil unless the mount was
-// built WithTracing (or WithDebugServer) — hand it to gateway.WithTracer
-// so HTTP requests join the mount's traces.
-func (m *FS) Tracer() *Tracer { return m.tracer }
-
 // FlightRecorder returns the mount's flight recorder, or nil unless the
 // mount was built WithFlightRecorder (or WithDebugServer). Where Traces
 // holds the most *recent* operations, the recorder holds the most
@@ -227,10 +219,10 @@ func (m *FS) Tracer() *Tracer { return m.tracer }
 func (m *FS) FlightRecorder() *FlightRecorder { return m.flight }
 
 // traced starts a facade-level trace for one metadata operation. An
-// operation arriving with a trace already on its context — a gateway
-// request, an io/fs walk inside a traced read — joins it instead (tr is
-// then nil and its SetError/Finish no-op), so exactly one trace covers
-// each client-visible operation.
+// operation arriving with a trace already on its context — an io/fs walk
+// inside a traced read — joins it instead (tr is then nil and its
+// SetError/Finish no-op), so exactly one trace covers each client-visible
+// operation.
 func (m *FS) traced(ctx context.Context, op, unit string) (context.Context, *telemetry.Trace) {
 	return m.tracer.Start(ctx, op, unit)
 }

@@ -139,6 +139,62 @@ func TestStatsTelemetry(t *testing.T) {
 	check(reader, "read")
 }
 
+// TestOneTraceSpansEveryLayer: one facade operation on a sharded,
+// replicated metadata plane must yield exactly one trace crossing every
+// layer — the smr invocations its coordination lookups turned into, the
+// shard routing decisions, and the per-cloud RPCs of the data fetch. The
+// caches are ~empty so the open must go to the clouds.
+func TestOneTraceSpansEveryLayer(t *testing.T) {
+	m := namedMount(t,
+		scfs.WithDiskCache(t.TempDir(), 1),
+		scfs.WithMemoryCache(1),
+		scfs.WithCoordShards(2),
+		scfs.WithMaxInflight(8),
+		scfs.WithTracing(128))
+	if err := m.Mkdir(bg, "/docs"); err != nil {
+		t.Fatal(err)
+	}
+	if err := scfs.WriteFile(bg, m, "/docs/f.txt", []byte("end to end")); err != nil {
+		t.Fatal(err)
+	}
+	before := m.Traces(0)
+
+	h, err := m.Open(bg, "/docs/f.txt", scfs.ReadOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 64)
+	n, err := h.ReadAt(bg, buf, 0)
+	if err != nil && err != io.EOF {
+		t.Fatal(err)
+	}
+	if err := h.Close(bg); err != nil {
+		t.Fatal(err)
+	}
+	if string(buf[:n]) != "end to end" {
+		t.Fatalf("read %q", buf[:n])
+	}
+
+	after := m.Traces(0) // newest first
+	fresh := after[:len(after)-len(before)]
+	var whole []*scfs.Trace
+	for _, tr := range fresh {
+		names := make(map[string]bool)
+		for _, s := range tr.Spans() {
+			names[s.Name] = true
+		}
+		if names["smr.invoke"] && names["shard.route"] && (names["meta.get"] || names["block.get"] || names["chunk.get"]) {
+			whole = append(whole, tr)
+		}
+	}
+	if len(whole) != 1 {
+		for _, tr := range fresh {
+			t.Logf("%s %s: %v", tr.Op, tr.Unit, tr.Describe())
+		}
+		t.Fatalf("%d new traces hold an smr.invoke, a shard.route and a per-cloud span; want exactly 1", len(whole))
+	}
+}
+
 // memHandler is a minimal slog.Handler collecting records.
 type memHandler struct {
 	mu   sync.Mutex
