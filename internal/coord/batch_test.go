@@ -38,7 +38,8 @@ func batchScript() [][]Op {
 }
 
 // TestBatchEqualsSingleCallsAllBackends: a Batch returns, command for
-// command, what the same calls return issued one after another.
+// command, what the same calls return issued one after another — and for a
+// Cas that clashes, the record it clashed with besides.
 func TestBatchEqualsSingleCallsAllBackends(t *testing.T) {
 	singles, batched := backends(t), backends(t)
 	for name, svc := range singles {
@@ -58,6 +59,10 @@ func TestBatchEqualsSingleCallsAllBackends(t *testing.T) {
 				}
 				got = append(got, res...)
 			}
+			if got[16].Record.Key != "/d/h" || string(got[16].Record.Value) != "h" {
+				t.Errorf("second create-if-absent clashed with %+v, want /d/h's record", got[16].Record)
+			}
+			got[16].Record = Record{}
 			for i := range want {
 				if !reflect.DeepEqual(got[i], want[i]) {
 					t.Errorf("command %d: batch %+v, single %+v", i, got[i], want[i])
@@ -146,6 +151,36 @@ func TestConditionalBatchCommands(t *testing.T) {
 				t.Fatalf("cas of the absent record %v, create %v, second create %v", res[3].Err, res[4].Err, res[5].Err)
 			}
 		})
+	}
+}
+
+// TestCasClashReturnsTheRecord: a batched Cas that clashes answers with the
+// record it clashed with, as a Get would — to a reader. Someone the record's
+// ACL denies gets ErrDenied and no record, as from a Get.
+func TestCasClashReturnsTheRecord(t *testing.T) {
+	space := depspace.NewSpace()
+	alice := NewDepSpaceService(depspace.NewClient(&depspace.LocalInvoker{Space: space}, "alice", nil))
+	bob := NewDepSpaceService(depspace.NewClient(&depspace.LocalInvoker{Space: space}, "bob", nil))
+	acl := ACL{Owner: "alice"}
+	v, err := alice.PutMetadata(bg, "/f", []byte("v1"), acl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := alice.Batch(bg, []Op{Cas("/f", []byte("new"), 0, acl), Cas("/f", []byte("new"), v+1, acl), Get("/f")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range res[:2] {
+		if !errors.Is(r.Err, ErrConflict) || !reflect.DeepEqual(r.Record, res[2].Record) {
+			t.Errorf("clashing cas %d: %v, record %+v; want ErrConflict and what Get returns, %+v", i, r.Err, r.Record, res[2].Record)
+		}
+	}
+	res, err = bob.Batch(bg, []Op{Cas("/f", []byte("mine"), 0, ACL{Owner: "bob"}), Get("/f")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(res[0].Err, ErrDenied) || res[0].Record.Value != nil || !errors.Is(res[1].Err, ErrDenied) {
+		t.Fatalf("bob's clashing cas: %v, record %+v; want ErrDenied and no record, as his Get (%v)", res[0].Err, res[0].Record, res[1].Err)
 	}
 }
 

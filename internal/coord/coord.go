@@ -149,9 +149,11 @@ func Cas(key string, value []byte, version uint64, acl ACL) Op {
 }
 
 // Result is the outcome of one batched command: what the Service method of
-// the same name would have returned.
+// the same name would have returned. A Cas that fails with ErrConflict also
+// returns the record it clashed with, exactly what a Get would have, so a
+// conditional create learns in the same access what holds the key.
 type Result struct {
-	Record  Record   // OpGet
+	Record  Record   // OpGet; OpCas failing with ErrConflict
 	Records []Record // OpList
 	Version uint64   // OpPut, OpCas
 	Err     error
@@ -210,7 +212,8 @@ type Service interface {
 // Batch; a lone command is issued as the Service call it stands for — the
 // same round trip, counted under its own class rather than as a batch — and
 // whatever that call returns, a failed access included, is its Result.Err.
-// A lone conditional Delete has no such call and travels as a batch of one.
+// A lone conditional Delete has no such call and travels as a batch of one;
+// a lone Cas's clash, like CasMetadata's, carries no record.
 func Do(ctx context.Context, s Service, ops ...Op) ([]Result, error) {
 	if len(ops) != 1 {
 		return s.Batch(ctx, ops)

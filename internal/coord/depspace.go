@@ -141,7 +141,14 @@ func dsResult(op Op, res depspace.Result) Result {
 		}
 		return Result{Records: out}
 	case OpPut, OpCas:
-		return Result{Version: res.Version, Err: mapDepSpaceError(err)}
+		r := Result{Version: res.Version, Err: mapDepSpaceError(err)}
+		if e := res.Entry; op.Kind == OpCas && errors.Is(r.Err, ErrConflict) && e != nil {
+			// The tuple the command clashed with: what a Get would return.
+			if r.Record, err = recordOf(*e); err != nil {
+				r.Err = err
+			}
+		}
+		return r
 	case OpTryLock:
 		if errors.Is(err, depspace.ErrExists) {
 			return Result{Err: ErrLockHeld}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -45,6 +46,19 @@ func (s *stagedCoord) enter(kinds ...coord.OpKind) {
 	}
 }
 
+// parkOn makes the next call that carries a command of kind park.
+func (s *stagedCoord) parkOn(kind coord.OpKind) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.park = func(kinds []coord.OpKind) bool {
+		if slices.Contains(kinds, kind) {
+			s.park = nil
+			return true
+		}
+		return false
+	}
+}
+
 // count returns the accesses made since the previous call.
 func (s *stagedCoord) count() int {
 	s.mu.Lock()
@@ -62,6 +76,21 @@ func (s *stagedCoord) GetMetadata(ctx context.Context, key string) (coord.Record
 func (s *stagedCoord) PutMetadata(ctx context.Context, key string, value []byte, acl coord.ACL) (uint64, error) {
 	s.enter(coord.OpPut)
 	return s.Service.PutMetadata(ctx, key, value, acl)
+}
+
+func (s *stagedCoord) CasMetadata(ctx context.Context, key string, value []byte, expected uint64, acl coord.ACL) (uint64, error) {
+	s.enter(coord.OpCas)
+	return s.Service.CasMetadata(ctx, key, value, expected, acl)
+}
+
+func (s *stagedCoord) DeleteMetadata(ctx context.Context, key string) error {
+	s.enter(coord.OpDelete)
+	return s.Service.DeleteMetadata(ctx, key)
+}
+
+func (s *stagedCoord) RenamePrefix(ctx context.Context, oldPrefix, newPrefix string) (int, error) {
+	s.enter()
+	return s.Service.RenamePrefix(ctx, oldPrefix, newPrefix)
 }
 
 func (s *stagedCoord) ListMetadata(ctx context.Context, prefix string) ([]coord.Record, error) {
@@ -140,14 +169,10 @@ func (d *deployment) agent(t *testing.T, id string, tune func(*Options)) (*Agent
 }
 
 // TestCoordinationAccessesPerOperation pins the round trips each facade
-// operation costs on a shared file.
+// operation costs on a shared file: only those its data dependencies need.
+// A create's lookup is the Cas that creates the record.
 func TestCoordinationAccessesPerOperation(t *testing.T) {
 	a, sc := newDeployment(t).agent(t, "a", nil)
-	if err := a.Mkdir(bg, "/d"); err != nil {
-		t.Fatal(err)
-	}
-	sc.count()
-
 	step := func(name string, want int, f func() error) {
 		t.Helper()
 		if err := f(); err != nil {
@@ -157,17 +182,24 @@ func TestCoordinationAccessesPerOperation(t *testing.T) {
 			t.Errorf("%s cost %d coordination accesses, want %d", name, got, want)
 		}
 	}
-	step("create+close", 3, func() error {
+	step("mkdir", 1, func() error { return a.Mkdir(bg, "/d") })
+	step("mkdir in a directory", 1, func() error { return a.Mkdir(bg, "/d/sub") })
+	step("rmdir", 2, func() error { return a.Rmdir(bg, "/d/sub") })
+	step("create+close", 2, func() error {
 		h, err := a.Open(bg, "/d/f", fsapi.ReadWrite|fsapi.Create|fsapi.Exclusive)
 		if err != nil {
 			return err
 		}
 		return h.Close(bg)
 	})
+	step("write of a new file", 2, func() error { return fsapi.WriteFile(bg, a, "/d/g", []byte("v1")) })
 	step("overwrite", 2, func() error { return fsapi.WriteFile(bg, a, "/d/f", []byte("v2")) })
 	step("stat", 1, func() error { _, err := a.Stat(bg, "/d/f"); return err })
 	step("readdir", 1, func() error { _, err := a.ReadDir(bg, "/d"); return err })
 	step("read-only open", 1, func() error { _, err := fsapi.ReadFile(bg, a, "/d/f"); return err })
+	step("rename", 3, func() error { return a.Rename(bg, "/d/g", "/d/h") })
+	step("unlink", 2, func() error { return a.Unlink(bg, "/d/h") })
+	step("create over a removed file", 3, func() error { return fsapi.WriteFile(bg, a, "/d/h", []byte("v3")) })
 }
 
 // TestWritableOpenBypassesMetadataCache: the metadata cache may answer a
@@ -254,16 +286,7 @@ func TestWriterOpensPredecessorsVersion(t *testing.T) {
 	// B's lock request stays in flight until A's close has completed;
 	// whatever B sends ahead of it reaches the service while A still holds
 	// the lock.
-	scB.mu.Lock()
-	scB.park = func(kinds []coord.OpKind) bool {
-		for _, k := range kinds {
-			if k == coord.OpTryLock {
-				return true
-			}
-		}
-		return false
-	}
-	scB.mu.Unlock()
+	scB.parkOn(coord.OpTryLock)
 	type opened struct {
 		h   fsapi.Handle
 		err error
@@ -359,5 +382,120 @@ func TestFailedCloseReleasesLock(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// records counts the coordination records stored under key.
+func records(t *testing.T, d *deployment, key string) int {
+	t.Helper()
+	recs, err := coord.NewDepSpaceService(depspace.NewClient(&depspace.LocalInvoker{Space: d.space}, "alice", nil)).ListMetadata(bg, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, r := range recs {
+		if r.Key == key {
+			n++
+		}
+	}
+	return n
+}
+
+// TestConcurrentExclusiveCreates: two agents open one path with
+// Create|Exclusive at once. Agent A's lookup is held back until agent B has
+// created the file. Exactly one open returns a handle; A is told that B holds
+// the file's lock, or once B has closed it, that the file exists. One record
+// remains.
+func TestConcurrentExclusiveCreates(t *testing.T) {
+	for _, closed := range []bool{false, true} {
+		t.Run(fmt.Sprintf("closed=%v", closed), func(t *testing.T) {
+			d := newDeployment(t)
+			a, scA := d.agent(t, "agent-a", nil)
+			b, _ := d.agent(t, "agent-b", nil)
+			const flags = fsapi.ReadWrite | fsapi.Create | fsapi.Exclusive
+			scA.parkOn(coord.OpCas)
+			done := make(chan error, 1)
+			go func() {
+				h, err := a.Open(bg, "/f", flags)
+				if err == nil {
+					h.Close(bg)
+					err = errors.New("A's open returned a handle too")
+				}
+				done <- err
+			}()
+			<-scA.arrived
+			hb, err := b.Open(bg, "/f", flags)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if closed {
+				if err := hb.Close(bg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			scA.release <- struct{}{}
+			want := fsapi.ErrLocked
+			if closed {
+				want = fsapi.ErrExist
+			}
+			if err := <-done; !errors.Is(err, want) {
+				t.Fatalf("A's open: %v, want %v", err, want)
+			}
+			if !closed {
+				if err := hb.Close(bg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if n := records(t, d, "/f"); n != 1 {
+				t.Fatalf("%d records of /f, want 1", n)
+			}
+		})
+	}
+}
+
+// TestRenameOntoConcurrentCreate: another agent creates the rename's target
+// between the rename's lookup and its move. The rename must not overwrite
+// that file: it returns ErrExist, and both files survive.
+func TestRenameOntoConcurrentCreate(t *testing.T) {
+	d := newDeployment(t)
+	a, scA := d.agent(t, "agent-a", nil)
+	b, _ := d.agent(t, "agent-b", nil)
+	if err := fsapi.WriteFile(bg, a, "/src", []byte("A's")); err != nil {
+		t.Fatal(err)
+	}
+	scA.parkOn(coord.OpCas)
+	done := make(chan error, 1)
+	go func() { done <- a.Rename(bg, "/src", "/dst") }()
+	<-scA.arrived
+	if err := fsapi.WriteFile(bg, b, "/dst", []byte("B's")); err != nil {
+		t.Fatal(err)
+	}
+	scA.release <- struct{}{}
+	if err := <-done; !errors.Is(err, fsapi.ErrExist) {
+		t.Fatalf("rename onto a path created since its lookup: %v, want ErrExist", err)
+	}
+	for path, want := range map[string]string{"/src": "A's", "/dst": "B's"} {
+		if got := readFresh(t, d, path, nil); got != want {
+			t.Errorf("%s holds %q, want %q", path, got, want)
+		}
+	}
+}
+
+// TestFailedCreateLeavesNoRecord: an open whose Cas created the file but
+// which then fails — its lock request refused, or its parent directory
+// missing — removes the record again.
+func TestFailedCreateLeavesNoRecord(t *testing.T) {
+	d := newDeployment(t)
+	a, sc := d.agent(t, "agent-a", nil)
+	if err := sc.Service.TryLock(bg, "/f", "agent-b", time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	for path, want := range map[string]error{"/f": fsapi.ErrLocked, "/missing/f": fsapi.ErrNotExist} {
+		if _, err := a.Open(bg, path, fsapi.ReadWrite|fsapi.Create); !errors.Is(err, want) {
+			t.Errorf("open of %s: %v, want %v", path, err, want)
+		}
+		if n := records(t, d, path); n != 0 {
+			t.Errorf("%d records of %s after the failed open, want 0", n, path)
+		}
 	}
 }

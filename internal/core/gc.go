@@ -122,21 +122,15 @@ func (a *Agent) Collect(ctx context.Context) (report GCReport, err error) {
 			}
 		}()
 	}
-	var recs []coord.Record
-	if svc != nil {
-		if recs, err = svc.ListMetadata(ctx, "/"); err != nil {
-			return report, err
-		}
-	}
-	version := make(map[string]uint64, len(recs))
-	for _, r := range recs {
-		version[r.Key] = r.Version
+	entries, err := a.listSubtree(ctx, "/")
+	if err != nil {
+		return report, err
 	}
 
 	// Phase 1: decide which records change and which versions die.
 	doomed := make(map[string][]string)
 	var changed []*fsmeta.Metadata
-	for _, md := range a.mergeSubtree("/", recs) {
+	for _, md := range entries {
 		if md.Owner != a.opts.User || md.IsDir() {
 			continue
 		}
@@ -166,25 +160,23 @@ func (a *Agent) Collect(ctx context.Context) (report GCReport, err error) {
 	var ops []coord.Op
 	var batched []*fsmeta.Metadata
 	for _, md := range changed {
-		path := fsmeta.Clean(md.Path)
-		a.metaCache.Invalidate(path)
-		v, listed := version[path]
+		a.metaCache.Invalidate(md.Path)
 		switch {
 		case a.collectLocally(md):
 			if md.Deleted {
 				report.FilesPurged++
 			}
 			continue
-		case !listed: // no version to condition the update on
+		case md.Version == 0: // not a listed record: nothing to condition the update on
 			continue
 		case md.Deleted:
-			ops = append(ops, coord.Delete(path, v))
+			ops = append(ops, coord.Delete(md.Path, md.Version))
 		default:
-			raw, err := md.Encode()
+			op, err := claim(md.Path, md, md.Version)
 			if err != nil {
 				return report, err
 			}
-			ops = append(ops, coord.Cas(path, raw, v, coordACL(md)))
+			ops = append(ops, op)
 		}
 		batched = append(batched, md)
 	}

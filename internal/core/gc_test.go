@@ -250,3 +250,43 @@ func TestCollectIsThreeAccesses(t *testing.T) {
 		})
 	}
 }
+
+// TestCollectReclaimsFileRemovedBeforeRecreation: a path written, removed and
+// written again before a collection holds a new file. The removed file's
+// record is replaced, yet its versions must still reach the collector
+// instead of staying in the cloud with no record naming them. (One cloud:
+// what it lists is what it stores.)
+func TestCollectReclaimsFileRemovedBeforeRecreation(t *testing.T) {
+	d := newDeployment(t)
+	p := cloudsim.NewProvider(cloudsim.Options{Name: "s3"})
+	sc, err := storage.NewSingleCloud(p.MustClient(p.CreateAccount("alice")), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tune := func(o *Options) { o.Storage = sc }
+	a, _ := d.agent(t, "a", tune)
+	if err := fsapi.WriteFile(bg, a, "/f", []byte("old")); err != nil {
+		t.Fatal(err)
+	}
+	md, err := a.getMetadata(bg, "/f", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Unlink(bg, "/f"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fsapi.WriteFile(bg, a, "/f", []byte("new")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := a.Collect(bg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if left, err := a.opts.Storage.ListVersions(bg, md.FileID); err != nil || len(left) != 0 {
+		t.Fatalf("the removed file still stores %v (%v) after two collections", left, err)
+	}
+	if got := readFresh(t, d, "/f", tune); got != "new" {
+		t.Fatalf("read %q, want the re-created file", got)
+	}
+}

@@ -27,12 +27,87 @@ func coordACL(md *fsmeta.Metadata) coord.ACL {
 // coordination service. It returns fsapi.ErrNotExist when the path has no
 // live metadata (missing or marked deleted).
 func (a *Agent) getMetadata(ctx context.Context, path string, useCache bool) (*fsmeta.Metadata, error) {
-	path = fsmeta.Clean(path)
-	if md, found, err := a.localMetadata(path, useCache); found {
-		return md, err
+	rs := []read{{path: fsmeta.Clean(path), cache: useCache}}
+	if _, err := a.readAll(ctx, rs); err != nil {
+		return nil, err
 	}
-	rec, err := a.opts.Coordination.GetMetadata(ctx, path)
-	return a.recordMetadata(path, rec, err)
+	return rs[0].md, rs[0].err
+}
+
+// read is one path an operation reads before it writes, and what it learned:
+// the path's live metadata, or why there is none (md is then the tombstone of
+// a removed file, when the coordination service holds one). A read that goes
+// to the coordination service takes the path's write lock ahead of it in the
+// same access if lock is set. With create set, and when create would live in
+// the coordination service, it is Cas(path, create, 0): that creates the
+// record if the path is free and otherwise answers as the Get would have.
+type read struct {
+	path   string
+	cache  bool // the metadata cache may answer
+	lock   bool
+	create *fsmeta.Metadata
+
+	md              *fsmeta.Metadata
+	err, lockErr    error
+	locked, created bool
+}
+
+// readAll resolves each of rs as getMetadata resolves one — locally where it
+// can, the rest in one coordination access that carries extra after the
+// reads — and returns extra's results (zero ones without a coordination
+// service).
+func (a *Agent) readAll(ctx context.Context, rs []read, extra ...coord.Op) ([]coord.Result, error) {
+	var ops []coord.Op
+	at := make([]int, len(rs))
+	for i := range rs {
+		r := &rs[i]
+		var local bool
+		if r.md, local, r.err = a.localMetadata(r.path, r.cache); local {
+			at[i] = -1
+			continue
+		}
+		if r.lock {
+			ops = append(ops, coord.TryLock(r.path, a.opts.AgentID, a.opts.LockTTL))
+		}
+		op := coord.Get(r.path)
+		if r.create != nil && a.isShared(r.create) {
+			var err error
+			if op, err = claim(r.path, r.create, 0); err != nil {
+				return nil, err
+			}
+		}
+		at[i], ops = len(ops), append(ops, op)
+	}
+	if ops = append(ops, extra...); len(ops) == 0 || a.opts.Coordination == nil {
+		return make([]coord.Result, len(extra)), nil
+	}
+	res, err := coord.Do(ctx, a.opts.Coordination, ops...)
+	if err != nil {
+		return nil, err
+	}
+	for i, j := range at {
+		r := &rs[i]
+		switch {
+		case j < 0:
+			continue
+		case ops[j].Kind == coord.OpCas && res[j].Err == nil:
+			r.md, r.created = r.create, true
+			r.md.Version = res[j].Version
+			a.metaCache.Put(r.path, ops[j].Value)
+		default:
+			r.md, r.err = a.recordMetadata(ctx, r.path, res[j])
+		}
+		switch { // the lock's reply precedes the read's
+		case !r.lock:
+		case errors.Is(res[j-1].Err, coord.ErrLockHeld):
+			r.lockErr = fsapi.ErrLocked
+		case res[j-1].Err != nil:
+			r.lockErr = fmt.Errorf("core: locking %q: %w", r.path, res[j-1].Err)
+		default:
+			r.locked = true
+		}
+	}
+	return res[len(ops)-len(extra):], nil
 }
 
 // localMetadata resolves path (already clean) without touching the network:
@@ -45,7 +120,7 @@ func (a *Agent) localMetadata(path string, useCache bool) (md *fsmeta.Metadata, 
 	}
 	if useCache {
 		if raw, hit := a.metaCache.Get(path); hit {
-			if md, err := fsmeta.Decode(raw); err == nil {
+			if md, err := fsmeta.DecodeAt(path, raw); err == nil {
 				return liveOrNotExist(md)
 			}
 		}
@@ -71,25 +146,33 @@ func liveOrNotExist(md *fsmeta.Metadata) (*fsmeta.Metadata, bool, error) {
 	return md, true, nil
 }
 
-// recordMetadata turns the coordination service's answer to a read of path
-// into metadata, refreshing the metadata cache.
-func (a *Agent) recordMetadata(path string, rec coord.Record, err error) (*fsmeta.Metadata, error) {
-	if errors.Is(err, coord.ErrNotFound) {
+// recordMetadata turns r, the coordination service's answer to a read of
+// path — a Get, or the Cas that stood for one — into metadata, refreshing the
+// metadata cache. A Cas that clashed answers with the record it clashed with,
+// except a lone one, whose record costs a Get. The record of a removed file
+// is fsapi.ErrNotExist together with its tombstone, which a new record at
+// path displaces (place).
+func (a *Agent) recordMetadata(ctx context.Context, path string, r coord.Result) (*fsmeta.Metadata, error) {
+	rec, err := r.Record, r.Err
+	if errors.Is(err, coord.ErrConflict) && rec.Key == "" {
+		rec, err = a.opts.Coordination.GetMetadata(ctx, path)
+	}
+	switch {
+	case errors.Is(err, coord.ErrNotFound):
 		return nil, fsapi.ErrNotExist
-	}
-	if errors.Is(err, coord.ErrDenied) {
+	case errors.Is(err, coord.ErrDenied):
 		return nil, fsapi.ErrPermission
-	}
-	if err != nil {
+	case err != nil && !errors.Is(err, coord.ErrConflict):
 		return nil, fmt.Errorf("core: reading metadata of %q: %w", path, err)
 	}
-	md, err := fsmeta.Decode(rec.Value)
+	md, err := fsmeta.DecodeAt(path, rec.Value)
 	if err != nil {
 		return nil, fmt.Errorf("core: corrupt metadata for %q: %w", path, err)
 	}
+	md.Version = rec.Version
 	a.metaCache.Put(path, rec.Value)
 	if md.Deleted {
-		return nil, fsapi.ErrNotExist
+		return md, fsapi.ErrNotExist
 	}
 	return md, nil
 }
@@ -153,8 +236,54 @@ func (a *Agent) putMetadataUnlock(ctx context.Context, md *fsmeta.Metadata, unlo
 	return nil
 }
 
-// deleteMetadata removes the metadata of a path from wherever it lives.
-func (a *Agent) deleteMetadata(ctx context.Context, path string) error {
+// claim is the conditional write of md under key: a Cas expecting the record
+// at version (0: no record at all).
+func claim(key string, md *fsmeta.Metadata, version uint64) (coord.Op, error) {
+	raw, err := md.Encode()
+	return coord.Cas(key, raw, version, coordACL(md)), err
+}
+
+// place stores md, a record new at its path: in the private name space as
+// putMetadata does, or in the coordination service conditional on what the
+// lookup found there — nothing, or tomb, the record of a removed file. The
+// tombstone moves aside in the same access, to a key no cleaned path takes,
+// where the collector purges it and its versions like any other. A path
+// taken since the lookup is fsapi.ErrExist. place sets md.Version.
+func (a *Agent) place(ctx context.Context, md, tomb *fsmeta.Metadata) error {
+	if !a.isShared(md) {
+		return a.putMetadata(ctx, md)
+	}
+	op, err := claim(md.Path, md, 0)
+	ops := []coord.Op{op}
+	if tomb != nil && err == nil {
+		ops[0].Version = tomb.Version
+		op, err = claim("//"+tomb.FileID, tomb, 0)
+		ops = append(ops, op)
+	}
+	if err != nil {
+		return err
+	}
+	res, err := coord.Do(ctx, a.opts.Coordination, ops...)
+	if err == nil {
+		err = res[0].Err
+	}
+	switch {
+	case errors.Is(err, coord.ErrConflict):
+		return fsapi.ErrExist
+	case errors.Is(err, coord.ErrDenied):
+		return fsapi.ErrPermission
+	case err != nil:
+		return fmt.Errorf("core: creating %q: %w", md.Path, err)
+	}
+	md.Version = res[0].Version
+	a.metaCache.Put(md.Path, ops[0].Value)
+	return nil
+}
+
+// deleteMetadata removes the metadata of a path from wherever it lives; from
+// the coordination service only the record at version, the one the caller
+// read (0: whatever is there).
+func (a *Agent) deleteMetadata(ctx context.Context, path string, version uint64) error {
 	path = fsmeta.Clean(path)
 	a.metaCache.Invalidate(path)
 	a.mu.Lock()
@@ -168,7 +297,11 @@ func (a *Agent) deleteMetadata(ctx context.Context, path string) error {
 	if a.opts.Coordination == nil {
 		return nil
 	}
-	if err := a.opts.Coordination.DeleteMetadata(ctx, path); err != nil && !errors.Is(err, coord.ErrNotFound) {
+	res, err := coord.Do(ctx, a.opts.Coordination, coord.Delete(path, version))
+	if err == nil {
+		err = res[0].Err
+	}
+	if err != nil {
 		return fmt.Errorf("core: deleting metadata of %q: %w", path, err)
 	}
 	return nil
@@ -182,18 +315,24 @@ func listPrefix(dir string) string {
 	return dir + "/"
 }
 
-// listMetadata returns the live metadata of the direct children of dir,
-// merging the coordination service and the PNS views.
-func (a *Agent) listMetadata(ctx context.Context, dir string) ([]*fsmeta.Metadata, error) {
-	dir = fsmeta.Clean(dir)
-	var recs []coord.Record
-	if a.opts.Coordination != nil {
-		var err error
-		if recs, err = a.opts.Coordination.ListMetadata(ctx, listPrefix(dir)); err != nil {
-			return nil, fmt.Errorf("core: listing %q: %w", dir, err)
-		}
+// listDir reads dir's metadata (the metadata cache may answer when useCache
+// is set) and the live metadata of its entries, merging the coordination
+// service's listing with the PNS view, in one coordination access:
+// [Get(dir), List(dir/)].
+func (a *Agent) listDir(ctx context.Context, dir string, useCache bool) (*fsmeta.Metadata, []*fsmeta.Metadata, error) {
+	rs := []read{{path: dir, cache: useCache}}
+	res, err := a.readAll(ctx, rs, coord.List(listPrefix(dir)))
+	switch {
+	case err != nil:
+		return nil, nil, fmt.Errorf("core: listing %q: %w", dir, err)
+	case rs[0].err != nil:
+		return nil, nil, rs[0].err
+	case !rs[0].md.IsDir():
+		return nil, nil, fsapi.ErrNotDir
+	case res[0].Err != nil:
+		return nil, nil, fmt.Errorf("core: listing %q: %w", dir, res[0].Err)
 	}
-	return a.mergeListing(dir, recs), nil
+	return rs[0].md, a.mergeListing(dir, res[0].Records), nil
 }
 
 // mergeListing merges a coordination-service listing under dir (already
@@ -201,14 +340,14 @@ func (a *Agent) listMetadata(ctx context.Context, dir string) ([]*fsmeta.Metadat
 func (a *Agent) mergeListing(dir string, recs []coord.Record) []*fsmeta.Metadata {
 	seen := make(map[string]*fsmeta.Metadata)
 	for _, r := range recs {
-		md, err := fsmeta.Decode(r.Value)
+		md, err := fsmeta.DecodeAt(r.Key, r.Value)
 		if err != nil {
 			continue
 		}
 		// Warm the metadata cache with every record the listing already
 		// paid for: the readdir-then-stat-each-entry burst (ls -l) then
 		// costs one coordination round trip instead of one per entry.
-		a.metaCache.Put(md.Path, r.Value)
+		a.metaCache.Put(r.Key, r.Value)
 		if md.Deleted {
 			continue
 		}
@@ -235,17 +374,14 @@ func (a *Agent) mergeListing(dir string, recs []coord.Record) []*fsmeta.Metadata
 }
 
 // listSubtree returns every entry under prefix (excluding prefix itself),
-// tombstones included, used by the cost report.
+// tombstones included, for the collector and the cost report.
 func (a *Agent) listSubtree(ctx context.Context, prefix string) ([]*fsmeta.Metadata, error) {
 	prefix = fsmeta.Clean(prefix)
-	var recs []coord.Record
-	if a.opts.Coordination != nil {
-		var err error
-		if recs, err = a.opts.Coordination.ListMetadata(ctx, listPrefix(prefix)); err != nil {
-			return nil, err
-		}
+	res, err := a.readAll(ctx, nil, coord.List(listPrefix(prefix)))
+	if err != nil {
+		return nil, err
 	}
-	return a.mergeSubtree(prefix, recs), nil
+	return a.mergeSubtree(prefix, res[0].Records), res[0].Err
 }
 
 // mergeSubtree merges a coordination-service listing under prefix (already
@@ -254,7 +390,8 @@ func (a *Agent) listSubtree(ctx context.Context, prefix string) ([]*fsmeta.Metad
 func (a *Agent) mergeSubtree(prefix string, recs []coord.Record) []*fsmeta.Metadata {
 	seen := make(map[string]*fsmeta.Metadata)
 	for _, r := range recs {
-		if md, err := fsmeta.Decode(r.Value); err == nil {
+		if md, err := fsmeta.DecodeAt(r.Key, r.Value); err == nil {
+			md.Version = r.Version
 			seen[md.Path] = md
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strings"
 
-	"scfs/internal/coord"
 	"scfs/internal/fsapi"
 	"scfs/internal/fsmeta"
 )
@@ -14,8 +13,11 @@ import (
 // Namespace operations of the SCFS agent: directories, deletion, renaming,
 // stat/readdir and the setfacl/getfacl access-control calls of §2.6.
 
-// Mkdir implements fsapi.FileSystem.
-func (a *Agent) Mkdir(ctx context.Context, path string) error {
+// Mkdir implements fsapi.FileSystem. A directory whose record lives in the
+// coordination service costs one access, [Get(parent), Cas(path, dir, 0)]:
+// the Cas that creates the record is also the lookup that finds the path
+// free, and when it is not, its reply says what holds it.
+func (a *Agent) Mkdir(ctx context.Context, path string) (err error) {
 	if err := a.checkOpen(ctx); err != nil {
 		return err
 	}
@@ -23,27 +25,46 @@ func (a *Agent) Mkdir(ctx context.Context, path string) error {
 	if path == "/" {
 		return fsapi.ErrExist
 	}
-	if _, err := a.getMetadata(ctx, path, false); err == nil {
-		return fsapi.ErrExist
-	} else if !errors.Is(err, fsapi.ErrNotExist) {
-		return err
+	rs := []read{{path: parentDir(path), cache: true}, {path: path, create: fsmeta.NewDir(path, a.opts.User, a.clk.Now())}}
+	if _, err := a.readAll(ctx, rs); err != nil {
+		return fmt.Errorf("core: creating %q: %w", path, err)
 	}
-	parentPath := fsmeta.Clean(parentDir(path))
-	parent, err := a.getMetadata(ctx, parentPath, true)
-	if err != nil {
-		return err
-	}
-	if !parent.IsDir() {
-		return fsapi.ErrNotDir
-	}
-	if parentPath != "/" && !parent.CanWrite(a.opts.User) {
-		return fsapi.ErrPermission
-	}
-	md := fsmeta.NewDir(path, a.opts.User, a.clk.Now())
-	return a.putMetadata(ctx, md)
+	r := &rs[1]
+	defer func() {
+		if err != nil && r.created {
+			_ = a.deleteMetadata(ctx, path, r.md.Version) // the failure is what the caller needs
+		}
+	}()
+	return a.create(ctx, r, rs[0])
 }
 
-// Rmdir implements fsapi.FileSystem.
+// create finishes creating r.create at r.path under parent, the directory
+// r's lookup found. The Cas that stood for the lookup may have created the
+// record already; if the lookup found the path free instead, the record is
+// placed now, over the tombstone found there, if any. A live entry there is
+// fsapi.ErrExist.
+func (a *Agent) create(ctx context.Context, r *read, parent read) error {
+	switch {
+	case r.err == nil && !r.created:
+		return fsapi.ErrExist
+	case r.err != nil && !errors.Is(r.err, fsapi.ErrNotExist):
+		return r.err
+	case parent.err != nil:
+		return parent.err
+	case !parent.md.IsDir():
+		return fsapi.ErrNotDir
+	case parent.md.Path != "/" && !parent.md.CanWrite(a.opts.User):
+		return fsapi.ErrPermission
+	case r.created:
+		return nil
+	}
+	tomb := r.md
+	r.md, r.err = r.create, nil
+	return a.place(ctx, r.md, tomb)
+}
+
+// Rmdir implements fsapi.FileSystem: [Get(path), List(path/)], then the
+// removal of the record read.
 func (a *Agent) Rmdir(ctx context.Context, path string) error {
 	if err := a.checkOpen(ctx); err != nil {
 		return err
@@ -52,24 +73,17 @@ func (a *Agent) Rmdir(ctx context.Context, path string) error {
 	if path == "/" {
 		return fsapi.ErrInvalid
 	}
-	md, err := a.getMetadata(ctx, path, false)
+	md, children, err := a.listDir(ctx, path, false)
 	if err != nil {
 		return err
-	}
-	if !md.IsDir() {
-		return fsapi.ErrNotDir
 	}
 	if !md.CanWrite(a.opts.User) {
 		return fsapi.ErrPermission
 	}
-	children, err := a.listMetadata(ctx, path)
-	if err != nil {
-		return err
-	}
 	if len(children) > 0 {
 		return fsapi.ErrNotEmpty
 	}
-	return a.deleteMetadata(ctx, path)
+	return a.deleteMetadata(ctx, path, md.Version)
 }
 
 // Unlink implements fsapi.FileSystem. Removed files are only marked as
@@ -100,46 +114,48 @@ func (a *Agent) Unlink(ctx context.Context, path string) error {
 	return nil
 }
 
-// Rename implements fsapi.FileSystem for both files and directories. For
-// directories the whole subtree is rewritten, using the coordination
-// service's rename trigger (§3.2) and the PNS prefix rename.
+// Rename implements fsapi.FileSystem for both files and directories in three
+// coordination accesses: [Get(old), Get(new), Get(new parent)], the record's
+// creation at the new path conditional on what was found there, and the old
+// record's removal conditional on its version, undone if it fails. For
+// directories the subtree follows, through the coordination service's rename
+// trigger (§3.2) and the PNS prefix rename.
 func (a *Agent) Rename(ctx context.Context, oldPath, newPath string) error {
 	if err := a.checkOpen(ctx); err != nil {
 		return err
 	}
 	oldPath, newPath = fsmeta.Clean(oldPath), fsmeta.Clean(newPath)
-	if oldPath == "/" || newPath == "/" || oldPath == newPath {
+	if oldPath == "/" || newPath == "/" || oldPath == newPath || fsmeta.IsChildOf(newPath, oldPath) {
 		return fsapi.ErrInvalid
 	}
-	if fsmeta.IsChildOf(newPath, oldPath) {
-		return fsapi.ErrInvalid
+	rs := []read{{path: oldPath}, {path: newPath}, {path: parentDir(newPath), cache: true}}
+	if _, err := a.readAll(ctx, rs); err != nil {
+		return fmt.Errorf("core: renaming %q: %w", oldPath, err)
 	}
-	md, err := a.getMetadata(ctx, oldPath, false)
-	if err != nil {
+	md, err := rs[0].md, rs[0].err
+	switch {
+	case err != nil:
 		return err
-	}
-	if !md.CanWrite(a.opts.User) {
+	case !md.CanWrite(a.opts.User):
 		return fsapi.ErrPermission
-	}
-	if _, err := a.getMetadata(ctx, newPath, false); err == nil {
+	case rs[1].err == nil:
 		return fsapi.ErrExist
-	} else if !errors.Is(err, fsapi.ErrNotExist) {
-		return err
-	}
-	newParent, err := a.getMetadata(ctx, parentDir(newPath), true)
-	if err != nil {
-		return err
-	}
-	if !newParent.IsDir() {
+	case !errors.Is(rs[1].err, fsapi.ErrNotExist):
+		return rs[1].err
+	case rs[2].err != nil:
+		return rs[2].err
+	case !rs[2].md.IsDir():
 		return fsapi.ErrNotDir
 	}
 
 	// Move the entry itself.
-	if err := a.deleteMetadata(ctx, oldPath); err != nil {
+	moved := md.Clone()
+	moved.Path = newPath
+	if err := a.place(ctx, moved, rs[1].md); err != nil {
 		return err
 	}
-	md.Path = newPath
-	if err := a.putMetadata(ctx, md); err != nil {
+	if err := a.deleteMetadata(ctx, oldPath, md.Version); err != nil {
+		_ = a.deleteMetadata(ctx, newPath, moved.Version) // the failure is what the caller needs
 		return err
 	}
 
@@ -158,9 +174,6 @@ func (a *Agent) Rename(ctx context.Context, oldPath, newPath string) error {
 		}
 		a.mu.Unlock()
 		a.metaCache.InvalidateAll()
-	} else {
-		a.metaCache.Invalidate(oldPath)
-		a.metaCache.Invalidate(newPath)
 	}
 	return nil
 }
@@ -189,45 +202,15 @@ func (a *Agent) Stat(ctx context.Context, path string) (fsapi.FileInfo, error) {
 	return md.FileInfo(), nil
 }
 
-// ReadDir implements fsapi.FileSystem. The directory's own metadata (when
-// not answered locally) and the listing of its entries reach the
-// coordination service as one batch, [Get(dir), List(dir/)].
+// ReadDir implements fsapi.FileSystem: one coordination access (listDir).
 func (a *Agent) ReadDir(ctx context.Context, path string) ([]fsapi.FileInfo, error) {
 	if err := a.checkOpen(ctx); err != nil {
 		return nil, err
 	}
-	path = fsmeta.Clean(path)
-	md, found, err := a.localMetadata(path, true)
+	_, children, err := a.listDir(ctx, fsmeta.Clean(path), true)
 	if err != nil {
 		return nil, err
 	}
-	var recs []coord.Record
-	if a.opts.Coordination != nil {
-		var ops []coord.Op
-		if !found {
-			ops = append(ops, coord.Get(path))
-		}
-		ops = append(ops, coord.List(listPrefix(path)))
-		res, berr := coord.Do(ctx, a.opts.Coordination, ops...)
-		if berr != nil {
-			return nil, fmt.Errorf("core: listing %q: %w", path, berr)
-		}
-		if !found {
-			md, err = a.recordMetadata(path, res[0].Record, res[0].Err)
-		}
-		list := res[len(res)-1]
-		if err == nil && list.Err != nil {
-			err = fmt.Errorf("core: listing %q: %w", path, list.Err)
-		}
-		recs = list.Records
-	}
-	if err != nil {
-		return nil, err
-	}
-	if !md.IsDir() {
-		return nil, fsapi.ErrNotDir
-	}
-	children := a.mergeListing(path, recs)
 	out := make([]fsapi.FileInfo, 0, len(children))
 	for _, c := range children {
 		if !c.CanRead(a.opts.User) && c.Owner != a.opts.User {

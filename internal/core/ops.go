@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"scfs/internal/clock"
-	"scfs/internal/coord"
 	"scfs/internal/fsapi"
 	"scfs/internal/fsmeta"
 	"scfs/internal/seccrypto"
@@ -53,95 +52,20 @@ func cacheKey(fileID, hash string) string { return fileID + "@" + hash }
 // as a version (or the last close, if none does) removes the entry.
 func wipKey(fileID string) string { return fileID + "@wip" }
 
-// openLookup is what Open learns before it touches file data.
-type openLookup struct {
-	md    *fsmeta.Metadata
-	mdErr error
-	// parent is looked up only when the open may create the file.
-	parent    *fsmeta.Metadata
-	parentErr error
-	// locked reports that this lookup acquired the path's write lock.
-	locked bool
-}
-
-// lookupForOpen resolves the metadata an Open of path needs and, for a
-// writable open, takes the write lock — in at most one coordination access:
-// whatever cannot be answered locally travels as one ordered batch,
-// [TryLock(path), Get(path), Get(parent)]. The read is ordered behind the
-// lock grant, so a writer always opens the version its predecessor's close
-// anchored (the predecessor's put precedes its unlock, the unlock precedes
-// this grant, the grant precedes this read). For the same reason a writable
-// open never trusts the metadata cache. held reports that another handle of
-// this agent already holds the lock.
-func (a *Agent) lookupForOpen(ctx context.Context, path string, flags fsapi.OpenFlag, held bool) (openLookup, error) {
-	var l openLookup
-	var ops []coord.Op
-	lockAt, mdAt, parentAt := -1, -1, -1
-
-	var mdLocal bool
-	l.md, mdLocal, l.mdErr = a.localMetadata(path, !flags.Writable())
-	if flags.Writable() && !held && a.mayNeedLock(l.md, mdLocal) {
-		lockAt = len(ops)
-		ops = append(ops, coord.TryLock(path, a.opts.AgentID, a.opts.LockTTL))
-	}
-	if !mdLocal {
-		mdAt = len(ops)
-		ops = append(ops, coord.Get(path))
-	}
-	parentPath := parentDir(path)
-	if flags&fsapi.Create != 0 {
-		var parentLocal bool
-		if l.parent, parentLocal, l.parentErr = a.localMetadata(parentPath, true); !parentLocal {
-			parentAt = len(ops)
-			ops = append(ops, coord.Get(parentPath))
-		}
-	}
-	if len(ops) == 0 {
-		return l, nil
-	}
-
-	res, err := coord.Do(ctx, a.opts.Coordination, ops...)
-	if err != nil {
-		return l, fmt.Errorf("core: opening %q: %w", path, err)
-	}
-	if lockAt >= 0 {
-		if err := res[lockAt].Err; errors.Is(err, coord.ErrLockHeld) {
-			return l, fsapi.ErrLocked
-		} else if err != nil {
-			return l, fmt.Errorf("core: locking %q: %w", path, err)
-		}
-		l.locked = true
-	}
-	if mdAt >= 0 {
-		l.md, l.mdErr = a.recordMetadata(path, res[mdAt].Record, res[mdAt].Err)
-	}
-	if parentAt >= 0 {
-		l.parent, l.parentErr = a.recordMetadata(parentPath, res[parentAt].Record, res[parentAt].Err)
-	}
-	return l, nil
-}
-
-// mayNeedLock reports whether a writable open of path must ask for the write
-// lock along with its lookup. The lock is requested before the coordination
-// service has said whether the file is shared; Open releases one that turns
-// out not to be needed. A path answered locally is in the private name space
-// and takes none unless its ACL says it is shared; a tombstone there (md nil)
-// takes none, since the file created over it starts private.
-func (a *Agent) mayNeedLock(md *fsmeta.Metadata, mdLocal bool) bool {
-	switch {
-	case a.opts.Coordination == nil || a.opts.Mode == NonSharing:
-		return false
-	case !mdLocal:
-		return true
-	default:
-		return md != nil && a.isShared(md)
-	}
-}
-
 // Open implements fsapi.FileSystem, following the open flow of Figure 4:
 // acquire the write lock (writable opens of shared files), read the
-// metadata, and bring the file data into the local cache. Lock and metadata
-// cost one coordination access (lookupForOpen).
+// metadata, and bring the file data into the local cache.
+//
+// Lock and metadata cost at most one coordination access: whatever cannot be
+// answered locally travels as one ordered batch, [TryLock(path), Get(path),
+// Get(parent)], the parent read only by an open that may create the file.
+// The read is ordered behind the lock grant, so a writer always opens the
+// version its predecessor's close anchored (the predecessor's put precedes
+// its unlock, the unlock precedes this grant, the grant precedes this read).
+// For the same reason a writable open never trusts the metadata cache. A
+// path answered locally is in the private name space, whose files take no
+// lock. When a new file would live in the coordination service, the Get is
+// Cas(path, new file, 0): the lookup that finds the path free creates it.
 func (a *Agent) Open(ctx context.Context, path string, flags fsapi.OpenFlag) (_ fsapi.Handle, err error) {
 	if err := a.checkOpen(ctx); err != nil {
 		return nil, err
@@ -156,37 +80,48 @@ func (a *Agent) Open(ctx context.Context, path string, flags fsapi.OpenFlag) (_ 
 	held := isOpen && existing.locked
 	a.mu.Unlock()
 
-	l, err := a.lookupForOpen(ctx, path, flags, held)
-	if err != nil {
-		return nil, err
+	rs := []read{{path: path, cache: !flags.Writable(), lock: flags.Writable() && !held && a.opts.Mode != NonSharing}}
+	var fresh *fsmeta.Metadata
+	if flags&fsapi.Create != 0 {
+		fresh = fsmeta.NewFile(path, a.opts.User, "f-"+randomID(), a.clk.Now())
+		rs = append(rs, read{path: parentDir(path), cache: true})
 	}
-	// A lock this open acquired is released again if the open fails, or as
-	// soon as the file turns out to need none.
-	lockedHere := l.locked
+	if !held { // else the file is there: the Cas would clash, alone at the cost of a Get
+		rs[0].create = fresh
+	}
+	_, err = a.readAll(ctx, rs)
+	// A record the lookup created is removed again if the open fails (a lost
+	// removal leaves an empty file). A lock it acquired is released then too
+	// (the lease bounds a lost release), or as soon as the file turns out to
+	// need none.
+	r := &rs[0]
+	lockedHere := r.locked
 	defer func() {
-		if lockedHere && err != nil {
-			_ = a.unlock(ctx, path) // the open's own failure is what the caller needs; the lease bounds a lost release
+		if err != nil && r.created {
+			_ = a.deleteMetadata(ctx, path, r.md.Version) // the open's own failure is what the caller needs
+		}
+		if err != nil && lockedHere {
+			_ = a.unlock(ctx, path)
 		}
 	}()
+	if err != nil {
+		return nil, fmt.Errorf("core: opening %q: %w", path, err)
+	} else if r.lockErr != nil {
+		return nil, r.lockErr
+	}
 
-	md, created := l.md, false
 	switch {
-	case l.mdErr == nil:
-		if flags&fsapi.Create != 0 && flags&fsapi.Exclusive != 0 {
-			return nil, fsapi.ErrExist
-		}
-	case errors.Is(l.mdErr, fsapi.ErrNotExist):
-		if flags&fsapi.Create == 0 {
-			return nil, fsapi.ErrNotExist
-		}
-		md, err = a.createFile(ctx, path, l.parent, l.parentErr)
-		if err != nil {
+	case r.created || r.err != nil && flags&fsapi.Create != 0:
+		r.create = fresh
+		if err := a.create(ctx, r, rs[1]); err != nil {
 			return nil, err
 		}
-		created = true
-	default:
-		return nil, l.mdErr
+	case r.err != nil:
+		return nil, r.err
+	case flags&fsapi.Create != 0 && flags&fsapi.Exclusive != 0:
+		return nil, fsapi.ErrExist
 	}
+	md := r.md
 	if md.IsDir() {
 		return nil, fsapi.ErrIsDir
 	}
@@ -225,7 +160,7 @@ func (a *Agent) Open(ctx context.Context, path string, flags fsapi.OpenFlag) (_ 
 	// whole object never has to be resident.
 	if of.refs == 1 || (of.data == nil && of.lazy == nil) {
 		switch {
-		case created || md.Hash == "":
+		case md.Hash == "": // empty, a new file among them
 			of.data = nil
 		case flags&fsapi.Truncate != 0:
 			of.data = nil
@@ -274,25 +209,6 @@ func (a *Agent) Open(ctx context.Context, path string, flags fsapi.OpenFlag) (_ 
 	}
 	a.addStat(func(s *Stats) { s.FilesOpened++ })
 	return &handle{of: of, flags: flags}, nil
-}
-
-// createFile allocates metadata for a new empty file owned by the caller,
-// under the parent directory Open looked up.
-func (a *Agent) createFile(ctx context.Context, path string, parent *fsmeta.Metadata, parentErr error) (*fsmeta.Metadata, error) {
-	if parentErr != nil {
-		return nil, parentErr
-	}
-	if !parent.IsDir() {
-		return nil, fsapi.ErrNotDir
-	}
-	if !parent.CanWrite(a.opts.User) && parent.Path != "/" {
-		return nil, fsapi.ErrPermission
-	}
-	md := fsmeta.NewFile(path, a.opts.User, "f-"+randomID(), a.clk.Now())
-	if err := a.putMetadata(ctx, md); err != nil {
-		return nil, err
-	}
-	return md, nil
 }
 
 // cachedData returns the contents of the current version of md from the

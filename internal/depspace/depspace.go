@@ -357,9 +357,15 @@ func (s *Space) replace(cmd Command) Result {
 
 // cas performs a compare-and-swap keyed by version: it succeeds only if the
 // matching tuple has ExpectedVersion (or, when ExpectedVersion is zero, if no
-// tuple matches the template). Used for lock acquisition and PNS creation.
+// tuple matches the template). Used for lock acquisition and for creating and
+// moving metadata records. A clash returns the tuple it clashed with — what
+// rdp would — so only to a requester who may read it; anyone else is denied
+// and learns nothing of it.
 func (s *Space) cas(cmd Command) Result {
 	i, e := s.findMatch(cmd.Template, cmd.Now)
+	if e != nil && e.Version != cmd.ExpectedVersion && !e.ACL.canRead(cmd.Requester) {
+		return Result{OK: false, Err: ErrAccessDenied}
+	}
 	if cmd.ExpectedVersion == 0 {
 		if e != nil {
 			return Result{OK: false, Err: ErrAlreadyExists, Version: e.Version, Entry: cloneEntry(e)}

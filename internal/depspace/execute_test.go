@@ -120,6 +120,29 @@ func TestInpExpectedVersion(t *testing.T) {
 	}
 }
 
+// TestCasClashRevealsOnlyReadableTuples: a failed cas answers with the tuple
+// it clashed with, which must not hand a requester a tuple rdp denies it. A
+// clash on a tuple the requester may read still carries it.
+func TestCasClashRevealsOnlyReadableTuples(t *testing.T) {
+	alice, space, _ := newLocalClient("alice")
+	bob := NewClient(&LocalInvoker{Space: space}, "bob", nil)
+	if _, err := alice.Out(bg, Tuple{"meta", "/secret", "payload"}, ACL{Owner: "alice"}); err != nil {
+		t.Fatal(err)
+	}
+	template := Tuple{"meta", "/secret", Wildcard}
+	if _, err := bob.Rdp(bg, template); !errors.Is(err, ErrDenied) {
+		t.Fatalf("bob's rdp: %v, want ErrDenied", err)
+	}
+	for _, expected := range []uint64{0, 999} {
+		if _, e, err := bob.Cas(bg, template, Tuple{"meta", "/secret", "mine"}, expected, ACL{Owner: "bob"}, 0); !errors.Is(err, ErrDenied) || e != nil {
+			t.Errorf("bob's cas expecting version %d: entry %v, %v; want ErrDenied and no entry", expected, e, err)
+		}
+	}
+	if _, e, err := alice.Cas(bg, template, Tuple{"meta", "/secret", "again"}, 0, ACL{Owner: "alice"}, 0); !errors.Is(err, ErrExists) || e == nil || e.Tuple[2] != "payload" {
+		t.Fatalf("alice's clashing cas: entry %v, %v; want ErrExists and her tuple", e, err)
+	}
+}
+
 // fuzzSpace is a dozen tuples: open ones, ACL'd ones, a lock, a short tuple,
 // and one that expired at time 2.
 func fuzzSpace(t testing.TB) *Space {

@@ -48,6 +48,11 @@ type Metadata struct {
 	Deleted bool `json:"deleted,omitempty"`
 	// LinkTarget holds the target path for symlinks.
 	LinkTarget string `json:"link_target,omitempty"`
+
+	// Version is the coordination-service version of the record this copy
+	// was read from or written as — what a write conditional on it expects —
+	// and 0 for a copy from anywhere else. It is not part of the record.
+	Version uint64 `json:"-"`
 }
 
 // VersionRecord identifies one stored version of a file.
@@ -201,6 +206,17 @@ func Decode(b []byte) (*Metadata, error) {
 		return nil, fmt.Errorf("fsmeta: decoding metadata: %w", err)
 	}
 	return &m, nil
+}
+
+// DecodeAt parses the metadata record stored under path. A record's key is
+// its path: a directory rename rewrites the keys of its subtree, not the
+// paths inside their values, so the value's own path is ignored.
+func DecodeAt(path string, b []byte) (*Metadata, error) {
+	m, err := Decode(b)
+	if err == nil {
+		m.Path = path
+	}
+	return m, err
 }
 
 // Clone returns a deep copy.

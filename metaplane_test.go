@@ -1,6 +1,7 @@
 package scfs_test
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -46,6 +47,49 @@ func TestCoordShardsMount(t *testing.T) {
 	}
 	if s := m.Stats(); s.CoordAccesses == 0 {
 		t.Fatal("sharded mount reported zero coordination accesses")
+	}
+}
+
+// TestDirectoryRenameMovesItsFiles: a directory rename rewrites the keys of
+// its subtree's records, not the paths inside their values. The files must be
+// listed, found, written and collected under the new path all the same: the
+// key is the path.
+func TestDirectoryRenameMovesItsFiles(t *testing.T) {
+	for name, opts := range map[string][]scfs.Option{"one service": nil, "four shards": {scfs.WithCoordShards(4)}} {
+		t.Run(name, func(t *testing.T) {
+			m := mount(t, opts...)
+			if err := m.Mkdir(bg, "/a"); err != nil {
+				t.Fatal(err)
+			}
+			if err := scfs.WriteFile(bg, m, "/a/f", []byte("v1")); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Rename(bg, "/a", "/b"); err != nil {
+				t.Fatal(err)
+			}
+			if infos, err := m.ReadDir(bg, "/b"); err != nil || len(infos) != 1 || infos[0].Path != "/b/f" {
+				t.Fatalf("ReadDir /b = %+v, %v; want /b/f", infos, err)
+			}
+			if fi, err := m.Stat(bg, "/b/f"); err != nil || fi.Path != "/b/f" {
+				t.Fatalf("Stat /b/f = %+v, %v", fi, err)
+			}
+			if err := scfs.WriteFile(bg, m, "/b/f", []byte("v2")); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := scfs.ReadFile(bg, m, "/b/f"); err != nil || string(got) != "v2" {
+				t.Fatalf("read /b/f = %q, %v; want v2", got, err)
+			}
+			if _, err := m.Stat(bg, "/a/f"); !errors.Is(err, scfs.ErrNotExist) {
+				t.Fatalf("Stat /a/f after the rename: %v, want ErrNotExist", err)
+			}
+			report, err := m.Collect(bg)
+			if err != nil || report.VersionsDeleted != 1 {
+				t.Fatalf("Collect deleted %d versions (%v), want v1's", report.VersionsDeleted, err)
+			}
+			if got, err := scfs.ReadFile(bg, m, "/b/f"); err != nil || string(got) != "v2" {
+				t.Fatalf("read /b/f after the collection = %q, %v; want v2", got, err)
+			}
+		})
 	}
 }
 
@@ -108,10 +152,10 @@ func TestPipelinedReplicatedMount(t *testing.T) {
 // and surfaces in Stats().Telemetry, while CoordAccesses counts round trips.
 func TestCoordTelemetryCounters(t *testing.T) {
 	m := mount(t, scfs.WithMetrics())
-	if err := m.Mkdir(bg, "/tele"); err != nil { // get, put
+	if err := m.Mkdir(bg, "/tele"); err != nil { // cas: the create is its own lookup
 		t.Fatal(err)
 	}
-	// [trylock, get, get /tele], put (create), [put, unlock] (close).
+	// [trylock, cas, get /tele] (open and create), [put, unlock] (close).
 	if err := scfs.WriteFile(bg, m, "/tele/x.txt", []byte("counted")); err != nil {
 		t.Fatal(err)
 	}
@@ -127,16 +171,16 @@ func TestCoordTelemetryCounters(t *testing.T) {
 			t.Errorf("counter %q missing the backend label", name)
 		}
 	}
-	want := map[string]int64{"get": 4, "put": 3, "list": 1, "trylock": 1, "unlock": 1, "batch": 3}
+	want := map[string]int64{"get": 2, "cas": 2, "put": 1, "list": 1, "trylock": 1, "unlock": 1, "batch": 3}
 	for op, n := range want {
 		if got[op] != n {
 			t.Errorf("coord_ops_total op=%q is %d, want %d; counters: %v", op, got[op], n, got)
 		}
 	}
-	// Ten commands, seven of them carried by the three batches: six round
+	// Eight commands, seven of them carried by the three batches: four round
 	// trips, the quantity the paper's §4 prices.
-	if s.CoordAccesses != 6 {
-		t.Fatalf("CoordAccesses %d, want 6", s.CoordAccesses)
+	if s.CoordAccesses != 4 {
+		t.Fatalf("CoordAccesses %d, want 4", s.CoordAccesses)
 	}
 }
 
