@@ -41,10 +41,6 @@ type bench struct {
 	// operation (issued is issued — requests cancelled mid-flight still
 	// count, since hedging's fee saving comes from never issuing them).
 	CloudReqOp float64 `json:"cloud_req_op"`
-	// DollarOp is the custom $/op metric of the hedged-write benchmark:
-	// the request and transfer fees of one operation priced per provider
-	// by the bundled table (internal/pricing).
-	DollarOp float64 `json:"dollar_op"`
 	// CoordRTOp is the custom coordRT/op metric of the metadata-storm
 	// benchmark: ordered wire round trips to the replica groups (below the
 	// coalescers) per file-system operation, totaled across the plane.
@@ -180,14 +176,6 @@ var pairRules = []pairRule{
 	{
 		num: "BenchmarkDepSkyHedgedWrite/Hedged", den: "BenchmarkDepSkyHedgedWrite/Immediate",
 		metric: func(b bench) float64 { return b.CloudReqOp }, what: "cloudReq/op",
-		maxRatio: 0.90,
-	},
-	// ...spending fewer dollars per write under the bundled price table
-	// (measured ~0.81x: cost-first placement parks the per-op priciest
-	// cloud)...
-	{
-		num: "BenchmarkDepSkyHedgedWrite/Hedged", den: "BenchmarkDepSkyHedgedWrite/Immediate",
-		metric: func(b bench) float64 { return b.DollarOp }, what: "$/op",
 		maxRatio: 0.90,
 	},
 	// ...and at comparable latency: parking the spare must not slow the

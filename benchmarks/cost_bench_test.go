@@ -55,10 +55,10 @@ func writeBenchManager(b testing.TB, disableCancel bool) (*depsky.Manager, []*cl
 //     default). On a balanced deployment the spare's upload finishes with
 //     the quorum, so the cancellation saves essentially nothing: all n
 //     shards are shipped.
-//   - Hedged: preferred-quorum-first (WithWriteHedge + cost-first
-//     placement) — shards go to the cheapest n-f clouds, and the spare is
-//     parked behind the hedge delay it never reaches. Only n-f shards (and
-//     n-f metadata copies) are ever uploaded.
+//   - Hedged: preferred-quorum-first (WithWriteHedge) — shards go to the
+//     tracked-fastest n-f clouds, and the spare is parked behind the hedge
+//     delay it never reaches. Only n-f shards (and n-f metadata copies) are
+//     ever uploaded.
 //
 // Durability is equal in all three legs: the protocol only ever promises
 // the n-f quorum (a version on it survives f faults: n-2f = f+1 shards
@@ -69,8 +69,8 @@ func writeBenchManager(b testing.TB, disableCancel bool) (*depsky.Manager, []*cl
 // fewer RPCs (cloudReq/op) than the Immediate fan-out, at comparable
 // latency (ns/op). The estimated $/op — the request and transfer fees of
 // one write, priced per provider by the bundled table — is reported for
-// the ROADMAP's cost trajectory (cost-first placement parks the priciest
-// per-op cloud, so the dollar ratio beats the byte ratio).
+// the ROADMAP's cost trajectory, not guarded: which cloud is parked
+// depends on the tracker, not on its price.
 func BenchmarkDepSkyHedgedWrite(b *testing.B) {
 	for _, mode := range []struct {
 		name          string
@@ -91,7 +91,6 @@ func BenchmarkDepSkyHedgedWrite(b *testing.B) {
 					// jitter; the preferred quorum acks in ~1 RTT, long
 					// before the delay could fire.
 					WriteHedge: iopolicy.Hedge{Percentile: 0.95, MinDelay: 250 * time.Millisecond},
-					Placement:  iopolicy.Placement{Strategy: iopolicy.PlaceCost},
 				})
 			}
 			table := pricing.DefaultTable()

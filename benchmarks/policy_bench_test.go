@@ -128,8 +128,7 @@ func BenchmarkDepSkyHedgedRead(b *testing.B) {
 				// which at small CI iteration counts dominates the ns/op
 				// ratios tracked between the hedged legs.
 				ctx = iopolicy.With(bg, iopolicy.Policy{
-					Hedge:      iopolicy.Hedge{Percentile: 0.95, MinDelay: 50 * time.Millisecond},
-					Preference: iopolicy.Preference{Fastest: true},
+					Hedge: iopolicy.Hedge{Percentile: 0.95, MinDelay: 50 * time.Millisecond},
 				})
 			}
 			bytesOut := func() int64 {

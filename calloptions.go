@@ -32,14 +32,11 @@ type (
 	// HedgePolicy configures hedged reads (see WithHedge) and hedged
 	// writes (see WithWriteHedge).
 	HedgePolicy = iopolicy.Hedge
-	// ReadPreference orders the clouds a read contacts first (see
-	// WithReadPreference).
+	// ReadPreference pins the order in which an operation contacts the
+	// clouds (see WithReadPreference).
 	ReadPreference = iopolicy.Preference
 	// IOLimits bounds the extra work a policy may spend (see WithLimits).
 	IOLimits = iopolicy.Limits
-	// PlacementObjective ranks the clouds an operation dispatches to by
-	// cost, latency, or a weighted blend (see WithPlacement).
-	PlacementObjective = iopolicy.Placement
 	// RetryPolicy grants the operation's per-cloud RPCs a retry budget (see
 	// WithRetry).
 	RetryPolicy = iopolicy.Retry
@@ -54,9 +51,6 @@ const (
 	// demotes them to the back of every dispatch ranking, where a hedged
 	// fan-out usually decides the quorum before reaching them.
 	BreakerDemote = iopolicy.BreakerDemote
-	// BreakerBypass ignores the breaker scoreboard for this operation
-	// (outcomes still feed it).
-	BreakerBypass = iopolicy.BreakerBypass
 	// BreakerFailFast skips suspected clouds without contacting them; the
 	// skipped slot counts as that cloud's failure in the quorum math.
 	BreakerFailFast = iopolicy.BreakerFailFast
@@ -79,10 +73,8 @@ type CallOption func(*IOPolicy)
 // gracefully to the full fan-out. Combine with WithHedgeDelayBounds to
 // clamp the tracked delay.
 //
-// The preferred set is ranked fastest-first by default (the tracker
-// ranking dispatch falls through to); WithHedge deliberately does not pin
-// an explicit preference, so a mount-wide WithPlacement objective or
-// WithReadPreference order still decides the ranking of a hedged call.
+// The preferred set is the tracked-fastest clouds, with those whose circuit
+// breaker is open ranked last; a WithReadPreference order pins it instead.
 func WithHedge(percentile float64) CallOption {
 	return func(p *IOPolicy) { p.Hedge.Percentile = percentile }
 }
@@ -113,9 +105,9 @@ func WithWriteHedgeDelayBounds(min, max time.Duration) CallOption {
 }
 
 // WithWriteHedge makes the operation's quorum writes hedged: each upload
-// fan-out ships its shards to the preferred n-f quorum immediately — ranked
-// by the placement objective (WithPlacement), an explicit preference, or
-// tracked upload latency — and releases the spare clouds only after the
+// fan-out ships its shards to the preferred n-f quorum immediately — the
+// tracked-fastest uploaders with suspected clouds last, or a
+// WithReadPreference order — and releases the spare clouds only after the
 // given percentile (0 < p <= 1) of the preferred clouds' tracked upload
 // latency has elapsed, or a preferred upload fails, whichever comes first.
 // On a stable deployment the spare uploads are never issued, cutting the
@@ -130,37 +122,6 @@ func WithWriteHedgeDelayBounds(min, max time.Duration) CallOption {
 // degrading gracefully to the full fan-out.
 func WithWriteHedge(percentile float64) CallOption {
 	return func(p *IOPolicy) { p.WriteHedge.Percentile = percentile }
-}
-
-// WithPlacement ranks the clouds the operation's fan-outs dispatch to by
-// the given objective: PlaceCheapest sends work to the clouds where it
-// costs the fewest dollars (per the mount's price table), PlaceFastest to
-// the lowest-latency ones, PlaceBalanced(w) blends the two. The ranking
-// decides which clouds form the preferred quorum of hedged dispatch, so it
-// takes effect on operations that hedge — WithHedge for reads,
-// WithWriteHedge for writes. Without a hedge, dispatch remains the
-// immediate full fan-out and every cloud is contacted regardless of rank.
-func WithPlacement(obj PlacementObjective) CallOption {
-	return func(p *IOPolicy) { p.Placement = obj }
-}
-
-// PlaceCheapest ranks clouds cheapest-first by the estimated dollars the
-// operation costs at each (request fee + transfer, plus a month of storage
-// for uploads).
-func PlaceCheapest() PlacementObjective {
-	return PlacementObjective{Strategy: iopolicy.PlaceCost}
-}
-
-// PlaceFastest ranks clouds by tracked latency, fastest first (the default
-// ranking whenever one is needed).
-func PlaceFastest() PlacementObjective {
-	return PlacementObjective{Strategy: iopolicy.PlaceLatency}
-}
-
-// PlaceBalanced blends the normalized cost and latency rankings;
-// costWeight in [0, 1] is the cost share (0 = pure latency, 1 = pure cost).
-func PlaceBalanced(costWeight float64) PlacementObjective {
-	return PlacementObjective{Strategy: iopolicy.PlaceBalanced, CostWeight: costWeight}
 }
 
 // WithReadahead gives sequential reads of the operation's files an n-chunk
@@ -181,30 +142,27 @@ func WithReadahead(chunks int) CallOption {
 	return func(p *IOPolicy) { p.Readahead = chunks }
 }
 
-// WithReadPreference orders the clouds the operation's fan-outs contact
-// first. PreferFastest ranks them by tracked latency; PreferClouds pins an
-// explicit order (e.g. to keep egress at a contractual provider). Despite
-// the historical name, the preference applies to every fan-out of the
-// operation: quorum reads always, and — when WithWriteHedge is in effect —
-// the preferred write quorum too, where an explicit PreferClouds order
-// takes precedence over the WithPlacement objective (pinning an operation
-// to clouds pins where its data lands).
+// WithReadPreference pins the order in which the operation's hedged fan-outs
+// contact the clouds, given by PreferClouds (e.g. to keep egress at a
+// contractual provider). It replaces the default ranking — tracked latency,
+// fastest first, with clouds whose breaker is open last — and the breakers do
+// not reorder a pinned order. Despite the historical name, the preference
+// applies to reads hedged by WithHedge and to the preferred write quorum of
+// WithWriteHedge alike (pinning an operation to clouds pins where its data
+// lands). An unhedged fan-out contacts every cloud at once, so no order
+// applies to it.
 func WithReadPreference(pref ReadPreference) CallOption {
 	return func(p *IOPolicy) { p.Preference = pref }
 }
-
-// PreferFastest ranks clouds by their tracked latency, fastest first.
-func PreferFastest() ReadPreference { return ReadPreference{Fastest: true} }
 
 // PreferClouds pins an explicit cloud order by index (the order the stores
 // were passed to WithClouds); unlisted clouds rank after the listed ones.
 func PreferClouds(order ...int) ReadPreference { return ReadPreference{Order: order} }
 
 // WithLimits bounds the extra work the operation's policy may spend: the
-// number of concurrently in-flight prefetch chunks, and how many extra
-// clouds a hedge firing may contact at once. MaxParallelChunks also narrows
-// how many chunks one multi-chunk read fetches together; it can only lower
-// that width below the built-in bound of 8 chunks, never raise it.
+// number of concurrently in-flight prefetch chunks. MaxParallelChunks also
+// narrows how many chunks one multi-chunk read fetches together; it can only
+// lower that width below the built-in bound of 8 chunks, never raise it.
 func WithLimits(limits IOLimits) CallOption {
 	return func(p *IOPolicy) { p.Limits = limits }
 }
@@ -242,8 +200,8 @@ func WithRetryBackoff(base, max time.Duration) CallOption {
 // WithBreaker selects how the operation treats clouds whose circuit breaker
 // is currently open (suspected of misbehaving): BreakerDemote (default)
 // still contacts them but last, BreakerFailFast refuses to contact them at
-// all (cheapest, but their quorum slot is forfeit), BreakerBypass pretends
-// the scoreboard is clean (e.g. for a health-probing read).
+// all (cheapest, but their quorum slot is forfeit). An explicit
+// BreakerDemote overrides a mount-wide BreakerFailFast.
 func WithBreaker(mode BreakerMode) CallOption {
 	return func(p *IOPolicy) { p.Breaker = mode }
 }

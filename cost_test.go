@@ -112,42 +112,3 @@ func TestWriteHedgeThroughFacade(t *testing.T) {
 		t.Fatal("hedged facade write read back wrong data")
 	}
 }
-
-// TestPlacementThroughFacade: a cost-first placement with a custom price
-// table steers a hedged write away from the expensive provider.
-func TestPlacementThroughFacade(t *testing.T) {
-	providers := make([]*cloudsim.Provider, 4)
-	stores := make([]scfs.ObjectStore, 4)
-	accounts := make([]string, 4)
-	for i := range providers {
-		providers[i] = cloudsim.NewProvider(cloudsim.Options{Name: fmt.Sprintf("c%d", i)})
-		accounts[i] = providers[i].CreateAccount("user")
-		stores[i] = providers[i].MustClient(accounts[i])
-	}
-	table := scfs.PriceTable{
-		ByProvider: map[string]scfs.CloudRates{
-			"c0": {StorageGBMonth: 0.02, EgressPerGB: 0.1},
-			"c1": {StorageGBMonth: 5.00, EgressPerGB: 0.1}, // the one to avoid
-			"c2": {StorageGBMonth: 0.02, EgressPerGB: 0.1},
-			"c3": {StorageGBMonth: 0.02, EgressPerGB: 0.1},
-		},
-	}
-	m := mount(t, scfs.WithClouds(stores...), scfs.WithPriceTable(table),
-		scfs.WithDefaultIOPolicy(scfs.WithWriteHedge(0.95), scfs.WithWriteHedgeDelayBounds(10*time.Second, 0), scfs.WithPlacement(scfs.PlaceCheapest())))
-
-	data := bytes.Repeat([]byte{0x88}, 64<<10)
-	if err := scfs.WriteFile(bg, m, "/cheap.bin", data); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(50 * time.Millisecond)
-	if u := providers[1].Usage(accounts[1]); u.PutRequests != 0 {
-		t.Fatalf("expensive cloud served %d PUTs under cost-first placement", u.PutRequests)
-	}
-	got, err := scfs.ReadFile(bg, m, "/cheap.bin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("cost-placed write read back wrong data")
-	}
-}

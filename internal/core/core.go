@@ -78,14 +78,6 @@ type GCPolicy struct {
 	KeepVersions int
 }
 
-// ACLPropagator pushes permission changes to the storage clouds so that
-// access control is enforced by the providers and not only by the
-// coordination service (§2.6). Implementations map the SCFS user to its
-// per-provider canonical identifiers.
-type ACLPropagator interface {
-	PropagateACL(ctx context.Context, fileID string, hashes []string, user string, perm fsapi.Permission) error
-}
-
 // Options configures an Agent.
 type Options struct {
 	// User is the SCFS principal mounting the file system.
@@ -103,9 +95,6 @@ type Options struct {
 	// PNSStorage persists the user's private name space in the cloud; it is
 	// required when UsePNS is true or Mode is NonSharing.
 	PNSStorage storage.PNSStore
-	// ACLPropagator optionally mirrors setfacl changes onto the cloud
-	// objects themselves.
-	ACLPropagator ACLPropagator
 
 	// MemoryCacheBytes bounds the main-memory cache of open files
 	// (default 256 MiB).

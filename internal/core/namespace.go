@@ -222,10 +222,9 @@ func (a *Agent) ReadDir(ctx context.Context, path string) ([]fsapi.FileInfo, err
 }
 
 // SetFacl implements fsapi.FileSystem: only the owner may change permissions;
-// the change is written to the coordination service (which enforces it) and,
-// when an ACL propagator is configured, mirrored on the cloud objects holding
-// the file data (§2.6). Sharing status changes may move the metadata between
-// the private name space and the coordination service (§2.7).
+// the change is written to the coordination service, which enforces it
+// (§2.6). Sharing status changes may move the metadata between the private
+// name space and the coordination service (§2.7).
 func (a *Agent) SetFacl(ctx context.Context, path, user string, perm fsapi.Permission) error {
 	if err := a.checkOpen(ctx); err != nil {
 		return err
@@ -257,16 +256,6 @@ func (a *Agent) SetFacl(ctx context.Context, path, user string, perm fsapi.Permi
 		a.mu.Unlock()
 	}
 	a.metaCache.Invalidate(path)
-
-	if a.opts.ACLPropagator != nil && md.Type == fsapi.TypeFile {
-		hashes := make([]string, 0, len(md.Versions))
-		for _, v := range md.Versions {
-			hashes = append(hashes, v.Hash)
-		}
-		if err := a.opts.ACLPropagator.PropagateACL(ctx, md.FileID, hashes, user, perm); err != nil {
-			return fmt.Errorf("core: propagating ACL of %q to the clouds: %w", path, err)
-		}
-	}
 	return nil
 }
 

@@ -49,7 +49,6 @@ import (
 	"scfs/internal/cloud"
 	"scfs/internal/erasure"
 	"scfs/internal/iopolicy"
-	"scfs/internal/placement"
 	"scfs/internal/pricing"
 	"scfs/internal/resilience"
 	"scfs/internal/stream"
@@ -279,15 +278,15 @@ type Options struct {
 	// quorum verdict is known.
 	DisableQuorumCancel bool
 	// Policy is the manager-wide default I/O policy (hedged reads and
-	// writes, readahead, cloud preference, placement objective). A
+	// writes, readahead, pinned cloud order, retries, breaker mode). A
 	// per-operation policy carried by the operation's context
 	// (iopolicy.With) is overlaid on top of it. The zero value keeps the
 	// immediate full fan-out and no readahead.
 	Policy iopolicy.Policy
-	// Pricing maps each cloud's provider name to its price card; the
-	// placement engine ranks clouds by it and the cost model converts
-	// footprints into dollars. The zero Table prices every provider with
-	// pricing.DefaultRates (placement then treats them as equals).
+	// Pricing maps each cloud's provider name to its price card; the cost
+	// model converts footprints into dollars with it, and the metered spend
+	// gauges price each cloud's usage. The zero Table prices every provider
+	// with pricing.DefaultRates.
 	Pricing pricing.Table
 	// Breakers tunes the per-(cloud, direction) circuit breakers fed by
 	// every per-cloud RPC. The zero value enables them with the default
@@ -318,7 +317,6 @@ type Manager struct {
 	board      *resilience.Board
 	rates      []pricing.Rates
 	mean       pricing.Rates // rate card averaged across the clouds
-	selector   *placement.Selector
 	cloudNames []string
 	ins        *instruments // nil when Options.Metrics is nil
 }
@@ -332,16 +330,14 @@ func New(opts Options) (*Manager, error) {
 	if len(opts.Clouds) < need {
 		return nil, fmt.Errorf("%w: have %d, need %d for f=%d", ErrNotEnoughClouds, len(opts.Clouds), need, opts.F)
 	}
-	tracker := iopolicy.NewTracker(len(opts.Clouds))
 	rates := opts.Pricing.Resolve(opts.Clouds)
 	names := cloudLabels(opts.Clouds)
 	m := &Manager{
 		opts:       opts,
-		tracker:    tracker,
+		tracker:    iopolicy.NewTracker(len(opts.Clouds)),
 		board:      resilience.NewBoard(len(opts.Clouds), opts.Breakers),
 		rates:      rates,
 		mean:       meanRates(rates),
-		selector:   placement.NewSelector(rates, tracker),
 		cloudNames: names,
 		ins:        newInstruments(opts.Metrics, names),
 	}

@@ -24,10 +24,10 @@ package depsky
 // (Policy.WriteHedge) run the same gate; for writes the savings are ingress
 // bytes and PUT fees at the spare clouds.
 //
-// The preferred set itself comes from the placement engine: an explicit
-// preference order wins, then the placement objective (cost-first ranks by
-// the per-op dollar estimate of each cloud's price card, balanced blends
-// dollars with tracked latency), then the tracker's fastest-first ranking.
+// The preferred set is the head of one ranking: the call's pinned preference
+// order if it sets one, otherwise the tracker's fastest-first order with the
+// clouds the breakers suspect moved to the back (Basil's rule: fastest quorum
+// first, suspects last).
 //
 // The gate is policy-driven (iopolicy.Policy carried by the operation's
 // context); with no hedge policy it is inert and dispatch stays the
@@ -104,10 +104,9 @@ type round[T any] struct {
 // a hedged round contacts at once: the fewest whose answers can decide it.
 //
 // Under a hedge policy (Policy.Hedge for a GET round, Policy.WriteHedge for
-// a PUT round) only the need preferred clouds — ranked by explicit
-// preference, the placement objective or tracked latency — are contacted
-// immediately, the rest after the tracked delay percentile or a kick; in the
-// common case the spare requests are never issued at all.
+// a PUT round) only the need preferred clouds — the head of rankClouds — are
+// contacted immediately, the rest after the tracked delay percentile or a
+// kick; in the common case the spare requests are never issued at all.
 func startRound[T any](ctx context.Context, m *Manager, kind string, op iopolicy.Op, need int,
 	rpc func(ctx context.Context, i int, c cloud.ObjectStore) ([]byte, error),
 	parse func(i int, data []byte) (T, error)) round[T] {
@@ -175,18 +174,12 @@ func (m *Manager) observeRPC(ctx context.Context, i int, op iopolicy.Op, start t
 // diagnostics).
 func (m *Manager) Tracker() *iopolicy.Tracker { return m.tracker }
 
-// rankClouds orders the cloud indices for dispatching op: an explicit
-// preference (a pinned Order, or Fastest) wins, then the policy's
-// placement objective (evaluated by the selector over the price table),
-// otherwise the tracker's fastest-first ranking. Preference beating
-// Placement is what lets one latency-critical call opt out of a
-// cost-first mount with WithReadPreference(PreferFastest()).
-//
-// Unless the policy pins an explicit Order (or bypasses the breakers),
-// the circuit-breaker scoreboard then demotes suspected clouds to the
-// back of the ranking: a provider the breakers condemned lands in the
-// last hedge tier, where the quorum verdict usually arrives before its
-// gate ever releases — graceful degradation without giving up its vote.
+// rankClouds orders the cloud indices for dispatching op: the policy's
+// pinned preference Order if it sets one, otherwise the tracker's
+// fastest-first ranking with the clouds the circuit-breaker scoreboard
+// suspects demoted to the back. A provider the breakers condemned is then
+// among the spares, where the quorum verdict usually arrives before its gate
+// ever releases — graceful degradation without giving up its vote.
 func (m *Manager) rankClouds(pol iopolicy.Policy, op iopolicy.Op) []int {
 	n := m.N()
 	if pref := pol.Preference; len(pref.Order) > 0 {
@@ -205,19 +198,7 @@ func (m *Manager) rankClouds(pol iopolicy.Policy, op iopolicy.Op) []int {
 		}
 		return order
 	}
-	var order []int
-	switch {
-	case pol.Preference.Fastest:
-		order = m.tracker.Rank(op)
-	case !pol.Placement.IsZero():
-		order = m.selector.Rank(pol.Placement, op)
-	default:
-		order = m.tracker.Rank(op)
-	}
-	if pol.Breaker != iopolicy.BreakerBypass {
-		order = m.board.Demote(order, breakerClass(op))
-	}
-	return order
+	return m.board.Demote(m.tracker.Rank(op), breakerClass(op))
 }
 
 // hedgeGate gates the non-preferred clouds of one fan-out. Each per-cloud
@@ -231,19 +212,17 @@ type hedgeGate struct {
 	// pos[i] is cloud i's position in the launch order.
 	pos []int
 	// need is how many clouds launch immediately (the preferred set).
-	need int
-	// hedges is how many clouds share each hedge-delay tier (see enter).
-	hedges int
-	delay  time.Duration
-	kicks  chan struct{}
+	need  int
+	delay time.Duration
+	kicks chan struct{}
 
 	// Per-cloud hedge counters for the op class of this fan-out (nil rows
 	// with metrics disabled; counterAt tolerates both).
 	fired, kicked, supp []*telemetry.Counter
 }
 
-// hedged reports whether cloud i sits behind the gate (a hedge-tier cloud
-// rather than a preferred one).
+// hedged reports whether cloud i sits behind the gate (a spare rather than a
+// preferred cloud).
 func (g *hedgeGate) hedged(i int) bool {
 	return g.enabled && g.pos[i] >= g.need
 }
@@ -261,15 +240,10 @@ func (m *Manager) newHedgeGate(pol iopolicy.Policy, h iopolicy.Hedge, need int, 
 	for p, i := range order {
 		pos[i] = p
 	}
-	hedges := pol.Limits.MaxHedges
-	if hedges <= 0 || hedges > n-need {
-		hedges = n - need
-	}
 	g := &hedgeGate{
 		enabled: true,
 		pos:     pos,
 		need:    need,
-		hedges:  hedges,
 		delay:   m.tracker.HedgeDelay(op, h, order[:need]),
 		kicks:   make(chan struct{}, n),
 	}
@@ -286,17 +260,15 @@ func (m *Manager) newHedgeGate(pol iopolicy.Policy, h iopolicy.Hedge, need int, 
 // fan-out was decided (ctx cancelled) before i's turn came — the caller
 // then reports an empty result without touching the network.
 //
-// Clouds beyond the preferred set are tiered: the first Limits.MaxHedges of
-// them wait one hedge delay, the next tier two delays, and so on. Every
-// tier has a finite timer, so even a fan-out that never cancels (quorum
-// cancellation disabled) and never kicks eventually launches everything —
-// hedging bounds extra load, never availability.
+// Every cloud beyond the preferred set waits the one hedge delay, a finite
+// timer, so even a fan-out that never cancels (quorum cancellation disabled)
+// and never kicks eventually launches everything — hedging bounds extra
+// load, never availability.
 func (g *hedgeGate) enter(ctx context.Context, i int) bool {
 	if !g.enabled || g.pos[i] < g.need {
 		return ctx.Err() == nil
 	}
-	tier := (g.pos[i]-g.need)/g.hedges + 1
-	t := time.NewTimer(time.Duration(tier) * g.delay)
+	t := time.NewTimer(g.delay)
 	defer t.Stop()
 	select {
 	case <-ctx.Done():

@@ -78,7 +78,7 @@ func TestHedgedReadSkipsStraggler(t *testing.T) {
 	warmTracker(m, rtts)
 
 	before := providers[3].TotalRequests()
-	ctx := hedgeCtx(iopolicy.Policy{Hedge: iopolicy.Hedge{Percentile: 0.9}, Preference: iopolicy.Preference{Fastest: true}})
+	ctx := hedgeCtx(iopolicy.Policy{Hedge: iopolicy.Hedge{Percentile: 0.9}})
 	start := time.Now()
 	got, _, err := m.Read(ctx, "u")
 	elapsed := time.Since(start)

@@ -4,14 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"testing"
 	"time"
 
 	"scfs/internal/cloudsim"
 	"scfs/internal/iopolicy"
-	"scfs/internal/pricing"
 )
 
 // writeHedgeCtx builds a context whose policy hedges writes behind a huge
@@ -205,68 +203,29 @@ func TestCancelledHedgedWriteLeavesNothingVisible(t *testing.T) {
 	}
 }
 
-// TestCostPlacedHedgedWrite: under a cost-first placement the preferred
-// write quorum is the cheapest n-f clouds for the payload — the most
-// expensive cloud is the spare and receives nothing.
-func TestCostPlacedHedgedWrite(t *testing.T) {
-	rtts := []time.Duration{0, 0, 0, 0}
-	m, providers, accounts := hedgeManager(t, rtts, Options{
-		// Cloud 2 has by far the most expensive storage: a cost-first bulk
-		// upload must park it as the spare.
-		Pricing: testTable(map[int]float64{0: 0.02, 1: 0.03, 2: 5.0, 3: 0.025}),
-	})
-	warmTracker(m, rtts)
-
-	pol := iopolicy.Policy{
-		WriteHedge: iopolicy.Hedge{Percentile: 0.9, MinDelay: 10 * time.Second},
-		Placement:  iopolicy.Placement{Strategy: iopolicy.PlaceCost},
-	}
-	data := bytes.Repeat([]byte{0xA1}, 256<<10)
-	if _, err := m.Write(hedgeCtx(pol), "u", data); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(50 * time.Millisecond)
-	if u := providers[2].Usage(accounts[2]); u.PutRequests != 0 {
-		t.Fatalf("the expensive cloud received %d PUTs under cost-first placement", u.PutRequests)
-	}
-	got, _, err := m.Read(bg, "u")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("wrong data")
-	}
-}
-
-// TestExplicitFastestBeatsMountPlacement: a per-call PreferFastest must
-// override a manager-default cost placement — the preferred write quorum
-// is then the tracked-fastest clouds, not the cheapest ones.
-func TestExplicitFastestBeatsMountPlacement(t *testing.T) {
+// TestDefaultHedgedWriteParksTrackedSlowest: with no pinned order, a write
+// hedged by the manager's default policy sends its shards to the
+// tracked-fastest n-f clouds — the slowest cloud is the spare and receives
+// nothing.
+func TestDefaultHedgedWriteParksTrackedSlowest(t *testing.T) {
 	rtts := []time.Duration{0, 0, 0, 40 * time.Millisecond}
-	// Cloud 0 is wildly expensive: cost-first placement would park it.
-	table := testTable(map[int]float64{0: 5.0, 1: 0.02, 2: 0.02, 3: 0.02})
 	m, providers, accounts := hedgeManager(t, rtts, Options{
-		Pricing: table,
 		Policy: iopolicy.Policy{
 			WriteHedge: iopolicy.Hedge{Percentile: 0.9, MinDelay: 10 * time.Second},
-			Placement:  iopolicy.Placement{Strategy: iopolicy.PlaceCost},
 		},
 	})
 	warmTracker(m, rtts)
 
 	data := bytes.Repeat([]byte{0x29}, 64<<10)
-	ctx := hedgeCtx(iopolicy.Policy{Preference: iopolicy.Preference{Fastest: true}})
-	if _, err := m.Write(ctx, "u", data); err != nil {
+	if _, err := m.Write(bg, "u", data); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(50 * time.Millisecond)
-	// Fastest-first parks the slow cloud 3, and the expensive-but-fast
-	// cloud 0 receives data despite the mount's cost objective.
 	if u := providers[3].Usage(accounts[3]); u.PutRequests != 0 {
-		t.Fatalf("slow cloud got %d PUTs — explicit Fastest lost to the mount placement", u.PutRequests)
+		t.Fatalf("slow cloud got %d PUTs — the default ranking did not park it", u.PutRequests)
 	}
 	if u := providers[0].Usage(accounts[0]); u.PutRequests == 0 {
-		t.Fatal("fast cloud got nothing — the cost objective still parked it")
+		t.Fatal("fast cloud got nothing")
 	}
 }
 
@@ -286,17 +245,6 @@ func TestHedgedWriteZeroPolicyFullFanOut(t *testing.T) {
 			t.Fatalf("cloud %d served %d PUTs, want 2 (full fan-out)", i, u.PutRequests)
 		}
 	}
-}
-
-// testTable builds a price table whose per-index rates are applied via the
-// providers' names (hedgeManager names them c0..c3): only storage price
-// varies, which dominates the cost of a bulk upload.
-func testTable(storageByIdx map[int]float64) pricing.Table {
-	t := pricing.Table{ByProvider: map[string]pricing.Rates{}}
-	for idx, gbMonth := range storageByIdx {
-		t.ByProvider[fmt.Sprintf("c%d", idx)] = pricing.Rates{StorageGBMonth: gbMonth, EgressPerGB: 0.1}
-	}
-	return t
 }
 
 // TestHedgedWriteSpareReleaseOnMidUploadOutage: a preferred cloud accepts

@@ -19,8 +19,7 @@ package depsky
 //     rankClouds has already pushed it to the back of the launch order, so
 //     a hedged fan-out usually decides the quorum before the gate releases
 //     it. BreakerFailFast skips suspected clouds without touching the
-//     network (their slot counts as a failure); BreakerBypass ignores the
-//     scoreboard (it is still fed).
+//     network (their slot counts as a failure).
 
 import (
 	"context"
@@ -68,7 +67,7 @@ func (m *Manager) timedCloudCall(ctx context.Context, pol iopolicy.Policy, i int
 		return errBreakerSkipped
 	}
 	retry := retryFor(pol)
-	if retry.Enabled() && pol.Breaker != iopolicy.BreakerBypass && m.board.Suspected(i, class) {
+	if retry.Enabled() && m.board.Suspected(i, class) {
 		// No budget for a suspected cloud: one probe-like attempt only.
 		retry = resilience.RetryPolicy{}
 	}

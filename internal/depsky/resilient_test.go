@@ -140,11 +140,6 @@ func TestBreakerOpensAndDemotes(t *testing.T) {
 	if pinned[0] != 0 {
 		t.Fatalf("explicit order overridden: %v", pinned)
 	}
-	// Bypass ignores the scoreboard: the fastest cloud leads again.
-	bypass := m.rankClouds(iopolicy.Policy{Breaker: iopolicy.BreakerBypass}, iopolicy.GetOp(0))
-	if bypass[0] != 0 {
-		t.Fatalf("bypass ranking still demoted: %v", bypass)
-	}
 }
 
 // TestBreakerFailFastSkipsSuspectedCloud: under BreakerFailFast an open

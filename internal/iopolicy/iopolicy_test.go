@@ -46,11 +46,23 @@ func TestPolicyMerge(t *testing.T) {
 	if merged.Hedge.Percentile != 0.9 || merged.Hedge.MaxDelay != 5*time.Millisecond {
 		t.Fatalf("delay-bounds-only override lost: %+v", merged)
 	}
+	// The write hedge merges field-wise too, and apart from the read hedge.
+	writeBase := Policy{WriteHedge: Hedge{Percentile: 0.9, MaxDelay: time.Second}}
+	if merged = writeBase.Merge(Policy{Readahead: 4}); merged.WriteHedge != writeBase.WriteHedge {
+		t.Fatalf("write hedge lost: %+v", merged)
+	}
+	merged = writeBase.Merge(Policy{WriteHedge: Hedge{MinDelay: 5 * time.Millisecond}})
+	if merged.WriteHedge.Percentile != 0.9 || merged.WriteHedge.MinDelay != 5*time.Millisecond || merged.WriteHedge.MaxDelay != time.Second {
+		t.Fatalf("write hedge must merge field-wise: %+v", merged)
+	}
 	if !(Policy{}).IsZero() {
 		t.Fatal("zero policy should report IsZero")
 	}
 	if base.IsZero() {
 		t.Fatal("non-zero policy should not report IsZero")
+	}
+	if (Policy{WriteHedge: Hedge{Percentile: 0.5}}).IsZero() {
+		t.Fatal("write-hedged policy must not report IsZero")
 	}
 }
 
@@ -239,40 +251,6 @@ func TestGovernorInterleavedStreams(t *testing.T) {
 	}
 }
 
-func TestPlacementMerge(t *testing.T) {
-	base := Policy{WriteHedge: Hedge{Percentile: 0.9, MaxDelay: time.Second}}
-	merged := base.Merge(Policy{Placement: Placement{Strategy: PlaceCost}})
-	if merged.Placement.Strategy != PlaceCost {
-		t.Fatalf("placement override lost: %+v", merged)
-	}
-	if merged.WriteHedge.Percentile != 0.9 {
-		t.Fatalf("write hedge lost: %+v", merged)
-	}
-	// An explicit latency placement must override a cost-first default —
-	// PlaceLatency is deliberately not the zero value so the merge can see
-	// it.
-	costFirst := Policy{Placement: Placement{Strategy: PlaceCost}}
-	merged = costFirst.Merge(Policy{Placement: Placement{Strategy: PlaceLatency}})
-	if merged.Placement.Strategy != PlaceLatency {
-		t.Fatalf("explicit latency placement lost under a cost default: %+v", merged)
-	}
-	// The zero (unset) placement inherits the default.
-	merged = costFirst.Merge(Policy{})
-	if merged.Placement.Strategy != PlaceCost {
-		t.Fatalf("unset placement must inherit the default: %+v", merged)
-	}
-	merged = base.Merge(Policy{WriteHedge: Hedge{MinDelay: 5 * time.Millisecond}})
-	if merged.WriteHedge.Percentile != 0.9 || merged.WriteHedge.MinDelay != 5*time.Millisecond || merged.WriteHedge.MaxDelay != time.Second {
-		t.Fatalf("write hedge must merge field-wise: %+v", merged)
-	}
-	if (Policy{WriteHedge: Hedge{Percentile: 0.5}}).IsZero() {
-		t.Fatal("write-hedged policy must not report IsZero")
-	}
-	if (Policy{Placement: Placement{Strategy: PlaceBalanced, CostWeight: 0.5}}).IsZero() {
-		t.Fatal("placed policy must not report IsZero")
-	}
-}
-
 func TestRetryAndBreakerMerge(t *testing.T) {
 	base := Policy{Retry: Retry{MaxAttempts: 3, BackoffBase: time.Millisecond}}
 	if got := base.Merge(Policy{}); got.Retry != base.Retry {
@@ -286,8 +264,8 @@ func TestRetryAndBreakerMerge(t *testing.T) {
 		t.Fatal("breaker mode override lost")
 	}
 	ff := Policy{Breaker: BreakerFailFast}
-	if ff.Merge(Policy{Breaker: BreakerBypass}).Breaker != BreakerBypass {
-		t.Fatal("bypass must override a fail-fast default")
+	if got := ff.Merge(Policy{Breaker: BreakerDemote}).Breaker; got != BreakerDemote {
+		t.Fatalf("FailFast.Merge(Demote) = %v: an explicit demote must override a fail-fast default", got)
 	}
 	if ff.Merge(Policy{}).Breaker != BreakerFailFast {
 		t.Fatal("unset breaker mode must keep the default")

@@ -43,63 +43,19 @@ type Hedge struct {
 // Enabled reports whether the hedge configuration is active.
 func (h Hedge) Enabled() bool { return h.Percentile > 0 }
 
-// Preference orders the clouds an operation's fan-outs dispatch to first —
-// quorum reads and, when WriteHedge is enabled, the preferred write quorum
-// alike. An explicit Order is the strongest placement signal: it takes
-// precedence over the Placement objective, so a call that pins clouds
-// (e.g. for an egress contract) also pins where its hedged writes land.
+// Preference pins the order in which an operation's fan-outs dispatch to the
+// clouds — quorum reads and, when WriteHedge is enabled, the preferred write
+// quorum alike — so a call that pins clouds (e.g. for an egress contract)
+// also pins where its hedged writes land. Unpinned, dispatch ranks the
+// clouds by tracked latency, fastest first.
 type Preference struct {
-	// Fastest ranks clouds by their tracked latency, fastest first. This is
-	// the default whenever hedging is enabled.
-	Fastest bool
 	// Order lists cloud indices to prefer, in order; clouds not listed are
-	// ranked after the listed ones. Takes precedence over Fastest and over
-	// the Placement objective.
+	// ranked after the listed ones.
 	Order []int
 }
 
 // IsZero reports whether the preference is unset.
-func (p Preference) IsZero() bool { return !p.Fastest && len(p.Order) == 0 }
-
-// PlacementStrategy selects the objective a dispatch ranks clouds by.
-type PlacementStrategy int
-
-const (
-	// PlaceDefault is the unset strategy: it ranks like PlaceLatency but,
-	// being the zero value, is overridden by any mount-wide default when
-	// policies merge. An explicit PlaceLatency survives the merge instead,
-	// so a latency-critical call can opt out of a cost-first mount.
-	PlaceDefault PlacementStrategy = iota
-	// PlaceLatency ranks clouds by tracked latency, fastest first (the
-	// same ranking a zero placement uses, but explicit: it overrides a
-	// mount-wide cost objective when merged).
-	PlaceLatency
-	// PlaceCost ranks clouds by the estimated dollars the operation costs
-	// at each of them (request fee + transfer + storage for uploads),
-	// cheapest first.
-	PlaceCost
-	// PlaceBalanced blends the two normalized objectives with CostWeight.
-	PlaceBalanced
-)
-
-// Placement is the per-operation placement objective: which clouds should
-// serve this request, ranked by cost, latency, or a weighted blend. The
-// ranking decides the preferred quorum of hedged reads and writes — under a
-// cost objective a hedged write sends its shards to the cheapest n-f clouds
-// and contacts the expensive spares only if the preferred set stalls or
-// fails. The zero value keeps the latency-first default. The dollar side of
-// the objective is evaluated by internal/placement, which owns the price
-// tables; this spec only travels with the policy.
-type Placement struct {
-	// Strategy selects the objective.
-	Strategy PlacementStrategy
-	// CostWeight in [0, 1] sets the cost share under PlaceBalanced
-	// (0 = pure latency, 1 = pure cost). Ignored by the other strategies.
-	CostWeight float64
-}
-
-// IsZero reports whether the placement objective is unset.
-func (p Placement) IsZero() bool { return p == Placement{} }
+func (p Preference) IsZero() bool { return len(p.Order) == 0 }
 
 // Retry is the per-RPC retry budget an operation grants each cloud: how
 // many attempts one logical RPC may spend on transient failures (outage,
@@ -127,18 +83,17 @@ func (r Retry) IsZero() bool { return r == Retry{} }
 func (r Retry) Enabled() bool { return r.MaxAttempts > 1 }
 
 // BreakerMode selects how an operation consumes the per-(cloud, op-class)
-// circuit-breaker scoreboard.
+// circuit-breaker scoreboard. The zero value is unset and behaves as
+// BreakerDemote; being distinct from both modes, it lets an explicit
+// BreakerDemote override a mount-wide BreakerFailFast when policies merge.
 type BreakerMode int
 
 const (
 	// BreakerDemote (the default) keeps suspected clouds reachable but
-	// deprioritized: they move to the back of every dispatch ranking (last
-	// hedge tier) and receive no retry budget, yet a fan-out that needs them
-	// for its quorum still contacts them. Availability is never traded away.
-	BreakerDemote BreakerMode = iota
-	// BreakerBypass ignores breaker state entirely for this operation (it is
-	// still recorded): the pre-resilience dispatch order.
-	BreakerBypass
+	// deprioritized: they move to the back of every dispatch ranking and
+	// receive no retry budget, yet a fan-out that needs them for its quorum
+	// still contacts them. Availability is never traded away.
+	BreakerDemote BreakerMode = iota + 1
 	// BreakerFailFast additionally skips suspected clouds outright instead
 	// of queueing them behind the hedge gate — latency-critical reads would
 	// rather fail a cloud silently than wait on it. Quorum math still counts
@@ -154,16 +109,11 @@ type Limits struct {
 	// itself is the bound), and narrows how many chunks one multi-chunk
 	// read fetches together when set below that width's fixed bound.
 	MaxParallelChunks int
-	// MaxHedges bounds how many extra clouds launch at the first hedge
-	// firing; clouds beyond the bound wait a further multiple of the hedge
-	// delay (so availability is never sacrificed, only staggered). 0 means
-	// all remaining clouds launch at the first firing.
-	MaxHedges int
 }
 
 // Policy is the per-operation I/O policy. The zero value reproduces the
 // pre-policy behaviour exactly: immediate full fan-out for reads and
-// writes, no readahead, latency-neutral placement.
+// writes, no readahead.
 type Policy struct {
 	// Hedge configures hedged (delayed-straggler) fan-outs for reads.
 	Hedge Hedge
@@ -178,16 +128,13 @@ type Policy struct {
 	// ahead of the consumer (0 = no prefetch). The actual window ramps up
 	// only while the access pattern stays sequential.
 	Readahead int
-	// Preference orders the clouds dispatched to first.
+	// Preference pins the order of the clouds dispatched to first.
 	Preference Preference
-	// Placement ranks the clouds of a fan-out by cost, latency or a blend;
-	// an explicit Preference order takes precedence over it.
-	Placement Placement
 	// Retry grants each per-cloud RPC a budget of backoff retries against
 	// transient provider failures.
 	Retry Retry
 	// Breaker selects how the operation consumes the circuit-breaker
-	// scoreboard (demote suspected clouds, bypass it, or fail fast).
+	// scoreboard (demote suspected clouds, or fail fast).
 	Breaker BreakerMode
 	// Limits bounds the extra work.
 	Limits Limits
@@ -196,8 +143,8 @@ type Policy struct {
 // IsZero reports whether the policy requests nothing beyond the defaults.
 func (p Policy) IsZero() bool {
 	return !p.Hedge.Enabled() && !p.WriteHedge.Enabled() && p.Readahead == 0 &&
-		p.Preference.IsZero() && p.Placement.IsZero() && p.Retry.IsZero() &&
-		p.Breaker == BreakerDemote && p.Limits == Limits{}
+		p.Preference.IsZero() && p.Retry.IsZero() &&
+		p.Breaker == 0 && p.Limits == Limits{}
 }
 
 // Merge overlays override on p: fields set in override win, unset fields
@@ -232,20 +179,14 @@ func (p Policy) Merge(override Policy) Policy {
 	if !override.Preference.IsZero() {
 		out.Preference = override.Preference
 	}
-	if !override.Placement.IsZero() {
-		out.Placement = override.Placement
-	}
 	if !override.Retry.IsZero() {
 		out.Retry = override.Retry
 	}
-	if override.Breaker != BreakerDemote {
+	if override.Breaker != 0 {
 		out.Breaker = override.Breaker
 	}
 	if override.Limits.MaxParallelChunks != 0 {
 		out.Limits.MaxParallelChunks = override.Limits.MaxParallelChunks
-	}
-	if override.Limits.MaxHedges != 0 {
-		out.Limits.MaxHedges = override.Limits.MaxHedges
 	}
 	return out
 }

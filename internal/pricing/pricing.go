@@ -11,8 +11,8 @@
 // (storage per GB-month, requests per call, egress per GB, ingress usually
 // free). This package is the missing conversion layer: a Table of per-cloud
 // Rates with realistic bundled defaults for the simulated providers, and the
-// arithmetic that turns footprint axes into Estimates the placement engine,
-// the garbage collector and the cost reports can rank by.
+// arithmetic that turns footprint axes and metered usage into the dollars the
+// cost model, the garbage collector and the cost reports quote.
 //
 // All dollar amounts are plain float64 US dollars. Estimates are planning
 // numbers, not invoices: providers bill with minimums, tiers and regional
@@ -99,7 +99,7 @@ func (t Table) For(provider string) Rates {
 }
 
 // Resolve returns the rate card of every store, in order. It is how the
-// placement engine and the cost model obtain their per-cloud-index view.
+// cost model and the spend gauges obtain their per-cloud-index view.
 func (t Table) Resolve(stores []cloud.ObjectStore) []Rates {
 	out := make([]Rates, len(stores))
 	for i, s := range stores {
@@ -123,10 +123,10 @@ var DefaultRates = Rates{
 // of internal/cloudsim (the paper's four-cloud setup), keyed by their
 // profile names. The numbers are realistic publicly listed prices for the
 // providers' standard storage classes, flattened to one region and no
-// volume tiers; they are intended to preserve the ratios that make
-// placement interesting (Rackspace bills no request fees but the highest
-// per-GB storage; Azure is the cheapest store; egress is 10-300x the
-// per-request cost for medium objects).
+// volume tiers; they are intended to preserve the ratios between providers
+// (Rackspace bills no request fees but the highest per-GB storage; Azure is
+// the cheapest store; egress is 10-300x the per-request cost for medium
+// objects).
 func DefaultTable() Table {
 	return Table{
 		ByProvider: map[string]Rates{

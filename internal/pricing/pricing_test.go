@@ -71,8 +71,8 @@ func TestDefaultTableCoversSimProfiles(t *testing.T) {
 	if r := tbl.For(string(cloudsim.LocalNull)); !r.IsZero() {
 		t.Errorf("the local test profile should be free, got %+v", r)
 	}
-	// The ratios that make placement interesting: Rackspace bills no
-	// request fees but the most expensive storage.
+	// The ratios between providers: Rackspace bills no request fees but
+	// the most expensive storage.
 	rs := tbl.For("rackspace-files")
 	if rs.PutRequest != 0 || rs.GetRequest != 0 {
 		t.Errorf("rackspace-files should bill no request fees: %+v", rs)

@@ -238,7 +238,7 @@ type breaker struct {
 // A Board never decides availability by itself — the quorum layer keeps
 // contacting suspected clouds when it has no cheaper way to assemble a
 // quorum. What the board changes is priority (suspected clouds are demoted
-// to the last hedge tier) and spend (retry budgets stop being burned on a
+// to the back of the hedged launch order) and spend (retry budgets stop being burned on a
 // cloud that is failing everything).
 type Board struct {
 	pol BreakerPolicy

@@ -25,7 +25,7 @@ const (
 	// breaker was open under a fail-fast policy.
 	SpanBreakerSkipped
 	// SpanSuppressed: a hedged attempt whose release never came — the
-	// quorum verdict arrived while it waited in its hedge tier.
+	// quorum verdict arrived while it waited behind the hedge gate.
 	SpanSuppressed
 )
 
@@ -53,7 +53,8 @@ func (o SpanOutcome) String() string {
 // ("smr.invoke", "smr.batch", "shard.route", "shard.fanout"); variable
 // detail belongs in Target (the provider or shard the span worked against,
 // or the batch flush trigger), never Sprintf'd into the name. Hedged marks
-// attempts that launched from a hedge tier rather than the preferred set.
+// attempts that launched from behind the hedge gate rather than the
+// preferred set.
 // Err (if any) is kept as an error value — formatting is deferred to export
 // time so the hot path never builds strings.
 //

@@ -23,9 +23,9 @@ import (
 
 // Pricing types, re-exported so mounts can bring their own price tables.
 type (
-	// PriceTable maps provider names to their rate cards; it drives the
-	// cost-aware placement objective, the dollars the garbage collector
-	// reports reclaimed and CostReport.
+	// PriceTable maps provider names to their rate cards; it prices the
+	// metered spend, the dollars the garbage collector reports reclaimed
+	// and CostReport.
 	PriceTable = pricing.Table
 	// CloudRates is the price card of one provider.
 	CloudRates = pricing.Rates
@@ -164,10 +164,9 @@ func WithStreamThreshold(bytes int64) Option { return func(c *config) { c.stream
 func WithLockTTL(ttl time.Duration) Option { return func(c *config) { c.lockTTL = ttl } }
 
 // WithPriceTable replaces the bundled per-provider price table (matched by
-// ObjectStore.Provider() name). The table prices the cost-aware placement
-// objective (WithPlacement), the dollars the garbage collector reports
-// reclaimed, and CostReport. Mounts without this option use
-// DefaultPriceTable.
+// ObjectStore.Provider() name). The table prices the metered spend, the
+// dollars the garbage collector reports reclaimed, and CostReport. Mounts
+// without this option use DefaultPriceTable.
 func WithPriceTable(t PriceTable) Option {
 	return func(c *config) { c.pricing, c.pricingSet = t, true }
 }

@@ -42,7 +42,7 @@ func TestCallOptionsRoundTrip(t *testing.T) {
 		scfs.WithHedgeDelayBounds(time.Millisecond, 100*time.Millisecond),
 		scfs.WithReadahead(2),
 		scfs.WithLimits(scfs.IOLimits{MaxParallelChunks: 2}),
-		scfs.WithReadPreference(scfs.PreferFastest()),
+		scfs.WithReadPreference(scfs.PreferClouds(2, 0, 1)),
 	)
 	if err != nil {
 		t.Fatal(err)
