@@ -43,7 +43,6 @@ import (
 	"io"
 	"sort"
 	"strconv"
-	"sync"
 	"time"
 
 	"scfs/internal/cloud"
@@ -882,16 +881,7 @@ func (m *Manager) DeleteUnit(ctx context.Context, unit string) error {
 	if _, err := m.DeleteVersions(ctx, unit, numbers); err != nil {
 		return err
 	}
-	name := m.metaName(unit)
-	var wg sync.WaitGroup
-	for _, c := range m.opts.Clouds {
-		wg.Add(1)
-		go func(c cloud.ObjectStore) {
-			defer wg.Done()
-			_ = c.Delete(ctx, name)
-		}(c)
-	}
-	wg.Wait()
+	m.deleteObjects(ctx, []string{m.metaName(unit)})
 	return nil
 }
 

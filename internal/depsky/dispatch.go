@@ -120,6 +120,11 @@ func startRound[T any](ctx context.Context, m *Manager, kind string, op iopolicy
 	opCtx, cancel := m.quorumCtx(ctx)
 	outcomes := make(chan outcome[T], m.N())
 	for i, c := range m.opts.Clouds {
+		var inflight *telemetry.Gauge // the goroutine may outlive the verdict
+		if m.ins != nil {
+			inflight = m.ins.rpcInflight[i]
+		}
+		inflight.Add(1)
 		go func() {
 			o := outcome[T]{cloud: i, err: errHedgeSkipped}
 			if gate.enter(opCtx, i) {
@@ -138,6 +143,7 @@ func startRound[T any](ctx context.Context, m *Manager, kind string, op iopolicy
 				m.recordGated(tr, kind, i, gate.hedged(i))
 			}
 			outcomes <- o
+			inflight.Add(-1)
 		}()
 	}
 	return round[T]{outcomes: outcomes, kick: gate.kick, cancel: cancel}

@@ -37,6 +37,7 @@ type instruments struct {
 	rpcLat                   [][]*telemetry.Histogram
 	retries                  [][]*telemetry.Counter
 	breakerSkip              [][]*telemetry.Counter
+	rpcInflight              []*telemetry.Gauge // [cloud]: round goroutines not yet delivered
 
 	// Hedge counters are indexed [class][cloud]: the gate resolves its row
 	// once per fan-out and indexes by cloud in enter.
@@ -64,6 +65,7 @@ func newInstruments(reg *telemetry.Registry, names []string) *instruments {
 		rpcLat:          make([][]*telemetry.Histogram, n),
 		retries:         make([][]*telemetry.Counter, n),
 		breakerSkip:     make([][]*telemetry.Counter, n),
+		rpcInflight:     make([]*telemetry.Gauge, n),
 		hedgeFired:      make([][]*telemetry.Counter, nc),
 		hedgeKicked:     make([][]*telemetry.Counter, nc),
 		hedgeSuppressed: make([][]*telemetry.Counter, nc),
@@ -89,6 +91,7 @@ func newInstruments(reg *telemetry.Registry, names []string) *instruments {
 		ins.retries[i] = make([]*telemetry.Counter, nc)
 		ins.breakerSkip[i] = make([]*telemetry.Counter, nc)
 		ins.breakerTo[i] = make([][3]*telemetry.Counter, nc)
+		ins.rpcInflight[i] = reg.Gauge(telemetry.Name("rpc_inflight", "cloud", cn))
 		for cl, op := range opClassNames {
 			ins.rpcOK[i][cl] = reg.Counter(telemetry.Name("rpc_total", "cloud", cn, "op", op, "outcome", "ok"))
 			ins.rpcErr[i][cl] = reg.Counter(telemetry.Name("rpc_total", "cloud", cn, "op", op, "outcome", "error"))

@@ -46,23 +46,40 @@ func TestPolicyMerge(t *testing.T) {
 	if merged.Hedge.Percentile != 0.9 || merged.Hedge.MaxDelay != 5*time.Millisecond {
 		t.Fatalf("delay-bounds-only override lost: %+v", merged)
 	}
-	// The write hedge merges field-wise too, and apart from the read hedge.
-	writeBase := Policy{WriteHedge: Hedge{Percentile: 0.9, MaxDelay: time.Second}}
-	if merged = writeBase.Merge(Policy{Readahead: 4}); merged.WriteHedge != writeBase.WriteHedge {
-		t.Fatalf("write hedge lost: %+v", merged)
-	}
-	merged = writeBase.Merge(Policy{WriteHedge: Hedge{MinDelay: 5 * time.Millisecond}})
-	if merged.WriteHedge.Percentile != 0.9 || merged.WriteHedge.MinDelay != 5*time.Millisecond || merged.WriteHedge.MaxDelay != time.Second {
-		t.Fatalf("write hedge must merge field-wise: %+v", merged)
-	}
 	if !(Policy{}).IsZero() {
 		t.Fatal("zero policy should report IsZero")
 	}
 	if base.IsZero() {
 		t.Fatal("non-zero policy should not report IsZero")
 	}
+}
+
+// TestPlacementMerge covers the two knobs that decide where a fan-out's
+// requests go: the write hedge (which clouds a write parks as spares) and
+// the pinned preference order.
+func TestPlacementMerge(t *testing.T) {
+	base := Policy{WriteHedge: Hedge{Percentile: 0.9, MaxDelay: time.Second}}
+	merged := base.Merge(Policy{Preference: Preference{Order: []int{2, 0}}})
+	if len(merged.Preference.Order) != 2 || merged.Preference.Order[0] != 2 {
+		t.Fatalf("preference override lost: %+v", merged)
+	}
+	if merged.WriteHedge != base.WriteHedge {
+		t.Fatalf("write hedge lost: %+v", merged)
+	}
+	// The zero (unset) preference inherits the default.
+	pinned := Policy{Preference: Preference{Order: []int{3}}}
+	if merged = pinned.Merge(Policy{Readahead: 4}); len(merged.Preference.Order) != 1 || merged.Preference.Order[0] != 3 {
+		t.Fatalf("unset preference must inherit the default: %+v", merged)
+	}
+	merged = base.Merge(Policy{WriteHedge: Hedge{MinDelay: 5 * time.Millisecond}})
+	if merged.WriteHedge.Percentile != 0.9 || merged.WriteHedge.MinDelay != 5*time.Millisecond || merged.WriteHedge.MaxDelay != time.Second {
+		t.Fatalf("write hedge must merge field-wise: %+v", merged)
+	}
 	if (Policy{WriteHedge: Hedge{Percentile: 0.5}}).IsZero() {
 		t.Fatal("write-hedged policy must not report IsZero")
+	}
+	if pinned.IsZero() {
+		t.Fatal("pinned policy must not report IsZero")
 	}
 }
 

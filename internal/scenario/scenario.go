@@ -50,6 +50,25 @@ func counterSum(s scfs.MetricsSnapshot, prefix string) int64 {
 	return sum
 }
 
+// waitRPCsDrained polls until none of cloud's per-cloud round goroutines is
+// in flight — rpc_inflight counts those, including the ones that outlive
+// their operation's quorum verdict — and returns the snapshot that saw the
+// gauge at zero, in which every attempt they made is already recorded.
+func waitRPCsDrained(t *testing.T, env *Env, cloud string) scfs.MetricsSnapshot {
+	t.Helper()
+	gauge := `rpc_inflight{cloud="` + cloud + `"}`
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		tel := env.FS.Stats().Telemetry
+		if n := tel.Gauge(gauge); n == 0 {
+			return tel
+		} else if time.Now().After(deadline) {
+			t.Fatalf("%s = %d: round goroutines never drained", gauge, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // Env is the deployment a scenario runs against: a mounted scfs instance
 // over four simulated clouds (f=1) whose fault schedules the scenario
 // scripts via the providers.

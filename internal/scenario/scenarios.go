@@ -428,25 +428,38 @@ func breakerRecovery() Scenario {
 		Mount: []scfs.Option{
 			scfs.WithBreakerPolicy(scfs.BreakerPolicy{
 				FailureThreshold: 2,
-				Cooldown:         150 * time.Millisecond,
+				// Long enough that both breakers stay open through the
+				// fail-fast phase even on a loaded machine.
+				Cooldown: time.Second,
 			}),
 		},
 		Run: func(t *testing.T, env *Env) {
 			steady := payload(0x2B, 12<<10)
 			mustWrite(t, env, "/steady.bin", steady)
 
-			// Outage: every request to c0 fails. Full-fan-out writes keep
-			// succeeding on the quorum while the failures trip c0's GET and
-			// PUT breakers.
+			// Outage: every request to c0 fails. Full-fan-out writes and
+			// reads keep succeeding on the quorum while the failures trip
+			// c0's GET and PUT breakers — telemetry, not inference, says
+			// when both have. A round's goroutine for c0 may still be
+			// running after its operation returned, so each check first
+			// waits for c0's in-flight count to drain: only then is every
+			// failure on the scoreboard, and no straggler of the outage can
+			// reach c0 later and be blamed on the fail-fast phase.
 			env.Providers[0].SetFault(cloudsim.FaultUnavailable)
-			for i := 0; i < 3; i++ {
-				mustWrite(t, env, fmt.Sprintf("/outage%d.bin", i), payload(byte(i), 12<<10))
+			tripped := func() bool {
+				tel := waitRPCsDrained(t, env, "c0")
+				return tel.Counter(`breaker_open_total{cloud="c0",op="get"}`) > 0 &&
+					tel.Counter(`breaker_open_total{cloud="c0",op="put"}`) > 0
 			}
-
-			// The failures must have tripped c0's breakers — telemetry, not
-			// inference, says so.
-			if trips := counterSum(env.FS.Stats().Telemetry, `breaker_open_total{cloud="c0"`); trips < 1 {
-				t.Fatalf("outage tripped no breaker for c0 (breaker_open_total = %d)", trips)
+			deadline := time.Now().Add(10 * time.Second)
+			for i := 0; !tripped(); i++ {
+				if time.Now().After(deadline) {
+					t.Fatal("outage did not trip both of c0's breakers")
+				}
+				data := payload(byte(i), 12<<10)
+				path := fmt.Sprintf("/outage%d.bin", i)
+				mustWrite(t, env, path, data)
+				mustRead(t, env, path, data)
 			}
 
 			// Breakers open: fail-fast operations must not touch c0 at all —
@@ -475,13 +488,14 @@ func breakerRecovery() Scenario {
 
 			// Recovery: the outage ends and fail-fast traffic keeps flowing.
 			// Poll against a deadline instead of guessing a settle time —
-			// once the cooldown elapses, some operation's probe readmits c0
-			// and its request counter moves again with no change in client
-			// behaviour.
+			// once the cooldown elapses, some operation's probe readmits c0:
+			// a successful probe moves a c0 breaker back to closed with no
+			// change in client behaviour.
 			env.Providers[0].SetFault(cloudsim.FaultNone)
 			before = env.Providers[0].TotalRequests()
-			deadline := time.Now().Add(10 * time.Second)
-			for i := 0; env.Providers[0].TotalRequests() == before; i++ {
+			const c0Recovered = `breaker_recovered_total{cloud="c0"`
+			deadline = time.Now().Add(10 * time.Second)
+			for i := 0; counterSum(env.FS.Stats().Telemetry, c0Recovered) == 0; i++ {
 				if time.Now().After(deadline) {
 					t.Fatal("healed cloud never readmitted: breaker probe did not close it")
 				}
@@ -491,11 +505,10 @@ func breakerRecovery() Scenario {
 				mustRead(t, env, path, data, scfs.WithBreaker(scfs.BreakerFailFast))
 				time.Sleep(20 * time.Millisecond)
 			}
-			// The readmission is a recorded breaker transition, not an
-			// accident: a successful probe moved some c0 breaker back to
-			// closed.
-			if rec := counterSum(env.FS.Stats().Telemetry, `breaker_recovered_total{cloud="c0"`); rec < 1 {
-				t.Fatalf("c0 serves requests again but no breaker recovery was recorded (%d)", rec)
+			// The recorded readmission is real traffic: the probe that
+			// closed the breaker reached the healed provider.
+			if env.Providers[0].TotalRequests() == before {
+				t.Fatal("a c0 breaker recovered without a request reaching c0")
 			}
 			// And the pre-outage file is still intact.
 			mustRead(t, env, "/steady.bin", steady)
