@@ -253,6 +253,16 @@ var pairRules = []pairRule{
 		metric: func(b bench) float64 { return b.BOp }, what: "B/op",
 		maxRatio: 1.5,
 	},
+	// A point read costs a replica a lookup, not a scan. Reading a record of
+	// 12 through an in-process tuple space costs the same whether the space
+	// holds those 12 tuples or 4000: the template names the tuple's tag and
+	// path, which the space's key index maps to that key's tuples. A scan in
+	// insertion order made the larger leg many times slower.
+	{
+		num: "BenchmarkDepSpaceGet/Among4000", den: "BenchmarkDepSpaceGet/Alone",
+		metric: func(b bench) float64 { return b.NsOp }, what: "ns/op",
+		maxRatio: 1.5,
+	},
 	// A collection is as deep with 64 changed files as with 8: three
 	// coordination accesses, and a sweep that takes sixteen files at a time in
 	// three cloud rounds each. By round-trip arithmetic 15 against 6 round

@@ -162,6 +162,46 @@ func BenchmarkDepSpaceList(b *testing.B) {
 	}
 }
 
+// BenchmarkDepSpaceGet reads one record of 12 through coord.DepSpaceService
+// on an in-process tuple space that holds only those 12 (Alone) or 4000
+// tuples (Among4000), the 12 stored after the rest. A read names its tuple's
+// tag and path, which the tuple space looks up in its key index, so it costs
+// the same whatever the space holds; a scan in insertion order would walk
+// 3988 tuples first. Acceptance (benchguard): Among4000 costs at most 1.5x
+// Alone's ns/op.
+func BenchmarkDepSpaceGet(b *testing.B) {
+	for _, leg := range []struct {
+		name   string
+		tuples int
+	}{
+		{"Alone", 12},
+		{"Among4000", 4000},
+	} {
+		b.Run(leg.name, func(b *testing.B) {
+			svc := coord.NewDepSpaceService(depspace.NewClient(&depspace.LocalInvoker{Space: depspace.NewSpace()}, "user", nil))
+			var keys []string
+			for i := 0; i < leg.tuples; i++ {
+				key := fmt.Sprintf("/d%02d/file%04d", i%32, i)
+				if i >= leg.tuples-12 {
+					key = fmt.Sprintf("/read/file%02d", leg.tuples-i)
+					keys = append(keys, key)
+				}
+				if _, err := svc.PutMetadata(bg, key, []byte(key), coord.ACL{Owner: "user"}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				key := keys[i%len(keys)]
+				if rec, err := svc.GetMetadata(bg, key); err != nil || string(rec.Value) != key {
+					b.Fatalf("get %s = %q, %v", key, rec.Value, err)
+				}
+			}
+		})
+	}
+}
+
 // countingInvoker counts actual wire invocations below the coalescer: one
 // count per ordered round trip to the replica group, however many tuple
 // commands it carries. Each shard counts separately, so the benchmark can

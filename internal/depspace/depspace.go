@@ -19,6 +19,7 @@ package depspace
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -172,14 +173,43 @@ const (
 
 // Space is the deterministic tuple-space state machine. It implements
 // smr.Application.
+//
+// Every command searches the tuples in the order they were stored and acts on
+// the first live match. entries keeps that order; a removed tuple leaves a nil
+// hole there until the holes outnumber the tuples. byKey indexes the tuples by
+// their first two fields, the (tag, key) of <"meta", path, ...> and <"lock",
+// path, ...>, each key's list in entries order: a template that names both
+// fields is answered from its key's few tuples, whatever the space holds.
+// Any other template scans entries.
 type Space struct {
 	mu      sync.Mutex
-	entries []*Entry
+	entries []*stored
+	live    int
+	byKey   map[tupleKey][]*stored
 	nextVer uint64
 }
 
+// stored is a tuple as the space keeps it: its entry and its place in entries.
+type stored struct {
+	Entry
+	at int
+}
+
+type tupleKey struct{ tag, key string }
+
+// indexKey returns the key a tuple is indexed under; a tuple of fewer than two
+// fields has none, and no template naming two fields can match it.
+func indexKey(t Tuple) (tupleKey, bool) {
+	if len(t) < 2 {
+		return tupleKey{}, false
+	}
+	return tupleKey{t[0], t[1]}, true
+}
+
 // NewSpace returns an empty tuple space.
-func NewSpace() *Space { return &Space{nextVer: 1} }
+func NewSpace() *Space {
+	return &Space{nextVer: 1, byKey: make(map[tupleKey][]*stored)}
+}
 
 // Execute implements smr.Application.
 func (s *Space) Execute(cmdBytes []byte) []byte {
@@ -222,44 +252,111 @@ func marshalResult(r Result) []byte {
 	return b
 }
 
-// isExpired evaluates expiry lazily, during matching; expired tuples are
-// reclaimed by opClean.
-func (s *Space) isExpired(e *Entry, now int64) bool {
+// expired evaluates expiry lazily, during matching; expired tuples are
+// reclaimed when a tuple is stored at their key (put) or by opClean.
+func (e *Entry) expired(now int64) bool {
 	return e.ExpiresAt != 0 && now > e.ExpiresAt
 }
 
 func (s *Space) cleanExpired(now int64) int {
-	kept := s.entries[:0]
-	removed := 0
-	for _, e := range s.entries {
-		if s.isExpired(e, now) {
-			removed++
-			continue
+	var kept []*Entry
+	for _, st := range s.entries {
+		if st != nil && !st.expired(now) {
+			kept = append(kept, &st.Entry)
 		}
-		kept = append(kept, e)
 	}
-	s.entries = kept
+	removed := s.live - len(kept)
+	s.reset(kept)
 	return removed
 }
 
-func (s *Space) findMatch(template Tuple, now int64) (int, *Entry) {
-	for i, e := range s.entries {
-		if s.isExpired(e, now) {
-			continue
-		}
-		if e.Tuple.Matches(template) {
-			return i, e
+// reset makes entries, in their order, the whole content of the space.
+func (s *Space) reset(entries []*Entry) {
+	s.entries = make([]*stored, 0, len(entries))
+	s.byKey = make(map[tupleKey][]*stored)
+	s.live = 0
+	for _, e := range entries {
+		if e != nil {
+			s.add(*e)
 		}
 	}
-	return -1, nil
 }
 
-func (s *Space) out(cmd Command) Result {
-	if len(cmd.Tuple) == 0 {
-		return Result{OK: false, Err: ErrBadCommand}
+// add appends e to the space and to its key's list.
+func (s *Space) add(e Entry) {
+	st := &stored{Entry: e, at: len(s.entries)}
+	s.entries = append(s.entries, st)
+	s.live++
+	s.link(st)
+}
+
+// link puts st into its key's list at its place in entries order.
+func (s *Space) link(st *stored) {
+	k, ok := indexKey(st.Tuple)
+	if !ok {
+		return
 	}
-	e := &Entry{
-		Tuple:   cmd.Tuple.Clone(),
+	list := s.byKey[k]
+	i := len(list)
+	for i > 0 && list[i-1].at > st.at {
+		i--
+	}
+	s.byKey[k] = slices.Insert(list, i, st)
+}
+
+// unlink takes st out of its key's list.
+func (s *Space) unlink(st *stored) {
+	k, ok := indexKey(st.Tuple)
+	if !ok {
+		return
+	}
+	list := s.byKey[k]
+	if i := slices.Index(list, st); i >= 0 {
+		list = slices.Delete(list, i, i+1)
+	}
+	if len(list) == 0 {
+		delete(s.byKey, k)
+	} else {
+		s.byKey[k] = list
+	}
+}
+
+// remove takes st out of the space. Once the holes outnumber the tuples,
+// entries is compacted, so a removal costs O(1) amortized.
+func (s *Space) remove(st *stored) {
+	s.unlink(st)
+	s.entries[st.at] = nil
+	s.live--
+	if holes := len(s.entries) - s.live; holes > 32 && holes > s.live {
+		n := 0
+		for _, x := range s.entries {
+			if x != nil {
+				x.at = n
+				s.entries[n] = x
+				n++
+			}
+		}
+		clear(s.entries[n:])
+		s.entries = s.entries[:n]
+	}
+}
+
+// put stores t as a new version with the command's ACL and TTL. It first
+// drops the tuples at t's key that expired by the command's Now, so a lease
+// that expires instead of being released is reclaimed by the next one taken
+// on its key, identically at every replica.
+func (s *Space) put(t Tuple, cmd Command) Result {
+	if k, ok := indexKey(t); ok {
+		for i := 0; i < len(s.byKey[k]); {
+			if old := s.byKey[k][i]; old.expired(cmd.Now) {
+				s.remove(old)
+			} else {
+				i++
+			}
+		}
+	}
+	e := Entry{
+		Tuple:   t.Clone(),
 		ACL:     cmd.ACL,
 		Version: s.nextVer,
 	}
@@ -267,19 +364,42 @@ func (s *Space) out(cmd Command) Result {
 	if cmd.TTLNanos > 0 {
 		e.ExpiresAt = cmd.Now + cmd.TTLNanos
 	}
-	s.entries = append(s.entries, e)
-	return Result{OK: true, Version: e.Version, Entry: cloneEntry(e)}
+	s.add(e)
+	return Result{OK: true, Version: e.Version, Entry: cloneEntry(&e)}
+}
+
+// findMatch returns the first live tuple, in entries order, that matches
+// template: from its key's list when the template names both indexed fields,
+// by a scan otherwise.
+func (s *Space) findMatch(template Tuple, now int64) *stored {
+	candidates := s.entries
+	if k, ok := indexKey(template); ok && k.tag != Wildcard && k.key != Wildcard {
+		candidates = s.byKey[k]
+	}
+	for _, st := range candidates {
+		if st != nil && !st.expired(now) && st.Tuple.Matches(template) {
+			return st
+		}
+	}
+	return nil
+}
+
+func (s *Space) out(cmd Command) Result {
+	if len(cmd.Tuple) == 0 {
+		return Result{OK: false, Err: ErrBadCommand}
+	}
+	return s.put(cmd.Tuple, cmd)
 }
 
 func (s *Space) rdp(cmd Command) Result {
-	_, e := s.findMatch(cmd.Template, cmd.Now)
+	e := s.findMatch(cmd.Template, cmd.Now)
 	if e == nil {
 		return Result{OK: false, Err: ErrNoMatch}
 	}
 	if !e.ACL.canRead(cmd.Requester) {
 		return Result{OK: false, Err: ErrAccessDenied}
 	}
-	return Result{OK: true, Entry: cloneEntry(e), Version: e.Version}
+	return Result{OK: true, Entry: cloneEntry(&e.Entry), Version: e.Version}
 }
 
 // rdAll reads every live tuple that matches Template, starts with Prefix in
@@ -292,16 +412,19 @@ func (s *Space) rdAll(cmd Command) Result {
 	}
 	var out []Entry
 	for _, e := range s.entries {
+		if e == nil {
+			continue
+		}
 		if cmd.Prefix != "" && (cmd.FieldIndex >= len(e.Tuple) || !strings.HasPrefix(e.Tuple[cmd.FieldIndex], cmd.Prefix)) {
 			continue
 		}
-		if s.isExpired(e, cmd.Now) || !e.Tuple.Matches(cmd.Template) {
+		if e.expired(cmd.Now) || !e.Tuple.Matches(cmd.Template) {
 			continue
 		}
 		if !e.ACL.canRead(cmd.Requester) {
 			continue
 		}
-		out = append(out, *cloneEntry(e))
+		out = append(out, *cloneEntry(&e.Entry))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Tuple.Less(out[j].Tuple) })
 	return Result{OK: true, Entries: out, Count: len(out)}
@@ -314,7 +437,7 @@ func (s *Space) rdAll(cmd Command) Result {
 // command logged before the field was honoured here carries — removes
 // whatever matches.
 func (s *Space) inp(cmd Command) Result {
-	i, e := s.findMatch(cmd.Template, cmd.Now)
+	e := s.findMatch(cmd.Template, cmd.Now)
 	if e == nil {
 		return Result{OK: false, Err: ErrNoMatch}
 	}
@@ -324,8 +447,8 @@ func (s *Space) inp(cmd Command) Result {
 	if cmd.ExpectedVersion != 0 && e.Version != cmd.ExpectedVersion {
 		return Result{OK: false, Err: ErrVersionClash, Version: e.Version}
 	}
-	s.entries = append(s.entries[:i], s.entries[i+1:]...)
-	return Result{OK: true, Entry: cloneEntry(e), Version: e.Version}
+	s.remove(e)
+	return Result{OK: true, Entry: cloneEntry(&e.Entry), Version: e.Version}
 }
 
 // replace atomically removes the tuple matching Template (if any) and inserts
@@ -335,24 +458,13 @@ func (s *Space) replace(cmd Command) Result {
 	if len(cmd.Replacement) == 0 {
 		return Result{OK: false, Err: ErrBadCommand}
 	}
-	i, e := s.findMatch(cmd.Template, cmd.Now)
-	if e != nil {
+	if e := s.findMatch(cmd.Template, cmd.Now); e != nil {
 		if !e.ACL.canWrite(cmd.Requester) {
 			return Result{OK: false, Err: ErrAccessDenied}
 		}
-		s.entries = append(s.entries[:i], s.entries[i+1:]...)
+		s.remove(e)
 	}
-	newEntry := &Entry{
-		Tuple:   cmd.Replacement.Clone(),
-		ACL:     cmd.ACL,
-		Version: s.nextVer,
-	}
-	s.nextVer++
-	if cmd.TTLNanos > 0 {
-		newEntry.ExpiresAt = cmd.Now + cmd.TTLNanos
-	}
-	s.entries = append(s.entries, newEntry)
-	return Result{OK: true, Version: newEntry.Version, Entry: cloneEntry(newEntry)}
+	return s.put(cmd.Replacement, cmd)
 }
 
 // cas performs a compare-and-swap keyed by version: it succeeds only if the
@@ -362,50 +474,42 @@ func (s *Space) replace(cmd Command) Result {
 // rdp would — so only to a requester who may read it; anyone else is denied
 // and learns nothing of it.
 func (s *Space) cas(cmd Command) Result {
-	i, e := s.findMatch(cmd.Template, cmd.Now)
+	e := s.findMatch(cmd.Template, cmd.Now)
 	if e != nil && e.Version != cmd.ExpectedVersion && !e.ACL.canRead(cmd.Requester) {
 		return Result{OK: false, Err: ErrAccessDenied}
 	}
 	if cmd.ExpectedVersion == 0 {
 		if e != nil {
-			return Result{OK: false, Err: ErrAlreadyExists, Version: e.Version, Entry: cloneEntry(e)}
+			return Result{OK: false, Err: ErrAlreadyExists, Version: e.Version, Entry: cloneEntry(&e.Entry)}
 		}
 	} else {
 		if e == nil {
 			return Result{OK: false, Err: ErrNoMatch}
 		}
 		if e.Version != cmd.ExpectedVersion {
-			return Result{OK: false, Err: ErrVersionClash, Version: e.Version, Entry: cloneEntry(e)}
+			return Result{OK: false, Err: ErrVersionClash, Version: e.Version, Entry: cloneEntry(&e.Entry)}
 		}
 		if !e.ACL.canWrite(cmd.Requester) {
 			return Result{OK: false, Err: ErrAccessDenied}
 		}
-		s.entries = append(s.entries[:i], s.entries[i+1:]...)
+		s.remove(e)
 	}
-	newEntry := &Entry{
-		Tuple:   cmd.Replacement.Clone(),
-		ACL:     cmd.ACL,
-		Version: s.nextVer,
-	}
-	s.nextVer++
-	if cmd.TTLNanos > 0 {
-		newEntry.ExpiresAt = cmd.Now + cmd.TTLNanos
-	}
-	s.entries = append(s.entries, newEntry)
-	return Result{OK: true, Version: newEntry.Version, Entry: cloneEntry(newEntry)}
+	return s.put(cmd.Replacement, cmd)
 }
 
 // rename rewrites the prefix OldPrefix into NewPrefix in field FieldIndex of
 // every matching tuple, mirroring the trigger extension added to DepSpace
 // for efficient directory renames. All or nothing: one matching tuple the
 // requester may not write denies the command before any tuple is rewritten.
+// A tuple keeps its place in entries; one whose indexed field changes moves
+// to its new key's list.
 func (s *Space) rename(cmd Command) Result {
 	if cmd.OldPrefix == "" || cmd.FieldIndex < 0 {
 		return Result{OK: false, Err: ErrBadCommand}
 	}
-	var matches []*Entry
+	var matches []*stored
 	for _, e := range s.entries {
-		if s.isExpired(e, cmd.Now) || cmd.FieldIndex >= len(e.Tuple) {
+		if e == nil || e.expired(cmd.Now) || cmd.FieldIndex >= len(e.Tuple) {
 			continue
 		}
 		field := e.Tuple[cmd.FieldIndex]
@@ -417,10 +521,17 @@ func (s *Space) rename(cmd Command) Result {
 		}
 		matches = append(matches, e)
 	}
+	rekey := cmd.FieldIndex < 2
 	for _, e := range matches {
+		if rekey {
+			s.unlink(e)
+		}
 		e.Tuple[cmd.FieldIndex] = cmd.NewPrefix + strings.TrimPrefix(e.Tuple[cmd.FieldIndex], cmd.OldPrefix)
 		e.Version = s.nextVer
 		s.nextVer++
+		if rekey {
+			s.link(e)
+		}
 	}
 	return Result{OK: true, Count: len(matches)}
 }
@@ -435,10 +546,16 @@ func cloneEntry(e *Entry) *Entry {
 func (s *Space) Snapshot() []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	entries := make([]*Entry, 0, s.live)
+	for _, e := range s.entries {
+		if e != nil {
+			entries = append(entries, &e.Entry)
+		}
+	}
 	state := struct {
 		Entries []*Entry `json:"entries"`
 		NextVer uint64   `json:"next_ver"`
-	}{Entries: s.entries, NextVer: s.nextVer}
+	}{Entries: entries, NextVer: s.nextVer}
 	b, _ := json.Marshal(state)
 	return b
 }
@@ -454,7 +571,7 @@ func (s *Space) Restore(snapshot []byte) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.entries = state.Entries
+	s.reset(state.Entries)
 	s.nextVer = state.NextVer
 	if s.nextVer == 0 {
 		s.nextVer = 1
@@ -467,5 +584,5 @@ func (s *Space) Restore(snapshot []byte) error {
 func (s *Space) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.entries)
+	return s.live
 }

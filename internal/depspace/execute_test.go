@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 )
 
 // execute runs one command on the space as the replicas would.
@@ -143,6 +144,30 @@ func TestCasClashRevealsOnlyReadableTuples(t *testing.T) {
 	}
 }
 
+// TestExpiredLeasesAreReclaimed: a lease that expires instead of being
+// released used to stay in the space for good, walked by every listing,
+// rename and snapshot; only opClean reclaimed it, and nothing issues that.
+// Taking a lease on a key now first drops that key's expired tuples, so a
+// hundred leases taken in turn, each after the last expired, leave one.
+func TestExpiredLeasesAreReclaimed(t *testing.T) {
+	_, space, clk := newLocalClient("")
+	owners := []*Client{
+		NewClient(&LocalInvoker{Space: space}, "alice", clk),
+		NewClient(&LocalInvoker{Space: space}, "bob", clk),
+	}
+	template := Tuple{"lock", "/f", Wildcard}
+	for i := 0; i < 100; i++ {
+		owner := owners[i%2]
+		if _, _, err := owner.Cas(bg, template, Tuple{"lock", "/f", owner.requester}, 0, ACL{Owner: owner.requester}, time.Millisecond); err != nil {
+			t.Fatalf("lease %d: %v", i, err)
+		}
+		clk.Advance(2 * time.Millisecond)
+	}
+	if n := space.Len(); n != 1 {
+		t.Fatalf("%d tuples after 100 leases that expired in turn, want 1", n)
+	}
+}
+
 // fuzzSpace is a dozen tuples: open ones, ACL'd ones, a lock, a short tuple,
 // and one that expired at time 2.
 func fuzzSpace(t testing.TB) *Space {
@@ -174,6 +199,12 @@ func FuzzSpaceExecute(f *testing.F) {
 		{Op: opCas, Template: Tuple{"x"}, ExpectedVersion: 12},
 		{Op: opRename, Requester: "alice", FieldIndex: 1, OldPrefix: "/d0", NewPrefix: "/e"},
 		{Op: opClean, Now: 1 << 50},
+		{Op: opRename, Requester: "alice", FieldIndex: 0, OldPrefix: "lock", NewPrefix: "meta"},
+		{Op: opRename, Requester: "bob", FieldIndex: 2, OldPrefix: "aA==", NewPrefix: "zz"},
+		{Op: opRename, FieldIndex: 1, OldPrefix: "/d1", NewPrefix: "/d0"},
+		{Op: opCas, Now: 5, Template: Tuple{"lock", "/d1/f1", Wildcard}, Replacement: Tuple{"lock", "/d1/f1", "alice"}, TTLNanos: 10},
+		{Op: opReplace, Now: 5, Template: Tuple{"meta", "/d1/f1", Wildcard}, Replacement: Tuple{"lock", "/d1/f1", "x"}},
+		{Op: opOut, Now: 1 << 50, Tuple: Tuple{"lock", "/d0/f0", "bob"}},
 	} {
 		b, err := json.Marshal(cmd)
 		if err != nil {

@@ -112,10 +112,10 @@ func (t Table) Resolve(stores []cloud.ObjectStore) []Rates {
 // roughly the 2020s price of commodity object storage.
 var DefaultRates = Rates{
 	StorageGBMonth: 0.023,
-	PutRequest:     5e-6,  // $5.00 / 1M
-	GetRequest:     4e-7,  // $0.40 / 1M
-	DeleteRequest:  0,     // free at every major provider
-	ListRequest:    5e-6,  // billed like writes
+	PutRequest:     5e-6, // $5.00 / 1M
+	GetRequest:     4e-7, // $0.40 / 1M
+	DeleteRequest:  0,    // free at every major provider
+	ListRequest:    5e-6, // billed like writes
 	EgressPerGB:    0.09,
 }
 

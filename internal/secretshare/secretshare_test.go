@@ -168,7 +168,7 @@ func TestPropertyRoundTripRandomSecrets(t *testing.T) {
 	f := func(seed int64, sizeRaw uint8, nRaw, tRaw uint8) bool {
 		r := mrand.New(mrand.NewSource(seed))
 		size := int(sizeRaw)%128 + 1
-		n := int(nRaw)%8 + 2      // 2..9
+		n := int(nRaw)%8 + 2       // 2..9
 		thr := int(tRaw)%(n-1) + 2 // 2..n
 		if thr > n {
 			thr = n

@@ -29,13 +29,14 @@ type Replica struct {
 	lastExec   uint64
 	highestSeq uint64
 	instances  map[uint64]*instance
-	pending    map[string]pendingReq
+	pending    map[requestID]pendingReq
 	lastReply  map[string]*clientRecord
 	vcVotes    map[int]*viewChangeTally
 
-	// Checkpointing.
+	// lastCheckpointSeq is where executed instances were last pruned, every
+	// CheckpointInterval commands. A peer that needs the state itself gets
+	// a snapshot taken when it asks (onStateRequest).
 	lastCheckpointSeq uint64
-	lastCheckpoint    []byte
 	// lastTickExec is lastExec as of the previous liveness tick; an unchanged
 	// value with assigned sequence numbers ahead means execution is stalled
 	// and needs repair (see checkStalled).
@@ -187,7 +188,7 @@ func NewReplica(id int, cfg Config, app Application, net *Network) (*Replica, er
 		doneCh:    make(chan struct{}),
 		nextSeq:   1,
 		instances: make(map[uint64]*instance),
-		pending:   make(map[string]pendingReq),
+		pending:   make(map[requestID]pendingReq),
 		lastReply: make(map[string]*clientRecord),
 		vcVotes:   make(map[int]*viewChangeTally),
 	}
@@ -321,7 +322,6 @@ func (r *Replica) handle(m message) {
 
 func (r *Replica) onRequest(m message) {
 	req := m.Req
-	key := req.key()
 	// At-most-once execution: if this request was already executed, resend
 	// the recorded reply; ancient duplicates that fell out of the reply
 	// window are dropped.
@@ -338,8 +338,8 @@ func (r *Replica) onRequest(m message) {
 	if rec.stale(req.ReqID) {
 		return
 	}
-	if _, ok := r.pending[key]; !ok {
-		r.pending[key] = pendingReq{req: req, arrival: time.Now()}
+	if _, ok := r.pending[req.id()]; !ok {
+		r.pending[req.id()] = pendingReq{req: req, arrival: time.Now()}
 	}
 	if r.isLeader() {
 		r.propose(req)
@@ -352,8 +352,9 @@ func (r *Replica) propose(req request) {
 	// (checkStalled), not here — re-driving per retransmission amplifies
 	// repair traffic quadratically under load (every duplicate triggers a
 	// pre-prepare broadcast, and every receiver re-affirms with two more).
+	id := req.id()
 	for _, inst := range r.instances {
-		if inst.hasReq && inst.req.key() == req.key() && !inst.executed {
+		if inst.hasReq && !inst.executed && inst.req.id() == id {
 			return
 		}
 	}
@@ -482,8 +483,7 @@ func (r *Replica) executeReady() {
 			// nothing else — no execution, no reply.
 			continue
 		}
-		key := req.key()
-		delete(r.pending, key)
+		delete(r.pending, req.id())
 
 		rec := r.lastReply[req.ClientID]
 		if rec == nil {
@@ -515,7 +515,6 @@ func (r *Replica) executeReady() {
 		// leader can re-drive them for lagging replicas (see onPrePrepare).
 		if r.lastExec-r.lastCheckpointSeq >= uint64(r.cfg.CheckpointInterval) {
 			r.lastCheckpointSeq = r.lastExec
-			r.lastCheckpoint = r.app.Snapshot()
 			for seq, inst := range r.instances {
 				if inst.executed && seq <= r.lastCheckpointSeq {
 					delete(r.instances, seq)
@@ -587,7 +586,7 @@ func (r *Replica) viewChangeMsg(newView int) message {
 	for _, p := range r.pending {
 		pend = append(pend, p.req)
 	}
-	sort.Slice(pend, func(i, j int) bool { return pend[i].key() < pend[j].key() })
+	sort.Slice(pend, func(i, j int) bool { return pend[i].id().less(pend[j].id()) })
 	// Certify every unexecuted instance that reached the prepare quorum: its
 	// request may have committed at other replicas, so the new leader must
 	// re-propose it at this exact sequence number. Executed instances need no
@@ -647,13 +646,12 @@ func (r *Replica) onViewChange(m message) {
 	// Adopt the pending requests advertised by others so the new leader can
 	// re-propose them even if the client request never reached it.
 	for _, req := range m.Pending {
-		key := req.key()
 		rec := r.lastReply[req.ClientID]
 		if _, ok := rec.recall(req.ReqID); ok || rec.stale(req.ReqID) {
 			continue
 		}
-		if _, ok := r.pending[key]; !ok {
-			r.pending[key] = pendingReq{req: req, arrival: time.Now()}
+		if _, ok := r.pending[req.id()]; !ok {
+			r.pending[req.id()] = pendingReq{req: req, arrival: time.Now()}
 		}
 	}
 	// Echo our own vote once we have seen evidence that others want to move:
@@ -752,11 +750,11 @@ func (r *Replica) onNewView(m message) {
 		// except requests the client already resolved: their replies may be
 		// pruned, so re-proposing them could re-execute a completed command
 		// (propose skips the certified ones above via their live instances).
-		keys := make([]string, 0, len(r.pending))
+		keys := make([]requestID, 0, len(r.pending))
 		for k := range r.pending {
 			keys = append(keys, k)
 		}
-		sort.Strings(keys)
+		sort.Slice(keys, func(i, j int) bool { return keys[i].less(keys[j]) })
 		for _, k := range keys {
 			p := r.pending[k]
 			rec := r.lastReply[p.req.ClientID]
@@ -891,7 +889,6 @@ func (r *Replica) onStateReply(m message) {
 	r.lastExec = m.LastExec
 	r.setExecSnapshot(r.lastExec)
 	r.lastCheckpointSeq = m.LastExec
-	r.lastCheckpoint = cloneBytes(m.Checkpoint)
 	if r.highestSeq < m.LastExec {
 		r.highestSeq = m.LastExec
 	}

@@ -77,7 +77,7 @@ func (m FaultModel) ReplyQuorum(n int) int {
 type Application interface {
 	// Execute applies a totally ordered command and returns its reply.
 	Execute(cmd []byte) []byte
-	// Snapshot serializes the full application state for checkpoint transfer.
+	// Snapshot serializes the full application state for state transfer.
 	Snapshot() []byte
 	// Restore replaces the application state with a snapshot.
 	Restore(snapshot []byte) error
@@ -93,7 +93,8 @@ type Config struct {
 	// ordered before suspecting the leader. Zero selects a default.
 	LeaderTimeout time.Duration
 	// CheckpointInterval is the number of executed commands between
-	// checkpoints. Zero selects a default.
+	// checkpoints, where a replica prunes the instances it has executed.
+	// Zero selects a default.
 	CheckpointInterval int
 }
 
@@ -190,7 +191,20 @@ type request struct {
 	Op    []byte
 }
 
-func (r request) key() string { return fmt.Sprintf("%s/%d", r.ClientID, r.ReqID) }
+// requestID is a request's identity: comparable, and ordered by less.
+type requestID struct {
+	ClientID string
+	ReqID    uint64
+}
+
+func (r request) id() requestID { return requestID{r.ClientID, r.ReqID} }
+
+func (a requestID) less(b requestID) bool {
+	if a.ClientID != b.ClientID {
+		return a.ClientID < b.ClientID
+	}
+	return a.ReqID < b.ReqID
+}
 
 // message is the single envelope exchanged between replicas and clients.
 type message struct {
