@@ -13,6 +13,7 @@ import (
 	"scfs/internal/cloudsim"
 	"scfs/internal/depsky"
 	"scfs/internal/iopolicy"
+	"scfs/internal/seccrypto"
 	"scfs/internal/telemetry"
 )
 
@@ -192,7 +193,8 @@ func BenchmarkStreamSequentialScan(b *testing.B) {
 			issued := &atomic.Int64{}
 			m := rttManager(b, chunkRTT, issued)
 			data := bytes.Repeat([]byte{0x6B}, scanSize)
-			if _, err := m.WriteFrom(bg, "u", bytes.NewReader(data)); err != nil {
+			hash := seccrypto.Hash(data)
+			if _, err := m.WriteFrom(bg, "u", hash, bytes.NewReader(data)); err != nil {
 				b.Fatal(err)
 			}
 			ctx := bg
@@ -207,7 +209,7 @@ func BenchmarkStreamSequentialScan(b *testing.B) {
 			b.SetBytes(scanSize)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r, _, err := m.OpenMatching(ctx, "u", "")
+				r, _, err := m.OpenMatching(ctx, "u", hash)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -12,6 +12,7 @@ import (
 
 	"scfs/internal/cloud"
 	"scfs/internal/depsky"
+	"scfs/internal/seccrypto"
 )
 
 // streamSize is the payload the ISSUE tracks for the streaming data plane:
@@ -25,10 +26,11 @@ func BenchmarkDepSkyStreamWriteCA(b *testing.B) {
 	b.Run("64MiB", func(b *testing.B) {
 		m, _ := benchManager(b, 1, depsky.ProtocolCA)
 		data := bytes.Repeat([]byte{0xAB}, streamSize)
+		hash := seccrypto.Hash(data)
 		b.SetBytes(streamSize)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := m.WriteFrom(bg, fmt.Sprintf("u-%d", i), bytes.NewReader(data)); err != nil {
+			if _, err := m.WriteFrom(bg, fmt.Sprintf("u-%d", i), hash, bytes.NewReader(data)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -36,11 +38,10 @@ func BenchmarkDepSkyStreamWriteCA(b *testing.B) {
 }
 
 // BenchmarkStreamWrite writes a one-chunk and a four-chunk value over clouds
-// with a 20 ms RTT. Every encoded chunk is kept in flight (stream.Window), so
-// the four-chunk upload is one payload round like the one-chunk upload, and
-// both writes are two rounds deep: what the larger one adds is encode time,
-// not round trips (at a window of three chunks it was a third round). Tracked
-// by benchguard: FourChunks stays within 1.3x of OneChunk in ns/op.
+// with a 20 ms RTT. Every encoded chunk is kept in flight (stream.Window), and
+// the descriptor goes up beside the chunks, so both writes are one round
+// deep: what the larger one adds is encode time, not round trips. Tracked by
+// benchguard: FourChunks stays within 1.3x of OneChunk in ns/op.
 func BenchmarkStreamWrite(b *testing.B) {
 	const rtt = 20 * time.Millisecond
 	for _, mode := range []struct {
@@ -53,10 +54,11 @@ func BenchmarkStreamWrite(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			m := rttManager(b, rtt, nil)
 			data := bytes.Repeat([]byte{0xC4}, mode.size)
+			hash := seccrypto.Hash(data)
 			b.SetBytes(int64(mode.size))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := m.WriteFrom(bg, fmt.Sprintf("u-%d", i), bytes.NewReader(data)); err != nil {
+				if _, err := m.WriteFrom(bg, fmt.Sprintf("u-%d", i), hash, bytes.NewReader(data)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -69,14 +71,15 @@ func BenchmarkStreamWrite(b *testing.B) {
 func BenchmarkDepSkyRangedReadCA(b *testing.B) {
 	m, _ := benchManager(b, 1, depsky.ProtocolCA)
 	data := bytes.Repeat([]byte{0x5C}, streamSize)
-	if _, err := m.WriteFrom(bg, "u", bytes.NewReader(data)); err != nil {
+	hash := seccrypto.Hash(data)
+	if _, err := m.WriteFrom(bg, "u", hash, bytes.NewReader(data)); err != nil {
 		b.Fatal(err)
 	}
 	buf := make([]byte, 64<<10)
 	b.SetBytes(int64(len(buf)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, _, err := m.OpenMatching(bg, "u", "")
+		r, _, err := m.OpenMatching(bg, "u", hash)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -178,7 +181,7 @@ func TestStreamedWriteMemoryFootprint(t *testing.T) {
 			return err
 		},
 		"WriteFrom": func(m *depsky.Manager) error {
-			_, err := m.WriteFrom(bg, "u", bytes.NewReader(data))
+			_, err := m.WriteFrom(bg, "u", seccrypto.Hash(data), bytes.NewReader(data))
 			return err
 		},
 	} {

@@ -6,9 +6,13 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"scfs/internal/clock"
 	"scfs/internal/cloud"
 	"scfs/internal/cloudsim"
+	"scfs/internal/depsky"
+	"scfs/internal/depspace"
 	"scfs/internal/fsapi"
 	"scfs/internal/storage"
 )
@@ -149,11 +153,11 @@ func TestCollectSkipsFileWrittenDuringSweep(t *testing.T) {
 	}
 }
 
-// metadataReads counts, per cloud, the GETs of every object named
-// ".../metadata" — the unit metadata a DepSky read or delete starts with —
+// descriptorReads counts, per cloud, the GETs of every object named
+// ".../desc" — the version descriptor a DepSky read or delete starts with —
 // that a request under a context marked by counted issues. Requests of
 // earlier operations still on their way to a cloud carry no mark.
-type metadataReads struct {
+type descriptorReads struct {
 	mu     sync.Mutex
 	clouds int
 	gets   map[string][]int // object name -> GETs on each cloud
@@ -163,21 +167,21 @@ type countedKey struct{}
 
 func counted(ctx context.Context) context.Context { return context.WithValue(ctx, countedKey{}, true) }
 
-type metadataReadCounter struct {
+type descriptorReadCounter struct {
 	cloud.ObjectStore
 	i int
-	m *metadataReads
+	m *descriptorReads
 }
 
-func (m *metadataReads) wrap(c cloud.ObjectStore) cloud.ObjectStore {
+func (m *descriptorReads) wrap(c cloud.ObjectStore) cloud.ObjectStore {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.clouds++
-	return &metadataReadCounter{ObjectStore: c, i: m.clouds - 1, m: m}
+	return &descriptorReadCounter{ObjectStore: c, i: m.clouds - 1, m: m}
 }
 
-func (c *metadataReadCounter) Get(ctx context.Context, name string) ([]byte, error) {
-	if ctx.Value(countedKey{}) != nil && strings.HasSuffix(name, "/metadata") {
+func (c *descriptorReadCounter) Get(ctx context.Context, name string) ([]byte, error) {
+	if ctx.Value(countedKey{}) != nil && strings.HasSuffix(name, "/desc") {
 		c.m.mu.Lock()
 		if c.m.gets[name] == nil {
 			c.m.gets[name] = make([]int, c.m.clouds)
@@ -191,11 +195,11 @@ func (c *metadataReadCounter) Get(ctx context.Context, name string) ([]byte, err
 // TestCollectIsThreeAccesses pins the depth of a collection: the lock, the
 // listing and one batch of every update with the release, three coordination
 // accesses whether 0, 8 or 64 files changed; and on the clouds, one read of
-// each swept file's metadata, on each cloud at most once.
+// each doomed version's descriptor, on each cloud at most once.
 func TestCollectIsThreeAccesses(t *testing.T) {
 	for _, files := range []int{0, 8, 64} {
 		t.Run(fmt.Sprintf("changed=%d", files), func(t *testing.T) {
-			reads := &metadataReads{gets: make(map[string][]int)}
+			reads := &descriptorReads{gets: make(map[string][]int)}
 			a, _ := testAgentWith(t, 4096, 1<<20, reads.wrap,
 				func(s *storage.CloudOfClouds) storage.VersionedStore { return s })
 			for i := 0; i < 3; i++ { // unchanged: one version each
@@ -231,8 +235,8 @@ func TestCollectIsThreeAccesses(t *testing.T) {
 			reads.mu.Lock()
 			gets := reads.gets
 			reads.mu.Unlock()
-			if len(gets) != files {
-				t.Errorf("the sweep read the metadata of %d units, want %d", len(gets), files)
+			if len(gets) != report.VersionsDeleted {
+				t.Errorf("the sweep read the descriptors of %d versions, want %d", len(gets), report.VersionsDeleted)
 			}
 			for name, perCloud := range gets {
 				for i, n := range perCloud {
@@ -288,5 +292,75 @@ func TestCollectReclaimsFileRemovedBeforeRecreation(t *testing.T) {
 	}
 	if got := readFresh(t, d, "/f", tune); got != "new" {
 		t.Fatalf("read %q, want the re-created file", got)
+	}
+}
+
+// quiesce waits until every provider has served as many PUTs and DELETEs as
+// the others: with quorum cancellation off every request goes to all of
+// them, so the uploads a quorum verdict did not wait for have landed.
+func quiesce(t *testing.T, providers []*cloudsim.Provider, accounts []string) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		u0 := providers[0].Usage(accounts[0])
+		same := true
+		for i, p := range providers[1:] {
+			u := p.Usage(accounts[i+1])
+			same = same && u.PutRequests == u0.PutRequests && u.DeleteRequests == u0.DeleteRequests
+		}
+		if same {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the clouds never served the same requests")
+		}
+	}
+}
+
+// TestCollectInsideTheConsistencyWindow: the clouds show a new version only
+// after a consistency window, and a collection runs inside it, right after
+// an overwrite, without waiting for the clouds to settle. It deletes the old
+// version and must not cost the new one: once the window has passed, a
+// second agent reads the new contents.
+func TestCollectInsideTheConsistencyWindow(t *testing.T) {
+	clk := &stepClock{Sim: clock.NewSim(time.Unix(1700000000, 0))}
+	providers := make([]*cloudsim.Provider, 4)
+	accounts := make([]string, 4)
+	clients := make([]cloud.ObjectStore, 4)
+	for i := range clients {
+		providers[i] = cloudsim.NewProvider(cloudsim.Options{
+			Name: fmt.Sprintf("c%d", i), ConsistencyWindow: time.Second, Clock: clk.Sim, Seed: int64(i + 1),
+		})
+		accounts[i] = providers[i].CreateAccount("alice")
+		clients[i] = providers[i].MustClient(accounts[i])
+	}
+	// Every write lands on all four clouds, and before the clock moves on:
+	// no cloud is left holding an older copy by a straggler.
+	mgr, err := depsky.New(depsky.Options{Clouds: clients, F: 1, DisableQuorumCancel: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &deployment{space: depspace.NewSpace(), mgr: mgr}
+	tune := func(o *Options) { o.Clock = clk }
+	a, _ := d.agent(t, "a", tune)
+	if err := fsapi.WriteFile(bg, a, "/f", []byte("old")); err != nil {
+		t.Fatal(err)
+	}
+	quiesce(t, providers, accounts)
+	clk.Sim.Advance(2 * time.Second) // the clouds show the first version
+	if err := fsapi.WriteFile(bg, a, "/f", []byte("new")); err != nil {
+		t.Fatal(err)
+	}
+	quiesce(t, providers, accounts) // the clock stands still: every cloud is inside the window
+	report, err := a.Collect(bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.VersionsDeleted != 1 {
+		t.Errorf("VersionsDeleted = %d, want 1 (the old contents)", report.VersionsDeleted)
+	}
+	quiesce(t, providers, accounts)
+	clk.Sim.Advance(2 * time.Second) // past every write's window
+	if got := readFresh(t, d, "/f", tune); got != "new" {
+		t.Fatalf("read after a collection inside the window = %q, want the new contents", got)
 	}
 }

@@ -166,7 +166,7 @@ type gatedCloud struct {
 }
 
 func (c *gatedCloud) Get(ctx context.Context, name string) ([]byte, error) {
-	if c.g.closed.Load() && !strings.HasSuffix(name, "/metadata") {
+	if c.g.closed.Load() && !strings.HasSuffix(name, "/desc") {
 		c.g.arrived <- struct{}{}
 		select {
 		case <-c.g.open:

@@ -299,18 +299,11 @@ func (a *Agent) fetchForOpen(ctx context.Context, md *fsmeta.Metadata, flags fsa
 			lazy, err := awaitVisible(ctx, a.clk, md.Path, "opening %q for ranged reads", func() (storage.ReaderAtCloser, error) {
 				return ro.OpenVersionAt(ctx, md.FileID, md.Hash)
 			})
-			switch {
-			case err == nil:
-				a.addStat(func(s *Stats) { s.CloudReads++ })
-				return nil, lazy, nil
-			case errors.Is(err, storage.ErrVersionNotFound) || ctx.Err() != nil:
-				// The version never appeared, or the caller gave up: the
-				// whole fetch would only wait for the same version again.
+			if err != nil {
 				return nil, nil, err
 			}
-			// The backend declined to serve this version by ranges (an
-			// entry it cannot certify, say): the whole-object path verifies
-			// the value end to end.
+			a.addStat(func(s *Stats) { s.CloudReads++ })
+			return nil, lazy, nil
 		}
 	}
 	data, err := a.fetchData(ctx, md)

@@ -167,9 +167,9 @@ func TestGCReportsReclaimedFootprint(t *testing.T) {
 	if report.VersionsDeleted != 1 {
 		t.Fatalf("VersionsDeleted = %d, want 1", report.VersionsDeleted)
 	}
-	// 8 chunks x preferred quorum of 3 clouds = 24 objects.
-	if report.ReclaimedObjects != 24 {
-		t.Fatalf("ReclaimedObjects = %d, want 24", report.ReclaimedObjects)
+	// 8 chunks and the descriptor x preferred quorum of 3 clouds = 27 objects.
+	if report.ReclaimedObjects != 27 {
+		t.Fatalf("ReclaimedObjects = %d, want 27", report.ReclaimedObjects)
 	}
 	if report.ReclaimedBytes < int64(8*chunk) {
 		t.Fatalf("ReclaimedBytes = %d, want >= payload size %d", report.ReclaimedBytes, 8*chunk)

@@ -10,7 +10,6 @@ import (
 
 	"scfs/internal/clock"
 	"scfs/internal/cloud"
-	"scfs/internal/depsky"
 	"scfs/internal/fsapi"
 	"scfs/internal/seccrypto"
 	"scfs/internal/storage"
@@ -19,15 +18,13 @@ import (
 // hidingStore is the backend of the loop tests. It answers the first misses
 // requests for a version — whole reads and ranged opens alike — with err
 // (storage.ErrVersionNotFound plays a version the clouds do not show yet),
-// and lets the real backend answer after that; decline makes it refuse every
-// ranged open the way the backend refuses an entry it cannot certify.
+// and lets the real backend answer after that.
 type hidingStore struct {
 	*storage.CloudOfClouds
 
 	mu           sync.Mutex
 	misses       int
 	err          error
-	decline      bool
 	reads, opens int // requests seen, by face
 }
 
@@ -37,9 +34,6 @@ func (h *hidingStore) hidden(ranged bool) error {
 	defer h.mu.Unlock()
 	if ranged {
 		h.opens++
-		if h.decline {
-			return depsky.ErrWholeObjectOnly
-		}
 	} else {
 		h.reads++
 	}
@@ -244,19 +238,6 @@ func TestAwaitVisible(t *testing.T) {
 		})
 	}
 
-	t.Run("large/uncertified entry takes the whole fetch", func(t *testing.T) {
-		m, want := newLoopMount(t, chunk), randData(t, sizes["large"])
-		got, err := m.writeThenRead(t, want, func(context.CancelFunc) { m.store.decline = true })
-		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("read: mismatch or %v", err)
-		}
-		if opens, reads := requests(m, "large"); opens != 1 || reads != 1 || len(m.clk.pauses) != 0 {
-			t.Fatalf("%d ranged opens, %d whole reads, %d pauses; want 1, 1, 0", opens, reads, len(m.clk.pauses))
-		}
-		if st := m.agent.Stats(); st.CloudReads != 1 || st.CloudBytesDown != int64(len(want)) {
-			t.Fatalf("CloudReads = %d, CloudBytesDown = %d; want 1 and %d", st.CloudReads, st.CloudBytesDown, len(want))
-		}
-	})
 }
 
 // TestFsyncLeavesNoEntryBehind: what Fsync flushes to the disk cache is gone

@@ -12,6 +12,7 @@ import (
 
 	"scfs/internal/cloud"
 	"scfs/internal/cloudsim"
+	"scfs/internal/seccrypto"
 )
 
 // newSkewedManager builds a 4-cloud manager where cloud `slow` has the given
@@ -68,7 +69,7 @@ func TestQuorumOpsLeaveNoStragglerGoroutines(t *testing.T) {
 	data := bytes.Repeat([]byte("leakcheck "), 2000) // ~5 chunks
 
 	start := time.Now()
-	info, err := m.WriteFrom(context.Background(), "u", bytes.NewReader(data))
+	info, err := m.WriteFrom(context.Background(), "u", seccrypto.Hash(data), bytes.NewReader(data))
 	if err != nil {
 		t.Fatalf("WriteFrom: %v", err)
 	}
@@ -77,7 +78,7 @@ func TestQuorumOpsLeaveNoStragglerGoroutines(t *testing.T) {
 	}
 
 	start = time.Now()
-	r, _, err := m.OpenMatching(context.Background(), "u", "")
+	r, _, err := m.OpenMatching(context.Background(), "u", info.DataHash)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,6 @@ func TestQuorumOpsLeaveNoStragglerGoroutines(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > straggler/2 {
 		t.Fatalf("read waited on the straggler: %v", elapsed)
 	}
-	_ = info
 
 	// All straggler RPCs were cancelled by the quorum verdicts; the
 	// goroutine count must return to baseline well within the straggler's
@@ -165,8 +165,8 @@ func (g *gateStore) Put(ctx context.Context, name string, data []byte) error {
 
 // TestCancelledWriteLeavesNoPartialVersion: a ctx cancelled while the chunk
 // uploads are in flight must abort the write with ctx.Err() and leave no
-// partially visible version — the metadata object never references shards
-// that were not fully uploaded.
+// partially visible version: no descriptor names shards that were not fully
+// uploaded.
 func TestCancelledWriteLeavesNoPartialVersion(t *testing.T) {
 	providers, inner := testClouds(t, 4)
 	gated := make([]cloud.ObjectStore, 4)
@@ -182,7 +182,8 @@ func TestCancelledWriteLeavesNoPartialVersion(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := m.WriteFrom(ctx, "u", bytes.NewReader(bytes.Repeat([]byte{7}, 5000)))
+		data := bytes.Repeat([]byte{7}, 5000)
+		_, err := m.WriteFrom(ctx, "u", seccrypto.Hash(data), bytes.NewReader(data))
 		done <- err
 	}()
 	<-started // at least one chunk upload is in flight
@@ -219,10 +220,10 @@ func TestDeadlineLongerThanQuorumSucceeds(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	if _, err := m.WriteFrom(ctx, "u", bytes.NewReader(data)); err != nil {
+	if _, err := m.WriteFrom(ctx, "u", seccrypto.Hash(data), bytes.NewReader(data)); err != nil {
 		t.Fatalf("WriteFrom under quorum-sized deadline: %v", err)
 	}
-	got, _, err := m.Read(ctx, "u")
+	got, _, err := m.ReadMatching(ctx, "u", seccrypto.Hash(data))
 	if err != nil {
 		t.Fatalf("Read under quorum-sized deadline: %v", err)
 	}
@@ -240,10 +241,8 @@ func TestDeadlineLongerThanQuorumSucceeds(t *testing.T) {
 func TestOpenReadRetriesAfterCancelledFirstRead(t *testing.T) {
 	_, m := newManager(t, ProtocolCA)
 	data := bytes.Repeat([]byte("retry "), 500)
-	if _, err := m.Write(bg, "u", data); err != nil {
-		t.Fatal(err)
-	}
-	r, _, err := m.OpenMatching(bg, "u", "") // one chunk: both reads fetch it
+	info := writeFrom(t, m, "u", data)
+	r, _, err := m.OpenMatching(bg, "u", info.DataHash) // one chunk: both reads fetch it
 	if err != nil {
 		t.Fatal(err)
 	}

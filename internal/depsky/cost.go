@@ -44,7 +44,7 @@ func meanRates(rates []pricing.Rates) pricing.Rates {
 	return sum
 }
 
-// VersionCost prices one stored version's lifecycle from its metadata:
+// VersionCost prices one stored version's lifecycle from its descriptor:
 // recurring storage per month, the upload it already paid, what one whole
 // read costs, and what reclaiming it will cost. It is the dollar companion
 // of VersionFootprint and what the garbage collector reports as reclaimed.
@@ -62,8 +62,8 @@ func (m *Manager) EstimateCost(size int64) pricing.Estimate {
 // protocol's dispersal, mirroring footprint(): CA charges one erasure shard
 // of each chunk's ciphertext on each of the n-f quorum clouds and f+1
 // readers per chunk, A a full replica on all n clouds and one reader. The
-// metadata quorum write rides along as q request fees. Constant-time
-// regardless of the chunk count.
+// descriptor rides along as q PUT, f+1 GET and n DELETE request fees.
+// Constant-time regardless of the chunk count.
 func (m *Manager) cost(protocol Protocol, size int64, chunkSize int) pricing.Estimate {
 	mean := m.mean
 	n := int64(m.N())
@@ -97,6 +97,8 @@ func (m *Manager) cost(protocol Protocol, size int64, chunkSize int) pricing.Est
 	if tail > 0 {
 		est.Add(perChunk(tail))
 	}
-	est.UploadOnce += float64(q) * mean.PutRequest // the metadata quorum write
+	est.UploadOnce += float64(q) * mean.PutRequest // the descriptor
+	est.ReadOnce += float64(m.witnessSize()) * mean.GetRequest
+	est.DeleteOnce += float64(n) * mean.DeleteRequest
 	return est
 }

@@ -12,6 +12,7 @@ import (
 
 	"scfs/internal/cloud"
 	"scfs/internal/cloudsim"
+	"scfs/internal/seccrypto"
 )
 
 // bg is the context used by tests that do not exercise cancellation.
@@ -30,6 +31,16 @@ func testClouds(t testing.TB, n int) ([]*cloudsim.Provider, []cloud.ObjectStore)
 		clients[i] = p.MustClient(id)
 	}
 	return providers, clients
+}
+
+// writeFrom stores data as the version of unit that its hash names.
+func writeFrom(t testing.TB, m *Manager, unit string, data []byte) VersionInfo {
+	t.Helper()
+	info, err := m.WriteFrom(bg, unit, seccrypto.Hash(data), bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return info
 }
 
 func newManager(t *testing.T, protocol Protocol) ([]*cloudsim.Provider, *Manager) {
@@ -72,7 +83,7 @@ func TestWriteReadRoundTripCA(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Write(%d bytes): %v", size, err)
 		}
-		if info.Number != 1 || info.Size != size {
+		if info.DataHash != seccrypto.Hash(data) || info.Size != size {
 			t.Fatalf("info = %+v", info)
 		}
 		got, gotInfo, err := m.Read(bg, unit)
@@ -105,17 +116,17 @@ func TestWriteReadRoundTripA(t *testing.T) {
 
 func TestVersionsAccumulateAndReadNewest(t *testing.T) {
 	_, m := newManager(t, ProtocolCA)
-	for i := 1; i <= 3; i++ {
-		if _, err := m.Write(bg, "doc", []byte(fmt.Sprintf("version %d", i))); err != nil {
-			t.Fatal(err)
-		}
+	writeFrom(t, m, "doc", []byte("version 1"))
+	writeFrom(t, m, "doc", []byte("version 2"))
+	if _, err := m.Write(bg, "doc", []byte("version 3")); err != nil {
+		t.Fatal(err)
 	}
 	got, info, err := m.Read(bg, "doc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(got) != "version 3" || info.Number != 3 {
-		t.Fatalf("Read returned %q (version %d), want version 3", got, info.Number)
+	if string(got) != "version 3" || info.DataHash != seccrypto.Hash(got) {
+		t.Fatalf("Read returned %q (%+v), want version 3", got, info)
 	}
 	versions, err := m.ListVersions(bg, "doc")
 	if err != nil {
@@ -130,21 +141,17 @@ func TestReadMatchingFetchesSpecificVersion(t *testing.T) {
 	_, m := newManager(t, ProtocolCA)
 	infos := make([]VersionInfo, 0, 3)
 	for i := 1; i <= 3; i++ {
-		info, err := m.Write(bg, "doc", []byte(fmt.Sprintf("version %d", i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		infos = append(infos, info)
+		infos = append(infos, writeFrom(t, m, "doc", []byte(fmt.Sprintf("version %d", i))))
 	}
 	// Fetch the middle version by its hash (the consistency-anchor path).
 	got, info, err := m.ReadMatching(bg, "doc", infos[1].DataHash)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(got) != "version 2" || info.Number != 2 {
-		t.Fatalf("ReadMatching returned %q (version %d)", got, info.Number)
+	if string(got) != "version 2" || info.DataHash != infos[1].DataHash {
+		t.Fatalf("ReadMatching returned %q (%+v)", got, info)
 	}
-	if _, _, err := m.ReadMatching(bg, "doc", "no-such-hash"); !errors.Is(err, ErrVersionNotFound) {
+	if _, _, err := m.ReadMatching(bg, "doc", seccrypto.Hash([]byte("no such version"))); !errors.Is(err, ErrVersionNotFound) {
 		t.Fatalf("err = %v, want ErrVersionNotFound", err)
 	}
 }
@@ -259,18 +266,18 @@ func TestFailureThresholds(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The write returned at its n-f verdicts; nothing cancels the fourth
-	// cloud's uploads here, but they may still be in flight. Wait for both
-	// (the chunk and the metadata) to land everywhere.
+	// cloud's uploads here, but they may still be in flight. Wait for all
+	// three (the chunk, the descriptor and the head) to land everywhere.
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
 		landed := 0
 		for _, p := range providers {
 			landed += p.ObjectCount()
 		}
-		if landed == 2*len(providers) {
+		if landed == 3*len(providers) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%d of %d objects landed", landed, 2*len(providers))
+			t.Fatalf("%d of %d objects landed", landed, 3*len(providers))
 		}
 	}
 	// Writes need a quorum of n-f = 3 clouds: two outages block them.
@@ -320,7 +327,7 @@ func TestNoSingleCloudHoldsPlaintext(t *testing.T) {
 			}
 			b, err := decodeBlock(data)
 			if err != nil {
-				continue // metadata object
+				continue // a descriptor or a head
 			}
 			if bytes.Contains(b.Shard, []byte("TOPSECRET")) || bytes.Contains(b.Full, []byte("TOPSECRET")) {
 				t.Fatalf("cloud %d block contains plaintext", i)
@@ -360,13 +367,12 @@ func TestDeleteVersionReclaimsSpace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var infos []VersionInfo
 	for i := 1; i <= 3; i++ {
-		if _, err := m.Write(bg, "doc", bytes.Repeat([]byte{byte(i)}, 10000)); err != nil {
-			t.Fatal(err)
-		}
+		infos = append(infos, writeFrom(t, m, "doc", bytes.Repeat([]byte{byte(i)}, 10000)))
 	}
 	before := providers[0].ObjectCount()
-	if err := m.DeleteVersion(bg, "doc", 1); err != nil {
+	if _, err := m.DeleteVersion(bg, "doc", infos[0].DataHash); err != nil {
 		t.Fatal(err)
 	}
 	after := providers[0].ObjectCount()
@@ -377,11 +383,11 @@ func TestDeleteVersionReclaimsSpace(t *testing.T) {
 	if len(versions) != 2 {
 		t.Fatalf("versions after delete = %d, want 2", len(versions))
 	}
-	if err := m.DeleteVersion(bg, "doc", 99); !errors.Is(err, ErrVersionNotFound) {
+	if _, err := m.DeleteVersion(bg, "doc", seccrypto.Hash([]byte("never written"))); !errors.Is(err, ErrVersionNotFound) {
 		t.Fatalf("err = %v, want ErrVersionNotFound", err)
 	}
-	// Newest version still readable.
-	got, _, err := m.Read(bg, "doc")
+	// The newest version is still readable.
+	got, _, err := m.ReadMatching(bg, "doc", infos[2].DataHash)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,25 +396,18 @@ func TestDeleteVersionReclaimsSpace(t *testing.T) {
 	}
 }
 
-// TestListedButAbsentVersionIsNotFound: a version the metadata lists while
-// no cloud has its objects — not visible yet, or deleted and still listed by
-// a lagging copy — reads as ErrVersionNotFound, which the consistency-anchor
-// loop retries. An outage or a corrupt block among the misses stays
-// ErrQuorumRead.
+// TestListedButAbsentVersionIsNotFound: a version whose descriptor the clouds
+// serve while no cloud has its chunks — not visible yet, or deleted while a
+// cloud still serves the descriptor — reads as ErrVersionNotFound, which the
+// consistency-anchor loop retries. An outage or a corrupt block among the
+// misses stays ErrQuorumRead.
 func TestListedButAbsentVersionIsNotFound(t *testing.T) {
-	for name, write := range map[string]func(*Manager) (VersionInfo, error){
-		"one chunk": func(m *Manager) (VersionInfo, error) { return m.Write(bg, "u", []byte("payload")) },
-		"three chunks": func(m *Manager) (VersionInfo, error) {
-			return m.WriteFrom(bg, "u", bytes.NewReader(make([]byte, 5000)))
-		},
-	} {
+	for name, size := range map[string]int{"one chunk": 7, "three chunks": 5000} {
 		t.Run(name, func(t *testing.T) {
 			providers, m := newChunkedManager(t, ProtocolCA, 2048)
-			info, err := write(m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m.deleteObjects(bg, m.objectNames("u", info))
+			info := writeFrom(t, m, "u", randBytes(t, size))
+			chunks := m.objectNames("u", info)[1:] // all but the descriptor
+			m.deleteObjects(bg, [][]string{chunks, chunks, chunks, chunks})
 			if _, _, err := m.ReadMatching(bg, "u", info.DataHash); !errors.Is(err, ErrVersionNotFound) {
 				t.Fatalf("objects absent everywhere: err = %v, want ErrVersionNotFound", err)
 			}
@@ -421,33 +420,12 @@ func TestListedButAbsentVersionIsNotFound(t *testing.T) {
 
 	// One block short of a decode, the rest corrupted: not "not visible".
 	providers, m := newManager(t, ProtocolCA)
-	info, err := m.Write(bg, "u", []byte("payload"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	info := writeFrom(t, m, "u", []byte("payload"))
 	for _, p := range providers[1:] {
 		p.SetFault(cloudsim.FaultCorrupt)
 	}
-	if _, err := m.readVersion(bg, "u", info); err == nil || errors.Is(err, ErrVersionNotFound) {
+	if _, err := m.readVersion(bg, &chunkFetcher{m: m, unit: "u", info: info}, nil); err == nil || errors.Is(err, ErrVersionNotFound) {
 		t.Fatalf("corrupt blocks: err = %v, want a read failure other than ErrVersionNotFound", err)
-	}
-}
-
-func TestDeleteUnitRemovesEverything(t *testing.T) {
-	providers, m := newManager(t, ProtocolCA)
-	if _, err := m.Write(bg, "doc", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.DeleteUnit(bg, "doc"); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := m.Read(bg, "doc"); !errors.Is(err, ErrUnitNotFound) {
-		t.Fatalf("err = %v, want ErrUnitNotFound", err)
-	}
-	for i, p := range providers {
-		if n := p.ObjectCount(); n != 0 {
-			t.Fatalf("cloud %d still stores %d objects", i, n)
-		}
 	}
 }
 

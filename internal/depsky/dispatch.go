@@ -4,12 +4,12 @@ package depsky
 //
 // Every exchange with the clouds is a round — the same request put to all n
 // of them, each answer handed to a collector that stops at its verdict. There
-// are three (the metadata read, the quorum write, the chunk fetch) and
-// startRound owns what they share: the policy, the gate, the context whose
+// are four (the descriptor read, the head read, the quorum write, the chunk
+// fetch) and startRound owns what they share: the policy, the gate, the context whose
 // cancellation aborts the losers, a goroutine per cloud, the resilience layer
 // around each RPC (resilient.go) and its trace span. A caller supplies its
-// per-cloud request and keeps only its verdict: n-f answers; n-f acks or f+1
-// failures; the first successful decode.
+// per-cloud request and keeps only its verdict: f+1 identical descriptors;
+// n-f answers; n-f acks or f+1 failures; the first successful decode.
 //
 // Hedged dispatch. A full fan-out contacts all n clouds the moment it starts;
 // first-quorum-wins cancellation then aborts the losers, which bounds the

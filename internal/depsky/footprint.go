@@ -19,32 +19,25 @@ type Footprint struct {
 	// cost model: the preferred write quorum of n-f clouds for DepSky-CA
 	// shards, all n clouds for DepSky-A replicas.
 	Bytes int64
-	// Objects is how many cloud objects the version's payload occupies
-	// (chunks x charged clouds); each object keeps costing a GET fee per
-	// read and a DELETE fee at reclamation.
+	// Objects is how many cloud objects the version occupies: chunks x
+	// charged clouds, plus its descriptor on the n-f quorum clouds. Each
+	// object keeps costing a GET fee per read and a DELETE fee at
+	// reclamation.
 	Objects int64
-	// PutRequests is the request count the version's upload was charged
-	// (payload objects plus the metadata update).
+	// PutRequests is the request count the version's upload was charged,
+	// one per object.
 	PutRequests int64
 	// GetRequestsPerRead is the request count one whole read of the version
-	// issues (f+1 decoding clouds per chunk for CA, one replica for A).
+	// issues: f+1 descriptor copies, then f+1 decoding clouds per chunk for
+	// CA, one replica for A.
 	GetRequestsPerRead int64
 	// DeleteRequests is the request count reclaiming the version issues
 	// (deletes are best-effort against all n clouds).
 	DeleteRequests int64
 }
 
-// Add accumulates other into f.
-func (f *Footprint) Add(other Footprint) {
-	f.Bytes += other.Bytes
-	f.Objects += other.Objects
-	f.PutRequests += other.PutRequests
-	f.GetRequestsPerRead += other.GetRequestsPerRead
-	f.DeleteRequests += other.DeleteRequests
-}
-
 // VersionFootprint computes the footprint of one stored version from its
-// metadata.
+// descriptor.
 func (m *Manager) VersionFootprint(info VersionInfo) Footprint {
 	return m.footprint(info.Protocol, int64(info.Size), info.ChunkSize)
 }
@@ -91,9 +84,9 @@ func (m *Manager) footprint(protocol Protocol, size int64, chunkSize int) Footpr
 	if protocol == ProtocolA {
 		charged = n
 	}
-	fp.Objects = chunks * charged
-	fp.PutRequests = fp.Objects + q // payload objects + the metadata quorum write
-	fp.GetRequestsPerRead = chunks * int64(m.readNeed(protocol))
-	fp.DeleteRequests = chunks * n
+	fp.Objects = chunks*charged + q // the chunks, and the descriptor on the quorum
+	fp.PutRequests = fp.Objects
+	fp.GetRequestsPerRead = chunks*int64(m.readNeed(protocol)) + int64(m.witnessSize())
+	fp.DeleteRequests = (chunks + 1) * n
 	return fp
 }

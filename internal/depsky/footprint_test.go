@@ -18,20 +18,22 @@ func TestFootprintWeighsChunksAgainstBytes(t *testing.T) {
 	whole := one.EstimateFootprint(size)
 	chunked := m.EstimateFootprint(size)
 
-	if whole.Objects != 3 { // one chunk on each of the n-f = 3 preferred clouds
-		t.Fatalf("one-chunk Objects = %d, want 3", whole.Objects)
+	// One chunk and the descriptor on each of the n-f = 3 preferred clouds.
+	if whole.Objects != 2*3 {
+		t.Fatalf("one-chunk Objects = %d, want 6", whole.Objects)
 	}
-	if chunked.Objects != 16*3 {
-		t.Fatalf("chunked Objects = %d, want 48", chunked.Objects)
+	if chunked.Objects != 17*3 {
+		t.Fatalf("chunked Objects = %d, want 51", chunked.Objects)
 	}
-	if chunked.GetRequestsPerRead != 16*2 { // f+1 = 2 decoding clouds per chunk
-		t.Fatalf("chunked GetRequestsPerRead = %d, want 32", chunked.GetRequestsPerRead)
+	// f+1 = 2 descriptor copies, then f+1 = 2 decoding clouds per chunk.
+	if chunked.GetRequestsPerRead != 17*2 {
+		t.Fatalf("chunked GetRequestsPerRead = %d, want 34", chunked.GetRequestsPerRead)
 	}
-	if whole.GetRequestsPerRead != 2 {
-		t.Fatalf("one-chunk GetRequestsPerRead = %d, want 2", whole.GetRequestsPerRead)
+	if whole.GetRequestsPerRead != 2*2 {
+		t.Fatalf("one-chunk GetRequestsPerRead = %d, want 4", whole.GetRequestsPerRead)
 	}
-	if chunked.DeleteRequests != 16*4 { // deletes are best-effort on all n clouds
-		t.Fatalf("chunked DeleteRequests = %d, want 64", chunked.DeleteRequests)
+	if chunked.DeleteRequests != 17*4 { // deletes are best-effort on all n clouds
+		t.Fatalf("chunked DeleteRequests = %d, want 68", chunked.DeleteRequests)
 	}
 	// Bytes stay within ~2x of each other (per-chunk shard padding only).
 	if chunked.Bytes < whole.Bytes || chunked.Bytes > 2*whole.Bytes {
@@ -56,9 +58,9 @@ func TestFootprintBytesByProtocol(t *testing.T) {
 }
 
 // TestEstimatesMatchWhatIsWritten: at every chunk boundary the footprint and
-// the dollars predicted for a size are those computed from the metadata of
-// the version a write of that size returned — an empty value occupies no
-// object, not one.
+// the dollars predicted for a size are those computed from the descriptor of
+// the version a write of that size returned — an empty value occupies its
+// descriptor and no chunk object.
 func TestEstimatesMatchWhatIsWritten(t *testing.T) {
 	const cs = 4096
 	m := costManager(t, cs)
@@ -68,7 +70,7 @@ func TestEstimatesMatchWhatIsWritten(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantObjects := int64((size+cs-1)/cs) * 3
+		wantObjects := int64((size+cs-1)/cs)*3 + 3
 		if got, want := m.VersionFootprint(info), m.EstimateFootprint(int64(size)); got != want || got.Objects != wantObjects {
 			t.Errorf("size %d: VersionFootprint %+v, EstimateFootprint %+v, want %d objects", size, got, want, wantObjects)
 		}
@@ -77,6 +79,6 @@ func TestEstimatesMatchWhatIsWritten(t *testing.T) {
 		}
 	}
 	if empty := m.EstimateFootprint(0); empty.Bytes != 0 || empty.PutRequests != 3 {
-		t.Errorf("empty value: %+v, want no bytes and the metadata write's 3 PUTs", empty)
+		t.Errorf("empty value: %+v, want no bytes and the descriptor's 3 PUTs", empty)
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -13,35 +13,38 @@ import (
 	"scfs/internal/seccrypto"
 )
 
-// TestForgedMetadataSizeBounded pins the metadata edition of the
-// DecodeBatch bug class (and the untrustedalloc invariant): VersionInfo is
-// JSON from possibly-corrupt clouds, so a forged Size must be rejected
-// against the bytes actually fetched — before it sizes an allocation — not
-// discovered by an OOM inside make(). A terabyte Size costs the attacker
-// ~17 bytes of JSON; the genuine shards on the honest clouds bound what a
-// join can ever produce.
+// TestForgedMetadataSizeBounded pins the descriptor edition of the
+// DecodeBatch bug class (and the untrustedalloc invariant): a descriptor is
+// JSON from the clouds, so a Size its chunk geometry does not account for
+// must be rejected before it sizes an allocation — not discovered by an OOM
+// inside make(). A terabyte Size costs a forger ~17 bytes of JSON.
 func TestForgedMetadataSizeBounded(t *testing.T) {
 	_, m := newManager(t, ProtocolCA)
 	data := bytes.Repeat([]byte{0xAB}, 4096)
-	info, err := m.Write(bg, "u", data)
-	if err != nil {
-		t.Fatal(err)
+	info := writeFrom(t, m, "u", data)
+	read := func(info VersionInfo) ([]byte, error) {
+		return m.readVersion(bg, &chunkFetcher{m: m, unit: "u", info: info}, nil)
 	}
 
 	forged := info
 	forged.Size = 1 << 40 // 1 TiB claimed, 4 KiB stored
-	if _, err := m.readVersion(bg, "u", forged); !errors.Is(err, ErrIntegrity) {
+	if _, err := read(forged); !errors.Is(err, ErrIntegrity) {
 		t.Fatalf("forged Size: err = %v, want ErrIntegrity", err)
 	}
-
 	negative := info
 	negative.Size = -1
-	if _, err := m.readVersion(bg, "u", negative); err == nil {
+	if _, err := read(negative); err == nil {
 		t.Fatal("negative Size: want error, got nil")
 	}
+	for _, v := range []VersionInfo{forged, negative} {
+		raw, _ := json.Marshal(v)
+		if _, ok := decodeDescriptor(raw, info.DataHash, m.N()); ok {
+			t.Fatalf("descriptor of size %d accepted", v.Size)
+		}
+	}
 
-	// The genuine metadata still reads back fine.
-	got, err := m.readVersion(bg, "u", info)
+	// The genuine descriptor still reads back fine.
+	got, err := read(info)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,24 +53,23 @@ func TestForgedMetadataSizeBounded(t *testing.T) {
 	}
 }
 
-// TestChunkSizeWireCap: the v2 chunk geometry is attacker-chosen until
-// certification, and readVersion preallocates the reassembly buffer
-// from it. MaxChunkSize is the wire cap that keeps that allocation linear
-// in the metadata the attacker must actually store: a single-chunk variant
-// declaring a huge ChunkSize must fail validation, and the writer clamps
-// its configured chunk size so it can never emit versions readers reject.
+// TestChunkSizeWireCap: a descriptor's chunk geometry sizes the reassembly
+// buffer. MaxChunkSize is the wire cap that keeps that allocation linear in
+// the descriptor a writer must actually store: a single-chunk descriptor
+// declaring a huge ChunkSize must fail validation, and the writer clamps its
+// configured chunk size so it can never emit versions readers reject.
 func TestChunkSizeWireCap(t *testing.T) {
-	huge := VersionInfo{Number: 1, Size: 1 << 40, ChunkSize: 1 << 40, ChunkCount: 1,
+	huge := VersionInfo{Size: 1 << 40, ChunkSize: 1 << 40, ChunkCount: 1,
 		ChunkHashes: [][]string{nil}, Protocol: ProtocolCA}
 	if huge.validChunking() {
 		t.Fatal("ChunkSize beyond the wire cap accepted")
 	}
 	_, m := newChunkedManager(t, ProtocolCA, 2048)
-	if _, err := m.readVersion(bg, "u", huge); !errors.Is(err, ErrIntegrity) {
+	if _, err := m.readVersion(bg, &chunkFetcher{m: m, unit: "u", info: huge}, nil); !errors.Is(err, ErrIntegrity) {
 		t.Fatalf("err = %v, want ErrIntegrity", err)
 	}
 
-	atCap := VersionInfo{Number: 1, Size: MaxChunkSize, ChunkSize: MaxChunkSize, ChunkCount: 1,
+	atCap := VersionInfo{Size: MaxChunkSize, ChunkSize: MaxChunkSize, ChunkCount: 1,
 		ChunkHashes: [][]string{nil}, Protocol: ProtocolCA}
 	if !atCap.validChunking() {
 		t.Fatal("ChunkSize at the wire cap rejected")
@@ -79,83 +81,88 @@ func TestChunkSizeWireCap(t *testing.T) {
 	}
 }
 
-// TestForgedObjectIDDiscardedAtMerge: an entry's ID is spliced into object
-// names, so an entry whose ID is not exactly what newObjectID produces never
-// leaves the merge — however many clouds agree on it.
-func TestForgedObjectIDDiscardedAtMerge(t *testing.T) {
-	_, m := newManager(t, ProtocolCA)
-	good := newObjectID()
-	for _, id := range []string{
+// badHashes are strings that must never be spliced into an object name.
+func badHashes() []string {
+	good := seccrypto.Hash([]byte("good"))
+	return []string{
 		"",
-		good[:16] + "/" + good[17:],     // a path separator
-		"../../other-unit/" + good[:15], // right length, climbs out
+		good[:32] + "/" + good[33:],     // a path separator
+		"../../other-unit/" + good[:47], // right length, climbs out
 		strings.ToUpper(good),           // upper-case hex
-		good[:31],                       // one short
+		good[:63],                       // one short
 		good + "0",                      // one long
-		good[:31] + "g",                 // not hex
-		"metadata" + good[:24],          // right length, not hex
-	} {
-		md := &unitMetadata{Unit: "u", Versions: []VersionInfo{{Number: 1, ID: id, DataHash: "h", ChunkSize: 1}}}
-		merged := m.mergeMetadata("u", []*unitMetadata{md, md, md, md})
-		if len(merged.Versions) != 0 || len(merged.variants) != 0 {
-			t.Fatalf("ID %q survived the merge: %+v", id, merged.Versions)
+		good[:63] + "g",                 // not hex
+		"metadata" + good[:56],          // right length, not hex
+	}
+}
+
+// TestForgedHashNamesNoObject: a hash is spliced into object names, and an
+// anchored hash comes from a record another writer may have set. A hash that
+// is not exactly 64 lowercase hex digits names nothing: every entry point
+// refuses it without a cloud request, and a head or a listing naming it is
+// ignored, however many clouds serve it.
+func TestForgedHashNamesNoObject(t *testing.T) {
+	s, m, _, inner := stagedManager(t, Options{})
+	s.setOpen(true)
+	for _, h := range badHashes() {
+		if validHash(h) {
+			t.Fatalf("hash %q accepted", h)
+		}
+		if _, err := m.WriteFrom(bg, "u", h, bytes.NewReader(nil)); !errors.Is(err, ErrIntegrity) {
+			t.Fatalf("WriteFrom(%q) = %v, want ErrIntegrity", h, err)
+		}
+		if _, _, err := m.ReadMatching(bg, "u", h); !errors.Is(err, ErrIntegrity) {
+			t.Fatalf("ReadMatching(%q) = %v, want ErrIntegrity", h, err)
+		}
+		if _, _, err := m.OpenMatching(bg, "u", h); !errors.Is(err, ErrIntegrity) {
+			t.Fatalf("OpenMatching(%q) = %v, want ErrIntegrity", h, err)
+		}
+		if _, err := m.DeleteVersion(bg, "u", h); !errors.Is(err, ErrIntegrity) {
+			t.Fatalf("DeleteVersion(%q) = %v, want ErrIntegrity", h, err)
 		}
 	}
-	md := &unitMetadata{Unit: "u", Versions: []VersionInfo{{Number: 1, ID: good, DataHash: "h", ChunkSize: 1}}}
-	if merged := m.mergeMetadata("u", []*unitMetadata{md, md}); len(merged.Versions) != 1 || !merged.certified[1] {
-		t.Fatalf("well-formed ID dropped or uncertified: %+v", merged)
+	if rs := append(s.snapshot(), s.deletes()...); len(rs) != 0 {
+		t.Fatalf("requests for malformed hashes: %v", describe(rs))
 	}
-}
 
-// honestCopy returns the unit's metadata object as some cloud stores it (a
-// write's straggler is cancelled, so any one cloud may hold none).
-func honestCopy(t *testing.T, m *Manager, clients []cloud.ObjectStore, unit string) []byte {
-	t.Helper()
-	for _, c := range clients {
-		if raw, err := c.Get(bg, m.metaName(unit)); err == nil {
-			return raw
+	// Every cloud serves a head and a descriptor listing under a forged name.
+	for _, c := range inner {
+		forged := "../../other-unit/" + strings.Repeat("0", 47)
+		if err := c.Put(bg, m.headName("u"), append([]byte(headMagic+"\x00\x00\x00\x00\x00\x00\x00\x07"), forged...)); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Put(bg, m.unitPrefix("u")+strings.ToUpper(seccrypto.Hash(nil))+"/desc", []byte("{}")); err != nil {
+			t.Fatal(err)
 		}
 	}
-	t.Fatal("no cloud holds the unit's metadata")
-	return nil
-}
-
-// forgeCopy makes clients[0] Byzantine: its copy of unit's metadata becomes
-// the honest copy edited by forge.
-func forgeCopy(t *testing.T, m *Manager, clients []cloud.ObjectStore, unit string, forge func(*unitMetadata)) {
-	t.Helper()
-	md := decodeUnitMetadata(honestCopy(t, m, clients, unit), unit)
-	if md == nil {
-		t.Fatal("honest metadata copy does not decode")
+	if _, _, err := m.Read(bg, "u"); !errors.Is(err, ErrUnitNotFound) {
+		t.Fatalf("Read over forged heads = %v, want ErrUnitNotFound", err)
 	}
-	forge(md)
-	forged, err := json.Marshal(md)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := clients[0].Put(bg, m.metaName(unit), forged); err != nil {
-		t.Fatal(err)
+	if hashes, err := m.ListVersions(bg, "u"); err != nil || len(hashes) != 0 {
+		t.Fatalf("ListVersions over a forged name = %v, %v; want none", hashes, err)
 	}
 }
 
-// TestForgedIDCannotAimDelete: the ID in an entry decides which objects a
-// delete removes, so one Byzantine cloud pairing a doomed number with a live
-// version's ID must not get the live version's blocks deleted. Objects go
-// only on the authority of an f+1-certified entry; an uncertified one is
-// dropped from the metadata and nothing else.
+// forgedList is a Byzantine cloud whose listings add names of its choosing.
+type forgedList struct {
+	cloud.ObjectStore
+	extra []cloud.ObjectInfo
+}
+
+func (f forgedList) List(ctx context.Context, prefix string) ([]cloud.ObjectInfo, error) {
+	objs, err := f.ObjectStore.List(ctx, prefix)
+	return append(objs, f.extra...), err
+}
+
+// TestForgedIDCannotAimDelete: a delete removes the names a certified
+// descriptor gives and the names each cloud lists under the version's
+// prefix. One Byzantine cloud listing the live version's objects — beside a
+// doomed version, or beside one nobody wrote — must not get them deleted:
+// only names inside the deleted version's prefix are ever deleted.
 func TestForgedIDCannotAimDelete(t *testing.T) {
-	for name, forge := range map[string]func(md *unitMetadata, doomed, live VersionInfo){
-		// The doomed version's own number and hash, aimed at the live blocks.
-		"doomed number": func(md *unitMetadata, doomed, live VersionInfo) {
-			md.Versions[0].ID = live.ID
-		},
-		// A number no honest cloud lists: the forged entry is the only
-		// candidate, so it is the one DeleteVersions finds.
-		"invented number": func(md *unitMetadata, doomed, live VersionInfo) {
-			aimed := live
-			aimed.Number, aimed.DataHash = 7, doomed.DataHash
-			md.Versions = append(md.Versions, aimed)
-		},
+	for name, target := range map[string]func(doomed VersionInfo) string{
+		"doomed version":   func(doomed VersionInfo) string { return doomed.DataHash },
+		"invented version": func(VersionInfo) string { return seccrypto.Hash([]byte("never written")) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			_, clients := testClouds(t, 4)
@@ -163,205 +170,175 @@ func TestForgedIDCannotAimDelete(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			doomed, err := m.Write(bg, "u", []byte("doomed"))
+			doomed := writeFrom(t, m, "u", []byte("doomed"))
+			live := writeFrom(t, m, "u", []byte("live"))
+			var extra []cloud.ObjectInfo
+			for _, name := range m.objectNames("u", live) {
+				extra = append(extra, cloud.ObjectInfo{Name: name})
+			}
+			byzantine := append([]cloud.ObjectStore{forgedList{clients[0], extra}}, clients[1:]...)
+			evil, err := New(Options{Clouds: byzantine, F: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			live, err := m.Write(bg, "u", []byte("live"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			forgeCopy(t, m, clients, "u", func(md *unitMetadata) { forge(md, doomed, live) })
 			holders := 0 // a write's straggler is cancelled: n-f clouds or all n
 			for _, c := range clients {
-				if _, err := c.Get(bg, m.chunkName("u", live.ID, 0)); err == nil {
+				if _, err := c.Get(bg, m.chunkName("u", live.DataHash, 0)); err == nil {
 					holders++
 				}
 			}
-
-			if _, err := m.DeleteVersions(bg, "u", []uint64{doomed.Number, 7}); err != nil {
-				t.Fatal(err)
-			}
+			_, _ = evil.DeleteVersion(bg, "u", target(doomed))
 			for _, c := range clients {
-				if _, err := c.Get(bg, m.chunkName("u", live.ID, 0)); err == nil {
+				if _, err := c.Get(bg, m.chunkName("u", live.DataHash, 0)); err == nil {
 					holders--
 				}
 			}
 			if holders != 0 {
 				t.Fatalf("%d clouds lost the live version's block", holders)
 			}
-			got, err := m.readVersion(bg, "u", live)
-			if err != nil || string(got) != "live" {
+			if got, _, err := m.ReadMatching(bg, "u", live.DataHash); err != nil || string(got) != "live" {
 				t.Fatalf("live version after the delete: %q, %v", got, err)
 			}
 		})
 	}
 }
 
-// stalledGets is a cloud whose Gets never answer: a quorum read gets its n-f
-// answers from the other clouds, every time.
-type stalledGets struct{ cloud.ObjectStore }
-
-func (s stalledGets) Get(ctx context.Context, _ string) ([]byte, error) {
-	<-ctx.Done()
-	return nil, ctx.Err()
-}
-
-// TestDeleteMatchingFreesOnlyCertifiedEntries: what a sweep reports as freed
-// is what it deleted. Cloud 0 invents an entry — a number no honest cloud
-// lists, the doomed version's hash, the live version's ID — and with cloud 3
-// silent the sweep's metadata read is sure to include that copy. The forged
-// entry is dropped from the metadata like the honest doomed one, but only
-// the honest entry, which f+1 clouds vouch for, has its objects deleted and
-// comes back as freed.
-func TestDeleteMatchingFreesOnlyCertifiedEntries(t *testing.T) {
+// TestDeleteVersionFreesOnlyCertifiedDescriptors: what a sweep prices as
+// freed is a version f+1 clouds vouch for. Cloud 0 alone serves a descriptor
+// — one it invented, or one it kept after a delete it lags — and deleting
+// that version removes cloud 0's objects but returns no descriptor; a
+// version four clouds hold is freed and returned with its descriptor.
+func TestDeleteVersionFreesOnlyCertifiedDescriptors(t *testing.T) {
 	_, clients := testClouds(t, 4)
-	stalled := append([]cloud.ObjectStore(nil), clients...)
-	stalled[3] = stalledGets{clients[3]}
-	m, err := New(Options{Clouds: stalled, F: 1})
+	m, err := New(Options{Clouds: clients, F: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	doomed, err := m.Write(bg, "u", []byte("doomed"))
-	if err != nil {
+	doomed := writeFrom(t, m, "u", []byte("doomed"))
+	invented := doomed
+	invented.DataHash = seccrypto.Hash([]byte("invented"))
+	raw, _ := json.Marshal(invented)
+	if err := clients[0].Put(bg, m.descName("u", invented.DataHash), raw); err != nil {
 		t.Fatal(err)
 	}
-	live, err := m.Write(bg, "u", []byte("live"))
-	if err != nil {
-		t.Fatal(err)
+	if _, err := m.DeleteVersion(bg, "u", invented.DataHash); !errors.Is(err, ErrVersionNotFound) {
+		t.Fatalf("delete of a one-cloud descriptor = %v, want ErrVersionNotFound", err)
 	}
-	forgeCopy(t, m, clients[:3], "u", func(md *unitMetadata) {
-		aimed := live
-		aimed.Number, aimed.DataHash = 7, doomed.DataHash
-		md.Versions = append(md.Versions, aimed)
-	})
-
-	n, freed, err := m.DeleteMatching(bg, "u", []string{doomed.DataHash})
-	if err != nil {
-		t.Fatal(err)
+	if _, err := clients[0].Get(bg, m.descName("u", invented.DataHash)); !errors.Is(err, cloud.ErrNotFound) {
+		t.Fatalf("cloud 0 keeps the invented descriptor: %v", err)
 	}
-	if n != 2 || len(freed) != 1 || freed[0].Number != doomed.Number || freed[0].ID != doomed.ID {
-		t.Fatalf("dropped %d entries and freed %+v; want 2 dropped and only version %d freed", n, freed, doomed.Number)
+	freed, err := m.DeleteVersion(bg, "u", doomed.DataHash)
+	if err != nil || freed.DataHash != doomed.DataHash || freed.ChunkCount != 1 {
+		t.Fatalf("delete of a stored version = %+v, %v", freed, err)
 	}
 	for i, c := range clients {
-		if _, err := c.Get(bg, m.chunkName("u", doomed.ID, 0)); err == nil {
-			t.Errorf("cloud %d keeps the doomed version's block", i)
+		if objs, _ := c.List(bg, m.versionPrefix("u", doomed.DataHash)); len(objs) != 0 {
+			t.Errorf("cloud %d keeps %d objects of the doomed version", i, len(objs))
 		}
 	}
-	if got, err := m.readVersion(bg, "u", live); err != nil || string(got) != "live" {
-		t.Fatalf("live version after the sweep: %q, %v", got, err)
-	}
-}
-
-// v1Entry is what a metadata entry of this package's whole-object layout
-// looks like to today's decoder — per-cloud block hashes it no longer knows,
-// no chunk size — whether a cloud kept it from then or invents it now.
-func v1Entry(number uint64, id, hash string, size int) string {
-	return fmt.Sprintf(`{"number":%d,"id":%q,"data_hash":%q,"size":%d,"block_hashes":["a","b","c","d"],"protocol":0}`, number, id, hash, size)
 }
 
 // TestV1ShapedInputFailsAsData: nothing writes the whole-object layout any
 // more and nothing reads it, so its two shapes are plain bad input. A
-// metadata entry without a chunk size is dropped at the merge — however many
-// clouds agree on it — before any object name is built from it; a version-1
-// frame where a chunk should be is a bad frame, and with too few good ones
-// the read fails, it does not panic.
+// descriptor without a chunk size is rejected — however many clouds agree on
+// it — before any object name is built from it; a version-1 frame where a
+// chunk should be is a bad frame, and with too few good ones the read fails,
+// it does not panic.
 func TestV1ShapedInputFailsAsData(t *testing.T) {
 	s, m, _, inner := stagedManager(t, Options{})
 	s.setOpen(true)
-	live, err := m.Write(bg, "u", []byte("live"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	live := writeFrom(t, m, "u", []byte("live"))
 
-	// Every cloud lists, beside the live version, a newer whole-object one.
-	old := newObjectID()
-	liveEntry, err := json.Marshal(live)
-	if err != nil {
-		t.Fatal(err)
-	}
-	md := `{"unit":"u","versions":[` + string(liveEntry) + `,` + v1Entry(2, old, seccrypto.Hash([]byte("old")), 3) + `]}`
+	old := seccrypto.Hash([]byte("old"))
+	v1 := `{"data_hash":"` + old + `","size":3,"block_hashes":["a","b","c","d"],"protocol":0}`
 	for _, c := range inner {
-		if err := c.Put(bg, m.metaName("u"), []byte(md)); err != nil {
+		if err := c.Put(bg, m.descName("u", old), []byte(v1)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got, info, err := m.Read(bg, "u"); err != nil || string(got) != "live" || info.Number != 1 {
-		t.Fatalf("Read = %q, version %d, %v; want the live version, the v1 entry dropped", got, info.Number, err)
+	if _, _, err := m.ReadMatching(bg, "u", old); err == nil {
+		t.Fatal("ReadMatching the v1 descriptor's hash succeeded")
 	}
-	if _, _, err := m.ReadMatching(bg, "u", seccrypto.Hash([]byte("old"))); !errors.Is(err, ErrVersionNotFound) {
-		t.Fatalf("ReadMatching the v1 entry's hash: err = %v, want ErrVersionNotFound", err)
+	if _, _, err := m.OpenMatching(bg, "u", old); err == nil {
+		t.Fatal("OpenMatching the v1 descriptor's hash succeeded")
 	}
-	if _, _, err := m.OpenMatching(bg, "u", seccrypto.Hash([]byte("old"))); !errors.Is(err, ErrVersionNotFound) {
-		t.Fatalf("OpenMatching the v1 entry's hash: err = %v, want ErrVersionNotFound", err)
-	}
-	if n, err := m.DeleteVersions(bg, "u", []uint64{2}); err != nil || n != 0 {
-		t.Fatalf("DeleteVersions of the v1 entry = %d, %v; want nothing listed to drop", n, err)
+	if _, err := m.DeleteVersion(bg, "u", old); !errors.Is(err, ErrVersionNotFound) {
+		t.Fatalf("DeleteVersion of the v1 descriptor = %v, want ErrVersionNotFound", err)
 	}
 	for _, r := range s.snapshot() {
-		if strings.Contains(r.name, old) {
-			t.Fatalf("%s %s: an object name built from the v1 entry", r.op, r.name)
+		if strings.Contains(r.name, old) && !strings.HasSuffix(r.name, "/desc") && !strings.HasSuffix(r.name, "/c0") {
+			t.Fatalf("%s %s: an object name built from the v1 descriptor", r.op, r.name)
 		}
-	}
-	if d := s.deletes(); len(d) != 0 {
-		t.Fatalf("deleted %v on the authority of a v1 entry", describe(d))
 	}
 
 	// Three clouds answer the live version's chunk GET with a version-1
 	// frame: one good frame is short of the f+1 a decode needs.
 	for _, c := range inner[1:] {
-		if err := c.Put(bg, m.chunkName("u", live.ID, 0), v1Frame()); err != nil {
+		if err := c.Put(bg, m.chunkName("u", live.DataHash, 0), v1Frame()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// The frames' hashes are not the metadata's either; forge a copy of the
-	// entry that vouches for them, so only the frame decoder stands between
-	// them and the decode.
+	// The frames' hashes are not the descriptor's either; forge one that
+	// vouches for them, so only the frame decoder stands between them and
+	// the decode.
 	forged := live
 	forged.ChunkHashes = [][]string{{live.ChunkHashes[0][0], seccrypto.Hash(v1Frame()), seccrypto.Hash(v1Frame()), seccrypto.Hash(v1Frame())}}
-	if _, err := m.readVersion(bg, "u", forged); !errors.Is(err, ErrQuorumRead) {
+	if _, err := m.readVersion(bg, &chunkFetcher{m: m, unit: "u", info: forged}, nil); !errors.Is(err, ErrQuorumRead) {
 		t.Fatalf("read over version-1 frames: err = %v, want ErrQuorumRead", err)
 	}
 }
 
-// FuzzUnitMetadata feeds arbitrary bytes through the unit-metadata decoder
-// and the merge, as three clouds' copies with two of them agreeing: whatever
-// comes out must be safe to build object names from and to slice buffers by.
-func FuzzUnitMetadata(f *testing.F) {
-	id := strings.Repeat("0123456789abcdef", 2)
-	honest := `{"unit":"u","versions":[{"number":1,"id":"` + id + `","data_hash":"h","size":3,"protocol":0,"chunk_size":2,"chunk_count":2,"chunk_hashes":[["a","b","c","d"],["e","f","g","h"]]}]}`
-	f.Add([]byte(honest), []byte(honest))
-	f.Add([]byte(honest), []byte(`{"unit":"u","versions":[{"number":1,"id":"../../v/metadata/0123456789abcdef","data_hash":"h"}]}`))
-	f.Add([]byte(honest), []byte(`{"unit":"u","versions":[{"number":2,"id":"`+strings.ToUpper(id)+`","size":-1,"chunk_size":1,"chunk_count":1099511627776}]}`))
-	f.Add([]byte(`{"unit":"u","versions":[{"number":18446744073709551615,"id":"`+id+`","size":5,"chunk_size":2,"chunk_count":3,"chunk_hashes":[[],[],[]]}]}`), []byte(`{"unit":"other"}`))
-	f.Add([]byte(`{"unit":"u","versions":null}`), []byte(`[`))
-	// The whole-object layout's entry, with and without an explicit zero.
-	f.Add([]byte(`{"unit":"u","versions":[`+v1Entry(1, id, "h", 3)+`]}`), []byte(honest))
-	f.Add([]byte(`{"unit":"u","versions":[{"number":1,"id":"`+id+`","data_hash":"h","size":3,"chunk_size":0,"chunk_count":1,"chunk_hashes":[["a"]]}]}`), []byte(honest))
+// FuzzDescriptor feeds arbitrary bytes through the two decoders of what a
+// cloud serves before any frame: a version's descriptor and a register head.
+// Whatever they accept must be safe to build object names from and to slice
+// buffers by.
+func FuzzDescriptor(f *testing.F) {
+	hash := seccrypto.Hash([]byte("abc"))
+	row := `["` + strings.Repeat(hash+`","`, 3) + hash + `"]`
+	honest := `{"data_hash":"` + hash + `","size":3,"protocol":0,"chunk_size":2,"chunk_count":2,"chunk_hashes":[` + row + `,` + row + `]}`
+	seq := func(n uint64) string {
+		b := make([]byte, 8)
+		for i := range b {
+			b[7-i] = byte(n >> (8 * i))
+		}
+		return string(b)
+	}
+	f.Add([]byte(honest), []byte(headMagic+seq(1)+hash))
+	f.Add([]byte(`{"data_hash":"`+hash+`","size":1,"protocol":0,"chunk_size":1099511627776,"chunk_count":1,"chunk_hashes":[`+row+`]}`), []byte(headMagic+seq(2)+strings.ToUpper(hash)))
+	f.Add([]byte(`{"data_hash":"`+hash+`","size":5,"protocol":0,"chunk_size":2,"chunk_count":2,"chunk_hashes":[`+row+`,`+row+`]}`), []byte(headMagic+seq(3)+"../../v/head/"+hash[:51]))
+	f.Add([]byte(`{"data_hash":"`+hash+`","size":-1,"protocol":1,"chunk_size":1,"chunk_count":0,"chunk_hashes":[]}`), []byte(headMagic+seq(math.MaxUint64)+hash))
+	f.Add([]byte(`{"data_hash":"`+hash+`","size":3,"protocol":0,"chunk_size":3,"chunk_count":1,"chunk_hashes":[["a","b","c","d"]]}`), []byte(headMagic+seq(4)+hash[:63]+"g"))
+	f.Add([]byte(`{"data_hash":"`+hash+`","size":3,"protocol":7,"chunk_size":3,"chunk_count":1,"chunk_hashes":[`+row+`]}`), []byte(headMagic+seq(5)))
+	f.Add([]byte(`null`), []byte(`DSKB`))
 
 	_, clients := testClouds(f, 4)
 	m, err := New(Options{Clouds: clients, F: 1})
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Fuzz(func(t *testing.T, a, b []byte) {
-		ca, cb := decodeUnitMetadata(a, "u"), decodeUnitMetadata(b, "u")
-		merged := m.mergeMetadata("u", []*unitMetadata{ca, cb, ca})
-		for _, v := range merged.Versions {
-			if !validObjectID(v.ID) {
-				t.Fatalf("merge kept ID %q", v.ID)
+	f.Fuzz(func(t *testing.T, desc, headBytes []byte) {
+		if v, ok := decodeDescriptor(desc, hash, m.N()); ok {
+			if !v.validChunking() || v.DataHash != hash {
+				t.Fatalf("accepted geometry size %d, chunk %d x %d, %d hash rows", v.Size, v.ChunkSize, v.ChunkCount, len(v.ChunkHashes))
 			}
-			if !v.validChunking() {
-				t.Fatalf("merge kept chunk geometry size %d, chunk %d x %d, %d hash rows", v.Size, v.ChunkSize, v.ChunkCount, len(v.ChunkHashes))
-			}
-			for _, name := range m.objectNames("u", v) {
-				rest, ok := strings.CutPrefix(name, "dsky/u/"+v.ID+"/")
-				if !ok || strings.ContainsAny(rest, "/.") {
-					t.Fatalf("object name %q leaves dsky/u/<id>/", name)
+			for _, row := range v.ChunkHashes {
+				if len(row) != m.N() {
+					t.Fatalf("accepted a row of %d frame hashes", len(row))
 				}
 			}
-			if merged.certified[v.Number] && (ca == nil || len(merged.variantsOf(v.Number)) == 0) {
-				t.Fatalf("version %d certified without two agreeing copies", v.Number)
+			for _, name := range m.objectNames("u", v) {
+				rest, ok := strings.CutPrefix(name, "dsky/u/"+hash+"/")
+				if !ok || strings.ContainsAny(rest, "/.") {
+					t.Fatalf("object name %q leaves dsky/u/<hash>/", name)
+				}
+			}
+		}
+		if h, ok := decodeHead(headBytes); ok {
+			if !validHash(h.hash) {
+				t.Fatalf("head accepted hash %q", h.hash)
+			}
+			if got, ok := decodeHead(h.encode()); !ok || got != h {
+				t.Fatalf("head %+v does not round-trip", h)
 			}
 		}
 	})

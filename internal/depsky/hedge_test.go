@@ -62,9 +62,9 @@ func hedgeCtx(pol iopolicy.Policy) context.Context {
 
 // TestHedgedReadSkipsStraggler is the headline behaviour: after the tracker
 // has seen the straggler, a hedged read never contacts it — neither for the
-// metadata quorum (the three fast clouds are a quorum of responses) nor for
-// the blocks (two fast clouds decode a CA value with f=1) — and it returns
-// at fast-cloud latency.
+// head (the three fast clouds are a quorum of responses) nor for the
+// descriptor and the blocks (two fast clouds certify the one and decode a CA
+// value with f=1) — and it returns at fast-cloud latency.
 func TestHedgedReadSkipsStraggler(t *testing.T) {
 	rtts := []time.Duration{0, 0, 0, 300 * time.Millisecond}
 	m, providers, _ := hedgeManager(t, rtts, Options{})
@@ -115,10 +115,10 @@ func TestHedgeFiresOnlyAfterDelay(t *testing.T) {
 	time.Sleep(450 * time.Millisecond)
 	warmTracker(m, rtts)
 
-	// Preferred set for the block read (need f+1 = 2): the slow cloud and
-	// one fast cloud. The metadata quorum (need 3) also includes cloud 1.
-	// Both fan-outs stall on cloud 3 until their hedge fires at maxDelay
-	// (the tracked p90 of the slow cloud, clamped down to maxDelay).
+	// Preferred set for the descriptor and block reads (need f+1 = 2): the
+	// slow cloud and one fast cloud. The head quorum (need 3) also includes
+	// cloud 1. Every fan-out stalls on cloud 3 until its hedge fires at
+	// maxDelay (the tracked p90 of the slow cloud, clamped down to maxDelay).
 	pol := iopolicy.Policy{
 		Hedge:      iopolicy.Hedge{Percentile: 0.9, MaxDelay: maxDelay},
 		Preference: iopolicy.Preference{Order: []int{3, 0, 1}},
@@ -183,9 +183,7 @@ func TestHedgedChunkedRangedRead(t *testing.T) {
 	rtts := []time.Duration{0, 0, 0, 0}
 	m, providers, _ := hedgeManager(t, rtts, Options{ChunkSize: 4096})
 	data := bytes.Repeat([]byte{0xC3}, 10*4096+17)
-	if _, err := m.WriteFrom(bg, "u", bytes.NewReader(data)); err != nil {
-		t.Fatal(err)
-	}
+	info := writeFrom(t, m, "u", data)
 	warmTracker(m, rtts)
 	providers[1].SetFault(cloudsim.FaultCorrupt)
 
@@ -193,7 +191,7 @@ func TestHedgedChunkedRangedRead(t *testing.T) {
 		Hedge:      iopolicy.Hedge{Percentile: 0.9, MinDelay: 5 * time.Millisecond},
 		Preference: iopolicy.Preference{Order: []int{1, 2}},
 	}
-	got, err := readRange(hedgeCtx(pol), m, "u", 4096+100, 2*4096)
+	got, err := readRange(hedgeCtx(pol), m, "u", info.DataHash, 4096+100, 2*4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,8 +259,8 @@ func TestDefaultPolicyUnchangedFanOut(t *testing.T) {
 	for _, p := range providers {
 		after += p.TotalRequests()
 	}
-	// Metadata from all 4 clouds + blocks from all 4 clouds.
-	if got := after - before; got != 8 {
-		t.Fatalf("default read issued %d requests, want 8 (full fan-out)", got)
+	// The head, the descriptor and the block, each from all 4 clouds.
+	if got := after - before; got != 12 {
+		t.Fatalf("default read issued %d requests, want 12 (full fan-out)", got)
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"scfs/internal/cloudsim"
 	"scfs/internal/iopolicy"
+	"scfs/internal/seccrypto"
 )
 
 // writeHedgeCtx builds a context whose policy hedges writes behind a huge
@@ -23,7 +24,7 @@ func writeHedgeCtx(order ...int) context.Context {
 }
 
 // TestHedgedWriteSkipsSpares is the headline saving: a hedged write ships
-// its shards (and the metadata update) to the preferred n-f quorum only —
+// its shards, its descriptor and its head to the preferred n-f quorum only —
 // the spare cloud receives no upload bytes and no PUT requests at all.
 func TestHedgedWriteSkipsSpares(t *testing.T) {
 	rtts := []time.Duration{0, 0, 0, 0}
@@ -55,23 +56,20 @@ func TestHedgedWriteSkipsSpares(t *testing.T) {
 	}
 }
 
-// TestHedgedWriteQuorumVersionIsCertified pins the metadata-union math: a
-// chunked version whose metadata reached only the preferred n-f clouds must
-// still be quorum-certified — the ranged read path (which refuses
-// uncertified entries outright) serves it.
+// TestHedgedWriteQuorumVersionIsCertified pins the certification math: a
+// chunked version whose descriptor reached only the preferred n-f clouds must
+// still be certified — f+1 identical copies — so the ranged read path, which
+// refuses anything less, serves it.
 func TestHedgedWriteQuorumVersionIsCertified(t *testing.T) {
 	rtts := []time.Duration{0, 0, 0, 0}
 	m, _, _ := hedgeManager(t, rtts, Options{ChunkSize: 4096})
 	warmTracker(m, rtts)
 
 	data := bytes.Repeat([]byte{0x9C}, 6*4096+33)
-	info, err := m.WriteFrom(writeHedgeCtx(0, 1, 2), "u", bytes.NewReader(data))
+	info, err := m.WriteFrom(writeHedgeCtx(0, 1, 2), "u", seccrypto.Hash(data), bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// OpenMatching returns ErrWholeObjectOnly for anything the merge
-	// did not certify; success means f+1 of the n-f metadata responders
-	// vouched for the entry.
 	r, _, err := m.OpenMatching(bg, "u", info.DataHash)
 	if err != nil {
 		t.Fatalf("quorum-only version is not certified-readable: %v", err)
@@ -89,7 +87,7 @@ func TestHedgedWriteQuorumVersionIsCertified(t *testing.T) {
 // TestHedgedWriteSurvivesFaultWithoutSpares: even when the spares were
 // never released, a version on the preferred n-f clouds tolerates f faults
 // among them — n-2f = f+1 intact shards remain, which is exactly a decode
-// quorum, and the surviving f+1 metadata copies keep the entry certified.
+// quorum, and the surviving f+1 descriptor copies keep it certified.
 func TestHedgedWriteSurvivesFaultWithoutSpares(t *testing.T) {
 	rtts := []time.Duration{0, 0, 0, 0}
 	m, providers, _ := hedgeManager(t, rtts, Options{})
@@ -175,8 +173,8 @@ func TestHedgedWriteKicksOnPreferredFailure(t *testing.T) {
 
 // TestCancelledHedgedWriteLeavesNothingVisible: cancelling a hedged write
 // mid-upload must not anchor a version — the unit stays absent (or at its
-// previous version) because the metadata is only written after every chunk
-// reached its quorum.
+// previous version) because the head is only written after every chunk and
+// the descriptor reached their quorum.
 func TestCancelledHedgedWriteLeavesNothingVisible(t *testing.T) {
 	// Every cloud is slow, so the cancel lands while the preferred uploads
 	// are still in flight.
@@ -240,9 +238,9 @@ func TestHedgedWriteZeroPolicyFullFanOut(t *testing.T) {
 	// Let the un-cancelled stragglers land.
 	time.Sleep(50 * time.Millisecond)
 	for i, p := range providers {
-		// One block PUT + one metadata PUT per cloud.
-		if u := p.Usage(accounts[i]); u.PutRequests != 2 {
-			t.Fatalf("cloud %d served %d PUTs, want 2 (full fan-out)", i, u.PutRequests)
+		// One block, one descriptor and one head PUT per cloud.
+		if u := p.Usage(accounts[i]); u.PutRequests != 3 {
+			t.Fatalf("cloud %d served %d PUTs, want 3 (full fan-out)", i, u.PutRequests)
 		}
 	}
 }
@@ -259,7 +257,7 @@ func TestHedgedWriteSpareReleaseOnMidUploadOutage(t *testing.T) {
 	m, providers, accounts := hedgeManager(t, rtts, Options{ChunkSize: cs})
 	warmTracker(m, rtts)
 
-	// c1 accepts two frame uploads, then every further PUT fails: an outage
+	// c1 accepts two uploads, then every further PUT fails: an outage
 	// landing between frame N and N+1 of the same logical write.
 	providers[1].SetFaults(cloudsim.FaultSpec{
 		Mode: cloudsim.FaultUnavailable, Ops: cloudsim.MaskPut, AfterN: 2,
@@ -268,7 +266,7 @@ func TestHedgedWriteSpareReleaseOnMidUploadOutage(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	data := bytes.Repeat([]byte{0xC7}, 6*cs+19)
 	start := time.Now()
-	info, err := m.WriteFrom(writeHedgeCtx(0, 1, 2), "u", bytes.NewReader(data))
+	info, err := m.WriteFrom(writeHedgeCtx(0, 1, 2), "u", seccrypto.Hash(data), bytes.NewReader(data))
 	if err != nil {
 		t.Fatalf("hedged write across a mid-upload outage: %v", err)
 	}
@@ -288,7 +286,7 @@ func TestHedgedWriteSpareReleaseOnMidUploadOutage(t *testing.T) {
 	if len(versions) != 1 {
 		t.Fatalf("outage left %d visible versions, want exactly 1", len(versions))
 	}
-	got, rinfo, err := m.Read(bg, "u")
+	got, rinfo, err := m.ReadMatching(bg, "u", info.DataHash)
 	if err != nil {
 		t.Fatal(err)
 	}

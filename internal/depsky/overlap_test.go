@@ -13,6 +13,7 @@ import (
 
 	"scfs/internal/cloud"
 	"scfs/internal/cloudsim"
+	"scfs/internal/seccrypto"
 	"scfs/internal/stream"
 )
 
@@ -21,6 +22,7 @@ import (
 type rpc struct {
 	op         string // "get", "put" or "delete"
 	name       string
+	cloud      int
 	start, end int64
 
 	gate chan struct{} // closed by release
@@ -49,14 +51,15 @@ type stagedClouds struct {
 
 type stagedStore struct {
 	cloud.ObjectStore
-	s *stagedClouds
+	s   *stagedClouds
+	idx int
 }
 
 func newStagedClouds(inner []cloud.ObjectStore) (*stagedClouds, []cloud.ObjectStore) {
 	s := &stagedClouds{arrived: make(chan *rpc, 256), finished: make(chan *rpc, 256)}
 	out := make([]cloud.ObjectStore, len(inner))
 	for i, c := range inner {
-		out[i] = &stagedStore{ObjectStore: c, s: s}
+		out[i] = &stagedStore{ObjectStore: c, s: s, idx: i}
 	}
 	return s, out
 }
@@ -64,7 +67,7 @@ func newStagedClouds(inner []cloud.ObjectStore) (*stagedClouds, []cloud.ObjectSt
 // begin logs a request; a Get or Put then parks until it is released or its
 // context ends.
 func (c *stagedStore) begin(ctx context.Context, op, name string) (*rpc, error) {
-	r := &rpc{op: op, name: name, gate: make(chan struct{})}
+	r := &rpc{op: op, name: name, cloud: c.idx, gate: make(chan struct{})}
 	c.s.mu.Lock()
 	c.s.clock++
 	r.start = c.s.clock
@@ -252,69 +255,89 @@ func goWrite(m *Manager, unit string, data []byte) chan writeResult {
 	return res
 }
 
-// TestWriteOverlapsMetadataReadWithUpload: a write's metadata read and its
-// block upload are one cloud round, the metadata write the second — 3n
-// requests, critical-path depth 2 — and the metadata write waits for both.
+// TestWriteOverlapsMetadataReadWithUpload: a register write's head read, its
+// block upload and its descriptor upload are one cloud round, the head write
+// the second — 4n requests, critical-path depth 2 — and the head write waits
+// for all of them.
 func TestWriteOverlapsMetadataReadWithUpload(t *testing.T) {
-	for _, first := range []string{"/c0", "/metadata"} {
+	for _, first := range []string{"put", "get"} {
 		s, m, _, _ := stagedManager(t, Options{})
 		res := goWrite(m, "u", []byte("two rounds"))
 
-		// With every metadata GET parked, all n block PUTs are in flight.
-		round1 := s.await(t, 8)
-		gets, puts := pick(round1, "get", "/metadata"), pick(round1, "put", "/c0")
-		if len(gets) != 4 || len(puts) != 4 {
-			t.Fatalf("first round is %v, want 4 metadata GETs beside 4 block PUTs", describe(round1))
+		// With every head GET parked, all n block and descriptor PUTs are in
+		// flight.
+		round1 := s.await(t, 12)
+		gets, puts := pick(round1, "get", "/head"), pick(round1, "put", "")
+		if len(gets) != 4 || len(pick(puts, "put", "/c0")) != 4 || len(pick(puts, "put", "/desc")) != 4 {
+			t.Fatalf("first round is %v, want 4 head GETs beside 4 block and 4 descriptor PUTs", describe(round1))
 		}
-		// Let one half of the round finish: no metadata PUT may follow
-		// until the other half has too.
+		// Let one half of the round finish: no head PUT may follow until the
+		// other half has too.
 		now, later := puts, gets
-		if first == "/metadata" {
+		if first == "get" {
 			now, later = gets, puts
 		}
 		release(now)
-		s.done(t, 3) // a quorum of them; the straggler may be cancelled instead
-		if early := pick(s.snapshot(), "put", "/metadata"); len(early) != 0 {
-			t.Fatalf("metadata PUT issued with the %s half of the round still parked", later[0].name)
+		s.done(t, len(now))
+		if early := pick(s.snapshot(), "put", "/head"); len(early) != 0 {
+			t.Fatalf("head PUT issued with the %s half of the round still parked", later[0].op)
 		}
 		release(later)
 		round2 := s.await(t, 4)
-		if len(pick(round2, "put", "/metadata")) != 4 {
-			t.Fatalf("second round is %v, want 4 metadata PUTs", describe(round2))
+		if len(pick(round2, "put", "/head")) != 4 {
+			t.Fatalf("second round is %v, want 4 head PUTs", describe(round2))
 		}
 		release(round2)
-		if r := <-res; r.err != nil || r.info.Number != 1 {
+		if r := <-res; r.err != nil || r.info.DataHash != seccrypto.Hash([]byte("two rounds")) {
 			t.Fatalf("Write = %+v, %v", r.info, r.err)
 		}
-		s.done(t, 12-3)
+		s.done(t, 16-len(now))
 
 		all := s.snapshot()
-		if len(all) != 12 {
-			t.Fatalf("a small write issued %d requests, want 3n = 12: %v", len(all), describe(all))
+		if len(all) != 16 {
+			t.Fatalf("a small register write issued %d requests, want 4n = 16: %v", len(all), describe(all))
 		}
 		if d := depth(all); d != 2 {
 			t.Fatalf("critical-path depth = %d, want 2", d)
 		}
-		// On the logical clock: every metadata PUT started after a quorum of
-		// block PUTs and a quorum of metadata GETs had returned.
-		after := max(kthEnd(puts, 3), kthEnd(gets, 3))
+		// On the logical clock: every head PUT started after a quorum of
+		// block PUTs, of descriptor PUTs and of head GETs had returned.
+		after := max(kthEnd(pick(puts, "put", "/c0"), 3), kthEnd(pick(puts, "put", "/desc"), 3), kthEnd(gets, 3))
 		for _, r := range round2 {
 			if r.start < after {
-				t.Fatalf("metadata PUT at %d, quorums complete at %d", r.start, after)
+				t.Fatalf("head PUT at %d, quorums complete at %d", r.start, after)
 			}
 		}
 	}
 }
 
-// TestWriteNumbersAfterTheMetadataItReads: the version number comes from the
-// metadata read, however late it completes relative to the upload, and the
-// entries it revealed are kept.
+// storedHead returns the highest head of unit the clouds store.
+func storedHead(t *testing.T, m *Manager, clouds []cloud.ObjectStore, unit string) head {
+	t.Helper()
+	var top head
+	for _, c := range clouds {
+		if raw, err := c.Get(bg, m.headName(unit)); err == nil {
+			if h, ok := decodeHead(raw); ok && h.seq > top.seq {
+				top = h
+			}
+		}
+	}
+	if top.seq == 0 {
+		t.Fatal("no cloud holds a head")
+	}
+	return top
+}
+
+// TestWriteNumbersAfterTheMetadataItReads: the head's sequence number comes
+// from the head read, however late it completes relative to the upload; and
+// once the new head is in place, the versions the heads it read named are
+// deleted.
 func TestWriteNumbersAfterTheMetadataItReads(t *testing.T) {
 	s, m, _, inner := stagedManager(t, Options{})
 	res := goWrite(m, "u", []byte("mine"))
-	round1 := s.await(t, 8)
-	release(pick(round1, "put", "/c0"))
-	s.done(t, 3)
+	round1 := s.await(t, 12)
+	release(pick(round1, "put", ""))
+	s.done(t, 8)
 
 	// While the reads are parked, another writer stores two versions.
 	other, err := New(Options{Clouds: inner, F: 1})
@@ -330,39 +353,48 @@ func TestWriteNumbersAfterTheMetadataItReads(t *testing.T) {
 		theirs = append(theirs, info)
 	}
 
-	release(pick(round1, "get", "/metadata"))
-	release(s.await(t, 4))
+	release(pick(round1, "get", "/head"))
+	heads := s.await(t, 4)
+	s.setOpen(true)
+	release(heads)
 	r := <-res
-	if r.err != nil || r.info.Number != 3 {
-		t.Fatalf("Write = number %d, %v; want 3, after the newest version the read revealed", r.info.Number, r.err)
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if h := storedHead(t, m, inner, "u"); h.seq != 3 || h.hash != r.info.DataHash {
+		t.Fatalf("head = %+v, want seq 3 naming mine, after the newest head the read revealed", h)
 	}
 	versions, err := other.ListVersions(bg, "u")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(versions) != 3 || versions[0].ID != theirs[0].ID || versions[1].ID != theirs[1].ID || versions[2].ID != r.info.ID {
-		t.Fatalf("versions = %+v, want the other writer's two, then mine", versions)
+	if len(versions) != 1 || versions[0] != r.info.DataHash {
+		t.Fatalf("versions = %v, want only mine: each head write deletes what the heads it read named", versions)
+	}
+	if got, _, err := other.Read(bg, "u"); err != nil || string(got) != "mine" {
+		t.Fatalf("Read = %q, %v; want mine", got, err)
 	}
 }
 
 // TestFailedBlockQuorumWritesNoMetadata: when the blocks miss their quorum
-// the write issues no metadata PUT, and deletes what it did upload.
+// the write issues no head PUT, and deletes what it did upload.
 func TestFailedBlockQuorumWritesNoMetadata(t *testing.T) {
 	s, m, providers, _ := stagedManager(t, Options{})
 	res := goWrite(m, "u", []byte("doomed"))
-	round1 := s.await(t, 8)
-	puts := pick(round1, "put", "/c0")
-	// Two clouds store their block before two others refuse theirs.
-	release(puts[:2])
-	s.done(t, 2)
-	puts[2].fail, puts[3].fail = cloud.ErrUnavailable, cloud.ErrUnavailable
-	release(puts[2:])
-	release(pick(round1, "get", "/metadata"))
+	round1 := s.await(t, 12)
+	blocks := pick(round1, "put", "/c0")
+	// The descriptor and two blocks are stored before two clouds refuse
+	// theirs.
+	release(append(pick(round1, "put", "/desc"), blocks[:2]...))
+	s.done(t, 6)
+	blocks[2].fail, blocks[3].fail = cloud.ErrUnavailable, cloud.ErrUnavailable
+	release(blocks[2:])
+	release(pick(round1, "get", "/head"))
 	if r := <-res; !errors.Is(r.err, ErrQuorumWrite) {
 		t.Fatalf("Write err = %v, want ErrQuorumWrite", r.err)
 	}
-	if meta := pick(s.snapshot(), "put", "/metadata"); len(meta) != 0 {
-		t.Fatalf("%d metadata PUTs after a failed block quorum", len(meta))
+	if heads := pick(s.snapshot(), "put", "/head"); len(heads) != 0 {
+		t.Fatalf("%d head PUTs after a failed block quorum", len(heads))
 	}
 	for i, p := range providers {
 		if n := p.ObjectCount(); n != 0 {
@@ -371,10 +403,10 @@ func TestFailedBlockQuorumWritesNoMetadata(t *testing.T) {
 	}
 }
 
-// TestFailedMetadataWriteKeepsItsObjects: a metadata write that misses its
-// quorum has still landed on some clouds, and those copies list the version
-// as the newest. Its objects must stay, or the unit is unreadable until the
-// next write succeeds.
+// TestFailedMetadataWriteKeepsItsObjects: a head write that misses its
+// quorum has still landed on some clouds, and those heads name the version
+// as the newest. Its objects must stay, and so must the version the old head
+// names.
 func TestFailedMetadataWriteKeepsItsObjects(t *testing.T) {
 	s, m, _, inner := stagedManager(t, Options{})
 	// The first version is written past the double, so that the counts
@@ -388,35 +420,40 @@ func TestFailedMetadataWriteKeepsItsObjects(t *testing.T) {
 	}
 
 	res := goWrite(m, "u", []byte("second"))
-	release(s.await(t, 8))
-	meta := s.await(t, 4)
-	if p := pick(meta, "put", "/metadata"); len(p) != 4 {
-		t.Fatalf("second round is %v, want the metadata PUTs", describe(meta))
+	release(s.await(t, 12))
+	heads := s.await(t, 4)
+	if p := pick(heads, "put", "/head"); len(p) != 4 {
+		t.Fatalf("second round is %v, want the head PUTs", describe(heads))
 	}
-	// Two clouds store the new metadata before two others refuse it.
-	release(meta[:2])
-	s.done(t, 10)
-	meta[2].fail, meta[3].fail = cloud.ErrUnavailable, cloud.ErrUnavailable
-	release(meta[2:])
+	// Two clouds store the new head before two others refuse it.
+	release(heads[:2])
+	s.done(t, 14)
+	heads[2].fail, heads[3].fail = cloud.ErrUnavailable, cloud.ErrUnavailable
+	release(heads[2:])
 	if r := <-res; !errors.Is(r.err, ErrQuorumWrite) {
 		t.Fatalf("Write err = %v, want ErrQuorumWrite", r.err)
 	}
 	if d := s.deletes(); len(d) != 0 {
-		t.Fatalf("deleted %v after the metadata PUT was issued", describe(d))
+		t.Fatalf("deleted %v after the head PUT was issued", describe(d))
 	}
 
-	// Every read quorum of three includes a copy that lists "second".
+	// Every read quorum of three includes a head that names "second".
 	s.setOpen(true)
 	got, _, err := m.Read(bg, "u")
 	if err != nil || string(got) != "second" {
-		t.Fatalf("Read after the failed write = %q, %v; want the version its metadata copies list", got, err)
+		t.Fatalf("Read after the failed write = %q, %v; want the version its heads name", got, err)
+	}
+	if got, _, err := m.ReadMatching(bg, "u", seccrypto.Hash([]byte("first"))); err != nil || string(got) != "first" {
+		t.Fatalf("the old head's version = %q, %v; want it kept", got, err)
 	}
 }
 
 // TestCancelledWriteIssuesNoMetadataPut: a ctx cancelled while the write
-// waits at the join publishes nothing and deletes the uploaded blocks.
+// waits at the join publishes no head. The version it stored stays, since
+// the same contents may be what the current head names; nothing new names
+// it.
 func TestCancelledWriteIssuesNoMetadataPut(t *testing.T) {
-	s, m, providers, _ := stagedManager(t, Options{})
+	s, m, _, _ := stagedManager(t, Options{})
 	ctx, cancel := context.WithCancel(bg)
 	defer cancel()
 	res := make(chan error, 1)
@@ -424,20 +461,22 @@ func TestCancelledWriteIssuesNoMetadataPut(t *testing.T) {
 		_, err := m.Write(ctx, "u", []byte("abandoned"))
 		res <- err
 	}()
-	round1 := s.await(t, 8)
-	release(pick(round1, "put", "/c0"))
-	s.done(t, 4)
-	cancel() // the metadata GETs are still parked
+	round1 := s.await(t, 12)
+	release(pick(round1, "put", ""))
+	s.done(t, 8)
+	cancel() // the head GETs are still parked
 	if err := <-res; !errors.Is(err, context.Canceled) {
 		t.Fatalf("Write err = %v, want context.Canceled", err)
 	}
-	if meta := pick(s.snapshot(), "put", "/metadata"); len(meta) != 0 {
-		t.Fatalf("%d metadata PUTs from a cancelled write", len(meta))
+	if heads := pick(s.snapshot(), "put", "/head"); len(heads) != 0 {
+		t.Fatalf("%d head PUTs from a cancelled write", len(heads))
 	}
-	for i, p := range providers {
-		if n := p.ObjectCount(); n != 0 {
-			t.Fatalf("cloud %d keeps %d objects of the cancelled write", i, n)
-		}
+	if d := s.deletes(); len(d) != 0 {
+		t.Fatalf("a cancelled write deleted %v", describe(d))
+	}
+	s.setOpen(true)
+	if _, _, err := m.Read(bg, "u"); !errors.Is(err, ErrUnitNotFound) {
+		t.Fatalf("Read after the cancelled write = %v, want ErrUnitNotFound", err)
 	}
 }
 
@@ -447,7 +486,7 @@ func TestUploadThatStoredNothingDeletesNothing(t *testing.T) {
 	s, m, _, _ := stagedManager(t, Options{ChunkSize: 1024})
 	s.setOpen(true)
 	boom := errors.New("boom")
-	if _, err := m.WriteFrom(bg, "u", iotest.ErrReader(boom)); !errors.Is(err, boom) {
+	if _, err := m.WriteFrom(bg, "u", seccrypto.Hash(nil), iotest.ErrReader(boom)); !errors.Is(err, boom) {
 		t.Fatalf("WriteFrom err = %v, want the reader's", err)
 	}
 	if puts := pick(s.snapshot(), "put", ""); len(puts) != 0 {
@@ -461,7 +500,7 @@ func TestUploadThatStoredNothingDeletesNothing(t *testing.T) {
 func goWriteFrom(m *Manager, unit string, data []byte) chan writeResult {
 	res := make(chan writeResult, 1)
 	go func() {
-		info, err := m.WriteFrom(bg, unit, bytes.NewReader(data))
+		info, err := m.WriteFrom(bg, unit, seccrypto.Hash(data), bytes.NewReader(data))
 		res <- writeResult{info, err}
 	}()
 	return res
@@ -476,44 +515,33 @@ func byName(rs []*rpc) map[string][]*rpc {
 	return out
 }
 
-// TestWriteFromOverlapsMetadataRead: a streamed write of four chunks keeps
-// every encoded chunk in flight, so all of them upload beside the metadata
-// read and the metadata write is the second round: 6n requests, depth 2.
-func TestWriteFromOverlapsMetadataRead(t *testing.T) {
+// TestWriteFromIsOneRound: a streamed write of four chunks keeps every
+// encoded chunk in flight, and the descriptor goes up beside them: one round
+// of 5n requests, depth 1.
+func TestWriteFromIsOneRound(t *testing.T) {
 	const cs = 1024
 	s, m, _, _ := stagedManager(t, Options{ChunkSize: cs})
 	data := randBytes(t, 4*cs)
 	res := goWriteFrom(m, "u", data)
 
 	round1 := s.await(t, 20)
-	gets, puts := pick(round1, "get", "/metadata"), pick(round1, "put", "")
-	if chunks := byName(puts); len(gets) != 4 || len(puts) != 16 || len(chunks) != 4 {
-		t.Fatalf("first round is %v, want the 4 metadata GETs beside the 16 PUTs of 4 chunks", describe(round1))
+	desc, chunks := pick(round1, "put", "/desc"), byName(pick(round1, "put", ""))
+	delete(chunks, m.descName("u", seccrypto.Hash(data)))
+	if len(desc) != 4 || len(chunks) != 4 {
+		t.Fatalf("the round is %v, want the 4 descriptor PUTs beside the 16 PUTs of 4 chunks", describe(round1))
 	}
 	release(round1)
-	round2 := s.await(t, 4)
-	if p := pick(round2, "put", "/metadata"); len(p) != 4 {
-		t.Fatalf("second round is %v, want the metadata PUTs", describe(round2))
-	}
-	release(round2)
 	r := <-res
 	if r.err != nil {
 		t.Fatal(r.err)
 	}
-	s.done(t, 24)
-	if d := depth(s.snapshot()); d != 2 {
-		t.Fatalf("critical-path depth = %d, want 2", d)
-	}
-	for name, chunk := range byName(puts) {
-		for _, meta := range round2 {
-			if q := kthEnd(chunk, 3); meta.start < q {
-				t.Fatalf("metadata PUT at %d, %s at its quorum at %d", meta.start, name, q)
-			}
-		}
+	s.done(t, 20)
+	if all := s.snapshot(); len(all) != 20 || depth(all) != 1 {
+		t.Fatalf("%d requests at depth %d, want 20 at depth 1: %v", len(all), depth(all), describe(all))
 	}
 
 	s.setOpen(true)
-	got, _, err := m.Read(bg, "u")
+	got, _, err := m.ReadMatching(bg, "u", r.info.DataHash)
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("read back: %v", err)
 	}
@@ -522,20 +550,37 @@ func TestWriteFromOverlapsMetadataRead(t *testing.T) {
 // TestWriteFromKeepsAWindowOfChunksInFlight: a streamed write of twice
 // stream.Window chunks never has more than stream.Window chunks' PUTs
 // outstanding — a chunk starts uploading only when an earlier one reached its
-// quorum — and every chunk is at n-f before the metadata PUT is issued.
+// quorum — and the write returns only once every chunk and the descriptor
+// are at n-f.
 func TestWriteFromKeepsAWindowOfChunksInFlight(t *testing.T) {
 	const cs, chunks = 1024, 2 * stream.Window
 	s, m, _, _ := stagedManager(t, Options{ChunkSize: cs})
 	data := randBytes(t, chunks*cs)
 	res := goWriteFrom(m, "u", data)
 
-	round1 := s.await(t, 4+4*stream.Window)
-	parked := byName(pick(round1, "put", ""))
-	if len(parked) != stream.Window {
-		t.Fatalf("%d chunks' PUTs parked beside the metadata read, want %d: %v", len(parked), stream.Window, describe(round1))
+	descName := m.descName("u", seccrypto.Hash(data))
+	var desc []*rpc
+	// admit collects parked PUTs until a chunk has all n of its own; the
+	// descriptor's PUTs, which join once the last chunk is encoded, are set
+	// aside as they come.
+	admit := func(want int) map[string][]*rpc {
+		got := make(map[string][]*rpc)
+		for full := 0; full < want; {
+			r := s.await(t, 1)[0]
+			if r.name == descName {
+				desc = append(desc, r)
+				continue
+			}
+			if got[r.name] = append(got[r.name], r); len(got[r.name]) == 4 {
+				full++
+			}
+		}
+		return got
 	}
-	release(pick(round1, "get", "/metadata"))
-	s.done(t, 4)
+	parked := admit(stream.Window)
+	if len(parked) != stream.Window {
+		t.Fatalf("%d chunks' PUTs parked, want %d: %v", len(parked), stream.Window, parked)
+	}
 	// Every chunk that reaches its quorum admits exactly one more.
 	for uploaded := 0; uploaded < chunks; uploaded++ {
 		var name string
@@ -548,32 +593,38 @@ func TestWriteFromKeepsAWindowOfChunksInFlight(t *testing.T) {
 		if uploaded+stream.Window >= chunks {
 			continue
 		}
-		next := byName(s.await(t, 4))
+		next := admit(1)
 		if len(next) != 1 {
 			t.Fatalf("one chunk at its quorum admitted %d: %v", len(next), next)
 		}
 		for name, puts := range next {
-			if parked[name] != nil || !puts[0].is("put", "") || strings.HasSuffix(name, "/metadata") {
+			if parked[name] != nil || !puts[0].is("put", "") {
 				t.Fatalf("admitted %v, want the PUTs of a new chunk", describe(puts))
 			}
 			parked[name] = puts
 		}
 	}
-	meta := s.await(t, 4)
-	if p := pick(meta, "put", "/metadata"); len(p) != 4 {
-		t.Fatalf("last round is %v, want the metadata PUTs", describe(meta))
+	if len(desc) < 4 {
+		desc = append(desc, s.await(t, 4-len(desc))...)
 	}
-	release(meta)
+	if p := pick(desc, "put", "/desc"); len(p) != 4 {
+		t.Fatalf("last PUTs are %v, want the descriptor's", describe(desc))
+	}
+	select {
+	case r := <-res:
+		t.Fatalf("WriteFrom returned before its descriptor was stored: %+v, %v", r.info, r.err)
+	default:
+	}
+	release(desc)
 	if r := <-res; r.err != nil || r.info.ChunkCount != chunks {
 		t.Fatalf("WriteFrom = %+v, %v", r.info, r.err)
 	}
 	s.done(t, 4)
 
 	// On the logical clock: when any chunk PUT started, at most stream.Window
-	// chunks had started uploading and were still short of their quorum, and
-	// the metadata PUTs started after the last quorum.
+	// chunks had started uploading and were still short of their quorum.
 	all := byName(pick(s.snapshot(), "put", ""))
-	delete(all, meta[0].name)
+	delete(all, desc[0].name)
 	if len(all) != chunks {
 		t.Fatalf("PUTs of %d chunks, want %d", len(all), chunks)
 	}
@@ -593,22 +644,114 @@ func TestWriteFromKeepsAWindowOfChunksInFlight(t *testing.T) {
 				t.Fatalf("%d chunks uploading at %d, want <= %d", uploading, p.start, stream.Window)
 			}
 		}
-		for _, mp := range meta {
-			if q := kthEnd(puts, 3); mp.start < q {
-				t.Fatalf("metadata PUT at %d, %s at its quorum at %d", mp.start, puts[0].name, q)
-			}
-		}
 	}
 
 	s.setOpen(true)
-	got, _, err := m.Read(bg, "u")
+	got, _, err := m.ReadMatching(bg, "u", seccrypto.Hash(data))
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("read back: %v", err)
 	}
 }
 
+// TestSmallReadIsOneRound: a read of a version of one chunk fetches the
+// descriptor and the chunk together — 2n requests, depth 1 — and decodes the
+// chunk only by the hashes of a certified descriptor.
+func TestSmallReadIsOneRound(t *testing.T) {
+	s, m, _, inner := stagedManager(t, Options{})
+	direct, err := New(Options{Clouds: inner, F: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := []byte("one round")
+	info := writeFrom(t, direct, "u", data)
+	type readResult struct {
+		data []byte
+		err  error
+	}
+	res := make(chan readResult, 1)
+	go func() {
+		got, _, err := m.ReadMatching(bg, "u", info.DataHash)
+		res <- readResult{got, err}
+	}()
+	round := s.await(t, 8)
+	if len(pick(round, "get", "/desc")) != 4 || len(pick(round, "get", "/c0")) != 4 {
+		t.Fatalf("the read's round is %v, want 4 descriptor GETs beside 4 chunk GETs", describe(round))
+	}
+	// The chunk arrives before any descriptor: nothing decodes until f+1
+	// identical descriptors are in.
+	release(pick(round, "get", "/c0"))
+	s.done(t, 4)
+	select {
+	case r := <-res:
+		t.Fatalf("read returned before a descriptor was certified: %q, %v", r.data, r.err)
+	default:
+	}
+	release(pick(round, "get", "/desc"))
+	if r := <-res; r.err != nil || !bytes.Equal(r.data, data) {
+		t.Fatalf("ReadMatching = %q, %v", r.data, r.err)
+	}
+	s.done(t, 4)
+	if all := s.snapshot(); len(all) != 8 || depth(all) != 1 {
+		t.Fatalf("%d requests at depth %d, want 8 at depth 1", len(all), depth(all))
+	}
+}
+
+// TestIdenticalWritesInterleaved: two writes of the same bytes draw two keys,
+// so one set of names holds two encodings. With their descriptors and frames
+// landing in a different order at each cloud — clouds 0 and 1 keep the first
+// write's descriptor, 2 and 3 the second's; clouds 0 and 2 keep the first
+// write's frame, 1 and 3 the second's — each descriptor is certified, each
+// has f+1 frames that match it, and the version reads back.
+func TestIdenticalWritesInterleaved(t *testing.T) {
+	s, m, _, _ := stagedManager(t, Options{DisableQuorumCancel: true})
+	data := []byte("the same bytes twice")
+	first := goWriteFrom(m, "u", data)
+	w1 := s.await(t, 8)
+	second := goWriteFrom(m, "u", data)
+	w2 := s.await(t, 8)
+	find := func(rs []*rpc, suffix string, cloud int) *rpc {
+		for _, r := range pick(rs, "put", suffix) {
+			if r.cloud == cloud {
+				return r
+			}
+		}
+		t.Fatalf("no PUT of %s to cloud %d in %v", suffix, cloud, describe(rs))
+		return nil
+	}
+	// Per cloud, which write's descriptor and frame land last.
+	keepDesc := [][]*rpc{w1, w1, w2, w2}
+	keepFrame := [][]*rpc{w1, w2, w1, w2}
+	var early, late []*rpc
+	for i := range 4 {
+		for _, k := range []struct {
+			suffix string
+			keep   []*rpc
+		}{{"/desc", keepDesc[i]}, {"/c0", keepFrame[i]}} {
+			other := w1
+			if k.keep[0] == w1[0] {
+				other = w2
+			}
+			early = append(early, find(other, k.suffix, i))
+			late = append(late, find(k.keep, k.suffix, i))
+		}
+	}
+	release(early)
+	s.done(t, 8)
+	release(late)
+	for _, res := range []chan writeResult{first, second} {
+		if r := <-res; r.err != nil {
+			t.Fatal(r.err)
+		}
+	}
+	s.done(t, 8)
+	s.setOpen(true)
+	if got, _, err := m.ReadMatching(bg, "u", seccrypto.Hash(data)); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("ReadMatching after interleaved identical writes = %q, %v", got, err)
+	}
+}
+
 // stagedReader writes data past the double, as four chunks, and opens it for
-// ranged reads through the double, releasing the open's metadata GETs.
+// ranged reads through the double, releasing the open's descriptor GETs.
 func stagedReader(t *testing.T, data []byte) (*stagedClouds, *stream.Reader) {
 	t.Helper()
 	s, m, _, inner := stagedManager(t, Options{})
@@ -616,10 +759,7 @@ func stagedReader(t *testing.T, data []byte) (*stagedClouds, *stream.Reader) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, err := direct.Write(bg, "u", data)
-	if err != nil {
-		t.Fatal(err)
-	}
+	info := writeFrom(t, direct, "u", data)
 	opened := make(chan *stream.Reader, 1)
 	go func() {
 		r, _, err := m.OpenMatching(bg, "u", info.DataHash)
@@ -629,8 +769,8 @@ func stagedReader(t *testing.T, data []byte) (*stagedClouds, *stream.Reader) {
 		opened <- r
 	}()
 	gets := s.await(t, 4)
-	if g := pick(gets, "get", "/metadata"); len(g) != 4 {
-		t.Fatalf("the open issued %v, want the 4 metadata GETs", describe(gets))
+	if g := pick(gets, "get", "/desc"); len(g) != 4 {
+		t.Fatalf("the open issued %v, want the 4 descriptor GETs", describe(gets))
 	}
 	release(gets)
 	s.done(t, 4)
@@ -657,7 +797,7 @@ func goReadAt(r *stream.Reader, p []byte) chan readResult {
 }
 
 // TestRangedReadFetchesItsChunksTogether: a read of a whole four-chunk
-// version through a ranged open is the metadata round and one payload round —
+// version through a ranged open is the descriptor round and one payload round —
 // all 16 chunk GETs in flight together, 5n requests, depth 2.
 func TestRangedReadFetchesItsChunksTogether(t *testing.T) {
 	data := randBytes(t, 4*1024)

@@ -24,16 +24,17 @@ func TestRetryMasksFlakesBeyondQuorum(t *testing.T) {
 	m, providers, _ := hedgeManager(t, make([]time.Duration, 4), Options{})
 	data := bytes.Repeat([]byte{0x21}, 8<<10)
 
-	// Two providers fail the first Put each and then heal: more simultaneous
+	// Two providers fail their first two Puts — a write's chunk and its
+	// descriptor, which go up together — and then heal: more simultaneous
 	// faults than f, but each transient.
-	providers[0].SetFaults(cloudsim.FaultSpec{Mode: cloudsim.FaultThrottle, Ops: cloudsim.MaskPut, FirstN: 1})
-	providers[1].SetFaults(cloudsim.FaultSpec{Mode: cloudsim.FaultUnavailable, Ops: cloudsim.MaskPut, FirstN: 1})
+	providers[0].SetFaults(cloudsim.FaultSpec{Mode: cloudsim.FaultThrottle, Ops: cloudsim.MaskPut, FirstN: 2})
+	providers[1].SetFaults(cloudsim.FaultSpec{Mode: cloudsim.FaultUnavailable, Ops: cloudsim.MaskPut, FirstN: 2})
 	if _, err := m.Write(bg, "no-retry", data); err == nil {
 		t.Fatal("without retries a write facing 2 transient faults must fail (sanity check)")
 	}
 
-	providers[0].SetFaults(cloudsim.FaultSpec{Mode: cloudsim.FaultThrottle, Ops: cloudsim.MaskPut, FirstN: 1})
-	providers[1].SetFaults(cloudsim.FaultSpec{Mode: cloudsim.FaultUnavailable, Ops: cloudsim.MaskPut, FirstN: 1})
+	providers[0].SetFaults(cloudsim.FaultSpec{Mode: cloudsim.FaultThrottle, Ops: cloudsim.MaskPut, FirstN: 2})
+	providers[1].SetFaults(cloudsim.FaultSpec{Mode: cloudsim.FaultUnavailable, Ops: cloudsim.MaskPut, FirstN: 2})
 	ctx := hedgeCtx(retryPol(3))
 	if _, err := m.Write(ctx, "with-retry", data); err != nil {
 		t.Fatalf("retried write failed: %v", err)
@@ -68,10 +69,11 @@ func TestRetryBudgetBoundsIssuedRPCs(t *testing.T) {
 	if _, _, err := m.Read(ctx, "u"); err != nil {
 		t.Fatalf("read with one throttled cloud: %v", err)
 	}
-	// A whole-object read issues at most 2 logical RPCs against each cloud
-	// (metadata fetch + block fetch), each retried at most `attempts` times.
-	if got := providers[0].TotalRequests() - before; got > 2*attempts {
-		t.Fatalf("throttled cloud saw %d requests, budget allows at most %d", got, 2*attempts)
+	// A register read issues at most 3 logical RPCs against each cloud (the
+	// head, the descriptor and the block), each retried at most `attempts`
+	// times.
+	if got := providers[0].TotalRequests() - before; got > 3*attempts {
+		t.Fatalf("throttled cloud saw %d requests, budget allows at most %d", got, 3*attempts)
 	}
 }
 
@@ -85,7 +87,7 @@ func TestRetryNeverRetriesPermanentErrors(t *testing.T) {
 		t.Fatal("reading an absent unit should fail")
 	}
 	if got := providers[0].TotalRequests() - before; got > 1 {
-		t.Fatalf("not-found was retried: %d requests for one metadata fetch", got)
+		t.Fatalf("not-found was retried: %d requests for one head fetch", got)
 	}
 }
 

@@ -5,19 +5,20 @@ package depsky
 // Every write consumes its value in fixed-size chunks and overlaps encrypt →
 // erasure-encode → per-shard hash → quorum upload across a small window of
 // in-flight chunks (see internal/stream), so neither the ciphertext nor the
-// erasure shards of a whole value are ever resident — Write differs from
-// WriteFrom only in that its caller already holds the plaintext. Every read
-// is resolve plus a stream.Reader over chunkFetcher.Fetch, behind one of two
-// entries: ReadMatching reads all of a version into one buffer and verifies
-// the value's hash, trying every metadata variant; OpenMatching hands out the
+// erasure shards of a whole value are ever resident; the descriptor goes up
+// beside the last chunks. Every read starts with locate and continues with a
+// stream.Reader over chunkFetcher.Fetch, behind one of two entries:
+// ReadMatching reads all of a version into one buffer, chunk 0 fetched beside
+// the descriptor, and verifies the value's hash; OpenMatching hands out the
 // reader itself, which fetches — and, under faults, reconstructs — only the
 // chunks covering a requested byte range, reusing the coder's cached decode
-// matrices, and for that reason serves certified entries only. All chunk,
-// shard and frame buffers come from the process-wide stream.Buffers pool.
+// matrices. All chunk, shard and frame buffers come from the process-wide
+// stream.Buffers pool.
 
 import (
 	"context"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -33,7 +34,7 @@ import (
 )
 
 // chunkSize returns the configured chunk size of writes, clamped to
-// the wire-protocol cap (readers reject metadata declaring more, so a
+// the wire-protocol cap (readers reject descriptors declaring more, so a
 // larger configured value would write unreadable versions).
 func (m *Manager) chunkSize() int {
 	cs := m.opts.ChunkSize
@@ -45,44 +46,52 @@ func (m *Manager) chunkSize() int {
 
 // encodedChunk is the output of the encode pipeline stage for one chunk:
 // one framed payload per cloud plus the frame hashes recorded in the
-// version metadata.
+// version's descriptor.
 type encodedChunk struct {
 	frames [][]byte
 	hashes []string
 }
 
-// WriteFrom streams r as the next version of unit. At most GOMAXPROCS chunks
-// are being encoded and stream.Window encoded chunks are waiting on their
-// quorum upload at any moment, so the peak memory of a write is bounded
-// regardless of the stream length (see stream.Window), and a value of up to
-// stream.Window chunks uploads in one round; per-shard hashing of one chunk
-// runs concurrently with the quorum uploads of earlier chunks. The returned
-// VersionInfo carries the SHA-256 of the whole plaintext stream, computed
-// incrementally.
+// WriteFrom streams r as the version of unit named hash, the caller's
+// SHA-256 of the whole stream. At most GOMAXPROCS chunks are being encoded and
+// stream.Window encoded chunks are waiting on their quorum upload at any
+// moment, so the peak memory of a write is bounded regardless of the stream
+// length (see stream.Window); per-shard hashing of one chunk runs
+// concurrently with the quorum uploads of earlier chunks. The descriptor's
+// PUT starts once the last chunk is encoded, and the write returns when every
+// chunk and the descriptor have reached n-f clouds: a value of up to
+// stream.Window chunks is stored in one cloud round.
 //
-// Like Write, WriteFrom assumes a single writer per data unit (SCFS
-// serializes writers via its lock service).
-//
-// Cancelling ctx aborts the in-flight chunk uploads and returns ctx.Err().
-// The version metadata is only written after every chunk reached its quorum,
-// so a cancelled WriteFrom never anchors a version whose shards were not
-// fully uploaded. The chunk objects of a WriteFrom that is aborted or fails
-// before its metadata write are invisible to readers — no metadata lists
-// their ID — and are deleted, best effort, before it returns; one whose
-// metadata write fails keeps them, because some copies may already list the
-// version (see writeVersion).
-func (m *Manager) WriteFrom(ctx context.Context, unit string, r io.Reader) (VersionInfo, error) {
-	ctx, tr := m.opts.Tracer.Start(ctx, "write.stream", unit)
+// A stream that does not hash to hash writes no descriptor and fails with
+// ErrIntegrity. A write that fails, or whose ctx is cancelled, deletes, best
+// effort, what it stored (see landed); the caller anchors nothing, so no
+// reader looks for it.
+func (m *Manager) WriteFrom(ctx context.Context, unit, hash string, r io.Reader) (VersionInfo, error) {
+	ctx, tr := m.opts.Tracer.Start(ctx, "write", unit)
 	defer tr.Finish()
-	return m.writeVersion(ctx, unit, r)
+	return m.writeVersion(ctx, unit, hash, r)
+}
+
+// writeVersion is WriteFrom's protocol, shared with the register's Write.
+func (m *Manager) writeVersion(ctx context.Context, unit, hash string, r io.Reader) (VersionInfo, error) {
+	if !validHash(hash) {
+		return VersionInfo{}, errBadHash(hash)
+	}
+	stored := &landed{puts: make([]landedPut, 0, 2*m.N())} // a one-chunk write's PUTs
+	info, err := m.uploadChunks(ctx, unit, hash, r, stored)
+	if err != nil {
+		m.discard(ctx, stored)
+		return VersionInfo{}, err
+	}
+	return info, nil
 }
 
 // uploadChunks runs r through the chunk pipeline, storing chunk idx under
-// chunkName(unit, id, idx), and returns once every chunk reached its quorum.
-// On failure the returned info still carries how many chunks were started,
-// which is what discardObjects needs.
-func (m *Manager) uploadChunks(ctx context.Context, unit, id string, r io.Reader) (VersionInfo, error) {
-	info := VersionInfo{ID: id, Protocol: m.opts.Protocol, ChunkSize: m.chunkSize()}
+// chunkName(unit, hash, idx) and, once every chunk is encoded and the stream
+// proved to hash to hash, the descriptor under descName(unit, hash). It
+// returns once all of them reached their quorum.
+func (m *Manager) uploadChunks(ctx context.Context, unit, hash string, r io.Reader, stored *landed) (VersionInfo, error) {
+	info := VersionInfo{DataHash: hash, Protocol: m.opts.Protocol, ChunkSize: m.chunkSize()}
 	var key []byte
 	var shares []secretshare.Share
 	if m.opts.Protocol == ProtocolCA {
@@ -99,37 +108,46 @@ func (m *Manager) uploadChunks(ctx context.Context, unit, id string, r io.Reader
 
 	var mu sync.Mutex
 	var chunkHashes [][]string
-	res, err := stream.Run(ctx, r,
-		stream.Config{ChunkSize: info.ChunkSize, Pool: stream.Buffers},
+	describe := func(res stream.Result) error {
+		if got := hex.EncodeToString(res.Sum256[:]); got != hash {
+			return fmt.Errorf("%w: the stream hashes to %s, not %s", ErrIntegrity, got, hash)
+		}
+		info.Size, info.ChunkCount = int(res.Size), res.Chunks
+		mu.Lock()
+		info.ChunkHashes = chunkHashes[:res.Chunks]
+		mu.Unlock()
+		desc, err := json.Marshal(info)
+		if err != nil {
+			return err
+		}
+		return m.writeQuorum(ctx, m.descName(unit, hash), "desc.put", func(int) []byte { return desc }, nil, stored)
+	}
+	_, err := stream.Run(ctx, r,
+		stream.Config{ChunkSize: info.ChunkSize, Pool: stream.Buffers, Encoded: describe},
 		func(idx int, plain []byte) (encodedChunk, error) {
-			return m.encodeChunk(idx, plain, key, shares)
+			ec, err := m.encodeChunk(idx, plain, key, shares)
+			if err == nil {
+				mu.Lock()
+				for len(chunkHashes) <= idx {
+					chunkHashes = append(chunkHashes, nil)
+				}
+				chunkHashes[idx] = ec.hashes
+				mu.Unlock()
+			}
+			return ec, err
 		},
 		func(idx int, ec encodedChunk) error {
 			// Each cloud's frame is recycled the moment that cloud's upload
 			// attempt finishes — and since the quorum verdict cancels the
 			// straggling uploads, no cloud pins a frame for longer than the
 			// quorum round trip (plus the cancellation delivery).
-			err := m.writeQuorum(ctx, m.chunkName(unit, id, idx), "chunk.put",
+			return m.writeQuorum(ctx, m.chunkName(unit, hash, idx), "chunk.put",
 				func(i int) []byte { return ec.frames[i] },
-				func(i int) { stream.Buffers.Put(ec.frames[i]) })
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			for len(chunkHashes) <= idx {
-				chunkHashes = append(chunkHashes, nil)
-			}
-			chunkHashes[idx] = ec.hashes
-			mu.Unlock()
-			return nil
+				func(i int) { stream.Buffers.Put(ec.frames[i]) }, stored)
 		})
-	info.ChunkCount = res.Chunks
 	if err != nil {
-		return info, err
+		return VersionInfo{}, err
 	}
-	info.DataHash = hex.EncodeToString(res.Sum256[:])
-	info.Size = int(res.Size)
-	info.ChunkHashes = chunkHashes[:res.Chunks]
 	return info, nil
 }
 
@@ -180,38 +198,26 @@ func (m *Manager) encodeChunk(idx int, plain []byte, key []byte, shares []secret
 	return ec, nil
 }
 
-// --- ranged reads ---
-
-// ErrWholeObjectOnly is returned by OpenMatching for versions the manager
-// cannot serve by per-chunk ranged fetches (entries that are not certified):
-// callers should fall back to ReadMatching, which verifies the full value
-// hash and whose result they can cache.
-var ErrWholeObjectOnly = errors.New("depsky: version requires the whole-object read path")
+// --- reads ---
 
 // OpenMatching returns a random-access reader over the version of unit whose
 // plaintext hash equals hash (the read-by-hash SCFS's consistency anchor
-// needs; the newest version when hash is empty), fetching only the chunks a
-// read touches. Chunks are served individually only for certified entries:
-// the per-chunk path has no end-to-end plaintext hash check, so its trust
-// rests on the metadata's ChunkHashes, which certification pins to at least
-// one correct cloud. An uncertified entry is declined with
-// ErrWholeObjectOnly.
+// needs), fetching only the chunks a read touches. The open fetches the
+// descriptor alone (locate); every descriptor served is certified, and each
+// frame is checked against its hashes.
 //
-// The ctx bounds the metadata lookup performed here and supplies the
+// The ctx bounds the descriptor round performed here and supplies the
 // open-time I/O policy (readahead window, hedging defaults for the reader's
 // own prefetches); each read through the returned reader carries its own
 // context (ReadAtContext / Section).
 func (m *Manager) OpenMatching(ctx context.Context, unit, hash string) (*stream.Reader, VersionInfo, error) {
 	ctx, tr := m.opts.Tracer.Start(ctx, "open", unit)
 	defer tr.Finish()
-	v, err := m.resolve(ctx, unit, hash)
+	f, _, err := m.locate(ctx, unit, hash, false)
 	if err != nil {
 		return nil, VersionInfo{}, err
 	}
-	if !v.certified {
-		return nil, v.info, ErrWholeObjectOnly
-	}
-	return m.newChunkReader(ctx, unit, v.info), v.info, nil
+	return m.newChunkReader(ctx, f), f.info, nil
 }
 
 // newChunkReader returns the stream.Reader over one version's chunkFetcher,
@@ -221,7 +227,7 @@ func (m *Manager) OpenMatching(ctx context.Context, unit, hash string) (*stream.
 // also stamped on the reader's base context, so prefetches issued on the
 // reader's own behalf hedge their chunk fan-outs the same way foreground
 // reads do.
-func (m *Manager) newChunkReader(ctx context.Context, unit string, info VersionInfo) *stream.Reader {
+func (m *Manager) newChunkReader(ctx context.Context, f *chunkFetcher) *stream.Reader {
 	pol := m.policyFor(ctx)
 	opts := stream.ReaderOptions{MaxParallel: pol.Limits.MaxParallelChunks}
 	if pol.Readahead > 0 {
@@ -232,23 +238,30 @@ func (m *Manager) newChunkReader(ctx context.Context, unit string, info VersionI
 			opts.Metrics = m.ins.stream
 		}
 	}
-	return stream.NewReaderOpts(&chunkFetcher{m: m, unit: unit, info: info}, stream.Buffers, opts)
+	return stream.NewReaderOpts(f, stream.Buffers, opts)
 }
 
-// readVersion reassembles one version whole — the read under Read and
-// ReadMatching — and verifies the value's hash. It is one read over the
-// version's chunk reader, so whole and ranged reads share one chunk fan-out:
-// the chunks are fetched together (stream.Window at a time) and decoded
-// straight into the result.
-func (m *Manager) readVersion(ctx context.Context, unit string, info VersionInfo) ([]byte, error) {
+// readVersion reassembles one version whole into out — the buffer locate
+// returned, chunk 0 already decoded in it; nil to fetch every chunk — and
+// verifies the value's hash. The chunks are one read over the version's chunk
+// reader, so whole and ranged reads share one chunk fan-out: fetched together
+// (stream.Window at a time) and decoded straight into the result.
+func (m *Manager) readVersion(ctx context.Context, f *chunkFetcher, out []byte) ([]byte, error) {
+	info := f.info
 	if !info.validChunking() {
 		return nil, fmt.Errorf("%w: inconsistent chunk geometry (size %d, chunk %d x %d)", ErrIntegrity, info.Size, info.ChunkSize, info.ChunkCount)
 	}
-	out := make([]byte, info.Size)
-	if len(out) > 0 {
-		r := m.newChunkReader(ctx, unit, info)
+	from := 0
+	switch {
+	case out == nil:
+		out = make([]byte, info.Size)
+	case info.ChunkCount > 0:
+		from = info.chunkPlainLen(0)
+	}
+	if len(out) > from {
+		r := m.newChunkReader(ctx, f)
 		defer r.Close()
-		if _, err := r.ReadAtContext(ctx, out, 0); err != nil {
+		if _, err := r.ReadAtContext(ctx, out[from:], int64(from)); err != nil {
 			return nil, err
 		}
 	}
@@ -294,7 +307,7 @@ func (f *chunkFetcher) setKey(key []byte) {
 }
 
 // Fetch implements stream.Fetcher: fan the chunk's frame reads over the
-// clouds, verify each frame against the metadata hashes, and decode as soon
+// clouds, verify each frame against the descriptor's hashes, and decode as soon
 // as enough verified frames arrived — reconstructing missing shards for
 // degraded reads. The moment a decode succeeds the remaining per-cloud
 // fetches are cancelled (first quorum wins); cancelling ctx aborts the whole
@@ -310,18 +323,15 @@ func (f *chunkFetcher) Fetch(ctx context.Context, idx int, dst []byte) error {
 	if len(dst) != info.chunkPlainLen(idx) {
 		return fmt.Errorf("depsky: chunk %d buffer is %d bytes, want %d", idx, len(dst), info.chunkPlainLen(idx))
 	}
-	var hashes []string
-	if idx < len(info.ChunkHashes) {
-		hashes = info.ChunkHashes[idx]
-	}
-	name := m.chunkName(f.unit, info.ID, idx)
+	hashes := info.ChunkHashes[idx]
+	name := m.chunkName(f.unit, info.DataHash, idx)
 	need := m.readNeed(info.Protocol)
 	rd := startRound(ctx, m, "chunk.get", m.blockOp(info.Protocol, len(dst)), need,
 		func(ctx context.Context, _ int, c cloud.ObjectStore) ([]byte, error) { return c.Get(ctx, name) },
 		func(i int, data []byte) (*block, error) {
-			// Discard frames whose hash does not match the metadata (this
+			// Discard frames whose hash does not match the descriptor (this
 			// is how silently corrupting clouds are tolerated).
-			if i < len(hashes) && hashes[i] != "" && !seccrypto.VerifyHash(data, hashes[i]) {
+			if !seccrypto.VerifyHash(data, hashes[i]) {
 				return nil, ErrIntegrity
 			}
 			b, err := decodeBlock(data)
@@ -431,47 +441,81 @@ func (f *chunkFetcher) decodeChunk(idx int, blocks []*block, dst []byte, scratch
 	return nil
 }
 
-// objectNames lists the objects one version occupies on each cloud. The
-// caller vouches for info.ChunkCount: a merged entry's passed validChunking,
-// a failed write's is its own count.
+// decodeFirst decodes chunk 0 from the frames the descriptor's hashes
+// accept (frames[i] is cloud i's, nil if none yet) into a new buffer for the
+// whole value, which it returns; nil while too few of them decode.
+func (f *chunkFetcher) decodeFirst(frames []*frame, scratch *decodeScratch) []byte {
+	hashes, plain := f.info.ChunkHashes[0], f.info.chunkPlainLen(0)
+	var blocks []*block
+	for i, fr := range frames {
+		if fr != nil && fr.hash == hashes[i] && fr.b.ChunkPlainLen == plain {
+			blocks = append(blocks, fr.b)
+		}
+	}
+	if len(blocks) < f.m.readNeed(f.info.Protocol) {
+		return nil
+	}
+	out := make([]byte, f.info.Size)
+	if f.decodeChunk(0, blocks, out[:plain], scratch) != nil {
+		return nil
+	}
+	return out
+}
+
+// objectNames lists the objects one version occupies on each cloud: its
+// chunks and its descriptor. The caller vouches for info.ChunkCount, which a
+// certified descriptor's passed validChunking.
 func (m *Manager) objectNames(unit string, info VersionInfo) []string {
-	var names []string
+	names := []string{m.descName(unit, info.DataHash)}
 	for idx := 0; idx < info.ChunkCount; idx++ {
-		names = append(names, m.chunkName(unit, info.ID, idx))
+		names = append(names, m.chunkName(unit, info.DataHash, idx))
 	}
 	return names
 }
 
-// orphanCleanupTimeout bounds discardObjects, which must outlive a
-// cancelled write but not hang its caller on an unresponsive cloud.
+// orphanCleanupTimeout bounds discard, which must outlive a cancelled write
+// but not hang its caller on an unresponsive cloud.
 const orphanCleanupTimeout = 2 * time.Second
 
-// discardObjects deletes, best effort, what a failed write stored under its
-// own ID: info is the writer's own, with ChunkCount the chunks it started,
-// or the zero value if it issued no PUT (then there is nothing to delete and
-// no request is made). It runs even when the write failed because ctx was
-// cancelled.
-func (m *Manager) discardObjects(ctx context.Context, unit string, info VersionInfo) {
-	if info.ChunkCount == 0 {
+// discard deletes, best effort, what a failed write stored, once every
+// upload it started has succeeded, failed or been cancelled; a write that
+// stored nothing makes no request. It runs even when the write failed because
+// ctx was cancelled.
+func (m *Manager) discard(ctx context.Context, stored *landed) {
+	stored.rounds.Wait()
+	stored.mu.Lock()
+	defer stored.mu.Unlock()
+	if len(stored.puts) == 0 {
 		return
+	}
+	names := make([][]string, m.N())
+	for _, p := range stored.puts {
+		names[p.cloud] = append(names[p.cloud], p.name)
 	}
 	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), orphanCleanupTimeout)
 	defer cancel()
-	m.deleteObjects(ctx, m.objectNames(unit, info))
+	m.deleteObjects(ctx, names)
 }
 
-// deleteObjects deletes names on every cloud, best effort: a failure only
+// deleteObjects deletes names[i] on cloud i, best effort: a failure only
 // wastes space.
-func (m *Manager) deleteObjects(ctx context.Context, names []string) {
+func (m *Manager) deleteObjects(ctx context.Context, names [][]string) {
+	m.eachCloud(func(i int, c cloud.ObjectStore) {
+		for _, name := range names[i] {
+			_ = c.Delete(ctx, name)
+		}
+	})
+}
+
+// eachCloud runs fn for every cloud at once and returns when all are done.
+func (m *Manager) eachCloud(fn func(i int, c cloud.ObjectStore)) {
 	var wg sync.WaitGroup
-	for _, c := range m.opts.Clouds {
+	for i, c := range m.opts.Clouds {
 		wg.Add(1)
-		go func(c cloud.ObjectStore) {
+		go func() {
 			defer wg.Done()
-			for _, name := range names {
-				_ = c.Delete(ctx, name)
-			}
-		}(c)
+			fn(i, c)
+		}()
 	}
 	wg.Wait()
 }

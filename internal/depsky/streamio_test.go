@@ -9,9 +9,10 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
-	"scfs/internal/cloud"
 	"scfs/internal/cloudsim"
 	"scfs/internal/seccrypto"
 )
@@ -37,20 +38,11 @@ func randBytes(t *testing.T, n int) []byte {
 	return b
 }
 
-// readRange reads [off, off+n) of the newest version of unit the way a mount
-// does: by ranged fetches when OpenMatching serves the entry, from the
-// verified whole value when it declines it (a faulty cloud can leave a
-// reader's quorum with fewer than f+1 copies of an entry). Ranges beyond the
-// end are truncated.
-func readRange(ctx context.Context, m *Manager, unit string, off, n int64) ([]byte, error) {
-	r, _, err := m.OpenMatching(ctx, unit, "")
-	if errors.Is(err, ErrWholeObjectOnly) {
-		data, _, err := m.Read(ctx, unit)
-		if err != nil {
-			return nil, err
-		}
-		return data[off:min(off+n, int64(len(data)))], nil
-	}
+// readRange reads [off, off+n) of the version of unit named hash the way a
+// mount does: through OpenMatching's ranged reader. Ranges beyond the end are
+// truncated.
+func readRange(ctx context.Context, m *Manager, unit, hash string, off, n int64) ([]byte, error) {
+	r, _, err := m.OpenMatching(ctx, unit, hash)
 	if err != nil {
 		return nil, err
 	}
@@ -61,12 +53,12 @@ func readRange(ctx context.Context, m *Manager, unit string, off, n int64) ([]by
 
 // TestWriteFromChunkBoundaries pins round-trip correctness at every chunk
 // boundary: 0, 1, chunkSize-1, chunkSize, chunkSize+1 and multi-chunk — for
-// both entry points, whose versions no reader can tell apart.
+// both write entry points, whose versions no reader can tell apart.
 func TestWriteFromChunkBoundaries(t *testing.T) {
 	const cs = 4096
 	writers := map[string]func(m *Manager, unit string, data []byte) (VersionInfo, error){
 		"WriteFrom": func(m *Manager, unit string, data []byte) (VersionInfo, error) {
-			return m.WriteFrom(bg, unit, bytes.NewReader(data))
+			return m.WriteFrom(bg, unit, seccrypto.Hash(data), bytes.NewReader(data))
 		},
 		"Write": func(m *Manager, unit string, data []byte) (VersionInfo, error) {
 			return m.Write(bg, unit, data)
@@ -91,25 +83,21 @@ func TestWriteFromChunkBoundaries(t *testing.T) {
 					t.Fatalf("%s: %d chunk hash rows, want %d", unit, len(info.ChunkHashes), wantChunks)
 				}
 				// What differs between two writes of the same bytes is drawn
-				// at random per write (ID, key, IV), nothing else.
-				info.ID, info.ChunkHashes = "", nil
+				// at random per write (key, IV), nothing else.
+				info.ChunkHashes = nil
 				shapes = append(shapes, info)
 
-				// Whole-value reads, newest and by hash.
-				got, gotInfo, err := m.Read(bg, unit)
+				// Whole-value reads by hash.
+				got, gotInfo, err := m.ReadMatching(bg, unit, info.DataHash)
 				if err != nil || !bytes.Equal(got, data) {
-					t.Fatalf("%s: Read: mismatch or %v", unit, err)
-				}
-				if gotInfo.DataHash != info.DataHash {
-					t.Fatalf("%s: hash mismatch", unit)
-				}
-				if got, _, err := m.ReadMatching(bg, unit, info.DataHash); err != nil || !bytes.Equal(got, data) {
 					t.Fatalf("%s: ReadMatching: mismatch or %v", unit, err)
 				}
+				if gotInfo.DataHash != seccrypto.Hash(data) {
+					t.Fatalf("%s: hash mismatch", unit)
+				}
 
-				// Ranged reads, newest and by hash: certified on four honest
-				// clouds, so served chunk by chunk.
-				if ranged, err := readRange(bg, m, unit, 0, int64(size)); err != nil || !bytes.Equal(ranged, data) {
+				// Ranged reads by hash, served chunk by chunk.
+				if ranged, err := readRange(bg, m, unit, info.DataHash, 0, int64(size)); err != nil || !bytes.Equal(ranged, data) {
 					t.Fatalf("%s: ranged read: mismatch or %v", unit, err)
 				}
 				rm, _, err := m.OpenMatching(bg, unit, info.DataHash)
@@ -134,9 +122,7 @@ func TestOpenRangeFetchesOnlyCoveringChunks(t *testing.T) {
 	const cs = 4096
 	providers, m := newChunkedManager(t, ProtocolCA, cs)
 	data := randBytes(t, 8*cs+57)
-	if _, err := m.WriteFrom(bg, "u", bytes.NewReader(data)); err != nil {
-		t.Fatal(err)
-	}
+	info := writeFrom(t, m, "u", data)
 
 	account := providers[0].CreateAccount("alice")
 	getRequests := func() int64 { return providers[0].Usage(account).GetRequests }
@@ -149,7 +135,7 @@ func TestOpenRangeFetchesOnlyCoveringChunks(t *testing.T) {
 		{int64(len(data)) - 9, 9},
 		{int64(len(data)) - 9, 100}, // over-long range is truncated
 	} {
-		got, err := readRange(bg, m, "u", c.off, c.n)
+		got, err := readRange(bg, m, "u", info.DataHash, c.off, c.n)
 		if err != nil {
 			t.Fatalf("range read (%d, %d): %v", c.off, c.n, err)
 		}
@@ -161,7 +147,7 @@ func TestOpenRangeFetchesOnlyCoveringChunks(t *testing.T) {
 			t.Fatalf("range (%d, %d): bytes differ", c.off, c.n)
 		}
 		// Each covered chunk costs at most one Get per cloud, plus one for
-		// the metadata read.
+		// the descriptor.
 		maxGets += end/cs - c.off/cs + 1 + 1
 	}
 	// Summed over all cases (the early-return read path may leave a cloud's
@@ -189,12 +175,13 @@ func TestStreamedDegradedReadsAllFaultPatterns(t *testing.T) {
 				// Lost writes must be injected before the write.
 				providers[down].SetFault(fault)
 			}
-			if _, err := m.WriteFrom(bg, "u", bytes.NewReader(data)); err != nil {
+			hash := seccrypto.Hash(data)
+			if _, err := m.WriteFrom(bg, "u", hash, bytes.NewReader(data)); err != nil {
 				t.Fatalf("fault %v cloud %d: WriteFrom: %v", fault, down, err)
 			}
 			providers[down].SetFault(fault)
 
-			got, _, err := m.Read(bg, "u")
+			got, _, err := m.ReadMatching(bg, "u", hash)
 			if err != nil {
 				t.Fatalf("fault %v cloud %d: Read: %v", fault, down, err)
 			}
@@ -202,7 +189,7 @@ func TestStreamedDegradedReadsAllFaultPatterns(t *testing.T) {
 				t.Fatalf("fault %v cloud %d: Read mismatch", fault, down)
 			}
 
-			ranged, err := readRange(bg, m, "u", cs-7, 2*cs)
+			ranged, err := readRange(bg, m, "u", hash, cs-7, 2*cs)
 			if err != nil {
 				t.Fatalf("fault %v cloud %d: ranged read: %v", fault, down, err)
 			}
@@ -242,14 +229,14 @@ func TestWriteFromMidStreamCloudFailure(t *testing.T) {
 	providers, m := newChunkedManager(t, ProtocolCA, cs)
 	data := randBytes(t, 10*cs)
 	src := &faultAfter{r: bytes.NewReader(data), n: 3 * cs, provider: providers[2], fault: cloudsim.FaultUnavailable}
-	info, err := m.WriteFrom(bg, "u", src)
+	info, err := m.WriteFrom(bg, "u", seccrypto.Hash(data), src)
 	if err != nil {
 		t.Fatalf("WriteFrom with mid-stream failure: %v", err)
 	}
 	if info.ChunkCount != 10 {
 		t.Fatalf("chunk count = %d", info.ChunkCount)
 	}
-	got, _, err := m.Read(bg, "u")
+	got, _, err := m.ReadMatching(bg, "u", info.DataHash)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +248,7 @@ func TestWriteFromMidStreamCloudFailure(t *testing.T) {
 	providers2, m2 := newChunkedManager(t, ProtocolCA, cs)
 	src2 := &faultAfter{r: bytes.NewReader(data), n: 3 * cs, provider: providers2[0], fault: cloudsim.FaultUnavailable}
 	providers2[1].SetFault(cloudsim.FaultUnavailable)
-	if _, err := m2.WriteFrom(bg, "u2", src2); !errors.Is(err, ErrQuorumWrite) {
+	if _, err := m2.WriteFrom(bg, "u2", seccrypto.Hash(data), src2); !errors.Is(err, ErrQuorumWrite) {
 		t.Fatalf("err = %v, want ErrQuorumWrite", err)
 	}
 	// The chunks uploaded before the quorum was lost are deleted again
@@ -283,14 +270,11 @@ func TestDeleteChunkedVersionReclaimsSpace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, err := m.WriteFrom(bg, "u", bytes.NewReader(randBytes(t, 4*cs)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	info := writeFrom(t, m, "u", randBytes(t, 4*cs))
 	chunkObjects := func() int {
 		total := 0
 		for _, c := range clients {
-			objs, err := c.List(bg, "dsky/u/"+info.ID+"/")
+			objs, err := c.List(bg, "dsky/u/"+info.DataHash+"/")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -301,7 +285,7 @@ func TestDeleteChunkedVersionReclaimsSpace(t *testing.T) {
 	if n, want := chunkObjects(), info.ChunkCount*m.QuorumSize(); n < want {
 		t.Fatalf("%d chunk objects before the delete, want a quorum of each of %d chunks", n, info.ChunkCount)
 	}
-	if err := m.DeleteVersion(bg, "u", info.Number); err != nil {
+	if _, err := m.DeleteVersion(bg, "u", info.DataHash); err != nil {
 		t.Fatal(err)
 	}
 	if n := chunkObjects(); n != 0 {
@@ -315,9 +299,7 @@ func TestStreamedConfidentiality(t *testing.T) {
 	const cs = 2048
 	providers, m := newChunkedManager(t, ProtocolCA, cs)
 	secret := bytes.Repeat([]byte("TOPSECRET-"), 700) // ~7 KiB, compressible pattern
-	if _, err := m.WriteFrom(bg, "u", bytes.NewReader(secret)); err != nil {
-		t.Fatal(err)
-	}
+	writeFrom(t, m, "u", secret)
 	for i, p := range providers {
 		id := p.CreateAccount("alice")
 		objs, err := p.MustClient(id).List(bg, "dsky/u/")
@@ -337,65 +319,50 @@ func TestStreamedConfidentiality(t *testing.T) {
 }
 
 // TestRangedReadIgnoresForgedMetadataCopy pins the certification rule: the
-// ranged read path trusts per-chunk hashes only from version entries found
+// ranged read path trusts per-chunk hashes only from a descriptor found
 // identical on f+1 clouds, so a single Byzantine cloud rewriting its
-// metadata copy (pointing the chunk hashes at forged frames it serves)
+// descriptor copy (pointing the chunk hashes at forged frames it serves)
 // cannot influence what a ranged read returns.
 func TestRangedReadIgnoresForgedMetadataCopy(t *testing.T) {
 	const cs = 2048
-	providers, clients := testClouds(t, 4)
+	_, clients := testClouds(t, 4)
 	m, err := New(Options{Clouds: clients, F: 1, ChunkSize: cs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	data := randBytes(t, 4*cs)
-	info, err := m.WriteFrom(bg, "u", bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
+	info := writeFrom(t, m, "u", data)
 
-	// Cloud 0 turns Byzantine: it rewrites its metadata copy so every chunk
+	// Cloud 0 turns Byzantine: it rewrites its descriptor copy so every chunk
 	// hash points at a forged frame it serves, and stores those frames.
 	evil := clients[0]
-	forged := make([]byte, len(data))
-	for i := range forged {
-		forged[i] = 0x66
-	}
-	var md unitMetadata
-	if err := json.Unmarshal(honestCopy(t, m, clients, "u"), &md); err != nil {
-		t.Fatal(err)
-	}
-	for vi := range md.Versions {
-		v := &md.Versions[vi]
-		if v.Number != info.Number {
-			continue
-		}
-		for idx := 0; idx < v.ChunkCount; idx++ {
-			chunk := forged[idx*cs : idx*cs+v.chunkPlainLen(idx)]
-			for cloudIdx := 0; cloudIdx < 4; cloudIdx++ {
-				frame := frameOf(ProtocolA, &block{Full: chunk, ShardIdx: cloudIdx, ChunkIdx: idx, ChunkPlainLen: len(chunk)})
-				if cloudIdx == 0 {
-					if err := evil.Put(bg, m.chunkName("u", v.ID, idx), frame); err != nil {
-						t.Fatal(err)
-					}
+	forged := bytes.Repeat([]byte{0x66}, len(data))
+	v := info
+	v.ChunkHashes = make([][]string, v.ChunkCount)
+	for idx := range v.ChunkCount {
+		chunk := forged[idx*cs : idx*cs+v.chunkPlainLen(idx)]
+		for cloudIdx := 0; cloudIdx < 4; cloudIdx++ {
+			frame := frameOf(ProtocolA, &block{Full: chunk, ShardIdx: cloudIdx, ChunkIdx: idx, ChunkPlainLen: len(chunk)})
+			if cloudIdx == 0 {
+				if err := evil.Put(bg, m.chunkName("u", v.DataHash, idx), frame); err != nil {
+					t.Fatal(err)
 				}
-				v.ChunkHashes[idx][cloudIdx] = seccrypto.Hash(frame)
 			}
+			v.ChunkHashes[idx] = append(v.ChunkHashes[idx], seccrypto.Hash(frame))
 		}
-		// The forged entry claims the replication protocol so one frame
-		// would suffice to decode a chunk if it were trusted.
-		v.Protocol = ProtocolA
 	}
-	rewritten, err := json.Marshal(&md)
+	// The forged descriptor claims the replication protocol so one frame
+	// would suffice to decode a chunk if it were trusted.
+	v.Protocol = ProtocolA
+	rewritten, err := json.Marshal(v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := evil.Put(bg, m.metaName("u"), rewritten); err != nil {
+	if err := evil.Put(bg, m.descName("u", v.DataHash), rewritten); err != nil {
 		t.Fatal(err)
 	}
-	_ = providers
 
-	got, err := readRange(bg, m, "u", 0, int64(len(data)))
+	got, err := readRange(bg, m, "u", info.DataHash, 0, int64(len(data)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,51 +371,48 @@ func TestRangedReadIgnoresForgedMetadataCopy(t *testing.T) {
 	}
 }
 
-// TestOpenMatchingDeclinesUncertifiedEntries: an entry fewer than f+1 clouds
-// vouch for must send callers to the verified, caching whole-value path
-// instead of a ranged reader that trusts its chunk hashes — and that path,
-// the one a mount then takes, must read it.
+// TestOpenMatchingDeclinesUncertifiedEntries: a descriptor fewer than f+1
+// clouds vouch for — a version one cloud alone still serves, say — is served
+// by neither read entry. Both answer ErrVersionNotFound, the answer the
+// consistency-anchor loop retries until a descriptor is visible on f+1
+// clouds; nothing reads by the chunk hashes of a copy a faulty cloud may
+// have written.
 func TestOpenMatchingDeclinesUncertifiedEntries(t *testing.T) {
-	// A write whose metadata PUT lands on one cloud and is refused by three
-	// leaves its chunks and exactly one copy of its entry.
-	s, m, _, inner := stagedManager(t, Options{ChunkSize: 2048})
-	data := randBytes(t, 2000)
-	res := goWrite(m, "u", data)
-	release(s.await(t, 8))
-	meta := s.await(t, 4)
-	release(meta[:1])
-	s.done(t, 9) // stored, before the refusals below cancel the write
-	for _, r := range meta[1:] {
-		r.fail = cloud.ErrUnavailable
-	}
-	release(meta[1:])
-	if r := <-res; !errors.Is(r.err, ErrQuorumWrite) {
-		t.Fatalf("Write err = %v, want ErrQuorumWrite", r.err)
-	}
-
-	// A reader that waits for all n metadata copies always hears that one.
-	reader, err := New(Options{Clouds: inner, F: 1, DisableQuorumCancel: true})
+	_, clients := testClouds(t, 4)
+	m, err := New(Options{Clouds: clients, F: 1, ChunkSize: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hash := seccrypto.Hash(data)
-	if _, _, err := reader.OpenMatching(bg, "u", hash); !errors.Is(err, ErrWholeObjectOnly) {
-		t.Fatalf("err = %v, want ErrWholeObjectOnly", err)
+	baseline := runtime.NumGoroutine()
+	info := writeFrom(t, m, "u", randBytes(t, 2000))
+	waitGoroutines(baseline, time.Second) // the write's straggler has landed or given up
+	desc := m.descName("u", info.DataHash)
+	for _, c := range clients[1:] {
+		if err := c.Delete(bg, desc); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if got, _, err := reader.ReadMatching(bg, "u", hash); err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("whole-value read of the uncertified entry: mismatch or %v", err)
+	raw, _ := json.Marshal(info)
+	if err := clients[0].Put(bg, desc, raw); err != nil { // the write's straggler may have been cut
+		t.Fatal(err)
+	}
+	if _, _, err := m.OpenMatching(bg, "u", info.DataHash); !errors.Is(err, ErrVersionNotFound) {
+		t.Fatalf("OpenMatching err = %v, want ErrVersionNotFound", err)
+	}
+	if _, _, err := m.ReadMatching(bg, "u", info.DataHash); !errors.Is(err, ErrVersionNotFound) {
+		t.Fatalf("ReadMatching err = %v, want ErrVersionNotFound", err)
 	}
 }
 
-// TestMalformedChunkGeometryFailsCleanly: metadata with inconsistent chunk
-// arithmetic must produce an error, not a slice-bounds panic.
+// TestMalformedChunkGeometryFailsCleanly: a descriptor with inconsistent
+// chunk arithmetic must produce an error, not a slice-bounds panic.
 func TestMalformedChunkGeometryFailsCleanly(t *testing.T) {
-	bad := VersionInfo{Number: 1, Size: 5, ChunkSize: 10, ChunkCount: 3, Protocol: ProtocolCA}
+	bad := VersionInfo{Size: 5, ChunkSize: 10, ChunkCount: 3, Protocol: ProtocolCA}
 	if bad.validChunking() {
 		t.Fatal("inconsistent geometry accepted")
 	}
 	_, m := newChunkedManager(t, ProtocolCA, 2048)
-	if _, err := m.readVersion(bg, "u", bad); !errors.Is(err, ErrIntegrity) {
+	if _, err := m.readVersion(bg, &chunkFetcher{m: m, unit: "u", info: bad}, nil); !errors.Is(err, ErrIntegrity) {
 		t.Fatalf("err = %v, want ErrIntegrity", err)
 	}
 	good := VersionInfo{Size: 25, ChunkSize: 10, ChunkCount: 3, ChunkHashes: [][]string{nil, nil, nil}}

@@ -2,23 +2,11 @@ package depsky
 
 // Binary block framing.
 //
-// The per-cloud block of a data-unit version used to be a JSON object, which
-// base64-inflates the erasure shard by ~33% and burns CPU marshaling on every
-// write and unmarshaling on every read. Blocks are binary payloads with a
-// handful of small fields, so they are framed with a compact length-prefixed
-// binary envelope instead. The small metadata objects remain JSON: they are
-// human-inspectable and off the hot path.
-//
-// There is one frame layout. A version is cut into fixed-size plaintext
-// chunks (one for a value of at most a chunk, none for an empty one); each
-// chunk is encrypted, erasure-coded and framed independently, and each cloud
-// stores one frame per chunk under the object name
-// "<prefix>dsky/<unit>/<id>/c<chunk>". <id> is the version's VersionInfo.ID —
-// 32 lowercase hex digits the writer draws at random — not its number: the
-// number is only known once the unit's metadata has been read, and names
-// keyed by the ID let a write upload its frames while that read is still in
-// flight (Manager.writeVersion: two cloud rounds, metadata GET beside the
-// upload, then the metadata PUT). All integers are big-endian:
+// A chunk's frame on one cloud is binary: a JSON block base64-inflated the
+// shard by ~33% and cost a marshal per write and an unmarshal per read. Each
+// chunk of a version is encrypted, erasure-coded and framed on its own, and
+// cloud i stores its frame of chunk j as "dsky/<unit>/<hash>/c<j>",
+// <hash> being the version's plaintext SHA-256. All integers are big-endian:
 //
 //	offset size field
 //	0      4    magic "DSKB"
@@ -37,19 +25,14 @@ package depsky
 // chunk coordinates, which nothing writes and which a reader rejects like
 // any other unknown version.
 //
-// The chunk count, the chunk size and the per-chunk per-cloud frame hashes
-// live in the version metadata (VersionInfo.ChunkSize, ChunkCount and
-// ChunkHashes), not in the frames: the writer does not know the total chunk
-// count when the first frames are uploaded, and readers always hold the
-// metadata before they touch a frame. Every chunk frame carries the version
-// key share so a ranged read of any single chunk can recover the encryption
-// key from f+1 clouds without extra round trips.
-//
-// The payload is the erasure-coded shard of the chunk ciphertext for
-// DepSky-CA and the full (replicated) chunk for DepSky-A. Integrity is not
-// the frame's job: the SHA-256 of the whole frame is recorded in the version
-// metadata (VersionInfo.ChunkHashes) and checked before decoding, exactly as
-// it was for the JSON envelope.
+// The chunk geometry and the per-cloud frame hashes live in the version's
+// descriptor (VersionInfo, stored as JSON beside the frames), not in the
+// frames; integrity is not the frame's job either: a reader checks each
+// frame's SHA-256 against the descriptor before decoding it. Every frame
+// carries the version's key share, so a ranged read of any single chunk
+// recovers the key from f+1 clouds without extra round trips. The payload is
+// the erasure-coded shard of the chunk ciphertext for DepSky-CA and the full
+// chunk for DepSky-A.
 
 import (
 	"encoding/binary"

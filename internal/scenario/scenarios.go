@@ -432,6 +432,11 @@ func breakerRecovery() Scenario {
 				// fail-fast phase even on a loaded machine.
 				Cooldown: time.Second,
 			}),
+			// Caches too small for the 12 KiB files: every read is a cloud
+			// read, since a write issues PUTs only and a cached read nothing,
+			// and the GET breaker trips only on GETs.
+			scfs.WithMemoryCache(4 << 10),
+			scfs.WithDiskCache("", 4<<10),
 		},
 		Run: func(t *testing.T, env *Env) {
 			steady := payload(0x2B, 12<<10)

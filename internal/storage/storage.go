@@ -8,6 +8,7 @@
 package storage
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -229,25 +230,27 @@ func (s *SingleCloud) ListVersions(ctx context.Context, fileID string) ([]string
 	return hashes, nil
 }
 
-// sweepConcurrency bounds how many files a DeleteVersionsBatch sweeps at
-// once. On the cloud-of-clouds a file in flight is a request at each of the
-// n clouds per round; 16 makes a WAN collection's sweep a few rounds deep,
-// and 64 saves little more for four times the requests in flight.
+// sweepConcurrency bounds how many versions a DeleteVersionsBatch deletes at
+// once. On the cloud-of-clouds a version in flight is a request at each of
+// the n clouds per round; 16 makes a WAN collection's sweep a few rounds
+// deep, and 64 saves little more for four times the requests in flight.
 const sweepConcurrency = 16
 
-// sweep calls del for every file of batch, sweepConcurrency files at a time,
+// sweep calls del for every version of batch, sweepConcurrency at a time,
 // and returns when all are done.
-func sweep(batch map[string][]string, del func(fileID string, hashes []string)) {
+func sweep(batch map[string][]string, del func(fileID, hash string)) {
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, sweepConcurrency)
 	for fileID, hashes := range batch {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(fileID string, hashes []string) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			del(fileID, hashes)
-		}(fileID, hashes)
+		for _, hash := range hashes {
+			wg.Add(1)
+			sem <- struct{}{}
+			go func() {
+				defer wg.Done()
+				defer func() { <-sem }()
+				del(fileID, hash)
+			}()
+		}
 	}
 	wg.Wait()
 }
@@ -258,14 +261,12 @@ func sweep(batch map[string][]string, del func(fileID string, hashes []string)) 
 func (s *SingleCloud) DeleteVersionsBatch(ctx context.Context, batch map[string][]string) SweepStats {
 	var stats SweepStats
 	var mu sync.Mutex
-	sweep(batch, func(fileID string, hashes []string) {
-		for _, hash := range hashes {
-			if s.store.Delete(ctx, versionObject(fileID, hash)) == nil {
-				mu.Lock()
-				stats.Deleted++
-				stats.ReclaimedObjects++
-				mu.Unlock()
-			}
+	sweep(batch, func(fileID, hash string) {
+		if s.store.Delete(ctx, versionObject(fileID, hash)) == nil {
+			mu.Lock()
+			stats.Deleted++
+			stats.ReclaimedObjects++
+			mu.Unlock()
 		}
 	})
 	return stats
@@ -288,8 +289,12 @@ func (s *SingleCloud) EstimateVersionFootprint(size int64) VersionFootprint {
 // --- cloud-of-clouds backend ---
 
 // CloudOfClouds stores versions through a DepSky manager: each file is a
-// DepSky data unit and each SCFS version is a DepSky version located via
-// ReadMatching (read-by-hash).
+// DepSky data unit, and each SCFS version is the DepSky version named by the
+// hash the consistency anchor holds. A write is one cloud round (the chunks
+// and the version's descriptor together), a read of a version of at most one
+// chunk one round (the descriptor and its chunk together), and a ranged open
+// the descriptor round, then the chunks a read covers. The clouds keep no
+// register of which versions exist: that is the anchor's job.
 type CloudOfClouds struct {
 	mgr *depsky.Manager
 }
@@ -304,83 +309,57 @@ func (c *CloudOfClouds) Name() string { return "coc" }
 
 // WriteVersion implements VersionedStore.
 func (c *CloudOfClouds) WriteVersion(ctx context.Context, fileID, hash string, data []byte) error {
-	info, err := c.mgr.Write(ctx, fileID, data)
-	if err != nil {
-		return err
-	}
-	return c.dropUnlessHash(ctx, fileID, info, hash)
+	return c.WriteVersionFrom(ctx, fileID, hash, bytes.NewReader(data))
 }
 
-// dropUnlessHash deletes the version just written when its contents do not
-// hash to what the caller anchors: nothing would ever read it.
-func (c *CloudOfClouds) dropUnlessHash(ctx context.Context, fileID string, info depsky.VersionInfo, hash string) error {
-	if info.DataHash == hash {
-		return nil
+// WriteVersionFrom implements StreamWriter: WriteVersion for contents the
+// caller does not hold in memory. Only a bounded window of chunks is
+// resident regardless of the version size. Contents that do not hash to hash
+// store no descriptor and fail with ErrIntegrity.
+func (c *CloudOfClouds) WriteVersionFrom(ctx context.Context, fileID, hash string, r io.Reader) error {
+	_, err := c.mgr.WriteFrom(ctx, fileID, hash, r)
+	if errors.Is(err, depsky.ErrIntegrity) {
+		return fmt.Errorf("%w: %w", ErrIntegrity, err)
 	}
-	_ = c.mgr.DeleteVersion(ctx, fileID, info.Number) // best effort; failure only wastes space
-	return fmt.Errorf("%w: wrote hash %s, expected %s", ErrIntegrity, info.DataHash, hash)
+	return err
 }
 
-// notVisible maps DepSky's two ways of saying "no such version here" — the
-// unit lists none with that hash, or the unit has no metadata yet — onto
-// ErrVersionNotFound, the one answer the consistency-anchor loop retries.
+// notVisible maps DepSky's "no such version here" onto ErrVersionNotFound,
+// the one answer the consistency-anchor loop retries.
 func notVisible(err error) error {
-	if errors.Is(err, depsky.ErrVersionNotFound) || errors.Is(err, depsky.ErrUnitNotFound) {
+	if errors.Is(err, depsky.ErrVersionNotFound) {
 		return ErrVersionNotFound
 	}
 	return err
 }
 
-// ReadVersion implements VersionedStore.
+// ReadVersion implements VersionedStore; DepSky verifies the contents
+// against hash end to end.
 func (c *CloudOfClouds) ReadVersion(ctx context.Context, fileID, hash string) ([]byte, error) {
 	data, _, err := c.mgr.ReadMatching(ctx, fileID, hash)
-	if err != nil {
-		return nil, notVisible(err)
+	if errors.Is(err, depsky.ErrIntegrity) {
+		return nil, fmt.Errorf("%w: %w", ErrIntegrity, err)
 	}
-	if !seccrypto.VerifyHash(data, hash) {
-		return nil, ErrIntegrity
-	}
-	return data, nil
+	return data, notVisible(err)
 }
 
-// DeleteVersion implements VersionedStore.
+// DeleteVersion implements VersionedStore: the version's names are deleted
+// whether or not f+1 clouds showed its descriptor.
 func (c *CloudOfClouds) DeleteVersion(ctx context.Context, fileID, hash string) error {
-	_, _, err := c.mgr.DeleteMatching(ctx, fileID, []string{hash})
-	return err
-}
-
-// ListVersions implements VersionedStore.
-func (c *CloudOfClouds) ListVersions(ctx context.Context, fileID string) ([]string, error) {
-	versions, err := c.mgr.ListVersions(ctx, fileID)
-	if err != nil {
-		return nil, err
-	}
-	hashes := make([]string, 0, len(versions))
-	for _, v := range versions {
-		hashes = append(hashes, v.DataHash)
-	}
-	return hashes, nil
-}
-
-// WriteVersionFrom implements StreamWriter: WriteVersion for contents the
-// caller does not hold in memory. Only a bounded window of chunks is
-// resident regardless of the version size. The stream hash is computed on
-// the fly; a mismatch with the caller's hash deletes the half-anchored
-// version before failing.
-func (c *CloudOfClouds) WriteVersionFrom(ctx context.Context, fileID, hash string, r io.Reader) error {
-	info, err := c.mgr.WriteFrom(ctx, fileID, r)
-	if err != nil {
+	if _, err := c.mgr.DeleteVersion(ctx, fileID, hash); err != nil && !errors.Is(err, depsky.ErrVersionNotFound) {
 		return err
 	}
-	return c.dropUnlessHash(ctx, fileID, info, hash)
+	return nil
+}
+
+// ListVersions implements VersionedStore: the versions whose descriptor f+1
+// clouds list.
+func (c *CloudOfClouds) ListVersions(ctx context.Context, fileID string) ([]string, error) {
+	return c.mgr.ListVersions(ctx, fileID)
 }
 
 // OpenVersionAt implements RangeOpener: reads fetch (and under faults
-// reconstruct) only the chunks covering the requested range. A version
-// whose metadata entry is not quorum-certified cannot be served by
-// genuinely ranged fetches and returns depsky.ErrWholeObjectOnly, so the
-// agent falls back to ReadVersion, which verifies the full value hash and
-// populates its caches.
+// reconstruct) only the chunks covering the requested range.
 func (c *CloudOfClouds) OpenVersionAt(ctx context.Context, fileID, hash string) (ReaderAtCloser, error) {
 	r, _, err := c.mgr.OpenMatching(ctx, fileID, hash)
 	if err != nil {
@@ -389,24 +368,24 @@ func (c *CloudOfClouds) OpenVersionAt(ctx context.Context, fileID, hash string) 
 	return r, nil
 }
 
-// DeleteVersionsBatch implements VersionSweeper: each file's doomed versions
-// go out in one DeleteMatching — one metadata read and one metadata write on
-// the clouds — with sweepConcurrency files in flight. What is reclaimed is
-// priced from the entries whose objects were deleted, so a chunked version is
-// credited with every chunk object it frees and an entry fewer than f+1
-// clouds vouch for, dropped from the metadata only, with nothing.
+// DeleteVersionsBatch implements VersionSweeper: every doomed version is
+// deleted by name (depsky.Manager.DeleteVersion), sweepConcurrency versions
+// at a time. Every version whose names were deleted is counted; what it
+// frees is priced from its descriptor only when f+1 clouds vouched for it,
+// so a chunked version is credited with every object it frees and the
+// leftovers of one lagging cloud with nothing.
 func (c *CloudOfClouds) DeleteVersionsBatch(ctx context.Context, batch map[string][]string) SweepStats {
 	var stats SweepStats
 	var mu sync.Mutex
-	sweep(batch, func(fileID string, hashes []string) {
-		n, freed, err := c.mgr.DeleteMatching(ctx, fileID, hashes)
-		if err != nil {
+	sweep(batch, func(fileID, hash string) {
+		v, err := c.mgr.DeleteVersion(ctx, fileID, hash)
+		if err != nil && !errors.Is(err, depsky.ErrVersionNotFound) {
 			return
 		}
 		mu.Lock()
 		defer mu.Unlock()
-		stats.Deleted += n
-		for _, v := range freed {
+		stats.Deleted++
+		if err == nil {
 			fp := c.mgr.VersionFootprint(v)
 			stats.ReclaimedBytes += fp.Bytes
 			stats.ReclaimedObjects += fp.Objects

@@ -3,10 +3,12 @@ package storage
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"scfs/internal/cloud"
 	"scfs/internal/cloudsim"
@@ -156,9 +158,9 @@ func TestCoCMasksCorruption(t *testing.T) {
 	}
 }
 
-// TestCoCWriteDropsVersionOnHashMismatch: a version whose contents do not
-// hash to what the caller is about to anchor is deleted again, by the
-// whole-object write exactly as by the streamed one.
+// TestCoCWriteDropsVersionOnHashMismatch: contents that do not hash to what
+// the caller is about to anchor store no descriptor, and their frames are
+// deleted again, by the whole-object write exactly as by the streamed one.
 func TestCoCWriteDropsVersionOnHashMismatch(t *testing.T) {
 	data := bytes.Repeat([]byte("not what was promised "), 100)
 	wrong := seccrypto.Hash([]byte("something else"))
@@ -170,67 +172,85 @@ func TestCoCWriteDropsVersionOnHashMismatch(t *testing.T) {
 		if err := write(coc); !errors.Is(err, ErrIntegrity) {
 			t.Fatalf("%s err = %v, want ErrIntegrity", name, err)
 		}
-		// (A lagging metadata copy may still list it: ROADMAP item 3.)
-		if _, err := coc.ReadVersion(bg, "f", seccrypto.Hash(data)); !errors.Is(err, ErrVersionNotFound) {
-			t.Fatalf("%s left the version readable: %v", name, err)
+		for _, h := range []string{wrong, seccrypto.Hash(data)} {
+			if _, err := coc.ReadVersion(bg, "f", h); !errors.Is(err, ErrVersionNotFound) {
+				t.Fatalf("%s left a version readable: %v", name, err)
+			}
 		}
 		for i, p := range providers {
-			if n := p.ObjectCount(); n > 1 { // the unit's metadata object
+			if n := p.ObjectCount(); n != 0 {
 				t.Fatalf("%s left %d objects on cloud %d", name, n, i)
 			}
 		}
 	}
 }
 
-// TestCoCSweepIgnoresForgedObjectID: one Byzantine cloud rewrites its copy of
-// a doomed version's entry so that it names a live version's objects. The
-// garbage collector's sweep of the doomed version must leave the live one
-// readable and its objects where they were.
+// cocOver builds a cloud-of-clouds store over four providers, letting wrap
+// stand in for any of their clients. Quorum verdicts do not cancel the
+// remaining uploads, so every cloud ends up with every object (see settle).
+func cocOver(t *testing.T, wrap func(i int, c cloud.ObjectStore) cloud.ObjectStore) ([]*cloudsim.Provider, []cloud.ObjectStore, *CloudOfClouds) {
+	t.Helper()
+	providers := make([]*cloudsim.Provider, 4)
+	clients := make([]cloud.ObjectStore, 4)
+	stores := make([]cloud.ObjectStore, 4)
+	for i := range providers {
+		providers[i] = cloudsim.NewProvider(cloudsim.Options{Name: fmt.Sprintf("c%d", i)})
+		clients[i] = providers[i].MustClient(providers[i].CreateAccount("alice"))
+		stores[i] = wrap(i, clients[i])
+	}
+	mgr, err := depsky.New(depsky.Options{Clouds: stores, F: 1, DisableQuorumCancel: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return providers, clients, NewCloudOfClouds(mgr)
+}
+
+// forgedList is a Byzantine cloud whose listings add names of its choosing.
+type forgedList struct {
+	cloud.ObjectStore
+	extra []string
+}
+
+func (f *forgedList) List(ctx context.Context, prefix string) ([]cloud.ObjectInfo, error) {
+	objs, err := f.ObjectStore.List(ctx, prefix)
+	for _, name := range f.extra {
+		objs = append(objs, cloud.ObjectInfo{Name: name})
+	}
+	return objs, err
+}
+
+// TestCoCSweepIgnoresForgedObjectID: one Byzantine cloud lists a live
+// version's objects as if they were the doomed version's. The garbage
+// collector's sweep of the doomed version must leave the live one readable
+// and its objects where they were.
 func TestCoCSweepIgnoresForgedObjectID(t *testing.T) {
-	providers, coc := newCoCStore(t)
+	evil := &forgedList{}
+	providers, clients, coc := cocOver(t, func(i int, c cloud.ObjectStore) cloud.ObjectStore {
+		if i == 0 {
+			evil.ObjectStore = c
+			return evil
+		}
+		return c
+	})
 	doomed, live := []byte("doomed"), []byte("live")
 	for _, data := range [][]byte{doomed, live} {
 		if err := coc.WriteVersion(bg, "f", seccrypto.Hash(data), data); err != nil {
 			t.Fatal(err)
 		}
 	}
-	versions, err := coc.mgr.ListVersions(bg, "f")
-	if err != nil || len(versions) != 2 {
-		t.Fatalf("versions = %+v, %v", versions, err)
-	}
-	liveObjects := func() (n int) {
-		for _, p := range providers {
-			objs, _ := p.MustClient(p.CreateAccount("alice")).List(bg, "dsky/f/"+versions[1].ID+"/")
-			n += len(objs)
+	settle(t, providers)
+	livePrefix := "dsky/f/" + seccrypto.Hash(live) + "/"
+	liveObjects := func() (names []string) {
+		for _, c := range clients {
+			objs, _ := c.List(bg, livePrefix)
+			for _, o := range objs {
+				names = append(names, o.Name)
+			}
 		}
-		return n
+		return names
 	}
 	before := liveObjects()
-
-	// Cloud 0 forges its copy from an honest one (a write's straggler is
-	// cancelled, so cloud 0 itself may hold none).
-	var raw []byte
-	for _, p := range providers {
-		if raw, err = p.MustClient(p.CreateAccount("alice")).Get(bg, "dsky/f/metadata"); err == nil {
-			break
-		}
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	evil := providers[0].MustClient(providers[0].CreateAccount("alice"))
-	var md struct {
-		Unit     string               `json:"unit"`
-		Versions []depsky.VersionInfo `json:"versions"`
-	}
-	if err := json.Unmarshal(raw, &md); err != nil {
-		t.Fatal(err)
-	}
-	md.Versions[0].ID = versions[1].ID
-	forged, _ := json.Marshal(md)
-	if err := evil.Put(bg, "dsky/f/metadata", forged); err != nil {
-		t.Fatal(err)
-	}
+	evil.extra = before
 
 	stats := coc.DeleteVersionsBatch(bg, map[string][]string{"f": {seccrypto.Hash(doomed)}})
 	if stats.Deleted != 1 {
@@ -239,7 +259,156 @@ func TestCoCSweepIgnoresForgedObjectID(t *testing.T) {
 	if got, err := coc.ReadVersion(bg, "f", seccrypto.Hash(live)); err != nil || !bytes.Equal(got, live) {
 		t.Fatalf("live version after the sweep: %q, %v", got, err)
 	}
-	if after := liveObjects(); after != before || before == 0 {
-		t.Fatalf("live version's objects: %d before the sweep, %d after", before, after)
+	if after := liveObjects(); len(after) != len(before) || len(before) == 0 {
+		t.Fatalf("live version's objects: %d before the sweep, %d after", len(before), len(after))
+	}
+}
+
+// laggingStore is a cloud that, once frozen, acknowledges every PUT and
+// DELETE without applying it: a replica that lags the writes after a point.
+type laggingStore struct {
+	cloud.ObjectStore
+	frozen atomic.Bool
+}
+
+func (l *laggingStore) Put(ctx context.Context, name string, data []byte) error {
+	if l.frozen.Load() {
+		return nil
+	}
+	return l.ObjectStore.Put(ctx, name, data)
+}
+
+func (l *laggingStore) Delete(ctx context.Context, name string) error {
+	if l.frozen.Load() {
+		return nil
+	}
+	return l.ObjectStore.Delete(ctx, name)
+}
+
+// settle waits until every provider holds the same number of objects: the
+// uploads a write's quorum verdict did not wait for have landed.
+func settle(t *testing.T, providers []*cloudsim.Provider) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		n := providers[0].ObjectCount()
+		same := n > 0
+		for _, p := range providers[1:] {
+			same = same && p.ObjectCount() == n
+		}
+		if same {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the clouds never held the same objects")
+		}
+	}
+}
+
+// TestLaggingCloudShowsNoGhost: cloud 3 lags the delete of a version, and
+// cloud 0 is down while the versions are listed, so every answer a reader
+// gets includes the lagging cloud's. ListVersions must not report the
+// deleted version, and a later sweep of it must credit it with nothing.
+func TestLaggingCloudShowsNoGhost(t *testing.T) {
+	lag := &laggingStore{}
+	providers, _, coc := cocOver(t, func(i int, c cloud.ObjectStore) cloud.ObjectStore {
+		if i == 3 {
+			lag.ObjectStore = c
+			return lag
+		}
+		return c
+	})
+	v1, v2 := []byte("deleted"), []byte("kept")
+	for _, data := range [][]byte{v1, v2} {
+		if err := coc.WriteVersion(bg, "f", seccrypto.Hash(data), data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	settle(t, providers)
+	lag.frozen.Store(true)
+	if err := coc.DeleteVersion(bg, "f", seccrypto.Hash(v1)); err != nil {
+		t.Fatal(err)
+	}
+	providers[0].SetFault(cloudsim.FaultUnavailable)
+	hashes, err := coc.ListVersions(bg, "f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hashes) != 1 || hashes[0] != seccrypto.Hash(v2) {
+		t.Fatalf("ListVersions = %v, want only the kept version", hashes)
+	}
+	if stats := coc.DeleteVersionsBatch(bg, map[string][]string{"f": {seccrypto.Hash(v1)}}); stats.ReclaimedBytes != 0 || stats.ReclaimedObjects != 0 {
+		t.Fatalf("a second sweep of the deleted version reclaims %+v, want nothing", stats)
+	}
+}
+
+// TestPNSFlushesLeaveOneVersion: the private name space is rewritten on
+// every flush, and each flush deletes the version its head replaced. Ten
+// flushes leave one version's objects and the head on each cloud, and no
+// metadata object.
+func TestPNSFlushesLeaveOneVersion(t *testing.T) {
+	providers, clients, _ := cocOver(t, func(_ int, c cloud.ObjectStore) cloud.ObjectStore { return c })
+	mgr, err := depsky.New(depsky.Options{Clouds: clients, F: 1, DisableQuorumCancel: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pns := NewCoCPNS(mgr)
+	var last []byte
+	for i := range 10 {
+		last = []byte(fmt.Sprintf("name space, flush %d", i))
+		if err := pns.WritePNS(bg, "alice", last); err != nil {
+			t.Fatal(err)
+		}
+		settle(t, providers) // the next flush deletes this one's objects everywhere
+	}
+	for i, c := range clients {
+		objs, err := c.List(bg, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The head, and the last version's descriptor and chunk.
+		if len(objs) != 3 {
+			t.Fatalf("cloud %d holds %d objects after ten flushes, want 3: %v", i, len(objs), objs)
+		}
+		for _, o := range objs {
+			if strings.HasSuffix(o.Name, "/metadata") {
+				t.Fatalf("cloud %d holds a metadata object %s", i, o.Name)
+			}
+		}
+	}
+	if got, err := pns.ReadPNS(bg, "alice"); err != nil || !bytes.Equal(got, last) {
+		t.Fatalf("ReadPNS = %q, %v; want the last flush", got, err)
+	}
+}
+
+// TestForgedNewestHeadIsNotRead: one Byzantine cloud presents a head newer
+// than any written, naming the value the last write replaced or a value
+// nobody wrote. ReadPNS must still return the last value written.
+func TestForgedNewestHeadIsNotRead(t *testing.T) {
+	for name, forge := range map[string]func(previous []byte) string{
+		"replayed value": func(previous []byte) string { return seccrypto.Hash(previous) },
+		"invented value": func([]byte) string { return seccrypto.Hash([]byte("never written")) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			_, clients, _ := cocOver(t, func(_ int, c cloud.ObjectStore) cloud.ObjectStore { return c })
+			mgr, err := depsky.New(depsky.Options{Clouds: clients, F: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pns := NewCoCPNS(mgr)
+			previous, last := []byte("previous name space"), []byte("last name space")
+			for _, v := range [][]byte{previous, last} {
+				if err := pns.WritePNS(bg, "alice", v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// The head's layout: magic, big-endian sequence number, hash.
+			head := append([]byte("DSKH\x00\x00\x00\x00\x00\x00\x00\x63"), forge(previous)...)
+			if err := clients[0].Put(bg, "dsky/pns/alice/head", head); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := pns.ReadPNS(bg, "alice"); err != nil || !bytes.Equal(got, last) {
+				t.Fatalf("ReadPNS = %q, %v; want the last value written", got, err)
+			}
+		})
 	}
 }

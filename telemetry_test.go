@@ -71,17 +71,30 @@ func TestStatsTelemetry(t *testing.T) {
 	}
 
 	ws, rs := writer.Stats(), reader.Stats()
-	// Fully qualified names answer the per-cloud, per-class question.
-	if ws.Telemetry.Counter(`rpc_total{cloud="c0",op="put",outcome="ok"}`) == 0 {
-		t.Errorf("c0 put counter empty; counters: %v", ws.Telemetry.Counters)
+	// Fully qualified names answer the per-cloud, per-class question. A
+	// write is one PUT round and a small read one GET round, and the quorum
+	// verdict may cancel any one cloud's request, so ask of the clouds that
+	// served rather than of a fixed one.
+	served := func(snap scfs.MetricsSnapshot, op string) string {
+		for i := range stores {
+			c := fmt.Sprintf("c%d", i)
+			if snap.Counter(`rpc_total{cloud="`+c+`",op="`+op+`",outcome="ok"}`) > 0 {
+				return c
+			}
+		}
+		return ""
 	}
-	if rs.Telemetry.Counter(`rpc_total{cloud="c0",op="get",outcome="ok"}`) == 0 {
-		t.Errorf("c0 get counter empty; counters: %v", rs.Telemetry.Counters)
+	putter := served(ws.Telemetry, "put")
+	if putter == "" {
+		t.Errorf("no cloud's put counter is set; counters: %v", ws.Telemetry.Counters)
+	}
+	if served(rs.Telemetry, "get") == "" {
+		t.Errorf("no cloud's get counter is set; counters: %v", rs.Telemetry.Counters)
 	}
 	// Latency histograms accompany successful RPCs.
-	h, ok := ws.Telemetry.Histograms[`rpc_latency_ns{cloud="c0",op="put"}`]
+	h, ok := ws.Telemetry.Histograms[`rpc_latency_ns{cloud="`+putter+`",op="put"}`]
 	if !ok || h.Count == 0 {
-		t.Errorf("c0 put latency histogram missing or empty")
+		t.Errorf("%s put latency histogram missing or empty", putter)
 	} else if h.Mean() <= 0 {
 		t.Errorf("histogram mean = %v, want > 0", h.Mean())
 	}
