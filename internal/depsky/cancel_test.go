@@ -239,10 +239,11 @@ func TestDeadlineLongerThanQuorumSucceeds(t *testing.T) {
 // through an opened reader must not poison the reader — a later read of the
 // same chunk with a live context retries the fetch and succeeds.
 func TestOpenReadRetriesAfterCancelledFirstRead(t *testing.T) {
-	_, m := newManager(t, ProtocolCA)
+	const cs = 2048
+	_, m := newChunkedManager(t, ProtocolCA, cs)
 	data := bytes.Repeat([]byte("retry "), 500)
 	info := writeFrom(t, m, "u", data)
-	r, _, err := m.OpenMatching(bg, "u", info.DataHash) // one chunk: both reads fetch it
+	r, _, err := m.OpenMatching(bg, "u", info.DataHash) // two chunks: both reads fetch chunk 1
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,15 +251,15 @@ func TestOpenReadRetriesAfterCancelledFirstRead(t *testing.T) {
 
 	dead, cancel := context.WithCancel(bg)
 	cancel()
-	buf := make([]byte, len(data))
-	if _, err := r.ReadAtContext(dead, buf, 0); !errors.Is(err, context.Canceled) {
+	buf := make([]byte, len(data)-cs)
+	if _, err := r.ReadAtContext(dead, buf, cs); !errors.Is(err, context.Canceled) {
 		t.Fatalf("read under dead ctx: %v, want context.Canceled", err)
 	}
-	n, err := r.ReadAtContext(bg, buf, 0)
+	n, err := r.ReadAtContext(bg, buf, cs)
 	if err != nil && err != io.EOF {
 		t.Fatalf("read after cancelled read: %v (transient error was latched)", err)
 	}
-	if n != len(data) || !bytes.Equal(buf, data) {
+	if n != len(buf) || !bytes.Equal(buf, data[cs:]) {
 		t.Fatal("read after cancelled read returned wrong data")
 	}
 }

@@ -10,10 +10,7 @@ package depsky
 // worth more to the cost report and the garbage collector's reclaim figures
 // than one that drifts with provider weather.
 
-import (
-	"scfs/internal/pricing"
-	"scfs/internal/seccrypto"
-)
+import "scfs/internal/pricing"
 
 // meanRates averages the rate cards across the clouds. The rates are fixed
 // at construction, so New computes this once into m.mean; a GC sweep
@@ -58,47 +55,27 @@ func (m *Manager) EstimateCost(size int64) pricing.Estimate {
 	return m.cost(m.opts.Protocol, size, m.chunkSize())
 }
 
-// cost prices a version of size bytes cut into chunkSize chunks under the
-// protocol's dispersal, mirroring footprint(): CA charges one erasure shard
-// of each chunk's ciphertext on each of the n-f quorum clouds and f+1
-// readers per chunk, A a full replica on all n clouds and one reader. The
-// descriptor rides along as q PUT, f+1 GET and n DELETE request fees.
-// Constant-time regardless of the chunk count.
+// cost prices the footprint of a version of size bytes cut into chunkSize
+// chunks with the mean rate card: every charged byte is stored and was
+// uploaded once, a whole read downloads readNeed of each chunk's charged
+// copies, and every request pays its fee. Reclaiming a version also reads its
+// descriptor objects and, if it has chunk objects, lists its prefix on every
+// cloud. Constant-time regardless of the chunk count.
 func (m *Manager) cost(protocol Protocol, size int64, chunkSize int) pricing.Estimate {
-	mean := m.mean
-	n := int64(m.N())
-	q := int64(m.QuorumSize())
-	charged, readers := q, int64(m.readNeed(protocol))
+	mean, fp := m.mean, m.footprint(protocol, size, chunkSize)
+	n, charged := float64(m.N()), float64(m.QuorumSize())
 	if protocol == ProtocolA {
 		charged = n
 	}
-	perChunk := func(plain int) pricing.Estimate {
-		var stored int64 // bytes per charged cloud
-		if protocol == ProtocolA {
-			stored = int64(plain)
-		} else {
-			stored = int64(m.coder.ShardSize(plain + seccrypto.CiphertextOverhead))
-		}
-		return pricing.Estimate{
-			StoragePerMonth: float64(charged) * mean.StorageCost(stored),
-			UploadOnce:      float64(charged) * mean.PutCost(stored),
-			ReadOnce:        float64(readers) * mean.GetCost(stored),
-			DeleteOnce:      float64(n) * mean.DeleteRequest,
-		}
+	bytes, read := float64(fp.Bytes)/pricing.GB, float64(fp.Bytes)/pricing.GB*float64(m.readNeed(protocol))/charged
+	list := 0.0
+	if size > int64(chunkSize) {
+		list = mean.ListRequest
 	}
-	full, tail := chunkShape(size, chunkSize)
-	one := perChunk(chunkSize)
-	est := pricing.Estimate{
-		StoragePerMonth: float64(full) * one.StoragePerMonth,
-		UploadOnce:      float64(full) * one.UploadOnce,
-		ReadOnce:        float64(full) * one.ReadOnce,
-		DeleteOnce:      float64(full) * one.DeleteOnce,
+	return pricing.Estimate{
+		StoragePerMonth: bytes * mean.StorageGBMonth,
+		UploadOnce:      float64(fp.PutRequests)*mean.PutRequest + bytes*mean.IngressPerGB,
+		ReadOnce:        float64(fp.GetRequestsPerRead)*mean.GetRequest + read*mean.EgressPerGB,
+		DeleteOnce:      float64(fp.DeleteRequests)*mean.DeleteRequest + n*(mean.GetRequest+list),
 	}
-	if tail > 0 {
-		est.Add(perChunk(tail))
-	}
-	est.UploadOnce += float64(q) * mean.PutRequest // the descriptor
-	est.ReadOnce += float64(m.witnessSize()) * mean.GetRequest
-	est.DeleteOnce += float64(n) * mean.DeleteRequest
-	return est
 }

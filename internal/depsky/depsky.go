@@ -15,16 +15,25 @@
 // A version is named by the SHA-256 of its plaintext, the hash SCFS's
 // consistency anchor already holds (§3.2: readers fetch "the version with a
 // given hash"). It has one layout on the clouds, whatever its size: the value
-// is cut into chunks of Options.ChunkSize plaintext bytes, each chunk is
-// dispersed on its own, and cloud i stores chunk j's frame as
-// "dsky/<unit>/<hash>/c<j>" (binary framing, wire.go) and the version's
-// descriptor — its VersionInfo as JSON — as "dsky/<unit>/<hash>/desc". A
-// reader trusts a descriptor only when f+1 clouds return it byte-identical,
-// and checks every frame against the descriptor's per-cloud hashes. Nothing
-// is read, merged and written back: a write is one cloud round (frames and
-// descriptor together), a read of a one-chunk version one round (descriptor
-// and chunk 0 together), and a delete removes names under one version's
-// prefix.
+// is cut into chunks of Options.ChunkSize plaintext bytes and each chunk is
+// dispersed on its own (binary framing, wire.go). Cloud i stores one
+// descriptor object, "dsky/<unit>/<hash>/desc", holding the version's
+// descriptor (its VersionInfo as JSON), and its frame of every chunk j as
+// "dsky/<unit>/<hash>/<tag>/c<j>", where the tag is drawn afresh by each
+// write — or, for a value of one chunk, its frame inside the descriptor
+// object. A reader trusts a descriptor only when f+1 clouds return it
+// byte-identical, and checks every frame against the descriptor's per-cloud
+// hashes.
+//
+// A write PUTs the descriptor objects only once its chunks have reached n-f
+// clouds: a value of one chunk is one cloud round, a larger one two. So every
+// certified descriptor names chunks that are stored, and a write of bytes
+// already stored — each write draws a fresh key — never overwrites the frames
+// another descriptor names: the tags keep chunks apart, and a cloud's
+// descriptor and embedded frame change together. A read of a one-chunk value
+// is one round (the descriptor objects); a larger one fetches its chunks in a
+// second. Nothing is read, merged and written back, and a delete removes
+// names under one version's prefix.
 //
 // WriteFrom, ReadMatching, OpenMatching, ListVersions and DeleteVersion work
 // by hash. Write and Read keep a newest-version register for callers that
@@ -101,6 +110,10 @@ type VersionInfo struct {
 	// ChunkHashes[j][i] is the SHA-256 of chunk j's frame on cloud i,
 	// allowing the reader to discard corrupted frames.
 	ChunkHashes [][]string `json:"chunk_hashes"`
+	// Tag is the writer's random name for its chunk frames (rand.Text: 26
+	// characters of the base32 alphabet), so that two writes of the same
+	// bytes store them apart.
+	Tag string `json:"tag"`
 }
 
 // MaxChunkSize is the largest chunk a version may declare (256 MiB); a
@@ -126,12 +139,15 @@ func (v *VersionInfo) validChunking() bool {
 // hash may take before it is spliced into an object name: a hash comes from a
 // record another writer may have set, and a "/" or ".." in it could aim a GET
 // or a DELETE outside its version's prefix.
-func validHash(h string) bool {
-	if len(h) != 64 {
-		return false
-	}
-	for i := 0; i < len(h); i++ {
-		if c := h[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+func validHash(h string) bool { return len(h) == 64 && onlyOf(h, "0123456789abcdef") }
+
+// validTag reports whether t is a tag rand.Text drew.
+func validTag(t string) bool { return len(t) == 26 && onlyOf(t, "ABCDEFGHIJKLMNOPQRSTUVWXYZ234567") }
+
+// onlyOf reports whether every byte of s is one of set's.
+func onlyOf(s, set string) bool {
+	for i := 0; i < len(s); i++ {
+		if strings.IndexByte(set, s[i]) < 0 {
 			return false
 		}
 	}
@@ -143,7 +159,7 @@ func validHash(h string) bool {
 func decodeDescriptor(data []byte, hash string, n int) (VersionInfo, bool) {
 	var v VersionInfo
 	if json.Unmarshal(data, &v) != nil || v.DataHash != hash || !v.validChunking() ||
-		(v.Protocol != ProtocolCA && v.Protocol != ProtocolA) {
+		(v.Protocol != ProtocolCA && v.Protocol != ProtocolA) || !validTag(v.Tag) {
 		return VersionInfo{}, false
 	}
 	for _, row := range v.ChunkHashes {
@@ -314,12 +330,14 @@ func (m *Manager) unitPrefix(unit string) string { return "dsky/" + unit + "/" }
 // hash; hash must have passed validHash.
 func (m *Manager) versionPrefix(unit, hash string) string { return m.unitPrefix(unit) + hash + "/" }
 
-// chunkName is the per-cloud object name of chunk idx of a version.
-func (m *Manager) chunkName(unit, hash string, idx int) string {
-	return m.versionPrefix(unit, hash) + "c" + strconv.Itoa(idx)
+// chunkName is the per-cloud object name of chunk idx of the version info
+// describes, whose Tag came from rand.Text or passed decodeDescriptor.
+func (m *Manager) chunkName(unit string, info *VersionInfo, idx int) string {
+	return m.versionPrefix(unit, info.DataHash) + info.Tag + "/c" + strconv.Itoa(idx)
 }
 
-// descName is the object name of a version's descriptor.
+// descName is the object name of a version's descriptor object, which also
+// holds the cloud's frame of a value of one chunk.
 func (m *Manager) descName(unit, hash string) string { return m.versionPrefix(unit, hash) + "desc" }
 
 // ballot counts the descriptor copies of one version as clouds return them.
@@ -336,33 +354,13 @@ func (m *Manager) vote(b ballot, copy []byte, hash string) (VersionInfo, bool) {
 	return decodeDescriptor(copy, hash, m.N())
 }
 
-// landed records the objects a write stored and on which cloud. A write that
-// fails deletes exactly those (discard): a cloud its PUT never reached keeps
-// what it held under the name — another write of the same bytes, say.
-// rounds counts the write's PUT rounds whose stragglers may still land.
-type landed struct {
-	mu     sync.Mutex
-	puts   []landedPut
-	rounds sync.WaitGroup
-}
-
-type landedPut struct {
-	cloud int
-	name  string
-}
-
-func (l *landed) add(i int, name string) {
-	l.mu.Lock()
-	l.puts = append(l.puts, landedPut{i, name})
-	l.mu.Unlock()
-}
-
 // writeQuorum writes per-cloud payloads (payload(i) for cloud i) and waits
 // for n-f successes; the verdict cancels the remaining uploads, so the
 // stragglers neither bill upload traffic nor keep goroutines alive.
 // onCloudDone, when non-nil, is called as soon as cloud i's attempt has
 // finished, however it ended (the pipeline recycles that cloud's frame
-// buffer); stored, when non-nil, records every cloud the PUT reached.
+// buffer); rounds, when non-nil, counts the round until its last straggler
+// has finished, so that a failed write deletes its frames after them.
 //
 // Under a WriteHedge policy only the preferred n-f clouds upload at once
 // (Basil-style hedged writes); a spare launches when the tracked upload
@@ -370,25 +368,21 @@ func (l *landed) add(i int, name string) {
 // The paper's quorum math only promises the preferred n-f copies: with f
 // faults among them, f+1 intact shards and f+1 identical descriptors remain.
 // Cancelling ctx aborts every in-flight upload and returns ctx.Err().
-func (m *Manager) writeQuorum(ctx context.Context, name, kind string, payload func(i int) []byte, onCloudDone func(i int), stored *landed) error {
+func (m *Manager) writeQuorum(ctx context.Context, name, kind string, payload func(i int) []byte, onCloudDone func(i int), rounds *sync.WaitGroup) error {
 	n := m.N()
 	rd := startRound[struct{}](ctx, m, kind, iopolicy.PutOp(len(payload(0))), m.QuorumSize(),
 		func(ctx context.Context, i int, c cloud.ObjectStore) ([]byte, error) {
-			err := c.Put(ctx, name, payload(i))
-			if err == nil && stored != nil {
-				stored.add(i, name)
-			}
-			return nil, err
+			return nil, c.Put(ctx, name, payload(i))
 		}, nil)
 	tr := telemetry.FromContext(ctx)
 	verdict := make(chan error, 1)
-	if stored != nil {
-		stored.rounds.Add(1)
+	if rounds != nil {
+		rounds.Add(1)
 	}
 	go func() {
 		defer rd.cancel()
-		if stored != nil {
-			defer stored.rounds.Done()
+		if rounds != nil {
+			defer rounds.Done()
 		}
 		successes, failures, decided := 0, 0, false
 		for i := 0; i < n; i++ {
@@ -456,11 +450,11 @@ func (m *Manager) ReadMatching(ctx context.Context, unit, hash string) ([]byte, 
 }
 
 func (m *Manager) readMatching(ctx context.Context, unit, hash string) ([]byte, VersionInfo, error) {
-	f, out, err := m.locate(ctx, unit, hash, true)
+	f, err := m.locate(ctx, unit, hash)
 	if err != nil {
 		return nil, VersionInfo{}, err
 	}
-	data, err := m.readVersion(ctx, f, out)
+	data, err := m.readVersion(ctx, f)
 	return data, f.info, err
 }
 
@@ -471,110 +465,86 @@ type frame struct {
 	b    *block
 }
 
-// locate runs a read's first round: the descriptor GETs, and with withFirst
-// chunk 0's GETs beside them. It returns the fetcher of the first descriptor
-// f+1 clouds return byte-identical; with withFirst, of the first whose chunk 0
-// also decodes from the frames its hashes accept, together with the buffer
-// for the whole value, chunk 0 already in place (see readVersion). Two writes of the same bytes
-// store two encodings under one set of names, so two descriptors may be
-// certified; a frame counts only for the descriptor that hashes it.
+// descCopy is one cloud's descriptor object, split: the descriptor, and the
+// cloud's frame of a value of one chunk (nil if it has none that decodes).
+type descCopy struct {
+	desc  []byte
+	frame *frame
+}
+
+// locate runs a read's first round, the GETs of the descriptor objects, and
+// returns the fetcher of the first descriptor f+1 clouds return
+// byte-identical — for a value of one chunk, the first whose frames (which
+// ride in the same objects) also decode, the value in the fetcher's first.
+//
+// A cloud's descriptor and frame come from one object, so they are of one
+// write. Two writes of the same bytes may each leave theirs on some clouds,
+// and two descriptors may be certified; among the 2f+1 correct clouds one
+// write's copies are f+1, whichever way they split, and the round hears every
+// cloud before it gives up. The chunks of a larger value are stored before
+// its descriptor.
 //
 // No certified descriptor while some cloud answered "no such object" is
 // ErrVersionNotFound — not visible yet, or deleted — which the
-// consistency-anchor loop retries; no descriptor at all from any cloud that
-// answered is ErrQuorumRead. A descriptor whose chunk 0 cannot be had is
-// classified as a chunk fetch is (shortRead).
-func (m *Manager) locate(ctx context.Context, unit, hash string, withFirst bool) (*chunkFetcher, []byte, error) {
+// consistency-anchor loop retries; otherwise ErrQuorumRead.
+func (m *Manager) locate(ctx context.Context, unit, hash string) (*chunkFetcher, error) {
 	if !validHash(hash) {
-		return nil, nil, errBadHash(hash)
+		return nil, errBadHash(hash)
 	}
-	get := func(name string) func(context.Context, int, cloud.ObjectStore) ([]byte, error) {
-		return func(ctx context.Context, _ int, c cloud.ObjectStore) ([]byte, error) { return c.Get(ctx, name) }
-	}
-	descs := startRound(ctx, m, "desc.get", iopolicy.GetOp(0), m.witnessSize(), get(m.descName(unit, hash)),
-		func(_ int, data []byte) ([]byte, error) { return data, nil })
-	defer descs.cancel()
-	var firsts round[frame]
-	pending := m.N()
-	if withFirst {
-		pending += m.N()
-		firsts = startRound(ctx, m, "chunk.get", m.blockOp(m.opts.Protocol, 0), m.readNeed(m.opts.Protocol),
-			get(m.chunkName(unit, hash, 0)),
-			func(i int, data []byte) (frame, error) {
-				b, err := decodeBlock(data)
-				if err != nil || b.ChunkIdx != 0 || b.ShardIdx != i {
-					return frame{}, ErrIntegrity
-				}
-				return frame{seccrypto.Hash(data), b}, nil
-			})
-		defer firsts.cancel()
-	}
+	name := m.descName(unit, hash)
+	rd := startRound(ctx, m, "desc.get", iopolicy.GetOp(0), m.witnessSize(),
+		func(ctx context.Context, _ int, c cloud.ObjectStore) ([]byte, error) { return c.Get(ctx, name) },
+		func(i int, data []byte) (descCopy, error) {
+			desc, raw, ok := splitDescObject(data)
+			if !ok {
+				return descCopy{}, ErrIntegrity
+			}
+			dc := descCopy{desc: desc}
+			if b, err := decodeBlock(raw); err == nil && b.ChunkIdx == 0 && b.ShardIdx == i {
+				dc.frame = &frame{seccrypto.Hash(raw), b}
+			}
+			return dc, nil
+		})
+	defer rd.cancel()
 
-	votes, copies := ballot{}, 0
+	votes, copies, absent := ballot{}, 0, 0
 	var certified []*chunkFetcher
 	frames := make([]*frame, m.N())
-	got, descAbsent, frameAbsent := 0, 0, 0
 	scratch := &decodeScratch{}
 	defer scratch.release()
-	for ; pending > 0; pending-- {
-		select {
-		case o := <-descs.outcomes:
-			if o.err != nil {
-				descs.kick()
-				if errors.Is(o.err, cloud.ErrNotFound) {
-					descAbsent++
-				}
-				continue
+	for range m.N() {
+		o := <-rd.outcomes
+		if o.err != nil {
+			rd.kick()
+			if errors.Is(o.err, cloud.ErrNotFound) {
+				absent++
 			}
-			copies++
-			info, ok := m.vote(votes, o.val, hash)
-			if !ok {
-				if copies >= m.witnessSize() {
-					descs.kick() // the copies so far disagree: hear another cloud
-				}
-				continue
-			}
+			continue
+		}
+		copies++
+		frames[o.cloud] = o.val.frame
+		if info, ok := m.vote(votes, o.val.desc, hash); ok {
 			certified = append(certified, &chunkFetcher{m: m, unit: unit, info: info})
-		case o := <-firsts.outcomes:
-			if o.err != nil {
-				firsts.kick()
-				if errors.Is(o.err, cloud.ErrNotFound) {
-					frameAbsent++
-				}
-				continue
-			}
-			frames[o.cloud] = &o.val
-			got++
 		}
 		for _, f := range certified {
-			if !withFirst {
-				return f, nil, nil
-			}
-			if f.info.ChunkCount == 0 {
-				return f, []byte{}, nil
-			}
-			if out := f.decodeFirst(frames, scratch); out != nil {
+			if f.info.ChunkCount > 1 || f.decode(frames, scratch) {
 				if tr := telemetry.FromContext(ctx); tr != nil {
 					tr.SetVerdict(time.Since(tr.Start))
 				}
-				return f, out, nil
+				return f, nil
 			}
 		}
-		if len(certified) > 0 && got >= m.readNeed(m.opts.Protocol) {
-			firsts.kick() // enough frames, none that decode: pull in another
+		if copies >= m.witnessSize() {
+			rd.kick() // nothing decodes from the copies so far: hear another cloud
 		}
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	switch {
-	case len(certified) > 0:
-		return nil, nil, fmt.Errorf("depsky: chunk 0: %w", m.shortRead(certified[0].info.Protocol, 0, frameAbsent))
-	case descAbsent > 0:
-		return nil, nil, ErrVersionNotFound
-	default:
-		return nil, nil, ErrQuorumRead
+	if len(certified) == 0 && absent > 0 {
+		return nil, ErrVersionNotFound
 	}
+	return nil, ErrQuorumRead
 }
 
 // ListVersions returns the hashes of the versions of unit whose descriptor
@@ -607,16 +577,17 @@ func (m *Manager) ListVersions(ctx context.Context, unit string) ([]string, erro
 }
 
 // DeleteVersion removes the version of unit named hash and returns its
-// descriptor. Every cloud returns its descriptor copy, then deletes the
-// descriptor and the chunks it names. Without f+1 identical copies — a
-// version still inside its consistency window, or one cloud's leftover —
-// each cloud also lists the version's prefix and deletes what it lists, and
-// the chunks any well-formed copy names, or chunk 0; the answer is then
-// ErrVersionNotFound, after the deletes: nothing f+1 clouds vouch for was
-// there to be priced. Every name lies inside the version's prefix, so no
-// cloud's answer aims a delete elsewhere; and nothing is read, modified and
-// written back, so a delete cannot drop a version another writer stored
-// meanwhile.
+// descriptor. Every cloud returns its descriptor object; then each deletes the
+// descriptor object, the chunks a certified descriptor names (a listing may
+// lag a write) and what it lists under the version's prefix — the chunks
+// other writes of the same bytes stored under their tags. A version of one
+// chunk f+1 clouds vouch for has no other object, and takes no listing. Without
+// f+1 identical descriptors — a version still inside its consistency window,
+// or one cloud's leftover — the answer is ErrVersionNotFound, after the
+// deletes: nothing f+1 clouds vouch for was there to be priced. Every name
+// lies inside the version's prefix, so no cloud's answer aims a delete
+// elsewhere; and nothing is read, modified and written back, so a delete
+// cannot drop a version another writer stored meanwhile.
 func (m *Manager) DeleteVersion(ctx context.Context, unit, hash string) (VersionInfo, error) {
 	if !validHash(hash) {
 		return VersionInfo{}, errBadHash(hash)
@@ -626,36 +597,36 @@ func (m *Manager) DeleteVersion(ctx context.Context, unit, hash string) (Version
 	prefix := m.versionPrefix(unit, hash)
 	descs := make([][]byte, m.N())
 	// A cloud that fails to answer contributes no copy to the vote.
-	m.eachCloud(func(i int, c cloud.ObjectStore) { descs[i], _ = c.Get(ctx, prefix+"desc") })
-	var info VersionInfo
-	certified, votes, chunks := false, ballot{}, 1
-	for _, d := range descs {
-		if v, ok := decodeDescriptor(d, hash, m.N()); ok {
-			chunks = max(chunks, v.ChunkCount)
+	m.eachCloud(func(i int, c cloud.ObjectStore) {
+		if raw, err := c.Get(ctx, prefix+"desc"); err == nil {
+			descs[i], _, _ = splitDescObject(raw)
 		}
+	})
+	var info VersionInfo
+	certified, votes := false, ballot{}
+	for _, d := range descs {
 		if d != nil && !certified {
 			info, certified = m.vote(votes, d, hash)
 		}
 	}
+	known := []string{prefix + "desc"}
 	if certified {
-		chunks = max(info.ChunkCount, 1)
+		known = m.objectNames(unit, info)
 	}
-	known := m.objectNames(unit, VersionInfo{DataHash: hash, ChunkCount: chunks})
-	names := make([][]string, m.N())
-	if !certified {
-		m.eachCloud(func(i int, c cloud.ObjectStore) {
+	m.eachCloud(func(_ int, c cloud.ObjectStore) {
+		names := slices.Clone(known)
+		if !certified || info.ChunkCount > 1 { // else the descriptor object is all
 			objs, _ := c.List(ctx, prefix) // a failed listing adds no names
 			for _, o := range objs {
 				if strings.HasPrefix(o.Name, prefix) && !slices.Contains(known, o.Name) {
-					names[i] = append(names[i], o.Name)
+					names = append(names, o.Name)
 				}
 			}
-		})
-	}
-	for i := range names {
-		names[i] = append(names[i], known...)
-	}
-	m.deleteObjects(ctx, names)
+		}
+		for _, name := range names {
+			_ = c.Delete(ctx, name)
+		}
+	})
 	if err := ctx.Err(); err != nil {
 		return VersionInfo{}, err
 	}
@@ -663,25 +634,6 @@ func (m *Manager) DeleteVersion(ctx context.Context, unit, hash string) (Version
 		return VersionInfo{}, ErrVersionNotFound
 	}
 	return info, nil
-}
-
-// shortRead classifies a chunk fan-out that ended with got usable frames of
-// a certified version, absent of the n clouds having answered
-// cloud.ErrNotFound. When too few frames arrived and every cloud that gave
-// none said "no such object", the version is not visible yet (its descriptor
-// became visible at some clouds before the chunk did at enough) or no longer
-// exists (deleted while a lagging cloud still served its descriptor):
-// ErrVersionNotFound, which the consistency-anchor loop retries. An outage
-// or a corrupt frame among the misses is ErrQuorumRead.
-func (m *Manager) shortRead(p Protocol, got, absent int) error {
-	switch {
-	case got >= m.readNeed(p):
-		return nil
-	case absent > 0 && got+absent == m.N():
-		return ErrVersionNotFound
-	default:
-		return ErrQuorumRead
-	}
 }
 
 // decodeScratch hands out pooled buffers that are reused across the decode

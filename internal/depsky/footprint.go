@@ -19,17 +19,17 @@ type Footprint struct {
 	// cost model: the preferred write quorum of n-f clouds for DepSky-CA
 	// shards, all n clouds for DepSky-A replicas.
 	Bytes int64
-	// Objects is how many cloud objects the version occupies: chunks x
-	// charged clouds, plus its descriptor on the n-f quorum clouds. Each
-	// object keeps costing a GET fee per read and a DELETE fee at
-	// reclamation.
+	// Objects is how many cloud objects the version occupies on the charged
+	// clouds: its chunks and its descriptor object, which holds a value of
+	// at most one chunk itself. Each object keeps costing a GET fee per read
+	// and a DELETE fee at reclamation.
 	Objects int64
 	// PutRequests is the request count the version's upload was charged,
 	// one per object.
 	PutRequests int64
 	// GetRequestsPerRead is the request count one whole read of the version
-	// issues: f+1 descriptor copies, then f+1 decoding clouds per chunk for
-	// CA, one replica for A.
+	// issues: f+1 descriptor objects, then f+1 decoding clouds per chunk of
+	// a larger value for CA, one replica for A.
 	GetRequestsPerRead int64
 	// DeleteRequests is the request count reclaiming the version issues
 	// (deletes are best-effort against all n clouds).
@@ -49,44 +49,39 @@ func (m *Manager) EstimateFootprint(size int64) Footprint {
 	return m.footprint(m.opts.Protocol, size, m.chunkSize())
 }
 
-// chunkShape reduces the chunking of a value of size bytes to how many
-// chunks hold exactly chunkSize plaintext bytes and how many the shorter
-// last one holds (0: there is none) — what uploadChunks stores, so the
-// per-chunk cost loops collapse to constant-time arithmetic. An empty value
-// has no chunk at all.
-func chunkShape(size int64, chunkSize int) (full int64, tail int) {
-	if size <= 0 || chunkSize <= 0 {
-		return 0, 0
-	}
-	return size / int64(chunkSize), int(size % int64(chunkSize))
-}
-
 // footprint charges a version of size bytes cut into chunkSize chunks under
 // the protocol's dispersal: CA stores one erasure shard of each chunk's
 // ciphertext on each of the preferred n-f clouds, A a full replica on all n.
+// The chunks but the last hold chunkSize bytes each, so it is constant-time
+// arithmetic; an empty value has no chunk at all.
 func (m *Manager) footprint(protocol Protocol, size int64, chunkSize int) Footprint {
-	n := int64(m.N())
-	q := int64(m.QuorumSize())
-	bytesFor := func(plain int) int64 {
-		if protocol == ProtocolA {
-			return int64(plain) * n
-		}
-		return int64(m.coder.ShardSize(plain+seccrypto.CiphertextOverhead)) * q
-	}
-	full, tail := chunkShape(size, chunkSize)
-	fp := Footprint{Bytes: full * bytesFor(chunkSize)}
-	chunks := full
-	if tail > 0 {
-		fp.Bytes += bytesFor(tail)
-		chunks++
-	}
-	charged := q
+	n, charged := int64(m.N()), int64(m.QuorumSize())
 	if protocol == ProtocolA {
 		charged = n
 	}
-	fp.Objects = chunks*charged + q // the chunks, and the descriptor on the quorum
+	bytesFor := func(plain int64) int64 {
+		if protocol == ProtocolA {
+			return plain * charged
+		}
+		return int64(m.coder.ShardSize(int(plain)+seccrypto.CiphertextOverhead)) * charged
+	}
+	var fp Footprint
+	chunks := int64(0)
+	if size > 0 && chunkSize > 0 {
+		full, tail := size/int64(chunkSize), size%int64(chunkSize)
+		fp.Bytes, chunks = full*bytesFor(int64(chunkSize)), full
+		if tail > 0 {
+			fp.Bytes += bytesFor(tail)
+			chunks++
+		}
+	}
+	objects := chunks + 1 // the chunks and the descriptor object
+	if chunks <= 1 {
+		objects = 1 // which holds a value of one chunk
+	}
+	fp.Objects = objects * charged
 	fp.PutRequests = fp.Objects
-	fp.GetRequestsPerRead = chunks*int64(m.readNeed(protocol)) + int64(m.witnessSize())
-	fp.DeleteRequests = (chunks + 1) * n
+	fp.GetRequestsPerRead = int64(m.witnessSize()) + (objects-1)*int64(m.readNeed(protocol))
+	fp.DeleteRequests = objects * n
 	return fp
 }

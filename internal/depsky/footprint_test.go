@@ -18,9 +18,10 @@ func TestFootprintWeighsChunksAgainstBytes(t *testing.T) {
 	whole := one.EstimateFootprint(size)
 	chunked := m.EstimateFootprint(size)
 
-	// One chunk and the descriptor on each of the n-f = 3 preferred clouds.
-	if whole.Objects != 2*3 {
-		t.Fatalf("one-chunk Objects = %d, want 6", whole.Objects)
+	// The descriptor object, which holds the one chunk, on each of the
+	// n-f = 3 preferred clouds.
+	if whole.Objects != 1*3 {
+		t.Fatalf("one-chunk Objects = %d, want 3", whole.Objects)
 	}
 	if chunked.Objects != 17*3 {
 		t.Fatalf("chunked Objects = %d, want 51", chunked.Objects)
@@ -29,8 +30,8 @@ func TestFootprintWeighsChunksAgainstBytes(t *testing.T) {
 	if chunked.GetRequestsPerRead != 17*2 {
 		t.Fatalf("chunked GetRequestsPerRead = %d, want 34", chunked.GetRequestsPerRead)
 	}
-	if whole.GetRequestsPerRead != 2*2 {
-		t.Fatalf("one-chunk GetRequestsPerRead = %d, want 4", whole.GetRequestsPerRead)
+	if whole.GetRequestsPerRead != 1*2 {
+		t.Fatalf("one-chunk GetRequestsPerRead = %d, want 2", whole.GetRequestsPerRead)
 	}
 	if chunked.DeleteRequests != 17*4 { // deletes are best-effort on all n clouds
 		t.Fatalf("chunked DeleteRequests = %d, want 68", chunked.DeleteRequests)
@@ -59,8 +60,8 @@ func TestFootprintBytesByProtocol(t *testing.T) {
 
 // TestEstimatesMatchWhatIsWritten: at every chunk boundary the footprint and
 // the dollars predicted for a size are those computed from the descriptor of
-// the version a write of that size returned — an empty value occupies its
-// descriptor and no chunk object.
+// the version a write of that size returned — a value of at most one chunk
+// occupies its descriptor object alone.
 func TestEstimatesMatchWhatIsWritten(t *testing.T) {
 	const cs = 4096
 	m := costManager(t, cs)
@@ -71,6 +72,9 @@ func TestEstimatesMatchWhatIsWritten(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantObjects := int64((size+cs-1)/cs)*3 + 3
+		if size <= cs {
+			wantObjects = 3
+		}
 		if got, want := m.VersionFootprint(info), m.EstimateFootprint(int64(size)); got != want || got.Objects != wantObjects {
 			t.Errorf("size %d: VersionFootprint %+v, EstimateFootprint %+v, want %d objects", size, got, want, wantObjects)
 		}

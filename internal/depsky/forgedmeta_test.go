@@ -23,7 +23,7 @@ func TestForgedMetadataSizeBounded(t *testing.T) {
 	data := bytes.Repeat([]byte{0xAB}, 4096)
 	info := writeFrom(t, m, "u", data)
 	read := func(info VersionInfo) ([]byte, error) {
-		return m.readVersion(bg, &chunkFetcher{m: m, unit: "u", info: info}, nil)
+		return m.readVersion(bg, &chunkFetcher{m: m, unit: "u", info: info})
 	}
 
 	forged := info
@@ -44,7 +44,7 @@ func TestForgedMetadataSizeBounded(t *testing.T) {
 	}
 
 	// The genuine descriptor still reads back fine.
-	got, err := read(info)
+	got, _, err := m.ReadMatching(bg, "u", info.DataHash)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestChunkSizeWireCap(t *testing.T) {
 		t.Fatal("ChunkSize beyond the wire cap accepted")
 	}
 	_, m := newChunkedManager(t, ProtocolCA, 2048)
-	if _, err := m.readVersion(bg, &chunkFetcher{m: m, unit: "u", info: huge}, nil); !errors.Is(err, ErrIntegrity) {
+	if _, err := m.readVersion(bg, &chunkFetcher{m: m, unit: "u", info: huge}); !errors.Is(err, ErrIntegrity) {
 		t.Fatalf("err = %v, want ErrIntegrity", err)
 	}
 
@@ -183,18 +183,18 @@ func TestForgedIDCannotAimDelete(t *testing.T) {
 			}
 			holders := 0 // a write's straggler is cancelled: n-f clouds or all n
 			for _, c := range clients {
-				if _, err := c.Get(bg, m.chunkName("u", live.DataHash, 0)); err == nil {
+				if _, err := c.Get(bg, m.descName("u", live.DataHash)); err == nil {
 					holders++
 				}
 			}
 			_, _ = evil.DeleteVersion(bg, "u", target(doomed))
 			for _, c := range clients {
-				if _, err := c.Get(bg, m.chunkName("u", live.DataHash, 0)); err == nil {
+				if _, err := c.Get(bg, m.descName("u", live.DataHash)); err == nil {
 					holders--
 				}
 			}
 			if holders != 0 {
-				t.Fatalf("%d clouds lost the live version's block", holders)
+				t.Fatalf("%d clouds lost the live version's descriptor object", holders)
 			}
 			if got, _, err := m.ReadMatching(bg, "u", live.DataHash); err != nil || string(got) != "live" {
 				t.Fatalf("live version after the delete: %q, %v", got, err)
@@ -218,7 +218,7 @@ func TestDeleteVersionFreesOnlyCertifiedDescriptors(t *testing.T) {
 	invented := doomed
 	invented.DataHash = seccrypto.Hash([]byte("invented"))
 	raw, _ := json.Marshal(invented)
-	if err := clients[0].Put(bg, m.descName("u", invented.DataHash), raw); err != nil {
+	if err := clients[0].Put(bg, m.descName("u", invented.DataHash), descObject(raw, nil)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.DeleteVersion(bg, "u", invented.DataHash); !errors.Is(err, ErrVersionNotFound) {
@@ -245,14 +245,14 @@ func TestDeleteVersionFreesOnlyCertifiedDescriptors(t *testing.T) {
 // chunk should be is a bad frame, and with too few good ones the read fails,
 // it does not panic.
 func TestV1ShapedInputFailsAsData(t *testing.T) {
-	s, m, _, inner := stagedManager(t, Options{})
+	s, m, _, inner := stagedManager(t, Options{ChunkSize: 2})
 	s.setOpen(true)
 	live := writeFrom(t, m, "u", []byte("live"))
 
 	old := seccrypto.Hash([]byte("old"))
 	v1 := `{"data_hash":"` + old + `","size":3,"block_hashes":["a","b","c","d"],"protocol":0}`
 	for _, c := range inner {
-		if err := c.Put(bg, m.descName("u", old), []byte(v1)); err != nil {
+		if err := c.Put(bg, m.descName("u", old), descObject([]byte(v1), nil)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -266,15 +266,15 @@ func TestV1ShapedInputFailsAsData(t *testing.T) {
 		t.Fatalf("DeleteVersion of the v1 descriptor = %v, want ErrVersionNotFound", err)
 	}
 	for _, r := range s.snapshot() {
-		if strings.Contains(r.name, old) && !strings.HasSuffix(r.name, "/desc") && !strings.HasSuffix(r.name, "/c0") {
+		if strings.Contains(r.name, old) && !strings.HasSuffix(r.name, "/desc") {
 			t.Fatalf("%s %s: an object name built from the v1 descriptor", r.op, r.name)
 		}
 	}
 
-	// Three clouds answer the live version's chunk GET with a version-1
-	// frame: one good frame is short of the f+1 a decode needs.
+	// Three clouds answer the GET of the live version's chunk 1 with a
+	// version-1 frame: one good frame is short of the f+1 a decode needs.
 	for _, c := range inner[1:] {
-		if err := c.Put(bg, m.chunkName("u", live.DataHash, 0), v1Frame()); err != nil {
+		if err := c.Put(bg, m.chunkName("u", &live, 1), v1Frame()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -282,20 +282,21 @@ func TestV1ShapedInputFailsAsData(t *testing.T) {
 	// vouches for them, so only the frame decoder stands between them and
 	// the decode.
 	forged := live
-	forged.ChunkHashes = [][]string{{live.ChunkHashes[0][0], seccrypto.Hash(v1Frame()), seccrypto.Hash(v1Frame()), seccrypto.Hash(v1Frame())}}
-	if _, err := m.readVersion(bg, &chunkFetcher{m: m, unit: "u", info: forged}, nil); !errors.Is(err, ErrQuorumRead) {
+	forged.ChunkHashes = [][]string{live.ChunkHashes[0], {live.ChunkHashes[1][0], seccrypto.Hash(v1Frame()), seccrypto.Hash(v1Frame()), seccrypto.Hash(v1Frame())}}
+	f := &chunkFetcher{m: m, unit: "u", info: forged}
+	if err := f.fetch(bg, 1, make([]byte, 2)); !errors.Is(err, ErrQuorumRead) {
 		t.Fatalf("read over version-1 frames: err = %v, want ErrQuorumRead", err)
 	}
 }
 
-// FuzzDescriptor feeds arbitrary bytes through the two decoders of what a
-// cloud serves before any frame: a version's descriptor and a register head.
-// Whatever they accept must be safe to build object names from and to slice
-// buffers by.
+// FuzzDescriptor feeds arbitrary bytes through the decoders of what a cloud
+// serves before any frame: a version's descriptor object, the descriptor in
+// it, and a register head. Whatever they accept must be safe to build object
+// names from and to slice buffers by.
 func FuzzDescriptor(f *testing.F) {
 	hash := seccrypto.Hash([]byte("abc"))
 	row := `["` + strings.Repeat(hash+`","`, 3) + hash + `"]`
-	honest := `{"data_hash":"` + hash + `","size":3,"protocol":0,"chunk_size":2,"chunk_count":2,"chunk_hashes":[` + row + `,` + row + `]}`
+	honest := `{"data_hash":"` + hash + `","size":3,"protocol":0,"chunk_size":2,"chunk_count":2,"chunk_hashes":[` + row + `,` + row + `],"tag":"ABCDEFGHIJKLMNOPQRSTUVWXYZ"}`
 	seq := func(n uint64) string {
 		b := make([]byte, 8)
 		for i := range b {
@@ -310,6 +311,8 @@ func FuzzDescriptor(f *testing.F) {
 	f.Add([]byte(`{"data_hash":"`+hash+`","size":3,"protocol":0,"chunk_size":3,"chunk_count":1,"chunk_hashes":[["a","b","c","d"]]}`), []byte(headMagic+seq(4)+hash[:63]+"g"))
 	f.Add([]byte(`{"data_hash":"`+hash+`","size":3,"protocol":7,"chunk_size":3,"chunk_count":1,"chunk_hashes":[`+row+`]}`), []byte(headMagic+seq(5)))
 	f.Add([]byte(`null`), []byte(`DSKB`))
+	f.Add([]byte(strings.Replace(honest, "ABCDEFGHIJKLMNOPQRSTUVWXYZ", "../../other/ABCDEFGHIJKLMN", 1)), []byte(headMagic+seq(6)+hash))
+	f.Add(descObject([]byte(honest), v1Frame()), []byte(descMagic+"\xff\xff\xff\xff"))
 
 	_, clients := testClouds(f, 4)
 	m, err := New(Options{Clouds: clients, F: 1})
@@ -317,6 +320,11 @@ func FuzzDescriptor(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Fuzz(func(t *testing.T, desc, headBytes []byte) {
+		for _, obj := range [][]byte{desc, headBytes} {
+			if d, frame, ok := splitDescObject(obj); ok && descHeaderLen+len(d)+len(frame) != len(obj) {
+				t.Fatalf("descriptor object of %d bytes split into %d + %d", len(obj), len(d), len(frame))
+			}
+		}
 		if v, ok := decodeDescriptor(desc, hash, m.N()); ok {
 			if !v.validChunking() || v.DataHash != hash {
 				t.Fatalf("accepted geometry size %d, chunk %d x %d, %d hash rows", v.Size, v.ChunkSize, v.ChunkCount, len(v.ChunkHashes))
@@ -328,7 +336,7 @@ func FuzzDescriptor(f *testing.F) {
 			}
 			for _, name := range m.objectNames("u", v) {
 				rest, ok := strings.CutPrefix(name, "dsky/u/"+hash+"/")
-				if !ok || strings.ContainsAny(rest, "/.") {
+				if !ok || strings.Count(rest, "/") > 1 || strings.Contains(rest, ".") {
 					t.Fatalf("object name %q leaves dsky/u/<hash>/", name)
 				}
 			}

@@ -259,8 +259,9 @@ func TestDefaultPolicyUnchangedFanOut(t *testing.T) {
 	for _, p := range providers {
 		after += p.TotalRequests()
 	}
-	// The head, the descriptor and the block, each from all 4 clouds.
-	if got := after - before; got != 12 {
-		t.Fatalf("default read issued %d requests, want 12 (full fan-out)", got)
+	// The head and the descriptor object (which holds the block), each from
+	// all 4 clouds.
+	if got := after - before; got != 8 {
+		t.Fatalf("default read issued %d requests, want 8 (full fan-out)", got)
 	}
 }

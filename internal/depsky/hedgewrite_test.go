@@ -238,9 +238,10 @@ func TestHedgedWriteZeroPolicyFullFanOut(t *testing.T) {
 	// Let the un-cancelled stragglers land.
 	time.Sleep(50 * time.Millisecond)
 	for i, p := range providers {
-		// One block, one descriptor and one head PUT per cloud.
-		if u := p.Usage(accounts[i]); u.PutRequests != 3 {
-			t.Fatalf("cloud %d served %d PUTs, want 3 (full fan-out)", i, u.PutRequests)
+		// One descriptor object (holding the block) and one head PUT per
+		// cloud.
+		if u := p.Usage(accounts[i]); u.PutRequests != 2 {
+			t.Fatalf("cloud %d served %d PUTs, want 2 (full fan-out)", i, u.PutRequests)
 		}
 	}
 }

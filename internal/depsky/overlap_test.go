@@ -203,6 +203,28 @@ func (s *stagedClouds) snapshot() []*rpc {
 	return out
 }
 
+// settled waits until every Get and Put logged so far has returned — a
+// cancelled straggler returns on its own time — and returns them.
+func (s *stagedClouds) settled(t *testing.T) []*rpc {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		all, open := s.snapshot(), 0
+		s.mu.Lock()
+		for _, r := range all {
+			if r.end == 0 {
+				open++
+			}
+		}
+		s.mu.Unlock()
+		if open == 0 {
+			return all
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d requests never returned", open)
+		}
+	}
+}
+
 // depth is the critical-path depth as scfsbench's spans.chain computes
 // depsky.rpc_rounds: the largest set of pairwise disjoint request intervals,
 // found greedily by earliest end.
@@ -255,21 +277,20 @@ func goWrite(m *Manager, unit string, data []byte) chan writeResult {
 	return res
 }
 
-// TestWriteOverlapsMetadataReadWithUpload: a register write's head read, its
-// block upload and its descriptor upload are one cloud round, the head write
-// the second — 4n requests, critical-path depth 2 — and the head write waits
-// for all of them.
+// TestWriteOverlapsMetadataReadWithUpload: a register write's head read and
+// the upload of its descriptor objects are one cloud round, the head write
+// the second — 3n requests, critical-path depth 2 — and the head write waits
+// for both.
 func TestWriteOverlapsMetadataReadWithUpload(t *testing.T) {
 	for _, first := range []string{"put", "get"} {
 		s, m, _, _ := stagedManager(t, Options{})
 		res := goWrite(m, "u", []byte("two rounds"))
 
-		// With every head GET parked, all n block and descriptor PUTs are in
-		// flight.
-		round1 := s.await(t, 12)
+		// With every head GET parked, all n descriptor PUTs are in flight.
+		round1 := s.await(t, 8)
 		gets, puts := pick(round1, "get", "/head"), pick(round1, "put", "")
-		if len(gets) != 4 || len(pick(puts, "put", "/c0")) != 4 || len(pick(puts, "put", "/desc")) != 4 {
-			t.Fatalf("first round is %v, want 4 head GETs beside 4 block and 4 descriptor PUTs", describe(round1))
+		if len(gets) != 4 || len(pick(puts, "put", "/desc")) != 4 {
+			t.Fatalf("first round is %v, want 4 head GETs beside 4 descriptor PUTs", describe(round1))
 		}
 		// Let one half of the round finish: no head PUT may follow until the
 		// other half has too.
@@ -291,18 +312,18 @@ func TestWriteOverlapsMetadataReadWithUpload(t *testing.T) {
 		if r := <-res; r.err != nil || r.info.DataHash != seccrypto.Hash([]byte("two rounds")) {
 			t.Fatalf("Write = %+v, %v", r.info, r.err)
 		}
-		s.done(t, 16-len(now))
+		s.done(t, 12-len(now))
 
 		all := s.snapshot()
-		if len(all) != 16 {
-			t.Fatalf("a small register write issued %d requests, want 4n = 16: %v", len(all), describe(all))
+		if len(all) != 12 {
+			t.Fatalf("a small register write issued %d requests, want 3n = 12: %v", len(all), describe(all))
 		}
 		if d := depth(all); d != 2 {
 			t.Fatalf("critical-path depth = %d, want 2", d)
 		}
 		// On the logical clock: every head PUT started after a quorum of
-		// block PUTs, of descriptor PUTs and of head GETs had returned.
-		after := max(kthEnd(pick(puts, "put", "/c0"), 3), kthEnd(pick(puts, "put", "/desc"), 3), kthEnd(gets, 3))
+		// descriptor PUTs and of head GETs had returned.
+		after := max(kthEnd(pick(puts, "put", "/desc"), 3), kthEnd(gets, 3))
 		for _, r := range round2 {
 			if r.start < after {
 				t.Fatalf("head PUT at %d, quorums complete at %d", r.start, after)
@@ -335,9 +356,9 @@ func storedHead(t *testing.T, m *Manager, clouds []cloud.ObjectStore, unit strin
 func TestWriteNumbersAfterTheMetadataItReads(t *testing.T) {
 	s, m, _, inner := stagedManager(t, Options{})
 	res := goWrite(m, "u", []byte("mine"))
-	round1 := s.await(t, 12)
+	round1 := s.await(t, 8)
 	release(pick(round1, "put", ""))
-	s.done(t, 8)
+	s.done(t, 4)
 
 	// While the reads are parked, another writer stores two versions.
 	other, err := New(Options{Clouds: inner, F: 1})
@@ -376,16 +397,17 @@ func TestWriteNumbersAfterTheMetadataItReads(t *testing.T) {
 	}
 }
 
-// TestFailedBlockQuorumWritesNoMetadata: when the blocks miss their quorum
-// the write issues no head PUT, and deletes what it did upload.
+// TestFailedBlockQuorumWritesNoMetadata: when the blocks of one chunk miss
+// their quorum, the write issues neither descriptor nor head PUTs, and
+// deletes what it did upload.
 func TestFailedBlockQuorumWritesNoMetadata(t *testing.T) {
-	s, m, providers, _ := stagedManager(t, Options{})
-	res := goWrite(m, "u", []byte("doomed"))
+	s, m, providers, _ := stagedManager(t, Options{ChunkSize: 4})
+	res := goWrite(m, "u", []byte("doomed")) // two chunks
 	round1 := s.await(t, 12)
-	blocks := pick(round1, "put", "/c0")
-	// The descriptor and two blocks are stored before two clouds refuse
+	blocks := pick(round1, "put", "/c1")
+	// Chunk 0 and two blocks of chunk 1 are stored before two clouds refuse
 	// theirs.
-	release(append(pick(round1, "put", "/desc"), blocks[:2]...))
+	release(append(pick(round1, "put", "/c0"), blocks[:2]...))
 	s.done(t, 6)
 	blocks[2].fail, blocks[3].fail = cloud.ErrUnavailable, cloud.ErrUnavailable
 	release(blocks[2:])
@@ -393,8 +415,8 @@ func TestFailedBlockQuorumWritesNoMetadata(t *testing.T) {
 	if r := <-res; !errors.Is(r.err, ErrQuorumWrite) {
 		t.Fatalf("Write err = %v, want ErrQuorumWrite", r.err)
 	}
-	if heads := pick(s.snapshot(), "put", "/head"); len(heads) != 0 {
-		t.Fatalf("%d head PUTs after a failed block quorum", len(heads))
+	if meta := append(pick(s.snapshot(), "put", "/head"), pick(s.snapshot(), "put", "/desc")...); len(meta) != 0 {
+		t.Fatalf("%v after a failed block quorum", describe(meta))
 	}
 	for i, p := range providers {
 		if n := p.ObjectCount(); n != 0 {
@@ -420,14 +442,14 @@ func TestFailedMetadataWriteKeepsItsObjects(t *testing.T) {
 	}
 
 	res := goWrite(m, "u", []byte("second"))
-	release(s.await(t, 12))
+	release(s.await(t, 8))
 	heads := s.await(t, 4)
 	if p := pick(heads, "put", "/head"); len(p) != 4 {
 		t.Fatalf("second round is %v, want the head PUTs", describe(heads))
 	}
 	// Two clouds store the new head before two others refuse it.
 	release(heads[:2])
-	s.done(t, 14)
+	s.done(t, 10)
 	heads[2].fail, heads[3].fail = cloud.ErrUnavailable, cloud.ErrUnavailable
 	release(heads[2:])
 	if r := <-res; !errors.Is(r.err, ErrQuorumWrite) {
@@ -461,9 +483,9 @@ func TestCancelledWriteIssuesNoMetadataPut(t *testing.T) {
 		_, err := m.Write(ctx, "u", []byte("abandoned"))
 		res <- err
 	}()
-	round1 := s.await(t, 12)
+	round1 := s.await(t, 8)
 	release(pick(round1, "put", ""))
-	s.done(t, 8)
+	s.done(t, 4)
 	cancel() // the head GETs are still parked
 	if err := <-res; !errors.Is(err, context.Canceled) {
 		t.Fatalf("Write err = %v, want context.Canceled", err)
@@ -515,34 +537,72 @@ func byName(rs []*rpc) map[string][]*rpc {
 	return out
 }
 
-// TestWriteFromIsOneRound: a streamed write of four chunks keeps every
-// encoded chunk in flight, and the descriptor goes up beside them: one round
-// of 5n requests, depth 1.
+// TestWriteFromIsOneRound: a streamed write of one chunk is one round of n
+// PUTs, each cloud's descriptor object holding its frame.
 func TestWriteFromIsOneRound(t *testing.T) {
-	const cs = 1024
-	s, m, _, _ := stagedManager(t, Options{ChunkSize: cs})
-	data := randBytes(t, 4*cs)
+	s, m, _, _ := stagedManager(t, Options{ChunkSize: 1024})
+	data := randBytes(t, 1000)
 	res := goWriteFrom(m, "u", data)
-
-	round1 := s.await(t, 20)
-	desc, chunks := pick(round1, "put", "/desc"), byName(pick(round1, "put", ""))
-	delete(chunks, m.descName("u", seccrypto.Hash(data)))
-	if len(desc) != 4 || len(chunks) != 4 {
-		t.Fatalf("the round is %v, want the 4 descriptor PUTs beside the 16 PUTs of 4 chunks", describe(round1))
+	round1 := s.await(t, 4)
+	if len(pick(round1, "put", "/desc")) != 4 {
+		t.Fatalf("the round is %v, want the 4 descriptor PUTs", describe(round1))
 	}
 	release(round1)
 	r := <-res
 	if r.err != nil {
 		t.Fatal(r.err)
 	}
-	s.done(t, 20)
-	if all := s.snapshot(); len(all) != 20 || depth(all) != 1 {
-		t.Fatalf("%d requests at depth %d, want 20 at depth 1: %v", len(all), depth(all), describe(all))
+	s.done(t, 4)
+	if all := s.snapshot(); len(all) != 4 || depth(all) != 1 {
+		t.Fatalf("%d requests at depth %d, want 4 at depth 1: %v", len(all), depth(all), describe(all))
 	}
-
 	s.setOpen(true)
-	got, _, err := m.ReadMatching(bg, "u", r.info.DataHash)
-	if err != nil || !bytes.Equal(got, data) {
+	if got, _, err := m.ReadMatching(bg, "u", r.info.DataHash); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read back: %v", err)
+	}
+}
+
+// TestWriteFromStoresChunksBeforeDescriptor: a streamed write of four chunks
+// keeps every chunk in flight at once, and its descriptor objects go up only
+// once each chunk has reached n-f clouds — so no cloud ever serves a
+// descriptor whose chunks are not stored: two rounds, 5n requests.
+func TestWriteFromStoresChunksBeforeDescriptor(t *testing.T) {
+	const cs = 1024
+	s, m, _, _ := stagedManager(t, Options{ChunkSize: cs})
+	data := randBytes(t, 4*cs)
+	res := goWriteFrom(m, "u", data)
+
+	round1 := s.await(t, 16)
+	if chunks := byName(pick(round1, "put", "")); len(chunks) != 4 || len(pick(round1, "put", "/desc")) != 0 {
+		t.Fatalf("the first round is %v, want the 16 PUTs of 4 chunks", describe(round1))
+	}
+	// Each chunk reaches its quorum but one: no descriptor PUT yet.
+	var last []*rpc
+	for _, puts := range byName(round1) {
+		release(puts[:2])
+		last = append(last, puts[2])
+	}
+	s.done(t, 8)
+	release(last[:3])
+	s.done(t, 3)
+	if desc := pick(s.snapshot(), "put", "/desc"); len(desc) != 0 {
+		t.Fatalf("%v with a chunk short of its quorum", describe(desc))
+	}
+	release(last[3:])
+	round2 := s.await(t, 4)
+	if len(pick(round2, "put", "/desc")) != 4 {
+		t.Fatalf("the second round is %v, want the 4 descriptor PUTs", describe(round2))
+	}
+	release(round2)
+	r := <-res
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	s.setOpen(true)
+	if all := s.settled(t); len(all) != 20 || depth(all) != 2 {
+		t.Fatalf("%d requests at depth %d, want 20 at depth 2: %v", len(all), depth(all), describe(all))
+	}
+	if got, _, err := m.ReadMatching(bg, "u", r.info.DataHash); err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("read back: %v", err)
 	}
 }
@@ -550,8 +610,8 @@ func TestWriteFromIsOneRound(t *testing.T) {
 // TestWriteFromKeepsAWindowOfChunksInFlight: a streamed write of twice
 // stream.Window chunks never has more than stream.Window chunks' PUTs
 // outstanding — a chunk starts uploading only when an earlier one reached its
-// quorum — and the write returns only once every chunk and the descriptor
-// are at n-f.
+// quorum — and the write returns only once every later chunk and then the
+// descriptor objects are at n-f.
 func TestWriteFromKeepsAWindowOfChunksInFlight(t *testing.T) {
 	const cs, chunks = 1024, 2 * stream.Window
 	s, m, _, _ := stagedManager(t, Options{ChunkSize: cs})
@@ -561,8 +621,7 @@ func TestWriteFromKeepsAWindowOfChunksInFlight(t *testing.T) {
 	descName := m.descName("u", seccrypto.Hash(data))
 	var desc []*rpc
 	// admit collects parked PUTs until a chunk has all n of its own; the
-	// descriptor's PUTs, which join once the last chunk is encoded, are set
-	// aside as they come.
+	// descriptor's PUTs, should they come early, are set aside.
 	admit := func(want int) map[string][]*rpc {
 		got := make(map[string][]*rpc)
 		for full := 0; full < want; {
@@ -590,6 +649,9 @@ func TestWriteFromKeepsAWindowOfChunksInFlight(t *testing.T) {
 		release(parked[name])
 		s.done(t, 4)
 		delete(parked, name)
+		if len(desc) > 0 {
+			t.Fatalf("%v with %d chunks short of their quorum", describe(desc), chunks-uploaded)
+		}
 		if uploaded+stream.Window >= chunks {
 			continue
 		}
@@ -653,9 +715,9 @@ func TestWriteFromKeepsAWindowOfChunksInFlight(t *testing.T) {
 	}
 }
 
-// TestSmallReadIsOneRound: a read of a version of one chunk fetches the
-// descriptor and the chunk together — 2n requests, depth 1 — and decodes the
-// chunk only by the hashes of a certified descriptor.
+// TestSmallReadIsOneRound: a read of a version of one chunk is the GETs of
+// the descriptor objects — n requests, depth 1 — and decodes the chunk only
+// by the hashes of a certified descriptor: one copy is not enough.
 func TestSmallReadIsOneRound(t *testing.T) {
 	s, m, _, inner := stagedManager(t, Options{})
 	direct, err := New(Options{Clouds: inner, F: 1})
@@ -673,80 +735,167 @@ func TestSmallReadIsOneRound(t *testing.T) {
 		got, _, err := m.ReadMatching(bg, "u", info.DataHash)
 		res <- readResult{got, err}
 	}()
-	round := s.await(t, 8)
-	if len(pick(round, "get", "/desc")) != 4 || len(pick(round, "get", "/c0")) != 4 {
-		t.Fatalf("the read's round is %v, want 4 descriptor GETs beside 4 chunk GETs", describe(round))
+	round := s.await(t, 4)
+	if len(pick(round, "get", "/desc")) != 4 {
+		t.Fatalf("the read's round is %v, want 4 descriptor GETs", describe(round))
 	}
-	// The chunk arrives before any descriptor: nothing decodes until f+1
-	// identical descriptors are in.
-	release(pick(round, "get", "/c0"))
-	s.done(t, 4)
+	held := -1 // a cloud the write's cancelled straggler may have missed
+	for i := range inner {
+		if _, err := inner[i].Get(bg, m.descName("u", info.DataHash)); err == nil {
+			held = i
+			break
+		}
+	}
+	for _, r := range round {
+		if r.cloud == held {
+			release([]*rpc{r})
+		}
+	}
+	s.done(t, 1)
 	select {
 	case r := <-res:
-		t.Fatalf("read returned before a descriptor was certified: %q, %v", r.data, r.err)
+		t.Fatalf("read returned on one copy: %q, %v", r.data, r.err)
 	default:
 	}
-	release(pick(round, "get", "/desc"))
+	for _, r := range round {
+		if r.cloud != held {
+			release([]*rpc{r})
+		}
+	}
 	if r := <-res; r.err != nil || !bytes.Equal(r.data, data) {
 		t.Fatalf("ReadMatching = %q, %v", r.data, r.err)
 	}
-	s.done(t, 4)
-	if all := s.snapshot(); len(all) != 8 || depth(all) != 1 {
-		t.Fatalf("%d requests at depth %d, want 8 at depth 1", len(all), depth(all))
+	s.done(t, 3)
+	if all := s.snapshot(); len(all) != 4 || depth(all) != 1 {
+		t.Fatalf("%d requests at depth %d, want 4 at depth 1", len(all), depth(all))
 	}
 }
 
 // TestIdenticalWritesInterleaved: two writes of the same bytes draw two keys,
-// so one set of names holds two encodings. With their descriptors and frames
-// landing in a different order at each cloud — clouds 0 and 1 keep the first
-// write's descriptor, 2 and 3 the second's; clouds 0 and 2 keep the first
-// write's frame, 1 and 3 the second's — each descriptor is certified, each
-// has f+1 frames that match it, and the version reads back.
+// so one name holds two encodings. With their descriptor objects landing in a
+// different order at each cloud — clouds 0 and 1 keep the first write's, 2
+// and 3 the second's — each cloud's descriptor and frame still come from one
+// write, each write has f+1 of them, and the version reads back.
 func TestIdenticalWritesInterleaved(t *testing.T) {
 	s, m, _, _ := stagedManager(t, Options{DisableQuorumCancel: true})
 	data := []byte("the same bytes twice")
 	first := goWriteFrom(m, "u", data)
-	w1 := s.await(t, 8)
+	w1 := s.await(t, 4)
 	second := goWriteFrom(m, "u", data)
-	w2 := s.await(t, 8)
-	find := func(rs []*rpc, suffix string, cloud int) *rpc {
-		for _, r := range pick(rs, "put", suffix) {
+	w2 := s.await(t, 4)
+	onCloud := func(rs []*rpc, cloud int) *rpc {
+		for _, r := range rs {
 			if r.cloud == cloud {
 				return r
 			}
 		}
-		t.Fatalf("no PUT of %s to cloud %d in %v", suffix, cloud, describe(rs))
+		t.Fatalf("no PUT to cloud %d in %v", cloud, describe(rs))
 		return nil
 	}
-	// Per cloud, which write's descriptor and frame land last.
-	keepDesc := [][]*rpc{w1, w1, w2, w2}
-	keepFrame := [][]*rpc{w1, w2, w1, w2}
 	var early, late []*rpc
-	for i := range 4 {
-		for _, k := range []struct {
-			suffix string
-			keep   []*rpc
-		}{{"/desc", keepDesc[i]}, {"/c0", keepFrame[i]}} {
-			other := w1
-			if k.keep[0] == w1[0] {
-				other = w2
-			}
-			early = append(early, find(other, k.suffix, i))
-			late = append(late, find(k.keep, k.suffix, i))
+	for i, keep := range [][]*rpc{w1, w1, w2, w2} {
+		other := w2
+		if keep[0] == w2[0] {
+			other = w1
 		}
+		early = append(early, onCloud(other, i))
+		late = append(late, onCloud(keep, i))
 	}
 	release(early)
-	s.done(t, 8)
+	s.done(t, 4)
 	release(late)
 	for _, res := range []chan writeResult{first, second} {
 		if r := <-res; r.err != nil {
 			t.Fatal(r.err)
 		}
 	}
-	s.done(t, 8)
+	s.done(t, 4)
 	s.setOpen(true)
 	if got, _, err := m.ReadMatching(bg, "u", seccrypto.Hash(data)); err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("ReadMatching after interleaved identical writes = %q, %v", got, err)
+	}
+}
+
+// TestIdenticalRewriteLeavesTheStoredVersionReadable: a write of bytes
+// already stored draws a new key and a new tag. While its later chunks go
+// up, and after its descriptor round fails halfway — two clouds hold its
+// descriptor objects, two the first write's — the version reads whole and
+// ranged, also through a reader opened on the first write's descriptor
+// before the rewrite began. The chunks each write stored under its tag stay
+// until the version is deleted, which removes them all.
+func TestIdenticalRewriteLeavesTheStoredVersionReadable(t *testing.T) {
+	const cs = 1024
+	s, m, providers, inner := stagedManager(t, Options{ChunkSize: cs})
+	direct, err := New(Options{Clouds: inner, F: 1, ChunkSize: cs, DisableQuorumCancel: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := randBytes(t, 3*cs)
+	hash := seccrypto.Hash(data)
+	writeFrom(t, direct, "u", data)
+	for _, p := range providers { // the write's stragglers land too
+		for deadline := time.Now().Add(5 * time.Second); p.ObjectCount() < 4; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the first write's stragglers never landed")
+			}
+		}
+	}
+	early, _, err := direct.OpenMatching(bg, "u", hash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer early.Close()
+	readable := func(when string) {
+		t.Helper()
+		if got, _, err := direct.ReadMatching(bg, "u", hash); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("%s: ReadMatching = %v", when, err)
+		}
+		r, _, err := direct.OpenMatching(bg, "u", hash)
+		if err != nil {
+			t.Fatalf("%s: OpenMatching = %v", when, err)
+		}
+		defer r.Close()
+		got := make([]byte, cs)
+		if _, err := r.ReadAtContext(bg, got, 2*cs); err != nil || !bytes.Equal(got, data[2*cs:]) {
+			t.Fatalf("%s: ranged read = %v", when, err)
+		}
+	}
+
+	res := goWriteFrom(m, "u", data)
+	chunks := s.await(t, 12)
+	readable("with the rewrite's chunks in flight")
+	release(chunks)
+	desc := s.await(t, 4)
+	if len(pick(desc, "put", "/desc")) != 4 {
+		t.Fatalf("the rewrite's second round is %v, want its descriptor PUTs", describe(desc))
+	}
+	release(desc[:2])
+	s.done(t, 14)
+	readable("with half the descriptor objects replaced")
+	desc[2].fail, desc[3].fail = cloud.ErrUnavailable, cloud.ErrUnavailable
+	release(desc[2:])
+	if r := <-res; !errors.Is(r.err, ErrQuorumWrite) {
+		t.Fatalf("rewrite err = %v, want ErrQuorumWrite", r.err)
+	}
+	if d := s.deletes(); len(d) != 0 {
+		t.Fatalf("a write whose descriptor round started deleted %v", describe(d))
+	}
+	readable("after the failed rewrite")
+
+	s.setOpen(true)
+	writeFrom(t, m, "u", data)
+	readable("after a complete rewrite")
+	got := make([]byte, len(data))
+	if _, err := early.ReadAtContext(bg, got, 0); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("reader opened on the first write: %v", err)
+	}
+	if _, err := direct.DeleteVersion(bg, "u", hash); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range inner {
+		if objs, _ := c.List(bg, m.unitPrefix("u")); len(objs) != 0 {
+			t.Errorf("cloud %d keeps %d objects of the deleted version", i, len(objs))
+		}
 	}
 }
 
@@ -797,8 +946,8 @@ func goReadAt(r *stream.Reader, p []byte) chan readResult {
 }
 
 // TestRangedReadFetchesItsChunksTogether: a read of a whole four-chunk
-// version through a ranged open is the descriptor round and one payload round —
-// all 16 chunk GETs in flight together, 5n requests, depth 2.
+// version through a ranged open is the descriptor round and one payload
+// round — all 16 chunk GETs in flight together, 5n requests, depth 2.
 func TestRangedReadFetchesItsChunksTogether(t *testing.T) {
 	data := randBytes(t, 4*1024)
 	s, r := stagedReader(t, data)
@@ -813,8 +962,7 @@ func TestRangedReadFetchesItsChunksTogether(t *testing.T) {
 	if rr := <-res; rr.err != nil || rr.n != len(data) || !bytes.Equal(got, data) {
 		t.Fatalf("ReadAt = %d, %v", rr.n, rr.err)
 	}
-	s.done(t, 16)
-	all := s.snapshot()
+	all := s.settled(t)
 	if len(all) != 20 {
 		t.Fatalf("open and read issued %d requests, want 5n = 20: %v", len(all), describe(all))
 	}
@@ -856,7 +1004,7 @@ func TestRangedReadSurfacesTheFailingChunk(t *testing.T) {
 			if !errors.Is(rr.err, tc.want) || !strings.Contains(rr.err.Error(), "chunk 2") {
 				t.Fatalf("ReadAt = %d, %v; want chunk 2's %v", rr.n, rr.err, tc.want)
 			}
-			s.done(t, 16)
+			s.settled(t)
 		})
 	}
 }

@@ -49,9 +49,14 @@ func decodeHead(data []byte) (head, bool) {
 
 func (m *Manager) headName(unit string) string { return m.unitPrefix(unit) + "head" }
 
-// readHeads reads unit's head from the first n-f clouds that answer, as the
-// DepSky read protocol waits for a quorum, and returns the well-formed ones,
-// highest first, one per hash.
+// readHeads reads unit's head and returns the well-formed ones in the order
+// Read tries them: first those f+1 clouds returned identical — at most f
+// clouds lie, so one of those came from a writer — highest first, then the
+// rest, highest first. It stops at n-f answers, as the DepSky read protocol
+// waits for a quorum, when none of them holds a head or the highest head
+// among them is vouched for that way; otherwise it hears every cloud, so that
+// one cloud's head, forged or replayed, cannot outrank the newest a quorum of
+// clouds stores.
 func (m *Manager) readHeads(ctx context.Context, unit string) []head {
 	name := m.headName(unit)
 	rd := startRound(ctx, m, "head.get", iopolicy.GetOp(0), m.QuorumSize(),
@@ -64,29 +69,39 @@ func (m *Manager) readHeads(ctx context.Context, unit string) []head {
 			return h, nil
 		})
 	defer rd.cancel()
-	best := make(map[string]uint64)
+	votes := make(map[head]int)
+	var top head // the highest head heard
 	for responded := 1; responded <= m.N(); responded++ {
 		o := <-rd.outcomes
 		if o.err != nil {
 			rd.kick() // release one gated cloud, so the quorum still assembles
-		} else if seq, ok := best[o.val.hash]; !ok || o.val.seq > seq {
-			best[o.val.hash] = o.val.seq
+		} else if votes[o.val]++; o.val.seq >= top.seq {
+			top = o.val
 		}
 		if responded >= m.QuorumSize() && !m.opts.DisableQuorumCancel {
-			break
+			if len(votes) == 0 || votes[top] >= m.witnessSize() {
+				break
+			}
+			rd.kick() // the highest head is one cloud's word so far: hear another
 		}
 	}
-	heads := make([]head, 0, len(best))
-	for hash, seq := range best {
-		heads = append(heads, head{seq, hash})
+	heads := make([]head, 0, len(votes))
+	for h := range votes {
+		heads = append(heads, h)
 	}
-	sort.Slice(heads, func(i, j int) bool { return heads[i].seq > heads[j].seq })
+	vouched := func(h head) bool { return votes[h] >= m.witnessSize() }
+	sort.Slice(heads, func(i, j int) bool {
+		if vi, vj := vouched(heads[i]), vouched(heads[j]); vi != vj {
+			return vi
+		}
+		return heads[i].seq > heads[j].seq
+	})
 	return heads
 }
 
 // Write stores data as the newest version of unit: the version by its hash
 // (WriteFrom's protocol), beside the read of unit's head, then a head one
-// above the highest it read. Once that head has reached n-f clouds the
+// above the one Read would follow. Once that head has reached n-f clouds the
 // versions the heads it read named are deleted, best effort. A single writer
 // per unit is assumed (SCFS serializes writers via its lock service).
 func (m *Manager) Write(ctx context.Context, unit string, data []byte) (VersionInfo, error) {
@@ -111,7 +126,7 @@ func (m *Manager) Write(ctx context.Context, unit string, data []byte) (VersionI
 	}
 	next := head{seq: 1, hash: hash}
 	if len(heads) > 0 {
-		next.seq = max(heads[0].seq, heads[0].seq+1) // saturates at a forged maximum
+		next.seq = max(heads[0].seq, heads[0].seq+1) // saturates rather than wraps
 	}
 	payload := next.encode()
 	if err := m.writeQuorum(ctx, m.headName(unit), "head.put", func(int) []byte { return payload }, nil, nil); err != nil {
@@ -125,10 +140,10 @@ func (m *Manager) Write(ctx context.Context, unit string, data []byte) (VersionI
 	return info, nil
 }
 
-// Read returns the newest version of unit: the one the highest head among
-// n-f answers names. A head whose version does not read — one cloud's forged
-// or stale head, say — gives way to the next-highest. A unit no head names
-// is ErrUnitNotFound.
+// Read returns the newest version of unit: the one the first head readHeads
+// returns names. A head whose version does not read — one cloud's forged or
+// stale head, say — gives way to the next. A unit no head names is
+// ErrUnitNotFound.
 func (m *Manager) Read(ctx context.Context, unit string) ([]byte, VersionInfo, error) {
 	ctx, tr := m.opts.Tracer.Start(ctx, "read", unit)
 	defer tr.Finish()

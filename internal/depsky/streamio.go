@@ -5,18 +5,21 @@ package depsky
 // Every write consumes its value in fixed-size chunks and overlaps encrypt →
 // erasure-encode → per-shard hash → quorum upload across a small window of
 // in-flight chunks (see internal/stream), so neither the ciphertext nor the
-// erasure shards of a whole value are ever resident; the descriptor goes up
-// beside the last chunks. Every read starts with locate and continues with a
-// stream.Reader over chunkFetcher.Fetch, behind one of two entries:
-// ReadMatching reads all of a version into one buffer, chunk 0 fetched beside
-// the descriptor, and verifies the value's hash; OpenMatching hands out the
-// reader itself, which fetches — and, under faults, reconstructs — only the
-// chunks covering a requested byte range, reusing the coder's cached decode
-// matrices. All chunk, shard and frame buffers come from the process-wide
-// stream.Buffers pool.
+// erasure shards of a whole value are ever resident; the descriptor objects
+// go up once the chunks are stored, and carry the frames of a value of one
+// chunk. Every read starts with locate, which certifies the descriptor (and
+// decodes such a value), and continues with a stream.Reader over
+// chunkFetcher.Fetch, behind one of two entries: ReadMatching reads all of a
+// version into one buffer and verifies the value's hash; OpenMatching hands
+// out the reader itself, which fetches — and, under faults, reconstructs —
+// only the chunks covering a requested byte range, reusing the coder's cached
+// decode matrices. All chunk, shard and frame buffers come from the
+// process-wide stream.Buffers pool.
 
 import (
+	"bytes"
 	"context"
+	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -57,94 +60,118 @@ type encodedChunk struct {
 // stream.Window encoded chunks are waiting on their quorum upload at any
 // moment, so the peak memory of a write is bounded regardless of the stream
 // length (see stream.Window); per-shard hashing of one chunk runs
-// concurrently with the quorum uploads of earlier chunks. The descriptor's
-// PUT starts once the last chunk is encoded, and the write returns when every
-// chunk and the descriptor have reached n-f clouds: a value of up to
-// stream.Window chunks is stored in one cloud round.
+// concurrently with the quorum uploads of earlier chunks. Once every chunk
+// has reached n-f clouds, the descriptor objects go up, and the write returns
+// when they have reached n-f clouds: a value of one chunk, whose frames ride
+// in the descriptor objects, is stored in one cloud round; a value of up to
+// stream.Window chunks in two.
 //
 // A stream that does not hash to hash writes no descriptor and fails with
-// ErrIntegrity. A write that fails, or whose ctx is cancelled, deletes, best
-// effort, what it stored (see landed); the caller anchors nothing, so no
-// reader looks for it.
+// ErrIntegrity. A write that fails, or whose ctx is cancelled, before its
+// descriptor round deletes, best effort, the chunks it stored under its tag;
+// the caller anchors nothing, so no reader looks for them. Once the
+// descriptor round has started, the write's objects stay whatever its
+// outcome: a reader may already have certified its descriptor.
 func (m *Manager) WriteFrom(ctx context.Context, unit, hash string, r io.Reader) (VersionInfo, error) {
 	ctx, tr := m.opts.Tracer.Start(ctx, "write", unit)
 	defer tr.Finish()
 	return m.writeVersion(ctx, unit, hash, r)
 }
 
-// writeVersion is WriteFrom's protocol, shared with the register's Write.
+// writeVersion is WriteFrom's protocol, shared with the register's Write:
+// each chunk goes up under chunkName as it is encoded, unless the value is
+// one chunk, whose frames wait for the descriptor objects.
 func (m *Manager) writeVersion(ctx context.Context, unit, hash string, r io.Reader) (VersionInfo, error) {
 	if !validHash(hash) {
 		return VersionInfo{}, errBadHash(hash)
 	}
-	stored := &landed{puts: make([]landedPut, 0, 2*m.N())} // a one-chunk write's PUTs
-	info, err := m.uploadChunks(ctx, unit, hash, r, stored)
-	if err != nil {
-		m.discard(ctx, stored)
-		return VersionInfo{}, err
+	info := VersionInfo{DataHash: hash, Protocol: m.opts.Protocol, ChunkSize: m.chunkSize(), Tag: rand.Text()}
+	// Read one byte past the first chunk to tell a value of one chunk.
+	peek, past := stream.Buffers.Get(info.ChunkSize), make([]byte, 1)
+	defer stream.Buffers.Put(peek)
+	n, err := io.ReadFull(r, peek)
+	k := 0
+	if err == nil {
+		k, err = io.ReadFull(r, past)
 	}
-	return info, nil
-}
-
-// uploadChunks runs r through the chunk pipeline, storing chunk idx under
-// chunkName(unit, hash, idx) and, once every chunk is encoded and the stream
-// proved to hash to hash, the descriptor under descName(unit, hash). It
-// returns once all of them reached their quorum.
-func (m *Manager) uploadChunks(ctx context.Context, unit, hash string, r io.Reader, stored *landed) (VersionInfo, error) {
-	info := VersionInfo{DataHash: hash, Protocol: m.opts.Protocol, ChunkSize: m.chunkSize()}
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		return VersionInfo{}, fmt.Errorf("stream: reading chunk 0: %w", err)
+	}
+	single := k == 0
+	r = io.MultiReader(bytes.NewReader(peek[:n]), bytes.NewReader(past[:k]), r)
 	var key []byte
 	var shares []secretshare.Share
 	if m.opts.Protocol == ProtocolCA {
 		var err error
-		key, err = seccrypto.NewKey()
-		if err != nil {
+		if key, err = seccrypto.NewKey(); err != nil {
 			return VersionInfo{}, err
 		}
-		shares, err = secretshare.Split(key, m.N(), m.witnessSize(), nil)
-		if err != nil {
+		if shares, err = secretshare.Split(key, m.N(), m.witnessSize(), nil); err != nil {
 			return VersionInfo{}, fmt.Errorf("depsky: secret sharing: %w", err)
 		}
 	}
 
-	var mu sync.Mutex
-	var chunkHashes [][]string
-	describe := func(res stream.Result) error {
-		if got := hex.EncodeToString(res.Sum256[:]); got != hash {
-			return fmt.Errorf("%w: the stream hashes to %s, not %s", ErrIntegrity, got, hash)
-		}
-		info.Size, info.ChunkCount = int(res.Size), res.Chunks
-		mu.Lock()
-		info.ChunkHashes = chunkHashes[:res.Chunks]
-		mu.Unlock()
-		desc, err := json.Marshal(info)
-		if err != nil {
-			return err
-		}
-		return m.writeQuorum(ctx, m.descName(unit, hash), "desc.put", func(int) []byte { return desc }, nil, stored)
-	}
-	_, err := stream.Run(ctx, r,
-		stream.Config{ChunkSize: info.ChunkSize, Pool: stream.Buffers, Encoded: describe},
+	var mu sync.Mutex         // guards info.ChunkHashes
+	var rounds sync.WaitGroup // the chunk rounds, until their last straggler
+	// The frames of a value of one chunk, kept for its descriptor objects.
+	first := encodedChunk{frames: make([][]byte, m.N())}
+	res, err := stream.Run(ctx, r,
+		stream.Config{ChunkSize: info.ChunkSize, Pool: stream.Buffers},
 		func(idx int, plain []byte) (encodedChunk, error) {
 			ec, err := m.encodeChunk(idx, plain, key, shares)
 			if err == nil {
 				mu.Lock()
-				for len(chunkHashes) <= idx {
-					chunkHashes = append(chunkHashes, nil)
+				for len(info.ChunkHashes) <= idx {
+					info.ChunkHashes = append(info.ChunkHashes, nil)
 				}
-				chunkHashes[idx] = ec.hashes
+				info.ChunkHashes[idx] = ec.hashes
 				mu.Unlock()
 			}
 			return ec, err
 		},
 		func(idx int, ec encodedChunk) error {
+			if single {
+				first = ec // Run returns after every store: no lock needed
+				return nil
+			}
 			// Each cloud's frame is recycled the moment that cloud's upload
 			// attempt finishes — and since the quorum verdict cancels the
 			// straggling uploads, no cloud pins a frame for longer than the
 			// quorum round trip (plus the cancellation delivery).
-			return m.writeQuorum(ctx, m.chunkName(unit, hash, idx), "chunk.put",
+			return m.writeQuorum(ctx, m.chunkName(unit, &info, idx), "chunk.put",
 				func(i int) []byte { return ec.frames[i] },
-				func(i int) { stream.Buffers.Put(ec.frames[i]) }, stored)
+				func(i int) { stream.Buffers.Put(ec.frames[i]) }, &rounds)
 		})
+	if got := hex.EncodeToString(res.Sum256[:]); err == nil && got != hash {
+		err = fmt.Errorf("%w: the stream hashes to %s, not %s", ErrIntegrity, got, hash)
+	}
+	objects := make([][]byte, m.N())
+	if err == nil {
+		info.Size, info.ChunkCount, info.ChunkHashes = int(res.Size), res.Chunks, info.ChunkHashes[:res.Chunks]
+		desc, _ := json.Marshal(info) // plain fields only: it cannot fail
+		for i := range objects {
+			objects[i] = descObject(desc, first.frames[i])
+		}
+	}
+	for _, f := range first.frames {
+		stream.Buffers.Put(f)
+	}
+	if err != nil {
+		// Delete, best effort, the chunks it stored once the last straggler
+		// is done; the caller anchors nothing, so no reader looks for them.
+		rounds.Wait()
+		ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), orphanCleanupTimeout)
+		defer cancel()
+		m.eachCloud(func(_ int, c cloud.ObjectStore) {
+			for idx := 0; idx < res.Chunks && !single; idx++ {
+				_ = c.Delete(ctx, m.chunkName(unit, &info, idx))
+			}
+		})
+		return VersionInfo{}, err
+	}
+	err = m.writeQuorum(ctx, m.descName(unit, hash), "desc.put",
+		func(i int) []byte { return objects[i] },
+		func(i int) { stream.Buffers.Put(objects[i]) }, nil)
 	if err != nil {
 		return VersionInfo{}, err
 	}
@@ -202,9 +229,10 @@ func (m *Manager) encodeChunk(idx int, plain []byte, key []byte, shares []secret
 
 // OpenMatching returns a random-access reader over the version of unit whose
 // plaintext hash equals hash (the read-by-hash SCFS's consistency anchor
-// needs), fetching only the chunks a read touches. The open fetches the
-// descriptor alone (locate); every descriptor served is certified, and each
-// frame is checked against its hashes.
+// needs), fetching only the chunks a read touches. The open is one round
+// (locate), which certifies the descriptor — and decodes a version of one
+// chunk, which the reader then serves from memory; every other chunk's
+// frames are checked against the descriptor's hashes.
 //
 // The ctx bounds the descriptor round performed here and supplies the
 // open-time I/O policy (readahead window, hedging defaults for the reader's
@@ -213,7 +241,7 @@ func (m *Manager) encodeChunk(idx int, plain []byte, key []byte, shares []secret
 func (m *Manager) OpenMatching(ctx context.Context, unit, hash string) (*stream.Reader, VersionInfo, error) {
 	ctx, tr := m.opts.Tracer.Start(ctx, "open", unit)
 	defer tr.Finish()
-	f, _, err := m.locate(ctx, unit, hash, false)
+	f, err := m.locate(ctx, unit, hash)
 	if err != nil {
 		return nil, VersionInfo{}, err
 	}
@@ -241,27 +269,22 @@ func (m *Manager) newChunkReader(ctx context.Context, f *chunkFetcher) *stream.R
 	return stream.NewReaderOpts(f, stream.Buffers, opts)
 }
 
-// readVersion reassembles one version whole into out — the buffer locate
-// returned, chunk 0 already decoded in it; nil to fetch every chunk — and
-// verifies the value's hash. The chunks are one read over the version's chunk
-// reader, so whole and ranged reads share one chunk fan-out: fetched together
-// (stream.Window at a time) and decoded straight into the result.
-func (m *Manager) readVersion(ctx context.Context, f *chunkFetcher, out []byte) ([]byte, error) {
+// readVersion reassembles one version whole — a value of one chunk is the
+// one locate decoded — and verifies the value's hash. The chunks are one read
+// over the version's chunk reader, so whole and ranged reads share one chunk
+// fan-out: fetched together (stream.Window at a time) and decoded straight
+// into the result.
+func (m *Manager) readVersion(ctx context.Context, f *chunkFetcher) ([]byte, error) {
 	info := f.info
 	if !info.validChunking() {
 		return nil, fmt.Errorf("%w: inconsistent chunk geometry (size %d, chunk %d x %d)", ErrIntegrity, info.Size, info.ChunkSize, info.ChunkCount)
 	}
-	from := 0
-	switch {
-	case out == nil:
+	out := f.first
+	if out == nil {
 		out = make([]byte, info.Size)
-	case info.ChunkCount > 0:
-		from = info.chunkPlainLen(0)
-	}
-	if len(out) > from {
 		r := m.newChunkReader(ctx, f)
 		defer r.Close()
-		if _, err := r.ReadAtContext(ctx, out[from:], int64(from)); err != nil {
+		if _, err := r.ReadAtContext(ctx, out, 0); err != nil && len(out) > 0 {
 			return nil, err
 		}
 	}
@@ -275,9 +298,10 @@ func (m *Manager) readVersion(ctx context.Context, f *chunkFetcher, out []byte) 
 // key is combined once on the first chunk and cached for the rest of the
 // read.
 type chunkFetcher struct {
-	m    *Manager
-	unit string
-	info VersionInfo
+	m     *Manager
+	unit  string
+	info  VersionInfo
+	first []byte // the value, when it is one chunk and locate decoded it
 
 	mu  sync.Mutex
 	key []byte
@@ -306,25 +330,35 @@ func (f *chunkFetcher) setKey(key []byte) {
 	f.mu.Unlock()
 }
 
-// Fetch implements stream.Fetcher: fan the chunk's frame reads over the
-// clouds, verify each frame against the descriptor's hashes, and decode as soon
-// as enough verified frames arrived — reconstructing missing shards for
-// degraded reads. The moment a decode succeeds the remaining per-cloud
-// fetches are cancelled (first quorum wins); cancelling ctx aborts the whole
-// fan-out and returns ctx.Err(). Under a hedge policy (carried by ctx) only
-// the readNeed preferred clouds are contacted up front, the rest after the
-// tracked delay percentile or on a preferred cloud's failure.
+// Fetch implements stream.Fetcher. A value of one chunk is the one locate
+// decoded.
 func (f *chunkFetcher) Fetch(ctx context.Context, idx int, dst []byte) error {
-	m := f.m
-	info := f.info
+	info := &f.info
 	if idx < 0 || idx >= info.ChunkCount {
 		return fmt.Errorf("depsky: chunk %d out of range (version has %d)", idx, info.ChunkCount)
 	}
 	if len(dst) != info.chunkPlainLen(idx) {
 		return fmt.Errorf("depsky: chunk %d buffer is %d bytes, want %d", idx, len(dst), info.chunkPlainLen(idx))
 	}
+	if info.ChunkCount == 1 {
+		copy(dst, f.first)
+		return nil
+	}
+	return f.fetch(ctx, idx, dst)
+}
+
+// fetch fans chunk idx of a version of more than one chunk over the clouds,
+// verifies each frame against the descriptor's hashes, and decodes as soon as
+// enough verified frames arrived — reconstructing missing shards for
+// degraded reads. The moment a decode succeeds the remaining per-cloud
+// fetches are cancelled (first quorum wins); cancelling ctx aborts the whole
+// fan-out and returns ctx.Err(). Under a hedge policy (carried by ctx) only
+// the readNeed preferred clouds are contacted up front, the rest after the
+// tracked delay percentile or on a preferred cloud's failure.
+func (f *chunkFetcher) fetch(ctx context.Context, idx int, dst []byte) error {
+	m, info := f.m, &f.info
 	hashes := info.ChunkHashes[idx]
-	name := m.chunkName(f.unit, info.DataHash, idx)
+	name := m.chunkName(f.unit, info, idx)
 	need := m.readNeed(info.Protocol)
 	rd := startRound(ctx, m, "chunk.get", m.blockOp(info.Protocol, len(dst)), need,
 		func(ctx context.Context, _ int, c cloud.ObjectStore) ([]byte, error) { return c.Get(ctx, name) },
@@ -366,13 +400,21 @@ func (f *chunkFetcher) Fetch(ctx context.Context, idx int, dst []byte) error {
 			rd.kick() // enough frames but no decode yet: pull in another
 		}
 	}
-	if err := ctx.Err(); err != nil {
+	// Too few frames decode. When every cloud that gave none said "no such
+	// object", the version is not visible yet or no longer exists (deleted
+	// while a lagging cloud still served its descriptor): ErrVersionNotFound,
+	// which the consistency-anchor loop retries. An outage or a corrupt frame
+	// among the misses is ErrQuorumRead.
+	switch err := ctx.Err(); {
+	case err != nil:
 		return err
+	case len(blocks) >= need:
+		return f.decodeChunk(idx, blocks, dst, scratch)
+	case absent > 0 && len(blocks)+absent == m.N():
+		return ErrVersionNotFound
+	default:
+		return ErrQuorumRead
 	}
-	if err := m.shortRead(info.Protocol, len(blocks), absent); err != nil {
-		return err
-	}
-	return f.decodeChunk(idx, blocks, dst, scratch)
 }
 
 // decodeChunk attempts to decode one chunk into dst from the verified
@@ -441,11 +483,15 @@ func (f *chunkFetcher) decodeChunk(idx int, blocks []*block, dst []byte, scratch
 	return nil
 }
 
-// decodeFirst decodes chunk 0 from the frames the descriptor's hashes
-// accept (frames[i] is cloud i's, nil if none yet) into a new buffer for the
-// whole value, which it returns; nil while too few of them decode.
-func (f *chunkFetcher) decodeFirst(frames []*frame, scratch *decodeScratch) []byte {
-	hashes, plain := f.info.ChunkHashes[0], f.info.chunkPlainLen(0)
+// decode decodes a value of at most one chunk from the frames the
+// descriptor's hashes accept (frames[i] is cloud i's, nil if none) into
+// f.first, and reports whether enough of them did.
+func (f *chunkFetcher) decode(frames []*frame, scratch *decodeScratch) bool {
+	if f.info.ChunkCount == 0 {
+		f.first = []byte{}
+		return true
+	}
+	hashes, plain := f.info.ChunkHashes[0], f.info.Size
 	var blocks []*block
 	for i, fr := range frames {
 		if fr != nil && fr.hash == hashes[i] && fr.b.ChunkPlainLen == plain {
@@ -453,59 +499,31 @@ func (f *chunkFetcher) decodeFirst(frames []*frame, scratch *decodeScratch) []by
 		}
 	}
 	if len(blocks) < f.m.readNeed(f.info.Protocol) {
-		return nil
+		return false
 	}
-	out := make([]byte, f.info.Size)
-	if f.decodeChunk(0, blocks, out[:plain], scratch) != nil {
-		return nil
+	out := make([]byte, plain)
+	if f.decodeChunk(0, blocks, out, scratch) != nil {
+		return false
 	}
-	return out
+	f.first = out
+	return true
 }
 
 // objectNames lists the objects one version occupies on each cloud: its
-// chunks and its descriptor. The caller vouches for info.ChunkCount, which a
-// certified descriptor's passed validChunking.
+// descriptor object and, unless it holds the value, its chunks. The caller
+// vouches for info.ChunkCount and info.Tag, which a certified descriptor's
+// passed decodeDescriptor.
 func (m *Manager) objectNames(unit string, info VersionInfo) []string {
 	names := []string{m.descName(unit, info.DataHash)}
-	for idx := 0; idx < info.ChunkCount; idx++ {
-		names = append(names, m.chunkName(unit, info.DataHash, idx))
+	for idx := 0; idx < info.ChunkCount && info.ChunkCount > 1; idx++ {
+		names = append(names, m.chunkName(unit, &info, idx))
 	}
 	return names
 }
 
-// orphanCleanupTimeout bounds discard, which must outlive a cancelled write
-// but not hang its caller on an unresponsive cloud.
+// orphanCleanupTimeout bounds the deletes of a failed write, which must
+// outlive a cancelled write but not hang its caller on an unresponsive cloud.
 const orphanCleanupTimeout = 2 * time.Second
-
-// discard deletes, best effort, what a failed write stored, once every
-// upload it started has succeeded, failed or been cancelled; a write that
-// stored nothing makes no request. It runs even when the write failed because
-// ctx was cancelled.
-func (m *Manager) discard(ctx context.Context, stored *landed) {
-	stored.rounds.Wait()
-	stored.mu.Lock()
-	defer stored.mu.Unlock()
-	if len(stored.puts) == 0 {
-		return
-	}
-	names := make([][]string, m.N())
-	for _, p := range stored.puts {
-		names[p.cloud] = append(names[p.cloud], p.name)
-	}
-	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), orphanCleanupTimeout)
-	defer cancel()
-	m.deleteObjects(ctx, names)
-}
-
-// deleteObjects deletes names[i] on cloud i, best effort: a failure only
-// wastes space.
-func (m *Manager) deleteObjects(ctx context.Context, names [][]string) {
-	m.eachCloud(func(i int, c cloud.ObjectStore) {
-		for _, name := range names[i] {
-			_ = c.Delete(ctx, name)
-		}
-	})
-}
 
 // eachCloud runs fn for every cloud at once and returns when all are done.
 func (m *Manager) eachCloud(fn func(i int, c cloud.ObjectStore)) {

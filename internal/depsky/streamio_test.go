@@ -85,6 +85,7 @@ func TestWriteFromChunkBoundaries(t *testing.T) {
 				// What differs between two writes of the same bytes is drawn
 				// at random per write (key, IV), nothing else.
 				info.ChunkHashes = nil
+				info.Tag = "" // each write draws its own
 				shapes = append(shapes, info)
 
 				// Whole-value reads by hash.
@@ -344,7 +345,7 @@ func TestRangedReadIgnoresForgedMetadataCopy(t *testing.T) {
 		for cloudIdx := 0; cloudIdx < 4; cloudIdx++ {
 			frame := frameOf(ProtocolA, &block{Full: chunk, ShardIdx: cloudIdx, ChunkIdx: idx, ChunkPlainLen: len(chunk)})
 			if cloudIdx == 0 {
-				if err := evil.Put(bg, m.chunkName("u", v.DataHash, idx), frame); err != nil {
+				if err := evil.Put(bg, m.chunkName("u", &v, idx), frame); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -358,7 +359,7 @@ func TestRangedReadIgnoresForgedMetadataCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := evil.Put(bg, m.descName("u", v.DataHash), rewritten); err != nil {
+	if err := evil.Put(bg, m.descName("u", v.DataHash), descObject(rewritten, nil)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -393,7 +394,7 @@ func TestOpenMatchingDeclinesUncertifiedEntries(t *testing.T) {
 		}
 	}
 	raw, _ := json.Marshal(info)
-	if err := clients[0].Put(bg, desc, raw); err != nil { // the write's straggler may have been cut
+	if err := clients[0].Put(bg, desc, descObject(raw, nil)); err != nil { // the write's straggler may have been cut
 		t.Fatal(err)
 	}
 	if _, _, err := m.OpenMatching(bg, "u", info.DataHash); !errors.Is(err, ErrVersionNotFound) {
@@ -412,7 +413,7 @@ func TestMalformedChunkGeometryFailsCleanly(t *testing.T) {
 		t.Fatal("inconsistent geometry accepted")
 	}
 	_, m := newChunkedManager(t, ProtocolCA, 2048)
-	if _, err := m.readVersion(bg, &chunkFetcher{m: m, unit: "u", info: bad}, nil); !errors.Is(err, ErrIntegrity) {
+	if _, err := m.readVersion(bg, &chunkFetcher{m: m, unit: "u", info: bad}); !errors.Is(err, ErrIntegrity) {
 		t.Fatalf("err = %v, want ErrIntegrity", err)
 	}
 	good := VersionInfo{Size: 25, ChunkSize: 10, ChunkCount: 3, ChunkHashes: [][]string{nil, nil, nil}}

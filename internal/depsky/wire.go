@@ -4,9 +4,11 @@ package depsky
 //
 // A chunk's frame on one cloud is binary: a JSON block base64-inflated the
 // shard by ~33% and cost a marshal per write and an unmarshal per read. Each
-// chunk of a version is encrypted, erasure-coded and framed on its own, and
-// cloud i stores its frame of chunk j as "dsky/<unit>/<hash>/c<j>",
-// <hash> being the version's plaintext SHA-256. All integers are big-endian:
+// chunk of a version is encrypted, erasure-coded and framed on its own. Cloud
+// i stores its frame of chunk j as "dsky/<unit>/<hash>/<tag>/c<j>", <hash>
+// being the version's plaintext SHA-256 and <tag> the writer's
+// (VersionInfo.Tag) — or, for a value of one chunk, inside the version's
+// descriptor object (see descObject below). All integers are big-endian:
 //
 //	offset size field
 //	0      4    magic "DSKB"
@@ -26,8 +28,7 @@ package depsky
 // any other unknown version.
 //
 // The chunk geometry and the per-cloud frame hashes live in the version's
-// descriptor (VersionInfo, stored as JSON beside the frames), not in the
-// frames; integrity is not the frame's job either: a reader checks each
+// descriptor (VersionInfo, stored as JSON), not in the frames; integrity is not the frame's job either: a reader checks each
 // frame's SHA-256 against the descriptor before decoding it. Every frame
 // carries the version's key share, so a ranged read of any single chunk
 // recovers the key from f+1 clouds without extra round trips. The payload is
@@ -38,6 +39,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"scfs/internal/stream"
 )
 
 const (
@@ -125,4 +128,42 @@ func decodeBlock(data []byte) (*block, error) {
 		b.Shard = payload
 	}
 	return b, nil
+}
+
+// A version's descriptor object on cloud i, "dsky/<unit>/<hash>/desc", holds
+// the descriptor and, for a value of one chunk, cloud i's frame of it, so
+// that one PUT stores both and one GET returns both: no cloud ever holds one
+// write's descriptor beside another write's frame.
+//
+//	offset size field
+//	0      4    magic "DSKD"
+//	4      4    descriptor length
+//	8      …    the descriptor (VersionInfo as JSON), then the frame (none
+//	            unless the value is one chunk)
+const (
+	descMagic     = "DSKD"
+	descHeaderLen = 8
+)
+
+// descObject returns the descriptor object holding desc and frame, in a
+// buffer from the stream pool.
+func descObject(desc, frame []byte) []byte {
+	b := stream.Buffers.Get(descHeaderLen + len(desc) + len(frame))
+	copy(b, descMagic)
+	binary.BigEndian.PutUint32(b[4:], uint32(len(desc)))
+	copy(b[descHeaderLen+copy(b[descHeaderLen:], desc):], frame)
+	return b
+}
+
+// splitDescObject returns the descriptor and the frame a descriptor object
+// holds, aliasing data; false when data is not one.
+func splitDescObject(data []byte) (desc, frame []byte, ok bool) {
+	if len(data) < descHeaderLen || string(data[:4]) != descMagic {
+		return nil, nil, false
+	}
+	n := binary.BigEndian.Uint32(data[4:])
+	if uint64(n) > uint64(len(data)-descHeaderLen) {
+		return nil, nil, false
+	}
+	return data[descHeaderLen : descHeaderLen+int(n)], data[descHeaderLen+int(n):], true
 }

@@ -290,11 +290,11 @@ func (s *SingleCloud) EstimateVersionFootprint(size int64) VersionFootprint {
 
 // CloudOfClouds stores versions through a DepSky manager: each file is a
 // DepSky data unit, and each SCFS version is the DepSky version named by the
-// hash the consistency anchor holds. A write is one cloud round (the chunks
-// and the version's descriptor together), a read of a version of at most one
-// chunk one round (the descriptor and its chunk together), and a ranged open
-// the descriptor round, then the chunks a read covers. The clouds keep no
-// register of which versions exist: that is the anchor's job.
+// hash the consistency anchor holds. A version of at most one chunk is
+// written in one cloud round and read in one (its descriptor objects, which
+// hold the chunk); a larger one takes a round more each way, for the chunks
+// after the first. The clouds keep no register of which versions exist: that
+// is the anchor's job.
 type CloudOfClouds struct {
 	mgr *depsky.Manager
 }

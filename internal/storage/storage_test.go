@@ -365,9 +365,10 @@ func TestPNSFlushesLeaveOneVersion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The head, and the last version's descriptor and chunk.
-		if len(objs) != 3 {
-			t.Fatalf("cloud %d holds %d objects after ten flushes, want 3: %v", i, len(objs), objs)
+		// The head, and the last version's descriptor object, which holds
+		// its chunk.
+		if len(objs) != 2 {
+			t.Fatalf("cloud %d holds %d objects after ten flushes, want 2: %v", i, len(objs), objs)
 		}
 		for _, o := range objs {
 			if strings.HasSuffix(o.Name, "/metadata") {
@@ -380,17 +381,34 @@ func TestPNSFlushesLeaveOneVersion(t *testing.T) {
 	}
 }
 
+// refuseDeletes is a cloud whose deletes fail: a correct one having a bad
+// moment, or a Byzantine one that keeps what it is told to delete.
+type refuseDeletes struct{ cloud.ObjectStore }
+
+func (refuseDeletes) Delete(context.Context, string) error { return cloud.ErrUnavailable }
+
 // TestForgedNewestHeadIsNotRead: one Byzantine cloud presents a head newer
 // than any written, naming the value the last write replaced or a value
-// nobody wrote. ReadPNS must still return the last value written.
+// nobody wrote. ReadPNS must still return the last value written — also when
+// the replaced value is still readable, because deleting it failed on the
+// Byzantine cloud and on one correct cloud.
 func TestForgedNewestHeadIsNotRead(t *testing.T) {
-	for name, forge := range map[string]func(previous []byte) string{
-		"replayed value": func(previous []byte) string { return seccrypto.Hash(previous) },
-		"invented value": func([]byte) string { return seccrypto.Hash([]byte("never written")) },
+	replay := func(previous []byte) string { return seccrypto.Hash(previous) }
+	for name, tc := range map[string]struct {
+		forge func(previous []byte) string
+		kept  bool
+	}{
+		"replayed value":                        {replay, false},
+		"invented value":                        {func([]byte) string { return seccrypto.Hash([]byte("never written")) }, false},
+		"replayed value its delete left behind": {replay, true},
 	} {
 		t.Run(name, func(t *testing.T) {
-			_, clients, _ := cocOver(t, func(_ int, c cloud.ObjectStore) cloud.ObjectStore { return c })
-			mgr, err := depsky.New(depsky.Options{Clouds: clients, F: 1})
+			providers, clients, _ := cocOver(t, func(_ int, c cloud.ObjectStore) cloud.ObjectStore { return c })
+			stores := append([]cloud.ObjectStore(nil), clients...)
+			if tc.kept {
+				stores[0], stores[1] = refuseDeletes{clients[0]}, refuseDeletes{clients[1]}
+			}
+			mgr, err := depsky.New(depsky.Options{Clouds: stores, F: 1, DisableQuorumCancel: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -400,14 +418,41 @@ func TestForgedNewestHeadIsNotRead(t *testing.T) {
 				if err := pns.WritePNS(bg, "alice", v); err != nil {
 					t.Fatal(err)
 				}
+				if !tc.kept {
+					settle(t, providers)
+				}
+			}
+			// Clouds 0 and 1 keep the replaced value beside the head and
+			// the last value; the others hold those two alone.
+			for i := 0; tc.kept && i < len(providers); i++ {
+				want := 2
+				if i < 2 {
+					want = 3
+				}
+				for deadline := time.Now().Add(5 * time.Second); providers[i].ObjectCount() != want; time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatalf("cloud %d holds %d objects, want %d", i, providers[i].ObjectCount(), want)
+					}
+				}
+			}
+			if _, _, err := mgr.ReadMatching(bg, "pns/alice", seccrypto.Hash(previous)); (err == nil) != tc.kept {
+				t.Fatalf("the replaced value reads: %v; want readable %v", err, tc.kept)
 			}
 			// The head's layout: magic, big-endian sequence number, hash.
-			head := append([]byte("DSKH\x00\x00\x00\x00\x00\x00\x00\x63"), forge(previous)...)
+			head := append([]byte("DSKH\x00\x00\x00\x00\x00\x00\x00\x63"), tc.forge(previous)...)
 			if err := clients[0].Put(bg, "dsky/pns/alice/head", head); err != nil {
 				t.Fatal(err)
 			}
 			if got, err := pns.ReadPNS(bg, "alice"); err != nil || !bytes.Equal(got, last) {
 				t.Fatalf("ReadPNS = %q, %v; want the last value written", got, err)
+			}
+			// A write after the forgery numbers from the head a quorum
+			// vouches for, not from the forged one.
+			if err := pns.WritePNS(bg, "alice", []byte("next name space")); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := pns.ReadPNS(bg, "alice"); err != nil || string(got) != "next name space" {
+				t.Fatalf("ReadPNS after the next write = %q, %v", got, err)
 			}
 		})
 	}

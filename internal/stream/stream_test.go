@@ -187,46 +187,6 @@ func TestRunPropagatesErrors(t *testing.T) {
 	}
 }
 
-// TestRunEncodedHook: the Encoded hook runs once every chunk is encoded,
-// with the stream's final Result, while the stores are still parked; Run
-// waits for it and returns its error. A run whose encode failed never calls
-// it.
-func TestRunEncodedHook(t *testing.T) {
-	const chunks = 3
-	data := make([]byte, chunks*1024-5)
-	gate := make(chan struct{})
-	hookErr := errors.New("hook")
-	var hooked atomic.Int64
-	var encoded atomic.Int64
-	_, err := Run(bg, bytes.NewReader(data), Config{ChunkSize: 1024, Encoded: func(res Result) error {
-		hooked.Add(1)
-		if res.Chunks != chunks || res.Size != int64(len(data)) || res.Sum256 != sha256.Sum256(data) {
-			t.Errorf("Encoded saw %+v", res)
-		}
-		if n := encoded.Load(); n != chunks {
-			t.Errorf("Encoded ran with %d of %d chunks encoded", n, chunks)
-		}
-		close(gate) // the stores are parked until now
-		return hookErr
-	}},
-		func(idx int, plain []byte) (int, error) { encoded.Add(1); return idx, nil },
-		func(idx int, _ int) error { <-gate; return nil })
-	if !errors.Is(err, hookErr) || hooked.Load() != 1 {
-		t.Fatalf("err = %v after %d hook calls, want the hook's error after 1", err, hooked.Load())
-	}
-
-	boom := errors.New("boom")
-	_, err = Run(bg, bytes.NewReader(data), Config{ChunkSize: 1024, Encoded: func(Result) error {
-		t.Error("Encoded ran after an encode failed")
-		return nil
-	}},
-		func(idx int, plain []byte) (int, error) { return 0, boom },
-		func(idx int, _ int) error { return nil })
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want %v", err, boom)
-	}
-}
-
 // chunkMap is a Fetcher over an in-memory byte slice.
 type chunkMap struct {
 	data      []byte

@@ -19,11 +19,6 @@ type Config struct {
 	Window int
 	// Pool supplies the chunk buffers (default Buffers).
 	Pool *Pool
-	// Encoded, when set, runs once a stream read to its end has had every
-	// chunk encoded, with the run's Result, while stores may still be in
-	// flight. Run waits for it, and its error fails the run. It does not run
-	// if the run fails first.
-	Encoded func(Result) error
 }
 
 func (c Config) withDefaults() Config {
@@ -94,7 +89,6 @@ func Run[E any](ctx context.Context, r io.Reader, cfg Config, encode func(idx in
 	}
 
 	h := sha256.New()
-	var encodes sync.WaitGroup
 	encoding := make(chan struct{}, runtime.GOMAXPROCS(0))
 	storing := make(chan struct{}, cfg.Window)
 	for idx := 0; !failed(); idx++ {
@@ -118,24 +112,21 @@ func Run[E any](ctx context.Context, r io.Reader, cfg Config, encode func(idx in
 		res.Size += int64(n)
 		res.Chunks++
 		wg.Add(1)
-		encodes.Add(1)
 		go func(idx int, plain []byte) {
 			defer wg.Done()
-			enc, err := encode(idx, plain)
+			enc, eerr := encode(idx, plain)
 			cfg.Pool.Put(plain[:cap(plain)])
-			if err != nil {
-				setErr(fmt.Errorf("stream: chunk %d: %w", idx, err))
-				encodes.Done()
+			if eerr != nil {
 				<-encoding
-				return
+			} else {
+				storing <- struct{}{} // taken before the encode slot is given up
+				<-encoding
+				eerr = store(idx, enc)
+				<-storing
 			}
-			encodes.Done()
-			storing <- struct{}{} // taken before the encode slot is given up
-			<-encoding
-			if err := store(idx, enc); err != nil {
-				setErr(fmt.Errorf("stream: chunk %d: %w", idx, err))
+			if eerr != nil {
+				setErr(fmt.Errorf("stream: chunk %d: %w", idx, eerr))
 			}
-			<-storing
 		}(idx, plain)
 		if err == io.ErrUnexpectedEOF {
 			break // short final chunk
@@ -148,16 +139,8 @@ func Run[E any](ctx context.Context, r io.Reader, cfg Config, encode func(idx in
 			break
 		}
 	}
-	h.Sum(res.Sum256[:0])
-	if cfg.Encoded != nil && !failed() {
-		encodes.Wait()
-		if !failed() {
-			if err := cfg.Encoded(res); err != nil {
-				setErr(err)
-			}
-		}
-	}
 	wg.Wait()
+	h.Sum(res.Sum256[:0])
 	mu.Lock()
 	defer mu.Unlock()
 	return res, fail

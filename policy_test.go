@@ -159,18 +159,17 @@ func TestIOFSWithPolicyContext(t *testing.T) {
 }
 
 // TestWithRetryMasksTransientFaultsThroughFacade: two clouds flake on their
-// first two Puts each — a write's chunk and its descriptor, which go up
-// together — one more simultaneous fault than the write quorum tolerates,
-// and WithRetry rides the write through where a budget-less write fails. The
-// full option path is exercised: facade → context policy → quorum engine →
-// per-cloud retry loop.
+// first Put each — one more simultaneous fault than the write quorum
+// tolerates — and WithRetry rides the write through where a budget-less
+// write fails. The full option path is exercised: facade → context policy →
+// quorum engine → per-cloud retry loop.
 func TestWithRetryMasksTransientFaultsThroughFacade(t *testing.T) {
 	m, providers := skewedMount(t, 0)
 	data := bytes.Repeat([]byte{0x5A}, 16<<10)
 
 	flake := func() {
-		providers[0].SetFaults(cloudsim.FaultSpec{Mode: cloudsim.FaultThrottle, Ops: cloudsim.MaskPut, FirstN: 2})
-		providers[1].SetFaults(cloudsim.FaultSpec{Mode: cloudsim.FaultUnavailable, Ops: cloudsim.MaskPut, FirstN: 2})
+		providers[0].SetFaults(cloudsim.FaultSpec{Mode: cloudsim.FaultThrottle, Ops: cloudsim.MaskPut, FirstN: 1})
+		providers[1].SetFaults(cloudsim.FaultSpec{Mode: cloudsim.FaultUnavailable, Ops: cloudsim.MaskPut, FirstN: 1})
 	}
 	flake()
 	if err := scfs.WriteFile(bg, m, "/no-retry.bin", data); err == nil {

@@ -196,7 +196,7 @@ func TestOneTraceSpansEveryLayer(t *testing.T) {
 		for _, s := range tr.Spans() {
 			names[s.Name] = true
 		}
-		if names["smr.invoke"] && names["shard.route"] && (names["meta.get"] || names["block.get"] || names["chunk.get"]) {
+		if names["smr.invoke"] && names["shard.route"] && (names["desc.get"] || names["chunk.get"]) {
 			whole = append(whole, tr)
 		}
 	}
