@@ -392,24 +392,15 @@ type invokerFunc func(ctx context.Context, cmd []byte) ([]byte, error)
 func (f invokerFunc) Invoke(ctx context.Context, cmd []byte) ([]byte, error) { return f(ctx, cmd) }
 
 // TestBatchThroughReplicatedCoalescer sends a client-built batch down the
-// deployed path: a coalescer over a pipelined client over four replicas
-// running BatchApplication, concurrently with single commands.
+// deployed path, a Group: a coalescer over a pipelined client over four
+// replicas running BatchApplication, concurrently with single commands.
 func TestBatchThroughReplicatedCoalescer(t *testing.T) {
-	ids := []int{0, 1, 2, 3}
-	cfg := smr.Config{ReplicaIDs: ids, Model: smr.ByzantineFaults}
-	net := smr.NewNetwork()
-	defer net.Close()
-	for _, id := range ids {
-		r, err := smr.NewReplica(id, cfg, smr.NewBatchApplication(NewSpace()), net)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.Start()
-		defer r.Stop()
+	g, err := NewGroup("agent-1")
+	if err != nil {
+		t.Fatal(err)
 	}
-	sc := smr.NewClient("agent-1", cfg, net)
-	defer sc.Close()
-	cli := NewClient(smr.NewCoalescer(sc), "alice", clock.Real())
+	defer g.Stop()
+	cli := NewClient(g.Invoker, "alice", clock.Real())
 
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {

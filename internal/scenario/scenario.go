@@ -76,8 +76,9 @@ type Env struct {
 	FS        *scfs.FS
 	Providers []*cloudsim.Provider
 	// Shards holds the replica groups of a scenario-built coordination
-	// plane (see Scenario.Coord), one slice per shard; nil for scenarios
-	// using the default built-in coordination.
+	// plane (see Scenario.Coord), one slice per shard. It is nil for
+	// scenarios on the mount's default coordination service, whose four
+	// replicas the mount does not expose.
 	Shards [][]*smr.Replica
 
 	stopCoord func()

@@ -262,37 +262,32 @@ func shardOutageMetadataStorm() Scenario {
 		Mount: []scfs.Option{scfs.WithTracing(64), scfs.WithFlightRecorder()},
 		Coord: func(t *testing.T) (coord.Service, [][]*smr.Replica, func()) {
 			var stops []func()
+			stop := func() {
+				for _, s := range stops {
+					s()
+				}
+			}
 			services := make([]coord.Service, shards)
 			groups = make([][]*smr.Replica, shards)
 			for i := range services {
-				cfg := smr.Config{ReplicaIDs: []int{0, 1, 2, 3}, Model: smr.ByzantineFaults}
-				net := smr.NewNetwork()
-				net.SetDelay(50 * time.Microsecond)
-				for _, id := range cfg.ReplicaIDs {
-					r, err := smr.NewReplica(id, cfg, smr.NewBatchApplication(depspace.NewSpace()), net)
-					if err != nil {
-						t.Fatal(err)
-					}
-					r.Start()
-					groups[i] = append(groups[i], r)
-					stops = append(stops, r.Stop)
+				g, err := depspace.NewGroup(fmt.Sprintf("chaos-shard-%d", i))
+				if err != nil {
+					stop()
+					t.Fatal(err)
 				}
-				cli := smr.NewClient(fmt.Sprintf("chaos-shard-%d", i), cfg, net)
-				stops = append(stops, cli.Close)
+				stops = append(stops, g.Stop)
+				g.Net.SetDelay(50 * time.Microsecond)
+				groups[i] = g.Replicas
 				// The requester must match the mount's principal ("user"):
 				// metadata tuples are ACL'd to their owner.
-				services[i] = coord.NewDepSpaceService(depspace.NewClient(smr.NewCoalescer(cli), "user", nil))
-				stops = append(stops, net.Close)
+				services[i] = coord.NewDepSpaceService(depspace.NewClient(g.Invoker, "user", nil))
 			}
 			svc, err := metashard.New(services, metashard.WithSubtreePartition())
 			if err != nil {
+				stop()
 				t.Fatal(err)
 			}
-			return svc, groups, func() {
-				for _, stop := range stops {
-					stop()
-				}
-			}
+			return svc, groups, stop
 		},
 		Run: func(t *testing.T, env *Env) {
 			for d := 0; d < dirs; d++ {

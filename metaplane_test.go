@@ -93,57 +93,59 @@ func TestDirectoryRenameMovesItsFiles(t *testing.T) {
 	}
 }
 
-// TestPipelinedReplicatedMount: WithMaxInflight mounts over BFT-replicated
-// coordination shards behind pipelined clients; concurrent sessions must not
-// interfere, and unmounting must not leak the replica groups' goroutines.
+// TestPipelinedReplicatedMount: the default coordination service is
+// BFT-replicated, one four-replica group per shard behind a pipelined
+// client; concurrent sessions must not interfere, and unmounting must not
+// leak the replica groups' goroutines.
 func TestPipelinedReplicatedMount(t *testing.T) {
-	before := runtime.NumGoroutine()
-	m, err := scfs.New(bg,
-		scfs.WithDiskCache(t.TempDir(), 0),
-		scfs.WithCoordShards(2),
-		scfs.WithMaxInflight(16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Mkdir(bg, "/p"); err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	errs := make(chan error, 24)
-	for i := 0; i < 24; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			path := fmt.Sprintf("/p/s%02d.txt", i)
-			if err := scfs.WriteFile(bg, m, path, []byte(fmt.Sprintf("session %d", i))); err != nil {
-				errs <- fmt.Errorf("write %s: %w", path, err)
-				return
+	for name, opts := range map[string][]scfs.Option{"default": nil, "two shards": {scfs.WithCoordShards(2)}} {
+		t.Run(name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			m, err := scfs.New(bg, append(opts, scfs.WithDiskCache(t.TempDir(), 0))...)
+			if err != nil {
+				t.Fatal(err)
 			}
-			got, err := scfs.ReadFile(bg, m, path)
-			if err != nil || string(got) != fmt.Sprintf("session %d", i) {
-				errs <- fmt.Errorf("read %s = %q, %v", path, got, err)
+			if err := m.Mkdir(bg, "/p"); err != nil {
+				t.Fatal(err)
 			}
-		}(i)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if err := m.Close(bg); err != nil {
-		t.Fatal(err)
-	}
-	// The replica groups and pipelined clients must be gone after unmount.
-	deadline := time.After(5 * time.Second)
-	for {
-		if runtime.NumGoroutine() <= before+3 {
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatalf("goroutines: %d before mount, %d after unmount", before, runtime.NumGoroutine())
-		case <-time.After(10 * time.Millisecond):
-		}
+			var wg sync.WaitGroup
+			errs := make(chan error, 24)
+			for i := 0; i < 24; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					path := fmt.Sprintf("/p/s%02d.txt", i)
+					if err := scfs.WriteFile(bg, m, path, []byte(fmt.Sprintf("session %d", i))); err != nil {
+						errs <- fmt.Errorf("write %s: %w", path, err)
+						return
+					}
+					got, err := scfs.ReadFile(bg, m, path)
+					if err != nil || string(got) != fmt.Sprintf("session %d", i) {
+						errs <- fmt.Errorf("read %s = %q, %v", path, got, err)
+					}
+				}(i)
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+			if err := m.Close(bg); err != nil {
+				t.Fatal(err)
+			}
+			// The replica groups and pipelined clients must be gone after unmount.
+			deadline := time.After(5 * time.Second)
+			for {
+				if runtime.NumGoroutine() <= before+3 {
+					break
+				}
+				select {
+				case <-deadline:
+					t.Fatalf("goroutines: %d before mount, %d after unmount", before, runtime.NumGoroutine())
+				case <-time.After(10 * time.Millisecond):
+				}
+			}
+		})
 	}
 }
 

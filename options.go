@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"sync"
 	"time"
 
 	"scfs/internal/cloudsim"
@@ -16,7 +15,6 @@ import (
 	"scfs/internal/metashard"
 	"scfs/internal/pricing"
 	"scfs/internal/resilience"
-	"scfs/internal/smr"
 	"scfs/internal/storage"
 	"scfs/internal/telemetry"
 )
@@ -51,7 +49,6 @@ type config struct {
 	simLatency   float64
 	coordination coord.Service
 	coordShards  int
-	maxInflight  int
 
 	memCacheBytes   int64
 	diskCacheBytes  int64
@@ -107,8 +104,9 @@ func WithFaultTolerance(f int) Option { return func(c *config) { c.f = f } }
 // paper's measured RTT magnitudes. Ignored when WithClouds is used.
 func WithSimulatedLatency(scale float64) Option { return func(c *config) { c.simLatency = scale } }
 
-// WithCoordination replaces the default in-process DepSpace coordination
-// service (ignored in NonSharing mode, which uses none).
+// WithCoordination replaces the default coordination service, DepSpace on
+// four in-process BFT replicas (ignored in NonSharing mode, which uses
+// none).
 func WithCoordination(svc coord.Service) Option { return func(c *config) { c.coordination = svc } }
 
 // WithCoordShards partitions the metadata namespace across n coordination
@@ -116,20 +114,11 @@ func WithCoordination(svc coord.Service) Option { return func(c *config) { c.coo
 // for going beyond one coordination service. Single-key operations route to
 // one shard, listings fan out and merge deterministically, and concurrent
 // updates of one key keep hitting the same shard, preserving conditional
-// update semantics. Applies to the default in-process coordination stack;
-// ignored when WithCoordination supplies a custom service (shard externally
-// with internal/metashard in that case) and in NonSharing mode.
+// update semantics. Each shard is its own four-replica DepSpace group.
+// Applies to the default coordination service; ignored when WithCoordination
+// supplies a custom service (shard externally with internal/metashard in
+// that case) and in NonSharing mode.
 func WithCoordShards(n int) Option { return func(c *config) { c.coordShards = n } }
-
-// WithMaxInflight backs each coordination shard with a BFT-replicated
-// DepSpace instance (the paper's four-replica configuration) reached through
-// a pipelined client: up to window invocations are outstanding at once,
-// completing out of order, with concurrently submitted tuple operations
-// coalesced into batched invocations. window <= 0 selects the default
-// (smr.DefaultMaxInflight, 64); window == 1 serializes, reproducing the
-// pre-pipelining behavior. Applies to the default coordination stack, like
-// WithCoordShards.
-func WithMaxInflight(window int) Option { return func(c *config) { c.maxInflight = window } }
 
 // WithGC configures the multi-version garbage collector.
 func WithGC(policy GCPolicy) Option { return func(c *config) { c.gc = policy } }
@@ -385,90 +374,35 @@ func (c *config) build(ctx context.Context) (*core.Agent, mountTelemetry, func()
 	return agent, tel, cleanup, nil
 }
 
-// buildCoordination assembles the default in-process coordination stack:
-// one local DepSpace by default, metashard-partitioned across WithCoordShards
-// instances, each backed by a BFT-replicated DepSpace group behind a
-// pipelined, coalescing client when WithMaxInflight asks for pipelining.
+// buildCoordination assembles the default coordination service as the
+// paper deploys it: one BFT-replicated DepSpace group (depspace.NewGroup:
+// four replicas, f = 1) for each of the WithCoordShards shards,
+// metashard-partitioned when there are several. The returned stop shuts
+// every group down and may run more than once.
 func (c *config) buildCoordination() (coord.Service, func(), error) {
-	n := c.coordShards
-	if n < 1 {
-		n = 1
+	shards := make([]coord.Service, max(c.coordShards, 1))
+	var groups []*depspace.Group
+	stop := func() {
+		for _, g := range groups {
+			g.Stop()
+		}
 	}
-	if n == 1 && c.maxInflight == 0 {
-		return coord.NewDepSpaceService(
-			depspace.NewClient(&depspace.LocalInvoker{Space: depspace.NewSpace()}, c.user, nil)), nil, nil
-	}
-	shards := make([]coord.Service, n)
-	var stops []func()
 	for i := range shards {
-		if c.maxInflight != 0 {
-			svc, stop, err := replicatedCoordShard(c.user, i, c.maxInflight)
-			if err != nil {
-				for _, s := range stops {
-					s()
-				}
-				return nil, nil, err
-			}
-			shards[i] = svc
-			stops = append(stops, stop)
-		} else {
-			shards[i] = coord.NewDepSpaceService(
-				depspace.NewClient(&depspace.LocalInvoker{Space: depspace.NewSpace()}, c.user, nil))
+		g, err := depspace.NewGroup(fmt.Sprintf("%s-coord-%d", c.user, i))
+		if err != nil {
+			stop()
+			return nil, nil, fmt.Errorf("scfs: building coordination shard %d: %w", i, err)
 		}
+		groups = append(groups, g)
+		shards[i] = coord.NewDepSpaceService(depspace.NewClient(g.Invoker, c.user, nil))
 	}
-	var cleanup func()
-	if len(stops) > 0 {
-		var once sync.Once
-		cleanup = func() {
-			once.Do(func() {
-				for _, s := range stops {
-					s()
-				}
-			})
-		}
-	}
-	if n == 1 {
-		return shards[0], cleanup, nil
+	if len(shards) == 1 {
+		return shards[0], stop, nil
 	}
 	sharded, err := metashard.New(shards)
 	if err != nil {
-		if cleanup != nil {
-			cleanup()
-		}
+		stop()
 		return nil, nil, err
 	}
-	return sharded, cleanup, nil
-}
-
-// replicatedCoordShard assembles one BFT-replicated DepSpace shard: four
-// in-process replicas (the paper's BFT-SMaRt configuration, f=1 Byzantine)
-// executing batched tuple commands, reached through a pipelined smr client
-// with a coalescing layer on top. The returned stop function closes the
-// client, stops the replicas and shuts the shard's network.
-func replicatedCoordShard(user string, shard, window int) (coord.Service, func(), error) {
-	ids := []int{0, 1, 2, 3}
-	cfg := smr.Config{ReplicaIDs: ids, Model: smr.ByzantineFaults}
-	net := smr.NewNetwork()
-	replicas := make([]*smr.Replica, 0, len(ids))
-	stop := func() {
-		for _, r := range replicas {
-			r.Stop()
-		}
-		net.Close()
-	}
-	for _, id := range ids {
-		r, err := smr.NewReplica(id, cfg, smr.NewBatchApplication(depspace.NewSpace()), net)
-		if err != nil {
-			stop()
-			return nil, nil, fmt.Errorf("scfs: building coordination shard %d: %w", shard, err)
-		}
-		r.Start()
-		replicas = append(replicas, r)
-	}
-	cli := smr.NewClient(fmt.Sprintf("%s-coord-%d", user, shard), cfg, net)
-	if window > 0 {
-		cli.MaxInflight = window
-	}
-	svc := coord.NewDepSpaceService(depspace.NewClient(smr.NewCoalescer(cli), user, nil))
-	return svc, func() { cli.Close(); stop() }, nil
+	return sharded, stop, nil
 }

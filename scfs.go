@@ -165,9 +165,12 @@ type FS struct {
 
 // New mounts an SCFS file system. With no options it assembles a fully
 // simulated deployment: four in-process cloud providers (tolerating f=1
-// faulty), an in-process DepSpace coordination service, and the DepSky-CA
-// dispersal protocol — useful for tests, examples and experimentation. Use
-// WithClouds to mount over real (or differently simulated) providers.
+// faulty), a DepSpace coordination service replicated on four in-process BFT
+// replicas (tolerating f=1 Byzantine) behind a pipelined client, and the
+// DepSky-CA dispersal protocol — useful for tests, examples and
+// experimentation. Use WithClouds to mount over real (or differently
+// simulated) providers and WithCoordination to bring another coordination
+// service.
 //
 // ctx bounds the mount itself; the mounted file system outlives it and runs
 // until Close / Unmount.

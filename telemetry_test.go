@@ -17,6 +17,7 @@ import (
 	"scfs/internal/cloudsim"
 	"scfs/internal/coord"
 	"scfs/internal/depspace"
+	"scfs/internal/telemetry"
 )
 
 // namedStores builds four zero-latency simulated clouds named c0..c3 so
@@ -152,6 +153,26 @@ func TestStatsTelemetry(t *testing.T) {
 	check(reader, "read")
 }
 
+// TestDefaultMountCoordinatesThroughReplicas: a mount given no coordination
+// service runs the paper's, DepSpace on BFT replicas, so the coordination
+// accesses of a plain WriteFile are smr invocations in its trace. WriteFile
+// is not traced at the facade, so the caller's context carries the trace
+// and every layer below records into it.
+func TestDefaultMountCoordinatesThroughReplicas(t *testing.T) {
+	m := mount(t, scfs.WithTracing(8))
+	ctx, tr := telemetry.NewTracer(1).Start(bg, "writefile", "/f.txt")
+	if err := scfs.WriteFile(ctx, m, "/f.txt", []byte("replicated")); err != nil {
+		t.Fatal(err)
+	}
+	tr.Finish()
+	for _, s := range tr.Spans() {
+		if s.Name == "smr.invoke" {
+			return
+		}
+	}
+	t.Fatalf("the WriteFile's trace holds no smr.invoke span: %v", tr.Describe())
+}
+
 // TestOneTraceSpansEveryLayer: one facade operation on a sharded,
 // replicated metadata plane must yield exactly one trace crossing every
 // layer — the smr invocations its coordination lookups turned into, the
@@ -162,7 +183,6 @@ func TestOneTraceSpansEveryLayer(t *testing.T) {
 		scfs.WithDiskCache(t.TempDir(), 1),
 		scfs.WithMemoryCache(1),
 		scfs.WithCoordShards(2),
-		scfs.WithMaxInflight(8),
 		scfs.WithTracing(128))
 	if err := m.Mkdir(bg, "/docs"); err != nil {
 		t.Fatal(err)
