@@ -316,7 +316,9 @@ func TestWriterOpensPredecessorsVersion(t *testing.T) {
 	}
 }
 
-// failingStore fails the next WriteVersion calls with errUpload.
+// failingStore fails the next WriteVersion calls with errUpload. Its versions
+// are below the stream threshold, so the background uploader too writes them
+// through WriteVersion rather than the embedded store's streamed write.
 type failingStore struct {
 	storage.VersionedStore
 	mu    sync.Mutex

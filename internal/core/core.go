@@ -90,7 +90,8 @@ type Options struct {
 	// Coordination is the coordination service; required unless Mode is
 	// NonSharing.
 	Coordination coord.Service
-	// Storage is the cloud storage backend (single cloud or cloud-of-clouds).
+	// Storage is the cloud storage backend: a storage.CloudOfClouds over one
+	// cloud at f = 0 or over 3f+1 or more.
 	Storage storage.VersionedStore
 	// PNSStorage persists the user's private name space in the cloud; it is
 	// required when UsePNS is true or Mode is NonSharing.

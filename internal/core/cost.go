@@ -1,17 +1,12 @@
 package core
 
-import (
-	"context"
-
-	"scfs/internal/storage"
-)
+import "context"
 
 // CostReport is the mount's cloud-spend snapshot: what the files owned by
 // this principal currently occupy across the clouds and what that costs in
 // dollars under the backend's price table. Everything version-granular is
 // an estimate derived from the same cost model the garbage collector reports
-// its reclaim in (storage.VersionCoster); backends without a coster report
-// the byte axes only.
+// its reclaim in (storage.VersionCoster).
 type CostReport struct {
 	// Files is how many live file records were examined (directories and
 	// other users' files are skipped).
@@ -24,7 +19,7 @@ type CostReport struct {
 	LogicalBytes int64
 	// CloudBytes is what those versions occupy across the charged clouds
 	// (erasure-coded shards on the write quorum for DepSky-CA, n replicas
-	// for DepSky-A, the raw size on a single cloud).
+	// for DepSky-A, so the raw size on a single cloud).
 	CloudBytes int64
 	// CloudObjects is how many cloud objects hold them (chunked versions
 	// occupy one object per chunk per charged cloud).
@@ -49,7 +44,6 @@ func (a *Agent) CostReport(ctx context.Context) (CostReport, error) {
 	if err != nil {
 		return report, err
 	}
-	coster, _ := a.opts.Storage.(storage.VersionCoster)
 	for _, md := range entries {
 		if md.Owner != a.opts.User || md.IsDir() {
 			continue
@@ -58,10 +52,7 @@ func (a *Agent) CostReport(ctx context.Context) (CostReport, error) {
 		for _, v := range md.Versions {
 			report.Versions++
 			report.LogicalBytes += v.Size
-			if coster == nil {
-				continue
-			}
-			fp := coster.EstimateVersionFootprint(v.Size)
+			fp := a.opts.Storage.EstimateVersionFootprint(v.Size)
 			report.CloudBytes += fp.Bytes
 			report.CloudObjects += fp.Objects
 			report.StorageDollarsPerMonth += fp.Dollars.StoragePerMonth
@@ -71,8 +62,8 @@ func (a *Agent) CostReport(ctx context.Context) (CostReport, error) {
 		// may hold several version records with the current hash — writing
 		// identical content twice appends two — so pricing inside the
 		// version loop would double-count the read).
-		if !md.Deleted && coster != nil {
-			fp := coster.EstimateVersionFootprint(md.Size)
+		if !md.Deleted {
+			fp := a.opts.Storage.EstimateVersionFootprint(md.Size)
 			report.ReadOnceDollars += fp.Dollars.ReadOnce
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"scfs/internal/coord"
 	"scfs/internal/fsapi"
@@ -240,38 +239,11 @@ func (a *Agent) collectLocally(md *fsmeta.Metadata) bool {
 	return true
 }
 
-// sweepVersions deletes the given fileID -> hashes and returns what was
-// reclaimed, preferring the backend's batched sweep (which also attributes
-// the freed bytes and objects).
+// sweepVersions deletes the given fileID -> hashes in one batched sweep and
+// returns what was reclaimed.
 func (a *Agent) sweepVersions(ctx context.Context, doomed map[string][]string) storage.SweepStats {
 	if len(doomed) == 0 {
 		return storage.SweepStats{}
 	}
-	if sweeper, ok := a.opts.Storage.(storage.VersionSweeper); ok {
-		return sweeper.DeleteVersionsBatch(ctx, doomed)
-	}
-	var stats storage.SweepStats
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	// Bounded fan-out: a namespace-wide sweep can doom thousands of
-	// versions, and unbounded goroutines would fire them all at the cloud
-	// at once.
-	sem := make(chan struct{}, 4)
-	for fileID, hashes := range doomed {
-		for _, hash := range hashes {
-			wg.Add(1)
-			go func(fileID, hash string) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				if err := a.opts.Storage.DeleteVersion(ctx, fileID, hash); err == nil {
-					mu.Lock()
-					stats.Deleted++
-					mu.Unlock()
-				}
-			}(fileID, hash)
-		}
-	}
-	wg.Wait()
-	return stats
+	return a.opts.Storage.DeleteVersionsBatch(ctx, doomed)
 }

@@ -26,12 +26,28 @@ type sweepHook struct {
 }
 
 func (s *sweepHook) DeleteVersionsBatch(ctx context.Context, batch map[string][]string) storage.SweepStats {
-	st := s.VersionedStore.(storage.VersionSweeper).DeleteVersionsBatch(ctx, batch)
+	st := s.VersionedStore.DeleteVersionsBatch(ctx, batch)
 	if then := s.then; then != nil {
 		s.then = nil
 		then()
 	}
 	return st
+}
+
+// oneCloud is the storage of a single-cloud mount: DepSky-A at f = 0 over
+// one simulated provider.
+func oneCloud(t *testing.T) storage.VersionedStore {
+	t.Helper()
+	p := cloudsim.NewProvider(cloudsim.Options{Name: "s3"})
+	mgr, err := depsky.New(depsky.Options{
+		Clouds:   []cloud.ObjectStore{p.MustClient(p.CreateAccount("alice"))},
+		F:        0,
+		Protocol: depsky.ProtocolA,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return storage.NewCloudOfClouds(mgr)
 }
 
 // readFresh reads path through a new agent of the deployment, so nothing the
@@ -49,17 +65,12 @@ func readFresh(t *testing.T, d *deployment, path string, tune func(*Options)) st
 
 // TestCollectKeepsRepeatedContents: a file written A, B, A and trimmed to its
 // last version loses the first A and B — but a store names a version by file
-// and hash, so deleting the first A deletes the current one too (on a single
-// cloud they are one object). Only B may go.
+// and hash, so deleting the first A deletes the current one too. Only B may
+// go.
 func TestCollectKeepsRepeatedContents(t *testing.T) {
 	for name, store := range map[string]func(*testing.T, *deployment) storage.VersionedStore{
 		"single-cloud": func(t *testing.T, _ *deployment) storage.VersionedStore {
-			p := cloudsim.NewProvider(cloudsim.Options{Name: "s3"})
-			sc, err := storage.NewSingleCloud(p.MustClient(p.CreateAccount("alice")), false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return sc
+			return oneCloud(t)
 		},
 		"cloud-of-clouds": func(_ *testing.T, d *deployment) storage.VersionedStore {
 			return storage.NewCloudOfClouds(d.mgr)
@@ -262,11 +273,7 @@ func TestCollectIsThreeAccesses(t *testing.T) {
 // what it lists is what it stores.)
 func TestCollectReclaimsFileRemovedBeforeRecreation(t *testing.T) {
 	d := newDeployment(t)
-	p := cloudsim.NewProvider(cloudsim.Options{Name: "s3"})
-	sc, err := storage.NewSingleCloud(p.MustClient(p.CreateAccount("alice")), false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc := oneCloud(t)
 	tune := func(o *Options) { o.Storage = sc }
 	a, _ := d.agent(t, "a", tune)
 	if err := fsapi.WriteFile(bg, a, "/f", []byte("old")); err != nil {

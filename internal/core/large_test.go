@@ -17,6 +17,8 @@ import (
 
 // heldStore keeps, without copying, what the agent hands WriteVersion, so a
 // test can measure the agent's own allocations and inspect what it uploaded.
+// Its mounts are Blocking, so every close hands its buffer to WriteVersion,
+// whatever its size: nothing reaches the embedded store's streamed write.
 type heldStore struct {
 	storage.VersionedStore
 	mu   sync.Mutex
@@ -178,8 +180,7 @@ func (c *gatedCloud) Get(ctx context.Context, name string) ([]byte, error) {
 }
 
 // rangedCounter counts the ranged opens of a backend and the reads through
-// the readers it returns. It embeds the backend so the optional faces the
-// agent type-asserts stay reachable.
+// the readers it returns.
 type rangedCounter struct {
 	*storage.CloudOfClouds
 	opens, reads atomic.Int64

@@ -286,25 +286,22 @@ func (a *Agent) fetchData(ctx context.Context, md *fsmeta.Metadata) ([]byte, err
 }
 
 // fetchForOpen brings a file's contents into reach for a new open: cached
-// copies win, large read-only opens over a range-capable backend get a lazy
-// ranged reader (so ReadAt fetches only covering chunks), and everything
-// else takes the whole-object fetch path. Exactly one of data and lazy is
-// non-nil on success.
+// copies win, large read-only opens get a lazy ranged reader (so ReadAt
+// fetches only covering chunks), and everything else takes the whole-object
+// fetch path. Exactly one of data and lazy is non-nil on success.
 func (a *Agent) fetchForOpen(ctx context.Context, md *fsmeta.Metadata, flags fsapi.OpenFlag) ([]byte, storage.ReaderAtCloser, error) {
 	if data, ok := a.cachedData(md); ok {
 		return data, nil, nil
 	}
 	if !flags.Writable() && a.opts.StreamThresholdBytes >= 0 && md.Size > a.opts.StreamThresholdBytes {
-		if ro, ok := a.opts.Storage.(storage.RangeOpener); ok {
-			lazy, err := awaitVisible(ctx, a.clk, md.Path, "opening %q for ranged reads", func() (storage.ReaderAtCloser, error) {
-				return ro.OpenVersionAt(ctx, md.FileID, md.Hash)
-			})
-			if err != nil {
-				return nil, nil, err
-			}
-			a.addStat(func(s *Stats) { s.CloudReads++ })
-			return nil, lazy, nil
+		lazy, err := awaitVisible(ctx, a.clk, md.Path, "opening %q for ranged reads", func() (storage.ReaderAtCloser, error) {
+			return a.opts.Storage.OpenVersionAt(ctx, md.FileID, md.Hash)
+		})
+		if err != nil {
+			return nil, nil, err
 		}
+		a.addStat(func(s *Stats) { s.CloudReads++ })
+		return nil, lazy, nil
 	}
 	data, err := a.fetchData(ctx, md)
 	return data, nil, err
@@ -582,13 +579,11 @@ func (a *Agent) syncToCloud(ctx context.Context, task uploadTask) error {
 	}
 	a.addStat(func(s *Stats) { s.CloudWrites++; s.CloudBytesUp += size })
 	// Meter the request-fee pressure of the new version for the GC trigger:
-	// a chunked backend creates one fee-bearing object per chunk per cloud.
-	if vc, ok := a.opts.Storage.(storage.VersionCoster); ok {
-		fp := vc.EstimateVersionFootprint(size)
-		a.mu.Lock()
-		a.objectsSinceGC += fp.Objects
-		a.mu.Unlock()
-	}
+	// a chunked version is one fee-bearing object per chunk per cloud.
+	fp := a.opts.Storage.EstimateVersionFootprint(size)
+	a.mu.Lock()
+	a.objectsSinceGC += fp.Objects
+	a.mu.Unlock()
 	if err := a.putMetadataUnlock(ctx, task.md, task.unlockPath); err != nil {
 		return err
 	}
@@ -612,10 +607,10 @@ func (a *Agent) uploadVersion(ctx context.Context, task uploadTask) (int64, erro
 	data := task.payload
 	if data == nil {
 		defer a.diskCache.Unpin(key)
-		if sw, ok := a.shouldStream(task.size); ok {
+		if a.shouldStream(task.size) {
 			if f, size, ok := a.diskCache.Open(key); ok {
 				defer f.Close()
-				return size, sw.WriteVersionFrom(ctx, task.md.FileID, task.hash, f)
+				return size, a.opts.Storage.WriteVersionFrom(ctx, task.md.FileID, task.hash, f)
 			}
 		}
 		var ok bool
@@ -632,13 +627,9 @@ func (a *Agent) uploadVersion(ctx context.Context, task uploadTask) (int64, erro
 
 // shouldStream reports whether a payload of the given size is to be streamed
 // into the backend from its disk-cache file instead of being read into
-// memory first, and returns the backend's streaming face if so.
-func (a *Agent) shouldStream(size int64) (storage.StreamWriter, bool) {
-	if a.opts.StreamThresholdBytes < 0 || size <= a.opts.StreamThresholdBytes {
-		return nil, false
-	}
-	sw, ok := a.opts.Storage.(storage.StreamWriter)
-	return sw, ok
+// memory first.
+func (a *Agent) shouldStream(size int64) bool {
+	return a.opts.StreamThresholdBytes >= 0 && size > a.opts.StreamThresholdBytes
 }
 
 // pnsFor reports whether md's metadata is kept in the PNS.

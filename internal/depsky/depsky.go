@@ -206,7 +206,9 @@ type Options struct {
 	// Clouds are the per-provider object-store clients (all owned by the
 	// same principal). len(Clouds) must be >= 3F+1.
 	Clouds []cloud.ObjectStore
-	// F is the number of faulty clouds tolerated.
+	// F is the number of faulty clouds tolerated, at least 0. F = 0 over one
+	// cloud is the single-provider deployment (the paper's SCFS-AWS): every
+	// threshold is 1 and a corrupt copy is detected, not masked.
 	F int
 	// Protocol selects DepSky-CA (default) or DepSky-A.
 	Protocol Protocol
@@ -264,8 +266,8 @@ type Manager struct {
 
 // New validates the options and creates a manager.
 func New(opts Options) (*Manager, error) {
-	if opts.F < 1 {
-		opts.F = 1
+	if opts.F < 0 {
+		return nil, fmt.Errorf("depsky: f = %d, want f >= 0", opts.F)
 	}
 	need := 3*opts.F + 1
 	if len(opts.Clouds) < need {

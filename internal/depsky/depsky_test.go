@@ -53,21 +53,24 @@ func newManager(t *testing.T, protocol Protocol) ([]*cloudsim.Provider, *Manager
 	return providers, m
 }
 
+// TestNewValidation: F is taken as given. F = 0 over one cloud is the
+// single-provider deployment, every threshold 1; a negative F is refused,
+// and 3f+1 clouds are needed for every F.
 func TestNewValidation(t *testing.T) {
-	_, clients := testClouds(t, 3)
-	if _, err := New(Options{Clouds: clients, F: 1}); !errors.Is(err, ErrNotEnoughClouds) {
-		t.Fatalf("err = %v, want ErrNotEnoughClouds", err)
-	}
-	_, clients4 := testClouds(t, 4)
-	m, err := New(Options{Clouds: clients4, F: 0})
+	_, one := testClouds(t, 1)
+	m, err := New(Options{Clouds: one, F: 0, Protocol: ProtocolA})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.F() != 1 {
-		t.Fatalf("F defaulted to %d, want 1", m.F())
+	if m.N() != 1 || m.F() != 0 || m.QuorumSize() != 1 || m.witnessSize() != 1 {
+		t.Fatalf("one cloud at F=0: N=%d F=%d quorum=%d witness=%d, want 1 0 1 1", m.N(), m.F(), m.QuorumSize(), m.witnessSize())
 	}
-	if m.N() != 4 || m.QuorumSize() != 3 {
-		t.Fatalf("N=%d quorum=%d", m.N(), m.QuorumSize())
+	if _, err := New(Options{Clouds: one, F: -1}); err == nil {
+		t.Fatal("F = -1 accepted")
+	}
+	_, three := testClouds(t, 3)
+	if _, err := New(Options{Clouds: three, F: 1}); !errors.Is(err, ErrNotEnoughClouds) {
+		t.Fatalf("three clouds at F=1: err = %v, want ErrNotEnoughClouds", err)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 
-	"scfs/internal/cloud"
 	"scfs/internal/depsky"
 )
 
@@ -25,30 +24,6 @@ type PNSStore interface {
 var ErrPNSNotFound = errors.New("storage: private name space not found")
 
 func pnsObject(user string) string { return "pns/" + user }
-
-// SingleCloudPNS stores the PNS as a single object in one provider.
-type SingleCloudPNS struct {
-	store cloud.ObjectStore
-}
-
-// NewSingleCloudPNS wraps an object store.
-func NewSingleCloudPNS(store cloud.ObjectStore) *SingleCloudPNS {
-	return &SingleCloudPNS{store: store}
-}
-
-// WritePNS implements PNSStore.
-func (s *SingleCloudPNS) WritePNS(ctx context.Context, user string, data []byte) error {
-	return s.store.Put(ctx, pnsObject(user), data)
-}
-
-// ReadPNS implements PNSStore.
-func (s *SingleCloudPNS) ReadPNS(ctx context.Context, user string) ([]byte, error) {
-	data, err := s.store.Get(ctx, pnsObject(user))
-	if errors.Is(err, cloud.ErrNotFound) {
-		return nil, ErrPNSNotFound
-	}
-	return data, err
-}
 
 // CoCPNS stores the PNS as a DepSky data unit (latest version wins).
 type CoCPNS struct {

@@ -1,10 +1,10 @@
 // Package storage implements the SCFS storage service (§2.5.1): the layer
-// that saves and retrieves whole-file objects from the cloud backend, either
-// a single cloud provider (the AWS backend of the paper) or a DepSky
-// cloud-of-clouds. It is the eventually consistent SS of Figure 3 — steps w2
-// and r2; the consistency anchor around it, which makes the composition
-// strongly consistent, is the agent's (internal/core: w1–w3 in Close and
-// syncToCloud, r1–r3 in Open and awaitVisible).
+// that saves and retrieves whole-file objects from the cloud backend, a
+// DepSky manager over one cloud (f = 0, the paper's SCFS-AWS) or a
+// cloud-of-clouds (n >= 3f+1). It is the eventually consistent SS of
+// Figure 3 — steps w2 and r2; the consistency anchor around it, which makes
+// the composition strongly consistent, is the agent's (internal/core: w1–w3
+// in Close and syncToCloud, r1–r3 in Open and awaitVisible).
 package storage
 
 import (
@@ -15,10 +15,8 @@ import (
 	"io"
 	"sync"
 
-	"scfs/internal/cloud"
 	"scfs/internal/depsky"
 	"scfs/internal/pricing"
-	"scfs/internal/seccrypto"
 )
 
 // Errors returned by backends.
@@ -42,20 +40,21 @@ type VersionedStore interface {
 	// ReadVersion returns the data of the given version, or
 	// ErrVersionNotFound if it is not (yet) visible.
 	ReadVersion(ctx context.Context, fileID, hash string) ([]byte, error)
-	// DeleteVersion removes the version (used by garbage collection).
+	// DeleteVersion removes the version.
 	DeleteVersion(ctx context.Context, fileID, hash string) error
 	// ListVersions lists the hashes currently stored for fileID.
 	ListVersions(ctx context.Context, fileID string) ([]string, error)
-	// Name identifies the backend for diagnostics ("aws", "coc", ...).
-	Name() string
+	StreamWriter
+	RangeOpener
+	VersionSweeper
+	VersionCoster
 }
 
-// StreamWriter is the optional streaming face of a VersionedStore: backends
-// that implement it can consume a version's contents from a reader without
-// materializing the encoded form, bounding the memory of large writes. The
-// hash is the caller-computed SHA-256 of the full contents (SCFS computes it
-// when the file is closed); implementations must fail, and clean up, if the
-// streamed bytes do not match it.
+// StreamWriter is the streaming write of a VersionedStore: it consumes a
+// version's contents from a reader without materializing the encoded form,
+// bounding the memory of large writes. The hash is the caller-computed
+// SHA-256 of the full contents (SCFS computes it when the file is closed);
+// the write fails, and cleans up, if the streamed bytes do not match it.
 type StreamWriter interface {
 	WriteVersionFrom(ctx context.Context, fileID, hash string, r io.Reader) error
 }
@@ -74,11 +73,11 @@ type ReaderAtCloser interface {
 	Size() int64
 }
 
-// RangeOpener is the optional ranged-read face of a VersionedStore:
-// backends that implement it serve byte ranges by fetching only the chunks
-// covering them, so large-file ReadAt does not pull whole objects.
-// OpenVersionAt returns ErrVersionNotFound while the version is not yet
-// visible (callers retry per the consistency-anchor loop).
+// RangeOpener is the ranged read of a VersionedStore: it serves byte ranges
+// by fetching only the chunks covering them, so large-file ReadAt does not
+// pull whole objects. OpenVersionAt returns ErrVersionNotFound while the
+// version is not yet visible (callers retry per the consistency-anchor
+// loop).
 type RangeOpener interface {
 	OpenVersionAt(ctx context.Context, fileID, hash string) (ReaderAtCloser, error)
 }
@@ -87,8 +86,7 @@ type RangeOpener interface {
 // axes of the cloud cost model: bytes (storage fees), objects (the
 // per-request fees every surviving object keeps incurring), and the dollars
 // the two convert to under the backend's price table. Everything but
-// Deleted is a best-effort estimate — a backend that cannot attribute them
-// reports zero and only counts Deleted.
+// Deleted is an estimate.
 type SweepStats struct {
 	// Deleted is how many versions were removed.
 	Deleted int
@@ -103,9 +101,8 @@ type SweepStats struct {
 	ReclaimedDollars float64
 }
 
-// VersionSweeper is the optional batched delete face of a VersionedStore,
-// used by the garbage collector: batch maps fileID to the version hashes to
-// remove.
+// VersionSweeper is the batched delete of a VersionedStore, used by the
+// garbage collector: batch maps fileID to the version hashes to remove.
 type VersionSweeper interface {
 	DeleteVersionsBatch(ctx context.Context, batch map[string][]string) SweepStats
 }
@@ -127,166 +124,15 @@ type VersionFootprint struct {
 	Dollars pricing.Estimate
 }
 
-// VersionCoster is the optional cost-estimation face of a VersionedStore:
-// it predicts the footprint a version of the given size would have; how the
-// backend lays a version out (one object, or one per chunk) is the backend's
-// to know. The agent feeds the estimate into its garbage-collection trigger
-// so request-fee pressure (many small chunks) can start a collection even
-// when byte pressure alone would not.
+// VersionCoster is the cost estimate of a VersionedStore: it predicts the
+// footprint a version of the given size would have; how the backend lays a
+// version out (one object, or one per chunk) is the backend's to know. The
+// agent feeds the estimate into its garbage-collection trigger so
+// request-fee pressure (many small chunks) can start a collection even when
+// byte pressure alone would not.
 type VersionCoster interface {
 	EstimateVersionFootprint(size int64) VersionFootprint
 }
-
-// --- single-cloud backend ---
-
-// SingleCloud stores each version as one object named "<fileID>/<hash>" in a
-// single provider (the S3 backend of SCFS-AWS, also used by the S3FS/S3QL
-// baselines).
-type SingleCloud struct {
-	store cloud.ObjectStore
-	// Encrypt enables client-side encryption with a per-agent key. The
-	// paper's AWS backend stores plaintext (confidentiality requires the CoC
-	// backend or trusting the provider); encryption is optional here.
-	key []byte
-	// rates prices the provider for footprint estimates; defaults to the
-	// bundled table's card for the store's provider name.
-	rates pricing.Rates
-}
-
-// NewSingleCloud creates a single-cloud backend. If encrypt is true a random
-// agent key is generated and used for all versions.
-func NewSingleCloud(store cloud.ObjectStore, encrypt bool) (*SingleCloud, error) {
-	sc := &SingleCloud{store: store, rates: pricing.DefaultTable().For(store.Provider())}
-	if encrypt {
-		key, err := seccrypto.NewKey()
-		if err != nil {
-			return nil, err
-		}
-		sc.key = key
-	}
-	return sc, nil
-}
-
-// SetRates replaces the price card used for footprint estimates (mounts
-// with a custom pricing table).
-func (s *SingleCloud) SetRates(r pricing.Rates) { s.rates = r }
-
-// Name implements VersionedStore.
-func (s *SingleCloud) Name() string { return "single:" + s.store.Provider() }
-
-func versionObject(fileID, hash string) string { return fileID + "/" + hash }
-
-// WriteVersion implements VersionedStore.
-func (s *SingleCloud) WriteVersion(ctx context.Context, fileID, hash string, data []byte) error {
-	payload := data
-	if s.key != nil {
-		enc, err := seccrypto.Encrypt(s.key, data)
-		if err != nil {
-			return err
-		}
-		payload = enc
-	}
-	return s.store.Put(ctx, versionObject(fileID, hash), payload)
-}
-
-// ReadVersion implements VersionedStore.
-func (s *SingleCloud) ReadVersion(ctx context.Context, fileID, hash string) ([]byte, error) {
-	payload, err := s.store.Get(ctx, versionObject(fileID, hash))
-	if errors.Is(err, cloud.ErrNotFound) {
-		return nil, ErrVersionNotFound
-	}
-	if err != nil {
-		return nil, err
-	}
-	data := payload
-	if s.key != nil {
-		dec, err := seccrypto.Decrypt(s.key, payload)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrIntegrity, err)
-		}
-		data = dec
-	}
-	if !seccrypto.VerifyHash(data, hash) {
-		return nil, ErrIntegrity
-	}
-	return data, nil
-}
-
-// DeleteVersion implements VersionedStore.
-func (s *SingleCloud) DeleteVersion(ctx context.Context, fileID, hash string) error {
-	return s.store.Delete(ctx, versionObject(fileID, hash))
-}
-
-// ListVersions implements VersionedStore.
-func (s *SingleCloud) ListVersions(ctx context.Context, fileID string) ([]string, error) {
-	objs, err := s.store.List(ctx, fileID+"/")
-	if err != nil {
-		return nil, err
-	}
-	hashes := make([]string, 0, len(objs))
-	for _, o := range objs {
-		hashes = append(hashes, o.Name[len(fileID)+1:])
-	}
-	return hashes, nil
-}
-
-// sweepConcurrency bounds how many versions a DeleteVersionsBatch deletes at
-// once. On the cloud-of-clouds a version in flight is a request at each of
-// the n clouds per round; 16 makes a WAN collection's sweep a few rounds
-// deep, and 64 saves little more for four times the requests in flight.
-const sweepConcurrency = 16
-
-// sweep calls del for every version of batch, sweepConcurrency at a time,
-// and returns when all are done.
-func sweep(batch map[string][]string, del func(fileID, hash string)) {
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, sweepConcurrency)
-	for fileID, hashes := range batch {
-		for _, hash := range hashes {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func() {
-				defer wg.Done()
-				defer func() { <-sem }()
-				del(fileID, hash)
-			}()
-		}
-	}
-	wg.Wait()
-}
-
-// DeleteVersionsBatch implements VersionSweeper: single-cloud versions are
-// addressed directly by name, so the sweep is just bounded-parallel deletes
-// (one object per version; reclaimed bytes are not attributed).
-func (s *SingleCloud) DeleteVersionsBatch(ctx context.Context, batch map[string][]string) SweepStats {
-	var stats SweepStats
-	var mu sync.Mutex
-	sweep(batch, func(fileID, hash string) {
-		if s.store.Delete(ctx, versionObject(fileID, hash)) == nil {
-			mu.Lock()
-			stats.Deleted++
-			stats.ReclaimedObjects++
-			mu.Unlock()
-		}
-	})
-	return stats
-}
-
-// EstimateVersionFootprint implements VersionCoster: a single-cloud version
-// is always one object, whatever its size.
-func (s *SingleCloud) EstimateVersionFootprint(size int64) VersionFootprint {
-	return VersionFootprint{
-		Bytes: size, Objects: 1, PutRequests: 1, GetRequestsPerRead: 1, DeleteRequests: 1,
-		Dollars: pricing.Estimate{
-			StoragePerMonth: s.rates.StorageCost(size),
-			UploadOnce:      s.rates.PutCost(size),
-			ReadOnce:        s.rates.GetCost(size),
-			DeleteOnce:      s.rates.DeleteRequest,
-		},
-	}
-}
-
-// --- cloud-of-clouds backend ---
 
 // CloudOfClouds stores versions through a DepSky manager: each file is a
 // DepSky data unit, and each SCFS version is the DepSky version named by the
@@ -294,7 +140,7 @@ func (s *SingleCloud) EstimateVersionFootprint(size int64) VersionFootprint {
 // written in one cloud round and read in one (its descriptor objects, which
 // hold the chunk); a larger one takes a round more each way, for the chunks
 // after the first. The clouds keep no register of which versions exist: that
-// is the anchor's job.
+// is the anchor's job. A manager over one cloud (f = 0) is served alike.
 type CloudOfClouds struct {
 	mgr *depsky.Manager
 }
@@ -303,9 +149,6 @@ type CloudOfClouds struct {
 func NewCloudOfClouds(mgr *depsky.Manager) *CloudOfClouds {
 	return &CloudOfClouds{mgr: mgr}
 }
-
-// Name implements VersionedStore.
-func (c *CloudOfClouds) Name() string { return "coc" }
 
 // WriteVersion implements VersionedStore.
 func (c *CloudOfClouds) WriteVersion(ctx context.Context, fileID, hash string, data []byte) error {
@@ -368,6 +211,12 @@ func (c *CloudOfClouds) OpenVersionAt(ctx context.Context, fileID, hash string) 
 	return r, nil
 }
 
+// sweepConcurrency bounds how many versions a DeleteVersionsBatch deletes at
+// once. A version in flight is a request at each of the n clouds per round;
+// 16 makes a WAN collection's sweep a few rounds deep, and 64 saves little
+// more for four times the requests in flight.
+const sweepConcurrency = 16
+
 // DeleteVersionsBatch implements VersionSweeper: every doomed version is
 // deleted by name (depsky.Manager.DeleteVersion), sweepConcurrency versions
 // at a time. Every version whose names were deleted is counted; what it
@@ -375,23 +224,36 @@ func (c *CloudOfClouds) OpenVersionAt(ctx context.Context, fileID, hash string) 
 // so a chunked version is credited with every object it frees and the
 // leftovers of one lagging cloud with nothing.
 func (c *CloudOfClouds) DeleteVersionsBatch(ctx context.Context, batch map[string][]string) SweepStats {
-	var stats SweepStats
-	var mu sync.Mutex
-	sweep(batch, func(fileID, hash string) {
-		v, err := c.mgr.DeleteVersion(ctx, fileID, hash)
-		if err != nil && !errors.Is(err, depsky.ErrVersionNotFound) {
-			return
+	var (
+		stats SweepStats
+		mu    sync.Mutex
+		wg    sync.WaitGroup
+	)
+	sem := make(chan struct{}, sweepConcurrency)
+	for fileID, hashes := range batch {
+		for _, hash := range hashes {
+			wg.Add(1)
+			sem <- struct{}{}
+			go func() {
+				defer wg.Done()
+				defer func() { <-sem }()
+				v, err := c.mgr.DeleteVersion(ctx, fileID, hash)
+				if err != nil && !errors.Is(err, depsky.ErrVersionNotFound) {
+					return
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				stats.Deleted++
+				if err == nil {
+					fp := c.mgr.VersionFootprint(v)
+					stats.ReclaimedBytes += fp.Bytes
+					stats.ReclaimedObjects += fp.Objects
+					stats.ReclaimedDollars += c.mgr.VersionCost(v).StoragePerMonth
+				}
+			}()
 		}
-		mu.Lock()
-		defer mu.Unlock()
-		stats.Deleted++
-		if err == nil {
-			fp := c.mgr.VersionFootprint(v)
-			stats.ReclaimedBytes += fp.Bytes
-			stats.ReclaimedObjects += fp.Objects
-			stats.ReclaimedDollars += c.mgr.VersionCost(v).StoragePerMonth
-		}
-	})
+	}
+	wg.Wait()
 	return stats
 }
 

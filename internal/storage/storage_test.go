@@ -18,15 +18,20 @@ import (
 
 var bg = context.Background()
 
-func newSingleCloudStore(t *testing.T, encrypt bool) (*cloudsim.Provider, *SingleCloud) {
+// newSingleCloudStore builds the storage of a single-cloud mount: DepSky-A
+// at f = 0 over one provider.
+func newSingleCloudStore(t *testing.T) (*cloudsim.Provider, *CloudOfClouds) {
 	t.Helper()
 	p := cloudsim.NewProvider(cloudsim.Options{Name: "s3"})
-	c := p.MustClient(p.CreateAccount("alice"))
-	sc, err := NewSingleCloud(c, encrypt)
+	mgr, err := depsky.New(depsky.Options{
+		Clouds:   []cloud.ObjectStore{p.MustClient(p.CreateAccount("alice"))},
+		F:        0,
+		Protocol: depsky.ProtocolA,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p, sc
+	return p, NewCloudOfClouds(mgr)
 }
 
 func newCoCStore(t *testing.T) ([]*cloudsim.Provider, *CloudOfClouds) {
@@ -91,18 +96,10 @@ func testVersionedStore(t *testing.T, vs VersionedStore) {
 	if _, err := vs.ReadVersion(bg, "file-1", h2); err != nil {
 		t.Fatalf("remaining version unreadable after GC: %v", err)
 	}
-	if vs.Name() == "" {
-		t.Fatal("backend must report a name")
-	}
 }
 
 func TestSingleCloudVersionedStore(t *testing.T) {
-	_, sc := newSingleCloudStore(t, false)
-	testVersionedStore(t, sc)
-}
-
-func TestSingleCloudEncryptedVersionedStore(t *testing.T) {
-	_, sc := newSingleCloudStore(t, true)
+	_, sc := newSingleCloudStore(t)
 	testVersionedStore(t, sc)
 }
 
@@ -111,33 +108,23 @@ func TestCloudOfCloudsVersionedStore(t *testing.T) {
 	testVersionedStore(t, coc)
 }
 
-func TestSingleCloudEncryptionHidesPlaintext(t *testing.T) {
-	p, sc := newSingleCloudStore(t, true)
-	data := bytes.Repeat([]byte("SECRETDATA"), 50)
-	h := seccrypto.Hash(data)
-	if err := sc.WriteVersion(bg, "f", h, data); err != nil {
-		t.Fatal(err)
-	}
-	c := p.MustClient(p.CreateAccount("alice"))
-	objs, _ := c.List(bg, "")
-	for _, o := range objs {
-		raw, _ := c.Get(bg, o.Name)
-		if bytes.Contains(raw, []byte("SECRETDATA")) {
-			t.Fatal("plaintext stored despite encryption")
-		}
-	}
-}
-
+// TestSingleCloudDetectsCorruption: one cloud cannot mask a corrupt copy,
+// only refuse it. Neither the whole-object read nor the ranged one may
+// return the corrupted bytes as the version's contents.
 func TestSingleCloudDetectsCorruption(t *testing.T) {
-	p, sc := newSingleCloudStore(t, false)
+	p, sc := newSingleCloudStore(t)
 	data := []byte("important data")
 	h := seccrypto.Hash(data)
 	if err := sc.WriteVersion(bg, "f", h, data); err != nil {
 		t.Fatal(err)
 	}
 	p.SetFault(cloudsim.FaultCorrupt)
-	if _, err := sc.ReadVersion(bg, "f", h); !errors.Is(err, ErrIntegrity) {
-		t.Fatalf("err = %v, want ErrIntegrity (single cloud cannot mask corruption, only detect it)", err)
+	if got, err := sc.ReadVersion(bg, "f", h); err == nil || got != nil {
+		t.Fatalf("ReadVersion of the corrupted only copy = %q, %v; want an error and no bytes", got, err)
+	}
+	if r, err := sc.OpenVersionAt(bg, "f", h); err == nil {
+		r.Close()
+		t.Fatal("OpenVersionAt served the corrupted only copy")
 	}
 }
 

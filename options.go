@@ -89,8 +89,10 @@ func WithUser(user string) Option { return func(c *config) { c.user = user } }
 func WithMode(mode Mode) Option { return func(c *config) { c.mode = mode } }
 
 // WithClouds mounts over the given object stores instead of simulated
-// providers. One store selects the single-cloud backend; 3f+1 or more select
-// the DepSky cloud-of-clouds.
+// providers. One store is DepSky-A at f = 0 (the paper's SCFS-AWS: the
+// provider holds the contents as written); 3f+1 or more disperse them with
+// DepSky-CA. Either way the mount streams large writes, serves ranged reads
+// and reports metered spend.
 func WithClouds(stores ...ObjectStore) Option {
 	return func(c *config) { c.clouds = append([]ObjectStore(nil), stores...) }
 }
@@ -100,8 +102,10 @@ func WithClouds(stores ...ObjectStore) Option {
 func WithFaultTolerance(f int) Option { return func(c *config) { c.f = f } }
 
 // WithSimulatedLatency scales the simulated providers' network latency:
-// 0 (the default) mounts instant in-process clouds, 1.0 reproduces the
-// paper's measured RTT magnitudes. Ignored when WithClouds is used.
+// 1.0 reproduces the paper's measured RTT magnitudes, 0.1 a tenth of them.
+// 0, the default, is taken as 1.0, so the default simulated clouds are the
+// paper's WAN; mount instant clouds with WithClouds. Ignored when
+// WithClouds is used.
 func WithSimulatedLatency(scale float64) Option { return func(c *config) { c.simLatency = scale } }
 
 // WithCoordination replaces the default coordination service, DepSpace on
@@ -292,50 +296,39 @@ func (c *config) build(ctx context.Context) (*core.Agent, mountTelemetry, func()
 		prices = pricing.DefaultTable()
 	}
 
-	var (
-		store   storage.VersionedStore
-		pns     storage.PNSStore
-		metered func() []core.ProviderSpend
-	)
-	switch {
-	case len(clouds) == 1:
-		sc, err := storage.NewSingleCloud(clouds[0], true)
-		if err != nil {
-			return nil, tel, nil, fmt.Errorf("scfs: building single-cloud backend: %w", err)
-		}
-		sc.SetRates(prices.For(clouds[0].Provider()))
-		store = sc
-		pns = storage.NewSingleCloudPNS(clouds[0])
-	case len(clouds) >= 3*c.f+1:
-		mgr, err := depsky.New(depsky.Options{
-			Clouds:   clouds,
-			F:        c.f,
-			Policy:   c.ioPolicy,
-			Pricing:  prices,
-			Breakers: c.breakers,
-			Metrics:  tel.metrics,
-			Tracer:   tel.tracer,
-		})
-		if err != nil {
-			return nil, tel, nil, fmt.Errorf("scfs: building cloud-of-clouds backend: %w", err)
-		}
-		store = storage.NewCloudOfClouds(mgr)
-		pns = storage.NewCoCPNS(mgr)
-		// Spend only surfaces on metered mounts: keeping Stats() free of
-		// meter polling is part of the "disabled telemetry costs nothing"
-		// contract (plain mounts still have CostReport).
-		if c.metrics {
-			metered = func() []core.ProviderSpend {
-				usage := mgr.MeteredUsage()
-				out := make([]core.ProviderSpend, len(usage))
-				for i, u := range usage {
-					out[i] = core.ProviderSpend{Provider: u.Provider, Usage: u.Usage, Dollars: u.Dollars}
-				}
-				return out
+	// One cloud is DepSky at f = 0: every key a second agent fetches sits at
+	// that provider, so DepSky-A, which stores the value as is (the paper's
+	// SCFS-AWS), serves it; more clouds disperse it with DepSky-CA.
+	f, protocol := c.f, depsky.ProtocolCA
+	if len(clouds) == 1 {
+		f, protocol = 0, depsky.ProtocolA
+	}
+	mgr, err := depsky.New(depsky.Options{
+		Clouds:   clouds,
+		F:        f,
+		Protocol: protocol,
+		Policy:   c.ioPolicy,
+		Pricing:  prices,
+		Breakers: c.breakers,
+		Metrics:  tel.metrics,
+		Tracer:   tel.tracer,
+	})
+	if err != nil {
+		return nil, tel, nil, fmt.Errorf("scfs: building the storage backend over %d clouds: %w", len(clouds), err)
+	}
+	// Spend only surfaces on metered mounts: keeping Stats() free of meter
+	// polling is part of the "disabled telemetry costs nothing" contract
+	// (plain mounts still have CostReport).
+	var metered func() []core.ProviderSpend
+	if c.metrics {
+		metered = func() []core.ProviderSpend {
+			usage := mgr.MeteredUsage()
+			out := make([]core.ProviderSpend, len(usage))
+			for i, u := range usage {
+				out[i] = core.ProviderSpend{Provider: u.Provider, Usage: u.Usage, Dollars: u.Dollars}
 			}
+			return out
 		}
-	default:
-		return nil, tel, nil, fmt.Errorf("scfs: need 1 cloud or at least %d (3f+1 with f=%d), have %d", 3*c.f+1, c.f, len(clouds))
 	}
 
 	coordination := c.coordination
@@ -352,8 +345,8 @@ func (c *config) build(ctx context.Context) (*core.Agent, mountTelemetry, func()
 		User:                 c.user,
 		Mode:                 c.mode,
 		Coordination:         coordination,
-		Storage:              store,
-		PNSStorage:           pns,
+		Storage:              storage.NewCloudOfClouds(mgr),
+		PNSStorage:           storage.NewCoCPNS(mgr),
 		UsePNS:               c.usePNS,
 		GC:                   c.gc,
 		MemoryCacheBytes:     c.memCacheBytes,

@@ -221,7 +221,7 @@ func (m *FS) Traces(n int) []*Trace { return m.tracer.Recent(n) }
 // that erred, hit an open breaker, or crossed a view change.
 func (m *FS) FlightRecorder() *FlightRecorder { return m.flight }
 
-// traced starts a facade-level trace for one metadata operation. An
+// traced starts a facade-level trace for one client operation. An
 // operation arriving with a trace already on its context — an io/fs walk
 // inside a traced read — joins it instead (tr is then nil and its
 // SetError/Finish no-op), so exactly one trace covers each client-visible
@@ -367,19 +367,31 @@ func (m *FS) CostReport(ctx context.Context) (CostReport, error) { return m.agen
 // it needs no WithReadahead. CallOptions tune the read's I/O policy (hedged
 // quorum reads; WithLimits may narrow the chunk fetches).
 func ReadFile(ctx context.Context, m *FS, path string, opts ...CallOption) ([]byte, error) {
-	return fsapi.ReadFile(callCtx(ctx, opts), m.agent, path)
+	ctx, tr := m.traced(callCtx(ctx, opts), "read", path)
+	data, err := fsapi.ReadFile(ctx, m.agent, path)
+	tr.SetError(err)
+	tr.Finish()
+	return data, err
 }
 
 // WriteFile creates (or truncates) path with the given contents. CallOptions
 // tune the write's I/O policy.
 func WriteFile(ctx context.Context, m *FS, path string, data []byte, opts ...CallOption) error {
-	return fsapi.WriteFile(callCtx(ctx, opts), m.agent, path, data)
+	ctx, tr := m.traced(callCtx(ctx, opts), "write", path)
+	err := fsapi.WriteFile(ctx, m.agent, path, data)
+	tr.SetError(err)
+	tr.Finish()
+	return err
 }
 
 // WriteFileFrom streams r into path with bounded memory and returns how many
 // bytes were written. CallOptions tune the write's I/O policy.
 func WriteFileFrom(ctx context.Context, m *FS, path string, r io.Reader, opts ...CallOption) (int64, error) {
-	return fsapi.WriteFileFrom(callCtx(ctx, opts), m.agent, path, r)
+	ctx, tr := m.traced(callCtx(ctx, opts), "write", path)
+	n, err := fsapi.WriteFileFrom(ctx, m.agent, path, r)
+	tr.SetError(err)
+	tr.Finish()
+	return n, err
 }
 
 // ReadFileTo streams the contents of path into w through a buffer of one
@@ -388,5 +400,9 @@ func WriteFileFrom(ctx context.Context, m *FS, path string, r io.Reader, opts ..
 // what turns its sequential copy of a cold large file into a pipelined scan
 // that prefetches upcoming chunks while the current one drains into w.
 func ReadFileTo(ctx context.Context, m *FS, path string, w io.Writer, opts ...CallOption) (int64, error) {
-	return fsapi.ReadFileTo(callCtx(ctx, opts), m.agent, path, w)
+	ctx, tr := m.traced(callCtx(ctx, opts), "read", path)
+	n, err := fsapi.ReadFileTo(ctx, m.agent, path, w)
+	tr.SetError(err)
+	tr.Finish()
+	return n, err
 }

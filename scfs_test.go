@@ -235,7 +235,7 @@ func TestFacadeStreaming(t *testing.T) {
 }
 
 func TestSingleCloudBackend(t *testing.T) {
-	// One provided cloud selects the single-cloud backend.
+	// One provided cloud is DepSky-A at f = 0.
 	m := mount(t, scfs.WithClouds(newSimClient(t)))
 	if err := scfs.WriteFile(bg, m, "/f", []byte("single")); err != nil {
 		t.Fatal(err)
@@ -243,6 +243,45 @@ func TestSingleCloudBackend(t *testing.T) {
 	if got, err := scfs.ReadFile(bg, m, "/f"); err != nil || string(got) != "single" {
 		t.Fatalf("%q, %v", got, err)
 	}
+}
+
+// TestSingleCloudSharedAndRemounted: one store is DepSky-A at f = 0, so a
+// version is readable by every mount over that provider, not only by the
+// one that wrote it. A second agent sharing the coordination service reads
+// the first one's small and multi-chunk files, and so does a fresh mount of
+// the same user once the first has closed. The writer meters and prices its
+// one cloud like a cloud-of-clouds mount.
+func TestSingleCloudSharedAndRemounted(t *testing.T) {
+	opts := []scfs.Option{scfs.WithClouds(newSimClient(t)), scfs.WithCoordination(sharedCoord())}
+	files := map[string][]byte{
+		"/small.txt": []byte("one cloud, two agents"),
+		"/large.bin": bytes.Repeat([]byte("chunked!"), 3<<17), // 3 MiB: three chunks
+	}
+	writer := mount(t, append(opts, scfs.WithMetrics())...)
+	for path, data := range files {
+		if err := scfs.WriteFile(bg, writer, path, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if spend := writer.Stats().Spend; len(spend) != 1 || spend[0].Dollars <= 0 {
+		t.Errorf("metered spend of the one cloud: %+v", spend)
+	}
+	if cost, err := writer.CostReport(bg); err != nil || cost.CloudObjects == 0 || cost.StorageDollarsPerMonth <= 0 {
+		t.Errorf("CostReport = %+v, %v; want the versions priced", cost, err)
+	}
+	readAll := func(who string, m *scfs.FS) {
+		t.Helper()
+		for path, want := range files {
+			if got, err := scfs.ReadFile(bg, m, path); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%s reads %s: %d bytes, %v; want the %d written", who, path, len(got), err, len(want))
+			}
+		}
+	}
+	readAll("a second agent", mount(t, opts...))
+	if err := writer.Close(bg); err != nil {
+		t.Fatal(err)
+	}
+	readAll("a remount", mount(t, opts...))
 }
 
 func TestBadCloudCount(t *testing.T) {

@@ -17,7 +17,6 @@ import (
 	"scfs/internal/cloudsim"
 	"scfs/internal/coord"
 	"scfs/internal/depspace"
-	"scfs/internal/telemetry"
 )
 
 // namedStores builds four zero-latency simulated clouds named c0..c3 so
@@ -155,22 +154,23 @@ func TestStatsTelemetry(t *testing.T) {
 
 // TestDefaultMountCoordinatesThroughReplicas: a mount given no coordination
 // service runs the paper's, DepSpace on BFT replicas, so the coordination
-// accesses of a plain WriteFile are smr invocations in its trace. WriteFile
-// is not traced at the facade, so the caller's context carries the trace
-// and every layer below records into it.
+// accesses of a plain WriteFile are smr invocations in the trace the facade
+// starts for it.
 func TestDefaultMountCoordinatesThroughReplicas(t *testing.T) {
 	m := mount(t, scfs.WithTracing(8))
-	ctx, tr := telemetry.NewTracer(1).Start(bg, "writefile", "/f.txt")
-	if err := scfs.WriteFile(ctx, m, "/f.txt", []byte("replicated")); err != nil {
+	if err := scfs.WriteFile(bg, m, "/f.txt", []byte("replicated")); err != nil {
 		t.Fatal(err)
 	}
-	tr.Finish()
-	for _, s := range tr.Spans() {
+	traces := m.Traces(0)
+	if len(traces) != 1 || traces[0].Op != "write" {
+		t.Fatalf("WriteFile left %d traces, want one write trace", len(traces))
+	}
+	for _, s := range traces[0].Spans() {
 		if s.Name == "smr.invoke" {
 			return
 		}
 	}
-	t.Fatalf("the WriteFile's trace holds no smr.invoke span: %v", tr.Describe())
+	t.Fatalf("the WriteFile's trace holds no smr.invoke span: %v", traces[0].Describe())
 }
 
 // TestOneTraceSpansEveryLayer: one facade operation on a sharded,
