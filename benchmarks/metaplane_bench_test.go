@@ -307,7 +307,7 @@ func BenchmarkMetadataStorm(b *testing.B) {
 		{"Single", 1, nil},
 		{"Sharded4", 4, nil},
 		{"Sharded4Telemetry", 4, []scfs.Option{
-			scfs.WithMetrics(), scfs.WithTracing(256), scfs.WithFlightRecorder()}},
+			scfs.WithMetrics(), scfs.WithTracing(256)}},
 	} {
 		b.Run(leg.name, func(b *testing.B) {
 			svc, rts, groups := stormPlane(b, leg.shards)

@@ -62,7 +62,6 @@ func BenchmarkDepSkyDegradedRead(b *testing.B) {
 				Retry: iopolicy.Retry{
 					MaxAttempts: 3,
 					BackoffBase: 200 * time.Microsecond,
-					BackoffMax:  time.Millisecond,
 				},
 			})
 			beforeReqs := issued.Load()

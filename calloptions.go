@@ -35,8 +35,6 @@ type (
 	// ReadPreference pins the order in which an operation contacts the
 	// clouds (see WithReadPreference).
 	ReadPreference = iopolicy.Preference
-	// IOLimits bounds the extra work a policy may spend (see WithLimits).
-	IOLimits = iopolicy.Limits
 	// RetryPolicy grants the operation's per-cloud RPCs a retry budget (see
 	// WithRetry).
 	RetryPolicy = iopolicy.Retry
@@ -70,26 +68,12 @@ type CallOption func(*IOPolicy)
 // protection: a stalling cloud is hedged around after the delay.
 //
 // With no latency observations yet the hedge fires immediately, degrading
-// gracefully to the full fan-out. Combine with WithHedgeDelayBounds to
-// clamp the tracked delay.
+// gracefully to the full fan-out. The tracked delay is not clamped.
 //
 // The preferred set is the tracked-fastest clouds, with those whose circuit
 // breaker is open ranked last; a WithReadPreference order pins it instead.
 func WithHedge(percentile float64) CallOption {
 	return func(p *IOPolicy) { p.Hedge.Percentile = percentile }
-}
-
-// WithHedgeDelayBounds clamps the tracked hedge delay of WithHedge (read
-// fan-outs) to [min, max]; max of 0 leaves the delay uncapped. Use it to
-// bound how long an operation may wait on a preferred set whose tracked
-// percentile is stale or pathological. Write hedges keep their own bounds
-// (WithWriteHedgeDelayBounds), so tightening a latency-critical read never
-// loosens the mount's write-spare parking.
-func WithHedgeDelayBounds(min, max time.Duration) CallOption {
-	return func(p *IOPolicy) {
-		p.Hedge.MinDelay = min
-		p.Hedge.MaxDelay = max
-	}
 }
 
 // WithWriteHedgeDelayBounds clamps the tracked spare-release delay of
@@ -159,14 +143,6 @@ func WithReadPreference(pref ReadPreference) CallOption {
 // were passed to WithClouds); unlisted clouds rank after the listed ones.
 func PreferClouds(order ...int) ReadPreference { return ReadPreference{Order: order} }
 
-// WithLimits bounds the extra work the operation's policy may spend: the
-// number of concurrently in-flight prefetch chunks. MaxParallelChunks also
-// narrows how many chunks one multi-chunk read fetches together; it can only
-// lower that width below the built-in bound of 8 chunks, never raise it.
-func WithLimits(limits IOLimits) CallOption {
-	return func(p *IOPolicy) { p.Limits = limits }
-}
-
 // WithRetry grants every per-cloud RPC of the operation a retry budget of
 // maxAttempts total attempts (first try included): transient provider
 // failures — outages, throttling — are retried with full-jitter exponential
@@ -176,25 +152,13 @@ func WithLimits(limits IOLimits) CallOption {
 // retries are spent where they can help. maxAttempts <= 1 disables retries,
 // the default.
 //
-// The backoff starts at 50ms and grows exponentially (capped at 16x);
-// use WithRetryBackoff to tune it.
-func WithRetry(maxAttempts int) CallOption {
-	return func(p *IOPolicy) {
-		p.Retry.MaxAttempts = maxAttempts
-		if p.Retry.BackoffBase == 0 {
-			p.Retry.BackoffBase = 50 * time.Millisecond
-		}
+// backoff caps the first (jittered) delay between attempts; the delays grow
+// exponentially up to 16x backoff. A backoff <= 0 starts at 50ms.
+func WithRetry(maxAttempts int, backoff time.Duration) CallOption {
+	if backoff <= 0 {
+		backoff = 50 * time.Millisecond
 	}
-}
-
-// WithRetryBackoff shapes the delays between WithRetry attempts: base caps
-// the first (jittered) delay and max caps the exponential growth (0 = 16x
-// base).
-func WithRetryBackoff(base, max time.Duration) CallOption {
-	return func(p *IOPolicy) {
-		p.Retry.BackoffBase = base
-		p.Retry.BackoffMax = max
-	}
+	return func(p *IOPolicy) { p.Retry = RetryPolicy{MaxAttempts: maxAttempts, BackoffBase: backoff} }
 }
 
 // WithBreaker selects how the operation treats clouds whose circuit breaker

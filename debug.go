@@ -89,10 +89,6 @@ func startDebugServer(addr string, m *FS) (*debugServer, error) {
 	}
 	mux.HandleFunc("/debug/slow", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if m.flight == nil {
-			fmt.Fprintln(w, "flight recorder disabled (mount WithFlightRecorder)")
-			return
-		}
 		for _, class := range m.flight.Classes() {
 			fmt.Fprintf(w, "== %s (slowest first)\n", class)
 			for _, t := range m.flight.Slowest(class) {
@@ -102,10 +98,6 @@ func startDebugServer(addr string, m *FS) (*debugServer, error) {
 	})
 	mux.HandleFunc("/debug/flight", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if m.flight == nil {
-			fmt.Fprintln(w, "flight recorder disabled (mount WithFlightRecorder)")
-			return
-		}
 		st := m.flight.Stats()
 		fmt.Fprintf(w, "seen=%d admitted=%d evicted=%d retained=%d spans=%d/%d\n",
 			st.Seen, st.Admitted, st.Evicted, st.Retained, st.Spans, st.SpanBudget)

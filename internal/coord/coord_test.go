@@ -316,13 +316,9 @@ func TestWithLatencyChargesEveryAccess(t *testing.T) {
 }
 
 func TestLatencyProfilesAreSane(t *testing.T) {
-	aws := DefaultAWSLatency()
 	coc := DefaultCoCLatency()
-	if aws.MinRTT < 50*time.Millisecond || aws.MaxRTT > 150*time.Millisecond {
-		t.Fatalf("AWS latency profile out of the paper's 60-100ms band: %+v", aws)
-	}
-	if coc.MinRTT < aws.MinRTT {
-		t.Fatalf("CoC coordination latency should not be below AWS: %+v vs %+v", coc, aws)
+	if coc.MinRTT < 60*time.Millisecond || coc.MaxRTT > 100*time.Millisecond || coc.MinRTT > coc.MaxRTT {
+		t.Fatalf("CoC latency profile out of the paper's 60-100ms band: %+v", coc)
 	}
 }
 

@@ -26,11 +26,6 @@ type LatencyOptions struct {
 	Seed int64
 }
 
-// DefaultAWSLatency models the single-EC2-instance DepSpace deployment.
-func DefaultAWSLatency() LatencyOptions {
-	return LatencyOptions{MinRTT: 60 * time.Millisecond, MaxRTT: 80 * time.Millisecond}
-}
-
 // DefaultCoCLatency models the four-cloud replicated DepSpace deployment,
 // whose client-observed latency is slightly higher because the BFT protocol
 // needs a quorum of geographically spread replicas.

@@ -206,9 +206,10 @@ type Options struct {
 	// Clouds are the per-provider object-store clients (all owned by the
 	// same principal). len(Clouds) must be >= 3F+1.
 	Clouds []cloud.ObjectStore
-	// F is the number of faulty clouds tolerated, at least 0. F = 0 over one
-	// cloud is the single-provider deployment (the paper's SCFS-AWS): every
-	// threshold is 1 and a corrupt copy is detected, not masked.
+	// F is the number of faulty clouds tolerated, at least 0 (1 under
+	// DepSky-CA). F = 0 over one cloud with DepSky-A is the single-provider
+	// deployment (the paper's SCFS-AWS): every threshold is 1 and a corrupt
+	// copy is detected, not masked.
 	F int
 	// Protocol selects DepSky-CA (default) or DepSky-A.
 	Protocol Protocol
@@ -266,8 +267,8 @@ type Manager struct {
 
 // New validates the options and creates a manager.
 func New(opts Options) (*Manager, error) {
-	if opts.F < 0 {
-		return nil, fmt.Errorf("depsky: f = %d, want f >= 0", opts.F)
+	if opts.F < 0 || (opts.F < 1 && opts.Protocol == ProtocolCA) {
+		return nil, fmt.Errorf("depsky: f = %d, want f >= 0 for %s and f >= 1 for %s (f+1 key shares)", opts.F, ProtocolA, ProtocolCA)
 	}
 	need := 3*opts.F + 1
 	if len(opts.Clouds) < need {

@@ -74,6 +74,23 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestNewRefusesCAWithoutFaults: DepSky-CA splits each chunk's key into f+1
+// shares, so F = 0 has no valid threshold. The manager refuses it at
+// construction instead of failing every Write afterwards.
+func TestNewRefusesCAWithoutFaults(t *testing.T) {
+	_, four := testClouds(t, 4)
+	if _, err := New(Options{Clouds: four, F: 0, Protocol: ProtocolCA}); err == nil {
+		t.Fatal("DepSky-CA at F = 0 accepted")
+	}
+	m, err := New(Options{Clouds: four, F: 0, Protocol: ProtocolA})
+	if err != nil {
+		t.Fatalf("DepSky-A at F = 0: %v", err)
+	}
+	if _, err := m.Write(bg, "u", []byte("replicated")); err != nil {
+		t.Fatalf("DepSky-A at F = 0 write: %v", err)
+	}
+}
+
 func TestWriteReadRoundTripCA(t *testing.T) {
 	_, m := newManager(t, ProtocolCA)
 	for _, size := range []int{0, 1, 100, 4096, 1 << 18} {

@@ -40,10 +40,7 @@ var errBreakerSkipped = errors.New("depsky: cloud skipped by open circuit breake
 func retryFor(pol iopolicy.Policy) resilience.RetryPolicy {
 	return resilience.RetryPolicy{
 		MaxAttempts: pol.Retry.MaxAttempts,
-		Backoff: resilience.Backoff{
-			Base: pol.Retry.BackoffBase,
-			Max:  pol.Retry.BackoffMax,
-		},
+		Backoff:     resilience.Backoff{Base: pol.Retry.BackoffBase},
 	}
 }
 

@@ -249,15 +249,15 @@ func (m *Manager) OpenMatching(ctx context.Context, unit, hash string) (*stream.
 }
 
 // newChunkReader returns the stream.Reader over one version's chunkFetcher,
-// configured from the open-time I/O policy: its chunk limit may narrow the
-// reader's fetches, and a readahead request becomes the reader's prefetch
-// window (sized by its governor as the access pattern allows). The policy is
+// configured from the open-time I/O policy: a readahead request becomes the
+// reader's prefetch window (sized by its governor as the access pattern
+// allows). The policy is
 // also stamped on the reader's base context, so prefetches issued on the
 // reader's own behalf hedge their chunk fan-outs the same way foreground
 // reads do.
 func (m *Manager) newChunkReader(ctx context.Context, f *chunkFetcher) *stream.Reader {
 	pol := m.policyFor(ctx)
-	opts := stream.ReaderOptions{MaxParallel: pol.Limits.MaxParallelChunks}
+	var opts stream.ReaderOptions
 	if pol.Readahead > 0 {
 		opts.Readahead = pol.Readahead
 		//scfslint:ignore ctxdiscipline value-only base for prefetches; cancellation comes from the reader lifetime and trigger ctx

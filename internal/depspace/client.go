@@ -146,14 +146,8 @@ func (c *Client) Out(ctx context.Context, t Tuple, acl ACL) (uint64, error) {
 	return res.Version, err
 }
 
-// OutTimed inserts an ephemeral tuple that expires after ttl.
-func (c *Client) OutTimed(ctx context.Context, t Tuple, acl ACL, ttl time.Duration) (uint64, error) {
-	res, err := c.do(ctx, Command{Op: opOut, Tuple: t, ACL: acl, TTLNanos: int64(ttl)})
-	return res.Version, err
-}
-
-// The commands a Batch can carry; the typed methods below issue the same
-// commands singly.
+// The commands a Batch can carry; the typed methods below issue some of
+// them singly.
 
 // CmdRdp reads (without removing) one tuple matching the template.
 func CmdRdp(template Tuple) Command { return Command{Op: opRdp, Template: template} }
@@ -204,30 +198,6 @@ func (c *Client) RdAll(ctx context.Context, template Tuple) ([]Entry, error) {
 	return res.Entries, nil
 }
 
-// Inp removes and returns one tuple matching the template.
-func (c *Client) Inp(ctx context.Context, template Tuple) (*Entry, error) {
-	res, err := c.do(ctx, CmdInp(template))
-	if err != nil {
-		return nil, err
-	}
-	return res.Entry, nil
-}
-
-// Replace atomically substitutes the tuple matching template (if any) with
-// replacement.
-func (c *Client) Replace(ctx context.Context, template, replacement Tuple, acl ACL) (uint64, error) {
-	res, err := c.do(ctx, CmdReplace(template, replacement, acl))
-	return res.Version, err
-}
-
-// ReplaceTimed is Replace for ephemeral tuples.
-func (c *Client) ReplaceTimed(ctx context.Context, template, replacement Tuple, acl ACL, ttl time.Duration) (uint64, error) {
-	cmd := CmdReplace(template, replacement, acl)
-	cmd.TTLNanos = int64(ttl)
-	res, err := c.do(ctx, cmd)
-	return res.Version, err
-}
-
 // Cas inserts replacement only if the tuple matching template has the
 // expected version (0 = must not exist). On success it returns the new
 // version; on a conflict it returns ErrExists or ErrVersion together with the
@@ -242,11 +212,5 @@ func (c *Client) Cas(ctx context.Context, template, replacement Tuple, expectedV
 // It returns the number of rewritten tuples.
 func (c *Client) Rename(ctx context.Context, fieldIndex int, oldPrefix, newPrefix string) (int, error) {
 	res, err := c.do(ctx, Command{Op: opRename, FieldIndex: fieldIndex, OldPrefix: oldPrefix, NewPrefix: newPrefix})
-	return res.Count, err
-}
-
-// Clean removes expired tuples and returns how many were reclaimed.
-func (c *Client) Clean(ctx context.Context) (int, error) {
-	res, err := c.do(ctx, Command{Op: opClean})
 	return res.Count, err
 }

@@ -66,8 +66,8 @@ func TestInpRemoves(t *testing.T) {
 	if _, err := c.Out(bg, Tuple{"lock", "/f"}, ACL{}); err != nil {
 		t.Fatal(err)
 	}
-	e, err := c.Inp(bg, Tuple{"lock", "/f"})
-	if err != nil || e == nil {
+	res, err := c.do(bg, CmdInp(Tuple{"lock", "/f"}))
+	if err != nil || res.Entry == nil {
 		t.Fatalf("Inp: %v", err)
 	}
 	if _, err := c.Rdp(bg, Tuple{"lock", "/f"}); !errors.Is(err, ErrNotFound) {
@@ -105,7 +105,7 @@ func TestReplaceSubstitutesAtomically(t *testing.T) {
 	if _, err := c.Out(bg, Tuple{"meta", "/f", "v1"}, ACL{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Replace(bg, Tuple{"meta", "/f", "*"}, Tuple{"meta", "/f", "v2"}, ACL{}); err != nil {
+	if _, err := c.do(bg, CmdReplace(Tuple{"meta", "/f", "*"}, Tuple{"meta", "/f", "v2"}, ACL{})); err != nil {
 		t.Fatal(err)
 	}
 	e, err := c.Rdp(bg, Tuple{"meta", "/f", "*"})
@@ -119,7 +119,7 @@ func TestReplaceSubstitutesAtomically(t *testing.T) {
 		t.Fatalf("replace left %d tuples, want 1", space.Len())
 	}
 	// Replace with no existing match behaves like out.
-	if _, err := c.Replace(bg, Tuple{"meta", "/new", "*"}, Tuple{"meta", "/new", "v1"}, ACL{}); err != nil {
+	if _, err := c.do(bg, CmdReplace(Tuple{"meta", "/new", "*"}, Tuple{"meta", "/new", "v1"}, ACL{})); err != nil {
 		t.Fatal(err)
 	}
 	if space.Len() != 2 {
@@ -158,7 +158,8 @@ func TestCasCreateIfAbsentAndVersionCheck(t *testing.T) {
 
 func TestEphemeralTuplesExpire(t *testing.T) {
 	c, _, clk := newLocalClient("alice")
-	if _, err := c.OutTimed(bg, Tuple{"lock", "/f", "alice"}, ACL{}, 10*time.Second); err != nil {
+	lock := Command{Op: opOut, Tuple: Tuple{"lock", "/f", "alice"}, TTLNanos: int64(10 * time.Second)}
+	if _, err := c.do(bg, lock); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Rdp(bg, Tuple{"lock", "/f", "*"}); err != nil {
@@ -169,12 +170,12 @@ func TestEphemeralTuplesExpire(t *testing.T) {
 		t.Fatalf("expired lock still visible: %v", err)
 	}
 	// Clean removes the expired entry physically.
-	n, err := c.Clean(bg)
+	res, err := c.do(bg, Command{Op: opClean})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 1 {
-		t.Fatalf("Clean removed %d, want 1", n)
+	if res.Count != 1 {
+		t.Fatalf("Clean removed %d, want 1", res.Count)
 	}
 }
 
@@ -188,27 +189,27 @@ func TestACLEnforcement(t *testing.T) {
 	if _, err := bob.Rdp(bg, Tuple{"meta", "/private", "*"}); !errors.Is(err, ErrDenied) {
 		t.Fatalf("bob read err = %v, want ErrDenied", err)
 	}
-	if _, err := bob.Inp(bg, Tuple{"meta", "/private", "*"}); !errors.Is(err, ErrDenied) {
+	if _, err := bob.do(bg, CmdInp(Tuple{"meta", "/private", "*"})); !errors.Is(err, ErrDenied) {
 		t.Fatalf("bob take err = %v, want ErrDenied", err)
 	}
 	// Shared with read permission.
-	if _, err := alice.Replace(bg, Tuple{"meta", "/private", "*"}, Tuple{"meta", "/private", "h2"},
-		ACL{Owner: "alice", Readers: []string{"bob"}}); err != nil {
+	if _, err := alice.do(bg, CmdReplace(Tuple{"meta", "/private", "*"}, Tuple{"meta", "/private", "h2"},
+		ACL{Owner: "alice", Readers: []string{"bob"}})); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := bob.Rdp(bg, Tuple{"meta", "/private", "*"}); err != nil {
 		t.Fatalf("bob should read shared tuple: %v", err)
 	}
-	if _, err := bob.Replace(bg, Tuple{"meta", "/private", "*"}, Tuple{"meta", "/private", "bobs"}, ACL{Owner: "bob"}); !errors.Is(err, ErrDenied) {
+	if _, err := bob.do(bg, CmdReplace(Tuple{"meta", "/private", "*"}, Tuple{"meta", "/private", "bobs"}, ACL{Owner: "bob"})); !errors.Is(err, ErrDenied) {
 		t.Fatalf("bob write err = %v, want ErrDenied", err)
 	}
 	// Writers may both read and write.
-	if _, err := alice.Replace(bg, Tuple{"meta", "/private", "*"}, Tuple{"meta", "/private", "h3"},
-		ACL{Owner: "alice", Writers: []string{"bob"}}); err != nil {
+	if _, err := alice.do(bg, CmdReplace(Tuple{"meta", "/private", "*"}, Tuple{"meta", "/private", "h3"},
+		ACL{Owner: "alice", Writers: []string{"bob"}})); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bob.Replace(bg, Tuple{"meta", "/private", "*"}, Tuple{"meta", "/private", "h4"},
-		ACL{Owner: "alice", Writers: []string{"bob"}}); err != nil {
+	if _, err := bob.do(bg, CmdReplace(Tuple{"meta", "/private", "*"}, Tuple{"meta", "/private", "h4"},
+		ACL{Owner: "alice", Writers: []string{"bob"}})); err != nil {
 		t.Fatalf("bob write as writer: %v", err)
 	}
 	// RdAll must silently hide unreadable tuples.

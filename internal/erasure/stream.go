@@ -60,12 +60,6 @@ func (c *Coder) ReconstructDataInto(shards [][]byte, scratch []byte) error {
 	return c.reconstruct(shards, scratch, false)
 }
 
-// ReconstructInto is Reconstruct with caller-provided scratch backing for
-// every rebuilt shard (data and parity). Pass nil to allocate.
-func (c *Coder) ReconstructInto(shards [][]byte, scratch []byte) error {
-	return c.reconstruct(shards, scratch, true)
-}
-
 // reconstruct implements Reconstruct/ReconstructDataInto. When withParity is
 // false only data shards are rebuilt and missing parity entries are left
 // nil.

@@ -74,43 +74,6 @@ func TestReconstructDataIntoSkipsParity(t *testing.T) {
 	}
 }
 
-func TestReconstructIntoWithScratch(t *testing.T) {
-	c, err := New(3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := make([]byte, 5_000)
-	if _, err := rand.Read(data); err != nil {
-		t.Fatal(err)
-	}
-	shards, err := c.Split(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shardSize := len(shards[0])
-	shards[0] = nil
-	shards[3] = nil
-	shards[4] = nil
-	scratch := make([]byte, 3*shardSize)
-	if err := c.ReconstructInto(shards, scratch); err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range shards {
-		if s == nil {
-			t.Fatalf("shard %d still missing", i)
-		}
-	}
-	ok, err := c.Verify(shards)
-	if err != nil || !ok {
-		t.Fatalf("Verify = (%v, %v)", ok, err)
-	}
-	// Undersized scratch must still work (falls back to allocating).
-	shards[1] = nil
-	if err := c.ReconstructInto(shards, make([]byte, 1)); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestJoinIntoErrors(t *testing.T) {
 	c, err := New(2, 1)
 	if err != nil {

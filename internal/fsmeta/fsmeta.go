@@ -155,14 +155,6 @@ func (m *Metadata) AddVersion(hash string, size int64, modTime time.Time) {
 	m.Versions = append(m.Versions, VersionRecord{Hash: hash, Size: size, ModTime: modTime})
 }
 
-// OldVersions returns the versions other than the current one, oldest first.
-func (m *Metadata) OldVersions() []VersionRecord {
-	if len(m.Versions) <= 1 {
-		return nil
-	}
-	return m.Versions[:len(m.Versions)-1]
-}
-
 // TrimVersions keeps only the most recent keep versions and returns the
 // removed ones (for the garbage collector to delete from the cloud).
 func (m *Metadata) TrimVersions(keep int) []VersionRecord {

@@ -68,10 +68,6 @@ func TestVersionsAndTrim(t *testing.T) {
 	if m.Size != 500 || len(m.Versions) != 5 {
 		t.Fatalf("size=%d versions=%d", m.Size, len(m.Versions))
 	}
-	old := m.OldVersions()
-	if len(old) != 4 {
-		t.Fatalf("OldVersions = %d, want 4", len(old))
-	}
 	removed := m.TrimVersions(2)
 	if len(removed) != 3 || len(m.Versions) != 2 {
 		t.Fatalf("removed=%d kept=%d", len(removed), len(m.Versions))

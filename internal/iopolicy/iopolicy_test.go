@@ -25,13 +25,12 @@ func TestPolicyMerge(t *testing.T) {
 	base := Policy{
 		Hedge:     Hedge{Percentile: 0.9, MaxDelay: time.Second},
 		Readahead: 2,
-		Limits:    Limits{MaxParallelChunks: 4},
 	}
 	merged := base.Merge(Policy{Readahead: 8})
 	if merged.Readahead != 8 {
 		t.Fatalf("override readahead lost: %+v", merged)
 	}
-	if merged.Hedge.Percentile != 0.9 || merged.Limits.MaxParallelChunks != 4 {
+	if merged.Hedge.Percentile != 0.9 {
 		t.Fatalf("base fields lost: %+v", merged)
 	}
 	merged = base.Merge(Policy{Hedge: Hedge{Percentile: 0.5, MinDelay: time.Millisecond}})

@@ -8,7 +8,7 @@
 // subset first and hedge the stragglers only after a tracked latency
 // percentile elapses (Basil-style hedged reads); how many chunks a
 // sequential scan should prefetch ahead of the consumer; which clouds to
-// prefer; and what per-call limits bound the extra work.
+// prefer; how many times to retry a flaking cloud.
 //
 // Policies are carried by context.Context (With/FromContext) so they flow
 // through every layer — facade, fs API, agent, quorum engine, storage —
@@ -59,7 +59,7 @@ func (p Preference) IsZero() bool { return len(p.Order) == 0 }
 
 // Retry is the per-RPC retry budget an operation grants each cloud: how
 // many attempts one logical RPC may spend on transient failures (outage,
-// throttle) and how the jittered exponential backoff between them grows.
+// throttle) and where the jittered exponential backoff between them starts.
 // The zero value disables retries — one attempt per cloud, the
 // pre-resilience behaviour — because the quorum layer already masks f
 // failed clouds without retrying anyone; retries are for riding out
@@ -70,10 +70,9 @@ type Retry struct {
 	// 1 both mean a single attempt.
 	MaxAttempts int
 	// BackoffBase caps the first retry delay (full jitter draws uniformly
-	// below the cap); 0 with MaxAttempts > 1 retries without delay.
+	// below the cap); 0 with MaxAttempts > 1 retries without delay. The
+	// growth is capped at 16x BackoffBase.
 	BackoffBase time.Duration
-	// BackoffMax caps the exponential growth; 0 means 16x BackoffBase.
-	BackoffMax time.Duration
 }
 
 // IsZero reports whether the retry budget is unset.
@@ -102,15 +101,6 @@ const (
 	BreakerFailFast
 )
 
-// Limits bounds the extra work a policy may spend on one call.
-type Limits struct {
-	// MaxParallelChunks bounds the number of chunk fetches a readahead
-	// pipeline keeps in flight concurrently (0 means the readahead window
-	// itself is the bound), and narrows how many chunks one multi-chunk
-	// read fetches together when set below that width's fixed bound.
-	MaxParallelChunks int
-}
-
 // Policy is the per-operation I/O policy. The zero value reproduces the
 // pre-policy behaviour exactly: immediate full fan-out for reads and
 // writes, no readahead.
@@ -125,8 +115,9 @@ type Policy struct {
 	// model charges for. The zero value keeps the immediate full fan-out.
 	WriteHedge Hedge
 	// Readahead is the maximum number of chunks a sequential scan prefetches
-	// ahead of the consumer (0 = no prefetch). The actual window ramps up
-	// only while the access pattern stays sequential.
+	// ahead of the consumer (0 = no prefetch), and how many prefetches may
+	// be in flight at once. The actual window ramps up only while the
+	// access pattern stays sequential.
 	Readahead int
 	// Preference pins the order of the clouds dispatched to first.
 	Preference Preference
@@ -136,23 +127,21 @@ type Policy struct {
 	// Breaker selects how the operation consumes the circuit-breaker
 	// scoreboard (demote suspected clouds, or fail fast).
 	Breaker BreakerMode
-	// Limits bounds the extra work.
-	Limits Limits
 }
 
 // IsZero reports whether the policy requests nothing beyond the defaults.
 func (p Policy) IsZero() bool {
 	return !p.Hedge.Enabled() && !p.WriteHedge.Enabled() && p.Readahead == 0 &&
 		p.Preference.IsZero() && p.Retry.IsZero() &&
-		p.Breaker == 0 && p.Limits == Limits{}
+		p.Breaker == 0
 }
 
 // Merge overlays override on p: fields set in override win, unset fields
 // keep p's value. It implements the mount-default / per-call layering: the
 // mount's default policy is p, the call's options are override. The hedge
-// configuration merges field-wise, so a call may retune just the delay
-// bounds of an inherited hedge (WithHedgeDelayBounds without WithHedge),
-// or just the percentile without losing the mount's bounds.
+// configurations merge field-wise, so a call may retune just the delay
+// bounds of an inherited hedge, or just the percentile without losing the
+// mount's bounds.
 func (p Policy) Merge(override Policy) Policy {
 	out := p
 	if override.Hedge.Percentile != 0 {
@@ -184,9 +173,6 @@ func (p Policy) Merge(override Policy) Policy {
 	}
 	if override.Breaker != 0 {
 		out.Breaker = override.Breaker
-	}
-	if override.Limits.MaxParallelChunks != 0 {
-		out.Limits.MaxParallelChunks = override.Limits.MaxParallelChunks
 	}
 	return out
 }

@@ -45,23 +45,6 @@ type Rates struct {
 // IsZero reports whether the rate card is entirely unset.
 func (r Rates) IsZero() bool { return r == Rates{} }
 
-// StorageCost returns the $/month charge for keeping bytes resident.
-func (r Rates) StorageCost(bytes int64) float64 {
-	return float64(bytes) / GB * r.StorageGBMonth
-}
-
-// PutCost returns the one-time charge of uploading one object of the given
-// size: the PUT fee plus ingress.
-func (r Rates) PutCost(bytes int64) float64 {
-	return r.PutRequest + float64(bytes)/GB*r.IngressPerGB
-}
-
-// GetCost returns the charge of downloading one object of the given size:
-// the GET fee plus egress.
-func (r Rates) GetCost(bytes int64) float64 {
-	return r.GetRequest + float64(bytes)/GB*r.EgressPerGB
-}
-
 // UsageCost prices one account's metered consumption (cloud.Usage) at these
 // rates: request fees, transfer charges, and the storage integrated by the
 // meter (ByteHours, converted to GB-months).

@@ -17,15 +17,6 @@ func TestRatesArithmetic(t *testing.T) {
 		GetRequest:     4e-7,
 		EgressPerGB:    0.10,
 	}
-	if got := r.StorageCost(1 << 30); !approx(got, 0.02, 1e-12) {
-		t.Fatalf("StorageCost(1GB) = %v", got)
-	}
-	if got := r.PutCost(1 << 30); !approx(got, 5e-6, 1e-12) {
-		t.Fatalf("PutCost(1GB) = %v (ingress is free)", got)
-	}
-	if got := r.GetCost(1 << 30); !approx(got, 0.10+4e-7, 1e-12) {
-		t.Fatalf("GetCost(1GB) = %v", got)
-	}
 	// A usage of 1000 PUTs, 1000 GETs, 1 GB out, 730 GB-hours resident.
 	u := cloud.Usage{PutRequests: 1000, GetRequests: 1000, BytesOut: 1 << 30, ByteHours: 730 * float64(1<<30)}
 	want := 1000*5e-6 + 1000*4e-7 + 0.10 + 0.02

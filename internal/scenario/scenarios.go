@@ -133,7 +133,6 @@ func grayFailureSequentialScan() Scenario {
 			start := time.Now()
 			n, err := scfs.ReadFileTo(bg, env.FS, "/scan.bin", &sink,
 				scfs.WithHedge(0.9),
-				scfs.WithHedgeDelayBounds(2*time.Millisecond, 30*time.Millisecond),
 				scfs.WithReadahead(2),
 			)
 			elapsed := time.Since(start)
@@ -201,10 +200,7 @@ func flappingProvider() Scenario {
 			env.Providers[2].SetFaults(cloudsim.FaultSpec{
 				Mode: cloudsim.FaultUnavailable, Probability: 0.45,
 			})
-			retry := []scfs.CallOption{
-				scfs.WithRetry(3),
-				scfs.WithRetryBackoff(time.Millisecond, 4*time.Millisecond),
-			}
+			retry := []scfs.CallOption{scfs.WithRetry(3, time.Millisecond)}
 			before := env.Requests()
 			files := make(map[string][]byte, rounds)
 			for i := 0; i < rounds; i++ {
@@ -256,10 +252,10 @@ func shardOutageMetadataStorm() Scenario {
 		Name: "shard-outage-metadata-storm",
 		Description: "a metadata shard loses its leader replica mid-storm; " +
 			"the quorum view-changes and every session's ops still succeed",
-		// The storm runs fully instrumented: the flight recorder must retain
-		// the outage's evidence (view-change-crossing ops) as exemplars even
+		// The storm runs traced: the flight recorder must retain the
+		// outage's evidence (view-change-crossing ops) as exemplars even
 		// though hundreds of healthy ops finish afterwards.
-		Mount: []scfs.Option{scfs.WithTracing(64), scfs.WithFlightRecorder()},
+		Mount: []scfs.Option{scfs.WithTracing(64)},
 		Coord: func(t *testing.T) (coord.Service, [][]*smr.Replica, func()) {
 			var stops []func()
 			stop := func() {

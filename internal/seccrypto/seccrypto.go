@@ -1,8 +1,8 @@
 // Package seccrypto bundles the symmetric cryptography used by SCFS and
 // DepSky: random key generation, AES-CTR encryption of file contents, and the
-// collision-resistant hashes used both by the consistency-anchor algorithm
-// (SHA-1 in the paper's metadata tuples, SHA-256 available as well) and by
-// DepSky's integrity verification.
+// collision-resistant hash used both by the consistency-anchor algorithm
+// (SHA-256 here; the paper's metadata tuples carry SHA-1) and by DepSky's
+// integrity verification.
 package seccrypto
 
 import (
@@ -10,7 +10,6 @@ import (
 	"crypto/cipher"
 	"crypto/hmac"
 	"crypto/rand"
-	"crypto/sha1"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -105,14 +104,6 @@ func DecryptInto(dst, key, ciphertext []byte) ([]byte, error) {
 // collision-resistant hash carried by metadata tuples and DepSky metadata.
 func Hash(data []byte) string {
 	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
-}
-
-// HashSHA1 returns the hex-encoded SHA-1 digest of data. The SCFS paper
-// stores SHA-1 hashes in its metadata tuples; it is provided for fidelity and
-// for sizing experiments, while integrity-critical paths use Hash (SHA-256).
-func HashSHA1(data []byte) string {
-	sum := sha1.Sum(data)
 	return hex.EncodeToString(sum[:])
 }
 

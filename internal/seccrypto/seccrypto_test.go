@@ -103,13 +103,6 @@ func TestHashDeterministicAndDistinct(t *testing.T) {
 	}
 }
 
-func TestHashSHA1Length(t *testing.T) {
-	h := HashSHA1([]byte("metadata tuple"))
-	if len(h) != 40 {
-		t.Fatalf("SHA-1 hex length = %d, want 40", len(h))
-	}
-}
-
 func TestVerifyHash(t *testing.T) {
 	data := []byte("object contents")
 	h := Hash(data)

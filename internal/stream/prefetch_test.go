@@ -144,23 +144,25 @@ func TestPrefetchOverlapsSequentialScan(t *testing.T) {
 	}
 }
 
-// TestPrefetchRespectsParallelBound: the MaxParallel limit caps concurrent
-// prefetches. The scan reads less than a chunk at a time, so the only fetches
-// beside the prefetches are the foreground's one chunk (the width of a
+// TestPrefetchRespectsParallelBound: the readahead window caps concurrent
+// prefetches across the whole reader, not per stream. Two interleaved scans
+// each ramp a window of their own, so without the cap they would keep up to
+// twice the window in flight. Each read is less than a chunk, so the only
+// fetch beside the prefetches is the foreground's one chunk (the width of a
 // multi-chunk read is TestSpanKeepsAWindowInFlight's to pin).
 func TestPrefetchRespectsParallelBound(t *testing.T) {
 	const chunk = 512
 	data := bytes.Repeat([]byte{0xAA}, 32*chunk)
 	f := newInstrumented(data, chunk)
 	f.delay = time.Millisecond
-	r := NewReaderOpts(f, Buffers, ReaderOptions{Readahead: 8, MaxParallel: 2})
+	r := NewReaderOpts(f, Buffers, ReaderOptions{Readahead: 2})
 	defer r.Close()
 	buf := make([]byte, chunk/4)
-	for {
-		if _, err := r.Read(buf); err == io.EOF {
-			break
-		} else if err != nil {
-			t.Fatal(err)
+	for off := int64(0); off < 16*chunk; off += int64(len(buf)) {
+		for _, base := range []int64{0, 16 * chunk} {
+			if _, err := r.ReadAt(buf, base+off); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	r.Close()

@@ -82,11 +82,8 @@ type ReaderOptions struct {
 	// sequential consumer (0 disables prefetch). The effective window ramps
 	// up from 1 only while the access pattern stays sequential and collapses
 	// on the first seek, so random readers never pay for speculation.
+	// It also bounds how many prefetches run concurrently.
 	Readahead int
-	// MaxParallel bounds how many prefetches run concurrently (default:
-	// Readahead) and, when set below Window, how many chunk fetches one
-	// multi-chunk read keeps in flight.
-	MaxParallel int
 	// BaseContext is the context prefetches derive their values (e.g. the
 	// I/O policy) from; their cancellation is governed by the reader's
 	// lifetime and the triggering read's context. Defaults to
@@ -112,12 +109,9 @@ type Reader struct {
 	f     Fetcher
 	pool  *Pool
 	slotN int
-	// width is how many chunk fetches one read keeps in flight.
-	width int
 
 	// Readahead pipeline (nil/zero when disabled).
-	govern      *iopolicy.Governor
-	maxParallel int
+	govern *iopolicy.Governor
 	//scfslint:ignore ctxdiscipline reader-lifetime context, cancelled by Close
 	lifeCtx    context.Context
 	lifeCancel context.CancelFunc
@@ -148,16 +142,9 @@ func NewReaderOpts(f Fetcher, pool *Pool, opts ReaderOptions) *Reader {
 	if pool == nil {
 		pool = Buffers
 	}
-	r := &Reader{f: f, pool: pool, slotN: readerCacheSlots, width: Window, inflight: make(map[int]*inflightChunk), metrics: opts.Metrics}
-	if opts.MaxParallel > 0 && opts.MaxParallel < r.width {
-		r.width = opts.MaxParallel
-	}
+	r := &Reader{f: f, pool: pool, slotN: readerCacheSlots, inflight: make(map[int]*inflightChunk), metrics: opts.Metrics}
 	if opts.Readahead > 0 {
 		r.govern = iopolicy.NewGovernor(opts.Readahead)
-		r.maxParallel = opts.MaxParallel
-		if r.maxParallel <= 0 {
-			r.maxParallel = opts.Readahead
-		}
 		// The cache must hold the whole prefetch window plus the chunk
 		// being consumed, or prefetched chunks would evict each other.
 		if want := opts.Readahead + 2; want > r.slotN {
@@ -369,7 +356,7 @@ func (r *Reader) ReadAtContext(ctx context.Context, p []byte, off int64) (int, e
 }
 
 // fetchSpan fills p, the bytes from off to somewhere in chunk last, by
-// fetching chunks first..last together, at most r.width of them in flight.
+// fetching chunks first..last together, at most Window of them in flight.
 // The first fetch to fail cancels the others, and its error is returned with
 // the count of bytes that precede the earliest chunk that did not arrive.
 // Every fetch has returned when fetchSpan does.
@@ -409,7 +396,7 @@ func (r *Reader) fetchSpan(ctx context.Context, p []byte, off int64, first, last
 		mu.Unlock()
 		cancel()
 	}
-	slots := make(chan struct{}, r.width)
+	slots := make(chan struct{}, Window)
 	for idx := first; idx <= last; idx++ {
 		slots <- struct{}{}
 		if idx == last || sctx.Err() != nil {
@@ -457,7 +444,7 @@ func (r *Reader) triggerPrefetch(ctx context.Context, off, n, size int64, cs int
 // consumer to pick up.
 func (r *Reader) startPrefetch(ctx context.Context, idx int) {
 	r.mu.Lock()
-	if r.closed || r.prefetching >= r.maxParallel {
+	if r.closed || r.prefetching >= r.govern.Max() {
 		r.mu.Unlock()
 		return
 	}

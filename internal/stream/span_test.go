@@ -181,24 +181,6 @@ func TestSpanKeepsAWindowInFlight(t *testing.T) {
 	}
 }
 
-// TestSpanMaxParallelOnlyLowersTheWidth: ReaderOptions.MaxParallel narrows a
-// read below Window and cannot widen it.
-func TestSpanMaxParallelOnlyLowersTheWidth(t *testing.T) {
-	for _, tc := range []struct{ maxParallel, want int }{{2, 2}, {4 * Window, Window}} {
-		f := newParking(t, 3*Window, 64, 0)
-		r := NewReaderOpts(f, nil, ReaderOptions{MaxParallel: tc.maxParallel})
-		res := goReadAt(bg, r, make([]byte, len(f.data)), 0)
-		f.serveRolling(t, tc.want, 3*Window)
-		if rr := <-res; rr.err != nil {
-			t.Fatal(rr.err)
-		}
-		if _, peak, _, _ := f.counts(); peak != tc.want {
-			t.Fatalf("MaxParallel %d: peak fetches in flight = %d, want %d", tc.maxParallel, peak, tc.want)
-		}
-		r.Close()
-	}
-}
-
 // TestSpanByteExact: what a read returns is exactly the requested range,
 // wherever it starts and ends relative to the chunk grid.
 func TestSpanByteExact(t *testing.T) {

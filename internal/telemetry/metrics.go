@@ -348,14 +348,6 @@ func (h HistogramSnapshot) Quantile(q float64) time.Duration {
 	return time.Duration(BucketUpperNanos(histBuckets - 1))
 }
 
-// Mean returns the average observed duration.
-func (h HistogramSnapshot) Mean() time.Duration {
-	if h.Count == 0 {
-		return 0
-	}
-	return time.Duration(h.SumNanos / h.Count)
-}
-
 // merge adds o's contents into h. Exemplars are last-write-wins like the
 // live histogram: o's exemplar replaces h's where o has one.
 func (h HistogramSnapshot) merge(o HistogramSnapshot) HistogramSnapshot {

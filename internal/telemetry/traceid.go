@@ -51,16 +51,3 @@ func (id TraceID) Short() uint64 { return binary.BigEndian.Uint64(id[8:]) }
 
 // String returns the 32-character lowercase hex form.
 func (id TraceID) String() string { return hex.EncodeToString(id[:]) }
-
-// ParseTraceID parses the 32-character hex form. The all-zero ID is
-// rejected (invalid per W3C Trace Context).
-func ParseTraceID(s string) (TraceID, bool) {
-	var id TraceID
-	if len(s) != 2*len(id) {
-		return TraceID{}, false
-	}
-	if _, err := hex.Decode(id[:], []byte(s)); err != nil || id.IsZero() {
-		return TraceID{}, false
-	}
-	return id, true
-}

@@ -19,21 +19,6 @@ import (
 	"scfs/internal/telemetry"
 )
 
-// Pricing types, re-exported so mounts can bring their own price tables.
-type (
-	// PriceTable maps provider names to their rate cards; it prices the
-	// metered spend, the dollars the garbage collector reports reclaimed
-	// and CostReport.
-	PriceTable = pricing.Table
-	// CloudRates is the price card of one provider.
-	CloudRates = pricing.Rates
-)
-
-// DefaultPriceTable returns the bundled price table for the simulated
-// providers (realistic list prices for the paper's four clouds; see
-// internal/pricing).
-func DefaultPriceTable() PriceTable { return pricing.DefaultTable() }
-
 // Option configures a mount created by New.
 type Option func(*config)
 
@@ -46,7 +31,6 @@ type config struct {
 	usePNS bool
 
 	clouds       []ObjectStore
-	simLatency   float64
 	coordination coord.Service
 	coordShards  int
 
@@ -55,16 +39,12 @@ type config struct {
 	diskCacheDir    string
 	metadataTTL     time.Duration
 	streamThreshold int64
-	lockTTL         time.Duration
 	ioPolicy        iopolicy.Policy
 	breakers        resilience.BreakerPolicy
-	pricing         pricing.Table
-	pricingSet      bool
 
 	metrics   bool
 	tracing   bool
 	traceCap  int
-	flight    bool
 	eventLog  slog.Handler
 	debugAddr string
 	debugSet  bool
@@ -75,7 +55,6 @@ func defaultConfig() config {
 		user:            "user",
 		mode:            Blocking,
 		f:               1,
-		simLatency:      0,
 		streamThreshold: 0, // 0 = core default (1 MiB)
 	}
 }
@@ -98,15 +77,10 @@ func WithClouds(stores ...ObjectStore) Option {
 }
 
 // WithFaultTolerance sets f, the number of arbitrarily faulty clouds the
-// cloud-of-clouds tolerates (default 1, requiring 3f+1 clouds).
+// cloud-of-clouds tolerates (default 1, requiring 3f+1 clouds). f is taken
+// as given: New refuses f < 1 over more than one cloud, since DepSky-CA
+// needs f+1 key shares. A single store always runs at f = 0.
 func WithFaultTolerance(f int) Option { return func(c *config) { c.f = f } }
-
-// WithSimulatedLatency scales the simulated providers' network latency:
-// 1.0 reproduces the paper's measured RTT magnitudes, 0.1 a tenth of them.
-// 0, the default, is taken as 1.0, so the default simulated clouds are the
-// paper's WAN; mount instant clouds with WithClouds. Ignored when
-// WithClouds is used.
-func WithSimulatedLatency(scale float64) Option { return func(c *config) { c.simLatency = scale } }
 
 // WithCoordination replaces the default coordination service, DepSpace on
 // four in-process BFT replicas (ignored in NonSharing mode, which uses
@@ -142,7 +116,8 @@ func WithDiskCache(dir string, bytes int64) Option {
 }
 
 // WithMetadataCacheTTL sets the expiry of the short-lived metadata cache
-// (0 disables it; the paper's experiments use 500ms).
+// (0 disables it). Default mounts run with the cache off, unlike the
+// paper's experiments, which use 500ms.
 func WithMetadataCacheTTL(ttl time.Duration) Option { return func(c *config) { c.metadataTTL = ttl } }
 
 // WithStreamThreshold sets the size above which a file is no longer held
@@ -152,17 +127,6 @@ func WithMetadataCacheTTL(ttl time.Duration) Option { return func(c *config) { c
 // thresholds read each other's files the same way. Negative disables both;
 // 0 keeps the default (1 MiB).
 func WithStreamThreshold(bytes int64) Option { return func(c *config) { c.streamThreshold = bytes } }
-
-// WithLockTTL sets the lease attached to ephemeral write locks.
-func WithLockTTL(ttl time.Duration) Option { return func(c *config) { c.lockTTL = ttl } }
-
-// WithPriceTable replaces the bundled per-provider price table (matched by
-// ObjectStore.Provider() name). The table prices the metered spend, the
-// dollars the garbage collector reports reclaimed, and CostReport. Mounts
-// without this option use DefaultPriceTable.
-func WithPriceTable(t PriceTable) Option {
-	return func(c *config) { c.pricing, c.pricingSet = t, true }
-}
 
 // WithDefaultIOPolicy sets the mount-wide default I/O policy from the same
 // CallOptions used per call: every operation behaves as if the options were
@@ -202,23 +166,17 @@ func WithMetrics() Option { return func(c *config) { c.metrics = true } }
 // hedged, which answered, which were cancelled as losers — plus the quorum
 // verdict latency. The last capacity completed traces are kept in a ring
 // (capacity <= 0 keeps 64); read them with FS.Traces.
+//
+// A traced mount also keeps a flight recorder: exemplar traces past the
+// ring — the slowest of every operation class plus every errored,
+// breaker-skipped or view-change-crossing operation, within a fixed span
+// budget — so when a tail-latency spike is noticed minutes later, the
+// traces explaining it are still there. Latency histograms gain exemplar
+// trace IDs linking their tail buckets to the retained traces. Read it back
+// with FS.FlightRecorder, or over HTTP via /debug/slow and /debug/flight on
+// mounts that also use WithDebugServer.
 func WithTracing(capacity int) Option {
 	return func(c *config) { c.tracing, c.traceCap = true, capacity }
-}
-
-// WithFlightRecorder keeps exemplar traces past the tracer's recency ring:
-// the slowest traces of every operation class plus every errored,
-// breaker-skipped or view-change-crossing operation, within a bounded span
-// budget — so when a tail-latency spike is noticed minutes later, the traces
-// explaining it are still there. Latency histograms gain exemplar trace IDs
-// linking their tail buckets to the retained traces. Implies WithTracing;
-// read it back with FS.FlightRecorder, or over HTTP via /debug/slow and
-// /debug/flight on mounts that also use WithDebugServer.
-func WithFlightRecorder() Option {
-	return func(c *config) {
-		c.flight = true
-		c.tracing = true
-	}
 }
 
 // WithEventLog streams one structured record per completed operation trace
@@ -236,14 +194,13 @@ func WithEventLog(h slog.Handler) Option {
 // GET /metrics in Prometheus text format, /debug/stats as JSON,
 // /debug/traces as recent operation traces, /debug/slow and /debug/flight
 // as the flight recorder's retained exemplars, and the net/http/pprof
-// profiles under /debug/pprof/. Implies WithMetrics, WithTracing and
-// WithFlightRecorder. The server is shut down by Close/Unmount.
+// profiles under /debug/pprof/. Implies WithMetrics and WithTracing. The
+// server is shut down by Close/Unmount.
 func WithDebugServer(addr string) Option {
 	return func(c *config) {
 		c.debugAddr, c.debugSet = addr, true
 		c.metrics = true
 		c.tracing = true
-		c.flight = true
 	}
 }
 
@@ -269,31 +226,21 @@ func (c *config) build(ctx context.Context) (*core.Agent, mountTelemetry, func()
 		if c.eventLog != nil {
 			tel.tracer.SetHandler(c.eventLog)
 		}
-		if c.flight {
-			tel.flight = telemetry.NewFlightRecorder(0, 0, 0)
-			tel.tracer.SetRecorder(tel.flight)
-		}
-	}
-	if c.f < 1 {
-		c.f = 1
+		tel.flight = telemetry.NewFlightRecorder(0, 0, 0)
+		tel.tracer.SetRecorder(tel.flight)
 	}
 	clouds := c.clouds
 	if len(clouds) == 0 {
 		// Fully simulated deployment: the paper's four-cloud setup, extended
 		// with additional generic providers when f > 1 asks for more than
 		// 3*1+1 clouds.
-		for _, p := range cloudsim.NewCoCProviders(c.simLatency, nil, 1) {
+		for _, p := range cloudsim.NewCoCProviders(1, nil, 1) {
 			clouds = append(clouds, p.MustClient(p.CreateAccount(c.user)))
 		}
 		for i := len(clouds); i < 3*c.f+1; i++ {
-			p := cloudsim.NewProviderKind(cloudsim.ProviderKind(fmt.Sprintf("sim-extra-%d", i)), c.simLatency, nil, int64(i))
+			p := cloudsim.NewProviderKind(cloudsim.ProviderKind(fmt.Sprintf("sim-extra-%d", i)), 1, nil, int64(i))
 			clouds = append(clouds, p.MustClient(p.CreateAccount(c.user)))
 		}
-	}
-
-	prices := c.pricing
-	if !c.pricingSet {
-		prices = pricing.DefaultTable()
 	}
 
 	// One cloud is DepSky at f = 0: every key a second agent fetches sits at
@@ -308,7 +255,7 @@ func (c *config) build(ctx context.Context) (*core.Agent, mountTelemetry, func()
 		F:        f,
 		Protocol: protocol,
 		Policy:   c.ioPolicy,
-		Pricing:  prices,
+		Pricing:  pricing.DefaultTable(),
 		Breakers: c.breakers,
 		Metrics:  tel.metrics,
 		Tracer:   tel.tracer,
@@ -354,7 +301,6 @@ func (c *config) build(ctx context.Context) (*core.Agent, mountTelemetry, func()
 		DiskCacheBytes:       c.diskCacheBytes,
 		MetadataCacheTTL:     c.metadataTTL,
 		StreamThresholdBytes: c.streamThreshold,
-		LockTTL:              c.lockTTL,
 		Telemetry:            tel.metrics,
 		Metered:              metered,
 	})

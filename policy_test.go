@@ -39,9 +39,7 @@ func TestCallOptionsRoundTrip(t *testing.T) {
 	}
 	got, err := scfs.ReadFile(bg, m, "/f.bin",
 		scfs.WithHedge(0.95),
-		scfs.WithHedgeDelayBounds(time.Millisecond, 100*time.Millisecond),
 		scfs.WithReadahead(2),
-		scfs.WithLimits(scfs.IOLimits{MaxParallelChunks: 2}),
 		scfs.WithReadPreference(scfs.PreferClouds(2, 0, 1)),
 	)
 	if err != nil {
@@ -180,14 +178,13 @@ func TestWithRetryMasksTransientFaultsThroughFacade(t *testing.T) {
 
 	flake()
 	err := scfs.WriteFile(bg, m, "/retried.bin", data,
-		scfs.WithRetry(3),
-		scfs.WithRetryBackoff(time.Millisecond, 4*time.Millisecond),
+		scfs.WithRetry(3, time.Millisecond),
 		scfs.WithBreaker(scfs.BreakerDemote),
 	)
 	if err != nil {
 		t.Fatalf("retried write failed: %v", err)
 	}
-	got, err := scfs.ReadFile(bg, m, "/retried.bin", scfs.WithRetry(3))
+	got, err := scfs.ReadFile(bg, m, "/retried.bin", scfs.WithRetry(3, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

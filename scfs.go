@@ -92,7 +92,7 @@ type (
 	// and the debug server's trace listings print it.
 	TraceID = telemetry.TraceID
 	// FlightRecorder retains exemplar traces — the slow tail and every
-	// faulted operation (see WithFlightRecorder and FS.FlightRecorder).
+	// faulted operation (see WithTracing and FS.FlightRecorder).
 	FlightRecorder = telemetry.FlightRecorder
 	// FlightStats summarizes a FlightRecorder's retention activity.
 	FlightStats = telemetry.FlightStats
@@ -215,7 +215,7 @@ func (m *FS) Stats() Stats { return m.agent.Stats() }
 func (m *FS) Traces(n int) []*Trace { return m.tracer.Recent(n) }
 
 // FlightRecorder returns the mount's flight recorder, or nil unless the
-// mount was built WithFlightRecorder (or WithDebugServer). Where Traces
+// mount was built WithTracing (or WithDebugServer). Where Traces
 // holds the most *recent* operations, the recorder holds the most
 // *exemplary* ones: the slowest of each operation class and everything
 // that erred, hit an open breaker, or crossed a view change.
@@ -356,7 +356,7 @@ func (m *FS) Collect(ctx context.Context) (core.GCReport, error) { return m.agen
 
 // CostReport prices the mount's current cloud footprint: files, versions
 // and objects resident across the clouds, the recurring $/month they cost
-// under the mount's price table (WithPriceTable), and what reading or
+// under the bundled price table (internal/pricing), and what reading or
 // reclaiming them would spend. It issues one batched metadata listing and
 // moves no payload bytes.
 func (m *FS) CostReport(ctx context.Context) (CostReport, error) { return m.agent.CostReport(ctx) }
@@ -365,7 +365,7 @@ func (m *FS) CostReport(ctx context.Context) (CostReport, error) { return m.agen
 // ranged cloud reads is asked for in one piece, so the chunks it spans are
 // fetched together (up to 8 at a time) and nothing is prefetched on a guess;
 // it needs no WithReadahead. CallOptions tune the read's I/O policy (hedged
-// quorum reads; WithLimits may narrow the chunk fetches).
+// quorum reads, retries).
 func ReadFile(ctx context.Context, m *FS, path string, opts ...CallOption) ([]byte, error) {
 	ctx, tr := m.traced(callCtx(ctx, opts), "read", path)
 	data, err := fsapi.ReadFile(ctx, m.agent, path)

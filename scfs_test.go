@@ -290,6 +290,59 @@ func TestBadCloudCount(t *testing.T) {
 	}
 }
 
+// TestFaultToleranceTakenAsGiven: WithFaultTolerance is not rounded up. f = 0
+// over four clouds would be DepSky-CA with a single key share, so New
+// refuses it rather than silently running f = 1.
+func TestFaultToleranceTakenAsGiven(t *testing.T) {
+	stores := []scfs.ObjectStore{newSimClient(t), newSimClient(t), newSimClient(t), newSimClient(t)}
+	m, err := scfs.New(bg, scfs.WithClouds(stores...), scfs.WithFaultTolerance(0))
+	if err == nil {
+		m.Close(bg)
+		t.Fatal("f = 0 over four clouds accepted")
+	}
+}
+
+// TestPrivateNameSpaces: with WithPrivateNameSpaces an unshared file's
+// metadata lives in the user's private name space (§2.7 of the paper), not
+// in the coordination service. Creating it still takes the two accesses of
+// a create (its lock and the lookup), but an overwrite and a read of it
+// take none, and a fresh mount of the same user over the same stores reads
+// it back from the name space the first mount flushed at Close. (The fresh
+// mount brings its own coordination service: Close leaves the name space's
+// lock to expire with its lease.)
+func TestPrivateNameSpaces(t *testing.T) {
+	stores := namedStores()
+	opts := func() []scfs.Option {
+		return []scfs.Option{scfs.WithClouds(stores...), scfs.WithCoordination(sharedCoord()), scfs.WithPrivateNameSpaces()}
+	}
+	m := mount(t, opts()...)
+	accesses := func() int64 { return m.Stats().CoordAccesses }
+
+	before := accesses()
+	if err := scfs.WriteFile(bg, m, "/private.txt", []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	if n := accesses() - before; n != 2 {
+		t.Fatalf("creating a private file took %d coordination accesses, want 2", n)
+	}
+	before = accesses()
+	if err := scfs.WriteFile(bg, m, "/private.txt", []byte("v2")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := scfs.ReadFile(bg, m, "/private.txt"); err != nil || string(got) != "v2" {
+		t.Fatalf("read %q, %v; want v2", got, err)
+	}
+	if n := accesses() - before; n != 0 {
+		t.Fatalf("overwriting and reading a private file took %d coordination accesses, want 0", n)
+	}
+	if err := m.Close(bg); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := scfs.ReadFile(bg, mount(t, opts()...), "/private.txt"); err != nil || string(got) != "v2" {
+		t.Fatalf("a remount reads %q, %v; want v2", got, err)
+	}
+}
+
 // Example_walkDir demonstrates the io/fs interop: a cloud-of-clouds mount
 // walked with the standard library.
 func Example_walkDir() {
