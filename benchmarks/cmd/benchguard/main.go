@@ -41,13 +41,6 @@ type bench struct {
 	// operation (issued is issued — requests cancelled mid-flight still
 	// count, since hedging's fee saving comes from never issuing them).
 	CloudReqOp float64 `json:"cloud_req_op"`
-	// CoordRTOp is the custom coordRT/op metric of the metadata-storm
-	// benchmark: ordered wire round trips to the replica groups (below the
-	// coalescers) per file-system operation, totaled across the plane.
-	CoordRTOp float64 `json:"coord_rt_op"`
-	// CoordRTShardMaxOp is the busiest single instance's share of the
-	// same count — the figure sharding is accountable for.
-	CoordRTShardMaxOp float64 `json:"coord_rt_shard_max_op"`
 }
 
 type report struct {
@@ -274,35 +267,13 @@ var pairRules = []pairRule{
 		metric: func(b bench) float64 { return b.NsOp }, what: "ns/op",
 		maxRatio: 3.5,
 	},
-	// PR 8 acceptance, namespace sharding. Under the 1024-session metadata
-	// storm, no instance of the 4-shard plane may serve more coordination
-	// round trips per file-system op than the unsharded single instance
-	// serves: the partition must actually divide the load rather than fan
-	// every op out to every shard (measured ~0.4x — below 1/4 of the
-	// single-instance figure is impossible because coalescer batches get
-	// shallower as each shard's queue shortens).
-	//
-	// There is no ns/op rule on this pair any more. PR 8's "Sharded4 answers
-	// in <= 0.8x Single's time" (measured ~0.13x then) was measuring the
-	// listing: every ReadDir made each replica clone, sort and encode the
-	// whole namespace, and each of four shards held a quarter of it. Since PR
-	// 19 a listing costs its directory on both legs: at -benchtime 20000x
-	// Single went 988 420 -> 90 844 ns/op and 831 997 -> 29 029 B/op, Sharded4
-	// 109 757 -> 89 751 ns/op, and the ratio read 0.71-0.99 over six runs with
-	// nothing slower. What sharding is accountable for is the round-trip
-	// division above.
-	{
-		num: "BenchmarkMetadataStorm/Sharded4", den: "BenchmarkMetadataStorm/Single",
-		metric: func(b bench) float64 { return b.CoordRTShardMaxOp }, what: "coordRTshardMax/op",
-		maxRatio: 1.0,
-	},
 	// PR 10 acceptance, metadata-plane observability. The fully instrumented
-	// storm — metrics, end-to-end tracing (facade, smr, shard spans), and
-	// the always-on flight recorder — must cost at most 5% ns/op over the
-	// identical uninstrumented sharded plane: the always-on tail recorder
-	// only earns its keep if nobody ever wants to turn it off.
+	// storm — metrics, end-to-end tracing (facade and smr spans), and the
+	// always-on flight recorder — must cost at most 5% ns/op over the
+	// identical uninstrumented plane: the always-on tail recorder only earns
+	// its keep if nobody ever wants to turn it off.
 	{
-		num: "BenchmarkMetadataStorm/Sharded4Telemetry", den: "BenchmarkMetadataStorm/Sharded4",
+		num: "BenchmarkMetadataStorm/SingleTelemetry", den: "BenchmarkMetadataStorm/Single",
 		metric: func(b bench) float64 { return b.NsOp }, what: "ns/op",
 		maxRatio: 1.05,
 	},

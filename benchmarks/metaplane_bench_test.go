@@ -12,14 +12,13 @@ import (
 	"scfs/internal/cloudsim"
 	"scfs/internal/coord"
 	"scfs/internal/depspace"
-	"scfs/internal/metashard"
 	"scfs/internal/smr"
 )
 
 // The metadata-plane benchmarks: client pipelining against a replicated
 // group, what an idle coalescer and a directory listing cost, and a
-// many-session metadata storm against the sharded coordination plane. All
-// carry benchguard pair rules — see benchmarks/cmd/benchguard.
+// many-session metadata storm against the replicated coordination group.
+// All carry benchguard pair rules — see benchmarks/cmd/benchguard.
 
 // noopApp is the cheapest possible replicated application, so the pipeline
 // benchmark measures protocol round trips, not execution.
@@ -224,37 +223,22 @@ func (c *countingInvoker) InvokeWithStats(ctx context.Context, op []byte, st *sm
 	return c.inner.InvokeWithStats(ctx, op, st)
 }
 
-// stormPlane builds the coordination plane of the metadata storm: `shards`
-// BFT-replicated DepSpace instances, each reached through a pipelined client
-// with a coalescing layer, partitioned by top path segment so per-directory
-// listings stay single-shard. The returned counter holds the total wire
-// round trips across all shards.
-func stormPlane(b *testing.B, shards int) (coord.Service, []*atomic.Int64, [][]*smr.Replica) {
+// stormPlane builds the coordination plane of the metadata storm: one
+// BFT-replicated DepSpace group reached through a pipelined client with a
+// coalescing layer. The returned counter holds the wire round trips to the
+// group.
+func stormPlane(b *testing.B) (coord.Service, *atomic.Int64, []*smr.Replica) {
 	b.Helper()
-	rts := make([]*atomic.Int64, shards)
-	services := make([]coord.Service, shards)
-	groups := make([][]*smr.Replica, shards)
-	for i := range services {
-		net, cfg, reps := benchGroup(b, func() smr.Application {
-			return smr.NewBatchApplication(depspace.NewSpace())
-		}, 50*time.Microsecond)
-		groups[i] = reps
-		cli := smr.NewClient(fmt.Sprintf("storm-%d", i), cfg, net)
-		b.Cleanup(cli.Close)
-		rts[i] = new(atomic.Int64)
-		co := smr.NewCoalescer(&countingInvoker{inner: cli, n: rts[i]})
-		// The requester must be the mount's user ("user" by default): metadata
-		// tuples are ACL'd to their owner, so a mismatched principal is denied.
-		services[i] = coord.NewDepSpaceService(depspace.NewClient(co, "user", nil))
-	}
-	if shards == 1 {
-		return services[0], rts, groups
-	}
-	svc, err := metashard.New(services, metashard.WithSubtreePartition())
-	if err != nil {
-		b.Fatal(err)
-	}
-	return svc, rts, groups
+	net, cfg, reps := benchGroup(b, func() smr.Application {
+		return smr.NewBatchApplication(depspace.NewSpace())
+	}, 50*time.Microsecond)
+	cli := smr.NewClient("storm", cfg, net)
+	b.Cleanup(cli.Close)
+	rts := new(atomic.Int64)
+	co := smr.NewCoalescer(&countingInvoker{inner: cli, n: rts})
+	// The requester must be the mount's user ("user" by default): metadata
+	// tuples are ACL'd to their owner, so a mismatched principal is denied.
+	return coord.NewDepSpaceService(depspace.NewClient(co, "user", nil)), rts, reps
 }
 
 // stormMount mounts an scfs agent over zero-latency simulated clouds and the
@@ -279,45 +263,27 @@ func stormMount(b *testing.B, svc coord.Service, opts ...scfs.Option) *scfs.FS {
 
 // BenchmarkMetadataStorm drives hundreds of concurrent sessions (scaled by
 // b.N up to 1024) through a mount whose coordination is the pipelined,
-// sharded metadata plane. The blend is metadata-intensive, the regime where
-// the paper measures coordination accesses dominating: ~81% stat, ~12%
-// readdir, ~6% create. Two custom metrics count wire round trips to the
-// replica groups per file-system operation: coordRT/op totals them across
-// the plane, and coordRTshardMax/op is the busiest single instance's share.
-// The per-instance figure is what sharding is accountable for — acceptance
-// (benchguard): no instance of the 4-shard plane serves more round trips
-// per op than the unsharded single instance (<= 1.0x), i.e. the namespace
-// spread really divides the coordination load instead of fanning every op
-// to every shard. The plane-wide total is reported (not gated) because it
-// tracks coalescer batch depth, which is a function of per-shard queueing,
-// not of the sharding itself.
+// replicated metadata plane. The blend is metadata-intensive, the regime
+// where the paper measures coordination accesses dominating: ~81% stat,
+// ~12% readdir, ~6% create. The custom metric coordRT/op counts wire round
+// trips to the replica group per file-system operation; it is reported,
+// not gated, because it tracks coalescer batch depth.
 //
-// The Sharded4Telemetry leg reruns the sharded storm fully instrumented —
-// metrics registry, per-operation tracing through smr/shard spans, and the
-// flight recorder retaining slow-tail exemplars. Acceptance (benchguard):
-// always-on instrumentation costs at most 5% ns/op over the uninstrumented
-// sharded leg.
+// The SingleTelemetry leg reruns the storm fully instrumented — metrics
+// registry, per-operation tracing through smr spans, and the flight
+// recorder retaining slow-tail exemplars. Acceptance (benchguard): always-on
+// instrumentation costs at most 5% ns/op over the uninstrumented leg.
 func BenchmarkMetadataStorm(b *testing.B) {
 	const dirs = 16
 	for _, leg := range []struct {
-		name   string
-		shards int
-		opts   []scfs.Option
+		name string
+		opts []scfs.Option
 	}{
-		{"Single", 1, nil},
-		{"Sharded4", 4, nil},
-		{"Sharded4Telemetry", 4, []scfs.Option{
-			scfs.WithMetrics(), scfs.WithTracing(256)}},
+		{"Single", nil},
+		{"SingleTelemetry", []scfs.Option{scfs.WithMetrics(), scfs.WithTracing(256)}},
 	} {
 		b.Run(leg.name, func(b *testing.B) {
-			svc, rts, groups := stormPlane(b, leg.shards)
-			rtTotal := func() int64 {
-				var t int64
-				for _, c := range rts {
-					t += c.Load()
-				}
-				return t
-			}
+			svc, rts, reps := stormPlane(b)
 			m := stormMount(b, svc, leg.opts...)
 			for d := 0; d < dirs; d++ {
 				if err := m.Mkdir(bg, fmt.Sprintf("/d%02d", d)); err != nil {
@@ -335,9 +301,7 @@ func BenchmarkMetadataStorm(b *testing.B) {
 				sessions = 1024
 			}
 			var next atomic.Int64
-			for _, c := range rts {
-				c.Store(0)
-			}
+			rts.Store(0)
 			b.ResetTimer()
 			var wg sync.WaitGroup
 			for s := 0; s < sessions; s++ {
@@ -369,21 +333,12 @@ func BenchmarkMetadataStorm(b *testing.B) {
 			wg.Wait()
 			b.StopTimer()
 			if b.Failed() {
-				for si, reps := range groups {
-					for _, r := range reps {
-						view, exec := r.Progress()
-						b.Logf("shard %d replica %d: view=%d lastExec=%d", si, r.ID(), view, exec)
-					}
+				for _, r := range reps {
+					view, exec := r.Progress()
+					b.Logf("replica %d: view=%d lastExec=%d", r.ID(), view, exec)
 				}
 			}
-			var max int64
-			for _, c := range rts {
-				if v := c.Load(); v > max {
-					max = v
-				}
-			}
-			b.ReportMetric(float64(rtTotal())/float64(b.N), "coordRT/op")
-			b.ReportMetric(float64(max)/float64(b.N), "coordRTshardMax/op")
+			b.ReportMetric(float64(rts.Load())/float64(b.N), "coordRT/op")
 		})
 	}
 }

@@ -29,7 +29,7 @@ go test -run '^$' -bench 'BenchmarkDepSkyHedgedRead/(Hedged|HedgedTelemetry)$' \
 # for the coalescer to reach steady state, and the pipelining pair needs the
 # serialized leg to run long enough to amortize group startup. Re-measure
 # both at fixed iteration counts. The storm pattern also covers the
-# Sharded4Telemetry leg, whose 1.05x ns/op benchguard ceiling pins the cost
+# SingleTelemetry leg, whose 1.05x ns/op benchguard ceiling pins the cost
 # of full metadata-plane instrumentation (tracing + flight recorder).
 go test -run '^$' -bench 'BenchmarkSMRPipeline' -benchmem -benchtime 2000x ./benchmarks | tee -a "$raw"
 # One session's operation through an idle coalescer is ~0.1 ms on either
@@ -47,7 +47,7 @@ awk -v go_version="$(go version | awk '{print $3}')" -v stamp="$stamp" '
 	name = $1; sub(/-[0-9]+$/, "", name)
 	iters = $2
 	ns = ""; mbs = ""; bop = ""; allocs = ""; cloudb = ""; cloudreq = ""; dollar = ""
-	coordrt = ""; coordrtmax = ""
+	coordrt = ""
 	for (i = 2; i <= NF; i++) {
 		if ($i == "ns/op") ns = $(i-1)
 		if ($i == "MB/s") mbs = $(i-1)
@@ -57,7 +57,6 @@ awk -v go_version="$(go version | awk '{print $3}')" -v stamp="$stamp" '
 		if ($i == "cloudReq/op") cloudreq = $(i-1)
 		if ($i == "$/op") dollar = $(i-1)
 		if ($i == "coordRT/op") coordrt = $(i-1)
-		if ($i == "coordRTshardMax/op") coordrtmax = $(i-1)
 	}
 	if (ns == "") next
 	entry = sprintf("\"%s\": {\"n\": %s, \"ns_op\": %s", name, iters, ns)
@@ -68,7 +67,6 @@ awk -v go_version="$(go version | awk '{print $3}')" -v stamp="$stamp" '
 	if (cloudreq != "") entry = entry sprintf(", \"cloud_req_op\": %s", cloudreq)
 	if (dollar != "") entry = entry sprintf(", \"dollar_op\": %s", dollar)
 	if (coordrt != "") entry = entry sprintf(", \"coord_rt_op\": %s", coordrt)
-	if (coordrtmax != "") entry = entry sprintf(", \"coord_rt_shard_max_op\": %s", coordrtmax)
 	entry = entry "}"
 	if (!(name in entries)) order[++count] = name
 	entries[name] = entry  # later measurements of a name win

@@ -217,7 +217,7 @@ func TestBatchIsOneAccess(t *testing.T) {
 	}
 	counters := reg.Snapshot().Counters
 	for op, want := range map[string]int64{"batch": 1, "trylock": 1, "get": 1, "put": 1, "cas": 1, "delete": 1, "unlock": 1, "list": 0} {
-		if got := counters[telemetry.Name("coord_ops_total", "backend", "depspace", "op", op)]; got != want {
+		if got := counters[telemetry.Name("coord_ops_total", "op", op)]; got != want {
 			t.Errorf("coord_ops_total op=%s is %d, want %d", op, got, want)
 		}
 	}

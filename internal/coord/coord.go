@@ -22,16 +22,11 @@ type ACL struct {
 	Writers []string
 }
 
-// Record is one stored metadata entry. ACL is the access policy the service
-// stored and enforces with the record. Carrying it in reads lets
-// record-by-record moves — the sharded router's cross-shard RenamePrefix —
-// re-store each record under its original policy instead of silently
-// widening access.
+// Record is one stored metadata entry.
 type Record struct {
 	Key     string
 	Value   []byte
 	Version uint64
-	ACL     ACL
 }
 
 // Sentinel errors shared by all coordination backends.

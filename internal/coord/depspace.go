@@ -37,10 +37,6 @@ func dsACL(a ACL) depspace.ACL {
 	return depspace.ACL{Owner: a.Owner, Readers: a.Readers, Writers: a.Writers}
 }
 
-func fromDSACL(a depspace.ACL) ACL {
-	return ACL{Owner: a.Owner, Readers: a.Readers, Writers: a.Writers}
-}
-
 func encodePayload(v []byte) string { return base64.StdEncoding.EncodeToString(v) }
 
 func decodePayload(s string) ([]byte, error) { return base64.StdEncoding.DecodeString(s) }
@@ -106,7 +102,7 @@ func recordOf(e depspace.Entry) (Record, error) {
 	if err != nil {
 		return Record{}, fmt.Errorf("coord: corrupt metadata payload for %q: %w", e.Tuple[1], err)
 	}
-	return Record{Key: e.Tuple[1], Value: val, Version: e.Version, ACL: fromDSACL(e.ACL)}, nil
+	return Record{Key: e.Tuple[1], Value: val, Version: e.Version}, nil
 }
 
 // dsResult translates the tuple space's reply to op's command into what the

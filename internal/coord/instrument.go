@@ -7,32 +7,13 @@ import (
 	"scfs/internal/telemetry"
 )
 
-// backendNamer is implemented by coordination services that can name their
-// backend for telemetry labels.
-type backendNamer interface {
-	Backend() string
-}
-
-// Backend implements backendNamer for the DepSpace adapter.
-func (d *DepSpaceService) Backend() string { return "depspace" }
-
-// BackendName returns a stable telemetry label for a coordination service:
-// the service's own Backend() when it has one, "custom" otherwise.
-func BackendName(s Service) string {
-	if n, ok := s.(backendNamer); ok {
-		return n.Backend()
-	}
-	return "custom"
-}
-
 // instrumented counts every coordination command into a telemetry registry
-// as coord_ops_total{backend,op} counters, one per operation class; a Batch
-// counts once as op="batch" and once per command it carries under that
-// command's class. The instruments are resolved once at construction; the
+// as coord_ops_total{op} counters, one per operation class; a Batch counts
+// once as op="batch" and once per command it carries under that command's
+// class. The instruments are resolved once at construction; the
 // per-command cost is one atomic add.
 type instrumented struct {
-	inner   Service
-	backend string
+	inner Service
 
 	// byKind holds the counters of the batchable commands, indexed by
 	// OpKind, for the plain call and the batched command alike.
@@ -43,27 +24,23 @@ type instrumented struct {
 var _ Service = (*instrumented)(nil)
 
 // Instrument wraps a coordination service so every access increments
-// coord_ops_total{backend,op} in reg. A nil registry returns s unchanged.
-// The wrapper forwards Stats (the paper's §4 access counters) untouched:
-// the registry counters are the exported view of the same traffic, labeled
-// by backend and operation.
+// coord_ops_total{op} in reg. A nil registry returns s unchanged. The
+// wrapper forwards Stats (the paper's §4 access counters) untouched: the
+// registry counters are the exported view of the same traffic, labeled by
+// operation.
 func Instrument(s Service, reg *telemetry.Registry) Service {
 	if reg == nil || s == nil {
 		return s
 	}
-	b := BackendName(s)
 	c := func(op string) *telemetry.Counter {
-		return reg.Counter(telemetry.Name("coord_ops_total", "backend", b, "op", op))
+		return reg.Counter(telemetry.Name("coord_ops_total", "op", op))
 	}
-	i := &instrumented{inner: s, backend: b, rename: c("rename"), batch: c("batch")}
+	i := &instrumented{inner: s, rename: c("rename"), batch: c("batch")}
 	for k := OpGet; k <= OpCas; k++ {
 		i.byKind[k] = c(k.String())
 	}
 	return i
 }
-
-// Backend implements backendNamer, preserving the label across wrapping.
-func (i *instrumented) Backend() string { return i.backend }
 
 // GetMetadata implements Service.
 func (i *instrumented) GetMetadata(ctx context.Context, key string) (Record, error) {

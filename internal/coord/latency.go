@@ -144,6 +144,3 @@ func (l *latencyService) Batch(ctx context.Context, ops []Op) ([]Result, error) 
 }
 
 func (l *latencyService) Stats() Stats { return l.inner.Stats() }
-
-// Backend forwards the wrapped backend's telemetry label.
-func (l *latencyService) Backend() string { return BackendName(l.inner) }

@@ -9,6 +9,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -250,6 +251,7 @@ type Agent struct {
 	memCache  *cache.Memory
 	diskCache *cache.Disk
 	metaCache *cache.Metadata
+	pnsLease  *coord.Lease // the PNS lock, held until Unmount
 
 	// mu protects the namespace maps and counters below.
 	mu        sync.Mutex
@@ -284,18 +286,16 @@ func New(ctx context.Context, opts Options) (*Agent, error) {
 	}
 	diskDir := opts.DiskCacheDir
 	if diskDir == "" {
-		d, err := makeTempDir()
-		if err != nil {
-			return nil, err
+		if diskDir, err = os.MkdirTemp("", "scfs-cache-"); err != nil {
+			return nil, fmt.Errorf("core: creating disk cache directory: %w", err)
 		}
-		diskDir = d
 	}
 	disk, err := cache.NewDisk(diskDir, opts.DiskCacheBytes)
 	if err != nil {
 		return nil, err
 	}
 	// With metrics on, every coordination access is also exported as a
-	// coord_ops_total{backend,op} counter (satisfying the paper's §4 focus on
+	// coord_ops_total{op} counter (satisfying the paper's §4 focus on
 	// coordination accesses as the dominant metadata cost).
 	if opts.Telemetry != nil && opts.Coordination != nil {
 		opts.Coordination = coord.Instrument(opts.Coordination, opts.Telemetry)
@@ -324,6 +324,7 @@ func New(ctx context.Context, opts Options) (*Agent, error) {
 	}
 	if opts.UsePNS || opts.Mode == NonSharing {
 		if err := a.loadPNS(ctx); err != nil {
+			a.pnsLease.Release(ctx) // the next mount need not wait out the lease
 			cancelBase()
 			return nil, err
 		}
@@ -331,14 +332,6 @@ func New(ctx context.Context, opts Options) (*Agent, error) {
 	a.uploadWG.Add(1)
 	go a.uploadWorker()
 	return a, nil
-}
-
-func makeTempDir() (string, error) {
-	d, err := os.MkdirTemp("", "scfs-cache-")
-	if err != nil {
-		return "", fmt.Errorf("core: creating disk cache directory: %w", err)
-	}
-	return d, nil
 }
 
 // Stats returns a snapshot of the activity counters, merging in the
@@ -401,12 +394,12 @@ func (a *Agent) addStat(f func(*Stats)) {
 	a.stats.Unlock()
 }
 
-// Unmount flushes pending uploads and the private name space, then releases
-// resources. The agent must not be used afterwards. Cancelling ctx turns
-// the graceful drain into a forced one: the in-flight background uploads
-// are aborted (their versions stay unanchored and will be re-uploaded by a
-// future mount's dirty-cache recovery or simply superseded) and Unmount
-// returns ctx.Err().
+// Unmount flushes pending uploads and the private name space, releases the
+// name space's lock, then releases resources. The agent must not be used
+// afterwards. Cancelling ctx turns the graceful drain into a forced one:
+// the in-flight background uploads are aborted (their versions stay
+// unanchored and will be re-uploaded by a future mount's dirty-cache
+// recovery or simply superseded) and Unmount returns ctx.Err().
 func (a *Agent) Unmount(ctx context.Context) error {
 	a.mu.Lock()
 	if a.closed {
@@ -437,13 +430,11 @@ func (a *Agent) Unmount(ctx context.Context) error {
 	}
 	a.cancelBase()
 
-	// Final PNS flush.
-	if a.pns != nil {
-		if err := a.flushPNS(flushCtx); err != nil {
-			return err
-		}
-	}
-	return forced
+	// Final PNS flush, then its lock goes: the user's next mount need not
+	// wait out the lease.
+	err := a.flushPNS(flushCtx)
+	a.pnsLease.Release(flushCtx)
+	return cmp.Or(err, forced)
 }
 
 // isShared decides whether a path's metadata must live in the coordination

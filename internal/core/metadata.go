@@ -423,12 +423,12 @@ func (a *Agent) pnsKey() string { return "pns:" + a.opts.User }
 // available, then the serialized name space is fetched from the cloud.
 func (a *Agent) loadPNS(ctx context.Context) error {
 	if a.opts.Coordination != nil {
-		// Lock the PNS to prevent two agents logged in as the same user from
-		// corrupting it.
-		if err := a.opts.Coordination.TryLock(ctx, a.pnsKey(), a.opts.AgentID, a.opts.LockTTL); err != nil {
-			if errors.Is(err, coord.ErrLockHeld) {
-				return fmt.Errorf("core: private name space of %q is locked by another agent: %w", a.opts.User, fsapi.ErrLocked)
-			}
+		// Lock the PNS for the mount's lifetime, to prevent two agents logged
+		// in as the same user from corrupting it.
+		var err error
+		if a.pnsLease, err = coord.Hold(ctx, a.opts.Coordination, a.pnsKey(), a.opts.AgentID, a.opts.LockTTL, a.clk); errors.Is(err, coord.ErrLockHeld) {
+			return fmt.Errorf("core: private name space of %q is locked by another agent: %w", a.opts.User, fsapi.ErrLocked)
+		} else if err != nil {
 			return err
 		}
 	}

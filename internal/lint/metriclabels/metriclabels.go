@@ -20,8 +20,8 @@
 // review, which is exactly the point.
 //
 // The same discipline applies to trace span names: telemetry.Span{Name: ...}
-// composite literals must use fixed strings ("smr.invoke", "shard.route"),
-// with the variable detail (shard number, cloud name, trigger) in the Target
+// composite literals must use fixed strings ("smr.invoke", "chunk.get"),
+// with the variable detail (cloud name, flush trigger) in the Target
 // field — a Sprintf-built span name makes trace grouping and the flight
 // recorder's per-class retention unbounded, exactly like a Sprintf-built
 // metric name.
@@ -43,7 +43,6 @@ var AllowedKeys = map[string]bool{
 	"cloud":   true, // provider name (bounded by mount configuration)
 	"op":      true, // operation class: get / put / delete / list / trylock / unlock; batch = one round trip carrying several
 	"outcome": true, // ok / error / canceled
-	"backend": true, // coordination backend: depspace / metashard / custom
 	"result":  true, // cache result: hit / miss
 }
 

@@ -31,6 +31,7 @@ import (
 	"scfs"
 	"scfs/internal/cloudsim"
 	"scfs/internal/coord"
+	"scfs/internal/depspace"
 	"scfs/internal/smr"
 )
 
@@ -75,11 +76,11 @@ func waitRPCsDrained(t *testing.T, env *Env, cloud string) scfs.MetricsSnapshot 
 type Env struct {
 	FS        *scfs.FS
 	Providers []*cloudsim.Provider
-	// Shards holds the replica groups of a scenario-built coordination
-	// plane (see Scenario.Coord), one slice per shard. It is nil for
-	// scenarios on the mount's default coordination service, whose four
-	// replicas the mount does not expose.
-	Shards [][]*smr.Replica
+	// Replicas are the members of a scenario-built coordination group (see
+	// Scenario.Coord), indexed by replica ID. It is nil for scenarios on
+	// the mount's default coordination service, whose four replicas the
+	// mount does not expose.
+	Replicas []*smr.Replica
 
 	stopCoord func()
 }
@@ -107,12 +108,12 @@ type Scenario struct {
 	RTTs []time.Duration
 	// Mount appends mount options (breaker tuning, default I/O policy).
 	Mount []scfs.Option
-	// Coord optionally builds the coordination plane the mount runs on —
-	// e.g. a sharded set of BFT replica groups whose members the scenario
-	// then crashes. The returned stop tears the plane down; the harness
-	// calls it after unmount and before the goroutine-leak check, so a
-	// plane that strands replica or client goroutines fails the scenario.
-	Coord func(t *testing.T) (svc coord.Service, shards [][]*smr.Replica, stop func())
+	// Coord optionally builds the BFT replica group the mount coordinates
+	// through, so the scenario can delay its network or crash its members.
+	// The harness stops the group after unmount and before the
+	// goroutine-leak check, so a group that strands replica or client
+	// goroutines fails the scenario.
+	Coord func(t *testing.T) *depspace.Group
 	// Run scripts the faults and asserts the scenario's own invariants.
 	Run func(t *testing.T, env *Env)
 }
@@ -162,7 +163,6 @@ func Run(t *testing.T, s Scenario) {
 	}
 	if env.stopCoord != nil {
 		env.stopCoord()
-		env.stopCoord = nil
 	}
 	waitGoroutineBaseline(t, baseline)
 }
@@ -189,16 +189,15 @@ func newEnv(t *testing.T, s Scenario) *Env {
 	}, s.Mount...)
 	env := &Env{Providers: providers}
 	if s.Coord != nil {
-		svc, shards, stop := s.Coord(t)
-		env.Shards, env.stopCoord = shards, stop
-		opts = append(opts, scfs.WithCoordination(svc))
+		g := s.Coord(t)
+		env.Replicas, env.stopCoord = g.Replicas, g.Stop
+		// The requester must match the mount's principal ("user"): metadata
+		// tuples are ACL'd to their owner.
+		opts = append(opts, scfs.WithCoordination(
+			coord.NewDepSpaceService(depspace.NewClient(g.Invoker, "user", nil))))
 		// Safety net for scenarios aborted by t.Fatal before the harness's
-		// ordered teardown: the plane still comes down with the subtest.
-		t.Cleanup(func() {
-			if env.stopCoord != nil {
-				env.stopCoord()
-			}
-		})
+		// ordered teardown: the group still comes down with the subtest.
+		t.Cleanup(g.Stop)
 	}
 	m, err := scfs.New(bg, opts...)
 	if err != nil {

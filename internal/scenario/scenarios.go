@@ -16,10 +16,7 @@ import (
 
 	"scfs"
 	"scfs/internal/cloudsim"
-	"scfs/internal/coord"
 	"scfs/internal/depspace"
-	"scfs/internal/metashard"
-	"scfs/internal/smr"
 )
 
 // payload builds deterministic, seed-tagged file contents.
@@ -59,7 +56,7 @@ func All() []Scenario {
 		fCorruptingClouds(),
 		flappingProvider(),
 		breakerRecovery(),
-		shardOutageMetadataStorm(),
+		leaderCrashMetadataStorm(),
 	}
 }
 
@@ -234,56 +231,32 @@ func flappingProvider() Scenario {
 	}
 }
 
-// shardOutageMetadataStorm: the mount's coordination runs on two BFT-
-// replicated metadata shards; mid-storm, the leader replica of one shard
-// crashes. The surviving 3-of-4 quorum must view-change and keep that shard
-// serving — every session's metadata ops succeed, cross-shard listings stay
-// complete, both shards demonstrably executed commands, and tearing the
-// plane down leaks nothing.
-func shardOutageMetadataStorm() Scenario {
+// leaderCrashMetadataStorm: the mount's coordination runs on one BFT-
+// replicated DepSpace group; mid-storm, its leader replica crashes. The
+// surviving 3-of-4 quorum must view-change and keep serving — every
+// session's metadata ops succeed, the listings stay complete, and tearing
+// the group down leaks nothing.
+func leaderCrashMetadataStorm() Scenario {
 	const (
-		shards   = 2
 		dirs     = 8
 		sessions = 16
 		ops      = 24 // per session
 	)
-	var groups [][]*smr.Replica
 	return Scenario{
-		Name: "shard-outage-metadata-storm",
-		Description: "a metadata shard loses its leader replica mid-storm; " +
+		Name: "leader-crash-metadata-storm",
+		Description: "the coordination group loses its leader replica mid-storm; " +
 			"the quorum view-changes and every session's ops still succeed",
 		// The storm runs traced: the flight recorder must retain the
 		// outage's evidence (view-change-crossing ops) as exemplars even
 		// though hundreds of healthy ops finish afterwards.
 		Mount: []scfs.Option{scfs.WithTracing(64)},
-		Coord: func(t *testing.T) (coord.Service, [][]*smr.Replica, func()) {
-			var stops []func()
-			stop := func() {
-				for _, s := range stops {
-					s()
-				}
-			}
-			services := make([]coord.Service, shards)
-			groups = make([][]*smr.Replica, shards)
-			for i := range services {
-				g, err := depspace.NewGroup(fmt.Sprintf("chaos-shard-%d", i))
-				if err != nil {
-					stop()
-					t.Fatal(err)
-				}
-				stops = append(stops, g.Stop)
-				g.Net.SetDelay(50 * time.Microsecond)
-				groups[i] = g.Replicas
-				// The requester must match the mount's principal ("user"):
-				// metadata tuples are ACL'd to their owner.
-				services[i] = coord.NewDepSpaceService(depspace.NewClient(g.Invoker, "user", nil))
-			}
-			svc, err := metashard.New(services, metashard.WithSubtreePartition())
+		Coord: func(t *testing.T) *depspace.Group {
+			g, err := depspace.NewGroup("chaos-coord")
 			if err != nil {
-				stop()
 				t.Fatal(err)
 			}
-			return svc, groups, stop
+			g.Net.SetDelay(50 * time.Microsecond)
+			return g
 		},
 		Run: func(t *testing.T, env *Env) {
 			for d := 0; d < dirs; d++ {
@@ -292,17 +265,14 @@ func shardOutageMetadataStorm() Scenario {
 				}
 				mustWrite(t, env, fmt.Sprintf("/d%d/seed.bin", d), payload(byte(d), 600))
 			}
-			// Both shards must own part of the namespace, or crashing one
-			// would prove nothing about the other's independence.
-			seeded := make([]uint64, shards)
-			for i, g := range env.Shards {
-				if _, seeded[i] = g[0].Progress(); seeded[i] == 0 {
-					t.Fatalf("shard %d executed nothing during seeding: partition is one-sided", i)
-				}
+			// The seeding went through the group, or crashing its leader
+			// would prove nothing about the metadata path.
+			if _, seeded := env.Replicas[0].Progress(); seeded == 0 {
+				t.Fatal("the coordination group executed nothing during seeding")
 			}
 
 			// The storm: sessions hammer stat/readdir/create across every
-			// directory. Once half the ops are in, shard 1's current leader
+			// directory. Once half the ops are in, the group's current leader
 			// (replica 0, view 0) crashes; the remaining replicas must
 			// suspect it, view-change, and resume — no client ever errors.
 			var done atomic.Int64
@@ -314,7 +284,7 @@ func shardOutageMetadataStorm() Scenario {
 					defer wg.Done()
 					for i := 0; i < ops; i++ {
 						if done.Add(1) == sessions*ops/2 {
-							crashOnce.Do(func() { env.Shards[1][0].Stop() })
+							crashOnce.Do(func() { env.Replicas[0].Stop() })
 						}
 						dir := fmt.Sprintf("/d%d", (s+i)%dirs)
 						var err error
@@ -336,20 +306,17 @@ func shardOutageMetadataStorm() Scenario {
 			}
 			wg.Wait()
 			if t.Failed() {
-				for i, g := range env.Shards {
-					for _, r := range g {
-						view, exec := r.Progress()
-						t.Logf("shard %d replica %d: view=%d lastExec=%d", i, r.ID(), view, exec)
-					}
+				for _, r := range env.Replicas {
+					view, exec := r.Progress()
+					t.Logf("replica %d: view=%d lastExec=%d", r.ID(), view, exec)
 				}
 				return
 			}
 
-			// The crashed shard made progress after losing its leader, under
-			// a new view: the outage was survived, not routed around.
-			view, _ := env.Shards[1][1].Progress()
-			if view == 0 {
-				t.Fatalf("shard 1 never view-changed after its leader crashed (view=%d)", view)
+			// The group made progress after losing its leader, under a new
+			// view: the outage was survived, not waited out.
+			if view, _ := env.Replicas[1].Progress(); view == 0 {
+				t.Fatalf("the group never view-changed after its leader crashed (view=%d)", view)
 			}
 
 			// The flight recorder holds the outage's evidence: operations
@@ -383,9 +350,9 @@ func shardOutageMetadataStorm() Scenario {
 				t.Fatalf("no retained exemplar shows the outage's retransmissions: %v", vcTrace.Describe())
 			}
 
-			// Cross-shard consistency after the storm: the merged root lists
-			// every directory, and each directory holds its seed plus the
-			// three files every session created in it.
+			// Consistency after the storm: the root lists every directory, and
+			// each directory holds its seed plus the three files every session
+			// created in it.
 			root, err := env.FS.ReadDir(bg, "/")
 			if err != nil {
 				t.Fatal(err)

@@ -158,7 +158,8 @@ func InvokeBatch(ctx context.Context, inv Invoker, ops [][]byte) ([][]byte, erro
 // that finishes an invocation takes the whole queue with it as the next
 // one. A queue that reaches maxBatch operations leaves at once even with
 // invocations in flight, so under a storm batches overlap in a pipelined
-// Client's window. Nothing waits on a timer: an idle coalescer adds no
+// Client's window; a mount coordinates through one group, so that overlap
+// is all the concurrency its metadata plane has. Nothing waits on a timer: an idle coalescer adds no
 // latency to a consensus round, a busy one batches as deep as its round
 // trips are long.
 //

@@ -48,11 +48,11 @@ func (o SpanOutcome) String() string {
 }
 
 // Span is one attempt or phase in an operation's fan-out tree. Name is the
-// span kind and must be a constant — data-plane RPCs ("meta.get",
-// "block.get", "block.put", "chunk.get") and metadata-plane phases
-// ("smr.invoke", "smr.batch", "shard.route", "shard.fanout"); variable
-// detail belongs in Target (the provider or shard the span worked against,
-// or the batch flush trigger), never Sprintf'd into the name. Hedged marks
+// span kind and must be a constant — data-plane RPCs ("desc.get",
+// "desc.put", "chunk.get", "chunk.put", "head.get", "head.put") and
+// metadata-plane phases ("smr.invoke", "smr.batch"); variable detail
+// belongs in Target (the provider the span worked against, or the batch
+// flush trigger), never Sprintf'd into the name. Hedged marks
 // attempts that launched from behind the hedge gate rather than the
 // preferred set.
 // Err (if any) is kept as an error value — formatting is deferred to export

@@ -12,7 +12,6 @@ import (
 	"scfs/internal/depsky"
 	"scfs/internal/depspace"
 	"scfs/internal/iopolicy"
-	"scfs/internal/metashard"
 	"scfs/internal/pricing"
 	"scfs/internal/resilience"
 	"scfs/internal/storage"
@@ -32,7 +31,6 @@ type config struct {
 
 	clouds       []ObjectStore
 	coordination coord.Service
-	coordShards  int
 
 	memCacheBytes   int64
 	diskCacheBytes  int64
@@ -86,17 +84,6 @@ func WithFaultTolerance(f int) Option { return func(c *config) { c.f = f } }
 // four in-process BFT replicas (ignored in NonSharing mode, which uses
 // none).
 func WithCoordination(svc coord.Service) Option { return func(c *config) { c.coordination = svc } }
-
-// WithCoordShards partitions the metadata namespace across n coordination
-// service instances by stable key hash — the scale-out the paper proposes
-// for going beyond one coordination service. Single-key operations route to
-// one shard, listings fan out and merge deterministically, and concurrent
-// updates of one key keep hitting the same shard, preserving conditional
-// update semantics. Each shard is its own four-replica DepSpace group.
-// Applies to the default coordination service; ignored when WithCoordination
-// supplies a custom service (shard externally with internal/metashard in
-// that case) and in NonSharing mode.
-func WithCoordShards(n int) Option { return func(c *config) { c.coordShards = n } }
 
 // WithGC configures the multi-version garbage collector.
 func WithGC(policy GCPolicy) Option { return func(c *config) { c.gc = policy } }
@@ -315,33 +302,12 @@ func (c *config) build(ctx context.Context) (*core.Agent, mountTelemetry, func()
 
 // buildCoordination assembles the default coordination service as the
 // paper deploys it: one BFT-replicated DepSpace group (depspace.NewGroup:
-// four replicas, f = 1) for each of the WithCoordShards shards,
-// metashard-partitioned when there are several. The returned stop shuts
-// every group down and may run more than once.
+// four replicas, f = 1). The returned stop shuts the group down and may run
+// more than once.
 func (c *config) buildCoordination() (coord.Service, func(), error) {
-	shards := make([]coord.Service, max(c.coordShards, 1))
-	var groups []*depspace.Group
-	stop := func() {
-		for _, g := range groups {
-			g.Stop()
-		}
-	}
-	for i := range shards {
-		g, err := depspace.NewGroup(fmt.Sprintf("%s-coord-%d", c.user, i))
-		if err != nil {
-			stop()
-			return nil, nil, fmt.Errorf("scfs: building coordination shard %d: %w", i, err)
-		}
-		groups = append(groups, g)
-		shards[i] = coord.NewDepSpaceService(depspace.NewClient(g.Invoker, c.user, nil))
-	}
-	if len(shards) == 1 {
-		return shards[0], stop, nil
-	}
-	sharded, err := metashard.New(shards)
+	g, err := depspace.NewGroup(c.user + "-coord")
 	if err != nil {
-		stop()
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("scfs: building the coordination service: %w", err)
 	}
-	return sharded, stop, nil
+	return coord.NewDepSpaceService(depspace.NewClient(g.Invoker, c.user, nil)), g.Stop, nil
 }

@@ -306,16 +306,12 @@ func TestFaultToleranceTakenAsGiven(t *testing.T) {
 // metadata lives in the user's private name space (§2.7 of the paper), not
 // in the coordination service. Creating it still takes the two accesses of
 // a create (its lock and the lookup), but an overwrite and a read of it
-// take none, and a fresh mount of the same user over the same stores reads
-// it back from the name space the first mount flushed at Close. (The fresh
-// mount brings its own coordination service: Close leaves the name space's
-// lock to expire with its lease.)
+// take none, and a fresh mount of the same user over the same stores and
+// coordination service reads it back from the name space the first mount
+// flushed at Close, which also released the name space's lock.
 func TestPrivateNameSpaces(t *testing.T) {
-	stores := namedStores()
-	opts := func() []scfs.Option {
-		return []scfs.Option{scfs.WithClouds(stores...), scfs.WithCoordination(sharedCoord()), scfs.WithPrivateNameSpaces()}
-	}
-	m := mount(t, opts()...)
+	opts := []scfs.Option{scfs.WithClouds(namedStores()...), scfs.WithCoordination(sharedCoord()), scfs.WithPrivateNameSpaces()}
+	m := mount(t, opts...)
 	accesses := func() int64 { return m.Stats().CoordAccesses }
 
 	before := accesses()
@@ -338,7 +334,7 @@ func TestPrivateNameSpaces(t *testing.T) {
 	if err := m.Close(bg); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := scfs.ReadFile(bg, mount(t, opts()...), "/private.txt"); err != nil || string(got) != "v2" {
+	if got, err := scfs.ReadFile(bg, mount(t, opts...), "/private.txt"); err != nil || string(got) != "v2" {
 		t.Fatalf("a remount reads %q, %v; want v2", got, err)
 	}
 }

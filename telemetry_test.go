@@ -173,16 +173,15 @@ func TestDefaultMountCoordinatesThroughReplicas(t *testing.T) {
 	t.Fatalf("the WriteFile's trace holds no smr.invoke span: %v", traces[0].Describe())
 }
 
-// TestOneTraceSpansEveryLayer: one facade operation on a sharded,
-// replicated metadata plane must yield exactly one trace crossing every
-// layer — the smr invocations its coordination lookups turned into, the
-// shard routing decisions, and the per-cloud RPCs of the data fetch. The
-// caches are ~empty so the open must go to the clouds.
+// TestOneTraceSpansEveryLayer: one facade operation on the replicated
+// metadata plane must yield exactly one trace crossing every layer — the
+// smr invocations its coordination lookups turned into and the per-cloud
+// RPCs of the data fetch. The caches are ~empty so the open must go to the
+// clouds.
 func TestOneTraceSpansEveryLayer(t *testing.T) {
 	m := namedMount(t,
 		scfs.WithDiskCache(t.TempDir(), 1),
 		scfs.WithMemoryCache(1),
-		scfs.WithCoordShards(2),
 		scfs.WithTracing(128))
 	if err := m.Mkdir(bg, "/docs"); err != nil {
 		t.Fatal(err)
@@ -216,7 +215,7 @@ func TestOneTraceSpansEveryLayer(t *testing.T) {
 		for _, s := range tr.Spans() {
 			names[s.Name] = true
 		}
-		if names["smr.invoke"] && names["shard.route"] && (names["desc.get"] || names["chunk.get"]) {
+		if names["smr.invoke"] && (names["desc.get"] || names["chunk.get"]) {
 			whole = append(whole, tr)
 		}
 	}
@@ -224,7 +223,7 @@ func TestOneTraceSpansEveryLayer(t *testing.T) {
 		for _, tr := range fresh {
 			t.Logf("%s %s: %v", tr.Op, tr.Unit, tr.Describe())
 		}
-		t.Fatalf("%d new traces hold an smr.invoke, a shard.route and a per-cloud span; want exactly 1", len(whole))
+		t.Fatalf("%d new traces hold an smr.invoke and a per-cloud span; want exactly 1", len(whole))
 	}
 }
 
