@@ -12,31 +12,31 @@ import (
 	"scfs"
 )
 
-// TestDirectoryRenameMovesItsFiles: a directory rename rewrites the keys of
-// its subtree's records, not the paths inside their values. The files must be
-// listed, found, written and collected under the new path all the same: the
-// key is the path. The rename moves /a into another directory, so no record
-// may be lost on the way to the deeper target.
-func TestDirectoryRenameMovesItsFiles(t *testing.T) {
+// TestCoordShardsMount: a cross-directory rename of a populated directory
+// loses no record on the way to the deeper target. (The name dates from when
+// a mount could partition its namespace across coordination shards, where
+// this rename moved records between them.)
+func TestCoordShardsMount(t *testing.T) {
 	m := mount(t)
 	for _, dir := range []string{"/a", "/b"} {
 		if err := m.Mkdir(bg, dir); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := scfs.WriteFile(bg, m, "/a/f", []byte("v1")); err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < 10; i++ {
 		if err := scfs.WriteFile(bg, m, fmt.Sprintf("/a/f%d.txt", i), []byte(fmt.Sprintf("file %d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
+	infos, err := m.ReadDir(bg, "/a")
+	if err != nil || len(infos) != 10 {
+		t.Fatalf("ReadDir /a = %d entries, %v", len(infos), err)
+	}
 	if err := m.Rename(bg, "/a", "/b/sub"); err != nil {
 		t.Fatal(err)
 	}
-	if infos, err := m.ReadDir(bg, "/b/sub"); err != nil || len(infos) != 11 || infos[0].Path != "/b/sub/f" {
-		t.Fatalf("ReadDir /b/sub = %+v, %v; want /b/sub/f and ten more", infos, err)
+	if infos, err := m.ReadDir(bg, "/b/sub"); err != nil || len(infos) != 10 {
+		t.Fatalf("ReadDir /b/sub = %d entries, %v; want 10", len(infos), err)
 	}
 	for i := 0; i < 10; i++ {
 		got, err := scfs.ReadFile(bg, m, fmt.Sprintf("/b/sub/f%d.txt", i))
@@ -44,27 +44,53 @@ func TestDirectoryRenameMovesItsFiles(t *testing.T) {
 			t.Fatalf("post-rename read f%d = %q, %v", i, got, err)
 		}
 	}
-	if fi, err := m.Stat(bg, "/b/sub/f"); err != nil || fi.Path != "/b/sub/f" {
-		t.Fatalf("Stat /b/sub/f = %+v, %v", fi, err)
+	if _, err := m.Stat(bg, "/a"); !errors.Is(err, scfs.ErrNotExist) {
+		t.Fatalf("Stat /a after the rename: %v, want ErrNotExist", err)
 	}
-	if err := scfs.WriteFile(bg, m, "/b/sub/f", []byte("v2")); err != nil {
-		t.Fatal(err)
+	if s := m.Stats(); s.CoordAccesses == 0 {
+		t.Fatal("mount reported zero coordination accesses")
 	}
-	if got, err := scfs.ReadFile(bg, m, "/b/sub/f"); err != nil || string(got) != "v2" {
-		t.Fatalf("read /b/sub/f = %q, %v; want v2", got, err)
-	}
-	for _, gone := range []string{"/a", "/a/f"} {
-		if _, err := m.Stat(bg, gone); !errors.Is(err, scfs.ErrNotExist) {
-			t.Fatalf("Stat %s after the rename: %v, want ErrNotExist", gone, err)
+}
+
+// TestDirectoryRenameMovesItsFiles: a directory rename rewrites the keys of
+// its subtree's records, not the paths inside their values. The files must be
+// listed, found, written and collected under the new path all the same: the
+// key is the path.
+func TestDirectoryRenameMovesItsFiles(t *testing.T) {
+	t.Run("one service", func(t *testing.T) {
+		m := mount(t)
+		if err := m.Mkdir(bg, "/a"); err != nil {
+			t.Fatal(err)
 		}
-	}
-	report, err := m.Collect(bg)
-	if err != nil || report.VersionsDeleted != 1 {
-		t.Fatalf("Collect deleted %d versions (%v), want v1's", report.VersionsDeleted, err)
-	}
-	if got, err := scfs.ReadFile(bg, m, "/b/sub/f"); err != nil || string(got) != "v2" {
-		t.Fatalf("read /b/sub/f after the collection = %q, %v; want v2", got, err)
-	}
+		if err := scfs.WriteFile(bg, m, "/a/f", []byte("v1")); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Rename(bg, "/a", "/b"); err != nil {
+			t.Fatal(err)
+		}
+		if infos, err := m.ReadDir(bg, "/b"); err != nil || len(infos) != 1 || infos[0].Path != "/b/f" {
+			t.Fatalf("ReadDir /b = %+v, %v; want /b/f", infos, err)
+		}
+		if fi, err := m.Stat(bg, "/b/f"); err != nil || fi.Path != "/b/f" {
+			t.Fatalf("Stat /b/f = %+v, %v", fi, err)
+		}
+		if err := scfs.WriteFile(bg, m, "/b/f", []byte("v2")); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := scfs.ReadFile(bg, m, "/b/f"); err != nil || string(got) != "v2" {
+			t.Fatalf("read /b/f = %q, %v; want v2", got, err)
+		}
+		if _, err := m.Stat(bg, "/a/f"); !errors.Is(err, scfs.ErrNotExist) {
+			t.Fatalf("Stat /a/f after the rename: %v, want ErrNotExist", err)
+		}
+		report, err := m.Collect(bg)
+		if err != nil || report.VersionsDeleted != 1 {
+			t.Fatalf("Collect deleted %d versions (%v), want v1's", report.VersionsDeleted, err)
+		}
+		if got, err := scfs.ReadFile(bg, m, "/b/f"); err != nil || string(got) != "v2" {
+			t.Fatalf("read /b/f after the collection = %q, %v; want v2", got, err)
+		}
+	})
 }
 
 // TestPipelinedReplicatedMount: the default coordination service is one
@@ -72,51 +98,53 @@ func TestDirectoryRenameMovesItsFiles(t *testing.T) {
 // sessions must not interfere, and unmounting must not leak the group's
 // goroutines.
 func TestPipelinedReplicatedMount(t *testing.T) {
-	before := runtime.NumGoroutine()
-	m, err := scfs.New(bg, scfs.WithDiskCache(t.TempDir(), 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Mkdir(bg, "/p"); err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	errs := make(chan error, 24)
-	for i := 0; i < 24; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			path := fmt.Sprintf("/p/s%02d.txt", i)
-			if err := scfs.WriteFile(bg, m, path, []byte(fmt.Sprintf("session %d", i))); err != nil {
-				errs <- fmt.Errorf("write %s: %w", path, err)
-				return
-			}
-			got, err := scfs.ReadFile(bg, m, path)
-			if err != nil || string(got) != fmt.Sprintf("session %d", i) {
-				errs <- fmt.Errorf("read %s = %q, %v", path, got, err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if err := m.Close(bg); err != nil {
-		t.Fatal(err)
-	}
-	// The replica group and pipelined client must be gone after unmount.
-	deadline := time.After(5 * time.Second)
-	for {
-		if runtime.NumGoroutine() <= before+3 {
-			break
+	t.Run("default", func(t *testing.T) {
+		before := runtime.NumGoroutine()
+		m, err := scfs.New(bg, scfs.WithDiskCache(t.TempDir(), 0))
+		if err != nil {
+			t.Fatal(err)
 		}
-		select {
-		case <-deadline:
-			t.Fatalf("goroutines: %d before mount, %d after unmount", before, runtime.NumGoroutine())
-		case <-time.After(10 * time.Millisecond):
+		if err := m.Mkdir(bg, "/p"); err != nil {
+			t.Fatal(err)
 		}
-	}
+		var wg sync.WaitGroup
+		errs := make(chan error, 24)
+		for i := 0; i < 24; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				path := fmt.Sprintf("/p/s%02d.txt", i)
+				if err := scfs.WriteFile(bg, m, path, []byte(fmt.Sprintf("session %d", i))); err != nil {
+					errs <- fmt.Errorf("write %s: %w", path, err)
+					return
+				}
+				got, err := scfs.ReadFile(bg, m, path)
+				if err != nil || string(got) != fmt.Sprintf("session %d", i) {
+					errs <- fmt.Errorf("read %s = %q, %v", path, got, err)
+				}
+			}(i)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+		if err := m.Close(bg); err != nil {
+			t.Fatal(err)
+		}
+		// The replica group and pipelined client must be gone after unmount.
+		deadline := time.After(5 * time.Second)
+		for {
+			if runtime.NumGoroutine() <= before+3 {
+				break
+			}
+			select {
+			case <-deadline:
+				t.Fatalf("goroutines: %d before mount, %d after unmount", before, runtime.NumGoroutine())
+			case <-time.After(10 * time.Millisecond):
+			}
+		}
+	})
 }
 
 // TestCoordTelemetryCounters: with metrics on, every coordination command is
