@@ -1,130 +1,46 @@
-// Command scfslint runs the repo's project-invariant analyzers — the
-// review checklist the PR 8 bugs were caught with, mechanized (see
-// internal/lint). Usage:
+// Command scfslint checks that every error value the module formats with
+// fmt.Errorf is wrapped with %w, so errors.Is keeps working across layers
+// (see internal/lint/sentinelwrap). Usage:
 //
 //	go run ./cmd/scfslint ./...
-//	go run ./cmd/scfslint -analyzers untrustedalloc,ctxdiscipline ./internal/smr
-//	go run ./cmd/scfslint -list
 //
-// Exit status is 1 when any diagnostic is reported, 2 on driver errors.
-// Suppress a deliberate violation at its site with
-//
-//	//scfslint:ignore <analyzer> <reason>
-//
-// on the flagged line or the line above it; the reason is part of the
-// directive on purpose.
+// It prints file:line:col: message for each finding. Exit status is 1 when
+// there is a finding, 2 when the packages cannot be loaded.
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 
-	"scfs/internal/lint/analysis"
-	"scfs/internal/lint/ctxdiscipline"
-	"scfs/internal/lint/goroutinecancel"
 	"scfs/internal/lint/loader"
-	"scfs/internal/lint/metriclabels"
 	"scfs/internal/lint/sentinelwrap"
-	"scfs/internal/lint/untrustedalloc"
 )
 
-// all registers every analyzer in the suite.
-var all = []*analysis.Analyzer{
-	untrustedalloc.Analyzer,
-	ctxdiscipline.Analyzer,
-	sentinelwrap.Analyzer,
-	goroutinecancel.Analyzer,
-	metriclabels.Analyzer,
-}
-
 func main() {
-	var (
-		list   = flag.Bool("list", false, "list analyzers and exit")
-		names  = flag.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
-		modDir = flag.String("C", "", "run as if invoked from this directory (module root)")
-	)
-	flag.Parse()
-
-	if *list {
-		for _, a := range all {
-			fmt.Printf("%-16s %s\n", a.Name, a.Doc)
-		}
-		return
-	}
-
-	selected, err := selectAnalyzers(*names)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "scfslint:", err)
-		os.Exit(2)
-	}
-
-	patterns := flag.Args()
+	patterns := os.Args[1:]
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	pkgs, err := loader.Load(*modDir, patterns...)
+	pkgs, err := loader.Load("", patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "scfslint:", err)
 		os.Exit(2)
 	}
-
 	cwd, _ := os.Getwd()
 	found := 0
 	for _, pkg := range pkgs {
-		if strings.HasPrefix(pkg.ImportPath, "scfs/internal/lint") || strings.HasPrefix(pkg.ImportPath, "scfs/cmd/scfslint") {
-			// The analyzers' own fixtures deliberately violate the
-			// invariants; the suite does not lint itself beyond go vet.
-			continue
-		}
-		for _, a := range selected {
-			diags, err := analysis.Run(a, pkg.Fset, pkg.Files, pkg.Types, pkg.TypesInfo)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "scfslint:", err)
-				os.Exit(2)
+		for _, d := range sentinelwrap.Check(pkg) {
+			file := d.Pos.Filename
+			if rel, err := filepath.Rel(cwd, file); err == nil {
+				file = rel
 			}
-			for _, d := range diags {
-				pos := d.Position(pkg.Fset)
-				file := pos.Filename
-				if rel, err := filepath.Rel(cwd, file); err == nil && !strings.HasPrefix(rel, "..") {
-					file = rel
-				}
-				fmt.Printf("%s:%d:%d: %s (%s)\n", file, pos.Line, pos.Column, d.Message, d.Analyzer)
-				found++
-			}
+			fmt.Printf("%s:%d:%d: %s\n", file, d.Pos.Line, d.Pos.Column, d.Message)
+			found++
 		}
 	}
 	if found > 0 {
-		fmt.Fprintf(os.Stderr, "scfslint: %d invariant violation(s)\n", found)
+		fmt.Fprintf(os.Stderr, "scfslint: %d finding(s)\n", found)
 		os.Exit(1)
 	}
-}
-
-// selectAnalyzers resolves the -analyzers flag against the registry.
-func selectAnalyzers(names string) ([]*analysis.Analyzer, error) {
-	if names == "" {
-		return all, nil
-	}
-	byName := map[string]*analysis.Analyzer{}
-	for _, a := range all {
-		byName[a.Name] = a
-	}
-	var out []*analysis.Analyzer
-	for _, name := range strings.Split(names, ",") {
-		name = strings.TrimSpace(name)
-		a, ok := byName[name]
-		if !ok {
-			known := make([]string, 0, len(byName))
-			for k := range byName {
-				known = append(known, k)
-			}
-			sort.Strings(known)
-			return nil, fmt.Errorf("unknown analyzer %q (known: %s)", name, strings.Join(known, ", "))
-		}
-		out = append(out, a)
-	}
-	return out, nil
 }

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -57,7 +58,8 @@ func startDebugServer(addr string, m *FS) (*debugServer, error) {
 	mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, r *http.Request) {
 		n := 32
 		if q := r.URL.Query().Get("n"); q != "" {
-			if _, err := fmt.Sscanf(q, "%d", &n); err != nil {
+			var err error
+			if n, err = strconv.Atoi(q); err != nil {
 				http.Error(w, "bad n", http.StatusBadRequest)
 				return
 			}

@@ -25,7 +25,7 @@ func Hold(ctx context.Context, svc Service, name, owner string, ttl time.Duratio
 	if err := svc.TryLock(ctx, name, owner, ttl); err != nil {
 		return nil, err
 	}
-	//scfslint:ignore ctxdiscipline lease-lifetime root, cancelled by Release
+	// The renewals outlive ctx: their context is the lease's, cancelled by Release.
 	renewCtx, stop := context.WithCancel(context.Background())
 	l := &Lease{svc: svc, name: name, owner: owner, stop: stop, done: make(chan struct{})}
 	go l.renew(renewCtx, ttl, clk)

@@ -244,7 +244,6 @@ type Agent struct {
 	// baseCtx scopes the agent's background work (the upload worker, GC
 	// runs it starts itself) to the mount's lifetime; cancelling a single
 	// operation's ctx never kills them, a forced Unmount does.
-	//scfslint:ignore ctxdiscipline mount-lifetime root context, cancelled by Close/Unmount
 	baseCtx    context.Context
 	cancelBase context.CancelFunc
 
@@ -302,7 +301,6 @@ func New(ctx context.Context, opts Options) (*Agent, error) {
 	}
 	// The agent's background workers outlive any single caller; their root
 	// is the mount lifetime, torn down by Close/Unmount via cancelBase.
-	//scfslint:ignore ctxdiscipline mount-lifetime root, cancelled by Close/Unmount
 	baseCtx, cancelBase := context.WithCancel(context.Background())
 	a := &Agent{
 		opts:       opts,
@@ -424,7 +422,6 @@ func (a *Agent) Unmount(ctx context.Context) error {
 		// be lost if it can still be flushed quickly: give the final flush
 		// its own short deadline.
 		var cancelFlush context.CancelFunc
-		//scfslint:ignore ctxdiscipline caller ctx is already dead; final PNS flush gets its own short deadline
 		flushCtx, cancelFlush = context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancelFlush()
 	}

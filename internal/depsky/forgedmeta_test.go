@@ -14,10 +14,10 @@ import (
 )
 
 // TestForgedMetadataSizeBounded pins the descriptor edition of the
-// DecodeBatch bug class (and the untrustedalloc invariant): a descriptor is
-// JSON from the clouds, so a Size its chunk geometry does not account for
-// must be rejected before it sizes an allocation — not discovered by an OOM
-// inside make(). A terabyte Size costs a forger ~17 bytes of JSON.
+// DecodeBatch bug class: a descriptor is JSON from the clouds, so a Size its
+// chunk geometry does not account for must be rejected before it sizes an
+// allocation — not discovered by an OOM inside make(). A terabyte Size
+// costs a forger ~17 bytes of JSON.
 func TestForgedMetadataSizeBounded(t *testing.T) {
 	_, m := newManager(t, ProtocolCA)
 	data := bytes.Repeat([]byte{0xAB}, 4096)

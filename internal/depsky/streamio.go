@@ -260,7 +260,6 @@ func (m *Manager) newChunkReader(ctx context.Context, f *chunkFetcher) *stream.R
 	var opts stream.ReaderOptions
 	if pol.Readahead > 0 {
 		opts.Readahead = pol.Readahead
-		//scfslint:ignore ctxdiscipline value-only base for prefetches; cancellation comes from the reader lifetime and trigger ctx
 		opts.BaseContext = iopolicy.With(context.Background(), pol)
 		if m.ins != nil {
 			opts.Metrics = m.ins.stream

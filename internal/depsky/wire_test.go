@@ -105,6 +105,10 @@ func FuzzDecodeBlock(f *testing.F) {
 	f.Add(frameOf(ProtocolA, &block{Full: []byte("chunk"), ShardIdx: 1, ChunkPlainLen: 5}))
 	f.Add(v1Frame())
 	f.Add([]byte("DSKB\x02\x00\x01\x01\x00\x00\xff\xff\xff\xff\xff\xff\xff\xff\x00\x00\x00\x00\x00\x00\x00\x00"))
+	// A forged key length alone, and a payload length that disagrees with
+	// the bytes after the key share: each length is checked on its own.
+	f.Add([]byte("DSKB\x02\x00\x01\x01\x00\x00\xff\xff\xff\xff\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"))
+	f.Add([]byte("DSKB\x02\x00\x01\x01\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00kabc"))
 	f.Add([]byte(nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, err := decodeBlock(data)

@@ -1,10 +1,9 @@
-// Package loader loads and type-checks the module's packages for the
-// scfslint analyzers using only the standard library: `go list -deps
-// -export` supplies the package graph (in dependency order) plus compiled
-// export data for standard-library imports, module packages are parsed and
-// type-checked from source, and the two are stitched together with a
-// types.Importer that prefers source-checked packages and falls back to gc
-// export data. This is the piece golang.org/x/tools/go/packages would
+// Package loader loads and type-checks the module's packages for scfslint
+// using only the standard library: `go list -deps -export` supplies the
+// package graph (in dependency order) plus compiled export data for
+// standard-library imports, module packages are parsed and type-checked
+// from source, and the two are stitched together with a types.Importer that
+// prefers source-checked packages and falls back to gc export data. This is the piece golang.org/x/tools/go/packages would
 // otherwise provide; it is rebuilt here so the module stays dependency-free.
 package loader
 
@@ -27,7 +26,6 @@ import (
 // Package is one parsed, type-checked module package.
 type Package struct {
 	ImportPath string
-	Dir        string
 	Fset       *token.FileSet
 	Files      []*ast.File
 	Types      *types.Package
@@ -38,7 +36,6 @@ type Package struct {
 type listEntry struct {
 	ImportPath string
 	Dir        string
-	Name       string
 	Export     string
 	Standard   bool
 	DepOnly    bool
@@ -95,7 +92,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 func goList(dir string, patterns []string) ([]*listEntry, error) {
 	args := append([]string{
 		"list", "-deps", "-export",
-		"-json=ImportPath,Dir,Name,Export,Standard,DepOnly,GoFiles",
+		"-json=ImportPath,Dir,Export,Standard,DepOnly,GoFiles",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -136,7 +133,10 @@ func checkFromSource(fset *token.FileSet, e *listEntry, imp types.Importer) (*Pa
 		}
 		files = append(files, f)
 	}
-	info := NewInfo()
+	info := &types.Info{
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Uses:  map[*ast.Ident]types.Object{},
+	}
 	conf := types.Config{
 		Importer: imp,
 		Sizes:    types.SizesFor("gc", runtime.GOARCH),
@@ -147,24 +147,11 @@ func checkFromSource(fset *token.FileSet, e *listEntry, imp types.Importer) (*Pa
 	}
 	return &Package{
 		ImportPath: e.ImportPath,
-		Dir:        e.Dir,
 		Fset:       fset,
 		Files:      files,
 		Types:      pkg,
 		TypesInfo:  info,
 	}, nil
-}
-
-// NewInfo allocates a types.Info with every map analyzers consume.
-func NewInfo() *types.Info {
-	return &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-		Scopes:     map[ast.Node]*types.Scope{},
-	}
 }
 
 // graphImporter resolves imports first against source-checked module
@@ -182,29 +169,6 @@ func (im *graphImporter) Import(path string) (*types.Package, error) {
 		return p, nil
 	}
 	return im.gc.Import(path)
-}
-
-// StdExports returns the import-path -> export-data-file map for the whole
-// standard library (compiling any stale packages into the build cache). The
-// analysistest fixture loader uses it to resolve stdlib imports from fixture
-// files that are outside the module's package graph.
-func StdExports() (map[string]string, error) {
-	entries, err := goList("", []string{"std"})
-	if err != nil {
-		return nil, err
-	}
-	exports := make(map[string]string, len(entries))
-	for _, e := range entries {
-		if e.Export != "" {
-			exports[e.ImportPath] = e.Export
-		}
-	}
-	return exports, nil
-}
-
-// ExportImporter returns a types.Importer over compiled export data files.
-func ExportImporter(fset *token.FileSet, exports map[string]string) types.Importer {
-	return importer.ForCompiler(fset, "gc", exportLookup(exports))
 }
 
 // exportLookup adapts the path->file map from `go list -export` to the

@@ -17,14 +17,14 @@ func moduleRoot(t *testing.T) string {
 }
 
 // TestLoadTypeChecks loads a real package of this module and verifies the
-// loader produced fully type-checked ASTs: the analyzers depend on
+// loader produced fully type-checked ASTs: sentinelwrap depends on
 // TypesInfo resolving identifiers through cross-package (and stdlib)
 // imports, not just on parse trees.
 func TestLoadTypeChecks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shells out to go list -export")
 	}
-	pkgs, err := Load(moduleRoot(t), "scfs/internal/lint/analysis")
+	pkgs, err := Load(moduleRoot(t), "scfs/internal/lint/sentinelwrap")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,18 +32,18 @@ func TestLoadTypeChecks(t *testing.T) {
 		t.Fatalf("got %d packages, want 1", len(pkgs))
 	}
 	p := pkgs[0]
-	if p.ImportPath != "scfs/internal/lint/analysis" {
+	if p.ImportPath != "scfs/internal/lint/sentinelwrap" {
 		t.Fatalf("ImportPath = %q", p.ImportPath)
 	}
 	if len(p.Files) == 0 || p.Types == nil || p.TypesInfo == nil {
 		t.Fatal("package not fully loaded")
 	}
-	obj := p.Types.Scope().Lookup("Analyzer")
+	obj := p.Types.Scope().Lookup("Diagnostic")
 	if obj == nil {
-		t.Fatal("Analyzer not found in package scope")
+		t.Fatal("Diagnostic not found in package scope")
 	}
 	if _, ok := obj.Type().Underlying().(*types.Struct); !ok {
-		t.Fatalf("Analyzer is %v, want struct", obj.Type().Underlying())
+		t.Fatalf("Diagnostic is %v, want struct", obj.Type().Underlying())
 	}
 	// Cross-package resolution: the package imports go/token et al.; the
 	// type checker must have recorded uses for imported identifiers.

@@ -7,63 +7,74 @@
 // every layer. Both break silently when an intermediate layer formats an
 // error with %v or %s instead of %w: the text survives, the unwrap chain
 // does not — retries stop firing, breakers stop opening, and callers start
-// string-matching. The analyzer makes the chain mechanical: an error value
-// given to fmt.Errorf must be wrapped with %w.
-//
-// A deliberate chain break (hiding an internal sentinel from a public
-// boundary) is legitimate but rare enough to justify itself with a
-// //scfslint:ignore directive.
+// string-matching. The check makes the chain mechanical: an error value
+// given to fmt.Errorf must be wrapped with %w. A deliberate break formats
+// err.Error(), a string, so it stays visible at the call site.
 package sentinelwrap
 
 import (
+	"fmt"
 	"go/ast"
 	"go/constant"
+	"go/token"
 	"go/types"
 	"strings"
 
-	"scfs/internal/lint/analysis"
+	"scfs/internal/lint/loader"
 )
 
-// Analyzer enforces %w wrapping of error arguments to fmt.Errorf.
-var Analyzer = &analysis.Analyzer{
-	Name: "sentinelwrap",
-	Doc:  "error values passed to fmt.Errorf must be wrapped with %w so errors.Is keeps working across layers",
-	Run:  run,
+// Diagnostic is one finding at one position.
+type Diagnostic struct {
+	Pos     token.Position
+	Message string
 }
 
-func run(pass *analysis.Pass) error {
-	errType := types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
-	for _, file := range pass.Files {
-		if analysis.IsTestFile(pass.Fset, file.Pos()) {
-			continue
-		}
+// checker carries one package through Check.
+type checker struct {
+	fset  *token.FileSet
+	info  *types.Info
+	diags []Diagnostic
+}
+
+func (c *checker) reportf(pos token.Pos, format string, args ...any) {
+	c.diags = append(c.diags, Diagnostic{Pos: c.fset.Position(pos), Message: fmt.Sprintf(format, args...)})
+}
+
+var errType = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
+
+// Check reports, in source order, every error value of pkg that reaches
+// fmt.Errorf through a verb other than %w, and every fmt.Errorf whose
+// format is not a constant while one of its arguments is an error.
+func Check(pkg *loader.Package) []Diagnostic {
+	c := &checker{fset: pkg.Fset, info: pkg.TypesInfo}
+	for _, file := range pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
-			if !ok || !isFmtErrorf(pass, call) || len(call.Args) == 0 {
+			if !ok || !c.isFmtErrorf(call) || len(call.Args) == 0 {
 				return true
 			}
-			format, ok := constantString(pass, call.Args[0])
+			format, ok := c.constantString(call.Args[0])
 			if !ok {
 				// A non-constant format with error arguments cannot be
 				// verified; demand a constant format at such sites.
 				for _, arg := range call.Args[1:] {
-					if isErrorArg(pass, arg, errType) {
-						pass.Reportf(call.Pos(), "fmt.Errorf with a non-constant format and an error argument; use a constant format so %%w wrapping is checkable")
+					if c.isErrorArg(arg) {
+						c.reportf(call.Pos(), "fmt.Errorf with a non-constant format and an error argument; use a constant format so %%w wrapping is checkable")
 						break
 					}
 				}
 				return true
 			}
-			checkVerbs(pass, call, format, errType)
+			c.checkVerbs(call, format)
 			return true
 		})
 	}
-	return nil
+	return c.diags
 }
 
 // checkVerbs walks the format string, pairing verbs with arguments, and
 // flags error-typed arguments consumed by any verb other than %w.
-func checkVerbs(pass *analysis.Pass, call *ast.CallExpr, format string, errType *types.Interface) {
+func (c *checker) checkVerbs(call *ast.CallExpr, format string) {
 	args := call.Args[1:]
 	next := 0 // next implicit argument index
 	for i := 0; i < len(format); i++ {
@@ -120,24 +131,24 @@ func checkVerbs(pass *analysis.Pass, call *ast.CallExpr, format string, errType 
 		if argIdx >= len(args) {
 			continue // vet's business, not ours
 		}
-		if verb != 'w' && isErrorArg(pass, args[argIdx], errType) {
-			pass.Reportf(args[argIdx].Pos(), "error formatted with %%%c breaks the errors.Is/As chain (resilience classification, facade sentinels); wrap it with %%w", verb)
+		if verb != 'w' && c.isErrorArg(args[argIdx]) {
+			c.reportf(args[argIdx].Pos(), "error formatted with %%%c breaks the errors.Is/As chain (resilience classification, facade sentinels); wrap it with %%w", verb)
 		}
 	}
 }
 
-func isFmtErrorf(pass *analysis.Pass, call *ast.CallExpr) bool {
+func (c *checker) isFmtErrorf(call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != "Errorf" {
 		return false
 	}
-	obj := pass.TypesInfo.Uses[sel.Sel]
+	obj := c.info.Uses[sel.Sel]
 	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "fmt"
 }
 
 // isErrorArg reports whether the argument's static type implements error.
-func isErrorArg(pass *analysis.Pass, arg ast.Expr, errType *types.Interface) bool {
-	tv, ok := pass.TypesInfo.Types[arg]
+func (c *checker) isErrorArg(arg ast.Expr) bool {
+	tv, ok := c.info.Types[arg]
 	if !ok || tv.Type == nil {
 		return false
 	}
@@ -149,8 +160,8 @@ func isErrorArg(pass *analysis.Pass, arg ast.Expr, errType *types.Interface) boo
 }
 
 // constantString extracts a compile-time constant string value.
-func constantString(pass *analysis.Pass, e ast.Expr) (string, bool) {
-	tv, ok := pass.TypesInfo.Types[e]
+func (c *checker) constantString(e ast.Expr) (string, bool) {
+	tv, ok := c.info.Types[e]
 	if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
 		return "", false
 	}

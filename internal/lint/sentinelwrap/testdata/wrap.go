@@ -37,9 +37,3 @@ func clean(err error, n int, name string) {
 	// deliberately severs the chain and that is visible at the call site.
 	_ = fmt.Errorf("detail: %s", err.Error())
 }
-
-func justified(err error) error {
-	// Deliberately hiding an internal sentinel from a public boundary.
-	//scfslint:ignore sentinelwrap fixture: public boundary must not expose the internal sentinel
-	return fmt.Errorf("operation failed: %v", err)
-}

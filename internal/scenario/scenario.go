@@ -35,7 +35,7 @@ import (
 	"scfs/internal/smr"
 )
 
-//scfslint:ignore ctxdiscipline chaos-harness root context; scenarios are the outermost caller
+// bg is the harness's root context: the scenarios are the outermost caller.
 var bg = context.Background()
 
 // counterSum sums every counter of the snapshot whose fully qualified name

@@ -194,13 +194,12 @@ type batchItem struct {
 	op       []byte
 	ops      [][]byte
 	envelope bool
-	//scfslint:ignore ctxdiscipline request-carrier: flush aborts only when every participant's ctx is done
-	ctx    context.Context
-	done   chan struct{}
-	result []byte
-	err    error
-	trace  *telemetry.Trace
-	enq    time.Time
+	ctx      context.Context
+	done     chan struct{}
+	result   []byte
+	err      error
+	trace    *telemetry.Trace
+	enq      time.Time
 }
 
 // NewCoalescer creates a coalescing layer over inv.
@@ -298,7 +297,6 @@ func (c *Coalescer) answered() []*batchItem {
 func (c *Coalescer) flush(batch []*batchItem, trigger string) []*batchItem {
 	// Detached on purpose (the PR 8 review fix): tying the flush to any one
 	// caller's ctx cancelled every participant's op when that caller quit.
-	//scfslint:ignore ctxdiscipline batch flush must outlive individual callers; cancelled when all participants are done
 	fctx, cancel := context.WithCancel(context.Background())
 	stop := make(chan struct{})
 	go func() {

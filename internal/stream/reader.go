@@ -88,7 +88,6 @@ type ReaderOptions struct {
 	// I/O policy) from; their cancellation is governed by the reader's
 	// lifetime and the triggering read's context. Defaults to
 	// context.Background().
-	//scfslint:ignore ctxdiscipline options struct carries the prefetch value-context by design
 	BaseContext context.Context
 	// Metrics instruments the readahead pipeline (zero value: unmetered).
 	Metrics ReaderMetrics
@@ -112,7 +111,7 @@ type Reader struct {
 
 	// Readahead pipeline (nil/zero when disabled).
 	govern *iopolicy.Governor
-	//scfslint:ignore ctxdiscipline reader-lifetime context, cancelled by Close
+	// lifeCtx is the reader's lifetime, cancelled by Close.
 	lifeCtx    context.Context
 	lifeCancel context.CancelFunc
 	prefetchWG sync.WaitGroup
@@ -152,7 +151,6 @@ func NewReaderOpts(f Fetcher, pool *Pool, opts ReaderOptions) *Reader {
 		}
 		base := opts.BaseContext
 		if base == nil {
-			//scfslint:ignore ctxdiscipline value-context default; prefetch cancellation is lifeCtx + trigger ctx
 			base = context.Background()
 		}
 		r.lifeCtx, r.lifeCancel = context.WithCancel(base)
@@ -306,7 +304,6 @@ func (r *Reader) copyChunk(ctx context.Context, idx, within int, dst []byte) err
 // [off, off+len(p)). It is ReadAtContext with a background context; callers
 // that can be cancelled should prefer ReadAtContext.
 func (r *Reader) ReadAt(p []byte, off int64) (int, error) {
-	//scfslint:ignore ctxdiscipline io.ReaderAt adapter; cancellable callers use ReadAtContext
 	return r.ReadAtContext(context.Background(), p, off)
 }
 
@@ -499,7 +496,7 @@ func (r *Reader) Read(p []byte) (int, error) {
 	r.mu.Lock()
 	off := r.off
 	r.mu.Unlock()
-	//scfslint:ignore ctxdiscipline io.Reader adapter; cancellable callers use ReadAtContext
+	// io.Reader has no context; cancellable callers use ReadAtContext.
 	n, err := r.ReadAtContext(context.Background(), p, off)
 	r.mu.Lock()
 	r.off = off + int64(n)
@@ -549,7 +546,6 @@ func (r *Reader) Section(ctx context.Context, off, length int64) io.ReadCloser {
 // ctxReaderAt binds a context to a Reader so io.SectionReader (whose ReadAt
 // has no context parameter) still propagates cancellation to chunk fetches.
 type ctxReaderAt struct {
-	//scfslint:ignore ctxdiscipline request-carrier: binds one call's ctx across the ctx-less io.ReaderAt seam
 	ctx context.Context
 	r   *Reader
 }

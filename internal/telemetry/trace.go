@@ -454,7 +454,6 @@ func (tr *Tracer) record(t *Trace) {
 	)
 	// The trace is already finished when it is logged; slog.Handler wants a
 	// ctx only for handler-internal values, and no caller remains to cancel.
-	//scfslint:ignore ctxdiscipline post-completion log emission has no caller context
 	_ = h.Handle(context.Background(), rec)
 }
 

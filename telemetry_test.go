@@ -8,6 +8,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -150,6 +151,42 @@ func TestStatsTelemetry(t *testing.T) {
 	}
 	check(writer, "write")
 	check(reader, "read")
+
+	// The registry keeps one instrument per distinct name for the mount's
+	// lifetime, so its size stays bounded only while every base name is
+	// fixed and every label key comes from a small vocabulary; label values
+	// are bounded by the mount's configuration (cloud names, op classes).
+	for _, snap := range []scfs.MetricsSnapshot{ws.Telemetry, rs.Telemetry} {
+		var names []string
+		for n := range snap.Counters {
+			names = append(names, n)
+		}
+		for n := range snap.Gauges {
+			names = append(names, n)
+		}
+		for n := range snap.Histograms {
+			names = append(names, n)
+		}
+		for _, n := range names {
+			if !metricName.MatchString(n) {
+				t.Errorf("metric %q: want a [a-z_]+ base and label keys from cloud, op, outcome, result", n)
+			}
+		}
+	}
+}
+
+// metricName is the registry's vocabulary: a fixed [a-z_]+ base, then
+// optionally a label block whose keys are cloud, op, outcome or result.
+var metricName = func() *regexp.Regexp {
+	label := `(cloud|op|outcome|result)="(?:[^"\\]|\\.)*"`
+	return regexp.MustCompile(`^[a-z_]+(\{` + label + `(,` + label + `)*\})?$`)
+}()
+
+// spanNames are the span kinds telemetry.Span's doc fixes; variable detail
+// goes in a span's Target, never into its name.
+var spanNames = map[string]bool{
+	"desc.get": true, "desc.put": true, "chunk.get": true, "chunk.put": true,
+	"head.get": true, "head.put": true, "smr.invoke": true, "smr.batch": true,
 }
 
 // TestDefaultMountCoordinatesThroughReplicas: a mount given no coordination
@@ -208,6 +245,13 @@ func TestOneTraceSpansEveryLayer(t *testing.T) {
 	}
 
 	after := m.Traces(0) // newest first
+	for _, tr := range after {
+		for _, s := range tr.Spans() {
+			if !spanNames[s.Name] {
+				t.Errorf("%s trace: span name %q is not one of telemetry.Span's fixed names", tr.Op, s.Name)
+			}
+		}
+	}
 	fresh := after[:len(after)-len(before)]
 	var whole []*scfs.Trace
 	for _, tr := range fresh {
@@ -310,6 +354,21 @@ func TestDebugServer(t *testing.T) {
 	}
 	if body := get("/debug/traces"); !strings.Contains(body, "write") {
 		t.Errorf("/debug/traces missing the write trace:\n%.500s", body)
+	}
+	// ?n= comes from outside the program: a count with trailing bytes is
+	// refused, not read as its numeric prefix.
+	for _, q := range []string{"5x", "x"} {
+		resp, err := http.Get("http://" + addr + "/debug/traces?n=" + q)
+		if err != nil {
+			t.Fatalf("GET /debug/traces?n=%s: %v", q, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("GET /debug/traces?n=%s: status %d, want %d", q, resp.StatusCode, http.StatusBadRequest)
+		}
+	}
+	if body := get("/debug/traces?n=1"); !strings.Contains(body, "write") {
+		t.Errorf("/debug/traces?n=1 missing the write trace:\n%.500s", body)
 	}
 	if body := get("/debug/pprof/"); !strings.Contains(body, "goroutine") {
 		t.Errorf("/debug/pprof/ index looks wrong:\n%.200s", body)
