@@ -280,7 +280,7 @@ func BenchmarkMetadataStorm(b *testing.B) {
 		opts []scfs.Option
 	}{
 		{"Single", nil},
-		{"SingleTelemetry", []scfs.Option{scfs.WithMetrics(), scfs.WithTracing(256)}},
+		{"SingleTelemetry", []scfs.Option{scfs.WithMetrics(), scfs.WithTracing()}},
 	} {
 		b.Run(leg.name, func(b *testing.B) {
 			svc, rts, reps := stormPlane(b)

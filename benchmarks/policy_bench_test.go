@@ -59,7 +59,7 @@ func hedgedBenchManager(b testing.TB, disableCancel, instrumented bool) (*depsky
 	opts := depsky.Options{Clouds: clients, F: 1, DisableQuorumCancel: disableCancel}
 	if instrumented {
 		opts.Metrics = telemetry.NewRegistry()
-		opts.Tracer = telemetry.NewTracer(64)
+		opts.Tracer = telemetry.NewTracer(nil)
 	}
 	m, err := depsky.New(opts)
 	if err != nil {

@@ -7,15 +7,15 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
 	"strings"
 	"time"
 )
 
 // debugServer is the HTTP introspection endpoint started by
 // WithDebugServer. It serves the mount's metrics (Prometheus text and
-// JSON), its recent operation traces, and the standard pprof profiles. The
-// handlers are read-only: they snapshot, they never mutate mount state.
+// JSON), the traces its flight recorder retains, and the standard pprof
+// profiles. The handlers are read-only: they snapshot, they never mutate
+// mount state.
 type debugServer struct {
 	addr string
 	ln   net.Listener
@@ -40,9 +40,7 @@ func startDebugServer(addr string, m *FS) (*debugServer, error) {
 		fmt.Fprintln(w, "scfs debug server")
 		fmt.Fprintln(w, "  /metrics       Prometheus text exposition")
 		fmt.Fprintln(w, "  /debug/stats   mount stats as JSON (counters, telemetry, spend)")
-		fmt.Fprintln(w, "  /debug/traces  recent operation traces (?n=32)")
-		fmt.Fprintln(w, "  /debug/slow    slowest retained traces per operation class")
-		fmt.Fprintln(w, "  /debug/flight  flight recorder stats and fault-flagged traces")
+		fmt.Fprintln(w, "  /debug/flight  retained traces: per operation class the slowest, then the flagged")
 		fmt.Fprintln(w, "  /debug/pprof/  runtime profiles")
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -54,23 +52,6 @@ func startDebugServer(addr string, m *FS) (*debugServer, error) {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(m.Stats())
-	})
-	mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, r *http.Request) {
-		n := 32
-		if q := r.URL.Query().Get("n"); q != "" {
-			var err error
-			if n, err = strconv.Atoi(q); err != nil {
-				http.Error(w, "bad n", http.StatusBadRequest)
-				return
-			}
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		for _, t := range m.Traces(n) {
-			fmt.Fprintf(w, "%s %s dur=%s verdict=%s\n", t.Op, t.Unit, t.Duration(), t.VerdictLatency())
-			for _, line := range t.Describe() {
-				fmt.Fprintf(w, "  %s\n", line)
-			}
-		}
 	})
 	writeTrace := func(w http.ResponseWriter, t *Trace) {
 		verdict := ""
@@ -89,28 +70,24 @@ func startDebugServer(addr string, m *FS) (*debugServer, error) {
 			fmt.Fprintf(w, "  %s\n", line)
 		}
 	}
-	mux.HandleFunc("/debug/slow", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		for _, class := range m.flight.Classes() {
-			fmt.Fprintf(w, "== %s (slowest first)\n", class)
-			for _, t := range m.flight.Slowest(class) {
-				writeTrace(w, t)
-			}
-		}
-	})
 	mux.HandleFunc("/debug/flight", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		st := m.flight.Stats()
+		fr := m.FlightRecorder()
+		st := fr.Stats()
 		fmt.Fprintf(w, "seen=%d admitted=%d evicted=%d retained=%d spans=%d/%d\n",
 			st.Seen, st.Admitted, st.Evicted, st.Retained, st.Spans, st.SpanBudget)
-		for _, class := range m.flight.Classes() {
-			flagged := m.flight.Flagged(class)
-			if len(flagged) == 0 {
-				continue
+		for _, class := range fr.Classes() {
+			if slow := fr.Slowest(class); len(slow) > 0 {
+				fmt.Fprintf(w, "== %s (slowest first)\n", class)
+				for _, t := range slow {
+					writeTrace(w, t)
+				}
 			}
-			fmt.Fprintf(w, "== %s (flagged, newest first)\n", class)
-			for _, t := range flagged {
-				writeTrace(w, t)
+			if flagged := fr.Flagged(class); len(flagged) > 0 {
+				fmt.Fprintf(w, "== %s (flagged, newest first)\n", class)
+				for _, t := range flagged {
+					writeTrace(w, t)
+				}
 			}
 		}
 	})

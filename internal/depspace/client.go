@@ -12,14 +12,12 @@ import (
 	"scfs/internal/smr"
 )
 
-// Invoker submits a serialized command for totally ordered execution and
-// returns the serialized result. smr.Client satisfies this interface; a
+// Invoker is what a Client submits its serialized commands through:
+// smr.Client and smr.Coalescer order them across the replicas; a
 // LocalInvoker runs against an in-process Space without replication (used by
 // unit tests and by the non-sharing SCFS mode experiments). Cancelling ctx
 // abandons the invocation with ctx.Err().
-type Invoker interface {
-	Invoke(ctx context.Context, cmd []byte) ([]byte, error)
-}
+type Invoker = smr.Invoker
 
 // LocalInvoker executes commands directly on a Space. Like a replica
 // wrapped in smr.BatchApplication, it executes a batch envelope as its

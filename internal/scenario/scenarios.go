@@ -249,7 +249,7 @@ func leaderCrashMetadataStorm() Scenario {
 		// The storm runs traced: the flight recorder must retain the
 		// outage's evidence (view-change-crossing ops) as exemplars even
 		// though hundreds of healthy ops finish afterwards.
-		Mount: []scfs.Option{scfs.WithTracing(64)},
+		Mount: []scfs.Option{scfs.WithTracing()},
 		Coord: func(t *testing.T) *depspace.Group {
 			g, err := depspace.NewGroup("chaos-coord")
 			if err != nil {
@@ -322,7 +322,7 @@ func leaderCrashMetadataStorm() Scenario {
 			// The flight recorder holds the outage's evidence: operations
 			// whose smr invocations were in flight across the view change are
 			// flagged and retained as exemplars — still quotable here, after
-			// hundreds of healthy post-crash ops churned the recency ring.
+			// hundreds of healthy post-crash ops finished.
 			// (This replaces counting executions on the survivors: a retained
 			// view-change trace proves ops crossed the outage *and* completed.)
 			fr := env.FS.FlightRecorder()

@@ -121,8 +121,8 @@ func (b *BatchApplication) Snapshot() []byte { return b.App.Snapshot() }
 func (b *BatchApplication) Restore(snapshot []byte) error { return b.App.Restore(snapshot) }
 
 // Invoker submits a serialized command for totally ordered execution and
-// returns the serialized result (the same shape depspace.Invoker declares).
-// Client implements it.
+// returns the serialized result. Client and Coalescer implement it, and
+// depspace.Invoker names it.
 type Invoker interface {
 	Invoke(ctx context.Context, op []byte) ([]byte, error)
 }

@@ -86,7 +86,7 @@ type submission struct {
 	done  chan struct{}
 }
 
-var testTracer = telemetry.NewTracer(1)
+var testTracer = telemetry.NewTracer(nil)
 
 func submit(ctx context.Context, co *Coalescer, op []byte) *submission {
 	ctx, tr := testTracer.Start(ctx, "test", "")

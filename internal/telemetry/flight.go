@@ -5,24 +5,24 @@ import (
 	"sync"
 )
 
-// FlightRecorder retains exemplar traces per operation class so the
-// evidence survives the traffic that produced it. The Tracer's ring is
-// most-recent-wins: a burst of healthy operations evicts the one slow or
-// failed trace an operator needed. The recorder keeps, per op class
-// (Trace.Op):
+// FlightRecorder is the one store of finished traces a traced mount keeps.
+// It retains exemplars per operation class so the evidence survives the
+// traffic that produced it: a most-recent buffer would let a burst of
+// healthy operations evict the one slow or failed trace an operator needed.
+// The recorder keeps, per op class (Trace.Op):
 //
-//   - the slowest SlowN traces seen so far, and
-//   - the last FlaggedN *flagged* traces — errored, breaker-skipped, or
-//     in flight across a replica-group view change — regardless of speed.
+//   - the slowest slowN (8) traces seen so far, and
+//   - the last flaggedN (32) *flagged* traces — errored, breaker-skipped,
+//     or in flight across a replica-group view change — regardless of
+//     speed.
 //
 // Total memory is bounded twice over: each trace caps its own span count
-// (maxTraceSpans), and the recorder holds at most SpanBudget spans across
-// everything it retains, evicting the least interesting exemplars (the
-// fastest retained slow traces first, then the oldest flagged ones) when
-// a new admission would exceed it.
+// (maxTraceSpans), and the recorder holds at most spanBudget (16384) spans
+// across everything it retains, evicting the least interesting exemplars
+// (the fastest retained slow traces first, then the oldest flagged ones)
+// when a new admission would exceed it.
 //
-// A nil *FlightRecorder is disabled: every method no-ops, so the Tracer
-// offers traces unconditionally.
+// A nil *FlightRecorder is disabled: every method no-ops.
 type FlightRecorder struct {
 	mu      sync.Mutex
 	classes map[string]*flightClass
@@ -46,33 +46,21 @@ type flightClass struct {
 	flagged []*Trace
 }
 
-// Default retention knobs: 8 slowest and 32 flagged traces per op class,
-// 16384 retained spans overall (~2 MiB of spans at ~128 B each).
+// Retention per op class and overall: 8 slowest and 32 flagged traces per
+// class, 16384 retained spans in all (~2 MiB of spans at ~128 B each).
 const (
-	defaultSlowN      = 8
-	defaultFlaggedN   = 32
-	defaultSpanBudget = 16384
+	slowPerClass    = 8
+	flaggedPerClass = 32
+	retainedSpans   = 16384
 )
 
-// NewFlightRecorder creates a recorder retaining the slowN slowest and
-// flaggedN most recent flagged traces per op class, within a global
-// budget of spanBudget retained spans. Zero or negative arguments select
-// the defaults (8, 32, 16384).
-func NewFlightRecorder(slowN, flaggedN, spanBudget int) *FlightRecorder {
-	if slowN <= 0 {
-		slowN = defaultSlowN
-	}
-	if flaggedN <= 0 {
-		flaggedN = defaultFlaggedN
-	}
-	if spanBudget <= 0 {
-		spanBudget = defaultSpanBudget
-	}
+// NewFlightRecorder creates an empty recorder with the retention above.
+func NewFlightRecorder() *FlightRecorder {
 	return &FlightRecorder{
 		classes:    make(map[string]*flightClass),
-		slowN:      slowN,
-		flaggedN:   flaggedN,
-		spanBudget: spanBudget,
+		slowN:      slowPerClass,
+		flaggedN:   flaggedPerClass,
+		spanBudget: retainedSpans,
 	}
 }
 
@@ -80,9 +68,9 @@ func NewFlightRecorder(slowN, flaggedN, spanBudget int) *FlightRecorder {
 // trace itself, so span-free traces still consume budget.
 func traceCost(t *Trace) int { return t.SpanCount() + 1 }
 
-// Offer considers one finished trace for retention. Called by the Tracer
+// offer considers one finished trace for retention. Called by the Tracer
 // on every Finish; must only see finished (immutable) traces.
-func (fr *FlightRecorder) Offer(t *Trace) {
+func (fr *FlightRecorder) offer(t *Trace) {
 	if fr == nil || t == nil {
 		return
 	}
@@ -114,7 +102,7 @@ func (fr *FlightRecorder) Offer(t *Trace) {
 			copy(c.slow, c.slow[1:])
 			c.slow = c.slow[:len(c.slow)-1]
 		}
-		// Insert keeping ascending duration order; SlowN is small, so a
+		// Insert keeping ascending duration order; slowN is small, so a
 		// linear scan beats heap bookkeeping.
 		i := sort.Search(len(c.slow), func(i int) bool { return c.slow[i].Duration() > dur })
 		c.slow = append(c.slow, nil)
@@ -257,7 +245,7 @@ type FlightStats struct {
 	Retained int `json:"retained"`
 	// Spans is the span-budget consumption right now.
 	Spans int `json:"spans"`
-	// SpanBudget is the configured global span budget.
+	// SpanBudget is the global span budget.
 	SpanBudget int `json:"span_budget"`
 }
 

@@ -24,6 +24,14 @@ func finished(op string, d time.Duration, nspans int, mutate func(*Span)) *Trace
 	return t
 }
 
+// recorder builds a flight recorder with smaller retention than the
+// production constants, so a test reaches every limit with a few traces.
+func recorder(slow, flagged, budget int) *FlightRecorder {
+	fr := NewFlightRecorder()
+	fr.slowN, fr.flaggedN, fr.spanBudget = slow, flagged, budget
+	return fr
+}
+
 func TestTraceIDRoundTrip(t *testing.T) {
 	a, b := NewTraceID(), NewTraceID()
 	if a.IsZero() || b.IsZero() {
@@ -44,7 +52,7 @@ func TestTraceIDRoundTrip(t *testing.T) {
 // TestStartJoinsLiveTrace: Start mints a fresh identity, and a Start on a
 // context that already carries a live trace joins it instead of nesting.
 func TestStartJoinsLiveTrace(t *testing.T) {
-	tr := NewTracer(4)
+	tr := NewTracer(nil)
 	ctx, outer := tr.Start(context.Background(), "open", "/f")
 	if outer == nil || outer.ID.IsZero() {
 		t.Fatal("Start did not mint an ID")
@@ -95,9 +103,9 @@ func TestTraceFlags(t *testing.T) {
 // class, evicting the fastest exemplar when a slower one arrives, and
 // ignores traces faster than everything retained.
 func TestFlightSlowRetention(t *testing.T) {
-	fr := NewFlightRecorder(3, 4, 0)
+	fr := recorder(3, 4, retainedSpans)
 	for i := 1; i <= 6; i++ {
-		fr.Offer(finished("read", time.Duration(i)*50*time.Millisecond, 2, nil))
+		fr.offer(finished("read", time.Duration(i)*50*time.Millisecond, 2, nil))
 	}
 	slow := fr.Slowest("read")
 	if len(slow) != 3 {
@@ -121,12 +129,12 @@ func TestFlightSlowRetention(t *testing.T) {
 // TestFlightFlaggedRetention: flagged traces are retained regardless of
 // speed, FIFO-bounded per class, and reported newest first.
 func TestFlightFlaggedRetention(t *testing.T) {
-	fr := NewFlightRecorder(2, 3, 0)
+	fr := recorder(2, 3, retainedSpans)
 	for i := 0; i < 5; i++ {
 		tr := &Trace{Op: "write", Unit: fmt.Sprintf("/f%d", i), Start: time.Now(), ID: NewTraceID()}
 		tr.Record(Span{Name: "smr.invoke", Outcome: SpanError})
 		tr.Finish()
-		fr.Offer(tr)
+		fr.offer(tr)
 	}
 	flagged := fr.Flagged("write")
 	if len(flagged) != 3 {
@@ -144,9 +152,9 @@ func TestFlightFlaggedRetention(t *testing.T) {
 // exemplars — fastest slow traces before flagged ones — and never the last
 // retained trace.
 func TestFlightSpanBudget(t *testing.T) {
-	fr := NewFlightRecorder(8, 8, 30)
+	fr := recorder(8, 8, 30)
 	for i := 1; i <= 4; i++ {
-		fr.Offer(finished("read", time.Duration(i)*20*time.Millisecond, 9, nil)) // cost 10 each
+		fr.offer(finished("read", time.Duration(i)*20*time.Millisecond, 9, nil)) // cost 10 each
 	}
 	if st := fr.Stats(); st.Spans > 30 {
 		t.Fatalf("budget exceeded: %+v", st)
@@ -156,7 +164,7 @@ func TestFlightSpanBudget(t *testing.T) {
 	}
 	// A flagged arrival pushes out slow exemplars, not other flagged ones.
 	bad := finished("read", time.Millisecond, 9, func(s *Span) { s.Outcome = SpanError })
-	fr.Offer(bad)
+	fr.offer(bad)
 	if got := len(fr.Flagged("read")); got != 1 {
 		t.Fatalf("flagged trace not retained under budget pressure: %d", got)
 	}
@@ -164,8 +172,8 @@ func TestFlightSpanBudget(t *testing.T) {
 		t.Fatalf("budget exceeded after flagged admission: %+v", st)
 	}
 	// An oversized sole survivor is kept rather than evicted to nothing.
-	tiny := NewFlightRecorder(4, 4, 3)
-	tiny.Offer(finished("read", time.Millisecond, 20, nil))
+	tiny := recorder(4, 4, 3)
+	tiny.offer(finished("read", time.Millisecond, 20, nil))
 	if tiny.Stats().Retained != 1 {
 		t.Fatal("sole oversized trace was evicted")
 	}
@@ -174,7 +182,7 @@ func TestFlightSpanBudget(t *testing.T) {
 // TestFlightNilSafety: a nil recorder (flight disabled) no-ops everywhere.
 func TestFlightNilSafety(t *testing.T) {
 	var fr *FlightRecorder
-	fr.Offer(finished("read", time.Millisecond, 1, nil))
+	fr.offer(finished("read", time.Millisecond, 1, nil))
 	if fr.Classes() != nil || fr.Slowest("read") != nil || fr.Flagged("read") != nil {
 		t.Fatal("nil recorder returned data")
 	}
@@ -183,12 +191,11 @@ func TestFlightNilSafety(t *testing.T) {
 	}
 }
 
-// TestTracerFeedsRecorder: traces finished through a tracer with a recorder
-// installed land in the recorder, including their flight classification.
+// TestTracerFeedsRecorder: traces finished through a tracer land in its
+// recorder, including their flight classification.
 func TestTracerFeedsRecorder(t *testing.T) {
-	tr := NewTracer(4)
-	fr := NewFlightRecorder(0, 0, 0)
-	tr.SetRecorder(fr)
+	tr := NewTracer(nil)
+	fr := tr.Recorder()
 	_, a := tr.Start(context.Background(), "read", "/ok")
 	a.Finish()
 	_, b := tr.Start(context.Background(), "read", "/bad")

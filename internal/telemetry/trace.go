@@ -173,7 +173,7 @@ type Trace struct {
 // Record appends one attempt span. Records arriving after Finish — e.g. a
 // straggler goroutine that lost the quorum race and unwound late — are
 // dropped, so an exported trace never mutates and stragglers cannot leak
-// spans into the ring. Past maxTraceSpans the span is counted but not
+// spans into a retained one. Past maxTraceSpans the span is counted but not
 // stored (see Dropped), bounding the memory of one trace.
 func (t *Trace) Record(s Span) {
 	if t == nil {
@@ -298,7 +298,7 @@ func (t *Trace) SetVerdict(d time.Duration) {
 	t.mu.Unlock()
 }
 
-// Finish seals the trace and hands it to its tracer's ring buffer and
+// Finish seals the trace and hands it to its tracer's flight recorder and
 // event log. Idempotent; safe on nil.
 func (t *Trace) Finish() {
 	if t == nil {
@@ -366,58 +366,37 @@ func (t *Trace) Describe() []string {
 	return out
 }
 
-// Tracer owns a fixed ring buffer of completed traces and an optional
-// structured event log. A nil *Tracer is disabled: Start returns the
-// context unchanged and a nil trace.
+// Tracer starts one trace per client operation and files every finished
+// trace into its flight recorder and, when it was given one, the structured
+// event log. A nil *Tracer is disabled: Start returns the context unchanged
+// and a nil trace.
 type Tracer struct {
-	mu       sync.Mutex
-	ring     []*Trace
-	next     int
-	total    int64
 	handler  slog.Handler
 	recorder *FlightRecorder
 }
 
-// NewTracer creates a tracer keeping the last capacity completed traces
-// (capacity <= 0 means 64).
-func NewTracer(capacity int) *Tracer {
-	if capacity <= 0 {
-		capacity = 64
-	}
-	return &Tracer{ring: make([]*Trace, capacity)}
+// NewTracer creates a tracer with its own flight recorder. h, when not nil,
+// receives one record per completed trace (the structured event log); it
+// runs synchronously on the finishing goroutine, so keep it cheap or buffer
+// inside it.
+func NewTracer(h slog.Handler) *Tracer {
+	return &Tracer{handler: h, recorder: NewFlightRecorder()}
 }
 
-// SetHandler installs a slog handler that receives one record per
-// completed trace (the structured event log). nil disables it. The
-// handler runs synchronously on the finishing goroutine; keep it cheap or
-// buffer inside it.
-func (tr *Tracer) SetHandler(h slog.Handler) {
+// Recorder returns the flight recorder the tracer files finished traces
+// into, or nil on a nil tracer.
+func (tr *Tracer) Recorder() *FlightRecorder {
 	if tr == nil {
-		return
+		return nil
 	}
-	tr.mu.Lock()
-	tr.handler = h
-	tr.mu.Unlock()
-}
-
-// SetRecorder installs a flight recorder that is offered every finished
-// trace: where the ring keeps the most recent traces, the recorder keeps
-// the *exemplary* ones (slowest, errored, view-change-crossing). nil
-// disables it.
-func (tr *Tracer) SetRecorder(fr *FlightRecorder) {
-	if tr == nil {
-		return
-	}
-	tr.mu.Lock()
-	tr.recorder = fr
-	tr.mu.Unlock()
+	return tr.recorder
 }
 
 // Start begins a trace for one operation and returns a context carrying
 // it. When the context already carries a live trace — a chunk fetch inside
 // a streamed read, say — Start joins it instead: the inner phase's spans
 // land on the parent and the returned trace is nil (its Finish is a
-// no-op), so exactly one trace per client operation reaches the ring.
+// no-op), so exactly one trace per client operation reaches the recorder.
 func (tr *Tracer) Start(ctx context.Context, op, unit string) (context.Context, *Trace) {
 	if tr == nil {
 		return ctx, nil
@@ -429,18 +408,10 @@ func (tr *Tracer) Start(ctx context.Context, op, unit string) (context.Context, 
 	return context.WithValue(ctx, traceKey{}, t), t
 }
 
-// record files a finished trace into the ring, the flight recorder and the
-// event log.
+// record files a finished trace into the flight recorder and the event log.
 func (tr *Tracer) record(t *Trace) {
-	tr.mu.Lock()
-	tr.ring[tr.next] = t
-	tr.next = (tr.next + 1) % len(tr.ring)
-	tr.total++
-	h := tr.handler
-	fr := tr.recorder
-	tr.mu.Unlock()
-	fr.Offer(t)
-	if h == nil {
+	tr.recorder.offer(t)
+	if tr.handler == nil {
 		return
 	}
 	rec := slog.NewRecord(t.end, slog.LevelInfo, "scfs.trace", 0)
@@ -454,39 +425,5 @@ func (tr *Tracer) record(t *Trace) {
 	)
 	// The trace is already finished when it is logged; slog.Handler wants a
 	// ctx only for handler-internal values, and no caller remains to cancel.
-	_ = h.Handle(context.Background(), rec)
-}
-
-// Recent returns up to n completed traces, newest first (n <= 0 means
-// all). Nil-safe.
-func (tr *Tracer) Recent(n int) []*Trace {
-	if tr == nil {
-		return nil
-	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	size := len(tr.ring)
-	if n <= 0 || n > size {
-		n = size
-	}
-	out := make([]*Trace, 0, n)
-	for i := 1; i <= size && len(out) < n; i++ {
-		t := tr.ring[(tr.next-i+size)%size]
-		if t == nil {
-			break
-		}
-		out = append(out, t)
-	}
-	return out
-}
-
-// Total returns how many traces have completed over the tracer's lifetime
-// (including ones the ring has since evicted).
-func (tr *Tracer) Total() int64 {
-	if tr == nil {
-		return 0
-	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return tr.total
+	_ = tr.handler.Handle(context.Background(), rec)
 }

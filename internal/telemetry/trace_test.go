@@ -21,13 +21,13 @@ func TestNilTracerAndTrace(t *testing.T) {
 	span.Record(Span{Name: "meta.get"})
 	span.SetVerdict(time.Millisecond)
 	span.Finish()
-	if tr.Recent(10) != nil || tr.Total() != 0 {
-		t.Fatal("nil tracer must be empty")
+	if tr.Recorder() != nil {
+		t.Fatal("nil tracer must have no recorder")
 	}
 }
 
 func TestStartJoinsParentTrace(t *testing.T) {
-	tr := NewTracer(4)
+	tr := NewTracer(nil)
 	ctx, outer := tr.Start(context.Background(), "read", "/f")
 	if outer == nil {
 		t.Fatal("outer trace missing")
@@ -41,11 +41,11 @@ func TestStartJoinsParentTrace(t *testing.T) {
 		t.Fatal("context must still carry the outer trace")
 	}
 	inner.Finish() // no-op
-	if tr.Total() != 0 {
+	if tr.Recorder().Stats().Seen != 0 {
 		t.Fatal("joined phase must not export a trace")
 	}
 	outer.Finish()
-	if tr.Total() != 1 {
+	if tr.Recorder().Stats().Seen != 1 {
 		t.Fatal("outer finish must export exactly one trace")
 	}
 }
@@ -55,7 +55,7 @@ func TestStartJoinsParentTrace(t *testing.T) {
 // must show up as cancelled spans — and anything recorded after the trace
 // finishes must not leak into the exported spans.
 func TestQuorumCancellationSpans(t *testing.T) {
-	tr := NewTracer(4)
+	tr := NewTracer(nil)
 	ctx, trace := tr.Start(context.Background(), "read", "/q")
 	fanCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -126,26 +126,6 @@ func TestQuorumCancellationSpans(t *testing.T) {
 	}
 }
 
-func TestRingEvictionNewestFirst(t *testing.T) {
-	tr := NewTracer(2)
-	for i, op := range []string{"a", "b", "c"} {
-		_, trace := tr.Start(context.Background(), op, "")
-		trace.Record(Span{Name: op})
-		trace.Finish()
-		if tr.Total() != int64(i+1) {
-			t.Fatalf("total = %d after %d finishes", tr.Total(), i+1)
-		}
-	}
-	recent := tr.Recent(0)
-	if len(recent) != 2 || recent[0].Op != "c" || recent[1].Op != "b" {
-		got := make([]string, len(recent))
-		for i, x := range recent {
-			got[i] = x.Op
-		}
-		t.Fatalf("recent = %v, want [c b]", got)
-	}
-}
-
 // collectHandler is a minimal slog.Handler capturing records.
 type collectHandler struct {
 	mu   sync.Mutex
@@ -163,9 +143,8 @@ func (h *collectHandler) WithAttrs([]slog.Attr) slog.Handler { return h }
 func (h *collectHandler) WithGroup(string) slog.Handler      { return h }
 
 func TestEventLogHandler(t *testing.T) {
-	tr := NewTracer(4)
 	h := &collectHandler{}
-	tr.SetHandler(h)
+	tr := NewTracer(h)
 	_, trace := tr.Start(context.Background(), "write", "/w")
 	trace.Record(Span{Name: "block.put", Target: "c0", Outcome: SpanOK, Dur: time.Millisecond})
 	trace.SetVerdict(500 * time.Microsecond)

@@ -42,7 +42,6 @@ type config struct {
 
 	metrics   bool
 	tracing   bool
-	traceCap  int
 	eventLog  slog.Handler
 	debugAddr string
 	debugSet  bool
@@ -148,27 +147,24 @@ func WithBreakerPolicy(pol BreakerPolicy) Option {
 func WithMetrics() Option { return func(c *config) { c.metrics = true } }
 
 // WithTracing gives the mount a request tracer: every client operation
-// (read, write, open, delete) gets a trace recording one span per per-cloud
-// RPC of its quorum fan-outs — which clouds were contacted, which were
-// hedged, which answered, which were cancelled as losers — plus the quorum
-// verdict latency. The last capacity completed traces are kept in a ring
-// (capacity <= 0 keeps 64); read them with FS.Traces.
+// (read, write, stat, readdir, ...) gets one trace recording a span per
+// per-cloud RPC of its quorum fan-outs — which clouds were contacted, which
+// were hedged, which answered, which were cancelled as losers — and per smr
+// invocation of its coordination accesses, plus the quorum verdict latency.
 //
-// A traced mount also keeps a flight recorder: exemplar traces past the
-// ring — the slowest of every operation class plus every errored,
+// Finished traces go to the mount's flight recorder, its one trace store:
+// per operation class the slowest traces plus every errored,
 // breaker-skipped or view-change-crossing operation, within a fixed span
-// budget — so when a tail-latency spike is noticed minutes later, the
-// traces explaining it are still there. Latency histograms gain exemplar
-// trace IDs linking their tail buckets to the retained traces. Read it back
-// with FS.FlightRecorder, or over HTTP via /debug/slow and /debug/flight on
-// mounts that also use WithDebugServer.
-func WithTracing(capacity int) Option {
-	return func(c *config) { c.tracing, c.traceCap = true, capacity }
-}
+// budget, so when a tail-latency spike is noticed minutes later the traces
+// explaining it are still there. Latency histograms gain exemplar trace IDs
+// linking their tail buckets to the retained traces. Read it back with
+// FS.FlightRecorder, or over HTTP at /debug/flight on mounts that also use
+// WithDebugServer.
+func WithTracing() Option { return func(c *config) { c.tracing = true } }
 
 // WithEventLog streams one structured record per completed operation trace
-// to the given slog handler (op, unit, duration, verdict latency, spans).
-// Implies WithTracing if no capacity was set.
+// to the given slog handler (trace ID, op, unit, duration, verdict latency,
+// spans). Implies WithTracing.
 func WithEventLog(h slog.Handler) Option {
 	return func(c *config) {
 		c.eventLog = h
@@ -179,10 +175,9 @@ func WithEventLog(h slog.Handler) Option {
 // WithDebugServer serves the mount's runtime introspection over HTTP on
 // addr (use ":0" for an ephemeral port, read it back with FS.DebugAddr):
 // GET /metrics in Prometheus text format, /debug/stats as JSON,
-// /debug/traces as recent operation traces, /debug/slow and /debug/flight
-// as the flight recorder's retained exemplars, and the net/http/pprof
-// profiles under /debug/pprof/. Implies WithMetrics and WithTracing. The
-// server is shut down by Close/Unmount.
+// /debug/flight as the flight recorder's retained traces, and the
+// net/http/pprof profiles under /debug/pprof/. Implies WithMetrics and
+// WithTracing. The server is shut down by Close/Unmount.
 func WithDebugServer(addr string) Option {
 	return func(c *config) {
 		c.debugAddr, c.debugSet = addr, true
@@ -192,11 +187,10 @@ func WithDebugServer(addr string) Option {
 }
 
 // mountTelemetry bundles the observability handles build assembles so the
-// facade can serve them (FS.Traces, the debug server).
+// facade can serve them (FS.FlightRecorder, the debug server).
 type mountTelemetry struct {
 	metrics *telemetry.Registry
 	tracer  *telemetry.Tracer
-	flight  *telemetry.FlightRecorder
 }
 
 // build assembles the provider, coordination and storage stack and mounts
@@ -209,12 +203,7 @@ func (c *config) build(ctx context.Context) (*core.Agent, mountTelemetry, func()
 		tel.metrics = telemetry.NewRegistry()
 	}
 	if c.tracing {
-		tel.tracer = telemetry.NewTracer(c.traceCap)
-		if c.eventLog != nil {
-			tel.tracer.SetHandler(c.eventLog)
-		}
-		tel.flight = telemetry.NewFlightRecorder(0, 0, 0)
-		tel.tracer.SetRecorder(tel.flight)
+		tel.tracer = telemetry.NewTracer(c.eventLog)
 	}
 	clouds := c.clouds
 	if len(clouds) == 0 {

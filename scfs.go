@@ -83,16 +83,17 @@ type (
 	// ProviderSpend is one provider's metered usage priced in dollars,
 	// carried by Stats().Spend.
 	ProviderSpend = core.ProviderSpend
-	// Trace is one client operation's recorded quorum fan-out (see
-	// WithTracing and FS.Traces).
+	// Trace is one client operation's recorded fan-out: its per-cloud RPCs
+	// and smr invocations (see WithTracing and FS.FlightRecorder).
 	Trace = telemetry.Trace
 	// Span is one per-cloud RPC attempt inside a Trace.
 	Span = telemetry.Span
 	// TraceID is a trace's identity (W3C trace-id shaped), as the event log
 	// and the debug server's trace listings print it.
 	TraceID = telemetry.TraceID
-	// FlightRecorder retains exemplar traces — the slow tail and every
-	// faulted operation (see WithTracing and FS.FlightRecorder).
+	// FlightRecorder is a traced mount's one trace store: per operation
+	// class the slow tail and every faulted operation (see WithTracing and
+	// FS.FlightRecorder).
 	FlightRecorder = telemetry.FlightRecorder
 	// FlightStats summarizes a FlightRecorder's retention activity.
 	FlightStats = telemetry.FlightStats
@@ -158,7 +159,6 @@ type FS struct {
 	agent   *core.Agent
 	metrics *telemetry.Registry
 	tracer  *telemetry.Tracer
-	flight  *telemetry.FlightRecorder
 	debug   *debugServer
 	cleanup func() // stops build-owned resources (coordination replica groups)
 }
@@ -183,7 +183,7 @@ func New(ctx context.Context, opts ...Option) (*FS, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &FS{agent: agent, metrics: tel.metrics, tracer: tel.tracer, flight: tel.flight, cleanup: cleanup}
+	m := &FS{agent: agent, metrics: tel.metrics, tracer: tel.tracer, cleanup: cleanup}
 	if cfg.debugSet {
 		dbg, err := startDebugServer(cfg.debugAddr, m)
 		if err != nil {
@@ -209,17 +209,11 @@ func (m *FS) Agent() *core.Agent { return m.agent }
 // Stats.Spend.
 func (m *FS) Stats() Stats { return m.agent.Stats() }
 
-// Traces returns up to n recently completed operation traces, newest first
-// (n <= 0 returns the whole ring). Empty unless the mount was built
-// WithTracing (or WithDebugServer).
-func (m *FS) Traces(n int) []*Trace { return m.tracer.Recent(n) }
-
-// FlightRecorder returns the mount's flight recorder, or nil unless the
-// mount was built WithTracing (or WithDebugServer). Where Traces
-// holds the most *recent* operations, the recorder holds the most
-// *exemplary* ones: the slowest of each operation class and everything
-// that erred, hit an open breaker, or crossed a view change.
-func (m *FS) FlightRecorder() *FlightRecorder { return m.flight }
+// FlightRecorder returns the mount's trace store, or nil unless the mount
+// was built WithTracing (or WithEventLog or WithDebugServer). It holds the
+// most *exemplary* operations: the slowest of each operation class and
+// everything that erred, hit an open breaker, or crossed a view change.
+func (m *FS) FlightRecorder() *FlightRecorder { return m.tracer.Recorder() }
 
 // traced starts a facade-level trace for one client operation. An
 // operation arriving with a trace already on its context — an io/fs walk

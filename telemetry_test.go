@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -54,7 +55,7 @@ func TestStatsTelemetry(t *testing.T) {
 	svc := sharedCoord()
 	common := []scfs.Option{
 		scfs.WithClouds(stores...), scfs.WithCoordination(svc),
-		scfs.WithMetrics(), scfs.WithTracing(16),
+		scfs.WithMetrics(), scfs.WithTracing(),
 	}
 	writer := mount(t, common...)
 	reader := mount(t, common...)
@@ -133,7 +134,7 @@ func TestStatsTelemetry(t *testing.T) {
 	check := func(m *scfs.FS, op string) {
 		t.Helper()
 		var tr *scfs.Trace
-		for _, c := range m.Traces(0) {
+		for _, c := range retained(t, m) {
 			if c.Op == op {
 				tr = c
 				break
@@ -182,6 +183,23 @@ var metricName = func() *regexp.Regexp {
 	return regexp.MustCompile(`^[a-z_]+(\{` + label + `(,` + label + `)*\})?$`)
 }()
 
+// retained returns every trace m's flight recorder holds. The tests here
+// finish fewer traces per operation class than the recorder keeps, so it
+// holds all of them; retained fails the test if it dropped one.
+func retained(t *testing.T, m *scfs.FS) []*scfs.Trace {
+	t.Helper()
+	fr := m.FlightRecorder()
+	if st := fr.Stats(); int64(st.Retained) != st.Seen {
+		t.Fatalf("the flight recorder retains %d of %d finished traces", st.Retained, st.Seen)
+	}
+	var out []*scfs.Trace
+	for _, class := range fr.Classes() {
+		out = append(out, fr.Slowest(class)...)
+		out = append(out, fr.Flagged(class)...)
+	}
+	return out
+}
+
 // spanNames are the span kinds telemetry.Span's doc fixes; variable detail
 // goes in a span's Target, never into its name.
 var spanNames = map[string]bool{
@@ -194,11 +212,11 @@ var spanNames = map[string]bool{
 // accesses of a plain WriteFile are smr invocations in the trace the facade
 // starts for it.
 func TestDefaultMountCoordinatesThroughReplicas(t *testing.T) {
-	m := mount(t, scfs.WithTracing(8))
+	m := mount(t, scfs.WithTracing())
 	if err := scfs.WriteFile(bg, m, "/f.txt", []byte("replicated")); err != nil {
 		t.Fatal(err)
 	}
-	traces := m.Traces(0)
+	traces := retained(t, m)
 	if len(traces) != 1 || traces[0].Op != "write" {
 		t.Fatalf("WriteFile left %d traces, want one write trace", len(traces))
 	}
@@ -219,14 +237,17 @@ func TestOneTraceSpansEveryLayer(t *testing.T) {
 	m := namedMount(t,
 		scfs.WithDiskCache(t.TempDir(), 1),
 		scfs.WithMemoryCache(1),
-		scfs.WithTracing(128))
+		scfs.WithTracing())
 	if err := m.Mkdir(bg, "/docs"); err != nil {
 		t.Fatal(err)
 	}
 	if err := scfs.WriteFile(bg, m, "/docs/f.txt", []byte("end to end")); err != nil {
 		t.Fatal(err)
 	}
-	before := m.Traces(0)
+	before := make(map[scfs.TraceID]bool)
+	for _, tr := range retained(t, m) {
+		before[tr.ID] = true
+	}
 
 	h, err := m.Open(bg, "/docs/f.txt", scfs.ReadOnly)
 	if err != nil {
@@ -244,15 +265,17 @@ func TestOneTraceSpansEveryLayer(t *testing.T) {
 		t.Fatalf("read %q", buf[:n])
 	}
 
-	after := m.Traces(0) // newest first
-	for _, tr := range after {
+	var fresh []*scfs.Trace
+	for _, tr := range retained(t, m) {
+		if !before[tr.ID] {
+			fresh = append(fresh, tr)
+		}
 		for _, s := range tr.Spans() {
 			if !spanNames[s.Name] {
 				t.Errorf("%s trace: span name %q is not one of telemetry.Span's fixed names", tr.Op, s.Name)
 			}
 		}
 	}
-	fresh := after[:len(after)-len(before)]
 	var whole []*scfs.Trace
 	for _, tr := range fresh {
 		names := make(map[string]bool)
@@ -352,23 +375,19 @@ func TestDebugServer(t *testing.T) {
 	if len(stats.Telemetry.Counters) == 0 {
 		t.Error("/debug/stats has no telemetry counters")
 	}
-	if body := get("/debug/traces"); !strings.Contains(body, "write") {
-		t.Errorf("/debug/traces missing the write trace:\n%.500s", body)
+	if body := get("/debug/flight"); !strings.Contains(body, "write /dbg.txt") {
+		t.Errorf("/debug/flight missing the write trace:\n%.500s", body)
 	}
-	// ?n= comes from outside the program: a count with trailing bytes is
-	// refused, not read as its numeric prefix.
-	for _, q := range []string{"5x", "x"} {
-		resp, err := http.Get("http://" + addr + "/debug/traces?n=" + q)
+	// The flight recorder is the one trace store, served at one endpoint.
+	for _, path := range []string{"/debug/traces", "/debug/slow"} {
+		resp, err := http.Get("http://" + addr + path)
 		if err != nil {
-			t.Fatalf("GET /debug/traces?n=%s: %v", q, err)
+			t.Fatalf("GET %s: %v", path, err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("GET /debug/traces?n=%s: status %d, want %d", q, resp.StatusCode, http.StatusBadRequest)
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s: status %d, want %d", path, resp.StatusCode, http.StatusNotFound)
 		}
-	}
-	if body := get("/debug/traces?n=1"); !strings.Contains(body, "write") {
-		t.Errorf("/debug/traces?n=1 missing the write trace:\n%.500s", body)
 	}
 	if body := get("/debug/pprof/"); !strings.Contains(body, "goroutine") {
 		t.Errorf("/debug/pprof/ index looks wrong:\n%.200s", body)
@@ -395,7 +414,34 @@ func TestTelemetryDisabledByDefault(t *testing.T) {
 	if len(s.Telemetry.Counters) != 0 || len(s.Spend) != 0 {
 		t.Fatalf("telemetry populated without WithMetrics: %+v", s.Telemetry)
 	}
-	if got := m.Traces(0); len(got) != 0 {
+	if got := retained(t, m); len(got) != 0 {
 		t.Fatalf("traces recorded without WithTracing: %d", len(got))
+	}
+}
+
+// TestFailedOperationKeptAsEvidence: a failed operation is fault evidence.
+// The flight recorder keeps its trace as a flagged exemplar carrying the
+// error, and /debug/flight prints it with its ID and the error.
+func TestFailedOperationKeptAsEvidence(t *testing.T) {
+	m := namedMount(t, scfs.WithTracing(), scfs.WithDebugServer("127.0.0.1:0"))
+	if _, err := scfs.ReadFile(bg, m, "/missing.txt"); !errors.Is(err, scfs.ErrNotExist) {
+		t.Fatalf("ReadFile of a missing path: %v, want ErrNotExist", err)
+	}
+	flagged := m.FlightRecorder().Flagged("read")
+	if len(flagged) != 1 || flagged[0].Unit != "/missing.txt" || !errors.Is(flagged[0].Err(), scfs.ErrNotExist) {
+		t.Fatalf("flagged read traces = %v, want the failed ReadFile's, carrying ErrNotExist", flagged)
+	}
+	resp, err := http.Get("http://" + m.DebugAddr() + "/debug/flight")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := regexp.MustCompile(`(?m)^` + flagged[0].ID.String() + ` read /missing\.txt .* err=`)
+	if !line.Match(body) {
+		t.Fatalf("/debug/flight does not print trace %s with its error:\n%s", flagged[0].ID, body)
 	}
 }
