@@ -20,8 +20,8 @@ import (
 
 	"scfs/internal/cache"
 	"scfs/internal/clock"
-	"scfs/internal/cloud"
 	"scfs/internal/coord"
+	"scfs/internal/depsky"
 	"scfs/internal/fsapi"
 	"scfs/internal/fsmeta"
 	"scfs/internal/storage"
@@ -49,16 +49,10 @@ const (
 
 // String implements fmt.Stringer.
 func (m Mode) String() string {
-	switch m {
-	case Blocking:
-		return "blocking"
-	case NonBlocking:
-		return "non-blocking"
-	case NonSharing:
-		return "non-sharing"
-	default:
-		return fmt.Sprintf("Mode(%d)", int(m))
+	if names := [...]string{Blocking: "blocking", NonBlocking: "non-blocking", NonSharing: "non-sharing"}; m >= 0 && int(m) < len(names) {
+		return names[m]
 	}
+	return fmt.Sprintf("Mode(%d)", int(m))
 }
 
 // GCPolicy configures the garbage collector (§2.5.3).
@@ -144,17 +138,8 @@ type Options struct {
 }
 
 // ProviderSpend is one storage provider's metered consumption priced under
-// its rate card, as surfaced by Stats. It mirrors the backend's usage report
-// without importing it.
-type ProviderSpend struct {
-	// Provider is the cloud's label (provider name, de-duplicated by the
-	// backend when one provider hosts several accounts).
-	Provider string
-	// Usage is the provider-metered consumption of this mount's account.
-	Usage cloud.Usage
-	// Dollars prices Usage under the provider's rate card.
-	Dollars float64
-}
+// its rate card, as surfaced by Stats: the backend's own usage report.
+type ProviderSpend = depsky.ProviderUsage
 
 func (o Options) withDefaults() (Options, error) {
 	if o.User == "" {
@@ -195,9 +180,7 @@ func (o Options) withDefaults() (Options, error) {
 
 func randomID() string {
 	b := make([]byte, 6)
-	if _, err := rand.Read(b); err != nil {
-		return fmt.Sprintf("%d", time.Now().UnixNano())
-	}
+	rand.Read(b) // it never fails: it crashes the program instead
 	return hex.EncodeToString(b)
 }
 
@@ -224,6 +207,10 @@ type Stats struct {
 	GCsTriggered  int64
 	UploadsQueued int64
 	UploadErrors  int64
+	// WastedUploads counts the versions WriteFile uploaded beside its open
+	// that no close anchored (see WriteFile). Their objects stay in the
+	// clouds: the prefix may hold a live version of the same bytes.
+	WastedUploads int64
 
 	// Telemetry is a snapshot of the mount's metrics registry (empty when
 	// the mount was built without one). It carries the dispatch-level
@@ -250,7 +237,10 @@ type Agent struct {
 	memCache  *cache.Memory
 	diskCache *cache.Disk
 	metaCache *cache.Metadata
-	pnsLease  *coord.Lease // the PNS lock, held until Unmount
+	// fileIDs maps a path to the file ID of the live record last seen there:
+	// the hint WriteFile names its early upload by (remember keeps it).
+	fileIDs  *cache.Memory
+	pnsLease *coord.Lease // the PNS lock, held until Unmount
 
 	// mu protects the namespace maps and counters below.
 	mu        sync.Mutex
@@ -274,6 +264,10 @@ type Agent struct {
 }
 
 var _ fsapi.FileSystem = (*Agent)(nil)
+
+// fileIDHintBytes bounds the file-ID hint by the bytes of the IDs it holds:
+// some tens of thousands of paths.
+const fileIDHintBytes = 512 << 10
 
 // New mounts an SCFS agent with the given options. The ctx bounds only the
 // mount itself (loading the private name space, acquiring the PNS lock);
@@ -310,6 +304,7 @@ func New(ctx context.Context, opts Options) (*Agent, error) {
 		memCache:   cache.NewMemory(opts.MemoryCacheBytes),
 		diskCache:  disk,
 		metaCache:  cache.NewMetadata(opts.MetadataCacheTTL, opts.Clock),
+		fileIDs:    cache.NewMemory(fileIDHintBytes),
 		openFiles:  make(map[string]*openFile),
 		uploadCh:   make(chan uploadTask, 1024),
 	}

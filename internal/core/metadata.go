@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"scfs/internal/coord"
 	"scfs/internal/fsapi"
@@ -93,7 +95,7 @@ func (a *Agent) readAll(ctx context.Context, rs []read, extra ...coord.Op) ([]co
 		case ops[j].Kind == coord.OpCas && res[j].Err == nil:
 			r.md, r.created = r.create, true
 			r.md.Version = res[j].Version
-			a.metaCache.Put(r.path, ops[j].Value)
+			a.remember(r.path, ops[j].Value, r.md)
 		default:
 			r.md, r.err = a.recordMetadata(ctx, r.path, res[j])
 		}
@@ -170,7 +172,7 @@ func (a *Agent) recordMetadata(ctx context.Context, path string, r coord.Result)
 		return nil, fmt.Errorf("core: corrupt metadata for %q: %w", path, err)
 	}
 	md.Version = rec.Version
-	a.metaCache.Put(path, rec.Value)
+	a.remember(path, rec.Value, md)
 	if md.Deleted {
 		return md, fsapi.ErrNotExist
 	}
@@ -205,7 +207,7 @@ func (a *Agent) putMetadataUnlock(ctx context.Context, md *fsmeta.Metadata, unlo
 		a.pns.Put(md)
 		a.pnsDirty = true
 		a.mu.Unlock()
-		a.metaCache.Put(path, raw)
+		a.remember(path, raw, md)
 		return a.unlock(ctx, unlockPath)
 	}
 	ops := []coord.Op{coord.Put(path, raw, coordACL(md))}
@@ -229,7 +231,7 @@ func (a *Agent) putMetadataUnlock(ctx context.Context, md *fsmeta.Metadata, unlo
 		a.pnsDirty = true
 	}
 	a.mu.Unlock()
-	a.metaCache.Put(path, raw)
+	a.remember(path, raw, md)
 	if unlockPath != "" && res[1].Err != nil {
 		return fmt.Errorf("core: unlocking %q: %w", unlockPath, res[1].Err)
 	}
@@ -276,8 +278,19 @@ func (a *Agent) place(ctx context.Context, md, tomb *fsmeta.Metadata) error {
 		return fmt.Errorf("core: creating %q: %w", md.Path, err)
 	}
 	md.Version = res[0].Version
-	a.metaCache.Put(md.Path, ops[0].Value)
+	a.remember(md.Path, ops[0].Value, md)
 	return nil
+}
+
+// remember caches raw, the encoding of md, as the record at path, and keeps
+// the file-ID hint of path in step: a live file's ID, none for anything else.
+func (a *Agent) remember(path string, raw []byte, md *fsmeta.Metadata) {
+	a.metaCache.Put(path, raw)
+	if md.Deleted || md.IsDir() {
+		a.fileIDs.Remove(path)
+	} else {
+		a.fileIDs.Put(path, []byte(md.FileID))
+	}
 }
 
 // deleteMetadata removes the metadata of a path from wherever it lives; from
@@ -286,6 +299,7 @@ func (a *Agent) place(ctx context.Context, md, tomb *fsmeta.Metadata) error {
 func (a *Agent) deleteMetadata(ctx context.Context, path string, version uint64) error {
 	path = fsmeta.Clean(path)
 	a.metaCache.Invalidate(path)
+	a.fileIDs.Remove(path)
 	a.mu.Lock()
 	if a.pns != nil && a.pns.Get(path) != nil {
 		a.pns.Remove(path)
@@ -306,6 +320,9 @@ func (a *Agent) deleteMetadata(ctx context.Context, path string, version uint64)
 	}
 	return nil
 }
+
+// byPath orders metadata by path.
+func byPath(x, y *fsmeta.Metadata) int { return cmp.Compare(x.Path, y.Path) }
 
 // listPrefix is the coordination-service key prefix of dir's entries.
 func listPrefix(dir string) string {
@@ -365,12 +382,7 @@ func (a *Agent) mergeListing(dir string, recs []coord.Record) []*fsmeta.Metadata
 			}
 		}
 	}
-	out := make([]*fsmeta.Metadata, 0, len(seen))
-	for _, md := range seen {
-		out = append(out, md)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
-	return out
+	return slices.SortedFunc(maps.Values(seen), byPath)
 }
 
 // listSubtree returns every entry under prefix (excluding prefix itself),
@@ -405,12 +417,7 @@ func (a *Agent) mergeSubtree(prefix string, recs []coord.Record) []*fsmeta.Metad
 			}
 		}
 	}
-	out := make([]*fsmeta.Metadata, 0, len(seen))
-	for _, md := range seen {
-		out = append(out, md)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
-	return out
+	return slices.SortedFunc(maps.Values(seen), byPath)
 }
 
 // --- private name space lifecycle ---
@@ -456,8 +463,7 @@ func (a *Agent) flushPNS(ctx context.Context) error {
 		return nil
 	}
 	data, err := a.pns.Encode()
-	dirtyCleared := err == nil
-	if dirtyCleared {
+	if err == nil {
 		a.pnsDirty = false
 	}
 	a.mu.Unlock()

@@ -174,6 +174,7 @@ func (a *Agent) Rename(ctx context.Context, oldPath, newPath string) error {
 		}
 		a.mu.Unlock()
 		a.metaCache.InvalidateAll()
+		a.fileIDs.Clear() // the subtree's paths name other records now
 	}
 	return nil
 }

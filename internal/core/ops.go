@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -27,6 +28,7 @@ type openFile struct {
 	meta     *fsmeta.Metadata
 	data     []byte
 	lazy     storage.ReaderAtCloser
+	hash     string // of data, while it is what WriteFile wrote; else ""
 	dirty    bool
 	locked   bool
 	writable bool
@@ -38,6 +40,7 @@ type handle struct {
 	of     *openFile
 	flags  fsapi.OpenFlag
 	closed bool
+	early  *earlyUpload // WriteFile's, for the close to anchor
 }
 
 var _ fsapi.Handle = (*handle)(nil)
@@ -66,6 +69,8 @@ func wipKey(fileID string) string { return fileID + "@wip" }
 // path answered locally is in the private name space, whose files take no
 // lock. When a new file would live in the coordination service, the Get is
 // Cas(path, new file, 0): the lookup that finds the path free creates it.
+// WriteFile may be uploading the new contents while this access is in
+// flight; nothing is anchored before it returns the lock.
 func (a *Agent) Open(ctx context.Context, path string, flags fsapi.OpenFlag) (_ fsapi.Handle, err error) {
 	if err := a.checkOpen(ctx); err != nil {
 		return nil, err
@@ -164,7 +169,7 @@ func (a *Agent) Open(ctx context.Context, path string, flags fsapi.OpenFlag) (_ 
 			of.data = nil
 		case flags&fsapi.Truncate != 0:
 			of.data = nil
-			of.dirty = true
+			of.dirty, of.hash = true, ""
 		default:
 			data, lazy, err := a.fetchForOpen(ctx, md, flags)
 			if err != nil {
@@ -184,7 +189,7 @@ func (a *Agent) Open(ctx context.Context, path string, flags fsapi.OpenFlag) (_ 
 			// pre-truncate contents.
 			of.data = []byte{}
 		}
-		of.dirty = true
+		of.dirty, of.hash = true, ""
 	}
 	// A writable open while the contents are served lazily materializes the
 	// full data (writes mutate the in-memory copy); the ranged reader stays
@@ -209,6 +214,50 @@ func (a *Agent) Open(ctx context.Context, path string, flags fsapi.OpenFlag) (_ 
 	}
 	a.addStat(func(s *Stats) { s.FilesOpened++ })
 	return &handle{of: of, flags: flags}, nil
+}
+
+// WriteFile implements fsapi.FileSystem: Open(ReadWrite|Create|Truncate),
+// one write of data and the close. A version is uploaded under its file's ID,
+// which the open's lookup returns; in blocking mode, when the file-ID hint
+// knows the file at path, data is uploaded under the hinted ID while the
+// open's access takes the lock and reads the metadata. The close anchors
+// that upload if the open found the same file and the contents are still
+// data; else it cancels it and uploads as always. An upload no close
+// anchored is left in the clouds, since its prefix may hold a live version
+// of the same bytes, and counted in Stats.WastedUploads. Every upload has
+// ended when WriteFile returns.
+func (a *Agent) WriteFile(ctx context.Context, path string, data []byte) error {
+	var early *earlyUpload
+	var hash string
+	if id, ok := a.fileIDs.Get(fsmeta.Clean(path)); ok && a.opts.Mode == Blocking && len(data) > 0 && a.checkOpen(ctx) == nil {
+		// ctx cancels the upload until a close takes it; after that, what of
+		// it is still in flight runs on as a close's own upload would.
+		uctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
+		stop := context.AfterFunc(ctx, cancel)
+		hash = seccrypto.Hash(data)
+		early = &earlyUpload{fileID: string(id), hash: hash, cancel: cancel, done: make(chan struct{})}
+		go func() {
+			defer close(early.done)
+			early.err = a.opts.Storage.WriteVersion(uctx, early.fileID, hash, data)
+		}()
+		defer func() {
+			if stop(); !early.taken {
+				cancel()
+				<-early.done
+				a.addStat(func(s *Stats) { s.WastedUploads++ })
+			}
+		}()
+	}
+	h, err := a.Open(ctx, path, fsapi.ReadWrite|fsapi.Create|fsapi.Truncate)
+	if err != nil {
+		return err
+	}
+	hd := h.(*handle)
+	hd.early = early
+	if len(data) > 0 {
+		_, err = hd.write(ctx, data, 0, hash)
+	}
+	return cmp.Or(err, hd.Close(ctx)) // a failed write is still closed
 }
 
 // cachedData returns the contents of the current version of md from the
@@ -352,6 +401,12 @@ func (h *handle) ReadAt(ctx context.Context, p []byte, off int64) (int, error) {
 // WriteAt implements fsapi.Handle. Writes update only the memory cache and
 // the cached metadata (durability level 0).
 func (h *handle) WriteAt(ctx context.Context, p []byte, off int64) (int, error) {
+	return h.write(ctx, p, off, "")
+}
+
+// write is WriteAt of p, whose hash WriteFile knows: if the write leaves
+// the file holding exactly p, the close need not hash it again.
+func (h *handle) write(ctx context.Context, p []byte, off int64, hash string) (int, error) {
 	a := h.of.agent
 	if err := ctx.Err(); err != nil {
 		return 0, err
@@ -370,7 +425,7 @@ func (h *handle) WriteAt(ctx context.Context, p []byte, off int64) (int, error) 
 	end := off + int64(len(p))
 	h.of.data = grow(h.of.data, end)
 	copy(h.of.data[off:end], p)
-	h.of.dirty = true
+	h.of.dirty, h.of.hash = true, ifThen(off == 0 && end == int64(len(h.of.data)), hash)
 	h.of.meta.Size = int64(len(h.of.data))
 	h.of.meta.Mtime = a.clk.Now()
 	a.addStat(func(s *Stats) { s.BytesWritten += int64(len(p)) })
@@ -419,7 +474,7 @@ func (h *handle) Truncate(ctx context.Context, size int64) error {
 	} else {
 		h.of.data = grow(h.of.data, size)
 	}
-	h.of.dirty = true
+	h.of.dirty, h.of.hash = true, ""
 	h.of.meta.Size = size
 	h.of.meta.Mtime = a.clk.Now()
 	return nil
@@ -470,7 +525,9 @@ func (h *handle) Stat(ctx context.Context) (fsapi.FileInfo, error) {
 // In blocking mode all of this happens before Close returns; in non-blocking
 // and non-sharing modes the cloud synchronization happens in the background
 // while mutual exclusion is preserved (the lock is only released after the
-// upload completes).
+// upload completes). The handle of a WriteFile anchors the upload WriteFile
+// started beside its open, if it stored exactly these contents under this
+// file's ID, and does not hash the contents again.
 func (h *handle) Close(ctx context.Context) error {
 	a := h.of.agent
 	a.mu.Lock()
@@ -486,6 +543,7 @@ func (h *handle) Close(ctx context.Context) error {
 	wip := wipKey(of.meta.FileID)
 	var data []byte
 	var md *fsmeta.Metadata
+	hash := of.hash
 	if wasDirty {
 		// The last handle hands the contents over: nothing can write to them
 		// once the file is closed. A close with other handles still open
@@ -521,11 +579,12 @@ func (h *handle) Close(ctx context.Context) error {
 	}
 
 	// Record the new version and make it locally durable (level 1).
-	hash := seccrypto.Hash(data)
-	now := a.clk.Now()
-	md.AddVersion(hash, int64(len(data)), now)
+	if hash == "" {
+		hash = seccrypto.Hash(data)
+	}
+	md.AddVersion(hash, int64(len(data)), a.clk.Now())
 	key := cacheKey(md.FileID, hash)
-	task := uploadTask{md: md, hash: hash, size: int64(len(data)), unlockPath: ifThen(shouldUnlock, of.path)}
+	task := uploadTask{md: md, hash: hash, size: int64(len(data)), unlockPath: ifThen(shouldUnlock, of.path), early: h.early}
 	if err := a.diskCache.Put(key, data); err != nil {
 		return a.failUnlocking(ctx, task.unlockPath, err)
 	}
@@ -584,15 +643,11 @@ func (a *Agent) syncToCloud(ctx context.Context, task uploadTask) error {
 	a.mu.Lock()
 	a.objectsSinceGC += fp.Objects
 	a.mu.Unlock()
-	if err := a.putMetadataUnlock(ctx, task.md, task.unlockPath); err != nil {
-		return err
+	err = a.putMetadataUnlock(ctx, task.md, task.unlockPath)
+	if err == nil && !a.isShared(task.md) && a.pnsFor(task.md) {
+		err = a.flushPNS(ctx)
 	}
-	if !a.isShared(task.md) && a.pnsFor(task.md) {
-		if err := a.flushPNS(ctx); err != nil {
-			return err
-		}
-	}
-	return nil
+	return err
 }
 
 // uploadVersion writes the task's version to the storage backend and
@@ -603,6 +658,14 @@ func (a *Agent) syncToCloud(ctx context.Context, task uploadTask) error {
 // are read back and written from memory. The pinned entry is released once
 // the attempt finishes.
 func (a *Agent) uploadVersion(ctx context.Context, task uploadTask) (int64, error) {
+	if e := task.early; e != nil {
+		if e.fileID == task.md.FileID && e.hash == task.hash {
+			<-e.done
+			e.taken = true
+			return task.size, e.err
+		}
+		e.cancel() // the open found another file, or the contents changed
+	}
 	key := cacheKey(task.md.FileID, task.hash)
 	data := task.payload
 	if data == nil {
@@ -675,9 +738,20 @@ type uploadTask struct {
 	size       int64
 	payload    []byte
 	unlockPath string
+	early      *earlyUpload
 	// barrier, when non-nil, marks a synchronization point: the worker closes
 	// it without doing any work (used by WaitForUploads).
 	barrier chan struct{}
+}
+
+// earlyUpload is a version WriteFile uploads under the file ID its hint
+// names, beside its open's coordination access.
+type earlyUpload struct {
+	fileID, hash string
+	cancel       context.CancelFunc
+	done         chan struct{} // closed once err is set
+	err          error
+	taken        bool // a close used it instead of uploading
 }
 
 // uploadWorker drains the upload queue, preserving per-agent ordering (a

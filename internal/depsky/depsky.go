@@ -42,6 +42,7 @@
 package depsky
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -294,7 +295,7 @@ func New(opts Options) (*Manager, error) {
 		if m.board != nil {
 			ins := m.ins
 			m.board.SetObserver(func(cloud, class int, _, to resilience.BreakerState) {
-				ins.breakerTo[cloud][class][to].Inc()
+				ins.at(cloud, class).breakerTo[to].Inc()
 			})
 		}
 		m.tracker.SetObservationCounter(opts.Metrics.Counter("tracker_observations_total"))
@@ -414,21 +415,13 @@ func (m *Manager) writeQuorum(ctx context.Context, name, kind string, payload fu
 				decided = true
 				rd.cancel() // quorum reached: abort the redundant uploads
 			case failures >= m.witnessSize():
-				if cerr := ctx.Err(); cerr != nil {
-					verdict <- cerr
-				} else {
-					verdict <- fmt.Errorf("%w: %d failures out of %d clouds", ErrQuorumWrite, failures, n)
-				}
+				verdict <- cmp.Or(ctx.Err(), fmt.Errorf("%w: %d failures out of %d clouds", ErrQuorumWrite, failures, n))
 				decided = true
 				rd.cancel()
 			}
 		}
 		if !decided {
-			if cerr := ctx.Err(); cerr != nil {
-				verdict <- cerr
-			} else {
-				verdict <- fmt.Errorf("%w: only %d acks", ErrQuorumWrite, successes)
-			}
+			verdict <- cmp.Or(ctx.Err(), fmt.Errorf("%w: only %d acks", ErrQuorumWrite, successes))
 		}
 	}()
 	return <-verdict
@@ -630,11 +623,8 @@ func (m *Manager) DeleteVersion(ctx context.Context, unit, hash string) (Version
 			_ = c.Delete(ctx, name)
 		}
 	})
-	if err := ctx.Err(); err != nil {
-		return VersionInfo{}, err
-	}
-	if !certified {
-		return VersionInfo{}, ErrVersionNotFound
+	if err := ctx.Err(); err != nil || !certified {
+		return VersionInfo{}, cmp.Or(err, ErrVersionNotFound)
 	}
 	return info, nil
 }
@@ -655,22 +645,14 @@ func (s *decodeScratch) reset() { s.next = 0 }
 // get returns a pooled buffer of length n, reusing the buffer handed out at
 // the same position of a previous attempt when it is large enough.
 func (s *decodeScratch) get(n int) []byte {
-	if s.next < len(s.bufs) {
-		if cap(s.bufs[s.next]) >= n {
-			b := s.bufs[s.next][:n]
-			s.next++
-			return b
-		}
+	if s.next == len(s.bufs) {
+		s.bufs = append(s.bufs, stream.Buffers.Get(n))
+	} else if cap(s.bufs[s.next]) < n {
 		stream.Buffers.Put(s.bufs[s.next])
 		s.bufs[s.next] = stream.Buffers.Get(n)
-		b := s.bufs[s.next]
-		s.next++
-		return b
 	}
-	b := stream.Buffers.Get(n)
-	s.bufs = append(s.bufs, b)
 	s.next++
-	return b
+	return s.bufs[s.next-1][:n]
 }
 
 // release returns every scratch buffer to the shared pool.

@@ -120,10 +120,7 @@ func startRound[T any](ctx context.Context, m *Manager, kind string, op iopolicy
 	opCtx, cancel := m.quorumCtx(ctx)
 	outcomes := make(chan outcome[T], m.N())
 	for i, c := range m.opts.Clouds {
-		var inflight *telemetry.Gauge // the goroutine may outlive the verdict
-		if m.ins != nil {
-			inflight = m.ins.rpcInflight[i]
-		}
+		inflight := m.ins.inflight(i) // the goroutine may outlive the verdict
 		inflight.Add(1)
 		go func() {
 			o := outcome[T]{cloud: i, err: errHedgeSkipped}
@@ -162,17 +159,15 @@ func (m *Manager) observeRPC(ctx context.Context, i int, op iopolicy.Op, start t
 	if err == nil {
 		m.tracker.Observe(i, op, d)
 	}
-	if ins := m.ins; ins != nil {
-		class := breakerClass(op)
-		switch {
-		case err == nil:
-			ins.rpcOK[i][class].Inc()
-			ins.rpcLat[i][class].ObserveExemplar(d, telemetry.FromContext(ctx).ExemplarID())
-		case resilience.Ignorable(err):
-			ins.rpcCancel[i][class].Inc()
-		default:
-			ins.rpcErr[i][class].Inc()
-		}
+	ins := m.ins.at(i, breakerClass(op))
+	switch {
+	case err == nil:
+		ins.ok.Inc()
+		ins.lat.ObserveExemplar(d, telemetry.FromContext(ctx).ExemplarID())
+	case resilience.Ignorable(err):
+		ins.cancel.Inc()
+	default:
+		ins.err.Inc()
 	}
 }
 
@@ -222,9 +217,9 @@ type hedgeGate struct {
 	delay time.Duration
 	kicks chan struct{}
 
-	// Per-cloud hedge counters for the op class of this fan-out (nil rows
-	// with metrics disabled; counterAt tolerates both).
-	fired, kicked, supp []*telemetry.Counter
+	// ins and class pick the hedge counters of a cloud in this fan-out.
+	ins   *instruments
+	class int
 }
 
 // hedged reports whether cloud i sits behind the gate (a spare rather than a
@@ -246,20 +241,15 @@ func (m *Manager) newHedgeGate(pol iopolicy.Policy, h iopolicy.Hedge, need int, 
 	for p, i := range order {
 		pos[i] = p
 	}
-	g := &hedgeGate{
+	return &hedgeGate{
 		enabled: true,
 		pos:     pos,
 		need:    need,
 		delay:   m.tracker.HedgeDelay(op, h, order[:need]),
 		kicks:   make(chan struct{}, n),
+		ins:     m.ins,
+		class:   breakerClass(op),
 	}
-	if m.ins != nil {
-		class := breakerClass(op)
-		g.fired = m.ins.hedgeFired[class]
-		g.kicked = m.ins.hedgeKicked[class]
-		g.supp = m.ins.hedgeSuppressed[class]
-	}
-	return g
 }
 
 // enter blocks until cloud i may issue its RPC. It returns false when the
@@ -278,13 +268,13 @@ func (g *hedgeGate) enter(ctx context.Context, i int) bool {
 	defer t.Stop()
 	select {
 	case <-ctx.Done():
-		counterAt(g.supp, i).Inc() // verdict beat the hedge: RPC never issued
+		g.ins.at(i, g.class).hedgeSuppressed.Inc() // verdict beat the hedge: RPC never issued
 		return false
 	case <-t.C:
-		counterAt(g.fired, i).Inc() // hedge delay elapsed without a verdict
+		g.ins.at(i, g.class).hedgeFired.Inc() // hedge delay elapsed without a verdict
 		return true
 	case <-g.kicks:
-		counterAt(g.kicked, i).Inc() // released early by a failure upstream
+		g.ins.at(i, g.class).hedgeKicked.Inc() // released early by a failure upstream
 		return true
 	}
 }

@@ -10,6 +10,7 @@ package depsky
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/binary"
 	"sort"
@@ -118,10 +119,7 @@ func (m *Manager) Write(ctx context.Context, unit string, data []byte) (VersionI
 		cancelRead()
 	}
 	heads := <-read
-	if err == nil {
-		err = ctx.Err()
-	}
-	if err != nil {
+	if err = cmp.Or(err, ctx.Err()); err != nil {
 		return VersionInfo{}, err
 	}
 	next := head{seq: 1, hash: hash}
@@ -160,8 +158,5 @@ func (m *Manager) Read(ctx context.Context, unit string) ([]byte, VersionInfo, e
 			break
 		}
 	}
-	if cerr := ctx.Err(); cerr != nil {
-		return nil, VersionInfo{}, cerr
-	}
-	return nil, VersionInfo{}, err
+	return nil, VersionInfo{}, cmp.Or(ctx.Err(), err)
 }

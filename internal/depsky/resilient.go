@@ -28,7 +28,6 @@ import (
 
 	"scfs/internal/iopolicy"
 	"scfs/internal/resilience"
-	"scfs/internal/telemetry"
 )
 
 // errBreakerSkipped is the outcome of a cloud that a fail-fast operation
@@ -57,20 +56,15 @@ func breakerClass(op iopolicy.Op) int { return int(op.Class) }
 // learning through retries.
 func (m *Manager) timedCloudCall(ctx context.Context, pol iopolicy.Policy, i int, op iopolicy.Op, fn func(context.Context) error) error {
 	class := breakerClass(op)
+	ins := m.ins.at(i, class)
 	if pol.Breaker == iopolicy.BreakerFailFast && !m.board.Admit(i, class) {
-		if m.ins != nil {
-			m.ins.breakerSkip[i][class].Inc()
-		}
+		ins.breakerSkip.Inc()
 		return errBreakerSkipped
 	}
 	retry := retryFor(pol)
 	if retry.Enabled() && m.board.Suspected(i, class) {
 		// No budget for a suspected cloud: one probe-like attempt only.
 		retry = resilience.RetryPolicy{}
-	}
-	var retries *telemetry.Counter
-	if m.ins != nil {
-		retries = m.ins.retries[i][class]
 	}
 	return retry.Do(ctx, func(ctx context.Context) error {
 		start := time.Now()
@@ -80,7 +74,7 @@ func (m *Manager) timedCloudCall(ctx context.Context, pol iopolicy.Policy, i int
 	}, func(attempt int, err error) {
 		m.board.Record(i, class, err)
 		if attempt > 0 {
-			retries.Inc()
+			ins.retries.Inc()
 		}
 	})
 }

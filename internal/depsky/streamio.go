@@ -185,42 +185,29 @@ func (m *Manager) writeVersion(ctx context.Context, unit, hash string, r io.Read
 func (m *Manager) encodeChunk(idx int, plain []byte, key []byte, shares []secretshare.Share) (encodedChunk, error) {
 	n := m.N()
 	ec := encodedChunk{frames: make([][]byte, n), hashes: make([]string, n)}
-	if m.opts.Protocol == ProtocolA {
-		for i := 0; i < n; i++ {
-			b := block{Full: plain, ShardIdx: i, ChunkIdx: idx, ChunkPlainLen: len(plain)}
-			frame := stream.Buffers.Get(frameLen(0, len(plain)))
-			encodeFrame(frame, ProtocolA, &b)
-			ec.frames[i] = frame
-			ec.hashes[i] = seccrypto.Hash(frame)
+	var shards [][]byte
+	if m.opts.Protocol == ProtocolCA {
+		ctLen := len(plain) + seccrypto.CiphertextOverhead
+		ciphertext := stream.Buffers.Get(ctLen)
+		defer stream.Buffers.Put(ciphertext)
+		if _, err := seccrypto.EncryptInto(ciphertext, key, plain); err != nil {
+			return ec, err
 		}
-		return ec, nil
-	}
-
-	ctLen := len(plain) + seccrypto.CiphertextOverhead
-	ciphertext := stream.Buffers.Get(ctLen)
-	defer stream.Buffers.Put(ciphertext)
-	if _, err := seccrypto.EncryptInto(ciphertext, key, plain); err != nil {
-		return ec, err
-	}
-	backing := stream.Buffers.Get(m.coder.TotalShards() * m.coder.ShardSize(ctLen))
-	defer stream.Buffers.Put(backing)
-	shards, err := m.coder.SplitInto(ciphertext, backing)
-	if err != nil {
-		return ec, fmt.Errorf("depsky: erasure coding chunk %d: %w", idx, err)
+		backing := stream.Buffers.Get(m.coder.TotalShards() * m.coder.ShardSize(ctLen))
+		defer stream.Buffers.Put(backing)
+		var err error
+		if shards, err = m.coder.SplitInto(ciphertext, backing); err != nil {
+			return ec, fmt.Errorf("depsky: erasure coding chunk %d: %w", idx, err)
+		}
 	}
 	for i := 0; i < n; i++ {
-		b := block{
-			Shard:         shards[i],
-			ShardIdx:      i,
-			KeyX:          shares[i].X,
-			KeyShare:      shares[i].Data,
-			ChunkIdx:      idx,
-			ChunkPlainLen: len(plain),
+		b := block{Full: plain, ShardIdx: i, ChunkIdx: idx, ChunkPlainLen: len(plain)}
+		if shards != nil {
+			b.Full, b.Shard, b.KeyX, b.KeyShare = nil, shards[i], shares[i].X, shares[i].Data
 		}
-		frame := stream.Buffers.Get(frameLen(len(shares[i].Data), len(shards[i])))
-		encodeFrame(frame, ProtocolCA, &b)
-		ec.frames[i] = frame
-		ec.hashes[i] = seccrypto.Hash(frame)
+		ec.frames[i] = stream.Buffers.Get(frameLen(len(b.KeyShare), len(b.Full)+len(b.Shard)))
+		encodeFrame(ec.frames[i], m.opts.Protocol, &b)
+		ec.hashes[i] = seccrypto.Hash(ec.frames[i])
 	}
 	return ec, nil
 }

@@ -29,26 +29,43 @@ import (
 // opClassNames maps an iopolicy op class index onto its label value.
 var opClassNames = [...]string{iopolicy.OpGet: "get", iopolicy.OpPut: "put"}
 
-// instruments is the pre-resolved instrument set of one manager. Outer
-// index is the cloud, inner index the op class (breakerClass). A nil
+// instruments is the pre-resolved instrument set of one manager. A nil
 // *instruments disables everything.
 type instruments struct {
-	rpcOK, rpcErr, rpcCancel [][]*telemetry.Counter
-	rpcLat                   [][]*telemetry.Histogram
-	retries                  [][]*telemetry.Counter
-	breakerSkip              [][]*telemetry.Counter
-	rpcInflight              []*telemetry.Gauge // [cloud]: round goroutines not yet delivered
-
-	// Hedge counters are indexed [class][cloud]: the gate resolves its row
-	// once per fan-out and indexes by cloud in enter.
-	hedgeFired, hedgeKicked, hedgeSuppressed [][]*telemetry.Counter
-
-	// breakerTo[cloud][class][state] counts transitions into state.
-	breakerTo [][][3]*telemetry.Counter
+	rpc         [][]rpcInstruments // [cloud][op class (breakerClass)]
+	rpcInflight []*telemetry.Gauge // [cloud]: round goroutines not yet delivered
 
 	// stream instruments the readahead pipeline of every chunk reader this
 	// manager opens (mount-wide, not per cloud).
 	stream stream.ReaderMetrics
+}
+
+// rpcInstruments are the instruments of one cloud's RPCs of one op class.
+type rpcInstruments struct {
+	ok, err, cancel, retries, breakerSkip    *telemetry.Counter
+	hedgeFired, hedgeKicked, hedgeSuppressed *telemetry.Counter
+	lat                                      *telemetry.Histogram
+	breakerTo                                [3]*telemetry.Counter // transitions into each state
+}
+
+// noInstruments is what a disabled manager counts on: nil instruments,
+// whose methods do nothing.
+var noInstruments rpcInstruments
+
+// at returns the instruments of cloud i's RPCs of class.
+func (ins *instruments) at(i, class int) *rpcInstruments {
+	if ins == nil {
+		return &noInstruments
+	}
+	return &ins.rpc[i][class]
+}
+
+// inflight returns cloud i's gauge of round goroutines (nil when disabled).
+func (ins *instruments) inflight(i int) *telemetry.Gauge {
+	if ins == nil {
+		return nil
+	}
+	return ins.rpcInflight[i]
 }
 
 // newInstruments resolves every per-(cloud, class) instrument against reg.
@@ -56,69 +73,43 @@ func newInstruments(reg *telemetry.Registry, names []string) *instruments {
 	if reg == nil {
 		return nil
 	}
-	n := len(names)
-	nc := len(opClassNames)
 	ins := &instruments{
-		rpcOK:           make([][]*telemetry.Counter, n),
-		rpcErr:          make([][]*telemetry.Counter, n),
-		rpcCancel:       make([][]*telemetry.Counter, n),
-		rpcLat:          make([][]*telemetry.Histogram, n),
-		retries:         make([][]*telemetry.Counter, n),
-		breakerSkip:     make([][]*telemetry.Counter, n),
-		rpcInflight:     make([]*telemetry.Gauge, n),
-		hedgeFired:      make([][]*telemetry.Counter, nc),
-		hedgeKicked:     make([][]*telemetry.Counter, nc),
-		hedgeSuppressed: make([][]*telemetry.Counter, nc),
-		breakerTo:       make([][][3]*telemetry.Counter, n),
-	}
-	for cl := 0; cl < nc; cl++ {
-		ins.hedgeFired[cl] = make([]*telemetry.Counter, n)
-		ins.hedgeKicked[cl] = make([]*telemetry.Counter, n)
-		ins.hedgeSuppressed[cl] = make([]*telemetry.Counter, n)
-	}
-	ins.stream = stream.ReaderMetrics{
-		PrefetchLaunched: reg.Counter("stream_prefetch_launched_total"),
-		PrefetchHits:     reg.Counter("stream_prefetch_hits_total"),
-		PrefetchAborted:  reg.Counter("stream_prefetch_aborted_total"),
-		Window:           reg.Gauge("stream_readahead_window"),
-		Inflight:         reg.Gauge("stream_prefetch_inflight"),
+		rpc:         make([][]rpcInstruments, len(names)),
+		rpcInflight: make([]*telemetry.Gauge, len(names)),
+		stream: stream.ReaderMetrics{
+			PrefetchLaunched: reg.Counter("stream_prefetch_launched_total"),
+			PrefetchHits:     reg.Counter("stream_prefetch_hits_total"),
+			PrefetchAborted:  reg.Counter("stream_prefetch_aborted_total"),
+			Window:           reg.Gauge("stream_readahead_window"),
+			Inflight:         reg.Gauge("stream_prefetch_inflight"),
+		},
 	}
 	for i, cn := range names {
-		ins.rpcOK[i] = make([]*telemetry.Counter, nc)
-		ins.rpcErr[i] = make([]*telemetry.Counter, nc)
-		ins.rpcCancel[i] = make([]*telemetry.Counter, nc)
-		ins.rpcLat[i] = make([]*telemetry.Histogram, nc)
-		ins.retries[i] = make([]*telemetry.Counter, nc)
-		ins.breakerSkip[i] = make([]*telemetry.Counter, nc)
-		ins.breakerTo[i] = make([][3]*telemetry.Counter, nc)
 		ins.rpcInflight[i] = reg.Gauge(telemetry.Name("rpc_inflight", "cloud", cn))
+		ins.rpc[i] = make([]rpcInstruments, len(opClassNames))
 		for cl, op := range opClassNames {
-			ins.rpcOK[i][cl] = reg.Counter(telemetry.Name("rpc_total", "cloud", cn, "op", op, "outcome", "ok"))
-			ins.rpcErr[i][cl] = reg.Counter(telemetry.Name("rpc_total", "cloud", cn, "op", op, "outcome", "error"))
-			ins.rpcCancel[i][cl] = reg.Counter(telemetry.Name("rpc_total", "cloud", cn, "op", op, "outcome", "canceled"))
-			ins.rpcLat[i][cl] = reg.Histogram(telemetry.Name("rpc_latency_ns", "cloud", cn, "op", op))
-			ins.retries[i][cl] = reg.Counter(telemetry.Name("rpc_retries_total", "cloud", cn, "op", op))
-			ins.breakerSkip[i][cl] = reg.Counter(telemetry.Name("rpc_breaker_skipped_total", "cloud", cn, "op", op))
-			ins.hedgeFired[cl][i] = reg.Counter(telemetry.Name("hedge_fired_total", "cloud", cn, "op", op))
-			ins.hedgeKicked[cl][i] = reg.Counter(telemetry.Name("hedge_kicked_total", "cloud", cn, "op", op))
-			ins.hedgeSuppressed[cl][i] = reg.Counter(telemetry.Name("hedge_suppressed_total", "cloud", cn, "op", op))
-			ins.breakerTo[i][cl] = [3]*telemetry.Counter{
-				resilience.BreakerClosed:   reg.Counter(telemetry.Name("breaker_recovered_total", "cloud", cn, "op", op)),
-				resilience.BreakerOpen:     reg.Counter(telemetry.Name("breaker_open_total", "cloud", cn, "op", op)),
-				resilience.BreakerHalfOpen: reg.Counter(telemetry.Name("breaker_half_open_total", "cloud", cn, "op", op)),
+			counter := func(name string, kv ...string) *telemetry.Counter {
+				return reg.Counter(telemetry.Name(name, append([]string{"cloud", cn, "op", op}, kv...)...))
+			}
+			ins.rpc[i][cl] = rpcInstruments{
+				ok:              counter("rpc_total", "outcome", "ok"),
+				err:             counter("rpc_total", "outcome", "error"),
+				cancel:          counter("rpc_total", "outcome", "canceled"),
+				lat:             reg.Histogram(telemetry.Name("rpc_latency_ns", "cloud", cn, "op", op)),
+				retries:         counter("rpc_retries_total"),
+				breakerSkip:     counter("rpc_breaker_skipped_total"),
+				hedgeFired:      counter("hedge_fired_total"),
+				hedgeKicked:     counter("hedge_kicked_total"),
+				hedgeSuppressed: counter("hedge_suppressed_total"),
+				breakerTo: [3]*telemetry.Counter{
+					resilience.BreakerClosed:   counter("breaker_recovered_total"),
+					resilience.BreakerOpen:     counter("breaker_open_total"),
+					resilience.BreakerHalfOpen: counter("breaker_half_open_total"),
+				},
 			}
 		}
 	}
 	return ins
-}
-
-// counterAt indexes a possibly nil counter row; out-of-range or nil rows
-// yield a nil (no-op) counter.
-func counterAt(cs []*telemetry.Counter, i int) *telemetry.Counter {
-	if i < 0 || i >= len(cs) {
-		return nil
-	}
-	return cs[i]
 }
 
 // cloudName returns the label value of cloud i.

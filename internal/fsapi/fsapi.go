@@ -174,6 +174,10 @@ type Handle interface {
 type FileSystem interface {
 	// Open opens (or with Create, creates) a file.
 	Open(ctx context.Context, path string, flags OpenFlag) (Handle, error)
+	// WriteFile creates or truncates path and stores data as its whole
+	// contents: an open with ReadWrite|Create|Truncate, the write and the
+	// close, which an implementation may overlap where the data allow.
+	WriteFile(ctx context.Context, path string, data []byte) error
 	// Mkdir creates a directory (parents must exist).
 	Mkdir(ctx context.Context, path string) error
 	// Rmdir removes an empty directory.
@@ -195,10 +199,10 @@ type FileSystem interface {
 }
 
 // StreamChunkSize is the granularity at which the streaming helpers move
-// data through a handle: WriteFile, WriteFileFrom and ReadFileTo issue
-// operations of at most this size. Matching the streaming data plane's chunk
-// size (1 MiB) means each ReadAt of ReadFileTo over a lazily-opened large
-// file is one cloud chunk, decoded straight into the helper's buffer.
+// data through a handle: WriteFileFrom and ReadFileTo issue operations of
+// at most this size. Matching the streaming data plane's chunk size (1 MiB)
+// means each ReadAt of ReadFileTo over a lazily-opened large file is one
+// cloud chunk, decoded straight into the helper's buffer.
 const StreamChunkSize = 1 << 20
 
 // ReadFile is a convenience helper that opens, reads fully and closes. It
@@ -225,24 +229,10 @@ func ReadFile(ctx context.Context, fsys FileSystem, path string) ([]byte, error)
 	return buf[:n], nil
 }
 
-// WriteFile is a convenience helper that creates/truncates, writes and
-// closes. Data larger than one chunk is written in StreamChunkSize pieces.
+// WriteFile creates or truncates path with data as its contents and closes
+// it, durably as the file system's close is; it is fsys.WriteFile.
 func WriteFile(ctx context.Context, fsys FileSystem, path string, data []byte) error {
-	h, err := fsys.Open(ctx, path, ReadWrite|Create|Truncate)
-	if err != nil {
-		return err
-	}
-	for off := 0; off < len(data); off += StreamChunkSize {
-		end := off + StreamChunkSize
-		if end > len(data) {
-			end = len(data)
-		}
-		if _, err := h.WriteAt(ctx, data[off:end], int64(off)); err != nil {
-			h.Close(ctx)
-			return err
-		}
-	}
-	return h.Close(ctx)
+	return fsys.WriteFile(ctx, path, data)
 }
 
 // WriteFileFrom streams r into path in StreamChunkSize pieces and returns

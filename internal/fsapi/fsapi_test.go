@@ -146,6 +146,14 @@ func (f *fakeFS) Open(_ context.Context, path string, flags OpenFlag) (Handle, e
 	return &fakeHandle{fs: f, path: path}, nil
 }
 
+// WriteFile is the file system's own whole-file write, which the WriteFile
+// helper delegates to; the fake's streams through WriteFileFrom, so what the
+// helper test sees is that helper's chunking.
+func (f *fakeFS) WriteFile(ctx context.Context, path string, data []byte) error {
+	_, err := WriteFileFrom(ctx, f, path, bytes.NewReader(data))
+	return err
+}
+
 func (f *fakeFS) Mkdir(context.Context, string) error                       { return nil }
 func (f *fakeFS) Rmdir(context.Context, string) error                       { return nil }
 func (f *fakeFS) Unlink(context.Context, string) error                      { return nil }

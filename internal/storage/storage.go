@@ -109,16 +109,11 @@ type VersionSweeper interface {
 
 // VersionFootprint estimates the cloud-side cost of storing one version:
 // bytes across the charged clouds, objects created, the request counts of
-// its lifecycle, and the dollars those convert to under the backend's price
-// table. It mirrors depsky.Footprint at the storage abstraction so the
-// agent can meter cost pressure — and report spend — without knowing the
-// backend.
+// its lifecycle (depsky.Footprint), and the dollars those convert to under
+// the backend's price table, so the agent can meter cost pressure — and
+// report spend — through the storage abstraction.
 type VersionFootprint struct {
-	Bytes              int64
-	Objects            int64
-	PutRequests        int64
-	GetRequestsPerRead int64
-	DeleteRequests     int64
+	depsky.Footprint
 	// Dollars is the priced lifecycle of the version (recurring storage,
 	// one-time upload, per-read and reclamation charges).
 	Dollars pricing.Estimate
@@ -161,17 +156,18 @@ func (c *CloudOfClouds) WriteVersion(ctx context.Context, fileID, hash string, d
 // store no descriptor and fail with ErrIntegrity.
 func (c *CloudOfClouds) WriteVersionFrom(ctx context.Context, fileID, hash string, r io.Reader) error {
 	_, err := c.mgr.WriteFrom(ctx, fileID, hash, r)
-	if errors.Is(err, depsky.ErrIntegrity) {
-		return fmt.Errorf("%w: %w", ErrIntegrity, err)
-	}
-	return err
+	return backendErr(err)
 }
 
-// notVisible maps DepSky's "no such version here" onto ErrVersionNotFound,
-// the one answer the consistency-anchor loop retries.
-func notVisible(err error) error {
-	if errors.Is(err, depsky.ErrVersionNotFound) {
+// backendErr maps DepSky's answers onto this package's: "no such version
+// here" is ErrVersionNotFound, the one answer the consistency-anchor loop
+// retries, and a failed integrity check is ErrIntegrity.
+func backendErr(err error) error {
+	switch {
+	case errors.Is(err, depsky.ErrVersionNotFound):
 		return ErrVersionNotFound
+	case errors.Is(err, depsky.ErrIntegrity):
+		return fmt.Errorf("%w: %w", ErrIntegrity, err)
 	}
 	return err
 }
@@ -180,10 +176,7 @@ func notVisible(err error) error {
 // against hash end to end.
 func (c *CloudOfClouds) ReadVersion(ctx context.Context, fileID, hash string) ([]byte, error) {
 	data, _, err := c.mgr.ReadMatching(ctx, fileID, hash)
-	if errors.Is(err, depsky.ErrIntegrity) {
-		return nil, fmt.Errorf("%w: %w", ErrIntegrity, err)
-	}
-	return data, notVisible(err)
+	return data, backendErr(err)
 }
 
 // DeleteVersion implements VersionedStore: the version's names are deleted
@@ -206,7 +199,7 @@ func (c *CloudOfClouds) ListVersions(ctx context.Context, fileID string) ([]stri
 func (c *CloudOfClouds) OpenVersionAt(ctx context.Context, fileID, hash string) (ReaderAtCloser, error) {
 	r, _, err := c.mgr.OpenMatching(ctx, fileID, hash)
 	if err != nil {
-		return nil, notVisible(err)
+		return nil, backendErr(err)
 	}
 	return r, nil
 }
@@ -261,13 +254,5 @@ func (c *CloudOfClouds) DeleteVersionsBatch(ctx context.Context, batch map[strin
 // DepSky cost model (see depsky.Footprint and the dollar view in
 // depsky/cost.go).
 func (c *CloudOfClouds) EstimateVersionFootprint(size int64) VersionFootprint {
-	fp := c.mgr.EstimateFootprint(size)
-	return VersionFootprint{
-		Bytes:              fp.Bytes,
-		Objects:            fp.Objects,
-		PutRequests:        fp.PutRequests,
-		GetRequestsPerRead: fp.GetRequestsPerRead,
-		DeleteRequests:     fp.DeleteRequests,
-		Dollars:            c.mgr.EstimateCost(size),
-	}
+	return VersionFootprint{Footprint: c.mgr.EstimateFootprint(size), Dollars: c.mgr.EstimateCost(size)}
 }

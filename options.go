@@ -244,14 +244,7 @@ func (c *config) build(ctx context.Context) (*core.Agent, mountTelemetry, func()
 	// (plain mounts still have CostReport).
 	var metered func() []core.ProviderSpend
 	if c.metrics {
-		metered = func() []core.ProviderSpend {
-			usage := mgr.MeteredUsage()
-			out := make([]core.ProviderSpend, len(usage))
-			for i, u := range usage {
-				out[i] = core.ProviderSpend{Provider: u.Provider, Usage: u.Usage, Dollars: u.Dollars}
-			}
-			return out
-		}
+		metered = mgr.MeteredUsage
 	}
 
 	coordination := c.coordination
