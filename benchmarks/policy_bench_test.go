@@ -115,8 +115,8 @@ func BenchmarkDepSkyHedgedRead(b *testing.B) {
 					rtt = 5 * time.Millisecond
 				}
 				for k := 0; k < 32; k++ {
-					m.Tracker().Observe(i, iopolicy.GetOp(0), rtt)
-					m.Tracker().Observe(i, iopolicy.GetOp(256<<10), rtt)
+					m.Scoreboard().Record(i, iopolicy.GetOp(0), rtt, nil)
+					m.Scoreboard().Record(i, iopolicy.GetOp(256<<10), rtt, nil)
 				}
 			}
 			ctx := bg

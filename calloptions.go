@@ -102,7 +102,7 @@ func WithWriteHedgeDelayBounds(min, max time.Duration) CallOption {
 // quorum-certified to readers.
 //
 // Raise MinDelay via WithWriteHedgeDelayBounds to keep spares parked
-// through upload jitter; a cold tracker hedges almost immediately,
+// through upload jitter; a cold scoreboard hedges almost immediately,
 // degrading gracefully to the full fan-out.
 func WithWriteHedge(percentile float64) CallOption {
 	return func(p *IOPolicy) { p.WriteHedge.Percentile = percentile }

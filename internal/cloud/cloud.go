@@ -106,13 +106,13 @@ func (u *Usage) Add(other Usage) {
 }
 
 // Sentinel errors shared by all object-store implementations. They fall in
-// two classes the resilience layer (internal/resilience) tells apart:
-// transient errors describe the provider's moment (an outage passes, a
-// throttle clears) and are worth retrying with backoff; permanent errors
-// describe the request (the object is absent, the ACL forbids it) and no
-// retry can change the answer. Implementations should wrap the sentinels
-// (%w) with provider context rather than replace them, so errors.Is keeps
-// classifying through the chain.
+// two classes that the dispatch's retries and breakers (internal/iopolicy)
+// tell apart: transient errors describe the provider's moment (an outage
+// passes, a throttle clears) and are worth retrying with backoff; permanent
+// errors describe the request (the object is absent, the ACL forbids it)
+// and no retry can change the answer. Implementations should wrap the
+// sentinels (%w) with provider context rather than replace them, so
+// errors.Is keeps classifying through the chain.
 var (
 	// ErrNotFound is returned when the object does not exist or is not yet
 	// visible (eventual consistency). Permanent for the RPC: the read loop

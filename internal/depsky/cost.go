@@ -6,7 +6,7 @@ package depsky
 // cloud-of-clouds is practical because DepSky-CA's dollars stay within ~2x
 // of a single cloud). Estimates charge the mean rate card across the n
 // clouds — which n-f subset actually holds a version depends on the write
-// hedge and the tracker state at write time, and an estimate that stable is
+// hedge and the scoreboard at write time, and an estimate that stable is
 // worth more to the cost report and the garbage collector's reclaim figures
 // than one that drifts with provider weather.
 

@@ -57,7 +57,6 @@ import (
 	"scfs/internal/erasure"
 	"scfs/internal/iopolicy"
 	"scfs/internal/pricing"
-	"scfs/internal/resilience"
 	"scfs/internal/seccrypto"
 	"scfs/internal/stream"
 	"scfs/internal/telemetry"
@@ -233,10 +232,11 @@ type Options struct {
 	// gauges price each cloud's usage. The zero Table prices every provider
 	// with pricing.DefaultRates.
 	Pricing pricing.Table
-	// Breakers tunes the per-(cloud, direction) circuit breakers fed by
-	// every per-cloud RPC. The zero value enables them with the default
-	// threshold and cooldown; see resilience.BreakerPolicy.
-	Breakers resilience.BreakerPolicy
+	// Breakers tunes the per-(cloud, direction) circuit breakers of the
+	// manager's scoreboard, fed by every per-cloud RPC attempt. The zero
+	// value keeps the default threshold and cooldown; see
+	// iopolicy.BreakerPolicy.
+	Breakers iopolicy.BreakerPolicy
 	// Metrics, when non-nil, receives the dispatch layer's counters and
 	// latency histograms: per-(cloud, op-class) RPC outcomes, hedge
 	// fire/suppress/kick, retry attempts, breaker skips and transitions,
@@ -258,8 +258,7 @@ type Options struct {
 type Manager struct {
 	opts       Options
 	coder      *erasure.Coder
-	tracker    *iopolicy.Tracker
-	board      *resilience.Board
+	score      *iopolicy.Scoreboard
 	rates      []pricing.Rates
 	mean       pricing.Rates // rate card averaged across the clouds
 	cloudNames []string
@@ -279,8 +278,6 @@ func New(opts Options) (*Manager, error) {
 	names := cloudLabels(opts.Clouds)
 	m := &Manager{
 		opts:       opts,
-		tracker:    iopolicy.NewTracker(len(opts.Clouds)),
-		board:      resilience.NewBoard(len(opts.Clouds), opts.Breakers),
 		rates:      rates,
 		mean:       meanRates(rates),
 		cloudNames: names,
@@ -291,14 +288,10 @@ func New(opts Options) (*Manager, error) {
 	if m.coder, err = erasure.New(m.witnessSize(), m.N()-m.witnessSize()); err != nil {
 		return nil, fmt.Errorf("depsky: building erasure coder: %w", err)
 	}
+	m.score = iopolicy.NewScoreboard(m.N(), opts.Breakers, func(cloud int, class iopolicy.OpClass, _, to iopolicy.BreakerState) {
+		m.ins.at(cloud, class).breakerTo[to].Inc()
+	})
 	if m.ins != nil {
-		if m.board != nil {
-			ins := m.ins
-			m.board.SetObserver(func(cloud, class int, _, to resilience.BreakerState) {
-				ins.at(cloud, class).breakerTo[to].Inc()
-			})
-		}
-		m.tracker.SetObservationCounter(opts.Metrics.Counter("tracker_observations_total"))
 		m.registerUsageGauges(opts.Metrics)
 	}
 	return m, nil

@@ -5,11 +5,12 @@ package depsky
 // Every exchange with the clouds is a round — the same request put to all n
 // of them, each answer handed to a collector that stops at its verdict. There
 // are four (the descriptor read, the head read, the quorum write, the chunk
-// fetch) and startRound owns what they share: the policy, the gate, the context whose
-// cancellation aborts the losers, a goroutine per cloud, the resilience layer
-// around each RPC (resilient.go) and its trace span. A caller supplies its
-// per-cloud request and keeps only its verdict: f+1 identical descriptors;
-// n-f answers; n-f acks or f+1 failures; the first successful decode.
+// fetch) and startRound owns what they share: the policy, the gate, the
+// context whose cancellation aborts the losers, a goroutine per cloud, the
+// retry and breaker handling around each RPC (resilient.go) and its trace
+// span. A caller supplies its per-cloud request and keeps only its verdict:
+// f+1 identical descriptors; n-f answers; n-f acks or f+1 failures; the
+// first successful decode.
 //
 // Hedged dispatch. A full fan-out contacts all n clouds the moment it starts;
 // first-quorum-wins cancellation then aborts the losers, which bounds the
@@ -25,9 +26,9 @@ package depsky
 // bytes and PUT fees at the spare clouds.
 //
 // The preferred set is the head of one ranking: the call's pinned preference
-// order if it sets one, otherwise the tracker's fastest-first order with the
-// clouds the breakers suspect moved to the back (Basil's rule: fastest quorum
-// first, suspects last).
+// order if it sets one, otherwise the order of the per-cloud scoreboard
+// (iopolicy.Scoreboard): fastest first, with the clouds its breakers suspect
+// moved to the back (Basil's rule: fastest quorum first, suspects last).
 //
 // The gate is policy-driven (iopolicy.Policy carried by the operation's
 // context); with no hedge policy it is inert and dispatch stays the
@@ -40,7 +41,6 @@ import (
 
 	"scfs/internal/cloud"
 	"scfs/internal/iopolicy"
-	"scfs/internal/resilience"
 	"scfs/internal/seccrypto"
 	"scfs/internal/telemetry"
 )
@@ -99,9 +99,10 @@ type round[T any] struct {
 // every cloud, and parse (nil: the answer carries nothing) turns cloud i's
 // answer into the round's value on that cloud's goroutine, outside the
 // timed and recorded RPC — an unusable answer is the caller's finding, not
-// the cloud's failure to respond. kind names the round's trace spans, op is
-// the tracker and breaker class of one request, and need is how many clouds
-// a hedged round contacts at once: the fewest whose answers can decide it.
+// the cloud's failure to respond. kind names the round's trace spans, op
+// picks the scoreboard series and breaker of one request, and need is how
+// many clouds a hedged round contacts at once: the fewest whose answers can
+// decide it.
 //
 // Under a hedge policy (Policy.Hedge for a GET round, Policy.WriteHedge for
 // a PUT round) only the need preferred clouds — the head of rankClouds — are
@@ -146,41 +147,40 @@ func startRound[T any](ctx context.Context, m *Manager, kind string, op iopolicy
 	return round[T]{outcomes: outcomes, kick: gate.kick, cancel: cancel}
 }
 
-// observeRPC feeds the per-cloud latency tracker and the metrics registry
-// with the outcome of one RPC attempt of the given class and payload size.
-// Only successes reach the tracker (and the latency histogram): failures
-// return fast and would make a broken cloud look attractive. The counters
-// see every attempt, split by outcome — cancellations (quorum verdicts
-// cutting down stragglers) are kept apart from provider errors. A traced
-// attempt attaches its trace ID to the latency bucket it lands in, linking
-// the histogram's tail to the flight-recorded trace that explains it.
-func (m *Manager) observeRPC(ctx context.Context, i int, op iopolicy.Op, start time.Time, err error) {
-	d := time.Since(start)
-	if err == nil {
-		m.tracker.Observe(i, op, d)
-	}
-	ins := m.ins.at(i, breakerClass(op))
+// observeRPC files the outcome of one RPC attempt of the given class and
+// payload size, which took d: once on the scoreboard (latency on success,
+// breaker always), once in the metrics registry. Only successes reach the
+// latency histogram: failures return fast and would make a broken cloud
+// look attractive. The counters see every attempt, split by outcome —
+// cancellations (quorum verdicts cutting down stragglers) are kept apart
+// from provider errors. A traced attempt attaches its trace ID to the
+// latency bucket it lands in, linking the histogram's tail to the
+// flight-recorded trace that explains it.
+func (m *Manager) observeRPC(ctx context.Context, i int, op iopolicy.Op, d time.Duration, err error) {
+	m.score.Record(i, op, d, err)
+	ins := m.ins.at(i, op.Class)
 	switch {
 	case err == nil:
 		ins.ok.Inc()
+		ins.observed.Inc()
 		ins.lat.ObserveExemplar(d, telemetry.FromContext(ctx).ExemplarID())
-	case resilience.Ignorable(err):
+	case iopolicy.Ignorable(err):
 		ins.cancel.Inc()
 	default:
 		ins.err.Inc()
 	}
 }
 
-// Tracker exposes the per-cloud latency tracker (benchmark warm-up,
-// diagnostics).
-func (m *Manager) Tracker() *iopolicy.Tracker { return m.tracker }
+// Scoreboard exposes the per-cloud latency and breaker scoreboard
+// (benchmark warm-up, diagnostics).
+func (m *Manager) Scoreboard() *iopolicy.Scoreboard { return m.score }
 
 // rankClouds orders the cloud indices for dispatching op: the policy's
-// pinned preference Order if it sets one, otherwise the tracker's
-// fastest-first ranking with the clouds the circuit-breaker scoreboard
-// suspects demoted to the back. A provider the breakers condemned is then
-// among the spares, where the quorum verdict usually arrives before its gate
-// ever releases — graceful degradation without giving up its vote.
+// pinned preference Order if it sets one, otherwise the scoreboard's
+// fastest-first ranking with the clouds its breakers suspect demoted to the
+// back. A provider the breakers condemned is then among the spares, where
+// the quorum verdict usually arrives before its gate ever releases —
+// graceful degradation without giving up its vote.
 func (m *Manager) rankClouds(pol iopolicy.Policy, op iopolicy.Op) []int {
 	n := m.N()
 	if pref := pol.Preference; len(pref.Order) > 0 {
@@ -199,7 +199,7 @@ func (m *Manager) rankClouds(pol iopolicy.Policy, op iopolicy.Op) []int {
 		}
 		return order
 	}
-	return m.board.Demote(m.tracker.Rank(op), breakerClass(op))
+	return m.score.Rank(op)
 }
 
 // hedgeGate gates the non-preferred clouds of one fan-out. Each per-cloud
@@ -219,7 +219,7 @@ type hedgeGate struct {
 
 	// ins and class pick the hedge counters of a cloud in this fan-out.
 	ins   *instruments
-	class int
+	class iopolicy.OpClass
 }
 
 // hedged reports whether cloud i sits behind the gate (a spare rather than a
@@ -245,10 +245,10 @@ func (m *Manager) newHedgeGate(pol iopolicy.Policy, h iopolicy.Hedge, need int, 
 		enabled: true,
 		pos:     pos,
 		need:    need,
-		delay:   m.tracker.HedgeDelay(op, h, order[:need]),
+		delay:   m.score.HedgeDelay(op, h, order[:need]),
 		kicks:   make(chan struct{}, n),
 		ins:     m.ins,
-		class:   breakerClass(op),
+		class:   op.Class,
 	}
 }
 
@@ -303,9 +303,9 @@ func (m *Manager) readNeed(p Protocol) int {
 	return m.witnessSize()
 }
 
-// blockOp is the tracker Op of fetching one stored frame of a version: a
+// blockOp is the scoreboard Op of fetching one stored frame of a version: a
 // download of roughly one erasure shard (CA) or one full replica (A). The
-// size only has to land in the right tracker bucket.
+// size only has to land in the right latency bucket.
 func (m *Manager) blockOp(protocol Protocol, plainLen int) iopolicy.Op {
 	if protocol == ProtocolA {
 		return iopolicy.GetOp(plainLen)

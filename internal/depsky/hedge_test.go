@@ -50,7 +50,7 @@ func warmTracker(m *Manager, rtts []time.Duration) {
 	for i, rtt := range rtts {
 		for k := 0; k < 20; k++ {
 			for _, op := range ops {
-				m.Tracker().Observe(i, op, rtt+time.Microsecond)
+				m.Scoreboard().Record(i, op, rtt+time.Microsecond, nil)
 			}
 		}
 	}

@@ -3,10 +3,11 @@ package depsky
 // Per-cloud resilience. Every cloud round issues its per-cloud RPCs through
 // timedCloudCall, which layers three behaviours over the bare RPC:
 //
-//   - Outcome recording: every attempt's verdict feeds the circuit-breaker
-//     scoreboard (internal/resilience.Board), one breaker per (cloud,
-//     direction). Context cancellations are ignored — quorum verdicts
-//     cancel straggler RPCs constantly and say nothing about the cloud.
+//   - Outcome recording: every attempt is recorded once on the manager's
+//     scoreboard (iopolicy.Scoreboard), which keeps a latency series and a
+//     circuit breaker per (cloud, direction). Context cancellations are
+//     ignored — quorum verdicts cancel straggler RPCs constantly and say
+//     nothing about the cloud.
 //   - Retry with backoff: when the operation's policy grants a retry
 //     budget (Policy.Retry), transient failures (outage, throttle) are
 //     retried with full-jitter exponential backoff inside that budget.
@@ -27,7 +28,6 @@ import (
 	"time"
 
 	"scfs/internal/iopolicy"
-	"scfs/internal/resilience"
 )
 
 // errBreakerSkipped is the outcome of a cloud that a fail-fast operation
@@ -35,44 +35,29 @@ import (
 // retried) and counts as that cloud's failure in the quorum math.
 var errBreakerSkipped = errors.New("depsky: cloud skipped by open circuit breaker")
 
-// retryFor converts the policy's retry knobs into a resilience budget.
-func retryFor(pol iopolicy.Policy) resilience.RetryPolicy {
-	return resilience.RetryPolicy{
-		MaxAttempts: pol.Retry.MaxAttempts,
-		Backoff:     resilience.Backoff{Base: pol.Retry.BackoffBase},
-	}
-}
-
-// breakerClass maps a tracker Op onto the board's class axis: breakers are
-// kept per direction (GET/PUT), matching how providers actually fail —
-// a throttled ingress path says little about egress health.
-func breakerClass(op iopolicy.Op) int { return int(op.Class) }
-
-// timedCloudCall issues one logical per-cloud RPC under the resilience layer:
-// fn performs a single attempt against cloud i. The returned error is the
-// last attempt's (or errBreakerSkipped when fail-fast refused the cloud).
-// Every attempt is recorded on the scoreboard and, on success, its duration
-// feeds the latency tracker, so hedge delays and fastest-first rankings keep
-// learning through retries.
+// timedCloudCall issues one logical per-cloud RPC under the policy's retry
+// budget and breaker mode: fn performs a single attempt against cloud i. The
+// returned error is the last attempt's (or errBreakerSkipped when fail-fast
+// refused the cloud). Every attempt is recorded on the scoreboard, so hedge
+// delays, fastest-first rankings and breakers keep learning through
+// retries.
 func (m *Manager) timedCloudCall(ctx context.Context, pol iopolicy.Policy, i int, op iopolicy.Op, fn func(context.Context) error) error {
-	class := breakerClass(op)
-	ins := m.ins.at(i, class)
-	if pol.Breaker == iopolicy.BreakerFailFast && !m.board.Admit(i, class) {
+	ins := m.ins.at(i, op.Class)
+	if pol.Breaker == iopolicy.BreakerFailFast && !m.score.Admit(i, op) {
 		ins.breakerSkip.Inc()
 		return errBreakerSkipped
 	}
-	retry := retryFor(pol)
-	if retry.Enabled() && m.board.Suspected(i, class) {
+	retry := pol.Retry
+	if retry.Enabled() && m.score.Suspected(i, op) {
 		// No budget for a suspected cloud: one probe-like attempt only.
-		retry = resilience.RetryPolicy{}
+		retry = iopolicy.Retry{}
 	}
 	return retry.Do(ctx, func(ctx context.Context) error {
 		start := time.Now()
 		err := fn(ctx)
-		m.observeRPC(ctx, i, op, start, err)
+		m.observeRPC(ctx, i, op, time.Since(start), err)
 		return err
-	}, func(attempt int, err error) {
-		m.board.Record(i, class, err)
+	}, func(attempt int, _ error) {
 		if attempt > 0 {
 			ins.retries.Inc()
 		}

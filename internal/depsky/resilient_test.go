@@ -8,7 +8,6 @@ import (
 
 	"scfs/internal/cloudsim"
 	"scfs/internal/iopolicy"
-	"scfs/internal/resilience"
 )
 
 // retryPol grants every RPC a small no-delay retry budget.
@@ -50,7 +49,7 @@ func TestRetryBudgetBoundsIssuedRPCs(t *testing.T) {
 	m, providers, _ := hedgeManager(t, make([]time.Duration, 4), Options{
 		// Large threshold so the breaker never opens and every attempt is
 		// genuinely issued (an open breaker would cut the budget to 1).
-		Breakers: resilience.BreakerPolicy{FailureThreshold: 1000},
+		Breakers: iopolicy.BreakerPolicy{FailureThreshold: 1000},
 	})
 	data := bytes.Repeat([]byte{0x42}, 8<<10)
 	baseline := runtime.NumGoroutine()
@@ -90,11 +89,11 @@ func TestRetryNeverRetriesPermanentErrors(t *testing.T) {
 	}
 }
 
-// openBreaker drives cloud i's GET breaker open by recording transient
+// openBreaker drives cloud i's breaker for op open by recording transient
 // failures straight onto the scoreboard.
-func openBreaker(m *Manager, i int, class iopolicy.OpClass, n int) {
+func openBreaker(m *Manager, i int, op iopolicy.Op, n int) {
 	for k := 0; k < n; k++ {
-		m.board.Record(i, int(class), cloudsimUnavailable)
+		m.score.Record(i, op, 0, cloudsimUnavailable)
 	}
 }
 
@@ -110,11 +109,11 @@ var cloudsimUnavailable = func() error {
 // breaker, and subsequent fan-outs demote it out of the preferred set —
 // while reads and writes keep succeeding (availability is never traded).
 func TestBreakerOpensAndDemotes(t *testing.T) {
-	// Cloud 0 is by far the fastest, so the tracker ranks it first; only the
+	// Cloud 0 is by far the fastest, so its latency ranks it first; only the
 	// breaker demotion can move it to the back.
 	rtts := []time.Duration{time.Millisecond, 20 * time.Millisecond, 20 * time.Millisecond, 20 * time.Millisecond}
 	m, providers, _ := hedgeManager(t, rtts, Options{
-		Breakers: resilience.BreakerPolicy{FailureThreshold: 2, Cooldown: time.Hour},
+		Breakers: iopolicy.BreakerPolicy{FailureThreshold: 2, Cooldown: time.Hour},
 	})
 	warmTracker(m, rtts)
 	data := bytes.Repeat([]byte{0x77}, 8<<10)
@@ -128,7 +127,7 @@ func TestBreakerOpensAndDemotes(t *testing.T) {
 			t.Fatalf("read %d with one downed cloud: %v", k, err)
 		}
 	}
-	if !m.board.Suspected(0, int(iopolicy.OpGet)) {
+	if !m.score.Suspected(0, iopolicy.GetOp(0)) {
 		t.Fatal("repeated failures did not open the GET breaker")
 	}
 	// The dispatch ranking now puts cloud 0 last regardless of latency.
@@ -148,13 +147,13 @@ func TestBreakerOpensAndDemotes(t *testing.T) {
 // quorum still assembles from the healthy rest.
 func TestBreakerFailFastSkipsSuspectedCloud(t *testing.T) {
 	m, providers, _ := hedgeManager(t, make([]time.Duration, 4), Options{
-		Breakers: resilience.BreakerPolicy{FailureThreshold: 1, Cooldown: time.Hour},
+		Breakers: iopolicy.BreakerPolicy{FailureThreshold: 1, Cooldown: time.Hour},
 	})
 	data := bytes.Repeat([]byte{0x3C}, 8<<10)
 	if _, err := m.Write(bg, "u", data); err != nil {
 		t.Fatal(err)
 	}
-	openBreaker(m, 0, iopolicy.OpGet, 2)
+	openBreaker(m, 0, iopolicy.GetOp(0), 2)
 
 	before := providers[0].TotalRequests()
 	ctx := hedgeCtx(iopolicy.Policy{Breaker: iopolicy.BreakerFailFast})
@@ -171,7 +170,7 @@ func TestBreakerFailFastSkipsSuspectedCloud(t *testing.T) {
 // the cloud serves traffic again.
 func TestBreakerRecoveryReadmitsCloud(t *testing.T) {
 	m, providers, _ := hedgeManager(t, make([]time.Duration, 4), Options{
-		Breakers: resilience.BreakerPolicy{FailureThreshold: 1, Cooldown: 30 * time.Millisecond},
+		Breakers: iopolicy.BreakerPolicy{FailureThreshold: 1, Cooldown: 30 * time.Millisecond},
 	})
 	data := bytes.Repeat([]byte{0x9D}, 8<<10)
 	if _, err := m.Write(bg, "u", data); err != nil {
@@ -181,7 +180,7 @@ func TestBreakerRecoveryReadmitsCloud(t *testing.T) {
 	if _, _, err := m.Read(bg, "u"); err != nil {
 		t.Fatal(err)
 	}
-	if m.board.State(0, int(iopolicy.OpGet)) != resilience.BreakerOpen {
+	if !m.score.Suspected(0, iopolicy.GetOp(0)) {
 		t.Fatal("breaker did not open")
 	}
 
@@ -190,8 +189,9 @@ func TestBreakerRecoveryReadmitsCloud(t *testing.T) {
 	if _, _, err := m.Read(bg, "u"); err != nil {
 		t.Fatal(err)
 	}
-	// The healed cloud answered its probe; the breaker must be closed again.
-	if st := m.board.State(0, int(iopolicy.OpGet)); st != resilience.BreakerClosed {
-		t.Fatalf("breaker state after successful probe = %v, want closed", st)
+	// The healed cloud answered its probe; the breaker must be closed again:
+	// a closed breaker admits every request, a half-open one only its probe.
+	if !m.score.Admit(0, iopolicy.GetOp(0)) || !m.score.Admit(0, iopolicy.GetOp(0)) {
+		t.Fatal("breaker not closed after a successful probe")
 	}
 }

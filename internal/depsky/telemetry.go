@@ -21,7 +21,6 @@ import (
 
 	"scfs/internal/cloud"
 	"scfs/internal/iopolicy"
-	"scfs/internal/resilience"
 	"scfs/internal/stream"
 	"scfs/internal/telemetry"
 )
@@ -32,7 +31,7 @@ var opClassNames = [...]string{iopolicy.OpGet: "get", iopolicy.OpPut: "put"}
 // instruments is the pre-resolved instrument set of one manager. A nil
 // *instruments disables everything.
 type instruments struct {
-	rpc         [][]rpcInstruments // [cloud][op class (breakerClass)]
+	rpc         [][]rpcInstruments // [cloud][op class]
 	rpcInflight []*telemetry.Gauge // [cloud]: round goroutines not yet delivered
 
 	// stream instruments the readahead pipeline of every chunk reader this
@@ -43,6 +42,7 @@ type instruments struct {
 // rpcInstruments are the instruments of one cloud's RPCs of one op class.
 type rpcInstruments struct {
 	ok, err, cancel, retries, breakerSkip    *telemetry.Counter
+	observed                                 *telemetry.Counter // mount-wide: latency samples on the scoreboard
 	hedgeFired, hedgeKicked, hedgeSuppressed *telemetry.Counter
 	lat                                      *telemetry.Histogram
 	breakerTo                                [3]*telemetry.Counter // transitions into each state
@@ -53,7 +53,7 @@ type rpcInstruments struct {
 var noInstruments rpcInstruments
 
 // at returns the instruments of cloud i's RPCs of class.
-func (ins *instruments) at(i, class int) *rpcInstruments {
+func (ins *instruments) at(i int, class iopolicy.OpClass) *rpcInstruments {
 	if ins == nil {
 		return &noInstruments
 	}
@@ -96,15 +96,16 @@ func newInstruments(reg *telemetry.Registry, names []string) *instruments {
 				err:             counter("rpc_total", "outcome", "error"),
 				cancel:          counter("rpc_total", "outcome", "canceled"),
 				lat:             reg.Histogram(telemetry.Name("rpc_latency_ns", "cloud", cn, "op", op)),
+				observed:        reg.Counter("tracker_observations_total"),
 				retries:         counter("rpc_retries_total"),
 				breakerSkip:     counter("rpc_breaker_skipped_total"),
 				hedgeFired:      counter("hedge_fired_total"),
 				hedgeKicked:     counter("hedge_kicked_total"),
 				hedgeSuppressed: counter("hedge_suppressed_total"),
 				breakerTo: [3]*telemetry.Counter{
-					resilience.BreakerClosed:   counter("breaker_recovered_total"),
-					resilience.BreakerOpen:     counter("breaker_open_total"),
-					resilience.BreakerHalfOpen: counter("breaker_half_open_total"),
+					iopolicy.BreakerClosed:   counter("breaker_recovered_total"),
+					iopolicy.BreakerOpen:     counter("breaker_open_total"),
+					iopolicy.BreakerHalfOpen: counter("breaker_half_open_total"),
 				},
 			}
 		}
@@ -145,7 +146,7 @@ func spanOutcome(err error) telemetry.SpanOutcome {
 		return telemetry.SpanOK
 	case err == errBreakerSkipped:
 		return telemetry.SpanBreakerSkipped
-	case resilience.Ignorable(err):
+	case iopolicy.Ignorable(err):
 		return telemetry.SpanCanceled
 	default:
 		return telemetry.SpanError

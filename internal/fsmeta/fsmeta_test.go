@@ -231,27 +231,3 @@ func TestPNSEncodeDecodeRoundTrip(t *testing.T) {
 		}
 	}
 }
-
-func TestSizingEstimateMatchesPaperNumbers(t *testing.T) {
-	// §2.7: 1M files, 5% shared, ~1KB tuples -> ~1GB without PNS, a little
-	// more than 50MB with PNS.
-	without, with := SizingEstimate(1_000_000, 0.05, 1024, 1000)
-	if without != 1024*1_000_000 {
-		t.Fatalf("without PNS = %d bytes", without)
-	}
-	if with < 50_000_000 || with > 60_000_000 {
-		t.Fatalf("with PNS = %d bytes, expected a little over 50MB", with)
-	}
-	if ratio := float64(without) / float64(with); ratio < 15 {
-		t.Fatalf("PNS saving ratio = %.1f, expected >15x", ratio)
-	}
-	// Clamping.
-	w1, _ := SizingEstimate(10, -1, 1024, 1)
-	if w1 != 10*1024 {
-		t.Fatal("negative shared fraction not clamped")
-	}
-	_, w2 := SizingEstimate(10, 2, 1024, 1)
-	if w2 != 10*1024+1024 {
-		t.Fatalf("shared fraction above 1 not clamped: %d", w2)
-	}
-}

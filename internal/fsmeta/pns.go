@@ -166,21 +166,3 @@ func DecodePNS(b []byte) (*PNS, error) {
 	}
 	return p, nil
 }
-
-// SizingEstimate reports the coordination-service footprint with and without
-// PNSs for a population of totalFiles of which sharedFraction (0..1) are
-// shared, assuming tupleBytes per metadata tuple. It reproduces the sizing
-// argument of §2.7 (1M files, 5% shared, 1KB tuples: ~1GB without PNS vs a
-// little more than 50MB with PNS).
-func SizingEstimate(totalFiles int, sharedFraction float64, tupleBytes int, users int) (withoutPNS, withPNS int64) {
-	if sharedFraction < 0 {
-		sharedFraction = 0
-	}
-	if sharedFraction > 1 {
-		sharedFraction = 1
-	}
-	shared := int64(float64(totalFiles) * sharedFraction)
-	withoutPNS = int64(totalFiles) * int64(tupleBytes)
-	withPNS = shared*int64(tupleBytes) + int64(users)*int64(tupleBytes)
-	return withoutPNS, withPNS
-}

@@ -94,15 +94,6 @@ func Inv(a byte) byte {
 	return expTable[255-int(logTable[a])]
 }
 
-// Exp returns the generator raised to the power n (n may be any non-negative
-// integer).
-func Exp(n int) byte {
-	if n < 0 {
-		panic("gf256: negative exponent")
-	}
-	return expTable[n%255]
-}
-
 // Pow returns a raised to the power n.
 func Pow(a byte, n int) byte {
 	if n == 0 {

@@ -83,20 +83,20 @@ func TestPlacementMerge(t *testing.T) {
 }
 
 func TestTrackerPercentileAndRank(t *testing.T) {
-	tr := NewTracker(3)
+	tr := NewScoreboard(3, BreakerPolicy{}, nil)
 	op := GetOp(0)
 	// Cloud 0: fast. Cloud 2: slow. Cloud 1: never observed.
 	for i := 0; i < 50; i++ {
-		tr.Observe(0, op, time.Millisecond)
-		tr.Observe(2, op, 10*time.Millisecond)
+		tr.Record(0, op, time.Millisecond, nil)
+		tr.Record(2, op, 10*time.Millisecond, nil)
 	}
-	if d, ok := tr.Percentile(0, op, 0.95); !ok || d != time.Millisecond {
+	if d, ok := tr.percentile(0, op, 0.95); !ok || d != time.Millisecond {
 		t.Fatalf("cloud 0 p95 = %v, %v", d, ok)
 	}
-	if _, ok := tr.Percentile(1, op, 0.95); ok {
+	if _, ok := tr.percentile(1, op, 0.95); ok {
 		t.Fatal("cloud 1 has no samples")
 	}
-	if d, ok := tr.EWMA(2, op); !ok || d < 9*time.Millisecond {
+	if d, ok := tr.ewma(2, op); !ok || d < 9*time.Millisecond {
 		t.Fatalf("cloud 2 ewma = %v, %v", d, ok)
 	}
 	rank := tr.Rank(op)
@@ -110,19 +110,19 @@ func TestTrackerPercentileAndRank(t *testing.T) {
 }
 
 func TestTrackerPercentileSpread(t *testing.T) {
-	tr := NewTracker(1)
+	tr := NewScoreboard(1, BreakerPolicy{}, nil)
 	op := GetOp(0)
 	// 90 fast samples, 10 slow: p50 must be fast, p99 slow.
 	for i := 0; i < 90; i++ {
-		tr.Observe(0, op, time.Millisecond)
+		tr.Record(0, op, time.Millisecond, nil)
 	}
 	for i := 0; i < 10; i++ {
-		tr.Observe(0, op, 100*time.Millisecond)
+		tr.Record(0, op, 100*time.Millisecond, nil)
 	}
-	if d, _ := tr.Percentile(0, op, 0.5); d != time.Millisecond {
+	if d, _ := tr.percentile(0, op, 0.5); d != time.Millisecond {
 		t.Fatalf("p50 = %v", d)
 	}
-	if d, _ := tr.Percentile(0, op, 0.99); d != 100*time.Millisecond {
+	if d, _ := tr.percentile(0, op, 0.99); d != 100*time.Millisecond {
 		t.Fatalf("p99 = %v", d)
 	}
 }
@@ -133,15 +133,15 @@ func TestTrackerPercentileSpread(t *testing.T) {
 // and a cold series borrows the nearest populated one instead of reporting
 // nothing.
 func TestTrackerSplitsByClassAndSize(t *testing.T) {
-	tr := NewTracker(2)
+	tr := NewScoreboard(2, BreakerPolicy{}, nil)
 	smallGet := GetOp(100)
 	bigPut := PutOp(4 << 20)
 	// Cloud 0: instant point GETs, terrible bulk PUTs. Cloud 1: the reverse.
 	for i := 0; i < 40; i++ {
-		tr.Observe(0, smallGet, time.Millisecond)
-		tr.Observe(0, bigPut, 200*time.Millisecond)
-		tr.Observe(1, smallGet, 50*time.Millisecond)
-		tr.Observe(1, bigPut, 20*time.Millisecond)
+		tr.Record(0, smallGet, time.Millisecond, nil)
+		tr.Record(0, bigPut, 200*time.Millisecond, nil)
+		tr.Record(1, smallGet, 50*time.Millisecond, nil)
+		tr.Record(1, bigPut, 20*time.Millisecond, nil)
 	}
 	if rank := tr.Rank(smallGet); rank[0] != 0 {
 		t.Fatalf("GET rank = %v, cloud 0 should lead", rank)
@@ -151,26 +151,26 @@ func TestTrackerSplitsByClassAndSize(t *testing.T) {
 	}
 	// The PUT series must not be polluted by the 1ms GETs: cloud 0's bulk
 	// PUT percentile stays at its own 200ms.
-	if d, ok := tr.Percentile(0, bigPut, 0.9); !ok || d != 200*time.Millisecond {
+	if d, ok := tr.percentile(0, bigPut, 0.9); !ok || d != 200*time.Millisecond {
 		t.Fatalf("bulk PUT p90 = %v, %v (want the PUT series, not the GET one)", d, ok)
 	}
 	// A cold series (medium-sized GET) falls back to the nearest populated
 	// bucket of the same class rather than reporting "no samples".
-	if d, ok := tr.EWMA(0, GetOp(1<<20)); !ok || d > 2*time.Millisecond {
+	if d, ok := tr.ewma(0, GetOp(1<<20)); !ok || d > 2*time.Millisecond {
 		t.Fatalf("cold-bucket fallback = %v, %v (want the small-GET series)", d, ok)
 	}
 	// A class with no samples at all falls back to the other class.
-	tr2 := NewTracker(1)
+	tr2 := NewScoreboard(1, BreakerPolicy{}, nil)
 	for i := 0; i < 10; i++ {
-		tr2.Observe(0, smallGet, 3*time.Millisecond)
+		tr2.Record(0, smallGet, 3*time.Millisecond, nil)
 	}
-	if d, ok := tr2.EWMA(0, PutOp(100)); !ok || d != 3*time.Millisecond {
+	if d, ok := tr2.ewma(0, PutOp(100)); !ok || d != 3*time.Millisecond {
 		t.Fatalf("cross-class fallback = %v, %v", d, ok)
 	}
 }
 
 func TestHedgeDelayClamp(t *testing.T) {
-	tr := NewTracker(2)
+	tr := NewScoreboard(2, BreakerPolicy{}, nil)
 	op := GetOp(0)
 	h := Hedge{Percentile: 0.9, MinDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond}
 	// Cold tracker: MinDelay.
@@ -178,7 +178,7 @@ func TestHedgeDelayClamp(t *testing.T) {
 		t.Fatalf("cold delay = %v", d)
 	}
 	for i := 0; i < 50; i++ {
-		tr.Observe(0, op, 50*time.Millisecond)
+		tr.Record(0, op, 50*time.Millisecond, nil)
 	}
 	// Tracked p90 of 50ms is clamped by MaxDelay.
 	if d := tr.HedgeDelay(op, h, []int{0}); d != 20*time.Millisecond {
@@ -299,32 +299,32 @@ func TestRetryAndBreakerMerge(t *testing.T) {
 
 func TestTrackerDecayRestoresSilentClouds(t *testing.T) {
 	now := time.Unix(1000, 0)
-	tr := NewTracker(2)
-	tr.SetNow(func() time.Time { return now })
+	tr := NewScoreboard(2, BreakerPolicy{}, nil)
+	tr.now = func() time.Time { return now }
 
 	// Cloud 0 was measured slow, cloud 1 fast.
 	for i := 0; i < 10; i++ {
-		tr.Observe(0, GetOp(100), 500*time.Millisecond)
-		tr.Observe(1, GetOp(100), 10*time.Millisecond)
+		tr.Record(0, GetOp(100), 500*time.Millisecond, nil)
+		tr.Record(1, GetOp(100), 10*time.Millisecond, nil)
 	}
 	if order := tr.Rank(GetOp(100)); order[0] != 1 {
 		t.Fatalf("rank = %v, want fast cloud first", order)
 	}
-	slow, _ := tr.EWMA(0, GetOp(100))
+	slow, _ := tr.ewma(0, GetOp(100))
 
 	// Within the grace period nothing changes.
 	now = now.Add(5 * time.Second)
-	if d, _ := tr.EWMA(0, GetOp(100)); d != slow {
+	if d, _ := tr.ewma(0, GetOp(100)); d != slow {
 		t.Fatalf("EWMA decayed within grace: %v -> %v", slow, d)
 	}
 
 	// Cloud 0 goes silent (demoted) while cloud 1 keeps serving traffic.
 	for i := 0; i < 90; i++ {
 		now = now.Add(time.Second)
-		tr.Observe(1, GetOp(100), 10*time.Millisecond)
+		tr.Record(1, GetOp(100), 10*time.Millisecond, nil)
 	}
-	d0, _ := tr.EWMA(0, GetOp(100))
-	d1, _ := tr.EWMA(1, GetOp(100))
+	d0, _ := tr.ewma(0, GetOp(100))
+	d1, _ := tr.ewma(1, GetOp(100))
 	if d0 >= slow {
 		t.Fatalf("stale EWMA did not decay: %v", d0)
 	}
@@ -336,8 +336,20 @@ func TestTrackerDecayRestoresSilentClouds(t *testing.T) {
 	}
 
 	// A fresh sample resumes from the true (undecayed) average.
-	tr.Observe(0, GetOp(100), 500*time.Millisecond)
-	if d, _ := tr.EWMA(0, GetOp(100)); d < 400*time.Millisecond {
+	tr.Record(0, GetOp(100), 500*time.Millisecond, nil)
+	if d, _ := tr.ewma(0, GetOp(100)); d < 400*time.Millisecond {
 		t.Fatalf("fresh sample should restore the true EWMA, got %v", d)
 	}
+}
+
+// ewma returns cloud i's staleness-discounted EWMA latency for op (with the
+// cold-series fallback) and whether any sample was available.
+func (s *Scoreboard) ewma(i int, op Op) (time.Duration, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ser := s.clouds[i].lookup(op)
+	if ser == nil {
+		return 0, false
+	}
+	return time.Duration(ser.decayedEWMA(s.now())), true
 }

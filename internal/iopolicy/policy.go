@@ -1,5 +1,5 @@
 // Package iopolicy defines the request-scoped I/O policy that travels with
-// every SCFS operation, and the latency bookkeeping that makes the policy
+// every SCFS operation, and the per-cloud scoreboard that makes the policy
 // actionable.
 //
 // A Policy says how one operation should spend the cloud-of-clouds'
@@ -8,19 +8,29 @@
 // subset first and hedge the stragglers only after a tracked latency
 // percentile elapses (Basil-style hedged reads); how many chunks a
 // sequential scan should prefetch ahead of the consumer; which clouds to
-// prefer; how many times to retry a flaking cloud.
+// prefer; how many times to retry a flaking cloud, and with what backoff;
+// whether to skip the clouds the breakers suspect.
 //
 // Policies are carried by context.Context (With/FromContext) so they flow
 // through every layer — facade, fs API, agent, quorum engine, storage —
-// without widening each signature. The companion Tracker is fed a latency
-// sample by every per-cloud RPC and answers the two questions hedged
-// dispatch asks: which clouds are currently fastest, and how long is the
-// p-th latency percentile of a preferred set.
+// without widening each signature. The companion Scoreboard is fed every
+// per-cloud RPC attempt once and keeps, per cloud and direction, the two
+// things dispatch asks about: how fast the cloud answers (a latency EWMA
+// and percentile window) and whether it is failing (a circuit breaker).
+// Real providers misbehave in patterns — throttling bursts, minutes-long
+// outages, gray slowness — and a dispatch that remembers the pattern stops
+// paying for it: transient errors retry with backoff inside their budget,
+// suspected clouds are demoted and probed instead of hammered, and a
+// recovered provider re-enters rotation after one successful probe.
 package iopolicy
 
 import (
 	"context"
+	"errors"
+	"math/rand"
 	"time"
+
+	"scfs/internal/cloud"
 )
 
 // Hedge configures hedged fan-outs: a read is first dispatched to the
@@ -35,7 +45,7 @@ type Hedge struct {
 	Percentile float64
 	// MinDelay and MaxDelay clamp the tracked delay. MaxDelay of 0 means
 	// uncapped. With no samples yet the delay falls back to MinDelay, so a
-	// cold tracker hedges (almost) immediately rather than stalling.
+	// cold scoreboard hedges (almost) immediately rather than stalling.
 	MinDelay time.Duration
 	MaxDelay time.Duration
 }
@@ -80,6 +90,98 @@ func (r Retry) IsZero() bool { return r == Retry{} }
 
 // Enabled reports whether the budget grants any retries.
 func (r Retry) Enabled() bool { return r.MaxAttempts > 1 }
+
+// retryable reports whether err describes a transient provider condition
+// worth retrying: outages pass and throttles clear, but a missing object
+// stays missing and a denied ACL stays denied no matter how often the same
+// request is repeated. Context errors are never retryable — the caller's
+// context governs the operation, and retrying a cancelled request would
+// outlive the caller's interest in it.
+func retryable(err error) bool {
+	if err == nil || Ignorable(err) {
+		return false
+	}
+	return errors.Is(err, cloud.ErrUnavailable) || errors.Is(err, cloud.ErrThrottled)
+}
+
+// Ignorable reports whether err says nothing about the provider's health:
+// context errors are the caller's doing (quorum verdicts cancel straggler
+// RPCs constantly — charging those to the cloud would open every breaker
+// on a healthy deployment).
+func Ignorable(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
+// Backoff between attempts grows by backoffFactor per retry up to
+// backoffCap times BackoffBase, with full jitter (each delay is uniform in
+// [0, d]). Full jitter is the variant that best de-correlates a thundering
+// herd of retriers — exactly the failure mode of a quorum system where
+// every client notices an outage at the same moment.
+const (
+	backoffFactor = 2
+	backoffCap    = 16
+)
+
+// jitterNow draws the full-jitter delay for a cap d. Package-level so tests
+// can pin it; the default is uniform in [0, d].
+var jitterNow = func(d time.Duration) time.Duration {
+	if d <= 0 {
+		return 0
+	}
+	return time.Duration(rand.Int63n(int64(d) + 1))
+}
+
+// delay returns the jittered delay before retry attempt number `attempt`
+// (0 = the delay after the first failure).
+func (r Retry) delay(attempt int) time.Duration {
+	if r.BackoffBase <= 0 {
+		return 0
+	}
+	d, ceiling := r.BackoffBase, backoffCap*r.BackoffBase
+	for i := 0; i < attempt && d < ceiling; i++ {
+		d *= backoffFactor
+	}
+	return jitterNow(min(d, ceiling))
+}
+
+// sleep pauses for the attempt's jittered delay, returning ctx.Err() early
+// when the context is cancelled: a retry loop never outlives its caller.
+func (r Retry) sleep(ctx context.Context, attempt int) error {
+	d := r.delay(attempt)
+	if d <= 0 {
+		return ctx.Err()
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-t.C:
+		return nil
+	}
+}
+
+// Do runs fn under the retry budget: transient failures are retried with
+// jittered backoff until the budget or the context runs out; permanent
+// failures and successes return immediately. The per-attempt observer (nil
+// ok) sees every outcome with its attempt number (0 = the first try).
+func (r Retry) Do(ctx context.Context, fn func(context.Context) error, observe func(int, error)) error {
+	attempts := max(r.MaxAttempts, 1)
+	var err error
+	for attempt := 0; attempt < attempts; attempt++ {
+		err = fn(ctx)
+		if observe != nil {
+			observe(attempt, err)
+		}
+		if !retryable(err) || attempt == attempts-1 {
+			return err
+		}
+		if r.sleep(ctx, attempt) != nil {
+			return err // the caller's context ended: report the RPC error
+		}
+	}
+	return err
+}
 
 // BreakerMode selects how an operation consumes the per-(cloud, op-class)
 // circuit-breaker scoreboard. The zero value is unset and behaves as

@@ -1,4 +1,4 @@
-package resilience
+package iopolicy
 
 import (
 	"context"
@@ -29,8 +29,8 @@ func TestRetryableClassification(t *testing.T) {
 		{errors.New("mystery"), false},
 	}
 	for _, c := range cases {
-		if got := Retryable(c.err); got != c.want {
-			t.Errorf("Retryable(%v) = %v, want %v", c.err, got, c.want)
+		if got := retryable(c.err); got != c.want {
+			t.Errorf("retryable(%v) = %v, want %v", c.err, got, c.want)
 		}
 	}
 	if !Ignorable(context.Canceled) || !Ignorable(fmt.Errorf("x: %w", context.DeadlineExceeded)) {
@@ -42,12 +42,12 @@ func TestRetryableClassification(t *testing.T) {
 }
 
 func TestBackoffDelayBounds(t *testing.T) {
-	b := Backoff{Base: 10 * time.Millisecond, Max: 80 * time.Millisecond, Factor: 2}
-	caps := []time.Duration{10, 20, 40, 80, 80, 80} // ms
+	b := Retry{BackoffBase: 10 * time.Millisecond}
+	caps := []time.Duration{10, 20, 40, 80, 160, 160, 160} // ms: 2x growth, 16x cap
 	for attempt, capMs := range caps {
 		cap := capMs * time.Millisecond
 		for i := 0; i < 50; i++ {
-			d := b.Delay(attempt)
+			d := b.delay(attempt)
 			if d < 0 || d > cap {
 				t.Fatalf("attempt %d: delay %v outside [0, %v]", attempt, d, cap)
 			}
@@ -56,10 +56,10 @@ func TestBackoffDelayBounds(t *testing.T) {
 }
 
 func TestBackoffDelayJitters(t *testing.T) {
-	b := Backoff{Base: time.Second}
+	b := Retry{BackoffBase: time.Second}
 	seen := map[time.Duration]bool{}
 	for i := 0; i < 32; i++ {
-		seen[b.Delay(3)] = true
+		seen[b.delay(3)] = true
 	}
 	if len(seen) < 2 {
 		t.Fatal("full jitter produced a constant delay")
@@ -67,25 +67,25 @@ func TestBackoffDelayJitters(t *testing.T) {
 }
 
 func TestBackoffZeroBase(t *testing.T) {
-	var b Backoff
+	var b Retry
 	for attempt := 0; attempt < 4; attempt++ {
-		if d := b.Delay(attempt); d != 0 {
+		if d := b.delay(attempt); d != 0 {
 			t.Fatalf("zero backoff slept %v", d)
 		}
 	}
 }
 
 func TestBackoffSleepHonoursContext(t *testing.T) {
-	b := Backoff{Base: time.Hour, Max: time.Hour}
+	b := Retry{BackoffBase: time.Hour}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := b.Sleep(ctx, 0); !errors.Is(err, context.Canceled) {
+	if err := b.sleep(ctx, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Sleep on cancelled ctx = %v, want Canceled", err)
 	}
 }
 
 func TestRetryPolicyZeroValueSingleAttempt(t *testing.T) {
-	var p RetryPolicy
+	var p Retry
 	if p.Enabled() {
 		t.Fatal("zero policy must disable retries")
 	}
@@ -100,7 +100,7 @@ func TestRetryPolicyZeroValueSingleAttempt(t *testing.T) {
 }
 
 func TestRetryPolicyRetriesTransient(t *testing.T) {
-	p := RetryPolicy{MaxAttempts: 4}
+	p := Retry{MaxAttempts: 4}
 	calls := 0
 	var seen []error
 	err := p.Do(context.Background(), func(context.Context) error {
@@ -119,7 +119,7 @@ func TestRetryPolicyRetriesTransient(t *testing.T) {
 }
 
 func TestRetryPolicyStopsOnPermanent(t *testing.T) {
-	p := RetryPolicy{MaxAttempts: 5}
+	p := Retry{MaxAttempts: 5}
 	calls := 0
 	err := p.Do(context.Background(), func(context.Context) error {
 		calls++
@@ -131,7 +131,7 @@ func TestRetryPolicyStopsOnPermanent(t *testing.T) {
 }
 
 func TestRetryPolicyExhaustsBudget(t *testing.T) {
-	p := RetryPolicy{MaxAttempts: 3}
+	p := Retry{MaxAttempts: 3}
 	calls := 0
 	err := p.Do(context.Background(), func(context.Context) error {
 		calls++
@@ -143,7 +143,7 @@ func TestRetryPolicyExhaustsBudget(t *testing.T) {
 }
 
 func TestRetryPolicyStopsWhenContextEnds(t *testing.T) {
-	p := RetryPolicy{MaxAttempts: 10, Backoff: Backoff{Base: time.Millisecond}}
+	p := Retry{MaxAttempts: 10, BackoffBase: time.Millisecond}
 	ctx, cancel := context.WithCancel(context.Background())
 	calls := 0
 	err := p.Do(ctx, func(context.Context) error {
@@ -159,152 +159,188 @@ func TestRetryPolicyStopsWhenContextEnds(t *testing.T) {
 	}
 }
 
+// state returns cloud i's breaker state for class, advanced to the
+// scoreboard's clock.
+func (s *Scoreboard) state(i int, class OpClass) BreakerState {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	br := &s.clouds[i].breakers[class]
+	s.advanceLocked(i, class, br, s.now())
+	return br.state
+}
+
+// fail records one transient failure of op against cloud i.
+func fail(s *Scoreboard, i int, op Op) { s.Record(i, op, 0, cloud.ErrUnavailable) }
+
+var get, put = GetOp(0), PutOp(0)
+
 func TestBoardOpensAfterThreshold(t *testing.T) {
-	b := NewBoard(2, BreakerPolicy{FailureThreshold: 3, Cooldown: time.Minute})
+	b := NewScoreboard(2, BreakerPolicy{FailureThreshold: 3, Cooldown: time.Minute}, nil)
 	now := time.Unix(0, 0)
-	b.SetNow(func() time.Time { return now })
+	b.now = func() time.Time { return now }
 
 	for i := 0; i < 2; i++ {
-		b.Record(0, 0, cloud.ErrUnavailable)
+		fail(b, 0, get)
 	}
-	if b.State(0, 0) != BreakerClosed {
+	if b.state(0, OpGet) != BreakerClosed {
 		t.Fatal("opened below threshold")
 	}
-	b.Record(0, 0, cloud.ErrUnavailable)
-	if b.State(0, 0) != BreakerOpen {
+	fail(b, 0, get)
+	if b.state(0, OpGet) != BreakerOpen {
 		t.Fatal("did not open at threshold")
 	}
-	if !b.Suspected(0, 0) {
+	if !b.Suspected(0, get) {
 		t.Fatal("open breaker must be suspected")
 	}
-	if b.Suspected(0, 1) || b.Suspected(1, 0) {
+	if b.Suspected(0, put) || b.Suspected(1, get) {
 		t.Fatal("failure leaked into another (cloud, class)")
 	}
-	if b.Admit(0, 0) {
+	if b.Admit(0, get) {
 		t.Fatal("open breaker admitted a request before cooldown")
 	}
 }
 
 func TestBoardSuccessResetsFailureCount(t *testing.T) {
-	b := NewBoard(1, BreakerPolicy{FailureThreshold: 3})
-	b.Record(0, 0, cloud.ErrUnavailable)
-	b.Record(0, 0, cloud.ErrUnavailable)
-	b.Record(0, 0, nil)
-	b.Record(0, 0, cloud.ErrUnavailable)
-	b.Record(0, 0, cloud.ErrUnavailable)
-	if b.State(0, 0) != BreakerClosed {
+	b := NewScoreboard(1, BreakerPolicy{FailureThreshold: 3}, nil)
+	fail(b, 0, get)
+	fail(b, 0, get)
+	b.Record(0, get, time.Millisecond, nil)
+	fail(b, 0, get)
+	fail(b, 0, get)
+	if b.state(0, OpGet) != BreakerClosed {
 		t.Fatal("success did not reset the failure streak")
 	}
 }
 
 func TestBoardPermanentErrorsAreHealthy(t *testing.T) {
-	b := NewBoard(1, BreakerPolicy{FailureThreshold: 2})
+	b := NewScoreboard(1, BreakerPolicy{FailureThreshold: 2}, nil)
 	for i := 0; i < 10; i++ {
-		b.Record(0, 0, cloud.ErrNotFound)
+		b.Record(0, get, time.Millisecond, cloud.ErrNotFound)
 	}
-	if b.State(0, 0) != BreakerClosed {
+	if b.state(0, OpGet) != BreakerClosed {
 		t.Fatal("not-found responses opened the breaker")
 	}
 }
 
 func TestBoardIgnoresContextErrors(t *testing.T) {
-	b := NewBoard(1, BreakerPolicy{FailureThreshold: 2})
+	b := NewScoreboard(1, BreakerPolicy{FailureThreshold: 2}, nil)
 	for i := 0; i < 10; i++ {
-		b.Record(0, 0, context.Canceled)
-		b.Record(0, 0, fmt.Errorf("get: %w", context.DeadlineExceeded))
+		b.Record(0, get, time.Millisecond, context.Canceled)
+		b.Record(0, get, time.Millisecond, fmt.Errorf("get: %w", context.DeadlineExceeded))
 	}
-	if b.State(0, 0) != BreakerClosed {
+	if b.state(0, OpGet) != BreakerClosed {
 		t.Fatal("quorum cancellations opened the breaker")
 	}
 }
 
 func TestBoardHalfOpenProbeCycle(t *testing.T) {
 	now := time.Unix(0, 0)
-	b := NewBoard(1, BreakerPolicy{FailureThreshold: 1, Cooldown: time.Second})
-	b.SetNow(func() time.Time { return now })
+	b := NewScoreboard(1, BreakerPolicy{FailureThreshold: 1, Cooldown: time.Second}, nil)
+	b.now = func() time.Time { return now }
 
-	b.Record(0, 0, cloud.ErrUnavailable)
-	if b.State(0, 0) != BreakerOpen {
+	fail(b, 0, get)
+	if b.state(0, OpGet) != BreakerOpen {
 		t.Fatal("did not open")
 	}
 
 	now = now.Add(2 * time.Second)
-	if b.Suspected(0, 0) {
+	if b.Suspected(0, get) {
 		t.Fatal("still suspected after cooldown")
 	}
-	if !b.Admit(0, 0) {
+	if !b.Admit(0, get) {
 		t.Fatal("half-open breaker refused the probe")
 	}
-	if b.Admit(0, 0) {
+	if b.Admit(0, get) {
 		t.Fatal("half-open breaker admitted a second concurrent probe")
 	}
 
 	// Probe fails: back to open with a fresh cooldown.
-	b.Record(0, 0, cloud.ErrUnavailable)
-	if b.State(0, 0) != BreakerOpen || b.Admit(0, 0) {
+	fail(b, 0, get)
+	if b.state(0, OpGet) != BreakerOpen || b.Admit(0, get) {
 		t.Fatal("failed probe did not reopen the breaker")
 	}
 
 	// Next cooldown, successful probe: closed for good.
 	now = now.Add(2 * time.Second)
-	if !b.Admit(0, 0) {
+	if !b.Admit(0, get) {
 		t.Fatal("second probe refused")
 	}
-	b.Record(0, 0, nil)
-	if b.State(0, 0) != BreakerClosed {
+	b.Record(0, get, time.Millisecond, nil)
+	if b.state(0, OpGet) != BreakerClosed {
 		t.Fatal("successful probe did not close the breaker")
 	}
-	if !b.Admit(0, 0) || !b.Admit(0, 0) {
+	if !b.Admit(0, get) || !b.Admit(0, get) {
 		t.Fatal("closed breaker must admit freely")
 	}
 }
 
+// TestBoardDemoteStable: the suspected clouds move to the back of the
+// ranking, and both the healthy prefix and the suspected suffix keep their
+// latency order.
 func TestBoardDemoteStable(t *testing.T) {
 	now := time.Unix(0, 0)
-	b := NewBoard(4, BreakerPolicy{FailureThreshold: 1, Cooldown: time.Hour})
-	b.SetNow(func() time.Time { return now })
-	b.Record(1, 0, cloud.ErrUnavailable)
-	b.Record(3, 0, cloud.ErrUnavailable)
+	b := NewScoreboard(4, BreakerPolicy{FailureThreshold: 1, Cooldown: time.Hour}, nil)
+	b.now = func() time.Time { return now }
+	for i, rtt := range []time.Duration{4, 3, 2, 1} { // latency order 3, 2, 1, 0
+		b.Record(i, get, rtt*time.Millisecond, nil)
+	}
+	fail(b, 1, get)
+	fail(b, 3, get)
 
-	got := b.Demote([]int{3, 2, 1, 0}, 0)
+	got := b.Rank(get)
 	want := []int{2, 0, 3, 1}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("Demote = %v, want %v", got, want)
+			t.Fatalf("Rank = %v, want %v", got, want)
 		}
 	}
 
 	// The other class is untouched.
-	got = b.Demote([]int{3, 2, 1, 0}, 1)
+	got = b.Rank(put)
 	for i, w := range []int{3, 2, 1, 0} {
 		if got[i] != w {
-			t.Fatalf("class 1 Demote = %v, want unchanged", got)
+			t.Fatalf("PUT Rank = %v, want unchanged", got)
 		}
 	}
 }
 
-func TestNilBoardIsHealthy(t *testing.T) {
-	b := NewBoard(4, BreakerPolicy{Disable: true})
-	if b != nil {
-		t.Fatal("disabled policy must yield a nil board")
+// TestRankDemotesSuspectedUntilProbeSucceeds: the cloud that is fastest by
+// EWMA but has an open breaker ranks last — through a failed probe too —
+// and it returns to its EWMA position once a probe succeeds.
+func TestRankDemotesSuspectedUntilProbeSucceeds(t *testing.T) {
+	now := time.Unix(0, 0)
+	b := NewScoreboard(4, BreakerPolicy{FailureThreshold: 1, Cooldown: time.Second}, nil)
+	b.now = func() time.Time { return now }
+	for i, rtt := range []time.Duration{1, 5, 10, 20} {
+		b.Record(i, get, rtt*time.Millisecond, nil)
 	}
-	b.Record(0, 0, cloud.ErrUnavailable)
-	if b.Suspected(0, 0) || !b.Admit(0, 0) || b.State(0, 0) != BreakerClosed {
-		t.Fatal("nil board must report healthy")
-	}
-	order := []int{2, 1, 0}
-	got := b.Demote(order, 0)
-	for i, w := range order {
-		if got[i] != w {
-			t.Fatal("nil board must not reorder")
+	wantRank := func(want ...int) {
+		t.Helper()
+		got := b.Rank(get)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("Rank = %v, want %v", got, want)
+			}
 		}
 	}
-}
+	wantRank(0, 1, 2, 3)
 
-func TestBreakerStateString(t *testing.T) {
-	if BreakerClosed.String() != "closed" || BreakerOpen.String() != "open" || BreakerHalfOpen.String() != "half-open" {
-		t.Fatal("unexpected state names")
+	fail(b, 0, get)
+	wantRank(1, 2, 3, 0)
+
+	now = now.Add(2 * time.Second) // cooldown: the probe fails
+	if !b.Admit(0, get) {
+		t.Fatal("probe refused after cooldown")
 	}
+	fail(b, 0, get)
+	wantRank(1, 2, 3, 0)
+
+	now = now.Add(2 * time.Second) // cooldown: the probe succeeds
+	if !b.Admit(0, get) {
+		t.Fatal("second probe refused")
+	}
+	b.Record(0, get, time.Millisecond, nil)
+	wantRank(0, 1, 2, 3)
 }
 
 // TestBoardObserverSeesTransitions: the telemetry hook fires once per real
@@ -312,31 +348,31 @@ func TestBreakerStateString(t *testing.T) {
 // successful probe — and never for a no-op Record.
 func TestBoardObserverSeesTransitions(t *testing.T) {
 	now := time.Unix(100, 0)
-	b := NewBoard(2, BreakerPolicy{FailureThreshold: 2, Cooldown: time.Second})
-	b.SetNow(func() time.Time { return now })
 	type tr struct {
-		cloud, class int
-		from, to     BreakerState
+		cloud    int
+		class    OpClass
+		from, to BreakerState
 	}
 	var seen []tr
-	b.SetObserver(func(cloud, class int, from, to BreakerState) {
+	b := NewScoreboard(2, BreakerPolicy{FailureThreshold: 2, Cooldown: time.Second}, func(cloud int, class OpClass, from, to BreakerState) {
 		seen = append(seen, tr{cloud, class, from, to})
 	})
+	b.now = func() time.Time { return now }
 
-	fail := fmt.Errorf("down: %w", cloud.ErrUnavailable)
-	b.Record(1, 0, nil)  // closed -> closed: no event
-	b.Record(1, 0, fail) // below threshold: no event
-	b.Record(1, 0, fail) // threshold: closed -> open
+	down := fmt.Errorf("down: %w", cloud.ErrUnavailable)
+	b.Record(1, get, time.Millisecond, nil) // closed -> closed: no event
+	b.Record(1, get, 0, down)               // below threshold: no event
+	b.Record(1, get, 0, down)               // threshold: closed -> open
 	now = now.Add(2 * time.Second)
-	if !b.Admit(1, 0) { // cooldown elapsed: open -> half-open, probe admitted
+	if !b.Admit(1, get) { // cooldown elapsed: open -> half-open, probe admitted
 		t.Fatal("probe not admitted after cooldown")
 	}
-	b.Record(1, 0, nil) // probe succeeded: half-open -> closed
+	b.Record(1, get, time.Millisecond, nil) // probe succeeded: half-open -> closed
 
 	want := []tr{
-		{1, 0, BreakerClosed, BreakerOpen},
-		{1, 0, BreakerOpen, BreakerHalfOpen},
-		{1, 0, BreakerHalfOpen, BreakerClosed},
+		{1, OpGet, BreakerClosed, BreakerOpen},
+		{1, OpGet, BreakerOpen, BreakerHalfOpen},
+		{1, OpGet, BreakerHalfOpen, BreakerClosed},
 	}
 	if len(seen) != len(want) {
 		t.Fatalf("observer saw %d transitions %v, want %d", len(seen), seen, len(want))
@@ -346,8 +382,4 @@ func TestBoardObserverSeesTransitions(t *testing.T) {
 			t.Fatalf("transition %d = %+v, want %+v", i, seen[i], want[i])
 		}
 	}
-
-	// A nil board accepts an observer without blowing up.
-	var nilBoard *Board
-	nilBoard.SetObserver(func(int, int, BreakerState, BreakerState) {})
 }

@@ -1,10 +1,10 @@
 // Package sentinelwrap enforces error-wrapping discipline at fmt.Errorf
 // call sites.
 //
-// The resilience layer classifies per-cloud failures by unwrapping to the
-// canonical internal/cloud sentinels (ErrUnavailable, ErrThrottled, ...),
-// and the facade promises errors.Is(err, fs.ErrNotExist) works through
-// every layer. Both break silently when an intermediate layer formats an
+// The dispatch's retries and breakers (internal/iopolicy) classify
+// per-cloud failures by unwrapping to the canonical internal/cloud
+// sentinels (ErrUnavailable, ErrThrottled, ...), and the facade promises
+// errors.Is(err, fs.ErrNotExist) works through every layer. Both break silently when an intermediate layer formats an
 // error with %v or %s instead of %w: the text survives, the unwrap chain
 // does not — retries stop firing, breakers stop opening, and callers start
 // string-matching. The check makes the chain mechanical: an error value

@@ -13,7 +13,6 @@ import (
 	"scfs/internal/depspace"
 	"scfs/internal/iopolicy"
 	"scfs/internal/pricing"
-	"scfs/internal/resilience"
 	"scfs/internal/storage"
 	"scfs/internal/telemetry"
 )
@@ -38,7 +37,7 @@ type config struct {
 	metadataTTL     time.Duration
 	streamThreshold int64
 	ioPolicy        iopolicy.Policy
-	breakers        resilience.BreakerPolicy
+	breakers        iopolicy.BreakerPolicy
 
 	metrics   bool
 	tracing   bool
@@ -124,15 +123,14 @@ func WithDefaultIOPolicy(opts ...CallOption) Option {
 	return func(c *config) { c.ioPolicy = applyCallOptions(c.ioPolicy, opts) }
 }
 
-// BreakerPolicy tunes the cloud-of-clouds' per-(cloud, op-class) circuit
+// BreakerPolicy tunes the cloud-of-clouds' per-(cloud, direction) circuit
 // breakers: how many consecutive transient failures mark a cloud suspected
 // and how long it stays demoted before a recovery probe. The zero value
-// keeps the defaults (4 failures, 2s cooldown); Disable mounts without
-// breakers. How a given operation treats suspected clouds is the per-call
-// WithBreaker option.
-type BreakerPolicy = resilience.BreakerPolicy
+// keeps the defaults (4 failures, 2s cooldown). How a given operation
+// treats suspected clouds is the per-call WithBreaker option.
+type BreakerPolicy = iopolicy.BreakerPolicy
 
-// WithBreakerPolicy tunes (or disables) the mount's circuit breakers.
+// WithBreakerPolicy tunes the mount's circuit breakers.
 func WithBreakerPolicy(pol BreakerPolicy) Option {
 	return func(c *config) { c.breakers = pol }
 }

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"testing"
 	"testing/fstest"
+	"time"
 
 	"scfs"
 	"scfs/internal/cloudsim"
@@ -336,6 +337,35 @@ func TestPrivateNameSpaces(t *testing.T) {
 	}
 	if got, err := scfs.ReadFile(bg, mount(t, opts...), "/private.txt"); err != nil || string(got) != "v2" {
 		t.Fatalf("a remount reads %q, %v; want v2", got, err)
+	}
+}
+
+// TestMetadataCacheTTL: with WithMetadataCacheTTL a Stat of a file the
+// mount just wrote is answered from the mount's metadata cache, with no
+// coordination access; a default mount runs with the cache off and asks
+// the coordination service once.
+func TestMetadataCacheTTL(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		opts []scfs.Option
+		want int64
+	}{
+		{"default", nil, 1},
+		{"cached", []scfs.Option{scfs.WithMetadataCacheTTL(time.Hour)}, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m := mount(t, c.opts...)
+			if err := scfs.WriteFile(bg, m, "/f", []byte("x")); err != nil {
+				t.Fatal(err)
+			}
+			before := m.Stats().CoordAccesses
+			if _, err := m.Stat(bg, "/f"); err != nil {
+				t.Fatal(err)
+			}
+			if n := m.Stats().CoordAccesses - before; n != c.want {
+				t.Fatalf("Stat took %d coordination accesses, want %d", n, c.want)
+			}
+		})
 	}
 }
 
