@@ -2,20 +2,20 @@ package scfs
 
 // Call-scoped I/O policy. A mount-wide Options struct cannot say "this read
 // is a latency-critical point lookup" or "this read is a bulk sequential
-// scan" — the policy has to travel with the call. CallOptions compose an
-// IOPolicy that is carried by the operation's context through every layer
-// (facade → fs API → agent → quorum engine → per-cloud RPCs):
+// scan" — the policy has to travel with the call. WithPolicy binds
+// CallOptions to a context, and the IOPolicy they compose is carried by
+// that context through every layer (facade → fs API → agent → quorum
+// engine → per-cloud RPCs):
 //
 //	// Hedged point read: contact the fastest quorum only, the straggler
 //	// cloud only if the 95th latency percentile elapses first.
-//	data, err := scfs.ReadFile(ctx, mount, "/idx/key", scfs.WithHedge(0.95))
+//	data, err := scfs.ReadFile(scfs.WithPolicy(ctx, scfs.WithHedge(0.95)), mount, "/idx/key")
 //
 //	// Bulk scan: prefetch up to 4 chunks ahead of the consumer.
-//	_, err = scfs.ReadFileTo(ctx, mount, "/logs/big.bin", w, scfs.WithReadahead(4))
+//	_, err = scfs.ReadFileTo(scfs.WithPolicy(ctx, scfs.WithReadahead(4)), mount, "/logs/big.bin", w)
 //
-// For APIs whose signatures cannot carry options (io/fs via IOFS, or the
-// fsapi.Handle methods), WithPolicy stamps the policy directly onto a
-// context.
+// The same context reaches every API of the mount alike: the facade
+// functions, the io/fs adapter (IOFS) and the methods of open handles.
 
 import (
 	"context"
@@ -54,9 +54,8 @@ const (
 	BreakerFailFast = iopolicy.BreakerFailFast
 )
 
-// CallOption tunes the I/O policy of a single operation. Pass CallOptions
-// to the variadic facade methods (Open, ReadFile, ...) or bind them to a
-// context with WithPolicy.
+// CallOption tunes the I/O policy of the operations run under a context;
+// bind CallOptions to one with WithPolicy.
 type CallOption func(*IOPolicy)
 
 // WithHedge makes the operation's quorum reads hedged: each fan-out
@@ -164,36 +163,23 @@ func WithRetry(maxAttempts int, backoff time.Duration) CallOption {
 // WithBreaker selects how the operation treats clouds whose circuit breaker
 // is currently open (suspected of misbehaving): BreakerDemote (default)
 // still contacts them but last, BreakerFailFast refuses to contact them at
-// all (cheapest, but their quorum slot is forfeit). An explicit
-// BreakerDemote overrides a mount-wide BreakerFailFast.
+// all (cheapest, but their quorum slot is forfeit). An inner
+// WithPolicy(ctx, WithBreaker(BreakerDemote)) clears an outer
+// BreakerFailFast.
 func WithBreaker(mode BreakerMode) CallOption {
 	return func(p *IOPolicy) { p.Breaker = mode }
 }
 
 // WithPolicy returns a context carrying the I/O policy assembled from the
-// options. Every SCFS operation run under the returned context — including
-// reads through the io/fs adapter (IOFS) and through already-open handles —
-// applies the policy; per-operation options passed to variadic facade
-// methods are overlaid on top of it.
+// options. Every SCFS operation run under the returned context — the facade
+// functions, reads through the io/fs adapter (IOFS) and through
+// already-open handles — applies the policy. Nested calls layer: the
+// options are applied over the policy ctx already carries, each setting
+// only its own fields.
 func WithPolicy(ctx context.Context, opts ...CallOption) context.Context {
-	base, _ := iopolicy.FromContext(ctx)
-	return iopolicy.With(ctx, applyCallOptions(base, opts))
-}
-
-// applyCallOptions folds opts over base.
-func applyCallOptions(base IOPolicy, opts []CallOption) IOPolicy {
+	pol := iopolicy.FromContext(ctx)
 	for _, opt := range opts {
-		opt(&base)
+		opt(&pol)
 	}
-	return base
-}
-
-// callCtx stamps the per-call options (overlaid on any policy ctx already
-// carries) onto the context handed to the layers below. With no options the
-// context is returned unchanged.
-func callCtx(ctx context.Context, opts []CallOption) context.Context {
-	if len(opts) == 0 {
-		return ctx
-	}
-	return WithPolicy(ctx, opts...)
+	return iopolicy.With(ctx, pol)
 }

@@ -92,12 +92,12 @@ func TestWriteHedgeThroughFacade(t *testing.T) {
 	m := mount(t, scfs.WithClouds(stores...))
 
 	data := bytes.Repeat([]byte{0x4F}, 32<<10)
-	err := scfs.WriteFile(bg, m, "/hedged.bin", data,
+	ctx := scfs.WithPolicy(bg,
 		scfs.WithWriteHedge(0.95),
 		scfs.WithWriteHedgeDelayBounds(10*time.Second, 0),
 		scfs.WithReadPreference(scfs.PreferClouds(0, 1, 2)),
 	)
-	if err != nil {
+	if err := scfs.WriteFile(ctx, m, "/hedged.bin", data); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(50 * time.Millisecond)

@@ -122,44 +122,16 @@ func (p *Provider) SetFaults(specs ...FaultSpec) {
 	}
 }
 
-// AddFault appends one spec to the schedule without disturbing the rest.
-func (p *Provider) AddFault(spec FaultSpec) {
-	if spec.Mode == FaultNone {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.faults = append(p.faults, &faultEntry{spec: spec, installedAt: p.clk.Now()})
-}
-
 // ClearFaults heals the provider: the whole schedule is dropped.
 func (p *Provider) ClearFaults() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.faults = p.faults[:0]
-	p.staticFault = FaultNone
 }
 
-// SetFault switches the provider to one unconditional fault mode (the
-// pre-schedule interface, kept for the many tests that flip a provider
-// wholesale). It replaces any installed schedule; FaultNone heals.
-func (p *Provider) SetFault(mode FaultMode) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.faults = p.faults[:0]
-	p.staticFault = mode
-	if mode != FaultNone {
-		p.faults = append(p.faults, &faultEntry{spec: FaultSpec{Mode: mode}, installedAt: p.clk.Now()})
-	}
-}
-
-// Fault returns the mode most recently set with SetFault (FaultNone when a
-// composite schedule is installed instead).
-func (p *Provider) Fault() FaultMode {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.staticFault
-}
+// SetFault switches the provider to one unconditional fault mode, replacing
+// any installed schedule; FaultNone heals.
+func (p *Provider) SetFault(mode FaultMode) { p.SetFaults(FaultSpec{Mode: mode}) }
 
 // beginRequest settles the fate of one incoming request against the fault
 // schedule: the first spec whose predicate fires wins. Counters advance

@@ -196,8 +196,10 @@ func TestAddAndClearFaults(t *testing.T) {
 	if err := c.Put(context.Background(), "obj", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	p.AddFault(FaultSpec{Mode: FaultUnavailable, Ops: MaskGet})
-	p.AddFault(FaultSpec{Mode: FaultThrottle, Ops: MaskPut})
+	p.SetFaults(
+		FaultSpec{Mode: FaultUnavailable, Ops: MaskGet},
+		FaultSpec{Mode: FaultThrottle, Ops: MaskPut},
+	)
 	if _, err := c.Get(context.Background(), "obj"); !errors.Is(err, cloud.ErrUnavailable) {
 		t.Fatalf("get err = %v", err)
 	}
@@ -219,16 +221,10 @@ func TestSetFaultBackwardCompatible(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.SetFault(FaultUnavailable)
-	if p.Fault() != FaultUnavailable {
-		t.Fatal("Fault() must echo SetFault")
-	}
 	if _, err := c.Get(context.Background(), "obj"); !errors.Is(err, cloud.ErrUnavailable) {
 		t.Fatalf("err = %v", err)
 	}
 	p.SetFault(FaultNone)
-	if p.Fault() != FaultNone {
-		t.Fatal("Fault() must reset")
-	}
 	if _, err := c.Get(context.Background(), "obj"); err != nil {
 		t.Fatalf("recovery must be immediate: %v", err)
 	}

@@ -148,10 +148,8 @@ type Provider struct {
 	objects  map[string]*object
 	accounts map[string]*accountState
 
-	// faults is the active fault schedule (see faults.go); staticFault
-	// remembers the last wholesale SetFault mode for the legacy getter.
-	faults      []*faultEntry
-	staticFault FaultMode
+	// faults is the active fault schedule (see faults.go).
+	faults []*faultEntry
 
 	// Counters for observability in tests/experiments.
 	totalRequests int64

@@ -221,12 +221,6 @@ type Options struct {
 	// completion instead of cancelling them at the verdict: a benchmark hook
 	// that measures the cost of redundant RPCs. Production leaves it false.
 	DisableQuorumCancel bool
-	// Policy is the manager-wide default I/O policy (hedged reads and
-	// writes, readahead, pinned cloud order, retries, breaker mode). A
-	// per-operation policy carried by the operation's context
-	// (iopolicy.With) is overlaid on top of it. The zero value keeps the
-	// immediate full fan-out and no readahead.
-	Policy iopolicy.Policy
 	// Pricing maps each cloud's provider name to its price card; the cost
 	// model converts footprints into dollars with it, and the metered spend
 	// gauges price each cloud's usage. The zero Table prices every provider

@@ -45,15 +45,6 @@ import (
 	"scfs/internal/telemetry"
 )
 
-// policyFor resolves the effective I/O policy of one operation: the
-// manager's default overlaid with whatever policy the context carries.
-func (m *Manager) policyFor(ctx context.Context) iopolicy.Policy {
-	if pol, ok := iopolicy.FromContext(ctx); ok {
-		return m.opts.Policy.Merge(pol)
-	}
-	return m.opts.Policy
-}
-
 // quorumCtx derives the context under which one round's per-cloud RPCs run.
 // Cancelling it is how first-quorum-wins semantics abort the losers of the
 // race; when DisableQuorumCancel is set the cancel is a no-op and stragglers
@@ -111,7 +102,7 @@ type round[T any] struct {
 func startRound[T any](ctx context.Context, m *Manager, kind string, op iopolicy.Op, need int,
 	rpc func(ctx context.Context, i int, c cloud.ObjectStore) ([]byte, error),
 	parse func(i int, data []byte) (T, error)) round[T] {
-	pol := m.policyFor(ctx)
+	pol := iopolicy.FromContext(ctx)
 	hedge := pol.Hedge
 	if op.Class == iopolicy.OpPut {
 		hedge = pol.WriteHedge
@@ -162,7 +153,6 @@ func (m *Manager) observeRPC(ctx context.Context, i int, op iopolicy.Op, d time.
 	switch {
 	case err == nil:
 		ins.ok.Inc()
-		ins.observed.Inc()
 		ins.lat.ObserveExemplar(d, telemetry.FromContext(ctx).ExemplarID())
 	case iopolicy.Ignorable(err):
 		ins.cancel.Inc()

@@ -201,21 +201,20 @@ func TestCancelledHedgedWriteLeavesNothingVisible(t *testing.T) {
 	}
 }
 
-// TestDefaultHedgedWriteParksTrackedSlowest: with no pinned order, a write
-// hedged by the manager's default policy sends its shards to the
+// TestDefaultHedgedWriteParksTrackedSlowest: with no pinned order, a hedged
+// write follows the default ranking and sends its shards to the
 // tracked-fastest n-f clouds — the slowest cloud is the spare and receives
 // nothing.
 func TestDefaultHedgedWriteParksTrackedSlowest(t *testing.T) {
 	rtts := []time.Duration{0, 0, 0, 40 * time.Millisecond}
-	m, providers, accounts := hedgeManager(t, rtts, Options{
-		Policy: iopolicy.Policy{
-			WriteHedge: iopolicy.Hedge{Percentile: 0.9, MinDelay: 10 * time.Second},
-		},
-	})
+	m, providers, accounts := hedgeManager(t, rtts, Options{})
 	warmTracker(m, rtts)
 
+	ctx := iopolicy.With(bg, iopolicy.Policy{
+		WriteHedge: iopolicy.Hedge{Percentile: 0.9, MinDelay: 10 * time.Second},
+	})
 	data := bytes.Repeat([]byte{0x29}, 64<<10)
-	if _, err := m.Write(bg, "u", data); err != nil {
+	if _, err := m.Write(ctx, "u", data); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(50 * time.Millisecond)

@@ -243,7 +243,7 @@ func (m *Manager) OpenMatching(ctx context.Context, unit, hash string) (*stream.
 // reader's own behalf hedge their chunk fan-outs the same way foreground
 // reads do.
 func (m *Manager) newChunkReader(ctx context.Context, f *chunkFetcher) *stream.Reader {
-	pol := m.policyFor(ctx)
+	pol := iopolicy.FromContext(ctx)
 	var opts stream.ReaderOptions
 	if pol.Readahead > 0 {
 		opts.Readahead = pol.Readahead

@@ -42,7 +42,6 @@ type instruments struct {
 // rpcInstruments are the instruments of one cloud's RPCs of one op class.
 type rpcInstruments struct {
 	ok, err, cancel, retries, breakerSkip    *telemetry.Counter
-	observed                                 *telemetry.Counter // mount-wide: latency samples on the scoreboard
 	hedgeFired, hedgeKicked, hedgeSuppressed *telemetry.Counter
 	lat                                      *telemetry.Histogram
 	breakerTo                                [3]*telemetry.Counter // transitions into each state
@@ -96,7 +95,6 @@ func newInstruments(reg *telemetry.Registry, names []string) *instruments {
 				err:             counter("rpc_total", "outcome", "error"),
 				cancel:          counter("rpc_total", "outcome", "canceled"),
 				lat:             reg.Histogram(telemetry.Name("rpc_latency_ns", "cloud", cn, "op", op)),
-				observed:        reg.Counter("tracker_observations_total"),
 				retries:         counter("rpc_retries_total"),
 				breakerSkip:     counter("rpc_breaker_skipped_total"),
 				hedgeFired:      counter("hedge_fired_total"),

@@ -248,15 +248,3 @@ func IsChildOf(p, dir string) bool {
 	}
 	return strings.HasPrefix(p, dir+"/")
 }
-
-// ApproxTupleSize estimates the size in bytes of the coordination-service
-// tuple for this metadata record; the paper's sizing argument (§2.7) assumes
-// ~1KB per tuple with 100-byte file names.
-func (m *Metadata) ApproxTupleSize() int {
-	b, err := m.Encode()
-	if err != nil {
-		return 1024
-	}
-	// Tuple framing and ACL bookkeeping overhead in the coordination service.
-	return len(b) + 128
-}

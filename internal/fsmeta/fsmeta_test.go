@@ -137,17 +137,6 @@ func TestPathHelpers(t *testing.T) {
 	}
 }
 
-func TestApproxTupleSizeIsAboutOneKB(t *testing.T) {
-	// The paper assumes ~1KB per metadata tuple with 100-byte names.
-	name := "/" + string(make([]byte, 100))
-	m := NewFile(name, "alice", "fid-123456", t0)
-	m.AddVersion("0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef", 1<<20, t0)
-	size := m.ApproxTupleSize()
-	if size < 300 || size > 2048 {
-		t.Fatalf("tuple size = %d bytes, expected a few hundred bytes to ~1KB", size)
-	}
-}
-
 func TestPNSBasicOperations(t *testing.T) {
 	p := NewPNS("alice")
 	if p.User() != "alice" || p.Len() != 0 {

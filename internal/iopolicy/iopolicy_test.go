@@ -7,78 +7,13 @@ import (
 )
 
 func TestPolicyContextRoundTrip(t *testing.T) {
-	if _, ok := FromContext(context.Background()); ok {
-		t.Fatal("background context should carry no policy")
+	if got := FromContext(context.Background()); got.Hedge.Enabled() || got.Readahead != 0 {
+		t.Fatalf("background context should give the zero policy, got %+v", got)
 	}
 	pol := Policy{Hedge: Hedge{Percentile: 0.95}, Readahead: 3}
-	ctx := With(context.Background(), pol)
-	got, ok := FromContext(ctx)
-	if !ok {
-		t.Fatal("policy not found on context")
-	}
+	got := FromContext(With(context.Background(), pol))
 	if got.Hedge.Percentile != 0.95 || got.Readahead != 3 {
 		t.Fatalf("got %+v", got)
-	}
-}
-
-func TestPolicyMerge(t *testing.T) {
-	base := Policy{
-		Hedge:     Hedge{Percentile: 0.9, MaxDelay: time.Second},
-		Readahead: 2,
-	}
-	merged := base.Merge(Policy{Readahead: 8})
-	if merged.Readahead != 8 {
-		t.Fatalf("override readahead lost: %+v", merged)
-	}
-	if merged.Hedge.Percentile != 0.9 {
-		t.Fatalf("base fields lost: %+v", merged)
-	}
-	merged = base.Merge(Policy{Hedge: Hedge{Percentile: 0.5, MinDelay: time.Millisecond}})
-	if merged.Hedge.Percentile != 0.5 || merged.Hedge.MinDelay != time.Millisecond {
-		t.Fatalf("hedge override fields lost: %+v", merged)
-	}
-	if merged.Hedge.MaxDelay != time.Second {
-		t.Fatalf("hedge merge must be field-wise (inherited MaxDelay lost): %+v", merged)
-	}
-	// Delay bounds alone retune an inherited hedge without re-enabling it.
-	merged = base.Merge(Policy{Hedge: Hedge{MaxDelay: 5 * time.Millisecond}})
-	if merged.Hedge.Percentile != 0.9 || merged.Hedge.MaxDelay != 5*time.Millisecond {
-		t.Fatalf("delay-bounds-only override lost: %+v", merged)
-	}
-	if !(Policy{}).IsZero() {
-		t.Fatal("zero policy should report IsZero")
-	}
-	if base.IsZero() {
-		t.Fatal("non-zero policy should not report IsZero")
-	}
-}
-
-// TestPlacementMerge covers the two knobs that decide where a fan-out's
-// requests go: the write hedge (which clouds a write parks as spares) and
-// the pinned preference order.
-func TestPlacementMerge(t *testing.T) {
-	base := Policy{WriteHedge: Hedge{Percentile: 0.9, MaxDelay: time.Second}}
-	merged := base.Merge(Policy{Preference: Preference{Order: []int{2, 0}}})
-	if len(merged.Preference.Order) != 2 || merged.Preference.Order[0] != 2 {
-		t.Fatalf("preference override lost: %+v", merged)
-	}
-	if merged.WriteHedge != base.WriteHedge {
-		t.Fatalf("write hedge lost: %+v", merged)
-	}
-	// The zero (unset) preference inherits the default.
-	pinned := Policy{Preference: Preference{Order: []int{3}}}
-	if merged = pinned.Merge(Policy{Readahead: 4}); len(merged.Preference.Order) != 1 || merged.Preference.Order[0] != 3 {
-		t.Fatalf("unset preference must inherit the default: %+v", merged)
-	}
-	merged = base.Merge(Policy{WriteHedge: Hedge{MinDelay: 5 * time.Millisecond}})
-	if merged.WriteHedge.Percentile != 0.9 || merged.WriteHedge.MinDelay != 5*time.Millisecond || merged.WriteHedge.MaxDelay != time.Second {
-		t.Fatalf("write hedge must merge field-wise: %+v", merged)
-	}
-	if (Policy{WriteHedge: Hedge{Percentile: 0.5}}).IsZero() {
-		t.Fatal("write-hedged policy must not report IsZero")
-	}
-	if pinned.IsZero() {
-		t.Fatal("pinned policy must not report IsZero")
 	}
 }
 
@@ -264,36 +199,6 @@ func TestGovernorInterleavedStreams(t *testing.T) {
 	}
 	if got := g.Observe(offB, 100); got != 8 {
 		t.Fatalf("stream B lost its window to hot re-read churn: %d", got)
-	}
-}
-
-func TestRetryAndBreakerMerge(t *testing.T) {
-	base := Policy{Retry: Retry{MaxAttempts: 3, BackoffBase: time.Millisecond}}
-	if got := base.Merge(Policy{}); got.Retry != base.Retry {
-		t.Fatalf("empty override clobbered retry: %+v", got.Retry)
-	}
-	override := Policy{Retry: Retry{MaxAttempts: 5}}
-	if got := base.Merge(override); got.Retry != override.Retry {
-		t.Fatalf("override retry did not replace: %+v", got.Retry)
-	}
-	if base.Merge(Policy{Breaker: BreakerFailFast}).Breaker != BreakerFailFast {
-		t.Fatal("breaker mode override lost")
-	}
-	ff := Policy{Breaker: BreakerFailFast}
-	if got := ff.Merge(Policy{Breaker: BreakerDemote}).Breaker; got != BreakerDemote {
-		t.Fatalf("FailFast.Merge(Demote) = %v: an explicit demote must override a fail-fast default", got)
-	}
-	if ff.Merge(Policy{}).Breaker != BreakerFailFast {
-		t.Fatal("unset breaker mode must keep the default")
-	}
-	if (Policy{Retry: Retry{MaxAttempts: 2}}).IsZero() {
-		t.Fatal("retry policy must not report IsZero")
-	}
-	if (Policy{Breaker: BreakerFailFast}).IsZero() {
-		t.Fatal("breaker policy must not report IsZero")
-	}
-	if !(Retry{}).IsZero() || (Retry{}).Enabled() || !(Retry{MaxAttempts: 2}).Enabled() {
-		t.Fatal("Retry zero/enabled predicates wrong")
 	}
 }
 

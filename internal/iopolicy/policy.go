@@ -64,9 +64,6 @@ type Preference struct {
 	Order []int
 }
 
-// IsZero reports whether the preference is unset.
-func (p Preference) IsZero() bool { return len(p.Order) == 0 }
-
 // Retry is the per-RPC retry budget an operation grants each cloud: how
 // many attempts one logical RPC may spend on transient failures (outage,
 // throttle) and where the jittered exponential backoff between them starts.
@@ -84,9 +81,6 @@ type Retry struct {
 	// growth is capped at 16x BackoffBase.
 	BackoffBase time.Duration
 }
-
-// IsZero reports whether the retry budget is unset.
-func (r Retry) IsZero() bool { return r == Retry{} }
 
 // Enabled reports whether the budget grants any retries.
 func (r Retry) Enabled() bool { return r.MaxAttempts > 1 }
@@ -184,9 +178,7 @@ func (r Retry) Do(ctx context.Context, fn func(context.Context) error, observe f
 }
 
 // BreakerMode selects how an operation consumes the per-(cloud, op-class)
-// circuit-breaker scoreboard. The zero value is unset and behaves as
-// BreakerDemote; being distinct from both modes, it lets an explicit
-// BreakerDemote override a mount-wide BreakerFailFast when policies merge.
+// circuit-breaker scoreboard. The zero value is BreakerDemote.
 type BreakerMode int
 
 const (
@@ -194,7 +186,7 @@ const (
 	// deprioritized: they move to the back of every dispatch ranking and
 	// receive no retry budget, yet a fan-out that needs them for its quorum
 	// still contacts them. Availability is never traded away.
-	BreakerDemote BreakerMode = iota + 1
+	BreakerDemote BreakerMode = iota
 	// BreakerFailFast additionally skips suspected clouds outright instead
 	// of queueing them behind the hedge gate — latency-critical reads would
 	// rather fail a cloud silently than wait on it. Quorum math still counts
@@ -231,54 +223,6 @@ type Policy struct {
 	Breaker BreakerMode
 }
 
-// IsZero reports whether the policy requests nothing beyond the defaults.
-func (p Policy) IsZero() bool {
-	return !p.Hedge.Enabled() && !p.WriteHedge.Enabled() && p.Readahead == 0 &&
-		p.Preference.IsZero() && p.Retry.IsZero() &&
-		p.Breaker == 0
-}
-
-// Merge overlays override on p: fields set in override win, unset fields
-// keep p's value. It implements the mount-default / per-call layering: the
-// mount's default policy is p, the call's options are override. The hedge
-// configurations merge field-wise, so a call may retune just the delay
-// bounds of an inherited hedge, or just the percentile without losing the
-// mount's bounds.
-func (p Policy) Merge(override Policy) Policy {
-	out := p
-	if override.Hedge.Percentile != 0 {
-		out.Hedge.Percentile = override.Hedge.Percentile
-	}
-	if override.Hedge.MinDelay != 0 {
-		out.Hedge.MinDelay = override.Hedge.MinDelay
-	}
-	if override.Hedge.MaxDelay != 0 {
-		out.Hedge.MaxDelay = override.Hedge.MaxDelay
-	}
-	if override.WriteHedge.Percentile != 0 {
-		out.WriteHedge.Percentile = override.WriteHedge.Percentile
-	}
-	if override.WriteHedge.MinDelay != 0 {
-		out.WriteHedge.MinDelay = override.WriteHedge.MinDelay
-	}
-	if override.WriteHedge.MaxDelay != 0 {
-		out.WriteHedge.MaxDelay = override.WriteHedge.MaxDelay
-	}
-	if override.Readahead != 0 {
-		out.Readahead = override.Readahead
-	}
-	if !override.Preference.IsZero() {
-		out.Preference = override.Preference
-	}
-	if !override.Retry.IsZero() {
-		out.Retry = override.Retry
-	}
-	if override.Breaker != 0 {
-		out.Breaker = override.Breaker
-	}
-	return out
-}
-
 // ctxKey is the context key carrying a Policy.
 type ctxKey struct{}
 
@@ -288,8 +232,9 @@ func With(ctx context.Context, pol Policy) context.Context {
 	return context.WithValue(ctx, ctxKey{}, pol)
 }
 
-// FromContext returns the policy carried by ctx, if any.
-func FromContext(ctx context.Context) (Policy, bool) {
-	pol, ok := ctx.Value(ctxKey{}).(Policy)
-	return pol, ok
+// FromContext returns the policy carried by ctx; a context without one
+// gives the zero Policy.
+func FromContext(ctx context.Context) Policy {
+	pol, _ := ctx.Value(ctxKey{}).(Policy)
+	return pol
 }

@@ -8,6 +8,7 @@ package scenario
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -29,17 +30,18 @@ func payload(seed byte, n int) []byte {
 }
 
 // mustWrite / mustRead are the availability assertions: under every
-// scenario's faults, client operations must keep succeeding.
-func mustWrite(t *testing.T, env *Env, path string, data []byte, opts ...scfs.CallOption) {
+// scenario's faults, client operations must keep succeeding. ctx carries
+// the operation's I/O policy, if any (scfs.WithPolicy).
+func mustWrite(ctx context.Context, t *testing.T, env *Env, path string, data []byte) {
 	t.Helper()
-	if err := scfs.WriteFile(bg, env.FS, path, data, opts...); err != nil {
+	if err := scfs.WriteFile(ctx, env.FS, path, data); err != nil {
 		t.Fatalf("write %s: %v", path, err)
 	}
 }
 
-func mustRead(t *testing.T, env *Env, path string, want []byte, opts ...scfs.CallOption) {
+func mustRead(ctx context.Context, t *testing.T, env *Env, path string, want []byte) {
 	t.Helper()
-	got, err := scfs.ReadFile(bg, env.FS, path, opts...)
+	got, err := scfs.ReadFile(ctx, env.FS, path)
 	if err != nil {
 		t.Fatalf("read %s: %v", path, err)
 	}
@@ -72,7 +74,7 @@ func providerOutageMidWrite() Scenario {
 			"the write completes on the quorum and no partial version exists",
 		Run: func(t *testing.T, env *Env) {
 			warm := payload(0x10, 2*chunk+300)
-			mustWrite(t, env, "/warm.bin", warm)
+			mustWrite(bg, t, env, "/warm.bin", warm)
 
 			// c0 serves two more requests of the upload, then everything
 			// it is asked fails: an outage striking mid-write.
@@ -80,15 +82,15 @@ func providerOutageMidWrite() Scenario {
 				Mode: cloudsim.FaultUnavailable, AfterN: 2,
 			})
 			mid := payload(0x33, 3*chunk+11)
-			mustWrite(t, env, "/mid.bin", mid)
-			mustRead(t, env, "/mid.bin", mid)
+			mustWrite(bg, t, env, "/mid.bin", mid)
+			mustRead(bg, t, env, "/mid.bin", mid)
 			// Files written before the outage stay readable through it.
-			mustRead(t, env, "/warm.bin", warm)
+			mustRead(bg, t, env, "/warm.bin", warm)
 
 			// The outage heals; the version written during it is still the
 			// one read afterwards.
 			env.Providers[0].ClearFaults()
-			mustRead(t, env, "/mid.bin", mid)
+			mustRead(bg, t, env, "/mid.bin", mid)
 
 			// No torn versions: two files, one complete version each. A
 			// retry loop that re-uploaded chunks into fresh versions (or a
@@ -119,7 +121,7 @@ func grayFailureSequentialScan() Scenario {
 		RTTs: []time.Duration{rtt, rtt, rtt, rtt},
 		Run: func(t *testing.T, env *Env) {
 			data := payload(0x5E, 3*chunk+77)
-			mustWrite(t, env, "/scan.bin", data)
+			mustWrite(bg, t, env, "/scan.bin", data)
 
 			// c1 goes gray for reads: struck requests take ~1s each.
 			env.Providers[1].SetFaults(cloudsim.FaultSpec{
@@ -128,10 +130,8 @@ func grayFailureSequentialScan() Scenario {
 
 			var sink bytes.Buffer
 			start := time.Now()
-			n, err := scfs.ReadFileTo(bg, env.FS, "/scan.bin", &sink,
-				scfs.WithHedge(0.9),
-				scfs.WithReadahead(2),
-			)
+			scan := scfs.WithPolicy(bg, scfs.WithHedge(0.9), scfs.WithReadahead(2))
+			n, err := scfs.ReadFileTo(scan, env.FS, "/scan.bin", &sink)
 			elapsed := time.Since(start)
 			if err != nil {
 				t.Fatalf("scan under gray failure: %v", err)
@@ -160,20 +160,20 @@ func fCorruptingClouds() Scenario {
 		Run: func(t *testing.T, env *Env) {
 			big := payload(0x71, 64<<10)
 			small := payload(0x72, 512)
-			mustWrite(t, env, "/doc.bin", big)
-			mustWrite(t, env, "/note.txt", small)
+			mustWrite(bg, t, env, "/doc.bin", big)
+			mustWrite(bg, t, env, "/note.txt", small)
 
 			env.Providers[3].SetFaults(cloudsim.FaultSpec{
 				Mode: cloudsim.FaultCorrupt, Ops: cloudsim.MaskGet,
 			})
-			mustRead(t, env, "/doc.bin", big)
-			mustRead(t, env, "/note.txt", small)
+			mustRead(bg, t, env, "/doc.bin", big)
+			mustRead(bg, t, env, "/note.txt", small)
 
 			// Writing through a corrupting cloud works too, and what was
 			// written reads back intact while the corruption continues.
 			during := payload(0x73, 32<<10)
-			mustWrite(t, env, "/during.bin", during)
-			mustRead(t, env, "/during.bin", during)
+			mustWrite(bg, t, env, "/during.bin", during)
+			mustRead(bg, t, env, "/during.bin", during)
 		},
 	}
 }
@@ -197,20 +197,20 @@ func flappingProvider() Scenario {
 			env.Providers[2].SetFaults(cloudsim.FaultSpec{
 				Mode: cloudsim.FaultUnavailable, Probability: 0.45,
 			})
-			retry := []scfs.CallOption{scfs.WithRetry(3, time.Millisecond)}
+			retry := scfs.WithPolicy(bg, scfs.WithRetry(3, time.Millisecond))
 			before := env.Requests()
 			files := make(map[string][]byte, rounds)
 			for i := 0; i < rounds; i++ {
 				path := fmt.Sprintf("/flap/f%02d.bin", i)
 				data := payload(byte(i), 12<<10)
 				files[path] = data
-				mustWrite(t, env, path, data, retry...)
-				mustRead(t, env, path, data, retry...)
+				mustWrite(retry, t, env, path, data)
+				mustRead(retry, t, env, path, data)
 			}
 			// Everything remains readable after the storm.
 			env.Providers[2].ClearFaults()
 			for path, data := range files {
-				mustRead(t, env, path, data)
+				mustRead(bg, t, env, path, data)
 			}
 			// Budget bound: the flapping cloud saw at most MaxAttempts times
 			// the traffic of the busiest healthy cloud (plus slack for the
@@ -263,7 +263,7 @@ func leaderCrashMetadataStorm() Scenario {
 				if err := env.FS.Mkdir(bg, fmt.Sprintf("/d%d", d)); err != nil {
 					t.Fatal(err)
 				}
-				mustWrite(t, env, fmt.Sprintf("/d%d/seed.bin", d), payload(byte(d), 600))
+				mustWrite(bg, t, env, fmt.Sprintf("/d%d/seed.bin", d), payload(byte(d), 600))
 			}
 			// The seeding went through the group, or crashing its leader
 			// would prove nothing about the metadata path.
@@ -397,8 +397,9 @@ func breakerRecovery() Scenario {
 			scfs.WithDiskCache("", 4<<10),
 		},
 		Run: func(t *testing.T, env *Env) {
+			failFast := scfs.WithPolicy(bg, scfs.WithBreaker(scfs.BreakerFailFast))
 			steady := payload(0x2B, 12<<10)
-			mustWrite(t, env, "/steady.bin", steady)
+			mustWrite(bg, t, env, "/steady.bin", steady)
 
 			// Outage: every request to c0 fails. Full-fan-out writes and
 			// reads keep succeeding on the quorum while the failures trip
@@ -421,8 +422,8 @@ func breakerRecovery() Scenario {
 				}
 				data := payload(byte(i), 12<<10)
 				path := fmt.Sprintf("/outage%d.bin", i)
-				mustWrite(t, env, path, data)
-				mustRead(t, env, path, data)
+				mustWrite(bg, t, env, path, data)
+				mustRead(bg, t, env, path, data)
 			}
 
 			// Breakers open: fail-fast operations must not touch c0 at all —
@@ -433,8 +434,8 @@ func breakerRecovery() Scenario {
 			for i := 0; i < 4; i++ {
 				data := payload(byte(0x40+i), 12<<10)
 				path := fmt.Sprintf("/open%d.bin", i)
-				mustWrite(t, env, path, data, scfs.WithBreaker(scfs.BreakerFailFast))
-				mustRead(t, env, path, data, scfs.WithBreaker(scfs.BreakerFailFast))
+				mustWrite(failFast, t, env, path, data)
+				mustRead(failFast, t, env, path, data)
 			}
 			afterTel := env.FS.Stats().Telemetry
 			if extra := env.Providers[0].TotalRequests() - before; extra != 0 {
@@ -464,8 +465,8 @@ func breakerRecovery() Scenario {
 				}
 				data := payload(byte(0x60+i%32), 12<<10)
 				path := fmt.Sprintf("/healed%d.bin", i)
-				mustWrite(t, env, path, data, scfs.WithBreaker(scfs.BreakerFailFast))
-				mustRead(t, env, path, data, scfs.WithBreaker(scfs.BreakerFailFast))
+				mustWrite(failFast, t, env, path, data)
+				mustRead(failFast, t, env, path, data)
 				time.Sleep(20 * time.Millisecond)
 			}
 			// The recorded readmission is real traffic: the probe that
@@ -474,7 +475,7 @@ func breakerRecovery() Scenario {
 				t.Fatal("a c0 breaker recovered without a request reaching c0")
 			}
 			// And the pre-outage file is still intact.
-			mustRead(t, env, "/steady.bin", steady)
+			mustRead(bg, t, env, "/steady.bin", steady)
 		},
 	}
 }

@@ -36,7 +36,6 @@ type config struct {
 	diskCacheDir    string
 	metadataTTL     time.Duration
 	streamThreshold int64
-	ioPolicy        iopolicy.Policy
 	breakers        iopolicy.BreakerPolicy
 
 	metrics   bool
@@ -112,16 +111,6 @@ func WithMetadataCacheTTL(ttl time.Duration) Option { return func(c *config) { c
 // thresholds read each other's files the same way. Negative disables both;
 // 0 keeps the default (1 MiB).
 func WithStreamThreshold(bytes int64) Option { return func(c *config) { c.streamThreshold = bytes } }
-
-// WithDefaultIOPolicy sets the mount-wide default I/O policy from the same
-// CallOptions used per call: every operation behaves as if the options were
-// passed to it, and per-call options (or a WithPolicy context) are overlaid
-// on top. Use it to make hedged reads or readahead the mount's default:
-//
-//	mount, _ := scfs.New(ctx, scfs.WithDefaultIOPolicy(scfs.WithHedge(0.95)))
-func WithDefaultIOPolicy(opts ...CallOption) Option {
-	return func(c *config) { c.ioPolicy = applyCallOptions(c.ioPolicy, opts) }
-}
 
 // BreakerPolicy tunes the cloud-of-clouds' per-(cloud, direction) circuit
 // breakers: how many consecutive transient failures mark a cloud suspected
@@ -228,7 +217,6 @@ func (c *config) build(ctx context.Context) (*core.Agent, mountTelemetry, func()
 		Clouds:   clouds,
 		F:        f,
 		Protocol: protocol,
-		Policy:   c.ioPolicy,
 		Pricing:  pricing.DefaultTable(),
 		Breakers: c.breakers,
 		Metrics:  tel.metrics,

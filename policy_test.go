@@ -3,11 +3,14 @@ package scfs_test
 import (
 	"bytes"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"scfs"
 	"scfs/internal/cloudsim"
+	"scfs/internal/iopolicy"
 )
 
 // skewedMount mounts over four explicit simulated clouds, one of which is a
@@ -28,7 +31,7 @@ func skewedMount(t *testing.T, stragglerRTT time.Duration, opts ...scfs.Option) 
 	return m, providers
 }
 
-// TestCallOptionsRoundTrip: per-call options must not change results — only
+// TestCallOptionsRoundTrip: call options must not change results — only
 // how they are obtained. A hedged, readahead-tuned read returns the same
 // bytes as a plain one.
 func TestCallOptionsRoundTrip(t *testing.T) {
@@ -37,25 +40,24 @@ func TestCallOptionsRoundTrip(t *testing.T) {
 	if err := scfs.WriteFile(bg, m, "/f.bin", data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := scfs.ReadFile(bg, m, "/f.bin",
+	ctx := scfs.WithPolicy(bg,
 		scfs.WithHedge(0.95),
 		scfs.WithReadahead(2),
 		scfs.WithReadPreference(scfs.PreferClouds(2, 0, 1)),
 	)
+	got, err := scfs.ReadFile(ctx, m, "/f.bin")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("hedged read returned different bytes")
 	}
-	// Context-carried policy is equivalent to variadic options.
-	ctx := scfs.WithPolicy(bg, scfs.WithHedge(0.9), scfs.WithReadahead(3))
-	got, err = scfs.ReadFile(ctx, m, "/f.bin")
+	got, err = scfs.ReadFile(bg, m, "/f.bin")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, data) {
-		t.Fatal("WithPolicy read returned different bytes")
+		t.Fatal("plain read returned different bytes")
 	}
 }
 
@@ -77,7 +79,7 @@ func TestHedgedReadAvoidsStragglerThroughFacade(t *testing.T) {
 
 	before := providers[3].TotalRequests()
 	start := time.Now()
-	got, err := scfs.ReadFile(bg, m, "/hot.bin", scfs.WithHedge(0.95), scfs.WithReadahead(2))
+	got, err := scfs.ReadFile(scfs.WithPolicy(bg, scfs.WithHedge(0.95), scfs.WithReadahead(2)), m, "/hot.bin")
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
@@ -94,24 +96,50 @@ func TestHedgedReadAvoidsStragglerThroughFacade(t *testing.T) {
 	}
 }
 
-// TestDefaultIOPolicyMountOption: WithDefaultIOPolicy makes hedging the
-// mount default, and per-call options overlay it.
+// timedStragglerMount is skewedMount with metrics on, caches too small to
+// hold the test's files (so reads reach the clouds), and the straggler c3
+// timed. A write's quorum cancels the straggler's uploads, so nothing times
+// it, and an untimed cloud ranks first; a write that needs it, with c0
+// down, times it. attempts counts c3's RPC attempts, the cancelled ones
+// too: an unhedged fan-out's request to c3 is cancelled at the verdict,
+// before the provider counts it served.
+func timedStragglerMount(t *testing.T, straggler time.Duration, opts ...scfs.Option) (m *scfs.FS, providers []*cloudsim.Provider, attempts func() int64) {
+	t.Helper()
+	m, providers = skewedMount(t, straggler, append([]scfs.Option{scfs.WithMetrics(),
+		scfs.WithMemoryCache(4 << 10), scfs.WithDiskCache(t.TempDir(), 4<<10)}, opts...)...)
+	providers[0].SetFault(cloudsim.FaultUnavailable)
+	if err := scfs.WriteFile(bg, m, "/teach.bin", []byte("time the straggler")); err != nil {
+		t.Fatal(err)
+	}
+	providers[0].ClearFaults()
+	attempts = func() (n int64) {
+		for name, v := range m.Stats().Telemetry.Counters {
+			if strings.HasPrefix(name, `rpc_total{cloud="c3"`) {
+				n += v
+			}
+		}
+		return n
+	}
+	return m, providers, attempts
+}
+
+// TestDefaultIOPolicyMountOption: a mount has no default I/O policy; the
+// way to give a whole workload one is a root context built once with
+// WithPolicy and passed to every call. Here it makes every read of the
+// workload hedged.
 func TestDefaultIOPolicyMountOption(t *testing.T) {
 	const straggler = 250 * time.Millisecond
-	m, providers := skewedMount(t, straggler,
-		scfs.WithStreamThreshold(8<<10),
-		scfs.WithDefaultIOPolicy(scfs.WithHedge(0.95)),
-	)
+	m, providers, attempts := timedStragglerMount(t, straggler, scfs.WithStreamThreshold(8<<10))
+	root := scfs.WithPolicy(bg, scfs.WithHedge(0.95))
 	data := bytes.Repeat([]byte{0x2F}, 32<<10)
-	if err := scfs.WriteFile(bg, m, "/d.bin", data); err != nil {
+	if err := scfs.WriteFile(root, m, "/d.bin", data); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(straggler + 100*time.Millisecond)
 
-	before := providers[3].TotalRequests()
+	before, beforeAttempts := providers[3].TotalRequests(), attempts()
 	start := time.Now()
-	// No per-call options: the mount default applies.
-	got, err := scfs.ReadFile(bg, m, "/d.bin")
+	got, err := scfs.ReadFile(root, m, "/d.bin")
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
@@ -120,11 +148,143 @@ func TestDefaultIOPolicyMountOption(t *testing.T) {
 		t.Fatal("wrong data")
 	}
 	if elapsed > straggler/2 {
-		t.Fatalf("default-hedged read took %v", elapsed)
+		t.Fatalf("read under the hedged root context took %v", elapsed)
 	}
 	time.Sleep(50 * time.Millisecond)
 	if extra := providers[3].TotalRequests() - before; extra != 0 {
-		t.Fatalf("straggler served %d requests under the mount-default hedge policy", extra)
+		t.Fatalf("straggler served %d requests under the hedged root context", extra)
+	}
+	if extra := attempts() - beforeAttempts; extra != 0 {
+		t.Fatalf("the read under the hedged root context sent %d RPCs to the straggler, want 0", extra)
+	}
+}
+
+// TestHandleReadAtAppliesItsContextPolicy: the policy of a handle's ReadAt
+// comes from that call's context, not from the open's. A file larger than
+// one chunk is opened with a plain context, so its chunks are read lazily
+// from the clouds; a ReadAt of its tail chunk under a hedged context then
+// leaves the straggler untouched.
+func TestHandleReadAtAppliesItsContextPolicy(t *testing.T) {
+	const straggler = 250 * time.Millisecond
+	m, providers, attempts := timedStragglerMount(t, straggler)
+	data := bytes.Repeat([]byte{0x71}, 1<<20+4<<10)
+	if err := scfs.WriteFile(bg, m, "/lazy.bin", data); err != nil {
+		t.Fatal(err)
+	}
+	h, err := m.Open(bg, "/lazy.bin", scfs.ReadOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close(bg)
+	// Let the open's cancelled request to the straggler be counted.
+	time.Sleep(50 * time.Millisecond)
+
+	before, beforeAttempts := providers[3].TotalRequests(), attempts()
+	got := make([]byte, 4<<10)
+	start := time.Now()
+	n, err := h.ReadAt(scfs.WithPolicy(bg, scfs.WithHedge(0.95)), got, 1<<20)
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != len(got) || !bytes.Equal(got, data[1<<20:]) {
+		t.Fatalf("hedged ReadAt returned %d/%d correct bytes", n, len(got))
+	}
+	if elapsed > straggler/2 {
+		t.Fatalf("hedged ReadAt took %v; straggler RTT leaked in", elapsed)
+	}
+	time.Sleep(50 * time.Millisecond)
+	if extra := providers[3].TotalRequests() - before; extra != 0 {
+		t.Fatalf("straggler served %d requests during the hedged ReadAt, want 0", extra)
+	}
+	if extra := attempts() - beforeAttempts; extra != 0 {
+		t.Fatalf("the hedged ReadAt sent %d RPCs to the straggler, want 0", extra)
+	}
+}
+
+// TestPolicyMerge: a nested WithPolicy applies its options over the policy
+// its parent context carries, and an option sets only its own fields.
+func TestPolicyMerge(t *testing.T) {
+	if pol := iopolicy.FromContext(bg); pol.Hedge.Enabled() || pol.Readahead != 0 {
+		t.Fatalf("a plain context must give the zero policy, got %+v", pol)
+	}
+	outer := scfs.WithPolicy(bg,
+		scfs.WithHedge(0.9),
+		scfs.WithReadahead(2),
+		scfs.WithWriteHedgeDelayBounds(time.Millisecond, time.Second),
+	)
+	pol := iopolicy.FromContext(scfs.WithPolicy(outer, scfs.WithReadahead(8)))
+	if pol.Readahead != 8 {
+		t.Fatalf("inner readahead lost: %+v", pol)
+	}
+	if pol.Hedge.Percentile != 0.9 || pol.WriteHedge.MaxDelay != time.Second {
+		t.Fatalf("outer fields lost: %+v", pol)
+	}
+	pol = iopolicy.FromContext(scfs.WithPolicy(outer, scfs.WithHedge(0.5)))
+	if pol.Hedge.Percentile != 0.5 || pol.Readahead != 2 {
+		t.Fatalf("inner hedge must replace only the percentile: %+v", pol)
+	}
+	// The percentile alone turns on an inherited pair of delay bounds.
+	pol = iopolicy.FromContext(scfs.WithPolicy(outer, scfs.WithWriteHedge(0.95)))
+	want := iopolicy.Hedge{Percentile: 0.95, MinDelay: time.Millisecond, MaxDelay: time.Second}
+	if pol.WriteHedge != want {
+		t.Fatalf("write hedge must layer field by field: %+v", pol.WriteHedge)
+	}
+	if pol := iopolicy.FromContext(outer); pol.Readahead != 2 || pol.Hedge.Percentile != 0.9 || pol.WriteHedge.Enabled() {
+		t.Fatalf("a nested WithPolicy changed its parent's policy: %+v", pol)
+	}
+}
+
+// TestPlacementMerge covers the two options that decide where a fan-out's
+// requests go: the write hedge (which clouds a write parks as spares) and
+// the pinned preference order.
+func TestPlacementMerge(t *testing.T) {
+	outer := scfs.WithPolicy(bg,
+		scfs.WithWriteHedge(0.9),
+		scfs.WithWriteHedgeDelayBounds(0, time.Second),
+		scfs.WithReadPreference(scfs.PreferClouds(3)),
+	)
+	pol := iopolicy.FromContext(scfs.WithPolicy(outer, scfs.WithReadahead(4)))
+	if !slices.Equal(pol.Preference.Order, []int{3}) || pol.Readahead != 4 {
+		t.Fatalf("a pinned preference must survive an inner WithReadahead: %+v", pol)
+	}
+	pol = iopolicy.FromContext(scfs.WithPolicy(outer, scfs.WithReadPreference(scfs.PreferClouds(2, 0))))
+	if !slices.Equal(pol.Preference.Order, []int{2, 0}) {
+		t.Fatalf("inner preference lost: %+v", pol)
+	}
+	if pol.WriteHedge.Percentile != 0.9 || pol.WriteHedge.MaxDelay != time.Second {
+		t.Fatalf("write hedge lost: %+v", pol)
+	}
+	pol = iopolicy.FromContext(scfs.WithPolicy(outer, scfs.WithWriteHedgeDelayBounds(5*time.Millisecond, 0)))
+	if pol.WriteHedge.Percentile != 0.9 || pol.WriteHedge.MinDelay != 5*time.Millisecond {
+		t.Fatalf("inner delay bounds must keep the inherited percentile: %+v", pol)
+	}
+}
+
+// TestRetryAndBreakerMerge: a nested WithRetry replaces the whole budget,
+// and an inner WithBreaker(BreakerDemote) clears an outer BreakerFailFast.
+func TestRetryAndBreakerMerge(t *testing.T) {
+	if pol := iopolicy.FromContext(bg); pol.Breaker != scfs.BreakerDemote || pol.Retry.Enabled() {
+		t.Fatalf("the zero policy must demote and not retry: %+v", pol)
+	}
+	outer := scfs.WithPolicy(bg, scfs.WithRetry(3, time.Millisecond), scfs.WithBreaker(scfs.BreakerFailFast))
+	pol := iopolicy.FromContext(scfs.WithPolicy(outer))
+	if pol.Retry != (scfs.RetryPolicy{MaxAttempts: 3, BackoffBase: time.Millisecond}) || pol.Breaker != scfs.BreakerFailFast {
+		t.Fatalf("an empty WithPolicy changed the inherited policy: %+v", pol)
+	}
+	pol = iopolicy.FromContext(scfs.WithPolicy(outer, scfs.WithRetry(5, 2*time.Millisecond)))
+	if pol.Retry != (scfs.RetryPolicy{MaxAttempts: 5, BackoffBase: 2 * time.Millisecond}) {
+		t.Fatalf("inner retry did not replace the budget: %+v", pol.Retry)
+	}
+	if pol.Breaker != scfs.BreakerFailFast {
+		t.Fatal("inner retry lost the inherited breaker mode")
+	}
+	pol = iopolicy.FromContext(scfs.WithPolicy(outer, scfs.WithBreaker(scfs.BreakerDemote)))
+	if pol.Breaker != scfs.BreakerDemote {
+		t.Fatalf("inner demote over outer fail-fast = %v, want BreakerDemote", pol.Breaker)
+	}
+	if !pol.Retry.Enabled() {
+		t.Fatal("inner breaker mode lost the inherited retry budget")
 	}
 }
 
@@ -177,14 +337,11 @@ func TestWithRetryMasksTransientFaultsThroughFacade(t *testing.T) {
 	providers[1].ClearFaults()
 
 	flake()
-	err := scfs.WriteFile(bg, m, "/retried.bin", data,
-		scfs.WithRetry(3, time.Millisecond),
-		scfs.WithBreaker(scfs.BreakerDemote),
-	)
-	if err != nil {
+	ctx := scfs.WithPolicy(bg, scfs.WithRetry(3, time.Millisecond), scfs.WithBreaker(scfs.BreakerDemote))
+	if err := scfs.WriteFile(ctx, m, "/retried.bin", data); err != nil {
 		t.Fatalf("retried write failed: %v", err)
 	}
-	got, err := scfs.ReadFile(bg, m, "/retried.bin", scfs.WithRetry(3, 0))
+	got, err := scfs.ReadFile(scfs.WithPolicy(bg, scfs.WithRetry(3, 0)), m, "/retried.bin")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,15 +20,15 @@
 // verdict is known, so a cancelled (or simply completed) operation leaves no
 // redundant RPCs running.
 //
-// Beyond cancellation, each call can carry its own I/O policy: variadic
-// CallOptions (or a WithPolicy context) tune how that one operation spends
+// Beyond cancellation, each call can carry its own I/O policy: CallOptions
+// bound to its context with WithPolicy tune how that one operation spends
 // the cloud-of-clouds' redundancy. WithHedge(p) turns its quorum reads into
 // hedged reads — only the fastest quorum is contacted up front, stragglers
 // only after the tracked p-th latency percentile elapses — and
 // WithReadahead(n) gives its sequential scans an n-chunk prefetch pipeline:
 //
-//	data, err := scfs.ReadFile(ctx, mount, "/idx/key", scfs.WithHedge(0.95))
-//	n, err := scfs.ReadFileTo(ctx, mount, "/logs/big.bin", w, scfs.WithReadahead(4))
+//	data, err := scfs.ReadFile(scfs.WithPolicy(ctx, scfs.WithHedge(0.95)), mount, "/idx/key")
+//	n, err := scfs.ReadFileTo(scfs.WithPolicy(ctx, scfs.WithReadahead(4)), mount, "/logs/big.bin", w)
 //
 // For interoperability with the standard library, IOFS adapts a mount to
 // io/fs: fs.WalkDir, testing/fstest.TestFS and http.FileServer (via http.FS)
@@ -198,10 +198,6 @@ func New(ctx context.Context, opts ...Option) (*FS, error) {
 	return m, nil
 }
 
-// Agent exposes the underlying SCFS agent for advanced use (stats,
-// garbage-collection control, durability introspection).
-func (m *FS) Agent() *core.Agent { return m.agent }
-
 // Stats returns a snapshot of the mount's activity counters. On mounts
 // built WithMetrics it includes the full telemetry snapshot (per-cloud RPC
 // counters and latency histograms, hedge and breaker activity, readahead
@@ -234,13 +230,13 @@ func (m *FS) DebugAddr() string {
 	return m.debug.addr
 }
 
-// Open opens (or with Create, creates) a file. CallOptions set the I/O
-// policy of the open and of the returned handle's reads: WithReadahead
-// configures the handle's prefetch pipeline at open time, WithHedge and
-// WithReadPreference shape the open's quorum reads (pass a WithPolicy
-// context to the handle's ReadAt to hedge individual reads).
-func (m *FS) Open(ctx context.Context, path string, flags OpenFlag, opts ...CallOption) (Handle, error) {
-	ctx, tr := m.traced(callCtx(ctx, opts), "open", path)
+// Open opens (or with Create, creates) a file. The policy of ctx (see
+// WithPolicy) applies to the open and sets up the returned handle:
+// WithReadahead configures its prefetch pipeline at open time, WithHedge and
+// WithReadPreference shape the open's quorum reads. Each later ReadAt
+// applies the policy of its own context.
+func (m *FS) Open(ctx context.Context, path string, flags OpenFlag) (Handle, error) {
+	ctx, tr := m.traced(ctx, "open", path)
 	h, err := m.agent.Open(ctx, path, flags)
 	tr.SetError(err)
 	tr.Finish()
@@ -358,20 +354,20 @@ func (m *FS) CostReport(ctx context.Context) (CostReport, error) { return m.agen
 // ReadFile opens path, reads it fully and closes it. A large file served by
 // ranged cloud reads is asked for in one piece, so the chunks it spans are
 // fetched together (up to 8 at a time) and nothing is prefetched on a guess;
-// it needs no WithReadahead. CallOptions tune the read's I/O policy (hedged
-// quorum reads, retries).
-func ReadFile(ctx context.Context, m *FS, path string, opts ...CallOption) ([]byte, error) {
-	ctx, tr := m.traced(callCtx(ctx, opts), "read", path)
+// it needs no WithReadahead. The policy of ctx (see WithPolicy) tunes the
+// read's I/O: hedged quorum reads, retries.
+func ReadFile(ctx context.Context, m *FS, path string) ([]byte, error) {
+	ctx, tr := m.traced(ctx, "read", path)
 	data, err := fsapi.ReadFile(ctx, m.agent, path)
 	tr.SetError(err)
 	tr.Finish()
 	return data, err
 }
 
-// WriteFile creates (or truncates) path with the given contents. CallOptions
-// tune the write's I/O policy.
-func WriteFile(ctx context.Context, m *FS, path string, data []byte, opts ...CallOption) error {
-	ctx, tr := m.traced(callCtx(ctx, opts), "write", path)
+// WriteFile creates (or truncates) path with the given contents. The
+// policy of ctx (see WithPolicy) tunes the write's I/O.
+func WriteFile(ctx context.Context, m *FS, path string, data []byte) error {
+	ctx, tr := m.traced(ctx, "write", path)
 	err := fsapi.WriteFile(ctx, m.agent, path, data)
 	tr.SetError(err)
 	tr.Finish()
@@ -379,9 +375,10 @@ func WriteFile(ctx context.Context, m *FS, path string, data []byte, opts ...Cal
 }
 
 // WriteFileFrom streams r into path with bounded memory and returns how many
-// bytes were written. CallOptions tune the write's I/O policy.
-func WriteFileFrom(ctx context.Context, m *FS, path string, r io.Reader, opts ...CallOption) (int64, error) {
-	ctx, tr := m.traced(callCtx(ctx, opts), "write", path)
+// bytes were written. The policy of ctx (see WithPolicy) tunes the write's
+// I/O.
+func WriteFileFrom(ctx context.Context, m *FS, path string, r io.Reader) (int64, error) {
+	ctx, tr := m.traced(ctx, "write", path)
 	n, err := fsapi.WriteFileFrom(ctx, m.agent, path, r)
 	tr.SetError(err)
 	tr.Finish()
@@ -389,12 +386,13 @@ func WriteFileFrom(ctx context.Context, m *FS, path string, r io.Reader, opts ..
 }
 
 // ReadFileTo streams the contents of path into w through a buffer of one
-// chunk and returns how many bytes were copied. CallOptions tune the read's
-// I/O policy — it can only ask for one chunk at a time, so WithReadahead is
-// what turns its sequential copy of a cold large file into a pipelined scan
-// that prefetches upcoming chunks while the current one drains into w.
-func ReadFileTo(ctx context.Context, m *FS, path string, w io.Writer, opts ...CallOption) (int64, error) {
-	ctx, tr := m.traced(callCtx(ctx, opts), "read", path)
+// chunk and returns how many bytes were copied. The policy of ctx (see
+// WithPolicy) tunes the read's I/O — it can only ask for one chunk at a
+// time, so WithReadahead is what turns its sequential copy of a cold large
+// file into a pipelined scan that prefetches upcoming chunks while the
+// current one drains into w.
+func ReadFileTo(ctx context.Context, m *FS, path string, w io.Writer) (int64, error) {
+	ctx, tr := m.traced(ctx, "read", path)
 	n, err := fsapi.ReadFileTo(ctx, m.agent, path, w)
 	tr.SetError(err)
 	tr.Finish()
