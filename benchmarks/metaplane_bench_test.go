@@ -25,11 +25,12 @@ import (
 type noopApp struct{}
 
 func (noopApp) Execute(cmd []byte) []byte { return cmd }
+func (noopApp) Query(cmd []byte) []byte   { return cmd }
 func (noopApp) Snapshot() []byte          { return nil }
 func (noopApp) Restore([]byte) error      { return nil }
 
 // benchGroup starts a four-replica Byzantine group (the paper's BFT-SMaRt
-// configuration — both legs use the same f+1 reply quorum) over a network
+// configuration — both legs use the same n-f reply quorum) over a network
 // with a small per-message delay, so round trips cost something to overlap.
 func benchGroup(b *testing.B, app func() smr.Application, delay time.Duration) (*smr.Network, smr.Config, []*smr.Replica) {
 	b.Helper()

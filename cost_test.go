@@ -78,18 +78,23 @@ func TestCostReportAndDollarGC(t *testing.T) {
 	}
 }
 
-// TestWriteHedgeThroughFacade: WithWriteHedge on a facade write keeps the
-// spare cloud untouched by uploads, and the file reads back intact.
+// TestWriteHedgeThroughFacade: WithWriteHedge on a facade write sends the
+// spare cloud no request at all, and the file reads back intact from the
+// clouds, the caches being smaller than the file. Every cloud takes 2ms, so
+// an unhedged write would have sent the spare its upload before the quorum
+// answered.
 func TestWriteHedgeThroughFacade(t *testing.T) {
 	providers := make([]*cloudsim.Provider, 4)
 	stores := make([]scfs.ObjectStore, 4)
 	accounts := make([]string, 4)
 	for i := range providers {
-		providers[i] = cloudsim.NewProvider(cloudsim.Options{Name: fmt.Sprintf("c%d", i)})
+		providers[i] = cloudsim.NewProvider(cloudsim.Options{Name: fmt.Sprintf("c%d", i),
+			Latency: cloudsim.LatencyProfile{RTT: 2 * time.Millisecond}})
 		accounts[i] = providers[i].CreateAccount("user")
 		stores[i] = providers[i].MustClient(accounts[i])
 	}
-	m := mount(t, scfs.WithClouds(stores...))
+	m := mount(t, scfs.WithClouds(stores...), scfs.WithMetrics(),
+		scfs.WithMemoryCache(4<<10), scfs.WithDiskCache(t.TempDir(), 4<<10))
 
 	data := bytes.Repeat([]byte{0x4F}, 32<<10)
 	ctx := scfs.WithPolicy(bg,
@@ -103,6 +108,9 @@ func TestWriteHedgeThroughFacade(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	if u := providers[3].Usage(accounts[3]); u.PutRequests != 0 {
 		t.Fatalf("spare cloud served %d PUTs through a hedged facade write", u.PutRequests)
+	}
+	if n := rpcAttempts(m, "c3"); n != 0 {
+		t.Fatalf("the hedged facade write sent %d RPCs to the spare cloud, want 0", n)
 	}
 	got, err := scfs.ReadFile(bg, m, "/hedged.bin")
 	if err != nil {

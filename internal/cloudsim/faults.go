@@ -1,9 +1,5 @@
 package cloudsim
 
-import (
-	"time"
-)
-
 // OpKind identifies one ObjectStore operation for fault targeting.
 type OpKind int
 
@@ -53,8 +49,8 @@ func (m OpMask) matches(op OpKind) bool {
 
 // FaultSpec is one entry of a provider's fault schedule: a fault Mode plus
 // the predicate deciding which requests it strikes. Predicates compose —
-// a spec can say "30% of Get requests", "every write between t+2s and
-// t+5s", or "the first 3 requests after the next 10". The zero predicate
+// a spec can say "30% of Get requests", "every write", or "the first 3
+// requests after the next 10". The zero predicate
 // (only Mode set) strikes every request, reproducing the old static
 // SetFault behaviour.
 //
@@ -71,18 +67,13 @@ type FaultSpec struct {
 	// Probability in (0, 1) strikes each matching request independently at
 	// that rate; 0 (and anything >= 1) strikes every matching request.
 	Probability float64
-	// After delays the spec's activation relative to its installation: the
-	// spec ignores requests arriving earlier. Uses the provider's clock.
-	After time.Duration
-	// For bounds the active window; 0 keeps the spec active forever. A
-	// time-windowed outage is After+For; the provider heals itself when the
-	// window passes, no second SetFaults call needed.
-	For time.Duration
 	// AfterN lets the first N matching requests through unharmed before the
 	// spec starts striking (an "outage mid-run" in request counts).
 	AfterN int64
 	// FirstN strikes only the first N matching requests past AfterN, then
-	// retires the spec (0 = no limit). A flaky startup, a bounded burst.
+	// retires the spec (0 = no limit). A flaky startup, a bounded burst, or
+	// with AfterN a windowed outage that heals itself, no second SetFaults
+	// call needed.
 	FirstN int64
 	// LatencyFactor inflates the simulated latency of struck requests in
 	// FaultSlow mode (0 means the classic 10x). Ignored by other modes.
@@ -91,9 +82,8 @@ type FaultSpec struct {
 
 // faultEntry is an installed spec plus its runtime counters.
 type faultEntry struct {
-	spec        FaultSpec
-	installedAt time.Time
-	seen        int64 // matching requests observed (for AfterN/FirstN)
+	spec FaultSpec
+	seen int64 // matching requests observed (for AfterN/FirstN)
 }
 
 // decision is the fate of one request, settled once at request entry and
@@ -107,18 +97,17 @@ type decision struct {
 var healthy = decision{mode: FaultNone}
 
 // SetFaults replaces the provider's fault schedule. Specs are evaluated in
-// the given order; the first one that fires decides each request. Windowed
-// specs (After/For) are timed relative to this call.
+// the given order; the first one that fires decides each request. Request
+// counts (AfterN/FirstN) start from this call.
 func (p *Provider) SetFaults(specs ...FaultSpec) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	now := p.clk.Now()
 	p.faults = p.faults[:0]
 	for _, s := range specs {
 		if s.Mode == FaultNone {
 			continue
 		}
-		p.faults = append(p.faults, &faultEntry{spec: s, installedAt: now})
+		p.faults = append(p.faults, &faultEntry{spec: s})
 	}
 }
 
@@ -144,16 +133,9 @@ func (p *Provider) beginRequest(op OpKind) decision {
 	if len(p.faults) == 0 {
 		return healthy
 	}
-	now := p.clk.Now()
 	for _, e := range p.faults {
 		s := &e.spec
 		if !s.Ops.matches(op) {
-			continue
-		}
-		if s.After > 0 && now.Sub(e.installedAt) < s.After {
-			continue
-		}
-		if s.For > 0 && now.Sub(e.installedAt) >= s.After+s.For {
 			continue
 		}
 		e.seen++

@@ -139,8 +139,8 @@ func startRound[T any](ctx context.Context, m *Manager, kind string, op iopolicy
 }
 
 // observeRPC files the outcome of one RPC attempt of the given class and
-// payload size, which took d: once on the scoreboard (latency on success,
-// breaker always), once in the metrics registry. Only successes reach the
+// payload size, which took d: once on the scoreboard (latency on success, a
+// bound if cancelled), once in the metrics registry. Only successes reach the
 // latency histogram: failures return fast and would make a broken cloud
 // look attractive. The counters see every attempt, split by outcome —
 // cancellations (quorum verdicts cutting down stragglers) are kept apart

@@ -13,15 +13,16 @@ import (
 )
 
 // Invoker is what a Client submits its serialized commands through:
-// smr.Client and smr.Coalescer order them across the replicas; a
-// LocalInvoker runs against an in-process Space without replication (used by
-// unit tests and by the non-sharing SCFS mode experiments). Cancelling ctx
-// abandons the invocation with ctx.Err().
+// smr.Client and smr.Coalescer order them across the replicas (or query
+// them, for reads); a LocalInvoker runs against an in-process Space without
+// replication (used by unit tests and by the non-sharing SCFS mode
+// experiments). Cancelling ctx abandons the invocation with ctx.Err().
 type Invoker = smr.Invoker
 
 // LocalInvoker executes commands directly on a Space. Like a replica
 // wrapped in smr.BatchApplication, it executes a batch envelope as its
-// sub-commands in order.
+// sub-commands in order. It has one copy of the state, so reads need no
+// query: it executes them too.
 type LocalInvoker struct {
 	Space *Space
 }
@@ -90,16 +91,22 @@ func (r Result) Failed() error {
 	return mapError(r.Err)
 }
 
-// Batch submits cmds as one ordered invocation — one round trip — and
-// returns one Result per command, in order. The replicas execute the
-// commands back to back but not atomically: each succeeds or fails on its
-// own (Result.Failed), exactly as if issued singly at that point. The
-// returned error is a failure of the invocation as a whole. A batch of one
-// goes out as the plain command.
+// Batch submits cmds as one invocation — one round trip — and returns one
+// Result per command, in order. A batch of reads only (CmdRdp, CmdRdAll)
+// goes under a context marked smr.ReadOnly: replicated, it is one query
+// that the replicas answer from their current state without ordering it
+// (see smr.Client), and it passes any smr.Coalescer by. Any other batch is
+// ordered: the replicas execute the commands back to back but not
+// atomically, each succeeding or failing on its own (Result.Failed),
+// exactly as if issued singly at that point. The returned error is a
+// failure of the invocation as a whole. A batch of one goes out as the
+// plain command.
 func (c *Client) Batch(ctx context.Context, cmds []Command) ([]Result, error) {
 	now := c.clk.Now().UnixNano()
 	encoded := make([][]byte, len(cmds))
+	readOnly := true
 	for i, cmd := range cmds {
+		readOnly = readOnly && (cmd.Op == opRdp || cmd.Op == opRdAll)
 		cmd.Requester = c.requester
 		cmd.Now = now
 		b, err := json.Marshal(cmd)
@@ -107,6 +114,9 @@ func (c *Client) Batch(ctx context.Context, cmds []Command) ([]Result, error) {
 			return nil, fmt.Errorf("depspace: encoding command: %w", err)
 		}
 		encoded[i] = b
+	}
+	if readOnly {
+		ctx = smr.ReadOnly(ctx)
 	}
 	replies, err := smr.InvokeBatch(ctx, c.inv, encoded)
 	if err != nil {

@@ -243,6 +243,27 @@ func (s *Space) Execute(cmdBytes []byte) []byte {
 	return marshalResult(res)
 }
 
+// Query implements smr.Application: it answers rdp and rdall from the
+// current state, exactly as Execute would, and refuses every other command
+// as malformed, so a query changes nothing. Expired tuples are skipped by
+// the command's Now, as in Execute, and stay where they are.
+func (s *Space) Query(cmdBytes []byte) []byte {
+	var cmd Command
+	if err := json.Unmarshal(cmdBytes, &cmd); err != nil {
+		return marshalResult(Result{OK: false, Err: ErrBadCommand})
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch cmd.Op {
+	case opRdp:
+		return marshalResult(s.rdp(cmd))
+	case opRdAll:
+		return marshalResult(s.rdAll(cmd))
+	default:
+		return marshalResult(Result{OK: false, Err: ErrBadCommand})
+	}
+}
+
 func marshalResult(r Result) []byte {
 	b, err := json.Marshal(r)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -436,4 +437,60 @@ func TestBatchThroughReplicatedCoalescer(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+}
+
+// TestGroupReadsAreQueries: through the deployed path, a Group with one
+// replica lying in every reply, reads and batches of reads are answered by
+// the replicas without executing anything, and see what the writes before
+// them left; a batch with one write among its reads is ordered.
+func TestGroupReadsAreQueries(t *testing.T) {
+	g, err := NewGroup("agent-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Stop()
+	g.Replicas[3].SetByzantine(true)
+	cli := NewClient(g.Invoker, "alice", clock.Real())
+	executed := func() (n int64) {
+		for _, r := range g.Replicas {
+			n += r.ExecutedCommands()
+		}
+		return n
+	}
+	for _, key := range []string{"/a", "/b"} {
+		if _, err := cli.Out(bg, Tuple{"meta", key, "v1"}, ACL{Owner: "alice"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Each write returned on three replicas; let the fourth catch up, so
+	// every count below is exact.
+	deadline := time.Now().Add(5 * time.Second)
+	for executed() < 8 {
+		if time.Now().After(deadline) {
+			t.Fatalf("the replicas executed %d commands, want 8", executed())
+		}
+		runtime.Gosched()
+	}
+
+	if e, err := cli.Rdp(bg, Tuple{"meta", "/a", "*"}); err != nil || e.Tuple[2] != "v1" {
+		t.Fatalf("rdp: %v, %v", e, err)
+	}
+	if all, err := cli.RdAll(bg, Tuple{"meta", "*", "*"}); err != nil || len(all) != 2 {
+		t.Fatalf("rdall: %v, %v", all, err)
+	}
+	res, err := cli.Batch(bg, []Command{CmdRdp(Tuple{"meta", "/b", "*"}), CmdRdAll(Tuple{"meta", "*", "*"})})
+	if err != nil || res[0].Entry == nil || res[0].Entry.Tuple[1] != "/b" || res[1].Count != 2 {
+		t.Fatalf("batch of reads: %+v, %v", res, err)
+	}
+	if n := executed(); n != 8 {
+		t.Fatalf("the reads executed %d commands at the replicas, want none", n-8)
+	}
+
+	res, err = cli.Batch(bg, []Command{CmdRdp(Tuple{"meta", "/b", "*"}), CmdInp(Tuple{"meta", "/b", "*"})})
+	if err != nil || res[1].Failed() != nil {
+		t.Fatalf("batch with a write: %+v, %v", res, err)
+	}
+	if _, err := cli.Rdp(bg, Tuple{"meta", "/b", "*"}); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("rdp after the batch removed /b: %v, want ErrNotFound", err)
+	}
 }

@@ -1,12 +1,16 @@
 package depspace
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
 	"testing"
 	"time"
+
+	"scfs/internal/smr"
 )
 
 // execute runs one command on the space as the replicas would.
@@ -224,6 +228,72 @@ func FuzzSpaceExecute(f *testing.F) {
 		}
 		if err := NewSpace().Restore(s.Snapshot()); err != nil {
 			t.Fatalf("the space no longer snapshots after %q: %v", b, err)
+		}
+	})
+}
+
+// FuzzSpaceQuery: a query reaches every replica outside the order, each
+// answering from whatever state it has, so it must change nothing there —
+// not a tuple, not an expired lease, not the version counter — and it must
+// answer only the reads. Whatever arrives, plain or in a batch envelope, the
+// space's snapshot is byte-identical afterwards, each rdp and rdall is
+// answered as Execute answers it, and every other command is refused as
+// malformed.
+func FuzzSpaceQuery(f *testing.F) {
+	marshal := func(cmd Command) []byte {
+		b, err := json.Marshal(cmd)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	rdp := marshal(Command{Op: opRdp, Now: 5, Template: Tuple{"lock", "/d1/f1", Wildcard}})
+	rdall := marshal(Command{Op: opRdAll, Requester: "bob", Now: 5, Template: Tuple{"meta", Wildcard, Wildcard}, FieldIndex: 1, Prefix: "/d0/"})
+	inp := marshal(CmdInp(Tuple{"meta", "/d0/f0", Wildcard}))
+	for _, b := range [][]byte{
+		rdp,
+		rdall,
+		inp,
+		marshal(CmdCas(Tuple{"meta", "/d0/f0", Wildcard}, Tuple{"meta", "/d0/f0", "bB=="}, 1, ACL{}, 0)),
+		// A lease on the key of one that expired at time 2: executed, it
+		// would drop the expired tuple.
+		marshal(Command{Op: opCas, Now: 5, Template: Tuple{"lock", "/d1/f1", Wildcard}, Replacement: Tuple{"lock", "/d1/f1", "alice"}, TTLNanos: 10}),
+		marshal(Command{Op: opClean, Now: 1 << 50}),
+		smr.EncodeBatch([][]byte{rdp, inp, rdall}),
+		binary.AppendUvarint(smr.EncodeBatch(nil)[:4], 1<<40),
+		[]byte("not json"),
+	} {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		s := fuzzSpace(t)
+		before := s.Snapshot()
+		reply := smr.NewBatchApplication(s).Query(b)
+		if after := s.Snapshot(); !bytes.Equal(before, after) {
+			t.Fatalf("querying %q changed the space:\n%s\nto\n%s", b, before, after)
+		}
+		cmds, replies := [][]byte{b}, [][]byte{reply}
+		if ops, isBatch := smr.DecodeBatch(b); isBatch {
+			cmds = ops
+			if replies, isBatch = smr.DecodeBatch(reply); !isBatch {
+				t.Fatalf("an envelope's query got a plain reply %q", reply)
+			}
+		}
+		if len(replies) != len(cmds) {
+			t.Fatalf("%d replies to %d queried commands", len(replies), len(cmds))
+		}
+		for i, op := range cmds {
+			var cmd Command
+			if json.Unmarshal(op, &cmd) == nil && (cmd.Op == opRdp || cmd.Op == opRdAll) {
+				if want := fuzzSpace(t).Execute(op); !bytes.Equal(replies[i], want) {
+					t.Fatalf("query of %s answered %s, Execute %s", op, replies[i], want)
+				}
+				continue
+			}
+			var res Result
+			if err := json.Unmarshal(replies[i], &res); err != nil || res.OK || res.Err != ErrBadCommand {
+				t.Fatalf("query of %q answered %s, want a refusal", op, replies[i])
+			}
 		}
 	})
 }

@@ -109,6 +109,20 @@ func (s *series) observe(d time.Duration, now time.Time) {
 	s.last = now.UnixNano()
 }
 
+// censor files a cancelled attempt that had taken d: the cloud needs at
+// least d, so the estimate rises to d if it is lower, and is never lowered.
+// The sample window, which percentiles are taken over, keeps only answers.
+func (s *series) censor(d time.Duration, now time.Time) {
+	if ns := float64(d); ns > s.decayedEWMA(now) {
+		s.ewma = ns
+		s.last = now.UnixNano()
+	}
+}
+
+// timed reports whether the series holds an estimate, from an answer or a
+// cancelled attempt.
+func (s *series) timed() bool { return s.count > 0 || s.ewma > 0 }
+
 // decayedEWMA returns the EWMA discounted for staleness as of now. The
 // stored value is never mutated — a fresh sample resumes from the true
 // average, not the discounted one.
@@ -161,19 +175,19 @@ type cloudScore struct {
 }
 
 // lookup returns the series for op, falling back — when that exact series
-// has no samples yet — to the nearest populated bucket of the same class,
+// has no estimate yet — to the nearest populated bucket of the same class,
 // then to the other class (same-bucket-first). A cold (class, bucket) pair
 // thus borrows the best available signal instead of reporting "unknown"
 // until its own traffic arrives; the fallback result is read-only.
 func (c *cloudScore) lookup(op Op) *series {
 	b := sizeBucket(op.Bytes)
 	for _, cl := range [2]OpClass{op.Class, (op.Class + 1) % opClasses} {
-		if s := &c.s[cl][b]; s.count > 0 {
+		if s := &c.s[cl][b]; s.timed() {
 			return s
 		}
 		for dist := 1; dist < sizeBuckets; dist++ {
 			for _, nb := range []int{b - dist, b + dist} {
-				if nb >= 0 && nb < sizeBuckets && c.s[cl][nb].count > 0 {
+				if nb >= 0 && nb < sizeBuckets && c.s[cl][nb].timed() {
 					return &c.s[cl][nb]
 				}
 			}
@@ -196,7 +210,9 @@ func (c *cloudScore) lookup(op Op) *series {
 // Queries for a series with no samples yet fall back to the nearest
 // populated series of the same cloud. Only successful RPCs are sampled: a
 // failing provider answers quickly with an error, and sampling that would
-// make a broken cloud look fast.
+// make a broken cloud look fast. An attempt cancelled at the quorum verdict
+// is a censored sample: it says the cloud takes at least that long, which
+// is how a cloud whose requests are always cut short still gets timed.
 //
 // Health is a circuit breaker per (cloud, direction). The scoreboard never
 // decides availability by itself — the quorum layer keeps contacting
@@ -231,16 +247,18 @@ func NewScoreboard(n int, pol BreakerPolicy, transition func(cloud int, class Op
 // attempt: successes and permanent application errors (not-found, access
 // denied — the provider answered, it is healthy) close it and reset the
 // failure count; transient failures count toward the threshold (and reopen
-// a half-open breaker immediately). Context errors are ignored: they
-// describe the caller, not the cloud.
+// a half-open breaker immediately). A context error describes the caller,
+// not the cloud, so the breaker ignores it; the latency series takes it as
+// censored: the cloud had not answered after d.
 func (s *Scoreboard) Record(i int, op Op, d time.Duration, err error) {
-	if Ignorable(err) {
-		return
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	now := s.now()
 	c := &s.clouds[i]
+	if Ignorable(err) {
+		c.s[op.Class][sizeBucket(op.Bytes)].censor(d, now)
+		return
+	}
 	if err == nil && d >= 0 {
 		c.s[op.Class][sizeBucket(op.Bytes)].observe(d, now)
 	}
@@ -333,9 +351,11 @@ func (s *Scoreboard) Admit(i int, op Op) bool {
 // Rank returns all cloud indices in dispatch order for op — Basil's rule,
 // fastest quorum first, suspects last. Clouds whose breaker for op's
 // direction is open go to the back; within each part clouds are ordered
-// fastest first by the staleness-discounted EWMA of op's series. Clouds
-// with no samples yet rank first (optimistically, so they get explored and
-// sampled) — and so, increasingly, do clouds whose series have gone silent,
+// fastest first by the staleness-discounted EWMA of op's series, a censored
+// estimate counting like any other. Of the clouds with no estimate yet, the
+// first by index ranks first, so that one fan-out explores it; the rest rank
+// after every timed cloud, so a fan-out never prefers several clouds it knows
+// nothing of. Clouds whose series have gone silent decay toward the front,
 // which is how a breaker-recovered cloud re-enters preferred sets. Ties
 // break by index for determinism.
 func (s *Scoreboard) Rank(op Op) []int {
@@ -343,9 +363,15 @@ func (s *Scoreboard) Rank(op Op) []int {
 	now := s.now()
 	ewmas := make([]float64, len(s.clouds))
 	suspected := make([]bool, len(s.clouds))
+	explored := false
 	for i := range s.clouds {
-		if ser := s.clouds[i].lookup(op); ser != nil {
+		switch ser := s.clouds[i].lookup(op); {
+		case ser != nil:
 			ewmas[i] = ser.decayedEWMA(now)
+		case explored:
+			ewmas[i] = math.Inf(1)
+		default:
+			explored = true
 		}
 		suspected[i] = s.suspectedLocked(i, op.Class, now)
 	}
@@ -382,6 +408,10 @@ func (s *Scoreboard) percentile(i int, op Op, p float64) (time.Duration, bool) {
 		return 0, false
 	}
 	n := int(min(ser.count, sampleWindow))
+	if n == 0 { // a censored estimate, no answer to take a percentile of
+		s.mu.Unlock()
+		return 0, false
+	}
 	window := make([]int64, n)
 	copy(window, ser.samples[:n])
 	s.mu.Unlock()

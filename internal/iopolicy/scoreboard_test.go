@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -381,5 +382,61 @@ func TestBoardObserverSeesTransitions(t *testing.T) {
 		if seen[i] != want[i] {
 			t.Fatalf("transition %d = %+v, want %+v", i, seen[i], want[i])
 		}
+	}
+}
+
+// TestRankPutsCensoredStragglerLast: three clouds answer every request in
+// 10ms; the fourth is reached only by requests cancelled at the quorum
+// verdict, 12ms in. Such an attempt is no answer, but it says the cloud
+// takes at least 12ms: from the first round on, the straggler ranks last.
+// Counting it as nothing left the straggler untimed, and untimed clouds
+// ranked first, so every hedged fan-out preferred it.
+func TestRankPutsCensoredStragglerLast(t *testing.T) {
+	b := NewScoreboard(4, BreakerPolicy{}, nil)
+	for round := 1; round <= 50; round++ {
+		for i := 0; i < 3; i++ {
+			b.Record(i, get, 10*time.Millisecond, nil)
+		}
+		b.Record(3, get, 12*time.Millisecond, fmt.Errorf("get: %w", context.Canceled))
+		if got := b.Rank(get); got[3] != 3 {
+			t.Fatalf("round %d: Rank = %v, want the straggler last", round, got)
+		}
+	}
+	if _, ok := b.percentile(3, get, 0.5); ok {
+		t.Fatal("a cancelled attempt entered the sample window")
+	}
+}
+
+// TestCensoredSampleNeverLowersAnEstimate: a cancelled attempt is a lower
+// bound, so one shorter than the estimate changes nothing, and one longer
+// raises it.
+func TestCensoredSampleNeverLowersAnEstimate(t *testing.T) {
+	b := NewScoreboard(1, BreakerPolicy{}, nil)
+	now := time.Unix(0, 0)
+	b.now = func() time.Time { return now }
+	b.Record(0, get, 20*time.Millisecond, nil)
+	b.Record(0, get, 5*time.Millisecond, context.Canceled)
+	if d, _ := b.ewma(0, get); d != 20*time.Millisecond {
+		t.Fatalf("estimate after a 5ms cancellation = %v, want 20ms", d)
+	}
+	b.Record(0, get, 30*time.Millisecond, context.DeadlineExceeded)
+	if d, _ := b.ewma(0, get); d != 30*time.Millisecond {
+		t.Fatalf("estimate after a 30ms cancellation = %v, want 30ms", d)
+	}
+	if b.state(0, OpGet) != BreakerClosed {
+		t.Fatal("cancellations reached the breaker")
+	}
+}
+
+// TestRankExploresOneUntimedCloud: of the clouds the scoreboard knows
+// nothing of, one ranks first, to be explored by this fan-out; the others
+// wait behind every timed cloud.
+func TestRankExploresOneUntimedCloud(t *testing.T) {
+	b := NewScoreboard(4, BreakerPolicy{}, nil)
+	b.Record(1, get, 10*time.Millisecond, nil)
+	b.Record(3, get, 5*time.Millisecond, nil)
+	got := b.Rank(get)
+	if want := []int{0, 3, 1, 2}; !slices.Equal(got, want) {
+		t.Fatalf("Rank = %v, want %v", got, want)
 	}
 }

@@ -87,9 +87,10 @@ func DecodeBatchReply(reply []byte, n int) ([][]byte, error) {
 }
 
 // BatchApplication wraps a deterministic Application so that a batch
-// envelope executes as its sub-operations in order, replying with an
-// envelope of the sub-replies. Plain commands pass through untouched, so
-// batching and non-batching clients interoperate against the same replicas.
+// envelope executes (or is queried) as its sub-operations in order,
+// replying with an envelope of the sub-replies. Plain commands pass through
+// untouched, so batching and non-batching clients interoperate against the
+// same replicas.
 type BatchApplication struct {
 	App Application
 }
@@ -102,14 +103,22 @@ func NewBatchApplication(app Application) *BatchApplication {
 }
 
 // Execute implements Application.
-func (b *BatchApplication) Execute(cmd []byte) []byte {
+func (b *BatchApplication) Execute(cmd []byte) []byte { return unpack(cmd, b.App.Execute) }
+
+// Query implements Application: an envelope is answered as its
+// sub-operations are, each by the wrapped application's Query, so one
+// write hidden among reads is refused like a lone one.
+func (b *BatchApplication) Query(cmd []byte) []byte { return unpack(cmd, b.App.Query) }
+
+// unpack applies do to cmd, or to each sub-operation of an envelope.
+func unpack(cmd []byte, do func([]byte) []byte) []byte {
 	ops, isBatch := DecodeBatch(cmd)
 	if !isBatch {
-		return b.App.Execute(cmd)
+		return do(cmd)
 	}
 	replies := make([][]byte, len(ops))
 	for i, op := range ops {
-		replies[i] = b.App.Execute(op)
+		replies[i] = do(op)
 	}
 	return EncodeBatch(replies)
 }
@@ -122,7 +131,9 @@ func (b *BatchApplication) Restore(snapshot []byte) error { return b.App.Restore
 
 // Invoker submits a serialized command for totally ordered execution and
 // returns the serialized result. Client and Coalescer implement it, and
-// depspace.Invoker names it.
+// depspace.Invoker names it. A context marked ReadOnly asks for the command
+// to be answered without ordering it; an Invoker may ignore the mark, and
+// one that wraps another passes the context on.
 type Invoker interface {
 	Invoke(ctx context.Context, op []byte) ([]byte, error)
 }
@@ -168,6 +179,10 @@ func InvokeBatch(ctx context.Context, inv Invoker, ops [][]byte) ([][]byte, erro
 // sub-operations are flattened into the coalescer's own envelope — adjacent
 // and in order, never nested — and it gets an envelope of their replies
 // back. An envelope is never split, however many operations it carries.
+//
+// A submission under a context marked ReadOnly is a query, which needs no
+// place in the order: it goes straight to Inv, neither queueing behind the
+// invocation in flight nor counting as one.
 type Coalescer struct {
 	// Inv is the underlying invoker (typically a pipelined *Client).
 	Inv Invoker
@@ -214,6 +229,9 @@ func NewCoalescer(inv Invoker) *Coalescer { return &Coalescer{Inv: inv} }
 func (c *Coalescer) Invoke(ctx context.Context, op []byte) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	if isReadOnly(ctx) {
+		return c.Inv.Invoke(ctx, op)
 	}
 	item := &batchItem{op: op, ops: [][]byte{op}, ctx: ctx, done: make(chan struct{})}
 	if ops, isBatch := DecodeBatch(op); isBatch {
@@ -384,6 +402,7 @@ func (c *Coalescer) flush(batch []*batchItem, trigger string) []*batchItem {
 			if st != nil {
 				it.trace.Record(telemetry.Span{
 					Name:       "smr.invoke",
+					Target:     st.Answer,
 					Start:      fstart,
 					Dur:        rtt,
 					Outcome:    out,

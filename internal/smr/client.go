@@ -17,9 +17,19 @@ import (
 // the replica group concurrently.
 const DefaultMaxInflight = 64
 
-// Client invokes commands on a replica group and waits for the reply quorum
-// required by the fault model (1 reply for crash faults, f+1 matching replies
-// for Byzantine faults).
+// Client invokes commands on a replica group and accepts a result once n-f
+// replicas returned it identically (n-f of n, f = the fault model's
+// MaxFaults): for an ordered command those replicas executed it, so every
+// later query's n-f answers include a correct replica that did.
+//
+// Under a context marked ReadOnly, a command goes out as a query: every
+// replica answers it from its current state (Application.Query), with no
+// consensus round, no log entry and no reply record, and n-f identical
+// answers from distinct replicas are the result. As soon as the answers
+// received so far can no longer make n-f identical ones (replicas behind
+// or ahead of each other, a lying replica), or when the first
+// retransmission of an ordered invocation would be due, the query falls
+// back to the ordered invocation of the same command.
 //
 // A Client is safe for concurrent use and *pipelines* concurrent
 // invocations: each in-flight request is tagged with its request ID, a
@@ -76,6 +86,23 @@ type pendingCall struct {
 	result  []byte
 	first   time.Time
 	voteDur time.Duration
+	// query marks an unordered invocation; answers counts the answers it
+	// got, and split is set (before done closes) once they can no longer
+	// reach the quorum.
+	query   bool
+	answers int
+	split   bool
+}
+
+// hopeless reports whether the query's answers so far leave no answer able
+// to reach need identical ones from the n replicas. A replica that answers
+// twice only brings the verdict forward: the query is then ordered.
+func (p *pendingCall) hopeless(n, need int) bool {
+	best := 0
+	for _, who := range p.votes {
+		best = max(best, len(who))
+	}
+	return best+n-p.answers < need
 }
 
 // InvokeStats reports how one invocation moved through the pipeline:
@@ -94,7 +121,41 @@ type InvokeStats struct {
 	// ViewChange reports whether the group's view advanced while the
 	// invocation was in flight (a leader was suspected and replaced).
 	ViewChange bool
+	// Answer is how the result was reached: AnswerOrdered, AnswerUnordered
+	// or AnswerFallback.
+	Answer string
 }
+
+// How an invocation was answered (InvokeStats.Answer, and the Target of its
+// "smr.invoke" span).
+const (
+	// AnswerOrdered is a command ordered by consensus and executed.
+	AnswerOrdered = "ordered"
+	// AnswerUnordered is a query answered by n-f replicas identically.
+	AnswerUnordered = "unordered"
+	// AnswerFallback is a query whose quorum could not form, ordered after
+	// all.
+	AnswerFallback = "fallback"
+)
+
+// queryKey marks a context whose invocations only read.
+type queryKey struct{}
+
+// ReadOnly marks ctx so that a Client sends a command invoked under it as a
+// query rather than ordering it, and a Coalescer passes it straight to its
+// invoker instead of batching it. Only a command the application answers in
+// Query may be marked: anything else is refused by the replicas. Invokers
+// that keep no replicas (depspace.LocalInvoker) ignore the mark.
+func ReadOnly(ctx context.Context) context.Context {
+	return context.WithValue(ctx, queryKey{}, true)
+}
+
+// isReadOnly reports whether ctx was marked by ReadOnly.
+func isReadOnly(ctx context.Context) bool { return ctx.Value(queryKey{}) != nil }
+
+// errSplit ends a query whose quorum cannot form; the caller falls back to
+// ordering the command.
+var errSplit = errors.New("smr: query answers split")
 
 // StatsInvoker is an Invoker that can report per-invocation pipeline
 // statistics. *Client implements it; wrappers that cannot (test doubles,
@@ -147,8 +208,8 @@ func (c *Client) initWindow() {
 }
 
 // register tags a new invocation and makes it visible to the receiver.
-func (c *Client) register(stats bool) (uint64, *pendingCall) {
-	call := &pendingCall{done: make(chan struct{}), stats: stats}
+func (c *Client) register(stats, query bool) (uint64, *pendingCall) {
+	call := &pendingCall{done: make(chan struct{}), stats: stats, query: query}
 	c.mu.Lock()
 	c.nextID++
 	id := c.nextID
@@ -198,7 +259,8 @@ func (c *Client) lookup(id uint64) *pendingCall {
 // any other invocation — concurrent sessions never see each other's replies.
 func (c *Client) receive() {
 	defer close(c.recvDone)
-	needed := c.cfg.Model.ReplyQuorum(c.cfg.N())
+	n := c.cfg.N()
+	needed := n - c.cfg.Model.MaxFaults(n)
 	for {
 		select {
 		case <-c.closeCh:
@@ -227,27 +289,37 @@ func (c *Client) receive() {
 				call.votes[key] = make(map[int]bool)
 			}
 			call.votes[key][r.Replica] = true
-			if len(call.votes[key]) >= needed {
+			switch {
+			case len(call.votes[key]) >= needed:
 				call.result = cloneBytes(r.Result)
 				if call.stats {
 					call.voteDur = time.Since(call.first)
 				}
-				c.forget(r.ReqID)
-				close(call.done)
+			case call.query:
+				call.answers++
+				if !call.hopeless(n, needed) {
+					continue
+				}
+				call.split = true
+			default:
+				continue
 			}
+			c.forget(r.ReqID)
+			close(call.done)
 		}
 	}
 }
 
-// Invoke submits op for total ordering and returns the agreed result.
+// Invoke submits op for total ordering and returns the agreed result; under
+// a context marked ReadOnly it queries the replicas first (see Client).
 // Cancelling ctx abandons the invocation promptly with ctx.Err(); the
 // command may still execute at the replicas (an abandoned request is
 // indistinguishable from a lost reply). A context carrying a telemetry
 // trace gets an "smr.invoke" span recording the invocation's pipeline
-// statistics — window wait, retransmissions, vote latency, crossed view
-// changes (direct callers only; the Coalescer invokes under a detached
-// context and records spans for its participants itself, via
-// InvokeWithStats).
+// statistics — how it was answered (its Target), window wait,
+// retransmissions, vote latency, crossed view changes (direct callers only;
+// the Coalescer invokes ordered batches under a detached context and
+// records spans for its participants itself, via InvokeWithStats).
 func (c *Client) Invoke(ctx context.Context, op []byte) ([]byte, error) {
 	tr := telemetry.FromContext(ctx)
 	if tr == nil {
@@ -258,7 +330,7 @@ func (c *Client) Invoke(ctx context.Context, op []byte) ([]byte, error) {
 	out, err := c.invoke(ctx, op, &st)
 	tr.Record(telemetry.Span{
 		Name:       "smr.invoke",
-		Target:     c.id,
+		Target:     st.Answer,
 		Start:      start,
 		Dur:        time.Since(start),
 		Outcome:    invokeOutcome(err),
@@ -290,7 +362,29 @@ func invokeOutcome(err error) telemetry.SpanOutcome {
 	}
 }
 
+// invoke queries the replicas when ctx is marked ReadOnly, and orders op
+// when it is not or when the query's quorum cannot form.
 func (c *Client) invoke(ctx context.Context, op []byte, st *InvokeStats) ([]byte, error) {
+	answer := AnswerOrdered
+	if st != nil {
+		defer func() { st.Answer = answer }()
+	}
+	if isReadOnly(ctx) {
+		out, err := c.call(ctx, op, st, true)
+		if err != errSplit {
+			answer = AnswerUnordered
+			return out, err
+		}
+		answer = AnswerFallback
+	}
+	return c.call(ctx, op, st, false)
+}
+
+// call makes one invocation of op: a query, which ends with errSplit when
+// its quorum cannot form or when its first retransmission would be due, or
+// an ordered request, retransmitted until its quorum forms. The statistics
+// of both rounds of a query that fell back add up in st.
+func (c *Client) call(ctx context.Context, op []byte, st *InvokeStats, query bool) ([]byte, error) {
 	if c.closed.Load() {
 		return nil, fmt.Errorf("%w (%s)", ErrClosed, c.id)
 	}
@@ -314,21 +408,24 @@ func (c *Client) invoke(ctx context.Context, op []byte, st *InvokeStats) ([]byte
 	}
 	defer func() { <-c.window }()
 
-	reqID, call := c.register(st != nil)
+	reqID, call := c.register(st != nil, query)
 	defer c.forget(reqID)
 
 	retries := 0
 	if st != nil {
-		st.Window = time.Since(acquire)
+		st.Window += time.Since(acquire)
 		viewStart := c.maxView.Load()
 		defer func() {
-			st.Retries = retries
-			st.ViewChange = c.maxView.Load() > viewStart
+			st.Retries += retries
+			st.ViewChange = st.ViewChange || c.maxView.Load() > viewStart
 		}()
 	}
 
 	msg := message{Type: msgRequest, From: -1, FromCli: c.id,
 		Req: request{ClientID: c.id, ReqID: reqID, LowID: c.lowID(), Op: op}}
+	if query {
+		msg.Type = msgQuery
+	}
 	c.net.Broadcast(msg)
 
 	// One deadline timer and one retransmission timer per invocation, both
@@ -345,6 +442,9 @@ func (c *Client) invoke(ctx context.Context, op []byte, st *InvokeStats) ([]byte
 	for {
 		select {
 		case <-call.done:
+			if call.split {
+				return nil, errSplit
+			}
 			if st != nil {
 				st.Vote = call.voteDur
 			}
@@ -352,6 +452,12 @@ func (c *Client) invoke(ctx context.Context, op []byte, st *InvokeStats) ([]byte
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		case <-retry.C:
+			if query {
+				// A replica that never answers (crashed, cut off) leaves a
+				// quorum that may still form on paper; the order does not
+				// wait for it.
+				return nil, errSplit
+			}
 			retries++
 			msg.Req.LowID = c.lowID() // refresh the cumulative ack
 			c.net.Broadcast(msg)

@@ -182,6 +182,42 @@ func TestCoalescerPacksConcurrentOps(t *testing.T) {
 	last.answered(t, fmt.Sprintf("%d:last", n+2), "immediate", 1)
 }
 
+// TestCoalescerPassesQueriesStraightThrough: a read-only submission needs
+// no place in the order, so it neither waits behind the invocation in
+// flight nor joins the queue behind it: it reaches the invoker at once,
+// alone, while what queued still leaves as the next batch.
+func TestCoalescerPassesQueriesStraightThrough(t *testing.T) {
+	park := newParkingInvoker(appInvoker(&logApp{}))
+	co := NewCoalescer(park)
+
+	first := submit(bg, co, []byte("w1"))
+	inFlight := park.next()
+	queued := submit(bg, co, []byte("w2"))
+	waitQueued(co, 1)
+
+	read := submit(ReadOnly(bg), co, []byte("r"))
+	call := park.next() // nothing was released
+	wantOps(t, call, "r")
+	close(call.release)
+	<-read.done
+	if read.err != nil || string(read.reply) != "1:r" {
+		t.Fatalf("read-only reply = %q, %v; want %q", read.reply, read.err, "1:r")
+	}
+	for _, sp := range read.trace.Spans() {
+		if sp.Name == "smr.batch" {
+			t.Fatalf("a read-only submission was batched: %v", read.trace.Describe())
+		}
+	}
+	waitQueued(co, 1)
+
+	close(inFlight.release)
+	first.answered(t, "2:w1", "immediate", 1)
+	call = park.next()
+	wantOps(t, call, "w2")
+	close(call.release)
+	queued.answered(t, "3:w2", "drain", 1)
+}
+
 // TestCoalescerFullQueueLeavesAtOnce: the operation that brings the queue to
 // maxBatch starts an invocation although the first is still in flight, and
 // the two overlap — the second is answered first.

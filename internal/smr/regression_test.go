@@ -159,6 +159,7 @@ func TestExecutionIgnoresReplyFloorTiming(t *testing.T) {
 type echoApp struct{}
 
 func (echoApp) Execute(cmd []byte) []byte { return append([]byte("r:"), cmd...) }
+func (echoApp) Query(cmd []byte) []byte   { return append([]byte("q:"), cmd...) }
 func (echoApp) Snapshot() []byte          { return nil }
 func (echoApp) Restore([]byte) error      { return nil }
 

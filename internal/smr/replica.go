@@ -209,8 +209,9 @@ func (r *Replica) Stop() {
 	<-r.doneCh
 }
 
-// SetByzantine makes the replica return corrupted results to clients (test
-// hook exercising the BFT reply-voting path).
+// SetByzantine makes the replica return corrupted results to clients, to
+// ordered invocations and queries alike (test hook exercising the BFT
+// reply-voting path).
 func (r *Replica) SetByzantine(b bool) {
 	r.statsMu.Lock()
 	defer r.statsMu.Unlock()
@@ -315,7 +316,17 @@ func (r *Replica) handle(m message) {
 		r.onStateRequest(m)
 	case msgStateReply:
 		r.onStateReply(m)
+	case msgQuery:
+		r.onQuery(m)
 	}
+}
+
+// onQuery answers a read-only command from the state as this replica has
+// executed it so far: no sequence number, no log entry, no reply record. A
+// replica behind the others answers from an older state; the client's n-f
+// identical answers are what make the result current.
+func (r *Replica) onQuery(m message) {
+	r.sendReply(m.Req, r.app.Query(m.Req.Op))
 }
 
 // --- normal case operation ---

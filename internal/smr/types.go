@@ -5,12 +5,16 @@
 //   - Crash faults: 2f+1 replicas tolerate f crashes (the Zookeeper-like
 //     configuration of the paper).
 //   - Byzantine faults: 3f+1 replicas tolerate f arbitrary faults (the
-//     DepSpace/BFT-SMaRt configuration), with clients accepting a result only
-//     after f+1 matching replies.
+//     DepSpace/BFT-SMaRt configuration).
 //
 // The engine totally orders client commands through a leader, executes them
 // on a deterministic Application, and supports checkpointing and a simple
-// view change to survive leader failure. Transports are pluggable; the
+// view change to survive leader failure. A client accepts a result once
+// n-f replicas returned it identically. A read-only command can skip the
+// order: it is a query that every replica answers from its current state
+// (Application.Query), accepted on the same n-f identical answers; since
+// every ordered command that returned was executed by n-f replicas, f+1 of
+// them correct, any n-f answers include one of them. Transports are pluggable; the
 // in-memory transport in transport.go connects replicas within a process and
 // can drop, delay, or corrupt messages for fault-injection tests.
 package smr
@@ -64,19 +68,16 @@ func (m FaultModel) MaxFaults(n int) int {
 	}
 }
 
-// ReplyQuorum returns the number of matching replies a client must collect.
-func (m FaultModel) ReplyQuorum(n int) int {
-	if m == ByzantineFaults {
-		return m.MaxFaults(n) + 1
-	}
-	return 1
-}
-
 // Application is the deterministic service replicated by the engine. All
 // methods are invoked from a single goroutine per replica.
 type Application interface {
 	// Execute applies a totally ordered command and returns its reply.
 	Execute(cmd []byte) []byte
+	// Query answers a read-only command from the current state, outside the
+	// order, and must change nothing: no state, no expiry, no counter. A
+	// command that is not read-only gets a refusal. Correct replicas that
+	// executed the same prefix must answer a query identically.
+	Query(cmd []byte) []byte
 	// Snapshot serializes the full application state for state transfer.
 	Snapshot() []byte
 	// Restore replaces the application state with a snapshot.
@@ -150,6 +151,7 @@ const (
 	msgNewView
 	msgStateRequest
 	msgStateReply
+	msgQuery
 )
 
 func (t msgType) String() string {
@@ -172,6 +174,8 @@ func (t msgType) String() string {
 		return "STATE-REQUEST"
 	case msgStateReply:
 		return "STATE-REPLY"
+	case msgQuery:
+		return "QUERY"
 	default:
 		return fmt.Sprintf("msgType(%d)", int(t))
 	}

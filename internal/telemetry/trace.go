@@ -51,8 +51,9 @@ func (o SpanOutcome) String() string {
 // span kind and must be a constant — data-plane RPCs ("desc.get",
 // "desc.put", "chunk.get", "chunk.put", "head.get", "head.put") and
 // metadata-plane phases ("smr.invoke", "smr.batch"); variable detail
-// belongs in Target (the provider the span worked against, or the batch
-// flush trigger), never Sprintf'd into the name. Hedged marks
+// belongs in Target (the provider the span worked against, the batch flush
+// trigger, or how an smr invocation was answered: ordered, unordered or
+// fallback), never Sprintf'd into the name. Hedged marks
 // attempts that launched from behind the hedge gate rather than the
 // preferred set.
 // Err (if any) is kept as an error value — formatting is deferred to export
