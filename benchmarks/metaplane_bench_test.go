@@ -112,7 +112,7 @@ func BenchmarkCoalescerIdle(b *testing.B) {
 			cli := smr.NewClient("idle", cfg, net)
 			b.Cleanup(cli.Close)
 			inv := leg.wrap(cli)
-			op := []byte("op")
+			op := smr.EncodeBatch([][]byte{[]byte("op")})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := inv.Invoke(bg, op); err != nil {

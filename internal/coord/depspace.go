@@ -2,7 +2,6 @@ package coord
 
 import (
 	"context"
-	"encoding/base64"
 	"errors"
 	"fmt"
 	"strings"
@@ -12,7 +11,8 @@ import (
 )
 
 // Tuple layout used in the DepSpace backend. Metadata tuples are
-// <"meta", key, payload>; lock tuples are <"lock", name, owner>.
+// <"meta", key, record>, the record's bytes as they are; lock tuples are
+// <"lock", name, owner>.
 const (
 	tagMeta = "meta"
 	tagLock = "lock"
@@ -37,10 +37,6 @@ func dsACL(a ACL) depspace.ACL {
 	return depspace.ACL{Owner: a.Owner, Readers: a.Readers, Writers: a.Writers}
 }
 
-func encodePayload(v []byte) string { return base64.StdEncoding.EncodeToString(v) }
-
-func decodePayload(s string) ([]byte, error) { return base64.StdEncoding.DecodeString(s) }
-
 func mapDepSpaceError(err error) error {
 	switch {
 	case err == nil:
@@ -64,7 +60,7 @@ func dsCommand(op Op) (depspace.Command, error) {
 	case OpPut:
 		return depspace.CmdReplace(
 			depspace.Tuple{tagMeta, op.Key, depspace.Wildcard},
-			depspace.Tuple{tagMeta, op.Key, encodePayload(op.Value)},
+			depspace.Tuple{tagMeta, op.Key, string(op.Value)},
 			dsACL(op.ACL)), nil
 	case OpList:
 		// The replicas test the prefix, so the reply is the directory.
@@ -86,7 +82,7 @@ func dsCommand(op Op) (depspace.Command, error) {
 	case OpCas:
 		return depspace.CmdCas(
 			depspace.Tuple{tagMeta, op.Key, depspace.Wildcard},
-			depspace.Tuple{tagMeta, op.Key, encodePayload(op.Value)},
+			depspace.Tuple{tagMeta, op.Key, string(op.Value)},
 			op.Version, dsACL(op.ACL), 0), nil
 	default:
 		return depspace.Command{}, fmt.Errorf("coord: command %d cannot be batched", op.Kind)
@@ -98,11 +94,7 @@ func recordOf(e depspace.Entry) (Record, error) {
 	if len(e.Tuple) != 3 {
 		return Record{}, fmt.Errorf("coord: malformed metadata tuple %v", e.Tuple)
 	}
-	val, err := decodePayload(e.Tuple[2])
-	if err != nil {
-		return Record{}, fmt.Errorf("coord: corrupt metadata payload for %q: %w", e.Tuple[1], err)
-	}
-	return Record{Key: e.Tuple[1], Value: val, Version: e.Version}, nil
+	return Record{Key: e.Tuple[1], Value: []byte(e.Tuple[2]), Version: e.Version}, nil
 }
 
 // dsResult translates the tuple space's reply to op's command into what the

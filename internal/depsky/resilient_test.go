@@ -167,9 +167,13 @@ func TestBreakerFailFastSkipsSuspectedCloud(t *testing.T) {
 }
 
 // TestBreakerRecoveryReadmitsCloud: after the cooldown a probe succeeds and
-// the cloud serves traffic again.
+// the cloud serves traffic again. Cloud 0 answers at once and the others
+// take 2 ms, so cloud 0's failure, and then its probe, are heard before the
+// read's verdict: an attempt the verdict cancels says nothing of a cloud and
+// moves no breaker.
 func TestBreakerRecoveryReadmitsCloud(t *testing.T) {
-	m, providers, _ := hedgeManager(t, make([]time.Duration, 4), Options{
+	rtts := []time.Duration{0, 2 * time.Millisecond, 2 * time.Millisecond, 2 * time.Millisecond}
+	m, providers, _ := hedgeManager(t, rtts, Options{
 		Breakers: iopolicy.BreakerPolicy{FailureThreshold: 1, Cooldown: 30 * time.Millisecond},
 	})
 	data := bytes.Repeat([]byte{0x9D}, 8<<10)

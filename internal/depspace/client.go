@@ -2,8 +2,6 @@ package depspace
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -20,9 +18,9 @@ import (
 type Invoker = smr.Invoker
 
 // LocalInvoker executes commands directly on a Space. Like a replica
-// wrapped in smr.BatchApplication, it executes a batch envelope as its
-// sub-commands in order. It has one copy of the state, so reads need no
-// query: it executes them too.
+// wrapped in smr.BatchApplication, it takes a batch envelope, executes its
+// commands in order and answers with an envelope of their replies. It has
+// one copy of the state, so reads need no query: it executes them too.
 type LocalInvoker struct {
 	Space *Space
 }
@@ -53,67 +51,24 @@ func NewClient(inv Invoker, requester string, clk clock.Clock) *Client {
 // Requester returns the principal this client acts as.
 func (c *Client) Requester() string { return c.requester }
 
-// Errors mapped from Result.Err strings.
-var (
-	ErrNotFound     = errors.New(ErrNoMatch)
-	ErrDenied       = errors.New(ErrAccessDenied)
-	ErrVersion      = errors.New(ErrVersionClash)
-	ErrExists       = errors.New(ErrAlreadyExists)
-	ErrMalformed    = errors.New(ErrBadCommand)
-	errUnknownReply = errors.New("depspace: unknown error reply")
-)
-
-func mapError(msg string) error {
-	switch msg {
-	case "":
-		return nil
-	case ErrNoMatch:
-		return ErrNotFound
-	case ErrAccessDenied:
-		return ErrDenied
-	case ErrVersionClash:
-		return ErrVersion
-	case ErrAlreadyExists:
-		return ErrExists
-	case ErrBadCommand:
-		return ErrMalformed
-	default:
-		return fmt.Errorf("%w: %s", errUnknownReply, msg)
-	}
-}
-
-// Failed returns the command's error reply as one of the package's sentinel
-// errors, nil when the command succeeded.
-func (r Result) Failed() error {
-	if r.OK {
-		return nil
-	}
-	return mapError(r.Err)
-}
-
-// Batch submits cmds as one invocation — one round trip — and returns one
-// Result per command, in order. A batch of reads only (CmdRdp, CmdRdAll)
-// goes under a context marked smr.ReadOnly: replicated, it is one query
-// that the replicas answer from their current state without ordering it
-// (see smr.Client), and it passes any smr.Coalescer by. Any other batch is
+// Batch submits cmds as one invocation — one round trip, one envelope of
+// one command or more — and returns one Result per command, in order. A
+// batch of reads only (CmdRdp, CmdRdAll) goes under a context marked
+// smr.ReadOnly: replicated, it is one query that the replicas answer from
+// their current state without ordering it (see smr.Client), and it passes
+// any smr.Coalescer by. Any other batch is
 // ordered: the replicas execute the commands back to back but not
 // atomically, each succeeding or failing on its own (Result.Failed),
 // exactly as if issued singly at that point. The returned error is a
-// failure of the invocation as a whole. A batch of one goes out as the
-// plain command.
+// failure of the invocation as a whole.
 func (c *Client) Batch(ctx context.Context, cmds []Command) ([]Result, error) {
 	now := c.clk.Now().UnixNano()
 	encoded := make([][]byte, len(cmds))
 	readOnly := true
 	for i, cmd := range cmds {
 		readOnly = readOnly && (cmd.Op == opRdp || cmd.Op == opRdAll)
-		cmd.Requester = c.requester
-		cmd.Now = now
-		b, err := json.Marshal(cmd)
-		if err != nil {
-			return nil, fmt.Errorf("depspace: encoding command: %w", err)
-		}
-		encoded[i] = b
+		cmd.Requester, cmd.Now = c.requester, now
+		encoded[i] = appendCommand(nil, cmd)
 	}
 	if readOnly {
 		ctx = smr.ReadOnly(ctx)
@@ -124,7 +79,7 @@ func (c *Client) Batch(ctx context.Context, cmds []Command) ([]Result, error) {
 	}
 	results := make([]Result, len(replies))
 	for i, reply := range replies {
-		if err := json.Unmarshal(reply, &results[i]); err != nil {
+		if results[i], err = decodeResult(reply); err != nil {
 			return nil, fmt.Errorf("depspace: decoding reply: %w", err)
 		}
 	}

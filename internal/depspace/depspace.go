@@ -17,12 +17,14 @@
 package depspace
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
 	"strings"
 	"sync"
+
+	"scfs/internal/smr"
 )
 
 // Wildcard matches any field value in a template.
@@ -70,10 +72,10 @@ func (t Tuple) Less(o Tuple) bool {
 type ACL struct {
 	// Owner may always read, overwrite and remove the tuple, and is the only
 	// principal allowed to change the ACL.
-	Owner string `json:"owner,omitempty"`
+	Owner string
 	// Readers and Writers extend access to other principals.
-	Readers []string `json:"readers,omitempty"`
-	Writers []string `json:"writers,omitempty"`
+	Readers []string
+	Writers []string
 }
 
 func (a ACL) canRead(who string) bool {
@@ -102,12 +104,12 @@ func (a ACL) canWrite(who string) bool {
 
 // Entry is a stored tuple with its metadata.
 type Entry struct {
-	Tuple   Tuple  `json:"tuple"`
-	ACL     ACL    `json:"acl"`
-	Version uint64 `json:"version"`
+	Tuple   Tuple
+	ACL     ACL
+	Version uint64
 	// ExpiresAt is a unix-nano deadline for ephemeral tuples; 0 means the
 	// tuple is permanent.
-	ExpiresAt int64 `json:"expires_at,omitempty"`
+	ExpiresAt int64
 }
 
 // opcode values for commands.
@@ -122,54 +124,134 @@ const (
 	opClean   = "clean"
 )
 
-// Command is the serialized operation executed by the state machine.
+// Command is the operation executed by the state machine. On the wire it is
+// every field in declaration order, in smr's codec (see appendCommand).
 type Command struct {
-	Op string `json:"op"`
+	Op string
 	// Requester is the principal performing the operation (enforced against
 	// tuple ACLs by the replicas, not by the client).
-	Requester string `json:"requester"`
+	Requester string
 	// Now is the client's timestamp (unix nanos) used for expiry decisions.
-	Now int64 `json:"now"`
+	Now int64
 
-	Tuple    Tuple `json:"tuple,omitempty"`
-	Template Tuple `json:"template,omitempty"`
+	Tuple    Tuple
+	Template Tuple
 	// Replacement is used by replace/cas.
-	Replacement Tuple `json:"replacement,omitempty"`
+	Replacement Tuple
 	// ExpectedVersion is used by cas, where 0 means "must not exist", and
 	// by inp, where 0 means "any version".
-	ExpectedVersion uint64 `json:"expected_version,omitempty"`
+	ExpectedVersion uint64
 	// ACL to attach on out/replace/cas.
-	ACL ACL `json:"acl,omitempty"`
+	ACL ACL
 	// TTLNanos makes the tuple ephemeral (expires TTL after Now).
-	TTLNanos int64 `json:"ttl_nanos,omitempty"`
+	TTLNanos int64
 	// Rename support: prefix rewrite of the field at index FieldIndex.
-	FieldIndex int    `json:"field_index,omitempty"`
-	OldPrefix  string `json:"old_prefix,omitempty"`
-	NewPrefix  string `json:"new_prefix,omitempty"`
+	FieldIndex int
+	OldPrefix  string
+	NewPrefix  string
 	// Prefix narrows rdall to tuples whose field at index FieldIndex starts
-	// with it; empty (as in every command logged before it existed) matches
-	// by template alone.
-	Prefix string `json:"prefix,omitempty"`
+	// with it; empty matches by template alone.
+	Prefix string
 }
 
-// Result is the reply produced by the state machine.
+// Result is the reply produced by the state machine (on the wire, see
+// encodeResult).
 type Result struct {
-	OK      bool    `json:"ok"`
-	Err     string  `json:"err,omitempty"`
-	Entry   *Entry  `json:"entry,omitempty"`
-	Entries []Entry `json:"entries,omitempty"`
-	Version uint64  `json:"version,omitempty"`
-	Count   int     `json:"count,omitempty"`
+	OK      bool
+	Err     Code
+	Entry   *Entry
+	Entries []Entry
+	Version uint64
+	Count   int
 }
 
-// Well-known error strings carried inside Result.Err.
+// The layouts of a command, a reply and a snapshot in smr's codec: every
+// field in declaration order, none left out, so each value has one encoding.
+// Go evaluates a composite literal's reads in order, the order of the fields.
+
+func appendCommand(b []byte, c Command) []byte {
+	b = smr.AppendUvarint(smr.AppendString(smr.AppendString(b, c.Op), c.Requester), uint64(c.Now))
+	b = smr.AppendStrings(smr.AppendStrings(smr.AppendStrings(b, c.Tuple), c.Template), c.Replacement)
+	b = appendACL(smr.AppendUvarint(b, c.ExpectedVersion), c.ACL)
+	b = smr.AppendUvarint(smr.AppendUvarint(b, uint64(c.TTLNanos)), uint64(c.FieldIndex))
+	return smr.AppendString(smr.AppendString(smr.AppendString(b, c.OldPrefix), c.NewPrefix), c.Prefix)
+}
+
+func decodeCommand(b []byte) (Command, error) {
+	d := smr.NewDecoder(b, false)
+	c := Command{Op: d.Str(), Requester: d.Str(), Now: int64(d.Uvarint()),
+		Tuple: d.Strings(), Template: d.Strings(), Replacement: d.Strings(),
+		ExpectedVersion: d.Uvarint(), ACL: decodeACL(&d), TTLNanos: int64(d.Uvarint()),
+		FieldIndex: int(d.Uvarint()), OldPrefix: d.Str(), NewPrefix: d.Str(), Prefix: d.Str()}
+	return c, d.Finish()
+}
+
+func appendACL(b []byte, a ACL) []byte {
+	return smr.AppendStrings(smr.AppendStrings(smr.AppendString(b, a.Owner), a.Readers), a.Writers)
+}
+
+func decodeACL(d *smr.Decoder) ACL {
+	return ACL{Owner: d.Str(), Readers: d.Strings(), Writers: d.Strings()}
+}
+
+func appendEntry(b []byte, e Entry) []byte {
+	b = appendACL(smr.AppendStrings(b, e.Tuple), e.ACL)
+	return smr.AppendUvarint(smr.AppendUvarint(b, e.Version), uint64(e.ExpiresAt))
+}
+
+func decodeEntry(d *smr.Decoder) Entry {
+	return Entry{Tuple: d.Strings(), ACL: decodeACL(d), Version: d.Uvarint(), ExpiresAt: int64(d.Uvarint())}
+}
+
+// A reply carries Err alone, OK being Err == 0, and its Entry as a list of
+// at most one.
+func encodeResult(r Result) []byte {
+	var entry []Entry
+	if r.Entry != nil {
+		entry = []Entry{*r.Entry}
+	}
+	b := smr.AppendList(smr.AppendUvarint(nil, uint64(r.Err)), entry, appendEntry)
+	return smr.AppendUvarint(smr.AppendUvarint(smr.AppendList(b, r.Entries, appendEntry), r.Version), uint64(r.Count))
+}
+
+func decodeResult(b []byte) (Result, error) {
+	d := smr.NewDecoder(b, false)
+	code := d.Uvarint()
+	d.Want(code < uint64(len(codeErrors)))
+	r := Result{Err: Code(code)}
+	if entry := smr.List(&d, decodeEntry); len(entry) > 0 {
+		d.Want(len(entry) == 1)
+		r.Entry = &entry[0]
+	}
+	r.OK, r.Entries, r.Version, r.Count = r.Err == 0, smr.List(&d, decodeEntry), d.Uvarint(), int(d.Uvarint())
+	return r, d.Finish()
+}
+
+// Code is how a command failed, one byte in its reply; 0 is success.
+type Code byte
+
+// The codes a command fails with; Result.Failed maps each to its error.
 const (
-	ErrNoMatch       = "depspace: no matching tuple"
-	ErrAccessDenied  = "depspace: access denied"
-	ErrVersionClash  = "depspace: version mismatch"
-	ErrAlreadyExists = "depspace: tuple already exists"
-	ErrBadCommand    = "depspace: malformed command"
+	ErrNoMatch Code = iota + 1
+	ErrAccessDenied
+	ErrVersionClash
+	ErrAlreadyExists
+	ErrBadCommand
 )
+
+// The errors of the codes, indexed by Code.
+var (
+	ErrNotFound  = errors.New("depspace: no matching tuple")
+	ErrDenied    = errors.New("depspace: access denied")
+	ErrVersion   = errors.New("depspace: version mismatch")
+	ErrExists    = errors.New("depspace: tuple already exists")
+	ErrMalformed = errors.New("depspace: malformed command")
+	codeErrors   = [...]error{nil, ErrNotFound, ErrDenied, ErrVersion, ErrExists, ErrMalformed}
+)
+
+// Failed returns the command's error reply as one of the package's sentinel
+// errors, nil when the command succeeded.
+func (r Result) Failed() error { return codeErrors[r.Err] }
 
 // Space is the deterministic tuple-space state machine. It implements
 // smr.Application.
@@ -212,10 +294,18 @@ func NewSpace() *Space {
 }
 
 // Execute implements smr.Application.
-func (s *Space) Execute(cmdBytes []byte) []byte {
-	var cmd Command
-	if err := json.Unmarshal(cmdBytes, &cmd); err != nil {
-		return marshalResult(Result{OK: false, Err: ErrBadCommand})
+func (s *Space) Execute(cmd []byte) []byte { return s.apply(cmd, false) }
+
+// Query implements smr.Application: it answers rdp and rdall from the
+// current state, exactly as Execute would, and refuses every other command
+// as malformed, so a query changes nothing. Expired tuples are skipped by
+// the command's Now, as in Execute, and stay where they are.
+func (s *Space) Query(cmd []byte) []byte { return s.apply(cmd, true) }
+
+func (s *Space) apply(cmdBytes []byte, query bool) []byte {
+	cmd, err := decodeCommand(cmdBytes)
+	if err != nil || query && cmd.Op != opRdp && cmd.Op != opRdAll {
+		return encodeResult(Result{OK: false, Err: ErrBadCommand})
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -240,37 +330,7 @@ func (s *Space) Execute(cmdBytes []byte) []byte {
 	default:
 		res = Result{OK: false, Err: ErrBadCommand}
 	}
-	return marshalResult(res)
-}
-
-// Query implements smr.Application: it answers rdp and rdall from the
-// current state, exactly as Execute would, and refuses every other command
-// as malformed, so a query changes nothing. Expired tuples are skipped by
-// the command's Now, as in Execute, and stay where they are.
-func (s *Space) Query(cmdBytes []byte) []byte {
-	var cmd Command
-	if err := json.Unmarshal(cmdBytes, &cmd); err != nil {
-		return marshalResult(Result{OK: false, Err: ErrBadCommand})
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch cmd.Op {
-	case opRdp:
-		return marshalResult(s.rdp(cmd))
-	case opRdAll:
-		return marshalResult(s.rdAll(cmd))
-	default:
-		return marshalResult(Result{OK: false, Err: ErrBadCommand})
-	}
-}
-
-func marshalResult(r Result) []byte {
-	b, err := json.Marshal(r)
-	if err != nil {
-		// A Result is always marshalable; this is unreachable in practice.
-		return []byte(`{"ok":false,"err":"depspace: internal marshal error"}`)
-	}
-	return b
+	return encodeResult(res)
 }
 
 // expired evaluates expiry lazily, during matching; expired tuples are
@@ -280,10 +340,10 @@ func (e *Entry) expired(now int64) bool {
 }
 
 func (s *Space) cleanExpired(now int64) int {
-	var kept []*Entry
+	var kept []Entry
 	for _, st := range s.entries {
 		if st != nil && !st.expired(now) {
-			kept = append(kept, &st.Entry)
+			kept = append(kept, st.Entry)
 		}
 	}
 	removed := s.live - len(kept)
@@ -292,14 +352,12 @@ func (s *Space) cleanExpired(now int64) int {
 }
 
 // reset makes entries, in their order, the whole content of the space.
-func (s *Space) reset(entries []*Entry) {
+func (s *Space) reset(entries []Entry) {
 	s.entries = make([]*stored, 0, len(entries))
 	s.byKey = make(map[tupleKey][]*stored)
 	s.live = 0
 	for _, e := range entries {
-		if e != nil {
-			s.add(*e)
-		}
+		s.add(e)
 	}
 }
 
@@ -567,36 +625,29 @@ func cloneEntry(e *Entry) *Entry {
 func (s *Space) Snapshot() []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	entries := make([]*Entry, 0, s.live)
+	entries := make([]Entry, 0, s.live)
 	for _, e := range s.entries {
 		if e != nil {
-			entries = append(entries, &e.Entry)
+			entries = append(entries, e.Entry)
 		}
 	}
-	state := struct {
-		Entries []*Entry `json:"entries"`
-		NextVer uint64   `json:"next_ver"`
-	}{Entries: entries, NextVer: s.nextVer}
-	b, _ := json.Marshal(state)
-	return b
+	// The version counter, then the entries in their order in the space.
+	return smr.AppendList(smr.AppendUvarint(smr.AppendVersion(nil), s.nextVer), entries, appendEntry)
 }
 
-// Restore implements smr.Application.
+// Restore implements smr.Application. Snapshot bytes come from a peer: the
+// space changes only if they are a whole snapshot whose version counter can
+// issue a version (versions start at 1).
 func (s *Space) Restore(snapshot []byte) error {
-	var state struct {
-		Entries []*Entry `json:"entries"`
-		NextVer uint64   `json:"next_ver"`
-	}
-	if err := json.Unmarshal(snapshot, &state); err != nil {
-		return fmt.Errorf("depspace: restoring snapshot: %w", err)
+	d := smr.NewDecoder(snapshot, true)
+	nextVer, entries := d.Uvarint(), smr.List(&d, decodeEntry)
+	if err := d.Finish(); err != nil || nextVer == 0 {
+		return fmt.Errorf("depspace: restoring a malformed snapshot (%v) or one at version 0", err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.reset(state.Entries)
-	s.nextVer = state.NextVer
-	if s.nextVer == 0 {
-		s.nextVer = 1
-	}
+	s.reset(entries)
+	s.nextVer = nextVer
 	return nil
 }
 

@@ -301,7 +301,7 @@ func TestReplicatedTupleSpace(t *testing.T) {
 	net := smr.NewNetwork()
 	var replicas []*smr.Replica
 	for _, id := range ids {
-		r, err := smr.NewReplica(id, cfg, NewSpace(), net)
+		r, err := smr.NewReplica(id, cfg, smr.NewBatchApplication(NewSpace()), net)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,8 +2,6 @@ package depspace
 
 import (
 	"bytes"
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -16,13 +14,9 @@ import (
 // execute runs one command on the space as the replicas would.
 func execute(t testing.TB, s *Space, cmd Command) Result {
 	t.Helper()
-	b, err := json.Marshal(cmd)
+	res, err := decodeResult(s.Execute(appendCommand(nil, cmd)))
 	if err != nil {
-		t.Fatal(err)
-	}
-	var res Result
-	if err := json.Unmarshal(s.Execute(b), &res); err != nil {
-		t.Fatalf("reply to %s does not decode as a Result: %v", b, err)
+		t.Fatalf("reply to %+v does not decode as a Result: %v", cmd, err)
 	}
 	return res
 }
@@ -38,11 +32,11 @@ func TestNegativeFieldIndexIsMalformed(t *testing.T) {
 		{Op: opRdAll, Template: Tuple{"meta", Wildcard, Wildcard}, FieldIndex: -1, Prefix: "/dir"},
 	} {
 		if res := execute(t, s, cmd); res.OK || res.Err != ErrBadCommand {
-			t.Errorf("%s with field index -1: ok=%v err=%q, want %q", cmd.Op, res.OK, res.Err, ErrBadCommand)
+			t.Errorf("%s with field index -1: ok=%v err=%v, want %v", cmd.Op, res.OK, res.Failed(), ErrMalformed)
 		}
 	}
 	if res := execute(t, s, CmdRdp(Tuple{"meta", "/dir/a", Wildcard})); !res.OK {
-		t.Fatalf("tuple gone after the rejected commands: %q", res.Err)
+		t.Fatalf("tuple gone after the rejected commands: %v", res.Failed())
 	}
 }
 
@@ -65,7 +59,7 @@ func TestRenameDeniedRewritesNothing(t *testing.T) {
 		t.Fatalf("rename over bob's tuple = %d, %v; want ErrDenied", n, err)
 	}
 	if after := space.Snapshot(); string(after) != string(before) {
-		t.Fatalf("a denied rename changed the space:\nbefore %s\nafter  %s", before, after)
+		t.Fatalf("a denied rename changed the space:\nbefore %x\nafter  %x", before, after)
 	}
 }
 
@@ -111,14 +105,14 @@ func TestInpExpectedVersion(t *testing.T) {
 	template := Tuple{"meta", "/f", Wildcard}
 	v := execute(t, s, Command{Op: opOut, Tuple: Tuple{"meta", "/f", "a"}}).Version
 	if res := execute(t, s, Command{Op: opInp, Template: template, ExpectedVersion: v + 1}); res.OK || res.Err != ErrVersionClash || res.Version != v {
-		t.Fatalf("inp at a stale version: ok=%v err=%q version %d, want %q and the tuple's version %d", res.OK, res.Err, res.Version, ErrVersionClash, v)
+		t.Fatalf("inp at a stale version: ok=%v err=%v version %d, want %v and the tuple's version %d", res.OK, res.Failed(), res.Version, ErrVersion, v)
 	}
 	if res := execute(t, s, Command{Op: opInp, Template: template, ExpectedVersion: v}); !res.OK {
-		t.Fatalf("inp at the tuple's version: %q", res.Err)
+		t.Fatalf("inp at the tuple's version: %v", res.Failed())
 	}
 	execute(t, s, Command{Op: opOut, Tuple: Tuple{"meta", "/f", "b"}})
 	if res := execute(t, s, Command{Op: opInp, Template: template}); !res.OK || res.Entry.Tuple[2] != "b" {
-		t.Fatalf("inp at no version: ok=%v err=%q", res.OK, res.Err)
+		t.Fatalf("inp at no version: ok=%v err=%v", res.OK, res.Failed())
 	}
 	if s.Len() != 0 {
 		t.Fatalf("%d tuples left, want 0", s.Len())
@@ -188,10 +182,20 @@ func fuzzSpace(t testing.TB) *Space {
 	return s
 }
 
+// overlong is cmd's encoding up to its template, whose field count is
+// forged to exceed what the bytes could hold.
+func overlong(cmd Command) []byte {
+	b := smr.AppendString(smr.AppendString(nil, cmd.Op), cmd.Requester)
+	b = smr.AppendStrings(smr.AppendUvarint(b, uint64(cmd.Now)), nil)
+	return append(smr.AppendUvarint(b, 1<<60), 1, 'x')
+}
+
 // FuzzSpaceExecute: command bytes reach Execute from any client, ordered and
 // identical on every replica, so a panic there stops the coordination
-// service. Whatever arrives, Execute returns a reply that decodes as a
-// Result and leaves a space that still answers.
+// service. The decoder accepts only the one encoding of a command: whatever
+// it accepts re-encodes to the same bytes. Whatever arrives, Execute
+// returns the one encoding of a Result and leaves a space that still
+// answers and snapshots.
 func FuzzSpaceExecute(f *testing.F) {
 	for _, cmd := range []Command{
 		CmdRdp(Tuple{"meta", "/d0/f0", Wildcard}),
@@ -210,24 +214,87 @@ func FuzzSpaceExecute(f *testing.F) {
 		{Op: opReplace, Now: 5, Template: Tuple{"meta", "/d1/f1", Wildcard}, Replacement: Tuple{"lock", "/d1/f1", "x"}},
 		{Op: opOut, Now: 1 << 50, Tuple: Tuple{"lock", "/d0/f0", "bob"}},
 	} {
-		b, err := json.Marshal(cmd)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(b)
+		f.Add(appendCommand(nil, cmd))
 	}
-	f.Add([]byte("not json"))
+	f.Add(overlong(CmdRdp(nil)))
+	f.Add(append(appendCommand(nil, CmdRdp(Tuple{"meta", "/d0/f0", Wildcard})), 0))
+	f.Add([]byte("not a command"))
 	f.Fuzz(func(t *testing.T, b []byte) {
+		if cmd, err := decodeCommand(b); err == nil {
+			if again := appendCommand(nil, cmd); !bytes.Equal(again, b) {
+				t.Fatalf("%x decoded to %+v, which re-encodes as %x", b, cmd, again)
+			}
+		}
 		s := fuzzSpace(t)
-		var res Result
-		if err := json.Unmarshal(s.Execute(b), &res); err != nil {
-			t.Fatalf("reply does not decode as a Result: %v", err)
+		reply := s.Execute(b)
+		res, err := decodeResult(reply)
+		if err != nil {
+			t.Fatalf("reply %x does not decode as a Result: %v", reply, err)
+		}
+		if again := encodeResult(res); !bytes.Equal(again, reply) {
+			t.Fatalf("reply %x re-encodes as %x", reply, again)
 		}
 		if res := execute(t, s, Command{Op: opRdAll, Template: Tuple{Wildcard, Wildcard, Wildcard}}); !res.OK {
-			t.Fatalf("the space stopped listing after %q: %s", b, res.Err)
+			t.Fatalf("the space stopped listing after %x: %v", b, res.Failed())
 		}
 		if err := NewSpace().Restore(s.Snapshot()); err != nil {
-			t.Fatalf("the space no longer snapshots after %q: %v", b, err)
+			t.Fatalf("the space no longer snapshots after %x: %v", b, err)
+		}
+	})
+}
+
+// FuzzDecodeResult: a reply comes from a replica, so the client decodes
+// bytes it cannot trust. The decoder accepts only the one encoding of a
+// Result: whatever it accepts re-encodes to the same bytes.
+func FuzzDecodeResult(f *testing.F) {
+	entry := Entry{Tuple: Tuple{"meta", "/f", "rec"}, ACL: ACL{Owner: "alice", Readers: []string{"bob"}}, Version: 7, ExpiresAt: -1}
+	for _, r := range []Result{
+		{OK: true, Entry: &entry, Version: 7},
+		{OK: true, Entries: []Entry{entry, entry}, Count: 2},
+		{Err: ErrVersionClash, Version: 3, Entry: &entry},
+		{OK: true},
+	} {
+		f.Add(encodeResult(r))
+	}
+	f.Add(append(smr.AppendList([]byte{0}, []Entry{entry, entry}, appendEntry), 0, 0, 0)) // two entries where one may be
+	f.Add(append(smr.AppendUvarint([]byte{0, 0}, 1<<60), 0, 0))                           // forged entry count
+	f.Add([]byte{6, 0, 0, 0, 0})                                                          // no such error code
+	f.Fuzz(func(t *testing.T, b []byte) {
+		r, err := decodeResult(b)
+		if err != nil {
+			return
+		}
+		_ = r.Failed() // what the client does with it
+		if again := encodeResult(r); !bytes.Equal(again, b) {
+			t.Fatalf("%x decoded to %+v, which re-encodes as %x", b, r, again)
+		}
+	})
+}
+
+// FuzzSpaceRestore: snapshot bytes come from a peer during state transfer.
+// Restore either fails and leaves the space as it was, or yields a space
+// whose snapshot is those very bytes, whose version counter issues only
+// versions above 0, and which still answers.
+func FuzzSpaceRestore(f *testing.F) {
+	f.Add(fuzzSpace(f).Snapshot())
+	f.Add(NewSpace().Snapshot())
+	f.Add(append(smr.AppendUvarint(smr.AppendVersion(nil), 0), 0))                              // version counter at 0
+	f.Add(append(smr.AppendUvarint(smr.AppendUvarint(smr.AppendVersion(nil), 9), 1<<60), 1, 0)) // forged entry count
+	f.Add([]byte("garbage"))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		s := fuzzSpace(t)
+		before := s.Snapshot()
+		if err := s.Restore(b); err != nil {
+			if after := s.Snapshot(); !bytes.Equal(after, before) {
+				t.Fatalf("a failed restore of %x changed the space", b)
+			}
+			return
+		}
+		if after := s.Snapshot(); !bytes.Equal(after, b) {
+			t.Fatalf("restored %x, snapshot %x", b, after)
+		}
+		if res := execute(t, s, Command{Op: opOut, Tuple: Tuple{"new"}}); !res.OK || res.Version == 0 {
+			t.Fatalf("out after restoring %x: version %d, %v", b, res.Version, res.Failed())
 		}
 	})
 }
@@ -235,64 +302,64 @@ func FuzzSpaceExecute(f *testing.F) {
 // FuzzSpaceQuery: a query reaches every replica outside the order, each
 // answering from whatever state it has, so it must change nothing there —
 // not a tuple, not an expired lease, not the version counter — and it must
-// answer only the reads. Whatever arrives, plain or in a batch envelope, the
-// space's snapshot is byte-identical afterwards, each rdp and rdall is
-// answered as Execute answers it, and every other command is refused as
-// malformed.
+// answer only the reads. Whatever envelope arrives, the space's snapshot is
+// byte-identical afterwards, each rdp and rdall is answered as Execute
+// answers it, and every other command is refused as malformed; bytes that
+// are not an envelope are answered with an empty one.
 func FuzzSpaceQuery(f *testing.F) {
-	marshal := func(cmd Command) []byte {
-		b, err := json.Marshal(cmd)
-		if err != nil {
-			f.Fatal(err)
-		}
-		return b
-	}
-	rdp := marshal(Command{Op: opRdp, Now: 5, Template: Tuple{"lock", "/d1/f1", Wildcard}})
-	rdall := marshal(Command{Op: opRdAll, Requester: "bob", Now: 5, Template: Tuple{"meta", Wildcard, Wildcard}, FieldIndex: 1, Prefix: "/d0/"})
-	inp := marshal(CmdInp(Tuple{"meta", "/d0/f0", Wildcard}))
-	for _, b := range [][]byte{
-		rdp,
-		rdall,
-		inp,
-		marshal(CmdCas(Tuple{"meta", "/d0/f0", Wildcard}, Tuple{"meta", "/d0/f0", "bB=="}, 1, ACL{}, 0)),
+	rdp := appendCommand(nil, Command{Op: opRdp, Now: 5, Template: Tuple{"lock", "/d1/f1", Wildcard}})
+	rdall := appendCommand(nil, Command{Op: opRdAll, Requester: "bob", Now: 5, Template: Tuple{"meta", Wildcard, Wildcard}, FieldIndex: 1, Prefix: "/d0/"})
+	inp := appendCommand(nil, CmdInp(Tuple{"meta", "/d0/f0", Wildcard}))
+	for _, ops := range [][][]byte{
+		{rdp},
+		{rdall},
+		{inp},
+		{appendCommand(nil, CmdCas(Tuple{"meta", "/d0/f0", Wildcard}, Tuple{"meta", "/d0/f0", "bB=="}, 1, ACL{}, 0))},
 		// A lease on the key of one that expired at time 2: executed, it
 		// would drop the expired tuple.
-		marshal(Command{Op: opCas, Now: 5, Template: Tuple{"lock", "/d1/f1", Wildcard}, Replacement: Tuple{"lock", "/d1/f1", "alice"}, TTLNanos: 10}),
-		marshal(Command{Op: opClean, Now: 1 << 50}),
-		smr.EncodeBatch([][]byte{rdp, inp, rdall}),
-		binary.AppendUvarint(smr.EncodeBatch(nil)[:4], 1<<40),
-		[]byte("not json"),
+		{appendCommand(nil, Command{Op: opCas, Now: 5, Template: Tuple{"lock", "/d1/f1", Wildcard}, Replacement: Tuple{"lock", "/d1/f1", "alice"}, TTLNanos: 10})},
+		{appendCommand(nil, Command{Op: opClean, Now: 1 << 50})},
+		{rdp, inp, rdall},
+		{overlong(CmdRdp(nil))},
 	} {
-		f.Add(b)
+		f.Add(smr.EncodeBatch(ops))
 	}
+	f.Add(smr.AppendUvarint(smr.AppendVersion(nil), 1<<60))
+	f.Add(rdp) // a command outside an envelope
 	f.Fuzz(func(t *testing.T, b []byte) {
 		s := fuzzSpace(t)
 		before := s.Snapshot()
 		reply := smr.NewBatchApplication(s).Query(b)
 		if after := s.Snapshot(); !bytes.Equal(before, after) {
-			t.Fatalf("querying %q changed the space:\n%s\nto\n%s", b, before, after)
+			t.Fatalf("querying %x changed the space:\n%x\nto\n%x", b, before, after)
 		}
-		cmds, replies := [][]byte{b}, [][]byte{reply}
-		if ops, isBatch := smr.DecodeBatch(b); isBatch {
-			cmds = ops
-			if replies, isBatch = smr.DecodeBatch(reply); !isBatch {
-				t.Fatalf("an envelope's query got a plain reply %q", reply)
+		cmds, err := smr.DecodeBatch(b)
+		if err != nil {
+			if !bytes.Equal(reply, smr.EncodeBatch(nil)) {
+				t.Fatalf("bytes %x that are no envelope got the reply %x", b, reply)
 			}
+			return
 		}
-		if len(replies) != len(cmds) {
-			t.Fatalf("%d replies to %d queried commands", len(replies), len(cmds))
+		if again := smr.EncodeBatch(cmds); !bytes.Equal(again, b) {
+			t.Fatalf("envelope %x re-encodes as %x", b, again)
+		}
+		replies, err := smr.DecodeBatchReply(reply, len(cmds))
+		if err != nil {
+			t.Fatal(err)
 		}
 		for i, op := range cmds {
-			var cmd Command
-			if json.Unmarshal(op, &cmd) == nil && (cmd.Op == opRdp || cmd.Op == opRdAll) {
+			cmd, err := decodeCommand(op)
+			if err == nil && !bytes.Equal(appendCommand(nil, cmd), op) {
+				t.Fatalf("command %x re-encodes as %x", op, appendCommand(nil, cmd))
+			}
+			if err == nil && (cmd.Op == opRdp || cmd.Op == opRdAll) {
 				if want := fuzzSpace(t).Execute(op); !bytes.Equal(replies[i], want) {
-					t.Fatalf("query of %s answered %s, Execute %s", op, replies[i], want)
+					t.Fatalf("query of %+v answered %x, Execute %x", cmd, replies[i], want)
 				}
 				continue
 			}
-			var res Result
-			if err := json.Unmarshal(replies[i], &res); err != nil || res.OK || res.Err != ErrBadCommand {
-				t.Fatalf("query of %q answered %s, want a refusal", op, replies[i])
+			if res, err := decodeResult(replies[i]); err != nil || res.OK || res.Err != ErrBadCommand {
+				t.Fatalf("query of %x answered %x, want a refusal", op, replies[i])
 			}
 		}
 	})

@@ -1,7 +1,6 @@
 package depspace
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -166,12 +165,16 @@ func (r *refSpace) put(t Tuple, cmd Command) Result {
 	return Result{OK: true, Version: e.Version, Entry: cloneEntry(e)}
 }
 
+// snapshot is what a Space holding the same entries in the same order takes.
 func (r *refSpace) snapshot() []byte {
-	b, _ := json.Marshal(struct {
-		Entries []*Entry `json:"entries"`
-		NextVer uint64   `json:"next_ver"`
-	}{r.entries, r.nextVer})
-	return b
+	entries := make([]Entry, len(r.entries))
+	for i, e := range r.entries {
+		entries[i] = *e
+	}
+	s := NewSpace()
+	s.reset(entries)
+	s.nextVer = r.nextVer
+	return s.Snapshot()
 }
 
 // commandGen draws commands over a handful of tags, paths and owners, so
@@ -272,21 +275,18 @@ func TestIndexMatchesReference(t *testing.T) {
 		s, ref := NewSpace(), newRefSpace()
 		for step := 0; step < 300; step++ {
 			cmd := g.next()
-			b, err := json.Marshal(cmd)
-			if err != nil {
-				t.Fatal(err)
-			}
+			b := appendCommand(nil, cmd)
 			got := s.Execute(b)
 			wantRes := ref.execute(cmd)
-			want := marshalResult(wantRes)
+			want := encodeResult(wantRes)
 			if string(got) != string(want) {
-				t.Fatalf("seed %d step %d: %s\n got %s\nwant %s", seed, step, b, got, want)
+				t.Fatalf("seed %d step %d: %+v\n got %x\nwant %x", seed, step, cmd, got, want)
 			}
 			if wantRes.Version != 0 {
 				g.versions = append(g.versions, wantRes.Version)
 			}
 			if got, want := s.Snapshot(), ref.snapshot(); string(got) != string(want) {
-				t.Fatalf("seed %d step %d: after %s the spaces differ:\n got %s\nwant %s", seed, step, b, got, want)
+				t.Fatalf("seed %d step %d: after %+v the spaces differ:\n got %x\nwant %x", seed, step, cmd, got, want)
 			}
 			if g.rng.Intn(50) == 0 {
 				restored := NewSpace()
@@ -308,7 +308,7 @@ func TestIndexCompaction(t *testing.T) {
 	}
 	for i := 0; i < 150; i++ {
 		if res := execute(t, s, Command{Op: opInp, Template: Tuple{"meta", fmt.Sprintf("/f%d", i%50), Wildcard}}); !res.OK {
-			t.Fatalf("inp %d: %s", i, res.Err)
+			t.Fatalf("inp %d: %v", i, res.Failed())
 		}
 	}
 	if len(s.entries) >= 200 || s.Len() != 50 {
@@ -317,7 +317,7 @@ func TestIndexCompaction(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		res := execute(t, s, Command{Op: opRdp, Template: Tuple{"meta", fmt.Sprintf("/f%d", i), Wildcard}})
 		if want := fmt.Sprint(150 + i); !res.OK || res.Entry.Tuple[2] != want {
-			t.Fatalf("rdp /f%d = %v, %q; want the copy written %s-th", i, res.Entry, res.Err, want)
+			t.Fatalf("rdp /f%d = %v, %v; want the copy written %s-th", i, res.Entry, res.Failed(), want)
 		}
 	}
 }

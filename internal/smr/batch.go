@@ -2,9 +2,7 @@ package smr
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 
@@ -13,84 +11,17 @@ import (
 
 // Batching lets the metadata plane amortize coordination round trips:
 // concurrently submitted operations are packed into one ordered invocation
-// and executed back to back at the replicas. The envelope below frames a
-// batch; BatchApplication unpacks it replica-side; Coalescer packs it
-// client-side. The three pieces are application-agnostic — any Application
-// whose commands never begin with a 0x00 byte (JSON commands, as depspace
-// uses, never do) can be wrapped.
-
-// batchMagic prefixes a batch envelope. The leading 0x00 byte cannot start a
-// JSON document, so plain commands and envelopes are unambiguous.
-var batchMagic = []byte{0x00, 'S', 'B', '1'}
-
-// EncodeBatch frames a list of operations into one envelope.
-func EncodeBatch(ops [][]byte) []byte {
-	size := len(batchMagic) + binary.MaxVarintLen64
-	for _, op := range ops {
-		size += binary.MaxVarintLen64 + len(op)
-	}
-	out := make([]byte, 0, size)
-	out = append(out, batchMagic...)
-	out = binary.AppendUvarint(out, uint64(len(ops)))
-	for _, op := range ops {
-		out = binary.AppendUvarint(out, uint64(len(op)))
-		out = append(out, op...)
-	}
-	return out
-}
-
-// DecodeBatch unpacks an envelope produced by EncodeBatch. The second return
-// is false when b is not an envelope (a plain command); a malformed envelope
-// returns (nil, true).
-func DecodeBatch(b []byte) ([][]byte, bool) {
-	if len(b) < len(batchMagic) || string(b[:len(batchMagic)]) != string(batchMagic) {
-		return nil, false
-	}
-	b = b[len(batchMagic):]
-	n, sz := binary.Uvarint(b)
-	if sz <= 0 {
-		return nil, true
-	}
-	b = b[sz:]
-	// The count is untrusted until checked against the payload: every op
-	// needs at least its one-byte length varint, so a count exceeding the
-	// remaining bytes is malformed. Rejecting it here also bounds the
-	// preallocation below — a forged count must not panic make() inside
-	// Application.Execute, where every replica would crash on the same
-	// ordered command.
-	if n > uint64(len(b)) {
-		return nil, true
-	}
-	ops := make([][]byte, 0, n)
-	for i := uint64(0); i < n; i++ {
-		l, sz := binary.Uvarint(b)
-		if sz <= 0 || uint64(len(b)-sz) < l {
-			return nil, true
-		}
-		b = b[sz:]
-		ops = append(ops, b[:l:l])
-		b = b[l:]
-	}
-	return ops, true
-}
-
-// DecodeBatchReply unpacks the reply to an envelope of n operations. Reply
-// bytes come from replicas and are untrusted: anything but a well-formed
-// envelope of exactly n replies is an error, so callers may index the result
-// by operation position.
-func DecodeBatchReply(reply []byte, n int) ([][]byte, error) {
-	replies, isBatch := DecodeBatch(reply)
-	if !isBatch || replies == nil || len(replies) != n {
-		return nil, fmt.Errorf("smr: malformed batch reply (%d ops, %d replies; replicas must wrap their application in BatchApplication)", n, len(replies))
-	}
-	return replies, nil
-}
+// and executed back to back at the replicas. The envelope (codec.go) frames
+// a batch; BatchApplication unpacks it replica-side; Coalescer packs it
+// client-side. Every invocation through them is an envelope, of one
+// operation or more. The three pieces are application-agnostic: any
+// Application can be wrapped.
 
 // BatchApplication wraps a deterministic Application so that a batch
 // envelope executes (or is queried) as its sub-operations in order,
-// replying with an envelope of the sub-replies. Plain commands pass through
-// untouched, so batching and non-batching clients interoperate against the
-// same replicas.
+// replying with an envelope of the sub-replies. Bytes that are not an
+// envelope execute nothing and get an empty envelope back, which no client
+// accepts as the reply to its operations.
 type BatchApplication struct {
 	App Application
 }
@@ -110,12 +41,9 @@ func (b *BatchApplication) Execute(cmd []byte) []byte { return unpack(cmd, b.App
 // write hidden among reads is refused like a lone one.
 func (b *BatchApplication) Query(cmd []byte) []byte { return unpack(cmd, b.App.Query) }
 
-// unpack applies do to cmd, or to each sub-operation of an envelope.
+// unpack applies do to each sub-operation of the envelope cmd.
 func unpack(cmd []byte, do func([]byte) []byte) []byte {
-	ops, isBatch := DecodeBatch(cmd)
-	if !isBatch {
-		return do(cmd)
-	}
+	ops, _ := DecodeBatch(cmd) // nil when malformed
 	replies := make([][]byte, len(ops))
 	for i, op := range ops {
 		replies[i] = do(op)
@@ -138,20 +66,13 @@ type Invoker interface {
 	Invoke(ctx context.Context, op []byte) ([]byte, error)
 }
 
-// InvokeBatch submits ops through inv as one ordered invocation — one round
-// trip — and returns one reply per operation, in order. The replicas execute
-// the operations back to back but not atomically. A single operation goes
-// out as the plain command; more need replicas wrapped in BatchApplication.
+// InvokeBatch submits ops through inv as one envelope — one round trip — to
+// replicas wrapped in BatchApplication, and returns one reply per
+// operation, in order. The replicas execute the operations back to back but
+// not atomically.
 func InvokeBatch(ctx context.Context, inv Invoker, ops [][]byte) ([][]byte, error) {
-	switch len(ops) {
-	case 0:
+	if len(ops) == 0 {
 		return nil, nil
-	case 1:
-		reply, err := inv.Invoke(ctx, ops[0])
-		if err != nil {
-			return nil, err
-		}
-		return [][]byte{reply}, nil
 	}
 	reply, err := inv.Invoke(ctx, EncodeBatch(ops))
 	if err != nil {
@@ -160,11 +81,10 @@ func InvokeBatch(ctx context.Context, inv Invoker, ops [][]byte) ([][]byte, erro
 	return DecodeBatchReply(reply, len(ops))
 }
 
-// Coalescer packs operations into batch invocations against replicas
-// wrapped in BatchApplication, and batches only what load supplies: what
-// queued behind the invocation in flight. A submission that finds none of
-// this coalescer's invocations in flight leaves at once, as it came in (no
-// envelope around a lone command, a caller-built envelope as one).
+// Coalescer packs envelopes into batch invocations against replicas wrapped
+// in BatchApplication, and batches only what load supplies: what queued
+// behind the invocation in flight. A submission that finds none of this
+// coalescer's invocations in flight leaves at once, as it came in.
 // Submissions that arrive while one is in flight queue, and the goroutine
 // that finishes an invocation takes the whole queue with it as the next
 // one. A queue that reaches maxBatch operations leaves at once even with
@@ -174,8 +94,7 @@ func InvokeBatch(ctx context.Context, inv Invoker, ops [][]byte) ([][]byte, erro
 // latency to a consensus round, a busy one batches as deep as its round
 // trips are long.
 //
-// A submitter may hand in an envelope it built itself (a client that wants
-// several commands executed back to back in one round trip). Its
+// Every submission is an envelope, of one operation or more. Its
 // sub-operations are flattened into the coalescer's own envelope — adjacent
 // and in order, never nested — and it gets an envelope of their replies
 // back. An envelope is never split, however many operations it carries.
@@ -197,24 +116,22 @@ type Coalescer struct {
 // for an invocation in flight to finish.
 const maxBatch = 32
 
-// batchItem is one submitter's contribution and its reply slot: op as it
-// was handed in, ops what it adds to a flush (op itself, or the
-// sub-operations when op is a caller-built envelope). ctx is the
+// batchItem is one submitter's contribution and its reply slot: op, the
+// envelope it handed in, and ops, its sub-operations. ctx is the
 // submitter's context; the flush aborts only when every item's context is
 // done (see flush), so it must be retained past the submitter's return.
 // trace/enq carry the submitter's telemetry trace and enqueue time: the
 // flush runs under a detached context the trace cannot ride, so batch and
 // consensus spans are recorded onto each participant's trace explicitly.
 type batchItem struct {
-	op       []byte
-	ops      [][]byte
-	envelope bool
-	ctx      context.Context
-	done     chan struct{}
-	result   []byte
-	err      error
-	trace    *telemetry.Trace
-	enq      time.Time
+	op     []byte
+	ops    [][]byte
+	ctx    context.Context
+	done   chan struct{}
+	result []byte
+	err    error
+	trace  *telemetry.Trace
+	enq    time.Time
 }
 
 // NewCoalescer creates a coalescing layer over inv.
@@ -233,13 +150,11 @@ func (c *Coalescer) Invoke(ctx context.Context, op []byte) ([]byte, error) {
 	if isReadOnly(ctx) {
 		return c.Inv.Invoke(ctx, op)
 	}
-	item := &batchItem{op: op, ops: [][]byte{op}, ctx: ctx, done: make(chan struct{})}
-	if ops, isBatch := DecodeBatch(op); isBatch {
-		if len(ops) == 0 {
-			return nil, errors.New("smr: malformed or empty batch envelope")
-		}
-		item.ops, item.envelope = ops, true
+	ops, err := DecodeBatch(op)
+	if err != nil || len(ops) == 0 {
+		return nil, errors.New("smr: malformed or empty batch envelope")
 	}
+	item := &batchItem{op: op, ops: ops, ctx: ctx, done: make(chan struct{})}
 	if tr := telemetry.FromContext(ctx); tr != nil {
 		item.trace, item.enq = tr, time.Now()
 	}
@@ -329,8 +244,8 @@ func (c *Coalescer) flush(batch []*batchItem, trigger string) []*batchItem {
 	}()
 	defer close(stop)
 
-	// A lone submitter's command — or its own envelope — goes out as it
-	// came in.
+	// A lone submitter's envelope goes out as it came in, and its reply
+	// comes back as it was given.
 	wire, nops := batch[0].op, len(batch[0].ops)
 	if len(batch) > 1 {
 		var ops [][]byte
@@ -372,13 +287,7 @@ func (c *Coalescer) flush(batch []*batchItem, trigger string) []*batchItem {
 		var replies [][]byte
 		if replies, err = DecodeBatchReply(reply, nops); err == nil {
 			for _, it := range batch {
-				n := len(it.ops)
-				if it.envelope {
-					it.result = EncodeBatch(replies[:n])
-				} else {
-					it.result = cloneBytes(replies[0])
-				}
-				replies = replies[n:]
+				it.result, replies = EncodeBatch(replies[:len(it.ops)]), replies[len(it.ops):]
 			}
 		}
 	}

@@ -88,6 +88,15 @@ type submission struct {
 
 var testTracer = telemetry.NewTracer(nil)
 
+// env is the envelope of the given operations.
+func env(ops ...string) []byte {
+	b := make([][]byte, len(ops))
+	for i, op := range ops {
+		b[i] = []byte(op)
+	}
+	return EncodeBatch(b)
+}
+
 func submit(ctx context.Context, co *Coalescer, op []byte) *submission {
 	ctx, tr := testTracer.Start(ctx, "test", "")
 	s := &submission{trace: tr, done: make(chan struct{})}
@@ -98,14 +107,14 @@ func submit(ctx context.Context, co *Coalescer, op []byte) *submission {
 	return s
 }
 
-// answered waits for the submission and checks its reply and the smr.batch
-// span its trace got: what made the batch leave and how many operations it
-// carried.
+// answered waits for the submission and checks its reply, the envelope of
+// replies, and the smr.batch span its trace got: what made the batch leave
+// and how many operations it carried.
 func (s *submission) answered(t *testing.T, reply, trigger string, ops int) {
 	t.Helper()
 	<-s.done
-	if s.err != nil || string(s.reply) != reply {
-		t.Fatalf("reply = %q, %v; want %q", s.reply, s.err, reply)
+	if s.err != nil || string(s.reply) != string(env(reply)) {
+		t.Fatalf("reply = %q, %v; want the envelope of %q", s.reply, s.err, reply)
 	}
 	for _, sp := range s.trace.Spans() {
 		if sp.Name == "smr.batch" {
@@ -118,19 +127,12 @@ func (s *submission) answered(t *testing.T, reply, trigger string, ops int) {
 	t.Fatalf("%s: no smr.batch span on the submitter's trace", reply)
 }
 
-// wantOps checks the operations one invocation carried, in order; a single
-// operation must have travelled unwrapped.
+// wantOps checks the operations one invocation's envelope carried, in order.
 func wantOps(t *testing.T, call *parkedCall, want ...string) {
 	t.Helper()
-	got, isBatch := DecodeBatch(call.op)
-	if len(want) == 1 {
-		if isBatch || string(call.op) != want[0] {
-			t.Fatalf("invocation carried %q, want the lone command %q unwrapped", call.op, want[0])
-		}
-		return
-	}
-	if len(got) != len(want) {
-		t.Fatalf("invocation carried %d ops, want %d", len(got), len(want))
+	got, err := DecodeBatch(call.op)
+	if err != nil || len(got) != len(want) {
+		t.Fatalf("invocation carried %d ops (%v), want %d", len(got), err, len(want))
 	}
 	for i := range want {
 		if string(got[i]) != want[i] {
@@ -139,15 +141,15 @@ func wantOps(t *testing.T, call *parkedCall, want ...string) {
 	}
 }
 
-// TestCoalescerPacksConcurrentOps: a lone submission leaves at once and
-// unwrapped; everything submitted while it is in flight leaves as exactly one
+// TestCoalescerPacksConcurrentOps: a lone submission leaves at once, as it
+// came in; everything submitted while it is in flight leaves as exactly one
 // more invocation when it is answered, in submission order, and every
 // submitter gets its own reply.
 func TestCoalescerPacksConcurrentOps(t *testing.T) {
 	park := newParkingInvoker(appInvoker(&logApp{}))
 	co := NewCoalescer(park)
 
-	first := submit(bg, co, []byte("op00"))
+	first := submit(bg, co, env("op00"))
 	call := park.next()
 	wantOps(t, call, "op00")
 
@@ -155,7 +157,7 @@ func TestCoalescerPacksConcurrentOps(t *testing.T) {
 	queued, names := make([]*submission, n), make([]string, n)
 	for i := range queued {
 		names[i] = fmt.Sprintf("op%02d", i+1)
-		queued[i] = submit(bg, co, []byte(names[i]))
+		queued[i] = submit(bg, co, env(names[i]))
 		waitQueued(co, i+1)
 	}
 	if got := park.invocations(); got != 1 {
@@ -175,7 +177,7 @@ func TestCoalescerPacksConcurrentOps(t *testing.T) {
 	}
 
 	// Idle again: the next lone submission leaves at once, too.
-	last := submit(bg, co, []byte("last"))
+	last := submit(bg, co, env("last"))
 	call = park.next()
 	wantOps(t, call, "last")
 	close(call.release)
@@ -190,18 +192,18 @@ func TestCoalescerPassesQueriesStraightThrough(t *testing.T) {
 	park := newParkingInvoker(appInvoker(&logApp{}))
 	co := NewCoalescer(park)
 
-	first := submit(bg, co, []byte("w1"))
+	first := submit(bg, co, env("w1"))
 	inFlight := park.next()
-	queued := submit(bg, co, []byte("w2"))
+	queued := submit(bg, co, env("w2"))
 	waitQueued(co, 1)
 
-	read := submit(ReadOnly(bg), co, []byte("r"))
+	read := submit(ReadOnly(bg), co, env("r"))
 	call := park.next() // nothing was released
 	wantOps(t, call, "r")
 	close(call.release)
 	<-read.done
-	if read.err != nil || string(read.reply) != "1:r" {
-		t.Fatalf("read-only reply = %q, %v; want %q", read.reply, read.err, "1:r")
+	if read.err != nil || string(read.reply) != string(env("1:r")) {
+		t.Fatalf("read-only reply = %q, %v; want the envelope of %q", read.reply, read.err, "1:r")
 	}
 	for _, sp := range read.trace.Spans() {
 		if sp.Name == "smr.batch" {
@@ -225,13 +227,13 @@ func TestCoalescerFullQueueLeavesAtOnce(t *testing.T) {
 	park := newParkingInvoker(appInvoker(&logApp{}))
 	co := NewCoalescer(park)
 
-	first := submit(bg, co, []byte("first"))
+	first := submit(bg, co, env("first"))
 	inFlight := park.next()
 
 	queued, names := make([]*submission, maxBatch), make([]string, maxBatch)
 	for i := range queued {
 		names[i] = fmt.Sprintf("q%02d", i)
-		queued[i] = submit(bg, co, []byte(names[i]))
+		queued[i] = submit(bg, co, env(names[i]))
 		if i < maxBatch-1 {
 			waitQueued(co, i+1)
 		}
@@ -250,8 +252,8 @@ func TestCoalescerFullQueueLeavesAtOnce(t *testing.T) {
 	}
 }
 
-// TestCoalescerFlattensCallerEnvelopes: an envelope a caller built itself,
-// queued between single operations, travels in the coalescer's one flat
+// TestCoalescerFlattensCallerEnvelopes: an envelope of several operations,
+// queued between envelopes of one, travels in the coalescer's one flat
 // envelope — its sub-operations adjacent and in order, none nested — and
 // every submitter gets its own replies back; an envelope is never split,
 // however large.
@@ -259,13 +261,13 @@ func TestCoalescerFlattensCallerEnvelopes(t *testing.T) {
 	park := newParkingInvoker(appInvoker(&logApp{}))
 	co := NewCoalescer(park)
 
-	first := submit(bg, co, []byte("first"))
+	first := submit(bg, co, env("first"))
 	call := park.next()
-	s1 := submit(bg, co, []byte("s1"))
+	s1 := submit(bg, co, env("s1"))
 	waitQueued(co, 1)
-	env := submit(bg, co, EncodeBatch([][]byte{[]byte("e.0"), []byte("e.1"), []byte("e.2")}))
+	three := submit(bg, co, env("e.0", "e.1", "e.2"))
 	waitQueued(co, 4)
-	s2 := submit(bg, co, []byte("s2"))
+	s2 := submit(bg, co, env("s2"))
 	waitQueued(co, 5)
 	close(call.release)
 	first.answered(t, "1:first", "immediate", 1)
@@ -274,7 +276,10 @@ func TestCoalescerFlattensCallerEnvelopes(t *testing.T) {
 	wantOps(t, call, "s1", "e.0", "e.1", "e.2", "s2")
 	close(call.release)
 	s1.answered(t, "2:s1", "drain", 5)
-	env.answered(t, string(EncodeBatch([][]byte{[]byte("3:e.0"), []byte("4:e.1"), []byte("5:e.2")})), "drain", 5)
+	<-three.done
+	if want := env("3:e.0", "4:e.1", "5:e.2"); three.err != nil || !bytes.Equal(three.reply, want) {
+		t.Fatalf("three-op envelope's reply = %q, %v; want %q", three.reply, three.err, want)
+	}
 	s2.answered(t, "6:s2", "drain", 5)
 
 	// maxBatch+1 operations in one caller envelope: alone it goes out as it
@@ -309,8 +314,11 @@ func TestCoalescerFlattensCallerEnvelopes(t *testing.T) {
 	if _, err := co.Invoke(bg, EncodeBatch(nil)); err == nil {
 		t.Fatal("empty envelope accepted")
 	}
-	if _, err := co.Invoke(bg, append(append([]byte{}, batchMagic...), 0xFF)); err == nil {
+	if _, err := co.Invoke(bg, []byte{codecVersion, 0xFF}); err == nil {
 		t.Fatal("malformed envelope accepted")
+	}
+	if _, err := co.Invoke(bg, []byte("plain")); err == nil {
+		t.Fatal("a command outside an envelope accepted")
 	}
 }
 
@@ -324,12 +332,12 @@ func TestCoalescerFlusherCancellationDoesNotFailBatch(t *testing.T) {
 	co := NewCoalescer(park)
 
 	firstCtx, cancelFirst := context.WithCancel(bg)
-	first := submit(firstCtx, co, []byte("op-first"))
+	first := submit(firstCtx, co, env("op-first"))
 	park.next() // parked, never released
-	stays := submit(bg, co, []byte("op-stays"))
+	stays := submit(bg, co, env("op-stays"))
 	waitQueued(co, 1)
 	quitterCtx, cancelQuitter := context.WithCancel(bg)
-	quitter := submit(quitterCtx, co, []byte("op-quitter"))
+	quitter := submit(quitterCtx, co, env("op-quitter"))
 	waitQueued(co, 2)
 
 	cancelFirst()
@@ -373,10 +381,10 @@ func TestCoalescerAgainstReplicatedGroup(t *testing.T) {
 
 	const ops = 40
 	subs := make([]*submission, ops)
-	subs[0] = submit(bg, co, []byte("b-00"))
+	subs[0] = submit(bg, co, env("b-00"))
 	first := park.next()
 	for i := 1; i < ops; i++ {
-		subs[i] = submit(bg, co, []byte(fmt.Sprintf("b-%02d", i)))
+		subs[i] = submit(bg, co, env(fmt.Sprintf("b-%02d", i)))
 	}
 	full := park.next()
 	waitQueued(co, ops-1-maxBatch)
@@ -385,8 +393,9 @@ func TestCoalescerAgainstReplicatedGroup(t *testing.T) {
 	close(park.next().release)
 	for i, s := range subs {
 		<-s.done
-		if s.err != nil || !bytes.HasSuffix(s.reply, []byte(fmt.Sprintf(":b-%02d", i))) {
-			t.Fatalf("reply %q, %v mismatched for b-%02d", s.reply, s.err, i)
+		replies, err := DecodeBatchReply(s.reply, 1)
+		if s.err != nil || err != nil || !bytes.HasSuffix(replies[0], []byte(fmt.Sprintf(":b-%02d", i))) {
+			t.Fatalf("reply %q, %v, %v mismatched for b-%02d", s.reply, s.err, err, i)
 		}
 	}
 	if got := park.invocations(); got != 3 {

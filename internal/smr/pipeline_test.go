@@ -200,11 +200,11 @@ func TestPipelinedRetransmissionSurvivesMessageLoss(t *testing.T) {
 }
 
 func TestBatchEnvelopeRoundTrip(t *testing.T) {
-	ops := [][]byte{[]byte(`{"op":"a"}`), []byte(``), []byte(`{"op":"c","x":1}`)}
+	ops := [][]byte{[]byte("a"), []byte(``), []byte("c=1")}
 	env := EncodeBatch(ops)
-	got, isBatch := DecodeBatch(env)
-	if !isBatch {
-		t.Fatal("envelope not recognized as a batch")
+	got, err := DecodeBatch(env)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(got) != len(ops) {
 		t.Fatalf("decoded %d ops, want %d", len(got), len(ops))
@@ -214,11 +214,10 @@ func TestBatchEnvelopeRoundTrip(t *testing.T) {
 			t.Fatalf("op %d = %q, want %q", i, got[i], ops[i])
 		}
 	}
-	if _, isBatch := DecodeBatch([]byte(`{"op":"plain"}`)); isBatch {
-		t.Fatal("plain JSON misdetected as a batch envelope")
-	}
-	if ops, isBatch := DecodeBatch(append(append([]byte{}, batchMagic...), 0xFF)); !isBatch || ops != nil {
-		t.Fatal("malformed envelope must decode as (nil, true)")
+	for _, b := range [][]byte{[]byte("plain"), {codecVersion, 0xFF}, nil} {
+		if ops, err := DecodeBatch(b); err == nil {
+			t.Fatalf("%q decoded as an envelope of %d ops", b, len(ops))
+		}
 	}
 }
 
@@ -226,15 +225,17 @@ func TestBatchApplicationExecutesSubOpsInOrder(t *testing.T) {
 	app := &logApp{}
 	b := NewBatchApplication(app)
 	reply := b.Execute(EncodeBatch([][]byte{[]byte("x"), []byte("y")}))
-	replies, isBatch := DecodeBatch(reply)
-	if !isBatch || len(replies) != 2 {
-		t.Fatalf("batch reply = %q (isBatch=%v)", reply, isBatch)
+	replies, err := DecodeBatch(reply)
+	if err != nil || len(replies) != 2 {
+		t.Fatalf("batch reply = %q (%v)", reply, err)
 	}
 	if string(replies[0]) != "1:x" || string(replies[1]) != "2:y" {
 		t.Fatalf("sub-replies = %q, %q", replies[0], replies[1])
 	}
-	if res := b.Execute([]byte("z")); string(res) != "3:z" {
-		t.Fatalf("plain command through BatchApplication = %q", res)
+	// A command outside an envelope executes nothing: the reply is an
+	// envelope of no replies, which the client rejects.
+	if res := b.Execute([]byte("z")); !bytes.Equal(res, EncodeBatch(nil)) || len(app.Log()) != 2 {
+		t.Fatalf("plain command through BatchApplication = %q, log %v", res, app.Log())
 	}
 }
 
