@@ -1,41 +1,54 @@
-package smr
-
-import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-)
-
-// The coordination codec: the one binary format of everything a replica is
-// sent or keeps — a batch envelope and its reply (below), and each DepSpace
-// command, reply and snapshot, which depspace appends with these helpers.
-// Values are appended in order and read back by a Decoder, which accepts
-// exactly one encoding of each value, so two replicas in the same state hold
-// the same bytes:
-//   - a message that stands alone (an envelope, a snapshot) begins with the
-//     version, codecVersion;
-//   - an integer is a uvarint with no padding byte (a signed one is cast);
+// Package codec is the one wire format of every byte SCFS keeps outside an
+// agent: what a coordination replica is sent or keeps (smr's batch envelope;
+// DepSpace's commands, replies and snapshots) and what the clouds hand back
+// (a file's metadata record, a private name space, and DepSky's descriptors,
+// frames and register heads). Values are appended in order and read back by
+// a Decoder, which accepts exactly one encoding of each value, so two copies
+// of one state are the same bytes:
+//   - a message that stands alone (an envelope, a snapshot, a record, an
+//     object a cloud stores) begins with the version, Version;
+//   - an integer is a uvarint with no padding byte (a signed one is cast); a
+//     bool is 0 or 1;
 //   - a string is its length, then its bytes; a list is its count, then its
 //     items. A length or count is checked against the bytes that remain
 //     before anything is allocated;
 //   - nothing may follow the last value.
+package codec
 
-const codecVersion = 1
+import (
+	"encoding/binary"
+	"errors"
+)
+
+// Version begins every message that stands alone.
+const Version = 1
+
+// MaxUvarintLen is the most bytes an integer takes, for sizing a buffer
+// before appending to it.
+const MaxUvarintLen = binary.MaxVarintLen64
 
 // errMalformed reports bytes that are not the one encoding of a message.
-var errMalformed = errors.New("smr: malformed message")
+var errMalformed = errors.New("codec: malformed message")
 
 // AppendVersion begins a message that stands alone.
-func AppendVersion(b []byte) []byte { return AppendUvarint(b, codecVersion) }
+func AppendVersion(b []byte) []byte { return AppendUvarint(b, Version) }
 
 // AppendUvarint appends v.
 func AppendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
 
+// AppendBool appends v as 0 or 1.
+func AppendBool(b []byte, v bool) []byte {
+	if v {
+		return AppendUvarint(b, 1)
+	}
+	return AppendUvarint(b, 0)
+}
+
 // AppendString appends s, length first.
 func AppendString(b []byte, s string) []byte { return append(AppendUvarint(b, uint64(len(s))), s...) }
 
-// appendBytes appends p, length first.
-func appendBytes(b, p []byte) []byte { return append(AppendUvarint(b, uint64(len(p))), p...) }
+// AppendBytes appends p, length first.
+func AppendBytes(b, p []byte) []byte { return append(AppendUvarint(b, uint64(len(p))), p...) }
 
 // AppendList appends items, count first, each with appendItem.
 func AppendList[T any](b []byte, items []T, appendItem func([]byte, T) []byte) []byte {
@@ -60,7 +73,7 @@ type Decoder struct {
 // NewDecoder reads b; a message that stands alone starts with its version.
 func NewDecoder(b []byte, standalone bool) Decoder {
 	d := Decoder{b: b}
-	d.Want(!standalone || d.Uvarint() == codecVersion)
+	d.Want(!standalone || d.Uvarint() == Version)
 	return d
 }
 
@@ -83,18 +96,30 @@ func (d *Decoder) Uvarint() uint64 {
 	return v
 }
 
+// Enum reads an unsigned integer of at most limit: one of an enumeration's
+// values.
+func (d *Decoder) Enum(limit uint64) uint64 {
+	v := d.Uvarint()
+	d.Want(v <= limit)
+	return min(v, limit)
+}
+
+// Bool reads a bool.
+func (d *Decoder) Bool() bool { return d.Enum(1) == 1 }
+
 // count reads the length of a string or the count of a list. Each item takes
 // a byte at least, so a count above the bytes that remain is forged; what
 // count returns is safe to allocate. Every replica decodes the same ordered
-// command, so a forged count that crashed make() would stop them all.
+// command, and every reader the same cloud object, so a forged count that
+// crashed make() would stop them all.
 func (d *Decoder) count() int {
 	n := d.Uvarint()
 	d.Want(n <= uint64(len(d.b)))
 	return int(min(n, uint64(len(d.b))))
 }
 
-// bytes reads a string as bytes that alias the message.
-func (d *Decoder) bytes() []byte {
+// Bytes reads a string as bytes that alias the message.
+func (d *Decoder) Bytes() []byte {
 	n := d.count()
 	p := d.b[:n:n]
 	d.b = d.b[n:]
@@ -102,7 +127,7 @@ func (d *Decoder) bytes() []byte {
 }
 
 // Str reads a string.
-func (d *Decoder) Str() string { return string(d.bytes()) }
+func (d *Decoder) Str() string { return string(d.Bytes()) }
 
 // Strings reads a list of strings.
 func (d *Decoder) Strings() []string { return List(d, (*Decoder).Str) }
@@ -123,36 +148,4 @@ func List[T any](d *Decoder, readItem func(*Decoder) T) []T {
 func (d *Decoder) Finish() error {
 	d.Want(len(d.b) == 0)
 	return d.err
-}
-
-// EncodeBatch frames ops as one envelope: the version, the count of ops, then
-// each op as a string. Every coordination invocation is an envelope.
-func EncodeBatch(ops [][]byte) []byte {
-	size := 2 * binary.MaxVarintLen64
-	for _, op := range ops {
-		size += binary.MaxVarintLen64 + len(op)
-	}
-	return AppendList(AppendVersion(make([]byte, 0, size)), ops, appendBytes)
-}
-
-// DecodeBatch unpacks an envelope made by EncodeBatch. The ops alias b.
-func DecodeBatch(b []byte) ([][]byte, error) {
-	d := NewDecoder(b, true)
-	ops := List(&d, (*Decoder).bytes)
-	if err := d.Finish(); err != nil {
-		return nil, err
-	}
-	return ops, nil
-}
-
-// DecodeBatchReply unpacks the reply to an envelope of n operations. Reply
-// bytes come from replicas and are untrusted: anything but the envelope of
-// exactly n replies is an error, so callers may index the result by
-// operation position.
-func DecodeBatchReply(reply []byte, n int) ([][]byte, error) {
-	replies, err := DecodeBatch(reply)
-	if err != nil || len(replies) != n {
-		return nil, fmt.Errorf("smr: malformed batch reply (%d ops, %d replies; replicas must wrap their application in BatchApplication)", n, len(replies))
-	}
-	return replies, nil
 }

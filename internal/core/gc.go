@@ -171,11 +171,7 @@ func (a *Agent) Collect(ctx context.Context) (report GCReport, err error) {
 		case md.Deleted:
 			ops = append(ops, coord.Delete(md.Path, md.Version))
 		default:
-			op, err := claim(md.Path, md, md.Version)
-			if err != nil {
-				return report, err
-			}
-			ops = append(ops, op)
+			ops = append(ops, claim(md.Path, md, md.Version))
 		}
 		batched = append(batched, md)
 	}

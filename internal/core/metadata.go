@@ -73,10 +73,7 @@ func (a *Agent) readAll(ctx context.Context, rs []read, extra ...coord.Op) ([]co
 		}
 		op := coord.Get(r.path)
 		if r.create != nil && a.isShared(r.create) {
-			var err error
-			if op, err = claim(r.path, r.create, 0); err != nil {
-				return nil, err
-			}
+			op = claim(r.path, r.create, 0)
 		}
 		at[i], ops = len(ops), append(ops, op)
 	}
@@ -198,10 +195,7 @@ func (a *Agent) putMetadata(ctx context.Context, md *fsmeta.Metadata) error {
 // expires.
 func (a *Agent) putMetadataUnlock(ctx context.Context, md *fsmeta.Metadata, unlockPath string) error {
 	path := fsmeta.Clean(md.Path)
-	raw, err := md.Encode()
-	if err != nil {
-		return a.failUnlocking(ctx, unlockPath, err)
-	}
+	raw, _ := md.Encode() // cannot fail
 	if !a.isShared(md) {
 		a.mu.Lock()
 		a.pns.Put(md)
@@ -240,9 +234,9 @@ func (a *Agent) putMetadataUnlock(ctx context.Context, md *fsmeta.Metadata, unlo
 
 // claim is the conditional write of md under key: a Cas expecting the record
 // at version (0: no record at all).
-func claim(key string, md *fsmeta.Metadata, version uint64) (coord.Op, error) {
-	raw, err := md.Encode()
-	return coord.Cas(key, raw, version, coordACL(md)), err
+func claim(key string, md *fsmeta.Metadata, version uint64) coord.Op {
+	raw, _ := md.Encode() // cannot fail
+	return coord.Cas(key, raw, version, coordACL(md))
 }
 
 // place stores md, a record new at its path: in the private name space as
@@ -255,15 +249,10 @@ func (a *Agent) place(ctx context.Context, md, tomb *fsmeta.Metadata) error {
 	if !a.isShared(md) {
 		return a.putMetadata(ctx, md)
 	}
-	op, err := claim(md.Path, md, 0)
-	ops := []coord.Op{op}
-	if tomb != nil && err == nil {
+	ops := []coord.Op{claim(md.Path, md, 0)}
+	if tomb != nil {
 		ops[0].Version = tomb.Version
-		op, err = claim("//"+tomb.FileID, tomb, 0)
-		ops = append(ops, op)
-	}
-	if err != nil {
-		return err
+		ops = append(ops, claim("//"+tomb.FileID, tomb, 0))
 	}
 	res, err := coord.Do(ctx, a.opts.Coordination, ops...)
 	if err == nil {
@@ -441,13 +430,13 @@ func (a *Agent) loadPNS(ctx context.Context) error {
 	}
 	data, err := a.opts.PNSStorage.ReadPNS(ctx, a.opts.User)
 	if errors.Is(err, storage.ErrPNSNotFound) {
-		a.pns = fsmeta.NewPNS(a.opts.User)
+		a.pns = fsmeta.NewPNS()
 		return nil
 	}
 	if err != nil {
 		return fmt.Errorf("core: loading private name space: %w", err)
 	}
-	pns, err := fsmeta.DecodePNS(data)
+	pns, err := fsmeta.DecodePNS(a.opts.User, data)
 	if err != nil {
 		return fmt.Errorf("core: decoding private name space: %w", err)
 	}
@@ -462,14 +451,9 @@ func (a *Agent) flushPNS(ctx context.Context) error {
 		a.mu.Unlock()
 		return nil
 	}
-	data, err := a.pns.Encode()
-	if err == nil {
-		a.pnsDirty = false
-	}
+	data := a.pns.Encode()
+	a.pnsDirty = false
 	a.mu.Unlock()
-	if err != nil {
-		return err
-	}
 	if err := a.opts.PNSStorage.WritePNS(ctx, a.opts.User, data); err != nil {
 		a.mu.Lock()
 		a.pnsDirty = true

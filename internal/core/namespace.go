@@ -230,6 +230,11 @@ func (a *Agent) SetFacl(ctx context.Context, path, user string, perm fsapi.Permi
 	if err := a.checkOpen(ctx); err != nil {
 		return err
 	}
+	// A record stores only the permissions fsapi defines, and refuses any
+	// other as corrupt when it is read back.
+	if perm < fsapi.PermNone || perm > fsapi.PermReadWrite {
+		return fsapi.ErrInvalid
+	}
 	path = fsmeta.Clean(path)
 	md, err := a.getMetadata(ctx, path, false)
 	if err != nil {

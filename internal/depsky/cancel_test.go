@@ -263,3 +263,45 @@ func TestOpenReadRetriesAfterCancelledFirstRead(t *testing.T) {
 		t.Fatal("read after cancelled read returned wrong data")
 	}
 }
+
+// TestDeleteVersionCancelsGetsOnceCertified: a sweep asks every cloud for
+// the doomed version's descriptor object — which, for a value of one chunk,
+// carries the data being deleted — and cancels the GETs still in flight once
+// f+1 clouds returned the descriptor byte-identical, instead of downloading
+// the rest.
+func TestDeleteVersionCancelsGetsOnceCertified(t *testing.T) {
+	s, m, _, inner := stagedManager(t, Options{})
+	s.setOpen(true)
+	doomed := writeFrom(t, m, "u", []byte("doomed"))
+	s.setOpen(false)
+	done := make(chan error, 1)
+	go func() {
+		_, err := m.DeleteVersion(bg, "u", doomed.DataHash)
+		done <- err
+	}()
+	gets := s.await(t, m.N()) // every cloud is asked
+	// Release f+1 GETs of clouds the write reached (its straggler may have
+	// been cancelled); the others stay parked until cancelled.
+	var held []*rpc
+	for _, r := range gets {
+		if _, err := inner[r.cloud].Get(bg, m.descName("u", doomed.DataHash)); err == nil && len(held) < m.witnessSize() {
+			held = append(held, r)
+		}
+	}
+	release(held)
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		s.setOpen(true)
+		t.Fatal("the delete still waits for GETs after f+1 clouds certified the descriptor")
+	}
+	s.done(t, m.N())
+	for i, c := range inner {
+		if objs, _ := c.List(bg, m.versionPrefix("u", doomed.DataHash)); len(objs) != 0 {
+			t.Errorf("cloud %d keeps %d objects of the doomed version", i, len(objs))
+		}
+	}
+}

@@ -16,9 +16,9 @@
 // consistency anchor already holds (§3.2: readers fetch "the version with a
 // given hash"). It has one layout on the clouds, whatever its size: the value
 // is cut into chunks of Options.ChunkSize plaintext bytes and each chunk is
-// dispersed on its own (binary framing, wire.go). Cloud i stores one
+// dispersed on its own (every layout is in wire.go). Cloud i stores one
 // descriptor object, "dsky/<unit>/<hash>/desc", holding the version's
-// descriptor (its VersionInfo as JSON), and its frame of every chunk j as
+// descriptor (its VersionInfo), and its frame of every chunk j as
 // "dsky/<unit>/<hash>/<tag>/c<j>", where the tag is drawn afresh by each
 // write — or, for a value of one chunk, its frame inside the descriptor
 // object. A reader trusts a descriptor only when f+1 clouds return it
@@ -44,7 +44,6 @@ package depsky
 import (
 	"cmp"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"slices"
@@ -91,29 +90,29 @@ var (
 )
 
 // VersionInfo is a version's descriptor: what a reader needs to fetch and
-// check it. It is stored, as JSON, next to the version's frames.
+// check it. It is stored in the version's descriptor objects (wire.go).
 type VersionInfo struct {
 	// DataHash is the SHA-256 of the original (plaintext) value, in hex; it
 	// is the hash SCFS stores in its consistency anchor, and it names the
 	// version's objects.
-	DataHash string `json:"data_hash"`
+	DataHash string
 	// Size is the length of the original value.
-	Size int `json:"size"`
+	Size int
 	// Protocol records how the version was encoded.
-	Protocol Protocol `json:"protocol"`
+	Protocol Protocol
 	// ChunkSize is the plaintext bytes per chunk the writer cut the value
 	// into; every chunk but the last holds exactly that many.
-	ChunkSize int `json:"chunk_size"`
+	ChunkSize int
 	// ChunkCount is the number of chunks: ceil(Size/ChunkSize), so 0 for an
 	// empty value and 1 for one of at most ChunkSize bytes.
-	ChunkCount int `json:"chunk_count"`
+	ChunkCount int
 	// ChunkHashes[j][i] is the SHA-256 of chunk j's frame on cloud i,
 	// allowing the reader to discard corrupted frames.
-	ChunkHashes [][]string `json:"chunk_hashes"`
+	ChunkHashes [][]string
 	// Tag is the writer's random name for its chunk frames (rand.Text: 26
 	// characters of the base32 alphabet), so that two writes of the same
 	// bytes store them apart.
-	Tag string `json:"tag"`
+	Tag string
 }
 
 // MaxChunkSize is the largest chunk a version may declare (256 MiB); a
@@ -121,7 +120,7 @@ type VersionInfo struct {
 // chunk size to it; readers reject descriptors beyond it. With the cap,
 // reassembling a version allocates at most len(ChunkHashes) x MaxChunkSize —
 // linear in descriptor bytes the writer must actually store — instead of any
-// 17-byte JSON integer commanding a terabyte make().
+// six-byte integer commanding a terabyte make().
 const MaxChunkSize = 256 << 20
 
 // validChunking reports whether the chunk geometry is internally
@@ -154,27 +153,6 @@ func onlyOf(s, set string) bool {
 	return true
 }
 
-// decodeDescriptor parses one cloud's copy of the descriptor of the version
-// named hash, for a deployment of n clouds; false when it is not that.
-func decodeDescriptor(data []byte, hash string, n int) (VersionInfo, bool) {
-	var v VersionInfo
-	if json.Unmarshal(data, &v) != nil || v.DataHash != hash || !v.validChunking() ||
-		(v.Protocol != ProtocolCA && v.Protocol != ProtocolA) || !validTag(v.Tag) {
-		return VersionInfo{}, false
-	}
-	for _, row := range v.ChunkHashes {
-		if len(row) != n {
-			return VersionInfo{}, false
-		}
-		for _, h := range row {
-			if !validHash(h) {
-				return VersionInfo{}, false
-			}
-		}
-	}
-	return v, true
-}
-
 // chunkPlainLen returns the plaintext length of chunk idx.
 func (v *VersionInfo) chunkPlainLen(idx int) int {
 	rem := v.Size - idx*v.ChunkSize
@@ -184,21 +162,19 @@ func (v *VersionInfo) chunkPlainLen(idx int) int {
 	return rem
 }
 
-// block is what gets stored on one cloud for one chunk of a version (CA
-// protocol): an erasure-coded shard of the chunk's ciphertext plus this
-// cloud's share of the key. It is serialized with the compact binary framing
-// in wire.go, not JSON.
+// block is one cloud's frame of one chunk of a version, decoded (wire.go):
+// this cloud's share of the version key and the chunk's payload.
 type block struct {
-	Shard    []byte
-	ShardIdx int
 	KeyX     byte
-	KeyShare []byte
-	// Full holds the whole chunk for the replication protocol (DepSky-A).
-	Full []byte
+	ShardIdx int
 	// ChunkIdx and ChunkPlainLen locate the frame within its version: the
 	// chunk's index and how many plaintext bytes it carries.
 	ChunkIdx      int
 	ChunkPlainLen int
+	KeyShare      []byte
+	// Payload is the chunk's erasure-coded shard of ciphertext under
+	// DepSky-CA, and the whole chunk under DepSky-A.
+	Payload []byte
 }
 
 // Options configures a Manager.
@@ -455,6 +431,20 @@ type descCopy struct {
 	frame *frame
 }
 
+// splitCopy splits cloud i's descriptor object. Its frame counts only as
+// cloud i's frame of chunk 0.
+func splitCopy(i int, data []byte) (descCopy, error) {
+	desc, raw, ok := splitDescObject(data)
+	if !ok {
+		return descCopy{}, ErrIntegrity
+	}
+	dc := descCopy{desc: desc}
+	if b, err := decodeBlock(raw); err == nil && b.ChunkIdx == 0 && b.ShardIdx == i {
+		dc.frame = &frame{seccrypto.Hash(raw), b}
+	}
+	return dc, nil
+}
+
 // locate runs a read's first round, the GETs of the descriptor objects, and
 // returns the fetcher of the first descriptor f+1 clouds return
 // byte-identical — for a value of one chunk, the first whose frames (which
@@ -477,17 +467,7 @@ func (m *Manager) locate(ctx context.Context, unit, hash string) (*chunkFetcher,
 	name := m.descName(unit, hash)
 	rd := startRound(ctx, m, "desc.get", iopolicy.GetOp(0), m.witnessSize(),
 		func(ctx context.Context, _ int, c cloud.ObjectStore) ([]byte, error) { return c.Get(ctx, name) },
-		func(i int, data []byte) (descCopy, error) {
-			desc, raw, ok := splitDescObject(data)
-			if !ok {
-				return descCopy{}, ErrIntegrity
-			}
-			dc := descCopy{desc: desc}
-			if b, err := decodeBlock(raw); err == nil && b.ChunkIdx == 0 && b.ShardIdx == i {
-				dc.frame = &frame{seccrypto.Hash(raw), b}
-			}
-			return dc, nil
-		})
+		splitCopy)
 	defer rd.cancel()
 
 	votes, copies, absent := ballot{}, 0, 0
@@ -560,14 +540,18 @@ func (m *Manager) ListVersions(ctx context.Context, unit string) ([]string, erro
 }
 
 // DeleteVersion removes the version of unit named hash and returns its
-// descriptor. Every cloud returns its descriptor object; then each deletes the
-// descriptor object, the chunks a certified descriptor names (a listing may
-// lag a write) and what it lists under the version's prefix — the chunks
-// other writes of the same bytes stored under their tags. A version of one
-// chunk f+1 clouds vouch for has no other object, and takes no listing. Without
-// f+1 identical descriptors — a version still inside its consistency window,
-// or one cloud's leftover — the answer is ErrVersionNotFound, after the
-// deletes: nothing f+1 clouds vouch for was there to be priced. Every name
+// descriptor. Every cloud is asked for its descriptor object, and the GETs
+// still in flight are cancelled once f+1 clouds returned the descriptor
+// byte-identical: a one-chunk version's object carries its data, which is
+// about to be deleted (a GET cut during its transfer is billed all the
+// same). Then each cloud deletes the descriptor object, the chunks a
+// certified descriptor names (a listing may lag a write) and what it lists
+// under the version's prefix — the chunks other writes of the same bytes
+// stored under their tags. A version of one chunk f+1 clouds vouch for has
+// no other object, and takes no listing. Without f+1 identical descriptors
+// — a version still inside its consistency window, or one cloud's leftover
+// — the answer is ErrVersionNotFound, after the deletes: nothing f+1 clouds
+// vouch for was there to be priced. Every name
 // lies inside the version's prefix, so no cloud's answer aims a delete
 // elsewhere; and nothing is read, modified and written back, so a delete
 // cannot drop a version another writer stored meanwhile.
@@ -578,20 +562,24 @@ func (m *Manager) DeleteVersion(ctx context.Context, unit, hash string) (Version
 	ctx, tr := m.opts.Tracer.Start(ctx, "delete", unit)
 	defer tr.Finish()
 	prefix := m.versionPrefix(unit, hash)
-	descs := make([][]byte, m.N())
-	// A cloud that fails to answer contributes no copy to the vote.
-	m.eachCloud(func(i int, c cloud.ObjectStore) {
-		if raw, err := c.Get(ctx, prefix+"desc"); err == nil {
-			descs[i], _, _ = splitDescObject(raw)
-		}
-	})
+	getCtx, cancelGets := context.WithCancel(ctx)
+	defer cancelGets()
+	var mu sync.Mutex // guards info, certified and votes
 	var info VersionInfo
 	certified, votes := false, ballot{}
-	for _, d := range descs {
-		if d != nil && !certified {
-			info, certified = m.vote(votes, d, hash)
+	// Every cloud's GET is issued, whenever its goroutine runs; one that
+	// fails to answer contributes no copy to the vote.
+	m.eachCloud(func(_ int, c cloud.ObjectStore) {
+		raw, err := c.Get(getCtx, prefix+"desc")
+		desc, _, ok := splitDescObject(raw)
+		mu.Lock()
+		defer mu.Unlock()
+		if err == nil && ok && !certified {
+			if info, certified = m.vote(votes, desc, hash); certified && !m.opts.DisableQuorumCancel {
+				cancelGets()
+			}
 		}
-	}
+	})
 	known := []string{prefix + "desc"}
 	if certified {
 		known = m.objectNames(unit, info)

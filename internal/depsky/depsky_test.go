@@ -350,7 +350,7 @@ func TestNoSingleCloudHoldsPlaintext(t *testing.T) {
 			if err != nil {
 				continue // a descriptor or a head
 			}
-			if bytes.Contains(b.Shard, []byte("TOPSECRET")) || bytes.Contains(b.Full, []byte("TOPSECRET")) {
+			if bytes.Contains(b.Payload, []byte("TOPSECRET")) {
 				t.Fatalf("cloud %d block contains plaintext", i)
 			}
 		}
@@ -373,7 +373,7 @@ func TestDepSkyAStoresPlaintextEverywhere(t *testing.T) {
 			if _, frame, ok := splitDescObject(data); ok {
 				data = frame
 			}
-			if b, err := decodeBlock(data); err == nil && bytes.Contains(b.Full, []byte("PLAINVALUE")) {
+			if b, err := decodeBlock(data); err == nil && bytes.Contains(b.Payload, []byte("PLAINVALUE")) {
 				found++
 			}
 		}

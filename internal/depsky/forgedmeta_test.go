@@ -3,21 +3,22 @@ package depsky
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"scfs/internal/cloud"
+	"scfs/internal/codec"
 	"scfs/internal/seccrypto"
 )
 
 // TestForgedMetadataSizeBounded pins the descriptor edition of the
-// DecodeBatch bug class: a descriptor is JSON from the clouds, so a Size its
+// DecodeBatch bug class: a descriptor comes from the clouds, so a Size its
 // chunk geometry does not account for must be rejected before it sizes an
 // allocation — not discovered by an OOM inside make(). A terabyte Size
-// costs a forger ~17 bytes of JSON.
+// costs a forger six bytes.
 func TestForgedMetadataSizeBounded(t *testing.T) {
 	_, m := newManager(t, ProtocolCA)
 	data := bytes.Repeat([]byte{0xAB}, 4096)
@@ -37,8 +38,7 @@ func TestForgedMetadataSizeBounded(t *testing.T) {
 		t.Fatal("negative Size: want error, got nil")
 	}
 	for _, v := range []VersionInfo{forged, negative} {
-		raw, _ := json.Marshal(v)
-		if _, ok := decodeDescriptor(raw, info.DataHash, m.N()); ok {
+		if _, ok := decodeDescriptor(encodeDescriptor(&v), info.DataHash, m.N()); ok {
 			t.Fatalf("descriptor of size %d accepted", v.Size)
 		}
 	}
@@ -128,7 +128,7 @@ func TestForgedHashNamesNoObject(t *testing.T) {
 	// Every cloud serves a head and a descriptor listing under a forged name.
 	for _, c := range inner {
 		forged := "../../other-unit/" + strings.Repeat("0", 47)
-		if err := c.Put(bg, m.headName("u"), append([]byte(headMagic+"\x00\x00\x00\x00\x00\x00\x00\x07"), forged...)); err != nil {
+		if err := c.Put(bg, m.headName("u"), head{seq: 7, hash: forged}.encode()); err != nil {
 			t.Fatal(err)
 		}
 		if err := c.Put(bg, m.unitPrefix("u")+strings.ToUpper(seccrypto.Hash(nil))+"/desc", []byte("{}")); err != nil {
@@ -217,8 +217,7 @@ func TestDeleteVersionFreesOnlyCertifiedDescriptors(t *testing.T) {
 	doomed := writeFrom(t, m, "u", []byte("doomed"))
 	invented := doomed
 	invented.DataHash = seccrypto.Hash([]byte("invented"))
-	raw, _ := json.Marshal(invented)
-	if err := clients[0].Put(bg, m.descName("u", invented.DataHash), descObject(raw, nil)); err != nil {
+	if err := clients[0].Put(bg, m.descName("u", invented.DataHash), descObject(encodeDescriptor(&invented), nil)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.DeleteVersion(bg, "u", invented.DataHash); !errors.Is(err, ErrVersionNotFound) {
@@ -238,43 +237,45 @@ func TestDeleteVersionFreesOnlyCertifiedDescriptors(t *testing.T) {
 	}
 }
 
-// TestV1ShapedInputFailsAsData: nothing writes the whole-object layout any
-// more and nothing reads it, so its two shapes are plain bad input. A
-// descriptor without a chunk size is rejected — however many clouds agree on
-// it — before any object name is built from it; a version-1 frame where a
-// chunk should be is a bad frame, and with too few good ones the read fails,
-// it does not panic.
+// TestV1ShapedInputFailsAsData: input shaped by another layout is plain bad
+// input. A descriptor without a chunk size, as a whole-object version had, is
+// rejected — however many clouds agree on it — before any object name is
+// built from it; a frame of another codec version where a chunk should be is
+// a bad frame, even under a descriptor forged to vouch for it, and with too
+// few good ones the read fails, it does not panic.
 func TestV1ShapedInputFailsAsData(t *testing.T) {
 	s, m, _, inner := stagedManager(t, Options{ChunkSize: 2})
 	s.setOpen(true)
 	live := writeFrom(t, m, "u", []byte("live"))
 
 	old := seccrypto.Hash([]byte("old"))
-	v1 := `{"data_hash":"` + old + `","size":3,"block_hashes":["a","b","c","d"],"protocol":0}`
+	sizeless := VersionInfo{DataHash: old, Size: 3, ChunkCount: 1, ChunkHashes: [][]string{live.ChunkHashes[0]}, Tag: live.Tag}
 	for _, c := range inner {
-		if err := c.Put(bg, m.descName("u", old), descObject([]byte(v1), nil)); err != nil {
+		if err := c.Put(bg, m.descName("u", old), descObject(encodeDescriptor(&sizeless), nil)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if _, _, err := m.ReadMatching(bg, "u", old); err == nil {
-		t.Fatal("ReadMatching the v1 descriptor's hash succeeded")
+		t.Fatal("ReadMatching the sizeless descriptor's hash succeeded")
 	}
 	if _, _, err := m.OpenMatching(bg, "u", old); err == nil {
-		t.Fatal("OpenMatching the v1 descriptor's hash succeeded")
+		t.Fatal("OpenMatching the sizeless descriptor's hash succeeded")
 	}
 	if _, err := m.DeleteVersion(bg, "u", old); !errors.Is(err, ErrVersionNotFound) {
-		t.Fatalf("DeleteVersion of the v1 descriptor = %v, want ErrVersionNotFound", err)
+		t.Fatalf("DeleteVersion of the sizeless descriptor = %v, want ErrVersionNotFound", err)
 	}
 	for _, r := range s.snapshot() {
 		if strings.Contains(r.name, old) && !strings.HasSuffix(r.name, "/desc") {
-			t.Fatalf("%s %s: an object name built from the v1 descriptor", r.op, r.name)
+			t.Fatalf("%s %s: an object name built from the sizeless descriptor", r.op, r.name)
 		}
 	}
 
-	// Three clouds answer the GET of the live version's chunk 1 with a
-	// version-1 frame: one good frame is short of the f+1 a decode needs.
+	// Three clouds answer the GET of the live version's chunk 1 with a frame
+	// of another codec version: one good frame is short of the f+1 a decode
+	// needs.
+	other := otherVersionFrame()
 	for _, c := range inner[1:] {
-		if err := c.Put(bg, m.chunkName("u", &live, 1), v1Frame()); err != nil {
+		if err := c.Put(bg, m.chunkName("u", &live, 1), other); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -282,56 +283,107 @@ func TestV1ShapedInputFailsAsData(t *testing.T) {
 	// vouches for them, so only the frame decoder stands between them and
 	// the decode.
 	forged := live
-	forged.ChunkHashes = [][]string{live.ChunkHashes[0], {live.ChunkHashes[1][0], seccrypto.Hash(v1Frame()), seccrypto.Hash(v1Frame()), seccrypto.Hash(v1Frame())}}
+	forged.ChunkHashes = [][]string{live.ChunkHashes[0], {live.ChunkHashes[1][0], seccrypto.Hash(other), seccrypto.Hash(other), seccrypto.Hash(other)}}
 	f := &chunkFetcher{m: m, unit: "u", info: forged}
 	if err := f.fetch(bg, 1, make([]byte, 2)); !errors.Is(err, ErrQuorumRead) {
-		t.Fatalf("read over version-1 frames: err = %v, want ErrQuorumRead", err)
+		t.Fatalf("read over frames of another version: err = %v, want ErrQuorumRead", err)
 	}
 }
 
 // FuzzDescriptor feeds arbitrary bytes through the decoders of what a cloud
 // serves before any frame: a version's descriptor object, the descriptor in
 // it, and a register head. Whatever they accept must be safe to build object
-// names from and to slice buffers by.
+// names from and to slice buffers by, and must re-encode to the very bytes
+// they were given. Beside well-formed ones, the seeds break one rule each.
 func FuzzDescriptor(f *testing.F) {
 	hash := seccrypto.Hash([]byte("abc"))
-	row := `["` + strings.Repeat(hash+`","`, 3) + hash + `"]`
-	honest := `{"data_hash":"` + hash + `","size":3,"protocol":0,"chunk_size":2,"chunk_count":2,"chunk_hashes":[` + row + `,` + row + `],"tag":"ABCDEFGHIJKLMNOPQRSTUVWXYZ"}`
-	seq := func(n uint64) string {
-		b := make([]byte, 8)
-		for i := range b {
-			b[7-i] = byte(n >> (8 * i))
-		}
-		return string(b)
+	row := []string{hash, hash, hash, hash}
+	honest := VersionInfo{DataHash: hash, Size: 3, ChunkSize: 2, ChunkCount: 2, ChunkHashes: [][]string{row, row}, Tag: "ABCDEFGHIJKLMNOPQRSTUVWXYZ"}
+	with := func(edit func(v *VersionInfo)) []byte {
+		v := honest
+		edit(&v)
+		return descObject(encodeDescriptor(&v), nil)
 	}
-	f.Add([]byte(honest), []byte(headMagic+seq(1)+hash))
-	f.Add([]byte(`{"data_hash":"`+hash+`","size":1,"protocol":0,"chunk_size":1099511627776,"chunk_count":1,"chunk_hashes":[`+row+`]}`), []byte(headMagic+seq(2)+strings.ToUpper(hash)))
-	f.Add([]byte(`{"data_hash":"`+hash+`","size":5,"protocol":0,"chunk_size":2,"chunk_count":2,"chunk_hashes":[`+row+`,`+row+`]}`), []byte(headMagic+seq(3)+"../../v/head/"+hash[:51]))
-	f.Add([]byte(`{"data_hash":"`+hash+`","size":-1,"protocol":1,"chunk_size":1,"chunk_count":0,"chunk_hashes":[]}`), []byte(headMagic+seq(math.MaxUint64)+hash))
-	f.Add([]byte(`{"data_hash":"`+hash+`","size":3,"protocol":0,"chunk_size":3,"chunk_count":1,"chunk_hashes":[["a","b","c","d"]]}`), []byte(headMagic+seq(4)+hash[:63]+"g"))
-	f.Add([]byte(`{"data_hash":"`+hash+`","size":3,"protocol":7,"chunk_size":3,"chunk_count":1,"chunk_hashes":[`+row+`]}`), []byte(headMagic+seq(5)))
-	f.Add([]byte(`null`), []byte(`DSKB`))
-	f.Add([]byte(strings.Replace(honest, "ABCDEFGHIJKLMNOPQRSTUVWXYZ", "../../other/ABCDEFGHIJKLMN", 1)), []byte(headMagic+seq(6)+hash))
-	f.Add(descObject([]byte(honest), v1Frame()), []byte(descMagic+"\xff\xff\xff\xff"))
+	honestObject := with(func(*VersionInfo) {})
+	// lay wraps a descriptor laid out by hand: the data hash, then fields;
+	// tail is the honest one's last two, the frame hashes and the tag.
+	lay := func(fields ...[]byte) []byte {
+		return descObject(slices.Concat(codec.AppendString(nil, hash), slices.Concat(fields...)), nil)
+	}
+	tail := codec.AppendString(codec.AppendList(nil, honest.ChunkHashes, codec.AppendStrings), honest.Tag)
+	// pad encodes v with one zero byte too many.
+	pad := func(v uint64) []byte {
+		b := codec.AppendUvarint(nil, v)
+		b[len(b)-1] |= 0x80
+		return append(b, 0)
+	}
+	oneChunk := encodeDescriptor(&VersionInfo{DataHash: hash, Size: 3, ChunkSize: 3, ChunkCount: 1, ChunkHashes: [][]string{row}, Tag: honest.Tag, Protocol: ProtocolA})
+	headOf := func(seq uint64, hash string) []byte { return head{seq, hash}.encode() }
+	good := headOf(1, hash)
+	for _, seed := range []struct{ object, head []byte }{
+		{honestObject, good},
+		{descObject(oneChunk, frameOf(&block{Payload: []byte("abc"), ChunkPlainLen: 3})), headOf(math.MaxUint64, hash)},
+		// One-chunk frames whose shard index is not every cloud's, or
+		// whose chunk index is not 0.
+		{descObject(oneChunk, frameOf(&block{Payload: []byte("abc"), ShardIdx: 3, ChunkPlainLen: 3})), nil},
+		{descObject(oneChunk, frameOf(&block{Payload: []byte("abc"), ChunkIdx: 1, ChunkPlainLen: 3})), nil},
+		// The chunk geometry, and a head's hash.
+		{with(func(v *VersionInfo) {
+			v.ChunkSize, v.Size, v.ChunkCount, v.ChunkHashes = 1<<40, 1<<40, 1, v.ChunkHashes[:1]
+		}), headOf(2, strings.ToUpper(hash))},
+		{with(func(v *VersionInfo) { v.Size = 5 }), headOf(3, "../../v/head/"+hash[:51])},
+		{with(func(v *VersionInfo) { v.Size, v.ChunkCount, v.ChunkHashes = -1, 0, nil }), headOf(4, hash[:63]+"g")},
+		// The row width and the frame hashes; a head of another version,
+		// or followed by a byte.
+		{with(func(v *VersionInfo) { v.ChunkHashes = [][]string{row, row[:3]} }), append([]byte{codec.Version + 1}, good[1:]...)},
+		{with(func(v *VersionInfo) { v.ChunkHashes = [][]string{row, {"a", "b", "c", "d"}} }), append(bytes.Clone(good), 0)},
+		// An unknown protocol; a head's padded seq, and its over-long hash.
+		{with(func(v *VersionInfo) { v.Protocol = 7 }), slices.Concat(codec.AppendVersion(nil), pad(1), good[2:])},
+		{with(func(v *VersionInfo) { v.Tag = "../../other/ABCDEFGHIJKLMN" }), append(codec.AppendUvarint(codec.AppendVersion(nil), 5), 0x80, 0x01, 'x')},
+		{with(func(v *VersionInfo) { v.DataHash = "../../other/" + hash[12:] }), nil},
+		// The descriptor's encoding: a row count forged to 1<<60, a byte
+		// after it, a padded size.
+		{lay([]byte{3, byte(ProtocolCA), 2, 2}, codec.AppendUvarint(nil, 1<<60), []byte{0, 0}), nil},
+		{lay([]byte{3, byte(ProtocolCA), 2, 2}, tail, []byte{0}), nil},
+		{lay(pad(3), []byte{byte(ProtocolCA), 2, 2}, tail), nil},
+		// The object's: another version, a trailing byte, an over-long
+		// frame, a padded descriptor length.
+		{append([]byte{codec.Version + 1}, honestObject[1:]...), nil},
+		{append(bytes.Clone(honestObject), 0), nil},
+		{append(honestObject[:len(honestObject)-1:len(honestObject)-1], 0x80, 0x01, 'x'), nil},
+		{slices.Concat(codec.AppendVersion(nil), pad(uint64(len(encodeDescriptor(&honest)))), encodeDescriptor(&honest), []byte{0}), nil},
+	} {
+		f.Add(seed.object, seed.head)
+	}
 
 	_, clients := testClouds(f, 4)
 	m, err := New(Options{Clouds: clients, F: 1})
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Fuzz(func(t *testing.T, desc, headBytes []byte) {
-		for _, obj := range [][]byte{desc, headBytes} {
-			if d, frame, ok := splitDescObject(obj); ok && descHeaderLen+len(d)+len(frame) != len(obj) {
-				t.Fatalf("descriptor object of %d bytes split into %d + %d", len(obj), len(d), len(frame))
+	f.Fuzz(func(t *testing.T, object, headBytes []byte) {
+		desc, frame, ok := splitDescObject(object)
+		if again := descObject(desc, frame); ok && !bytes.Equal(again, object) {
+			t.Fatalf("descriptor object %x re-encodes as %x", object, again)
+		}
+		// What a read takes from cloud i's object is cloud i's frame of chunk 0.
+		for i := range m.N() {
+			if dc, err := splitCopy(i, object); err == nil && dc.frame != nil && (dc.frame.b.ShardIdx != i || dc.frame.b.ChunkIdx != 0) {
+				t.Fatalf("cloud %d's object yields the frame of shard %d, chunk %d", i, dc.frame.b.ShardIdx, dc.frame.b.ChunkIdx)
 			}
 		}
 		if v, ok := decodeDescriptor(desc, hash, m.N()); ok {
-			if !v.validChunking() || v.DataHash != hash {
-				t.Fatalf("accepted geometry size %d, chunk %d x %d, %d hash rows", v.Size, v.ChunkSize, v.ChunkCount, len(v.ChunkHashes))
+			if !v.validChunking() || v.ChunkSize > MaxChunkSize || v.DataHash != hash || (v.Protocol != ProtocolCA && v.Protocol != ProtocolA) {
+				t.Fatalf("accepted protocol %d, size %d, chunk %d x %d, %d hash rows", v.Protocol, v.Size, v.ChunkSize, v.ChunkCount, len(v.ChunkHashes))
 			}
 			for _, row := range v.ChunkHashes {
 				if len(row) != m.N() {
 					t.Fatalf("accepted a row of %d frame hashes", len(row))
+				}
+				for _, h := range row {
+					if !validHash(h) {
+						t.Fatalf("accepted the frame hash %q", h)
+					}
 				}
 			}
 			for _, name := range m.objectNames("u", v) {
@@ -340,13 +392,16 @@ func FuzzDescriptor(f *testing.F) {
 					t.Fatalf("object name %q leaves dsky/u/<hash>/", name)
 				}
 			}
+			if again := encodeDescriptor(&v); !bytes.Equal(again, desc) {
+				t.Fatalf("descriptor %x re-encodes as %x", desc, again)
+			}
 		}
 		if h, ok := decodeHead(headBytes); ok {
 			if !validHash(h.hash) {
 				t.Fatalf("head accepted hash %q", h.hash)
 			}
-			if got, ok := decodeHead(h.encode()); !ok || got != h {
-				t.Fatalf("head %+v does not round-trip", h)
+			if again := h.encode(); !bytes.Equal(again, headBytes) {
+				t.Fatalf("head %x re-encodes as %x", headBytes, again)
 			}
 		}
 	})

@@ -3,7 +3,7 @@ package depsky
 // The newest-version register. SCFS names every file version by the hash its
 // consistency anchor holds, so the file data path needs no pointer on the
 // clouds. The private name space (storage.CoCPNS) has no anchor: it is looked
-// up by user name, newest wins. Write and Read serve it with one fixed-size
+// up by user name, newest wins. Write and Read serve it with one small
 // object per unit, "dsky/<unit>/head", holding a sequence number and
 // the hash of the newest version. The head is written after its version
 // reached a quorum, and the version it replaced is then deleted.
@@ -12,10 +12,10 @@ import (
 	"bytes"
 	"cmp"
 	"context"
-	"encoding/binary"
 	"sort"
 
 	"scfs/internal/cloud"
+	"scfs/internal/codec"
 	"scfs/internal/iopolicy"
 	"scfs/internal/seccrypto"
 )
@@ -27,25 +27,17 @@ type head struct {
 	hash string
 }
 
-// The head's encoding: magic, big-endian seq, the hash in hex.
-const (
-	headMagic = "DSKH"
-	headLen   = len(headMagic) + 8 + 64
-)
-
+// The head stands alone in the codec: the version, seq, then the hash.
 func (h head) encode() []byte {
-	b := append(make([]byte, 0, headLen), headMagic...)
-	b = binary.BigEndian.AppendUint64(b, h.seq)
-	return append(b, h.hash...)
+	b := make([]byte, 0, 3*codec.MaxUvarintLen+len(h.hash))
+	return codec.AppendString(codec.AppendUvarint(codec.AppendVersion(b), h.seq), h.hash)
 }
 
 // decodeHead parses one cloud's copy of a head; false when it is not one.
 func decodeHead(data []byte) (head, bool) {
-	if len(data) != headLen || string(data[:len(headMagic)]) != headMagic {
-		return head{}, false
-	}
-	h := head{seq: binary.BigEndian.Uint64(data[len(headMagic):]), hash: string(data[len(headMagic)+8:])}
-	return h, validHash(h.hash)
+	d := codec.NewDecoder(data, true)
+	h := head{seq: d.Uvarint(), hash: d.Str()}
+	return h, d.Finish() == nil && validHash(h.hash)
 }
 
 func (m *Manager) headName(unit string) string { return m.unitPrefix(unit) + "head" }

@@ -21,7 +21,6 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -148,7 +147,7 @@ func (m *Manager) writeVersion(ctx context.Context, unit, hash string, r io.Read
 	objects := make([][]byte, m.N())
 	if err == nil {
 		info.Size, info.ChunkCount, info.ChunkHashes = int(res.Size), res.Chunks, info.ChunkHashes[:res.Chunks]
-		desc, _ := json.Marshal(info) // plain fields only: it cannot fail
+		desc := encodeDescriptor(&info)
 		for i := range objects {
 			objects[i] = descObject(desc, first.frames[i])
 		}
@@ -201,12 +200,11 @@ func (m *Manager) encodeChunk(idx int, plain []byte, key []byte, shares []secret
 		}
 	}
 	for i := 0; i < n; i++ {
-		b := block{Full: plain, ShardIdx: i, ChunkIdx: idx, ChunkPlainLen: len(plain)}
+		b := block{ShardIdx: i, ChunkIdx: idx, ChunkPlainLen: len(plain), Payload: plain}
 		if shards != nil {
-			b.Full, b.Shard, b.KeyX, b.KeyShare = nil, shards[i], shares[i].X, shares[i].Data
+			b.Payload, b.KeyX, b.KeyShare = shards[i], shares[i].X, shares[i].Data
 		}
-		ec.frames[i] = stream.Buffers.Get(frameLen(len(b.KeyShare), len(b.Full)+len(b.Shard)))
-		encodeFrame(ec.frames[i], m.opts.Protocol, &b)
+		ec.frames[i] = appendFrame(stream.Buffers.Get(maxFrameLen(&b))[:0], &b)
 		ec.hashes[i] = seccrypto.Hash(ec.frames[i])
 	}
 	return ec, nil
@@ -410,8 +408,8 @@ func (f *chunkFetcher) decodeChunk(idx int, blocks []*block, dst []byte, scratch
 	scratch.reset()
 	if f.info.Protocol == ProtocolA {
 		for _, b := range blocks {
-			if b.Full != nil && len(b.Full) == len(dst) {
-				copy(dst, b.Full)
+			if len(b.Payload) == len(dst) {
+				copy(dst, b.Payload)
 				return nil
 			}
 		}
@@ -424,15 +422,15 @@ func (f *chunkFetcher) decodeChunk(idx int, blocks []*block, dst []byte, scratch
 	present := 0
 	shardSize := 0
 	for _, b := range blocks {
-		if b.Shard == nil || b.ShardIdx < 0 || b.ShardIdx >= len(shards) {
+		if b.ShardIdx < 0 || b.ShardIdx >= len(shards) {
 			continue
 		}
 		if shards[b.ShardIdx] == nil {
 			present++
 		}
-		shards[b.ShardIdx] = b.Shard
-		shardSize = len(b.Shard)
-		if b.KeyShare != nil {
+		shards[b.ShardIdx] = b.Payload
+		shardSize = len(b.Payload)
+		if len(b.KeyShare) > 0 {
 			shares = append(shares, secretshare.Share{X: b.KeyX, Data: b.KeyShare})
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"crypto/rand"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -343,7 +342,7 @@ func TestRangedReadIgnoresForgedMetadataCopy(t *testing.T) {
 	for idx := range v.ChunkCount {
 		chunk := forged[idx*cs : idx*cs+v.chunkPlainLen(idx)]
 		for cloudIdx := 0; cloudIdx < 4; cloudIdx++ {
-			frame := frameOf(ProtocolA, &block{Full: chunk, ShardIdx: cloudIdx, ChunkIdx: idx, ChunkPlainLen: len(chunk)})
+			frame := frameOf(&block{Payload: chunk, ShardIdx: cloudIdx, ChunkIdx: idx, ChunkPlainLen: len(chunk)})
 			if cloudIdx == 0 {
 				if err := evil.Put(bg, m.chunkName("u", &v, idx), frame); err != nil {
 					t.Fatal(err)
@@ -355,11 +354,7 @@ func TestRangedReadIgnoresForgedMetadataCopy(t *testing.T) {
 	// The forged descriptor claims the replication protocol so one frame
 	// would suffice to decode a chunk if it were trusted.
 	v.Protocol = ProtocolA
-	rewritten, err := json.Marshal(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := evil.Put(bg, m.descName("u", v.DataHash), descObject(rewritten, nil)); err != nil {
+	if err := evil.Put(bg, m.descName("u", v.DataHash), descObject(encodeDescriptor(&v), nil)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -393,8 +388,7 @@ func TestOpenMatchingDeclinesUncertifiedEntries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	raw, _ := json.Marshal(info)
-	if err := clients[0].Put(bg, desc, descObject(raw, nil)); err != nil { // the write's straggler may have been cut
+	if err := clients[0].Put(bg, desc, descObject(encodeDescriptor(&info), nil)); err != nil { // the write's straggler may have been cut
 		t.Fatal(err)
 	}
 	if _, _, err := m.OpenMatching(bg, "u", info.DataHash); !errors.Is(err, ErrVersionNotFound) {

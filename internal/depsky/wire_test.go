@@ -4,93 +4,102 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"scfs/internal/codec"
 )
 
-// frameOf encodes b the way encodeChunk does, into a buffer of the exact
-// frame length.
-func frameOf(p Protocol, b *block) []byte {
-	payload := b.Shard
-	if p == ProtocolA {
-		payload = b.Full
-	}
-	frame := make([]byte, frameLen(len(b.KeyShare), len(payload)))
-	encodeFrame(frame, p, b)
-	return frame
-}
+// frameOf encodes b the way encodeChunk does.
+func frameOf(b *block) []byte { return appendFrame(nil, b) }
 
 func TestWireRoundTripCA(t *testing.T) {
 	in := &block{
-		Shard:         []byte{0, 1, 2, 0xff, 4, 5},
+		Payload:       []byte{0, 1, 2, 0xff, 4, 5},
 		ShardIdx:      2,
 		KeyX:          9,
 		KeyShare:      []byte{1, 2, 3, 4},
 		ChunkIdx:      41,
 		ChunkPlainLen: 777,
 	}
-	frame := frameOf(ProtocolCA, in)
-	if want := wireHeaderLen + len(in.KeyShare) + len(in.Shard); len(frame) != want {
-		t.Fatalf("frame size = %d, want %d (no inflation)", len(frame), want)
+	frame := frameOf(in)
+	// The version, keyX, the shard and chunk indexes (one byte each), the
+	// two-byte chunk length, then the key share and the payload, each behind
+	// its one-byte length: nothing inflates the payload.
+	if want := 4 + 2 + 1 + len(in.KeyShare) + 1 + len(in.Payload); len(frame) != want {
+		t.Fatalf("frame size = %d, want %d", len(frame), want)
+	}
+	if len(frame) > maxFrameLen(in) {
+		t.Fatalf("frame of %d bytes overflows its bound of %d", len(frame), maxFrameLen(in))
 	}
 	out, err := decodeBlock(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(out.Shard, in.Shard) || out.ShardIdx != in.ShardIdx ||
+	if !bytes.Equal(out.Payload, in.Payload) || out.ShardIdx != in.ShardIdx ||
 		out.KeyX != in.KeyX || !bytes.Equal(out.KeyShare, in.KeyShare) ||
-		out.ChunkIdx != in.ChunkIdx || out.ChunkPlainLen != in.ChunkPlainLen || out.Full != nil {
+		out.ChunkIdx != in.ChunkIdx || out.ChunkPlainLen != in.ChunkPlainLen {
 		t.Fatalf("round trip mismatch: %+v", out)
+	}
+	// The payload aliases the frame: a read decodes in place.
+	if &out.Payload[0] != &frame[len(frame)-len(in.Payload)] {
+		t.Fatal("payload copied out of the frame")
 	}
 }
 
 // DepSky-A chunk: full replicated chunk, no key share.
 func TestWireRoundTripA(t *testing.T) {
-	in := &block{Full: []byte("chunk bytes"), ShardIdx: 1, ChunkIdx: 0, ChunkPlainLen: 11}
-	out, err := decodeBlock(frameOf(ProtocolA, in))
+	in := &block{Payload: []byte("chunk bytes"), ShardIdx: 1, ChunkIdx: 0, ChunkPlainLen: 11}
+	out, err := decodeBlock(frameOf(in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(out.Full, in.Full) || out.ShardIdx != 1 || out.ChunkIdx != 0 || out.ChunkPlainLen != 11 ||
-		out.Shard != nil || out.KeyShare != nil {
+	if !bytes.Equal(out.Payload, in.Payload) || out.ShardIdx != 1 || out.ChunkIdx != 0 || out.ChunkPlainLen != 11 ||
+		len(out.KeyShare) != 0 || out.KeyX != 0 {
 		t.Fatalf("round trip mismatch: %+v", out)
 	}
 }
 
 func TestWireRoundTripEmptyPayload(t *testing.T) {
-	out, err := decodeBlock(frameOf(ProtocolCA, &block{ShardIdx: 1, KeyX: 1, KeyShare: []byte{5}}))
+	out, err := decodeBlock(frameOf(&block{ShardIdx: 1, KeyX: 1, KeyShare: []byte{5}}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Shard) != 0 || out.KeyX != 1 {
+	if len(out.Payload) != 0 || out.KeyX != 1 {
 		t.Fatalf("empty payload mishandled: %+v", out)
 	}
 }
 
-// v1Frame is what this package's whole-object layout once stored: frame
-// version 1, an 18-byte header without the chunk coordinates, here with a
-// one-byte key share and an eight-byte shard. No writer produces it any
-// more; to a reader it is malformed input.
-func v1Frame() []byte {
-	return []byte{'D', 'S', 'K', 'B', 1, byte(ProtocolCA), wireFlagKeyShare, 1,
-		0, 0, 0, 0, 0, 1, 0, 0, 0, 8,
-		4, 1, 2, 3, 4, 5, 6, 7, 8}
+// otherVersionFrame is a well-formed frame in every field but its first,
+// the codec version: what a writer of another version of the layout would
+// store, here with a one-byte key share and an eight-byte shard. To this
+// reader it is malformed input.
+func otherVersionFrame() []byte {
+	b := frameOf(&block{KeyX: 1, KeyShare: []byte{4}, Payload: []byte{1, 2, 3, 4, 5, 6, 7, 8}, ChunkIdx: 1, ChunkPlainLen: 2})
+	b[0] = codec.Version + 1
+	return b
+}
+
+// malformedFrames are the frames FuzzDecodeBlock is seeded with beside
+// well-formed ones, one for each bound the decoder keeps: each decodes only
+// if that bound is gone.
+func malformedFrames() map[string][]byte {
+	good := frameOf(&block{Payload: []byte{1, 2, 3}, KeyX: 1, KeyShare: []byte{4}, ChunkIdx: 0, ChunkPlainLen: 3})
+	header := []byte{codec.Version, 1, 0, 0, 3}
+	return map[string][]byte{
+		"empty":           nil,
+		"other version":   otherVersionFrame(),
+		"keyX past 255":   append([]byte{codec.Version, 0x80, 0x02, 0, 0, 3, 1, 4}, 3, 1, 2, 3),
+		"padded varint":   append([]byte{codec.Version, 0x81, 0x00, 0, 0, 3, 1, 4}, 3, 1, 2, 3),
+		"overlong key":    append(codec.AppendUvarint(bytes.Clone(header), 1<<60), 4, 3, 1, 2, 3),
+		"overlong shard":  append(bytes.Clone(header), 1, 4, 9, 1, 2, 3),
+		"truncated body":  good[:len(good)-1],
+		"trailing byte":   append(bytes.Clone(good), 0),
+		"legacy magic":    append([]byte("DSKB\x02\x00\x01\x01"), good[1:]...),
+		"overflow varint": {codec.Version, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F},
+	}
 }
 
 func TestWireRejectsMalformedFrames(t *testing.T) {
-	good := frameOf(ProtocolCA, &block{Shard: []byte{1, 2, 3}, KeyX: 1, KeyShare: []byte{4}, ChunkIdx: 0, ChunkPlainLen: 3})
-	cases := map[string][]byte{
-		"empty":           nil,
-		"short header":    good[:wireHeaderLen-1],
-		"bad magic":       append([]byte("XXXX"), good[4:]...),
-		"bad version":     append(append([]byte{}, good[:4]...), append([]byte{99}, good[5:]...)...),
-		"version 1":       v1Frame(),
-		"bad protocol":    append(append([]byte{}, good[:5]...), append([]byte{42}, good[6:]...)...),
-		"truncated body":  good[:len(good)-1],
-		"oversized frame": append(append([]byte{}, good...), 0),
-		// JSON from the oldest envelope must be rejected cleanly, not
-		// misparsed.
-		"legacy JSON": []byte(`{"shard":"AAEC","shard_idx":1}`),
-	}
-	for name, frame := range cases {
+	for name, frame := range malformedFrames() {
 		if _, err := decodeBlock(frame); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("%s: err = %v, want ErrBadFrame", name, err)
 		}
@@ -99,17 +108,15 @@ func TestWireRejectsMalformedFrames(t *testing.T) {
 
 // FuzzDecodeBlock feeds arbitrary bytes — what a faulty cloud may answer a
 // chunk GET with — to the frame decoder: it must reject or return a block
-// whose fields lie inside the input and re-encode to it, never panic.
+// whose fields lie inside the input, and whatever it accepts re-encodes to
+// the very bytes it was given.
 func FuzzDecodeBlock(f *testing.F) {
-	f.Add(frameOf(ProtocolCA, &block{Shard: []byte{1, 2, 3}, ShardIdx: 3, KeyX: 1, KeyShare: []byte{4}, ChunkIdx: 2, ChunkPlainLen: 3}))
-	f.Add(frameOf(ProtocolA, &block{Full: []byte("chunk"), ShardIdx: 1, ChunkPlainLen: 5}))
-	f.Add(v1Frame())
-	f.Add([]byte("DSKB\x02\x00\x01\x01\x00\x00\xff\xff\xff\xff\xff\xff\xff\xff\x00\x00\x00\x00\x00\x00\x00\x00"))
-	// A forged key length alone, and a payload length that disagrees with
-	// the bytes after the key share: each length is checked on its own.
-	f.Add([]byte("DSKB\x02\x00\x01\x01\x00\x00\xff\xff\xff\xff\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"))
-	f.Add([]byte("DSKB\x02\x00\x01\x01\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00kabc"))
-	f.Add([]byte(nil))
+	f.Add(frameOf(&block{Payload: []byte{1, 2, 3}, ShardIdx: 3, KeyX: 1, KeyShare: []byte{4}, ChunkIdx: 2, ChunkPlainLen: 3}))
+	f.Add(frameOf(&block{Payload: []byte("chunk"), ShardIdx: 1, ChunkPlainLen: 5}))
+	f.Add(frameOf(&block{KeyX: 0xFF, ShardIdx: 1 << 20, ChunkIdx: 1 << 40, ChunkPlainLen: MaxChunkSize}))
+	for _, frame := range malformedFrames() {
+		f.Add(frame)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, err := decodeBlock(data)
 		if err != nil {
@@ -118,16 +125,11 @@ func FuzzDecodeBlock(f *testing.F) {
 			}
 			return
 		}
-		p, payload := ProtocolCA, b.Shard
-		if b.Full != nil {
-			p, payload = ProtocolA, b.Full
+		if len(b.KeyShare)+len(b.Payload) > len(data) {
+			t.Fatalf("decoded %d+%d bytes out of a %d-byte frame", len(b.KeyShare), len(b.Payload), len(data))
 		}
-		if len(b.KeyShare)+len(payload) > len(data)-wireHeaderLen {
-			t.Fatalf("decoded %d+%d bytes out of a %d-byte frame", len(b.KeyShare), len(payload), len(data))
-		}
-		// A frame the encoder can have produced decodes to what it encoded.
-		if data[6] == wireFlagKeyShare && len(b.KeyShare) > 0 && !bytes.Equal(frameOf(p, b), data) {
-			t.Fatal("re-encoding differs from the frame decoded")
+		if again := frameOf(b); !bytes.Equal(again, data) {
+			t.Fatalf("%x decoded to a block that re-encodes as %x", data, again)
 		}
 	})
 }

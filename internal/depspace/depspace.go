@@ -24,7 +24,7 @@ import (
 	"strings"
 	"sync"
 
-	"scfs/internal/smr"
+	"scfs/internal/codec"
 )
 
 // Wildcard matches any field value in a template.
@@ -125,7 +125,7 @@ const (
 )
 
 // Command is the operation executed by the state machine. On the wire it is
-// every field in declaration order, in smr's codec (see appendCommand).
+// every field in declaration order, in internal/codec (see appendCommand).
 type Command struct {
 	Op string
 	// Requester is the principal performing the operation (enforced against
@@ -165,20 +165,20 @@ type Result struct {
 	Count   int
 }
 
-// The layouts of a command, a reply and a snapshot in smr's codec: every
+// The layouts of a command, a reply and a snapshot in the one codec: every
 // field in declaration order, none left out, so each value has one encoding.
 // Go evaluates a composite literal's reads in order, the order of the fields.
 
 func appendCommand(b []byte, c Command) []byte {
-	b = smr.AppendUvarint(smr.AppendString(smr.AppendString(b, c.Op), c.Requester), uint64(c.Now))
-	b = smr.AppendStrings(smr.AppendStrings(smr.AppendStrings(b, c.Tuple), c.Template), c.Replacement)
-	b = appendACL(smr.AppendUvarint(b, c.ExpectedVersion), c.ACL)
-	b = smr.AppendUvarint(smr.AppendUvarint(b, uint64(c.TTLNanos)), uint64(c.FieldIndex))
-	return smr.AppendString(smr.AppendString(smr.AppendString(b, c.OldPrefix), c.NewPrefix), c.Prefix)
+	b = codec.AppendUvarint(codec.AppendString(codec.AppendString(b, c.Op), c.Requester), uint64(c.Now))
+	b = codec.AppendStrings(codec.AppendStrings(codec.AppendStrings(b, c.Tuple), c.Template), c.Replacement)
+	b = appendACL(codec.AppendUvarint(b, c.ExpectedVersion), c.ACL)
+	b = codec.AppendUvarint(codec.AppendUvarint(b, uint64(c.TTLNanos)), uint64(c.FieldIndex))
+	return codec.AppendString(codec.AppendString(codec.AppendString(b, c.OldPrefix), c.NewPrefix), c.Prefix)
 }
 
 func decodeCommand(b []byte) (Command, error) {
-	d := smr.NewDecoder(b, false)
+	d := codec.NewDecoder(b, false)
 	c := Command{Op: d.Str(), Requester: d.Str(), Now: int64(d.Uvarint()),
 		Tuple: d.Strings(), Template: d.Strings(), Replacement: d.Strings(),
 		ExpectedVersion: d.Uvarint(), ACL: decodeACL(&d), TTLNanos: int64(d.Uvarint()),
@@ -187,19 +187,19 @@ func decodeCommand(b []byte) (Command, error) {
 }
 
 func appendACL(b []byte, a ACL) []byte {
-	return smr.AppendStrings(smr.AppendStrings(smr.AppendString(b, a.Owner), a.Readers), a.Writers)
+	return codec.AppendStrings(codec.AppendStrings(codec.AppendString(b, a.Owner), a.Readers), a.Writers)
 }
 
-func decodeACL(d *smr.Decoder) ACL {
+func decodeACL(d *codec.Decoder) ACL {
 	return ACL{Owner: d.Str(), Readers: d.Strings(), Writers: d.Strings()}
 }
 
 func appendEntry(b []byte, e Entry) []byte {
-	b = appendACL(smr.AppendStrings(b, e.Tuple), e.ACL)
-	return smr.AppendUvarint(smr.AppendUvarint(b, e.Version), uint64(e.ExpiresAt))
+	b = appendACL(codec.AppendStrings(b, e.Tuple), e.ACL)
+	return codec.AppendUvarint(codec.AppendUvarint(b, e.Version), uint64(e.ExpiresAt))
 }
 
-func decodeEntry(d *smr.Decoder) Entry {
+func decodeEntry(d *codec.Decoder) Entry {
 	return Entry{Tuple: d.Strings(), ACL: decodeACL(d), Version: d.Uvarint(), ExpiresAt: int64(d.Uvarint())}
 }
 
@@ -210,20 +210,20 @@ func encodeResult(r Result) []byte {
 	if r.Entry != nil {
 		entry = []Entry{*r.Entry}
 	}
-	b := smr.AppendList(smr.AppendUvarint(nil, uint64(r.Err)), entry, appendEntry)
-	return smr.AppendUvarint(smr.AppendUvarint(smr.AppendList(b, r.Entries, appendEntry), r.Version), uint64(r.Count))
+	b := codec.AppendList(codec.AppendUvarint(nil, uint64(r.Err)), entry, appendEntry)
+	return codec.AppendUvarint(codec.AppendUvarint(codec.AppendList(b, r.Entries, appendEntry), r.Version), uint64(r.Count))
 }
 
 func decodeResult(b []byte) (Result, error) {
-	d := smr.NewDecoder(b, false)
+	d := codec.NewDecoder(b, false)
 	code := d.Uvarint()
 	d.Want(code < uint64(len(codeErrors)))
 	r := Result{Err: Code(code)}
-	if entry := smr.List(&d, decodeEntry); len(entry) > 0 {
+	if entry := codec.List(&d, decodeEntry); len(entry) > 0 {
 		d.Want(len(entry) == 1)
 		r.Entry = &entry[0]
 	}
-	r.OK, r.Entries, r.Version, r.Count = r.Err == 0, smr.List(&d, decodeEntry), d.Uvarint(), int(d.Uvarint())
+	r.OK, r.Entries, r.Version, r.Count = r.Err == 0, codec.List(&d, decodeEntry), d.Uvarint(), int(d.Uvarint())
 	return r, d.Finish()
 }
 
@@ -632,17 +632,24 @@ func (s *Space) Snapshot() []byte {
 		}
 	}
 	// The version counter, then the entries in their order in the space.
-	return smr.AppendList(smr.AppendUvarint(smr.AppendVersion(nil), s.nextVer), entries, appendEntry)
+	return codec.AppendList(codec.AppendUvarint(codec.AppendVersion(nil), s.nextVer), entries, appendEntry)
 }
+
+// errSnapshotAtZero refuses a well-formed snapshot whose version counter
+// could never issue a version.
+var errSnapshotAtZero = errors.New("depspace: restoring a snapshot at version 0")
 
 // Restore implements smr.Application. Snapshot bytes come from a peer: the
 // space changes only if they are a whole snapshot whose version counter can
 // issue a version (versions start at 1).
 func (s *Space) Restore(snapshot []byte) error {
-	d := smr.NewDecoder(snapshot, true)
-	nextVer, entries := d.Uvarint(), smr.List(&d, decodeEntry)
-	if err := d.Finish(); err != nil || nextVer == 0 {
-		return fmt.Errorf("depspace: restoring a malformed snapshot (%v) or one at version 0", err)
+	d := codec.NewDecoder(snapshot, true)
+	nextVer, entries := d.Uvarint(), codec.List(&d, decodeEntry)
+	if err := d.Finish(); err != nil {
+		return fmt.Errorf("depspace: restoring a malformed snapshot: %w", err)
+	}
+	if nextVer == 0 {
+		return errSnapshotAtZero
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"scfs/internal/codec"
 	"scfs/internal/smr"
 )
 
@@ -185,9 +186,9 @@ func fuzzSpace(t testing.TB) *Space {
 // overlong is cmd's encoding up to its template, whose field count is
 // forged to exceed what the bytes could hold.
 func overlong(cmd Command) []byte {
-	b := smr.AppendString(smr.AppendString(nil, cmd.Op), cmd.Requester)
-	b = smr.AppendStrings(smr.AppendUvarint(b, uint64(cmd.Now)), nil)
-	return append(smr.AppendUvarint(b, 1<<60), 1, 'x')
+	b := codec.AppendString(codec.AppendString(nil, cmd.Op), cmd.Requester)
+	b = codec.AppendStrings(codec.AppendUvarint(b, uint64(cmd.Now)), nil)
+	return append(codec.AppendUvarint(b, 1<<60), 1, 'x')
 }
 
 // FuzzSpaceExecute: command bytes reach Execute from any client, ordered and
@@ -256,9 +257,9 @@ func FuzzDecodeResult(f *testing.F) {
 	} {
 		f.Add(encodeResult(r))
 	}
-	f.Add(append(smr.AppendList([]byte{0}, []Entry{entry, entry}, appendEntry), 0, 0, 0)) // two entries where one may be
-	f.Add(append(smr.AppendUvarint([]byte{0, 0}, 1<<60), 0, 0))                           // forged entry count
-	f.Add([]byte{6, 0, 0, 0, 0})                                                          // no such error code
+	f.Add(append(codec.AppendList([]byte{0}, []Entry{entry, entry}, appendEntry), 0, 0, 0)) // two entries where one may be
+	f.Add(append(codec.AppendUvarint([]byte{0, 0}, 1<<60), 0, 0))                           // forged entry count
+	f.Add([]byte{6, 0, 0, 0, 0})                                                            // no such error code
 	f.Fuzz(func(t *testing.T, b []byte) {
 		r, err := decodeResult(b)
 		if err != nil {
@@ -278,8 +279,8 @@ func FuzzDecodeResult(f *testing.F) {
 func FuzzSpaceRestore(f *testing.F) {
 	f.Add(fuzzSpace(f).Snapshot())
 	f.Add(NewSpace().Snapshot())
-	f.Add(append(smr.AppendUvarint(smr.AppendVersion(nil), 0), 0))                              // version counter at 0
-	f.Add(append(smr.AppendUvarint(smr.AppendUvarint(smr.AppendVersion(nil), 9), 1<<60), 1, 0)) // forged entry count
+	f.Add(append(codec.AppendUvarint(codec.AppendVersion(nil), 0), 0))                                // version counter at 0
+	f.Add(append(codec.AppendUvarint(codec.AppendUvarint(codec.AppendVersion(nil), 9), 1<<60), 1, 0)) // forged entry count
 	f.Add([]byte("garbage"))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		s := fuzzSpace(t)
@@ -324,7 +325,7 @@ func FuzzSpaceQuery(f *testing.F) {
 	} {
 		f.Add(smr.EncodeBatch(ops))
 	}
-	f.Add(smr.AppendUvarint(smr.AppendVersion(nil), 1<<60))
+	f.Add(codec.AppendUvarint(codec.AppendVersion(nil), 1<<60))
 	f.Add(rdp) // a command outside an envelope
 	f.Fuzz(func(t *testing.T, b []byte) {
 		s := fuzzSpace(t)

@@ -6,13 +6,13 @@
 package fsmeta
 
 import (
-	"encoding/json"
 	"fmt"
 	"path"
 	"sort"
 	"strings"
 	"time"
 
+	"scfs/internal/codec"
 	"scfs/internal/fsapi"
 )
 
@@ -21,45 +21,46 @@ import (
 // paper: name, type, parent, attributes, the opaque identifier referencing
 // the file in the storage service and the hash of the current version.
 type Metadata struct {
-	// Path is the absolute path of the object in the SCFS namespace.
-	Path string `json:"path"`
+	// Path is the absolute path of the object in the SCFS namespace: the
+	// record's key, not part of its encoding.
+	Path string
 	// Type distinguishes files, directories and symlinks.
-	Type fsapi.FileType `json:"type"`
+	Type fsapi.FileType
 	// Size is the length of the current version in bytes.
-	Size int64 `json:"size"`
+	Size int64
 	// Ctime and Mtime are creation and last-modification times.
-	Ctime time.Time `json:"ctime"`
-	Mtime time.Time `json:"mtime"`
+	Ctime time.Time
+	Mtime time.Time
 	// Owner is the SCFS user that created the object and pays for it.
-	Owner string `json:"owner"`
+	Owner string
 	// ACL lists the permissions granted to other users.
-	ACL []fsapi.ACLEntry `json:"acl,omitempty"`
+	ACL []fsapi.ACLEntry
 	// FileID is the opaque identifier referencing the object's data in the
 	// storage service (and therefore in the storage clouds).
-	FileID string `json:"file_id,omitempty"`
+	FileID string
 	// Hash is the collision-resistant hash of the current version — the
 	// value anchored in the consistency anchor.
-	Hash string `json:"hash,omitempty"`
+	Hash string
 	// Versions records older versions for recovery until the garbage
 	// collector reclaims them; the last entry is the current version.
-	Versions []VersionRecord `json:"versions,omitempty"`
+	Versions []VersionRecord
 	// Deleted marks files removed by the user but not yet garbage collected
 	// (multi-versioning principle).
-	Deleted bool `json:"deleted,omitempty"`
+	Deleted bool
 	// LinkTarget holds the target path for symlinks.
-	LinkTarget string `json:"link_target,omitempty"`
+	LinkTarget string
 
 	// Version is the coordination-service version of the record this copy
 	// was read from or written as — what a write conditional on it expects —
 	// and 0 for a copy from anywhere else. It is not part of the record.
-	Version uint64 `json:"-"`
+	Version uint64
 }
 
 // VersionRecord identifies one stored version of a file.
 type VersionRecord struct {
-	Hash    string    `json:"hash"`
-	Size    int64     `json:"size"`
-	ModTime time.Time `json:"mod_time"`
+	Hash    string
+	Size    int64
+	ModTime time.Time
 }
 
 // Name returns the final path element.
@@ -182,27 +183,68 @@ func (m *Metadata) FileInfo() fsapi.FileInfo {
 	}
 }
 
-// Encode serializes the metadata for storage in the coordination service.
+// Encode serializes the metadata for storage in the coordination service:
+// the version, then every field in declaration order but Path — a record's
+// key is its path — and Version, which is not part of the record. It cannot
+// fail; the error result is the API the scfsbench module compiles against.
 func (m *Metadata) Encode() ([]byte, error) {
-	b, err := json.Marshal(m)
-	if err != nil {
-		return nil, fmt.Errorf("fsmeta: encoding metadata for %q: %w", m.Path, err)
-	}
-	return b, nil
+	return appendRecord(codec.AppendVersion(nil), m), nil
 }
 
-// Decode parses a metadata record.
+// Decode parses a metadata record. Its Path is empty: the record does not
+// hold it (see DecodeAt).
 func Decode(b []byte) (*Metadata, error) {
-	var m Metadata
-	if err := json.Unmarshal(b, &m); err != nil {
+	d := codec.NewDecoder(b, true)
+	m := decodeRecord(&d)
+	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("fsmeta: decoding metadata: %w", err)
 	}
-	return &m, nil
+	return m, nil
+}
+
+// appendRecord appends m's fields but Path and Version, in declaration
+// order: the body of a record and of a private name space's entry.
+func appendRecord(b []byte, m *Metadata) []byte {
+	b = appendTime(appendTime(codec.AppendUvarint(codec.AppendUvarint(b, uint64(m.Type)), uint64(m.Size)), m.Ctime), m.Mtime)
+	b = codec.AppendList(codec.AppendString(b, m.Owner), m.ACL, func(b []byte, e fsapi.ACLEntry) []byte {
+		return codec.AppendUvarint(codec.AppendString(b, e.User), uint64(e.Perm))
+	})
+	b = codec.AppendList(codec.AppendString(codec.AppendString(b, m.FileID), m.Hash), m.Versions, func(b []byte, v VersionRecord) []byte {
+		return appendTime(codec.AppendUvarint(codec.AppendString(b, v.Hash), uint64(v.Size)), v.ModTime)
+	})
+	return codec.AppendString(codec.AppendBool(b, m.Deleted), m.LinkTarget)
+}
+
+// decodeRecord reads what appendRecord appended. Go evaluates a composite
+// literal's reads in order, the order of the fields.
+func decodeRecord(d *codec.Decoder) *Metadata {
+	return &Metadata{Type: fsapi.FileType(d.Enum(uint64(fsapi.TypeSymlink))), Size: int64(d.Uvarint()),
+		Ctime: decodeTime(d), Mtime: decodeTime(d), Owner: d.Str(),
+		ACL: codec.List(d, func(d *codec.Decoder) fsapi.ACLEntry {
+			return fsapi.ACLEntry{User: d.Str(), Perm: fsapi.Permission(d.Enum(uint64(fsapi.PermReadWrite)))}
+		}),
+		FileID: d.Str(), Hash: d.Str(),
+		Versions: codec.List(d, func(d *codec.Decoder) VersionRecord {
+			return VersionRecord{Hash: d.Str(), Size: int64(d.Uvarint()), ModTime: decodeTime(d)}
+		}),
+		Deleted: d.Bool(), LinkTarget: d.Str()}
+}
+
+// appendTime appends t as Unix seconds, then nanoseconds.
+func appendTime(b []byte, t time.Time) []byte {
+	return codec.AppendUvarint(codec.AppendUvarint(b, uint64(t.Unix())), uint64(t.Nanosecond()))
+}
+
+// decodeTime reads what appendTime appended, in UTC, so that the zero time
+// reads back as time.Time{}.
+func decodeTime(d *codec.Decoder) time.Time {
+	sec, nsec := int64(d.Uvarint()), int64(d.Enum(1e9-1))
+	return time.Unix(sec, nsec).UTC()
 }
 
 // DecodeAt parses the metadata record stored under path. A record's key is
-// its path: a directory rename rewrites the keys of its subtree, not the
-// paths inside their values, so the value's own path is ignored.
+// its path, and the record holds none, so a directory rename rewrites the
+// keys of its subtree and none of their values.
 func DecodeAt(path string, b []byte) (*Metadata, error) {
 	m, err := Decode(b)
 	if err == nil {

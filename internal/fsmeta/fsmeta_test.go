@@ -1,6 +1,8 @@
 package fsmeta
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -8,6 +10,26 @@ import (
 )
 
 var t0 = time.Date(2014, 6, 19, 12, 0, 0, 0, time.UTC)
+
+// unixUTC is the time a record reads back for Unix time sec s + nsec ns.
+func unixUTC(sec, nsec int64) time.Time { return time.Unix(sec, nsec).UTC() }
+
+// sameRecord reports whether a and b are one record: their times Equal,
+// every other field deeply equal.
+func sameRecord(a, b *Metadata) bool {
+	if len(a.Versions) != len(b.Versions) || !a.Ctime.Equal(b.Ctime) || !a.Mtime.Equal(b.Mtime) {
+		return false
+	}
+	ac, bc := a.Clone(), b.Clone()
+	for i := range ac.Versions {
+		if !ac.Versions[i].ModTime.Equal(bc.Versions[i].ModTime) {
+			return false
+		}
+		ac.Versions[i].ModTime = bc.Versions[i].ModTime
+	}
+	ac.Ctime, ac.Mtime = bc.Ctime, bc.Mtime
+	return reflect.DeepEqual(ac, bc)
+}
 
 func TestNewFileAndDir(t *testing.T) {
 	f := NewFile("docs/report.odt", "alice", "fid-1", t0)
@@ -91,15 +113,46 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(b)
+	got, err := DecodeAt(m.Path, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Path != m.Path || got.Hash != m.Hash || got.Size != m.Size || len(got.ACL) != 1 {
 		t.Fatalf("round trip mismatch: %+v", got)
 	}
-	if _, err := Decode([]byte("not json")); err == nil {
+	if _, err := Decode([]byte("not a record")); err == nil {
 		t.Fatal("Decode accepted garbage")
+	}
+}
+
+// TestRecordRoundTrip: a record with the zero time, a time before 1970 and
+// one with nanoseconds, an ACL and versions reads back as it was written,
+// and Version is not part of it.
+func TestRecordRoundTrip(t *testing.T) {
+	pre1970 := time.Date(1969, 7, 20, 20, 17, 40, 0, time.FixedZone("EDT", -4*3600))
+	nanos := time.Date(2014, 6, 19, 12, 0, 0, 123456789, time.Local)
+	m := &Metadata{Path: "/docs/a", Type: fsapi.TypeSymlink, Size: 42, Mtime: nanos, Owner: "alice",
+		ACL:    []fsapi.ACLEntry{{User: "bob", Perm: fsapi.PermRead}, {User: "carol", Perm: fsapi.PermReadWrite}},
+		FileID: "fid", Hash: "h2", Versions: []VersionRecord{{Hash: "h1", Size: 7, ModTime: pre1970}, {Hash: "h2", Size: 42, ModTime: nanos}},
+		Deleted: true, LinkTarget: "/docs/b", Version: 9}
+	b, _ := m.Encode()
+	got, err := DecodeAt(m.Path, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Ctime != (time.Time{}) {
+		t.Fatalf("the zero time read back as %v", got.Ctime)
+	}
+	if got.Version != 0 {
+		t.Fatalf("Version %d read back from the record", got.Version)
+	}
+	unversioned := m.Clone()
+	unversioned.Version = 0
+	if !sameRecord(got, unversioned) {
+		t.Fatalf("round trip of %+v gave %+v", m, got)
+	}
+	if again, _ := unversioned.Encode(); !slices.Equal(again, b) {
+		t.Fatal("Version changed the record's encoding")
 	}
 }
 
@@ -138,9 +191,9 @@ func TestPathHelpers(t *testing.T) {
 }
 
 func TestPNSBasicOperations(t *testing.T) {
-	p := NewPNS("alice")
-	if p.User() != "alice" || p.Len() != 0 {
-		t.Fatal("fresh PNS misconfigured")
+	p := NewPNS()
+	if got := listed(p); len(got) != 0 {
+		t.Fatalf("fresh PNS lists %q", got)
 	}
 	if p.Get("/missing") != nil {
 		t.Fatal("Get on empty PNS should be nil")
@@ -149,8 +202,8 @@ func TestPNSBasicOperations(t *testing.T) {
 	p.Put(m)
 	p.Put(NewFile("/docs/b", "alice", "fid-b", t0))
 	p.Put(NewDir("/docs", "alice", t0))
-	if p.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", p.Len())
+	if got := listed(p); !slices.Equal(got, []string{"/docs", "/docs/a", "/docs/b"}) {
+		t.Fatalf("PNS lists %q", got)
 	}
 	got := p.Get("/docs/a")
 	if got == nil || got.FileID != "fid-a" {
@@ -175,7 +228,7 @@ func TestPNSBasicOperations(t *testing.T) {
 }
 
 func TestPNSRenamePrefix(t *testing.T) {
-	p := NewPNS("alice")
+	p := NewPNS()
 	for _, pa := range []string{"/dir", "/dir/a", "/dir/sub/b", "/other"} {
 		p.Put(NewFile(pa, "alice", "fid", t0))
 	}
@@ -192,31 +245,28 @@ func TestPNSRenamePrefix(t *testing.T) {
 }
 
 func TestPNSEncodeDecodeRoundTrip(t *testing.T) {
-	p := NewPNS("alice")
+	p := NewPNS()
 	for i := 0; i < 10; i++ {
 		m := NewFile("/private/file"+string(rune('0'+i)), "alice", "fid", t0)
 		m.AddVersion("h", int64(i), t0)
 		p.Put(m)
 	}
-	b, err := p.Encode()
+	b := p.Encode()
+	got, err := DecodePNS("alice", b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodePNS(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.User() != "alice" || got.Len() != 10 {
-		t.Fatalf("decoded PNS user=%q len=%d", got.User(), got.Len())
+	if want := listed(p); len(want) != 10 || !slices.Equal(listed(got), want) {
+		t.Fatalf("decoded PNS lists %q, want %q", listed(got), want)
 	}
 	if got.Get("/private/file3") == nil {
 		t.Fatal("entry lost in round trip")
 	}
-	// The bytes come from the clouds: a null entry is refused, not
-	// dereferenced.
-	for _, bad := range []string{"{", `{"user":"u","entries":[null]}`, `{"user":"u","entries":[{"path":"/a"},null]}`} {
-		if _, err := DecodePNS([]byte(bad)); err == nil {
-			t.Errorf("DecodePNS(%s) accepted garbage", bad)
+	// The bytes come from the clouds: a truncated name space is refused,
+	// not read in part.
+	for _, bad := range [][]byte{nil, b[:len(b)-1], b[:2]} {
+		if _, err := DecodePNS("alice", bad); err == nil {
+			t.Errorf("DecodePNS(%x) accepted garbage", bad)
 		}
 	}
 }

@@ -1,11 +1,14 @@
 package fsmeta
 
 import (
-	"encoding/json"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+
+	"scfs/internal/codec"
 )
 
 // PNS is a Private Name Space (§2.7): the serialized metadata of every
@@ -15,19 +18,14 @@ import (
 // coordination service.
 type PNS struct {
 	mu sync.RWMutex
-	// user owns this name space.
-	user string
 	// entries maps path -> metadata for the user's private objects.
 	entries map[string]*Metadata
 }
 
-// NewPNS creates an empty private name space for a user.
-func NewPNS(user string) *PNS {
-	return &PNS{user: user, entries: make(map[string]*Metadata)}
+// NewPNS creates an empty private name space.
+func NewPNS() *PNS {
+	return &PNS{entries: make(map[string]*Metadata)}
 }
-
-// User returns the owning user.
-func (p *PNS) User() string { return p.user }
 
 // Get returns the metadata stored under path, or nil.
 func (p *PNS) Get(path string) *Metadata {
@@ -56,13 +54,6 @@ func (p *PNS) Remove(path string) bool {
 	_, ok := p.entries[key]
 	delete(p.entries, key)
 	return ok
-}
-
-// Len returns the number of entries.
-func (p *PNS) Len() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return len(p.entries)
 }
 
 // List returns the metadata of entries directly inside dir, sorted by path.
@@ -124,45 +115,36 @@ func parentOf(p string) string {
 	return c[:idx]
 }
 
-// pnsWire is the serialized representation stored in the cloud.
-type pnsWire struct {
-	User    string      `json:"user"`
-	Entries []*Metadata `json:"entries"`
-}
-
-// Encode serializes the PNS for upload to the cloud storage.
-func (p *PNS) Encode() ([]byte, error) {
+// Encode serializes the PNS for upload to the cloud storage: the version,
+// then each entry's clean path and record (Metadata.Encode's fields), in
+// ascending path order. The object is stored under its user's name, so the
+// user is not in it.
+func (p *PNS) Encode() []byte {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	wire := pnsWire{User: p.user}
-	keys := make([]string, 0, len(p.entries))
-	for k := range p.entries {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		wire.Entries = append(wire.Entries, p.entries[k])
-	}
-	b, err := json.Marshal(wire)
-	if err != nil {
-		return nil, fmt.Errorf("fsmeta: encoding PNS of %q: %w", p.user, err)
-	}
-	return b, nil
+	return codec.AppendList(codec.AppendVersion(nil), slices.Sorted(maps.Keys(p.entries)), func(b []byte, path string) []byte {
+		return appendRecord(codec.AppendString(b, path), p.entries[path])
+	})
 }
 
-// DecodePNS parses a serialized private name space. The bytes come from the
-// clouds, so an entry that is null is an error, not a crash.
-func DecodePNS(b []byte) (*PNS, error) {
-	var wire pnsWire
-	if err := json.Unmarshal(b, &wire); err != nil {
-		return nil, fmt.Errorf("fsmeta: decoding PNS: %w", err)
+// DecodePNS parses the serialized private name space of user. The bytes come
+// from the clouds; they are accepted only as the one encoding of a name
+// space, in which no two entries name one path.
+func DecodePNS(user string, b []byte) (*PNS, error) {
+	d := codec.NewDecoder(b, true)
+	entries := codec.List(&d, func(d *codec.Decoder) *Metadata {
+		path := d.Str()
+		m := decodeRecord(d)
+		m.Path = path
+		return m
+	})
+	p := NewPNS()
+	for i, m := range entries {
+		d.Want(m.Path == Clean(m.Path) && (i == 0 || entries[i-1].Path < m.Path))
+		p.entries[m.Path] = m
 	}
-	p := NewPNS(wire.User)
-	for i, m := range wire.Entries {
-		if m == nil {
-			return nil, fmt.Errorf("fsmeta: decoding PNS of %q: entry %d is null", wire.User, i)
-		}
-		p.entries[Clean(m.Path)] = m
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("fsmeta: decoding the private name space of %q: %w", user, err)
 	}
 	return p, nil
 }

@@ -3,16 +3,18 @@ package smr
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"time"
 
+	"scfs/internal/codec"
 	"scfs/internal/telemetry"
 )
 
 // Batching lets the metadata plane amortize coordination round trips:
 // concurrently submitted operations are packed into one ordered invocation
-// and executed back to back at the replicas. The envelope (codec.go) frames
-// a batch; BatchApplication unpacks it replica-side; Coalescer packs it
+// and executed back to back at the replicas. The envelope (EncodeBatch, in
+// the one codec of internal/codec) frames a batch; BatchApplication unpacks it replica-side; Coalescer packs it
 // client-side. Every invocation through them is an envelope, of one
 // operation or more. The three pieces are application-agnostic: any
 // Application can be wrapped.
@@ -49,6 +51,38 @@ func unpack(cmd []byte, do func([]byte) []byte) []byte {
 		replies[i] = do(op)
 	}
 	return EncodeBatch(replies)
+}
+
+// EncodeBatch frames ops as one envelope: the version, the count of ops, then
+// each op as a string. Every coordination invocation is an envelope.
+func EncodeBatch(ops [][]byte) []byte {
+	size := 2 * codec.MaxUvarintLen
+	for _, op := range ops {
+		size += codec.MaxUvarintLen + len(op)
+	}
+	return codec.AppendList(codec.AppendVersion(make([]byte, 0, size)), ops, codec.AppendBytes)
+}
+
+// DecodeBatch unpacks an envelope made by EncodeBatch. The ops alias b.
+func DecodeBatch(b []byte) ([][]byte, error) {
+	d := codec.NewDecoder(b, true)
+	ops := codec.List(&d, (*codec.Decoder).Bytes)
+	if err := d.Finish(); err != nil {
+		return nil, err
+	}
+	return ops, nil
+}
+
+// DecodeBatchReply unpacks the reply to an envelope of n operations. Reply
+// bytes come from replicas and are untrusted: anything but the envelope of
+// exactly n replies is an error, so callers may index the result by
+// operation position.
+func DecodeBatchReply(reply []byte, n int) ([][]byte, error) {
+	replies, err := DecodeBatch(reply)
+	if err != nil || len(replies) != n {
+		return nil, fmt.Errorf("smr: malformed batch reply (%d ops, %d replies; replicas must wrap their application in BatchApplication)", n, len(replies))
+	}
+	return replies, nil
 }
 
 // Snapshot implements Application.

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 
+	"scfs/internal/codec"
 	"scfs/internal/telemetry"
 )
 
@@ -314,7 +315,7 @@ func TestCoalescerFlattensCallerEnvelopes(t *testing.T) {
 	if _, err := co.Invoke(bg, EncodeBatch(nil)); err == nil {
 		t.Fatal("empty envelope accepted")
 	}
-	if _, err := co.Invoke(bg, []byte{codecVersion, 0xFF}); err == nil {
+	if _, err := co.Invoke(bg, []byte{codec.Version, 0xFF}); err == nil {
 		t.Fatal("malformed envelope accepted")
 	}
 	if _, err := co.Invoke(bg, []byte("plain")); err == nil {

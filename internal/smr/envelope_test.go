@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"testing"
+
+	"scfs/internal/codec"
 )
 
 // TestInvokeBatchRejectsBadReplies: the reply to an envelope is replica
@@ -28,12 +30,12 @@ func TestInvokeBatchRejectsBadReplies(t *testing.T) {
 // Malformed envelopes the fuzz targets are seeded with, one for each bound
 // the decoder keeps: each decodes only if that bound is gone.
 var malformedEnvelopes = map[string][]byte{
-	"overlong-count":  append(AppendUvarint(AppendVersion(nil), 1<<60), 1, 'x'),
-	"overlong-length": append(AppendUvarint(AppendVersion(nil), 1), 200, 1, 'x'),
-	"padded-varint":   {codecVersion, 0x81, 0x00, 1, 'x'},
-	"overflow-varint": {codecVersion, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F},
+	"overlong-count":  append(codec.AppendUvarint(codec.AppendVersion(nil), 1<<60), 1, 'x'),
+	"overlong-length": append(codec.AppendUvarint(codec.AppendVersion(nil), 1), 200, 1, 'x'),
+	"padded-varint":   {codec.Version, 0x81, 0x00, 1, 'x'},
+	"overflow-varint": {codec.Version, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F},
 	"trailing-byte":   append(EncodeBatch([][]byte{[]byte("x")}), 0),
-	"other-version":   {codecVersion + 1, 1, 1, 'x'},
+	"other-version":   {codec.Version + 1, 1, 1, 'x'},
 	"plain":           []byte("plain"),
 }
 

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"scfs/internal/codec"
 )
 
 // slowApp delays commands carrying a "slow:" prefix, so a test can park one
@@ -214,7 +216,7 @@ func TestBatchEnvelopeRoundTrip(t *testing.T) {
 			t.Fatalf("op %d = %q, want %q", i, got[i], ops[i])
 		}
 	}
-	for _, b := range [][]byte{[]byte("plain"), {codecVersion, 0xFF}, nil} {
+	for _, b := range [][]byte{[]byte("plain"), {codec.Version, 0xFF}, nil} {
 		if ops, err := DecodeBatch(b); err == nil {
 			t.Fatalf("%q decoded as an envelope of %d ops", b, len(ops))
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"scfs/internal/codec"
 	"scfs/internal/seccrypto"
 )
 
@@ -167,7 +168,7 @@ func (echoApp) Restore([]byte) error      { return nil }
 // must decode as malformed, not panic (or allocate gigabytes) inside
 // Application.Execute on every replica at once.
 func TestDecodeBatchRejectsForgedCount(t *testing.T) {
-	forged := AppendUvarint(AppendVersion(nil), 1<<40)
+	forged := codec.AppendUvarint(codec.AppendVersion(nil), 1<<40)
 	forged = append(forged, 0x01, 'x')
 
 	if ops, err := DecodeBatch(forged); err == nil {

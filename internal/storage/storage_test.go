@@ -12,6 +12,7 @@ import (
 
 	"scfs/internal/cloud"
 	"scfs/internal/cloudsim"
+	"scfs/internal/codec"
 	"scfs/internal/depsky"
 	"scfs/internal/seccrypto"
 )
@@ -425,8 +426,9 @@ func TestForgedNewestHeadIsNotRead(t *testing.T) {
 			if _, _, err := mgr.ReadMatching(bg, "pns/alice", seccrypto.Hash(previous)); (err == nil) != tc.kept {
 				t.Fatalf("the replaced value reads: %v; want readable %v", err, tc.kept)
 			}
-			// The head's layout: magic, big-endian sequence number, hash.
-			head := append([]byte("DSKH\x00\x00\x00\x00\x00\x00\x00\x63"), tc.forge(previous)...)
+			// The head's layout: the codec version, the sequence number, the
+			// hash.
+			head := codec.AppendString(codec.AppendUvarint(codec.AppendVersion(nil), 99), tc.forge(previous))
 			if err := clients[0].Put(bg, "dsky/pns/alice/head", head); err != nil {
 				t.Fatal(err)
 			}

@@ -340,6 +340,50 @@ func TestPrivateNameSpaces(t *testing.T) {
 	}
 }
 
+// TestSetFaclRefusesUnknownPermission: a record stores only the permissions
+// scfs defines and refuses any other as corrupt when it is read back, so
+// SetFacl refuses one outside PermNone..PermReadWrite before it changes a
+// record. A shared file (its record in the coordination service) and a
+// private one (in the private name space) both stay readable and listed,
+// and a remount still loads the name space.
+func TestSetFaclRefusesUnknownPermission(t *testing.T) {
+	opts := []scfs.Option{scfs.WithClouds(namedStores()...), scfs.WithCoordination(sharedCoord()), scfs.WithPrivateNameSpaces()}
+	m := mount(t, opts...)
+	files := map[string]string{"/shared.txt": "shared", "/private.txt": "private"}
+	for path, data := range files {
+		if err := scfs.WriteFile(bg, m, path, []byte(data)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.SetFacl(bg, "/shared.txt", "bob", scfs.PermRead); err != nil {
+		t.Fatal(err)
+	}
+	for path := range files {
+		for _, perm := range []scfs.Permission{scfs.PermNone - 1, scfs.PermReadWrite + 1} {
+			if err := m.SetFacl(bg, path, "bob", perm); !errors.Is(err, fs.ErrInvalid) {
+				t.Fatalf("SetFacl(%s, %d) = %v, want ErrInvalid", path, perm, err)
+			}
+		}
+	}
+	check := func(who string, m *scfs.FS) {
+		t.Helper()
+		for path, want := range files {
+			if got, err := scfs.ReadFile(bg, m, path); err != nil || string(got) != want {
+				t.Fatalf("%s reads %s: %q, %v; want %q", who, path, got, err, want)
+			}
+		}
+		infos, err := m.ReadDir(bg, "/")
+		if err != nil || len(infos) != len(files) {
+			t.Fatalf("%s lists %+v, %v; want both files", who, infos, err)
+		}
+	}
+	check("the mount", m)
+	if err := m.Close(bg); err != nil {
+		t.Fatal(err)
+	}
+	check("a remount", mount(t, opts...))
+}
+
 // TestMetadataCacheTTL: with WithMetadataCacheTTL a Stat of a file the
 // mount just wrote is answered from the mount's metadata cache, with no
 // coordination access; a default mount runs with the cache off and asks
