@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"slices"
 	"sync"
 	"testing"
@@ -316,9 +317,8 @@ func TestWriterOpensPredecessorsVersion(t *testing.T) {
 	}
 }
 
-// failingStore fails the next WriteVersion calls with errUpload. Its versions
-// are below the stream threshold, so the background uploader too writes them
-// through WriteVersion rather than the embedded store's streamed write.
+// failingStore fails the next uploads with errUpload: a blocking close's,
+// from memory, and the background uploader's, streamed from the disk cache.
 type failingStore struct {
 	storage.VersionedStore
 	mu    sync.Mutex
@@ -327,17 +327,29 @@ type failingStore struct {
 
 var errUpload = errors.New("injected upload failure")
 
-func (f *failingStore) WriteVersion(ctx context.Context, fileID, hash string, data []byte) error {
+// fail reports whether this upload is one of the failing ones.
+func (f *failingStore) fail() bool {
 	f.mu.Lock()
-	fail := f.fails > 0
-	if fail {
+	defer f.mu.Unlock()
+	if f.fails > 0 {
 		f.fails--
+		return true
 	}
-	f.mu.Unlock()
-	if fail {
+	return false
+}
+
+func (f *failingStore) WriteVersion(ctx context.Context, fileID, hash string, data []byte) error {
+	if f.fail() {
 		return errUpload
 	}
 	return f.VersionedStore.WriteVersion(ctx, fileID, hash, data)
+}
+
+func (f *failingStore) WriteVersionFrom(ctx context.Context, fileID, hash string, r io.Reader) error {
+	if f.fail() {
+		return errUpload
+	}
+	return f.VersionedStore.WriteVersionFrom(ctx, fileID, hash, r)
 }
 
 // TestFailedCloseReleasesLock: a close whose upload fails reports the

@@ -61,13 +61,6 @@ type GCPolicy struct {
 	// written by the agent (the paper's W parameter). Zero disables the
 	// automatic trigger (Collect can still be called explicitly).
 	TriggerBytes int64
-	// TriggerObjects starts a collection after this many cloud objects have
-	// been created by the agent's writes. It is the request-fee axis of the
-	// trigger: on a chunked backend a version creates one object per chunk per
-	// charged cloud, each of which keeps costing per-request fees, so a
-	// chunk-heavy workload can warrant collection long before TriggerBytes
-	// fires. Zero disables it.
-	TriggerObjects int64
 	// KeepVersions is the number of most recent versions preserved per file
 	// (the paper's V parameter). Minimum 1.
 	KeepVersions int
@@ -102,16 +95,6 @@ type Options struct {
 	// MetadataCacheTTL is the expiration of the short-lived metadata cache
 	// (500 ms in the paper's experiments; 0 disables it).
 	MetadataCacheTTL time.Duration
-	// StreamThresholdBytes is the size above which a file stops being
-	// resident in the agent's caches as a whole, when the backend supports
-	// it: larger files opened read-only are served by ranged cloud reads
-	// instead of a whole-file fetch, and larger queued uploads are streamed
-	// from the disk cache's file instead of being read back into memory. It
-	// chooses memory residency only — how a version is laid out in the
-	// cloud is the backend's business and does not depend on it, so agents
-	// with different thresholds share files freely. Default 1 MiB; negative
-	// disables both.
-	StreamThresholdBytes int64
 	// LockTTL is the lease attached to ephemeral write locks (default 60s).
 	LockTTL time.Duration
 
@@ -162,9 +145,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.DiskCacheBytes <= 0 {
 		o.DiskCacheBytes = 1 << 30
-	}
-	if o.StreamThresholdBytes == 0 {
-		o.StreamThresholdBytes = 1 << 20
 	}
 	if o.LockTTL <= 0 {
 		o.LockTTL = 60 * time.Second
@@ -249,9 +229,8 @@ type Agent struct {
 	pnsDirty  bool
 	closed    bool
 
-	bytesSinceGC   int64
-	objectsSinceGC int64
-	gcRunning      bool
+	bytesSinceGC int64
+	gcRunning    bool
 
 	stats struct {
 		sync.Mutex
@@ -264,6 +243,13 @@ type Agent struct {
 }
 
 var _ fsapi.FileSystem = (*Agent)(nil)
+
+// residencyBound is the size above which a read-only open no longer holds a
+// version whole: it attaches a ranged reader, and ReadAt fetches only the
+// chunks it covers. Every other open fetches the version whole. It chooses
+// memory residency only; how a version is laid out in the clouds is the
+// backend's business.
+const residencyBound = 1 << 20
 
 // fileIDHintBytes bounds the file-ID hint by the bytes of the IDs it holds:
 // some tens of thousands of paths.

@@ -27,28 +27,20 @@ import (
 // what this one read (Kleppmann & Howard: a removal must not erase a write it
 // never saw).
 
-// maybeStartGC launches a background collection when the bytes written — or
-// the cloud objects created, a proxy for per-request fee pressure — since
-// the previous run exceed the configured triggers. The two triggers weigh
-// the two axes of the cloud cost model: a workload streaming many chunked
-// versions can accumulate thousands of fee-bearing objects while staying
-// under any byte budget.
+// maybeStartGC launches a background collection once the bytes written
+// since the previous run reach the W of the policy.
 func (a *Agent) maybeStartGC() {
-	byteTrigger := a.opts.GC.TriggerBytes
-	objTrigger := a.opts.GC.TriggerObjects
-	if byteTrigger <= 0 && objTrigger <= 0 {
+	trigger := a.opts.GC.TriggerBytes
+	if trigger <= 0 {
 		return
 	}
 	a.mu.Lock()
-	due := (byteTrigger > 0 && a.bytesSinceGC >= byteTrigger) ||
-		(objTrigger > 0 && a.objectsSinceGC >= objTrigger)
-	if a.closed || a.gcRunning || !due {
+	if a.closed || a.gcRunning || a.bytesSinceGC < trigger {
 		a.mu.Unlock()
 		return
 	}
 	a.gcRunning = true
 	a.bytesSinceGC = 0
-	a.objectsSinceGC = 0
 	a.mu.Unlock()
 
 	a.addStat(func(s *Stats) { s.GCsTriggered++ })

@@ -63,6 +63,39 @@ func readFresh(t *testing.T, d *deployment, path string, tune func(*Options)) st
 	return string(got)
 }
 
+// TestGCByteTrigger: the paper's W — a close starts a background collection
+// once the bytes the agent wrote since the last one reach
+// GCPolicy.TriggerBytes, and not a byte before.
+func TestGCByteTrigger(t *testing.T) {
+	const w = 16 << 10
+	a, _ := testAgent(t, 4096)
+	a.opts.GC = GCPolicy{TriggerBytes: w, KeepVersions: 1}
+	if err := fsapi.WriteFile(bg, a, "/f", randData(t, w-1)); err != nil {
+		t.Fatal(err)
+	}
+	if n := a.Stats().GCsTriggered; n != 0 {
+		t.Fatalf("%d collections started one byte short of W", n)
+	}
+	if err := fsapi.WriteFile(bg, a, "/f", randData(t, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if n := a.Stats().GCsTriggered; n != 1 {
+		t.Fatalf("%d collections started at W, want 1", n)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		md, err := a.getMetadata(bg, "/f", false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(md.Versions) == 1 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the triggered collection left %d versions, want 1", len(md.Versions))
+		}
+	}
+}
+
 // TestCollectKeepsRepeatedContents: a file written A, B, A and trimmed to its
 // last version loses the first A and B — but a store names a version by file
 // and hash, so deleting the first A deletes the current one too. Only B may
@@ -211,7 +244,7 @@ func TestCollectIsThreeAccesses(t *testing.T) {
 	for _, files := range []int{0, 8, 64} {
 		t.Run(fmt.Sprintf("changed=%d", files), func(t *testing.T) {
 			reads := &descriptorReads{gets: make(map[string][]int)}
-			a, _ := testAgentWith(t, 4096, 1<<20, reads.wrap,
+			a, _ := testAgentWith(t, 4096, reads.wrap,
 				func(s *storage.CloudOfClouds) storage.VersionedStore { return s })
 			for i := 0; i < 3; i++ { // unchanged: one version each
 				if err := fsapi.WriteFile(bg, a, fmt.Sprintf("/keep%d", i), []byte("k")); err != nil {

@@ -206,16 +206,16 @@ func (r *countedReader) ReadAtContext(ctx context.Context, p []byte, off int64) 
 }
 
 // TestReadFileOfAColdLargeFileIsOnePayloadRound: fsapi.ReadFile of a cold
-// four-chunk file is one ranged open and one read through it, whose 16 chunk
+// four-chunk file, larger than residencyBound, is one ranged open and one read through it, whose 16 chunk
 // GETs are in flight together; no whole-object read happens, and the agent
 // stays responsive meanwhile — a Stat on the same mount returns while the
 // GETs are parked.
 func TestReadFileOfAColdLargeFileIsOnePayloadRound(t *testing.T) {
-	const chunk = 4096
+	const chunk = residencyBound / 2
 	// Sized for every chunk GET the read may issue.
 	gate := &chunkGate{arrived: make(chan struct{}, 16), open: make(chan struct{})}
 	store := &rangedCounter{}
-	a, _ := testAgentWith(t, chunk, 2*chunk,
+	a, _ := testAgentWith(t, chunk,
 		func(c cloud.ObjectStore) cloud.ObjectStore { return &gatedCloud{ObjectStore: c, g: gate} },
 		func(s *storage.CloudOfClouds) storage.VersionedStore {
 			store.CloudOfClouds = s

@@ -110,7 +110,7 @@ func (a *Agent) Unlink(ctx context.Context, path string) error {
 		return err
 	}
 	a.metaCache.Invalidate(path)
-	a.memCache.Remove(cacheKey(md.FileID, md.Hash))
+	a.memCache.Remove(cacheKey(md.FileID, md.Hash()))
 	return nil
 }
 
@@ -250,16 +250,12 @@ func (a *Agent) SetFacl(ctx context.Context, path, user string, perm fsapi.Permi
 	if err := a.putMetadata(ctx, md); err != nil {
 		return err
 	}
-	// If the entry stopped being shared, pull it back into the PNS and drop
-	// the coordination-service tuple.
+	// If the entry stopped being shared, putMetadata moved it into the PNS:
+	// drop the coordination-service tuple.
 	if wasShared && !nowShared && a.opts.UsePNS && a.opts.Coordination != nil {
 		if err := a.opts.Coordination.DeleteMetadata(ctx, path); err != nil {
 			return fmt.Errorf("core: retiring coordination tuple for %q: %w", path, err)
 		}
-		a.mu.Lock()
-		a.pns.Put(md)
-		a.pnsDirty = true
-		a.mu.Unlock()
 	}
 	a.metaCache.Invalidate(path)
 	return nil

@@ -160,12 +160,12 @@ func (a *Agent) Open(ctx context.Context, path string, flags fsapi.OpenFlag) (_ 
 		of.writable = true
 	}
 
-	// Step 3: bring the file data into memory — or, for large files opened
-	// read-only over a range-capable backend, attach a ranged reader so the
+	// Step 3: bring the file data into memory — or, for a version larger
+	// than residencyBound opened read-only, attach a ranged reader so the
 	// whole object never has to be resident.
 	if of.refs == 1 || (of.data == nil && of.lazy == nil) {
 		switch {
-		case md.Hash == "": // empty, a new file among them
+		case md.Hash() == "": // empty, a new file among them
 			of.data = nil
 		case flags&fsapi.Truncate != 0:
 			of.data = nil
@@ -196,7 +196,7 @@ func (a *Agent) Open(ctx context.Context, path string, flags fsapi.OpenFlag) (_ 
 	// attached for handles already reading through it and is closed with
 	// the last handle.
 	if flags.Writable() && !of.dirty && of.data == nil && of.lazy != nil {
-		data, err := a.fetchData(ctx, md)
+		data, _, err := a.fetchForOpen(ctx, md, flags)
 		if err != nil {
 			of.refs--
 			if of.refs == 0 {
@@ -263,12 +263,13 @@ func (a *Agent) WriteFile(ctx context.Context, path string, data []byte) error {
 // cachedData returns the contents of the current version of md from the
 // memory or disk cache, if present and valid.
 func (a *Agent) cachedData(md *fsmeta.Metadata) ([]byte, bool) {
-	key := cacheKey(md.FileID, md.Hash)
+	hash := md.Hash()
+	key := cacheKey(md.FileID, hash)
 	if data, ok := a.memCache.Get(key); ok {
 		return data, true
 	}
 	if data, ok := a.diskCache.Get(key); ok {
-		if seccrypto.VerifyHash(data, md.Hash) {
+		if seccrypto.VerifyHash(data, hash) {
 			a.memCache.Put(key, data)
 			return data, true
 		}
@@ -314,37 +315,20 @@ func awaitVisible[T any](ctx context.Context, clk clock.Clock, path, doing strin
 	return none, fmt.Errorf("core: version of %q never became visible: %w", path, err)
 }
 
-// fetchData returns the contents of the current version of md, looking at the
-// memory cache, then the disk cache, then the cloud backend (awaitVisible),
-// whose answer populates both caches.
-func (a *Agent) fetchData(ctx context.Context, md *fsmeta.Metadata) ([]byte, error) {
-	if data, ok := a.cachedData(md); ok {
-		return data, nil
-	}
-	data, err := awaitVisible(ctx, a.clk, md.Path, "reading %q from the cloud", func() ([]byte, error) {
-		return a.opts.Storage.ReadVersion(ctx, md.FileID, md.Hash)
-	})
-	if err != nil {
-		return nil, err
-	}
-	a.addStat(func(s *Stats) { s.CloudReads++; s.CloudBytesDown += int64(len(data)) })
-	key := cacheKey(md.FileID, md.Hash)
-	a.diskCache.Put(key, data)
-	a.memCache.Put(key, data)
-	return data, nil
-}
-
-// fetchForOpen brings a file's contents into reach for a new open: cached
-// copies win, large read-only opens get a lazy ranged reader (so ReadAt
-// fetches only covering chunks), and everything else takes the whole-object
-// fetch path. Exactly one of data and lazy is non-nil on success.
+// fetchForOpen brings the current version of md into reach for an open:
+// the memory cache, then the disk cache, then the cloud backend
+// (awaitVisible), whose answer populates both caches. A read-only open of a
+// version larger than residencyBound that no cache holds gets a ranged
+// reader instead, so ReadAt fetches only the chunks it covers. Exactly one
+// of data and lazy is non-nil on success.
 func (a *Agent) fetchForOpen(ctx context.Context, md *fsmeta.Metadata, flags fsapi.OpenFlag) ([]byte, storage.ReaderAtCloser, error) {
 	if data, ok := a.cachedData(md); ok {
 		return data, nil, nil
 	}
-	if !flags.Writable() && a.opts.StreamThresholdBytes >= 0 && md.Size > a.opts.StreamThresholdBytes {
+	hash := md.Hash()
+	if !flags.Writable() && md.Size > residencyBound {
 		lazy, err := awaitVisible(ctx, a.clk, md.Path, "opening %q for ranged reads", func() (storage.ReaderAtCloser, error) {
-			return a.opts.Storage.OpenVersionAt(ctx, md.FileID, md.Hash)
+			return a.opts.Storage.OpenVersionAt(ctx, md.FileID, hash)
 		})
 		if err != nil {
 			return nil, nil, err
@@ -352,8 +336,17 @@ func (a *Agent) fetchForOpen(ctx context.Context, md *fsmeta.Metadata, flags fsa
 		a.addStat(func(s *Stats) { s.CloudReads++ })
 		return nil, lazy, nil
 	}
-	data, err := a.fetchData(ctx, md)
-	return data, nil, err
+	data, err := awaitVisible(ctx, a.clk, md.Path, "reading %q from the cloud", func() ([]byte, error) {
+		return a.opts.Storage.ReadVersion(ctx, md.FileID, hash)
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	a.addStat(func(s *Stats) { s.CloudReads++; s.CloudBytesDown += int64(len(data)) })
+	key := cacheKey(md.FileID, hash)
+	a.diskCache.Put(key, data)
+	a.memCache.Put(key, data)
+	return data, nil, nil
 }
 
 // --- handle operations ---
@@ -637,12 +630,6 @@ func (a *Agent) syncToCloud(ctx context.Context, task uploadTask) error {
 		return a.failUnlocking(ctx, task.unlockPath, fmt.Errorf("core: uploading %q: %w", task.md.Path, err))
 	}
 	a.addStat(func(s *Stats) { s.CloudWrites++; s.CloudBytesUp += size })
-	// Meter the request-fee pressure of the new version for the GC trigger:
-	// a chunked version is one fee-bearing object per chunk per cloud.
-	fp := a.opts.Storage.EstimateVersionFootprint(size)
-	a.mu.Lock()
-	a.objectsSinceGC += fp.Objects
-	a.mu.Unlock()
 	err = a.putMetadataUnlock(ctx, task.md, task.unlockPath)
 	if err == nil && !a.isShared(task.md) && a.pnsFor(task.md) {
 		err = a.flushPNS(ctx)
@@ -652,11 +639,9 @@ func (a *Agent) syncToCloud(ctx context.Context, task uploadTask) error {
 
 // uploadVersion writes the task's version to the storage backend and
 // reports its size. The payload comes from the task when it carries one,
-// else from the disk-cache entry Close pinned: large versions are streamed
-// from the cache file straight into the backend, chunk by chunk, so neither
-// the queue nor the upload ever holds the whole value in memory; small ones
-// are read back and written from memory. The pinned entry is released once
-// the attempt finishes.
+// else it is streamed from the disk-cache entry Close pinned, chunk by chunk,
+// so neither the queue nor the upload holds the whole value in memory. The
+// pinned entry is released once the attempt finishes.
 func (a *Agent) uploadVersion(ctx context.Context, task uploadTask) (int64, error) {
 	if e := task.early; e != nil {
 		if e.fileID == task.md.FileID && e.hash == task.hash {
@@ -670,29 +655,18 @@ func (a *Agent) uploadVersion(ctx context.Context, task uploadTask) (int64, erro
 	data := task.payload
 	if data == nil {
 		defer a.diskCache.Unpin(key)
-		if a.shouldStream(task.size) {
-			if f, size, ok := a.diskCache.Open(key); ok {
-				defer f.Close()
-				return size, a.opts.Storage.WriteVersionFrom(ctx, task.md.FileID, task.hash, f)
-			}
+		if f, size, ok := a.diskCache.Open(key); ok {
+			defer f.Close()
+			return size, a.opts.Storage.WriteVersionFrom(ctx, task.md.FileID, task.hash, f)
 		}
+		// The pinned entry is gone (a crash-recovery edge or an explicit
+		// cache clear); the memory cache may still hold the version.
 		var ok bool
-		if data, ok = a.diskCache.Get(key); !ok {
-			// The pinned entry is gone (a crash-recovery edge or an explicit
-			// cache clear); the memory cache may still hold the version.
-			if data, ok = a.memCache.Get(key); !ok {
-				return 0, fmt.Errorf("queued version (hash %s) lost from the local caches", task.hash)
-			}
+		if data, ok = a.memCache.Get(key); !ok {
+			return 0, fmt.Errorf("queued version (hash %s) lost from the local caches", task.hash)
 		}
 	}
 	return int64(len(data)), a.opts.Storage.WriteVersion(ctx, task.md.FileID, task.hash, data)
-}
-
-// shouldStream reports whether a payload of the given size is to be streamed
-// into the backend from its disk-cache file instead of being read into
-// memory first.
-func (a *Agent) shouldStream(size int64) bool {
-	return a.opts.StreamThresholdBytes >= 0 && size > a.opts.StreamThresholdBytes
 }
 
 // pnsFor reports whether md's metadata is kept in the PNS.

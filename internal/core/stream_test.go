@@ -18,14 +18,13 @@ import (
 	"scfs/internal/storage"
 )
 
-// testAgent mounts a blocking-mode agent over a 4-cloud CoC backend with a
-// small chunk size and streaming threshold, so streamed paths trigger at
-// test-friendly sizes.
 var bg = context.Background()
 
-func testAgent(t *testing.T, chunkSize int, threshold int64) (*Agent, []*cloudsim.Provider) {
+// testAgent mounts a blocking-mode agent over a 4-cloud CoC backend with the
+// given chunk size, so multi-chunk paths trigger at test-friendly sizes.
+func testAgent(t *testing.T, chunkSize int) (*Agent, []*cloudsim.Provider) {
 	t.Helper()
-	return testAgentWith(t, chunkSize, threshold,
+	return testAgentWith(t, chunkSize,
 		func(c cloud.ObjectStore) cloud.ObjectStore { return c },
 		func(s *storage.CloudOfClouds) storage.VersionedStore { return s })
 }
@@ -33,7 +32,7 @@ func testAgent(t *testing.T, chunkSize int, threshold int64) (*Agent, []*cloudsi
 // testAgentWith is testAgent with every cloud client and the backend passed
 // through the test's wrappers before the mount sees them, and the mount's
 // options through tweak.
-func testAgentWith(t *testing.T, chunkSize int, threshold int64, wrapCloud func(cloud.ObjectStore) cloud.ObjectStore, wrapStore func(*storage.CloudOfClouds) storage.VersionedStore, tweak ...func(*Options)) (*Agent, []*cloudsim.Provider) {
+func testAgentWith(t *testing.T, chunkSize int, wrapCloud func(cloud.ObjectStore) cloud.ObjectStore, wrapStore func(*storage.CloudOfClouds) storage.VersionedStore, tweak ...func(*Options)) (*Agent, []*cloudsim.Provider) {
 	t.Helper()
 	providers := make([]*cloudsim.Provider, 4)
 	clients := make([]cloud.ObjectStore, 4)
@@ -47,13 +46,12 @@ func testAgentWith(t *testing.T, chunkSize int, threshold int64, wrapCloud func(
 	}
 	svc := coord.NewDepSpaceService(depspace.NewClient(&depspace.LocalInvoker{Space: depspace.NewSpace()}, "alice", nil))
 	opts := Options{
-		User:                 "alice",
-		Mode:                 Blocking,
-		Coordination:         svc,
-		Storage:              wrapStore(storage.NewCloudOfClouds(mgr)),
-		StreamThresholdBytes: threshold,
-		MetadataCacheTTL:     500 * time.Millisecond,
-		DiskCacheDir:         t.TempDir(),
+		User:             "alice",
+		Mode:             Blocking,
+		Coordination:     svc,
+		Storage:          wrapStore(storage.NewCloudOfClouds(mgr)),
+		MetadataCacheTTL: 500 * time.Millisecond,
+		DiskCacheDir:     t.TempDir(),
 	}
 	for _, f := range tweak {
 		f(&opts)
@@ -80,8 +78,8 @@ func randData(t *testing.T, n int) []byte {
 // read-only open on a cold cache serves ReadAt through ranged cloud reads
 // without pulling the whole object.
 func TestAgentStreamedWriteAndRangedRead(t *testing.T) {
-	const chunk = 4096
-	a, providers := testAgent(t, chunk, 2*chunk)
+	const chunk = residencyBound / 16
+	a, providers := testAgent(t, chunk)
 	data := randData(t, 16*chunk+99)
 	if err := fsapi.WriteFile(bg, a, "/big.bin", data); err != nil {
 		t.Fatal(err)
@@ -145,8 +143,8 @@ func TestAgentStreamedWriteAndRangedRead(t *testing.T) {
 // read-only handle serves ranged reads, a writable open of the same path
 // must materialize the contents and both handles must stay correct.
 func TestAgentWritableOpenMaterializesLazyFile(t *testing.T) {
-	const chunk = 4096
-	a, _ := testAgent(t, chunk, chunk)
+	const chunk = residencyBound / 4
+	a, _ := testAgent(t, chunk)
 	data := randData(t, 6*chunk)
 	if err := fsapi.WriteFile(bg, a, "/f", data); err != nil {
 		t.Fatal(err)
@@ -190,37 +188,65 @@ func TestAgentWritableOpenMaterializesLazyFile(t *testing.T) {
 	}
 }
 
-// TestRangedOpenDoesNotDependOnTheWritersThreshold: how a version is laid
-// out in the clouds is the backend's choice alone, so a file an agent with
-// the default threshold wrote from memory is served by ranged reads to an
-// agent whose lower threshold asks for them.
-func TestRangedOpenDoesNotDependOnTheWritersThreshold(t *testing.T) {
-	d := newDeployment(t)
-	a, _ := d.agent(t, "a", nil)
-	b, _ := d.agent(t, "b", func(o *Options) { o.StreamThresholdBytes = 8 << 10 })
-	data := randData(t, 256<<10)
-	if err := fsapi.WriteFile(bg, a, "/f", data); err != nil {
+// TestResidencyBound pins the one residency decision at its edge: a
+// read-only open of a version of exactly residencyBound bytes fetches it
+// whole, and a second open is served from the memory cache; one byte more
+// and the open attaches a ranged reader, which moves the contents out of
+// the clouds only when ReadAt asks for them.
+func TestResidencyBound(t *testing.T) {
+	const chunk = residencyBound / 4
+	a, providers := testAgent(t, chunk)
+	egress := func() (n int64) {
+		for _, p := range providers {
+			n += p.Usage(p.CreateAccount("alice")).BytesOut
+		}
+		return n
+	}
+	atBound, past := randData(t, residencyBound), randData(t, residencyBound+1)
+	if err := fsapi.WriteFile(bg, a, "/at", atBound); err != nil {
 		t.Fatal(err)
+	}
+	if err := fsapi.WriteFile(bg, a, "/past", past); err != nil {
+		t.Fatal(err)
+	}
+	a.memCache.Clear()
+	a.diskCache.Clear()
+	open := func(path string) (*handle, Stats) {
+		t.Helper()
+		before := a.Stats()
+		h, err := a.Open(bg, path, fsapi.ReadOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { h.Close(bg) })
+		return h.(*handle), before
 	}
 
-	h, err := b.Open(bg, "/f", fsapi.ReadOnly)
-	if err != nil {
-		t.Fatal(err)
+	h, before := open("/at")
+	if st := a.Stats(); h.of.lazy != nil || st.CloudBytesDown-before.CloudBytesDown != residencyBound {
+		t.Fatalf("open of %d bytes: ranged=%v, %d bytes fetched whole; want the whole version", residencyBound, h.of.lazy != nil, st.CloudBytesDown-before.CloudBytesDown)
 	}
-	buf := make([]byte, 100)
-	if _, err := h.ReadAt(bg, buf, 200<<10); err != nil {
-		t.Fatal(err)
+	h.Close(bg)
+	h, before = open("/at")
+	if st := a.Stats(); !bytes.Equal(h.of.data, atBound) || st.CloudReads != before.CloudReads || st.MemCacheHits != before.MemCacheHits+1 {
+		t.Fatalf("second open made %d cloud reads and %d memory-cache hits, want 0 and 1", st.CloudReads-before.CloudReads, st.MemCacheHits-before.MemCacheHits)
 	}
-	if !bytes.Equal(buf, data[200<<10:200<<10+100]) {
-		t.Fatal("ranged ReadAt mismatch")
+
+	out := egress()
+	h, before = open("/past")
+	if st := a.Stats(); h.of.lazy == nil || st.CloudBytesDown != before.CloudBytesDown {
+		t.Fatalf("open of %d bytes: ranged=%v, %d bytes fetched whole; want a ranged reader", len(past), h.of.lazy != nil, st.CloudBytesDown-before.CloudBytesDown)
 	}
-	if err := h.Close(bg); err != nil {
-		t.Fatal(err)
+	if moved := egress() - out; moved >= chunk {
+		t.Fatalf("the ranged open moved %d bytes out of the clouds, a chunk's worth", moved)
 	}
-	// A ranged open counts as a cloud read that downloads nothing into the
-	// caches; the whole-file fallback would have counted the file's bytes.
-	if st := b.Stats(); st.CloudReads != 1 || st.CloudBytesDown != 0 {
-		t.Fatalf("reader made %d cloud reads fetching %d whole-file bytes, want one ranged open", st.CloudReads, st.CloudBytesDown)
+	out = egress()
+	got := make([]byte, len(past))
+	if n, err := h.ReadAt(bg, got, 0); n != len(past) || (err != nil && err != io.EOF) || !bytes.Equal(got, past) {
+		t.Fatalf("ranged ReadAt: %d bytes, %v, match=%v", n, err, bytes.Equal(got, past))
+	}
+	if moved := egress() - out; moved < int64(len(past)) {
+		t.Fatalf("ReadAt of %d bytes moved only %d out of the clouds", len(past), moved)
 	}
 }
 
@@ -229,7 +255,7 @@ func TestRangedOpenDoesNotDependOnTheWritersThreshold(t *testing.T) {
 // and stating every listed entry afterwards is served from the metadata
 // cache with no extra coordination reads.
 func TestReadDirWarmsStatBurst(t *testing.T) {
-	a, _ := testAgent(t, 4096, 1<<20)
+	a, _ := testAgent(t, 4096)
 	if err := a.Mkdir(bg, "/dir"); err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +292,7 @@ func TestReadDirWarmsStatBurst(t *testing.T) {
 // TestCollectBatchSweep checks the GC deletes old versions through the
 // batched sweep and the storage footprint actually shrinks.
 func TestCollectBatchSweep(t *testing.T) {
-	a, providers := testAgent(t, 4096, 1<<20)
+	a, providers := testAgent(t, 4096)
 	a.opts.GC.KeepVersions = 1
 	const files, versions = 5, 3
 	for i := 0; i < files; i++ {
@@ -310,8 +336,8 @@ func TestCollectBatchSweep(t *testing.T) {
 // a lazily-served large file with Truncate must expose an empty file, not
 // the stale pre-truncate cloud contents.
 func TestTruncateOpenOnLazyFile(t *testing.T) {
-	const chunk = 4096
-	a, _ := testAgent(t, chunk, chunk)
+	const chunk = residencyBound / 4
+	a, _ := testAgent(t, chunk)
 	data := randData(t, 5*chunk)
 	if err := fsapi.WriteFile(bg, a, "/t", data); err != nil {
 		t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
-	"time"
 
 	"scfs/internal/cloud"
 	"scfs/internal/cloudsim"
@@ -18,8 +17,9 @@ import (
 // nonBlockingPair mounts two agents (a writer in non-blocking mode and a
 // blocking reader) over one shared simulated deployment, so what the
 // writer's background uploader actually pushed to the clouds can be
-// observed from the outside.
-func nonBlockingPair(t *testing.T, chunkSize int, threshold, diskCacheBytes int64) (writer, reader *Agent) {
+// observed from the outside. wrap, when set, stands between the writer and
+// the backend.
+func nonBlockingPair(t *testing.T, chunkSize int, diskCacheBytes int64, wrap func(storage.VersionedStore) storage.VersionedStore) (writer, reader *Agent) {
 	t.Helper()
 	providers := make([]*cloudsim.Provider, 4)
 	clients := make([]cloud.ObjectStore, 4)
@@ -32,17 +32,16 @@ func nonBlockingPair(t *testing.T, chunkSize int, threshold, diskCacheBytes int6
 		t.Fatal(err)
 	}
 	space := depspace.NewSpace()
-	newAgent := func(mode Mode, agentID string) *Agent {
+	newAgent := func(mode Mode, agentID string, store storage.VersionedStore) *Agent {
 		svc := coord.NewDepSpaceService(depspace.NewClient(&depspace.LocalInvoker{Space: space}, "alice", nil))
 		a, err := New(bg, Options{
-			User:                 "alice",
-			AgentID:              agentID,
-			Mode:                 mode,
-			Coordination:         svc,
-			Storage:              storage.NewCloudOfClouds(mgr),
-			StreamThresholdBytes: threshold,
-			DiskCacheDir:         t.TempDir(),
-			DiskCacheBytes:       diskCacheBytes,
+			User:           "alice",
+			AgentID:        agentID,
+			Mode:           mode,
+			Coordination:   svc,
+			Storage:        store,
+			DiskCacheDir:   t.TempDir(),
+			DiskCacheBytes: diskCacheBytes,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -50,39 +49,54 @@ func nonBlockingPair(t *testing.T, chunkSize int, threshold, diskCacheBytes int6
 		t.Cleanup(func() { a.Unmount(bg) })
 		return a
 	}
-	return newAgent(NonBlocking, "writer-1"), newAgent(Blocking, "reader-1")
+	store := storage.VersionedStore(storage.NewCloudOfClouds(mgr))
+	writerStore := store
+	if wrap != nil {
+		writerStore = wrap(store)
+	}
+	return newAgent(NonBlocking, "writer-1", writerStore), newAgent(Blocking, "reader-1", store)
 }
 
 // TestUploaderStreamsFromDiskCache is the bounded-uploader-memory check: a
 // queued background upload carries no payload — the dirty version is
 // spilled to (and pinned in) the disk cache, and the uploader streams it
-// from there. Dropping the in-memory copy before the upload runs must not
-// lose the write.
+// from there, whatever its size. Dropping the in-memory copy while the
+// upload waits in the queue must not lose the write.
 func TestUploaderStreamsFromDiskCache(t *testing.T) {
 	const chunk = 4096
-	w, r := nonBlockingPair(t, chunk, 2*chunk, 1<<30)
-	// Large enough that the uploader takes the streaming path out of the
-	// disk cache file.
-	data := randData(t, 8*chunk+33)
-	if err := fsapi.WriteFile(bg, w, "/spill.bin", data); err != nil {
-		t.Fatal(err)
-	}
-	// The task is queued; its payload must live in the disk cache, not the
-	// queue. Clearing the memory cache proves the uploader doesn't depend
-	// on an in-memory copy either.
-	w.memCache.Clear()
-	if err := w.WaitForUploads(bg); err != nil {
-		t.Fatal(err)
-	}
-	if errs := w.Stats().UploadErrors; errs != 0 {
-		t.Fatalf("background upload errors: %d", errs)
-	}
-	got, err := fsapi.ReadFile(bg, r, "/spill.bin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("reader saw wrong bytes after spilled background upload")
+	for _, size := range []int{4 << 10, 8*chunk + 33} {
+		t.Run(fmt.Sprint(size), func(t *testing.T) {
+			store := &watchedStore{uploads: make(chan string, 2)}
+			store.hold()
+			w, r := nonBlockingPair(t, chunk, 1<<30, func(s storage.VersionedStore) storage.VersionedStore {
+				store.VersionedStore = s
+				return store
+			})
+			// A held upload ahead of it keeps the version in the queue.
+			if err := fsapi.WriteFile(bg, w, "/ahead.bin", []byte("ahead")); err != nil {
+				t.Fatal(err)
+			}
+			store.awaitUpload(t, "for the file ahead")
+			data := randData(t, size)
+			if err := fsapi.WriteFile(bg, w, "/spill.bin", data); err != nil {
+				t.Fatal(err)
+			}
+			w.memCache.Clear()
+			close(store.gate)
+			if err := w.WaitForUploads(bg); err != nil {
+				t.Fatal(err)
+			}
+			if errs := w.Stats().UploadErrors; errs != 0 {
+				t.Fatalf("background upload errors: %d", errs)
+			}
+			got, err := fsapi.ReadFile(bg, r, "/spill.bin")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, data) {
+				t.Fatal("reader saw wrong bytes after spilled background upload")
+			}
+		})
 	}
 }
 
@@ -95,7 +109,7 @@ func TestUploaderQueueHoldsNoPayload(t *testing.T) {
 	const chunk = 4096
 	// Disk cache sized to ~2 versions: the pressure writes below would
 	// evict an unpinned queued version.
-	w, r := nonBlockingPair(t, chunk, 2*chunk, 3*8*chunk)
+	w, r := nonBlockingPair(t, chunk, 3*8*chunk, nil)
 	data := randData(t, 8*chunk)
 	if err := fsapi.WriteFile(bg, w, "/pinned.bin", data); err != nil {
 		t.Fatal(err)
@@ -126,7 +140,7 @@ func TestUploaderQueueHoldsNoPayload(t *testing.T) {
 // (the documented edge case) and the upload still succeeds.
 func TestUploaderFallbackWhenDiskCacheCannotHold(t *testing.T) {
 	const chunk = 4096
-	w, r := nonBlockingPair(t, chunk, 2*chunk, 1024 /* smaller than any version */)
+	w, r := nonBlockingPair(t, chunk, 1024 /* smaller than any version */, nil)
 	data := randData(t, 4*chunk)
 	if err := fsapi.WriteFile(bg, w, "/big-for-cache.bin", data); err != nil {
 		t.Fatal(err)
@@ -150,7 +164,7 @@ func TestUploaderFallbackWhenDiskCacheCannotHold(t *testing.T) {
 // and cloud objects it freed, and chunked versions are credited per chunk.
 func TestGCReportsReclaimedFootprint(t *testing.T) {
 	const chunk = 4096
-	a, _ := testAgent(t, chunk, 2*chunk)
+	a, _ := testAgent(t, chunk)
 	// Two versions of a chunked file; KeepVersions defaults to 1, so one
 	// 8-chunk version dies.
 	data := randData(t, 8*chunk)
@@ -174,49 +188,4 @@ func TestGCReportsReclaimedFootprint(t *testing.T) {
 	if report.ReclaimedBytes < int64(8*chunk) {
 		t.Fatalf("ReclaimedBytes = %d, want >= payload size %d", report.ReclaimedBytes, 8*chunk)
 	}
-}
-
-// TestGCObjectTriggerWeighsChunks: the object-count trigger fires a
-// collection for a chunk-heavy workload that stays far under any byte
-// trigger.
-func TestGCObjectTriggerWeighsChunks(t *testing.T) {
-	const chunk = 1024
-	providers := make([]*cloudsim.Provider, 4)
-	clients := make([]cloud.ObjectStore, 4)
-	for i := range clients {
-		providers[i] = cloudsim.NewProvider(cloudsim.Options{Name: fmt.Sprintf("c%d", i)})
-		clients[i] = providers[i].MustClient(providers[i].CreateAccount("alice"))
-	}
-	mgr, err := depsky.New(depsky.Options{Clouds: clients, F: 1, ChunkSize: chunk})
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc := coord.NewDepSpaceService(depspace.NewClient(&depspace.LocalInvoker{Space: depspace.NewSpace()}, "alice", nil))
-	a, err := New(bg, Options{
-		User:                 "alice",
-		Mode:                 Blocking,
-		Coordination:         svc,
-		Storage:              storage.NewCloudOfClouds(mgr),
-		StreamThresholdBytes: 2 * chunk,
-		DiskCacheDir:         t.TempDir(),
-		// A byte trigger far out of reach, an object trigger well within:
-		// one 16-chunk write creates 16 chunks x 3 clouds = 48 objects.
-		GC: GCPolicy{TriggerBytes: 1 << 40, TriggerObjects: 40, KeepVersions: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { a.Unmount(bg) })
-
-	if err := fsapi.WriteFile(bg, a, "/chunky.bin", randData(t, 16*chunk)); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if a.Stats().GCsTriggered >= 1 {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatal("object-count trigger never started a collection")
 }

@@ -93,7 +93,7 @@ type loopMount struct {
 func newLoopMount(t *testing.T, chunk int) *loopMount {
 	t.Helper()
 	m := &loopMount{clk: &stepClock{Sim: clock.NewSim(time.Unix(1700000000, 0))}}
-	m.agent, _ = testAgentWith(t, chunk, int64(2*chunk),
+	m.agent, _ = testAgentWith(t, chunk,
 		func(c cloud.ObjectStore) cloud.ObjectStore { return c },
 		func(s *storage.CloudOfClouds) storage.VersionedStore {
 			m.store = &hidingStore{CloudOfClouds: s}
@@ -126,10 +126,10 @@ func (m *loopMount) writeThenRead(t *testing.T, data []byte, arm func(cancel con
 }
 
 // TestAwaitVisible drives the consistency-anchor read loop through a mount,
-// on both paths that run it: a file below the streaming threshold (whole
-// fetch) and one above it (ranged open).
+// on both paths that run it: a file within residencyBound (whole fetch) and
+// one above it (ranged open).
 func TestAwaitVisible(t *testing.T) {
-	const chunk = 4096
+	const chunk = residencyBound / 4
 	const never = 1 << 20 // misses no loop outlasts
 	outage := errors.New("every cloud is down")
 	sizes := map[string]int{"small": 1000, "large": 5*chunk + 7}
@@ -231,7 +231,7 @@ func TestAwaitVisible(t *testing.T) {
 				if err != nil || !bytes.Equal(got, want) {
 					t.Fatalf("overwrite %d: read mismatch or %v", i, err)
 				}
-				if md, err := m.agent.getMetadata(bg, "/f", false); err != nil || md.Hash != seccrypto.Hash(want) {
+				if md, err := m.agent.getMetadata(bg, "/f", false); err != nil || md.Hash() != seccrypto.Hash(want) {
 					t.Fatalf("overwrite %d: anchored hash is not the contents' (%v)", i, err)
 				}
 			}
@@ -243,7 +243,7 @@ func TestAwaitVisible(t *testing.T) {
 // TestFsyncLeavesNoEntryBehind: what Fsync flushes to the disk cache is gone
 // once the file is closed, whether or not the close stored a version.
 func TestFsyncLeavesNoEntryBehind(t *testing.T) {
-	a, _ := testAgent(t, 4096, 1<<20)
+	a, _ := testAgent(t, 4096)
 	h, err := a.Open(bg, "/f", fsapi.ReadWrite|fsapi.Create)
 	if err != nil {
 		t.Fatal(err)
@@ -269,7 +269,7 @@ func TestFsyncLeavesNoEntryBehind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := a.diskCache.Get(cacheKey(md.FileID, md.Hash)); !ok || !bytes.Equal(got, want) || a.diskCache.Len() != 1 {
+	if got, ok := a.diskCache.Get(cacheKey(md.FileID, md.Hash())); !ok || !bytes.Equal(got, want) || a.diskCache.Len() != 1 {
 		t.Fatalf("after three fsyncs and a close the disk cache holds %d entries (the version's: %v), want exactly that one", a.diskCache.Len(), ok)
 	}
 

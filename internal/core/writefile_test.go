@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"io"
 	"sync"
 	"testing"
 	"time"
@@ -13,8 +14,8 @@ import (
 	"scfs/internal/storage"
 )
 
-// watchedStore reports the hash of every version written through
-// WriteVersion on uploads and counts the calls still running. With gate set,
+// watchedStore reports the hash of every version written, from memory or
+// streamed, on uploads and counts the calls still running. With gate set,
 // a call waits for the gate or for its context before it writes.
 type watchedStore struct {
 	storage.VersionedStore
@@ -32,6 +33,16 @@ func watch(d *deployment) *watchedStore {
 }
 
 func (s *watchedStore) WriteVersion(ctx context.Context, fileID, hash string, data []byte) error {
+	return s.upload(ctx, hash, func() error { return s.VersionedStore.WriteVersion(ctx, fileID, hash, data) })
+}
+
+func (s *watchedStore) WriteVersionFrom(ctx context.Context, fileID, hash string, r io.Reader) error {
+	return s.upload(ctx, hash, func() error { return s.VersionedStore.WriteVersionFrom(ctx, fileID, hash, r) })
+}
+
+// upload reports hash, waits for the gate set when it started (or for ctx)
+// and then writes, counting the call running throughout.
+func (s *watchedStore) upload(ctx context.Context, hash string, write func() error) error {
 	s.mu.Lock()
 	s.running++
 	gate := s.gate
@@ -49,7 +60,7 @@ func (s *watchedStore) WriteVersion(ctx context.Context, fileID, hash string, da
 			return ctx.Err()
 		}
 	}
-	return s.VersionedStore.WriteVersion(ctx, fileID, hash, data)
+	return write()
 }
 
 // hold makes the next calls wait at the gate.
@@ -59,7 +70,7 @@ func (s *watchedStore) hold() {
 	s.gate = make(chan struct{})
 }
 
-// inflight is how many WriteVersion calls have not returned.
+// inflight is how many uploads have not returned.
 func (s *watchedStore) inflight() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -38,11 +38,9 @@ type Metadata struct {
 	// FileID is the opaque identifier referencing the object's data in the
 	// storage service (and therefore in the storage clouds).
 	FileID string
-	// Hash is the collision-resistant hash of the current version — the
-	// value anchored in the consistency anchor.
-	Hash string
 	// Versions records older versions for recovery until the garbage
-	// collector reclaims them; the last entry is the current version.
+	// collector reclaims them; the last entry is the current version, whose
+	// hash (Hash) is the value anchored in the consistency anchor.
 	Versions []VersionRecord
 	// Deleted marks files removed by the user but not yet garbage collected
 	// (multi-versioning principle).
@@ -148,9 +146,17 @@ func (m *Metadata) Writers() []string {
 	return out
 }
 
+// Hash returns the collision-resistant hash of the current version, the
+// last of Versions, or "" when there is none (an empty file never written).
+func (m *Metadata) Hash() string {
+	if len(m.Versions) == 0 {
+		return ""
+	}
+	return m.Versions[len(m.Versions)-1].Hash
+}
+
 // AddVersion records a new current version.
 func (m *Metadata) AddVersion(hash string, size int64, modTime time.Time) {
-	m.Hash = hash
 	m.Size = size
 	m.Mtime = modTime
 	m.Versions = append(m.Versions, VersionRecord{Hash: hash, Size: size, ModTime: modTime})
@@ -209,7 +215,7 @@ func appendRecord(b []byte, m *Metadata) []byte {
 	b = codec.AppendList(codec.AppendString(b, m.Owner), m.ACL, func(b []byte, e fsapi.ACLEntry) []byte {
 		return codec.AppendUvarint(codec.AppendString(b, e.User), uint64(e.Perm))
 	})
-	b = codec.AppendList(codec.AppendString(codec.AppendString(b, m.FileID), m.Hash), m.Versions, func(b []byte, v VersionRecord) []byte {
+	b = codec.AppendList(codec.AppendString(b, m.FileID), m.Versions, func(b []byte, v VersionRecord) []byte {
 		return appendTime(codec.AppendUvarint(codec.AppendString(b, v.Hash), uint64(v.Size)), v.ModTime)
 	})
 	return codec.AppendString(codec.AppendBool(b, m.Deleted), m.LinkTarget)
@@ -223,7 +229,7 @@ func decodeRecord(d *codec.Decoder) *Metadata {
 		ACL: codec.List(d, func(d *codec.Decoder) fsapi.ACLEntry {
 			return fsapi.ACLEntry{User: d.Str(), Perm: fsapi.Permission(d.Enum(uint64(fsapi.PermReadWrite)))}
 		}),
-		FileID: d.Str(), Hash: d.Str(),
+		FileID: d.Str(),
 		Versions: codec.List(d, func(d *codec.Decoder) VersionRecord {
 			return VersionRecord{Hash: d.Str(), Size: int64(d.Uvarint()), ModTime: decodeTime(d)}
 		}),

@@ -84,17 +84,20 @@ func TestACLAndSharing(t *testing.T) {
 
 func TestVersionsAndTrim(t *testing.T) {
 	m := NewFile("/f", "alice", "fid", t0)
+	if m.Hash() != "" {
+		t.Fatalf("a file never written has the hash %q", m.Hash())
+	}
 	for i := 1; i <= 5; i++ {
 		m.AddVersion(string(rune('a'+i)), int64(i*100), t0.Add(time.Duration(i)*time.Minute))
 	}
-	if m.Size != 500 || len(m.Versions) != 5 {
-		t.Fatalf("size=%d versions=%d", m.Size, len(m.Versions))
+	if m.Size != 500 || len(m.Versions) != 5 || m.Hash() != "f" {
+		t.Fatalf("size=%d versions=%d hash=%q", m.Size, len(m.Versions), m.Hash())
 	}
 	removed := m.TrimVersions(2)
 	if len(removed) != 3 || len(m.Versions) != 2 {
 		t.Fatalf("removed=%d kept=%d", len(removed), len(m.Versions))
 	}
-	if m.Versions[1].Hash != m.Hash {
+	if m.Hash() != "f" {
 		t.Fatal("current version must be kept by TrimVersions")
 	}
 	if r := m.TrimVersions(10); r != nil {
@@ -117,7 +120,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Path != m.Path || got.Hash != m.Hash || got.Size != m.Size || len(got.ACL) != 1 {
+	if got.Path != m.Path || got.Hash() != m.Hash() || got.Size != m.Size || len(got.ACL) != 1 {
 		t.Fatalf("round trip mismatch: %+v", got)
 	}
 	if _, err := Decode([]byte("not a record")); err == nil {
@@ -133,7 +136,7 @@ func TestRecordRoundTrip(t *testing.T) {
 	nanos := time.Date(2014, 6, 19, 12, 0, 0, 123456789, time.Local)
 	m := &Metadata{Path: "/docs/a", Type: fsapi.TypeSymlink, Size: 42, Mtime: nanos, Owner: "alice",
 		ACL:    []fsapi.ACLEntry{{User: "bob", Perm: fsapi.PermRead}, {User: "carol", Perm: fsapi.PermReadWrite}},
-		FileID: "fid", Hash: "h2", Versions: []VersionRecord{{Hash: "h1", Size: 7, ModTime: pre1970}, {Hash: "h2", Size: 42, ModTime: nanos}},
+		FileID: "fid", Versions: []VersionRecord{{Hash: "h1", Size: 7, ModTime: pre1970}, {Hash: "h2", Size: 42, ModTime: nanos}},
 		Deleted: true, LinkTarget: "/docs/b", Version: 9}
 	b, _ := m.Encode()
 	got, err := DecodeAt(m.Path, b)

@@ -30,11 +30,10 @@ func listed(p *PNS) []string {
 //	7-8     Owner       "u"
 //	9-12    ACL         one entry: "v", PermRead
 //	13-14   FileID      "f"
-//	15-16   Hash        "h"
-//	17-22   Versions    one: "h", 3 bytes, 9 s + 10 ns
-//	23      Deleted     false
-//	24-25   LinkTarget  "l"
-var record = []byte{codec.Version, 1, 3, 5, 6, 7, 8, 1, 'u', 1, 1, 'v', 1, 1, 'f', 1, 'h', 1, 1, 'h', 3, 9, 10, 0, 1, 'l'}
+//	15-20   Versions    one: "h", 3 bytes, 9 s + 10 ns
+//	21      Deleted     false
+//	22-23   LinkTarget  "l"
+var record = []byte{codec.Version, 1, 3, 5, 6, 7, 8, 1, 'u', 1, 1, 'v', 1, 1, 'f', 1, 1, 'h', 3, 9, 10, 0, 1, 'l'}
 
 // splice returns a copy of b with b[i] replaced by with.
 func splice(b []byte, i int, with ...byte) []byte {
@@ -52,7 +51,7 @@ func TestRecordLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := &Metadata{Type: fsapi.TypeDir, Size: 3, Ctime: unixUTC(5, 6), Mtime: unixUTC(7, 8), Owner: "u",
-		ACL: []fsapi.ACLEntry{{User: "v", Perm: fsapi.PermRead}}, FileID: "f", Hash: "h",
+		ACL: []fsapi.ACLEntry{{User: "v", Perm: fsapi.PermRead}}, FileID: "f",
 		Versions: []VersionRecord{{Hash: "h", Size: 3, ModTime: unixUTC(9, 10)}}, LinkTarget: "l"}
 	if enc, _ := want.Encode(); !bytes.Equal(enc, record) {
 		t.Fatalf("record encodes as %v, want %v", enc, record)
@@ -75,10 +74,10 @@ func FuzzDecodeMetadata(f *testing.F) {
 		splice(record, 1, 3),                 // no such type
 		splice(record, 12, 3),                // no such permission
 		splice(record, 4, uvarint(1e9)...),   // nanoseconds = 1e9
-		splice(record, 23, 2),                // a bool of 2
+		splice(record, 21, 2),                // a bool of 2
 		splice(record, 2, 0x83, 0x00),        // a padded varint
 		splice(record, 9, uvarint(1<<60)...), // an ACL count forged to 1<<60
-		splice(record, 24, 0x80, 0x01),       // an over-long link target
+		splice(record, 22, 0x80, 0x01),       // an over-long link target
 		append(bytes.Clone(record), 0),       // a trailing byte
 		splice(record, 3, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02), // an overflowing varint
 	} {

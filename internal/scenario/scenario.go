@@ -184,7 +184,6 @@ func newEnv(t *testing.T, s Scenario) *Env {
 	opts := append([]scfs.Option{
 		scfs.WithClouds(stores...),
 		scfs.WithDiskCache(t.TempDir(), 0),
-		scfs.WithStreamThreshold(8 << 10),
 		scfs.WithMetrics(),
 	}, s.Mount...)
 	env := &Env{Providers: providers}

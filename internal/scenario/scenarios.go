@@ -151,14 +151,15 @@ func grayFailureSequentialScan() Scenario {
 
 // fCorruptingClouds: f clouds return silently corrupted payloads on every
 // read. The integrity layer must discard their answers and serve correct
-// data from the rest, for streamed files and small inline ones alike.
+// data from the rest, for files read by ranges (larger than a mount holds
+// whole) and small inline ones alike.
 func fCorruptingClouds() Scenario {
 	return Scenario{
 		Name: "f-corrupting-clouds",
 		Description: "f=1 cloud corrupts every read; integrity checks " +
 			"discard it and reads stay correct",
 		Run: func(t *testing.T, env *Env) {
-			big := payload(0x71, 64<<10)
+			big := payload(0x71, 1<<20+64<<10)
 			small := payload(0x72, 512)
 			mustWrite(bg, t, env, "/doc.bin", big)
 			mustWrite(bg, t, env, "/note.txt", small)

@@ -31,12 +31,11 @@ type config struct {
 	clouds       []ObjectStore
 	coordination coord.Service
 
-	memCacheBytes   int64
-	diskCacheBytes  int64
-	diskCacheDir    string
-	metadataTTL     time.Duration
-	streamThreshold int64
-	breakers        iopolicy.BreakerPolicy
+	memCacheBytes  int64
+	diskCacheBytes int64
+	diskCacheDir   string
+	metadataTTL    time.Duration
+	breakers       iopolicy.BreakerPolicy
 
 	metrics   bool
 	tracing   bool
@@ -47,10 +46,9 @@ type config struct {
 
 func defaultConfig() config {
 	return config{
-		user:            "user",
-		mode:            Blocking,
-		f:               1,
-		streamThreshold: 0, // 0 = core default (1 MiB)
+		user: "user",
+		mode: Blocking,
+		f:    1,
 	}
 }
 
@@ -103,14 +101,6 @@ func WithDiskCache(dir string, bytes int64) Option {
 // (0 disables it). Default mounts run with the cache off, unlike the
 // paper's experiments, which use 500ms.
 func WithMetadataCacheTTL(ttl time.Duration) Option { return func(c *config) { c.metadataTTL = ttl } }
-
-// WithStreamThreshold sets the size above which a file is no longer held
-// whole in the mount's caches: read-only opens of larger files are served by
-// ranged cloud reads, and larger queued uploads stream from the disk cache.
-// It chooses memory residency, not the cloud layout — mounts with different
-// thresholds read each other's files the same way. Negative disables both;
-// 0 keeps the default (1 MiB).
-func WithStreamThreshold(bytes int64) Option { return func(c *config) { c.streamThreshold = bytes } }
 
 // BreakerPolicy tunes the cloud-of-clouds' per-(cloud, direction) circuit
 // breakers: how many consecutive transient failures mark a cloud suspected
@@ -244,20 +234,19 @@ func (c *config) build(ctx context.Context) (*core.Agent, mountTelemetry, func()
 	}
 
 	agent, err := core.New(ctx, core.Options{
-		User:                 c.user,
-		Mode:                 c.mode,
-		Coordination:         coordination,
-		Storage:              storage.NewCloudOfClouds(mgr),
-		PNSStorage:           storage.NewCoCPNS(mgr),
-		UsePNS:               c.usePNS,
-		GC:                   c.gc,
-		MemoryCacheBytes:     c.memCacheBytes,
-		DiskCacheDir:         c.diskCacheDir,
-		DiskCacheBytes:       c.diskCacheBytes,
-		MetadataCacheTTL:     c.metadataTTL,
-		StreamThresholdBytes: c.streamThreshold,
-		Telemetry:            tel.metrics,
-		Metered:              metered,
+		User:             c.user,
+		Mode:             c.mode,
+		Coordination:     coordination,
+		Storage:          storage.NewCloudOfClouds(mgr),
+		PNSStorage:       storage.NewCoCPNS(mgr),
+		UsePNS:           c.usePNS,
+		GC:               c.gc,
+		MemoryCacheBytes: c.memCacheBytes,
+		DiskCacheDir:     c.diskCacheDir,
+		DiskCacheBytes:   c.diskCacheBytes,
+		MetadataCacheTTL: c.metadataTTL,
+		Telemetry:        tel.metrics,
+		Metered:          metered,
 	})
 	if err != nil {
 		if cleanup != nil {

@@ -35,8 +35,8 @@ func skewedMount(t *testing.T, stragglerRTT time.Duration, opts ...scfs.Option) 
 // how they are obtained. A hedged, readahead-tuned read returns the same
 // bytes as a plain one.
 func TestCallOptionsRoundTrip(t *testing.T) {
-	m := mount(t, scfs.WithStreamThreshold(8<<10))
-	data := bytes.Repeat([]byte("policy!"), 20<<10/7)
+	m := mount(t)
+	data := bytes.Repeat([]byte("policy!"), (1<<20+20<<10)/7)
 	if err := scfs.WriteFile(bg, m, "/f.bin", data); err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestCallOptionsRoundTrip(t *testing.T) {
 // file, so every read leaves them and fans out.
 func TestHedgedReadAvoidsStragglerThroughFacade(t *testing.T) {
 	const straggler = 250 * time.Millisecond
-	m, providers, attempts := timedStragglerMount(t, straggler, scfs.WithStreamThreshold(8<<10))
+	m, providers, attempts := timedStragglerMount(t, straggler)
 	data := bytes.Repeat([]byte{0xBD}, 64<<10)
 	if err := scfs.WriteFile(bg, m, "/hot.bin", data); err != nil {
 		t.Fatal(err)
@@ -145,7 +145,7 @@ func rpcAttempts(m *scfs.FS, cloud string) (n int64) {
 // workload hedged.
 func TestDefaultIOPolicyMountOption(t *testing.T) {
 	const straggler = 250 * time.Millisecond
-	m, providers, attempts := timedStragglerMount(t, straggler, scfs.WithStreamThreshold(8<<10))
+	m, providers, attempts := timedStragglerMount(t, straggler)
 	root := scfs.WithPolicy(bg, scfs.WithHedge(0.95))
 	data := bytes.Repeat([]byte{0x2F}, 32<<10)
 	if err := scfs.WriteFile(root, m, "/d.bin", data); err != nil {
@@ -281,8 +281,8 @@ func TestRetryAndBreakerMerge(t *testing.T) {
 // TestIOFSWithPolicyContext: the io/fs adapter applies the policy carried
 // by the context it was built with.
 func TestIOFSWithPolicyContext(t *testing.T) {
-	m := mount(t, scfs.WithStreamThreshold(4<<10))
-	data := bytes.Repeat([]byte{0x9C}, 40<<10)
+	m := mount(t)
+	data := bytes.Repeat([]byte{0x9C}, 1<<20+40<<10)
 	if err := scfs.WriteFile(bg, m, "/served.bin", data); err != nil {
 		t.Fatal(err)
 	}

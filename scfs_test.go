@@ -15,6 +15,10 @@ import (
 
 	"scfs"
 	"scfs/internal/cloudsim"
+	"scfs/internal/coord"
+	"scfs/internal/depsky"
+	"scfs/internal/fsmeta"
+	"scfs/internal/storage"
 )
 
 var bg = context.Background()
@@ -338,6 +342,63 @@ func TestPrivateNameSpaces(t *testing.T) {
 	if got, err := scfs.ReadFile(bg, mount(t, opts...), "/private.txt"); err != nil || string(got) != "v2" {
 		t.Fatalf("a remount reads %q, %v; want v2", got, err)
 	}
+}
+
+// TestPrivateNameSpaceHandOver follows a file's record between its owner's
+// private name space and the coordination service (§2.7): a private file has
+// no coordination record; sharing it moves the record into the coordination
+// service and out of the name space, and unsharing it moves it back. The
+// owner reads the same bytes at every step and after a remount, whose
+// unmount flushes the name space that the step then reads from the clouds.
+func TestPrivateNameSpaceHandOver(t *testing.T) {
+	stores, svc := namedStores(), sharedCoord()
+	opts := []scfs.Option{scfs.WithClouds(stores...), scfs.WithCoordination(svc), scfs.WithPrivateNameSpaces()}
+	mgr, err := depsky.New(depsky.Options{Clouds: stores, F: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := storage.NewCoCPNS(mgr)
+	const path, data = "/doc.txt", "handed over"
+	m := mount(t, opts...)
+	if err := scfs.WriteFile(bg, m, path, []byte(data)); err != nil {
+		t.Fatal(err)
+	}
+	step := func(name string, shared bool) {
+		t.Helper()
+		if got, err := scfs.ReadFile(bg, m, path); err != nil || string(got) != data {
+			t.Fatalf("%s: the owner reads %q, %v; want %q", name, got, err, data)
+		}
+		if _, err := svc.GetMetadata(bg, path); shared && err != nil || !shared && !errors.Is(err, coord.ErrNotFound) {
+			t.Fatalf("%s: the coordination record: %v, want it there: %v", name, err, shared)
+		}
+		if err := m.Close(bg); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := names.ReadPNS(bg, "user")
+		if err != nil {
+			t.Fatal(err)
+		}
+		pns, err := fsmeta.DecodePNS("user", raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if private := pns.Get(path) != nil; private == shared {
+			t.Fatalf("%s: in the private name space: %v, want %v", name, private, !shared)
+		}
+		m = mount(t, opts...)
+		if got, err := scfs.ReadFile(bg, m, path); err != nil || string(got) != data {
+			t.Fatalf("%s: after a remount the owner reads %q, %v; want %q", name, got, err, data)
+		}
+	}
+	step("private", false)
+	if err := m.SetFacl(bg, path, "bob", scfs.PermRead); err != nil {
+		t.Fatal(err)
+	}
+	step("shared with bob", true)
+	if err := m.SetFacl(bg, path, "bob", scfs.PermNone); err != nil {
+		t.Fatal(err)
+	}
+	step("unshared", false)
 }
 
 // TestSetFaclRefusesUnknownPermission: a record stores only the permissions
